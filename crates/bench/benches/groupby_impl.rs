@@ -5,7 +5,7 @@
 
 use microbench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tax::ops::groupby::{
-    groupby, groupby_opts, groupby_replicated, BasisItem, Direction, GroupOrder,
+    groupby, groupby_replicated, groupby_sharded, BasisItem, Direction, GroupOrder,
 };
 use tax::ops::project::ProjectItem;
 use tax::ops::{project, select_db};
@@ -87,8 +87,9 @@ fn bench_groupby_threads(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("identifier", threads), &threads, |b, _| {
             b.iter(|| {
                 std::hint::black_box(
-                    groupby_opts(db.store(), &input, &gp, &basis, &ordering, &opts)
+                    groupby_sharded(db.store(), &input, &gp, &basis, &ordering, &opts)
                         .unwrap()
+                        .0
                         .len(),
                 )
             })

@@ -15,10 +15,9 @@
 //! .checkpoint          flush dirty pages and truncate the write-ahead
 //!                      log (durable databases)
 //! .mode direct|groupby|materialized|auto|both
-//! .exec physical|legacy
 //! .cube                run the X14 lattice query (journal → year →
 //!                      author cube) under the current settings
-//! .batch <n>           physical executor batch size
+//! .batch <n>           executor batch size
 //! .threads <n>         worker threads for operator evaluation
 //! .explain             show plans instead of executing (toggle)
 //! .explain analyze     execute and report per-operator metrics
@@ -35,7 +34,7 @@
 //! ```
 
 use std::io::{BufRead, Write};
-use timber::{ExecMode, PlanMode, TimberDb};
+use timber::{PlanMode, TimberDb};
 use timber_client::Client;
 use xmlstore::StoreOptions;
 
@@ -45,7 +44,6 @@ struct Shell {
     /// wire instead of the local database.
     conn: Option<Client>,
     mode: Mode,
-    exec: ExecMode,
     explain: Explain,
     threads: usize,
 }
@@ -89,24 +87,6 @@ impl Mode {
     }
 }
 
-/// Accepted `.exec` arguments.
-const EXEC_VALUES: &str = "physical|legacy";
-
-fn parse_exec(arg: &str) -> Option<ExecMode> {
-    match arg {
-        "physical" => Some(ExecMode::Physical),
-        "legacy" => Some(ExecMode::Legacy),
-        _ => None,
-    }
-}
-
-fn exec_name(exec: ExecMode) -> &'static str {
-    match exec {
-        ExecMode::Physical => "physical",
-        ExecMode::Legacy => "legacy",
-    }
-}
-
 /// The one unknown-argument report every settings command prints: which
 /// command rejected what, the values it accepts, and the setting that
 /// stays in force — so a typo never silently changes (or appears to
@@ -127,7 +107,6 @@ fn main() {
         db: None,
         conn: None,
         mode: Mode::GroupBy,
-        exec: ExecMode::Physical,
         explain: Explain::Off,
         threads: 1,
     };
@@ -186,7 +165,7 @@ impl Shell {
                 println!(
                     ".load <file.xml> | .gen <articles> | .mode {MODE_VALUES}\n\
                      .insert <file.xml> | .delete <doc> | .checkpoint\n\
-                     .exec {EXEC_VALUES} | .batch <n> | .threads <n>\n\
+                     .batch <n> | .threads <n>\n\
                      .cube (run the X14 lattice query) | .explain (toggle) | .explain analyze | .explain off\n\
                      .faults <spec|off> | .stats | .quit\n\
                      .connect <addr> | .disconnect | .snapshot | .release\n\
@@ -281,7 +260,6 @@ impl Shell {
                     match TimberDb::load_xml(&xml, &StoreOptions::default()) {
                         Ok(mut db) => {
                             db.set_threads(self.threads);
-                            db.set_exec_mode(self.exec);
                             println!(
                                 "generated {n} articles: {} nodes, {:.1} MB",
                                 db.store().node_count(),
@@ -306,26 +284,6 @@ impl Shell {
                         arg,
                         MODE_VALUES,
                         &format!("mode {}", self.mode.name())
-                    )
-                ),
-            },
-            ".exec" => match parse_exec(arg) {
-                Some(exec) => {
-                    // Remember the choice even with no database loaded;
-                    // `.load`/`.gen` apply it to the new database.
-                    self.exec = exec;
-                    if let Some(db) = &mut self.db {
-                        db.set_exec_mode(exec);
-                    }
-                    println!("executor {}", exec_name(exec));
-                }
-                None => eprintln!(
-                    "{}",
-                    bad_setting(
-                        ".exec",
-                        arg,
-                        EXEC_VALUES,
-                        &format!("executor {}", exec_name(self.exec))
                     )
                 ),
             },
@@ -453,7 +411,6 @@ impl Shell {
             Ok(xml) => match TimberDb::load_xml(&xml, &StoreOptions::default()) {
                 Ok(mut db) => {
                     db.set_threads(self.threads);
-                    db.set_exec_mode(self.exec);
                     println!(
                         "loaded {path}: {} nodes, {} pages",
                         db.store().node_count(),
@@ -475,7 +432,6 @@ impl Shell {
             match TimberDb::create(&StoreOptions::default()) {
                 Ok(mut db) => {
                     db.set_threads(self.threads);
-                    db.set_exec_mode(self.exec);
                     self.db = Some(db);
                     println!("created an empty database");
                 }
@@ -615,7 +571,6 @@ mod tests {
             db: None,
             conn: None,
             mode: Mode::GroupBy,
-            exec: ExecMode::Physical,
             explain: Explain::Off,
             threads: 1,
         }
@@ -637,50 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_exec_argument_keeps_the_setting_and_reports_it() {
-        let mut sh = shell();
-        assert!(sh.command(".exec quantum"));
-        assert_eq!(
-            sh.exec,
-            ExecMode::Physical,
-            "typo must not change the executor"
-        );
-        assert_eq!(
-            bad_setting(".exec", "quantum", EXEC_VALUES, "executor physical"),
-            ".exec: unknown argument 'quantum' (expected physical|legacy); \
-             keeping executor physical"
-        );
-        // The choice survives without a database and is echoed verbatim.
-        assert!(sh.command(".exec legacy"));
-        assert_eq!(sh.exec, ExecMode::Legacy);
-        assert!(sh.command(".exec nope"));
-        assert_eq!(
-            sh.exec,
-            ExecMode::Legacy,
-            "error keeps the *current* setting"
-        );
-    }
-
-    #[test]
-    fn both_arms_share_one_error_shape() {
-        // The unified report always names the command, quotes the
-        // argument, lists the accepted values, and echoes the retained
-        // setting — the format both `.mode` and `.exec` arms print.
-        for (cmd, arg, expected, retained) in [
-            (".mode", "x", MODE_VALUES, "mode auto"),
-            (".exec", "x", EXEC_VALUES, "executor legacy"),
-        ] {
-            let msg = bad_setting(cmd, arg, expected, retained);
-            assert!(
-                msg.starts_with(&format!("{cmd}: unknown argument 'x'")),
-                "{msg}"
-            );
-            assert!(msg.contains(expected), "{msg}");
-            assert!(msg.ends_with(&format!("keeping {retained}")), "{msg}");
-        }
-    }
-
-    #[test]
     fn mode_names_round_trip_through_parse() {
         for m in [
             Mode::Direct,
@@ -690,9 +601,6 @@ mod tests {
             Mode::Both,
         ] {
             assert!(Mode::parse(m.name()) == Some(m));
-        }
-        for e in [ExecMode::Physical, ExecMode::Legacy] {
-            assert_eq!(parse_exec(exec_name(e)), Some(e));
         }
     }
 }

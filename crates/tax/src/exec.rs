@@ -1,4 +1,5 @@
-//! Execution options and the parallel per-tree driver.
+//! Execution options, the parallel per-tree driver, and the blocking
+//! sinks' one partition → work → merge schedule ([`shard_map`]).
 //!
 //! TAX operators are bulk operators: most of their work is an
 //! independent computation per input tree (match the pattern, build
@@ -182,6 +183,49 @@ where
         out.extend(r?);
     }
     Ok(out)
+}
+
+/// The blocking sinks' shared schedule: hash-partition, work per shard,
+/// order-restoring merge.
+///
+/// `items` are routed to `opts.threads` shards (at most one per item) by
+/// `route`, the hash of whatever key must stay together — every item of
+/// one key lands in one shard, so per-key decisions are shard-local and
+/// identical to a serial pass. `work` then runs once per shard with
+/// ownership of its items (in parallel via [`par_map_owned`]) and tags
+/// each output with the position a serial pass would have emitted it at;
+/// the merge sorts on that tag, which makes the whole output
+/// byte-identical at every thread count. Returns the merged outputs plus
+/// the partition statistics (items per shard) for the metrics tree.
+pub fn shard_map<T, K, R>(
+    opts: &ExecOptions,
+    items: Vec<T>,
+    route: impl Fn(&T) -> u64,
+    work: impl Fn(Vec<T>) -> Result<Vec<(K, R)>> + Sync,
+) -> Result<(Vec<R>, ShardStats)>
+where
+    T: Send,
+    K: Ord + Send,
+    R: Send,
+{
+    let partitions = opts.threads.max(1).min(items.len().max(1));
+    let mut shards: Vec<Vec<T>> = (0..partitions).map(|_| Vec::new()).collect();
+    if partitions == 1 {
+        shards[0] = items;
+    } else {
+        for item in items {
+            let shard = (route(&item) % partitions as u64) as usize;
+            shards[shard].push(item);
+        }
+    }
+    let sizes = shards.iter().map(Vec::len).collect();
+    let built = par_map_owned(opts, shards, |_, shard| work(shard))?;
+    let mut all: Vec<(K, R)> = built.into_iter().flatten().collect();
+    all.sort_by(|a, b| a.0.cmp(&b.0));
+    Ok((
+        all.into_iter().map(|(_, r)| r).collect(),
+        ShardStats { partitions, sizes },
+    ))
 }
 
 /// 64-bit FNV-1a over `bytes`, folded into `seed` (start from
@@ -398,6 +442,76 @@ mod tests {
         let opts = ExecOptions::with_threads(4);
         let out: Vec<i32> = par_map_owned(&opts, Vec::<i32>::new(), |_, x| Ok(x)).unwrap();
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn shard_map_restores_serial_order_at_every_thread_count() {
+        // Items keyed by `x % 5`; each shard emits one (first position,
+        // key, members) record per key, as a grouping sink would.
+        let items: Vec<(usize, usize)> = (0..40).map(|i| (i, i % 5)).collect();
+        let run = |threads: usize| {
+            shard_map(
+                &ExecOptions::with_threads(threads),
+                items.clone(),
+                |&(_, key)| fnv1a(FNV_SEED, &key.to_le_bytes()),
+                |shard| {
+                    let mut groups: Vec<(usize, (usize, Vec<usize>))> = Vec::new();
+                    for (pos, key) in shard {
+                        match groups.iter_mut().find(|g| g.1 .0 == key) {
+                            Some(g) => g.1 .1.push(pos),
+                            None => groups.push((pos, (key, vec![pos]))),
+                        }
+                    }
+                    Ok(groups)
+                },
+            )
+            .unwrap()
+        };
+        let (serial, stats) = run(1);
+        assert_eq!(stats, ShardStats::serial(40));
+        assert_eq!(serial.len(), 5);
+        for threads in [2, 3, 8, 64] {
+            let (out, stats) = run(threads);
+            assert_eq!(out, serial, "threads={threads}");
+            assert_eq!(stats.partitions, threads.min(40));
+            assert_eq!(stats.sizes.len(), stats.partitions);
+            assert_eq!(stats.total(), 40);
+        }
+    }
+
+    #[test]
+    fn shard_map_empty_input_is_one_serial_partition() {
+        let (out, stats) = shard_map(
+            &ExecOptions::with_threads(4),
+            Vec::<u8>::new(),
+            |_| 0,
+            |shard| Ok(shard.into_iter().map(|x| (x, x)).collect()),
+        )
+        .unwrap();
+        assert!(out.is_empty());
+        assert_eq!(stats, ShardStats::serial(0));
+    }
+
+    #[test]
+    fn shard_map_contains_panics_and_reports_errors() {
+        for threads in [1, 4] {
+            let err = shard_map(
+                &ExecOptions::with_threads(threads),
+                (0..16).collect::<Vec<usize>>(),
+                |&x| x as u64,
+                |shard| -> Result<Vec<(usize, usize)>> {
+                    if shard.contains(&5) {
+                        panic!("poisoned shard");
+                    }
+                    Ok(shard.into_iter().map(|x| (x, x)).collect())
+                },
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, Error::Panic { ref message, .. } if message == "poisoned shard"),
+                "threads={threads}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! which is what lets grouping restructure trees without any aggregation.
 
 use crate::error::{Error, Result};
-use crate::exec::{par_map, ExecOptions};
+use crate::exec::{par_map_owned, ExecOptions};
 use crate::matching::match_tree;
 use crate::matching::vnode::{VNode, VTree};
 use crate::pattern::{PatternNodeId, PatternTree};
@@ -75,18 +75,10 @@ pub fn aggregate(
     )
 }
 
-/// A computed insertion: the new element's kind and where it goes.
-/// `pos == None` appends as the parent's last child.
-struct Edit {
-    parent: usize,
-    pos: Option<usize>,
-    kind: TreeNodeKind,
-}
-
 /// [`aggregate`] with explicit execution options. Each input tree's
-/// aggregate is independent of every other tree's, so value gathering
-/// fans out per tree; the computed insertions are then applied to the
-/// moved input trees without copying them.
+/// aggregate is independent of every other tree's, so the trees fan out
+/// by ownership: a worker gathers a tree's values and inserts the
+/// computed element into that same (moved, never copied) tree.
 #[allow(clippy::too_many_arguments)]
 pub fn aggregate_opts(
     store: &DocumentStore,
@@ -108,15 +100,15 @@ pub fn aggregate_opts(
         return Err(Error::UnknownLabel(format!("${}", anchor_label + 1)));
     }
 
-    let edits: Vec<Option<Edit>> = par_map(opts, &input, |_, tree| {
-        let bindings = match_tree(store, tree, pattern, false)?;
+    par_map_owned(opts, input, |_, mut tree| {
+        let bindings = match_tree(store, &tree, pattern, false)?;
         if bindings.is_empty() {
-            return Ok(None);
+            return Ok(tree);
         }
         // Gather values.
-        let vt = VTree::new(store, tree);
         let mut values: Vec<f64> = Vec::new();
         if func != AggFunc::Count {
+            let vt = VTree::new(store, &tree);
             for b in &bindings {
                 if let Some(text) = vt.content(b[of])? {
                     if let Ok(v) = text.trim().parse::<f64>() {
@@ -126,7 +118,7 @@ pub fn aggregate_opts(
             }
         }
         let Some(value) = compute(func, bindings.len(), &values) else {
-            return Ok(None);
+            return Ok(tree);
         };
 
         // Insert at the anchor of the first witness.
@@ -143,11 +135,9 @@ pub fn aggregate_opts(
             content: Some(store.dict().intern(&format_value(value))),
         };
         match spec {
-            UpdateSpec::AfterLastChild(_) => Ok(Some(Edit {
-                parent: anchor_id,
-                pos: None,
-                kind,
-            })),
+            UpdateSpec::AfterLastChild(_) => {
+                tree.add_node(anchor_id, kind);
+            }
             UpdateSpec::Precedes(_) | UpdateSpec::Follows(_) => {
                 let parent = tree.node(anchor_id).parent.ok_or_else(|| {
                     Error::Unsupported("cannot insert a sibling of the root".into())
@@ -163,29 +153,11 @@ pub fn aggregate_opts(
                 } else {
                     pos
                 };
-                Ok(Some(Edit {
-                    parent,
-                    pos: Some(pos),
-                    kind,
-                }))
+                tree.insert_node(parent, pos, kind);
             }
         }
-    })?;
-
-    let mut out = input;
-    for (tree, edit) in out.iter_mut().zip(edits) {
-        if let Some(e) = edit {
-            match e.pos {
-                None => {
-                    tree.add_node(e.parent, e.kind);
-                }
-                Some(pos) => {
-                    tree.insert_node(e.parent, pos, e.kind);
-                }
-            }
-        }
-    }
-    Ok(out)
+        Ok(tree)
+    })
 }
 
 /// Apply an aggregate function to the gathered numeric values;

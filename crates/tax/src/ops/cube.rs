@@ -4,8 +4,11 @@
 //! (e.g. journal → year → author). For a basis of `L` dimensions the
 //! lattice has `L` prefix levels: level `k` groups on the first `k`
 //! basis items. The XOLAP formulations of Hachicha & Darmont (arXiv
-//! 1102.0952, 0809.2691) express exactly this over TAX pattern trees;
-//! here it shares the streaming rollup's machinery end to end:
+//! 1102.0952, 0809.2691) express exactly this over TAX pattern trees.
+//! A rollup is the lattice's finest level, so the cube *is* the rollup's
+//! prefix-level fold ([`super::rollup`]'s `fold_levels`) asked for
+//! levels `1..=L` instead of `L..=L` — this module adds the entry
+//! points and the level-marker strip, no accumulation of its own:
 //!
 //! * witnesses are extracted **once** with the full `L`-dimension
 //!   pattern (a tree participates only when every dimension is present —
@@ -28,26 +31,22 @@
 //!   within each level — the order the composed `Union` of per-level
 //!   rollup plans produces.
 //!
-//! Sharding routes every witness by the **level-1** key component
-//! (`shard_of(&key[..1])`): all witnesses of any prefix group share
-//! their first component, so every group at every level is wholly inside
-//! one shard and the per-shard accumulators never need cross-shard
-//! merging of partial state.
+//! Sharding routes every witness by the hash of its **level-1** key
+//! component (the fold's coarsest requested prefix): all witnesses of
+//! any prefix group share their first component, so every group at every
+//! level is wholly inside one shard and the per-shard accumulators never
+//! need cross-shard merging of partial state.
 
 use crate::error::{Error, Result};
-use crate::exec::{par_map, par_map_owned, ExecOptions, ShardStats};
-use crate::ops::aggregate::{format_value, AggFunc};
-use crate::ops::groupby::{add_basis_children, validate, BasisItem, Key};
-use crate::ops::keyenc;
-use crate::ops::rollup::{
-    extract_batched, extract_tree, stored_scopes, Contribution, GroupAcc, StreamEntry,
-};
+use crate::exec::{ExecOptions, ShardStats};
+use crate::ops::aggregate::AggFunc;
+use crate::ops::groupby::BasisItem;
+use crate::ops::rollup::{fold_levels, FoldShape};
 use crate::pattern::{PatternNodeId, PatternTree};
-use crate::tree::{Collection, Tree};
-use std::collections::HashMap;
-use xmlstore::{Dictionary, DocumentStore};
+use crate::tree::Collection;
+use xmlstore::DocumentStore;
 
-/// One-scan grouping lattice with default execution options.
+/// One-scan grouping lattice, serial.
 #[allow(clippy::too_many_arguments)]
 pub fn cube(
     store: &DocumentStore,
@@ -59,32 +58,6 @@ pub fn cube(
     func: AggFunc,
     new_tag: &str,
 ) -> Result<Collection> {
-    cube_opts(
-        store,
-        input,
-        pattern,
-        basis,
-        member_pattern,
-        of,
-        func,
-        new_tag,
-        &ExecOptions::default(),
-    )
-}
-
-/// [`cube`] with explicit execution options (serial accumulation).
-#[allow(clippy::too_many_arguments)]
-pub fn cube_opts(
-    store: &DocumentStore,
-    input: &Collection,
-    pattern: &PatternTree,
-    basis: &[BasisItem],
-    member_pattern: &PatternTree,
-    of: PatternNodeId,
-    func: AggFunc,
-    new_tag: &str,
-    opts: &ExecOptions,
-) -> Result<Collection> {
     Ok(cube_sharded(
         store,
         input,
@@ -94,22 +67,14 @@ pub fn cube_opts(
         of,
         func,
         new_tag,
-        opts,
-        1,
+        &ExecOptions::sequential(),
     )?
     .0)
 }
 
-/// Hash-partitioned cube: the sharded-sink entry point.
-///
-/// Extraction fans out over `opts.threads` exactly as in
-/// [`super::rollup::rollup_sharded`]; witnesses are then routed to
-/// `partitions` shards by the FNV-1a hash of their **level-1 key
-/// component**, each shard accumulates all `L` levels of its groups
-/// independently (in parallel via [`par_map_owned`]), and the per-shard
-/// outputs merge ordered by `(level, global first-arrival position)` —
-/// byte-identical to `partitions = 1`. Returns the collection plus the
-/// partition statistics for the metrics tree.
+/// [`cube`] over `opts.threads` workers: the blocking sink's entry
+/// point — the prefix-level fold over levels `1..=basis.len()`, each
+/// output tree marked with its level.
 #[allow(clippy::too_many_arguments)]
 pub fn cube_sharded(
     store: &DocumentStore,
@@ -121,88 +86,25 @@ pub fn cube_sharded(
     func: AggFunc,
     new_tag: &str,
     opts: &ExecOptions,
-    partitions: usize,
 ) -> Result<(Collection, ShardStats)> {
-    validate(pattern, basis, &[])?;
     if basis.is_empty() {
         return Err(Error::Unsupported(
             "cube requires at least one grouping dimension".into(),
         ));
     }
-    if of >= member_pattern.len() {
-        return Err(Error::UnknownLabel(format!("${}", of + 1)));
-    }
-
-    // One extraction with the full pattern; the stream is shared by
-    // every level (see the module docs for why this is sound).
-    let (contributions, stream): (Vec<Contribution>, Vec<StreamEntry>) = match stored_scopes(input)
-    {
-        Some(scopes) => extract_batched(
-            store,
-            input,
-            &scopes,
-            pattern,
-            basis,
-            member_pattern,
-            of,
-            func,
-        )?,
-        None => {
-            let per_tree = par_map(opts, input, |_, tree| {
-                extract_tree(store, tree, pattern, basis, member_pattern, of, func)
-            })?;
-            let mut contributions: Vec<Contribution> = Vec::with_capacity(per_tree.len());
-            let mut stream: Vec<StreamEntry> = Vec::new();
-            let mut seq = 0usize;
-            for (tree_idx, (witnesses, contribution)) in per_tree.into_iter().enumerate() {
-                contributions.push(contribution);
-                for w in witnesses {
-                    stream.push((tree_idx, seq, w));
-                    seq += 1;
-                }
-            }
-            (contributions, stream)
-        }
-    };
-
-    let levels = basis.len();
-    let partitions = partitions.max(1).min(stream.len().max(1));
-    if partitions <= 1 {
-        let n = stream.len();
-        let built = accumulate_cube_shard(
-            store.dict(),
-            input,
-            basis,
-            &contributions,
-            func,
-            new_tag,
-            levels,
-            stream,
-        )?;
-        return Ok((order_levels(built), ShardStats::serial(n)));
-    }
-
-    let mut shards: Vec<Vec<StreamEntry>> = (0..partitions).map(|_| Vec::new()).collect();
-    for entry in stream {
-        // Level-1 routing keeps every prefix group in one shard.
-        let shard = keyenc::shard_of(&entry.2.key[..1], partitions);
-        shards[shard].push(entry);
-    }
-    let sizes: Vec<usize> = shards.iter().map(Vec::len).collect();
-    let built = par_map_owned(opts, shards, |_, shard| {
-        accumulate_cube_shard(
-            store.dict(),
-            input,
-            basis,
-            &contributions,
-            func,
-            new_tag,
-            levels,
-            shard,
-        )
-    })?;
-    let all: Vec<(usize, usize, Tree)> = built.into_iter().flatten().collect();
-    Ok((order_levels(all), ShardStats { partitions, sizes }))
+    fold_levels(
+        store,
+        input,
+        pattern,
+        basis,
+        member_pattern,
+        of,
+        func,
+        new_tag,
+        1..=basis.len(),
+        FoldShape::LevelMarked,
+        opts,
+    )
 }
 
 /// Remove every serialized [`crate::tags::CUBE_LEVEL`] marker element
@@ -231,102 +133,13 @@ pub fn strip_level_markers(xml: &str) -> String {
     out
 }
 
-/// Merge `(level, first_seq, tree)` triples into the canonical output
-/// order: levels ascending (coarsest first), first-witness order within
-/// each level.
-fn order_levels(mut built: Vec<(usize, usize, Tree)>) -> Collection {
-    built.sort_by_key(|&(level, first_seq, _)| (level, first_seq));
-    built.into_iter().map(|(_, _, t)| t).collect()
-}
-
-/// Accumulation + output building over one witness shard: the lattice
-/// counterpart of the rollup's `accumulate_shard`, folding **all**
-/// prefix levels in the single pass over the shard's witnesses. Returns
-/// `(level, global first_seq, tree)` triples.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_cube_shard(
-    dict: &Dictionary,
-    input: &Collection,
-    basis: &[BasisItem],
-    contributions: &[Contribution],
-    func: AggFunc,
-    new_tag: &str,
-    levels: usize,
-    shard: Vec<StreamEntry>,
-) -> Result<Vec<(usize, usize, Tree)>> {
-    // Per level: key-prefix → group index, and the groups in
-    // first-witness order. Level `k` lives at slot `k - 1`.
-    let mut index: Vec<HashMap<Key, usize>> = (0..levels).map(|_| HashMap::new()).collect();
-    let mut groups: Vec<Vec<(usize, GroupAcc)>> = (0..levels).map(|_| Vec::new()).collect();
-    for (tree_idx, seq, w) in shard {
-        for k in 1..=levels {
-            let prefix = &w.key[..k];
-            let gid = match index[k - 1].get(prefix) {
-                Some(&g) => g,
-                None => {
-                    let g = groups[k - 1].len();
-                    index[k - 1].insert(prefix.to_vec(), g);
-                    groups[k - 1].push((
-                        seq,
-                        GroupAcc::new(prefix.to_vec(), w.basis_nodes[..k].to_vec(), tree_idx),
-                    ));
-                    g
-                }
-            };
-            // Member dedup is per level: a tree reaching one journal
-            // group through two authors still folds once at the journal
-            // level (the stream is collection-major, so a group's
-            // same-tree witnesses arrive before any later tree's).
-            let acc = &mut groups[k - 1][gid].1;
-            if acc.last_member != Some(tree_idx) {
-                acc.last_member = Some(tree_idx);
-                acc.fold(&contributions[tree_idx]);
-            }
-        }
-    }
-
-    let mut out = Vec::with_capacity(groups.iter().map(Vec::len).sum());
-    for (slot, level_groups) in groups.into_iter().enumerate() {
-        let level = slot + 1;
-        for (first_seq, acc) in level_groups {
-            // Flat-shape semantics: groups whose aggregate is undefined
-            // at this level are dropped, exactly as the composed
-            // per-level flat rollup drops them.
-            let value = if acc.bindings > 0 {
-                acc.finish(func)
-            } else {
-                None
-            };
-            let Some(v) = value else { continue };
-            let mut tree = Tree::new_elem(dict, crate::tags::GROUP_ROOT);
-            let root = tree.root();
-            tree.add_elem_with_content(dict, root, crate::tags::CUBE_LEVEL, level.to_string());
-            // Cube output is always flat: the composed per-level plans
-            // project their keys deep, so structured key nodes must
-            // materialize their whole subtree here too.
-            add_basis_children(
-                dict,
-                &mut tree,
-                root,
-                &input[acc.basis_tree],
-                &acc.key,
-                &acc.basis_nodes,
-                &basis[..level],
-                true,
-            );
-            tree.add_elem_with_content(dict, tree.root(), new_tag, format_value(v));
-            out.push((level, first_seq, tree));
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::rollup::{rollup, RollupShape};
     use crate::pattern::{Axis, Pred};
     use crate::tags;
+    use crate::tree::Tree;
     use xmlstore::StoreOptions;
 
     const SAMPLE: &str = "<bib>\
@@ -509,38 +322,51 @@ mod tests {
 
     #[test]
     fn structured_key_nodes_keep_their_subtrees() {
-        // Ragged hierarchy: the author key node has children instead of
-        // text. The cube's flat output pre-applies the deep key
-        // projection, so every level-3 group must carry the author's
-        // whole subtree — and still match the composed per-level
-        // rollups byte for byte.
+        // Ragged hierarchy: one author key node has children instead of
+        // text, one article has two authors, one has no pages. The
+        // cube's flat output pre-applies the deep key projection, so
+        // every level-3 group must carry the author's whole subtree —
+        // and, for every aggregate, each level must match the composed
+        // per-level rollups byte for byte; the finest level *is* the
+        // flat rollup over the full basis, through the same fold.
         let xml = "<bib>\
             <article><title>A</title><journal>TODS</journal><year>1999</year>\
-                <author><name><full>Jack</full></name></author></article>\
+                <author><name><full>Jack</full></name></author><pages>30</pages></article>\
             <article><title>B</title><journal>TODS</journal><year>1999</year>\
+                <author>Jill</author><author><name>Joan</name></author><pages>7.5</pages></article>\
+            <article><title>C</title><journal>WebDB</journal><year>2001</year>\
                 <author>Jill</author></article>\
         </bib>";
         let s = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
         let arts = articles(&s);
         let (p, basis) = lattice();
-        let (mp, of) = member("title");
-        let out = cube(&s, &arts, &p, &basis, &mp, of, AggFunc::Count, "count").unwrap();
-        let rendered = to_xml(&s, &out).join("\n");
-        assert!(
-            rendered.contains("<author><name><full>Jack</full></name></author>"),
-            "{rendered}"
-        );
-        assert!(!rendered.contains("<author/>"), "{rendered}");
-        let reference = composed(&s, &arts, &p, &basis, &mp, of, AggFunc::Count, "count");
-        let mut by_level: Vec<Vec<String>> = vec![Vec::new(); basis.len()];
-        for t in &out {
-            let x = xmlparse::serialize::element_to_string(&t.materialize(&s).unwrap());
-            let level = (1..=basis.len())
-                .find(|k| x.contains(&format!("<{m}>{k}</{m}>", m = tags::CUBE_LEVEL)))
-                .expect("level marker");
-            by_level[level - 1].push(strip_level_markers(&x));
+        for (leaf, func, tag) in [
+            ("title", AggFunc::Count, "count"),
+            ("pages", AggFunc::Sum, "sum"),
+            ("pages", AggFunc::Min, "min"),
+            ("pages", AggFunc::Max, "max"),
+            ("pages", AggFunc::Avg, "avg"),
+        ] {
+            let (mp, of) = member(leaf);
+            let out = cube(&s, &arts, &p, &basis, &mp, of, func, tag).unwrap();
+            let rendered = to_xml(&s, &out).join("\n");
+            assert!(
+                rendered.contains("<author><name><full>Jack</full></name></author>"),
+                "{func:?}: {rendered}"
+            );
+            assert!(!rendered.contains("<author/>"), "{func:?}: {rendered}");
+            let reference = composed(&s, &arts, &p, &basis, &mp, of, func, tag);
+            let mut by_level: Vec<Vec<String>> = vec![Vec::new(); basis.len()];
+            for t in &out {
+                let x = xmlparse::serialize::element_to_string(&t.materialize(&s).unwrap());
+                let level = (1..=basis.len())
+                    .find(|k| x.contains(&format!("<{m}>{k}</{m}>", m = tags::CUBE_LEVEL)))
+                    .expect("level marker");
+                by_level[level - 1].push(strip_level_markers(&x));
+            }
+            assert_eq!(by_level, reference, "{func:?}");
+            assert!(!by_level[basis.len() - 1].is_empty(), "{func:?}");
         }
-        assert_eq!(by_level, reference);
     }
 
     #[test]
@@ -618,21 +444,18 @@ mod tests {
         ] {
             let (mp, of) = member(leaf);
             let serial = cube(&s, &arts, &p, &basis, &mp, of, func, tag).unwrap();
-            for partitions in [1usize, 2, 3, 8] {
-                for threads in [1usize, 4] {
-                    let opts = ExecOptions::with_threads(threads);
-                    let (sharded, stats) =
-                        cube_sharded(&s, &arts, &p, &basis, &mp, of, func, tag, &opts, partitions)
-                            .unwrap();
-                    assert_eq!(
-                        to_xml(&s, &serial),
-                        to_xml(&s, &sharded),
-                        "partitions={partitions} threads={threads}"
-                    );
-                    // 6 witnesses: 2 + 2 + 1 + 1 (one per author per article).
-                    assert_eq!(stats.total(), 6);
-                    assert_eq!(stats.partitions, partitions.min(6));
-                }
+            for threads in [1usize, 2, 3, 8] {
+                let opts = ExecOptions::with_threads(threads);
+                let (sharded, stats) =
+                    cube_sharded(&s, &arts, &p, &basis, &mp, of, func, tag, &opts).unwrap();
+                assert_eq!(
+                    to_xml(&s, &serial),
+                    to_xml(&s, &sharded),
+                    "threads={threads}"
+                );
+                // 6 witnesses: 2 + 2 + 1 + 1 (one per author per article).
+                assert_eq!(stats.total(), 6);
+                assert_eq!(stats.partitions, threads.min(6));
             }
         }
     }
@@ -699,7 +522,6 @@ mod tests {
             AggFunc::Count,
             "count",
             &ExecOptions::with_threads(4),
-            4,
         )
         .unwrap();
         assert!(out.is_empty());

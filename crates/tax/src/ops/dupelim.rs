@@ -30,21 +30,7 @@ pub fn dup_elim(
     pattern: &PatternTree,
     by: PatternNodeId,
 ) -> Result<Collection> {
-    dup_elim_opts(store, input, pattern, by, &ExecOptions::default())
-}
-
-/// [`dup_elim`] with explicit execution options. Key extraction (the
-/// pattern match and data value look-up) fans out per tree; the
-/// first-occurrence scan itself stays sequential in input order, so the
-/// survivors are the same trees a single-threaded run keeps.
-pub fn dup_elim_opts(
-    store: &DocumentStore,
-    input: Collection,
-    pattern: &PatternTree,
-    by: PatternNodeId,
-    opts: &ExecOptions,
-) -> Result<Collection> {
-    let keys = dup_keys(store, &input, pattern, by, opts)?;
+    let keys = dup_keys(store, &input, pattern, by, &ExecOptions::default())?;
     let mut seen: HashSet<Option<String>> = HashSet::new();
     let mut out = Vec::new();
     for (tree, key) in input.into_iter().zip(keys) {

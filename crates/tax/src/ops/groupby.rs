@@ -28,9 +28,9 @@
 //!   before sorting. Kept as the ablation baseline (experiment X4).
 
 use crate::error::Result;
-use crate::exec::{par_map, par_map_owned, ExecOptions, ShardStats};
-use crate::matching::match_tree;
+use crate::exec::{par_map, shard_map, ExecOptions, ShardStats};
 use crate::matching::vnode::{VNode, VTree};
+use crate::matching::{match_tree, Binding};
 use crate::ops::keyenc::{self, component};
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tree::{Collection, Tree, TreeNodeKind};
@@ -124,7 +124,7 @@ struct Witness {
     basis_nodes: Vec<VNode>,
 }
 
-/// Identifier-processing grouping (Sec. 5.3).
+/// Identifier-processing grouping (Sec. 5.3), serial.
 pub fn groupby(
     store: &DocumentStore,
     input: &Collection,
@@ -132,51 +132,28 @@ pub fn groupby(
     basis: &[BasisItem],
     ordering: &[GroupOrder],
 ) -> Result<Collection> {
-    groupby_opts(
-        store,
-        input,
-        pattern,
-        basis,
-        ordering,
-        &ExecOptions::default(),
-    )
+    let opts = ExecOptions::sequential();
+    Ok(groupby_sharded(store, input, pattern, basis, ordering, &opts)?.0)
 }
 
-/// [`groupby`] with explicit execution options. Key extraction (pattern
-/// matching + value look-ups) fans out per input tree; group formation
-/// then merges the per-tree witnesses sequentially in input order, so
-/// group order (first arrival) and member order are identical to a
-/// single-threaded run.
-pub fn groupby_opts(
-    store: &DocumentStore,
-    input: &Collection,
-    pattern: &PatternTree,
-    basis: &[BasisItem],
-    ordering: &[GroupOrder],
-    opts: &ExecOptions,
-) -> Result<Collection> {
-    Ok(groupby_sharded(store, input, pattern, basis, ordering, opts, 1)?.0)
-}
-
-/// Hash-partitioned [`groupby`]: the sharded-sink entry point.
+/// [`groupby`] over `opts.threads` workers: the blocking sink's entry
+/// point.
 ///
-/// Witness extraction fans out per input tree exactly as in
-/// [`groupby_opts`]; the extracted witnesses are then routed to
-/// `partitions` shards by an FNV-1a hash of their grouping key, each
-/// shard forms and builds its groups independently (in parallel over
-/// `opts.threads` via [`par_map_owned`]), and the per-shard outputs are
-/// merged ordered by each group's **global first-arrival position** —
-/// the witness ordinal that created the group. Every witness of one key
-/// hashes to the same shard, so member sets, member order, and basis
-/// children are shard-local decisions identical to the serial kernel's;
-/// the order-restoring merge makes the whole output byte-identical to
-/// `partitions = 1`. The paper's non-partitioning semantics survive
-/// unchanged: a two-author article's witnesses carry different keys, land
-/// in (possibly) different shards, and the article appears in both
-/// groups.
+/// Key extraction (pattern matching + value look-ups) fans out per input
+/// tree; the extracted witnesses then go through [`shard_map`] routed by
+/// the FNV-1a hash of their grouping key, each shard forms and builds its
+/// groups independently, and the per-shard outputs merge ordered by each
+/// group's **global first-arrival position** — the witness ordinal that
+/// created the group. Every witness of one key hashes to the same shard,
+/// so member sets, member order, and basis children are shard-local
+/// decisions identical to the serial kernel's, and the output is
+/// byte-identical at every thread count. The paper's non-partitioning
+/// semantics survive unchanged: a two-author article's witnesses carry
+/// different keys, land in (possibly) different shards, and the article
+/// appears in both groups.
 ///
 /// Returns the grouped collection plus the partition statistics
-/// (`partitions`, per-shard witness counts) for the metrics tree.
+/// (per-shard witness counts) for the metrics tree.
 pub fn groupby_sharded(
     store: &DocumentStore,
     input: &Collection,
@@ -184,7 +161,6 @@ pub fn groupby_sharded(
     basis: &[BasisItem],
     ordering: &[GroupOrder],
     opts: &ExecOptions,
-    partitions: usize,
 ) -> Result<(Collection, ShardStats)> {
     validate(pattern, basis, ordering)?;
 
@@ -195,16 +171,6 @@ pub fn groupby_sharded(
         let mut witnesses = Vec::new();
         let dict = store.dict();
         for binding in match_tree(store, tree, pattern, false)? {
-            // Key values come from the columnar symbol region — no page
-            // access; the symbols *are* the key words.
-            let mut key: Key = Vec::with_capacity(basis.len());
-            for item in basis {
-                let v = binding[item.label];
-                key.push(component(match &item.attr {
-                    Some(name) => vt.attr_sym(v, name),
-                    None => vt.content_sym(v),
-                }));
-            }
             // Ordering values resolve to text for the numeric-aware sort.
             let sort_key: Vec<Option<String>> = ordering
                 .iter()
@@ -214,7 +180,7 @@ pub fn groupby_sharded(
                 })
                 .collect();
             witnesses.push(Witness {
-                key,
+                key: basis_key(&vt, &binding, basis),
                 sort_key,
                 basis_nodes: basis.iter().map(|b| binding[b.label]).collect(),
             });
@@ -224,56 +190,45 @@ pub fn groupby_sharded(
 
     // Flatten to the global witness stream; the ordinal `seq` is the
     // arrival position a sequential merge would see.
-    let stream: Vec<(usize, usize, Witness)> = {
-        let mut stream = Vec::new();
-        let mut seq = 0usize;
-        for (tree_idx, witnesses) in per_tree.into_iter().enumerate() {
-            for w in witnesses {
-                stream.push((tree_idx, seq, w));
-                seq += 1;
-            }
+    let mut stream: Vec<(usize, usize, Witness)> = Vec::new();
+    for (tree_idx, witnesses) in per_tree.into_iter().enumerate() {
+        for w in witnesses {
+            stream.push((tree_idx, stream.len(), w));
         }
-        stream
-    };
-
-    let partitions = partitions.max(1).min(stream.len().max(1));
-    if partitions <= 1 {
-        let n = stream.len();
-        let built = form_and_build(store, input, basis, ordering, stream)?;
-        // A single shard creates groups in first-arrival order already.
-        return Ok((
-            built.into_iter().map(|(_, t)| t).collect(),
-            ShardStats::serial(n),
-        ));
     }
 
-    let mut shards: Vec<Vec<(usize, usize, Witness)>> =
-        (0..partitions).map(|_| Vec::new()).collect();
-    for entry in stream {
-        let shard = keyenc::shard_of(&entry.2.key, partitions);
-        shards[shard].push(entry);
-    }
-    let sizes: Vec<usize> = shards.iter().map(Vec::len).collect();
-    let built = par_map_owned(opts, shards, |_, shard| {
-        form_and_build(store, input, basis, ordering, shard)
-    })?;
-    let mut all: Vec<(usize, Tree)> = built.into_iter().flatten().collect();
-    all.sort_by_key(|&(first_seq, _)| first_seq);
-    Ok((
-        all.into_iter().map(|(_, t)| t).collect(),
-        ShardStats { partitions, sizes },
-    ))
+    shard_map(
+        opts,
+        stream,
+        |entry| keyenc::hash_syms(&entry.2.key),
+        |shard| form_and_build(store, input, basis, ordering, shard),
+    )
+}
+
+/// The grouping key of one witness: one symbol word per basis item, read
+/// from the columnar symbol region — no page access; the symbols *are*
+/// the key words. Shared by every grouping kernel so all of them key a
+/// witness identically.
+pub(crate) fn basis_key(vt: &VTree, binding: &Binding, basis: &[BasisItem]) -> Key {
+    basis
+        .iter()
+        .map(|item| {
+            let v = binding[item.label];
+            component(match &item.attr {
+                Some(name) => vt.attr_sym(v, name),
+                None => vt.content_sym(v),
+            })
+        })
+        .collect()
 }
 
 /// Group formation + tree building over one witness shard, witnesses in
 /// global arrival order. Returns `(first-arrival ordinal, group tree)`
 /// per group, in shard-local first-arrival order.
 ///
-/// This is the one group-formation routine: the serial kernel runs it
-/// over the whole stream, the sharded kernel per partition, so the two
-/// paths cannot drift. Member dedup checks only the group's last member:
-/// same-tree witnesses of one key are consecutive within a shard exactly
-/// as they are in the global stream.
+/// Member dedup checks only the group's last member: same-tree witnesses
+/// of one key are consecutive within a shard exactly as they are in the
+/// global stream.
 fn form_and_build(
     store: &DocumentStore,
     input: &Collection,
@@ -361,19 +316,14 @@ pub fn groupby_replicated(
     for (tree_idx, tree) in input.iter().enumerate() {
         let vt = VTree::new(store, tree);
         for binding in match_tree(store, tree, pattern, false)? {
-            let mut key: Key = Vec::with_capacity(basis.len());
-            let mut basis_tags: Vec<String> = Vec::with_capacity(basis.len());
-            for item in basis {
-                let v = binding[item.label];
-                key.push(component(match &item.attr {
-                    Some(name) => vt.attr_sym(v, name),
-                    None => vt.content_sym(v),
-                }));
-                basis_tags.push(match &item.attr {
-                    Some(name) => name.clone(),
-                    None => vt.tag(v)?,
-                });
-            }
+            let key = basis_key(&vt, &binding, basis);
+            let basis_tags = basis
+                .iter()
+                .map(|item| match &item.attr {
+                    Some(name) => Ok(name.clone()),
+                    None => vt.tag(binding[item.label]),
+                })
+                .collect::<Result<Vec<String>>>()?;
             let sort_key = ordering
                 .iter()
                 .map(|o| vt.content(binding[o.label]))
@@ -592,7 +542,7 @@ pub(crate) fn add_basis_children(
     tree: &mut Tree,
     basis_root: usize,
     src_tree: &Tree,
-    key: &Key,
+    key: &[u32],
     basis_nodes: &[VNode],
     basis: &[BasisItem],
     deep_keys: bool,
@@ -642,19 +592,10 @@ pub fn witness_keys(
     validate(pattern, basis, &[])?;
     let per_tree: Vec<Vec<Key>> = par_map(opts, input, |_, tree| {
         let vt = VTree::new(store, tree);
-        let mut keys = Vec::new();
-        for binding in match_tree(store, tree, pattern, false)? {
-            let mut key: Key = Vec::with_capacity(basis.len());
-            for item in basis {
-                let v = binding[item.label];
-                key.push(component(match &item.attr {
-                    Some(name) => vt.attr_sym(v, name),
-                    None => vt.content_sym(v),
-                }));
-            }
-            keys.push(key);
-        }
-        Ok(keys)
+        Ok(match_tree(store, tree, pattern, false)?
+            .iter()
+            .map(|binding| basis_key(&vt, binding, basis))
+            .collect())
     })?;
     Ok(per_tree.into_iter().flatten().collect())
 }
@@ -1143,25 +1084,20 @@ mod tests {
             }],
         ] {
             let serial = groupby(&s, &arts, &p, &basis, &ordering).unwrap();
-            for partitions in [1usize, 2, 3, 8] {
-                for threads in [1usize, 4] {
-                    let opts = ExecOptions::with_threads(threads);
-                    let (sharded, stats) =
-                        groupby_sharded(&s, &arts, &p, &basis, &ordering, &opts, partitions)
-                            .unwrap();
-                    assert_eq!(serial.len(), sharded.len());
-                    for (a, b) in serial.iter().zip(sharded.iter()) {
-                        let xa =
-                            xmlparse::serialize::element_to_string(&a.materialize(&s).unwrap());
-                        let xb =
-                            xmlparse::serialize::element_to_string(&b.materialize(&s).unwrap());
-                        assert_eq!(xa, xb, "partitions={partitions} threads={threads}");
-                    }
-                    // 4 witnesses (Silberschatz ×2, Garcia-Molina, Thompson).
-                    assert_eq!(stats.total(), 4);
-                    assert_eq!(stats.partitions, partitions.min(4));
-                    assert_eq!(stats.sizes.len(), stats.partitions);
+            for threads in [1usize, 2, 3, 8] {
+                let opts = ExecOptions::with_threads(threads);
+                let (sharded, stats) =
+                    groupby_sharded(&s, &arts, &p, &basis, &ordering, &opts).unwrap();
+                assert_eq!(serial.len(), sharded.len());
+                for (a, b) in serial.iter().zip(sharded.iter()) {
+                    let xa = xmlparse::serialize::element_to_string(&a.materialize(&s).unwrap());
+                    let xb = xmlparse::serialize::element_to_string(&b.materialize(&s).unwrap());
+                    assert_eq!(xa, xb, "threads={threads}");
                 }
+                // 4 witnesses (Silberschatz ×2, Garcia-Molina, Thompson).
+                assert_eq!(stats.total(), 4);
+                assert_eq!(stats.partitions, threads.min(4));
+                assert_eq!(stats.sizes.len(), stats.partitions);
             }
         }
     }
@@ -1177,7 +1113,6 @@ mod tests {
             &[BasisItem::content(0)],
             &[],
             &ExecOptions::with_threads(4),
-            4,
         )
         .unwrap();
         assert!(groups.is_empty());

@@ -8,7 +8,7 @@
 //! arguments back together on a shared key.
 
 use crate::error::Result;
-use crate::exec::{par_map, par_map_owned, ExecOptions, ShardStats};
+use crate::exec::{par_map, shard_map, ExecOptions, ShardStats};
 use crate::matching::vnode::VTree;
 use crate::matching::{match_db, match_tree, Binding};
 use crate::ops::keyenc;
@@ -46,7 +46,6 @@ pub fn left_outer_join_db(
         right_label,
         right_sl,
         &ExecOptions::sequential(),
-        1,
     )?
     .0)
 }
@@ -68,18 +67,17 @@ pub fn left_join_key(
     }
 }
 
-/// Hash-partitioned [`left_outer_join_db`]: the sharded-sink entry
-/// point.
+/// [`left_outer_join_db`] over `opts.threads` workers: the blocking
+/// sink's entry point.
 ///
 /// The right side is matched against the database **once** and bucketed
 /// by join value, shared read-only across workers. Each left tree's join
 /// key is extracted in parallel (a per-tree pattern match, fanned out
-/// over `opts.threads`); left trees are then routed to `partitions`
-/// shards by an FNV-1a hash of that key, every shard probes the shared
-/// buckets and builds its `TAX_prod_root` trees independently, and the
-/// merge re-emits the per-tree outputs ordered by **left input
-/// position** — byte-identical to the serial kernel, which walks the
-/// left collection in order.
+/// over `opts.threads`); left trees then go through [`shard_map`] routed
+/// by an FNV-1a hash of that key, every shard probes the shared buckets
+/// and builds its `TAX_prod_root` trees independently, and the merge
+/// re-emits the per-tree outputs ordered by **left input position** —
+/// byte-identical to a serial walk of the left collection.
 ///
 /// Returns the joined collection plus partition statistics (left trees
 /// per shard) for the metrics tree.
@@ -93,7 +91,6 @@ pub fn left_outer_join_db_sharded(
     right_label: PatternNodeId,
     right_sl: &[PatternNodeId],
     opts: &ExecOptions,
-    partitions: usize,
 ) -> Result<(Collection, ShardStats)> {
     if left_label >= left_pattern.len() {
         return Err(crate::error::Error::UnknownLabel(format!(
@@ -125,59 +122,34 @@ pub fn left_outer_join_db_sharded(
         left_join_key(store, ltree, left_pattern, left_label)
     })?;
 
-    let join_left = |li: usize| -> Result<Vec<Tree>> {
-        join_one(
-            store,
-            &left[li],
-            keys[li].as_deref(),
-            &buckets,
-            &right_bindings,
-            right_pattern,
-            right_sl,
-        )
-    };
-
-    let partitions = partitions.max(1).min(left.len().max(1));
-    if partitions <= 1 {
-        let mut out = Vec::new();
-        for li in 0..left.len() {
-            out.extend(join_left(li)?);
-        }
-        return Ok((out, ShardStats::serial(left.len())));
-    }
-
-    let mut shards: Vec<Vec<usize>> = (0..partitions).map(|_| Vec::new()).collect();
-    for (li, key) in keys.iter().enumerate() {
-        let h = keyenc::hash_opt_str(key.as_deref());
-        shards[keyenc::shard(h, partitions)].push(li);
-    }
-    let sizes: Vec<usize> = shards.iter().map(Vec::len).collect();
-    let per_shard: Vec<Vec<(usize, Vec<Tree>)>> = par_map_owned(opts, shards, |_, shard| {
-        shard
-            .into_iter()
-            .map(|li| Ok((li, join_left(li)?)))
-            .collect::<Result<Vec<_>>>()
-    })?;
-
-    // Order-restoring merge: scatter per-left outputs back to left
-    // position, then emit in left order.
-    let mut slots: Vec<Option<Vec<Tree>>> = (0..left.len()).map(|_| None).collect();
-    for shard in per_shard {
-        for (li, trees) in shard {
-            slots[li] = Some(trees);
-        }
-    }
-    let mut out = Vec::new();
-    for slot in slots {
-        out.extend(slot.unwrap_or_default());
-    }
-    Ok((out, ShardStats { partitions, sizes }))
+    let (per_left, stats) = shard_map(
+        opts,
+        (0..left.len()).collect(),
+        |&li| keyenc::hash_opt_str(keys[li].as_deref()),
+        |shard| {
+            shard
+                .into_iter()
+                .map(|li| {
+                    let joined = join_one(
+                        store,
+                        &left[li],
+                        keys[li].as_deref(),
+                        &buckets,
+                        &right_bindings,
+                        right_pattern,
+                        right_sl,
+                    )?;
+                    Ok((li, joined))
+                })
+                .collect()
+        },
+    )?;
+    Ok((per_left.into_iter().flatten().collect(), stats))
 }
 
 /// The per-left-tree join kernel: probe the right buckets with the
 /// tree's join key and emit its `TAX_prod_root` trees (the unmatched
-/// tree survives alone). Shared verbatim between the serial and sharded
-/// paths.
+/// tree survives alone).
 fn join_one(
     store: &DocumentStore,
     ltree: &Tree,

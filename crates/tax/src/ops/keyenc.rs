@@ -1,7 +1,7 @@
-//! Key encoding and shard routing — the one FNV-1a module shared by the
+//! Key encoding and hashing — the one FNV-1a module shared by the
 //! grouping sinks (groupby / rollup / cube, symbol keys) and the
-//! value-join sinks (join operator, executor join — optional-string
-//! keys).
+//! value-join sinks (join operator, executor stitch — optional-string
+//! keys); [`crate::exec::shard_map`] turns the hashes into shards.
 //!
 //! A grouping [`Key`] is a fixed-width sequence of dictionary symbols:
 //! one `u32` word per basis item, [`ABSENT`] when the value is missing
@@ -57,19 +57,6 @@ pub fn hash_opt_str(value: Option<&str>) -> u64 {
     fold_opt_str(FNV_SEED, value)
 }
 
-/// Map a hash to a shard index.
-#[inline]
-pub fn shard(h: u64, partitions: usize) -> usize {
-    (h % partitions as u64) as usize
-}
-
-/// The shard a symbol key routes to. Shared by the groupby, rollup, and
-/// cube sinks so all three route a given key identically.
-#[inline]
-pub fn shard_of(key: &[u32], partitions: usize) -> usize {
-    shard(hash_syms(key), partitions)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,16 +84,5 @@ mod tests {
         let two = fold_opt_str(fold_opt_str(FNV_SEED, Some("ab")), Some("c"));
         let one = fold_opt_str(FNV_SEED, Some("abc"));
         assert_ne!(two, one);
-    }
-
-    #[test]
-    fn shards_cover_the_partition_range() {
-        for p in 1..8usize {
-            for k in 0..32u32 {
-                assert!(shard_of(&[k], p) < p);
-            }
-        }
-        // One partition is the identity sink.
-        assert_eq!(shard_of(&[42, ABSENT], 1), 0);
     }
 }

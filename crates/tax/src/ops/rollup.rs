@@ -8,7 +8,7 @@
 //! hash-accumulates per-basis-key aggregate state directly from the
 //! input scan:
 //!
-//! * witnesses are extracted per input tree exactly as in
+//! * witnesses are keyed exactly as in
 //!   [`super::groupby::groupby_sharded`] (same multi-valued-basis
 //!   semantics: a two-author article contributes to both authors'
 //!   accumulators, and the same tree enters a given group only once);
@@ -35,17 +35,22 @@
 //! as the projection (whose pattern requires the value child) would.
 //! The optimizer only selects this shape when the consuming projection
 //! is precisely that extraction.
+//!
+//! The accumulation is `fold_levels`, a fold over a range of
+//! basis-prefix levels: a rollup asks for the single finest level, the
+//! grouping lattice ([`super::cube`]) for all of them.
 
 use crate::error::{Error, Result};
-use crate::exec::{par_map, par_map_owned, ExecOptions, ShardStats};
+use crate::exec::{par_map, shard_map, ExecOptions, ShardStats};
 use crate::matching::vnode::{VNode, VTree};
 use crate::matching::{match_db, match_tree};
 use crate::ops::aggregate::{format_value, AggFunc};
-use crate::ops::groupby::{add_basis_children, validate, BasisItem, Key};
-use crate::ops::keyenc::{self, component};
+use crate::ops::groupby::{add_basis_children, basis_key, validate, BasisItem, Key};
+use crate::ops::keyenc;
 use crate::pattern::{Axis, PatternNodeId, PatternTree, Pred};
 use crate::tree::{Collection, Tree, TreeNodeKind};
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use xmlstore::{kernels, Dictionary, DocumentStore, NodeEntry, SelVec};
 
 /// The output tree shape of a rollup run.
@@ -61,60 +66,56 @@ pub enum RollupShape {
     Flat,
 }
 
+/// What [`fold_levels`] emits per group: the two rollup shapes, plus the
+/// cube's — [`RollupShape::Flat`] behind a leading
+/// [`crate::tags::CUBE_LEVEL`] child carrying the group's level.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FoldShape {
+    Grouped,
+    Flat,
+    LevelMarked,
+}
+
 /// One grouping witness: key plus the nodes that become basis children.
-/// Shared with the cube kernel ([`super::cube`]), which accumulates the
-/// same witness stream at every basis-prefix level.
-pub(crate) struct RollupWitness {
-    pub(crate) key: Key,
-    pub(crate) basis_nodes: Vec<VNode>,
+struct RollupWitness {
+    key: Key,
+    basis_nodes: Vec<VNode>,
 }
 
 /// One witness-stream entry: `(input tree index, arrival ordinal,
 /// witness)` — the collection-major order the accumulators fold in.
-pub(crate) type StreamEntry = (usize, usize, RollupWitness);
+type StreamEntry = (usize, usize, RollupWitness);
 
 /// One input tree's aggregate contribution: what the materialized
 /// `Aggregate` would see for this tree as a group member.
-pub(crate) struct Contribution {
+struct Contribution {
     /// Member-pattern bindings (what COUNT counts).
-    pub(crate) bindings: usize,
+    bindings: usize,
     /// Numeric values at the aggregated label, in binding order (empty
     /// for COUNT, which never fetches values).
-    pub(crate) values: Vec<f64>,
+    values: Vec<f64>,
 }
 
-/// Running accumulator state of one group.
-pub(crate) struct GroupAcc {
-    pub(crate) key: Key,
-    pub(crate) basis_nodes: Vec<VNode>,
-    pub(crate) basis_tree: usize,
+/// Running accumulator state of one group. Key and basis nodes borrow
+/// from the witness that created the group.
+struct GroupAcc<'a> {
+    key: &'a [u32],
+    basis_nodes: &'a [VNode],
+    basis_tree: usize,
+    /// Global arrival ordinal of the witness that created the group.
+    first_seq: usize,
     /// Last input tree folded in (member dedup: same-key witnesses of
     /// one tree are consecutive, exactly as in group formation).
-    pub(crate) last_member: Option<usize>,
-    pub(crate) bindings: usize,
-    pub(crate) values: usize,
-    pub(crate) sum: f64,
-    pub(crate) min: Option<f64>,
-    pub(crate) max: Option<f64>,
+    last_member: Option<usize>,
+    bindings: usize,
+    values: usize,
+    sum: f64,
+    min: Option<f64>,
+    max: Option<f64>,
 }
 
-impl GroupAcc {
-    /// A fresh accumulator for a group first seen with this witness.
-    pub(crate) fn new(key: Key, basis_nodes: Vec<VNode>, basis_tree: usize) -> GroupAcc {
-        GroupAcc {
-            key,
-            basis_nodes,
-            basis_tree,
-            last_member: None,
-            bindings: 0,
-            values: 0,
-            sum: 0.0,
-            min: None,
-            max: None,
-        }
-    }
-
-    pub(crate) fn fold(&mut self, c: &Contribution) {
+impl GroupAcc<'_> {
+    fn fold(&mut self, c: &Contribution) {
         self.bindings += c.bindings;
         for &v in &c.values {
             self.values += 1;
@@ -128,7 +129,7 @@ impl GroupAcc {
     /// over no numeric values), mirroring `aggregate::compute` — every
     /// arm replays the same left fold the batch kernel runs over the
     /// gathered value slice.
-    pub(crate) fn finish(&self, func: AggFunc) -> Option<f64> {
+    fn finish(&self, func: AggFunc) -> Option<f64> {
         match func {
             AggFunc::Count => Some(self.bindings as f64),
             AggFunc::Sum => Some(self.sum),
@@ -145,7 +146,7 @@ impl GroupAcc {
     }
 }
 
-/// Streaming grouped aggregation with default execution options.
+/// Streaming grouped aggregation, serial.
 #[allow(clippy::too_many_arguments)]
 pub fn rollup(
     store: &DocumentStore,
@@ -158,34 +159,6 @@ pub fn rollup(
     new_tag: &str,
     shape: RollupShape,
 ) -> Result<Collection> {
-    rollup_opts(
-        store,
-        input,
-        pattern,
-        basis,
-        member_pattern,
-        of,
-        func,
-        new_tag,
-        shape,
-        &ExecOptions::default(),
-    )
-}
-
-/// [`rollup`] with explicit execution options (serial accumulation).
-#[allow(clippy::too_many_arguments)]
-pub fn rollup_opts(
-    store: &DocumentStore,
-    input: &Collection,
-    pattern: &PatternTree,
-    basis: &[BasisItem],
-    member_pattern: &PatternTree,
-    of: PatternNodeId,
-    func: AggFunc,
-    new_tag: &str,
-    shape: RollupShape,
-    opts: &ExecOptions,
-) -> Result<Collection> {
     Ok(rollup_sharded(
         store,
         input,
@@ -196,22 +169,15 @@ pub fn rollup_opts(
         func,
         new_tag,
         shape,
-        opts,
-        1,
+        &ExecOptions::sequential(),
     )?
     .0)
 }
 
-/// Hash-partitioned rollup: the sharded-sink entry point.
-///
-/// Witness extraction and per-tree contributions fan out over
-/// `opts.threads`; witnesses are then routed to `partitions` shards by
-/// the same FNV-1a key hash as [`super::groupby::groupby_sharded`], each
-/// shard accumulates its groups independently (in parallel via
-/// [`par_map_owned`]), and the per-shard outputs merge ordered by each
-/// group's global first-arrival position — byte-identical to
-/// `partitions = 1`. Returns the collection plus the partition
-/// statistics for the metrics tree.
+/// [`rollup`] over `opts.threads` workers: the blocking sink's entry
+/// point. A rollup is the finest level of the grouping lattice — the
+/// prefix-level fold (`fold_levels`) run over the single level
+/// `basis.len()`.
 #[allow(clippy::too_many_arguments)]
 pub fn rollup_sharded(
     store: &DocumentStore,
@@ -224,25 +190,103 @@ pub fn rollup_sharded(
     new_tag: &str,
     shape: RollupShape,
     opts: &ExecOptions,
-    partitions: usize,
+) -> Result<(Collection, ShardStats)> {
+    fold_levels(
+        store,
+        input,
+        pattern,
+        basis,
+        member_pattern,
+        of,
+        func,
+        new_tag,
+        basis.len()..=basis.len(),
+        match shape {
+            RollupShape::Grouped => FoldShape::Grouped,
+            RollupShape::Flat => FoldShape::Flat,
+        },
+        opts,
+    )
+}
+
+/// The prefix-level fold behind both [`rollup`] and
+/// [`cube`](super::cube::cube): one extraction, then one pass that
+/// accumulates every level in `levels` (level `k` groups on the first
+/// `k` basis items).
+///
+/// Witness extraction and per-tree contributions fan out over
+/// `opts.threads`; witnesses then go through [`shard_map`] routed by the
+/// FNV-1a hash of their **coarsest requested key prefix** — all
+/// witnesses of any prefix group share that prefix, so every group at
+/// every level is wholly inside one shard and no partial state ever
+/// crosses shards. The per-shard outputs merge ordered by `(level,
+/// global first-arrival position)`: levels coarsest first, groups in
+/// first-witness order within a level — byte-identical at every thread
+/// count. Returns the collection plus the partition statistics for the
+/// metrics tree.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fold_levels(
+    store: &DocumentStore,
+    input: &Collection,
+    pattern: &PatternTree,
+    basis: &[BasisItem],
+    member_pattern: &PatternTree,
+    of: PatternNodeId,
+    func: AggFunc,
+    new_tag: &str,
+    levels: RangeInclusive<usize>,
+    shape: FoldShape,
+    opts: &ExecOptions,
 ) -> Result<(Collection, ShardStats)> {
     validate(pattern, basis, &[])?;
     if of >= member_pattern.len() {
         return Err(Error::UnknownLabel(format!("${}", of + 1)));
     }
+    let (contributions, stream) =
+        extract(store, input, pattern, basis, member_pattern, of, func, opts)?;
+    let coarsest = *levels.start();
+    shard_map(
+        opts,
+        stream,
+        |entry| keyenc::hash_syms(&entry.2.key[..coarsest]),
+        |shard| {
+            fold_shard(
+                store.dict(),
+                input,
+                basis,
+                &contributions,
+                func,
+                new_tag,
+                levels.clone(),
+                shape,
+                shard,
+            )
+        },
+    )
+}
 
-    // Extraction: grouping witnesses (as in groupby) plus each tree's
-    // aggregate contribution. When the input is a collection of disjoint
-    // stored subtrees (the post-selection scan the optimizer feeds the
-    // rollup), both patterns are matched **once** against the whole
-    // database through the tag index and the bindings routed back to
-    // their input trees by region containment — two index joins instead
-    // of 2·N scoped matches. Other inputs take the per-tree matcher.
-    // Either way the witness stream is collection-major (all of tree 0's
-    // witnesses, then tree 1's, …), which the member dedup relies on.
-    let (contributions, stream): (Vec<Contribution>, Vec<StreamEntry>) = match stored_scopes(input)
-    {
-        Some(scopes) => extract_batched(
+/// Extraction: grouping witnesses (as in groupby) plus each tree's
+/// aggregate contribution. When the input is a collection of disjoint
+/// stored subtrees (the post-selection scan the optimizer feeds the
+/// rollup), both patterns are matched **once** against the whole
+/// database through the tag index and the bindings routed back to their
+/// input trees by region containment — two index joins instead of 2·N
+/// scoped matches. Other inputs take the per-tree matcher. Either way
+/// the witness stream is collection-major (all of tree 0's witnesses,
+/// then tree 1's, …), which the member dedup relies on.
+#[allow(clippy::too_many_arguments)]
+fn extract(
+    store: &DocumentStore,
+    input: &Collection,
+    pattern: &PatternTree,
+    basis: &[BasisItem],
+    member_pattern: &PatternTree,
+    of: PatternNodeId,
+    func: AggFunc,
+    opts: &ExecOptions,
+) -> Result<(Vec<Contribution>, Vec<StreamEntry>)> {
+    if let Some(scopes) = stored_scopes(input) {
+        return extract_batched(
             store,
             input,
             &scopes,
@@ -251,68 +295,20 @@ pub fn rollup_sharded(
             member_pattern,
             of,
             func,
-        )?,
-        None => {
-            let per_tree = par_map(opts, input, |_, tree| {
-                extract_tree(store, tree, pattern, basis, member_pattern, of, func)
-            })?;
-            let mut contributions: Vec<Contribution> = Vec::with_capacity(per_tree.len());
-            let mut stream: Vec<StreamEntry> = Vec::new();
-            let mut seq = 0usize;
-            for (tree_idx, (witnesses, contribution)) in per_tree.into_iter().enumerate() {
-                contributions.push(contribution);
-                for w in witnesses {
-                    stream.push((tree_idx, seq, w));
-                    seq += 1;
-                }
-            }
-            (contributions, stream)
-        }
-    };
-
-    let partitions = partitions.max(1).min(stream.len().max(1));
-    if partitions <= 1 {
-        let n = stream.len();
-        let built = accumulate_shard(
-            store.dict(),
-            input,
-            basis,
-            &contributions,
-            func,
-            new_tag,
-            shape,
-            stream,
-        )?;
-        return Ok((
-            built.into_iter().map(|(_, t)| t).collect(),
-            ShardStats::serial(n),
-        ));
+        );
     }
-
-    let mut shards: Vec<Vec<StreamEntry>> = (0..partitions).map(|_| Vec::new()).collect();
-    for entry in stream {
-        let shard = keyenc::shard_of(&entry.2.key, partitions);
-        shards[shard].push(entry);
-    }
-    let sizes: Vec<usize> = shards.iter().map(Vec::len).collect();
-    let built = par_map_owned(opts, shards, |_, shard| {
-        accumulate_shard(
-            store.dict(),
-            input,
-            basis,
-            &contributions,
-            func,
-            new_tag,
-            shape,
-            shard,
-        )
+    let per_tree = par_map(opts, input, |_, tree| {
+        extract_tree(store, tree, pattern, basis, member_pattern, of, func)
     })?;
-    let mut all: Vec<(usize, Tree)> = built.into_iter().flatten().collect();
-    all.sort_by_key(|&(first_seq, _)| first_seq);
-    Ok((
-        all.into_iter().map(|(_, t)| t).collect(),
-        ShardStats { partitions, sizes },
-    ))
+    let mut contributions: Vec<Contribution> = Vec::with_capacity(per_tree.len());
+    let mut stream: Vec<StreamEntry> = Vec::new();
+    for (tree_idx, (witnesses, contribution)) in per_tree.into_iter().enumerate() {
+        contributions.push(contribution);
+        for w in witnesses {
+            stream.push((tree_idx, stream.len(), w));
+        }
+    }
+    Ok((contributions, stream))
 }
 
 /// `(tree index, stored scope)` per input tree, ordered by pre-order
@@ -320,7 +316,7 @@ pub fn rollup_sharded(
 /// any tree is arena-backed, a shallow reference, or the scopes overlap
 /// (nested or duplicated inputs), in which case extraction falls back to
 /// the per-tree matcher.
-pub(crate) fn stored_scopes(input: &Collection) -> Option<Vec<(usize, NodeEntry)>> {
+fn stored_scopes(input: &Collection) -> Option<Vec<(usize, NodeEntry)>> {
     let mut scopes = Vec::with_capacity(input.len());
     for (i, t) in input.iter().enumerate() {
         if t.len() != 1 {
@@ -348,7 +344,7 @@ pub(crate) fn stored_scopes(input: &Collection) -> Option<Vec<(usize, NodeEntry)
 /// position (within a tree that keeps the document order the scoped
 /// matcher produces).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn extract_batched(
+fn extract_batched(
     store: &DocumentStore,
     input: &Collection,
     scopes: &[(usize, NodeEntry)],
@@ -386,15 +382,7 @@ pub(crate) fn extract_batched(
             continue;
         };
         let tree = &input[ti];
-        let vt = VTree::new(store, tree);
-        let mut key: Key = Vec::with_capacity(basis.len());
-        for item in basis {
-            let v = binding[item.label];
-            key.push(component(match &item.attr {
-                Some(name) => vt.attr_sym(v, name),
-                None => vt.content_sym(v),
-            }));
-        }
+        let key = basis_key(&VTree::new(store, tree), &binding, basis);
         // Canonicalize a binding of the scope node itself to the tree's
         // arena root, exactly as the per-tree matcher does.
         let basis_nodes = basis
@@ -542,7 +530,7 @@ fn count_star_members(
 
 /// Per-tree extraction (the general path): grouping witnesses and the
 /// tree's aggregate contribution from two scoped matches.
-pub(crate) fn extract_tree(
+fn extract_tree(
     store: &DocumentStore,
     tree: &Tree,
     pattern: &PatternTree,
@@ -554,16 +542,8 @@ pub(crate) fn extract_tree(
     let vt = VTree::new(store, tree);
     let mut witnesses = Vec::new();
     for binding in match_tree(store, tree, pattern, false)? {
-        let mut key: Key = Vec::with_capacity(basis.len());
-        for item in basis {
-            let v = binding[item.label];
-            key.push(component(match &item.attr {
-                Some(name) => vt.attr_sym(v, name),
-                None => vt.content_sym(v),
-            }));
-        }
         witnesses.push(RollupWitness {
-            key,
+            key: basis_key(&vt, &binding, basis),
             basis_nodes: basis.iter().map(|b| binding[b.label]).collect(),
         });
     }
@@ -592,76 +572,103 @@ pub(crate) fn extract_tree(
 
 /// Accumulation + output building over one witness shard, witnesses in
 /// global arrival order — the rollup counterpart of the groupby's
-/// `form_and_build`, and like it the single routine both the serial and
-/// sharded paths run.
+/// `form_and_build`. One pass folds **every** level in `levels`: the
+/// level-`k` accumulator of a witness is addressed by the key prefix
+/// `key[..k]`, so a coarser level grows from the same contributions as
+/// the finest without rescanning. Returns `((level, first_seq), tree)`
+/// pairs, level-major.
 #[allow(clippy::too_many_arguments)]
-fn accumulate_shard(
+fn fold_shard(
     dict: &Dictionary,
     input: &Collection,
     basis: &[BasisItem],
     contributions: &[Contribution],
     func: AggFunc,
     new_tag: &str,
-    shape: RollupShape,
+    levels: RangeInclusive<usize>,
+    shape: FoldShape,
     shard: Vec<StreamEntry>,
-) -> Result<Vec<(usize, Tree)>> {
-    let mut index: HashMap<Key, usize> = HashMap::new();
-    let mut groups: Vec<(usize, GroupAcc)> = Vec::new();
-    for (tree_idx, seq, w) in shard {
-        let gid = match index.get(&w.key) {
-            Some(&g) => g,
-            None => {
-                let g = groups.len();
-                index.insert(w.key.clone(), g);
-                groups.push((seq, GroupAcc::new(w.key, w.basis_nodes, tree_idx)));
-                g
+) -> Result<Vec<((usize, usize), Tree)>> {
+    // Per level: key prefix → group index, and the groups in
+    // first-witness order.
+    let mut index: Vec<HashMap<&[u32], usize>> = levels.clone().map(|_| HashMap::new()).collect();
+    let mut groups: Vec<Vec<GroupAcc>> = levels.clone().map(|_| Vec::new()).collect();
+    for &(tree_idx, seq, ref w) in &shard {
+        for (slot, level) in levels.clone().enumerate() {
+            let level_groups = &mut groups[slot];
+            let gid = *index[slot].entry(&w.key[..level]).or_insert_with(|| {
+                level_groups.push(GroupAcc {
+                    key: &w.key[..level],
+                    basis_nodes: &w.basis_nodes[..level],
+                    basis_tree: tree_idx,
+                    first_seq: seq,
+                    last_member: None,
+                    bindings: 0,
+                    values: 0,
+                    sum: 0.0,
+                    min: None,
+                    max: None,
+                });
+                level_groups.len() - 1
+            });
+            // Member dedup is per level: a tree reaching one journal
+            // group through two authors still folds once at the journal
+            // level (the stream is collection-major, so a group's
+            // same-tree witnesses arrive before any later tree's).
+            let acc = &mut level_groups[gid];
+            if acc.last_member != Some(tree_idx) {
+                acc.last_member = Some(tree_idx);
+                acc.fold(&contributions[tree_idx]);
             }
-        };
-        let acc = &mut groups[gid].1;
-        if acc.last_member != Some(tree_idx) {
-            acc.last_member = Some(tree_idx);
-            acc.fold(&contributions[tree_idx]);
         }
     }
 
-    let mut out = Vec::with_capacity(groups.len());
-    for (first_seq, acc) in groups {
-        // The materialized Aggregate leaves a group tree unchanged when
-        // no binding exists or the aggregate is undefined; the grouped
-        // shape emits the tree without the value child to match (the
-        // downstream projection drops such groups), and the flat shape —
-        // the projection pre-applied — drops the group outright.
-        let value = if acc.bindings > 0 {
-            acc.finish(func)
-        } else {
-            None
-        };
-        let mut tree = Tree::new_elem(dict, crate::tags::GROUP_ROOT);
-        let basis_root = match shape {
-            RollupShape::Grouped => tree.add_elem(dict, tree.root(), crate::tags::GROUPING_BASIS),
-            RollupShape::Flat => {
-                if value.is_none() {
-                    continue;
-                }
-                tree.root()
+    let mut out = Vec::with_capacity(groups.iter().map(Vec::len).sum());
+    for (level, level_groups) in levels.zip(groups) {
+        for acc in level_groups {
+            // The materialized Aggregate leaves a group tree unchanged
+            // when no binding exists or the aggregate is undefined; the
+            // grouped shape emits the tree without the value child to
+            // match (the downstream projection drops such groups), and
+            // the flat shapes — the projection pre-applied — drop the
+            // group outright.
+            let value = if acc.bindings > 0 {
+                acc.finish(func)
+            } else {
+                None
+            };
+            if value.is_none() && shape != FoldShape::Grouped {
+                continue;
             }
-        };
-        // The flat shape pre-applies the consumer's deep key projection,
-        // so structured key nodes must materialize their whole subtree.
-        add_basis_children(
-            dict,
-            &mut tree,
-            basis_root,
-            &input[acc.basis_tree],
-            &acc.key,
-            &acc.basis_nodes,
-            basis,
-            matches!(shape, RollupShape::Flat),
-        );
-        if let Some(v) = value {
-            tree.add_elem_with_content(dict, tree.root(), new_tag, format_value(v));
+            let mut tree = Tree::new_elem(dict, crate::tags::GROUP_ROOT);
+            let root = tree.root();
+            let basis_root = match shape {
+                FoldShape::Grouped => tree.add_elem(dict, root, crate::tags::GROUPING_BASIS),
+                FoldShape::Flat => root,
+                FoldShape::LevelMarked => {
+                    let marker = crate::tags::CUBE_LEVEL;
+                    tree.add_elem_with_content(dict, root, marker, level.to_string());
+                    root
+                }
+            };
+            // The flat shapes pre-apply the consumer's deep key
+            // projection, so structured key nodes must materialize their
+            // whole subtree.
+            add_basis_children(
+                dict,
+                &mut tree,
+                basis_root,
+                &input[acc.basis_tree],
+                acc.key,
+                acc.basis_nodes,
+                &basis[..level],
+                shape != FoldShape::Grouped,
+            );
+            if let Some(v) = value {
+                tree.add_elem_with_content(dict, root, new_tag, format_value(v));
+            }
+            out.push(((level, acc.first_seq), tree));
         }
-        out.push((first_seq, tree));
     }
     Ok(out)
 }
@@ -1022,35 +1029,32 @@ mod tests {
                 RollupShape::Grouped,
             )
             .unwrap();
-            for partitions in [1usize, 2, 3, 8] {
-                for threads in [1usize, 4] {
-                    let opts = ExecOptions::with_threads(threads);
-                    let (sharded, stats) = rollup_sharded(
-                        &s,
-                        &arts,
-                        &gp,
-                        &basis,
-                        &mp,
-                        of,
-                        func,
-                        tag,
-                        RollupShape::Grouped,
-                        &opts,
-                        partitions,
-                    )
-                    .unwrap();
-                    assert_eq!(serial.len(), sharded.len());
-                    for (a, b) in serial.iter().zip(sharded.iter()) {
-                        assert_eq!(
-                            xmlparse::serialize::element_to_string(&a.materialize(&s).unwrap()),
-                            xmlparse::serialize::element_to_string(&b.materialize(&s).unwrap()),
-                            "partitions={partitions} threads={threads}"
-                        );
-                    }
-                    // 5 witnesses: Jack ×2, John ×2, Jill.
-                    assert_eq!(stats.total(), 5);
-                    assert_eq!(stats.partitions, partitions.min(5));
+            for threads in [1usize, 2, 3, 8] {
+                let opts = ExecOptions::with_threads(threads);
+                let (sharded, stats) = rollup_sharded(
+                    &s,
+                    &arts,
+                    &gp,
+                    &basis,
+                    &mp,
+                    of,
+                    func,
+                    tag,
+                    RollupShape::Grouped,
+                    &opts,
+                )
+                .unwrap();
+                assert_eq!(serial.len(), sharded.len());
+                for (a, b) in serial.iter().zip(sharded.iter()) {
+                    assert_eq!(
+                        xmlparse::serialize::element_to_string(&a.materialize(&s).unwrap()),
+                        xmlparse::serialize::element_to_string(&b.materialize(&s).unwrap()),
+                        "threads={threads}"
+                    );
                 }
+                // 5 witnesses: Jack ×2, John ×2, Jill.
+                assert_eq!(stats.total(), 5);
+                assert_eq!(stats.partitions, threads.min(5));
             }
         }
     }
@@ -1242,7 +1246,6 @@ mod tests {
             "count",
             RollupShape::Grouped,
             &ExecOptions::with_threads(4),
-            4,
         )
         .unwrap();
         assert!(out.is_empty());

@@ -37,27 +37,13 @@ pub fn select_db_opts(
     })
 }
 
-/// Fused selection + projection over the stored database (the
-/// optimizer's select→project fusion): the pattern is matched once, and
-/// each binding's witness tree is projected immediately instead of
-/// materializing the whole selected collection. Because projection
-/// treats input trees independently and appends outputs in order, this
-/// is byte-identical to `project(select_db(pattern, sl), pattern, pl,
-/// anchor_root = true)`.
-pub fn select_project_db_opts(
-    store: &DocumentStore,
-    pattern: &PatternTree,
-    sl: &[PatternNodeId],
-    pl: &[crate::ops::project::ProjectItem],
-    opts: &ExecOptions,
-) -> Result<Collection> {
-    let bindings = match_db(store, pattern)?;
-    select_project_bindings(store, pattern, &bindings, sl, pl, opts)
-}
-
-/// The per-binding kernel of [`select_project_db_opts`], callable over a
-/// binding slice — the streaming executor pulls bounded batches of
-/// bindings through this.
+/// Fused selection + projection over a slice of database bindings (the
+/// optimizer's select→project fusion): each binding's witness tree is
+/// projected immediately instead of materializing the whole selected
+/// collection — the scan leaf pulls bounded slices of one pattern match
+/// through this. Because projection treats input trees independently
+/// and appends outputs in order, this is byte-identical to
+/// `project(select_db(pattern, sl), pattern, pl, anchor_root = true)`.
 pub fn select_project_bindings(
     store: &DocumentStore,
     pattern: &PatternTree,

@@ -4,8 +4,9 @@
 //! This crate ties the reproduction together the way Fig. 12 of
 //! *Grouping in XML* draws the system: the query parser (`xquery`)
 //! produces a TAX algebra expression; the "optimizer" optionally applies
-//! the grouping rewrite; the evaluator ([`eval`]) interprets the plan
-//! with the TAX operators (`tax`) over the paged store (`xmlstore`).
+//! the grouping rewrite; the executor ([`physical`]) runs the plan as a
+//! pipeline of TAX operator kernels (`tax`) over the paged store
+//! (`xmlstore`).
 //!
 //! # Example
 //!
@@ -35,10 +36,10 @@
 //! ```
 
 pub mod error;
-pub mod eval;
 pub mod metrics;
 pub mod physical;
 pub mod result;
+mod stitch;
 
 pub use error::{Result, TimberError};
 pub use metrics::PlanMetrics;
@@ -87,24 +88,10 @@ pub const PLAN_CHOICE_DIRECT: &str = "plan-choice-direct";
 /// the distinct-key ratio; below this the grouped plan always stands.
 const MIN_PLAN_SAMPLE: usize = 8;
 
-/// Which executor interprets the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// The batched pull-based operator pipeline ([`physical`]) — the
-    /// default. Streams selection/projection/dup-elim in bounded
-    /// batches and records per-operator metrics.
-    #[default]
-    Physical,
-    /// The recursive match-arm interpreter ([`eval`]), kept for
-    /// differential testing. Output is byte-identical to `Physical`.
-    Legacy,
-}
-
 /// A loaded database plus the query pipeline.
 pub struct TimberDb {
     store: DocumentStore,
     exec: tax::ExecOptions,
-    exec_mode: ExecMode,
     batch_size: usize,
 }
 
@@ -114,7 +101,6 @@ impl TimberDb {
         Ok(TimberDb {
             store: DocumentStore::from_xml(xml, opts)?,
             exec: tax::ExecOptions::default(),
-            exec_mode: ExecMode::default(),
             batch_size: physical::DEFAULT_BATCH_SIZE,
         })
     }
@@ -124,7 +110,6 @@ impl TimberDb {
         Ok(TimberDb {
             store: DocumentStore::load(doc, opts)?,
             exec: tax::ExecOptions::default(),
-            exec_mode: ExecMode::default(),
             batch_size: physical::DEFAULT_BATCH_SIZE,
         })
     }
@@ -136,7 +121,6 @@ impl TimberDb {
         Ok(TimberDb {
             store: DocumentStore::create(opts)?,
             exec: tax::ExecOptions::default(),
-            exec_mode: ExecMode::default(),
             batch_size: physical::DEFAULT_BATCH_SIZE,
         })
     }
@@ -149,7 +133,6 @@ impl TimberDb {
         Ok(TimberDb {
             store: DocumentStore::open(opts)?,
             exec: tax::ExecOptions::default(),
-            exec_mode: ExecMode::default(),
             batch_size: physical::DEFAULT_BATCH_SIZE,
         })
     }
@@ -192,13 +175,12 @@ impl TimberDb {
     /// queries on it keep answering from that state no matter how many
     /// transactions commit afterwards, and never block behind writers.
     /// Dropping the handle releases the snapshot (and eventually the
-    /// pages it was holding in limbo). Execution settings (threads,
-    /// executor, batch size) are copied at snapshot time.
+    /// pages it was holding in limbo). Execution settings (threads, batch
+    /// size) are copied at snapshot time.
     pub fn snapshot(&self) -> TimberDb {
         TimberDb {
             store: self.store.snapshot(),
             exec: self.exec,
-            exec_mode: self.exec_mode,
             batch_size: self.batch_size,
         }
     }
@@ -250,16 +232,6 @@ impl TimberDb {
     /// The execution options queries run with.
     pub fn exec_options(&self) -> tax::ExecOptions {
         self.exec
-    }
-
-    /// Which executor interprets plans.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
-    }
-
-    /// Select the executor (physical pipeline or legacy interpreter).
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
     }
 
     /// Trees per batch in the physical executor (`0` acts as `1`).
@@ -342,20 +314,14 @@ impl TimberDb {
         self.run_plan(&plan, rewritten)
     }
 
-    /// Evaluate an already compiled plan with the configured executor.
-    /// The whole execution runs against one pinned snapshot, so a plan
-    /// never observes a commit that lands mid-query.
+    /// Evaluate an already compiled plan. The whole execution runs
+    /// against one pinned snapshot, so a plan never observes a commit
+    /// that lands mid-query.
     pub fn run_plan(&self, plan: &Plan, rewritten: bool) -> Result<QueryResult> {
         let store = self.store.snapshot();
         let start = std::time::Instant::now();
         let io_before = store.io_stats();
-        let (trees, metrics) = match self.exec_mode {
-            ExecMode::Physical => {
-                let (trees, m) = physical::execute(&store, plan, &self.exec, self.batch_size)?;
-                (trees, Some(m))
-            }
-            ExecMode::Legacy => (eval::eval_with(&store, plan, &self.exec)?, None),
-        };
+        let (trees, metrics) = physical::execute(&store, plan, &self.exec, self.batch_size)?;
         let elapsed = start.elapsed();
         let io_after = store.io_stats();
         Ok(QueryResult {
@@ -363,7 +329,7 @@ impl TimberDb {
             rewritten,
             elapsed,
             io: diff_io(io_before, io_after),
-            metrics,
+            metrics: Some(metrics),
         })
     }
 
@@ -386,26 +352,12 @@ impl TimberDb {
         Ok(out)
     }
 
-    /// Compile and execute a query on the physical executor, returning
-    /// the plan, the rule trace, the per-operator metrics tree, and the
-    /// result — `EXPLAIN ANALYZE`. Always runs the physical pipeline
-    /// (operator metrics are its instrumentation), regardless of the
-    /// configured [`ExecMode`].
+    /// Compile and execute a query, returning the plan, the rule trace,
+    /// the per-operator metrics tree, and the result — `EXPLAIN ANALYZE`.
     pub fn explain_analyze(&self, query: &str, mode: PlanMode) -> Result<ExplainAnalysis> {
         let (plan, rewritten, trace) = self.compile_traced(query, mode)?;
-        let store = self.store.snapshot();
-        let start = std::time::Instant::now();
-        let io_before = store.io_stats();
-        let (trees, metrics) = physical::execute(&store, &plan, &self.exec, self.batch_size)?;
-        let elapsed = start.elapsed();
-        let io_after = store.io_stats();
-        let result = QueryResult {
-            trees,
-            rewritten,
-            elapsed,
-            io: diff_io(io_before, io_after),
-            metrics: Some(metrics.clone()),
-        };
+        let result = self.run_plan(&plan, rewritten)?;
+        let metrics = result.metrics.clone().unwrap_or_default();
         Ok(ExplainAnalysis {
             mode,
             rewritten,
@@ -769,12 +721,11 @@ mod tests {
     }
 
     #[test]
-    fn cube_query_agrees_across_executors_and_threads() {
+    fn cube_query_agrees_across_batches_and_threads() {
         let mut db = cube_db();
-        db.set_exec_mode(ExecMode::Legacy);
-        let legacy = db.query(QUERY_CUBE, PlanMode::GroupByRewrite).unwrap();
-        let expected = legacy.to_xml_on(db.store()).unwrap();
-        db.set_exec_mode(ExecMode::Physical);
+        db.set_batch_size(usize::MAX);
+        let reference = db.query(QUERY_CUBE, PlanMode::GroupByRewrite).unwrap();
+        let expected = reference.to_xml_on(db.store()).unwrap();
         for threads in [1, 4] {
             db.set_threads(threads);
             for batch in [1, 3, physical::DEFAULT_BATCH_SIZE] {
@@ -813,18 +764,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_and_physical_executors_agree() {
+    fn every_run_records_metrics_and_matches_the_one_batch_serial_run() {
         let mut db = db();
         for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-            db.set_exec_mode(ExecMode::Physical);
-            let phys = db.query(QUERY1, mode).unwrap();
-            assert!(phys.metrics.is_some(), "physical run records metrics");
-            db.set_exec_mode(ExecMode::Legacy);
-            let legacy = db.query(QUERY1, mode).unwrap();
-            assert!(legacy.metrics.is_none());
+            db.set_threads(1);
+            db.set_batch_size(usize::MAX);
+            let reference = db.query(QUERY1, mode).unwrap();
+            db.set_threads(4);
+            db.set_batch_size(2);
+            let batched = db.query(QUERY1, mode).unwrap();
+            assert!(reference.metrics.is_some() && batched.metrics.is_some());
             assert_eq!(
-                phys.to_xml_on(db.store()).unwrap(),
-                legacy.to_xml_on(db.store()).unwrap(),
+                batched.to_xml_on(db.store()).unwrap(),
+                reference.to_xml_on(db.store()).unwrap(),
                 "{mode:?}"
             );
         }

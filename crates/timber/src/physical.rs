@@ -2,22 +2,33 @@
 //! pipelines.
 //!
 //! Each logical operator is built into a [`PhysOp`] — a batched iterator
-//! over trees. Selection, projection, duplicate elimination, aggregation
-//! and rename *stream*: they pull a bounded batch from their input, run
-//! the corresponding `tax::ops` kernel on just that batch (keeping the
-//! kernel's `par_map` parallelism inside batch production), and hand the
-//! result upward, so pipelines of these operators never materialize the
-//! whole intermediate collection. Grouping, the left outer join, and the
-//! RETURN stitching are *blocking sinks*: they drain their input, run the
-//! kernel once, and then emit the result in batches behind the same
-//! trait.
+//! over trees — by pairing one of three generic drivers with the
+//! operator's `tax::ops` kernel as a closure:
+//!
+//! * the **scan** leaf matches its pattern against the database once and
+//!   turns the bindings into trees one bounded slice at a time
+//!   (selection, fused select→project);
+//! * the **map** driver *streams*: it pulls a batch from its input, runs
+//!   the kernel on just that batch (keeping the kernel's `par_map`
+//!   parallelism inside batch production), and hands the result upward
+//!   (projection, duplicate elimination, aggregation, rename), so
+//!   pipelines of these operators never materialize the whole
+//!   intermediate collection;
+//! * the **sink** driver *blocks*: it drains its inputs, runs the kernel
+//!   exactly once over `opts.threads` hash partitions, and then emits the
+//!   result in batches (grouping, rollup, cube, the left outer join, the
+//!   RETURN stitching).
+//!
+//! `Union` concatenates its inputs and needs no kernel.
 //!
 //! Every operator meters its own work — trees in/out, batches, wall
 //! time, and the store's I/O delta — into a [`PlanMetrics`] tree; the
 //! time spent pulling from an input is charged to the input, not the
-//! consumer. Output order is deterministic and byte-identical to the
-//! legacy interpreter in [`crate::eval`], which remains available for
-//! differential testing.
+//! consumer. Output order is deterministic: the same bytes at every
+//! batch size and thread count, the one-batch serial run included —
+//! which is what the differential suites compare against.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::error::Result;
 use crate::metrics::PlanMetrics;
@@ -26,12 +37,8 @@ use std::time::{Duration, Instant};
 use tax::exec::{par_map, ExecOptions, ShardStats};
 use tax::matching::{match_db, Binding};
 use tax::ops;
-use tax::ops::aggregate::{AggFunc, UpdateSpec};
-use tax::ops::dupelim::DupKey;
-use tax::ops::groupby::{BasisItem, Direction, GroupOrder};
-use tax::ops::project::ProjectItem;
 use tax::ops::select::{select_project_bindings, witness_tree};
-use tax::pattern::{PatternNodeId, PatternTree};
+use tax::pattern::PatternTree;
 use tax::tree::{Collection, Tree};
 use xmlstore::{DocumentStore, IoStats};
 use xquery::Plan;
@@ -41,9 +48,6 @@ pub const DEFAULT_BATCH_SIZE: usize = 256;
 
 /// A physical operator: a batched pull iterator over trees.
 pub trait PhysOp {
-    /// The operator's display name (its logical plan line).
-    fn name(&self) -> &str;
-
     /// Produce the next batch of output trees, or `None` when exhausted.
     /// Batches are never empty.
     fn next_batch(&mut self) -> Result<Option<Vec<Tree>>>;
@@ -68,60 +72,115 @@ pub fn execute(
     Ok((out, root.metrics()))
 }
 
+/// A scan's per-slice kernel: bindings → trees.
+type ScanKernel<'a> = Box<dyn Fn(&[Binding]) -> tax::Result<Vec<Tree>> + 'a>;
+/// A streaming operator's kernel: one input batch → its output trees.
+type MapKernel<'a> = Box<dyn FnMut(Vec<Tree>) -> tax::Result<Vec<Tree>> + 'a>;
+/// A blocking sink's kernel: the drained inputs (one collection per
+/// input plan) → the whole output plus its partition statistics.
+type SinkKernel<'a> =
+    Box<dyn FnOnce(Vec<Collection>) -> tax::Result<(Collection, ShardStats)> + 'a>;
+
 /// Build the physical operator for one logical plan node (recursively
-/// building its inputs). `batch` of zero acts as one.
+/// building its inputs): the driver its execution shape calls for, with
+/// the operator's kernel as a closure over the plan node's parameters.
+/// `batch` of zero acts as one.
 pub fn build<'a>(
     store: &'a DocumentStore,
-    plan: &Plan,
+    plan: &'a Plan,
     opts: &ExecOptions,
     batch: usize,
 ) -> Result<Box<dyn PhysOp + 'a>> {
     let batch = batch.max(1);
+    let opts = *opts;
     let meter = Meter::new(op_label(plan));
+    let scan = |pattern: &'a PatternTree, meter, kernel: ScanKernel<'a>| -> Box<dyn PhysOp + 'a> {
+        Box::new(ScanOp {
+            store,
+            pattern,
+            kernel,
+            batch,
+            bindings: None,
+            pos: 0,
+            meter,
+        })
+    };
+    let map = |input: &'a Plan, meter, kernel: MapKernel<'a>| -> Result<Box<dyn PhysOp + 'a>> {
+        Ok(Box::new(MapOp {
+            store,
+            input: build(store, input, &opts, batch)?,
+            kernel,
+            meter,
+        }))
+    };
+    let sink =
+        |inputs: Vec<&'a Plan>, meter, kernel: SinkKernel<'a>| -> Result<Box<dyn PhysOp + 'a>> {
+            Ok(Box::new(SinkOp {
+                store,
+                inputs: inputs
+                    .into_iter()
+                    .map(|p| build(store, p, &opts, batch))
+                    .collect::<Result<_>>()?,
+                kernel: Some(kernel),
+                output: Vec::new().into_iter(),
+                batch,
+                meter,
+            }))
+        };
     Ok(match plan {
-        Plan::SelectDb { pattern, sl } => Box::new(SelectDbOp {
-            store,
-            pattern: pattern.clone(),
-            sl: sl.clone(),
-            opts: *opts,
-            batch,
-            bindings: None,
-            pos: 0,
+        Plan::SelectDb { pattern, sl } => scan(
+            pattern,
             meter,
-        }),
-        Plan::SelectProject { pattern, sl, pl } => Box::new(SelectProjectOp {
-            store,
-            pattern: pattern.clone(),
-            sl: sl.clone(),
-            pl: pl.clone(),
-            opts: *opts,
-            batch,
-            bindings: None,
-            pos: 0,
+            Box::new(move |bindings| {
+                par_map(&opts, bindings, |_, b| {
+                    witness_tree(store, None, pattern, b, sl)
+                })
+            }),
+        ),
+        // One pattern match serves both halves of the fused
+        // select→project; each slice of bindings is projected as it is
+        // produced.
+        Plan::SelectProject { pattern, sl, pl } => scan(
+            pattern,
             meter,
-        }),
+            Box::new(move |bindings| {
+                select_project_bindings(store, pattern, bindings, sl, pl, &opts)
+            }),
+        ),
+        // Trees are independent under projection, so batching cannot
+        // change output.
         Plan::Project {
             input,
             pattern,
             pl,
             anchor_root,
-        } => Box::new(ProjectOp {
-            store,
-            input: build(store, input, opts, batch)?,
-            pattern: pattern.clone(),
-            pl: pl.clone(),
-            anchor_root: *anchor_root,
+        } => map(
+            input,
             meter,
-        }),
-        Plan::DupElim { input, pattern, by } => Box::new(DupElimOp {
-            store,
-            input: build(store, input, opts, batch)?,
-            pattern: pattern.clone(),
-            by: *by,
-            opts: *opts,
-            seen: HashSet::new(),
-            meter,
-        }),
+            Box::new(move |batch| ops::project::project(store, &batch, pattern, pl, *anchor_root)),
+        )?,
+        // Key extraction runs per batch; the seen-set persists across
+        // batches so the stream-wide output matches the
+        // collection-at-once kernel exactly.
+        Plan::DupElim { input, pattern, by } => {
+            let mut seen = HashSet::new();
+            map(
+                input,
+                meter,
+                Box::new(move |batch| {
+                    let keys = ops::dupelim::dup_keys(store, &batch, pattern, *by, &opts)?;
+                    Ok(batch
+                        .into_iter()
+                        .zip(keys)
+                        // A tree the pattern does not match carries no
+                        // key and is kept unconditionally.
+                        .filter_map(|(tree, key)| {
+                            (key.is_none() || seen.insert(key)).then_some(tree)
+                        })
+                        .collect())
+                }),
+            )?
+        }
         Plan::Aggregate {
             input,
             pattern,
@@ -129,39 +188,35 @@ pub fn build<'a>(
             of,
             new_tag,
             spec,
-        } => Box::new(AggregateOp {
-            store,
-            input: build(store, input, opts, batch)?,
-            pattern: pattern.clone(),
-            func: *func,
-            of: *of,
-            new_tag: new_tag.clone(),
-            spec: *spec,
-            opts: *opts,
+        } => map(
+            input,
             meter,
-        }),
-        Plan::Rename { input, tag } => Box::new(RenameOp {
-            store,
-            input: build(store, input, opts, batch)?,
-            tag: tag.clone(),
+            Box::new(move |batch| {
+                ops::aggregate::aggregate_opts(
+                    store, batch, pattern, *func, *of, new_tag, *spec, &opts,
+                )
+            }),
+        )?,
+        Plan::Rename { input, tag } => map(
+            input,
             meter,
-        }),
+            Box::new(move |batch| ops::rename::rename_root(store.dict(), batch, tag)),
+        )?,
         Plan::GroupBy {
             input,
             pattern,
             basis,
             ordering,
-        } => Box::new(GroupByOp {
-            store,
-            input: build(store, input, opts, batch)?,
-            pattern: pattern.clone(),
-            basis: basis.clone(),
-            ordering: ordering.clone(),
-            opts: *opts,
-            batch,
-            drained: None,
+        } => sink(
+            vec![input],
             meter,
-        }),
+            Box::new(move |ins| {
+                ops::groupby::groupby_sharded(store, &ins[0], pattern, basis, ordering, &opts)
+            }),
+        )?,
+        // The fused grouped aggregate folds each tree's contribution
+        // into running per-group accumulators instead of materializing
+        // group trees, so rows in greatly exceed groups out.
         Plan::Rollup {
             input,
             pattern,
@@ -171,33 +226,40 @@ pub fn build<'a>(
             func,
             new_tag,
             flat,
-        } => Box::new(RollupOp {
-            store,
-            input: build(store, input, opts, batch)?,
-            pattern: pattern.clone(),
-            basis: basis.clone(),
-            member_pattern: member_pattern.clone(),
-            of: *of,
-            func: *func,
-            new_tag: new_tag.clone(),
-            shape: if *flat {
-                ops::rollup::RollupShape::Flat
-            } else {
-                ops::rollup::RollupShape::Grouped
-            },
-            opts: *opts,
-            batch,
-            drained: None,
+        } => sink(
+            vec![input],
             meter,
-        }),
+            Box::new(move |ins| {
+                let shape = if *flat {
+                    ops::rollup::RollupShape::Flat
+                } else {
+                    ops::rollup::RollupShape::Grouped
+                };
+                ops::rollup::rollup_sharded(
+                    store,
+                    &ins[0],
+                    pattern,
+                    basis,
+                    member_pattern,
+                    *of,
+                    *func,
+                    new_tag,
+                    shape,
+                    &opts,
+                )
+            }),
+        )?,
         Plan::Union { inputs } => Box::new(UnionOp {
             inputs: inputs
                 .iter()
-                .map(|p| build(store, p, opts, batch))
+                .map(|p| build(store, p, &opts, batch))
                 .collect::<Result<Vec<_>>>()?,
             pos: 0,
             meter,
         }),
+        // The one-scan grouping lattice: the rollup's fold for every
+        // prefix level of the basis at once, levels emitted coarsest
+        // first.
         Plan::Cube {
             input,
             pattern,
@@ -206,20 +268,23 @@ pub fn build<'a>(
             of,
             func,
             new_tag,
-        } => Box::new(CubeOp {
-            store,
-            input: build(store, input, opts, batch)?,
-            pattern: pattern.clone(),
-            basis: basis.clone(),
-            member_pattern: member_pattern.clone(),
-            of: *of,
-            func: *func,
-            new_tag: new_tag.clone(),
-            opts: *opts,
-            batch,
-            drained: None,
+        } => sink(
+            vec![input],
             meter,
-        }),
+            Box::new(move |ins| {
+                ops::cube::cube_sharded(
+                    store,
+                    &ins[0],
+                    pattern,
+                    basis,
+                    member_pattern,
+                    *of,
+                    *func,
+                    new_tag,
+                    &opts,
+                )
+            }),
+        )?,
         Plan::LeftOuterJoinDb {
             left,
             left_pattern,
@@ -229,19 +294,24 @@ pub fn build<'a>(
             right_sl,
             right_extract: _,
             order: _,
-        } => Box::new(JoinOp {
-            store,
-            left: build(store, left, opts, batch)?,
-            left_pattern: left_pattern.clone(),
-            left_label: *left_label,
-            right_pattern: right_pattern.clone(),
-            right_label: *right_label,
-            right_sl: right_sl.clone(),
-            opts: *opts,
-            batch,
-            drained: None,
+        } => sink(
+            vec![left],
             meter,
-        }),
+            Box::new(move |ins| {
+                ops::join::left_outer_join_db_sharded(
+                    store,
+                    &ins[0],
+                    left_pattern,
+                    *left_label,
+                    right_pattern,
+                    *right_label,
+                    right_sl,
+                    &opts,
+                )
+            }),
+        )?,
+        // The RETURN stitching pairs every outer tree with all inner
+        // parts sharing its key, so both inputs drain fully first.
         Plan::StitchConstruct {
             outer,
             outer_pattern,
@@ -253,26 +323,26 @@ pub fn build<'a>(
             agg,
             order,
             tag,
-        } => Box::new(StitchOp {
-            store,
-            outer: build(store, outer, opts, batch)?,
-            outer_pattern: outer_pattern.clone(),
-            outer_label: *outer_label,
-            inner: match inner {
-                Some(p) => Some(build(store, p, opts, batch)?),
-                None => None,
-            },
-            inner_pattern: inner_pattern.clone(),
-            inner_label: *inner_label,
-            inner_extract: inner_extract.clone(),
-            agg: agg.clone(),
-            order: *order,
-            tag: tag.clone(),
-            opts: *opts,
-            batch,
-            drained: None,
+        } => sink(
+            std::iter::once(&**outer).chain(inner.as_deref()).collect(),
             meter,
-        }),
+            Box::new(move |ins| {
+                crate::stitch::stitch_sharded(
+                    store,
+                    &ins[0],
+                    outer_pattern,
+                    *outer_label,
+                    ins.get(1).map_or(&[], Vec::as_slice),
+                    inner_pattern,
+                    *inner_label,
+                    inner_extract,
+                    agg.as_ref().map(|(f, t)| (*f, t.as_str())),
+                    *order,
+                    tag,
+                    &opts,
+                )
+            }),
+        )?,
     })
 }
 
@@ -366,95 +436,47 @@ impl Meter {
     }
 }
 
-/// Streaming leaf: match the database once, then produce witness trees
-/// one batch of bindings at a time.
-struct SelectDbOp<'a> {
+/// Leaf driver: match the database once, then run the kernel over one
+/// bounded slice of bindings per batch.
+struct ScanOp<'a> {
     store: &'a DocumentStore,
-    pattern: PatternTree,
-    sl: Vec<PatternNodeId>,
-    opts: ExecOptions,
+    pattern: &'a PatternTree,
+    kernel: ScanKernel<'a>,
     batch: usize,
     bindings: Option<Vec<Binding>>,
     pos: usize,
     meter: Meter,
 }
 
-impl PhysOp for SelectDbOp<'_> {
-    fn name(&self) -> &str {
-        &self.meter.op
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
-        let window = self.meter.start(self.store);
-        if self.bindings.is_none() {
-            self.bindings = Some(match_db(self.store, &self.pattern)?);
-        }
-        let bindings = self.bindings.as_ref().expect("bindings just set");
-        if self.pos >= bindings.len() {
-            self.meter.stop(self.store, window);
-            return Ok(None);
-        }
-        let end = (self.pos + self.batch).min(bindings.len());
-        let out = par_map(&self.opts, &bindings[self.pos..end], |_, b| {
-            witness_tree(self.store, None, &self.pattern, b, &self.sl)
-        })?;
-        self.pos = end;
-        self.meter.stop(self.store, window);
-        self.meter.emitted(out.len());
-        Ok(Some(out))
-    }
-
-    fn metrics(&self) -> PlanMetrics {
-        self.meter.metrics(Vec::new())
-    }
-}
-
-/// Streaming leaf for the fused select→project: one pattern match serves
-/// both; each batch of bindings is projected as it is produced.
-struct SelectProjectOp<'a> {
-    store: &'a DocumentStore,
-    pattern: PatternTree,
-    sl: Vec<PatternNodeId>,
-    pl: Vec<ProjectItem>,
-    opts: ExecOptions,
-    batch: usize,
-    bindings: Option<Vec<Binding>>,
-    pos: usize,
-    meter: Meter,
-}
-
-impl PhysOp for SelectProjectOp<'_> {
-    fn name(&self) -> &str {
-        &self.meter.op
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
-        let window = self.meter.start(self.store);
-        if self.bindings.is_none() {
-            self.bindings = Some(match_db(self.store, &self.pattern)?);
-        }
-        let bindings = self.bindings.as_ref().expect("bindings just set");
-        // A batch of bindings can project to nothing; keep pulling until
+impl ScanOp<'_> {
+    fn pull(&mut self) -> Result<Option<Vec<Tree>>> {
+        let bindings = match &mut self.bindings {
+            Some(bindings) => bindings,
+            unmatched => unmatched.insert(match_db(self.store, self.pattern)?),
+        };
+        // A slice of bindings can project to nothing; keep pulling until
         // some trees surface or the bindings run out.
         while self.pos < bindings.len() {
-            let end = (self.pos + self.batch).min(bindings.len());
-            let out = select_project_bindings(
-                self.store,
-                &self.pattern,
-                &bindings[self.pos..end],
-                &self.sl,
-                &self.pl,
-                &self.opts,
-            )?;
+            let end = self.pos.saturating_add(self.batch).min(bindings.len());
+            let out = (self.kernel)(&bindings[self.pos..end])?;
             self.pos = end;
             if !out.is_empty() {
-                self.meter.stop(self.store, window);
-                self.meter.emitted(out.len());
                 return Ok(Some(out));
             }
         }
-        self.meter.stop(self.store, window);
         Ok(None)
+    }
+}
+
+impl PhysOp for ScanOp<'_> {
+    fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
+        let window = self.meter.start(self.store);
+        let out = self.pull();
+        self.meter.stop(self.store, window);
+        if let Ok(Some(trees)) = &out {
+            self.meter.emitted(trees.len());
+        }
+        out
     }
 
     fn metrics(&self) -> PlanMetrics {
@@ -462,22 +484,16 @@ impl PhysOp for SelectProjectOp<'_> {
     }
 }
 
-/// Streaming projection: projects each input batch independently (trees
-/// are independent under projection, so batching cannot change output).
-struct ProjectOp<'a> {
+/// Streaming driver: the kernel runs on each input batch independently;
+/// whatever it must remember across batches lives in the closure.
+struct MapOp<'a> {
     store: &'a DocumentStore,
     input: Box<dyn PhysOp + 'a>,
-    pattern: PatternTree,
-    pl: Vec<ProjectItem>,
-    anchor_root: bool,
+    kernel: MapKernel<'a>,
     meter: Meter,
 }
 
-impl PhysOp for ProjectOp<'_> {
-    fn name(&self) -> &str {
-        &self.meter.op
-    }
-
+impl PhysOp for MapOp<'_> {
     fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
         loop {
             let Some(batch) = self.input.next_batch()? else {
@@ -485,14 +501,9 @@ impl PhysOp for ProjectOp<'_> {
             };
             self.meter.trees_in += batch.len();
             let window = self.meter.start(self.store);
-            let out = ops::project::project(
-                self.store,
-                &batch,
-                &self.pattern,
-                &self.pl,
-                self.anchor_root,
-            )?;
+            let out = (self.kernel)(batch);
             self.meter.stop(self.store, window);
+            let out = out?;
             if !out.is_empty() {
                 self.meter.emitted(out.len());
                 return Ok(Some(out));
@@ -505,240 +516,51 @@ impl PhysOp for ProjectOp<'_> {
     }
 }
 
-/// Streaming duplicate elimination: key extraction runs per batch, the
-/// seen-set persists across batches so the stream-wide output matches
-/// the collection-at-once kernel exactly.
-struct DupElimOp<'a> {
+/// Blocking driver: the kernel needs its whole input, so the first pull
+/// drains every input plan, runs the kernel once, and every pull emits
+/// the next batch of its output. The kernel is consumed by that one run:
+/// after a failure (in an input or in the kernel) the sink is exhausted,
+/// never re-run.
+struct SinkOp<'a> {
     store: &'a DocumentStore,
-    input: Box<dyn PhysOp + 'a>,
-    pattern: PatternTree,
-    by: PatternNodeId,
-    opts: ExecOptions,
-    seen: HashSet<DupKey>,
+    inputs: Vec<Box<dyn PhysOp + 'a>>,
+    kernel: Option<SinkKernel<'a>>,
+    output: std::vec::IntoIter<Tree>,
+    batch: usize,
     meter: Meter,
 }
 
-impl PhysOp for DupElimOp<'_> {
-    fn name(&self) -> &str {
-        &self.meter.op
-    }
-
+impl PhysOp for SinkOp<'_> {
     fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
-        loop {
-            let Some(batch) = self.input.next_batch()? else {
-                return Ok(None);
-            };
-            self.meter.trees_in += batch.len();
-            let window = self.meter.start(self.store);
-            let keys =
-                ops::dupelim::dup_keys(self.store, &batch, &self.pattern, self.by, &self.opts)?;
-            let out: Vec<Tree> = batch
-                .into_iter()
-                .zip(keys)
-                .filter_map(|(tree, key)| self.seen.insert(key).then_some(tree))
-                .collect();
-            self.meter.stop(self.store, window);
-            if !out.is_empty() {
-                self.meter.emitted(out.len());
-                return Ok(Some(out));
+        if let Some(kernel) = self.kernel.take() {
+            let mut drained = Vec::with_capacity(self.inputs.len());
+            for input in &mut self.inputs {
+                let mut all = Vec::new();
+                while let Some(b) = input.next_batch()? {
+                    self.meter.trees_in += b.len();
+                    all.extend(b);
+                }
+                drained.push(all);
             }
+            let window = self.meter.start(self.store);
+            let result = kernel(drained);
+            self.meter.stop(self.store, window);
+            let (out, shards) = result?;
+            self.meter.shards = Some(shards);
+            self.output = out.into_iter();
+        }
+        let out: Vec<Tree> = self.output.by_ref().take(self.batch).collect();
+        if out.is_empty() {
+            Ok(None)
+        } else {
+            self.meter.emitted(out.len());
+            Ok(Some(out))
         }
     }
 
     fn metrics(&self) -> PlanMetrics {
-        self.meter.metrics(vec![self.input.metrics()])
-    }
-}
-
-/// Streaming aggregation: one output tree per input tree, batch by
-/// batch.
-struct AggregateOp<'a> {
-    store: &'a DocumentStore,
-    input: Box<dyn PhysOp + 'a>,
-    pattern: PatternTree,
-    func: AggFunc,
-    of: PatternNodeId,
-    new_tag: String,
-    spec: UpdateSpec,
-    opts: ExecOptions,
-    meter: Meter,
-}
-
-impl PhysOp for AggregateOp<'_> {
-    fn name(&self) -> &str {
-        &self.meter.op
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
-        let Some(batch) = self.input.next_batch()? else {
-            return Ok(None);
-        };
-        self.meter.trees_in += batch.len();
-        let window = self.meter.start(self.store);
-        let out = ops::aggregate::aggregate_opts(
-            self.store,
-            batch,
-            &self.pattern,
-            self.func,
-            self.of,
-            &self.new_tag,
-            self.spec,
-            &self.opts,
-        )?;
-        self.meter.stop(self.store, window);
-        self.meter.emitted(out.len());
-        Ok(Some(out))
-    }
-
-    fn metrics(&self) -> PlanMetrics {
-        self.meter.metrics(vec![self.input.metrics()])
-    }
-}
-
-/// Streaming root rename: in-place, one output tree per input tree.
-struct RenameOp<'a> {
-    store: &'a DocumentStore,
-    input: Box<dyn PhysOp + 'a>,
-    tag: String,
-    meter: Meter,
-}
-
-impl PhysOp for RenameOp<'_> {
-    fn name(&self) -> &str {
-        &self.meter.op
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
-        let Some(batch) = self.input.next_batch()? else {
-            return Ok(None);
-        };
-        self.meter.trees_in += batch.len();
-        let window = self.meter.start(self.store);
-        let out = ops::rename::rename_root(self.store.dict(), batch, &self.tag)?;
-        self.meter.stop(self.store, window);
-        self.meter.emitted(out.len());
-        Ok(Some(out))
-    }
-
-    fn metrics(&self) -> PlanMetrics {
-        self.meter.metrics(vec![self.input.metrics()])
-    }
-}
-
-/// Blocking sink: grouping needs the whole input to form groups, so it
-/// drains its input, runs the **sharded** kernel once (witnesses
-/// hash-partitioned by grouping-basis key over `opts.threads` workers,
-/// order-restoring merge; see [`ops::groupby::groupby_sharded`]), and
-/// emits the grouped trees in batches.
-struct GroupByOp<'a> {
-    store: &'a DocumentStore,
-    input: Box<dyn PhysOp + 'a>,
-    pattern: PatternTree,
-    basis: Vec<BasisItem>,
-    ordering: Vec<GroupOrder>,
-    opts: ExecOptions,
-    batch: usize,
-    drained: Option<std::vec::IntoIter<Tree>>,
-    meter: Meter,
-}
-
-impl PhysOp for GroupByOp<'_> {
-    fn name(&self) -> &str {
-        &self.meter.op
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
-        let iter = match self.drained.take() {
-            Some(iter) => self.drained.insert(iter),
-            None => {
-                let mut all = Vec::new();
-                while let Some(b) = self.input.next_batch()? {
-                    self.meter.trees_in += b.len();
-                    all.extend(b);
-                }
-                let window = self.meter.start(self.store);
-                let (out, shards) = ops::groupby::groupby_sharded(
-                    self.store,
-                    &all,
-                    &self.pattern,
-                    &self.basis,
-                    &self.ordering,
-                    &self.opts,
-                    self.opts.threads.max(1),
-                )?;
-                self.meter.stop(self.store, window);
-                self.meter.shards = Some(shards);
-                self.drained.insert(out.into_iter())
-            }
-        };
-        emit_drained(iter, self.batch, &mut self.meter)
-    }
-
-    fn metrics(&self) -> PlanMetrics {
-        self.meter.metrics(vec![self.input.metrics()])
-    }
-}
-
-/// Blocking sink: the fused grouped aggregate. Like [`GroupByOp`] it
-/// drains its input and hash-partitions witnesses by grouping-basis key
-/// over `opts.threads` workers with an order-restoring merge — but the
-/// kernel ([`ops::rollup::rollup_sharded`]) folds each tree's aggregate
-/// contribution into running per-group accumulators instead of
-/// materializing group trees, so rows in greatly exceed groups out.
-struct RollupOp<'a> {
-    store: &'a DocumentStore,
-    input: Box<dyn PhysOp + 'a>,
-    pattern: PatternTree,
-    basis: Vec<BasisItem>,
-    member_pattern: PatternTree,
-    of: PatternNodeId,
-    func: AggFunc,
-    new_tag: String,
-    shape: ops::rollup::RollupShape,
-    opts: ExecOptions,
-    batch: usize,
-    drained: Option<std::vec::IntoIter<Tree>>,
-    meter: Meter,
-}
-
-impl PhysOp for RollupOp<'_> {
-    fn name(&self) -> &str {
-        &self.meter.op
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
-        let iter = match self.drained.take() {
-            Some(iter) => self.drained.insert(iter),
-            None => {
-                let mut all = Vec::new();
-                while let Some(b) = self.input.next_batch()? {
-                    self.meter.trees_in += b.len();
-                    all.extend(b);
-                }
-                let window = self.meter.start(self.store);
-                let (out, shards) = ops::rollup::rollup_sharded(
-                    self.store,
-                    &all,
-                    &self.pattern,
-                    &self.basis,
-                    &self.member_pattern,
-                    self.of,
-                    self.func,
-                    &self.new_tag,
-                    self.shape,
-                    &self.opts,
-                    self.opts.threads.max(1),
-                )?;
-                self.meter.stop(self.store, window);
-                self.meter.shards = Some(shards);
-                self.drained.insert(out.into_iter())
-            }
-        };
-        emit_drained(iter, self.batch, &mut self.meter)
-    }
-
-    fn metrics(&self) -> PlanMetrics {
-        self.meter.metrics(vec![self.input.metrics()])
+        self.meter
+            .metrics(self.inputs.iter().map(|i| i.metrics()).collect())
     }
 }
 
@@ -753,10 +575,6 @@ struct UnionOp<'a> {
 }
 
 impl PhysOp for UnionOp<'_> {
-    fn name(&self) -> &str {
-        &self.meter.op
-    }
-
     fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
         while self.pos < self.inputs.len() {
             if let Some(batch) = self.inputs[self.pos].next_batch()? {
@@ -775,220 +593,12 @@ impl PhysOp for UnionOp<'_> {
     }
 }
 
-/// Blocking sink: the one-scan grouping lattice. Like [`RollupOp`] it
-/// drains its input and folds witness contributions into per-group
-/// accumulators — but for **every prefix level** of the basis at once,
-/// so one pass replaces one rollup per level. Witnesses are
-/// hash-partitioned by their *coarsest* key component over
-/// `opts.threads` workers (every prefix group of a witness lives in one
-/// shard; see [`ops::cube::cube_sharded`]), with an order-restoring
-/// merge that emits levels coarsest first.
-struct CubeOp<'a> {
-    store: &'a DocumentStore,
-    input: Box<dyn PhysOp + 'a>,
-    pattern: PatternTree,
-    basis: Vec<BasisItem>,
-    member_pattern: PatternTree,
-    of: PatternNodeId,
-    func: AggFunc,
-    new_tag: String,
-    opts: ExecOptions,
-    batch: usize,
-    drained: Option<std::vec::IntoIter<Tree>>,
-    meter: Meter,
-}
-
-impl PhysOp for CubeOp<'_> {
-    fn name(&self) -> &str {
-        &self.meter.op
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
-        let iter = match self.drained.take() {
-            Some(iter) => self.drained.insert(iter),
-            None => {
-                let mut all = Vec::new();
-                while let Some(b) = self.input.next_batch()? {
-                    self.meter.trees_in += b.len();
-                    all.extend(b);
-                }
-                let window = self.meter.start(self.store);
-                let (out, shards) = ops::cube::cube_sharded(
-                    self.store,
-                    &all,
-                    &self.pattern,
-                    &self.basis,
-                    &self.member_pattern,
-                    self.of,
-                    self.func,
-                    &self.new_tag,
-                    &self.opts,
-                    self.opts.threads.max(1),
-                )?;
-                self.meter.stop(self.store, window);
-                self.meter.shards = Some(shards);
-                self.drained.insert(out.into_iter())
-            }
-        };
-        emit_drained(iter, self.batch, &mut self.meter)
-    }
-
-    fn metrics(&self) -> PlanMetrics {
-        self.meter.metrics(vec![self.input.metrics()])
-    }
-}
-
-/// Blocking sink: the naive plan's left outer join against the stored
-/// database, left trees hash-partitioned by join key over `opts.threads`
-/// workers (see [`ops::join::left_outer_join_db_sharded`]).
-struct JoinOp<'a> {
-    store: &'a DocumentStore,
-    left: Box<dyn PhysOp + 'a>,
-    left_pattern: PatternTree,
-    left_label: PatternNodeId,
-    right_pattern: PatternTree,
-    right_label: PatternNodeId,
-    right_sl: Vec<PatternNodeId>,
-    opts: ExecOptions,
-    batch: usize,
-    drained: Option<std::vec::IntoIter<Tree>>,
-    meter: Meter,
-}
-
-impl PhysOp for JoinOp<'_> {
-    fn name(&self) -> &str {
-        &self.meter.op
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
-        let iter = match self.drained.take() {
-            Some(iter) => self.drained.insert(iter),
-            None => {
-                let mut all = Vec::new();
-                while let Some(b) = self.left.next_batch()? {
-                    self.meter.trees_in += b.len();
-                    all.extend(b);
-                }
-                let window = self.meter.start(self.store);
-                let (out, shards) = ops::join::left_outer_join_db_sharded(
-                    self.store,
-                    &all,
-                    &self.left_pattern,
-                    self.left_label,
-                    &self.right_pattern,
-                    self.right_label,
-                    &self.right_sl,
-                    &self.opts,
-                    self.opts.threads.max(1),
-                )?;
-                self.meter.stop(self.store, window);
-                self.meter.shards = Some(shards);
-                self.drained.insert(out.into_iter())
-            }
-        };
-        emit_drained(iter, self.batch, &mut self.meter)
-    }
-
-    fn metrics(&self) -> PlanMetrics {
-        self.meter.metrics(vec![self.left.metrics()])
-    }
-}
-
-/// Blocking sink: the RETURN stitching pairs every outer tree with all
-/// inner parts sharing its key, so both inputs drain fully first; outer
-/// trees are hash-partitioned by stitch key over `opts.threads` workers
-/// (see [`crate::eval::stitch_sharded`]).
-struct StitchOp<'a> {
-    store: &'a DocumentStore,
-    outer: Box<dyn PhysOp + 'a>,
-    outer_pattern: PatternTree,
-    outer_label: PatternNodeId,
-    inner: Option<Box<dyn PhysOp + 'a>>,
-    inner_pattern: PatternTree,
-    inner_label: PatternNodeId,
-    inner_extract: Vec<(PatternNodeId, bool)>,
-    agg: Option<(AggFunc, String)>,
-    order: Option<(PatternNodeId, Direction)>,
-    tag: String,
-    opts: ExecOptions,
-    batch: usize,
-    drained: Option<std::vec::IntoIter<Tree>>,
-    meter: Meter,
-}
-
-impl PhysOp for StitchOp<'_> {
-    fn name(&self) -> &str {
-        &self.meter.op
-    }
-
-    fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
-        let iter = match self.drained.take() {
-            Some(iter) => self.drained.insert(iter),
-            None => {
-                let mut outer_c = Vec::new();
-                while let Some(b) = self.outer.next_batch()? {
-                    self.meter.trees_in += b.len();
-                    outer_c.extend(b);
-                }
-                let mut inner_c = Vec::new();
-                if let Some(inner) = self.inner.as_mut() {
-                    while let Some(b) = inner.next_batch()? {
-                        self.meter.trees_in += b.len();
-                        inner_c.extend(b);
-                    }
-                }
-                let window = self.meter.start(self.store);
-                let (out, shards) = crate::eval::stitch_sharded(
-                    self.store,
-                    &outer_c,
-                    &self.outer_pattern,
-                    self.outer_label,
-                    &inner_c,
-                    &self.inner_pattern,
-                    self.inner_label,
-                    &self.inner_extract,
-                    self.agg.as_ref().map(|(f, t)| (*f, t.as_str())),
-                    self.order,
-                    &self.tag,
-                    &self.opts,
-                    self.opts.threads.max(1),
-                )?;
-                self.meter.stop(self.store, window);
-                self.meter.shards = Some(shards);
-                self.drained.insert(out.into_iter())
-            }
-        };
-        emit_drained(iter, self.batch, &mut self.meter)
-    }
-
-    fn metrics(&self) -> PlanMetrics {
-        let mut children = vec![self.outer.metrics()];
-        if let Some(inner) = &self.inner {
-            children.push(inner.metrics());
-        }
-        self.meter.metrics(children)
-    }
-}
-
-/// Emit the next batch from a sink's drained output.
-fn emit_drained(
-    iter: &mut std::vec::IntoIter<Tree>,
-    batch: usize,
-    meter: &mut Meter,
-) -> Result<Option<Vec<Tree>>> {
-    let out: Vec<Tree> = iter.by_ref().take(batch).collect();
-    if out.is_empty() {
-        Ok(None)
-    } else {
-        meter.emitted(out.len());
-        Ok(Some(out))
-    }
-}
-
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::{PlanMode, TimberDb};
+    use std::cell::Cell;
     use xmlstore::StoreOptions;
 
     const SAMPLE: &str = "<bib>\
@@ -1011,29 +621,153 @@ mod tests {
         TimberDb::load_xml(SAMPLE, &StoreOptions::in_memory()).unwrap()
     }
 
-    fn run_both(db: &TimberDb, plan: &Plan, batch: usize) -> (String, String, PlanMetrics) {
-        let opts = db.exec_options();
-        let legacy = crate::eval::eval_with(db.store(), plan, &opts).unwrap();
-        let (phys, metrics) = execute(db.store(), plan, &opts, batch).unwrap();
-        let to_xml = |c: &Collection| {
-            c.iter()
-                .map(|t| {
-                    xmlparse::serialize::element_to_string(&t.materialize(db.store()).unwrap())
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        (to_xml(&legacy), to_xml(&phys), metrics)
+    fn to_xml(db: &TimberDb, c: &Collection) -> String {
+        c.iter()
+            .map(|t| xmlparse::serialize::element_to_string(&t.materialize(db.store()).unwrap()))
+            .collect::<Vec<_>>()
+            .join("\n")
     }
 
     #[test]
-    fn physical_matches_legacy_at_every_batch_size() {
+    fn every_batch_size_matches_the_one_batch_serial_run() {
         let db = db();
         for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
             let (plan, _) = db.compile(QUERY1, mode).unwrap();
+            let serial = ExecOptions::sequential();
+            let (reference, _) = execute(db.store(), &plan, &serial, usize::MAX).unwrap();
             for batch in [1, 2, 3, DEFAULT_BATCH_SIZE] {
-                let (legacy, phys, _) = run_both(&db, &plan, batch);
-                assert_eq!(legacy, phys, "{mode:?} batch={batch}");
+                let (out, _) = execute(db.store(), &plan, &db.exec_options(), batch).unwrap();
+                assert_eq!(
+                    to_xml(&db, &reference),
+                    to_xml(&db, &out),
+                    "{mode:?} batch={batch}"
+                );
+            }
+        }
+    }
+
+    /// A sink over `input` whose kernel passes its drained input through
+    /// and counts its runs.
+    fn counting_sink<'a>(
+        db: &'a TimberDb,
+        input: &'a Plan,
+        runs: &'a Cell<usize>,
+        fail: bool,
+    ) -> SinkOp<'a> {
+        SinkOp {
+            store: db.store(),
+            inputs: vec![build(db.store(), input, &ExecOptions::sequential(), 2).unwrap()],
+            kernel: Some(Box::new(move |mut ins| {
+                runs.set(runs.get() + 1);
+                if fail {
+                    return Err(tax::Error::Unsupported("kernel failed".into()));
+                }
+                let all = ins.remove(0);
+                let n = all.len();
+                Ok((all, ShardStats::serial(n)))
+            })),
+            output: Vec::new().into_iter(),
+            batch: 2,
+            meter: Meter::new("Sink".into()),
+        }
+    }
+
+    #[test]
+    fn sink_kernel_runs_exactly_once() {
+        let db = db();
+        let (plan, _) = db.compile(QUERY1, PlanMode::Direct).unwrap();
+        let Plan::StitchConstruct { outer, .. } = &plan else {
+            panic!()
+        };
+        let runs = Cell::new(0);
+        let mut sink = counting_sink(&db, outer, &runs, false);
+        let mut trees = 0;
+        while let Some(b) = sink.next_batch().unwrap() {
+            assert!(b.len() <= 2);
+            trees += b.len();
+        }
+        assert_eq!(trees, 3); // Jack, John, Jill
+                              // Pulling an exhausted sink neither re-drains nor re-runs.
+        for _ in 0..3 {
+            assert!(sink.next_batch().unwrap().is_none());
+        }
+        assert_eq!(runs.get(), 1);
+        let m = sink.metrics();
+        assert_eq!((m.trees_in, m.trees_out, m.batches), (3, 3, 2));
+    }
+
+    #[test]
+    fn sink_kernel_error_is_typed_and_terminal() {
+        let db = db();
+        let (plan, _) = db.compile(QUERY1, PlanMode::Direct).unwrap();
+        let Plan::StitchConstruct { outer, .. } = &plan else {
+            panic!()
+        };
+        let runs = Cell::new(0);
+        let mut sink = counting_sink(&db, outer, &runs, true);
+        let err = sink.next_batch().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::TimberError::Algebra(tax::Error::Unsupported(ref m)) if m == "kernel failed"
+            ),
+            "{err:?}"
+        );
+        // A further pull reports exhaustion; the kernel is not retried.
+        assert!(sink.next_batch().unwrap().is_none());
+        assert_eq!(runs.get(), 1);
+    }
+
+    #[test]
+    fn map_kernel_error_on_a_later_batch_is_typed() {
+        let db = db();
+        let (plan, _) = db.compile(QUERY1, PlanMode::Direct).unwrap();
+        let Plan::StitchConstruct { outer, .. } = &plan else {
+            panic!()
+        };
+        // 3 distinct-author trees arrive one per batch; the kernel
+        // fails on the second.
+        let mut calls = 0;
+        let mut op = MapOp {
+            store: db.store(),
+            input: build(db.store(), outer, &ExecOptions::sequential(), 1).unwrap(),
+            kernel: Box::new(move |batch| {
+                calls += 1;
+                if calls == 2 {
+                    return Err(tax::Error::Unsupported("batch 2 failed".into()));
+                }
+                Ok(batch)
+            }),
+            meter: Meter::new("Map".into()),
+        };
+        assert_eq!(op.next_batch().unwrap().map(|b| b.len()), Some(1));
+        let err = op.next_batch().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::TimberError::Algebra(tax::Error::Unsupported(ref m)) if m == "batch 2 failed"
+            ),
+            "{err:?}"
+        );
+        // The stream carries on with the next input batch, then ends.
+        assert_eq!(op.next_batch().unwrap().map(|b| b.len()), Some(1));
+        assert!(op.next_batch().unwrap().is_none());
+        assert!(op.next_batch().unwrap().is_none());
+    }
+
+    #[test]
+    fn empty_input_reports_one_serial_partition() {
+        let db = TimberDb::load_xml("<bib/>", &StoreOptions::in_memory()).unwrap();
+        for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
+            let (plan, _) = db.compile(QUERY1, mode).unwrap();
+            let opts = ExecOptions::with_threads(4);
+            let (trees, metrics) = execute(db.store(), &plan, &opts, 2).unwrap();
+            assert!(trees.is_empty());
+            let text = metrics.render();
+            let sinks: Vec<&str> = text.lines().filter(|l| l.contains("parts=")).collect();
+            assert!(!sinks.is_empty(), "{text}");
+            for line in sinks {
+                assert!(line.contains("parts=1 (serial) skew=-"), "{line}");
             }
         }
     }
@@ -1072,6 +806,24 @@ mod tests {
     }
 
     #[test]
+    fn dupelim_keeps_trees_its_pattern_does_not_match() {
+        // As `ops::dupelim::dup_elim` documents: no match, no key, kept.
+        let db = db();
+        let scan = PatternTree::with_root(tax::Pred::tag("article"));
+        let root = scan.root();
+        let plan = Plan::DupElim {
+            input: Box::new(Plan::SelectDb {
+                pattern: scan,
+                sl: vec![root],
+            }),
+            pattern: PatternTree::with_root(tax::Pred::tag("no_such_tag")),
+            by: 0,
+        };
+        let (trees, _) = execute(db.store(), &plan, &db.exec_options(), 2).unwrap();
+        assert_eq!(trees.len(), 3);
+    }
+
+    #[test]
     fn metrics_cover_every_operator() {
         let db = db();
         let (plan, _) = db.compile(QUERY1, PlanMode::GroupByRewrite).unwrap();
@@ -1094,14 +846,6 @@ mod tests {
     #[test]
     fn sharded_sinks_match_serial_and_report_partitions() {
         let db = db();
-        let to_xml = |c: &Collection| {
-            c.iter()
-                .map(|t| {
-                    xmlparse::serialize::element_to_string(&t.materialize(db.store()).unwrap())
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
         fn sink_stats(m: &PlanMetrics, out: &mut Vec<ShardStats>) {
             if let Some(s) = &m.shards {
                 out.push(s.clone());
@@ -1114,7 +858,7 @@ mod tests {
             let (plan, _) = db.compile(QUERY1, mode).unwrap();
             let (serial, serial_metrics) =
                 execute(db.store(), &plan, &ExecOptions::sequential(), 3).unwrap();
-            let serial_xml = to_xml(&serial);
+            let serial_xml = to_xml(&db, &serial);
             // At threads=1 the sinks still report their (single) partition.
             let mut stats = Vec::new();
             sink_stats(&serial_metrics, &mut stats);
@@ -1123,7 +867,7 @@ mod tests {
             for threads in [2, 4, 8] {
                 let opts = ExecOptions::with_threads(threads);
                 let (phys, metrics) = execute(db.store(), &plan, &opts, 3).unwrap();
-                assert_eq!(serial_xml, to_xml(&phys), "{mode:?} threads={threads}");
+                assert_eq!(serial_xml, to_xml(&db, &phys), "{mode:?} threads={threads}");
                 let mut stats = Vec::new();
                 sink_stats(&metrics, &mut stats);
                 assert!(!stats.is_empty(), "{mode:?}: no sink reported partitions");

@@ -18,8 +18,8 @@ pub struct QueryResult {
     pub elapsed: Duration,
     /// Buffer/disk traffic attributable to this evaluation.
     pub io: IoStats,
-    /// Per-operator metrics, when the physical executor ran the plan
-    /// (`None` under [`crate::ExecMode::Legacy`]).
+    /// Per-operator metrics of the executed plan (always present on a
+    /// result the executor produced).
     pub metrics: Option<PlanMetrics>,
 }
 

@@ -1,217 +1,20 @@
-//! The plan interpreter: logical [`Plan`] nodes → TAX operator calls.
+//! The RETURN stitching of the naive plan (Sec. 4.1): a full outer join
+//! on the key (realized as one hash pass over the inner collection),
+//! fused with the final per-binding construction and rename — the kernel
+//! behind the physical executor's `StitchConstruct` sink.
 
-use crate::error::Result;
-use std::collections::HashMap;
-use tax::exec::{par_map, par_map_owned, ExecOptions, ShardStats};
+use std::collections::{HashMap, HashSet};
+use tax::error::Result;
+use tax::exec::{par_map, shard_map, ExecOptions, ShardStats};
 use tax::matching::match_tree;
 use tax::matching::vnode::{VNode, VTree};
-use tax::ops;
+use tax::ops::aggregate::AggFunc;
+use tax::ops::groupby::Direction;
 use tax::ops::keyenc;
 use tax::pattern::{PatternNodeId, PatternTree};
 use tax::tree::{Tree, TreeNodeKind};
 use tax::Collection;
 use xmlstore::DocumentStore;
-use xquery::Plan;
-
-/// Evaluate a plan against the store, single-threaded.
-pub fn eval(store: &DocumentStore, plan: &Plan) -> Result<Collection> {
-    eval_with(store, plan, &ExecOptions::default())
-}
-
-/// Evaluate a plan against the store with explicit execution options.
-/// The bulk operators (selection, duplicate elimination, grouping,
-/// aggregation) fan their per-tree work out over `opts.threads`.
-pub fn eval_with(store: &DocumentStore, plan: &Plan, opts: &ExecOptions) -> Result<Collection> {
-    Ok(match plan {
-        Plan::SelectDb { pattern, sl } => ops::select::select_db_opts(store, pattern, sl, opts)?,
-        Plan::SelectProject { pattern, sl, pl } => {
-            ops::select::select_project_db_opts(store, pattern, sl, pl, opts)?
-        }
-        Plan::Project {
-            input,
-            pattern,
-            pl,
-            anchor_root,
-        } => {
-            let c = eval_with(store, input, opts)?;
-            ops::project::project(store, &c, pattern, pl, *anchor_root)?
-        }
-        Plan::DupElim { input, pattern, by } => {
-            let c = eval_with(store, input, opts)?;
-            ops::dupelim::dup_elim_opts(store, c, pattern, *by, opts)?
-        }
-        Plan::LeftOuterJoinDb {
-            left,
-            left_pattern,
-            left_label,
-            right_pattern,
-            right_label,
-            right_sl,
-            right_extract: _,
-            order: _,
-        } => {
-            let l = eval_with(store, left, opts)?;
-            ops::join::left_outer_join_db(
-                store,
-                &l,
-                left_pattern,
-                *left_label,
-                right_pattern,
-                *right_label,
-                right_sl,
-            )?
-        }
-        Plan::GroupBy {
-            input,
-            pattern,
-            basis,
-            ordering,
-        } => {
-            let c = eval_with(store, input, opts)?;
-            ops::groupby::groupby_opts(store, &c, pattern, basis, ordering, opts)?
-        }
-        Plan::Aggregate {
-            input,
-            pattern,
-            func,
-            of,
-            new_tag,
-            spec,
-        } => {
-            let c = eval_with(store, input, opts)?;
-            ops::aggregate::aggregate_opts(store, c, pattern, *func, *of, new_tag, *spec, opts)?
-        }
-        Plan::Rollup {
-            input,
-            pattern,
-            basis,
-            member_pattern,
-            of,
-            func,
-            new_tag,
-            flat,
-        } => {
-            let c = eval_with(store, input, opts)?;
-            let shape = if *flat {
-                ops::rollup::RollupShape::Flat
-            } else {
-                ops::rollup::RollupShape::Grouped
-            };
-            ops::rollup::rollup_opts(
-                store,
-                &c,
-                pattern,
-                basis,
-                member_pattern,
-                *of,
-                *func,
-                new_tag,
-                shape,
-                opts,
-            )?
-        }
-        Plan::Union { inputs } => {
-            let mut out = Vec::new();
-            for input in inputs {
-                out.extend(eval_with(store, input, opts)?);
-            }
-            out
-        }
-        Plan::Cube {
-            input,
-            pattern,
-            basis,
-            member_pattern,
-            of,
-            func,
-            new_tag,
-        } => {
-            let c = eval_with(store, input, opts)?;
-            ops::cube::cube_opts(
-                store,
-                &c,
-                pattern,
-                basis,
-                member_pattern,
-                *of,
-                *func,
-                new_tag,
-                opts,
-            )?
-        }
-        Plan::Rename { input, tag } => {
-            let c = eval_with(store, input, opts)?;
-            ops::rename::rename_root(store.dict(), c, tag)?
-        }
-        Plan::StitchConstruct {
-            outer,
-            outer_pattern,
-            outer_label,
-            inner,
-            inner_pattern,
-            inner_label,
-            inner_extract,
-            agg,
-            order,
-            tag,
-        } => {
-            let outer_c = eval_with(store, outer, opts)?;
-            let inner_c = match inner {
-                Some(p) => eval_with(store, p, opts)?,
-                None => Vec::new(),
-            };
-            stitch(
-                store,
-                &outer_c,
-                outer_pattern,
-                *outer_label,
-                &inner_c,
-                inner_pattern,
-                *inner_label,
-                inner_extract,
-                agg.as_ref().map(|(f, t)| (*f, t.as_str())),
-                *order,
-                tag,
-            )?
-        }
-    })
-}
-
-/// The RETURN stitching of the naive plan: a full outer join on the key
-/// (realized as one hash pass over the inner collection), fused with the
-/// final per-binding construction and rename. Shared between this
-/// interpreter and the physical executor's stitch sink.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stitch(
-    store: &DocumentStore,
-    outer: &Collection,
-    outer_pattern: &PatternTree,
-    outer_label: PatternNodeId,
-    inner: &Collection,
-    inner_pattern: &PatternTree,
-    inner_label: PatternNodeId,
-    inner_extract: &[(PatternNodeId, bool)],
-    agg: Option<(tax::ops::aggregate::AggFunc, &str)>,
-    order: Option<(PatternNodeId, tax::ops::groupby::Direction)>,
-    tag: &str,
-) -> Result<Collection> {
-    Ok(stitch_sharded(
-        store,
-        outer,
-        outer_pattern,
-        outer_label,
-        inner,
-        inner_pattern,
-        inner_label,
-        inner_extract,
-        agg,
-        order,
-        tag,
-        &ExecOptions::sequential(),
-        1,
-    )?
-    .0)
-}
 
 /// One extracted part: the tree, its content (for aggregates), and its
 /// ordering key.
@@ -247,7 +50,7 @@ fn extract_parts(
     inner_extract: &[(PatternNodeId, bool)],
     want_content: bool,
     order_label: Option<PatternNodeId>,
-) -> tax::error::Result<Vec<RawPart>> {
+) -> Result<Vec<RawPart>> {
     let vt = VTree::new(store, tree);
     let mut out = Vec::new();
     for binding in match_tree(store, tree, inner_pattern, true)? {
@@ -294,7 +97,7 @@ fn construct_one(
     bound: VNode,
     key: Option<&str>,
     parts: &HashMap<String, Vec<Part>>,
-    agg: Option<(tax::ops::aggregate::AggFunc, &str)>,
+    agg: Option<(AggFunc, &str)>,
     tag: &str,
 ) -> Tree {
     let mut result = Tree::new_elem(dict, tag);
@@ -323,42 +126,38 @@ fn construct_one(
     result
 }
 
-/// Hash-partitioned [`stitch`]: the sharded-sink entry point.
+/// The stitch over `opts.threads` workers.
 ///
 /// Part extraction fans out over the inner trees with `par_map` (in-order
 /// results), then a **sequential** merge applies the naive plan's
 /// cross-tree duplicate elimination — so bucket contents and ranks are
-/// identical to the serial pass. Outer trees are then routed to
-/// `partitions` shards by an FNV-1a hash of their stitch key; each shard
+/// identical at every thread count. Outer trees then go through
+/// [`shard_map`] routed by an FNV-1a hash of their stitch key; each shard
 /// constructs its result elements against the frozen parts table, and the
-/// merge re-emits them ordered by **outer input position** — byte-identical
-/// to the serial kernel. Returns the collection plus partition statistics
-/// (outer trees per shard).
+/// merge re-emits them ordered by **outer input position**. Returns the
+/// collection plus partition statistics (outer trees per shard).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn stitch_sharded(
     store: &DocumentStore,
-    outer: &Collection,
+    outer: &[Tree],
     outer_pattern: &PatternTree,
     outer_label: PatternNodeId,
-    inner: &Collection,
+    inner: &[Tree],
     inner_pattern: &PatternTree,
     inner_label: PatternNodeId,
     inner_extract: &[(PatternNodeId, bool)],
-    agg: Option<(tax::ops::aggregate::AggFunc, &str)>,
-    order: Option<(PatternNodeId, tax::ops::groupby::Direction)>,
+    agg: Option<(AggFunc, &str)>,
+    order: Option<(PatternNodeId, Direction)>,
     tag: &str,
     opts: &ExecOptions,
-    partitions: usize,
 ) -> Result<(Collection, ShardStats)> {
-    use tax::ops::groupby::Direction;
-
     // Bucket the extracted parts by key value, with the naive plan's
     // "duplicate elimination based on articles" (Sec. 4.1): an article
     // joining the same key through several paths (two same-valued
     // authors, two same-institution authors) contributes its extracted
     // nodes once. Identity is the extracted stored node. Extraction is
     // per-tree-parallel; the dedup merge walks the in-order results
-    // sequentially so ranks match the serial pass.
+    // sequentially so ranks match a serial pass.
     let raw: Vec<Vec<RawPart>> = par_map(opts, inner, |tree_idx, tree| {
         extract_parts(
             store,
@@ -372,7 +171,7 @@ pub(crate) fn stitch_sharded(
         )
     })?;
     let mut parts: HashMap<String, Vec<Part>> = HashMap::new();
-    let mut seen: std::collections::HashSet<(String, u64)> = std::collections::HashSet::new();
+    let mut seen: HashSet<(String, u64)> = HashSet::new();
     for rp in raw.into_iter().flatten() {
         if !seen.insert((rp.key.clone(), rp.part_id)) {
             continue;
@@ -404,77 +203,43 @@ pub(crate) fn stitch_sharded(
 
     // Each outer tree's bound node and stitch key, in outer order
     // (`None` for trees whose pattern does not match — they emit
-    // nothing, exactly as in the serial pass).
-    let keys: Vec<Option<(VNode, Option<String>)>> =
-        par_map(opts, outer, |_, tree| -> tax::error::Result<_> {
-            let vt = VTree::new(store, tree);
-            let bindings = match_tree(store, tree, outer_pattern, false)?;
-            match bindings.first() {
-                Some(binding) => {
-                    let bound = binding[outer_label];
-                    Ok(Some((bound, vt.content(bound)?)))
-                }
-                None => Ok(None),
+    // nothing).
+    let keys: Vec<Option<(VNode, Option<String>)>> = par_map(opts, outer, |_, tree| {
+        let vt = VTree::new(store, tree);
+        let bindings = match_tree(store, tree, outer_pattern, false)?;
+        match bindings.first() {
+            Some(binding) => {
+                let bound = binding[outer_label];
+                Ok(Some((bound, vt.content(bound)?)))
             }
-        })?;
-
-    let partitions = partitions.max(1).min(outer.len().max(1));
-    if partitions <= 1 {
-        let mut out = Vec::with_capacity(outer.len());
-        for (oi, entry) in keys.iter().enumerate() {
-            let Some((bound, key)) = entry else { continue };
-            out.push(construct_one(
-                store.dict(),
-                &outer[oi],
-                *bound,
-                key.as_deref(),
-                &parts,
-                agg,
-                tag,
-            ));
+            None => Ok(None),
         }
-        return Ok((out, ShardStats::serial(outer.len())));
-    }
+    })?;
 
-    // Route keyed outer trees to shards by stitch-key hash.
-    let mut shards: Vec<Vec<usize>> = (0..partitions).map(|_| Vec::new()).collect();
-    for (oi, entry) in keys.iter().enumerate() {
-        let Some((_, key)) = entry else { continue };
-        let h = keyenc::hash_opt_str(key.as_deref());
-        shards[keyenc::shard(h, partitions)].push(oi);
-    }
-    let sizes: Vec<usize> = shards.iter().map(Vec::len).collect();
-    let per_shard: Vec<Vec<(usize, Tree)>> = par_map_owned(opts, shards, |_, shard| {
-        Ok(shard
-            .into_iter()
-            .filter_map(|oi| {
-                let (bound, key) = keys[oi].as_ref()?;
-                Some((
-                    oi,
-                    construct_one(
+    let stitch_key = |oi: usize| keys[oi].as_ref().and_then(|(_, key)| key.as_deref());
+    shard_map(
+        opts,
+        (0..outer.len()).collect(),
+        |&oi| keyenc::hash_opt_str(stitch_key(oi)),
+        |shard| {
+            Ok(shard
+                .into_iter()
+                .filter_map(|oi| {
+                    let (bound, _) = keys[oi].as_ref()?;
+                    let tree = construct_one(
                         store.dict(),
                         &outer[oi],
                         *bound,
-                        key.as_deref(),
+                        stitch_key(oi),
                         &parts,
                         agg,
                         tag,
-                    ),
-                ))
-            })
-            .collect())
-    })?;
-
-    // Order-restoring merge: scatter per-outer results back to outer
-    // position, then emit in outer order.
-    let mut slots: Vec<Option<Tree>> = (0..outer.len()).map(|_| None).collect();
-    for shard in per_shard {
-        for (oi, tree) in shard {
-            slots[oi] = Some(tree);
-        }
-    }
-    let out: Vec<Tree> = slots.into_iter().flatten().collect();
-    Ok((out, ShardStats { partitions, sizes }))
+                    );
+                    Some((oi, tree))
+                })
+                .collect())
+        },
+    )
 }
 
 /// A standalone tree for one extracted virtual node.
@@ -511,8 +276,10 @@ fn append_part(dst: &mut Tree, parent: usize, src: &Tree, v: VNode, deep: bool) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physical::{execute, DEFAULT_BATCH_SIZE};
     use crate::{PlanMode, TimberDb};
     use xmlstore::StoreOptions;
+    use xquery::Plan;
 
     const SAMPLE: &str = "<bib>\
         <article><title>Querying XML</title><author>Jack</author><author>John</author></article>\
@@ -522,6 +289,13 @@ mod tests {
 
     fn db() -> TimberDb {
         TimberDb::load_xml(SAMPLE, &StoreOptions::in_memory()).unwrap()
+    }
+
+    fn run(db: &TimberDb, plan: &Plan) -> Collection {
+        let opts = ExecOptions::sequential();
+        execute(db.store(), plan, &opts, DEFAULT_BATCH_SIZE)
+            .unwrap()
+            .0
     }
 
     const QUERY2: &str = r#"
@@ -539,7 +313,7 @@ mod tests {
         let Plan::StitchConstruct { outer, .. } = &plan else {
             panic!()
         };
-        let c = eval(db.store(), outer).unwrap();
+        let c = run(&db, outer);
         assert_eq!(c.len(), 3);
         let names: Vec<String> = c
             .iter()
@@ -566,7 +340,7 @@ mod tests {
         else {
             panic!()
         };
-        let c = eval(db.store(), inner).unwrap();
+        let c = run(&db, inner);
         assert_eq!(c.len(), 5);
     }
 

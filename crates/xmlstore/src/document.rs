@@ -43,7 +43,7 @@ use crate::node::{
 use crate::page::{PageId, PAGE_DATA_SIZE, PAGE_HEADER_SIZE, PAGE_SIZE};
 use crate::storage::{DiskManager, DiskStats, SharedDisk};
 use crate::wal::{self, BeforeImage, Lsn, TxnId, Wal, WalHandle, WalRecord, WalStats};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{self, AtomicU64, Ordering};
@@ -53,10 +53,6 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 /// across shards (`pid % nshards`), so concurrent readers touching
 /// different pages usually take different locks.
 const MAX_POOL_SHARDS: usize = 8;
-
-/// Entry cap per header-cache shard: the cache is a small read
-/// accelerator, not a second buffer pool.
-const HEADER_CACHE_SHARD_CAP: usize = 4096;
 
 /// The reserved tag of the synthetic document root.
 pub const DOC_ROOT_TAG: &str = "doc_root";
@@ -93,10 +89,6 @@ pub struct StoreOptions {
     /// explains the limits of value indices in XML), so this is off by
     /// default.
     pub value_index: bool,
-    /// Cache decoded node headers (`NodeId → NodeRecord`) on the read
-    /// path, skipping the buffer pool for repeat fetches. Off by default
-    /// so I/O counters keep measuring true page traffic.
-    pub header_cache: bool,
     /// Write-ahead log every mutation so the store survives crashes.
     /// The log lives next to the page file (`path` + `.wal`) when the
     /// store is on disk at a named path; otherwise it is kept in memory,
@@ -120,7 +112,6 @@ impl Default for StoreOptions {
             path: None,
             strip_whitespace: true,
             value_index: false,
-            header_cache: false,
             durable: false,
             ordered_dict: false,
         }
@@ -136,7 +127,6 @@ impl StoreOptions {
             path: None,
             strip_whitespace: true,
             value_index: false,
-            header_cache: false,
             durable: false,
             ordered_dict: false,
         }
@@ -145,12 +135,6 @@ impl StoreOptions {
     /// Enable the content value index.
     pub fn with_value_index(mut self) -> Self {
         self.value_index = true;
-        self
-    }
-
-    /// Enable the node-header cache.
-    pub fn with_header_cache(mut self) -> Self {
-        self.header_cache = true;
         self
     }
 
@@ -203,14 +187,9 @@ impl IoStats {
     }
 }
 
-/// Hit/miss counters of the in-memory read-path caches (tag-index
-/// lookups and the optional node-header cache).
+/// Hit/miss counters of the in-memory tag-index lookups.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Node-header fetches answered from the header cache.
-    pub header_hits: u64,
-    /// Node-header fetches that had to decode a buffered page.
-    pub header_misses: u64,
     /// Tag-name lookups that resolved to an interned tag.
     pub tag_hits: u64,
     /// Tag-name lookups for names absent from the document.
@@ -228,74 +207,6 @@ pub struct RecoveryInfo {
     pub committed: u64,
     /// Loser (unfinished or aborted) transactions rolled back.
     pub losers: u64,
-}
-
-/// A sharded `NodeId → NodeRecord` cache. Shards are striped the same
-/// way as the buffer pool (by node page), each behind a reader-writer
-/// lock, so concurrent readers on a warm cache take no exclusive lock.
-///
-/// Entries are only valid for one projection epoch: callers pass the
-/// epoch of the projection they are resolving against, and a mismatch
-/// is a miss (so pinned snapshots older than the current epoch simply
-/// bypass the cache). Commits advance the epoch *before* clearing the
-/// shards; a racing insert under the old epoch is therefore either
-/// cleared or skipped, never served to the new epoch.
-struct HeaderCache {
-    shards: Vec<RwLock<HashMap<u32, NodeRecord>>>,
-    epoch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl HeaderCache {
-    fn new(nshards: usize) -> Self {
-        HeaderCache {
-            shards: (0..nshards.max(1))
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            epoch: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, id: u32) -> &RwLock<HashMap<u32, NodeRecord>> {
-        &self.shards[id as usize % self.shards.len()]
-    }
-
-    fn get(&self, epoch: u64, id: u32) -> Option<NodeRecord> {
-        let shard = self.shard(id).read().unwrap_or_else(|e| e.into_inner());
-        let found = if self.epoch.load(Ordering::Acquire) == epoch {
-            shard.get(&id).copied()
-        } else {
-            None
-        };
-        drop(shard);
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn insert(&self, epoch: u64, id: u32, rec: NodeRecord) {
-        let mut shard = self.shard(id).write().unwrap_or_else(|e| e.into_inner());
-        if self.epoch.load(Ordering::Acquire) == epoch && shard.len() < HEADER_CACHE_SHARD_CAP {
-            shard.insert(id, rec);
-        }
-    }
-
-    /// Move the cache to a new projection epoch, dropping stale entries.
-    fn advance(&self, epoch: u64) {
-        self.epoch.store(epoch, Ordering::Release);
-        self.clear();
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-    }
 }
 
 // ---- persistent metadata ----------------------------------------------
@@ -788,7 +699,6 @@ struct StoreShared {
     ordered_dict: bool,
     shards: Vec<Mutex<BufferPool>>,
     disk: SharedDisk,
-    header_cache: Option<HeaderCache>,
     tag_hits: AtomicU64,
     tag_misses: AtomicU64,
     recovery: Option<RecoveryInfo>,
@@ -984,11 +894,6 @@ impl DocumentStore {
             doc_root_tag,
             opts.value_index,
         ));
-        let header_cache = opts.header_cache.then(|| {
-            let cache = HeaderCache::new(MAX_POOL_SHARDS);
-            cache.advance(epoch);
-            cache
-        });
         DocumentStore {
             shared: Arc::new(StoreShared {
                 tags,
@@ -1008,7 +913,6 @@ impl DocumentStore {
                 ordered_dict: opts.ordered_dict,
                 shards,
                 disk,
-                header_cache,
                 tag_hits: AtomicU64::new(0),
                 tag_misses: AtomicU64::new(0),
                 recovery,
@@ -1215,9 +1119,6 @@ impl DocumentStore {
             self.shared.doc_root_tag,
             self.shared.build_values,
         ));
-        if let Some(cache) = &self.shared.header_cache {
-            cache.advance(w.epoch);
-        }
         *self
             .shared
             .current
@@ -1883,20 +1784,12 @@ impl DocumentStore {
                 content: ContentPtr::NULL,
             });
         }
-        if let Some(cache) = &self.shared.header_cache {
-            if let Some(rec) = cache.get(proj.epoch, id.0) {
-                return Ok(rec);
-            }
-        }
         let (k, local) = proj.locate(id);
         let (page, slot) = node_location(proj.docs[k].node_base, local);
         let mut rec = self.shared.with_page(PageId(page), |p| {
             NodeRecord::decode(&p[slot..slot + RECORD_SIZE])
         })?;
         proj.globalize(k, &mut rec);
-        if let Some(cache) = &self.shared.header_cache {
-            cache.insert(proj.epoch, id.0, rec);
-        }
         Ok(rec)
     }
 
@@ -2051,28 +1944,21 @@ impl DocumentStore {
         }
     }
 
-    /// Zero the I/O and cache counters.
+    /// Zero the I/O and tag-lookup counters.
     pub fn reset_io_stats(&self) {
         for shard in &self.shared.shards {
             lock_pool(shard).reset_stats();
-        }
-        if let Some(cache) = &self.shared.header_cache {
-            cache.hits.store(0, Ordering::Relaxed);
-            cache.misses.store(0, Ordering::Relaxed);
         }
         self.shared.tag_hits.store(0, Ordering::Relaxed);
         self.shared.tag_misses.store(0, Ordering::Relaxed);
     }
 
-    /// Empty every buffer-pool shard (and the header cache) so the next
-    /// operation starts cold. Dirty pages are flushed first (with their
-    /// log records, on durable stores).
+    /// Empty every buffer-pool shard so the next operation starts cold.
+    /// Dirty pages are flushed first (with their log records, on durable
+    /// stores).
     pub fn clear_buffer_pool(&self) -> Result<()> {
         for shard in &self.shared.shards {
             lock_pool(shard).clear()?;
-        }
-        if let Some(cache) = &self.shared.header_cache {
-            cache.clear();
         }
         Ok(())
     }
@@ -2091,26 +1977,12 @@ impl DocumentStore {
         self.shared.shards.len()
     }
 
-    /// Read-path cache counters (header cache + tag-index lookups).
+    /// Tag-index lookup counters.
     pub fn cache_stats(&self) -> CacheStats {
-        let (header_hits, header_misses) = match &self.shared.header_cache {
-            Some(c) => (
-                c.hits.load(Ordering::Relaxed),
-                c.misses.load(Ordering::Relaxed),
-            ),
-            None => (0, 0),
-        };
         CacheStats {
-            header_hits,
-            header_misses,
             tag_hits: self.shared.tag_hits.load(Ordering::Relaxed),
             tag_misses: self.shared.tag_misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Whether the node-header cache was enabled at load time.
-    pub fn header_cache_enabled(&self) -> bool {
-        self.shared.header_cache.is_some()
     }
 
     // ---- fault injection ----------------------------------------------
@@ -2622,33 +2494,13 @@ mod tests {
     }
 
     #[test]
-    fn header_cache_serves_repeat_fetches() {
-        let s = DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory().with_header_cache())
-            .unwrap();
-        assert!(s.header_cache_enabled());
-        let title = s.tag_id("title").unwrap();
-        let t = s.nodes_with_tag(title)[0];
-        s.reset_io_stats();
-        let first = s.record(t.id).unwrap();
-        let again = s.record(t.id).unwrap();
-        assert_eq!(first, again);
-        let cs = s.cache_stats();
-        assert_eq!(cs.header_misses, 1);
-        assert_eq!(cs.header_hits, 1);
-        // The repeat fetch never reached the buffer pool.
-        assert_eq!(s.io_stats().page_requests(), 1);
-    }
-
-    #[test]
-    fn header_cache_off_by_default_and_counters_track_tags() {
+    fn repeat_fetches_reach_the_pool_and_counters_track_tags() {
         let s = store();
-        assert!(!s.header_cache_enabled());
         s.reset_io_stats();
         let _ = s.record(NodeId(1)).unwrap();
         let _ = s.record(NodeId(1)).unwrap();
-        let cs = s.cache_stats();
-        assert_eq!((cs.header_hits, cs.header_misses), (0, 0));
-        // Both requests hit the pool instead.
+        // Every record fetch is a page request: nothing sits in front
+        // of the buffer pool.
         assert_eq!(s.io_stats().page_requests(), 2);
         let _ = s.tag_id("title");
         let _ = s.tag_id("no_such_tag");
@@ -2658,15 +2510,12 @@ mod tests {
     }
 
     #[test]
-    fn clear_buffer_pool_drops_header_cache() {
-        let s = DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory().with_header_cache())
-            .unwrap();
+    fn clear_buffer_pool_starts_cold() {
+        let s = store();
         let _ = s.record(NodeId(1)).unwrap();
         s.clear_buffer_pool().unwrap();
         s.reset_io_stats();
         let _ = s.record(NodeId(1)).unwrap();
-        // Cold again: the fetch missed the cache and faulted a page.
-        assert_eq!(s.cache_stats().header_misses, 1);
         assert_eq!(s.io_stats().buffer.misses, 1);
     }
 

@@ -1,6 +1,6 @@
 //! Shared fixtures for the integration tests.
 
-use timber::TimberDb;
+use timber::{PlanMode, TimberDb};
 use xmlstore::StoreOptions;
 
 /// The sample database of Figure 6: three articles, overlapping authors.
@@ -38,6 +38,27 @@ pub const QUERY_COUNT: &str = r#"
 /// Load the Figure 6 database.
 pub fn fig6_db() -> TimberDb {
     TimberDb::load_xml(FIG6_DB, &StoreOptions::in_memory()).expect("load fig6")
+}
+
+/// Serialized output of `query` under `mode` at the given batch size
+/// (and the handle's current thread count).
+pub fn run(db: &mut TimberDb, query: &str, mode: PlanMode, batch: usize) -> String {
+    db.set_batch_size(batch);
+    let r = db.query(query, mode).expect("query evaluates");
+    r.to_xml_on(db.store()).expect("result serializes")
+}
+
+/// The differential suites' reference bytes: the executor in its
+/// degenerate configuration — one thread, one batch — so no shard
+/// routing, order-restoring merge or batch boundary can have shaped
+/// them. The handle's thread and batch settings are restored.
+pub fn reference_run(db: &mut TimberDb, query: &str, mode: PlanMode) -> String {
+    let (threads, batch) = (db.threads(), db.batch_size());
+    db.set_threads(1);
+    let out = run(db, query, mode, usize::MAX);
+    db.set_threads(threads);
+    db.set_batch_size(batch);
+    out
 }
 
 /// Parse a comma-separated list of positive integers from `var`, falling

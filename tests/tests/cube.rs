@@ -12,8 +12,8 @@
 use datagen::{DblpConfig, DblpGenerator};
 use smallrand::prop::{check, Gen};
 use tax::ops::cube::strip_level_markers;
-use timber::{ExecMode, PlanMode, TimberDb};
-use timber_integration_tests::{batch_matrix, thread_matrix};
+use timber::{PlanMode, TimberDb};
+use timber_integration_tests::{batch_matrix, reference_run, run, thread_matrix};
 use xmlstore::{FaultConfig, StoreOptions};
 
 /// The lattice query: all prefix levels of journal → year → author,
@@ -41,13 +41,6 @@ const CUBE_DB: &str = "<bib>\
     <article><journal>WebDB</journal><year>2001</year><author>John</author><pages>7.5</pages><title>C</title></article>\
     <article><journal>TODS</journal><year>1999</year><author>John</author><pages>19</pages><title>D</title></article>\
 </bib>";
-
-fn run(db: &mut TimberDb, query: &str, mode: PlanMode, exec: ExecMode, batch: usize) -> String {
-    db.set_exec_mode(exec);
-    db.set_batch_size(batch);
-    let r = db.query(query, mode).expect("query evaluates");
-    r.to_xml_on(db.store()).expect("result serializes")
-}
 
 #[test]
 fn every_cube_query_fuses_to_one_scan() {
@@ -78,21 +71,9 @@ fn cube_matches_composed_across_threads_and_batches() {
         db.set_threads(threads);
         for func in FUNCS {
             let query = cube_query(func);
-            let reference = run(
-                &mut db,
-                &query,
-                PlanMode::GroupByMaterialized,
-                ExecMode::Physical,
-                256,
-            );
+            let reference = run(&mut db, &query, PlanMode::GroupByMaterialized, 256);
             for batch in batch_matrix(&[16, 256]) {
-                let fused = run(
-                    &mut db,
-                    &query,
-                    PlanMode::GroupByRewrite,
-                    ExecMode::Physical,
-                    batch,
-                );
+                let fused = run(&mut db, &query, PlanMode::GroupByRewrite, batch);
                 assert!(fused.contains("TAX_cube_level"), "{fused}");
                 assert_eq!(
                     strip_level_markers(&fused),
@@ -105,26 +86,14 @@ fn cube_matches_composed_across_threads_and_batches() {
 }
 
 #[test]
-fn legacy_interpreter_agrees_with_physical_cube() {
+fn one_batch_serial_run_agrees_with_batched_cube() {
     let mut db = TimberDb::load_xml(CUBE_DB, &StoreOptions::in_memory()).unwrap();
     for func in FUNCS {
         let query = cube_query(func);
-        let legacy = run(
-            &mut db,
-            &query,
-            PlanMode::GroupByRewrite,
-            ExecMode::Legacy,
-            256,
-        );
+        let expected = reference_run(&mut db, &query, PlanMode::GroupByRewrite);
         for batch in batch_matrix(&[1, 3, 256]) {
-            let phys = run(
-                &mut db,
-                &query,
-                PlanMode::GroupByRewrite,
-                ExecMode::Physical,
-                batch,
-            );
-            assert_eq!(legacy, phys, "batch={batch} func={func}");
+            let got = run(&mut db, &query, PlanMode::GroupByRewrite, batch);
+            assert_eq!(expected, got, "batch={batch} func={func}");
         }
     }
 }
@@ -145,20 +114,8 @@ fn single_dimension_cube_rides_the_fused_rollup_path() {
     assert!(!trace.fired("cube-fuse"), "{}", trace.render());
     assert!(trace.fired("rollup-fuse"), "{}", trace.render());
     assert!(plan.explain().contains("Rollup"), "{}", plan.explain());
-    let reference = run(
-        &mut db,
-        query,
-        PlanMode::GroupByMaterialized,
-        ExecMode::Physical,
-        256,
-    );
-    let fused = run(
-        &mut db,
-        query,
-        PlanMode::GroupByRewrite,
-        ExecMode::Physical,
-        16,
-    );
+    let reference = run(&mut db, query, PlanMode::GroupByMaterialized, 256);
+    let fused = run(&mut db, query, PlanMode::GroupByRewrite, 16);
     assert!(!fused.contains("TAX_cube_level"), "{fused}");
     assert_eq!(fused, reference);
 }
@@ -228,20 +185,8 @@ fn cube_matches_composed_on_random_ragged_bibliographies() {
             let batch = [1, 16, 256][g.usize_in(0, 2)];
             for func in FUNCS {
                 let query = cube_query(func);
-                let reference = run(
-                    &mut db,
-                    &query,
-                    PlanMode::GroupByMaterialized,
-                    ExecMode::Physical,
-                    256,
-                );
-                let fused = run(
-                    &mut db,
-                    &query,
-                    PlanMode::GroupByRewrite,
-                    ExecMode::Physical,
-                    batch,
-                );
+                let reference = run(&mut db, &query, PlanMode::GroupByMaterialized, 256);
+                let fused = run(&mut db, &query, PlanMode::GroupByRewrite, batch);
                 assert_eq!(
                     strip_level_markers(&fused),
                     reference,

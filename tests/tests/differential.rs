@@ -1,13 +1,15 @@
-//! Differential testing of the two executors: the batched physical
-//! pipeline must produce byte-identical serialized output to the legacy
-//! recursive interpreter — for every query of the E1/E2 corpus, in both
-//! plan modes, across thread counts and batch sizes, and on randomly
-//! generated bibliographies.
+//! Differential testing of the executor against itself in its
+//! degenerate configuration: the batched, sharded pipeline must produce
+//! byte-identical serialized output to the one-batch serial run — for
+//! every query of the E1/E2 corpus, in both plan modes, across thread
+//! counts and batch sizes, and on randomly generated bibliographies.
+//! (Independent of the executor, `plan_equivalence.rs` holds Direct
+//! against GROUPBY and `figures.rs` pins the Fig. 6 bytes.)
 
 use smallrand::prop::{check, Gen};
-use timber::{ExecMode, PlanMode, TimberDb};
+use timber::{PlanMode, TimberDb};
 use timber_integration_tests::{
-    batch_matrix, fig6_db, thread_matrix, FIG6_DB, QUERY1, QUERY2, QUERY_COUNT,
+    batch_matrix, fig6_db, reference_run, run, thread_matrix, FIG6_DB, QUERY1, QUERY2, QUERY_COUNT,
 };
 use xmlstore::StoreOptions;
 
@@ -20,40 +22,32 @@ const QUERY_PROJECT: &str = r#"
 
 const CORPUS: [&str; 4] = [QUERY1, QUERY2, QUERY_COUNT, QUERY_PROJECT];
 
-/// Serialized output of `query` under the given executor configuration.
-fn run(db: &mut TimberDb, query: &str, mode: PlanMode, exec: ExecMode, batch: usize) -> String {
-    db.set_exec_mode(exec);
-    db.set_batch_size(batch);
-    let r = db.query(query, mode).expect("query evaluates");
-    r.to_xml_on(db.store()).expect("result serializes")
-}
-
 #[test]
-fn physical_equals_legacy_on_corpus() {
+fn batched_equals_one_batch_serial_on_corpus() {
     let mut db = fig6_db();
     for query in CORPUS {
         for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-            let legacy = run(&mut db, query, mode, ExecMode::Legacy, 256);
+            let expected = reference_run(&mut db, query, mode);
             for batch in batch_matrix(&[1, 2, 3, 256]) {
-                let phys = run(&mut db, query, mode, ExecMode::Physical, batch);
-                assert_eq!(legacy, phys, "{mode:?} batch={batch} query: {query}");
+                let got = run(&mut db, query, mode, batch);
+                assert_eq!(expected, got, "{mode:?} batch={batch} query: {query}");
             }
         }
     }
 }
 
 #[test]
-fn physical_equals_legacy_across_thread_counts() {
+fn batched_equals_one_batch_serial_across_thread_counts() {
     let mut db = fig6_db();
     for threads in thread_matrix(&[1, 2, 4]) {
         db.set_threads(threads);
         for query in CORPUS {
             for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-                let legacy = run(&mut db, query, mode, ExecMode::Legacy, 256);
+                let expected = reference_run(&mut db, query, mode);
                 for batch in batch_matrix(&[2]) {
-                    let phys = run(&mut db, query, mode, ExecMode::Physical, batch);
+                    let got = run(&mut db, query, mode, batch);
                     assert_eq!(
-                        legacy, phys,
+                        expected, got,
                         "threads={threads} batch={batch} {mode:?} query: {query}"
                     );
                 }
@@ -63,13 +57,12 @@ fn physical_equals_legacy_across_thread_counts() {
 }
 
 #[test]
-fn physical_run_records_metrics_consistent_with_result() {
-    let mut db = fig6_db();
-    db.set_exec_mode(ExecMode::Physical);
+fn run_records_metrics_consistent_with_result() {
+    let db = fig6_db();
     for query in CORPUS {
         for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
             let r = db.query(query, mode).unwrap();
-            let m = r.metrics.as_ref().expect("physical run records metrics");
+            let m = r.metrics.as_ref().expect("a run records metrics");
             assert_eq!(m.trees_out, r.len(), "{mode:?} query: {query}");
             assert!(m.node_count() >= 1);
         }
@@ -103,38 +96,42 @@ fn bibliography(g: &mut Gen) -> String {
 }
 
 #[test]
-fn physical_equals_legacy_on_random_bibliographies() {
-    check("physical_equals_legacy_on_random_bibliographies", 32, |g| {
-        let xml = bibliography(g);
-        let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-        let batch = [1, 3, 256][g.usize_in(0, 2)];
-        for query in CORPUS {
-            for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-                let legacy = run(&mut db, query, mode, ExecMode::Legacy, 256);
-                let phys = run(&mut db, query, mode, ExecMode::Physical, batch);
-                assert_eq!(legacy, phys, "{mode:?} batch={batch} on {xml}");
+fn batched_equals_one_batch_serial_on_random_bibliographies() {
+    check(
+        "batched_equals_one_batch_serial_on_random_bibliographies",
+        32,
+        |g| {
+            let xml = bibliography(g);
+            let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+            let batch = [1, 3, 256][g.usize_in(0, 2)];
+            for query in CORPUS {
+                for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
+                    let expected = reference_run(&mut db, query, mode);
+                    let got = run(&mut db, query, mode, batch);
+                    assert_eq!(expected, got, "{mode:?} batch={batch} on {xml}");
+                }
             }
-        }
-    });
+        },
+    );
 }
 
 #[test]
-fn executors_agree_on_empty_database() {
+fn empty_database_yields_empty_output_at_every_batching() {
     let mut db = TimberDb::load_xml("<bib/>", &StoreOptions::in_memory()).unwrap();
     for query in CORPUS {
         for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-            let legacy = run(&mut db, query, mode, ExecMode::Legacy, 256);
-            let phys = run(&mut db, query, mode, ExecMode::Physical, 1);
-            assert_eq!(legacy, phys, "{mode:?} query: {query}");
-            assert!(phys.is_empty());
+            let expected = reference_run(&mut db, query, mode);
+            let got = run(&mut db, query, mode, 1);
+            assert_eq!(expected, got, "{mode:?} query: {query}");
+            assert!(got.is_empty());
         }
     }
 }
 
 #[test]
 fn explain_analyze_output_matches_plain_query() {
-    // The analyzed execution is the same physical pipeline; its result
-    // must match a plain physical run byte for byte.
+    // The analyzed execution is the same pipeline; its result must match
+    // a plain run byte for byte.
     let db = TimberDb::load_xml(FIG6_DB, &StoreOptions::in_memory()).unwrap();
     for query in CORPUS {
         for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {

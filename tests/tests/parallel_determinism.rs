@@ -7,7 +7,7 @@
 //! single-threaded run — same trees, same group order, same bytes.
 
 use datagen::{DblpConfig, DblpGenerator};
-use tax::ops::groupby::{groupby_opts, BasisItem, Direction, GroupOrder};
+use tax::ops::groupby::{groupby, groupby_sharded, BasisItem, Direction, GroupOrder};
 use tax::ops::select::select_db_opts;
 use tax::pattern::{Axis, PatternTree, Pred};
 use tax::ExecOptions;
@@ -52,26 +52,11 @@ fn groupby_parallel_is_identical_to_sequential() {
         direction: Direction::Descending,
     }];
 
-    let sequential = groupby_opts(
-        &s,
-        &input,
-        &gp,
-        &basis,
-        &ordering,
-        &ExecOptions::sequential(),
-    )
-    .unwrap();
+    let sequential = groupby(&s, &input, &gp, &basis, &ordering).unwrap();
     assert!(sequential.len() > 1);
     for threads in THREAD_COUNTS {
-        let parallel = groupby_opts(
-            &s,
-            &input,
-            &gp,
-            &basis,
-            &ordering,
-            &ExecOptions::with_threads(threads),
-        )
-        .unwrap();
+        let opts = ExecOptions::with_threads(threads);
+        let (parallel, _) = groupby_sharded(&s, &input, &gp, &basis, &ordering, &opts).unwrap();
         // Same groups, in the same first-arrival order, with the same
         // members — structural equality over the whole collection.
         assert_eq!(sequential, parallel, "threads={threads}");

@@ -11,8 +11,10 @@
 
 use datagen::{DblpConfig, DblpGenerator};
 use smallrand::prop::{check, Gen};
-use timber::{ExecMode, PlanMode, TimberDb};
-use timber_integration_tests::{batch_matrix, fig6_db, thread_matrix, QUERY_COUNT};
+use timber::{PlanMode, TimberDb};
+use timber_integration_tests::{
+    batch_matrix, fig6_db, reference_run, run, thread_matrix, QUERY_COUNT,
+};
 use xmlstore::{FaultConfig, StoreOptions};
 
 /// A per-author aggregate query over the articles' `<year>` values.
@@ -33,13 +35,6 @@ fn corpus() -> Vec<String> {
     let mut qs = vec![QUERY_COUNT.to_owned()];
     qs.extend(FUNCS.iter().map(|f| agg_query(f)));
     qs
-}
-
-fn run(db: &mut TimberDb, query: &str, mode: PlanMode, exec: ExecMode, batch: usize) -> String {
-    db.set_exec_mode(exec);
-    db.set_batch_size(batch);
-    let r = db.query(query, mode).expect("query evaluates");
-    r.to_xml_on(db.store()).expect("result serializes")
 }
 
 #[test]
@@ -77,23 +72,11 @@ fn rollup_matches_materialized_across_threads_and_batches() {
     for threads in thread_matrix(&[1, 4]) {
         db.set_threads(threads);
         for query in corpus() {
-            let reference = run(
-                &mut db,
-                &query,
-                PlanMode::GroupByMaterialized,
-                ExecMode::Physical,
-                256,
-            );
-            let direct = run(&mut db, &query, PlanMode::Direct, ExecMode::Physical, 256);
+            let reference = run(&mut db, &query, PlanMode::GroupByMaterialized, 256);
+            let direct = run(&mut db, &query, PlanMode::Direct, 256);
             assert_eq!(reference, direct, "threads={threads} query: {query}");
             for batch in batch_matrix(&[16, 256]) {
-                let rollup = run(
-                    &mut db,
-                    &query,
-                    PlanMode::GroupByRewrite,
-                    ExecMode::Physical,
-                    batch,
-                );
+                let rollup = run(&mut db, &query, PlanMode::GroupByRewrite, batch);
                 assert_eq!(
                     reference, rollup,
                     "threads={threads} batch={batch} query: {query}"
@@ -104,25 +87,13 @@ fn rollup_matches_materialized_across_threads_and_batches() {
 }
 
 #[test]
-fn legacy_interpreter_agrees_with_physical_rollup() {
+fn one_batch_serial_run_agrees_with_batched_rollup() {
     let mut db = fig6_db();
     for query in corpus() {
-        let legacy = run(
-            &mut db,
-            &query,
-            PlanMode::GroupByRewrite,
-            ExecMode::Legacy,
-            256,
-        );
+        let expected = reference_run(&mut db, &query, PlanMode::GroupByRewrite);
         for batch in batch_matrix(&[1, 3, 256]) {
-            let phys = run(
-                &mut db,
-                &query,
-                PlanMode::GroupByRewrite,
-                ExecMode::Physical,
-                batch,
-            );
-            assert_eq!(legacy, phys, "batch={batch} query: {query}");
+            let got = run(&mut db, &query, PlanMode::GroupByRewrite, batch);
+            assert_eq!(expected, got, "batch={batch} query: {query}");
         }
     }
 }
@@ -166,20 +137,8 @@ fn fractional_values_fold_identically() {
         db.set_threads(threads);
         for func in ["sum", "avg", "min", "max"] {
             let q = agg_query(func);
-            let reference = run(
-                &mut db,
-                &q,
-                PlanMode::GroupByMaterialized,
-                ExecMode::Physical,
-                256,
-            );
-            let rollup = run(
-                &mut db,
-                &q,
-                PlanMode::GroupByRewrite,
-                ExecMode::Physical,
-                16,
-            );
+            let reference = run(&mut db, &q, PlanMode::GroupByMaterialized, 256);
+            let rollup = run(&mut db, &q, PlanMode::GroupByRewrite, 16);
             assert_eq!(reference, rollup, "threads={threads} func={func}");
         }
     }
@@ -229,20 +188,8 @@ fn rollup_matches_materialized_on_random_bibliographies() {
             db.set_threads([1, 4][g.usize_in(0, 1)]);
             let batch = [1, 16, 256][g.usize_in(0, 2)];
             for query in corpus() {
-                let reference = run(
-                    &mut db,
-                    &query,
-                    PlanMode::GroupByMaterialized,
-                    ExecMode::Physical,
-                    256,
-                );
-                let rollup = run(
-                    &mut db,
-                    &query,
-                    PlanMode::GroupByRewrite,
-                    ExecMode::Physical,
-                    batch,
-                );
+                let reference = run(&mut db, &query, PlanMode::GroupByMaterialized, 256);
+                let rollup = run(&mut db, &query, PlanMode::GroupByRewrite, batch);
                 assert_eq!(reference, rollup, "batch={batch} on {xml}");
             }
         },

@@ -8,14 +8,13 @@
 
 use datagen::{DblpConfig, DblpGenerator};
 use smallrand::prop::{check, Gen};
-use timber::{ExecMode, PlanMode, TimberDb};
-use timber_integration_tests::{thread_matrix, QUERY1, QUERY2, QUERY_COUNT};
+use timber::{PlanMode, TimberDb};
+use timber_integration_tests::{run, thread_matrix, QUERY1, QUERY2, QUERY_COUNT};
 use xmlstore::{FaultConfig, StoreOptions};
 
 const CORPUS: [&str; 3] = [QUERY1, QUERY2, QUERY_COUNT];
 
-/// Serialized output under the physical executor at a given
-/// thread count and batch size.
+/// Serialized output at a given thread count and batch size.
 fn run_physical(
     db: &mut TimberDb,
     query: &str,
@@ -23,11 +22,8 @@ fn run_physical(
     threads: usize,
     batch: usize,
 ) -> String {
-    db.set_exec_mode(ExecMode::Physical);
     db.set_threads(threads);
-    db.set_batch_size(batch);
-    let r = db.query(query, mode).expect("query evaluates");
-    r.to_xml_on(db.store()).expect("result serializes")
+    run(db, query, mode, batch)
 }
 
 /// A random bibliography with heavy author overlap, so grouping bases
@@ -132,7 +128,6 @@ fn sharded_sinks_correct_or_typed_error_under_faults() {
             .with_read_error(0.02)
             .with_read_flip(0.01);
         db.set_faults(Some(schedule)).unwrap();
-        db.set_exec_mode(ExecMode::Physical);
         db.set_threads(4);
         db.set_batch_size(64);
         for (qi, query) in CORPUS.iter().enumerate() {

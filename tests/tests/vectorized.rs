@@ -9,8 +9,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use smallrand::prop::{check, Gen};
 use tax::matching::structural::{self, JoinAxis};
-use timber::{ExecMode, PlanMode, TimberDb};
-use timber_integration_tests::{batch_matrix, thread_matrix, QUERY1, QUERY2, QUERY_COUNT};
+use timber::{PlanMode, TimberDb};
+use timber_integration_tests::{batch_matrix, run, thread_matrix, QUERY1, QUERY2, QUERY_COUNT};
 use xmlstore::{kernels, NodeEntry, NodeId, SelVec, StoreOptions};
 
 /// The force-scalar switch is process-global; tests that flip it hold
@@ -223,14 +223,6 @@ fn bibliography(g: &mut Gen) -> String {
     }
     s.push_str("</bib>");
     s
-}
-
-/// Serialized output of `query` under the given executor configuration.
-fn run(db: &mut TimberDb, query: &str, mode: PlanMode, batch: usize) -> String {
-    db.set_exec_mode(ExecMode::Physical);
-    db.set_batch_size(batch);
-    let r = db.query(query, mode).expect("query evaluates");
-    r.to_xml_on(db.store()).expect("result serializes")
 }
 
 #[test]
