@@ -172,7 +172,7 @@ fn join_one(
     for &ri in matches {
         let mut prod = Tree::new_elem(store.dict(), crate::tags::PROD_ROOT);
         prod.append_subtree(prod.root(), ltree, ltree.root());
-        let w = witness_tree(store, None, right_pattern, &right_bindings[ri], right_sl)?;
+        let w = witness_tree(None, right_pattern, &right_bindings[ri], right_sl);
         prod.append_subtree(prod.root(), &w, w.root());
         out.push(prod);
     }

@@ -158,8 +158,7 @@ pub fn project_one(
         }
         match stack.last() {
             None => {
-                let t = new_tree_for(store, tree, v, deep)?;
-                out.push(t);
+                out.push(Tree::from_vnode(Some(tree), v, deep));
                 let idx = out.len() - 1;
                 roots.push(idx);
                 stack.push((v, idx, 0, deep));
@@ -169,7 +168,7 @@ pub fn project_one(
                     // Already inside a kept subtree.
                     continue;
                 }
-                let kind = kind_for(tree, v, deep);
+                let kind = Tree::vnode_kind(Some(tree), v, deep);
                 let arena = out[tidx].add_node(parent_arena, kind);
                 stack.push((v, tidx, arena, deep));
             }
@@ -223,41 +222,6 @@ fn arena_intervals(
     let exit = *counter;
     *counter += 1;
     intervals.insert(VNode::Arena(i), ((enter, 0), (exit, 0)));
-}
-
-fn kind_for(tree: &Tree, v: VNode, deep: bool) -> TreeNodeKind {
-    match v {
-        VNode::Stored(e) => TreeNodeKind::Ref { node: e, deep },
-        VNode::Arena(i) => match &tree.node(i).kind {
-            TreeNodeKind::Ref { node, .. } => TreeNodeKind::Ref { node: *node, deep },
-            k @ TreeNodeKind::Elem { .. } => k.clone(),
-        },
-    }
-}
-
-fn new_tree_for(store: &DocumentStore, tree: &Tree, v: VNode, deep: bool) -> Result<Tree> {
-    let _ = store;
-    Ok(match kind_for(tree, v, deep) {
-        TreeNodeKind::Ref { node, deep } => Tree::new_ref(node, deep),
-        TreeNodeKind::Elem { tag, content } => {
-            let mut t = Tree::new_elem_sym(tag);
-            if let Some(c) = content {
-                if let TreeNodeKind::Elem { content, .. } = &mut t.node_mut(0).kind {
-                    *content = Some(c);
-                }
-            }
-            // Arena deep: copy the arena subtree's children.
-            if deep {
-                if let VNode::Arena(i) = v {
-                    for &c in &tree.node(i).children {
-                        let root = t.root();
-                        t.append_subtree(root, tree, c);
-                    }
-                }
-            }
-            t
-        }
-    })
 }
 
 #[cfg(test)]

@@ -7,10 +7,9 @@
 
 use crate::error::Result;
 use crate::exec::{par_map, ExecOptions};
-use crate::matching::vnode::VNode;
 use crate::matching::{match_db, match_tree, Binding};
 use crate::pattern::{PatternNodeId, PatternTree};
-use crate::tree::{Collection, Tree, TreeNodeKind};
+use crate::tree::{Collection, Tree};
 use xmlstore::DocumentStore;
 
 /// Selection over the stored database.
@@ -33,7 +32,7 @@ pub fn select_db_opts(
 ) -> Result<Collection> {
     let bindings = match_db(store, pattern)?;
     par_map(opts, &bindings, |_, b| {
-        witness_tree(store, None, pattern, b, sl)
+        Ok(witness_tree(None, pattern, b, sl))
     })
 }
 
@@ -53,7 +52,7 @@ pub fn select_project_bindings(
     opts: &ExecOptions,
 ) -> Result<Collection> {
     let per_binding = par_map(opts, bindings, |_, b| {
-        let witness = witness_tree(store, None, pattern, b, sl)?;
+        let witness = witness_tree(None, pattern, b, sl);
         let mut out = Vec::new();
         crate::ops::project::project_one(store, &witness, pattern, pl, true, &mut out)?;
         Ok(out)
@@ -84,7 +83,7 @@ pub fn select_opts(
     let per_tree = par_map(opts, input, |_, tree| {
         let mut witnesses = Vec::new();
         for b in match_tree(store, tree, pattern, false)? {
-            witnesses.push(witness_tree(store, Some(tree), pattern, &b, sl)?);
+            witnesses.push(witness_tree(Some(tree), pattern, &b, sl));
         }
         Ok(witnesses)
     })?;
@@ -93,85 +92,26 @@ pub fn select_opts(
 
 /// Build the witness tree for one binding: it mirrors the pattern's
 /// shape; each node is the bound data node, deep iff its pattern node is
-/// adorned. Node identifiers only — no data pages are touched here
-/// (Sec. 5.3).
+/// adorned (see [`Tree::from_vnode`] for what each kind of bound node
+/// becomes). `source` is the input tree the binding was matched in, or
+/// `None` for a database match. Node identifiers only — no data pages
+/// are touched here (Sec. 5.3).
 pub fn witness_tree(
-    store: &DocumentStore,
     source: Option<&Tree>,
     pattern: &PatternTree,
     binding: &Binding,
     sl: &[PatternNodeId],
-) -> Result<Tree> {
+) -> Tree {
     let order = pattern.preorder();
-    let root_kind = bound_kind(store, source, binding[order[0]], sl.contains(&order[0]))?;
-    let mut tree = match root_kind {
-        BoundKind::Node(kind) => new_tree_with(kind),
-        BoundKind::Copy(sub) => sub,
-    };
+    let root = order[0];
+    let mut tree = Tree::from_vnode(source, binding[root], sl.contains(&root));
     let mut map: Vec<usize> = vec![usize::MAX; pattern.len()];
-    map[order[0]] = tree.root();
+    map[root] = tree.root();
     for &pid in order.iter().skip(1) {
         let parent = pattern.node(pid).parent.expect("non-root");
-        let parent_arena = map[parent];
-        match bound_kind(store, source, binding[pid], sl.contains(&pid))? {
-            BoundKind::Node(kind) => {
-                map[pid] = tree.add_node(parent_arena, kind);
-            }
-            BoundKind::Copy(sub) => {
-                map[pid] = tree.append_subtree(parent_arena, &sub, sub.root());
-            }
-        }
+        map[pid] = tree.append_vnode(map[parent], source, binding[pid], sl.contains(&pid));
     }
-    Ok(tree)
-}
-
-enum BoundKind {
-    Node(TreeNodeKind),
-    Copy(Tree),
-}
-
-fn new_tree_with(kind: TreeNodeKind) -> Tree {
-    match kind {
-        TreeNodeKind::Elem { tag, content } => {
-            let mut t = Tree::new_elem_sym(tag);
-            if let Some(c) = content {
-                if let TreeNodeKind::Elem { content, .. } = &mut t.node_mut(0).kind {
-                    *content = Some(c);
-                }
-            }
-            t
-        }
-        TreeNodeKind::Ref { node, deep } => Tree::new_ref(node, deep),
-    }
-}
-
-fn bound_kind(
-    _store: &DocumentStore,
-    source: Option<&Tree>,
-    v: VNode,
-    deep: bool,
-) -> Result<BoundKind> {
-    Ok(match v {
-        VNode::Stored(e) => BoundKind::Node(TreeNodeKind::Ref { node: e, deep }),
-        VNode::Arena(i) => {
-            let src = source.expect("arena binding implies a source tree");
-            if deep {
-                BoundKind::Copy(extract(src, i))
-            } else {
-                BoundKind::Node(src.node(i).kind.clone())
-            }
-        }
-    })
-}
-
-/// Copy the subtree of `t` rooted at `n` into a standalone tree.
-fn extract(t: &Tree, n: usize) -> Tree {
-    let mut out = new_tree_with(t.node(n).kind.clone());
-    for &c in &t.node(n).children {
-        let root = out.root();
-        out.append_subtree(root, t, c);
-    }
-    out
+    tree
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 //! counter so the executor can surface tree-copy traffic per operator.
 
 use crate::error::Result;
+use crate::matching::vnode::VNode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use xmlstore::{Dictionary, DocumentStore, NodeEntry, NodeKind, Sym};
 
@@ -116,6 +117,64 @@ impl Tree {
                 parent: None,
                 children: Vec::new(),
             }],
+        }
+    }
+
+    /// One virtual node as a standalone tree. A stored node becomes a
+    /// reference of the requested depth; an arena reference of `src` is
+    /// re-issued at the requested depth; a constructed element keeps its
+    /// tag and content and, when `deep`, its arena subtree. `src` is the
+    /// tree `VNode::Arena` indexes into (`None` when matching the stored
+    /// database, where every binding is `VNode::Stored`).
+    pub fn from_vnode(src: Option<&Tree>, v: VNode, deep: bool) -> Self {
+        let mut t = Tree {
+            nodes: vec![TreeNode {
+                kind: Self::vnode_kind(src, v, deep),
+                parent: None,
+                children: Vec::new(),
+            }],
+        };
+        t.copy_vnode_children(0, src, v, deep);
+        t
+    }
+
+    /// Append what [`from_vnode`](Self::from_vnode) would build as the
+    /// last child of `parent`, returning the new node's index.
+    pub fn append_vnode(
+        &mut self,
+        parent: TreeNodeId,
+        src: Option<&Tree>,
+        v: VNode,
+        deep: bool,
+    ) -> TreeNodeId {
+        let id = self.add_node(parent, Self::vnode_kind(src, v, deep));
+        self.copy_vnode_children(id, src, v, deep);
+        id
+    }
+
+    /// The payload `v` takes in a tree built at the requested depth.
+    pub(crate) fn vnode_kind(src: Option<&Tree>, v: VNode, deep: bool) -> TreeNodeKind {
+        match v {
+            VNode::Stored(node) => TreeNodeKind::Ref { node, deep },
+            VNode::Arena(i) => {
+                let src = src.expect("an arena binding implies a source tree");
+                match &src.nodes[i].kind {
+                    TreeNodeKind::Ref { node, .. } => TreeNodeKind::Ref { node: *node, deep },
+                    elem @ TreeNodeKind::Elem { .. } => elem.clone(),
+                }
+            }
+        }
+    }
+
+    /// A deep constructed element brings its arena children along (a
+    /// deep reference already stands for its whole stored subtree).
+    fn copy_vnode_children(&mut self, at: TreeNodeId, src: Option<&Tree>, v: VNode, deep: bool) {
+        if let (true, VNode::Arena(i), Some(src)) = (deep, v, src) {
+            if matches!(src.nodes[i].kind, TreeNodeKind::Elem { .. }) {
+                for &c in &src.nodes[i].children {
+                    self.append_subtree(at, src, c);
+                }
+            }
         }
     }
 
@@ -420,6 +479,42 @@ mod tests {
         assert!(t.is_ancestor(a, b));
         assert!(!t.is_ancestor(b, a));
         assert!(!t.is_ancestor(a, a));
+    }
+
+    #[test]
+    fn from_vnode_builds_each_kind_at_the_requested_depth() {
+        let s = store();
+        let d = s.dict();
+        let article = s.nodes_with_tag(s.tag_id("article").unwrap())[0];
+        // src: root{ wrap{ leaf="x" }, ref(article, shallow){ marker } }
+        let mut src = Tree::new_elem(d, "root");
+        let wrap = src.add_elem(d, src.root(), "wrap");
+        src.add_elem_with_content(d, wrap, "leaf", "x");
+        let r = src.add_ref(src.root(), article, false);
+        src.add_elem(d, r, "marker");
+
+        for deep in [false, true] {
+            // A stored node is a reference of the requested depth.
+            let t = Tree::from_vnode(None, VNode::Stored(article), deep);
+            assert_eq!(t, Tree::new_ref(article, deep));
+            // An arena reference is re-issued at the requested depth,
+            // without the arena children that hung under it.
+            let t = Tree::from_vnode(Some(&src), VNode::Arena(r), deep);
+            assert_eq!(t, Tree::new_ref(article, deep));
+        }
+        // A constructed element: the node alone, or its arena subtree.
+        let shallow = Tree::from_vnode(Some(&src), VNode::Arena(wrap), false);
+        assert_eq!(shallow, Tree::new_elem(d, "wrap"));
+        let deep = Tree::from_vnode(Some(&src), VNode::Arena(wrap), true);
+        let mut expect = Tree::new_elem(d, "wrap");
+        expect.add_elem_with_content(d, 0, "leaf", "x");
+        assert_eq!(deep, expect);
+        // Appending is building then grafting.
+        let mut a = Tree::new_elem(d, "out");
+        a.append_vnode(0, Some(&src), VNode::Arena(wrap), true);
+        let mut b = Tree::new_elem(d, "out");
+        b.append_subtree(0, &deep, deep.root());
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -130,8 +130,21 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>>> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // The length is the peer's claim, not yet bytes: reserve a bounded
+    // amount and let the buffer grow with what actually arrives, so four
+    // bytes on the wire cannot pin `MAX_FRAME` of memory.
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(64 * 1024));
+    r.by_ref().take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!(
+                "frame announced {len} bytes, connection closed after {}",
+                payload.len()
+            ),
+        ));
+    }
     Ok(Some(payload))
 }
 
@@ -172,6 +185,13 @@ mod tests {
         buf.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
         let mut r = &buf[..];
         assert!(read_frame(&mut r).is_err());
+        // The largest frame a peer may announce, ten bytes sent, then
+        // close: still a short read, and only those ten bytes were
+        // ever buffered.
+        let mut buf = MAX_FRAME.to_le_bytes().to_vec();
+        buf.extend_from_slice(b"ten bytes!");
+        let err = read_frame(&mut &buf[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
@@ -181,6 +201,13 @@ mod tests {
         buf.extend_from_slice(b"only4");
         let mut r = &buf[..];
         assert!(read_frame(&mut r).is_err());
+        // The largest frame a peer may announce, ten bytes sent, then
+        // close: still a short read, and only those ten bytes were
+        // ever buffered.
+        let mut buf = MAX_FRAME.to_le_bytes().to_vec();
+        buf.extend_from_slice(b"ten bytes!");
+        let err = read_frame(&mut &buf[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -876,6 +876,31 @@ mod tests {
     }
 
     #[test]
+    fn replace_serves_the_same_bytes_as_delete_then_insert() {
+        let other = "<bib><article><title>Kept</title><author>Jill</author></article></bib>";
+        let new = SAMPLE.replace("Hack HTML", "Fix HTML");
+        let by_replace = TimberDb::create(&StoreOptions::in_memory().with_durable()).unwrap();
+        let by_two_edits = TimberDb::create(&StoreOptions::in_memory().with_durable()).unwrap();
+        for db in [&by_replace, &by_two_edits] {
+            db.insert_xml(other).unwrap();
+        }
+        let old = by_replace.insert_xml(SAMPLE).unwrap();
+        by_replace.replace_xml(old, &new).unwrap();
+        let old = by_two_edits.insert_xml(SAMPLE).unwrap();
+        by_two_edits.delete_document(old).unwrap();
+        by_two_edits.insert_xml(&new).unwrap();
+        for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
+            let [a, b] = [&by_replace, &by_two_edits].map(|db| {
+                let r = db.query(QUERY_COUNT, mode).unwrap();
+                r.to_xml_on(db.store()).unwrap()
+            });
+            assert!(a.contains("<authorpubs>"), "{a}");
+            assert_eq!(a, b, "{mode:?}");
+        }
+        assert_eq!(by_replace.documents(), by_two_edits.documents());
+    }
+
+    #[test]
     fn optimizer_fuses_projection_only_queries() {
         let db = db();
         let q = r#"

@@ -133,7 +133,7 @@ pub fn build<'a>(
             meter,
             Box::new(move |bindings| {
                 par_map(&opts, bindings, |_, b| {
-                    witness_tree(store, None, pattern, b, sl)
+                    Ok(witness_tree(None, pattern, b, sl))
                 })
             }),
         ),

@@ -79,7 +79,7 @@ fn extract_parts(
             out.push(RawPart {
                 key: key.clone(),
                 part_id,
-                tree: part_tree(tree, binding[*label], *deep),
+                tree: Tree::from_vnode(Some(tree), binding[*label], *deep),
                 content,
                 order_key,
             });
@@ -103,7 +103,7 @@ fn construct_one(
     let mut result = Tree::new_elem(dict, tag);
     // `{$a}` — the outer bound node, with its subtree.
     let root = result.root();
-    append_part(&mut result, root, tree, bound, true);
+    result.append_vnode(root, Some(tree), bound, true);
 
     let matched: &[Part] = key
         .and_then(|k| parts.get(k))
@@ -240,37 +240,6 @@ pub(crate) fn stitch_sharded(
                 .collect())
         },
     )
-}
-
-/// A standalone tree for one extracted virtual node.
-fn part_tree(src: &Tree, v: VNode, deep: bool) -> Tree {
-    match v {
-        VNode::Stored(e) => Tree::new_ref(e, deep),
-        VNode::Arena(i) => match &src.node(i).kind {
-            TreeNodeKind::Ref { node, .. } => Tree::new_ref(*node, deep),
-            TreeNodeKind::Elem { tag, content } => {
-                let mut t = Tree::new_elem_sym(*tag);
-                if let Some(c) = content {
-                    if let TreeNodeKind::Elem { content, .. } = &mut t.node_mut(0).kind {
-                        *content = Some(*c);
-                    }
-                }
-                if deep {
-                    for &c in &src.node(i).children {
-                        let root = t.root();
-                        t.append_subtree(root, src, c);
-                    }
-                }
-                t
-            }
-        },
-    }
-}
-
-/// Append one extracted virtual node under `parent` of `dst`.
-fn append_part(dst: &mut Tree, parent: usize, src: &Tree, v: VNode, deep: bool) {
-    let part = part_tree(src, v, deep);
-    dst.append_subtree(parent, &part, part.root());
 }
 
 #[cfg(test)]

@@ -87,9 +87,8 @@ impl Frame {
 
 /// A fixed-capacity page cache with second-chance (clock) replacement.
 ///
-/// The pool does not lock internally; a store that wants concurrent
-/// reads runs several pool shards, each behind its own mutex, all over
-/// one [`SharedDisk`].
+/// The pool does not lock internally; the store keeps its one pool
+/// behind a mutex, over a [`SharedDisk`] it also writes to directly.
 pub struct BufferPool {
     disk: SharedDisk,
     wal: Option<WalHandle>,
@@ -126,7 +125,7 @@ impl BufferPool {
         Self::with_shared(SharedDisk::new(disk), capacity_pages)
     }
 
-    /// Create a pool shard over an already-shared disk.
+    /// Create a pool over an already-shared disk.
     pub fn with_shared(disk: SharedDisk, capacity_pages: usize) -> Result<Self> {
         if capacity_pages == 0 {
             return Err(StoreError::PoolTooSmall);

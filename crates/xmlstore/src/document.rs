@@ -26,33 +26,48 @@
 //! sync of the page file plus one log flush is enough. Inserts that
 //! reuse freed pages log full after-images with zero before-images, so
 //! rolling back a torn reuse *zeroes* the reclaimed pages rather than
-//! resurrecting whatever document previously occupied them.
+//! resurrecting whatever document previously occupied them. Either way
+//! an edit is the one transaction shape of `commit`; only how its pages
+//! reach the disk differs.
+//!
+//! # Layout
+//!
+//! This module holds the options, construction and the read API. Each
+//! other decision lives behind one child module: `meta` (the durable
+//! metadata snapshot and its codec), `loader` (document → records and
+//! pages), `projection` (the published view, snapshot pins, limbo),
+//! `commit` (the one write transaction, its two page-write strategies,
+//! the allocator, checkpoint) and `reopen` (recovery glue).
+
+mod commit;
+mod loader;
+mod meta;
+mod projection;
+mod reopen;
+
+pub use projection::{Entries, EntriesIter};
+pub use reopen::RecoveryInfo;
 
 use crate::buffer::{BufferPool, BufferStats};
-use crate::catalog::{attr_tag_name, TagId, TEXT_TAG};
+use crate::catalog::{attr_tag_name, TagId};
 use crate::columns::NodeColumns;
-use crate::dict::{Dictionary, Sym, NO_SYM};
+use crate::dict::{Dictionary, Sym};
 use crate::error::{Result, StoreError};
 use crate::fault::{FaultConfig, FaultInjector, FaultStats};
-use crate::heap::{read_content_via, HeapBuilder};
-use crate::index::{NodeEntry, TagIndex, ValueIndex};
+use crate::heap::read_content_via;
+use crate::index::NodeEntry;
 use crate::node::{
-    node_location, ContentPtr, NodeId, NodeKind, NodeRecord, NO_PARENT, RECORDS_PER_PAGE,
-    RECORD_SIZE,
+    node_location, ContentPtr, NodeId, NodeKind, NodeRecord, NO_PARENT, RECORD_SIZE,
 };
-use crate::page::{PageId, PAGE_DATA_SIZE, PAGE_HEADER_SIZE, PAGE_SIZE};
+use crate::page::{PageId, PAGE_DATA_SIZE, PAGE_SIZE};
 use crate::storage::{DiskManager, DiskStats, SharedDisk};
-use crate::wal::{self, BeforeImage, Lsn, TxnId, Wal, WalHandle, WalRecord, WalStats};
+use crate::wal::{Wal, WalHandle, WalStats};
+use commit::WriterState;
+use meta::{encode_meta, StoreMeta};
+use projection::{build_projection, Projection};
 use std::collections::BTreeSet;
-use std::ops::Deref;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{self, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
-
-/// Maximum number of buffer-pool shards per store. Page ids are striped
-/// across shards (`pid % nshards`), so concurrent readers touching
-/// different pages usually take different locks.
-const MAX_POOL_SHARDS: usize = 8;
 
 /// The reserved tag of the synthetic document root.
 pub const DOC_ROOT_TAG: &str = "doc_root";
@@ -187,500 +202,6 @@ impl IoStats {
     }
 }
 
-/// Hit/miss counters of the in-memory tag-index lookups.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Tag-name lookups that resolved to an interned tag.
-    pub tag_hits: u64,
-    /// Tag-name lookups for names absent from the document.
-    pub tag_misses: u64,
-}
-
-/// What crash recovery did when the store was reopened.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryInfo {
-    /// Page images rewritten during redo.
-    pub redone: u64,
-    /// Loser images rolled back during undo.
-    pub undone: u64,
-    /// Committed transactions found in the log.
-    pub committed: u64,
-    /// Loser (unfinished or aborted) transactions rolled back.
-    pub losers: u64,
-}
-
-// ---- persistent metadata ----------------------------------------------
-
-/// On-log layout of one stored document: where its pages live and how
-/// big its local id/label spaces are.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DocMeta {
-    doc_id: DocId,
-    heap_base: u32,
-    heap_pages: u32,
-    node_base: u32,
-    node_pages: u32,
-    /// Stored records (the synthetic `doc_root` is *not* stored).
-    node_count: u32,
-    /// Local `(start, end)` label span: local labels are in `[0, span)`.
-    span: u32,
-}
-
-/// The store's durable metadata snapshot, serialized into every commit
-/// and checkpoint record. Everything else (tag index, value index,
-/// free list, global projection) is derived from it plus the pages.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct StoreMeta {
-    /// The full dictionary snapshot in `Sym` order — tag names *and*
-    /// interned content values; `tags[0]` is always `doc_root`. Logging
-    /// the whole table with every commit is what lets recovery re-intern
-    /// the identical `name → Sym` assignment the crashed session used.
-    tags: Vec<String>,
-    docs: Vec<DocMeta>,
-    next_doc: DocId,
-    next_txn: TxnId,
-}
-
-const META_MAGIC: u32 = 0x544d_4254; // "TBMT"
-/// v2: `tags` carries the unified dictionary (values included), not just
-/// element tags.
-const META_VERSION: u32 = 2;
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn encode_meta(meta: &StoreMeta) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, META_MAGIC);
-    put_u32(&mut out, META_VERSION);
-    put_u64(&mut out, meta.next_doc);
-    put_u64(&mut out, meta.next_txn);
-    put_u32(&mut out, meta.tags.len() as u32);
-    for tag in &meta.tags {
-        put_u32(&mut out, tag.len() as u32);
-        out.extend_from_slice(tag.as_bytes());
-    }
-    put_u32(&mut out, meta.docs.len() as u32);
-    for d in &meta.docs {
-        put_u64(&mut out, d.doc_id);
-        for v in [
-            d.heap_base,
-            d.heap_pages,
-            d.node_base,
-            d.node_pages,
-            d.node_count,
-            d.span,
-        ] {
-            put_u32(&mut out, v);
-        }
-    }
-    out
-}
-
-fn bad_meta() -> StoreError {
-    StoreError::WalCorrupt {
-        offset: 0,
-        reason: "bad metadata snapshot",
-    }
-}
-
-struct MetaReader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> MetaReader<'a> {
-    fn u32(&mut self) -> Result<u32> {
-        let b = self
-            .buf
-            .get(self.at..self.at + 4)
-            .ok_or_else(bad_meta)?
-            .try_into()
-            .map_err(|_| bad_meta())?;
-        self.at += 4;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let b = self
-            .buf
-            .get(self.at..self.at + 8)
-            .ok_or_else(bad_meta)?
-            .try_into()
-            .map_err(|_| bad_meta())?;
-        self.at += 8;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn string(&mut self, len: usize) -> Result<String> {
-        let b = self.buf.get(self.at..self.at + len).ok_or_else(bad_meta)?;
-        self.at += len;
-        String::from_utf8(b.to_vec()).map_err(|_| bad_meta())
-    }
-}
-
-fn decode_meta(bytes: &[u8]) -> Result<StoreMeta> {
-    let mut r = MetaReader { buf: bytes, at: 0 };
-    if r.u32()? != META_MAGIC || r.u32()? != META_VERSION {
-        return Err(bad_meta());
-    }
-    let next_doc = r.u64()?;
-    let next_txn = r.u64()?;
-    let ntags = r.u32()? as usize;
-    let mut tags = Vec::with_capacity(ntags.min(1 << 16));
-    for _ in 0..ntags {
-        let len = r.u32()? as usize;
-        tags.push(r.string(len)?);
-    }
-    let ndocs = r.u32()? as usize;
-    let mut docs = Vec::with_capacity(ndocs.min(1 << 16));
-    for _ in 0..ndocs {
-        let doc_id = r.u64()?;
-        let mut f = [0u32; 6];
-        for v in &mut f {
-            *v = r.u32()?;
-        }
-        docs.push(DocMeta {
-            doc_id,
-            heap_base: f[0],
-            heap_pages: f[1],
-            node_base: f[2],
-            node_pages: f[3],
-            node_count: f[4],
-            span: f[5],
-        });
-    }
-    if r.at != bytes.len() || tags.first().map(String::as_str) != Some(DOC_ROOT_TAG) {
-        return Err(bad_meta());
-    }
-    Ok(StoreMeta {
-        tags,
-        docs,
-        next_doc,
-        next_txn,
-    })
-}
-
-// ---- per-document derived state ---------------------------------------
-
-/// One document built in memory, ready to commit: local records (ids and
-/// labels starting at 0, synthetic root excluded), encoded pages, and
-/// the content strings for the optional value index.
-struct LocalDoc {
-    records: Vec<NodeRecord>,
-    heap_pages: Vec<Box<[u8; PAGE_SIZE]>>,
-    node_pages: Vec<Box<[u8; PAGE_SIZE]>>,
-    values: Option<Vec<(u32, String)>>,
-    /// Per-record content symbol ([`NO_SYM`] when the record has none),
-    /// parallel to `records`.
-    content_syms: Vec<u32>,
-    span: u32,
-}
-
-fn build_local(
-    doc: &xmlparse::Document,
-    tags: &Dictionary,
-    strip_whitespace: bool,
-    want_values: bool,
-) -> Result<LocalDoc> {
-    let mut heap = HeapBuilder::new();
-    let mut records: Vec<NodeRecord> = Vec::new();
-    let mut content_syms: Vec<u32> = Vec::new();
-    let mut counter: u32 = 0;
-    let mut values: Vec<(usize, String)> = Vec::new();
-    let mut loader = Loader {
-        tags,
-        heap: &mut heap,
-        records: &mut records,
-        content_syms: &mut content_syms,
-        counter: &mut counter,
-        strip_whitespace,
-        values: if want_values { Some(&mut values) } else { None },
-    };
-    loader.load_element(doc.root(), NO_PARENT, 1)?;
-    let span = counter;
-
-    let heap_pages = heap.into_pages();
-    let mut node_pages = Vec::with_capacity(records.len().div_ceil(RECORDS_PER_PAGE));
-    for chunk in records.chunks(RECORDS_PER_PAGE) {
-        let mut page = Box::new([0u8; PAGE_SIZE]);
-        for (slot, rec) in chunk.iter().enumerate() {
-            let at = PAGE_HEADER_SIZE + slot * RECORD_SIZE;
-            rec.encode(&mut page[at..at + RECORD_SIZE]);
-        }
-        node_pages.push(page);
-    }
-    Ok(LocalDoc {
-        records,
-        heap_pages,
-        node_pages,
-        values: want_values.then(|| values.into_iter().map(|(i, s)| (i as u32, s)).collect()),
-        content_syms,
-        span,
-    })
-}
-
-/// In-memory acceleration state for one stored document, rebuilt from
-/// its pages on open: the local tag-index entries (indexed by local node
-/// id), node kinds and content symbols for the columnar projection, and,
-/// when the value index is on, the local content strings.
-struct DocAux {
-    entries: Vec<(TagId, NodeEntry)>,
-    kinds: Vec<NodeKind>,
-    content_syms: Vec<u32>,
-    values: Option<Vec<(u32, String)>>,
-}
-
-impl DocAux {
-    fn new(
-        records: &[NodeRecord],
-        content_syms: Vec<u32>,
-        values: Option<Vec<(u32, String)>>,
-    ) -> Self {
-        DocAux {
-            entries: records
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    (
-                        r.tag,
-                        NodeEntry {
-                            id: NodeId(i as u32),
-                            start: r.start,
-                            end: r.end,
-                            level: r.level,
-                        },
-                    )
-                })
-                .collect(),
-            kinds: records.iter().map(|r| r.kind).collect(),
-            content_syms,
-            values,
-        }
-    }
-}
-
-/// A contiguous page run handed out by the allocator.
-struct Run {
-    base: u32,
-    len: u32,
-    /// Freshly appended at the end of the file (as opposed to reusing
-    /// freed pages). Bulk inserts into fresh runs skip page-image
-    /// logging: the pages are unreferenced until commit.
-    fresh: bool,
-}
-
-/// Bounded retry of a commit-record flush: injected log-write errors are
-/// transient, and leaving a commit record buffered after reporting
-/// failure would let a later group flush commit it behind our back.
-/// Return a run's pages straight to the free list (rollback of pages no
-/// projection ever referenced).
-fn release_run(w: &mut WriterState, run: &Run) {
-    for p in run.base..run.base + run.len {
-        w.free.insert(p);
-    }
-}
-
-/// Park a committed-away document's runs in limbo, tagged with the
-/// epoch that freed them (`w.epoch`, i.e. the just-installed one):
-/// projections older than it may still read those pages.
-fn limbo_runs(w: &mut WriterState, removed: &DocMeta) {
-    let epoch = w.epoch;
-    for (base, len) in [
-        (removed.heap_base, removed.heap_pages),
-        (removed.node_base, removed.node_pages),
-    ] {
-        if len > 0 {
-            w.limbo.push(LimboRun { epoch, base, len });
-        }
-    }
-}
-
-fn flush_commit(wal: &WalHandle, lsn: Lsn) -> Result<()> {
-    const MAX_RETRIES: u32 = 3;
-    let mut attempts = 0;
-    loop {
-        match wal.lock().flush_to(lsn) {
-            Ok(()) => return Ok(()),
-            Err(e) if e.is_transient() && attempts < MAX_RETRIES => attempts += 1,
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// One immutable view of the store, published atomically by a commit:
-/// the tag/value indexes, the columnar label region, and the document
-/// table with its derived global id/label spaces. Readers resolve
-/// everything through one `Arc<Projection>`, so a reader never observes
-/// a half-applied transaction — it either runs entirely against the
-/// pre-commit projection or entirely against the post-commit one.
-struct Projection {
-    /// Monotone commit counter; epoch `e + 1` is published by the
-    /// commit that follows epoch `e`.
-    epoch: u64,
-    index: TagIndex,
-    columns: Arc<NodeColumns>,
-    value_index: Option<ValueIndex>,
-    docs: Vec<DocMeta>,
-    /// Global node id of each document's first local node; `id_bases[0]`
-    /// is 1 (id 0 is the synthetic root).
-    id_bases: Vec<u32>,
-    /// Global `(start, end)` label offset of each document.
-    label_offsets: Vec<u32>,
-    node_count: u32,
-    root_end: u32,
-}
-
-impl Projection {
-    /// Which document holds global id `id` (> 0), and its local id.
-    fn locate(&self, id: NodeId) -> (usize, NodeId) {
-        let k = self.id_bases.partition_point(|b| *b <= id.0) - 1;
-        (k, NodeId(id.0 - self.id_bases[k]))
-    }
-
-    /// Project a stored (local) record into the global id/label space.
-    fn globalize(&self, k: usize, rec: &mut NodeRecord) {
-        rec.start += self.label_offsets[k];
-        rec.end += self.label_offsets[k];
-        rec.parent = if rec.parent == NO_PARENT {
-            0
-        } else {
-            rec.parent + self.id_bases[k]
-        };
-        if rec.content.is_some() {
-            rec.content.page += self.docs[k].heap_base;
-        }
-    }
-}
-
-/// Build a projection from the document table and per-document aux
-/// state: recompute the dense global id/label spaces, the tag index
-/// (and value index), and the columnar label region. Node id 0 and
-/// label 0 belong to the synthetic root; document `k`'s local ids map
-/// to `id_bases[k] + local` and its labels to `label_offsets[k] +
-/// local`.
-fn build_projection(
-    epoch: u64,
-    docs: &[DocMeta],
-    aux: &[Arc<DocAux>],
-    doc_root_tag: TagId,
-    build_values: bool,
-) -> Projection {
-    let mut id_bases = Vec::with_capacity(docs.len());
-    let mut label_offsets = Vec::with_capacity(docs.len());
-    let mut id_base = 1u32;
-    let mut label_offset = 1u32;
-    for d in docs {
-        id_bases.push(id_base);
-        label_offsets.push(label_offset);
-        id_base += d.node_count;
-        label_offset += d.span;
-    }
-    let node_count = id_base;
-    let root_end = label_offset;
-
-    let mut index = TagIndex::new();
-    index.insert(
-        doc_root_tag,
-        NodeEntry {
-            id: NodeId(0),
-            start: 0,
-            end: root_end,
-            level: 0,
-        },
-    );
-    let mut columns = NodeColumns::with_capacity(node_count as usize);
-    columns.push(0, root_end, 0, doc_root_tag.0, NodeKind::Element, NO_SYM);
-    for (k, aux) in aux.iter().enumerate() {
-        for (local, (tag, e)) in aux.entries.iter().enumerate() {
-            index.insert(
-                *tag,
-                NodeEntry {
-                    id: NodeId(id_bases[k] + local as u32),
-                    start: e.start + label_offsets[k],
-                    end: e.end + label_offsets[k],
-                    level: e.level,
-                },
-            );
-            columns.push(
-                e.start + label_offsets[k],
-                e.end + label_offsets[k],
-                e.level,
-                tag.0,
-                aux.kinds[local],
-                aux.content_syms[local],
-            );
-        }
-    }
-
-    let value_index = build_values.then(|| {
-        let mut vi = ValueIndex::new();
-        for (k, aux) in aux.iter().enumerate() {
-            if let Some(vals) = &aux.values {
-                for (local, value) in vals {
-                    let (tag, e) = &aux.entries[*local as usize];
-                    vi.insert(
-                        *tag,
-                        value,
-                        NodeEntry {
-                            id: NodeId(id_bases[k] + local),
-                            start: e.start + label_offsets[k],
-                            end: e.end + label_offsets[k],
-                            level: e.level,
-                        },
-                    );
-                }
-            }
-        }
-        vi
-    });
-
-    Projection {
-        epoch,
-        index,
-        columns: Arc::new(columns),
-        value_index,
-        docs: docs.to_vec(),
-        id_bases,
-        label_offsets,
-        node_count,
-        root_end,
-    }
-}
-
-/// A page run freed by a committed delete/replace, still referenced by
-/// projections older than `epoch`: reusable only once every such
-/// projection has been dropped.
-struct LimboRun {
-    epoch: u64,
-    base: u32,
-    len: u32,
-}
-
-/// Everything only the (single) writer touches, behind the commit lock:
-/// the authoritative metadata, the per-document aux state the next
-/// projection is built from, and the page allocator's free/limbo lists.
-struct WriterState {
-    meta: StoreMeta,
-    aux: Vec<Arc<DocAux>>,
-    /// Free page ids, derived from the metadata (never persisted).
-    free: BTreeSet<u32>,
-    /// Freed runs awaiting proof that no live projection references
-    /// them (see [`LimboRun`]).
-    limbo: Vec<LimboRun>,
-    /// Every projection published and possibly still referenced,
-    /// oldest first; the last entry is the current one. A prefix entry
-    /// with a strong count of 1 is referenced by nobody else and is
-    /// dropped at the next reclaim, unlocking its limbo runs.
-    history: Vec<Arc<Projection>>,
-    epoch: u64,
-}
-
 /// State shared by every handle on one store: the concurrent
 /// dictionary, the published projection, the writer state behind the
 /// commit lock, and the paged I/O stack.
@@ -697,10 +218,10 @@ struct StoreShared {
     /// Whether the store was loaded with order-preserving symbol
     /// assignment — the opt-in gate for symbol-order predicate kernels.
     ordered_dict: bool,
-    shards: Vec<Mutex<BufferPool>>,
+    /// The one buffer pool, behind one lock (see DESIGN.md,
+    /// *Concurrency model*, for the measurement that retired striping).
+    pool: Mutex<BufferPool>,
     disk: SharedDisk,
-    tag_hits: AtomicU64,
-    tag_misses: AtomicU64,
     recovery: Option<RecoveryInfo>,
 }
 
@@ -709,19 +230,20 @@ impl StoreShared {
         Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
     }
 
-    fn shard_of(&self, pid: PageId) -> &Mutex<BufferPool> {
-        &self.shards[pid.0 as usize % self.shards.len()]
+    fn pool(&self) -> MutexGuard<'_, BufferPool> {
+        // A poisoned pool only means another reader panicked mid-access;
+        // the pool's bookkeeping is update-then-return, so keep going.
+        self.pool.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Run `f` over the data region of page `pid` via the pool shard
-    /// that owns it.
+    /// Run `f` over the data region of page `pid` via the pool.
     fn with_page<R>(&self, pid: PageId, f: impl FnOnce(&[u8; PAGE_DATA_SIZE]) -> R) -> Result<R> {
-        lock_pool(self.shard_of(pid)).with_page(pid, f)
+        self.pool().with_page(pid, f)
     }
 
-    /// Read heap content, routing each page to its shard. A value that
-    /// spans pages may cross shards; pages are locked one at a time.
-    /// The pointer is already globalized (absolute page ids).
+    /// Read heap content; a value that spans pages takes the pool lock
+    /// one page at a time. The pointer is already globalized (absolute
+    /// page ids).
     fn read_heap(&self, ptr: ContentPtr) -> Result<String> {
         read_content_via(|pid, f| self.with_page(pid, |p| f(p)), 0, ptr)
     }
@@ -730,13 +252,13 @@ impl StoreShared {
 /// A set of XML documents loaded into the paged store.
 ///
 /// The store is single-writer / multi-reader, and every method takes
-/// `&self`. Reads resolve against the immutable [`Projection`]
-/// published by the last commit: pages live in buffer-pool shards
-/// striped by page id, each behind its own mutex, all sharing one
-/// [`SharedDisk`]. Mutations ([`insert_document`], [`delete_document`],
-/// …) serialize through an internal commit lock onto the WAL path and
-/// atomically publish a fresh projection, so concurrent readers never
-/// block behind a commit and never observe a half-applied transaction.
+/// `&self`. Reads resolve against the immutable projection published
+/// by the last commit; pages come through one buffer pool behind one
+/// mutex, over one [`SharedDisk`]. Mutations ([`insert_document`],
+/// [`delete_document`], …) serialize through an internal commit lock
+/// onto the WAL path and atomically publish a fresh projection, so
+/// concurrent readers never block behind a commit and never observe a
+/// half-applied transaction.
 ///
 /// [`snapshot`](DocumentStore::snapshot) returns a cheap handle pinned
 /// to the projection current at that moment: every read through it is
@@ -756,92 +278,11 @@ pub struct DocumentStore {
     pinned: Option<Arc<Projection>>,
 }
 
-// The whole point of the sharded design: a loaded store can be shared
-// across threads by reference.
+// A loaded store is shared across threads by reference.
 const _: () = {
     const fn assert_sync_send<T: Sync + Send>() {}
     assert_sync_send::<DocumentStore>()
 };
-
-fn lock_pool(shard: &Mutex<BufferPool>) -> MutexGuard<'_, BufferPool> {
-    // A poisoned shard only means another reader panicked mid-access;
-    // the pool's bookkeeping is update-then-return, so keep going.
-    shard.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-// ---- index-entry guards ------------------------------------------------
-
-/// A document-order set of index entries resolved against one pinned
-/// projection. Dereferences to `&[NodeEntry]`, so slice idioms
-/// (`.len()`, `.iter()`, indexing, `.windows(..)`) work directly;
-/// iterating the guard by value yields `NodeEntry` copies. The guard
-/// keeps its projection alive, so the entries stay valid (and
-/// unchanged) even if the store commits afterwards.
-pub struct Entries {
-    proj: Arc<Projection>,
-    sel: EntrySel,
-}
-
-enum EntrySel {
-    Tag(TagId),
-    Value(TagId, String),
-    Empty,
-}
-
-impl Entries {
-    fn slice(&self) -> &[NodeEntry] {
-        match &self.sel {
-            EntrySel::Tag(tag) => self.proj.index.nodes(*tag),
-            EntrySel::Value(tag, value) => self
-                .proj
-                .value_index
-                .as_ref()
-                .map_or(&[][..], |vi| vi.nodes(*tag, value)),
-            EntrySel::Empty => &[],
-        }
-    }
-}
-
-impl Deref for Entries {
-    type Target = [NodeEntry];
-    fn deref(&self) -> &[NodeEntry] {
-        self.slice()
-    }
-}
-
-impl<'a> IntoIterator for &'a Entries {
-    type Item = &'a NodeEntry;
-    type IntoIter = std::slice::Iter<'a, NodeEntry>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.slice().iter()
-    }
-}
-
-/// Owning iterator over [`Entries`], yielding entries by value.
-pub struct EntriesIter {
-    entries: Entries,
-    at: usize,
-}
-
-impl Iterator for EntriesIter {
-    type Item = NodeEntry;
-    fn next(&mut self) -> Option<NodeEntry> {
-        let e = self.entries.slice().get(self.at).copied();
-        self.at += usize::from(e.is_some());
-        e
-    }
-}
-
-impl IntoIterator for Entries {
-    type Item = NodeEntry;
-    type IntoIter = EntriesIter;
-    fn into_iter(self) -> EntriesIter {
-        EntriesIter {
-            entries: self,
-            at: 0,
-        }
-    }
-}
 
 impl DocumentStore {
     /// Parse `xml` and load it as the store's single document.
@@ -858,8 +299,8 @@ impl DocumentStore {
             // order, so the dictionary's order watermark covers the
             // whole document (minus `doc_root`, which `create` interned
             // first and `ordered_upto` excludes by construction).
-            let mut names = std::collections::BTreeSet::new();
-            collect_dict_strings(doc.root(), opts.strip_whitespace, &mut names);
+            let mut names = BTreeSet::new();
+            loader::collect_dict_strings(doc.root(), opts.strip_whitespace, &mut names);
             for name in &names {
                 store.shared.tags.intern(name);
             }
@@ -871,22 +312,24 @@ impl DocumentStore {
         Ok(store)
     }
 
-    /// Assemble the shared state and publish the initial projection
-    /// (epoch 1) built from `meta.docs` and `aux`.
-    #[allow(clippy::too_many_arguments)]
+    /// Assemble the shared state around `meta` and publish the initial
+    /// projection (epoch 1). No per-document aux state exists yet: an
+    /// empty store has none, and `open` reads it back through the
+    /// assembled store before publishing again.
     fn assemble(
         tags: Dictionary,
-        doc_root_tag: TagId,
         meta: StoreMeta,
-        aux: Vec<Arc<DocAux>>,
         free: BTreeSet<u32>,
         wal: Option<WalHandle>,
         opts: &StoreOptions,
         disk: SharedDisk,
-        shards: Vec<Mutex<BufferPool>>,
         recovery: Option<RecoveryInfo>,
-    ) -> DocumentStore {
+    ) -> Result<DocumentStore> {
+        let doc_root_tag = tags.intern(DOC_ROOT_TAG);
+        let mut pool = BufferPool::with_shared(disk.clone(), opts.pool_pages)?;
+        pool.set_wal(wal.clone());
         let epoch = 1;
+        let aux = Vec::new();
         let proj = Arc::new(build_projection(
             epoch,
             &meta.docs,
@@ -894,7 +337,7 @@ impl DocumentStore {
             doc_root_tag,
             opts.value_index,
         ));
-        DocumentStore {
+        Ok(DocumentStore {
             shared: Arc::new(StoreShared {
                 tags,
                 doc_root_tag,
@@ -911,20 +354,16 @@ impl DocumentStore {
                 strip_whitespace: opts.strip_whitespace,
                 build_values: opts.value_index,
                 ordered_dict: opts.ordered_dict,
-                shards,
+                pool: Mutex::new(pool),
                 disk,
-                tag_hits: AtomicU64::new(0),
-                tag_misses: AtomicU64::new(0),
                 recovery,
             }),
             pinned: None,
-        }
+        })
     }
 
     /// Create an empty store.
     pub fn create(opts: &StoreOptions) -> Result<Self> {
-        let tags = Dictionary::new();
-        let doc_root_tag = tags.intern(DOC_ROOT_TAG);
         let disk = if opts.on_disk {
             match &opts.path {
                 Some(p) => DiskManager::create_at(p)?,
@@ -955,435 +394,8 @@ impl DocumentStore {
         } else {
             None
         };
-        let shards = Self::make_shards(&disk, opts.pool_pages, &wal)?;
-        Ok(Self::assemble(
-            tags,
-            doc_root_tag,
-            meta,
-            Vec::new(),
-            BTreeSet::new(),
-            wal,
-            opts,
-            disk,
-            shards,
-            None,
-        ))
-    }
-
-    /// Reopen a durable store from its page file and log, running crash
-    /// recovery first: analysis finds the last committed metadata
-    /// snapshot, redo repeats history over the page images, and undo
-    /// rolls back loser transactions. The log is then truncated to a
-    /// fresh checkpoint. Replaying recovery twice leaves the same bytes
-    /// as once, so a crash *during* recovery is harmless.
-    pub fn open(opts: &StoreOptions) -> Result<Self> {
-        let path = opts.path.as_ref().ok_or_else(|| {
-            StoreError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "DocumentStore::open requires StoreOptions.path",
-            ))
-        })?;
-        let wal_p = wal_path_for(path);
-        let (disk, state) = wal::recover(path, &wal_p)?;
-        let mut meta = decode_meta(&state.meta)?;
-        meta.next_txn = meta.next_txn.max(state.next_txn);
-        let disk = SharedDisk::new(disk);
-        // Post-recovery checkpoint: the recovered pages are synced, so
-        // the old log tail is no longer needed.
-        let wal = Some(WalHandle::new(Wal::create(
-            Some(&wal_p),
-            false,
-            disk.clone(),
-            encode_meta(&meta),
-        )?));
-
-        let tags = Dictionary::from_names(&meta.tags);
-        let doc_root_tag = tags.get(DOC_ROOT_TAG).ok_or_else(bad_meta)?;
-
-        let mut free: BTreeSet<u32> = (0..disk.num_pages()).collect();
-        for d in &meta.docs {
-            for p in d.heap_base..d.heap_base + d.heap_pages {
-                free.remove(&p);
-            }
-            for p in d.node_base..d.node_base + d.node_pages {
-                free.remove(&p);
-            }
-        }
-
-        let shards = Self::make_shards(&disk, opts.pool_pages, &wal)?;
-        let recovery = Some(RecoveryInfo {
-            redone: state.redone as u64,
-            undone: state.undone as u64,
-            committed: state.committed as u64,
-            losers: state.losers as u64,
-        });
-        // Rebuild the per-document aux state from the recovered pages
-        // before assembling the store (reads go through a throwaway
-        // handle so the page path is identical to normal reads).
-        let probe = Self::assemble(
-            tags,
-            doc_root_tag,
-            meta,
-            Vec::new(),
-            free,
-            wal,
-            opts,
-            disk,
-            shards,
-            recovery,
-        );
-        let aux = probe.read_aux()?;
-        let store = {
-            let mut w = probe.writer();
-            w.aux = aux;
-            probe.install(&mut w);
-            drop(w);
-            probe
-        };
-        store.clear_buffer_pool()?;
-        store.shared.disk.reset_stats();
-        store.reset_io_stats();
-        Ok(store)
-    }
-
-    fn make_shards(
-        disk: &SharedDisk,
-        pool_pages: usize,
-        wal: &Option<WalHandle>,
-    ) -> Result<Vec<Mutex<BufferPool>>> {
-        // Stripe the pool across shards; every shard gets at least one
-        // frame (remainder pages go to the first shards). A zero-page
-        // pool still fails with `PoolTooSmall`, as before.
-        let nshards = pool_pages.clamp(1, MAX_POOL_SHARDS);
-        let base_cap = pool_pages / nshards;
-        let rem = pool_pages % nshards;
-        let mut shards = Vec::with_capacity(nshards);
-        for i in 0..nshards {
-            let cap = base_cap + usize::from(i < rem);
-            let mut pool = BufferPool::with_shared(disk.clone(), cap)?;
-            pool.set_wal(wal.clone());
-            shards.push(Mutex::new(pool));
-        }
-        Ok(shards)
-    }
-
-    // ---- snapshots and projection plumbing -----------------------------
-
-    /// The projection this handle reads through: the pinned one on
-    /// snapshot handles, else the currently published one.
-    fn proj(&self) -> Arc<Projection> {
-        match &self.pinned {
-            Some(p) => Arc::clone(p),
-            None => self.shared.current(),
-        }
-    }
-
-    /// A handle pinned to the projection current at this moment. Reads
-    /// through it are repeatable while other handles keep committing;
-    /// mutations through it still apply to the shared store (and stay
-    /// invisible to this handle). Snapshotting a snapshot shares its
-    /// pin. Cost: one atomic refcount — no pages are copied.
-    pub fn snapshot(&self) -> DocumentStore {
-        DocumentStore {
-            shared: Arc::clone(&self.shared),
-            pinned: Some(self.proj()),
-        }
-    }
-
-    /// Whether this handle is pinned to a snapshot.
-    pub fn is_snapshot(&self) -> bool {
-        self.pinned.is_some()
-    }
-
-    /// The commit epoch this handle reads at.
-    pub fn epoch(&self) -> u64 {
-        self.proj().epoch
-    }
-
-    fn writer(&self) -> MutexGuard<'_, WriterState> {
-        // Commit state is only mutated under this lock and every commit
-        // path restores invariants before unlocking; a poisoning panic
-        // mid-commit is rolled back by recovery, not by the lock.
-        self.shared.writer.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Publish the writer's state as a fresh projection (next epoch):
-    /// advance the header cache, swap the current projection, and
-    /// remember it in the history for limbo reclamation.
-    fn install(&self, w: &mut WriterState) {
-        w.epoch += 1;
-        let proj = Arc::new(build_projection(
-            w.epoch,
-            &w.meta.docs,
-            &w.aux,
-            self.shared.doc_root_tag,
-            self.shared.build_values,
-        ));
-        *self
-            .shared
-            .current
-            .write()
-            .unwrap_or_else(|e| e.into_inner()) = Arc::clone(&proj);
-        w.history.push(proj);
-    }
-
-    // ---- mutation ------------------------------------------------------
-
-    /// Insert a parsed document as one WAL transaction, returning its id.
-    /// On `Ok` the commit record is durable (durable stores) and the
-    /// document is visible; on `Err` nothing changed.
-    pub fn insert_document(&self, doc: &xmlparse::Document) -> Result<DocId> {
-        if self.shared.disk.crashed() {
-            return Err(StoreError::SimulatedCrash);
-        }
-        // Build the document outside the commit lock — interning into
-        // the dictionary is concurrent, so writers only serialize on
-        // the page/WAL work below.
-        let local = build_local(
-            doc,
-            &self.shared.tags,
-            self.shared.strip_whitespace,
-            self.shared.build_values,
-        )?;
-        let mut w = self.writer();
-        let heap_run = self.alloc_run(&mut w, local.heap_pages.len() as u32)?;
-        let node_run = match self.alloc_run(&mut w, local.node_pages.len() as u32) {
-            Ok(r) => r,
-            Err(e) => {
-                release_run(&mut w, &heap_run);
-                return Err(e);
-            }
-        };
-        // Transaction ids are never reused, even by failed operations:
-        // recovery attributes log records by txn id, so a committed
-        // later transaction must never share an id with a loser.
-        let txn = w.meta.next_txn;
-        w.meta.next_txn += 1;
-        let doc_id = w.meta.next_doc;
-        let mut new_meta = w.meta.clone();
-        new_meta.tags = self.shared.tags.snapshot();
-        new_meta.docs.push(DocMeta {
-            doc_id,
-            heap_base: heap_run.base,
-            heap_pages: heap_run.len,
-            node_base: node_run.base,
-            node_pages: node_run.len,
-            node_count: local.records.len() as u32,
-            span: local.span,
-        });
-        new_meta.next_doc += 1;
-        let meta_bytes = encode_meta(&new_meta);
-        let start_lsn = self.shared.wal.as_ref().map_or(0, |w| w.lock().next_lsn());
-
-        let LocalDoc {
-            records,
-            heap_pages,
-            node_pages,
-            values,
-            content_syms,
-            ..
-        } = local;
-        let result = if heap_run.fresh && node_run.fresh {
-            self.commit_fresh(
-                txn,
-                &heap_run,
-                &node_run,
-                &heap_pages,
-                &node_pages,
-                meta_bytes,
-            )
-        } else {
-            let mut pages = Vec::with_capacity(heap_pages.len() + node_pages.len());
-            for (i, p) in heap_pages.into_iter().enumerate() {
-                pages.push((PageId(heap_run.base + i as u32), p));
-            }
-            for (i, p) in node_pages.into_iter().enumerate() {
-                pages.push((PageId(node_run.base + i as u32), p));
-            }
-            self.commit_images(txn, pages, meta_bytes)
-        };
-        match result {
-            Ok(()) => {
-                w.meta = new_meta;
-                w.aux
-                    .push(Arc::new(DocAux::new(&records, content_syms, values)));
-                self.install(&mut w);
-                Ok(doc_id)
-            }
-            Err(e) => {
-                // The runs were never visible to any projection, so
-                // they go straight back to the free list, not limbo.
-                release_run(&mut w, &heap_run);
-                release_run(&mut w, &node_run);
-                self.rollback_txn(txn, start_lsn);
-                Err(e)
-            }
-        }
-    }
-
-    /// Parse and insert an XML document.
-    pub fn insert_xml(&self, xml: &str) -> Result<DocId> {
-        let doc = xmlparse::parse_document(xml)?;
-        self.insert_document(&doc)
-    }
-
-    /// Delete document `doc` as one WAL transaction. Its pages move to
-    /// the limbo list and return to the free list once no live snapshot
-    /// still references them; the reuse path writes full page images,
-    /// so freed content can never leak into a later document.
-    pub fn delete_document(&self, doc: DocId) -> Result<()> {
-        if self.shared.disk.crashed() {
-            return Err(StoreError::SimulatedCrash);
-        }
-        let mut w = self.writer();
-        let k = w
-            .meta
-            .docs
-            .iter()
-            .position(|d| d.doc_id == doc)
-            .ok_or(StoreError::NoSuchDocument { doc })?;
-        let txn = w.meta.next_txn;
-        w.meta.next_txn += 1;
-        let mut new_meta = w.meta.clone();
-        let removed = new_meta.docs.remove(k);
-        if let Some(wal) = &self.shared.wal {
-            let start_lsn = wal.lock().next_lsn();
-            let lsn = {
-                let mut wl = wal.lock();
-                wl.append(WalRecord::Begin { txn });
-                wl.append(WalRecord::Commit {
-                    txn,
-                    meta: encode_meta(&new_meta),
-                })
-            };
-            if let Err(e) = flush_commit(wal, lsn) {
-                self.rollback_txn(txn, start_lsn);
-                return Err(e);
-            }
-        }
-        w.meta = new_meta;
-        w.aux.remove(k);
-        self.install(&mut w);
-        limbo_runs(&mut w, &removed);
-        Ok(())
-    }
-
-    /// Replace document `doc` with `new_doc` as ONE WAL transaction
-    /// (atomic swap: a crash either keeps the old document or installs
-    /// the new one, never neither), returning the new document's id.
-    pub fn replace_document(&self, doc: DocId, new_doc: &xmlparse::Document) -> Result<DocId> {
-        if self.shared.disk.crashed() {
-            return Err(StoreError::SimulatedCrash);
-        }
-        let local = build_local(
-            new_doc,
-            &self.shared.tags,
-            self.shared.strip_whitespace,
-            self.shared.build_values,
-        )?;
-        let mut w = self.writer();
-        let k = w
-            .meta
-            .docs
-            .iter()
-            .position(|d| d.doc_id == doc)
-            .ok_or(StoreError::NoSuchDocument { doc })?;
-        // The old document's pages are still live until the commit
-        // lands, so the new copy allocates elsewhere (free pages from
-        // *earlier* deletes are fair game).
-        let heap_run = self.alloc_run(&mut w, local.heap_pages.len() as u32)?;
-        let node_run = match self.alloc_run(&mut w, local.node_pages.len() as u32) {
-            Ok(r) => r,
-            Err(e) => {
-                release_run(&mut w, &heap_run);
-                return Err(e);
-            }
-        };
-        let txn = w.meta.next_txn;
-        w.meta.next_txn += 1;
-        let mut new_meta = w.meta.clone();
-        new_meta.tags = self.shared.tags.snapshot();
-        let removed = new_meta.docs.remove(k);
-        let doc_id = new_meta.next_doc;
-        new_meta.docs.push(DocMeta {
-            doc_id,
-            heap_base: heap_run.base,
-            heap_pages: heap_run.len,
-            node_base: node_run.base,
-            node_pages: node_run.len,
-            node_count: local.records.len() as u32,
-            span: local.span,
-        });
-        new_meta.next_doc += 1;
-        let meta_bytes = encode_meta(&new_meta);
-        let start_lsn = self.shared.wal.as_ref().map_or(0, |w| w.lock().next_lsn());
-
-        let LocalDoc {
-            records,
-            heap_pages,
-            node_pages,
-            values,
-            content_syms,
-            ..
-        } = local;
-        let result = if heap_run.fresh && node_run.fresh {
-            self.commit_fresh(
-                txn,
-                &heap_run,
-                &node_run,
-                &heap_pages,
-                &node_pages,
-                meta_bytes,
-            )
-        } else {
-            let mut pages = Vec::with_capacity(heap_pages.len() + node_pages.len());
-            for (i, p) in heap_pages.into_iter().enumerate() {
-                pages.push((PageId(heap_run.base + i as u32), p));
-            }
-            for (i, p) in node_pages.into_iter().enumerate() {
-                pages.push((PageId(node_run.base + i as u32), p));
-            }
-            self.commit_images(txn, pages, meta_bytes)
-        };
-        match result {
-            Ok(()) => {
-                w.meta = new_meta;
-                w.aux.remove(k);
-                w.aux
-                    .push(Arc::new(DocAux::new(&records, content_syms, values)));
-                self.install(&mut w);
-                limbo_runs(&mut w, &removed);
-                Ok(doc_id)
-            }
-            Err(e) => {
-                release_run(&mut w, &heap_run);
-                release_run(&mut w, &node_run);
-                self.rollback_txn(txn, start_lsn);
-                Err(e)
-            }
-        }
-    }
-
-    /// Flush all dirty pages, sync the page file, and truncate the log
-    /// to a fresh checkpoint carrying the current metadata snapshot.
-    pub fn checkpoint(&self) -> Result<()> {
-        if self.shared.disk.crashed() {
-            return Err(StoreError::SimulatedCrash);
-        }
-        let mut w = self.writer();
-        for shard in &self.shared.shards {
-            lock_pool(shard).flush_all()?;
-        }
-        self.shared.disk.lock().sync()?;
-        if let Some(wal) = &self.shared.wal {
-            // Refresh the dictionary snapshot: symbols interned since the
-            // last commit (query-constructed tags and values) live only in
-            // the in-memory table, and the checkpoint is about to truncate
-            // the log that would otherwise be their last trace.
-            w.meta.tags = self.shared.tags.snapshot();
-            wal.lock().checkpoint(encode_meta(&w.meta))?;
-        }
-        Ok(())
+        let tags = Dictionary::new();
+        Self::assemble(tags, meta, BTreeSet::new(), wal, opts, disk, None)
     }
 
     /// `(doc_id, stored node count)` of every document, insertion order,
@@ -1404,236 +416,6 @@ impl DocumentStore {
     /// Whether the store write-ahead-logs its mutations.
     pub fn durable(&self) -> bool {
         self.shared.wal.is_some()
-    }
-
-    /// What crash recovery did, if this store was reopened with
-    /// [`open`](DocumentStore::open).
-    pub fn recovery_info(&self) -> Option<RecoveryInfo> {
-        self.shared.recovery
-    }
-
-    // ---- commit paths --------------------------------------------------
-
-    /// Commit a document whose pages are all freshly allocated at the
-    /// end of the file: write them directly (they are unreferenced until
-    /// the commit's metadata snapshot lands), sync the page file, then
-    /// log `Begin` + `Commit{meta}` in one flush. This keeps bulk-load
-    /// WAL overhead to a file sync and one small log write, instead of
-    /// doubling the write volume with page images.
-    fn commit_fresh(
-        &self,
-        txn: TxnId,
-        heap_run: &Run,
-        node_run: &Run,
-        heap_pages: &[Box<[u8; PAGE_SIZE]>],
-        node_pages: &[Box<[u8; PAGE_SIZE]>],
-        meta_bytes: Vec<u8>,
-    ) -> Result<()> {
-        {
-            let mut d = self.shared.disk.lock();
-            for (i, page) in heap_pages.iter().enumerate() {
-                d.write_page(PageId(heap_run.base + i as u32), page)?;
-            }
-            for (i, page) in node_pages.iter().enumerate() {
-                d.write_page(PageId(node_run.base + i as u32), page)?;
-            }
-        }
-        if let Some(w) = &self.shared.wal {
-            self.shared.disk.lock().sync()?;
-            let lsn = {
-                let mut wl = w.lock();
-                wl.append(WalRecord::Begin { txn });
-                wl.append(WalRecord::Commit {
-                    txn,
-                    meta: meta_bytes,
-                })
-            };
-            flush_commit(w, lsn)?;
-        }
-        Ok(())
-    }
-
-    /// Commit a document that reuses freed pages: log a full after-image
-    /// per page (before-image `Zero` — the page was free, so rollback
-    /// zeroes it), install the images in the buffer pool (steal/no-force:
-    /// an eviction may write them early after flushing the log up to
-    /// their LSN; commit itself flushes only the log), then log the
-    /// commit.
-    fn commit_images(
-        &self,
-        txn: TxnId,
-        pages: Vec<(PageId, Box<[u8; PAGE_SIZE]>)>,
-        meta_bytes: Vec<u8>,
-    ) -> Result<()> {
-        let wal = self.shared.wal.clone();
-        if let Some(w) = &wal {
-            w.lock().append(WalRecord::Begin { txn });
-        }
-        for (pid, page) in &pages {
-            let lsn = match &wal {
-                Some(w) => w.lock().append(WalRecord::PageImage {
-                    txn,
-                    pid: *pid,
-                    before: BeforeImage::Zero,
-                    after: page.clone(),
-                }),
-                None => 0,
-            };
-            lock_pool(self.shared.shard_of(*pid)).write_page_image(*pid, lsn, page)?;
-        }
-        if let Some(w) = &wal {
-            let lsn = w.lock().append(WalRecord::Commit {
-                txn,
-                meta: meta_bytes,
-            });
-            flush_commit(w, lsn)?;
-        }
-        Ok(())
-    }
-
-    /// Clean up after a failed mutation: drop any still-buffered records
-    /// of `txn` (so a later flush cannot commit it behind our back), and
-    /// if part of the transaction already reached the durable log (an
-    /// eviction flushed it), append a best-effort `Abort` marker —
-    /// recovery rolls the transaction back either way.
-    fn rollback_txn(&self, txn: TxnId, start_lsn: Lsn) {
-        let Some(w) = &self.shared.wal else { return };
-        let crashed = self.shared.disk.crashed();
-        let mut wl = w.lock();
-        wl.truncate_pending(start_lsn);
-        if wl.durable_lsn() > start_lsn && !crashed {
-            wl.append(WalRecord::Abort { txn });
-            let _ = wl.flush();
-        }
-    }
-
-    // ---- page allocation -----------------------------------------------
-
-    /// Move limbo runs whose referencing projections are all gone back
-    /// to the free list. A history prefix entry with strong count 1 is
-    /// referenced only by the history itself — no snapshot handle, no
-    /// in-flight read, no `Entries` guard — so pages freed at or before
-    /// the *oldest surviving* epoch are reusable.
-    fn reclaim_limbo(&self, w: &mut WriterState) {
-        while w.history.len() > 1 && Arc::strong_count(&w.history[0]) == 1 {
-            w.history.remove(0);
-        }
-        // Pair with the release decrement of the last dropped handle,
-        // ordering its page reads before our reuse writes.
-        atomic::fence(Ordering::Acquire);
-        let oldest_live = w.history.first().map_or(0, |p| p.epoch);
-        let mut freed: Vec<(u32, u32)> = Vec::new();
-        w.limbo.retain(|l| {
-            if l.epoch <= oldest_live {
-                freed.push((l.base, l.len));
-                false
-            } else {
-                true
-            }
-        });
-        for (base, len) in freed {
-            for p in base..base + len {
-                w.free.insert(p);
-            }
-        }
-    }
-
-    /// Allocate a run of `n` consecutive pages: the lowest consecutive
-    /// run in the free list if one exists, else fresh pages at the end
-    /// of the file.
-    fn alloc_run(&self, w: &mut WriterState, n: u32) -> Result<Run> {
-        if n == 0 {
-            return Ok(Run {
-                base: 0,
-                len: 0,
-                fresh: true,
-            });
-        }
-        self.reclaim_limbo(w);
-        let mut len = 0u32;
-        let mut prev: Option<u32> = None;
-        let mut found: Option<u32> = None;
-        for &p in &w.free {
-            len = match prev {
-                Some(q) if p == q + 1 => len + 1,
-                _ => 1,
-            };
-            prev = Some(p);
-            if len == n {
-                found = Some(p + 1 - n);
-                break;
-            }
-        }
-        if let Some(base) = found {
-            for p in base..base + n {
-                w.free.remove(&p);
-            }
-            return Ok(Run {
-                base,
-                len: n,
-                fresh: false,
-            });
-        }
-        let base = self.shared.disk.num_pages();
-        let mut allocated = 0u32;
-        for _ in 0..n {
-            match self.shared.disk.lock().allocate() {
-                Ok(_) => allocated += 1,
-                Err(e) => {
-                    for p in base..base + allocated {
-                        w.free.insert(p);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(Run {
-            base,
-            len: n,
-            fresh: true,
-        })
-    }
-
-    /// Rebuild every document's aux state from its pages (used on
-    /// reopen; inserts build it from the in-memory document instead).
-    fn read_aux(&self) -> Result<Vec<Arc<DocAux>>> {
-        let docs = self.writer().meta.docs.clone();
-        let build_values = self.shared.build_values;
-        let mut out = Vec::with_capacity(docs.len());
-        for d in &docs {
-            let mut records = Vec::with_capacity(d.node_count as usize);
-            for local in 0..d.node_count {
-                let (page, slot) = node_location(d.node_base, NodeId(local));
-                let rec = self.shared.with_page(PageId(page), |p| {
-                    NodeRecord::decode(&p[slot..slot + RECORD_SIZE])
-                })?;
-                records.push(rec);
-            }
-            // Re-intern every stored content string so the columnar
-            // region carries the same symbols the writing session used —
-            // the names are already in the recovered dictionary snapshot,
-            // so these lookups hit existing entries.
-            let mut content_syms = Vec::with_capacity(records.len());
-            let mut vals = Vec::new();
-            for (i, rec) in records.iter().enumerate() {
-                if rec.content.is_some() {
-                    let s = read_content_via(
-                        |pid, f| self.shared.with_page(pid, |p| f(p)),
-                        d.heap_base,
-                        rec.content,
-                    )?;
-                    content_syms.push(self.shared.tags.intern(&s).0);
-                    if build_values {
-                        vals.push((i as u32, s));
-                    }
-                } else {
-                    content_syms.push(NO_SYM);
-                }
-            }
-            let values = build_values.then_some(vals);
-            out.push(Arc::new(DocAux::new(&records, content_syms, values)));
-        }
-        Ok(out)
     }
 
     // ---- metadata ----------------------------------------------------
@@ -1685,20 +467,12 @@ impl DocumentStore {
 
     /// Id of an element tag name, if present in the store.
     pub fn tag_id(&self, name: &str) -> Option<TagId> {
-        self.count_tag_lookup(self.shared.tags.get(name))
+        self.shared.tags.get(name)
     }
 
     /// Id of an attribute `name` (stored as `@name`), if present.
     pub fn attr_tag_id(&self, name: &str) -> Option<TagId> {
-        self.count_tag_lookup(self.shared.tags.get(&attr_tag_name(name)))
-    }
-
-    fn count_tag_lookup(&self, found: Option<TagId>) -> Option<TagId> {
-        match found {
-            Some(_) => self.shared.tag_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.shared.tag_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+        self.shared.tags.get(&attr_tag_name(name))
     }
 
     /// Name of a tag id (a clone of the interned string).
@@ -1715,27 +489,6 @@ impl DocumentStore {
         self.shared.ordered_dict
     }
 
-    // ---- index access (no data pages touched) -------------------------
-
-    /// Document-order index entries for a tag. The returned guard
-    /// derefs to `&[NodeEntry]` and pins the projection it resolved
-    /// against, so the slice is stable under concurrent commits.
-    pub fn nodes_with_tag(&self, tag: TagId) -> Entries {
-        Entries {
-            proj: self.proj(),
-            sel: EntrySel::Tag(tag),
-        }
-    }
-
-    /// An empty entry guard (useful when a tag is absent from the
-    /// store but callers want a uniform `Entries` value).
-    pub fn no_entries(&self) -> Entries {
-        Entries {
-            proj: self.proj(),
-            sel: EntrySel::Empty,
-        }
-    }
-
     /// The synthetic root's index entry.
     pub fn root(&self) -> NodeEntry {
         NodeEntry {
@@ -1750,17 +503,6 @@ impl DocumentStore {
     /// (`StoreOptions::value_index`).
     pub fn has_value_index(&self) -> bool {
         self.proj().value_index.is_some()
-    }
-
-    /// Document-order nodes of `tag` whose content equals `value`, from
-    /// the value index (no data-page access). `None` when the index was
-    /// not built.
-    pub fn nodes_with_tag_and_content(&self, tag: TagId, value: &str) -> Option<Entries> {
-        let proj = self.proj();
-        proj.value_index.is_some().then(|| Entries {
-            proj,
-            sel: EntrySel::Value(tag, value.to_owned()),
-        })
     }
 
     // ---- record / content access (goes through the buffer pool) -------
@@ -1901,11 +643,11 @@ impl DocumentStore {
                         .resolve(crec.tag)
                         .trim_start_matches('@')
                         .to_owned();
-                    let value = self.content_of(proj, crec)?;
+                    let value = self.content_of(crec)?;
                     elem.attributes.push((name, value));
                 }
                 NodeKind::Text => {
-                    let value = self.content_of(proj, crec)?;
+                    let value = self.content_of(crec)?;
                     elem.children.push(xmlparse::XmlNode::Text(value));
                 }
                 NodeKind::Element => {
@@ -1918,7 +660,7 @@ impl DocumentStore {
         Ok(elem)
     }
 
-    fn content_of(&self, _proj: &Projection, rec: NodeRecord) -> Result<String> {
+    fn content_of(&self, rec: NodeRecord) -> Result<String> {
         if !rec.content.is_some() {
             return Ok(String::new());
         }
@@ -1927,62 +669,29 @@ impl DocumentStore {
 
     // ---- statistics ----------------------------------------------------
 
-    /// Current I/O counters, summed over the pool shards.
+    /// Current I/O counters.
     pub fn io_stats(&self) -> IoStats {
-        let mut buffer = BufferStats::default();
-        for shard in &self.shared.shards {
-            let s = lock_pool(shard).stats();
-            buffer.hits += s.hits;
-            buffer.misses += s.misses;
-            buffer.evictions += s.evictions;
-            buffer.writebacks += s.writebacks;
-            buffer.retries += s.retries;
-        }
         IoStats {
-            buffer,
+            buffer: self.shared.pool().stats(),
             disk: self.shared.disk.stats(),
         }
     }
 
-    /// Zero the I/O and tag-lookup counters.
+    /// Zero the buffer-pool counters.
     pub fn reset_io_stats(&self) {
-        for shard in &self.shared.shards {
-            lock_pool(shard).reset_stats();
-        }
-        self.shared.tag_hits.store(0, Ordering::Relaxed);
-        self.shared.tag_misses.store(0, Ordering::Relaxed);
+        self.shared.pool().reset_stats();
     }
 
-    /// Empty every buffer-pool shard so the next operation starts cold.
-    /// Dirty pages are flushed first (with their log records, on durable
+    /// Empty the buffer pool so the next operation starts cold. Dirty
+    /// pages are flushed first (with their log records, on durable
     /// stores).
     pub fn clear_buffer_pool(&self) -> Result<()> {
-        for shard in &self.shared.shards {
-            lock_pool(shard).clear()?;
-        }
-        Ok(())
+        self.shared.pool().clear()
     }
 
-    /// Buffer pool capacity in pages, summed over shards.
+    /// Buffer pool capacity in pages.
     pub fn pool_capacity(&self) -> usize {
-        self.shared
-            .shards
-            .iter()
-            .map(|s| lock_pool(s).capacity())
-            .sum()
-    }
-
-    /// Number of buffer-pool shards.
-    pub fn pool_shards(&self) -> usize {
-        self.shared.shards.len()
-    }
-
-    /// Tag-index lookup counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            tag_hits: self.shared.tag_hits.load(Ordering::Relaxed),
-            tag_misses: self.shared.tag_misses.load(Ordering::Relaxed),
-        }
+        self.shared.pool().capacity()
     }
 
     // ---- fault injection ----------------------------------------------
@@ -2025,165 +734,13 @@ impl DocumentStore {
     }
 }
 
-/// Collect every string [`Loader::load_element`] will intern for the
-/// subtree at `elem` — element tags, `@`-prefixed attribute tags,
-/// attribute values, `#text` tags, and text content, with the same
-/// whitespace-stripping and text-merging rules. The ordered-dict
-/// pre-pass interns the resulting sorted set before loading.
-fn collect_dict_strings(
-    elem: &xmlparse::Element,
-    strip_whitespace: bool,
-    out: &mut std::collections::BTreeSet<String>,
-) {
-    out.insert(elem.name.clone());
-    for (name, value) in &elem.attributes {
-        out.insert(attr_tag_name(name));
-        out.insert(value.clone());
-    }
-    let has_element_children = elem
-        .children
-        .iter()
-        .any(|c| matches!(c, xmlparse::XmlNode::Element(_)));
-    if has_element_children {
-        for child in &elem.children {
-            match child {
-                xmlparse::XmlNode::Element(e) => collect_dict_strings(e, strip_whitespace, out),
-                xmlparse::XmlNode::Text(t) => {
-                    if strip_whitespace && t.trim().is_empty() {
-                        continue;
-                    }
-                    out.insert(TEXT_TAG.to_owned());
-                    out.insert(t.clone());
-                }
-                xmlparse::XmlNode::Comment(_) => {}
-            }
-        }
-    } else {
-        let text = elem.text();
-        if !(text.is_empty() || (strip_whitespace && text.trim().is_empty())) {
-            out.insert(text);
-        }
-    }
-}
-
-struct Loader<'a> {
-    tags: &'a Dictionary,
-    heap: &'a mut HeapBuilder,
-    records: &'a mut Vec<NodeRecord>,
-    /// Parallel to `records`: the content symbol of each record
-    /// ([`NO_SYM`] when it has none).
-    content_syms: &'a mut Vec<u32>,
-    counter: &'a mut u32,
-    strip_whitespace: bool,
-    /// When building a value index: `(record index, content)` pairs.
-    values: Option<&'a mut Vec<(usize, String)>>,
-}
-
-impl Loader<'_> {
-    /// DFS over the DOM assigning local ids, labels, and content.
-    fn load_element(&mut self, elem: &xmlparse::Element, parent: u32, level: u16) -> Result<u32> {
-        let id = self.records.len() as u32;
-        let tag = self.tags.intern(&elem.name);
-        let start = *self.counter;
-        *self.counter += 1;
-        self.records.push(NodeRecord {
-            tag,
-            start,
-            end: 0, // patched at exit
-            parent,
-            level,
-            kind: NodeKind::Element,
-            content: ContentPtr::NULL,
-        });
-        self.content_syms.push(NO_SYM);
-
-        // Attributes as leaf nodes.
-        for (name, value) in &elem.attributes {
-            let attr_tag = self.tags.intern(&attr_tag_name(name));
-            let s = *self.counter;
-            *self.counter += 1;
-            let e = *self.counter;
-            *self.counter += 1;
-            let content = self.heap.append(value)?;
-            if let Some(values) = self.values.as_deref_mut() {
-                values.push((self.records.len(), value.clone()));
-            }
-            self.records.push(NodeRecord {
-                tag: attr_tag,
-                start: s,
-                end: e,
-                parent: id,
-                level: level + 1,
-                kind: NodeKind::Attribute,
-                content,
-            });
-            self.content_syms.push(self.tags.intern(value).0);
-        }
-
-        let has_element_children = elem
-            .children
-            .iter()
-            .any(|c| matches!(c, xmlparse::XmlNode::Element(_)));
-
-        if has_element_children {
-            // Mixed or element content: text children become #text nodes.
-            for child in &elem.children {
-                match child {
-                    xmlparse::XmlNode::Element(e) => {
-                        self.load_element(e, id, level + 1)?;
-                    }
-                    xmlparse::XmlNode::Text(t) => {
-                        if self.strip_whitespace && t.trim().is_empty() {
-                            continue;
-                        }
-                        let text_tag = self.tags.intern(TEXT_TAG);
-                        let s = *self.counter;
-                        *self.counter += 1;
-                        let e = *self.counter;
-                        *self.counter += 1;
-                        let content = self.heap.append(t)?;
-                        if let Some(values) = self.values.as_deref_mut() {
-                            values.push((self.records.len(), t.clone()));
-                        }
-                        self.records.push(NodeRecord {
-                            tag: text_tag,
-                            start: s,
-                            end: e,
-                            parent: id,
-                            level: level + 1,
-                            kind: NodeKind::Text,
-                            content,
-                        });
-                        self.content_syms.push(self.tags.intern(t).0);
-                    }
-                    xmlparse::XmlNode::Comment(_) => {}
-                }
-            }
-        } else {
-            // Text-only (or empty) content merges into the element.
-            let text = elem.text();
-            if !(text.is_empty() || (self.strip_whitespace && text.trim().is_empty())) {
-                let content = self.heap.append(&text)?;
-                self.records[id as usize].content = content;
-                self.content_syms[id as usize] = self.tags.intern(&text).0;
-                if let Some(values) = self.values.as_deref_mut() {
-                    values.push((id as usize, text));
-                }
-            }
-        }
-
-        let end = *self.counter;
-        *self.counter += 1;
-        self.records[id as usize].end = end;
-        Ok(id)
-    }
-}
-
+/// Fixtures shared by this module's tests and its child modules' tests.
 #[cfg(test)]
-mod tests {
+mod test_support {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    const SAMPLE: &str = r#"<bib>
+    pub(super) const SAMPLE: &str = r#"<bib>
         <article year="1999">
             <title>Querying XML</title>
             <author>Jack</author>
@@ -2195,38 +752,12 @@ mod tests {
         </article>
     </bib>"#;
 
-    fn store() -> DocumentStore {
+    pub(super) fn store() -> DocumentStore {
         DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory()).unwrap()
     }
 
-    #[test]
-    fn ordered_dict_load_covers_every_document_symbol() {
-        let opts = StoreOptions::in_memory().with_ordered_dict();
-        let s = DocumentStore::from_xml(SAMPLE, &opts).unwrap();
-        assert!(s.ordered_dict_enabled());
-        let d = s.dict();
-        // Every symbol the load produced sits under the watermark.
-        assert_eq!(d.ordered_upto() as usize, d.len());
-        // Symbol order is string order: content symbols compare as text.
-        let (lo, hi) = d.ordered_bounds("Jack");
-        assert_eq!(hi, lo + 1);
-        let jack = s.content_sym(s.nodes_with_tag(s.tag_id("author").unwrap())[0].id);
-        assert_eq!(jack.map(|s| s.0), Some(lo));
-        // A store answers the same queries either way.
-        let plain = store();
-        assert!(!plain.ordered_dict_enabled());
-        for st in [&s, &plain] {
-            let author = st.tag_id("author").unwrap();
-            assert_eq!(st.nodes_with_tag(author).len(), 3);
-        }
-        // Post-load interns land above the watermark and stay
-        // non-comparable.
-        let fresh = s.intern("aaaa new value");
-        assert!(!d.is_ordered(fresh));
-    }
-
     /// Unique page/log paths in the system temp dir for reopen tests.
-    fn temp_paths(tag: &str) -> (PathBuf, PathBuf) {
+    pub(super) fn temp_paths(tag: &str) -> (PathBuf, PathBuf) {
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
         let page = std::env::temp_dir().join(format!(
@@ -2239,7 +770,7 @@ mod tests {
         (page, wal)
     }
 
-    fn durable_opts(page: &Path) -> StoreOptions {
+    pub(super) fn durable_opts(page: &Path) -> StoreOptions {
         StoreOptions {
             pool_pages: 64,
             ..StoreOptions::in_memory()
@@ -2247,6 +778,12 @@ mod tests {
         .with_path(page)
         .with_durable()
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::test_support::{store, SAMPLE};
+    use super::*;
 
     #[test]
     fn loads_with_doc_root_wrapper() {
@@ -2259,16 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn tag_index_finds_all_authors() {
-        let s = store();
-        let author = s.tag_id("author").unwrap();
-        let authors = s.nodes_with_tag(author);
-        assert_eq!(authors.len(), 3);
-        // Index entries are in document order.
-        assert!(authors.windows(2).all(|w| w[0].start < w[1].start));
-    }
-
-    #[test]
     fn content_of_text_only_element() {
         let s = store();
         let title = s.tag_id("title").unwrap();
@@ -2277,33 +804,6 @@ mod tests {
             s.content(first.id).unwrap().as_deref(),
             Some("Querying XML")
         );
-    }
-
-    #[test]
-    fn attribute_stored_as_node() {
-        let s = store();
-        let year = s.attr_tag_id("year").unwrap();
-        let entries = s.nodes_with_tag(year);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(s.content(entries[0].id).unwrap().as_deref(), Some("1999"));
-        let rec = s.record(entries[0].id).unwrap();
-        assert_eq!(rec.kind, NodeKind::Attribute);
-    }
-
-    #[test]
-    fn containment_labels_nest() {
-        let s = store();
-        let article = s.tag_id("article").unwrap();
-        let author = s.tag_id("author").unwrap();
-        let articles = s.nodes_with_tag(article);
-        let authors = s.nodes_with_tag(author);
-        // First article has exactly 2 of the 3 authors.
-        let inside = authors
-            .iter()
-            .filter(|a| articles[0].is_ancestor_of(a))
-            .count();
-        assert_eq!(inside, 2);
-        assert!(articles[0].is_parent_of(&authors[0]));
     }
 
     #[test]
@@ -2343,18 +843,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_content_preserved() {
-        let xml = "<p>Hello <b>bold</b> world</p>";
-        let s = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
-        let p = s.tag_id("p").unwrap();
-        let node = s.nodes_with_tag(p)[0];
-        let elem = s.materialize(node.id).unwrap();
-        assert_eq!(elem.deep_text(), "Hello bold world");
-        let text_tag = s.tag_id(TEXT_TAG).unwrap();
-        assert_eq!(s.nodes_with_tag(text_tag).len(), 2);
-    }
-
-    #[test]
     fn io_stats_count_page_traffic() {
         let s = store();
         s.reset_io_stats();
@@ -2378,80 +866,6 @@ mod tests {
         let a = s.nodes_with_tag(author)[2];
         assert_eq!(s.content(a.id).unwrap().as_deref(), Some("John"));
         assert!(s.io_stats().disk.reads >= 1);
-    }
-
-    #[test]
-    fn strip_whitespace_toggle() {
-        let xml = "<a> <b/> </a>";
-        let stripped = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
-        let kept = DocumentStore::from_xml(
-            xml,
-            &StoreOptions {
-                strip_whitespace: false,
-                ..StoreOptions::in_memory()
-            },
-        )
-        .unwrap();
-        // stripped: doc_root + a + b; kept adds two #text nodes.
-        assert_eq!(stripped.node_count(), 3);
-        assert_eq!(kept.node_count(), 5);
-    }
-
-    #[test]
-    fn value_index_built_on_request() {
-        let s =
-            DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory().with_value_index()).unwrap();
-        let author = s.tag_id("author").unwrap();
-        let hits = s.nodes_with_tag_and_content(author, "John").unwrap();
-        assert_eq!(hits.len(), 2);
-        assert!(s
-            .nodes_with_tag_and_content(author, "Nobody")
-            .unwrap()
-            .is_empty());
-        // Attribute values are indexed too (tag @year).
-        let year = s.attr_tag_id("year").unwrap();
-        assert_eq!(s.nodes_with_tag_and_content(year, "1999").unwrap().len(), 1);
-        // Off by default.
-        let plain = DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory()).unwrap();
-        assert!(!plain.has_value_index());
-        assert!(plain.nodes_with_tag_and_content(author, "John").is_none());
-    }
-
-    #[test]
-    fn value_index_lookup_touches_no_pages() {
-        let s =
-            DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory().with_value_index()).unwrap();
-        s.reset_io_stats();
-        let author = s.tag_id("author").unwrap();
-        let _ = s.nodes_with_tag_and_content(author, "Jack").unwrap();
-        assert_eq!(s.io_stats().page_requests(), 0);
-    }
-
-    #[test]
-    fn very_long_content_spans_heap_pages() {
-        let long_title = "Grouping in XML ".repeat(1200); // ~19 KB > 2 pages
-        let xml = format!("<bib><article><title>{long_title}</title></article></bib>");
-        let s = DocumentStore::from_xml(&xml, &StoreOptions::in_memory()).unwrap();
-        let title = s.tag_id("title").unwrap();
-        let t = s.nodes_with_tag(title)[0];
-        assert_eq!(
-            s.content(t.id).unwrap().as_deref(),
-            Some(long_title.as_str())
-        );
-        // The heap needs at least three pages for this value.
-        assert!(s.total_pages() >= 3);
-    }
-
-    #[test]
-    fn pool_capacity_and_shards_cover_request() {
-        let s = store(); // in_memory: 1024 pages
-        assert_eq!(s.pool_capacity(), 1024);
-        assert_eq!(s.pool_shards(), 8);
-        // Tiny pools get fewer shards but never zero-frame ones.
-        let tiny =
-            DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory().with_pool_pages(3)).unwrap();
-        assert_eq!(tiny.pool_capacity(), 3);
-        assert_eq!(tiny.pool_shards(), 3);
     }
 
     #[test]
@@ -2494,7 +908,7 @@ mod tests {
     }
 
     #[test]
-    fn repeat_fetches_reach_the_pool_and_counters_track_tags() {
+    fn repeat_fetches_reach_the_pool() {
         let s = store();
         s.reset_io_stats();
         let _ = s.record(NodeId(1)).unwrap();
@@ -2502,11 +916,6 @@ mod tests {
         // Every record fetch is a page request: nothing sits in front
         // of the buffer pool.
         assert_eq!(s.io_stats().page_requests(), 2);
-        let _ = s.tag_id("title");
-        let _ = s.tag_id("no_such_tag");
-        let cs = s.cache_stats();
-        assert_eq!(cs.tag_hits, 1);
-        assert_eq!(cs.tag_misses, 1);
     }
 
     #[test]
@@ -2520,20 +929,21 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_pool_shard_recovers() {
+    fn poisoned_pool_lock_recovers() {
         let s = store();
         let title = s.tag_id("title").unwrap();
         let t = s.nodes_with_tag(title)[0];
         let before = s.content(t.id).unwrap();
-        // Panic while holding every shard's lock, poisoning the mutexes.
-        for shard in &s.shared.shards {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _guard = shard.lock().unwrap();
-                panic!("reader dies while holding the pool lock");
-            }));
-            assert!(result.is_err());
-            assert!(shard.lock().is_err(), "shard must actually be poisoned");
-        }
+        // Panic while holding the pool lock, poisoning the mutex.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = s.shared.pool.lock().unwrap();
+            panic!("reader dies while holding the pool lock");
+        }));
+        assert!(result.is_err());
+        assert!(
+            s.shared.pool.lock().is_err(),
+            "pool must actually be poisoned"
+        );
         // The store keeps answering reads identically.
         assert_eq!(s.content(t.id).unwrap(), before);
         assert!(s.io_stats().page_requests() > 0);
@@ -2569,24 +979,6 @@ mod tests {
     }
 
     #[test]
-    fn many_nodes_span_pages() {
-        // More than RECORDS_PER_PAGE nodes forces multi-page layout.
-        let mut xml = String::from("<bib>");
-        for i in 0..300 {
-            xml.push_str(&format!("<article><title>T{i}</title></article>"));
-        }
-        xml.push_str("</bib>");
-        let s = DocumentStore::from_xml(&xml, &StoreOptions::in_memory()).unwrap();
-        assert_eq!(s.node_count(), 602);
-        assert!(s.total_pages() > 2);
-        let title = s.tag_id("title").unwrap();
-        let last = s.nodes_with_tag(title)[299];
-        assert_eq!(s.content(last.id).unwrap().as_deref(), Some("T299"));
-    }
-
-    // ---- multi-document mutations --------------------------------------
-
-    #[test]
     fn empty_store_has_only_doc_root() {
         let s = DocumentStore::create(&StoreOptions::in_memory()).unwrap();
         assert_eq!(s.node_count(), 1);
@@ -2594,295 +986,5 @@ mod tests {
         assert!(s.documents().is_empty());
         assert!(s.children(NodeId(0)).unwrap().is_empty());
         assert_eq!(&*s.tag_name(s.record(NodeId(0)).unwrap().tag), DOC_ROOT_TAG);
-    }
-
-    #[test]
-    fn single_insert_matches_bulk_load() {
-        let bulk = store();
-        let inc = DocumentStore::create(&StoreOptions::in_memory()).unwrap();
-        inc.insert_xml(SAMPLE).unwrap();
-        assert_eq!(inc.node_count(), bulk.node_count());
-        assert_eq!(inc.root(), bulk.root());
-        for id in 0..bulk.node_count() {
-            assert_eq!(
-                inc.record(NodeId(id)).unwrap(),
-                bulk.record(NodeId(id)).unwrap(),
-                "record {id} diverges"
-            );
-            assert_eq!(
-                inc.content(NodeId(id)).unwrap(),
-                bulk.content(NodeId(id)).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn insert_and_query_multiple_documents() {
-        let s = DocumentStore::create(&StoreOptions::in_memory()).unwrap();
-        let d1 = s
-            .insert_xml("<bib><article><author>Jack</author></article></bib>")
-            .unwrap();
-        let d2 = s
-            .insert_xml("<bib><article><author>Jill</author></article></bib>")
-            .unwrap();
-        assert_ne!(d1, d2);
-        assert_eq!(s.documents().len(), 2);
-        // Both document roots are children of the shared doc_root.
-        assert_eq!(s.children(NodeId(0)).unwrap().len(), 2);
-        let author = s.tag_id("author").unwrap();
-        let authors = s.nodes_with_tag(author);
-        assert_eq!(authors.len(), 2);
-        // Global labels keep document order: doc 1 strictly before doc 2.
-        assert!(authors[0].end < authors[1].start);
-        assert_eq!(s.content(authors[0].id).unwrap().as_deref(), Some("Jack"));
-        assert_eq!(s.content(authors[1].id).unwrap().as_deref(), Some("Jill"));
-        // Parent chains stay within the right document.
-        let p = s.parent(authors[1].id).unwrap().unwrap();
-        assert_eq!(&*s.tag_name(s.record(p).unwrap().tag), "article");
-        // Subtree of doc_root covers everything.
-        assert_eq!(s.subtree(NodeId(0)).unwrap().len() as u32, s.node_count());
-    }
-
-    #[test]
-    fn delete_document_removes_and_frees_pages() {
-        let s = DocumentStore::create(&StoreOptions::in_memory()).unwrap();
-        let d1 = s.insert_xml("<a><b>one</b></a>").unwrap();
-        let d2 = s.insert_xml("<a><b>two</b></a>").unwrap();
-        let pages_before = s.total_pages();
-        s.delete_document(d1).unwrap();
-        assert_eq!(s.documents(), vec![(d2, s.documents()[0].1)]);
-        let b = s.tag_id("b").unwrap();
-        let entries = s.nodes_with_tag(b);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(s.content(entries[0].id).unwrap().as_deref(), Some("two"));
-        // A same-shaped insert reuses the freed pages: file does not grow.
-        s.insert_xml("<a><b>three</b></a>").unwrap();
-        assert_eq!(s.total_pages(), pages_before);
-        let entries = s.nodes_with_tag(b);
-        assert_eq!(entries.len(), 2);
-        assert_eq!(s.content(entries[1].id).unwrap().as_deref(), Some("three"));
-    }
-
-    #[test]
-    fn replace_document_swaps_content() {
-        let s = DocumentStore::create(&StoreOptions::in_memory()).unwrap();
-        let d1 = s.insert_xml("<a><b>old</b></a>").unwrap();
-        let doc = xmlparse::parse_document("<a><b>new</b></a>").unwrap();
-        let d2 = s.replace_document(d1, &doc).unwrap();
-        assert_ne!(d1, d2);
-        assert_eq!(s.documents().len(), 1);
-        let b = s.tag_id("b").unwrap();
-        let entries = s.nodes_with_tag(b);
-        assert_eq!(s.content(entries[0].id).unwrap().as_deref(), Some("new"));
-    }
-
-    #[test]
-    fn no_such_document_error() {
-        let s = DocumentStore::create(&StoreOptions::in_memory()).unwrap();
-        assert!(matches!(
-            s.delete_document(42),
-            Err(StoreError::NoSuchDocument { doc: 42 })
-        ));
-    }
-
-    #[test]
-    fn meta_round_trips() {
-        let meta = StoreMeta {
-            tags: vec![DOC_ROOT_TAG.to_owned(), "article".to_owned()],
-            docs: vec![DocMeta {
-                doc_id: 7,
-                heap_base: 1,
-                heap_pages: 2,
-                node_base: 3,
-                node_pages: 4,
-                node_count: 900,
-                span: 1801,
-            }],
-            next_doc: 8,
-            next_txn: 19,
-        };
-        assert_eq!(decode_meta(&encode_meta(&meta)).unwrap(), meta);
-        assert!(decode_meta(&encode_meta(&meta)[..10]).is_err());
-        assert!(decode_meta(b"junk").is_err());
-    }
-
-    // ---- durability ----------------------------------------------------
-
-    #[test]
-    fn durable_store_reopens_with_committed_documents() {
-        let (page, wal) = temp_paths("reopen");
-        let opts = durable_opts(&page).with_value_index();
-        {
-            let s = DocumentStore::create(&opts).unwrap();
-            s.insert_xml(SAMPLE).unwrap();
-            s.insert_xml("<bib><article><author>Jill</author></article></bib>")
-                .unwrap();
-            assert!(s.durable());
-            assert!(s.wal_stats().unwrap().flushes >= 2);
-        }
-        let s = DocumentStore::open(&opts).unwrap();
-        assert_eq!(s.documents().len(), 2);
-        let info = s.recovery_info().unwrap();
-        assert_eq!(info.committed, 2);
-        assert_eq!(info.losers, 0);
-        let author = s.tag_id("author").unwrap();
-        let authors = s.nodes_with_tag(author);
-        assert_eq!(authors.len(), 4);
-        assert_eq!(s.content(authors[3].id).unwrap().as_deref(), Some("Jill"));
-        // The value index was rebuilt from the pages.
-        assert_eq!(
-            s.nodes_with_tag_and_content(author, "John").unwrap().len(),
-            2
-        );
-        // Recovery is deterministic: a second replay of the durable log
-        // leaves the same page bytes as the first.
-        let log = std::fs::read(&wal).unwrap();
-        drop(s);
-        let mut disk = DiskManager::open_existing(&page).unwrap();
-        wal::replay(&mut disk, &log).unwrap();
-        drop(disk);
-        let once = std::fs::read(&page).unwrap();
-        let mut disk = DiskManager::open_existing(&page).unwrap();
-        wal::replay(&mut disk, &log).unwrap();
-        drop(disk);
-        let twice = std::fs::read(&page).unwrap();
-        assert_eq!(once, twice);
-        let _ = std::fs::remove_file(&page);
-        let _ = std::fs::remove_file(&wal);
-    }
-
-    #[test]
-    fn crash_during_insert_rolls_back_on_reopen() {
-        let (page, wal) = temp_paths("crash_insert");
-        let opts = durable_opts(&page);
-        {
-            let s = DocumentStore::create(&opts).unwrap();
-            let kept = s.insert_xml(SAMPLE).unwrap();
-            // Arm a crash on the very next write-class operation: the
-            // insert dies before its commit record can land.
-            s.inject_faults(Some("seed=5,crash=1".parse().unwrap()))
-                .unwrap();
-            let err = s
-                .insert_xml("<bib><article><author>Lost</author></article></bib>")
-                .unwrap_err();
-            assert!(matches!(err, StoreError::SimulatedCrash), "{err}");
-            assert!(s.crashed());
-            // The crashed store refuses further mutations.
-            assert!(matches!(
-                s.insert_xml("<a/>"),
-                Err(StoreError::SimulatedCrash)
-            ));
-            assert_eq!(s.documents(), vec![(kept, 9)]);
-        }
-        let s = DocumentStore::open(&opts).unwrap();
-        assert_eq!(s.documents().len(), 1);
-        let author = s.tag_id("author").unwrap();
-        assert_eq!(s.nodes_with_tag(author).len(), 3);
-        assert!(s.tag_id("Lost").is_none());
-        // The reopened store accepts new work.
-        s.insert_xml("<bib><article><author>Back</author></article></bib>")
-            .unwrap();
-        assert_eq!(s.nodes_with_tag(author).len(), 4);
-        let _ = std::fs::remove_file(&page);
-        let _ = std::fs::remove_file(&wal);
-    }
-
-    #[test]
-    fn torn_reuse_commit_zeroes_reclaimed_pages() {
-        // The free-list-reuse regression: delete a document, reinsert
-        // over its pages, and tear the commit off the log. Recovery must
-        // roll the reuse back to ZERO pages — the deleted document's
-        // payload must not resurrect, on disk or through the store.
-        let (page, wal) = temp_paths("torn_reuse");
-        let opts = durable_opts(&page);
-        {
-            let s = DocumentStore::create(&opts).unwrap();
-            let d1 = s.insert_xml("<a><b>RESURRECT_ME</b></a>").unwrap();
-            s.checkpoint().unwrap();
-            s.delete_document(d1).unwrap();
-            // Same shape: reuses d1's freed heap + node pages, so this
-            // goes through the page-image commit path.
-            s.insert_xml("<a><b>SECOND_BODY</b></a>").unwrap();
-        }
-        // Tear the final commit record: keep a few bytes so the tail is
-        // genuinely torn, not cleanly truncated.
-        let log = std::fs::read(&wal).unwrap();
-        let contents = wal::read_log(&log);
-        let last_commit = contents
-            .records
-            .iter()
-            .rev()
-            .find(|(_, r)| matches!(r, WalRecord::Commit { .. }))
-            .map(|(lsn, _)| *lsn)
-            .unwrap();
-        let f = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
-        f.set_len(last_commit + 5).unwrap();
-        drop(f);
-
-        let s = DocumentStore::open(&opts).unwrap();
-        assert!(s.documents().is_empty(), "the torn insert must not survive");
-        let info = s.recovery_info().unwrap();
-        assert!(info.undone >= 2, "heap + node images rolled back: {info:?}");
-        drop(s);
-        // Raw page file scan: both payloads are gone — the reclaimed
-        // pages were zeroed, not left with stale bytes.
-        let raw = std::fs::read(&page).unwrap();
-        let contains = |needle: &[u8]| raw.windows(needle.len()).any(|w| w == needle);
-        assert!(!contains(b"RESURRECT_ME"), "deleted payload resurrected");
-        assert!(!contains(b"SECOND_BODY"), "torn insert left partial data");
-        let _ = std::fs::remove_file(&page);
-        let _ = std::fs::remove_file(&wal);
-    }
-
-    #[test]
-    fn crash_during_delete_preserves_document() {
-        let (page, wal) = temp_paths("crash_delete");
-        let opts = durable_opts(&page);
-        {
-            let s = DocumentStore::create(&opts).unwrap();
-            let d1 = s.insert_xml(SAMPLE).unwrap();
-            // The delete's only write-class op is its commit flush.
-            s.inject_faults(Some("seed=11,crash=1".parse().unwrap()))
-                .unwrap();
-            let err = s.delete_document(d1).unwrap_err();
-            assert!(matches!(err, StoreError::SimulatedCrash), "{err}");
-        }
-        let s = DocumentStore::open(&opts).unwrap();
-        assert_eq!(s.documents().len(), 1, "torn delete must not apply");
-        let author = s.tag_id("author").unwrap();
-        assert_eq!(s.nodes_with_tag(author).len(), 3);
-        let _ = std::fs::remove_file(&page);
-        let _ = std::fs::remove_file(&wal);
-    }
-
-    #[test]
-    fn checkpoint_survives_reopen_without_log_tail() {
-        let (page, wal) = temp_paths("checkpoint");
-        let opts = durable_opts(&page);
-        {
-            let s = DocumentStore::create(&opts).unwrap();
-            s.insert_xml(SAMPLE).unwrap();
-            let before = std::fs::metadata(&wal).unwrap().len();
-            s.checkpoint().unwrap();
-            let after = std::fs::metadata(&wal).unwrap().len();
-            assert!(after < before, "checkpoint must shrink the log");
-            assert_eq!(s.wal_stats().unwrap().checkpoints, 1);
-        }
-        let s = DocumentStore::open(&opts).unwrap();
-        assert_eq!(s.documents().len(), 1);
-        assert_eq!(s.node_count(), 10);
-        let _ = std::fs::remove_file(&page);
-        let _ = std::fs::remove_file(&wal);
-    }
-
-    #[test]
-    fn durable_in_memory_store_logs_without_a_file() {
-        // No path → the log lives in memory; the full logging path runs
-        // (useful for measuring WAL overhead) but nothing is written out.
-        let s = DocumentStore::create(&StoreOptions::in_memory().with_durable()).unwrap();
-        s.insert_xml(SAMPLE).unwrap();
-        let stats = s.wal_stats().unwrap();
-        assert!(stats.records >= 3); // checkpoint + begin + commit
-        assert!(stats.flushes >= 1);
     }
 }

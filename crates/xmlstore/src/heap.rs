@@ -84,8 +84,8 @@ impl HeapBuilder {
 
 /// Read the content at `ptr`, fetching each page through `with_page`.
 /// `heap_base` is the page id where heap page 0 was placed in the store
-/// file. Generic over the page accessor so a sharded store can route
-/// each page to the pool shard that owns it.
+/// file. Generic over the page accessor so the store can hand out one
+/// page at a time from behind its pool lock.
 pub fn read_content_via<F>(mut with_page: F, heap_base: u32, ptr: ContentPtr) -> Result<String>
 where
     F: FnMut(PageId, &mut dyn FnMut(&[u8; PAGE_DATA_SIZE])) -> Result<()>,

@@ -317,9 +317,9 @@ impl DiskManager {
 
 /// A cloneable, thread-safe handle to one [`DiskManager`].
 ///
-/// The buffer-pool shards of a store each hold a clone; the mutex is
-/// taken only for the duration of a single page transfer, so shards
-/// faulting different pages serialize on physical I/O but nothing else.
+/// The store's buffer pool, its commit path and its log each hold a
+/// clone; the mutex is taken only for the duration of a single page
+/// transfer.
 #[derive(Clone)]
 pub struct SharedDisk(Arc<Mutex<DiskManager>>);
 

@@ -119,7 +119,7 @@ pub enum WalRecord {
     Commit {
         /// The committing transaction.
         txn: TxnId,
-        /// Serialized [`StoreMeta`](crate::document::StoreMeta) bytes.
+        /// Serialized store metadata (the `document::meta` codec).
         meta: Vec<u8>,
     },
     /// `txn` rolled back in-process (recovery also treats any
@@ -568,7 +568,7 @@ impl Wal {
     }
 }
 
-/// A shared, lockable handle to a [`Wal`]. Buffer-pool shards hold a
+/// A shared, lockable handle to a [`Wal`]. The buffer pool holds a
 /// clone so that evicting a stolen dirty frame can flush the log first.
 /// Lock order is pool → wal → disk, everywhere.
 #[derive(Clone)]

@@ -719,89 +719,16 @@ impl Rule for RollupFuseRule {
     }
 
     fn apply(&self, plan: &Plan) -> Option<Plan> {
-        let Plan::Project {
-            input,
-            pattern,
-            pl,
-            anchor_root: true,
-        } = plan
-        else {
-            return None;
-        };
-        let Plan::Aggregate {
-            input: agg_input,
-            pattern: agg_pattern,
-            func,
-            of,
-            new_tag,
-            spec,
-        } = input.as_ref()
-        else {
-            return None;
-        };
-        let Plan::GroupBy {
-            input: gb_input,
-            pattern: gb_pattern,
-            basis,
-            ordering,
-        } = agg_input.as_ref()
-        else {
-            return None;
-        };
-        if !ordering.is_empty() {
-            return None;
-        }
-
-        // The consumer must be provably blind to the member subtree.
-        let proot = pattern.root();
-        if !matches!(&pattern.node(proot).pred, Pred::Tag(t) if t == tags::GROUP_ROOT) {
-            return None;
-        }
-        for (id, node) in pattern.iter() {
-            let tag = node.pred.required_tag()?;
-            if tag == tags::GROUP_SUBROOT {
-                return None;
-            }
-            if id != proot && node.axis != Axis::Child {
-                return None;
-            }
-        }
-
-        // The aggregate must walk root → subroot → member and append its
-        // value at the group root.
-        let aroot = agg_pattern.root();
-        if *spec != UpdateSpec::AfterLastChild(aroot) {
-            return None;
-        }
-        if !matches!(&agg_pattern.node(aroot).pred, Pred::Tag(t) if t == tags::GROUP_ROOT) {
-            return None;
-        }
-        let [subroot] = agg_pattern.node(aroot).children[..] else {
-            return None;
-        };
-        if agg_pattern.node(subroot).axis != Axis::Child
-            || !matches!(&agg_pattern.node(subroot).pred, Pred::Tag(t) if t == tags::GROUP_SUBROOT)
-        {
-            return None;
-        }
-        let [member] = agg_pattern.node(subroot).children[..] else {
-            return None;
-        };
-        if agg_pattern.node(member).axis != Axis::Child {
-            return None;
-        }
-        let (member_pattern, mapping) = agg_pattern.subtree_pattern(member);
-        let of = (*mapping.get(*of)?)?;
-
-        let flat = Self::projection_is_flat_shape(pattern, pl, gb_pattern, basis, new_tag);
+        let f = fusable(plan)?;
+        let flat = f.basis.len() == 1 && f.projection_is_flat_shape();
         let rollup = Plan::Rollup {
-            input: gb_input.clone(),
-            pattern: gb_pattern.clone(),
-            basis: basis.clone(),
-            member_pattern,
-            of,
-            func: *func,
-            new_tag: new_tag.clone(),
+            input: Box::new(f.input.clone()),
+            pattern: f.gb_pattern.clone(),
+            basis: f.basis.to_vec(),
+            member_pattern: f.member_pattern,
+            of: f.of,
+            func: f.func,
+            new_tag: f.new_tag.to_owned(),
             flat,
         };
         Some(if flat {
@@ -809,49 +736,161 @@ impl Rule for RollupFuseRule {
         } else {
             Plan::Project {
                 input: Box::new(rollup),
-                pattern: pattern.clone(),
-                pl: pl.clone(),
+                pattern: f.pattern.clone(),
+                pl: f.pl.to_vec(),
                 anchor_root: true,
             }
         })
     }
 }
 
-impl RollupFuseRule {
-    /// True when the consuming projection is exactly the canonical
-    /// `root { basis-wrapper { key }, aggregate }` reshape — in which
-    /// case the rollup emits that shape directly ([`Plan::Rollup`]'s
-    /// `flat`) and the `Project` node disappears. Requires all of:
+/// A `Project ∘ Aggregate ∘ GroupBy` pipeline that passed every guard
+/// of the [`RollupFuseRule`] substitution argument, taken apart into
+/// what a fused [`Plan::Rollup`] / [`Plan::Cube`] is built from.
+struct Fusable<'a> {
+    /// The consuming projection.
+    pattern: &'a PatternTree,
+    pl: &'a [ProjectItem],
+    /// The `GroupBy`'s input, pattern and basis.
+    input: &'a Plan,
+    gb_pattern: &'a PatternTree,
+    basis: &'a [BasisItem],
+    /// The aggregate, re-anchored at the member trees.
+    member_pattern: PatternTree,
+    of: PatternNodeId,
+    func: tax::ops::aggregate::AggFunc,
+    new_tag: &'a str,
+}
+
+/// Decompose `plan` as a fusable pipeline, or `None` when its shape or
+/// any guard listed on [`RollupFuseRule`] fails.
+fn fusable(plan: &Plan) -> Option<Fusable<'_>> {
+    let Plan::Project {
+        input,
+        pattern,
+        pl,
+        anchor_root: true,
+    } = plan
+    else {
+        return None;
+    };
+    let Plan::Aggregate {
+        input: agg_input,
+        pattern: agg_pattern,
+        func,
+        of,
+        new_tag,
+        spec,
+    } = input.as_ref()
+    else {
+        return None;
+    };
+    let Plan::GroupBy {
+        input: gb_input,
+        pattern: gb_pattern,
+        basis,
+        ordering,
+    } = agg_input.as_ref()
+    else {
+        return None;
+    };
+    if !ordering.is_empty() {
+        return None;
+    }
+
+    // The consumer must be provably blind to the member subtree.
+    let proot = pattern.root();
+    if !matches!(&pattern.node(proot).pred, Pred::Tag(t) if t == tags::GROUP_ROOT) {
+        return None;
+    }
+    for (id, node) in pattern.iter() {
+        let tag = node.pred.required_tag()?;
+        if tag == tags::GROUP_SUBROOT {
+            return None;
+        }
+        if id != proot && node.axis != Axis::Child {
+            return None;
+        }
+    }
+
+    // The aggregate must walk root → subroot → member and append its
+    // value at the group root.
+    let aroot = agg_pattern.root();
+    if *spec != UpdateSpec::AfterLastChild(aroot) {
+        return None;
+    }
+    if !matches!(&agg_pattern.node(aroot).pred, Pred::Tag(t) if t == tags::GROUP_ROOT) {
+        return None;
+    }
+    let [subroot] = agg_pattern.node(aroot).children[..] else {
+        return None;
+    };
+    if agg_pattern.node(subroot).axis != Axis::Child
+        || !matches!(&agg_pattern.node(subroot).pred, Pred::Tag(t) if t == tags::GROUP_SUBROOT)
+    {
+        return None;
+    }
+    let [member] = agg_pattern.node(subroot).children[..] else {
+        return None;
+    };
+    if agg_pattern.node(member).axis != Axis::Child {
+        return None;
+    }
+    let (member_pattern, mapping) = agg_pattern.subtree_pattern(member);
+    let of = (*mapping.get(*of)?)?;
+    Some(Fusable {
+        pattern,
+        pl,
+        input: gb_input,
+        gb_pattern,
+        basis,
+        member_pattern,
+        of,
+        func: *func,
+        new_tag,
+    })
+}
+
+impl Fusable<'_> {
+    /// True when the consuming projection is exactly the canonical flat
+    /// reshape `root { basis-wrapper { key_1 … key_k }, aggregate }` over
+    /// the `k` basis items — the shape the fused kernels emit directly,
+    /// so the `Project` node can disappear. Requires all of:
     ///
-    /// * a single content-valued basis item, so the basis wrapper holds
-    ///   exactly one child: the bound key node, whose subtree the kernel
-    ///   copies verbatim (identical to the projection's deep copy);
-    /// * the pattern is exactly four nodes `root { wrapper { key }, agg }`
-    ///   with bare-`Tag` predicates: the wrapper is `TAX_grouping_basis`,
-    ///   the key tag is the basis node's required tag (every emitted
-    ///   wrapper holds exactly one child with that tag, so the key
-    ///   binding exists and is unique), and the aggregate tag is
-    ///   `new_tag` (bound iff the aggregate is defined — the flat kernel
-    ///   drops undefined groups just as the projection drops trees with
-    ///   no aggregate binding);
-    /// * the projection list is exactly `[shallow(root), deep(key),
-    ///   deep(agg)]` — a fresh shallow group root with the key subtree
-    ///   and value element appended in order, which is the flat tree.
-    fn projection_is_flat_shape(
-        pattern: &PatternTree,
-        pl: &[ProjectItem],
-        gb_pattern: &PatternTree,
-        basis: &[BasisItem],
-        new_tag: &str,
-    ) -> bool {
-        let [item] = basis else { return false };
-        if item.attr.is_some() {
+    /// * every basis item is content-valued, so the basis wrapper holds
+    ///   exactly the bound key nodes, whose subtrees the kernel copies
+    ///   verbatim (identical to the projection's deep copy);
+    /// * the pattern is exactly `3 + k` nodes
+    ///   `root { wrapper { key_1 … key_k }, agg }` with bare-`Tag`
+    ///   predicates: the wrapper is `TAX_grouping_basis`, the key tags
+    ///   are the basis nodes' required tags in basis order and pairwise
+    ///   distinct (every emitted wrapper holds exactly one child per
+    ///   tag, so each key binding exists and is unique), and the
+    ///   aggregate tag is `new_tag` (bound iff the aggregate is defined —
+    ///   the flat kernel drops undefined groups just as the projection
+    ///   drops trees with no aggregate binding);
+    /// * the projection list is exactly `[shallow(root), deep(key_1), …,
+    ///   deep(key_k), deep(agg)]` — a fresh shallow group root with the
+    ///   key subtrees and value element appended in order, which is the
+    ///   flat tree.
+    fn projection_is_flat_shape(&self) -> bool {
+        let (pattern, basis) = (self.pattern, self.basis);
+        if basis.is_empty() || basis.iter().any(|b| b.attr.is_some()) {
             return false;
         }
-        let Some(key_tag) = gb_pattern.node(item.label).pred.required_tag() else {
+        let Some(key_tags) = basis
+            .iter()
+            .map(|b| self.gb_pattern.node(b.label).pred.required_tag())
+            .collect::<Option<Vec<_>>>()
+        else {
             return false;
         };
-        if pattern.iter().count() != 4 {
+        for (i, t) in key_tags.iter().enumerate() {
+            if key_tags[..i].contains(t) {
+                return false;
+            }
+        }
+        if pattern.iter().count() != 3 + basis.len() {
             return false;
         }
         let proot = pattern.root();
@@ -861,24 +900,26 @@ impl RollupFuseRule {
         if !matches!(&pattern.node(wrapper).pred, Pred::Tag(t) if t == tags::GROUPING_BASIS) {
             return false;
         }
-        if !matches!(&pattern.node(agg).pred, Pred::Tag(t) if t == new_tag)
+        if !matches!(&pattern.node(agg).pred, Pred::Tag(t) if t == self.new_tag)
             || !pattern.node(agg).children.is_empty()
         {
             return false;
         }
-        let [key] = pattern.node(wrapper).children[..] else {
-            return false;
-        };
-        if !matches!(&pattern.node(key).pred, Pred::Tag(t) if t == key_tag)
-            || !pattern.node(key).children.is_empty()
-        {
+        let keys = &pattern.node(wrapper).children[..];
+        if keys.len() != basis.len() {
             return false;
         }
-        *pl == [
-            ProjectItem::shallow(proot),
-            ProjectItem::deep(key),
-            ProjectItem::deep(agg),
-        ]
+        for (&key, tag) in keys.iter().zip(&key_tags) {
+            if !matches!(&pattern.node(key).pred, Pred::Tag(t) if t == tag)
+                || !pattern.node(key).children.is_empty()
+            {
+                return false;
+            }
+        }
+        let mut expect = vec![ProjectItem::shallow(proot)];
+        expect.extend(keys.iter().map(|&k| ProjectItem::deep(k)));
+        expect.push(ProjectItem::deep(agg));
+        *self.pl == expect
     }
 }
 
@@ -910,17 +951,6 @@ impl RollupFuseRule {
 /// backs off and [`RollupFuseRule`] fuses the branches individually.
 pub struct CubeFuseRule;
 
-/// One analyzed cube-candidate branch.
-struct CubeBranch<'a> {
-    input: &'a Plan,
-    gb_pattern: &'a PatternTree,
-    basis: &'a [BasisItem],
-    member_pattern: PatternTree,
-    of: PatternNodeId,
-    func: tax::ops::aggregate::AggFunc,
-    new_tag: &'a str,
-}
-
 impl Rule for CubeFuseRule {
     fn name(&self) -> &'static str {
         "cube-fuse"
@@ -933,9 +963,11 @@ impl Rule for CubeFuseRule {
         if inputs.len() < 2 {
             return None;
         }
-        let branches: Vec<CubeBranch<'_>> = inputs
+        // The cube kernel only emits the flat shape, so per branch the
+        // flat projection is mandatory, not an optimization.
+        let branches: Vec<Fusable<'_>> = inputs
             .iter()
-            .map(Self::analyze_branch)
+            .map(|b| fusable(b).filter(Fusable::projection_is_flat_shape))
             .collect::<Option<Vec<_>>>()?;
         let full = branches.last().expect("at least two branches");
         if full.basis.len() != branches.len() {
@@ -967,162 +999,6 @@ impl Rule for CubeFuseRule {
             func: full.func,
             new_tag: full.new_tag.to_owned(),
         })
-    }
-}
-
-impl CubeFuseRule {
-    /// Decompose one union branch, enforcing the per-branch guards
-    /// shared with [`RollupFuseRule`] plus the mandatory multi-key flat
-    /// projection. Returns `None` when any guard fails.
-    fn analyze_branch(plan: &Plan) -> Option<CubeBranch<'_>> {
-        let Plan::Project {
-            input,
-            pattern,
-            pl,
-            anchor_root: true,
-        } = plan
-        else {
-            return None;
-        };
-        let Plan::Aggregate {
-            input: agg_input,
-            pattern: agg_pattern,
-            func,
-            of,
-            new_tag,
-            spec,
-        } = input.as_ref()
-        else {
-            return None;
-        };
-        let Plan::GroupBy {
-            input: gb_input,
-            pattern: gb_pattern,
-            basis,
-            ordering,
-        } = agg_input.as_ref()
-        else {
-            return None;
-        };
-        if !ordering.is_empty() {
-            return None;
-        }
-
-        // Consumer blindness to the member subtree (as in rollup-fuse).
-        let proot = pattern.root();
-        if !matches!(&pattern.node(proot).pred, Pred::Tag(t) if t == tags::GROUP_ROOT) {
-            return None;
-        }
-        for (id, node) in pattern.iter() {
-            let tag = node.pred.required_tag()?;
-            if tag == tags::GROUP_SUBROOT {
-                return None;
-            }
-            if id != proot && node.axis != Axis::Child {
-                return None;
-            }
-        }
-
-        // The canonical aggregate walk (as in rollup-fuse).
-        let aroot = agg_pattern.root();
-        if *spec != UpdateSpec::AfterLastChild(aroot) {
-            return None;
-        }
-        if !matches!(&agg_pattern.node(aroot).pred, Pred::Tag(t) if t == tags::GROUP_ROOT) {
-            return None;
-        }
-        let [subroot] = agg_pattern.node(aroot).children[..] else {
-            return None;
-        };
-        if agg_pattern.node(subroot).axis != Axis::Child
-            || !matches!(&agg_pattern.node(subroot).pred, Pred::Tag(t) if t == tags::GROUP_SUBROOT)
-        {
-            return None;
-        }
-        let [member] = agg_pattern.node(subroot).children[..] else {
-            return None;
-        };
-        if agg_pattern.node(member).axis != Axis::Child {
-            return None;
-        }
-        let (member_pattern, mapping) = agg_pattern.subtree_pattern(member);
-        let of = (*mapping.get(*of)?)?;
-
-        // The cube kernel only emits the flat shape, so the multi-key
-        // flat projection is mandatory here, not an optimization.
-        if !Self::projection_is_multikey_flat_shape(pattern, pl, gb_pattern, basis, new_tag) {
-            return None;
-        }
-        Some(CubeBranch {
-            input: gb_input.as_ref(),
-            gb_pattern,
-            basis,
-            member_pattern,
-            of,
-            func: *func,
-            new_tag,
-        })
-    }
-
-    /// [`RollupFuseRule::projection_is_flat_shape`] generalized to `k`
-    /// grouping keys: the pattern is exactly
-    /// `root { wrapper { key_1 … key_k }, agg }` with bare-`Tag`
-    /// predicates, the key tags are the basis nodes' required tags in
-    /// basis order (and pairwise distinct, so each key binding is
-    /// unique), and the projection list is
-    /// `[shallow(root), deep(key_1), …, deep(key_k), deep(agg)]`.
-    fn projection_is_multikey_flat_shape(
-        pattern: &PatternTree,
-        pl: &[ProjectItem],
-        gb_pattern: &PatternTree,
-        basis: &[BasisItem],
-        new_tag: &str,
-    ) -> bool {
-        if basis.is_empty() || basis.iter().any(|b| b.attr.is_some()) {
-            return false;
-        }
-        let Some(key_tags) = basis
-            .iter()
-            .map(|b| gb_pattern.node(b.label).pred.required_tag())
-            .collect::<Option<Vec<_>>>()
-        else {
-            return false;
-        };
-        for (i, t) in key_tags.iter().enumerate() {
-            if key_tags[..i].contains(t) {
-                return false;
-            }
-        }
-        if pattern.iter().count() != 3 + basis.len() {
-            return false;
-        }
-        let proot = pattern.root();
-        let [wrapper, agg] = pattern.node(proot).children[..] else {
-            return false;
-        };
-        if !matches!(&pattern.node(wrapper).pred, Pred::Tag(t) if t == tags::GROUPING_BASIS) {
-            return false;
-        }
-        if !matches!(&pattern.node(agg).pred, Pred::Tag(t) if t == new_tag)
-            || !pattern.node(agg).children.is_empty()
-        {
-            return false;
-        }
-        let keys = &pattern.node(wrapper).children[..];
-        if keys.len() != basis.len() {
-            return false;
-        }
-        for (&key, tag) in keys.iter().zip(&key_tags) {
-            if !matches!(&pattern.node(key).pred, Pred::Tag(t) if t == tag)
-                || !pattern.node(key).children.is_empty()
-            {
-                return false;
-            }
-        }
-        let mut expect = vec![ProjectItem::shallow(proot)];
-        expect.extend(keys.iter().map(|&k| ProjectItem::deep(k)));
-        expect.push(ProjectItem::deep(agg));
-        *pl == expect
     }
 }
 
