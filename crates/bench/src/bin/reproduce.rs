@@ -472,6 +472,19 @@ fn run_bench_smoke(articles: usize, on_disk: bool, analyze: bool, json_path: Opt
         );
     }
 
+    // The paper's E1 comparison. Reported, not gated: both plans run the
+    // same projection and the same output writer, so a change to either
+    // moves both sides of the ratio.
+    if let (Some(direct), Some(grouped)) = (
+        report.get("e1_titles_direct"),
+        report.get("e1_titles_groupby"),
+    ) {
+        println!(
+            "E1 direct / GROUPBY: {:.2}x (paper: 1.81x; informational)",
+            direct / grouped
+        );
+    }
+
     // Symbol-path acceptance gate: the fused rollup over dictionary
     // symbols must beat the replicated (value-materializing) grouping
     // by ≥2× at 10× scale, measured in this same run.

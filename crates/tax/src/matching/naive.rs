@@ -15,13 +15,48 @@
 //! the "simplest way … is to scan the entire database" baseline that the
 //! paper argues against (ablation X3).
 
-use super::vnode::{VNode, VTree};
+use super::vnode::{Payload, VNode, VTree};
 use super::Binding;
 use crate::error::Result;
 use crate::matching::structural::contained_in;
 use crate::pattern::{Axis, PatternTree, Pred};
 use crate::tree::{Tree, TreeNodeKind};
-use xmlstore::{DocumentStore, NodeEntry, NodeId};
+use xmlstore::{DocumentStore, Entries, NodeEntry, Sym};
+
+/// What a pattern node's predicate demands of a node's tag, resolved
+/// against the dictionary once per match instead of once per node
+/// tested.
+enum TagReq<'p> {
+    /// No top-level tag conjunct: the tag takes part in the full local
+    /// evaluation.
+    Any,
+    /// The required tag: its text, the symbol every node carrying it
+    /// has, and the stored nodes carrying it (the pinned index list).
+    Is(&'p str, Sym, Entries),
+    /// The required tag is not in the dictionary, so no node has it.
+    Unknown,
+}
+
+/// One pattern node as the matcher sees it.
+struct Probe<'p> {
+    pred: &'p Pred,
+    tag: TagReq<'p>,
+}
+
+fn probes<'p>(store: &DocumentStore, pattern: &'p PatternTree) -> Vec<Probe<'p>> {
+    pattern
+        .iter()
+        .map(|(_, n)| Probe {
+            pred: &n.pred,
+            tag: match n.pred.required_tag() {
+                None => TagReq::Any,
+                Some(t) => store.tag_id(t).map_or(TagReq::Unknown, |sym| {
+                    TagReq::Is(t, sym, store.nodes_with_tag(sym))
+                }),
+            },
+        })
+        .collect()
+}
 
 /// Match a pattern against a virtual tree by recursive embedding.
 pub fn match_vtree(
@@ -30,20 +65,21 @@ pub fn match_vtree(
     anchor_root: bool,
 ) -> Result<Vec<Binding>> {
     let order = pattern.preorder();
-    let root_pred = &pattern.node(order[0]).pred;
+    let probes = probes(vt.store(), pattern);
+    let root = &probes[order[0]];
     let mut roots: Vec<VNode> = Vec::new();
-    if check_node(vt, vt.root(), root_pred)? {
+    if check_node(vt, vt.root(), root)? {
         roots.push(vt.root());
     }
     if !anchor_root {
-        descendant_candidates(vt, vt.root(), root_pred, &mut roots)?;
+        descendant_candidates(vt, vt.root(), root, &mut roots)?;
     }
 
     let mut out: Vec<Binding> = Vec::new();
     let mut binding: Vec<Option<VNode>> = vec![None; pattern.len()];
     for r in roots {
         binding[order[0]] = Some(r);
-        assign(vt, pattern, &order, 1, &mut binding, &mut out)?;
+        assign(vt, pattern, &probes, &order, 1, &mut binding, &mut out)?;
         binding[order[0]] = None;
     }
 
@@ -67,6 +103,7 @@ pub fn match_vtree(
 fn assign(
     vt: &VTree<'_>,
     pattern: &PatternTree,
+    probes: &[Probe<'_>],
     order: &[usize],
     idx: usize,
     binding: &mut Vec<Option<VNode>>,
@@ -79,123 +116,106 @@ fn assign(
     let pid = order[idx];
     let parent = pattern.node(pid).parent.expect("non-root in preorder tail");
     let pv = binding[parent].expect("parent bound first");
-    let pred = &pattern.node(pid).pred;
     let mut candidates = Vec::new();
     match pattern.node(pid).axis {
-        Axis::Child => child_candidates(vt, pv, pred, &mut candidates)?,
-        Axis::Descendant => descendant_candidates(vt, pv, pred, &mut candidates)?,
+        Axis::Child => child_candidates(vt, pv, &probes[pid], &mut candidates)?,
+        Axis::Descendant => descendant_candidates(vt, pv, &probes[pid], &mut candidates)?,
     }
     for c in candidates {
         binding[pid] = Some(c);
-        assign(vt, pattern, order, idx + 1, binding, out)?;
+        assign(vt, pattern, probes, order, idx + 1, binding, out)?;
         binding[pid] = None;
     }
     Ok(())
 }
 
-/// Does the stored node `id` carry tag `t`? Answered from the columnar
-/// label region in O(1), with no page access.
-fn stored_has_tag(store: &DocumentStore, id: NodeId, t: &str) -> bool {
-    match store.tag_id(t) {
-        Some(tid) => store.columns().tag[id.0 as usize] == tid.0,
-        None => false,
-    }
-}
-
-/// Evaluate a predicate on a virtual node, using the index for the tag
-/// part of stored nodes.
-pub fn check_node(vt: &VTree<'_>, v: VNode, pred: &Pred) -> Result<bool> {
-    let required = pred.required_tag();
-    let stored_id = match v {
-        VNode::Stored(e) => Some(e.id),
-        VNode::Arena(i) => match &vt.tree().node(i).kind {
-            TreeNodeKind::Ref { node, .. } => Some(node.id),
-            TreeNodeKind::Elem { .. } => None,
-        },
+/// Evaluate a pattern node's predicate on a virtual node. The tag part
+/// is a symbol comparison — against the pinned label columns for stored
+/// nodes — with no page access and no string built.
+fn check_node(vt: &VTree<'_>, v: VNode, probe: &Probe<'_>) -> Result<bool> {
+    let pred = probe.pred;
+    let stored = matches!(vt.payload(v), Payload::Stored(_));
+    let resolved;
+    let tag = match &probe.tag {
+        TagReq::Unknown => return Ok(false),
+        TagReq::Is(_, sym, _) if vt.tag_sym(v) != *sym => return Ok(false),
+        // Tag matched; on a stored node the remaining local conjuncts
+        // can only be join predicates, which hold locally.
+        TagReq::Is(..) if stored && !pred.needs_data() => return Ok(true),
+        TagReq::Is(t, ..) => t,
+        // Predicates that pin no tag: a full local evaluation.
+        TagReq::Any => {
+            resolved = vt.store().dict().resolve(vt.tag_sym(v));
+            &*resolved
+        }
     };
-    match (required, stored_id) {
-        (Some(t), Some(id)) => {
-            if !stored_has_tag(vt.store(), id, t) {
-                return Ok(false);
-            }
-            if pred.needs_data() {
-                let content = vt.content(v)?;
-                let attr = |name: &str| vt.attr(v, name).ok().flatten();
-                Ok(pred.eval_local(t, content.as_deref(), &attr))
-            } else {
-                // Tag matched; remaining local conjuncts can only be join
-                // predicates, which hold locally.
-                Ok(true)
-            }
-        }
-        _ => {
-            // Arena elements (cheap tag), or predicates that pin no tag:
-            // fall back to a full local evaluation.
-            let tag = vt.tag(v)?;
-            let content = if pred.needs_data() {
-                vt.content(v)?
-            } else {
-                None
-            };
-            let attr = |name: &str| vt.attr(v, name).ok().flatten();
-            Ok(pred.eval_local(&tag, content.as_deref(), &attr))
-        }
-    }
+    let content = if pred.needs_data() {
+        vt.content(v)?
+    } else {
+        None
+    };
+    let attr = |name: &str| vt.attr(v, name).ok().flatten();
+    Ok(pred.eval_local(tag, content.as_deref(), &attr))
 }
 
 /// How a virtual node continues downward.
-enum Below {
+enum Below<'t> {
     /// Children are arena nodes.
-    Arena(Vec<usize>),
+    Arena(&'t [usize]),
     /// The node's subtree lives in the store.
     Stored(NodeEntry),
 }
 
-fn below(vt: &VTree<'_>, v: VNode) -> Result<Below> {
-    Ok(match v {
+fn below<'t>(vt: &VTree<'t>, v: VNode) -> Below<'t> {
+    match v {
         VNode::Stored(e) => Below::Stored(e),
         VNode::Arena(i) => match &vt.tree().node(i).kind {
             TreeNodeKind::Ref { node, deep: true } => Below::Stored(*node),
-            _ => Below::Arena(vt.tree().node(i).children.clone()),
+            _ => Below::Arena(&vt.tree().node(i).children),
         },
-    })
+    }
 }
 
-/// Append all descendants of `v` (excluding `v`) that satisfy `pred`, in
+/// Append all descendants of `v` (excluding `v`) that satisfy `probe`, in
 /// document order.
 fn descendant_candidates(
     vt: &VTree<'_>,
     v: VNode,
-    pred: &Pred,
+    probe: &Probe<'_>,
     out: &mut Vec<VNode>,
 ) -> Result<()> {
-    match below(vt, v)? {
+    match below(vt, v) {
         Below::Arena(children) => {
-            for c in children {
+            for &c in children {
                 let cv = VNode::Arena(c);
-                if check_node(vt, cv, pred)? {
+                if check_node(vt, cv, probe)? {
                     out.push(cv);
                 }
-                descendant_candidates(vt, cv, pred, out)?;
+                descendant_candidates(vt, cv, probe, out)?;
             }
         }
-        Below::Stored(e) => stored_range_candidates(vt, e, pred, None, out)?,
+        Below::Stored(e) => stored_range_candidates(vt, e, probe, None, out)?,
     }
     Ok(())
 }
 
-/// Append the children of `v` that satisfy `pred`, in document order.
-fn child_candidates(vt: &VTree<'_>, v: VNode, pred: &Pred, out: &mut Vec<VNode>) -> Result<()> {
-    match below(vt, v)? {
+/// Append the children of `v` that satisfy `probe`, in document order.
+fn child_candidates(
+    vt: &VTree<'_>,
+    v: VNode,
+    probe: &Probe<'_>,
+    out: &mut Vec<VNode>,
+) -> Result<()> {
+    match below(vt, v) {
         Below::Arena(children) => {
-            for c in children {
+            for &c in children {
                 let cv = VNode::Arena(c);
-                if check_node(vt, cv, pred)? {
+                if check_node(vt, cv, probe)? {
                     out.push(cv);
                 }
             }
         }
-        Below::Stored(e) => stored_range_candidates(vt, e, pred, Some(e.level + 1), out)?,
+        Below::Stored(e) => stored_range_candidates(vt, e, probe, Some(e.level + 1), out)?,
     }
     Ok(())
 }
@@ -206,23 +226,24 @@ fn child_candidates(vt: &VTree<'_>, v: VNode, pred: &Pred, out: &mut Vec<VNode>)
 fn stored_range_candidates(
     vt: &VTree<'_>,
     scope: NodeEntry,
-    pred: &Pred,
+    probe: &Probe<'_>,
     level: Option<u16>,
     out: &mut Vec<VNode>,
 ) -> Result<()> {
-    let store = vt.store();
-    if let Some(t) = pred.required_tag() {
-        let Some(tid) = store.tag_id(t) else {
-            return Ok(());
-        };
-        for entry in contained_in(&store.nodes_with_tag(tid), &scope) {
+    let index = match &probe.tag {
+        TagReq::Unknown => return Ok(()),
+        TagReq::Is(_, _, index) => Some(index),
+        TagReq::Any => None,
+    };
+    if let Some(index) = index {
+        for entry in contained_in(index, &scope) {
             if let Some(l) = level {
                 if entry.level != l {
                     continue;
                 }
             }
             let cand = VNode::Stored(*entry);
-            if !pred.needs_data() || check_node(vt, cand, pred)? {
+            if !probe.pred.needs_data() || check_node(vt, cand, probe)? {
                 out.push(cand);
             }
         }
@@ -236,7 +257,7 @@ fn stored_range_candidates(
                 Some(l) => v.as_stored().map(|e| e.level == l).unwrap_or(false),
                 None => true,
             };
-            if ok && check_node(vt, v, pred)? {
+            if ok && check_node(vt, v, probe)? {
                 out.push(v);
             }
         }

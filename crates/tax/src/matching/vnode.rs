@@ -4,7 +4,8 @@
 
 use crate::error::Result;
 use crate::tree::{Tree, TreeNodeId, TreeNodeKind};
-use xmlstore::{DocumentStore, NodeEntry, NodeId, NodeKind, Sym};
+use std::sync::Arc;
+use xmlstore::{DocumentStore, NodeColumns, NodeEntry, NodeId, NodeKind, Sym};
 
 /// A node of the *virtual* data tree: either an arena node of the
 /// in-memory [`Tree`], or a stored node reached through a deep reference.
@@ -35,16 +36,23 @@ impl VNode {
 }
 
 /// A read view over one in-memory tree plus the store behind its
-/// references.
+/// references. The store's label columns are pinned once, at
+/// construction, so every structural question about a stored node —
+/// tag, children, content symbol, attribute symbol — is an array read.
 pub struct VTree<'a> {
     store: &'a DocumentStore,
     tree: &'a Tree,
+    cols: Arc<NodeColumns>,
 }
 
 impl<'a> VTree<'a> {
     /// Wrap a tree.
     pub fn new(store: &'a DocumentStore, tree: &'a Tree) -> Self {
-        VTree { store, tree }
+        VTree {
+            store,
+            tree,
+            cols: store.columns(),
+        }
     }
 
     /// The underlying store.
@@ -53,7 +61,7 @@ impl<'a> VTree<'a> {
     }
 
     /// The underlying tree.
-    pub fn tree(&self) -> &Tree {
+    pub fn tree(&self) -> &'a Tree {
         self.tree
     }
 
@@ -62,10 +70,25 @@ impl<'a> VTree<'a> {
         VNode::Arena(self.tree.root())
     }
 
+    /// What `v` is made of: the stored node it stands for, or a
+    /// constructed element's symbols.
+    pub(crate) fn payload(&self, v: VNode) -> Payload {
+        match v {
+            VNode::Stored(e) => Payload::Stored(e.id),
+            VNode::Arena(i) => match &self.tree.node(i).kind {
+                TreeNodeKind::Ref { node, .. } => Payload::Stored(node.id),
+                TreeNodeKind::Elem { tag, content } => Payload::Elem {
+                    tag: *tag,
+                    content: *content,
+                },
+            },
+        }
+    }
+
     /// Children of a stored node via the columnar label region: no page
     /// access, attributes filtered out.
     fn stored_children(&self, id: NodeId) -> Vec<VNode> {
-        let cols = self.store.columns();
+        let cols = &*self.cols;
         cols.child_ids(id)
             .filter(|c| cols.kind[c.0 as usize] != NodeKind::Attribute)
             .map(|c| VNode::Stored(cols.entry(c)))
@@ -117,9 +140,9 @@ impl<'a> VTree<'a> {
     /// Tag symbol of a virtual node (columnar for stored nodes — no page
     /// access).
     pub fn tag_sym(&self, v: VNode) -> Sym {
-        match v {
-            VNode::Arena(i) => self.tree.tag_sym_of(self.store, i),
-            VNode::Stored(e) => Sym(self.store.columns().tag[e.id.0 as usize]),
+        match self.payload(v) {
+            Payload::Stored(id) => Sym(self.cols.tag[id.0 as usize]),
+            Payload::Elem { tag, .. } => tag,
         }
     }
 
@@ -140,12 +163,9 @@ impl<'a> VTree<'a> {
     /// page access. This is the grouping-key fast path: a key is a
     /// fixed-width sequence of these symbols.
     pub fn content_sym(&self, v: VNode) -> Option<Sym> {
-        match v {
-            VNode::Arena(i) => match &self.tree.node(i).kind {
-                TreeNodeKind::Elem { content, .. } => *content,
-                TreeNodeKind::Ref { node, .. } => self.store.content_sym(node.id),
-            },
-            VNode::Stored(e) => self.store.content_sym(e.id),
+        match self.payload(v) {
+            Payload::Stored(id) => self.cols.content_sym(id).map(Sym),
+            Payload::Elem { content, .. } => content,
         }
     }
 
@@ -157,20 +177,28 @@ impl<'a> VTree<'a> {
     }
 
     /// Attribute value of a virtual node as a content symbol, from the
-    /// columnar region — no page access.
+    /// columnar region — no page access. Constructed elements carry no
+    /// attributes.
     pub fn attr_sym(&self, v: VNode, name: &str) -> Option<Sym> {
-        let stored_attr = |id: NodeId| -> Option<Sym> {
-            let attr_tag = self.store.attr_tag_id(name)?;
-            self.store.columns().attr_sym(id, attr_tag.0).map(Sym)
+        let Payload::Stored(id) = self.payload(v) else {
+            return None;
         };
-        match v {
-            VNode::Arena(i) => match &self.tree.node(i).kind {
-                TreeNodeKind::Ref { node, .. } => stored_attr(node.id),
-                TreeNodeKind::Elem { .. } => None,
-            },
-            VNode::Stored(e) => stored_attr(e.id),
-        }
+        let attr_tag = self.store.attr_tag_id(name)?;
+        self.cols.attr_sym(id, attr_tag.0).map(Sym)
     }
+}
+
+/// The two things a virtual node can be made of.
+pub(crate) enum Payload {
+    /// A stored node, met directly or through a reference.
+    Stored(NodeId),
+    /// A constructed element.
+    Elem {
+        /// Its tag.
+        tag: Sym,
+        /// Its content, if any.
+        content: Option<Sym>,
+    },
 }
 
 #[cfg(test)]

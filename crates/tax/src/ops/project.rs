@@ -6,14 +6,22 @@
 //! preserved. One input tree contributes zero output trees (no witness),
 //! one, or several (when the retained nodes have no ancestor-descendant
 //! relationship among them).
+//!
+//! The forest is built from node identifiers alone (Sec. 5.3), with
+//! arrays and sorts in place of per-tree hash maps: an arena DFS ranks
+//! the arena nodes, selected arena nodes are flagged by arena id,
+//! selected stored nodes are sorted by `start`, merged, and placed by
+//! binary search among the tree's references (see [`project_one`]), and
+//! the distinct nodes in rank order feed one containment stack.
 
 use crate::error::Result;
 use crate::matching::match_tree;
 use crate::matching::vnode::VNode;
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tree::{Collection, Tree, TreeNodeKind};
+#[cfg(test)]
 use std::collections::HashMap;
-use xmlstore::DocumentStore;
+use xmlstore::{DocumentStore, NodeEntry};
 
 /// Composite rank used to order and nest mixed arena/stored nodes.
 type VKey = (u32, u32);
@@ -64,6 +72,227 @@ pub fn project(
 /// this in a loop — exposed for the fused select→project kernel and the
 /// streaming executor, which batch over trees.
 pub fn project_one(
+    store: &DocumentStore,
+    tree: &Tree,
+    pattern: &PatternTree,
+    pl: &[ProjectItem],
+    anchor_root: bool,
+    out: &mut Vec<Tree>,
+) -> Result<()> {
+    let bindings = match_tree(store, tree, pattern, anchor_root)?;
+    if bindings.is_empty() {
+        return Ok(());
+    }
+    // Union of selected nodes over all embeddings; deep wins. Arena nodes
+    // are flagged in place, stored nodes collected to be sorted.
+    let mut arena_sel = vec![0u8; tree.len()];
+    let mut stored: Vec<(NodeEntry, bool)> = Vec::new();
+    for b in &bindings {
+        for item in pl {
+            match b[item.label] {
+                VNode::Arena(i) => arena_sel[i] |= selected(item.deep),
+                VNode::Stored(e) => stored.push((e, item.deep)),
+            }
+        }
+    }
+
+    // Give every selected node an (enter, exit) rank so mixed
+    // arena/stored containment can be decided uniformly — entirely from
+    // labels, touching no data pages (identifier processing, Sec. 5.3):
+    // arena node `i` ranks `((enter, 0), (exit, 0))` by DFS counters; a
+    // stored node inside a deep reference ranks `((ref_enter, start),
+    // (ref_enter, end))`, which nests between the reference's enter and
+    // exit.
+    let ranks = arena_ranks(tree);
+    let mut nodes: Vec<Selected> = Vec::new();
+    if !stored.is_empty() {
+        let refs = RefIndex::new(tree, &ranks);
+        stored.sort_unstable_by_key(|(e, _)| e.start);
+        let mut k = 0;
+        while k < stored.len() {
+            let (e, mut deep) = stored[k];
+            k += 1;
+            while k < stored.len() && stored[k].0.start == e.start {
+                deep |= stored[k].1;
+                k += 1;
+            }
+            if let Some(i) = refs.referencing(&e) {
+                // A stored node that *is* a reference's target aliases
+                // that arena node.
+                arena_sel[i] |= selected(deep);
+            } else if let Some(owner) = refs.enclosing(&e) {
+                nodes.push(Selected {
+                    enter: (owner, e.start),
+                    exit: (owner, e.end),
+                    node: VNode::Stored(e),
+                    deep,
+                });
+            }
+        }
+    }
+    for (i, &sel) in arena_sel.iter().enumerate() {
+        if sel != 0 {
+            nodes.push(Selected {
+                enter: (ranks[i].0, 0),
+                exit: (ranks[i].1, 0),
+                node: VNode::Arena(i),
+                deep: sel & DEEP != 0,
+            });
+        }
+    }
+    // Selected nodes in document order.
+    nodes.sort_unstable_by_key(|n| n.enter);
+
+    // Build the forest with a containment stack. Each maximal node roots
+    // its own output tree; a selected node nested under a *deep* selected
+    // node is already part of that subtree and is skipped.
+    let mut stack: Vec<(VKey, usize, usize, bool)> = Vec::new(); // (exit, tree idx in out, arena id, deep)
+    for n in nodes {
+        while stack.last().is_some_and(|top| top.0 < n.enter) {
+            stack.pop();
+        }
+        match stack.last() {
+            None => {
+                out.push(Tree::from_vnode(Some(tree), n.node, n.deep));
+                stack.push((n.exit, out.len() - 1, 0, n.deep));
+            }
+            Some(&(_, tidx, parent_arena, parent_deep)) => {
+                if parent_deep {
+                    // Already inside a kept subtree.
+                    continue;
+                }
+                let kind = Tree::vnode_kind(Some(tree), n.node, n.deep);
+                let arena = out[tidx].add_node(parent_arena, kind);
+                stack.push((n.exit, tidx, arena, n.deep));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Selection flags of an arena node; OR-ing two selections keeps the
+/// deeper one.
+const DEEP: u8 = 2;
+
+fn selected(deep: bool) -> u8 {
+    1 | if deep { DEEP } else { 0 }
+}
+
+/// One distinct selected node with its composite rank.
+struct Selected {
+    enter: VKey,
+    exit: VKey,
+    node: VNode,
+    deep: bool,
+}
+
+/// DFS `(enter, exit)` counters of every arena node, indexed by arena id.
+fn arena_ranks(tree: &Tree) -> Vec<(u32, u32)> {
+    let mut ranks = vec![(0u32, 0u32); tree.len()];
+    let mut counter = 1u32;
+    let mut path = vec![(tree.root(), 0usize)]; // (node, children entered)
+    while let Some((i, k)) = path.last_mut() {
+        match tree.node(*i).children.get(*k) {
+            Some(&c) => {
+                *k += 1;
+                ranks[c].0 = counter;
+                path.push((c, 0));
+            }
+            None => {
+                ranks[*i].1 = counter;
+                path.pop();
+            }
+        }
+        counter += 1;
+    }
+    ranks
+}
+
+/// The tree's references ordered by the `start` label of their targets,
+/// so that which reference a stored node belongs to is a binary search.
+struct RefIndex {
+    /// Every reference as `(start, enter, arena id)`, sorted.
+    all: Vec<(u32, u32, usize)>,
+    /// The deep references, one per distinct target, sorted by `start`.
+    deep: Vec<DeepRef>,
+}
+
+struct DeepRef {
+    start: u32,
+    end: u32,
+    enter: u32,
+    /// The nearest deep reference whose target contains this one's.
+    parent: Option<usize>,
+}
+
+impl RefIndex {
+    fn new(tree: &Tree, ranks: &[(u32, u32)]) -> Self {
+        let mut all = Vec::new();
+        let mut deep = Vec::new(); // (start, exit, end, enter)
+        for (i, &(enter, exit)) in ranks.iter().enumerate() {
+            if let TreeNodeKind::Ref {
+                node,
+                deep: is_deep,
+            } = &tree.node(i).kind
+            {
+                all.push((node.start, enter, i));
+                if *is_deep {
+                    deep.push((node.start, exit, node.end, enter));
+                }
+            }
+        }
+        all.sort_unstable();
+        // Of several deep references to one target, the one the DFS
+        // leaves first owns the nodes below it.
+        deep.sort_unstable();
+        deep.dedup_by_key(|d| d.0);
+        // Stored regions nest or are disjoint, so one pass with a stack
+        // of open regions links each reference to the one around it.
+        let mut linked: Vec<DeepRef> = Vec::with_capacity(deep.len());
+        let mut open: Vec<usize> = Vec::new();
+        for (start, _, end, enter) in deep {
+            while open.last().is_some_and(|&o| linked[o].end < start) {
+                open.pop();
+            }
+            open.push(linked.len());
+            linked.push(DeepRef {
+                start,
+                end,
+                enter,
+                parent: open.len().checked_sub(2).map(|p| open[p]),
+            });
+        }
+        RefIndex { all, deep: linked }
+    }
+
+    /// The arena node referencing exactly `e` (the last in document
+    /// order, if several do).
+    fn referencing(&self, e: &NodeEntry) -> Option<usize> {
+        let after = self.all.partition_point(|r| r.0 <= e.start);
+        let &(start, _, i) = self.all.get(after.checked_sub(1)?)?;
+        (start == e.start).then_some(i)
+    }
+
+    /// The `enter` rank of the innermost deep reference whose target
+    /// properly contains `e`: when two references could both claim a
+    /// stored node (nested targets), the narrower — innermost — wins.
+    fn enclosing(&self, e: &NodeEntry) -> Option<u32> {
+        let before = self.deep.partition_point(|d| d.start < e.start);
+        let mut at = before.checked_sub(1);
+        while let Some(d) = at.map(|i| &self.deep[i]) {
+            if e.start < d.end {
+                return Some(d.enter);
+            }
+            at = d.parent;
+        }
+        None
+    }
+}
+
+/// Projection by hash maps: the reference implementation the property
+/// tests hold [`project_one`] against.
+#[cfg(test)]
+fn project_one_reference(
     store: &DocumentStore,
     tree: &Tree,
     pattern: &PatternTree,
@@ -145,8 +374,6 @@ pub fn project_one(
     // its own output tree; a selected node nested under a *deep* selected
     // node is already part of that subtree and is skipped.
     let mut stack: Vec<(VNode, usize, usize, bool)> = Vec::new(); // (vnode, tree idx in out, arena id, deep)
-    let mut roots: Vec<usize> = Vec::new(); // indices into out
-    let base = out.len();
     for (v, deep) in nodes {
         let (enter, _) = intervals[&v];
         while let Some(&(top, _, _, _)) = stack.last() {
@@ -159,9 +386,7 @@ pub fn project_one(
         match stack.last() {
             None => {
                 out.push(Tree::from_vnode(Some(tree), v, deep));
-                let idx = out.len() - 1;
-                roots.push(idx);
-                stack.push((v, idx, 0, deep));
+                stack.push((v, out.len() - 1, 0, deep));
             }
             Some(&(_, tidx, parent_arena, parent_deep)) => {
                 if parent_deep {
@@ -174,17 +399,16 @@ pub fn project_one(
             }
         }
     }
-    let _ = base;
-    let _ = roots;
     Ok(())
 }
 
-/// Arena DFS assigning composite ranks: arena node `i` gets
+/// Arena DFS assigning composite ranks (reference implementation): arena node `i` gets
 /// `((enter, 0), (exit, 0))`; every selected stored node inside a deep
 /// reference gets `((ref_enter, start), (ref_enter, end))`, which nests
 /// correctly between the reference's enter and exit. When two references
 /// could both claim a stored node (nested targets), the narrower —
 /// innermost — reference wins.
+#[cfg(test)]
 fn arena_intervals(
     tree: &Tree,
     i: usize,
@@ -356,5 +580,202 @@ mod tests {
         let e = projected[0].materialize(&s).unwrap();
         assert_eq!(e.name, "keep");
         assert_eq!(e.child("inner").unwrap().text(), "deep");
+    }
+
+    /// A library three levels deep, so references can nest inside one
+    /// another's stored ranges.
+    const LIBRARY: &str = "<lib>\
+        <shelf><book><title>A</title><author>X</author><author>Y</author></book>\
+        <book><title>B</title><author>X</author></book></shelf>\
+        <shelf><book><title>C</title><note>n <b>bold</b> m</note></book><loose>L</loose></shelf>\
+    </lib>";
+
+    /// Both implementations on one input; the new one must reproduce the
+    /// reference's forest exactly.
+    fn assert_same_projection(
+        s: &DocumentStore,
+        tree: &Tree,
+        pattern: &PatternTree,
+        pl: &[ProjectItem],
+        anchor_root: bool,
+    ) -> Vec<Tree> {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        project_one(s, tree, pattern, pl, anchor_root, &mut got).unwrap();
+        project_one_reference(s, tree, pattern, pl, anchor_root, &mut want).unwrap();
+        assert_eq!(got, want, "PL {pl:?} anchor={anchor_root} over {tree:?}");
+        got
+    }
+
+    fn stored_elements(s: &DocumentStore) -> Vec<NodeEntry> {
+        let cols = s.columns();
+        (1..cols.len() as u32)
+            .filter(|&i| cols.kind[i as usize] == xmlstore::NodeKind::Element)
+            .map(|i| cols.entry(xmlstore::NodeId(i)))
+            .collect()
+    }
+
+    #[test]
+    fn nested_aliased_and_doubly_selected_nodes_match_the_reference() {
+        let s = DocumentStore::from_xml(LIBRARY, &StoreOptions::in_memory()).unwrap();
+        let rows = stored_elements(&s);
+        let by_tag =
+            |t: &str| -> Vec<NodeEntry> { s.nodes_with_tag(s.tag_id(t).unwrap()).to_vec() };
+        let (shelf, book, title) = (by_tag("shelf")[0], by_tag("book")[0], by_tag("title")[0]);
+        assert!(shelf.is_ancestor_of(&book) && book.is_ancestor_of(&title));
+        // wrap{ shelf*, book* (inside shelf's range), title (a target
+        // inside both), book* again, elem{ title* } }
+        let mut t = Tree::new_elem(s.dict(), "wrap");
+        t.add_ref(0, shelf, true);
+        t.add_ref(0, book, true);
+        t.add_ref(0, title, false);
+        t.add_ref(0, book, true);
+        let e = t.add_elem(s.dict(), 0, "e");
+        t.add_ref(e, title, true);
+        assert!(rows.len() > 10);
+
+        // Every ancestor/descendant pair, each end shallow and deep —
+        // the two `ad` children select the same nodes at both depths.
+        let mut p = PatternTree::with_root(Pred::True);
+        let a = p.add_child(p.root(), Axis::Descendant, Pred::True);
+        let b = p.add_child(p.root(), Axis::Descendant, Pred::True);
+        for pl in [
+            vec![ProjectItem::shallow(a)],
+            vec![ProjectItem::deep(a)],
+            vec![ProjectItem::shallow(a), ProjectItem::deep(b)],
+            vec![ProjectItem::shallow(p.root()), ProjectItem::shallow(a)],
+            vec![ProjectItem::deep(p.root()), ProjectItem::shallow(b)],
+        ] {
+            for anchor in [false, true] {
+                let out = assert_same_projection(&s, &t, &p, &pl, anchor);
+                assert!(!out.is_empty());
+            }
+        }
+        // The narrower reference owns a node both could claim: the
+        // authors of `book` hang under the `book*` reference, not under
+        // `shelf*`, and `title` is the arena reference it aliases.
+        let mut p = PatternTree::with_root(Pred::tag("wrap"));
+        let au = p.add_child(p.root(), Axis::Descendant, Pred::tag("author"));
+        let ti = p.add_child(p.root(), Axis::Descendant, Pred::tag("title"));
+        let bk = p.add_child(p.root(), Axis::Child, Pred::tag("book"));
+        let pl = [
+            ProjectItem::shallow(p.root()),
+            ProjectItem::shallow(bk),
+            ProjectItem::shallow(au),
+            ProjectItem::shallow(ti),
+        ];
+        let out = assert_same_projection(&s, &t, &p, &pl, true);
+        assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn random_arena_trees_match_the_reference() {
+        use smallrand::prop::{check, Gen};
+        let s = DocumentStore::from_xml(LIBRARY, &StoreOptions::in_memory()).unwrap();
+        let rows = stored_elements(&s);
+
+        fn grow(
+            g: &mut Gen,
+            s: &DocumentStore,
+            rows: &[NodeEntry],
+            t: &mut Tree,
+            at: usize,
+            depth: usize,
+        ) {
+            if depth == 0 {
+                return;
+            }
+            for _ in 0..g.usize_in(0, 3) {
+                let id = match g.usize_in(0, 3) {
+                    0 => t.add_elem(s.dict(), at, *g.pick(&["e", "f"])),
+                    1 => t.add_elem_with_content(s.dict(), at, "e", "v"),
+                    _ => {
+                        // Often a node inside an earlier deep reference's
+                        // range, or that reference's own target again.
+                        let earlier: Vec<NodeEntry> = t
+                            .preorder()
+                            .iter()
+                            .filter_map(|&i| match &t.node(i).kind {
+                                TreeNodeKind::Ref { node, deep: true } => Some(*node),
+                                _ => None,
+                            })
+                            .collect();
+                        let inside: Vec<NodeEntry> = rows
+                            .iter()
+                            .filter(|r| earlier.iter().any(|e| e.contains(r)))
+                            .copied()
+                            .collect();
+                        let node = if !inside.is_empty() && g.bool() {
+                            *g.pick(&inside)
+                        } else {
+                            *g.pick(rows)
+                        };
+                        t.add_ref(at, node, g.bool())
+                    }
+                };
+                grow(g, s, rows, t, id, depth - 1);
+            }
+        }
+
+        check("random_arena_trees_match_the_reference", 300, |g| {
+            let mut t = Tree::new_elem(s.dict(), "top");
+            grow(g, &s, &rows, &mut t, 0, 3);
+            let mut p = PatternTree::with_root(Pred::True);
+            let a = p.add_child(p.root(), Axis::Descendant, Pred::True);
+            let b = match g.usize_in(0, 2) {
+                0 => p.add_child(p.root(), Axis::Descendant, Pred::True),
+                1 => p.add_child(a, Axis::Child, Pred::True),
+                _ => p.add_child(a, Axis::Descendant, Pred::tag("author")),
+            };
+            let mut pl = Vec::new();
+            for label in [p.root(), a, b] {
+                if g.bool() {
+                    pl.push(ProjectItem {
+                        label,
+                        deep: g.bool(),
+                    });
+                }
+            }
+            if g.bool() {
+                // One node at both depths.
+                pl.push(ProjectItem::shallow(a));
+                pl.push(ProjectItem::deep(a));
+            }
+            assert_same_projection(&s, &t, &p, &pl, g.bool());
+        });
+    }
+
+    #[test]
+    fn a_group_of_five_thousand_members_projects_in_one_pass() {
+        // A Zipf-head group: every lookup per member must be a binary
+        // search — a scan over the members per member is 25 million
+        // steps here and shows up as test time.
+        const MEMBERS: usize = 5_000;
+        let mut xml = String::from("<bib>");
+        for i in 0..MEMBERS {
+            xml.push_str(&format!(
+                "<article><title>T{i}</title><author>Head</author></article>"
+            ));
+        }
+        xml.push_str("</bib>");
+        let s = DocumentStore::from_xml(&xml, &StoreOptions::in_memory()).unwrap();
+        let mut group = Tree::new_elem(s.dict(), "TAX_group_root");
+        let sub = group.add_elem(s.dict(), 0, "TAX_group_subroot");
+        for a in s.nodes_with_tag(s.tag_id("article").unwrap()) {
+            group.add_ref(sub, a, true);
+        }
+        let mut p = PatternTree::with_root(Pred::tag("TAX_group_root"));
+        let sr = p.add_child(p.root(), Axis::Child, Pred::tag("TAX_group_subroot"));
+        let art = p.add_child(sr, Axis::Child, Pred::tag("article"));
+        let title = p.add_child(art, Axis::Child, Pred::tag("title"));
+        let pl = [ProjectItem::shallow(p.root()), ProjectItem::deep(title)];
+        let out = assert_same_projection(&s, &group, &p, &pl, true);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].len(), MEMBERS + 1);
+        // And with the members themselves selected shallow, the titles
+        // nest one under each.
+        let pl = [ProjectItem::shallow(art), ProjectItem::deep(title)];
+        let out = assert_same_projection(&s, &group, &p, &pl, true);
+        assert_eq!(out.len(), MEMBERS);
+        assert!(out.iter().all(|t| t.len() == 2));
     }
 }

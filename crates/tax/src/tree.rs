@@ -8,6 +8,14 @@
 //! identifiers, and data pages are touched only for the values an operator
 //! actually needs.
 //!
+//! Data population is one walk with two receivers: [`Tree::write_xml`]
+//! appends a tree's XML text to a `String`, [`Tree::materialize`] builds
+//! the DOM element of the same bytes. Constructed elements are reported
+//! from their symbols; a reference goes through the store's walk over
+//! its label columns ([`DocumentStore::emit_open`]) and takes the node's
+//! arena children before it closes. A data page is requested only for a
+//! stored value that is written.
+//!
 //! Constructed nodes carry dictionary [`Sym`]s, not strings: tags like
 //! `TAX_group_root` and computed values are interned once into the
 //! store's unified dictionary and resolved back to text only at
@@ -18,7 +26,7 @@
 use crate::error::Result;
 use crate::matching::vnode::VNode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use xmlstore::{Dictionary, DocumentStore, NodeEntry, NodeKind, Sym};
+use xmlstore::{Dictionary, DocumentStore, NodeEntry, Sym};
 
 /// A collection of data trees — what every TAX operator consumes and
 /// produces.
@@ -335,8 +343,7 @@ impl Tree {
         src: TreeNodeId,
     ) -> TreeNodeId {
         let new_id = self.add_node(parent, other.nodes[src].kind.clone());
-        let src_children = other.nodes[src].children.clone();
-        for c in src_children {
+        for &c in &other.nodes[src].children {
             self.append_subtree(new_id, other, c);
         }
         new_id
@@ -410,45 +417,45 @@ impl Tree {
         store: &DocumentStore,
         id: TreeNodeId,
     ) -> Result<xmlparse::Element> {
+        let mut dom = xmlparse::ElementBuilder::new();
+        self.emit(store, id, &mut dom)?;
+        Ok(dom.finish())
+    }
+
+    /// Append the tree's XML text to `out` — the same bytes as
+    /// serializing [`materialize`](Self::materialize), with no DOM in
+    /// between.
+    pub fn write_xml(&self, store: &DocumentStore, out: &mut String) -> Result<()> {
+        self.emit(store, self.root(), &mut xmlparse::XmlWriter::new(out))
+    }
+
+    /// Report the subtree at arena node `id` to `sink`: a constructed
+    /// element from its symbols, a reference through the store's column
+    /// walk (its stored subtree too when deep), then — inside either —
+    /// the node's arena children.
+    fn emit(
+        &self,
+        store: &DocumentStore,
+        id: TreeNodeId,
+        sink: &mut impl xmlparse::XmlSink,
+    ) -> Result<()> {
         let node = &self.nodes[id];
-        let mut elem = match &node.kind {
+        let name = match &node.kind {
             TreeNodeKind::Elem { tag, content } => {
-                let mut e = xmlparse::Element::new(&*store.dict().resolve(*tag));
+                let name = store.dict().resolve(*tag);
+                sink.open(&name);
                 if let Some(c) = content {
-                    e.children.push(xmlparse::XmlNode::Text(
-                        store.dict().resolve(*c).to_string(),
-                    ));
+                    sink.text((&*store.dict().resolve(*c)).into());
                 }
-                e
+                name
             }
-            TreeNodeKind::Ref { node: nid, deep } => {
-                if *deep {
-                    store.materialize(nid.id)?
-                } else {
-                    // Shallow: tag, attributes and content only; arena
-                    // children are appended below.
-                    let rec = store.record(nid.id)?;
-                    let mut e = xmlparse::Element::new(&*store.tag_name(rec.tag));
-                    for child in store.children(nid.id)? {
-                        let crec = store.record(child)?;
-                        if crec.kind == NodeKind::Attribute {
-                            let name = store.tag_name(crec.tag).trim_start_matches('@').to_owned();
-                            let value = store.content(child)?.unwrap_or_default();
-                            e.attributes.push((name, value));
-                        }
-                    }
-                    if let Some(c) = store.content(nid.id)? {
-                        e.children.push(xmlparse::XmlNode::Text(c));
-                    }
-                    e
-                }
-            }
+            TreeNodeKind::Ref { node: stored, deep } => store.emit_open(stored.id, *deep, sink)?,
         };
         for &c in &node.children {
-            elem.children
-                .push(xmlparse::XmlNode::Element(self.materialize_node(store, c)?));
+            self.emit(store, c, sink)?;
         }
-        Ok(elem)
+        sink.close(&name);
+        Ok(())
     }
 }
 

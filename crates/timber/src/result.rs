@@ -43,11 +43,14 @@ impl QueryResult {
             .collect()
     }
 
-    /// Serialize the whole result, one tree per line.
+    /// Serialize the whole result, one tree per line, straight from the
+    /// trees and the store — the bytes of [`elements_on`](Self::elements_on)
+    /// serialized, without building the elements. An error mid-way
+    /// returns no partial text.
     pub fn to_xml_on(&self, store: &DocumentStore) -> Result<String> {
         let mut out = String::new();
-        for e in self.elements_on(store)? {
-            out.push_str(&xmlparse::serialize::element_to_string(&e));
+        for t in &self.trees {
+            t.write_xml(store, &mut out)?;
             out.push('\n');
         }
         Ok(out)

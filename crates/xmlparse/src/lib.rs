@@ -36,8 +36,10 @@ pub mod error;
 pub mod lexer;
 pub mod parser;
 pub mod serialize;
+pub mod sink;
 
 pub use dom::{Document, Element, XmlNode};
 pub use error::{ParseError, Result};
 pub use parser::parse_document;
 pub use serialize::{to_string, to_string_pretty};
+pub use sink::{ElementBuilder, XmlSink, XmlWriter};

@@ -43,7 +43,7 @@ fn write_element(out: &mut String, elem: &Element, indent: Option<usize>) {
     out.push('<');
     out.push_str(&elem.name);
     for (name, value) in &elem.attributes {
-        let _ = write!(out, " {}=\"{}\"", name, escape_attr(value));
+        push_attr(out, name, value);
     }
     if elem.children.is_empty() {
         out.push_str("/>");
@@ -65,7 +65,7 @@ fn write_element(out: &mut String, elem: &Element, indent: Option<usize>) {
                 }
                 write_element(out, e, child_indent);
             }
-            XmlNode::Text(t) => out.push_str(&escape_text(t)),
+            XmlNode::Text(t) => push_escaped_text(out, t),
             XmlNode::Comment(c) => {
                 if let Some(depth) = child_indent {
                     out.push('\n');
@@ -90,38 +90,56 @@ fn write_element(out: &mut String, elem: &Element, indent: Option<usize>) {
     out.push('>');
 }
 
+/// Append `s` to `out`, copying the runs that need no escaping whole.
+/// This is the one escaping table: `& < >` always, `"` when `quote`.
+fn push_escaped(out: &mut String, s: &str, quote: bool) {
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if quote => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&s[copied..i]);
+        out.push_str(entity);
+        copied = i + 1;
+    }
+    out.push_str(&s[copied..]);
+}
+
+/// Append character data to `out`, escaping `& < >`.
+pub fn push_escaped_text(out: &mut String, s: &str) {
+    push_escaped(out, s, false);
+}
+
+/// Append an attribute value for double-quoted output to `out`,
+/// escaping `& < > "`.
+pub fn push_escaped_attr(out: &mut String, s: &str) {
+    push_escaped(out, s, true);
+}
+
+/// Append ` name="value"` to `out`, the value escaped.
+pub(crate) fn push_attr(out: &mut String, name: &str, value: &str) {
+    out.push(' ');
+    out.push_str(name);
+    out.push_str("=\"");
+    push_escaped_attr(out, value);
+    out.push('"');
+}
+
 /// Escape character data: `& < >`.
 pub fn escape_text(s: &str) -> String {
-    if !s.contains(['&', '<', '>']) {
-        return s.to_owned();
-    }
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
-    }
+    let mut out = String::with_capacity(s.len());
+    push_escaped_text(&mut out, s);
     out
 }
 
 /// Escape an attribute value for double-quoted output: `& < > "`.
 pub fn escape_attr(s: &str) -> String {
-    if !s.contains(['&', '<', '>', '"']) {
-        return s.to_owned();
-    }
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
+    let mut out = String::with_capacity(s.len());
+    push_escaped_attr(&mut out, s);
     out
 }
 

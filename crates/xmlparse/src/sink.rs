@@ -1,0 +1,171 @@
+//! Element events and their two receivers.
+//!
+//! A producer that already knows a tree's shape — the store walking its
+//! label columns, a query result walking its arena — reports it as
+//! `open` / `attr` / `text` / `close` calls in document order. An
+//! [`XmlWriter`] turns those calls straight into XML text; an
+//! [`ElementBuilder`] turns the same calls into a DOM [`Element`]. The
+//! text of the one equals [`element_to_string`] of the other.
+//!
+//! [`element_to_string`]: crate::serialize::element_to_string
+
+use crate::dom::{Element, XmlNode};
+use crate::serialize::{push_attr, push_escaped_text};
+use std::borrow::Cow;
+
+/// Receiver of one element tree, in document order. A producer calls
+/// `attr` only between an element's `open` and its first `text` or
+/// child `open`, and closes every element it opens. Values arrive as
+/// `Cow`: a producer that read one into a fresh `String` hands it over,
+/// so a receiver that keeps values does not copy them again.
+pub trait XmlSink {
+    /// An element starts.
+    fn open(&mut self, name: &str);
+    /// An attribute of the element just opened.
+    fn attr(&mut self, name: &str, value: Cow<'_, str>);
+    /// Character data (unescaped) inside the innermost open element.
+    fn text(&mut self, text: Cow<'_, str>);
+    /// The innermost open element, called `name`, ends.
+    fn close(&mut self, name: &str);
+}
+
+/// Appends compact XML text to a `String`.
+pub struct XmlWriter<'a> {
+    out: &'a mut String,
+    /// The innermost element's start tag still lacks its `>` (or `/>`).
+    in_start_tag: bool,
+}
+
+impl<'a> XmlWriter<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        XmlWriter {
+            out,
+            in_start_tag: false,
+        }
+    }
+
+    fn end_start_tag(&mut self) {
+        if self.in_start_tag {
+            self.out.push('>');
+            self.in_start_tag = false;
+        }
+    }
+}
+
+impl XmlSink for XmlWriter<'_> {
+    fn open(&mut self, name: &str) {
+        self.end_start_tag();
+        self.out.push('<');
+        self.out.push_str(name);
+        self.in_start_tag = true;
+    }
+
+    fn attr(&mut self, name: &str, value: Cow<'_, str>) {
+        push_attr(self.out, name, &value);
+    }
+
+    fn text(&mut self, text: Cow<'_, str>) {
+        self.end_start_tag();
+        push_escaped_text(self.out, &text);
+    }
+
+    fn close(&mut self, name: &str) {
+        if self.in_start_tag {
+            // Nothing came between open and close: `<a/>`.
+            self.out.push_str("/>");
+            self.in_start_tag = false;
+        } else {
+            self.out.push_str("</");
+            self.out.push_str(name);
+            self.out.push('>');
+        }
+    }
+}
+
+/// Builds the DOM [`Element`] of the events it receives.
+#[derive(Default)]
+pub struct ElementBuilder {
+    /// The elements still open, outermost first.
+    open: Vec<Element>,
+    done: Element,
+}
+
+impl ElementBuilder {
+    /// A builder that has seen nothing yet.
+    pub fn new() -> Self {
+        ElementBuilder::default()
+    }
+
+    /// The last outermost element closed (an element with an empty name
+    /// if there was none).
+    pub fn finish(self) -> Element {
+        self.done
+    }
+}
+
+impl XmlSink for ElementBuilder {
+    fn open(&mut self, name: &str) {
+        self.open.push(Element::new(name));
+    }
+
+    fn attr(&mut self, name: &str, value: Cow<'_, str>) {
+        if let Some(e) = self.open.last_mut() {
+            e.attributes.push((name.to_owned(), value.into_owned()));
+        }
+    }
+
+    fn text(&mut self, text: Cow<'_, str>) {
+        if let Some(e) = self.open.last_mut() {
+            e.children.push(XmlNode::Text(text.into_owned()));
+        }
+    }
+
+    fn close(&mut self, _name: &str) {
+        let Some(e) = self.open.pop() else { return };
+        match self.open.last_mut() {
+            Some(parent) => parent.children.push(XmlNode::Element(e)),
+            None => self.done = e,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serialize::element_to_string;
+
+    /// Replay a DOM element as events.
+    fn replay(e: &Element, sink: &mut impl XmlSink) {
+        sink.open(&e.name);
+        for (n, v) in &e.attributes {
+            sink.attr(n, Cow::Borrowed(v));
+        }
+        for c in &e.children {
+            match c {
+                XmlNode::Element(c) => replay(c, sink),
+                XmlNode::Text(t) => sink.text(Cow::Borrowed(t)),
+                XmlNode::Comment(_) => {}
+            }
+        }
+        sink.close(&e.name);
+    }
+
+    #[test]
+    fn writer_and_builder_agree_with_the_dom_serializer() {
+        let e = Element::new("a")
+            .with_attr("q", "say \"hi\" & <go>")
+            .with_text("1 < 2 ")
+            .with_child(Element::new("empty"))
+            .with_child(Element::new("blank").with_text(""))
+            .with_child(Element::new("b").with_attr("k", "v").with_text("x & y"))
+            .with_text(" tail");
+        let mut text = String::new();
+        replay(&e, &mut XmlWriter::new(&mut text));
+        assert_eq!(text, element_to_string(&e));
+        assert!(text.contains("<empty/>") && text.contains("<blank></blank>"));
+        let mut b = ElementBuilder::new();
+        replay(&e, &mut b);
+        assert_eq!(b.finish(), e);
+    }
+}

@@ -135,18 +135,18 @@ impl NodeColumns {
 
     /// The attribute children of element `id`: loading lays them out
     /// immediately after their element, so this is the leading run of
-    /// `Attribute` rows one level down.
+    /// `Attribute` rows one level down (in preorder, a row one level
+    /// below its predecessor is that row's first child, and the row
+    /// after a leaf child at that level is the next child).
     pub fn attr_ids(&self, id: NodeId) -> std::ops::Range<u32> {
-        let range = self.descendant_ids(id);
         let level = self.level[id.0 as usize] + 1;
-        let mut j = range.start;
-        while j < range.end
-            && self.kind[j as usize] == NodeKind::Attribute
-            && self.level[j as usize] == level
-        {
-            j += 1;
-        }
-        range.start..j
+        let lo = id.0 + 1;
+        let run = self.kind[lo as usize..]
+            .iter()
+            .zip(&self.level[lo as usize..])
+            .take_while(|&(k, l)| *k == NodeKind::Attribute && *l == level)
+            .count();
+        lo..lo + run as u32
     }
 
     /// The value of attribute tag `attr_tag` on element `id`, as a

@@ -52,7 +52,7 @@ use crate::buffer::{BufferPool, BufferStats};
 use crate::catalog::{attr_tag_name, TagId};
 use crate::columns::NodeColumns;
 use crate::dict::{Dictionary, Sym};
-use crate::error::{Result, StoreError};
+use crate::error::Result;
 use crate::fault::{FaultConfig, FaultInjector, FaultStats};
 use crate::heap::read_content_via;
 use crate::index::NodeEntry;
@@ -68,6 +68,7 @@ use projection::{build_projection, Projection};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use xmlparse::XmlSink;
 
 /// The reserved tag of the synthetic document root.
 pub const DOC_ROOT_TAG: &str = "doc_root";
@@ -509,12 +510,7 @@ impl DocumentStore {
 
     /// Fetch the full record of `id` against one pinned projection.
     fn record_in(&self, proj: &Projection, id: NodeId) -> Result<NodeRecord> {
-        if id.0 >= proj.node_count {
-            return Err(StoreError::NodeOutOfBounds {
-                node: id.0,
-                node_count: proj.node_count,
-            });
-        }
+        proj.check(id)?;
         if id.0 == 0 {
             return Ok(NodeRecord {
                 tag: self.shared.doc_root_tag,
@@ -574,45 +570,106 @@ impl DocumentStore {
     }
 
     /// All child node ids of `id` (elements, attributes, and text nodes),
-    /// in document order. The whole walk runs against one projection.
+    /// in document order — from the label columns, no page access.
     pub fn children(&self, id: NodeId) -> Result<Vec<NodeId>> {
         let proj = self.proj();
-        self.children_in(&proj, id)
-    }
-
-    fn children_in(&self, proj: &Projection, id: NodeId) -> Result<Vec<NodeId>> {
-        let rec = self.record_in(proj, id)?;
-        let mut out = Vec::new();
-        let mut j = id.0 + 1;
-        while j < proj.node_count {
-            let r = self.record_in(proj, NodeId(j))?;
-            if r.start >= rec.end {
-                break;
-            }
-            if r.level == rec.level + 1 {
-                out.push(NodeId(j));
-            }
-            j += 1;
-        }
-        Ok(out)
+        proj.check(id)?;
+        Ok(proj.columns.child_ids(id).collect())
     }
 
     /// All node ids in the subtree of `id`, `id` included, in document
-    /// order. The whole walk runs against one projection.
+    /// order — one contiguous id range of the label columns.
     pub fn subtree(&self, id: NodeId) -> Result<Vec<NodeId>> {
         let proj = self.proj();
-        let rec = self.record_in(&proj, id)?;
-        let mut out = vec![id];
-        let mut j = id.0 + 1;
-        while j < proj.node_count {
-            let r = self.record_in(&proj, NodeId(j))?;
-            if r.start >= rec.end {
-                break;
-            }
-            out.push(NodeId(j));
-            j += 1;
+        proj.check(id)?;
+        let below = proj.columns.descendant_ids(id).map(NodeId);
+        Ok(std::iter::once(id).chain(below).collect())
+    }
+
+    // ---- data population (Sec. 5.3) -------------------------------------
+
+    /// Report stored node `id` to `sink` and leave it open: its tag, its
+    /// attribute run, its merged content and, when `deep`, every
+    /// descendant (`#text` rows as text, elements nested and closed by
+    /// their `end` labels). The caller may add children of its own and
+    /// then closes the element under the returned name.
+    ///
+    /// Structure comes from the label columns of one pinned projection;
+    /// a data page is requested only for a value that is reported — one
+    /// record and one heap read per row whose content column is set.
+    pub fn emit_open(&self, id: NodeId, deep: bool, sink: &mut impl XmlSink) -> Result<Arc<str>> {
+        let proj = self.proj();
+        proj.check(id)?;
+        let cols = &*proj.columns;
+        let (name, mut j) = self.emit_start(&proj, id, sink)?;
+        if !deep {
+            return Ok(name);
         }
-        Ok(out)
+        // Rows are in document order, so the subtree is the run of rows
+        // starting before the root's end.
+        let stop = cols.end[id.0 as usize];
+        let mut open: Vec<(u32, Arc<str>)> = Vec::new();
+        while (j as usize) < cols.len() && cols.start[j as usize] < stop {
+            let row = j as usize;
+            while let Some((end, done)) = open.last() {
+                if *end > cols.start[row] {
+                    break;
+                }
+                sink.close(done);
+                open.pop();
+            }
+            if cols.kind[row] == NodeKind::Text {
+                sink.text(self.value_in(&proj, NodeId(j))?.unwrap_or_default().into());
+                j += 1;
+            } else {
+                let (child, next) = self.emit_start(&proj, NodeId(j), sink)?;
+                open.push((cols.end[row], child));
+                j = next;
+            }
+        }
+        for (_, done) in open.iter().rev() {
+            sink.close(done);
+        }
+        Ok(name)
+    }
+
+    /// The start of element row `id`: tag, attribute run, merged content.
+    /// Returns its name and the first row after the attribute run.
+    fn emit_start(
+        &self,
+        proj: &Projection,
+        id: NodeId,
+        sink: &mut impl XmlSink,
+    ) -> Result<(Arc<str>, u32)> {
+        let cols = &*proj.columns;
+        let tags = &self.shared.tags;
+        let name = tags.resolve(Sym(cols.tag[id.0 as usize]));
+        sink.open(&name);
+        let attrs = cols.attr_ids(id);
+        for a in attrs.clone() {
+            let attr = tags.resolve(Sym(cols.tag[a as usize]));
+            let value = self.value_in(proj, NodeId(a))?.unwrap_or_default();
+            sink.attr(attr.trim_start_matches('@'), value.into());
+        }
+        // Element content, and an attribute or text node reported on its
+        // own, all surface as character data.
+        if let Some(text) = self.value_in(proj, id)? {
+            sink.text(text.into());
+        }
+        Ok((name, attrs.end))
+    }
+
+    /// The value of row `id` when its content column is set: one record
+    /// read for the heap pointer, one heap read for the bytes.
+    fn value_in(&self, proj: &Projection, id: NodeId) -> Result<Option<String>> {
+        if proj.columns.content_sym(id).is_none() {
+            return Ok(None);
+        }
+        let rec = self.record_in(proj, id)?;
+        if !rec.content.is_some() {
+            return Ok(None);
+        }
+        Ok(Some(self.shared.read_heap(rec.content)?))
     }
 
     /// Rebuild the DOM element for the subtree rooted at `id` — the "data
@@ -620,51 +677,10 @@ impl DocumentStore {
     /// `#text` children become text nodes, merged content becomes a text
     /// child. The whole subtree materializes against one projection.
     pub fn materialize(&self, id: NodeId) -> Result<xmlparse::Element> {
-        let proj = self.proj();
-        self.materialize_in(&proj, id)
-    }
-
-    fn materialize_in(&self, proj: &Projection, id: NodeId) -> Result<xmlparse::Element> {
-        let rec = self.record_in(proj, id)?;
-        let mut elem = xmlparse::Element::new(&*self.shared.tags.resolve(rec.tag));
-        if rec.content.is_some() {
-            // Element content and attribute/text nodes materialized
-            // directly both surface as a text child.
-            let text = self.shared.read_heap(rec.content)?;
-            elem.children.push(xmlparse::XmlNode::Text(text));
-        }
-        for child in self.children_in(proj, id)? {
-            let crec = self.record_in(proj, child)?;
-            match crec.kind {
-                NodeKind::Attribute => {
-                    let name = self
-                        .shared
-                        .tags
-                        .resolve(crec.tag)
-                        .trim_start_matches('@')
-                        .to_owned();
-                    let value = self.content_of(crec)?;
-                    elem.attributes.push((name, value));
-                }
-                NodeKind::Text => {
-                    let value = self.content_of(crec)?;
-                    elem.children.push(xmlparse::XmlNode::Text(value));
-                }
-                NodeKind::Element => {
-                    elem.children.push(xmlparse::XmlNode::Element(
-                        self.materialize_in(proj, child)?,
-                    ));
-                }
-            }
-        }
-        Ok(elem)
-    }
-
-    fn content_of(&self, rec: NodeRecord) -> Result<String> {
-        if !rec.content.is_some() {
-            return Ok(String::new());
-        }
-        self.shared.read_heap(rec.content)
+        let mut dom = xmlparse::ElementBuilder::new();
+        let name = self.emit_open(id, true, &mut dom)?;
+        dom.close(&name);
+        Ok(dom.finish())
     }
 
     // ---- statistics ----------------------------------------------------
@@ -717,7 +733,7 @@ impl DocumentStore {
     }
 
     /// Whether an injected crash has fired: every subsequent operation
-    /// fails with [`StoreError::SimulatedCrash`] until the store is
+    /// fails with [`crate::StoreError::SimulatedCrash`] until the store is
     /// reopened.
     pub fn crashed(&self) -> bool {
         self.shared.disk.crashed()
@@ -784,6 +800,7 @@ mod test_support {
 mod tests {
     use super::test_support::{store, SAMPLE};
     use super::*;
+    use crate::error::StoreError;
 
     #[test]
     fn loads_with_doc_root_wrapper() {

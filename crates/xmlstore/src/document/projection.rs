@@ -9,6 +9,7 @@ use super::DocumentStore;
 use crate::catalog::TagId;
 use crate::columns::NodeColumns;
 use crate::dict::NO_SYM;
+use crate::error::{Result, StoreError};
 use crate::index::{NodeEntry, TagIndex, ValueIndex};
 use crate::node::{NodeId, NodeKind, NodeRecord, NO_PARENT};
 use std::ops::Deref;
@@ -79,6 +80,17 @@ pub(super) struct Projection {
 }
 
 impl Projection {
+    /// `id` must name a row of this projection.
+    pub(super) fn check(&self, id: NodeId) -> Result<()> {
+        if id.0 < self.node_count {
+            return Ok(());
+        }
+        Err(StoreError::NodeOutOfBounds {
+            node: id.0,
+            node_count: self.node_count,
+        })
+    }
+
     /// Which document holds global id `id` (> 0), and its local id.
     pub(super) fn locate(&self, id: NodeId) -> (usize, NodeId) {
         let k = self.id_bases.partition_point(|b| *b <= id.0) - 1;

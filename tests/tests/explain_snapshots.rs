@@ -150,6 +150,22 @@ fn grouped_plans_stay_inside_clone_and_io_budget() {
             m.render()
         );
     }
+    // The whole op — query plus streamed output — asks for a data page
+    // only to fetch a value it writes: one record and one heap read per
+    // stored value, none for structure.
+    for query in [QUERY1, QUERY_COUNT] {
+        db.reset_io_stats();
+        let r = db.query(query, PlanMode::GroupByRewrite).unwrap();
+        assert_eq!(db.io_stats().page_requests(), 0, "plan of {query:?}");
+        let xml = r.to_xml_on(db.store()).unwrap();
+        let stored_values = xml.matches("<author>").count() + xml.matches("<title>").count();
+        assert!(stored_values >= 3, "{xml}");
+        assert_eq!(
+            db.io_stats().page_requests(),
+            2 * stored_values as u64,
+            "output of {query:?}:\n{xml}"
+        );
+    }
     // The fused count plan must run on the vectorized kernels: the
     // COUNT(*) star fold filters the tag/level columns array-at-a-time.
     // A plan silently dropping to the scalar row loop would zero this.

@@ -1,0 +1,369 @@
+//! Output parity: the streamed text of a result (`QueryResult::to_xml_on`,
+//! `Tree::write_xml`) is byte for byte the serialized DOM of the same
+//! result (`elements_on`, `Tree::materialize` + `element_to_string`).
+//!
+//! Both routes consume one walk over the label columns, so agreeing with
+//! each other is not enough: the handcrafted and random documents are
+//! also held against an oracle that never touches the store — the XML
+//! text the document was loaded from, and DOM elements assembled from
+//! its parse.
+
+use datagen::{DblpConfig, DblpGenerator};
+use smallrand::prop::{check, Gen};
+use tax::tree::TreeNodeId;
+use tax::Tree;
+use timber::{PlanMode, QueryResult, TimberDb, TimberError};
+use timber_integration_tests::{batch_matrix, fig6_db, thread_matrix, QUERY1, QUERY2, QUERY_COUNT};
+use xmlparse::serialize::element_to_string;
+use xmlparse::{parse_document, Element, XmlNode};
+use xmlstore::{DocumentStore, FaultConfig, NodeEntry, NodeId, NodeKind, StoreOptions};
+
+const QUERY_PROJECT: &str = r#"
+    FOR $a IN distinct-values(document("bib.xml")//author)
+    RETURN <row> {$a} </row>
+"#;
+
+const CORPUS: [&str; 4] = [QUERY1, QUERY2, QUERY_COUNT, QUERY_PROJECT];
+
+const MODES: [PlanMode; 4] = [
+    PlanMode::Direct,
+    PlanMode::GroupByRewrite,
+    PlanMode::GroupByMaterialized,
+    PlanMode::Auto,
+];
+
+/// The DOM route: materialize every tree, serialize each element.
+fn dom_route(r: &QueryResult, store: &DocumentStore) -> String {
+    let mut out = String::new();
+    for e in r.elements_on(store).unwrap() {
+        out.push_str(&element_to_string(&e));
+        out.push('\n');
+    }
+    out
+}
+
+fn assert_corpus_parity(db: &mut TimberDb, what: &str) {
+    for threads in thread_matrix(&[1, 4]) {
+        db.set_threads(threads);
+        for batch in batch_matrix(&[3, 256]) {
+            db.set_batch_size(batch);
+            for query in CORPUS {
+                for mode in MODES {
+                    let r = db.query(query, mode).unwrap();
+                    assert_eq!(
+                        r.to_xml_on(db.store()).unwrap(),
+                        dom_route(&r, db.store()),
+                        "{what} threads={threads} batch={batch} {mode:?} query: {query}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn streamed_equals_dom_on_corpus() {
+    assert_corpus_parity(&mut fig6_db(), "fig6");
+    let xml = DblpGenerator::new(DblpConfig::sized(200)).generate_xml();
+    let mut dblp = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+    assert_corpus_parity(&mut dblp, "dblp-200");
+}
+
+/// Attributes holding `"` `&` `<`, mixed content, empty elements, a
+/// text-only element with attributes, nesting, non-ASCII text.
+const HANDCRAFTED: &str = "<doc v=\"1\">\
+    <p k=\"say &quot;hi&quot; &amp; &lt;go&gt;\" l=\"\">only text &amp; more</p>\
+    <mixed>lead <b>bold</b> mid &lt;x&gt; <i/> tail</mixed>\
+    <empty/>\
+    <attrs a=\"1\" b=\"2\"/>\
+    <deep><d1><d2 z=\"&lt;\">Donn\u{e9}es \u{21a6} \u{6771}\u{4eac}</d2><d2/></d1>after</deep>\
+</doc>";
+
+fn store_of(xml: &str) -> DocumentStore {
+    DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap()
+}
+
+fn streamed(tree: &Tree, store: &DocumentStore) -> String {
+    let mut out = String::new();
+    tree.write_xml(store, &mut out).unwrap();
+    out
+}
+
+/// The stored element rows in document order, with the parsed element
+/// each one was loaded from. Ids are derived from the DOM alone, the way
+/// loading assigns them: an element, its attributes, then its children
+/// (text is a row of its own only beside element siblings).
+fn element_rows<'a>(root: &'a Element, store: &DocumentStore) -> Vec<(NodeEntry, &'a Element)> {
+    fn walk<'a>(e: &'a Element, next: &mut u32, out: &mut Vec<(u32, &'a Element)>) {
+        out.push((*next, e));
+        *next += 1 + e.attributes.len() as u32;
+        let mixed = e.child_elements().next().is_some();
+        for c in &e.children {
+            match c {
+                XmlNode::Element(c) => walk(c, next, out),
+                XmlNode::Text(_) if mixed => *next += 1,
+                _ => {}
+            }
+        }
+    }
+    let mut ids = Vec::new();
+    walk(root, &mut 1, &mut ids);
+    let cols = store.columns();
+    ids.into_iter()
+        .map(|(id, e)| {
+            assert_eq!(cols.kind[id as usize], NodeKind::Element);
+            assert_eq!(
+                &*store.tag_name(xmlstore::TagId(cols.tag[id as usize])),
+                e.name
+            );
+            (cols.entry(NodeId(id)), e)
+        })
+        .collect()
+}
+
+/// What a shallow reference to `e` shows of it: name, attributes, and
+/// the text of a text-only element.
+fn shallow_of(e: &Element) -> Element {
+    let mut out = Element::new(&e.name);
+    out.attributes = e.attributes.clone();
+    if e.child_elements().next().is_none() && !e.text().is_empty() {
+        out.children.push(XmlNode::Text(e.text()));
+    }
+    out
+}
+
+#[test]
+fn handcrafted_document_streams_back_to_its_source_text() {
+    let store = store_of(HANDCRAFTED);
+    let parsed = parse_document(HANDCRAFTED).unwrap();
+    // The whole document, deep: the text it was loaded from.
+    let root = store.columns().entry(NodeId(1));
+    assert_eq!(streamed(&Tree::new_ref(root, true), &store), HANDCRAFTED);
+    assert_eq!(store.materialize(NodeId(1)).unwrap(), *parsed.root());
+    assert_eq!(
+        streamed(&Tree::new_ref(store.root(), true), &store),
+        format!("<doc_root>{HANDCRAFTED}</doc_root>")
+    );
+    // Every element on its own, deep and shallow, both routes.
+    for (entry, e) in element_rows(parsed.root(), &store) {
+        let deep = Tree::new_ref(entry, true);
+        assert_eq!(streamed(&deep, &store), element_to_string(e));
+        assert_eq!(deep.materialize(&store).unwrap(), *e);
+        let shallow = Tree::new_ref(entry, false);
+        assert_eq!(
+            streamed(&shallow, &store),
+            element_to_string(&shallow_of(e))
+        );
+        assert_eq!(shallow.materialize(&store).unwrap(), shallow_of(e));
+    }
+    // An attribute or text row reported on its own is an element named
+    // after the row, holding its value.
+    let cols = store.columns();
+    let attr = (0..cols.len()).find(|&i| cols.kind[i] == NodeKind::Attribute);
+    let attr = cols.entry(NodeId(attr.unwrap() as u32));
+    assert_eq!(streamed(&Tree::new_ref(attr, true), &store), "<@v>1</@v>");
+}
+
+#[test]
+fn arena_trees_stream_like_their_dom() {
+    let store = store_of(HANDCRAFTED);
+    let parsed = parse_document(HANDCRAFTED).unwrap();
+    let rows = element_rows(parsed.root(), &store);
+    let by_name = |name: &str| *rows.iter().find(|(_, e)| e.name == name).unwrap();
+    let d = store.dict();
+
+    // <out><empty/><blank></blank><c>1 &lt; 2</c> shallow p {<kid/>}
+    //      deep mixed {<n>7</n>} shallow doc {deep attrs}</out>
+    let mut t = Tree::new_elem(d, "out");
+    t.add_elem(d, 0, "empty");
+    t.add_elem_with_content(d, 0, "blank", "");
+    t.add_elem_with_content(d, 0, "c", "1 < 2");
+    let (p, p_elem) = by_name("p");
+    let p_ref = t.add_ref(0, p, false);
+    t.add_elem(d, p_ref, "kid");
+    let (mixed, mixed_elem) = by_name("mixed");
+    let mixed_ref = t.add_ref(0, mixed, true);
+    t.add_elem_with_content(d, mixed_ref, "n", "7");
+    let (doc, doc_elem) = by_name("doc");
+    let doc_ref = t.add_ref(0, doc, false);
+    let (attrs, attrs_elem) = by_name("attrs");
+    t.add_ref(doc_ref, attrs, true);
+
+    let expected = Element::new("out")
+        .with_child(Element::new("empty"))
+        .with_child(Element::new("blank").with_text(""))
+        .with_child(Element::new("c").with_text("1 < 2"))
+        .with_child(shallow_of(p_elem).with_child(Element::new("kid")))
+        .with_child(
+            mixed_elem
+                .clone()
+                .with_child(Element::new("n").with_text("7")),
+        )
+        .with_child(shallow_of(doc_elem).with_child(attrs_elem.clone()));
+    assert_eq!(t.materialize(&store).unwrap(), expected);
+    let text = streamed(&t, &store);
+    assert_eq!(text, element_to_string(&expected));
+    assert!(text.starts_with("<out><empty/><blank></blank><c>1 &lt; 2</c><p k="));
+    assert!(text.contains("only text &amp; more<kid/></p>"), "{text}");
+    assert!(text.contains(" tail<n>7</n></mixed>"), "{text}");
+    assert!(text.ends_with("<doc v=\"1\"><attrs a=\"1\" b=\"2\"/></doc></out>"));
+}
+
+const NAMES: [&str; 5] = ["a", "b", "row", "x-y", "T_1"];
+const VALUES: [&str; 8] = [
+    "x",
+    "1 < 2",
+    "a & b",
+    "say \"hi\"",
+    "  padded  ",
+    "<>",
+    "\u{e9}\u{21a6}\u{6771}",
+    "it's",
+];
+
+/// A random small element: empty, text-only, element-only or mixed.
+fn random_element(g: &mut Gen, depth: usize) -> Element {
+    let mut e = Element::new(*g.pick(&NAMES));
+    for name in ["k", "id", "q"] {
+        if g.ratio(1, 4) {
+            let value = if g.ratio(1, 6) { "" } else { *g.pick(&VALUES) };
+            e.attributes.push((name.to_owned(), value.to_owned()));
+        }
+    }
+    let shape = if depth == 0 {
+        g.usize_in(0, 1)
+    } else {
+        g.usize_in(0, 3)
+    };
+    match shape {
+        0 => {}
+        1 => e
+            .children
+            .push(XmlNode::Text((*g.pick(&VALUES)).to_owned())),
+        _ => {
+            let mixed = shape == 3;
+            for _ in 0..g.usize_in(1, 3) {
+                if mixed && g.bool() {
+                    e.children
+                        .push(XmlNode::Text((*g.pick(&VALUES)).to_owned()));
+                }
+                e.children
+                    .push(XmlNode::Element(random_element(g, depth - 1)));
+            }
+            if mixed && g.bool() {
+                e.children
+                    .push(XmlNode::Text((*g.pick(&VALUES)).to_owned()));
+            }
+        }
+    }
+    e
+}
+
+/// Grow a random arena subtree under `at`, returning the DOM it stands
+/// for: constructed elements with and without content, shallow and deep
+/// references, arena children under all of them.
+fn random_arena(
+    g: &mut Gen,
+    store: &DocumentStore,
+    rows: &[(NodeEntry, &Element)],
+    t: &mut Tree,
+    at: TreeNodeId,
+    depth: usize,
+) -> Vec<XmlNode> {
+    let mut expected = Vec::new();
+    if depth == 0 {
+        return expected;
+    }
+    for _ in 0..g.usize_in(0, 3) {
+        let (id, mut elem) = if g.bool() {
+            let name = *g.pick(&NAMES);
+            if g.bool() {
+                let content = if g.ratio(1, 6) { "" } else { *g.pick(&VALUES) };
+                let id = t.add_elem_with_content(store.dict(), at, name, content);
+                (id, Element::new(name).with_text(content))
+            } else {
+                (t.add_elem(store.dict(), at, name), Element::new(name))
+            }
+        } else {
+            let (entry, e) = *g.pick(rows);
+            let deep = g.bool();
+            let shown = if deep { e.clone() } else { shallow_of(e) };
+            (t.add_ref(at, entry, deep), shown)
+        };
+        elem.children
+            .extend(random_arena(g, store, rows, t, id, depth - 1));
+        expected.push(XmlNode::Element(elem));
+    }
+    expected
+}
+
+#[test]
+fn random_documents_and_trees_stream_like_their_dom() {
+    check(
+        "random_documents_and_trees_stream_like_their_dom",
+        96,
+        |g| {
+            let doc = random_element(g, 3);
+            let xml = element_to_string(&doc);
+            let store = store_of(&xml);
+            let parsed = parse_document(&xml).unwrap();
+            let root = store.columns().entry(NodeId(1));
+            assert_eq!(streamed(&Tree::new_ref(root, true), &store), xml);
+            assert_eq!(store.materialize(NodeId(1)).unwrap(), *parsed.root());
+
+            let rows = element_rows(parsed.root(), &store);
+            let mut t = Tree::new_elem(store.dict(), "top");
+            let mut expected = Element::new("top");
+            expected.children = random_arena(g, &store, &rows, &mut t, 0, 3);
+            assert_eq!(t.materialize(&store).unwrap(), expected, "over {xml}");
+            assert_eq!(
+                streamed(&t, &store),
+                element_to_string(&expected),
+                "over {xml}"
+            );
+        },
+    );
+}
+
+#[test]
+fn a_read_fault_mid_output_is_a_typed_error() {
+    // One frame, on disk: every value written is a physical read.
+    let xml = DblpGenerator::new(DblpConfig::sized(60)).generate_xml();
+    let opts = StoreOptions {
+        on_disk: true,
+        pool_pages: 1,
+        ..StoreOptions::in_memory()
+    };
+    let db = TimberDb::load_xml(&xml, &opts).unwrap();
+    let r = db.query(QUERY1, PlanMode::GroupByRewrite).unwrap();
+    let reference = r.to_xml_on(db.store()).unwrap();
+    assert!(r.len() > 2);
+
+    // As many reads succeed as the first tree needs, then every read
+    // fails for good: the first tree still streams, the whole result
+    // does not.
+    db.clear_buffer_pool().unwrap();
+    let before = db.io_stats().disk.reads;
+    let mut first = String::new();
+    r.trees[0].write_xml(db.store(), &mut first).unwrap();
+    let reads = db.io_stats().disk.reads - before;
+    assert!(reads > 0 && reference.starts_with(&first));
+    let schedule = FaultConfig::seeded(5)
+        .with_read_error(1.0)
+        .with_after_ops(reads);
+    db.set_faults(Some(schedule.clone())).unwrap();
+    let mut again = String::new();
+    r.trees[0].write_xml(db.store(), &mut again).unwrap();
+    assert_eq!(again, first);
+
+    db.set_faults(Some(schedule)).unwrap();
+    match r.to_xml_on(db.store()) {
+        Err(TimberError::Algebra(e)) => assert!(!e.to_string().is_empty()),
+        Err(other) => panic!("expected the store's error through tax, got {other}"),
+        Ok(text) => panic!("{} bytes came back from a failing store", text.len()),
+    }
+    assert!(db.fault_stats().unwrap().read_errors > 0);
+
+    db.set_faults(None).unwrap();
+    assert_eq!(r.to_xml_on(db.store()).unwrap(), reference);
+}
