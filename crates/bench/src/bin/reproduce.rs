@@ -56,8 +56,11 @@
 //! nonzero when a fast path stops beating the reference twin measured
 //! beside it in the same run (one-scan cube ≥ 1.5× the composed rollups,
 //! batch containment ≥ 1.3× the stack walk, symbol rollup ≥ 2× the
-//! replicated grouping). Absolute times against an earlier commit are
-//! the repo benchmark's job (`benchmark/`), not this command's.
+//! replicated grouping) or when a commit's log bytes grow with the
+//! store (a count, not a time: 64 inserts of one document must each
+//! log the same bytes from the second on). Absolute times against an
+//! earlier commit are the repo benchmark's job (`benchmark/`), not this
+//! command's.
 
 use timber::{PlanMode, TimberDb};
 use timber_bench::*;
@@ -184,7 +187,8 @@ fn main() {
 
 /// The CI fast-path gate: tier-1 queries, serial and sharded,
 /// best-of-five, in calibration units. Returns `false` when a same-run
-/// ratio gate fails (the caller exits nonzero).
+/// ratio gate or the commit-log count gate fails (the caller exits
+/// nonzero).
 fn run_bench_smoke(articles: usize, on_disk: bool, analyze: bool, json_path: Option<&str>) -> bool {
     println!(
         "-- bench-smoke: same-run ratio gates ({articles} articles, best of 5, calibration-normalized) --"
@@ -503,7 +507,48 @@ fn run_bench_smoke(articles: usize, on_disk: bool, analyze: bool, json_path: Opt
         }
     }
 
-    cube_ok && kernel_ok && symbols_ok
+    let commit_ok = commit_log_gate();
+    cube_ok && kernel_ok && symbols_ok && commit_ok
+}
+
+/// O(delta) commit gate: insert one 100-article document 64 times into
+/// a durable in-memory store. Every insert lands on fresh pages, so its
+/// log records are `Begin` + `Commit{delta}` with no page images; from
+/// the second commit on the document's names are durable, and the bytes
+/// a commit logs must stay equal — and small — while the store grows
+/// 64-fold. The count repeats exactly and is gated; the wall times
+/// beside it are this host's and only printed.
+fn commit_log_gate() -> bool {
+    const COMMITS: usize = 64;
+    const MAX_DELTA_BYTES: u64 = 4096;
+    let xml = datagen::DblpGenerator::new(datagen::DblpConfig::sized(100)).generate_xml();
+    let opts = xmlstore::StoreOptions::in_memory().with_durable();
+    let db = TimberDb::create(&opts).expect("create commit-gate store");
+    let logged = |db: &TimberDb| db.wal_stats().expect("durable store").appended_bytes;
+    let (mut bytes, mut ms) = (Vec::new(), Vec::new());
+    for _ in 0..COMMITS {
+        let before = logged(&db);
+        let t0 = std::time::Instant::now();
+        db.insert_xml(&xml).expect("commit-gate insert");
+        ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        bytes.push(logged(&db) - before);
+    }
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    println!(
+        "commit first8 / last8: {:.2} / {:.2} ms (informational)",
+        mean(&ms[..8]),
+        mean(&ms[COMMITS - 8..])
+    );
+    let steady = bytes[1];
+    println!(
+        "commit log bytes: {} then {steady} per commit (gate: commits 2..{COMMITS} equal and <= {MAX_DELTA_BYTES})",
+        bytes[0]
+    );
+    let ok = steady <= MAX_DELTA_BYTES && bytes[1..].iter().all(|&b| b == steady);
+    if !ok {
+        println!("COMMIT LOG GATE FAILED: log bytes per commit grow with the store: {bytes:?}");
+    }
+    ok
 }
 
 /// Best-of-three per-call seconds for a kernel micro-bench. A single

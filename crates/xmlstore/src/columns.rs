@@ -8,13 +8,16 @@
 //! searches and linear scans over dense arrays instead of per-node
 //! record fetches through the buffer pool. This is the paper's
 //! identifier-only processing (Sec. 5.3) taken to its storage-layout
-//! conclusion: the label region is rebuilt from the per-document aux
-//! state on every mutation and handed out behind an `Arc`, so scan
-//! batches borrow it without copying and keep a consistent snapshot even
-//! while the store mutates underneath.
+//! conclusion: every commit installs a fresh region — the previous one
+//! bulk-copied with the removed document's rows cut out and the added
+//! document's rows appended ([`NodeColumns::spliced`]) — and hands it
+//! out behind an `Arc`, so scan batches borrow it without copying and
+//! keep a consistent snapshot even while the store mutates underneath.
+//! Each column stays one contiguous slice, which is what every kernel
+//! assumes.
 
 use crate::dict::NO_SYM;
-use crate::index::NodeEntry;
+use crate::index::{Cut, NodeEntry};
 use crate::node::{NodeId, NodeKind};
 
 /// The label columns of every visible node, in global id order (row 0 is
@@ -74,6 +77,35 @@ impl NodeColumns {
         self.tag.push(tag);
         self.kind.push(kind);
         self.content.push(content);
+    }
+
+    /// A copy of this region without the rows of `cut` and with room for
+    /// `extra` more: rows before the cut verbatim, rows after it moved up
+    /// with their labels shifted down by the cut's span. Row 0's `end`
+    /// is the caller's to patch.
+    pub(crate) fn spliced(&self, cut: &Cut, extra: usize) -> NodeColumns {
+        let (lo, hi) = (cut.ids.start as usize, cut.ids.end as usize);
+        let rows = self.len() - (hi - lo) + extra;
+        fn copy<T: Copy>(src: &[T], lo: usize, hi: usize, rows: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(rows);
+            out.extend_from_slice(&src[..lo]);
+            out.extend_from_slice(&src[hi..]);
+            out
+        }
+        let shifted = |src: &[u32]| {
+            let mut out = Vec::with_capacity(rows);
+            out.extend_from_slice(&src[..lo]);
+            out.extend(src[hi..].iter().map(|l| l - cut.span));
+            out
+        };
+        NodeColumns {
+            start: shifted(&self.start),
+            end: shifted(&self.end),
+            level: copy(&self.level, lo, hi, rows),
+            tag: copy(&self.tag, lo, hi, rows),
+            kind: copy(&self.kind, lo, hi, rows),
+            content: copy(&self.content, lo, hi, rows),
+        }
     }
 
     /// The index-style entry of row `id`.
@@ -225,6 +257,32 @@ mod tests {
         let mut buf = vec![NodeId(99)];
         c.child_ids_into(NodeId(1), &mut buf);
         assert_eq!(buf, [NodeId(2), NodeId(3), NodeId(4)]);
+    }
+
+    #[test]
+    fn splicing_cuts_rows_and_shifts_labels() {
+        // doc_root > (a > @x, b > d): two documents of two rows each.
+        let mut c = NodeColumns::default();
+        c.push(0, 9, 0, 0, NodeKind::Element, NO_SYM);
+        c.push(1, 4, 1, 1, NodeKind::Element, NO_SYM); // a
+        c.push(2, 3, 2, 2, NodeKind::Attribute, 7); // @x
+        c.push(5, 8, 1, 3, NodeKind::Element, NO_SYM); // b
+        c.push(6, 7, 2, 5, NodeKind::Element, 9); // d
+
+        // Take out `a`'s document (rows 1..3, labels 1..5): `b` and `d`
+        // move up two rows and down four labels.
+        let cut = Cut { ids: 1..3, span: 4 };
+        let s = c.spliced(&cut, 2);
+        assert_eq!(s.start, [0, 1, 2]);
+        assert_eq!(s.end, [9, 4, 3]);
+        assert_eq!(s.level, [0, 1, 2]);
+        assert_eq!(s.tag, [0, 3, 5]);
+        assert_eq!(s.content, [NO_SYM, NO_SYM, 9]);
+        assert_eq!(s.kind, [NodeKind::Element; 3]);
+        assert!(s.start.capacity() == 5 && s.kind.capacity() == 5);
+        // Cutting nothing copies everything.
+        let none = Cut { ids: 5..5, span: 0 };
+        assert_eq!(c.spliced(&none, 0).end, c.end);
     }
 
     #[test]

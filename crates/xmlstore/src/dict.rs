@@ -16,9 +16,11 @@
 //! never reused; `resolve` hands back an `Arc<str>` clone of the interned
 //! string, which keeps the lock scope to the lookup itself.
 //!
-//! Persistence: the full name table (in symbol order) is snapshotted into
-//! [`StoreMeta`](crate::document) and travels in every WAL commit and
-//! checkpoint record, so crash recovery re-interns the identical
+//! Persistence: the table is append-only, so the log carries it the
+//! same way — a checkpoint record holds the full name table in symbol
+//! order, and every commit record holds the suffix interned since the
+//! last durable record ([`Dictionary::names_from`]). Crash recovery
+//! replays checkpoint + suffixes and re-interns the identical
 //! `name → Sym` assignment that the crashed process used — the numeric
 //! tags and content symbols on the pages stay valid across reopen.
 
@@ -177,10 +179,13 @@ impl Dictionary {
         read(self).names.is_empty()
     }
 
-    /// The full name table in symbol order — the durable snapshot stored
-    /// in the metadata record.
-    pub fn snapshot(&self) -> Vec<String> {
-        read(self).names.iter().map(|n| n.to_string()).collect()
+    /// The names of symbols `from..len()` in symbol order: what a log
+    /// record must carry when symbols below `from` are already durable
+    /// (`names_from(0)` is the whole table). Handles on the interned
+    /// strings, not copies — the read lock is held for refcount bumps
+    /// only, so interning queries do not stall behind a commit.
+    pub fn names_from(&self, from: usize) -> Vec<Arc<str>> {
+        read(self).names.get(from..).unwrap_or_default().to_vec()
     }
 }
 
@@ -216,17 +221,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restores_assignment() {
+    fn names_restore_the_assignment() {
         let d = Dictionary::new();
         let a = d.intern("a");
         let v = d.intern("some value");
-        let snap = d.snapshot();
+        let snap = d.names_from(0);
         let d2 = Dictionary::from_names(&snap);
         assert_eq!(d2.get("a"), Some(a));
         assert_eq!(d2.get("some value"), Some(v));
         assert_eq!(d2.len(), d.len());
         // Re-interning after restore continues the sequence.
         assert_eq!(d2.intern("fresh").0, snap.len() as u32);
+        // A suffix is what was interned since; past the end is empty.
+        assert_eq!(d.names_from(1), snap[1..]);
+        assert!(d.names_from(2).is_empty() && d.names_from(9).is_empty());
     }
 
     #[test]
@@ -265,8 +273,8 @@ mod tests {
         assert!(!d.is_ordered(late));
         d.intern("zzzz");
         assert_eq!(d.ordered_upto(), 4);
-        // The snapshot round-trip reconstructs the same watermark.
-        let d2 = Dictionary::from_names(&d.snapshot());
+        // The name-table round-trip reconstructs the same watermark.
+        let d2 = Dictionary::from_names(&d.names_from(0));
         assert_eq!(d2.ordered_upto(), 4);
         assert_eq!(d2.ordered_bounds("pear"), (pear.0, pear.0 + 1));
     }

@@ -22,7 +22,7 @@
 //! replays the log (ARIES-style analysis/redo/undo) to recover exactly
 //! the committed documents after a crash. Bulk inserts into fresh pages
 //! at the end of the file skip page-image logging entirely — the pages
-//! are unreferenced until the commit's metadata snapshot lands, so a
+//! are unreferenced until the commit's metadata delta lands, so a
 //! sync of the page file plus one log flush is enough. Inserts that
 //! reuse freed pages log full after-images with zero before-images, so
 //! rolling back a torn reuse *zeroes* the reclaimed pages rather than
@@ -34,8 +34,9 @@
 //!
 //! This module holds the options, construction and the read API. Each
 //! other decision lives behind one child module: `meta` (the durable
-//! metadata snapshot and its codec), `loader` (document → records and
-//! pages), `projection` (the published view, snapshot pins, limbo),
+//! metadata, its checkpoint snapshot and commit delta codecs), `loader`
+//! (document → records and pages), `projection` (the published view,
+//! how an edit extends it, snapshot pins, limbo),
 //! `commit` (the one write transaction, its two page-write strategies,
 //! the allocator, checkpoint) and `reopen` (recovery glue).
 
@@ -64,7 +65,7 @@ use crate::storage::{DiskManager, DiskStats, SharedDisk};
 use crate::wal::{Wal, WalHandle, WalStats};
 use commit::WriterState;
 use meta::{encode_meta, StoreMeta};
-use projection::{build_projection, Projection};
+use projection::Projection;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -313,10 +314,10 @@ impl DocumentStore {
         Ok(store)
     }
 
-    /// Assemble the shared state around `meta` and publish the initial
-    /// projection (epoch 1). No per-document aux state exists yet: an
-    /// empty store has none, and `open` reads it back through the
-    /// assembled store before publishing again.
+    /// Assemble the shared state around `meta` and publish the view of
+    /// an empty store (epoch 1) — all `create` needs; `open` reads its
+    /// documents back through the assembled store and publishes again.
+    /// `wal`'s checkpoint record must hold the whole of `tags`.
     fn assemble(
         tags: Dictionary,
         meta: StoreMeta,
@@ -330,14 +331,8 @@ impl DocumentStore {
         let mut pool = BufferPool::with_shared(disk.clone(), opts.pool_pages)?;
         pool.set_wal(wal.clone());
         let epoch = 1;
-        let aux = Vec::new();
-        let proj = Arc::new(build_projection(
-            epoch,
-            &meta.docs,
-            &aux,
-            doc_root_tag,
-            opts.value_index,
-        ));
+        let proj = Arc::new(Projection::empty(epoch, doc_root_tag, opts.value_index, 0));
+        let dict_logged = tags.len();
         Ok(DocumentStore {
             shared: Arc::new(StoreShared {
                 tags,
@@ -345,7 +340,7 @@ impl DocumentStore {
                 current: RwLock::new(Arc::clone(&proj)),
                 writer: Mutex::new(WriterState {
                     meta,
-                    aux,
+                    dict_logged,
                     free,
                     limbo: Vec::new(),
                     history: vec![proj],
@@ -374,8 +369,9 @@ impl DocumentStore {
             DiskManager::in_memory()
         };
         let disk = SharedDisk::new(disk);
+        let tags = Dictionary::new();
+        tags.intern(DOC_ROOT_TAG);
         let meta = StoreMeta {
-            tags: vec![DOC_ROOT_TAG.to_owned()],
             docs: Vec::new(),
             next_doc: 1,
             next_txn: 1,
@@ -390,12 +386,11 @@ impl DocumentStore {
                 file.as_deref(),
                 false,
                 disk.clone(),
-                encode_meta(&meta),
+                encode_meta(&meta, &tags.names_from(0)),
             )?))
         } else {
             None
         };
-        let tags = Dictionary::new();
         Self::assemble(tags, meta, BTreeSet::new(), wal, opts, disk, None)
     }
 

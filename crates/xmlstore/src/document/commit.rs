@@ -1,16 +1,21 @@
 //! The write side: one transaction shape for every edit.
 //!
 //! [`DocumentStore::commit`] is the only code that allocates page runs,
-//! assigns transaction ids, builds the next metadata snapshot, writes
+//! assigns transaction ids, encodes the commit's metadata delta, writes
 //! pages, publishes a projection, and — on error — gives the runs back
 //! and rolls the transaction out of the log. `insert_document`,
 //! `delete_document` and `replace_document` are [`Edit`]s handed to it.
 //! The two page-write strategies below it are chosen from what the
 //! allocator returned, not by the caller.
+//!
+//! What a commit does is sized by the edit: it logs the dictionary
+//! suffix and the one or two document-table entries that changed, and
+//! it extends the previous projection instead of rebuilding one. Only
+//! the label memcpy inside [`Projection::edited`] grows with the store.
 
 use super::loader::{build_local, PageImage};
-use super::meta::{encode_meta, DocMeta, StoreMeta};
-use super::projection::{limbo_runs, reclaim_limbo, DocAux, LimboRun, Projection};
+use super::meta::{encode_delta, encode_meta, DocMeta, MetaDelta, StoreMeta};
+use super::projection::{limbo_runs, reclaim_limbo, DocRows, LimboRun, Projection};
 use super::{DocId, DocumentStore};
 use crate::error::{Result, StoreError};
 use crate::page::PageId;
@@ -19,11 +24,18 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, MutexGuard};
 
 /// Everything only the (single) writer touches, behind the commit lock:
-/// the authoritative metadata, the per-document aux state the next
-/// projection is built from, and the page allocator's free/limbo lists.
+/// the authoritative document table and counters, how much of the
+/// dictionary the log already holds, and the page allocator's free/limbo
+/// lists.
 pub(super) struct WriterState {
     pub meta: StoreMeta,
-    pub aux: Vec<Arc<DocAux>>,
+    /// Symbols `0..dict_logged` are durable (in the checkpoint or in a
+    /// flushed commit record); the next commit logs the names from here
+    /// on. It advances only once a record carrying them is durable, so
+    /// symbols interned by a failed commit, by a query, or by another
+    /// writer still building its document ride with the next commit
+    /// that lands.
+    pub dict_logged: usize,
     /// Free page ids, derived from the metadata (never persisted).
     pub free: BTreeSet<u32>,
     /// Freed runs awaiting proof that no live projection references
@@ -138,7 +150,7 @@ impl DocumentStore {
         let sh = &self.shared;
         let local = edit
             .add
-            .map(|doc| build_local(doc, &sh.tags, sh.strip_whitespace, sh.build_values))
+            .map(|doc| build_local(doc, &sh.tags, sh.strip_whitespace))
             .transpose()?;
         let (heap_pages, node_pages): (&[PageImage], &[PageImage]) = match &local {
             Some(l) => (&l.heap_pages, &l.node_pages),
@@ -165,35 +177,42 @@ impl DocumentStore {
         // later transaction must never share an id with a loser.
         let txn = w.meta.next_txn;
         w.meta.next_txn += 1;
-        let mut new_meta = w.meta.clone();
-        let removed = at.map(|k| new_meta.docs.remove(k));
-        let doc_id = new_meta.next_doc;
-        if let Some(l) = &local {
-            // The loader just interned this document's strings; an
-            // edit that loads nothing re-logs the snapshot it found.
-            new_meta.tags = self.shared.tags.snapshot();
-            new_meta.docs.push(DocMeta {
-                doc_id,
-                heap_base: heap_run.base,
-                heap_pages: heap_run.len,
-                node_base: node_run.base,
-                node_pages: node_run.len,
-                node_count: l.records.len() as u32,
-                span: l.span,
-            });
-            new_meta.next_doc += 1;
-        }
-        let meta_bytes = encode_meta(&new_meta);
-        let start_lsn = self.shared.wal.as_ref().map_or(0, |w| w.lock().next_lsn());
+        let doc_id = w.meta.next_doc;
+        let added = local.as_ref().map(|l| DocMeta {
+            doc_id,
+            heap_base: heap_run.base,
+            heap_pages: heap_run.len,
+            node_base: node_run.base,
+            node_pages: node_run.len,
+            node_count: l.records.len() as u32,
+            span: l.span,
+        });
+        let next_doc = doc_id + u64::from(added.is_some());
+        // The payload exists only where there is a log to carry it.
+        let mut logged = w.dict_logged;
+        let log = sh.wal.as_ref().map(|wal| {
+            let new_names = sh.tags.names_from(w.dict_logged);
+            logged += new_names.len();
+            let delta = MetaDelta {
+                next_doc,
+                next_txn: w.meta.next_txn,
+                dict_from: w.dict_logged as u32,
+                new_names,
+                removed: edit.remove,
+                added,
+            };
+            (wal, encode_delta(&delta))
+        });
+        let start_lsn = sh.wal.as_ref().map_or(0, |w| w.lock().next_lsn());
 
         let pages: Vec<(PageId, &PageImage)> = [(&heap_run, heap_pages), (&node_run, node_pages)]
             .into_iter()
             .flat_map(|(run, images)| (run.base..).map(PageId).zip(images))
             .collect();
         let written = if heap_run.fresh && node_run.fresh {
-            self.commit_fresh(txn, &pages, meta_bytes)
+            self.commit_fresh(txn, &pages, log)
         } else {
-            self.commit_images(txn, &pages, meta_bytes)
+            self.commit_images(txn, &pages, log)
         };
         if let Err(e) = written {
             // The runs were never visible to any projection, so they
@@ -203,15 +222,17 @@ impl DocumentStore {
             self.rollback_txn(txn, start_lsn);
             return Err(e);
         }
-        w.meta = new_meta;
-        if let Some(k) = at {
-            w.aux.remove(k);
-        }
-        if let Some(l) = local {
-            let aux = DocAux::new(&l.records, l.content_syms, l.values);
-            w.aux.push(Arc::new(aux));
-        }
-        self.install(&mut w);
+        w.dict_logged = logged;
+        w.meta.next_doc = next_doc;
+        let removed = at.map(|k| w.meta.docs.remove(k));
+        w.meta.docs.extend(added);
+        let rows = local.as_ref().zip(added).map(|(l, meta)| DocRows {
+            meta,
+            records: &l.records,
+            content_syms: &l.content_syms,
+        });
+        let next = sh.current().edited(w.epoch + 1, at, rows);
+        self.install(&mut w, next);
         if let Some(removed) = removed {
             limbo_runs(&mut w, &removed);
         }
@@ -219,7 +240,7 @@ impl DocumentStore {
     }
 
     /// Flush all dirty pages, sync the page file, and truncate the log
-    /// to a fresh checkpoint carrying the current metadata snapshot.
+    /// to a fresh checkpoint carrying the one full metadata snapshot.
     pub fn checkpoint(&self) -> Result<()> {
         if self.shared.disk.crashed() {
             return Err(StoreError::SimulatedCrash);
@@ -228,12 +249,13 @@ impl DocumentStore {
         self.shared.pool().flush_all()?;
         self.shared.disk.lock().sync()?;
         if let Some(wal) = &self.shared.wal {
-            // Refresh the dictionary snapshot: symbols interned since the
-            // last commit (query-constructed tags and values) live only in
-            // the in-memory table, and the checkpoint is about to truncate
-            // the log that would otherwise be their last trace.
-            w.meta.tags = self.shared.tags.snapshot();
-            wal.lock().checkpoint(encode_meta(&w.meta))?;
+            // The whole name table, straight from the dictionary: symbols
+            // interned since the last commit (query-constructed tags and
+            // values) live only in memory, and the checkpoint is about to
+            // truncate the log that carries every suffix before them.
+            let names = self.shared.tags.names_from(0);
+            wal.lock().checkpoint(encode_meta(&w.meta, &names))?;
+            w.dict_logged = names.len();
         }
         Ok(())
     }
@@ -242,8 +264,8 @@ impl DocumentStore {
 
     /// Commit an edit whose pages (if any) are all freshly allocated at
     /// the end of the file: write them directly (they are unreferenced
-    /// until the commit's metadata snapshot lands), sync the page file,
-    /// then log `Begin` + `Commit{meta}` in one flush. This keeps
+    /// until the commit's metadata delta lands), sync the page file,
+    /// then log `Begin` + `Commit{delta}` in one flush. This keeps
     /// bulk-load WAL overhead to a file sync and one small log write,
     /// instead of doubling the write volume with page images. With no
     /// pages at all (a delete) there is nothing to write or sync.
@@ -251,25 +273,22 @@ impl DocumentStore {
         &self,
         txn: TxnId,
         pages: &[(PageId, &PageImage)],
-        meta_bytes: Vec<u8>,
+        log: Option<(&WalHandle, Vec<u8>)>,
     ) -> Result<()> {
         if !pages.is_empty() {
             let mut d = self.shared.disk.lock();
             for (pid, page) in pages {
                 d.write_page(*pid, page)?;
             }
-            if self.shared.wal.is_some() {
+            if log.is_some() {
                 d.sync()?;
             }
         }
-        if let Some(w) = &self.shared.wal {
+        if let Some((w, delta)) = log {
             let lsn = {
                 let mut wl = w.lock();
                 wl.append(WalRecord::Begin { txn });
-                wl.append(WalRecord::Commit {
-                    txn,
-                    meta: meta_bytes,
-                })
+                wl.append(WalRecord::Commit { txn, meta: delta })
             };
             flush_commit(w, lsn)?;
         }
@@ -286,9 +305,9 @@ impl DocumentStore {
         &self,
         txn: TxnId,
         pages: &[(PageId, &PageImage)],
-        meta_bytes: Vec<u8>,
+        log: Option<(&WalHandle, Vec<u8>)>,
     ) -> Result<()> {
-        let wal = self.shared.wal.as_ref();
+        let wal = log.as_ref().map(|&(w, _)| w);
         if let Some(w) = wal {
             w.lock().append(WalRecord::Begin { txn });
         }
@@ -304,11 +323,8 @@ impl DocumentStore {
             };
             self.shared.pool().write_page_image(pid, lsn, page)?;
         }
-        if let Some(w) = wal {
-            let lsn = w.lock().append(WalRecord::Commit {
-                txn,
-                meta: meta_bytes,
-            });
+        if let Some((w, delta)) = log {
+            let lsn = w.lock().append(WalRecord::Commit { txn, meta: delta });
             flush_commit(w, lsn)?;
         }
         Ok(())
@@ -543,25 +559,54 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_logs_the_edit_not_the_store() {
+        // The same document 64 times: the first commit carries its names,
+        // every later one finds them durable and logs the same bytes
+        // however many documents, nodes and symbols the store holds.
+        let s = DocumentStore::create(&StoreOptions::in_memory().with_durable()).unwrap();
+        let doc = bib(100, "t");
+        let mut per_commit = Vec::new();
+        for _ in 0..64 {
+            let before = s.wal_stats().unwrap();
+            s.insert_document(&doc).unwrap();
+            let after = s.wal_stats().unwrap();
+            assert_eq!(after.flushes - before.flushes, 1);
+            per_commit.push(after.appended_bytes - before.appended_bytes);
+        }
+        assert!(per_commit[0] > per_commit[1], "{per_commit:?}");
+        assert!(
+            per_commit[1..].iter().all(|&b| b == per_commit[1]),
+            "{per_commit:?}"
+        );
+        // Begin + Commit{counters, empty suffix, one document entry}.
+        assert_eq!(per_commit[1], 119);
+        assert_eq!(s.documents().len(), 64);
+    }
+
+    #[test]
     fn twelve_edit_script_pins_the_log() {
         // Per edit: (log records, log bytes appended, log flushes, page
-        // writes that reached the disk). Taken from the commit before
-        // the three mutators became one `commit`; a drifted record
-        // sequence, an extra flush or a changed page-write strategy
-        // shows up here as the edit that moved.
+        // writes that reached the disk). Records, flushes and page writes
+        // are from the commit before the three mutators became one
+        // `commit` and have not moved since; a drifted record sequence,
+        // an extra flush or a changed page-write strategy shows up here
+        // as the edit that moved. The bytes column was re-pinned when
+        // `Commit` began to carry a metadata delta instead of the full
+        // snapshot: a delete is now 95 bytes whatever the store holds,
+        // and an insert is its page images plus the names it interned.
         const PINNED: [(u64, u64, u64, u64); 12] = [
-            (2, 203, 1, 2),   // insert a, fresh run
-            (2, 253, 1, 2),   // insert b, fresh
-            (2, 3399, 1, 6),  // insert c (400 articles), fresh
-            (2, 3367, 1, 0),  // delete a: no pages
-            (4, 19861, 1, 0), // insert d over a's run: page images
-            (2, 3435, 1, 2),  // replace b → e, fresh
-            (2, 3403, 1, 0),  // delete d under a pinned snapshot
-            (4, 19897, 1, 0), // insert f over b's run (d's is pinned)
-            (8, 55875, 1, 0), // replace c → g, part reused: page images
-            (2, 6511, 1, 0),  // delete e
-            (2, 6479, 1, 0),  // delete f
-            (8, 58933, 1, 0), // insert h over c's run: page images
+            (2, 192, 1, 2),   // insert a, fresh run
+            (2, 137, 1, 2),   // insert b, fresh
+            (2, 3233, 1, 6),  // insert c (400 articles), fresh
+            (2, 95, 1, 0),    // delete a: no pages
+            (4, 16581, 1, 0), // insert d over a's run: page images
+            (2, 145, 1, 2),   // replace b → e, fresh
+            (2, 95, 1, 0),    // delete d under a pinned snapshot
+            (4, 16581, 1, 0), // insert f over b's run (d's is pinned)
+            (8, 52549, 1, 0), // replace c → g, part reused: page images
+            (2, 95, 1, 0),    // delete e
+            (2, 95, 1, 0),    // delete f
+            (8, 52541, 1, 0), // insert h over c's run: page images
         ];
         let s = DocumentStore::create(&StoreOptions::in_memory().with_durable()).unwrap();
         let mut seen = Vec::new();

@@ -14,13 +14,12 @@ use std::collections::BTreeSet;
 pub(super) type PageImage = Box<[u8; PAGE_SIZE]>;
 
 /// One document built in memory, ready to commit: local records (ids and
-/// labels starting at 0, synthetic root excluded), encoded pages, and
-/// the content strings for the optional value index.
+/// labels starting at 0, synthetic root excluded), their content symbols,
+/// and the encoded pages.
 pub(super) struct LocalDoc {
     pub records: Vec<NodeRecord>,
     pub heap_pages: Vec<PageImage>,
     pub node_pages: Vec<PageImage>,
-    pub values: Option<Vec<(u32, String)>>,
     /// Per-record content symbol ([`NO_SYM`] when the record has none),
     /// parallel to `records`.
     pub content_syms: Vec<u32>,
@@ -31,13 +30,11 @@ pub(super) fn build_local(
     doc: &xmlparse::Document,
     tags: &Dictionary,
     strip_whitespace: bool,
-    want_values: bool,
 ) -> Result<LocalDoc> {
     let mut heap = HeapBuilder::new();
     let mut records: Vec<NodeRecord> = Vec::new();
     let mut content_syms: Vec<u32> = Vec::new();
     let mut counter: u32 = 0;
-    let mut values: Vec<(usize, String)> = Vec::new();
     let mut loader = Loader {
         tags,
         heap: &mut heap,
@@ -45,7 +42,6 @@ pub(super) fn build_local(
         content_syms: &mut content_syms,
         counter: &mut counter,
         strip_whitespace,
-        values: if want_values { Some(&mut values) } else { None },
     };
     loader.load_element(doc.root(), NO_PARENT, 1)?;
     let span = counter;
@@ -64,7 +60,6 @@ pub(super) fn build_local(
         records,
         heap_pages,
         node_pages,
-        values: want_values.then(|| values.into_iter().map(|(i, s)| (i as u32, s)).collect()),
         content_syms,
         span,
     })
@@ -120,8 +115,6 @@ struct Loader<'a> {
     content_syms: &'a mut Vec<u32>,
     counter: &'a mut u32,
     strip_whitespace: bool,
-    /// When building a value index: `(record index, content)` pairs.
-    values: Option<&'a mut Vec<(usize, String)>>,
 }
 
 impl Loader<'_> {
@@ -150,9 +143,6 @@ impl Loader<'_> {
             let e = *self.counter;
             *self.counter += 1;
             let content = self.heap.append(value)?;
-            if let Some(values) = self.values.as_deref_mut() {
-                values.push((self.records.len(), value.clone()));
-            }
             self.records.push(NodeRecord {
                 tag: attr_tag,
                 start: s,
@@ -187,9 +177,6 @@ impl Loader<'_> {
                         let e = *self.counter;
                         *self.counter += 1;
                         let content = self.heap.append(t)?;
-                        if let Some(values) = self.values.as_deref_mut() {
-                            values.push((self.records.len(), t.clone()));
-                        }
                         self.records.push(NodeRecord {
                             tag: text_tag,
                             start: s,
@@ -211,9 +198,6 @@ impl Loader<'_> {
                 let content = self.heap.append(&text)?;
                 self.records[id as usize].content = content;
                 self.content_syms[id as usize] = self.tags.intern(&text).0;
-                if let Some(values) = self.values.as_deref_mut() {
-                    values.push((id as usize, text));
-                }
             }
         }
 

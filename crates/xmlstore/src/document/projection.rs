@@ -1,59 +1,29 @@
-//! Projections and MVCC: the immutable view a commit publishes, the
-//! per-document state it is built from, snapshot pinning, the [`Entries`]
-//! guards readers hold, and the limbo list that keeps freed page runs
-//! away from the allocator while an older projection can still read them.
+//! Projections and MVCC: the immutable view a commit publishes, how the
+//! next one is made from the previous one and the edit, snapshot pinning,
+//! the [`Entries`] guards readers hold, and the limbo list that keeps
+//! freed page runs away from the allocator while an older projection can
+//! still read them.
 
 use super::commit::WriterState;
 use super::meta::DocMeta;
 use super::DocumentStore;
 use crate::catalog::TagId;
 use crate::columns::NodeColumns;
-use crate::dict::NO_SYM;
+use crate::dict::{Sym, NO_SYM};
 use crate::error::{Result, StoreError};
-use crate::index::{NodeEntry, TagIndex, ValueIndex};
+use crate::index::{Cut, NodeEntry, TagIndex, ValueIndex};
 use crate::node::{NodeId, NodeKind, NodeRecord, NO_PARENT};
 use std::ops::Deref;
 use std::sync::atomic::{self, Ordering};
 use std::sync::Arc;
 
-/// In-memory acceleration state for one stored document, rebuilt from
-/// its pages on open: the local tag-index entries (indexed by local node
-/// id), node kinds and content symbols for the columnar projection, and,
-/// when the value index is on, the local content strings.
-pub(super) struct DocAux {
-    entries: Vec<(TagId, NodeEntry)>,
-    kinds: Vec<NodeKind>,
-    content_syms: Vec<u32>,
-    values: Option<Vec<(u32, String)>>,
-}
-
-impl DocAux {
-    pub(super) fn new(
-        records: &[NodeRecord],
-        content_syms: Vec<u32>,
-        values: Option<Vec<(u32, String)>>,
-    ) -> Self {
-        DocAux {
-            entries: records
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    (
-                        r.tag,
-                        NodeEntry {
-                            id: NodeId(i as u32),
-                            start: r.start,
-                            end: r.end,
-                            level: r.level,
-                        },
-                    )
-                })
-                .collect(),
-            kinds: records.iter().map(|r| r.kind).collect(),
-            content_syms,
-            values,
-        }
-    }
+/// One document's rows in local ids and labels, as the loader built them
+/// or `open` read them back from pages; `content_syms` is parallel to
+/// `records`.
+pub(super) struct DocRows<'a> {
+    pub meta: DocMeta,
+    pub records: &'a [NodeRecord],
+    pub content_syms: &'a [u32],
 }
 
 /// One immutable view of the store, published atomically by a commit:
@@ -62,6 +32,10 @@ impl DocAux {
 /// everything through one `Arc<Projection>`, so a reader never observes
 /// a half-applied transaction — it either runs entirely against the
 /// pre-commit projection or entirely against the post-commit one.
+///
+/// Node id 0 and label 0 belong to the synthetic root; document `k`'s
+/// local ids map to `id_bases[k] + local` and its labels to
+/// `label_offsets[k] + local`.
 pub(super) struct Projection {
     /// Monotone commit counter; epoch `e + 1` is published by the
     /// commit that follows epoch `e`.
@@ -110,101 +84,143 @@ impl Projection {
             rec.content.page += self.docs[k].heap_base;
         }
     }
-}
 
-/// Build a projection from the document table and per-document aux
-/// state: recompute the dense global id/label spaces, the tag index
-/// (and value index), and the columnar label region. Node id 0 and
-/// label 0 belong to the synthetic root; document `k`'s local ids map
-/// to `id_bases[k] + local` and its labels to `label_offsets[k] +
-/// local`.
-pub(super) fn build_projection(
-    epoch: u64,
-    docs: &[DocMeta],
-    aux: &[Arc<DocAux>],
-    doc_root_tag: TagId,
-    build_values: bool,
-) -> Projection {
-    let mut id_bases = Vec::with_capacity(docs.len());
-    let mut label_offsets = Vec::with_capacity(docs.len());
-    let mut id_base = 1u32;
-    let mut label_offset = 1u32;
-    for d in docs {
-        id_bases.push(id_base);
-        label_offsets.push(label_offset);
-        id_base += d.node_count;
-        label_offset += d.span;
-    }
-    let node_count = id_base;
-    let root_end = label_offset;
-
-    let mut index = TagIndex::new();
-    index.insert(
-        doc_root_tag,
-        NodeEntry {
-            id: NodeId(0),
-            start: 0,
-            end: root_end,
-            level: 0,
-        },
-    );
-    let mut columns = NodeColumns::with_capacity(node_count as usize);
-    columns.push(0, root_end, 0, doc_root_tag.0, NodeKind::Element, NO_SYM);
-    for (k, aux) in aux.iter().enumerate() {
-        for (local, (tag, e)) in aux.entries.iter().enumerate() {
-            index.insert(
-                *tag,
-                NodeEntry {
-                    id: NodeId(id_bases[k] + local as u32),
-                    start: e.start + label_offsets[k],
-                    end: e.end + label_offsets[k],
-                    level: e.level,
-                },
-            );
-            columns.push(
-                e.start + label_offsets[k],
-                e.end + label_offsets[k],
-                e.level,
-                tag.0,
-                aux.kinds[local],
-                aux.content_syms[local],
-            );
+    /// The view of a store without documents — the synthetic root alone —
+    /// with room for `rows` more rows in the label columns.
+    pub(super) fn empty(epoch: u64, doc_root_tag: TagId, build_values: bool, rows: usize) -> Self {
+        let mut columns = NodeColumns::with_capacity(1 + rows);
+        columns.push(0, 1, 0, doc_root_tag.0, NodeKind::Element, NO_SYM);
+        let mut index = TagIndex::new();
+        index.insert(doc_root_tag, columns.entry(NodeId(0)));
+        Projection {
+            epoch,
+            index,
+            columns: Arc::new(columns),
+            value_index: build_values.then(ValueIndex::new),
+            docs: Vec::new(),
+            id_bases: Vec::new(),
+            label_offsets: Vec::new(),
+            node_count: 1,
+            root_end: 1,
         }
     }
 
-    let value_index = build_values.then(|| {
-        let mut vi = ValueIndex::new();
-        for (k, aux) in aux.iter().enumerate() {
-            if let Some(vals) = &aux.values {
-                for (local, value) in vals {
-                    let (tag, e) = &aux.entries[*local as usize];
-                    vi.insert(
-                        *tag,
-                        value,
-                        NodeEntry {
-                            id: NodeId(id_bases[k] + local),
-                            start: e.start + label_offsets[k],
-                            end: e.end + label_offsets[k],
-                            level: e.level,
-                        },
-                    );
-                }
+    /// Append one document at the end of the id and label spaces: its
+    /// rows go onto the six columns and the tag (and value) lists. The
+    /// caller fits the root afterwards.
+    fn push_doc(&mut self, doc: DocRows<'_>) {
+        let (id_base, label_offset) = (self.node_count, self.root_end);
+        // Unshared while a projection is being built.
+        let columns = Arc::make_mut(&mut self.columns);
+        for (local, (r, &content)) in doc.records.iter().zip(doc.content_syms).enumerate() {
+            let entry = NodeEntry {
+                id: NodeId(id_base + local as u32),
+                start: r.start + label_offset,
+                end: r.end + label_offset,
+                level: r.level,
+            };
+            self.index.insert(r.tag, entry);
+            columns.push(entry.start, entry.end, r.level, r.tag.0, r.kind, content);
+            if let (Some(values), true) = (&mut self.value_index, content != NO_SYM) {
+                values.insert(r.tag, Sym(content), entry);
             }
         }
-        vi
-    });
-
-    Projection {
-        epoch,
-        index,
-        columns: Arc::new(columns),
-        value_index,
-        docs: docs.to_vec(),
-        id_bases,
-        label_offsets,
-        node_count,
-        root_end,
+        self.docs.push(doc.meta);
+        self.id_bases.push(id_base);
+        self.label_offsets.push(label_offset);
+        self.node_count += doc.meta.node_count;
+        self.root_end += doc.meta.span;
     }
+
+    /// Fit the synthetic root (row 0 and its index entry) over the label
+    /// space as it now is.
+    fn fit_root(mut self) -> Projection {
+        let columns = Arc::make_mut(&mut self.columns);
+        columns.end[0] = self.root_end;
+        if let Some(root) = self.index.first_mut(Sym(columns.tag[0])) {
+            root.end = self.root_end;
+        }
+        self
+    }
+
+    /// The projection the next commit publishes: this one without
+    /// document `remove` (an index into `docs`) and with `add` at the
+    /// end. Columns and lists are bulk-copied — the removed document's
+    /// contiguous id range cut out, everything after it shifted down by
+    /// its `node_count` and `span` — so the cost is a memcpy of the
+    /// store's labels plus the rows of the edit.
+    pub(super) fn edited(
+        &self,
+        epoch: u64,
+        remove: Option<usize>,
+        add: Option<DocRows<'_>>,
+    ) -> Projection {
+        let cut = match remove {
+            Some(k) => Cut {
+                ids: self.id_bases[k]..self.id_bases[k] + self.docs[k].node_count,
+                span: self.docs[k].span,
+            },
+            None => Cut {
+                ids: self.node_count..self.node_count,
+                span: 0,
+            },
+        };
+        let added = add.as_ref().map_or(&[][..], |d| d.records);
+        let cut_rows = cut.ids.end - cut.ids.start;
+        let mut docs = self.docs.clone();
+        let (mut id_bases, mut label_offsets) = (self.id_bases.clone(), self.label_offsets.clone());
+        if let Some(k) = remove {
+            docs.remove(k);
+            id_bases.remove(k);
+            label_offsets.remove(k);
+            for (base, offset) in id_bases.iter_mut().zip(&mut label_offsets).skip(k) {
+                *base -= cut_rows;
+                *offset -= cut.span;
+            }
+        }
+        let mut next = Projection {
+            epoch,
+            index: self.index.spliced(&cut, added.iter().map(|r| r.tag)),
+            columns: Arc::new(self.columns.spliced(&cut, added.len())),
+            value_index: self.value_index.as_ref().map(|v| v.spliced(&cut)),
+            docs,
+            id_bases,
+            label_offsets,
+            node_count: self.node_count - cut_rows,
+            root_end: self.root_end - cut.span,
+        };
+        if let Some(doc) = add {
+            next.push_doc(doc);
+        }
+        next.fit_root()
+    }
+}
+
+/// Build a projection in one pass over all documents, their rows read
+/// back from pages by `rows` — what `open` starts from (`create` starts
+/// from [`Projection::empty`]). Every later projection is
+/// [`Projection::edited`] from its predecessor.
+pub(super) fn build_projection(
+    epoch: u64,
+    doc_root_tag: TagId,
+    build_values: bool,
+    docs: &[DocMeta],
+    mut rows: impl FnMut(&DocMeta) -> Result<(Vec<NodeRecord>, Vec<u32>)>,
+) -> Result<Projection> {
+    let rows_total: usize = docs.iter().map(|d| d.node_count as usize).sum();
+    let mut proj = Projection::empty(epoch, doc_root_tag, build_values, rows_total);
+    proj.docs.reserve(docs.len());
+    proj.id_bases.reserve(docs.len());
+    proj.label_offsets.reserve(docs.len());
+    for meta in docs {
+        let (records, content_syms) = rows(meta)?;
+        proj.push_doc(DocRows {
+            meta: *meta,
+            records: &records,
+            content_syms: &content_syms,
+        });
+    }
+    Ok(proj.fit_root())
 }
 
 /// A page run freed by a committed delete/replace, still referenced by
@@ -229,7 +245,7 @@ pub struct Entries {
 
 enum EntrySel {
     Tag(TagId),
-    Value(TagId, String),
+    Value(TagId, Sym),
     Empty,
 }
 
@@ -241,7 +257,7 @@ impl Entries {
                 .proj
                 .value_index
                 .as_ref()
-                .map_or(&[][..], |vi| vi.nodes(*tag, value)),
+                .map_or(&[][..], |vi| vi.nodes(*tag, *value)),
             EntrySel::Empty => &[],
         }
     }
@@ -320,18 +336,11 @@ impl DocumentStore {
         self.proj().epoch
     }
 
-    /// Publish the writer's state as a fresh projection (next epoch):
-    /// swap the current projection and remember it in the history for
-    /// limbo reclamation.
-    pub(super) fn install(&self, w: &mut WriterState) {
-        w.epoch += 1;
-        let proj = Arc::new(build_projection(
-            w.epoch,
-            &w.meta.docs,
-            &w.aux,
-            self.shared.doc_root_tag,
-            self.shared.build_values,
-        ));
+    /// Publish `proj` as the next epoch: swap the current projection
+    /// and remember it in the history for limbo reclamation.
+    pub(super) fn install(&self, w: &mut WriterState, proj: Projection) {
+        w.epoch = proj.epoch;
+        let proj = Arc::new(proj);
         *self
             .shared
             .current
@@ -363,13 +372,16 @@ impl DocumentStore {
 
     /// Document-order nodes of `tag` whose content equals `value`, from
     /// the value index (no data-page access). `None` when the index was
-    /// not built.
+    /// not built. Every stored value is interned, so a string the
+    /// dictionary has never seen matches nothing.
     pub fn nodes_with_tag_and_content(&self, tag: TagId, value: &str) -> Option<Entries> {
         let proj = self.proj();
-        proj.value_index.is_some().then(|| Entries {
-            proj,
-            sel: EntrySel::Value(tag, value.to_owned()),
-        })
+        let sel = match self.shared.tags.get(value) {
+            Some(value) => EntrySel::Value(tag, value),
+            None => EntrySel::Empty,
+        };
+        let built = proj.value_index.is_some();
+        built.then_some(Entries { proj, sel })
     }
 }
 
@@ -414,7 +426,10 @@ pub(super) fn reclaim_limbo(w: &mut WriterState) {
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{store, SAMPLE};
-    use super::super::{DocumentStore, StoreOptions};
+    use super::super::{DocId, DocumentStore, StoreOptions};
+    use super::*;
+    use smallrand::prop::{check, Gen};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn tag_index_finds_all_authors() {
@@ -470,5 +485,221 @@ mod tests {
         let author = s.tag_id("author").unwrap();
         let _ = s.nodes_with_tag_and_content(author, "Jack").unwrap();
         assert_eq!(s.io_stats().page_requests(), 0);
+    }
+
+    /// A small random document: a few element kinds, attributes, mixed
+    /// content, and values drawn from a small pool so tag lists and
+    /// value-index keys span documents.
+    fn random_doc(g: &mut Gen) -> String {
+        const VALUES: [&str; 6] = ["Jack", "Jill", "1999", "2002", "XML", "a b"];
+        let mut xml = String::from("<bib>");
+        for _ in 0..g.usize_in(0, 4) {
+            xml.push_str("<article");
+            if g.bool() {
+                xml.push_str(&format!(" year=\"{}\"", g.pick(&VALUES)));
+            }
+            xml.push('>');
+            for _ in 0..g.usize_in(0, 3) {
+                let tag = *g.pick(&["title", "author", "note"]);
+                match g.usize_in(0, 3) {
+                    0 => xml.push_str(&format!("<{tag}/>")),
+                    1 => xml.push_str(&format!("<{tag}>x <em>{}</em> y</{tag}>", g.pick(&VALUES))),
+                    _ => xml.push_str(&format!("<{tag}>{}</{tag}>", g.pick(&VALUES))),
+                }
+            }
+            xml.push_str("</article>");
+        }
+        xml.push_str("</bib>");
+        xml
+    }
+
+    /// The published view of `s`, rebuilt in one pass from its own
+    /// document table and pages — what `open` would build.
+    fn from_scratch(s: &DocumentStore, published: &Projection) -> Projection {
+        let sh = &s.shared;
+        let rows = |d: &DocMeta| s.read_rows(d);
+        build_projection(
+            published.epoch,
+            sh.doc_root_tag,
+            sh.build_values,
+            &published.docs,
+            rows,
+        )
+        .unwrap()
+    }
+
+    /// Field-by-field equality of two projections over a dictionary of
+    /// `syms` symbols.
+    fn assert_same_view(got: &Projection, want: &Projection, syms: u32) {
+        assert_eq!(got.docs, want.docs);
+        assert_eq!(got.id_bases, want.id_bases);
+        assert_eq!(got.label_offsets, want.label_offsets);
+        assert_eq!(
+            (got.node_count, got.root_end),
+            (want.node_count, want.root_end)
+        );
+        // The synthetic root spans every document, by the document table
+        // alone: both builds fit it with the same code.
+        let root = NodeEntry {
+            id: NodeId(0),
+            start: 0,
+            end: 1 + got.docs.iter().map(|d| d.span).sum::<u32>(),
+            level: 0,
+        };
+        assert_eq!(got.columns.entry(NodeId(0)), root);
+        assert_eq!(got.index.nodes(Sym(got.columns.tag[0])), [root]);
+        let (g, w) = (&*got.columns, &*want.columns);
+        assert_eq!(g.start, w.start, "start column");
+        assert_eq!(g.end, w.end, "end column");
+        assert_eq!(g.level, w.level, "level column");
+        assert_eq!(g.tag, w.tag, "tag column");
+        assert_eq!(g.kind, w.kind, "kind column");
+        assert_eq!(g.content, w.content, "content column");
+        for tag in (0..syms).map(Sym) {
+            assert_eq!(got.index.nodes(tag), want.index.nodes(tag), "tag {tag:?}");
+        }
+        assert_eq!(got.index.total_entries(), want.index.total_entries());
+        assert_eq!(got.value_index.is_some(), want.value_index.is_some());
+        if let (Some(gv), Some(wv)) = (&got.value_index, &want.value_index) {
+            assert_eq!(gv.key_count(), wv.key_count());
+            assert_eq!(gv.total_entries(), wv.total_entries());
+            for (&tag, &value) in w.tag.iter().zip(&w.content) {
+                let (tag, value) = (Sym(tag), Sym(value));
+                assert_eq!(gv.nodes(tag, value), wv.nodes(tag, value));
+            }
+        }
+    }
+
+    /// Everything a reader can get out of a handle without knowing the
+    /// store's history: the document list and every document's bytes.
+    fn served(s: &DocumentStore) -> (Vec<(DocId, u32)>, Vec<xmlparse::Element>) {
+        let roots = s.children(NodeId(0)).unwrap();
+        let docs = roots.iter().map(|&r| s.materialize(r).unwrap()).collect();
+        (s.documents(), docs)
+    }
+
+    /// One random edit. The victim of a delete or replace is the first,
+    /// a middle, or the last document (all three are the only one when
+    /// one is left).
+    fn random_edit(g: &mut Gen, s: &DocumentStore) {
+        let docs = s.documents();
+        let doc = xmlparse::parse_document(&random_doc(g)).unwrap();
+        let victim = match g.usize_in(0, 2) {
+            _ if docs.is_empty() => None,
+            0 => docs.first(),
+            1 => docs.get(g.usize_in(0, docs.len() - 1)),
+            _ => docs.last(),
+        };
+        match (victim, g.usize_in(0, 2)) {
+            (Some(&(id, _)), 1) => s.delete_document(id).unwrap(),
+            (Some(&(id, _)), 2) => drop(s.replace_document(id, &doc).unwrap()),
+            _ => drop(s.insert_document(&doc).unwrap()),
+        }
+    }
+
+    #[test]
+    fn every_published_projection_equals_a_from_scratch_build() {
+        check("published projection == from-scratch build", 48, |g| {
+            let opts = StoreOptions::in_memory().with_pool_pages(16);
+            let opts = if g.bool() {
+                opts.with_value_index()
+            } else {
+                opts
+            };
+            let s = DocumentStore::create(&opts).unwrap();
+            let steps = g.usize_in(4, 16);
+            let pin_at = g.usize_in(0, steps - 1);
+            let mut pinned = None;
+            for step in 0..steps {
+                if step == pin_at {
+                    let pin = s.snapshot();
+                    let before = served(&pin);
+                    pinned = Some((pin, before));
+                }
+                random_edit(g, &s);
+
+                let published = s.shared.current();
+                let scratch = from_scratch(&s, &published);
+                assert_same_view(&published, &scratch, s.dict().len() as u32);
+                // The id bases, through the read path: a sampled node's
+                // record and parent resolve the same under both.
+                for _ in 0..4.min(published.node_count - 1) {
+                    let id = NodeId(g.usize_in(1, published.node_count as usize - 1) as u32);
+                    let rec = s.record(id).unwrap();
+                    assert_eq!(rec, s.record_in(&scratch, id).unwrap());
+                    let parent = s.parent(id).unwrap().unwrap();
+                    let up = s.record(parent).unwrap();
+                    assert!(up.start < rec.start && rec.end < up.end && up.level + 1 == rec.level);
+                }
+                // The value index answers by string what the columns hold.
+                if let Some(hits) = s.nodes_with_tag_and_content(s.intern("author"), "Jack") {
+                    let cols = &published.columns;
+                    let (author, jack) = (s.intern("author").0, s.intern("Jack").0);
+                    let want = (0..cols.len())
+                        .filter(|&i| cols.tag[i] == author && cols.content[i] == jack)
+                        .map(|i| cols.entry(NodeId(i as u32)));
+                    assert_eq!(hits.to_vec(), want.collect::<Vec<_>>());
+                    let unknown = s.nodes_with_tag_and_content(Sym(author), "never stored");
+                    assert!(unknown.unwrap().is_empty());
+                    assert!(s.dict().get("never stored").is_none());
+                }
+            }
+            // The snapshot pinned mid-script still serves what it served
+            // then, whatever was deleted or written over since.
+            let (pin, before) = pinned.unwrap();
+            assert_eq!(served(&pin), before);
+        });
+    }
+
+    #[test]
+    fn the_comparison_catches_each_missed_shift() {
+        // Three documents, the first deleted: what `edited` published, the
+        // from-scratch build it must equal, and the cut that was made.
+        let s = DocumentStore::create(&StoreOptions::in_memory().with_value_index()).unwrap();
+        let first = s.insert_xml("<a><b>one</b><c k=\"v\"/></a>").unwrap();
+        s.insert_xml("<a><b>two</b></a>").unwrap();
+        s.insert_xml("<a><c>three</c><b>two</b></a>").unwrap();
+        let before = s.shared.current();
+        let cut = Cut {
+            ids: 1..1 + before.docs[0].node_count,
+            span: before.docs[0].span,
+        };
+        let rows = cut.ids.end - cut.ids.start;
+        s.delete_document(first).unwrap();
+        let good = s.shared.current();
+        let scratch = from_scratch(&s, &good);
+        let syms = s.dict().len() as u32;
+        let differs = |got: &Projection| {
+            catch_unwind(AssertUnwindSafe(|| assert_same_view(got, &scratch, syms))).is_err()
+        };
+        // An edit of nothing is a copy to break.
+        let copy = || good.edited(good.epoch, None, None);
+        assert!(!differs(&copy()));
+
+        // Ids after the cut not shifted down.
+        let mut bad = copy();
+        let mut index = TagIndex::new();
+        for (tag, list) in bad.index.tags_with_nodes() {
+            for e in list {
+                let id = NodeId(e.id.0 + if e.id.0 >= cut.ids.start { rows } else { 0 });
+                index.insert(tag, NodeEntry { id, ..*e });
+            }
+        }
+        bad.index = index;
+        assert!(differs(&bad), "unshifted ids pass");
+
+        // Labels after the cut not shifted down.
+        let mut bad = copy();
+        let columns = Arc::make_mut(&mut bad.columns);
+        for row in cut.ids.start as usize..columns.len() {
+            columns.start[row] += cut.span;
+            columns.end[row] += cut.span;
+        }
+        assert!(differs(&bad), "unshifted labels pass");
+
+        // The synthetic root still ending where it did before the cut.
+        let mut bad = copy();
+        bad.root_end += cut.span;
+        assert!(differs(&bad.fit_root()), "stale root passes");
     }
 }

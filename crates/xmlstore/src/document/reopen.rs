@@ -1,9 +1,10 @@
 //! Reopen and recovery glue: run the log's analysis/redo/undo over the
-//! page file, then rebuild everything the store derives from metadata
-//! plus pages — dictionary, free list, per-document aux state.
+//! page file, fold the committed metadata deltas over the checkpoint
+//! snapshot, then rebuild everything the store derives from metadata
+//! plus pages — dictionary, free list, the first projection.
 
-use super::meta::{decode_meta, encode_meta};
-use super::projection::DocAux;
+use super::meta::{decode_delta, decode_meta, encode_meta, DocMeta};
+use super::projection::build_projection;
 use super::{wal_path_for, DocumentStore, StoreOptions};
 use crate::dict::{Dictionary, NO_SYM};
 use crate::error::{Result, StoreError};
@@ -13,7 +14,6 @@ use crate::page::PageId;
 use crate::storage::SharedDisk;
 use crate::wal::{self, Wal, WalHandle};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// What crash recovery did when the store was reopened.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,11 +30,13 @@ pub struct RecoveryInfo {
 
 impl DocumentStore {
     /// Reopen a durable store from its page file and log, running crash
-    /// recovery first: analysis finds the last committed metadata
-    /// snapshot, redo repeats history over the page images, and undo
-    /// rolls back loser transactions. The log is then truncated to a
-    /// fresh checkpoint. Replaying recovery twice leaves the same bytes
-    /// as once, so a crash *during* recovery is harmless.
+    /// recovery first: analysis finds the checkpoint snapshot and the
+    /// committed deltas after it, redo repeats history over the page
+    /// images, and undo rolls back loser transactions. The deltas are
+    /// folded over the snapshot in log order; one that does not fit the
+    /// chain (see `StoreMeta::apply`) is `WalCorrupt`. The log is then
+    /// truncated to a fresh checkpoint. Replaying recovery twice leaves
+    /// the same bytes as once, so a crash *during* recovery is harmless.
     pub fn open(opts: &StoreOptions) -> Result<Self> {
         let path = opts.path.as_ref().ok_or_else(|| {
             StoreError::Io(std::io::Error::new(
@@ -44,7 +46,10 @@ impl DocumentStore {
         })?;
         let wal_p = wal_path_for(path);
         let (disk, state) = wal::recover(path, &wal_p)?;
-        let mut meta = decode_meta(&state.meta)?;
+        let (mut meta, mut names) = decode_meta(&state.checkpoint)?;
+        for delta in &state.commits {
+            meta.apply(&mut names, decode_delta(delta)?)?;
+        }
         meta.next_txn = meta.next_txn.max(state.next_txn);
         let disk = SharedDisk::new(disk);
         // Post-recovery checkpoint: the recovered pages are synced, so
@@ -53,10 +58,10 @@ impl DocumentStore {
             Some(&wal_p),
             false,
             disk.clone(),
-            encode_meta(&meta),
+            encode_meta(&meta, &names),
         )?));
 
-        let tags = Dictionary::from_names(&meta.tags);
+        let tags = Dictionary::from_names(&names);
         let mut free: BTreeSet<u32> = (0..disk.num_pages()).collect();
         for d in &meta.docs {
             for p in d.heap_base..d.heap_base + d.heap_pages {
@@ -72,15 +77,17 @@ impl DocumentStore {
             committed: state.committed as u64,
             losers: state.losers as u64,
         });
-        // Rebuild the per-document aux state from the recovered pages
-        // through the assembled store itself, so the page path is
-        // identical to normal reads, then publish it.
+        // Read the documents back from the recovered pages through the
+        // assembled store itself, so the page path is identical to
+        // normal reads, and publish what they add up to.
         let store = Self::assemble(tags, meta, free, wal, opts, disk, recovery)?;
-        let aux = store.read_aux()?;
         {
+            let sh = &store.shared;
             let mut w = store.writer();
-            w.aux = aux;
-            store.install(&mut w);
+            let (epoch, docs) = (w.epoch + 1, &w.meta.docs);
+            let rows = |d: &DocMeta| store.read_rows(d);
+            let proj = build_projection(epoch, sh.doc_root_tag, sh.build_values, docs, rows)?;
+            store.install(&mut w, proj);
         }
         store.clear_buffer_pool()?;
         store.shared.disk.reset_stats();
@@ -88,46 +95,35 @@ impl DocumentStore {
         Ok(store)
     }
 
-    /// Rebuild every document's aux state from its pages (used on
-    /// reopen; inserts build it from the in-memory document instead).
-    fn read_aux(&self) -> Result<Vec<Arc<DocAux>>> {
-        let docs = self.writer().meta.docs.clone();
-        let build_values = self.shared.build_values;
-        let mut out = Vec::with_capacity(docs.len());
-        for d in &docs {
-            let mut records = Vec::with_capacity(d.node_count as usize);
-            for local in 0..d.node_count {
-                let (page, slot) = node_location(d.node_base, NodeId(local));
-                let rec = self.shared.with_page(PageId(page), |p| {
-                    NodeRecord::decode(&p[slot..slot + RECORD_SIZE])
-                })?;
-                records.push(rec);
-            }
-            // Re-intern every stored content string so the columnar
-            // region carries the same symbols the writing session used —
-            // the names are already in the recovered dictionary snapshot,
-            // so these lookups hit existing entries.
-            let mut content_syms = Vec::with_capacity(records.len());
-            let mut vals = Vec::new();
-            for (i, rec) in records.iter().enumerate() {
-                if rec.content.is_some() {
-                    let s = read_content_via(
-                        |pid, f| self.shared.with_page(pid, |p| f(p)),
-                        d.heap_base,
-                        rec.content,
-                    )?;
-                    content_syms.push(self.shared.tags.intern(&s).0);
-                    if build_values {
-                        vals.push((i as u32, s));
-                    }
-                } else {
-                    content_syms.push(NO_SYM);
-                }
-            }
-            let values = build_values.then_some(vals);
-            out.push(Arc::new(DocAux::new(&records, content_syms, values)));
+    /// One document's records and content symbols, read back from its
+    /// pages (inserts take them from the loader instead).
+    pub(super) fn read_rows(&self, d: &DocMeta) -> Result<(Vec<NodeRecord>, Vec<u32>)> {
+        let mut records = Vec::with_capacity(d.node_count as usize);
+        for local in 0..d.node_count {
+            let (page, slot) = node_location(d.node_base, NodeId(local));
+            let rec = self.shared.with_page(PageId(page), |p| {
+                NodeRecord::decode(&p[slot..slot + RECORD_SIZE])
+            })?;
+            records.push(rec);
         }
-        Ok(out)
+        // Re-intern every stored content string so the columnar region
+        // carries the same symbols the writing session used — the names
+        // are already in the recovered dictionary, so these lookups hit
+        // existing entries.
+        let mut content_syms = Vec::with_capacity(records.len());
+        for rec in &records {
+            content_syms.push(if rec.content.is_some() {
+                let s = read_content_via(
+                    |pid, f| self.shared.with_page(pid, |p| f(p)),
+                    d.heap_base,
+                    rec.content,
+                )?;
+                self.shared.tags.intern(&s).0
+            } else {
+                NO_SYM
+            });
+        }
+        Ok((records, content_syms))
     }
 
     /// What crash recovery did, if this store was reopened with
@@ -139,7 +135,9 @@ impl DocumentStore {
 
 #[cfg(test)]
 mod tests {
+    use super::super::meta::{encode_delta, MetaDelta, StoreMeta};
     use super::super::test_support::{durable_opts, temp_paths, SAMPLE};
+    use super::super::DOC_ROOT_TAG;
     use super::*;
     use crate::storage::DiskManager;
     use crate::wal::WalRecord;
@@ -309,5 +307,90 @@ mod tests {
         assert_eq!(s.node_count(), 10);
         let _ = std::fs::remove_file(&page);
         let _ = std::fs::remove_file(&wal);
+    }
+
+    /// Commit three documents, then rewrite the log with `tamper` applied
+    /// to each record's metadata payload (frames re-encoded, so checksums
+    /// and LSNs are those of an intact log) and reopen.
+    fn reopen_tampered(tag: &str, tamper: impl Fn(&mut WalRecord)) -> Result<DocumentStore> {
+        let (page, wal) = temp_paths(tag);
+        let opts = durable_opts(&page);
+        {
+            let s = DocumentStore::create(&opts).unwrap();
+            let first = s.insert_xml(SAMPLE).unwrap();
+            s.insert_xml("<bib><article><author>Jill</author></article></bib>")
+                .unwrap();
+            s.delete_document(first).unwrap();
+        }
+        let mut log = Vec::new();
+        for (_, mut rec) in wal::read_log(&std::fs::read(&wal).unwrap()).records {
+            tamper(&mut rec);
+            wal::encode_record(log.len() as u64, &rec, &mut log);
+        }
+        std::fs::write(&wal, log).unwrap();
+        let reopened = DocumentStore::open(&opts);
+        let _ = std::fs::remove_file(&page);
+        let _ = std::fs::remove_file(&wal);
+        reopened
+    }
+
+    /// Rewrite the delta of the commit that deletes (the last of three).
+    fn tamper_delete(rec: &mut WalRecord, edit: impl Fn(&mut MetaDelta)) {
+        if let WalRecord::Commit { meta, .. } = rec {
+            let mut delta = decode_delta(meta).unwrap();
+            if delta.removed.is_some() {
+                edit(&mut delta);
+                *meta = encode_delta(&delta);
+            }
+        }
+    }
+
+    #[test]
+    fn a_log_that_is_not_the_chain_this_store_wrote_is_typed_corruption() {
+        let corrupt =
+            |tag: &str, tamper: &dyn Fn(&mut WalRecord)| match reopen_tampered(tag, tamper) {
+                Err(StoreError::WalCorrupt { .. }) => {}
+                Err(e) => panic!("{tag}: expected WalCorrupt, got {e}"),
+                Ok(_) => panic!("{tag}: a tampered log reopened"),
+            };
+        // Untouched, the rewritten log reopens: the harness itself is sound.
+        let s = reopen_tampered("intact", |_| {}).unwrap();
+        assert_eq!(s.documents().len(), 1);
+        assert_eq!(s.recovery_info().unwrap().committed, 3);
+
+        // The two rules of the fold.
+        corrupt("dict_from", &|rec| tamper_delete(rec, |d| d.dict_from += 1));
+        corrupt("removed", &|rec| {
+            tamper_delete(rec, |d| d.removed = Some(999))
+        });
+        // A delta cut short inside an intact frame.
+        corrupt("truncated", &|rec| {
+            if let WalRecord::Commit { meta, .. } = rec {
+                meta.truncate(meta.len() - 3);
+            }
+        });
+        // The previous format: version 2, in the checkpoint or in a commit
+        // (which then carried a whole snapshot, not a delta).
+        let v2 = |meta: &mut Vec<u8>| meta[4..8].copy_from_slice(&2u32.to_le_bytes());
+        corrupt("v2 checkpoint", &|rec| {
+            if let WalRecord::Checkpoint { meta } = rec {
+                v2(meta);
+            }
+        });
+        corrupt("v2 commit", &|rec| {
+            if let WalRecord::Commit { meta, .. } = rec {
+                v2(meta);
+            }
+        });
+        corrupt("snapshot in a commit", &|rec| {
+            if let WalRecord::Commit { meta, .. } = rec {
+                let empty = StoreMeta {
+                    docs: Vec::new(),
+                    next_doc: 1,
+                    next_txn: 1,
+                };
+                *meta = encode_meta(&empty, &[DOC_ROOT_TAG.into()]);
+            }
+        });
     }
 }

@@ -9,6 +9,7 @@
 //! cases, using indices alone, without access to the actual data").
 
 use crate::catalog::TagId;
+use crate::dict::Sym;
 use crate::node::NodeId;
 
 /// An index entry: a node id together with its containment label.
@@ -41,7 +42,37 @@ impl NodeEntry {
     }
 }
 
-/// Value index: `(TagId, content) → sorted-by-start Vec<NodeEntry>`.
+/// The rows an edit takes out of a projection: one document's contiguous
+/// id range and the width of its label span. Entries past the range move
+/// down by both; an edit that removes nothing cuts the empty range at the
+/// end of the id space.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Cut {
+    /// Global ids of the removed rows.
+    pub ids: std::ops::Range<u32>,
+    /// Label positions the removed rows occupied.
+    pub span: u32,
+}
+
+/// Copy the id-sorted `src` into a fresh list with room for `extra` more
+/// entries: rows before the cut verbatim, rows inside it dropped, rows
+/// after it shifted down.
+fn splice_entries(src: &[NodeEntry], cut: &Cut, extra: usize) -> Vec<NodeEntry> {
+    let lo = src.partition_point(|e| e.id.0 < cut.ids.start);
+    let hi = lo + src[lo..].partition_point(|e| e.id.0 < cut.ids.end);
+    let mut out = Vec::with_capacity(lo + src.len() - hi + extra);
+    out.extend_from_slice(&src[..lo]);
+    let nodes = cut.ids.end - cut.ids.start;
+    out.extend(src[hi..].iter().map(|e| NodeEntry {
+        id: NodeId(e.id.0 - nodes),
+        start: e.start - cut.span,
+        end: e.end - cut.span,
+        level: e.level,
+    }));
+    out
+}
+
+/// Value index: `(TagId, content Sym) → sorted-by-start Vec<NodeEntry>`.
 ///
 /// The paper's footnote 8 discusses why value indices help less in XML
 /// than in relational systems: the index is built over a *domain*, so
@@ -51,9 +82,11 @@ impl NodeEntry {
 /// the article — so navigation or a structural join must follow.
 /// TIMBER's experiments used only the tag index; this one is optional
 /// (`StoreOptions::value_index`) and exercised by selection predicates.
+/// Every stored value is interned, so the key is the content symbol of
+/// the label columns, not a second copy of the string.
 #[derive(Debug, Default, Clone)]
 pub struct ValueIndex {
-    map: std::collections::HashMap<(TagId, String), Vec<NodeEntry>>,
+    map: std::collections::HashMap<(TagId, Sym), Vec<NodeEntry>>,
 }
 
 impl ValueIndex {
@@ -64,8 +97,8 @@ impl ValueIndex {
 
     /// Record `entry` (with tag `tag`) as carrying `value`. Entries must
     /// arrive in document order per key.
-    pub fn insert(&mut self, tag: TagId, value: &str, entry: NodeEntry) {
-        let list = self.map.entry((tag, value.to_owned())).or_default();
+    pub fn insert(&mut self, tag: TagId, value: Sym, entry: NodeEntry) {
+        let list = self.map.entry((tag, value)).or_default();
         debug_assert!(
             list.last().map(|p| p.start < entry.start).unwrap_or(true),
             "value-index entries must arrive in document order"
@@ -73,13 +106,22 @@ impl ValueIndex {
         list.push(entry);
     }
 
-    /// The document-order nodes of tag `tag` whose content equals
-    /// `value`.
-    pub fn nodes(&self, tag: TagId, value: &str) -> &[NodeEntry] {
+    /// The document-order nodes of tag `tag` whose content is `value`.
+    pub fn nodes(&self, tag: TagId, value: Sym) -> &[NodeEntry] {
         self.map
-            .get(&(tag, value.to_owned()))
+            .get(&(tag, value))
             .map(Vec::as_slice)
             .unwrap_or(&[])
+    }
+
+    /// A copy of this index without the rows of `cut`; keys left with no
+    /// rows go.
+    pub(crate) fn spliced(&self, cut: &Cut) -> ValueIndex {
+        let lists = self.map.iter();
+        let kept = lists.map(|(key, list)| (*key, splice_entries(list, cut, 0)));
+        ValueIndex {
+            map: kept.filter(|(_, list)| !list.is_empty()).collect(),
+        }
     }
 
     /// Number of distinct `(tag, value)` keys.
@@ -121,6 +163,33 @@ impl TagIndex {
             "index entries must arrive in document order"
         );
         self.lists[idx].push(entry);
+    }
+
+    /// A copy of this index without the rows of `cut`, each list with
+    /// room for the entries of `added` (one tag per row the caller is
+    /// about to insert), so the bulk copy lands in the allocation the
+    /// appends fill. The counts go into a dense array beside the lists:
+    /// the tag space holds every content symbol too, and a lookup per
+    /// list costs more than the reallocations it saves.
+    pub(crate) fn spliced(&self, cut: &Cut, added: impl Iterator<Item = TagId>) -> TagIndex {
+        let mut extra = vec![0usize; self.lists.len()];
+        for tag in added {
+            if let Some(n) = extra.get_mut(tag.0 as usize) {
+                *n += 1;
+            }
+        }
+        let lists = self.lists.iter().zip(extra);
+        TagIndex {
+            lists: lists
+                .map(|(list, extra)| splice_entries(list, cut, extra))
+                .collect(),
+        }
+    }
+
+    /// The first entry of `tag`'s list, for patching in place (the
+    /// synthetic root's `end` moves with every edit).
+    pub(crate) fn first_mut(&mut self, tag: TagId) -> Option<&mut NodeEntry> {
+        self.lists.get_mut(tag.0 as usize)?.first_mut()
     }
 
     /// The document-order node list for `tag` (empty if the tag has no
@@ -191,18 +260,44 @@ mod tests {
 
     #[test]
     fn value_index_roundtrip() {
+        let (jack, jill) = (Sym(7), Sym(8));
         let mut ix = ValueIndex::new();
-        ix.insert(TagId(1), "Jack", entry(1, 5, 6, 2));
-        ix.insert(TagId(1), "Jack", entry(2, 9, 10, 2));
-        ix.insert(TagId(1), "Jill", entry(3, 13, 14, 2));
-        ix.insert(TagId(2), "Jack", entry(4, 17, 18, 2));
-        assert_eq!(ix.nodes(TagId(1), "Jack").len(), 2);
-        assert_eq!(ix.nodes(TagId(1), "Jill").len(), 1);
+        ix.insert(TagId(1), jack, entry(1, 5, 6, 2));
+        ix.insert(TagId(1), jack, entry(2, 9, 10, 2));
+        ix.insert(TagId(1), jill, entry(3, 13, 14, 2));
+        ix.insert(TagId(2), jack, entry(4, 17, 18, 2));
+        assert_eq!(ix.nodes(TagId(1), jack).len(), 2);
+        assert_eq!(ix.nodes(TagId(1), jill).len(), 1);
         // Type separation: author "Jack" vs editor "Jack" do not mix.
-        assert_eq!(ix.nodes(TagId(2), "Jack").len(), 1);
-        assert_eq!(ix.nodes(TagId(9), "Jack").len(), 0);
+        assert_eq!(ix.nodes(TagId(2), jack).len(), 1);
+        assert_eq!(ix.nodes(TagId(9), jack).len(), 0);
         assert_eq!(ix.key_count(), 3);
         assert_eq!(ix.total_entries(), 4);
+    }
+
+    #[test]
+    fn splicing_cuts_an_id_range_and_shifts_what_follows() {
+        let mut ix = TagIndex::new();
+        let mut vx = ValueIndex::new();
+        for (id, start) in [(1, 1), (2, 5), (3, 9), (4, 13)] {
+            ix.insert(TagId(3), entry(id, start, start + 1, 2));
+            vx.insert(TagId(3), Sym(id), entry(id, start, start + 1, 2));
+        }
+        // Rows 2..4 (labels 5..13) leave; row 4 becomes row 2 at label 5.
+        let cut = Cut { ids: 2..4, span: 8 };
+        let after = [entry(1, 1, 2, 2), entry(2, 5, 6, 2)];
+        let spliced = ix.spliced(&cut, [TagId(3), TagId(7), TagId(3)].into_iter());
+        assert_eq!(spliced.nodes(TagId(3)), after);
+        assert_eq!(spliced.lists[3].capacity(), 4);
+        let values = vx.spliced(&cut);
+        assert_eq!(values.nodes(TagId(3), Sym(4)), &after[1..]);
+        assert_eq!(values.key_count(), 2);
+        // Cutting nothing at the end of the id space is a plain copy.
+        let none = Cut { ids: 5..5, span: 0 };
+        assert_eq!(
+            ix.spliced(&none, std::iter::empty()).nodes(TagId(3)),
+            ix.nodes(TagId(3))
+        );
     }
 
     #[test]

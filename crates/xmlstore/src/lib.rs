@@ -17,11 +17,13 @@
 //!   `d.level = a.level + 1`;
 //! * [`heap`] — a content heap holding element text and attribute values;
 //! * [`dict::Dictionary`] — the unified symbol dictionary: tags *and*
-//!   content values intern to dense `u32` [`dict::Sym`]s, snapshotted
-//!   into every WAL commit so recovery round-trips the assignment;
+//!   content values intern to dense `u32` [`dict::Sym`]s; a checkpoint
+//!   logs the whole table and each commit the suffix it added, so
+//!   recovery round-trips the assignment;
 //! * [`columns::NodeColumns`] — the columnar label region: parallel
 //!   `start`/`end`/`level`/`tag`/`kind`/`content` arrays in global
-//!   document order, shared out behind an `Arc` for zero-copy scans;
+//!   document order, shared out behind an `Arc` for zero-copy scans and
+//!   extended, not rebuilt, by each commit;
 //! * [`index::TagIndex`] — the tag-name index: for each tag, the document-
 //!   order list of `(id, start, end, level)` entries, so pattern-tree node
 //!   candidates are found **without any data-page access**, as Sec. 5.2 of

@@ -20,9 +20,14 @@
 //! Record kinds: `Begin`, `PageImage` (full before/after page images —
 //! physical logging; the before image is a flag when the page was free
 //! or fresh, which after zero-on-reuse is always the case in practice),
-//! `Commit` (carrying a full serialized metadata snapshot: tag catalog,
-//! document directory, counters), `Abort`, and `Checkpoint` (the same
-//! snapshot; always the first record of a log).
+//! `Commit` (carrying the transaction's metadata *delta*: new counters,
+//! the dictionary names interned since the last durable record, the
+//! document-table entry removed and/or added), `Abort`, and `Checkpoint`
+//! (the one full metadata snapshot: whole name table, document
+//! directory, counters; always the first record of a log). Both
+//! payloads are opaque bytes here — the `document::meta` codec owns
+//! their layout, and recovery hands them back in log order for the
+//! store to fold.
 //!
 //! ## Durability rules
 //!
@@ -45,8 +50,9 @@
 //! [`recover`] reads the log tail (truncating at the first checksum or
 //! LSN mismatch — a torn final record), then runs three phases:
 //!
-//! 1. **Analysis** — find the committed set and the last committed
-//!    metadata snapshot;
+//! 1. **Analysis** — find the committed set, the checkpoint payload and
+//!    the committed payloads that follow it, in log order (a transaction
+//!    with an `Abort` is a loser whatever else the log holds of it);
 //! 2. **Redo** — repeat history: every page image is rewritten in log
 //!    order, stamping the record's LSN into the page header (full
 //!    images make this idempotent, and it also repairs pages torn by a
@@ -114,12 +120,11 @@ pub enum WalRecord {
         /// State to reinstall if `txn` wins.
         after: Box<[u8; PAGE_SIZE]>,
     },
-    /// `txn` committed; `meta` is the full serialized store metadata
-    /// snapshot as of this commit.
+    /// `txn` committed; `meta` is what it changed in the store metadata.
     Commit {
         /// The committing transaction.
         txn: TxnId,
-        /// Serialized store metadata (the `document::meta` codec).
+        /// Serialized metadata delta (the `document::meta` codec).
         meta: Vec<u8>,
     },
     /// `txn` rolled back in-process (recovery also treats any
@@ -128,9 +133,10 @@ pub enum WalRecord {
         /// The aborted transaction.
         txn: TxnId,
     },
-    /// A metadata snapshot; always the first record of a log file.
+    /// The full metadata snapshot; always the first record of a log
+    /// file.
     Checkpoint {
-        /// Serialized metadata bytes.
+        /// Serialized metadata snapshot (the `document::meta` codec).
         meta: Vec<u8>,
     },
 }
@@ -433,13 +439,12 @@ impl Wal {
     /// after the operation already reported failure. Durable bytes are
     /// never touched — a transaction whose earlier images reached the
     /// disk stays in the log and is rolled back as a loser at recovery.
+    /// When `from_lsn` itself is already durable (an eviction flushed
+    /// the transaction's first records), everything still buffered
+    /// comes after it and all of it goes.
     pub fn truncate_pending(&mut self, from_lsn: Lsn) {
-        if from_lsn >= self.durable {
-            let keep = (from_lsn - self.durable) as usize;
-            if keep < self.buf.len() {
-                self.buf.truncate(keep);
-            }
-        }
+        let keep = from_lsn.saturating_sub(self.durable) as usize;
+        self.buf.truncate(keep);
     }
 
     /// Make every record up to and including `lsn` durable. A no-op if
@@ -622,8 +627,12 @@ impl Drop for Wal {
 /// What [`recover`] reconstructed.
 #[derive(Debug)]
 pub struct RecoveredState {
-    /// The last durably committed metadata snapshot bytes.
-    pub meta: Vec<u8>,
+    /// The checkpoint's metadata snapshot bytes.
+    pub checkpoint: Vec<u8>,
+    /// The metadata delta of every durably committed transaction after
+    /// the checkpoint, in log order. Folding them over the checkpoint
+    /// gives the recovered metadata.
+    pub commits: Vec<Vec<u8>>,
     /// One past the highest transaction id seen in the log.
     pub next_txn: TxnId,
     /// Valid log length (offset where the next record would go).
@@ -642,7 +651,7 @@ pub struct RecoveredState {
 /// `disk`. Pure function of its inputs: replaying it twice leaves the
 /// same page bytes as replaying it once.
 pub fn replay(disk: &mut DiskManager, log_bytes: &[u8]) -> Result<RecoveredState> {
-    let contents = read_log(log_bytes);
+    let mut contents = read_log(log_bytes);
     let first_is_checkpoint = matches!(
         contents.records.first(),
         Some((0, WalRecord::Checkpoint { .. }))
@@ -655,35 +664,50 @@ pub fn replay(disk: &mut DiskManager, log_bytes: &[u8]) -> Result<RecoveredState
     }
 
     // ---- analysis ----------------------------------------------------
-    let mut meta: Vec<u8> = Vec::new();
+    // Metadata payloads are moved out of the records: redo and undo
+    // below read page images only.
+    let mut checkpoint: Vec<u8> = Vec::new();
+    let mut commits: Vec<(TxnId, Vec<u8>)> = Vec::new();
     let mut committed: HashSet<TxnId> = HashSet::new();
     let mut seen: HashSet<TxnId> = HashSet::new();
     let mut aborted: HashSet<TxnId> = HashSet::new();
     let mut next_txn: TxnId = 1;
     let mut last_image: HashMap<u32, Lsn> = HashMap::new();
-    for (lsn, rec) in &contents.records {
+    for (lsn, rec) in &mut contents.records {
         match rec {
-            WalRecord::Checkpoint { meta: m } => meta = m.clone(),
+            WalRecord::Checkpoint { meta } => {
+                checkpoint = std::mem::take(meta);
+                commits.clear();
+            }
             WalRecord::Begin { txn } => {
                 seen.insert(*txn);
-                next_txn = next_txn.max(txn + 1);
+                next_txn = next_txn.max(*txn + 1);
             }
             WalRecord::PageImage { txn, pid, .. } => {
                 seen.insert(*txn);
-                next_txn = next_txn.max(txn + 1);
+                next_txn = next_txn.max(*txn + 1);
                 last_image.insert(pid.0, *lsn);
             }
-            WalRecord::Commit { txn, meta: m } => {
+            WalRecord::Commit { txn, meta } => {
                 committed.insert(*txn);
-                next_txn = next_txn.max(txn + 1);
-                meta = m.clone();
+                next_txn = next_txn.max(*txn + 1);
+                commits.push((*txn, std::mem::take(meta)));
             }
             WalRecord::Abort { txn } => {
                 aborted.insert(*txn);
-                next_txn = next_txn.max(txn + 1);
+                next_txn = next_txn.max(*txn + 1);
             }
         }
     }
+    // An `Abort` means the writer rolled the transaction back in memory
+    // (released its pages, left the document table and `dict_logged` as
+    // they were), so it wins over a `Commit` of the same transaction:
+    // the delta must not reach the fold and the images are undone. The
+    // rollback drops the buffered commit record before it appends the
+    // abort, so this store does not write such a log; one that holds
+    // the pair anyway is read the way the writer went on.
+    committed.retain(|t| !aborted.contains(t));
+    commits.retain(|(t, _)| committed.contains(t));
     let losers: HashSet<TxnId> = seen
         .iter()
         .filter(|t| !committed.contains(t))
@@ -728,7 +752,8 @@ pub fn replay(disk: &mut DiskManager, log_bytes: &[u8]) -> Result<RecoveredState
     disk.sync()?;
 
     Ok(RecoveredState {
-        meta,
+        checkpoint,
+        commits: commits.into_iter().map(|(_, delta)| delta).collect(),
         next_txn,
         log_len: contents.valid_len,
         redone,
@@ -870,7 +895,8 @@ mod tests {
             // no commit for txn 2: loser
         ]);
         let state = replay(&mut disk, &log).unwrap();
-        assert_eq!(state.meta, vec![1]);
+        assert_eq!(state.checkpoint, vec![0]);
+        assert_eq!(state.commits, vec![vec![1]]);
         assert_eq!(state.committed, 1);
         assert_eq!(state.losers, 1);
         assert_eq!(state.next_txn, 3);
@@ -914,6 +940,71 @@ mod tests {
         let mut buf = [0u8; PAGE_SIZE];
         disk.read_page(PageId(0), &mut buf).unwrap();
         assert_eq!(buf[PAGE_HEADER_SIZE], 0x22);
+    }
+
+    #[test]
+    fn an_abort_wins_over_a_commit_of_the_same_transaction() {
+        let mut disk = DiskManager::in_memory();
+        disk.allocate().unwrap();
+        let log = encode_all(&[
+            WalRecord::Checkpoint { meta: vec![0] },
+            WalRecord::Begin { txn: 1 },
+            WalRecord::PageImage {
+                txn: 1,
+                pid: PageId(0),
+                before: BeforeImage::Zero,
+                after: image(0x11),
+            },
+            WalRecord::Commit {
+                txn: 1,
+                meta: vec![1],
+            },
+            WalRecord::Abort { txn: 1 },
+            WalRecord::Begin { txn: 2 },
+            WalRecord::Commit {
+                txn: 2,
+                meta: vec![2],
+            },
+        ]);
+        let state = replay(&mut disk, &log).unwrap();
+        assert_eq!(state.commits, vec![vec![2]], "the aborted delta is dropped");
+        assert_eq!((state.committed, state.losers), (1, 1));
+        assert_eq!(state.next_txn, 3);
+        let mut buf = [0u8; PAGE_SIZE];
+        disk.read_page(PageId(0), &mut buf).unwrap();
+        assert_eq!(buf[PAGE_HEADER_SIZE], 0x00, "its image is undone");
+    }
+
+    #[test]
+    fn truncate_pending_drops_the_whole_tail_of_a_partly_durable_transaction() {
+        let disk = SharedDisk::new(DiskManager::in_memory());
+        let mut wal = Wal::create(None, false, disk, vec![1]).unwrap();
+        // Wholly buffered: the cut lands inside the buffer.
+        let keep = wal.append(WalRecord::Begin { txn: 1 });
+        let start = wal.append(WalRecord::Begin { txn: 2 });
+        wal.append(WalRecord::Commit {
+            txn: 2,
+            meta: vec![2],
+        });
+        wal.truncate_pending(start);
+        assert_eq!(wal.next_lsn(), start);
+        assert!(wal.next_lsn() > keep);
+        // Partly durable (an eviction flushed `Begin`): the start is
+        // behind the durable mark, and the buffered commit still goes.
+        let start = wal.append(WalRecord::Begin { txn: 3 });
+        wal.flush().unwrap();
+        wal.append(WalRecord::Commit {
+            txn: 3,
+            meta: vec![3],
+        });
+        assert!(start < wal.durable_lsn());
+        wal.truncate_pending(start);
+        assert_eq!(wal.next_lsn(), wal.durable_lsn());
+        wal.flush().unwrap();
+        let records = read_log(&wal.durable_bytes().unwrap()).records;
+        assert!(!records
+            .iter()
+            .any(|(_, r)| matches!(r, WalRecord::Commit { .. })));
     }
 
     #[test]

@@ -310,3 +310,248 @@ fn seeded_crash_points_recover_exactly_the_committed_documents() {
         }
     }
 }
+
+// ---- the delta chain -----------------------------------------------------
+//
+// A commit record carries what the edit changed — the dictionary suffix
+// interned since the last durable record and one or two document-table
+// entries — so recovery folds a chain of deltas over the checkpoint's
+// snapshot. The chain below puts everything that can sit between two
+// links into the tail after a checkpoint.
+
+#[derive(Clone, Copy)]
+enum Link {
+    Insert(usize),
+    /// An insert whose log flush fails (`write_err=1.0`): nothing
+    /// commits, but the symbols its loader interned stay in memory and
+    /// ride with the next commit that lands.
+    FailedInsert(usize),
+    Replace(usize),
+    Delete,
+    /// A query whose constructed tag no document holds: it is interned
+    /// between two commits and rides with the later one.
+    Query,
+    Checkpoint,
+}
+
+/// After the load that opens every run. The crash schedules arm at
+/// `CHAIN[TAIL]` and again after the failed insert (arming replaces the
+/// injector, so one schedule cannot span it).
+const CHAIN: &[Link] = &[
+    Link::Insert(6),
+    Link::Checkpoint,
+    Link::Insert(5),
+    Link::FailedInsert(9),
+    Link::Replace(4),
+    Link::Query,
+    Link::Delete,
+    Link::Insert(3),
+];
+const TAIL: usize = 2;
+const AFTER_FAILURE: usize = 4;
+const PROBE_TAG: &str = "chainprobe";
+
+struct ChainRun {
+    /// Commits and checkpoints that returned `Ok`.
+    durable_events: usize,
+    /// Write-class operations the armed schedule counted.
+    write_ops: u64,
+}
+
+/// Run the chain on `db`. `arm` installs a fault schedule just before
+/// `CHAIN[at]`; the run ends at an injected crash, or — for the oracle —
+/// once `stop_after` durable events are done, before whatever follows
+/// the last of them can intern anything.
+fn run_chain(
+    db: &TimberDb,
+    arm: Option<(usize, FaultConfig)>,
+    stop_after: Option<usize>,
+) -> ChainRun {
+    let log_down: FaultConfig = "seed=1,write_err=1.0,pages=4294967295-4294967295"
+        .parse()
+        .unwrap();
+    let probe = format!(
+        r#"FOR $a IN distinct-values(document("bib.xml")//author)
+           RETURN <{PROBE_TAG}> {{$a}} </{PROBE_TAG}>"#
+    );
+    let ops = |db: &TimberDb, seen: u64| db.fault_stats().map_or(seen, |f| f.write_ops);
+    let mut run = ChainRun {
+        durable_events: 0,
+        write_ops: 0,
+    };
+    for (i, link) in CHAIN.iter().enumerate() {
+        if stop_after == Some(run.durable_events) {
+            break;
+        }
+        if let Some((_, schedule)) = arm.as_ref().filter(|(at, _)| *at == i) {
+            db.set_faults(Some(schedule.clone())).unwrap();
+        }
+        let oldest = db.documents()[0].0;
+        let syms = db.store().dict().len();
+        let done: Result<(), TimberError> = match *link {
+            Link::Insert(articles) => db.insert_xml(&link_xml(articles)).map(drop),
+            Link::Replace(articles) => db.replace_xml(oldest, &link_xml(articles)).map(drop),
+            Link::Delete => db.delete_document(oldest),
+            Link::Checkpoint => db.checkpoint(),
+            Link::FailedInsert(articles) => {
+                run.write_ops = ops(db, run.write_ops);
+                db.set_faults(Some(log_down.clone())).unwrap();
+                let err = db.insert_xml(&link_xml(articles)).unwrap_err();
+                assert!(
+                    matches!(&err, TimberError::Store(e) if e.is_transient()),
+                    "{err}"
+                );
+                db.set_faults(None).unwrap();
+                assert!(db.store().dict().len() > syms, "its symbols stay interned");
+                continue;
+            }
+            Link::Query => {
+                db.query(&probe, PlanMode::Direct).unwrap();
+                assert!(db.store().dict().get(PROBE_TAG).is_some());
+                assert!(db.store().dict().len() > syms, "the query interned its tag");
+                continue;
+            }
+        };
+        match done {
+            Ok(()) => run.durable_events += 1,
+            Err(TimberError::Store(StoreError::SimulatedCrash)) => break,
+            Err(e) => panic!("unexpected chain error: {e}"),
+        }
+    }
+    run.write_ops = ops(db, run.write_ops);
+    run
+}
+
+/// A document of its own seed, so every link brings titles (and a few
+/// authors) no earlier link interned.
+fn link_xml(articles: usize) -> String {
+    DblpGenerator::new(DblpConfig::sized(articles).with_seed(articles as u64)).generate_xml()
+}
+
+fn chain_db(opts: &StoreOptions) -> TimberDb {
+    TimberDb::load_xml(&link_xml(10), opts).unwrap()
+}
+
+fn count_bytes(db: &TimberDb) -> String {
+    let r = db.query(QUERY_COUNT, PlanMode::GroupByRewrite).unwrap();
+    r.to_xml_on(db.store()).unwrap()
+}
+
+fn remove_files(paths: &[&Path]) {
+    for p in paths {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn recovery_folds_the_delta_chain_at_every_crash_point_of_the_tail() {
+    for ordered in [false, true] {
+        let with = |page: &Path| match ordered {
+            true => durable_opts(page).with_ordered_dict(),
+            false => durable_opts(page),
+        };
+        for at in [TAIL, AFTER_FAILURE] {
+            // Size this schedule: the armed segment's write-class ops.
+            let (page, wal_p) = temp_paths("chain_dry");
+            let dry = run_chain(
+                &chain_db(&with(&page)),
+                Some((at, FaultConfig::seeded(7))),
+                None,
+            );
+            assert_eq!(dry.durable_events, 6, "the fault-free chain completes");
+            remove_files(&[&page, &wal_p]);
+            let w = dry.write_ops;
+            assert!(w >= 3, "arming at link {at} saw {w} write ops");
+
+            for crash_at in 1..=w {
+                let label = format!("ordered={ordered} armed at link {at}, crash={crash_at}");
+                let (page, wal_p) = temp_paths("chain");
+                let opts = with(&page);
+                let db = chain_db(&opts);
+                let schedule = FaultConfig::seeded(7).with_crash_after(crash_at);
+                let crashed = run_chain(&db, Some((at, schedule)), None);
+                assert_eq!(db.fault_stats().unwrap().crashes, 1, "{label}");
+                drop(db);
+
+                // The oracle never crashes: the same chain, stopped after
+                // the last commit the crashed run saw acknowledged.
+                let (opage, owal) = temp_paths("chain_oracle");
+                let oracle = chain_db(&with(&opage));
+                run_chain(&oracle, None, Some(crashed.durable_events));
+
+                let recovered = TimberDb::open(&opts).unwrap();
+                let (got, want) = (recovered.store().dict(), oracle.store().dict());
+                assert_eq!(got.len(), want.len(), "{label}: dictionary length");
+                for i in 0..want.len() as u32 {
+                    let sym = xmlstore::Sym(i);
+                    assert_eq!(got.resolve(sym), want.resolve(sym), "{label}: symbol {i}");
+                }
+                assert_eq!(got.ordered_upto(), want.ordered_upto(), "{label}");
+                if ordered {
+                    assert!(got.ordered_upto() > 30, "{label}: {}", got.ordered_upto());
+                }
+                assert_eq!(recovered.documents(), oracle.documents(), "{label}");
+                assert_eq!(count_bytes(&recovered), count_bytes(&oracle), "{label}");
+                drop((recovered, oracle));
+                remove_files(&[&page, &wal_p, &opage, &owal]);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_failed_commit_with_a_durable_prefix_never_reaches_the_fold() {
+    // Two frames: an insert over reused pages logs page images, and the
+    // evictions they force flush `Begin` and the first images before the
+    // commit record is even appended. When the commit flush then fails,
+    // the rollback must take the buffered `Commit` with it although the
+    // transaction's start is already durable — otherwise a later flush
+    // lands a delta the writer never applied. Even seeds fail a document
+    // whose names are all durable (a landed delta would add a phantom
+    // entry over released pages), odd seeds one that interns new names
+    // (the next commit would log the same `dict_from` twice).
+    let log_only = |cfg: FaultConfig| cfg.with_pages(u32::MAX, u32::MAX);
+    let mut failed_with_prefix = [0usize; 2];
+    for seed in 0..40u64 {
+        let label = format!("seed {seed}");
+        let reused = link_xml(if seed % 2 == 0 { 300 } else { 280 });
+        let run = |db: &TimberDb, faults: FaultConfig| {
+            let big = db.insert_xml(&link_xml(300)).unwrap();
+            db.delete_document(big).unwrap();
+            let before = db.wal_stats().unwrap();
+            db.set_faults(Some(log_only(faults))).unwrap();
+            let landed = db.insert_xml(&reused).is_ok();
+            // Disarming flushes the pool first, through the schedule
+            // that is still armed: a buffered `Abort` may need retries.
+            while db.set_faults(None).is_err() {}
+            let flushed = db.wal_stats().unwrap().flushes - before.flushes;
+            db.insert_xml(&link_xml(3)).unwrap();
+            (landed, flushed)
+        };
+        let (page, wal_p) = temp_paths("prefix");
+        let opts = durable_opts(&page).with_pool_pages(2);
+        let db = chain_db(&opts);
+        let (landed, flushed) = run(&db, FaultConfig::seeded(seed).with_write_error(0.6));
+        failed_with_prefix[(seed % 2) as usize] += usize::from(!landed && flushed > 0);
+        drop(db);
+
+        // The oracle fails the same insert before any of it is durable.
+        let (opage, owal) = temp_paths("prefix_oracle");
+        let oracle = chain_db(&durable_opts(&opage).with_pool_pages(2));
+        let p = if landed { 0.0 } else { 1.0 };
+        let (olanded, _) = run(&oracle, FaultConfig::seeded(seed).with_write_error(p));
+        assert_eq!(olanded, landed, "{label}");
+
+        let recovered = TimberDb::open(&opts).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(recovered.documents(), oracle.documents(), "{label}");
+        let (got, want) = (recovered.store().dict(), oracle.store().dict());
+        assert_eq!(got.len(), want.len(), "{label}: dictionary length");
+        assert_eq!(count_bytes(&recovered), count_bytes(&oracle), "{label}");
+        drop((recovered, oracle));
+        remove_files(&[&page, &wal_p, &opage, &owal]);
+    }
+    assert!(
+        failed_with_prefix.iter().all(|&n| n >= 3),
+        "too few seeds failed a partly durable commit: {failed_with_prefix:?}"
+    );
+}

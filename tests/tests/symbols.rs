@@ -46,7 +46,7 @@ fn dictionary_intern_resolve_roundtrips() {
         assert_eq!(d.len(), distinct.len());
         // The snapshot reproduces the exact assignment and the restored
         // dictionary continues the symbol sequence where it left off.
-        let snap = d.snapshot();
+        let snap = d.names_from(0);
         let d2 = Dictionary::from_names(&snap);
         for (name, &sym) in names.iter().zip(&syms) {
             assert_eq!(d2.get(name), Some(sym));
