@@ -62,6 +62,8 @@
 //! earlier commit are the repo benchmark's job (`benchmark/`), not this
 //! command's.
 
+#![forbid(unsafe_code)]
+
 use timber::{PlanMode, TimberDb};
 use timber_bench::*;
 
@@ -185,6 +187,30 @@ fn main() {
     }
 }
 
+/// [`measure`] for the un-fused grouped plan — `Optimizer::materializing()`,
+/// the optimizer configuration the X13/X14 ablations and the bench-smoke
+/// ratio gates time the fused kernels against. Same protocol: cold pool,
+/// compile and serialization inside the timed window.
+fn measure_unfused(db: &TimberDb, query: &str) -> RunStats {
+    db.clear_buffer_pool().expect("clear pool");
+    db.reset_io_stats();
+    let start = std::time::Instant::now();
+    let ast = xquery::parse_query(query).expect("bench query parses");
+    let naive = xquery::translate(&ast).expect("bench query translates");
+    let (plan, trace) = xquery::opt::Optimizer::materializing().optimize(naive);
+    let result = db
+        .run_plan(&plan, trace.fired("groupby-rewrite"))
+        .expect("fault-free measurement");
+    let xml = result.to_xml_on(db.store()).expect("result serializes");
+    RunStats {
+        elapsed: start.elapsed(),
+        io: db.io_stats(),
+        output_trees: result.len(),
+        output_bytes: xml.len(),
+        rewritten: result.rewritten,
+    }
+}
+
 /// The CI fast-path gate: tier-1 queries, serial and sharded,
 /// best-of-five, in calibration units. Returns `false` when a same-run
 /// ratio gate or the commit-log count gate fails (the caller exits
@@ -198,66 +224,40 @@ fn run_bench_smoke(articles: usize, on_disk: bool, analyze: bool, json_path: Opt
     let mut db = build_db(articles, None, on_disk);
 
     // The count query runs in three plan flavors: `*_groupby` pins the
-    // materialized GroupBy → Aggregate reference, `*_rollup` the fused
-    // streaming kernel (GroupByRewrite fires rollup-fuse), so the report
-    // shows both paths side by side.
+    // un-fused GroupBy → Aggregate pipeline (the materializing
+    // optimizer), `*_rollup` the fused streaming kernel (GroupByRewrite
+    // fires rollup-fuse), so the report shows both paths side by side.
     // `e2_cube*` pins the XOLAP lattice: the one-scan `Plan::Cube`
-    // (rewrite mode) against the composed per-level rollup union
-    // (materialized mode) it replaces — both timed here so the ≥1.5×
-    // one-scan advantage is gated as a same-run ratio.
-    let workload: [(&str, &str, PlanMode, usize); 11] = [
-        ("e1_titles_direct", QUERY_TITLES, PlanMode::Direct, 1),
-        (
-            "e1_titles_groupby",
-            QUERY_TITLES,
-            PlanMode::GroupByRewrite,
-            1,
-        ),
-        ("e2_count_direct", QUERY_COUNT, PlanMode::Direct, 1),
-        (
-            "e2_count_groupby",
-            QUERY_COUNT,
-            PlanMode::GroupByMaterialized,
-            1,
-        ),
-        ("e2_count_rollup", QUERY_COUNT, PlanMode::GroupByRewrite, 1),
-        (
-            "e1_titles_groupby_t4",
-            QUERY_TITLES,
-            PlanMode::GroupByRewrite,
-            4,
-        ),
-        (
-            "e2_count_groupby_t4",
-            QUERY_COUNT,
-            PlanMode::GroupByMaterialized,
-            4,
-        ),
-        (
-            "e2_count_rollup_t4",
-            QUERY_COUNT,
-            PlanMode::GroupByRewrite,
-            4,
-        ),
-        (
-            "e2_cube_composed",
-            QUERY_CUBE,
-            PlanMode::GroupByMaterialized,
-            1,
-        ),
-        ("e2_cube", QUERY_CUBE, PlanMode::GroupByRewrite, 1),
-        ("e2_cube_t4", QUERY_CUBE, PlanMode::GroupByRewrite, 4),
+    // against the composed per-level rollup union it replaces — both
+    // timed here so the ≥1.5× one-scan advantage is gated as a same-run
+    // ratio.
+    type Arm = fn(&TimberDb, &str) -> RunStats;
+    const DIRECT: Arm = |db, q| measure(db, q, PlanMode::Direct);
+    const GROUPBY: Arm = |db, q| measure(db, q, PlanMode::GroupByRewrite);
+    const UNFUSED: Arm = measure_unfused;
+    let workload: [(&str, &str, Arm, usize); 11] = [
+        ("e1_titles_direct", QUERY_TITLES, DIRECT, 1),
+        ("e1_titles_groupby", QUERY_TITLES, GROUPBY, 1),
+        ("e2_count_direct", QUERY_COUNT, DIRECT, 1),
+        ("e2_count_groupby", QUERY_COUNT, UNFUSED, 1),
+        ("e2_count_rollup", QUERY_COUNT, GROUPBY, 1),
+        ("e1_titles_groupby_t4", QUERY_TITLES, GROUPBY, 4),
+        ("e2_count_groupby_t4", QUERY_COUNT, UNFUSED, 4),
+        ("e2_count_rollup_t4", QUERY_COUNT, GROUPBY, 4),
+        ("e2_cube_composed", QUERY_CUBE, UNFUSED, 1),
+        ("e2_cube", QUERY_CUBE, GROUPBY, 1),
+        ("e2_cube_t4", QUERY_CUBE, GROUPBY, 4),
     ];
     let mut entries = Vec::with_capacity(workload.len());
-    for &(key, query, mode, threads) in &workload {
+    for &(key, query, arm, threads) in &workload {
         db.set_threads(threads);
         // One discarded warmup, then best-of-5: the ratio gates compare
         // minima, so scheduler noise (worst on small CI runners) cannot
         // manufacture a failure.
-        measure(&db, query, mode);
+        arm(&db, query);
         let mut best = f64::INFINITY;
         for _ in 0..5 {
-            best = best.min(measure(&db, query, mode).elapsed.as_secs_f64());
+            best = best.min(arm(&db, query).elapsed.as_secs_f64());
         }
         let u = units(best, calibration_secs);
         println!("{key:<22} {best:>9.4}s = {u:>9.3} units");
@@ -1014,7 +1014,7 @@ fn run_rollup(articles: usize, on_disk: bool) {
     let mut db = build_db(articles, None, on_disk);
     for threads in [1usize, 2, 4, 8] {
         db.set_threads(threads);
-        let m = measure(&db, QUERY_COUNT, PlanMode::GroupByMaterialized);
+        let m = measure_unfused(&db, QUERY_COUNT);
         let r = measure(&db, QUERY_COUNT, PlanMode::GroupByRewrite);
         assert_eq!(
             (m.output_trees, m.output_bytes),
@@ -1039,7 +1039,7 @@ fn run_cube(articles: usize, on_disk: bool) {
     let mut db = build_db(articles, None, on_disk);
     for threads in [1usize, 2, 4, 8] {
         db.set_threads(threads);
-        let c = measure(&db, QUERY_CUBE, PlanMode::GroupByMaterialized);
+        let c = measure_unfused(&db, QUERY_CUBE);
         let f = measure(&db, QUERY_CUBE, PlanMode::GroupByRewrite);
         // The fused output carries per-level markers the composed union
         // lacks, so tree/byte counts differ by exactly those markers;

@@ -14,7 +14,7 @@
 //! .delete <doc>        delete a document by id (see .stats for ids)
 //! .checkpoint          flush dirty pages and truncate the write-ahead
 //!                      log (durable databases)
-//! .mode direct|groupby|materialized|auto|both
+//! .mode direct|groupby|both
 //! .cube                run the X14 lattice query (journal → year →
 //!                      author cube) under the current settings
 //! .batch <n>           executor batch size
@@ -32,6 +32,8 @@
 //! .quit
 //! FOR $a IN … ;        any query in the supported FLWR subset
 //! ```
+
+#![forbid(unsafe_code)]
 
 use std::io::{BufRead, Write};
 use timber::{PlanMode, TimberDb};
@@ -52,25 +54,17 @@ struct Shell {
 enum Mode {
     Direct,
     GroupBy,
-    /// The grouping rewrite without rollup fusion — the reference
-    /// `GroupBy → Aggregate` pipeline the fused kernel is checked against.
-    Materialized,
-    /// Metric-driven plan choice: grouped plan unless the sampled basis
-    /// keys look degenerate (distinct ≈ cardinality).
-    Auto,
     Both,
 }
 
 /// Accepted `.mode` arguments, echoed by the unknown-argument report.
-const MODE_VALUES: &str = "direct|groupby|materialized|auto|both";
+const MODE_VALUES: &str = "direct|groupby|both";
 
 impl Mode {
     fn parse(arg: &str) -> Option<Mode> {
         match arg {
             "direct" => Some(Mode::Direct),
             "groupby" => Some(Mode::GroupBy),
-            "materialized" => Some(Mode::Materialized),
-            "auto" => Some(Mode::Auto),
             "both" => Some(Mode::Both),
             _ => None,
         }
@@ -80,8 +74,6 @@ impl Mode {
         match self {
             Mode::Direct => "direct",
             Mode::GroupBy => "groupby",
-            Mode::Materialized => "materialized",
-            Mode::Auto => "auto",
             Mode::Both => "both",
         }
     }
@@ -465,8 +457,6 @@ impl Shell {
         let modes: &[(&str, timber_client::Mode)] = match mode {
             Mode::Direct => &[("direct", timber_client::Mode::Direct)],
             Mode::GroupBy => &[("groupby", timber_client::Mode::Grouped)],
-            Mode::Materialized => &[("materialized", timber_client::Mode::Materialized)],
-            Mode::Auto => &[("auto", timber_client::Mode::Auto)],
             Mode::Both => &[
                 ("direct", timber_client::Mode::Direct),
                 ("groupby", timber_client::Mode::Grouped),
@@ -513,8 +503,6 @@ impl Shell {
         let modes: &[(&str, PlanMode)] = match self.mode {
             Mode::Direct => &[("direct", PlanMode::Direct)],
             Mode::GroupBy => &[("groupby", PlanMode::GroupByRewrite)],
-            Mode::Materialized => &[("materialized", PlanMode::GroupByMaterialized)],
-            Mode::Auto => &[("auto", PlanMode::Auto)],
             Mode::Both => &[
                 ("direct", PlanMode::Direct),
                 ("groupby", PlanMode::GroupByRewrite),
@@ -579,27 +567,24 @@ mod tests {
     #[test]
     fn unknown_mode_argument_keeps_the_setting_and_reports_it() {
         let mut sh = shell();
-        assert!(sh.command(".mode warp"), "shell keeps running");
-        assert!(sh.mode == Mode::GroupBy, "typo must not change the mode");
+        // A typo, and the two retired modes: all the same report.
+        for arg in ["warp", "auto", "materialized"] {
+            assert!(sh.command(&format!(".mode {arg}")), "shell keeps running");
+            assert!(sh.mode == Mode::GroupBy, "'{arg}' must not change the mode");
+        }
         assert_eq!(
-            bad_setting(".mode", "warp", MODE_VALUES, "mode groupby"),
-            ".mode: unknown argument 'warp' (expected \
-             direct|groupby|materialized|auto|both); keeping mode groupby"
+            bad_setting(".mode", "auto", MODE_VALUES, "mode groupby"),
+            ".mode: unknown argument 'auto' (expected \
+             direct|groupby|both); keeping mode groupby"
         );
         // A valid argument still switches.
-        assert!(sh.command(".mode materialized"));
-        assert!(sh.mode == Mode::Materialized);
+        assert!(sh.command(".mode both"));
+        assert!(sh.mode == Mode::Both);
     }
 
     #[test]
     fn mode_names_round_trip_through_parse() {
-        for m in [
-            Mode::Direct,
-            Mode::GroupBy,
-            Mode::Materialized,
-            Mode::Auto,
-            Mode::Both,
-        ] {
+        for m in [Mode::Direct, Mode::GroupBy, Mode::Both] {
             assert!(Mode::parse(m.name()) == Some(m));
         }
     }

@@ -14,6 +14,8 @@
 //! wins, by what factor, and how the factor moves with scale and buffer
 //! pool size. Every run reports wall-clock time plus page/disk traffic.
 
+#![forbid(unsafe_code)]
+
 use datagen::{DblpConfig, DblpGenerator};
 use std::time::Duration;
 use timber::{PlanMode, TimberDb};

@@ -19,6 +19,8 @@
 //! controls the size (≈23 stored nodes per article with institutions,
 //! ≈15 without).
 
+#![forbid(unsafe_code)]
+
 pub mod zipf;
 
 use smallrand::rngs::StdRng;

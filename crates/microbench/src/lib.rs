@@ -13,6 +13,8 @@
 //! * `MICROBENCH_SAMPLES=N` overrides every group's sample size (use
 //!   `MICROBENCH_SAMPLES=1` for a smoke run).
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Work-rate annotation for a benchmark group.

@@ -14,6 +14,8 @@
 //! same stream, on every platform, so generated data sets and property
 //! cases are reproducible byte for byte.
 
+#![forbid(unsafe_code)]
+
 pub mod prop;
 
 /// Core source of uniform 64-bit values.

@@ -77,56 +77,13 @@ where
     R: Send,
     F: Fn(usize, &T) -> Result<R> + Sync,
 {
-    let threads = opts.threads.max(1).min(items.len());
-    if threads <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| contained(i, || f(i, t)))
-            .collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let chunk_results: Vec<Result<Vec<R>>> = std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, slice)| {
-                scope.spawn(move || {
-                    let base = ci * chunk;
-                    let mut out = Vec::with_capacity(slice.len());
-                    for (j, item) in slice.iter().enumerate() {
-                        // Containment is per item, so one poisoned tree
-                        // fails only itself; first-error-by-index
-                        // semantics treat the panic like any error.
-                        out.push(contained(base + j, || f(base + j, item))?);
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                // Unreachable for panics in `f` (contained above); only
-                // a panic in the bookkeeping itself still unwinds.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for r in chunk_results {
-        out.extend(r?);
-    }
-    Ok(out)
+    par_map_owned(opts, items.iter().collect(), f)
 }
 
-/// Sink-shaped [`par_map`]: consumes the items instead of borrowing
-/// them, so blocking sinks can hand each worker *ownership* of one hash
-/// partition of their drained input. Results come back in input order
-/// with the same panic containment and first-error-by-index semantics as
-/// `par_map`.
+/// The scheduler under [`par_map`]: consumes the items instead of
+/// borrowing them, so blocking sinks can hand each worker *ownership* of
+/// one hash partition of their drained input. Contiguous chunks, one per
+/// worker; results come back in input order.
 pub fn par_map_owned<T, R, F>(opts: &ExecOptions, items: Vec<T>, f: F) -> Result<Vec<R>>
 where
     T: Send,
@@ -162,6 +119,9 @@ where
                     let base = ci * chunk;
                     let mut out = Vec::with_capacity(owned.len());
                     for (j, item) in owned.into_iter().enumerate() {
+                        // Containment is per item, so one poisoned tree
+                        // fails only itself; first-error-by-index
+                        // semantics treat the panic like any error.
                         out.push(contained(base + j, || f(base + j, item))?);
                     }
                     Ok(out)

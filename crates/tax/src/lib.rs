@@ -70,6 +70,8 @@
 //! assert_eq!(grouped.len(), 2); // Silberschatz, Garcia-Molina
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod exec;
 pub mod matching;

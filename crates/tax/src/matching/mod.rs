@@ -20,9 +20,8 @@ pub mod structural;
 pub mod vnode;
 
 use crate::error::Result;
-use crate::pattern::{Axis, PatternTree, Pred};
+use crate::pattern::{Axis, PatternTree};
 use crate::tree::Tree;
-use crate::value::CmpOp;
 use std::collections::HashMap;
 use vnode::{VNode, VTree};
 use xmlstore::{kernels, DocumentStore, NodeEntry, NodeId};
@@ -76,58 +75,14 @@ pub fn match_db_scoped(
                 };
                 let skip_data_eval =
                     !pnode.pred.needs_data() || (eq_satisfied && pnode.pred.is_tag_eq_only());
-                // Symbol-order fast path: on an ordered-dict store, a
-                // lexicographic `content <op> "v"` comparison is decided
-                // by each candidate's content *symbol* against the
-                // bounds of "v" — no content fetch, no page access.
-                let ordered_cmp =
-                    (!skip_data_eval && store.ordered_dict_enabled() && !kernels::force_scalar())
-                        .then(|| sole_ordered_cmp(&pnode.pred))
-                        .flatten();
                 kept.reserve(scoped.len());
-                if let Some((op, v)) = ordered_cmp {
-                    let dict = store.dict();
-                    let (lb, ub) = dict.ordered_bounds(v);
-                    let upto = dict.ordered_upto();
-                    let cols = store.columns();
-                    let mut fell_back = 0usize;
-                    for e in scoped {
-                        let sym = cols.content[e.id.0 as usize];
-                        let keep = if sym == xmlstore::NO_SYM {
-                            // No content: a content comparison is false.
-                            false
-                        } else if sym >= 1 && sym < upto {
-                            // Symbol position against the bounds of "v"
-                            // *is* the string comparison.
-                            let ord = if sym < lb {
-                                std::cmp::Ordering::Less
-                            } else if sym < ub {
-                                std::cmp::Ordering::Equal
-                            } else {
-                                std::cmp::Ordering::Greater
-                            };
-                            op.matches(ord)
-                        } else {
-                            // Interned after load: above the watermark,
-                            // not order-comparable — per-row evaluation.
-                            fell_back += 1;
-                            eval_stored_local(store, &pnode.pred, *e, &mut content_cache)?
-                        };
-                        if keep {
-                            kept.push(*e);
-                        }
+                for e in scoped {
+                    if !skip_data_eval
+                        && !eval_stored_local(store, &pnode.pred, *e, &mut content_cache)?
+                    {
+                        continue;
                     }
-                    kernels::note_vec_rows(scoped.len() - fell_back);
-                    kernels::note_fallback_rows(fell_back);
-                } else {
-                    for e in scoped {
-                        if !skip_data_eval
-                            && !eval_stored_local(store, &pnode.pred, *e, &mut content_cache)?
-                        {
-                            continue;
-                        }
-                        kept.push(*e);
-                    }
+                    kept.push(*e);
                 }
             }
             None => {
@@ -183,7 +138,7 @@ pub fn match_db_scoped(
         let monotone = partial
             .windows(2)
             .all(|w| w[0][parent].start <= w[1][parent].start);
-        if monotone && !kernels::force_scalar() {
+        if monotone {
             // Batch combine: one galloping containment partition over
             // the distinct parents, then each binding expands its
             // parent's descendant run.
@@ -196,7 +151,7 @@ pub fn match_db_scoped(
                 }
                 which.push(unique.len() as u32 - 1);
             }
-            let runs = structural::batch_contained_in(&unique, cands);
+            let runs = kernels::containment_runs(&unique, cands);
             for (b, &u) in partial.iter().zip(&which) {
                 let (lo, hi) = runs[u as usize];
                 let p = b[parent];
@@ -292,29 +247,6 @@ pub fn match_tree(
     }
     let vt = VTree::new(store, tree);
     naive::match_vtree(&vt, pattern, anchor_root)
-}
-
-/// The one `content <op> "v"` comparison of a predicate that symbol
-/// order can answer, if the predicate has exactly that shape: every
-/// conjunct is a tag test (matching the required tag that produced the
-/// candidates), a join placeholder (locally true, filtered in step 3),
-/// or the single content comparison — and the bound does not parse as a
-/// number, so [`crate::value::compare_values`] is lexicographic for
-/// *every* content and string order (= ordered-symbol order) decides it.
-fn sole_ordered_cmp(pred: &Pred) -> Option<(CmpOp, &str)> {
-    let required = pred.required_tag()?;
-    let mut cmp = None;
-    for c in pred.conjuncts() {
-        match c {
-            Pred::Tag(t) if t == required => {}
-            Pred::ContentEqNode(_) => {}
-            Pred::Content(op, v) if cmp.is_none() && v.trim().parse::<f64>().is_err() => {
-                cmp = Some((*op, v.as_str()));
-            }
-            _ => return None,
-        }
-    }
-    cmp
 }
 
 /// Evaluate the local predicate of a stored node, fetching content and
@@ -478,10 +410,9 @@ mod tests {
     }
 
     #[test]
-    fn ordered_dict_cmp_matches_plain_store_without_io() {
-        let s = DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory().with_ordered_dict())
-            .unwrap();
-        let plain = store();
+    fn content_comparison_predicates() {
+        use crate::value::CmpOp;
+        let s = store();
         for (op, expected) in [
             (CmpOp::Ge, 3), // "Transaction Mng", "... for the Web", "... Books"
             (CmpOp::Lt, 2), // "Overview of ...", "Other Topic"
@@ -491,30 +422,8 @@ mod tests {
             let p = PatternTree::with_root(
                 Pred::tag("title").and(Pred::content_cmp(op, "Transaction")),
             );
-            let by_plain = match_db(&plain, &p).unwrap().len();
-            assert_eq!(by_plain, expected, "{op:?} on the plain store");
-            s.reset_io_stats();
             assert_eq!(match_db(&s, &p).unwrap().len(), expected, "{op:?}");
-            assert_eq!(
-                s.io_stats().page_requests(),
-                0,
-                "{op:?} must be answered from symbol order, no pages"
-            );
         }
-        // A numeric bound disqualifies the fast path (compare_values
-        // goes numeric per-content) but still answers identically.
-        let p = PatternTree::with_root(Pred::tag("title").and(Pred::content_cmp(CmpOp::Gt, "42")));
-        assert_eq!(
-            match_db(&s, &p).unwrap().len(),
-            match_db(&plain, &p).unwrap().len()
-        );
-        // Forced-scalar operation takes the per-row path yet stays exact.
-        kernels::set_force_scalar(true);
-        let p2 = PatternTree::with_root(
-            Pred::tag("title").and(Pred::content_cmp(CmpOp::Ge, "Transaction")),
-        );
-        assert_eq!(match_db(&s, &p2).unwrap().len(), 3);
-        kernels::set_force_scalar(false);
     }
 
     #[test]

@@ -34,31 +34,6 @@ pub fn contained_in_or_self<'a>(list: &'a [NodeEntry], scope: &NodeEntry) -> &'a
     &list[lo..hi]
 }
 
-/// Batch containment join: [`contained_in`] for a whole start-sorted
-/// ancestor list in one pass. Returns, parallel to `ancestors`, the
-/// `(lo, hi)` index run of `descendants` strictly contained in each
-/// ancestor (empty runs included). Ancestor starts increase, so the runs
-/// are found by galloping binary search from the previous ancestor's
-/// position ([`xmlstore::kernels::containment_runs`]) instead of
-/// per-ancestor full-width searches; under [`force_scalar`] it drops to
-/// the per-ancestor binary-search loop, whose output is bit-identical.
-///
-/// [`force_scalar`]: xmlstore::kernels::force_scalar
-pub fn batch_contained_in(ancestors: &[NodeEntry], descendants: &[NodeEntry]) -> Vec<(u32, u32)> {
-    if xmlstore::kernels::force_scalar() {
-        xmlstore::kernels::note_fallback_rows(ancestors.len());
-        return ancestors
-            .iter()
-            .map(|a| {
-                let lo = descendants.partition_point(|e| e.start <= a.start);
-                let hi = lo + descendants[lo..].partition_point(|e| e.start < a.end);
-                (lo as u32, hi as u32)
-            })
-            .collect();
-    }
-    xmlstore::kernels::containment_runs(ancestors, descendants)
-}
-
 /// Which axis a [`stack_tree_join`] enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinAxis {
@@ -273,11 +248,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_contained_in_matches_per_scope_expansion() {
+    fn containment_runs_match_per_scope_expansion() {
+        use xmlstore::kernels::containment_runs;
         let descendants = leaves();
         // Ancestor list with nesting (a0 contains b1): runs overlap.
         let anc = vec![e(0, 0, 19, 1), e(1, 1, 8, 2), e(6, 20, 29, 1)];
-        let runs = batch_contained_in(&anc, &descendants);
+        let runs = containment_runs(&anc, &descendants);
         assert_eq!(runs.len(), anc.len());
         for (a, &(lo, hi)) in anc.iter().zip(&runs) {
             assert_eq!(
@@ -288,13 +264,8 @@ mod tests {
             );
         }
         assert_eq!(runs, vec![(0, 3), (0, 2), (3, 4)]);
-        // Forced-scalar path is bit-identical.
-        xmlstore::kernels::set_force_scalar(true);
-        let slow = batch_contained_in(&anc, &descendants);
-        xmlstore::kernels::set_force_scalar(false);
-        assert_eq!(runs, slow);
-        assert!(batch_contained_in(&[], &descendants).is_empty());
-        assert_eq!(batch_contained_in(&anc, &[]), vec![(0, 0); 3]);
+        assert!(containment_runs(&[], &descendants).is_empty());
+        assert_eq!(containment_runs(&anc, &[]), vec![(0, 0); 3]);
     }
 
     #[test]
@@ -532,8 +503,8 @@ mod proptests {
     }
 
     #[test]
-    fn batch_contained_in_equals_per_scope_on_random_forests() {
-        check("batch_contained_in_equals_per_scope", 256, |g| {
+    fn containment_runs_equal_per_scope_on_random_forests() {
+        check("containment_runs_equal_per_scope", 256, |g| {
             let forest = random_forest(random_depth_seed(g));
             let mask = g.rng().next_u64();
             let mut ancestors = Vec::new();
@@ -545,7 +516,7 @@ mod proptests {
                     descendants.push(*e);
                 }
             }
-            let runs = batch_contained_in(&ancestors, &descendants);
+            let runs = xmlstore::kernels::containment_runs(&ancestors, &descendants);
             assert_eq!(runs.len(), ancestors.len());
             for (a, &(lo, hi)) in ancestors.iter().zip(&runs) {
                 assert_eq!(

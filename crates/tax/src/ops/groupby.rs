@@ -579,27 +579,6 @@ pub(crate) fn add_basis_children(
     }
 }
 
-/// The grouping key of every witness in `input`, in global arrival
-/// order — the planner's distinct-key sampling hook: a distinct/total
-/// ratio near one means grouping would emit ≈ one group per witness.
-pub fn witness_keys(
-    store: &DocumentStore,
-    input: &Collection,
-    pattern: &PatternTree,
-    basis: &[BasisItem],
-    opts: &ExecOptions,
-) -> Result<Vec<Key>> {
-    validate(pattern, basis, &[])?;
-    let per_tree: Vec<Vec<Key>> = par_map(opts, input, |_, tree| {
-        let vt = VTree::new(store, tree);
-        Ok(match_tree(store, tree, pattern, false)?
-            .iter()
-            .map(|binding| basis_key(&vt, binding, basis))
-            .collect())
-    })?;
-    Ok(per_tree.into_iter().flatten().collect())
-}
-
 fn build_group_tree(
     store: &DocumentStore,
     input: &Collection,

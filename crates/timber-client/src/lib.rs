@@ -21,6 +21,8 @@
 //! c.delete(id).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod proto;
 
 pub use proto::Mode;

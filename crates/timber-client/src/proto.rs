@@ -71,10 +71,6 @@ pub enum Mode {
     /// The full rewrite-rule framework (GROUPBY rewrite + rollup/cube
     /// fusion).
     Grouped = 1,
-    /// The grouping rewrite without rollup fusion.
-    Materialized = 2,
-    /// Metric-driven choice between the grouped and direct plans.
-    Auto = 3,
 }
 
 impl Mode {
@@ -83,8 +79,6 @@ impl Mode {
         Some(match b {
             0 => Mode::Direct,
             1 => Mode::Grouped,
-            2 => Mode::Materialized,
-            3 => Mode::Auto,
             _ => return None,
         })
     }
@@ -94,8 +88,6 @@ impl Mode {
         match self {
             Mode::Direct => "direct",
             Mode::Grouped => "groupby",
-            Mode::Materialized => "materialized",
-            Mode::Auto => "auto",
         }
     }
 }
@@ -107,8 +99,6 @@ impl std::str::FromStr for Mode {
         Ok(match s {
             "direct" => Mode::Direct,
             "groupby" | "grouped" => Mode::Grouped,
-            "materialized" => Mode::Materialized,
-            "auto" => Mode::Auto,
             other => return Err(format!("unknown mode '{other}'")),
         })
     }
@@ -228,10 +218,18 @@ mod tests {
         }
         assert_eq!(Opcode::from_u8(0), None);
         assert_eq!(Opcode::from_u8(11), None);
-        for m in [Mode::Direct, Mode::Grouped, Mode::Materialized, Mode::Auto] {
+        for m in [Mode::Direct, Mode::Grouped] {
             assert_eq!(Mode::from_u8(m as u8), Some(m));
             assert_eq!(m.name().parse::<Mode>().ok(), Some(m));
         }
-        assert_eq!(Mode::from_u8(4), None);
+        assert_eq!((Mode::Direct as u8, Mode::Grouped as u8), (0, 1));
+        // Bytes 2 and 3 once named modes; like every other byte they
+        // now decode to nothing and the server answers a typed error.
+        for b in 2..=u8::MAX {
+            assert_eq!(Mode::from_u8(b), None, "byte {b}");
+        }
+        for retired in ["materialized", "auto"] {
+            assert!(retired.parse::<Mode>().is_err());
+        }
     }
 }

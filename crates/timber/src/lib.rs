@@ -8,6 +8,14 @@
 //! pipeline of TAX operator kernels (`tax`) over the paged store
 //! (`xmlstore`).
 //!
+//! There are two [`PlanMode`]s — the paper's comparison, direct vs
+//! GROUPBY — and one executor. Any other plan (the un-fused grouped
+//! pipeline `xquery::opt::Optimizer::materializing()` yields, for the
+//! ablation benches) is compiled by its caller and handed to
+//! [`TimberDb::run_plan`]. What either mode must return is defined
+//! outside this crate, by the reference model the integration tests
+//! compare against (`tests/src/model.rs`).
+//!
 //! # Example
 //!
 //! ```
@@ -35,6 +43,8 @@
 //! assert!(grouped.rewritten);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod metrics;
 pub mod physical;
@@ -52,7 +62,7 @@ use xmlstore::{
 use xquery::opt::OptTrace;
 use xquery::Plan;
 
-/// Which evaluation plan to run.
+/// Which of the paper's two evaluation plans to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanMode {
     /// The naive join-based plan — the paper's "direct execution of the
@@ -63,30 +73,7 @@ pub enum PlanMode {
     /// applies). Grouped aggregates fuse into the streaming `Rollup`
     /// kernel.
     GroupByRewrite,
-    /// The optimized plan *without* rollup fusion
-    /// ([`xquery::opt::Optimizer::materializing`]): grouped aggregates
-    /// keep the materialized `GroupBy → Aggregate` pipeline. The
-    /// reference mode for the rollup's differential tests and the
-    /// `e2_count_groupby` benchmark key.
-    GroupByMaterialized,
-    /// Metric-driven plan choice: optimize as [`PlanMode::GroupByRewrite`],
-    /// then sample the grouping input's first batch and fall back to the
-    /// direct plan when nearly every witness carries a distinct
-    /// grouping-basis key (grouping would build one group per input
-    /// tree, so the rewrite's sharing buys nothing). The fallback is
-    /// recorded in the trace as the pseudo-firing
-    /// [`PLAN_CHOICE_DIRECT`].
-    Auto,
 }
-
-/// Pseudo-rule name recorded in the [`OptTrace`] when [`PlanMode::Auto`]
-/// abandons the grouped plan for the direct one, so `EXPLAIN ANALYZE`
-/// shows why the executed plan differs from the optimizer's output.
-pub const PLAN_CHOICE_DIRECT: &str = "plan-choice-direct";
-
-/// Fewest sampled witnesses [`PlanMode::Auto`] needs before it trusts
-/// the distinct-key ratio; below this the grouped plan always stands.
-const MIN_PLAN_SAMPLE: usize = 8;
 
 /// A loaded database plus the query pipeline.
 pub struct TimberDb {
@@ -265,47 +252,7 @@ impl TimberDb {
                 let rewritten = trace.fired("groupby-rewrite");
                 (plan, rewritten, trace)
             }
-            PlanMode::GroupByMaterialized => {
-                let (plan, trace) = xquery::opt::Optimizer::materializing().optimize(naive);
-                let rewritten = trace.fired("groupby-rewrite");
-                (plan, rewritten, trace)
-            }
-            PlanMode::Auto => {
-                let (plan, mut trace) = xquery::opt::optimize(naive.clone());
-                let rewritten = trace.fired("groupby-rewrite");
-                if rewritten && self.grouping_is_degenerate(&plan)? {
-                    trace.firings.push(xquery::opt::RuleFiring {
-                        rule: PLAN_CHOICE_DIRECT,
-                        pass: trace.passes,
-                    });
-                    (naive, false, trace)
-                } else {
-                    (plan, rewritten, trace)
-                }
-            }
         })
-    }
-
-    /// [`PlanMode::Auto`]'s sampling probe: pull the grouping input's
-    /// first batch and measure its distinct-basis-key ratio. Degenerate
-    /// means at least [`MIN_PLAN_SAMPLE`] sampled witnesses of which
-    /// ≥ 90 % carry distinct keys — grouping would emit about one group
-    /// per input tree.
-    fn grouping_is_degenerate(&self, plan: &Plan) -> Result<bool> {
-        let Some((input, pattern, basis)) = find_grouping(plan) else {
-            return Ok(false);
-        };
-        let store = self.store.snapshot();
-        let mut op = physical::build(&store, input, &self.exec, self.batch_size)?;
-        let Some(batch) = op.next_batch()? else {
-            return Ok(false);
-        };
-        let keys = tax::ops::groupby::witness_keys(&store, &batch, pattern, basis, &self.exec)?;
-        if keys.len() < MIN_PLAN_SAMPLE {
-            return Ok(false);
-        }
-        let distinct: std::collections::HashSet<_> = keys.iter().collect();
-        Ok(distinct.len() * 10 >= keys.len() * 9)
     }
 
     /// Parse, plan, and evaluate a query.
@@ -439,8 +386,7 @@ impl ExplainAnalysis {
         out.push_str(&self.metrics.render());
         let _ = writeln!(
             out,
-            "\nvector lane: {}; {} vectorized rows, {} scalar-fallback rows",
-            xmlstore::kernels::lane(),
+            "\n{} vectorized rows, {} scalar-fallback rows",
             self.metrics.total_vec_rows(),
             self.metrics.total_vec_fallback(),
         );
@@ -453,46 +399,6 @@ impl ExplainAnalysis {
             self.result.io.disk.reads,
         );
         out
-    }
-}
-
-/// The grouping node (`GroupBy` or `Rollup`) an optimized plan pivots
-/// on, together with its input plan and grouping parameters. Walks the
-/// unary spine of the pipeline shapes the optimizer emits.
-fn find_grouping(
-    plan: &Plan,
-) -> Option<(
-    &Plan,
-    &tax::pattern::PatternTree,
-    &[tax::ops::groupby::BasisItem],
-)> {
-    match plan {
-        Plan::GroupBy {
-            input,
-            pattern,
-            basis,
-            ..
-        }
-        | Plan::Rollup {
-            input,
-            pattern,
-            basis,
-            ..
-        }
-        | Plan::Cube {
-            input,
-            pattern,
-            basis,
-            ..
-        } => Some((input, pattern, basis)),
-        Plan::Project { input, .. }
-        | Plan::DupElim { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Rename { input, .. } => find_grouping(input),
-        // The composed lattice: every branch scans the same input, so
-        // the first branch's grouping probe stands for all of them.
-        Plan::Union { inputs } => inputs.first().and_then(find_grouping),
-        _ => None,
     }
 }
 
@@ -606,6 +512,13 @@ mod tests {
         RETURN <authorpubs> {$a} {count($t)} </authorpubs>
     "#;
 
+    /// The un-fused grouped plan: the optimizer configuration the X13/X14
+    /// ablations run, reached through `run_plan`.
+    fn materializing_plan(query: &str) -> (Plan, OptTrace) {
+        let naive = xquery::translate(&xquery::parse_query(query).unwrap()).unwrap();
+        xquery::opt::Optimizer::materializing().optimize(naive)
+    }
+
     #[test]
     fn rollup_plan_matches_materialized_and_direct() {
         let db = db();
@@ -614,67 +527,15 @@ mod tests {
             .unwrap();
         assert!(trace.fired("rollup-fuse"), "{}", trace.render());
         assert!(plan.explain().contains("Rollup Count"));
-        let (mat_plan, _, mat_trace) = db
-            .compile_traced(QUERY_COUNT, PlanMode::GroupByMaterialized)
-            .unwrap();
+        let (mat_plan, mat_trace) = materializing_plan(QUERY_COUNT);
         assert!(!mat_trace.fired("rollup-fuse"));
         assert!(mat_plan.explain().contains("GroupBy"));
         let direct = db.query(QUERY_COUNT, PlanMode::Direct).unwrap();
         let rollup = db.query(QUERY_COUNT, PlanMode::GroupByRewrite).unwrap();
-        let materialized = db
-            .query(QUERY_COUNT, PlanMode::GroupByMaterialized)
-            .unwrap();
+        let materialized = db.run_plan(&mat_plan, true).unwrap();
         let expected = direct.to_xml_on(db.store()).unwrap();
         assert_eq!(rollup.to_xml_on(db.store()).unwrap(), expected);
         assert_eq!(materialized.to_xml_on(db.store()).unwrap(), expected);
-    }
-
-    #[test]
-    fn auto_mode_falls_back_on_degenerate_grouping() {
-        // Ten articles, every author unique: grouping emits one group
-        // per article, so Auto should run the direct plan and say why.
-        let mut xml = String::from("<bib>");
-        for i in 0..10 {
-            xml.push_str(&format!(
-                "<article><title>T{i}</title><author>A{i}</author></article>"
-            ));
-        }
-        xml.push_str("</bib>");
-        let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-        let (_, rewritten, trace) = db.compile_traced(QUERY_COUNT, PlanMode::Auto).unwrap();
-        assert!(!rewritten);
-        assert!(trace.fired(PLAN_CHOICE_DIRECT), "{}", trace.render());
-        let auto = db.query(QUERY_COUNT, PlanMode::Auto).unwrap();
-        let direct = db.query(QUERY_COUNT, PlanMode::Direct).unwrap();
-        assert_eq!(
-            auto.to_xml_on(db.store()).unwrap(),
-            direct.to_xml_on(db.store()).unwrap()
-        );
-    }
-
-    #[test]
-    fn auto_mode_keeps_grouped_plan_when_keys_repeat() {
-        // Twelve articles over three authors: plenty of sharing, the
-        // grouped (rollup) plan stands.
-        let mut xml = String::from("<bib>");
-        for i in 0..12 {
-            xml.push_str(&format!(
-                "<article><title>T{i}</title><author>A{}</author></article>",
-                i % 3
-            ));
-        }
-        xml.push_str("</bib>");
-        let shared = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-        let (plan, rewritten, trace) = shared.compile_traced(QUERY_COUNT, PlanMode::Auto).unwrap();
-        assert!(rewritten);
-        assert!(!trace.fired(PLAN_CHOICE_DIRECT), "{}", trace.render());
-        assert!(plan.explain().contains("Rollup"));
-        // Small samples never trigger the fallback, even with unique
-        // keys (the figure-6 database has only 5 witnesses).
-        let small = db();
-        let (_, rewritten, trace) = small.compile_traced(QUERY_COUNT, PlanMode::Auto).unwrap();
-        assert!(rewritten);
-        assert!(!trace.fired(PLAN_CHOICE_DIRECT), "{}", trace.render());
     }
 
     const QUERY_CUBE: &str = r#"
@@ -705,13 +566,11 @@ mod tests {
         assert!(plan.explain().contains("Cube Count"), "{}", plan.explain());
         // The materializing optimizer keeps the composed per-level
         // union — the byte-identity reference.
-        let (mat_plan, _, mat_trace) = db
-            .compile_traced(QUERY_CUBE, PlanMode::GroupByMaterialized)
-            .unwrap();
+        let (mat_plan, mat_trace) = materializing_plan(QUERY_CUBE);
         assert!(!mat_trace.fired("cube-fuse"));
         assert!(mat_plan.explain().contains("Union (3 branches)"));
         let fused = db.query(QUERY_CUBE, PlanMode::GroupByRewrite).unwrap();
-        let composed = db.query(QUERY_CUBE, PlanMode::GroupByMaterialized).unwrap();
+        let composed = db.run_plan(&mat_plan, true).unwrap();
         let fused_xml = fused.to_xml_on(db.store()).unwrap();
         assert!(fused_xml.contains("TAX_cube_level"), "{fused_xml}");
         assert_eq!(

@@ -23,6 +23,8 @@
 //! connection thread, so embedders (tests, benches) get a clean
 //! single-owner [`TimberDb`] back after a stop.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -179,8 +181,6 @@ fn plan_mode(m: Mode) -> PlanMode {
     match m {
         Mode::Direct => PlanMode::Direct,
         Mode::Grouped => PlanMode::GroupByRewrite,
-        Mode::Materialized => PlanMode::GroupByMaterialized,
-        Mode::Auto => PlanMode::Auto,
     }
 }
 

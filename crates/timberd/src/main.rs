@@ -6,6 +6,8 @@
 //! timberd --store db.pages --listen 127.0.0.1:7345        # reopen + recover
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 use timber::TimberDb;
 use timberd::Server;

@@ -31,6 +31,8 @@
 //! assert_eq!(doc.root().children.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dom;
 pub mod error;
 pub mod lexer;

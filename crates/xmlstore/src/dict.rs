@@ -35,41 +35,10 @@ pub struct Sym(pub u32);
 /// handed out by [`Dictionary::intern`].
 pub const NO_SYM: u32 = u32::MAX;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct DictInner {
     names: Vec<Arc<str>>,
     ids: HashMap<Arc<str>, u32>,
-    /// Order watermark: symbols `1..ordered_upto` were assigned in
-    /// strictly increasing lexicographic name order, so comparing those
-    /// symbols as integers *is* comparing their strings. `Sym(0)` is
-    /// excluded (the synthetic `doc_root` tag is always interned first,
-    /// regardless of order). The watermark only ever freezes: the first
-    /// out-of-order intern leaves it where it was, and later symbols are
-    /// not order-comparable.
-    ordered_upto: u32,
-}
-
-impl Default for DictInner {
-    fn default() -> Self {
-        DictInner {
-            names: Vec::new(),
-            ids: HashMap::new(),
-            // The first ordered symbol would be Sym(1).
-            ordered_upto: 1,
-        }
-    }
-}
-
-impl DictInner {
-    /// Extend the order watermark if the just-assigned `id` continues the
-    /// strictly-increasing run over `names[1..]`.
-    fn advance_watermark(&mut self, id: u32) {
-        if id == self.ordered_upto
-            && (id == 1 || self.names[id as usize] > self.names[(id - 1) as usize])
-        {
-            self.ordered_upto = id + 1;
-        }
-    }
 }
 
 /// A concurrent two-way mapping between strings and [`Sym`]s.
@@ -106,7 +75,6 @@ impl Dictionary {
                 let id = inner.names.len() as u32;
                 inner.names.push(Arc::clone(&name));
                 inner.ids.insert(name, id);
-                inner.advance_watermark(id);
             }
         }
         d
@@ -126,36 +94,7 @@ impl Dictionary {
         let name: Arc<str> = Arc::from(name);
         inner.names.push(Arc::clone(&name));
         inner.ids.insert(name, id);
-        inner.advance_watermark(id);
         Sym(id)
-    }
-
-    /// Exclusive upper bound of the order-comparable symbol range:
-    /// symbols `1..ordered_upto()` compare as integers exactly as their
-    /// strings compare lexicographically. `Sym(0)` and symbols at or
-    /// above the watermark are never order-comparable.
-    pub fn ordered_upto(&self) -> u32 {
-        let inner = read(self);
-        inner.ordered_upto.min(inner.names.len() as u32)
-    }
-
-    /// Whether `sym` lies in the order-comparable range.
-    pub fn is_ordered(&self, sym: Sym) -> bool {
-        sym.0 >= 1 && sym.0 < self.ordered_upto()
-    }
-
-    /// The symbol bounds of string `v` within the ordered range, as
-    /// `(lb, ub)`: `lb` is the first ordered symbol whose name is
-    /// `>= v`, `ub` the first whose name is `> v` (so `lb..ub` is the
-    /// symbol range equal to `v`, empty when `v` is not interned in the
-    /// ordered prefix). `v` itself need not be interned.
-    pub fn ordered_bounds(&self, v: &str) -> (u32, u32) {
-        let inner = read(self);
-        let upto = inner.ordered_upto.min(inner.names.len() as u32) as usize;
-        let ordered = &inner.names[1.min(upto)..upto];
-        let lb = 1 + ordered.partition_point(|n| &**n < v) as u32;
-        let ub = 1 + ordered.partition_point(|n| &**n <= v) as u32;
-        (lb, ub)
     }
 
     /// Look up an already-interned name.
@@ -247,36 +186,6 @@ mod tests {
         assert_ne!(tag, value);
         // A value equal to a tag name harmlessly shares the symbol.
         assert_eq!(d.intern("year"), tag);
-    }
-
-    #[test]
-    fn order_watermark_tracks_sorted_prefix() {
-        let d = Dictionary::new();
-        assert_eq!(d.ordered_upto(), 0); // empty: nothing comparable
-        d.intern("doc_root"); // Sym(0), excluded from the order
-        let apple = d.intern("apple");
-        let pear = d.intern("pear");
-        let zoo = d.intern("zoo");
-        assert_eq!(d.ordered_upto(), 4);
-        assert!(d.is_ordered(apple) && d.is_ordered(pear) && d.is_ordered(zoo));
-        assert!(!d.is_ordered(Sym(0)));
-        // Symbol order == string order inside the watermark.
-        assert!(apple.0 < pear.0 && pear.0 < zoo.0);
-        // Bounds for present and absent strings.
-        assert_eq!(d.ordered_bounds("pear"), (pear.0, pear.0 + 1));
-        assert_eq!(d.ordered_bounds("banana"), (pear.0, pear.0));
-        assert_eq!(d.ordered_bounds("a"), (apple.0, apple.0));
-        assert_eq!(d.ordered_bounds("zzz"), (zoo.0 + 1, zoo.0 + 1));
-        // First out-of-order intern freezes the watermark for good.
-        let late = d.intern("middle");
-        assert_eq!(d.ordered_upto(), 4);
-        assert!(!d.is_ordered(late));
-        d.intern("zzzz");
-        assert_eq!(d.ordered_upto(), 4);
-        // The name-table round-trip reconstructs the same watermark.
-        let d2 = Dictionary::from_names(&d.names_from(0));
-        assert_eq!(d2.ordered_upto(), 4);
-        assert_eq!(d2.ordered_bounds("pear"), (pear.0, pear.0 + 1));
     }
 
     #[test]

@@ -112,13 +112,6 @@ pub struct StoreOptions {
     /// which still exercises the full logging path (useful for
     /// benchmarking WAL overhead) but cannot be reopened.
     pub durable: bool,
-    /// Pre-intern the document's strings in sorted order at load, so the
-    /// dictionary's order watermark covers them and string comparison
-    /// predicates evaluate directly on content symbol arrays. Off by
-    /// default: it adds a collection pass over the parsed document, and
-    /// symbols interned after load (later inserts, computed values) fall
-    /// above the watermark and keep the per-row path.
-    pub ordered_dict: bool,
 }
 
 impl Default for StoreOptions {
@@ -130,7 +123,6 @@ impl Default for StoreOptions {
             strip_whitespace: true,
             value_index: false,
             durable: false,
-            ordered_dict: false,
         }
     }
 }
@@ -145,19 +137,12 @@ impl StoreOptions {
             strip_whitespace: true,
             value_index: false,
             durable: false,
-            ordered_dict: false,
         }
     }
 
     /// Enable the content value index.
     pub fn with_value_index(mut self) -> Self {
         self.value_index = true;
-        self
-    }
-
-    /// Enable order-preserving symbol assignment at load.
-    pub fn with_ordered_dict(mut self) -> Self {
-        self.ordered_dict = true;
         self
     }
 
@@ -217,9 +202,6 @@ struct StoreShared {
     wal: Option<WalHandle>,
     strip_whitespace: bool,
     build_values: bool,
-    /// Whether the store was loaded with order-preserving symbol
-    /// assignment — the opt-in gate for symbol-order predicate kernels.
-    ordered_dict: bool,
     /// The one buffer pool, behind one lock (see DESIGN.md,
     /// *Concurrency model*, for the measurement that retired striping).
     pool: Mutex<BufferPool>,
@@ -296,17 +278,6 @@ impl DocumentStore {
     /// Create a store holding one parsed document.
     pub fn load(doc: &xmlparse::Document, opts: &StoreOptions) -> Result<Self> {
         let store = Self::create(opts)?;
-        if opts.ordered_dict {
-            // Intern every string the loader will touch, in sorted
-            // order, so the dictionary's order watermark covers the
-            // whole document (minus `doc_root`, which `create` interned
-            // first and `ordered_upto` excludes by construction).
-            let mut names = BTreeSet::new();
-            loader::collect_dict_strings(doc.root(), opts.strip_whitespace, &mut names);
-            for name in &names {
-                store.shared.tags.intern(name);
-            }
-        }
         store.insert_document(doc)?;
         store.clear_buffer_pool()?;
         store.shared.disk.reset_stats();
@@ -349,7 +320,6 @@ impl DocumentStore {
                 wal,
                 strip_whitespace: opts.strip_whitespace,
                 build_values: opts.value_index,
-                ordered_dict: opts.ordered_dict,
                 pool: Mutex::new(pool),
                 disk,
                 recovery,
@@ -474,15 +444,6 @@ impl DocumentStore {
     /// Name of a tag id (a clone of the interned string).
     pub fn tag_name(&self, id: TagId) -> Arc<str> {
         self.shared.tags.resolve(id)
-    }
-
-    /// Whether the store was loaded with order-preserving symbol
-    /// assignment ([`StoreOptions::ordered_dict`]). Only then may
-    /// engines answer string comparison predicates from symbol order
-    /// (and even then only for symbols inside
-    /// [`Dictionary::ordered_upto`]).
-    pub fn ordered_dict_enabled(&self) -> bool {
-        self.shared.ordered_dict
     }
 
     /// The synthetic root's index entry.

@@ -7,7 +7,6 @@ use crate::error::Result;
 use crate::heap::HeapBuilder;
 use crate::node::{ContentPtr, NodeKind, NodeRecord, NO_PARENT, RECORDS_PER_PAGE, RECORD_SIZE};
 use crate::page::{PAGE_HEADER_SIZE, PAGE_SIZE};
-use std::collections::BTreeSet;
 
 /// One encoded page, ready to be written at whatever id the allocator
 /// hands out.
@@ -63,47 +62,6 @@ pub(super) fn build_local(
         content_syms,
         span,
     })
-}
-
-/// Collect every string [`Loader::load_element`] will intern for the
-/// subtree at `elem` — element tags, `@`-prefixed attribute tags,
-/// attribute values, `#text` tags, and text content, with the same
-/// whitespace-stripping and text-merging rules. The ordered-dict
-/// pre-pass interns the resulting sorted set before loading.
-pub(super) fn collect_dict_strings(
-    elem: &xmlparse::Element,
-    strip_whitespace: bool,
-    out: &mut BTreeSet<String>,
-) {
-    out.insert(elem.name.clone());
-    for (name, value) in &elem.attributes {
-        out.insert(attr_tag_name(name));
-        out.insert(value.clone());
-    }
-    let has_element_children = elem
-        .children
-        .iter()
-        .any(|c| matches!(c, xmlparse::XmlNode::Element(_)));
-    if has_element_children {
-        for child in &elem.children {
-            match child {
-                xmlparse::XmlNode::Element(e) => collect_dict_strings(e, strip_whitespace, out),
-                xmlparse::XmlNode::Text(t) => {
-                    if strip_whitespace && t.trim().is_empty() {
-                        continue;
-                    }
-                    out.insert(TEXT_TAG.to_owned());
-                    out.insert(t.clone());
-                }
-                xmlparse::XmlNode::Comment(_) => {}
-            }
-        }
-    } else {
-        let text = elem.text();
-        if !(text.is_empty() || (strip_whitespace && text.trim().is_empty())) {
-            out.insert(text);
-        }
-    }
 }
 
 struct Loader<'a> {
@@ -210,36 +168,10 @@ impl Loader<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{store, SAMPLE};
+    use super::super::test_support::store;
     use super::super::{DocumentStore, StoreOptions};
     use crate::catalog::TEXT_TAG;
     use crate::node::NodeKind;
-
-    #[test]
-    fn ordered_dict_load_covers_every_document_symbol() {
-        let opts = StoreOptions::in_memory().with_ordered_dict();
-        let s = DocumentStore::from_xml(SAMPLE, &opts).unwrap();
-        assert!(s.ordered_dict_enabled());
-        let d = s.dict();
-        // Every symbol the load produced sits under the watermark.
-        assert_eq!(d.ordered_upto() as usize, d.len());
-        // Symbol order is string order: content symbols compare as text.
-        let (lo, hi) = d.ordered_bounds("Jack");
-        assert_eq!(hi, lo + 1);
-        let jack = s.content_sym(s.nodes_with_tag(s.tag_id("author").unwrap())[0].id);
-        assert_eq!(jack.map(|s| s.0), Some(lo));
-        // A store answers the same queries either way.
-        let plain = store();
-        assert!(!plain.ordered_dict_enabled());
-        for st in [&s, &plain] {
-            let author = st.tag_id("author").unwrap();
-            assert_eq!(st.nodes_with_tag(author).len(), 3);
-        }
-        // Post-load interns land above the watermark and stay
-        // non-comparable.
-        let fresh = s.intern("aaaa new value");
-        assert!(!d.is_ordered(fresh));
-    }
 
     #[test]
     fn attribute_stored_as_node() {

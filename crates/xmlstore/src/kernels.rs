@@ -3,34 +3,30 @@
 //! containment join that partitions descendant runs against ancestor
 //! intervals with galloping binary search.
 //!
-//! Every kernel has a scalar twin in [`scalar`] with the identical
-//! signature and bit-identical output — the differential oracle the
-//! `vectorized` test suite holds the fast paths to, and the fallback the
-//! engine runs when [`set_force_scalar`] is armed. The chunked loops
-//! build one `u64` mask word per 64 input rows out of straight-line
-//! `(pred as u64) << bit` lane writes, a shape LLVM autovectorizes on
-//! every target; with the `simd` cargo feature on x86-64 the equality
-//! filters additionally dispatch to explicit SSE2/AVX2 compare+movemask
-//! lanes picked at runtime via `is_x86_feature_detected!`.
+//! The two filters (`filter_eq_u32` over tag and symbol columns,
+//! `filter_eq_u16` over levels) build one `u64` mask word per 64 input
+//! rows out of straight-line `(pred as u64) << bit` lane writes, a shape
+//! LLVM autovectorizes on every target. Each has a one-row-at-a-time
+//! twin in [`scalar`] with the identical signature and bit-identical
+//! output: the reference the kernel-level tests compare against and the
+//! measured floor of the kernel benches. Whole queries are held to the
+//! reference model in `tests/src/model.rs` instead.
 //!
 //! Two process-wide counters ([`vec_rows`], [`fallback_rows`]) tally how
-//! many rows flowed through vectorized kernels vs scalar fallbacks, the
-//! same way `tax::tree::tree_clones` tallies deep clones; the physical
-//! executor windows them per operator and EXPLAIN ANALYZE reports them
-//! as `vec=`/`vecfb=`, so a plan silently dropping to scalar is visible.
+//! many rows flowed through the kernels vs the matcher's per-row
+//! fallbacks (inputs the batch forms cannot take), the same way
+//! `tax::tree::tree_clones` tallies deep clones; the physical executor
+//! windows them per operator and EXPLAIN ANALYZE reports them as
+//! `vec=`/`vecfb=`, so a plan dropping to the row loops is visible.
 
 use crate::index::NodeEntry;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Rows processed by vectorized kernels since process start.
 static VEC_ROWS: AtomicU64 = AtomicU64::new(0);
-/// Rows processed by scalar fallbacks (forced or structural) since
-/// process start.
+/// Rows processed by per-row fallbacks since process start.
 static FALLBACK_ROWS: AtomicU64 = AtomicU64::new(0);
-/// When set, every kernel entry point runs its scalar twin — the
-/// differential switch the byte-identity suite flips.
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
 /// Total rows processed by vectorized kernels.
 pub fn vec_rows() -> u64 {
@@ -52,38 +48,6 @@ pub fn note_vec_rows(n: usize) {
 /// scalar path a vectorized kernel exists for).
 pub fn note_fallback_rows(n: usize) {
     FALLBACK_ROWS.fetch_add(n as u64, Ordering::Relaxed);
-}
-
-/// Force every kernel entry point onto its scalar twin (differential
-/// testing; also how a bench isolates the scalar floor). Global: flip
-/// only around single-threaded sections.
-pub fn set_force_scalar(on: bool) {
-    FORCE_SCALAR.store(on, Ordering::SeqCst);
-}
-
-/// Whether scalar operation is forced.
-pub fn force_scalar() -> bool {
-    FORCE_SCALAR.load(Ordering::SeqCst)
-}
-
-/// The equality-filter lane this process dispatches to: `"avx2"` or
-/// `"sse2"` (explicit intrinsics, `simd` feature on x86-64), `"chunk"`
-/// (autovectorized 64-wide mask loops), or `"scalar"` while
-/// [`set_force_scalar`] is armed.
-pub fn lane() -> &'static str {
-    if force_scalar() {
-        return "scalar";
-    }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            "avx2"
-        } else {
-            "sse2"
-        }
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    "chunk"
 }
 
 /// A selection over the dense row range `base .. base + len`: one bit
@@ -291,126 +255,17 @@ fn chunk_mask<T: Copy>(vals: &[T], mut pred: impl FnMut(T) -> bool) -> Vec<u64> 
 /// selects rows where `vals[i] == needle`. Row `i` maps to id
 /// `base + i`.
 pub fn filter_eq_u32(vals: &[u32], base: u32, needle: u32) -> SelVec {
-    if force_scalar() {
-        note_fallback_rows(vals.len());
-        return scalar::filter_eq_u32(vals, base, needle);
-    }
     note_vec_rows(vals.len());
-    SelVec::from_bits(base, vals.len() as u32, eq_bits_u32(vals, needle))
-}
-
-/// Set-membership filter over a `u32` column: selects rows whose value
-/// appears in `set` (ORs one equality mask per member, so intended for
-/// small sets — IN-lists, tag alternatives).
-pub fn filter_in_u32(vals: &[u32], base: u32, set: &[u32]) -> SelVec {
-    if force_scalar() {
-        note_fallback_rows(vals.len());
-        return scalar::filter_in_u32(vals, base, set);
-    }
-    note_vec_rows(vals.len());
-    let mut bits = vec![0u64; vals.len().div_ceil(64)];
-    for &needle in set {
-        for (acc, w) in bits.iter_mut().zip(eq_bits_u32(vals, needle)) {
-            *acc |= w;
-        }
-    }
-    SelVec::from_bits(base, vals.len() as u32, bits)
-}
-
-/// Half-open range filter over a `u32` column: selects rows where
-/// `lo <= vals[i] < hi`. With an order-preserving dictionary this
-/// evaluates string comparison predicates directly on symbol arrays.
-pub fn filter_range_u32(vals: &[u32], base: u32, lo: u32, hi: u32) -> SelVec {
-    if force_scalar() {
-        note_fallback_rows(vals.len());
-        return scalar::filter_range_u32(vals, base, lo, hi);
-    }
-    note_vec_rows(vals.len());
-    let bits = chunk_mask(vals, |v| v >= lo && v < hi);
+    let bits = chunk_mask(vals, |v| v == needle);
     SelVec::from_bits(base, vals.len() as u32, bits)
 }
 
 /// Equality filter over a `u16` column (levels): selects rows where
 /// `vals[i] == needle`.
 pub fn filter_eq_u16(vals: &[u16], base: u32, needle: u16) -> SelVec {
-    if force_scalar() {
-        note_fallback_rows(vals.len());
-        return scalar::filter_eq_u16(vals, base, needle);
-    }
     note_vec_rows(vals.len());
     let bits = chunk_mask(vals, |v| v == needle);
     SelVec::from_bits(base, vals.len() as u32, bits)
-}
-
-/// Equality filter over a byte-sized column (node kinds, via
-/// `NodeKind as u8` on the caller side).
-pub fn filter_eq_u8(vals: &[u8], base: u32, needle: u8) -> SelVec {
-    if force_scalar() {
-        note_fallback_rows(vals.len());
-        return scalar::filter_eq_u8(vals, base, needle);
-    }
-    note_vec_rows(vals.len());
-    let bits = chunk_mask(vals, |v| v == needle);
-    SelVec::from_bits(base, vals.len() as u32, bits)
-}
-
-/// The u32 equality mask, dispatched to the best lane.
-#[inline]
-fn eq_bits_u32(vals: &[u32], needle: u32) -> Vec<u64> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: avx2 support was just detected at runtime.
-            return unsafe { x86::eq_bits_u32_avx2(vals, needle) };
-        }
-        // SAFETY: sse2 is part of the x86-64 baseline.
-        unsafe { x86::eq_bits_u32_sse2(vals, needle) }
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    chunk_mask(vals, |v| v == needle)
-}
-
-/// Explicit x86-64 lanes: packed 32-bit compare + float movemask, eight
-/// (AVX2) or four (SSE2) lanes per step, accumulated into the same
-/// little-endian mask words the chunk loop produces.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod x86 {
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn eq_bits_u32_avx2(vals: &[u32], needle: u32) -> Vec<u64> {
-        let mut bits = vec![0u64; vals.len().div_ceil(64)];
-        let pat = _mm256_set1_epi32(needle as i32);
-        let mut i = 0usize;
-        while i + 8 <= vals.len() {
-            let v = _mm256_loadu_si256(vals.as_ptr().add(i) as *const __m256i);
-            let m = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(v, pat))) as u64;
-            bits[i / 64] |= m << (i % 64);
-            i += 8;
-        }
-        for (j, &v) in vals.iter().enumerate().skip(i) {
-            bits[j / 64] |= ((v == needle) as u64) << (j % 64);
-        }
-        bits
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn eq_bits_u32_sse2(vals: &[u32], needle: u32) -> Vec<u64> {
-        let mut bits = vec![0u64; vals.len().div_ceil(64)];
-        let pat = _mm_set1_epi32(needle as i32);
-        let mut i = 0usize;
-        while i + 4 <= vals.len() {
-            let v = _mm_loadu_si128(vals.as_ptr().add(i) as *const __m128i);
-            let m = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, pat))) as u64;
-            bits[i / 64] |= m << (i % 64);
-            i += 4;
-        }
-        for (j, &v) in vals.iter().enumerate().skip(i) {
-            bits[j / 64] |= ((v == needle) as u64) << (j % 64);
-        }
-        bits
-    }
 }
 
 /// Batch containment partition: for each ancestor interval (`ancestors`
@@ -467,8 +322,8 @@ fn gallop(list: &[NodeEntry], from: usize, pred: impl Fn(&NodeEntry) -> bool) ->
     }
 }
 
-/// Scalar twins of every kernel: one row at a time, branches and all.
-/// Bit-identical outputs are the invariant the differential suite pins;
+/// Scalar twins of the two filters: one row at a time, branches and
+/// all. Bit-identical outputs are the invariant the kernel tests pin;
 /// these also serve as the measured scalar floor in the kernel benches.
 pub mod scalar {
     use super::SelVec;
@@ -484,41 +339,8 @@ pub mod scalar {
         sel
     }
 
-    /// Scalar twin of [`super::filter_in_u32`].
-    pub fn filter_in_u32(vals: &[u32], base: u32, set: &[u32]) -> SelVec {
-        let mut sel = SelVec::empty(base, vals.len() as u32);
-        for (i, &v) in vals.iter().enumerate() {
-            if set.contains(&v) {
-                sel.set(base + i as u32);
-            }
-        }
-        sel
-    }
-
-    /// Scalar twin of [`super::filter_range_u32`].
-    pub fn filter_range_u32(vals: &[u32], base: u32, lo: u32, hi: u32) -> SelVec {
-        let mut sel = SelVec::empty(base, vals.len() as u32);
-        for (i, &v) in vals.iter().enumerate() {
-            if v >= lo && v < hi {
-                sel.set(base + i as u32);
-            }
-        }
-        sel
-    }
-
     /// Scalar twin of [`super::filter_eq_u16`].
     pub fn filter_eq_u16(vals: &[u16], base: u32, needle: u16) -> SelVec {
-        let mut sel = SelVec::empty(base, vals.len() as u32);
-        for (i, &v) in vals.iter().enumerate() {
-            if v == needle {
-                sel.set(base + i as u32);
-            }
-        }
-        sel
-    }
-
-    /// Scalar twin of [`super::filter_eq_u8`].
-    pub fn filter_eq_u8(vals: &[u8], base: u32, needle: u8) -> SelVec {
         let mut sel = SelVec::empty(base, vals.len() as u32);
         for (i, &v) in vals.iter().enumerate() {
             if v == needle {
@@ -549,16 +371,7 @@ mod tests {
     }
 
     #[test]
-    fn in_and_range_filters_match_scalar() {
-        let vals: Vec<u32> = (0..200).map(|i| (i * 13) % 29).collect();
-        assert_eq!(
-            filter_in_u32(&vals, 0, &[2, 5, 28]),
-            scalar::filter_in_u32(&vals, 0, &[2, 5, 28])
-        );
-        assert_eq!(
-            filter_range_u32(&vals, 0, 5, 17),
-            scalar::filter_range_u32(&vals, 0, 5, 17)
-        );
+    fn level_filter_matches_scalar() {
         let lv: Vec<u16> = (0..200).map(|i| (i % 5) as u16).collect();
         assert_eq!(filter_eq_u16(&lv, 0, 2), scalar::filter_eq_u16(&lv, 0, 2));
     }
@@ -657,19 +470,5 @@ mod tests {
         assert_eq!(runs, vec![(1, 1)]);
         assert!(containment_runs(&[], &descendants).is_empty());
         assert_eq!(containment_runs(&ancestors, &[]), vec![(0, 0), (0, 0)]);
-    }
-
-    #[test]
-    fn force_scalar_is_bit_identical_and_counted() {
-        let vals: Vec<u32> = (0..500).map(|i| i % 11).collect();
-        let fast = filter_eq_u32(&vals, 0, 4);
-        set_force_scalar(true);
-        let before = fallback_rows();
-        let slow = filter_eq_u32(&vals, 0, 4);
-        set_force_scalar(false);
-        assert_eq!(fast, slow);
-        // Other tests may run filters concurrently, so only a floor is
-        // stable here.
-        assert!(fallback_rows() - before >= 500);
     }
 }

@@ -52,6 +52,7 @@
 //! assert_eq!(store.content(entries[0].id).unwrap().as_deref(), Some("Jack"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod buffer;

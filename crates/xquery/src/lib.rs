@@ -55,6 +55,8 @@
 //! # let _ = optimized;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod error;
 pub mod lexer;

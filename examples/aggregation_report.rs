@@ -7,6 +7,8 @@
 //! cargo run --release -p timber-examples --bin aggregation_report -- [articles]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use datagen::{DblpConfig, DblpGenerator};
 use tax::ops::aggregate::{aggregate, AggFunc, UpdateSpec};
 use tax::ops::groupby::{groupby, BasisItem, Direction, GroupOrder};

@@ -6,6 +6,8 @@
 //! cargo run --release -p timber-examples --bin author_pubs -- [articles]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use datagen::{DblpConfig, DblpGenerator};
 use timber::{PlanMode, TimberDb};
 use xmlstore::StoreOptions;

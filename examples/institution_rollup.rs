@@ -7,6 +7,8 @@
 //! cargo run --release -p timber-examples --bin institution_rollup -- [articles]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use datagen::{DblpConfig, DblpGenerator};
 use tax::ops::groupby::{groupby, BasisItem, Direction, GroupOrder};
 use tax::ops::project::ProjectItem;

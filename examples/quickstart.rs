@@ -6,6 +6,8 @@
 //! cargo run -p timber-examples --bin quickstart
 //! ```
 
+#![forbid(unsafe_code)]
+
 use timber::{PlanMode, TimberDb};
 use xmlstore::StoreOptions;
 

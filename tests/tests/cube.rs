@@ -1,19 +1,19 @@
 //! Differential suite for the grouping lattice: under
 //! `PlanMode::GroupByRewrite` a `CUBE BY` query fuses into the one-scan
 //! `Plan::Cube`, and its serialized output — minus the per-level
-//! `TAX_cube_level` markers — must be byte-identical to the composed
-//! per-level rollup plans the materialized mode keeps
-//! (`PlanMode::GroupByMaterialized`) — for every aggregate function,
-//! across the thread/batch CI matrix (`TIMBER_TEST_THREADS` /
-//! `TIMBER_TEST_BATCH`), on random ragged bibliographies where an
-//! author's name sits at varying depths, and under seeded fault
-//! schedules (correct-or-typed-error).
+//! `TAX_cube_level` markers — must be the bytes the reference model
+//! evaluates the query to, as must the composed per-level union the
+//! direct mode runs: for every aggregate function, across the
+//! thread/batch CI matrix (`TIMBER_TEST_THREADS` / `TIMBER_TEST_BATCH`),
+//! on random ragged bibliographies where an author's name sits at
+//! varying depths, and under seeded fault schedules
+//! (correct-or-typed-error).
 
 use datagen::{DblpConfig, DblpGenerator};
-use smallrand::prop::{check, Gen};
+use smallrand::prop::check;
 use tax::ops::cube::strip_level_markers;
 use timber::{PlanMode, TimberDb};
-use timber_integration_tests::{batch_matrix, reference_run, run, thread_matrix};
+use timber_integration_tests::{batch_matrix, bibliography, expected, run, thread_matrix, Shape};
 use xmlstore::{FaultConfig, StoreOptions};
 
 /// The lattice query: all prefix levels of journal → year → author,
@@ -34,7 +34,7 @@ const FUNCS: [&str; 5] = ["count", "sum", "min", "max", "avg"];
 /// Articles with full dimension columns and numeric `<pages>`; the
 /// two-author article exercises the multi-valued basis at the author
 /// level, and the article without `<pages>` leaves one (journal, year)
-/// group's Min/Max/Avg undefined while its parent stays defined.
+/// group with nothing to aggregate while its parent has.
 const CUBE_DB: &str = "<bib>\
     <article><journal>TODS</journal><year>1999</year><author>Jack</author><pages>30</pages><title>A</title></article>\
     <article><journal>TODS</journal><year>2001</year><author>Jill</author><author>Jack</author><title>B</title></article>\
@@ -53,47 +53,47 @@ fn every_cube_query_fuses_to_one_scan() {
         assert!(text.contains("Cube"), "{text}");
         assert!(!text.contains("Union"), "{text}");
         assert!(!text.contains("GroupBy"), "{text}");
-        // The materialized mode keeps the composed per-level union.
-        let (plan, _, trace) = db
-            .compile_traced(&query, PlanMode::GroupByMaterialized)
-            .unwrap();
-        assert!(!trace.fired("cube-fuse"), "{func}");
+        // The direct mode runs the translator's composed per-level union.
+        let (plan, _) = db.compile(&query, PlanMode::Direct).unwrap();
         let text = plan.explain();
         assert!(text.contains("Union (3 branches)"), "{text}");
         assert!(!text.contains("Cube"), "{text}");
     }
 }
 
+/// Both modes of `query` over `xml` at the handle's thread count against
+/// the model: the fused scan with its level markers stripped, the
+/// composed union as it is.
+fn assert_cube_matches_model(db: &mut TimberDb, xml: &str, query: &str, batch: usize) {
+    let want = expected(xml, query);
+    let threads = db.threads();
+    let fused = run(db, query, PlanMode::GroupByRewrite, batch);
+    assert_eq!(fused.is_empty(), want.is_empty());
+    assert!(
+        fused.is_empty() || fused.contains("TAX_cube_level"),
+        "{fused}"
+    );
+    assert_eq!(
+        strip_level_markers(&fused),
+        want,
+        "fused threads={threads} batch={batch} query: {query} on {xml}"
+    );
+    assert_eq!(
+        run(db, query, PlanMode::Direct, batch),
+        want,
+        "composed threads={threads} batch={batch} query: {query} on {xml}"
+    );
+}
+
 #[test]
-fn cube_matches_composed_across_threads_and_batches() {
+fn cube_matches_the_model_across_threads_and_batches() {
     let mut db = TimberDb::load_xml(CUBE_DB, &StoreOptions::in_memory()).unwrap();
     for threads in thread_matrix(&[1, 4]) {
         db.set_threads(threads);
         for func in FUNCS {
-            let query = cube_query(func);
-            let reference = run(&mut db, &query, PlanMode::GroupByMaterialized, 256);
-            for batch in batch_matrix(&[16, 256]) {
-                let fused = run(&mut db, &query, PlanMode::GroupByRewrite, batch);
-                assert!(fused.contains("TAX_cube_level"), "{fused}");
-                assert_eq!(
-                    strip_level_markers(&fused),
-                    reference,
-                    "threads={threads} batch={batch} func={func}"
-                );
+            for batch in batch_matrix(&[1, 3, 16, 256]) {
+                assert_cube_matches_model(&mut db, CUBE_DB, &cube_query(func), batch);
             }
-        }
-    }
-}
-
-#[test]
-fn one_batch_serial_run_agrees_with_batched_cube() {
-    let mut db = TimberDb::load_xml(CUBE_DB, &StoreOptions::in_memory()).unwrap();
-    for func in FUNCS {
-        let query = cube_query(func);
-        let expected = reference_run(&mut db, &query, PlanMode::GroupByRewrite);
-        for batch in batch_matrix(&[1, 3, 256]) {
-            let got = run(&mut db, &query, PlanMode::GroupByRewrite, batch);
-            assert_eq!(expected, got, "batch={batch} func={func}");
         }
     }
 }
@@ -103,7 +103,7 @@ fn single_dimension_cube_rides_the_fused_rollup_path() {
     // A one-dimension lattice is a plain rollup: the translator emits a
     // union of one branch, cube-fuse declines it, and rollup-fuse fuses
     // the branch — so `CUBE BY $b/journal` exercises the existing fused
-    // path and needs no level markers to agree with the composed plan.
+    // path and needs no level markers to agree with the model.
     let mut db = TimberDb::load_xml(CUBE_DB, &StoreOptions::in_memory()).unwrap();
     let query = r#"
         FOR $b IN document("bib.xml")//article
@@ -114,84 +114,24 @@ fn single_dimension_cube_rides_the_fused_rollup_path() {
     assert!(!trace.fired("cube-fuse"), "{}", trace.render());
     assert!(trace.fired("rollup-fuse"), "{}", trace.render());
     assert!(plan.explain().contains("Rollup"), "{}", plan.explain());
-    let reference = run(&mut db, query, PlanMode::GroupByMaterialized, 256);
     let fused = run(&mut db, query, PlanMode::GroupByRewrite, 16);
     assert!(!fused.contains("TAX_cube_level"), "{fused}");
-    assert_eq!(fused, reference);
-}
-
-/// Random ragged bibliographies: journals/years/authors drawn from small
-/// pools so levels collide, authors sometimes nested (`<name>`, or
-/// `<name><full>`) so the basis key node varies in shape, and `<pages>`
-/// sometimes missing, fractional, or non-numeric so per-level aggregate
-/// definedness varies.
-fn ragged_bibliography(g: &mut Gen) -> String {
-    const JOURNALS: [&str; 3] = ["TODS", "WebDB", "SIGMOD"];
-    const AUTHORS: [&str; 4] = ["Jack", "Jill", "John", "Jane"];
-    let articles = g.usize_in(0, 9);
-    let mut s = String::from("<bib>");
-    for n in 0..articles {
-        s.push_str("<article>");
-        s.push_str(&format!(
-            "<journal>{}</journal>",
-            JOURNALS[g.usize_in(0, JOURNALS.len() - 1)]
-        ));
-        s.push_str(&format!("<year>{}</year>", 1999 + g.usize_in(0, 2)));
-        let k = g.usize_in(1, 2);
-        let mut picked = Vec::new();
-        while picked.len() < k {
-            let i = g.usize_in(0, AUTHORS.len() - 1);
-            if !picked.contains(&i) {
-                picked.push(i);
-            }
-        }
-        picked.sort_unstable();
-        for &i in &picked {
-            match g.usize_in(0, 3) {
-                0 => s.push_str(&format!("<author><name>{}</name></author>", AUTHORS[i])),
-                1 => s.push_str(&format!(
-                    "<author><name><full>{}</full></name></author>",
-                    AUTHORS[i]
-                )),
-                _ => s.push_str(&format!("<author>{}</author>", AUTHORS[i])),
-            }
-        }
-        match g.usize_in(0, 4) {
-            0 => {} // no pages at all
-            1 => s.push_str(&format!(
-                "<pages>{}.{}</pages>",
-                g.usize_in(1, 40),
-                g.usize_in(0, 99)
-            )),
-            2 => s.push_str("<pages>not-a-number</pages>"),
-            _ => s.push_str(&format!("<pages>{}</pages>", g.usize_in(1, 900))),
-        }
-        s.push_str(&format!("<title>Title {n}</title>"));
-        s.push_str("</article>");
-    }
-    s.push_str("</bib>");
-    s
+    assert_eq!(fused, expected(CUBE_DB, query));
+    assert_eq!(run(&mut db, query, PlanMode::Direct, 16), fused);
 }
 
 #[test]
-fn cube_matches_composed_on_random_ragged_bibliographies() {
+fn cube_matches_the_model_on_random_ragged_bibliographies() {
     check(
-        "cube_matches_composed_on_random_ragged_bibliographies",
+        "cube_matches_the_model_on_random_ragged_bibliographies",
         20,
         |g| {
-            let xml = ragged_bibliography(g);
+            let xml = bibliography(g, Shape::Cube);
             let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-            db.set_threads([1, 4][g.usize_in(0, 1)]);
-            let batch = [1, 16, 256][g.usize_in(0, 2)];
+            db.set_threads(*g.pick(&thread_matrix(&[1, 4])));
+            let batch = *g.pick(&batch_matrix(&[1, 16, 256]));
             for func in FUNCS {
-                let query = cube_query(func);
-                let reference = run(&mut db, &query, PlanMode::GroupByMaterialized, 256);
-                let fused = run(&mut db, &query, PlanMode::GroupByRewrite, batch);
-                assert_eq!(
-                    strip_level_markers(&fused),
-                    reference,
-                    "batch={batch} func={func} on {xml}"
-                );
+                assert_cube_matches_model(&mut db, &xml, &cube_query(func), batch);
             }
         },
     );
@@ -226,6 +166,7 @@ fn cube_under_fault_schedules_is_correct_or_typed_error() {
         let r = db.query(&query, PlanMode::GroupByRewrite).unwrap();
         r.to_xml_on(db.store()).unwrap()
     };
+    assert_eq!(strip_level_markers(&reference), expected(&xml, &query));
     let mut injected = 0u64;
     for seed in fault_seeds() {
         for schedule in [

@@ -1,15 +1,15 @@
-//! Differential testing of the executor against itself in its
-//! degenerate configuration: the batched, sharded pipeline must produce
-//! byte-identical serialized output to the one-batch serial run — for
-//! every query of the E1/E2 corpus, in both plan modes, across thread
-//! counts and batch sizes, and on randomly generated bibliographies.
-//! (Independent of the executor, `plan_equivalence.rs` holds Direct
-//! against GROUPBY and `figures.rs` pins the Fig. 6 bytes.)
+//! Differential testing of the executor against the reference model
+//! (`tests/src/model.rs`): the batched, sharded pipeline must serialize
+//! to exactly the bytes the query as written evaluates to — for every
+//! query of the E1/E2 corpus, in both plan modes, across thread counts
+//! and batch sizes, on the Fig. 6 database and on random plain and
+//! ragged bibliographies.
 
-use smallrand::prop::{check, Gen};
+use smallrand::prop::check;
 use timber::{PlanMode, TimberDb};
 use timber_integration_tests::{
-    batch_matrix, fig6_db, reference_run, run, thread_matrix, FIG6_DB, QUERY1, QUERY2, QUERY_COUNT,
+    assert_matches_model, batch_matrix, bibliography, expected, fig6_db, run, thread_matrix, Shape,
+    FIG6_DB, QUERY1, QUERY2, QUERY_COUNT,
 };
 use xmlstore::StoreOptions;
 
@@ -23,34 +23,13 @@ const QUERY_PROJECT: &str = r#"
 const CORPUS: [&str; 4] = [QUERY1, QUERY2, QUERY_COUNT, QUERY_PROJECT];
 
 #[test]
-fn batched_equals_one_batch_serial_on_corpus() {
-    let mut db = fig6_db();
-    for query in CORPUS {
-        for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-            let expected = reference_run(&mut db, query, mode);
-            for batch in batch_matrix(&[1, 2, 3, 256]) {
-                let got = run(&mut db, query, mode, batch);
-                assert_eq!(expected, got, "{mode:?} batch={batch} query: {query}");
-            }
-        }
-    }
-}
-
-#[test]
-fn batched_equals_one_batch_serial_across_thread_counts() {
+fn every_cell_equals_the_model_on_fig6() {
     let mut db = fig6_db();
     for threads in thread_matrix(&[1, 2, 4]) {
         db.set_threads(threads);
         for query in CORPUS {
-            for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-                let expected = reference_run(&mut db, query, mode);
-                for batch in batch_matrix(&[2]) {
-                    let got = run(&mut db, query, mode, batch);
-                    assert_eq!(
-                        expected, got,
-                        "threads={threads} batch={batch} {mode:?} query: {query}"
-                    );
-                }
+            for batch in batch_matrix(&[1, 2, 3, 256]) {
+                assert_matches_model(&mut db, FIG6_DB, query, batch, "fig6");
             }
         }
     }
@@ -69,47 +48,19 @@ fn run_records_metrics_consistent_with_result() {
     }
 }
 
-/// The random-bibliography generator of the plan-equivalence suite.
-fn bibliography(g: &mut Gen) -> String {
-    const POOL: [&str; 5] = ["Jack", "Jill", "John", "Jane", "Joan"];
-    let articles = g.usize_in(0, 11);
-    let mut s = String::from("<bib>");
-    for _ in 0..articles {
-        s.push_str("<article>");
-        let k = g.usize_in(1, 3);
-        let mut picked = Vec::new();
-        while picked.len() < k {
-            let i = g.usize_in(0, POOL.len() - 1);
-            if !picked.contains(&i) {
-                picked.push(i);
-            }
-        }
-        picked.sort_unstable();
-        for &i in &picked {
-            s.push_str(&format!("<author>{}</author>", POOL[i]));
-        }
-        s.push_str(&format!("<title>Title {}</title>", g.usize_in(0, 999)));
-        s.push_str("</article>");
-    }
-    s.push_str("</bib>");
-    s
-}
-
 #[test]
-fn batched_equals_one_batch_serial_on_random_bibliographies() {
+fn every_cell_equals_the_model_on_random_bibliographies() {
     check(
-        "batched_equals_one_batch_serial_on_random_bibliographies",
+        "every_cell_equals_the_model_on_random_bibliographies",
         32,
         |g| {
-            let xml = bibliography(g);
+            let shape = [Shape::Plain, Shape::Ragged][g.usize_in(0, 1)];
+            let xml = bibliography(g, shape);
             let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-            let batch = [1, 3, 256][g.usize_in(0, 2)];
+            db.set_threads(*g.pick(&thread_matrix(&[1, 4])));
+            let batch = *g.pick(&batch_matrix(&[1, 3, 256]));
             for query in CORPUS {
-                for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-                    let expected = reference_run(&mut db, query, mode);
-                    let got = run(&mut db, query, mode, batch);
-                    assert_eq!(expected, got, "{mode:?} batch={batch} on {xml}");
-                }
+                assert_matches_model(&mut db, &xml, query, batch, "random");
             }
         },
     );
@@ -119,12 +70,8 @@ fn batched_equals_one_batch_serial_on_random_bibliographies() {
 fn empty_database_yields_empty_output_at_every_batching() {
     let mut db = TimberDb::load_xml("<bib/>", &StoreOptions::in_memory()).unwrap();
     for query in CORPUS {
-        for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-            let expected = reference_run(&mut db, query, mode);
-            let got = run(&mut db, query, mode, 1);
-            assert_eq!(expected, got, "{mode:?} query: {query}");
-            assert!(got.is_empty());
-        }
+        assert_eq!(expected("<bib/>", query), "");
+        assert_matches_model(&mut db, "<bib/>", query, 1, "empty");
     }
 }
 
@@ -132,13 +79,12 @@ fn empty_database_yields_empty_output_at_every_batching() {
 fn explain_analyze_output_matches_plain_query() {
     // The analyzed execution is the same pipeline; its result must match
     // a plain run byte for byte.
-    let db = TimberDb::load_xml(FIG6_DB, &StoreOptions::in_memory()).unwrap();
+    let mut db = fig6_db();
     for query in CORPUS {
         for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-            let plain = db.query(query, mode).unwrap();
             let analyzed = db.explain_analyze(query, mode).unwrap();
             assert_eq!(
-                plain.to_xml_on(db.store()).unwrap(),
+                run(&mut db, query, mode, 256),
                 analyzed.result.to_xml_on(db.store()).unwrap(),
                 "{mode:?} query: {query}"
             );

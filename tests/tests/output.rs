@@ -3,17 +3,19 @@
 //! result (`elements_on`, `Tree::materialize` + `element_to_string`).
 //!
 //! Both routes consume one walk over the label columns, so agreeing with
-//! each other is not enough: the handcrafted and random documents are
-//! also held against an oracle that never touches the store — the XML
-//! text the document was loaded from, and DOM elements assembled from
-//! its parse.
+//! each other is not enough: the corpus results are also held against
+//! the reference model, and the handcrafted and random documents
+//! against an oracle that never touches the store — the XML text the
+//! document was loaded from, and DOM elements assembled from its parse.
 
 use datagen::{DblpConfig, DblpGenerator};
 use smallrand::prop::{check, Gen};
 use tax::tree::TreeNodeId;
 use tax::Tree;
 use timber::{PlanMode, QueryResult, TimberDb, TimberError};
-use timber_integration_tests::{batch_matrix, fig6_db, thread_matrix, QUERY1, QUERY2, QUERY_COUNT};
+use timber_integration_tests::{
+    batch_matrix, expected, fig6_db, thread_matrix, FIG6_DB, QUERY1, QUERY2, QUERY_COUNT,
+};
 use xmlparse::serialize::element_to_string;
 use xmlparse::{parse_document, Element, XmlNode};
 use xmlstore::{DocumentStore, FaultConfig, NodeEntry, NodeId, NodeKind, StoreOptions};
@@ -25,13 +27,6 @@ const QUERY_PROJECT: &str = r#"
 
 const CORPUS: [&str; 4] = [QUERY1, QUERY2, QUERY_COUNT, QUERY_PROJECT];
 
-const MODES: [PlanMode; 4] = [
-    PlanMode::Direct,
-    PlanMode::GroupByRewrite,
-    PlanMode::GroupByMaterialized,
-    PlanMode::Auto,
-];
-
 /// The DOM route: materialize every tree, serialize each element.
 fn dom_route(r: &QueryResult, store: &DocumentStore) -> String {
     let mut out = String::new();
@@ -42,19 +37,19 @@ fn dom_route(r: &QueryResult, store: &DocumentStore) -> String {
     out
 }
 
-fn assert_corpus_parity(db: &mut TimberDb, what: &str) {
-    for threads in thread_matrix(&[1, 4]) {
-        db.set_threads(threads);
-        for batch in batch_matrix(&[3, 256]) {
-            db.set_batch_size(batch);
-            for query in CORPUS {
-                for mode in MODES {
+fn assert_corpus_parity(db: &mut TimberDb, xml: &str, what: &str) {
+    for query in CORPUS {
+        let want = expected(xml, query);
+        for threads in thread_matrix(&[1, 4]) {
+            db.set_threads(threads);
+            for batch in batch_matrix(&[3, 256]) {
+                db.set_batch_size(batch);
+                for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
                     let r = db.query(query, mode).unwrap();
-                    assert_eq!(
-                        r.to_xml_on(db.store()).unwrap(),
-                        dom_route(&r, db.store()),
-                        "{what} threads={threads} batch={batch} {mode:?} query: {query}"
-                    );
+                    let label =
+                        format!("{what} threads={threads} batch={batch} {mode:?} query: {query}");
+                    assert_eq!(r.to_xml_on(db.store()).unwrap(), want, "streamed: {label}");
+                    assert_eq!(dom_route(&r, db.store()), want, "DOM route: {label}");
                 }
             }
         }
@@ -62,11 +57,11 @@ fn assert_corpus_parity(db: &mut TimberDb, what: &str) {
 }
 
 #[test]
-fn streamed_equals_dom_on_corpus() {
-    assert_corpus_parity(&mut fig6_db(), "fig6");
+fn streamed_and_dom_routes_equal_the_model_on_corpus() {
+    assert_corpus_parity(&mut fig6_db(), FIG6_DB, "fig6");
     let xml = DblpGenerator::new(DblpConfig::sized(200)).generate_xml();
     let mut dblp = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-    assert_corpus_parity(&mut dblp, "dblp-200");
+    assert_corpus_parity(&mut dblp, &xml, "dblp-200");
 }
 
 /// Attributes holding `"` `&` `<`, mixed content, empty elements, a

@@ -445,56 +445,46 @@ fn remove_files(paths: &[&Path]) {
 
 #[test]
 fn recovery_folds_the_delta_chain_at_every_crash_point_of_the_tail() {
-    for ordered in [false, true] {
-        let with = |page: &Path| match ordered {
-            true => durable_opts(page).with_ordered_dict(),
-            false => durable_opts(page),
-        };
-        for at in [TAIL, AFTER_FAILURE] {
-            // Size this schedule: the armed segment's write-class ops.
-            let (page, wal_p) = temp_paths("chain_dry");
-            let dry = run_chain(
-                &chain_db(&with(&page)),
-                Some((at, FaultConfig::seeded(7))),
-                None,
-            );
-            assert_eq!(dry.durable_events, 6, "the fault-free chain completes");
-            remove_files(&[&page, &wal_p]);
-            let w = dry.write_ops;
-            assert!(w >= 3, "arming at link {at} saw {w} write ops");
+    for at in [TAIL, AFTER_FAILURE] {
+        // Size this schedule: the armed segment's write-class ops.
+        let (page, wal_p) = temp_paths("chain_dry");
+        let dry = run_chain(
+            &chain_db(&durable_opts(&page)),
+            Some((at, FaultConfig::seeded(7))),
+            None,
+        );
+        assert_eq!(dry.durable_events, 6, "the fault-free chain completes");
+        remove_files(&[&page, &wal_p]);
+        let w = dry.write_ops;
+        assert!(w >= 3, "arming at link {at} saw {w} write ops");
 
-            for crash_at in 1..=w {
-                let label = format!("ordered={ordered} armed at link {at}, crash={crash_at}");
-                let (page, wal_p) = temp_paths("chain");
-                let opts = with(&page);
-                let db = chain_db(&opts);
-                let schedule = FaultConfig::seeded(7).with_crash_after(crash_at);
-                let crashed = run_chain(&db, Some((at, schedule)), None);
-                assert_eq!(db.fault_stats().unwrap().crashes, 1, "{label}");
-                drop(db);
+        for crash_at in 1..=w {
+            let label = format!("armed at link {at}, crash={crash_at}");
+            let (page, wal_p) = temp_paths("chain");
+            let opts = durable_opts(&page);
+            let db = chain_db(&opts);
+            let schedule = FaultConfig::seeded(7).with_crash_after(crash_at);
+            let crashed = run_chain(&db, Some((at, schedule)), None);
+            assert_eq!(db.fault_stats().unwrap().crashes, 1, "{label}");
+            drop(db);
 
-                // The oracle never crashes: the same chain, stopped after
-                // the last commit the crashed run saw acknowledged.
-                let (opage, owal) = temp_paths("chain_oracle");
-                let oracle = chain_db(&with(&opage));
-                run_chain(&oracle, None, Some(crashed.durable_events));
+            // The oracle never crashes: the same chain, stopped after
+            // the last commit the crashed run saw acknowledged.
+            let (opage, owal) = temp_paths("chain_oracle");
+            let oracle = chain_db(&durable_opts(&opage));
+            run_chain(&oracle, None, Some(crashed.durable_events));
 
-                let recovered = TimberDb::open(&opts).unwrap();
-                let (got, want) = (recovered.store().dict(), oracle.store().dict());
-                assert_eq!(got.len(), want.len(), "{label}: dictionary length");
-                for i in 0..want.len() as u32 {
-                    let sym = xmlstore::Sym(i);
-                    assert_eq!(got.resolve(sym), want.resolve(sym), "{label}: symbol {i}");
-                }
-                assert_eq!(got.ordered_upto(), want.ordered_upto(), "{label}");
-                if ordered {
-                    assert!(got.ordered_upto() > 30, "{label}: {}", got.ordered_upto());
-                }
-                assert_eq!(recovered.documents(), oracle.documents(), "{label}");
-                assert_eq!(count_bytes(&recovered), count_bytes(&oracle), "{label}");
-                drop((recovered, oracle));
-                remove_files(&[&page, &wal_p, &opage, &owal]);
+            let recovered = TimberDb::open(&opts).unwrap();
+            let (got, want) = (recovered.store().dict(), oracle.store().dict());
+            assert_eq!(got.len(), want.len(), "{label}: dictionary length");
+            for i in 0..want.len() as u32 {
+                let sym = xmlstore::Sym(i);
+                assert_eq!(got.resolve(sym), want.resolve(sym), "{label}: symbol {i}");
             }
+            assert_eq!(recovered.documents(), oracle.documents(), "{label}");
+            assert_eq!(count_bytes(&recovered), count_bytes(&oracle), "{label}");
+            drop((recovered, oracle));
+            remove_files(&[&page, &wal_p, &opage, &owal]);
         }
     }
 }

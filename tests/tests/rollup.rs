@@ -1,19 +1,19 @@
 //! Differential suite for the fused rollup path: under
 //! `PlanMode::GroupByRewrite` grouped aggregates run the streaming
-//! `Rollup` kernel, and its serialized output must be byte-identical to
-//! the materialized `GroupBy → Aggregate` pipeline
-//! (`PlanMode::GroupByMaterialized`) and to the direct plan — for every
-//! aggregate function, across thread counts and batch sizes (CI sweeps
-//! `{threads 1,4} × {batch 16,256}` via `TIMBER_TEST_THREADS` /
+//! `Rollup` kernel, and its serialized output — like the direct plan's —
+//! must be the bytes the reference model evaluates the query to: for
+//! every aggregate function, across thread counts and batch sizes (CI
+//! sweeps `{threads 1,4} × {batch 16,256}` via `TIMBER_TEST_THREADS` /
 //! `TIMBER_TEST_BATCH`), on random multi-author bibliographies, for
 //! fractional Avg/Sum values, and under seeded fault schedules
 //! (correct-or-typed-error).
 
 use datagen::{DblpConfig, DblpGenerator};
-use smallrand::prop::{check, Gen};
+use smallrand::prop::check;
 use timber::{PlanMode, TimberDb};
 use timber_integration_tests::{
-    batch_matrix, fig6_db, reference_run, run, thread_matrix, QUERY_COUNT,
+    assert_matches_model, batch_matrix, bibliography, expected, fig6_db, thread_matrix, Shape,
+    FIG6_DB, QUERY_COUNT,
 };
 use xmlstore::{FaultConfig, StoreOptions};
 
@@ -46,17 +46,11 @@ fn every_corpus_aggregate_fuses_to_a_rollup() {
         let text = plan.explain();
         assert!(text.contains("Rollup"), "{text}");
         assert!(!text.contains("GroupBy"), "{text}");
-        // The materialized mode keeps the unfused pair.
-        let (plan, _, trace) = db
-            .compile_traced(&query, PlanMode::GroupByMaterialized)
-            .unwrap();
-        assert!(!trace.fired("rollup-fuse"), "{query}");
-        assert!(plan.explain().contains("GroupBy"), "{}", plan.explain());
     }
 }
 
 /// Every article carries the `<year>` the LET path selects, so the
-/// direct (outer-join) plan and both grouped plans agree; Alpha's two
+/// direct (outer-join) plan and the grouped plan agree; Alpha's two
 /// authors exercise the multi-valued grouping basis.
 const YEARS_DB: &str = "<bib>\
     <article><author>Jack</author><title>Zeta</title><year>2001</year></article>\
@@ -66,65 +60,51 @@ const YEARS_DB: &str = "<bib>\
     <article><author>John</author><title>Gamma</title><year>1984</year></article>\
 </bib>";
 
-#[test]
-fn rollup_matches_materialized_across_threads_and_batches() {
-    let mut db = TimberDb::load_xml(YEARS_DB, &StoreOptions::in_memory()).unwrap();
+/// Every `{threads} × {batch} × {Direct, GroupByRewrite}` cell of `query`
+/// over `xml` against the model.
+fn assert_matrix_matches_model(xml: &str, query: &str, what: &str) {
+    let mut db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
     for threads in thread_matrix(&[1, 4]) {
         db.set_threads(threads);
-        for query in corpus() {
-            let reference = run(&mut db, &query, PlanMode::GroupByMaterialized, 256);
-            let direct = run(&mut db, &query, PlanMode::Direct, 256);
-            assert_eq!(reference, direct, "threads={threads} query: {query}");
-            for batch in batch_matrix(&[16, 256]) {
-                let rollup = run(&mut db, &query, PlanMode::GroupByRewrite, batch);
-                assert_eq!(
-                    reference, rollup,
-                    "threads={threads} batch={batch} query: {query}"
-                );
-            }
+        for batch in batch_matrix(&[1, 16, 256]) {
+            assert_matches_model(&mut db, xml, query, batch, what);
         }
     }
 }
 
 #[test]
-fn one_batch_serial_run_agrees_with_batched_rollup() {
-    let mut db = fig6_db();
+fn rollup_matches_the_model_across_threads_and_batches() {
     for query in corpus() {
-        let expected = reference_run(&mut db, &query, PlanMode::GroupByRewrite);
-        for batch in batch_matrix(&[1, 3, 256]) {
-            let got = run(&mut db, &query, PlanMode::GroupByRewrite, batch);
-            assert_eq!(expected, got, "batch={batch} query: {query}");
-        }
+        assert_matrix_matches_model(YEARS_DB, &query, "years");
     }
+    // Fig. 6 has titles and no years: only the count over titles is
+    // defined for every author there.
+    assert_matrix_matches_model(FIG6_DB, QUERY_COUNT, "fig6");
 }
 
 #[test]
 fn avg_keeps_its_fraction_formatting_through_the_rollup() {
     // Jack's years 2001/1999/1995 average to a repeating fraction; the
-    // rollup's sum+count accumulator must render it exactly as the
-    // materialized kernel's compute() does.
+    // rollup's sum+count accumulator must render it exactly as written.
     let xml = "<bib>\
         <article><author>Jack</author><title>Zeta</title><year>2001</year></article>\
         <article><author>Jack</author><title>Alpha</title><year>1999</year></article>\
         <article><author>Jack</author><title>Midway</title><year>1995</year></article>\
         <article><author>Jill</author><title>Beta</title><year>2002</year></article>\
     </bib>";
-    let db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
     let q = agg_query("avg");
-    let rollup = db.query(&q, PlanMode::GroupByRewrite).unwrap();
-    let materialized = db.query(&q, PlanMode::GroupByMaterialized).unwrap();
-    let rx = rollup.to_xml_on(db.store()).unwrap();
-    assert_eq!(rx, materialized.to_xml_on(db.store()).unwrap());
-    assert!(rx.contains("<avg>1998.3333333333333</avg>"), "{rx}");
+    let want = expected(xml, &q);
+    assert!(want.contains("<avg>1998.3333333333333</avg>"), "{want}");
     // Whole-number averages render as integers (2002, not 2002.0).
-    assert!(rx.contains("<avg>2002</avg>"), "{rx}");
+    assert!(want.contains("<avg>2002</avg>"), "{want}");
+    assert_matrix_matches_model(xml, &q, "avg formatting");
 }
 
 #[test]
 fn fractional_values_fold_identically() {
     // Fractional years force real floating-point accumulation: the
-    // running Sum/Avg folds must replay the materialized kernel's value
-    // order bit for bit, at every thread count.
+    // running Sum/Avg folds must add in document order bit for bit, at
+    // every thread count; the non-numeric year is ignored.
     let xml = "<bib>\
         <article><author>Jack</author><title>A</title><year>0.1</year></article>\
         <article><author>Jack</author><title>B</title><year>0.2</year></article>\
@@ -132,66 +112,33 @@ fn fractional_values_fold_identically() {
         <article><author>Jill</author><title>D</title><year>12.5</year></article>\
         <article><author>Jill</author><title>E</title><year>not-a-number</year></article>\
     </bib>";
-    let mut db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
-    for threads in thread_matrix(&[1, 4]) {
-        db.set_threads(threads);
-        for func in ["sum", "avg", "min", "max"] {
-            let q = agg_query(func);
-            let reference = run(&mut db, &q, PlanMode::GroupByMaterialized, 256);
-            let rollup = run(&mut db, &q, PlanMode::GroupByRewrite, 16);
-            assert_eq!(reference, rollup, "threads={threads} func={func}");
-        }
+    for func in ["sum", "avg", "min", "max"] {
+        assert_matrix_matches_model(xml, &agg_query(func), func);
     }
-}
-
-/// Random multi-author bibliographies: the multi-valued grouping basis
-/// (an article with k authors contributes to k accumulators) and group
-/// sizes vary per case.
-fn bibliography(g: &mut Gen) -> String {
-    const POOL: [&str; 5] = ["Jack", "Jill", "John", "Jane", "Joan"];
-    let articles = g.usize_in(0, 11);
-    let mut s = String::from("<bib>");
-    for n in 0..articles {
-        s.push_str("<article>");
-        let k = g.usize_in(1, 3);
-        let mut picked = Vec::new();
-        while picked.len() < k {
-            let i = g.usize_in(0, POOL.len() - 1);
-            if !picked.contains(&i) {
-                picked.push(i);
-            }
-        }
-        picked.sort_unstable();
-        for &i in &picked {
-            s.push_str(&format!("<author>{}</author>", POOL[i]));
-        }
-        s.push_str(&format!("<title>Title {n}</title>"));
-        s.push_str(&format!(
-            "<year>{}.{}</year>",
-            1970 + g.usize_in(0, 32),
-            g.usize_in(0, 99)
-        ));
-        s.push_str("</article>");
-    }
-    s.push_str("</bib>");
-    s
 }
 
 #[test]
-fn rollup_matches_materialized_on_random_bibliographies() {
+fn rollup_matches_the_model_on_random_bibliographies() {
+    // Random multi-author bibliographies: the multi-valued grouping
+    // basis (an article with k authors contributes to k accumulators)
+    // and group sizes vary per case. The count over titles also runs on
+    // ragged shapes (duplicate authors, untitled and empty articles).
     check(
-        "rollup_matches_materialized_on_random_bibliographies",
+        "rollup_matches_the_model_on_random_bibliographies",
         24,
         |g| {
-            let xml = bibliography(g);
+            let threads = *g.pick(&thread_matrix(&[1, 4]));
+            let batch = *g.pick(&batch_matrix(&[1, 16, 256]));
+            let xml = bibliography(g, Shape::Years);
             let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-            db.set_threads([1, 4][g.usize_in(0, 1)]);
-            let batch = [1, 16, 256][g.usize_in(0, 2)];
+            db.set_threads(threads);
             for query in corpus() {
-                let reference = run(&mut db, &query, PlanMode::GroupByMaterialized, 256);
-                let rollup = run(&mut db, &query, PlanMode::GroupByRewrite, batch);
-                assert_eq!(reference, rollup, "batch={batch} on {xml}");
+                assert_matches_model(&mut db, &xml, &query, batch, "years");
             }
+            let xml = bibliography(g, Shape::Ragged);
+            let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+            db.set_threads(threads);
+            assert_matches_model(&mut db, &xml, QUERY_COUNT, batch, "ragged");
         },
     );
 }
@@ -221,13 +168,7 @@ fn rollup_under_fault_schedules_is_correct_or_typed_error() {
     };
     let db = TimberDb::load_xml(&xml, &opts).unwrap();
     let queries: Vec<String> = vec![QUERY_COUNT.to_owned(), agg_query("avg")];
-    let reference: Vec<String> = queries
-        .iter()
-        .map(|q| {
-            let r = db.query(q, PlanMode::GroupByRewrite).unwrap();
-            r.to_xml_on(db.store()).unwrap()
-        })
-        .collect();
+    let reference: Vec<String> = queries.iter().map(|q| expected(&xml, q)).collect();
     let mut injected = 0u64;
     for seed in fault_seeds() {
         for schedule in [

@@ -22,6 +22,8 @@
 //! - EXPLAIN ANALYZE over the wire must still report the columnar fast
 //!   path: 0 page requests and clones=0 for grouped plans on a pinned
 //!   snapshot.
+//! - The two retired mode bytes get the typed `unknown mode byte` reply
+//!   and leave the connection serving.
 
 use smallrand::{RngExt, SeedableRng, StdRng};
 use std::collections::HashMap;
@@ -500,5 +502,39 @@ fn explain_analyze_over_the_server_reports_zero_pages_and_clones() {
     }
     c.release().unwrap();
     drop(c);
+    handle.shutdown();
+}
+
+/// Mode bytes 2 and 3 named plan modes once. A client that still sends
+/// them gets the typed error every unknown byte gets — for QUERY and for
+/// EXPLAIN — and the same connection then answers a grouped query.
+#[test]
+fn retired_mode_bytes_get_the_typed_error_and_the_connection_keeps_serving() {
+    use timber_client::proto::{read_frame, write_frame, Opcode, STATUS_ERR, STATUS_OK};
+    let (handle, addr) = boot_mem();
+    let mut c = Client::connect(addr).unwrap();
+    c.insert_xml(&bib(1, 12, &mut StdRng::seed_from_u64(3)))
+        .unwrap();
+    let want = c.query(QUERY_COUNT, Mode::Grouped).unwrap();
+
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    let mut call = |op: Opcode, mode: u8| {
+        let mut frame = vec![op as u8, mode];
+        frame.extend_from_slice(QUERY_COUNT.as_bytes());
+        write_frame(&mut raw, &frame).unwrap();
+        let reply = read_frame(&mut raw)
+            .unwrap()
+            .expect("the connection stays open");
+        (reply[0], String::from_utf8(reply[1..].to_vec()).unwrap())
+    };
+    for op in [Opcode::Query, Opcode::Explain] {
+        for mode in [2u8, 3] {
+            let (status, message) = call(op, mode);
+            assert_eq!(status, STATUS_ERR, "{op:?} mode {mode}: {message}");
+            assert_eq!(message, format!("unknown mode byte {mode}"));
+        }
+    }
+    assert_eq!(call(Opcode::Query, Mode::Grouped as u8), (STATUS_OK, want));
+    drop((c, raw));
     handle.shutdown();
 }

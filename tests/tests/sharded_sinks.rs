@@ -1,15 +1,18 @@
 //! Property tests for the hash-partitioned blocking sinks: GroupBy,
 //! the left outer join, and the RETURN stitch running over worker
-//! threads must stay **byte-identical** to the `threads=1` kernels —
-//! including the paper's non-partitioning grouping semantics (a
-//! two-author article belongs to both authors' groups even when those
-//! groups hash to different shards) — and must stay correct-or-typed
-//! under fault-injection schedules.
+//! threads must serialize to the reference model's bytes at every
+//! thread count — including the paper's non-partitioning grouping
+//! semantics (a two-author article belongs to both authors' groups even
+//! when those groups hash to different shards) — and must stay
+//! correct-or-typed under fault-injection schedules.
 
 use datagen::{DblpConfig, DblpGenerator};
-use smallrand::prop::{check, Gen};
+use smallrand::prop::check;
 use timber::{PlanMode, TimberDb};
-use timber_integration_tests::{run, thread_matrix, QUERY1, QUERY2, QUERY_COUNT};
+use timber_integration_tests::{
+    assert_matches_model, batch_matrix, bibliography, expected, run, thread_matrix, Shape, QUERY1,
+    QUERY2, QUERY_COUNT,
+};
 use xmlstore::{FaultConfig, StoreOptions};
 
 const CORPUS: [&str; 3] = [QUERY1, QUERY2, QUERY_COUNT];
@@ -26,52 +29,20 @@ fn run_physical(
     run(db, query, mode, batch)
 }
 
-/// A random bibliography with heavy author overlap, so grouping bases
-/// are multi-valued and articles duplicate across groups.
-fn bibliography(g: &mut Gen) -> String {
-    const POOL: [&str; 5] = ["Jack", "Jill", "John", "Jane", "Joan"];
-    let articles = g.usize_in(0, 14);
-    let mut s = String::from("<bib>");
-    for _ in 0..articles {
-        s.push_str("<article>");
-        let k = g.usize_in(1, 3);
-        let mut picked = Vec::new();
-        while picked.len() < k {
-            let i = g.usize_in(0, POOL.len() - 1);
-            if !picked.contains(&i) {
-                picked.push(i);
-            }
-        }
-        picked.sort_unstable();
-        for &i in &picked {
-            s.push_str(&format!("<author>{}</author>", POOL[i]));
-        }
-        s.push_str(&format!("<title>Title {}</title>", g.usize_in(0, 999)));
-        s.push_str("</article>");
-    }
-    s.push_str("</bib>");
-    s
-}
-
 #[test]
-fn sharded_sinks_byte_identical_on_random_bibliographies() {
+fn sharded_sinks_equal_the_model_on_random_bibliographies() {
     check(
-        "sharded_sinks_byte_identical_on_random_bibliographies",
+        "sharded_sinks_equal_the_model_on_random_bibliographies",
         24,
         |g| {
-            let xml = bibliography(g);
+            let shape = [Shape::Plain, Shape::Ragged][g.usize_in(0, 1)];
+            let xml = bibliography(g, shape);
             let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-            let batch = [1, 3, 16, 256][g.usize_in(0, 3)];
-            for query in CORPUS {
-                for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-                    let serial = run_physical(&mut db, query, mode, 1, batch);
-                    for threads in thread_matrix(&[2, 4, 8]) {
-                        let sharded = run_physical(&mut db, query, mode, threads, batch);
-                        assert_eq!(
-                            serial, sharded,
-                            "threads={threads} batch={batch} {mode:?} on {xml}"
-                        );
-                    }
+            let batch = *g.pick(&batch_matrix(&[1, 3, 16, 256]));
+            for threads in thread_matrix(&[1, 2, 4, 8]) {
+                db.set_threads(threads);
+                for query in CORPUS {
+                    assert_matches_model(&mut db, &xml, query, batch, "sharded sinks");
                 }
             }
         },
@@ -90,18 +61,18 @@ fn multivalued_basis_duplicates_across_shards() {
         <article><author>John</author><author>Jill</author><title>T3</title></article>\
     </bib>";
     let mut db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
-    let serial = run_physical(&mut db, QUERY1, PlanMode::GroupByRewrite, 1, 256);
+    let want = expected(xml, QUERY1);
     // Each title appears under both of its authors.
     for t in [
         "<title>T1</title>",
         "<title>T2</title>",
         "<title>T3</title>",
     ] {
-        assert_eq!(serial.matches(t).count(), 2, "{t} in {serial}");
+        assert_eq!(want.matches(t).count(), 2, "{t} in {want}");
     }
-    for threads in [2, 3, 8] {
+    for threads in [1, 2, 3, 8] {
         let sharded = run_physical(&mut db, QUERY1, PlanMode::GroupByRewrite, threads, 256);
-        assert_eq!(serial, sharded, "threads={threads}");
+        assert_eq!(want, sharded, "threads={threads}");
     }
 }
 
@@ -118,10 +89,7 @@ fn sharded_sinks_correct_or_typed_error_under_faults() {
         ..StoreOptions::in_memory()
     };
     let mut db = TimberDb::load_xml(&xml, &opts).unwrap();
-    let reference: Vec<String> = CORPUS
-        .iter()
-        .map(|q| run_physical(&mut db, q, PlanMode::GroupByRewrite, 1, 64))
-        .collect();
+    let reference: Vec<String> = CORPUS.iter().map(|q| expected(&xml, q)).collect();
     let mut injected = 0u64;
     for seed in [7u64, 11, 13] {
         let schedule = FaultConfig::seeded(seed)

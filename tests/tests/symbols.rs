@@ -12,7 +12,10 @@
 use datagen::{DblpConfig, DblpGenerator};
 use smallrand::prop::{check, Gen};
 use timber::{PlanMode, TimberDb};
-use timber_integration_tests::{batch_matrix, fig6_db, thread_matrix, QUERY1, QUERY2, QUERY_COUNT};
+use timber_integration_tests::{
+    assert_matches_model, batch_matrix, expected, fig6_db, thread_matrix, QUERY1, QUERY2,
+    QUERY_COUNT,
+};
 use xmlstore::{wal_path_for, Dictionary, StoreOptions};
 
 /// A mixed bag of names the dictionary must handle: element-ish
@@ -123,44 +126,21 @@ fn dictionary_roundtrips_across_wal_recovery_reopen() {
 
 /// Every corpus query, on the Fig. 6 database and a seeded synthetic
 /// DBLP, serialized under every plan mode × thread count × batch size in
-/// the CI matrix: all runs must produce the bytes of the sequential
-/// Direct-plan reference. This is the refactor's differential harness —
-/// the reference plan still resolves strings through the same dictionary
-/// the symbol path uses, so a wrong symbol anywhere (a grouping key, a
-/// constructed tag, a stitched value) breaks byte equality here.
+/// the CI matrix: all runs must produce the reference model's bytes. The
+/// model compares strings, never symbols, so a wrong symbol anywhere (a
+/// grouping key, a constructed tag, a stitched value) breaks byte
+/// equality here.
 #[test]
 fn serialized_output_byte_identical_across_matrix() {
     let dblp = DblpGenerator::new(DblpConfig::sized(120)).generate_xml();
     for xml in [timber_integration_tests::FIG6_DB.to_owned(), dblp] {
         let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
         for query in [QUERY1, QUERY2, QUERY_COUNT] {
-            db.set_threads(1);
-            db.set_batch_size(256);
-            let reference = db
-                .query(query, PlanMode::Direct)
-                .unwrap()
-                .to_xml_on(db.store())
-                .unwrap();
-            assert!(!reference.is_empty());
-            for mode in [
-                PlanMode::Direct,
-                PlanMode::GroupByRewrite,
-                PlanMode::GroupByMaterialized,
-            ] {
-                for threads in thread_matrix(&[1, 2, 4]) {
-                    for batch in batch_matrix(&[1, 3, 256]) {
-                        db.set_threads(threads);
-                        db.set_batch_size(batch);
-                        let got = db
-                            .query(query, mode)
-                            .unwrap()
-                            .to_xml_on(db.store())
-                            .unwrap();
-                        assert_eq!(
-                            reference, got,
-                            "diverged: mode={mode:?} threads={threads} batch={batch}"
-                        );
-                    }
+            assert!(!expected(&xml, query).is_empty());
+            for threads in thread_matrix(&[1, 2, 4]) {
+                db.set_threads(threads);
+                for batch in batch_matrix(&[1, 3, 256]) {
+                    assert_matches_model(&mut db, &xml, query, batch, "symbols");
                 }
             }
         }

@@ -1,40 +1,18 @@
-//! Differential testing of the vectorized columnar kernels: every
-//! chunked filter must be bit-identical to its scalar twin, the batch
-//! containment partition must expand to exactly the nested-loop join's
-//! pairs, and whole queries must serialize byte-identically whether the
-//! kernels run vectorized or forced down the scalar row loops — across
-//! thread counts, batch sizes, and random ragged bibliographies.
-
-use std::sync::{Mutex, MutexGuard};
+//! Differential testing of the vectorized columnar kernels: the two
+//! chunked filters must be bit-identical to their scalar twins, the
+//! batch containment partition must expand to exactly the nested-loop
+//! join's pairs, and whole queries running on those kernels must
+//! serialize to the reference model's bytes — across thread counts,
+//! batch sizes, and random ragged bibliographies.
 
 use smallrand::prop::{check, Gen};
 use tax::matching::structural::{self, JoinAxis};
-use timber::{PlanMode, TimberDb};
-use timber_integration_tests::{batch_matrix, run, thread_matrix, QUERY1, QUERY2, QUERY_COUNT};
+use timber::TimberDb;
+use timber_integration_tests::{
+    assert_matches_model, batch_matrix, bibliography, thread_matrix, Shape, QUERY1, QUERY2,
+    QUERY_COUNT,
+};
 use xmlstore::{kernels, NodeEntry, NodeId, SelVec, StoreOptions};
-
-/// The force-scalar switch is process-global; tests that flip it hold
-/// this lock so a concurrent test never observes a half-forced run.
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-/// RAII window in which every kernel call takes its scalar twin.
-struct ForcedScalar(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl ForcedScalar {
-    fn begin() -> Self {
-        let guard = FORCE_LOCK
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        kernels::set_force_scalar(true);
-        ForcedScalar(guard)
-    }
-}
-
-impl Drop for ForcedScalar {
-    fn drop(&mut self) {
-        kernels::set_force_scalar(false);
-    }
-}
 
 fn assert_same_selvec(vec: &SelVec, scalar: &SelVec, what: &str) {
     assert_eq!(vec.base(), scalar.base(), "{what}: base");
@@ -49,8 +27,8 @@ fn assert_same_selvec(vec: &SelVec, scalar: &SelVec, what: &str) {
 
 #[test]
 fn filter_kernels_match_scalar_twins() {
-    // Lengths sweep past several 64-row chunk boundaries and the SIMD
-    // lane tails (0, 1, 63, 64, 65, 127, 128, ...).
+    // Lengths sweep past several 64-row chunk boundaries
+    // (0, 1, 63, 64, 65, 127, 128, ...).
     check("filter_kernels_match_scalar_twins", 64, |g| {
         let len = g.usize_in(0, 130);
         let base = g.usize_in(0, 1000) as u32;
@@ -61,30 +39,11 @@ fn filter_kernels_match_scalar_twins() {
             &kernels::scalar::filter_eq_u32(&vals, base, needle),
             "eq_u32",
         );
-        let set: Vec<u32> = g.vec(0, 3, |g| g.usize_in(0, 8) as u32);
-        assert_same_selvec(
-            &kernels::filter_in_u32(&vals, base, &set),
-            &kernels::scalar::filter_in_u32(&vals, base, &set),
-            "in_u32",
-        );
-        let lo = g.usize_in(0, 8) as u32;
-        let hi = g.usize_in(0, 8) as u32;
-        assert_same_selvec(
-            &kernels::filter_range_u32(&vals, base, lo, hi),
-            &kernels::scalar::filter_range_u32(&vals, base, lo, hi),
-            "range_u32",
-        );
         let vals16: Vec<u16> = vals.iter().map(|&v| v as u16).collect();
         assert_same_selvec(
             &kernels::filter_eq_u16(&vals16, base, needle as u16),
             &kernels::scalar::filter_eq_u16(&vals16, base, needle as u16),
             "eq_u16",
-        );
-        let vals8: Vec<u8> = vals.iter().map(|&v| v as u8).collect();
-        assert_same_selvec(
-            &kernels::filter_eq_u8(&vals8, base, needle as u8),
-            &kernels::scalar::filter_eq_u8(&vals8, base, needle as u8),
-            "eq_u8",
         );
     });
 }
@@ -194,88 +153,29 @@ fn batch_containment_equals_nested_loop_join() {
         expanded.sort_unstable();
         oracle.sort_unstable();
         assert_eq!(expanded, oracle);
-        // The tax-side wrapper agrees with itself under forced scalar.
-        let vectorized = structural::batch_contained_in(&ancestors, &descendants);
-        let forced = {
-            let _guard = ForcedScalar::begin();
-            structural::batch_contained_in(&ancestors, &descendants)
-        };
-        assert_eq!(vectorized, forced);
     });
 }
 
-/// The random-bibliography generator: ragged articles (some with no
-/// authors, no title, repeated authors) so run lengths and containment
-/// shapes vary.
-fn bibliography(g: &mut Gen) -> String {
-    const POOL: [&str; 5] = ["Jack", "Jill", "John", "Jane", "Joan"];
-    let articles = g.usize_in(0, 9);
-    let mut s = String::from("<bib>");
-    for _ in 0..articles {
-        s.push_str("<article>");
-        for _ in 0..g.usize_in(0, 3) {
-            s.push_str(&format!("<author>{}</author>", g.pick(&POOL)));
-        }
-        if g.ratio(4, 5) {
-            s.push_str(&format!("<title>Title {}</title>", g.usize_in(0, 99)));
-        }
-        s.push_str("</article>");
-    }
-    s.push_str("</bib>");
-    s
-}
-
 #[test]
-fn vectorized_equals_forced_scalar_end_to_end() {
-    // The headline invariant: with every kernel forced down its scalar
-    // twin, all corpus queries must serialize byte-identically — on
-    // plain and order-preserving dictionaries, across the thread/batch
-    // matrix CI sweeps.
-    check("vectorized_equals_forced_scalar_end_to_end", 12, |g| {
-        let xml = bibliography(g);
-        for opts in [
-            StoreOptions::in_memory(),
-            StoreOptions::in_memory().with_ordered_dict(),
-        ] {
-            let mut db = TimberDb::load_xml(&xml, &opts).unwrap();
-            for threads in thread_matrix(&[1, 4]) {
-                db.set_threads(threads);
-                for batch in batch_matrix(&[16, 256]) {
-                    for query in [QUERY1, QUERY2, QUERY_COUNT] {
-                        for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-                            let vectorized = run(&mut db, query, mode, batch);
-                            let scalar = {
-                                let _guard = ForcedScalar::begin();
-                                run(&mut db, query, mode, batch)
-                            };
-                            assert_eq!(
-                                vectorized, scalar,
-                                "threads={threads} batch={batch} {mode:?} \
-                                 ordered={} on {xml}",
-                                opts.ordered_dict
-                            );
-                        }
-                    }
+fn queries_on_the_kernels_equal_the_model() {
+    // The headline invariant: the tag filters, the batch containment
+    // join and the COUNT star fold (run-length products instead of
+    // per-binding enumeration) serve exactly the bytes of the query as
+    // written — on adversarial shapes (empty articles, missing titles,
+    // duplicate authors), across the thread/batch matrix CI sweeps.
+    check("queries_on_the_kernels_equal_the_model", 24, |g| {
+        let xml = bibliography(g, Shape::Ragged);
+        let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+        let vec_rows_before = kernels::vec_rows();
+        for threads in thread_matrix(&[1, 4]) {
+            db.set_threads(threads);
+            for batch in batch_matrix(&[16, 256]) {
+                for query in [QUERY1, QUERY2, QUERY_COUNT] {
+                    assert_matches_model(&mut db, &xml, query, batch, "kernels");
                 }
             }
         }
-    });
-}
-
-#[test]
-fn count_rollup_fast_path_equals_forced_scalar() {
-    // The COUNT star fold is the one kernel that changes *what* the
-    // matcher computes (run-length products instead of per-binding
-    // enumeration); pin it separately on adversarial shapes: empty
-    // articles, missing titles, duplicate authors.
-    check("count_rollup_fast_path_equals_forced_scalar", 24, |g| {
-        let xml = bibliography(g);
-        let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-        let fast = run(&mut db, QUERY_COUNT, PlanMode::GroupByRewrite, 256);
-        let slow = {
-            let _guard = ForcedScalar::begin();
-            run(&mut db, QUERY_COUNT, PlanMode::GroupByRewrite, 256)
-        };
-        assert_eq!(fast, slow, "on {xml}");
+        // It was the kernels that answered, not a row loop.
+        assert!(kernels::vec_rows() > vec_rows_before);
     });
 }
