@@ -950,7 +950,7 @@ fn run_value_index() {
     use xmlstore::StoreOptions;
 
     let articles = 20_000;
-    println!("-- X8: content value index vs per-candidate look-ups ({articles} articles) --");
+    println!("-- X8: content value index vs per-candidate symbol tests ({articles} articles) --");
     let xml = DblpGenerator::new(DblpConfig::sized(articles)).generate_xml();
     let with_vi = TimberDb::load_xml(&xml, &StoreOptions::default().with_value_index()).unwrap();
     let without = TimberDb::load_xml(&xml, &StoreOptions::default()).unwrap();

@@ -19,6 +19,9 @@
 //!   identifier-only processing of Sec. 5.3 is realized: operators pass
 //!   node ids around and fetch data values only when a value is actually
 //!   needed;
+//! * [`batch`] — what flows between operators: a [`Batch`] of rows that
+//!   is either a list of stored nodes or a list of trees, and the
+//!   borrowed [`Source`] view the kernels read;
 //! * [`pattern`] — pattern trees: nodes with predicates, `pc`
 //!   (parent-child) and `ad` (ancestor-descendant) edges, plus the
 //!   *subset* test used by the rewrite rules of Sec. 4.1;
@@ -72,6 +75,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod batch;
 pub mod error;
 pub mod exec;
 pub mod matching;
@@ -80,6 +84,7 @@ pub mod pattern;
 pub mod tree;
 pub mod value;
 
+pub use batch::{Batch, Source};
 pub use error::{Error, Result};
 pub use exec::ExecOptions;
 pub use pattern::{Axis, PatternNodeId, PatternTree, Pred};

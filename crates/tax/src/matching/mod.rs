@@ -1,204 +1,285 @@
 //! Pattern-tree matching (Sec. 5.2).
 //!
-//! Two paths exist:
+//! A match is a [`Bindings`] table — one column per pattern node, one
+//! row per embedding, rows in document order of the pattern root. Two
+//! matchers fill it:
 //!
-//! * [`match_db`] — match against the **stored database** using the tag
-//!   index for candidates and sorted containment (structural) joins to
-//!   combine them. Bindings are found on index data alone; data pages are
-//!   touched only for content/attribute predicates and cross-node join
-//!   predicates.
-//! * [`match_tree`] — match against an **in-memory data tree** (a witness
-//!   tree, a group tree, …) by recursive embedding; references descend
-//!   into the store.
+//! * the **columnar matcher** ([`match_db`], [`match_db_scoped`],
+//!   [`match_in_scopes`]) runs against the stored database on index data
+//!   alone. Candidates per pattern node come straight from the tag index
+//!   (or the optional value index); each pattern edge is one batch
+//!   containment join ([`kernels::containment_runs`]) that yields a
+//!   gather index, through which every column bound so far is extended
+//!   at once, the child-axis level test applied to the gathered run. No
+//!   row is ever allocated on its own. Content and attribute predicates
+//!   and cross-node join predicates compare the *symbols* of the label
+//!   columns — the loader interns every stored value, so equal symbol ⇔
+//!   equal string — and resolve a symbol to text only for an ordering or
+//!   substring test; no data page is requested.
+//! * [`match_tree`] matches an **in-memory data tree** (a witness tree,
+//!   a group tree, …) by recursive embedding; references descend into
+//!   the store. A tree that is one deep stored reference is a scope of
+//!   the columnar matcher.
 //!
 //! A full-scan matcher ([`naive::match_db_scan`]) is kept as the
 //! ablation baseline the paper argues against ("the simplest way to find
 //! matches for a pattern tree is to scan the entire database").
 
+mod bindings;
 pub mod naive;
 pub mod structural;
 pub mod vnode;
 
+pub use bindings::{Bindings, Row};
+
 use crate::error::Result;
-use crate::pattern::{Axis, PatternTree};
-use crate::tree::Tree;
-use std::collections::HashMap;
+use crate::pattern::{Axis, PatternTree, Pred};
+use crate::tree::{Tree, TreeNodeKind};
+use std::ops::{Deref, Range};
 use vnode::{VNode, VTree};
-use xmlstore::{kernels, DocumentStore, NodeEntry, NodeId};
+use xmlstore::{
+    kernels, DocumentStore, Entries, NodeColumns, NodeEntry, NodeId, NodeKind, Sym, NO_SYM,
+};
 
-/// A complete match of a pattern: one bound node per pattern node,
-/// indexed by [`crate::pattern::PatternNodeId`].
-pub type Binding = Vec<VNode>;
-
-/// Match `pattern` against the whole stored database, returning all
-/// bindings in document order of the pattern root.
-pub fn match_db(store: &DocumentStore, pattern: &PatternTree) -> Result<Vec<Binding>> {
+/// Match `pattern` against the whole stored database.
+pub fn match_db(store: &DocumentStore, pattern: &PatternTree) -> Result<Bindings> {
     match_db_scoped(store, pattern, None)
 }
 
 /// Match `pattern` against the subtree of the database rooted at `scope`
-/// (used by per-tree operators whose input trees are stored subtrees).
-/// With `scope == None` the whole document is searched.
+/// (the scope node itself included). With `scope == None` the whole
+/// document is searched.
 pub fn match_db_scoped(
     store: &DocumentStore,
     pattern: &PatternTree,
     scope: Option<NodeEntry>,
-) -> Result<Vec<Binding>> {
-    // 1. Candidate lists per pattern node, from the tag index. The scope
-    //    restriction is a binary-searched sub-slice of the index list, so
-    //    scoped matching (one call per input tree in per-tree operators)
-    //    costs proportional to the *scoped* candidates, not the index.
-    let order = pattern.preorder();
-    let mut candidates: Vec<Vec<NodeEntry>> = vec![Vec::new(); pattern.len()];
-    let mut content_cache: HashMap<NodeId, Option<String>> = HashMap::new();
-    for &pid in &order {
-        let pnode = pattern.node(pid);
-        let mut kept: Vec<NodeEntry> = Vec::new();
-        match pnode.pred.required_tag() {
-            Some(t) => {
-                let tag_id = store.tag_id(t);
-                // Content value index (optional, `StoreOptions::value_index`):
-                // a `tag ∧ content = "v"` predicate is answered directly,
-                // with no per-candidate data look-ups.
-                let (full, eq_satisfied): (xmlstore::Entries, bool) =
-                    match (tag_id, pnode.pred.eq_content_value()) {
-                        (Some(id), Some(v)) => match store.nodes_with_tag_and_content(id, v) {
-                            Some(list) => (list, true),
-                            None => (store.nodes_with_tag(id), false),
-                        },
-                        (Some(id), None) => (store.nodes_with_tag(id), false),
-                        (None, _) => (store.no_entries(), false),
-                    };
-                let scoped = match scope {
-                    Some(s) => structural::contained_in_or_self(&full, &s),
-                    None => &full[..],
-                };
-                let skip_data_eval =
-                    !pnode.pred.needs_data() || (eq_satisfied && pnode.pred.is_tag_eq_only());
-                kept.reserve(scoped.len());
-                for e in scoped {
-                    if !skip_data_eval
-                        && !eval_stored_local(store, &pnode.pred, *e, &mut content_cache)?
-                    {
-                        continue;
-                    }
-                    kept.push(*e);
-                }
-            }
-            None => {
-                // No tag pinned: every node in scope. Node ids are
-                // preorder ordinals, so the scoped set is one dense id
-                // range of the columnar label region — walked directly,
-                // already in document order, with no per-tag merge or
-                // sort.
-                let cols = store.columns();
-                for i in structural::scoped_ids(&cols, scope.as_ref()) {
-                    let e = cols.entry(NodeId(i));
-                    if pnode.pred.needs_data()
-                        && !eval_stored_local(store, &pnode.pred, e, &mut content_cache)?
-                    {
-                        continue;
-                    }
-                    kept.push(e);
-                }
-            }
+) -> Result<Bindings> {
+    Ok(match_columns(store, pattern, scope, None).0)
+}
+
+/// Match `pattern` inside every subtree of `scopes`: the rows of
+/// `match_db_scoped(scope)` for each scope in turn, concatenated, plus
+/// the index into `scopes` each row came from. With `anchor_root` the
+/// pattern root binds only the scope nodes themselves.
+///
+/// When `scopes` is sorted by `start` and pairwise disjoint (no scope
+/// inside another, none repeated) — what a scan produces — this is one
+/// match: the root candidates are cut to the scopes by a single merge of
+/// two sorted lists, and the rows come out scope-major without a sort.
+/// Any other list is matched one scope at a time.
+pub fn match_in_scopes(
+    store: &DocumentStore,
+    pattern: &PatternTree,
+    scopes: &[NodeEntry],
+    anchor_root: bool,
+) -> Result<(Bindings, Vec<u32>)> {
+    if scopes.windows(2).all(|w| w[0].end < w[1].start) {
+        return Ok(match_columns(
+            store,
+            pattern,
+            None,
+            Some((scopes, anchor_root)),
+        ));
+    }
+    let mut table = Bindings::new(pattern.len());
+    let mut scope_of_row = Vec::new();
+    for (si, scope) in scopes.iter().enumerate() {
+        let one = std::slice::from_ref(scope);
+        let (rows, _) = match_columns(store, pattern, Some(*scope), Some((one, anchor_root)));
+        table.append(rows);
+        scope_of_row.resize(table.len(), si as u32);
+    }
+    Ok((table, scope_of_row))
+}
+
+/// The candidate list of one pattern node, sorted by `start`: a window
+/// of a pinned index list when the tag decides, a filtered copy when a
+/// data predicate had to be evaluated.
+enum Candidates {
+    Index(Entries, Range<usize>),
+    Filtered(Vec<NodeEntry>),
+}
+
+impl Deref for Candidates {
+    type Target = [NodeEntry];
+    fn deref(&self) -> &[NodeEntry] {
+        match self {
+            Candidates::Index(list, window) => &list[window.clone()],
+            Candidates::Filtered(list) => list,
         }
-        candidates[pid] = kept;
+    }
+}
+
+/// Candidates of one pattern node inside `scope` (the whole store when
+/// `None`). The scope restriction is a binary-searched window of the
+/// index list, so a scoped match costs in proportion to the *scoped*
+/// candidates, not the index.
+fn candidates(
+    store: &DocumentStore,
+    cols: &NodeColumns,
+    pred: &Pred,
+    scope: Option<&NodeEntry>,
+) -> Candidates {
+    let Some(tag) = pred.required_tag() else {
+        // No tag pinned: every node in scope. Node ids are preorder
+        // ordinals, so the scoped set is one dense id range of the label
+        // columns — already in document order. Attributes are reached
+        // through attribute predicates, never bound as nodes.
+        return Candidates::Filtered(
+            structural::scoped_ids(cols, scope)
+                .filter(|&i| cols.kind[i as usize] != NodeKind::Attribute)
+                .map(|i| cols.entry(NodeId(i)))
+                .filter(|e| matches!(pred, Pred::True) || eval_stored_local(store, cols, pred, e))
+                .collect(),
+        );
+    };
+    // Content value index (optional, `StoreOptions::value_index`): a
+    // `tag ∧ content = "v"` predicate is answered by its own list.
+    let (list, eq_satisfied) = match (store.tag_id(tag), pred.eq_content_value()) {
+        (Some(id), Some(v)) => match store.nodes_with_tag_and_content(id, v) {
+            Some(list) => (list, true),
+            None => (store.nodes_with_tag(id), false),
+        },
+        (Some(id), None) => (store.nodes_with_tag(id), false),
+        (None, _) => (store.no_entries(), false),
+    };
+    let window = match scope {
+        Some(s) => {
+            let lo = list.partition_point(|e| e.start < s.start);
+            lo..lo + list[lo..].partition_point(|e| e.start < s.end)
+        }
+        None => 0..list.len(),
+    };
+    if !pred.needs_data() || (eq_satisfied && pred.is_tag_eq_only()) {
+        return Candidates::Index(list, window);
+    }
+    Candidates::Filtered(
+        list[window]
+            .iter()
+            .filter(|e| eval_stored_local(store, cols, pred, e))
+            .copied()
+            .collect(),
+    )
+}
+
+/// The columnar matcher behind every stored match. `scope` restricts
+/// every candidate list to one subtree; `scopes` restricts the *root*
+/// candidates to a start-sorted disjoint list (see [`match_in_scopes`])
+/// and asks for the scope of each row back (empty otherwise).
+fn match_columns(
+    store: &DocumentStore,
+    pattern: &PatternTree,
+    scope: Option<NodeEntry>,
+    scopes: Option<(&[NodeEntry], bool)>,
+) -> (Bindings, Vec<u32>) {
+    let cols = store.columns();
+    let order = pattern.preorder();
+    let cands: Vec<Candidates> = pattern
+        .iter()
+        .map(|(_, node)| candidates(store, &cols, &node.pred, scope.as_ref()))
+        .collect();
+
+    // 1. The root column: every root candidate, or the candidates at and
+    //    below each scope — the scope node itself sorts immediately
+    //    before the run of its descendants.
+    let mut table = Bindings::new(pattern.len());
+    let root = &cands[order[0]];
+    match scopes {
+        None => table.set_column(order[0], root.to_vec()),
+        Some((scopes, anchor_root)) => {
+            let mut col = Vec::new();
+            let runs = kernels::containment_runs(scopes, root);
+            for (s, &(lo, hi)) in scopes.iter().zip(&runs) {
+                let (lo, hi) = (lo as usize, hi as usize);
+                let own = lo > 0 && root[lo - 1].id == s.id;
+                let from = lo - usize::from(own);
+                let to = if anchor_root { lo } else { hi };
+                col.extend_from_slice(&root[from..to]);
+            }
+            table.set_column(order[0], col);
+        }
     }
 
-    // 2. Combine by containment joins in pre-order: each node's candidates
-    //    are range-searched inside its parent's bound region (the lists
-    //    are sorted by `start`, so this is a sorted containment join).
-    let mut partial: Vec<Vec<NodeEntry>> = candidates[order[0]]
-        .iter()
-        .map(|&e| {
-            let mut b = vec![
-                NodeEntry {
-                    id: NodeId(u32::MAX),
-                    start: 0,
-                    end: 0,
-                    level: 0
-                };
-                pattern.len()
-            ];
-            b[order[0]] = e;
-            b
-        })
-        .collect();
+    // 2. One containment join per pattern edge, parents before children.
+    //    The join yields the new column and a gather index (which
+    //    existing row each new row extends); every bound column follows
+    //    the index.
     for &pid in order.iter().skip(1) {
-        let parent = pattern.node(pid).parent.expect("non-root");
-        let axis = pattern.node(pid).axis;
-        let cands = &candidates[pid];
-        let mut next: Vec<Vec<NodeEntry>> = Vec::new();
-        // The parent column is normally monotone in `start` (bindings
-        // are generated in document order), which is exactly what the
-        // batch containment join requires. Deep patterns can break the
-        // order after several joins; those fall back to the per-binding
-        // range search.
-        let monotone = partial
-            .windows(2)
-            .all(|w| w[0][parent].start <= w[1][parent].start);
-        if monotone {
-            // Batch combine: one galloping containment partition over
-            // the distinct parents, then each binding expands its
-            // parent's descendant run.
-            let mut unique: Vec<NodeEntry> = Vec::new();
-            let mut which: Vec<u32> = Vec::with_capacity(partial.len());
-            for b in &partial {
-                let p = b[parent];
-                if unique.last().map(|u| u.id) != Some(p.id) {
-                    unique.push(p);
+        let node = pattern.node(pid);
+        let parents = table.column(node.parent.expect("non-root"));
+        let below = &cands[pid][..];
+        let mut gather: Vec<u32> = Vec::new();
+        let mut col: Vec<NodeEntry> = Vec::new();
+        let mut extend = |row: usize, p: &NodeEntry, run: &[NodeEntry]| {
+            for d in run {
+                if node.axis == Axis::Child && d.level != p.level + 1 {
+                    continue;
                 }
-                which.push(unique.len() as u32 - 1);
+                gather.push(row as u32);
+                col.push(*d);
             }
-            let runs = kernels::containment_runs(&unique, cands);
-            for (b, &u) in partial.iter().zip(&which) {
-                let (lo, hi) = runs[u as usize];
-                let p = b[parent];
-                for d in &cands[lo as usize..hi as usize] {
-                    if axis == Axis::Child && d.level != p.level + 1 {
-                        continue;
-                    }
-                    let mut nb = b.clone();
-                    nb[pid] = *d;
-                    next.push(nb);
+        };
+        // The parent column is normally monotone in `start` (rows are
+        // generated in document order of the root), which is what the
+        // batch join requires. Below the root it stops being so where
+        // elements of one tag nest: the inner element's rows follow the
+        // outer element's later descendants. A join under such a column
+        // falls back to a range search per row.
+        if parents.windows(2).all(|w| w[0].start <= w[1].start) {
+            let mut distinct = parents.to_vec();
+            distinct.dedup_by_key(|p| p.id);
+            let runs = kernels::containment_runs(&distinct, below);
+            let mut at = 0;
+            for (row, p) in parents.iter().enumerate() {
+                if distinct[at].id != p.id {
+                    at += 1;
                 }
+                let (lo, hi) = runs[at];
+                extend(row, p, &below[lo as usize..hi as usize]);
             }
         } else {
-            kernels::note_fallback_rows(partial.len());
-            for binding in &partial {
-                let p = binding[parent];
-                for d in structural::contained_in(cands, &p) {
-                    if axis == Axis::Child && d.level != p.level + 1 {
-                        continue;
-                    }
-                    let mut b = binding.clone();
-                    b[pid] = *d;
-                    next.push(b);
-                }
+            kernels::note_fallback_rows(parents.len());
+            for (row, p) in parents.iter().enumerate() {
+                extend(row, p, structural::contained_in(below, p));
             }
         }
-        partial = next;
-        if partial.is_empty() {
+        table.gather(&gather);
+        if col.is_empty() {
             break;
         }
+        table.set_column(pid, col);
     }
 
-    // 3. Post-filter cross-node join predicates (value look-ups).
-    let mut out: Vec<Binding> = Vec::with_capacity(partial.len());
-    'outer: for binding in partial {
-        for (pid, pnode) in pattern.iter() {
-            for target in pnode.pred.join_targets() {
-                let a = cached_content(store, binding[pid].id, &mut content_cache)?;
-                let b = cached_content(store, binding[target].id, &mut content_cache)?;
-                if a.is_none() || a != b {
-                    continue 'outer;
-                }
-            }
-        }
-        out.push(binding.into_iter().map(VNode::Stored).collect());
+    // 3. Cross-node join predicates: equal content symbols, and a node
+    //    without content joins nothing.
+    let joins = pattern.join_pairs();
+    if !joins.is_empty() && !table.is_empty() {
+        let content = |pid: usize, row: usize| cols.content[table.column(pid)[row].id.0 as usize];
+        let keep: Vec<u32> = (0..table.len())
+            .filter(|&row| {
+                joins.iter().all(|&(a, b)| {
+                    let sym = content(a, row);
+                    sym != NO_SYM && sym == content(b, row)
+                })
+            })
+            .map(|row| row as u32)
+            .collect();
+        table.gather(&keep);
     }
-    Ok(out)
+
+    // 4. The scope of each row: rows are scope-major and the scopes are
+    //    disjoint, so one merge against the root column finds them.
+    let scope_of_row = scopes.map_or_else(Vec::new, |(scopes, _)| {
+        let mut si = 0;
+        let scope_of = |e: &NodeEntry| {
+            while scopes[si].end < e.start {
+                si += 1;
+            }
+            si as u32
+        };
+        table.column(order[0]).iter().map(scope_of).collect()
+    });
+    (table, scope_of_row)
 }
 
 /// Match `pattern` against an in-memory data tree. With
@@ -206,87 +287,50 @@ pub fn match_db_scoped(
 /// (the constraint the paper suggests for one-output-per-input
 /// projection).
 ///
-/// Fast path: a tree that is one deep stored reference (the common case
-/// after `SL`/`PL`-adorned selection — e.g. the article collection fed to
-/// GROUPBY) is matched through the tag index with a scope restriction,
-/// touching **no data pages** for structure (Sec. 5.2/5.3); only
-/// content/attribute predicates cost value look-ups. Other trees use the
-/// recursive matcher.
+/// A tree that is one deep stored reference is matched by the columnar
+/// matcher with the referenced node as its one scope — index data only
+/// (Sec. 5.2/5.3) — and a binding of the scope node itself is reported
+/// as the tree's (arena) root, the recursive matcher's view of it. Other
+/// trees use the recursive matcher.
 pub fn match_tree(
     store: &DocumentStore,
     tree: &Tree,
     pattern: &PatternTree,
     anchor_root: bool,
-) -> Result<Vec<Binding>> {
-    if tree.len() == 1 {
-        if let crate::tree::TreeNodeKind::Ref {
-            node: scope,
-            deep: true,
-        } = tree.node(tree.root()).kind
-        {
-            let mut bindings = match_db_scoped(store, pattern, Some(scope))?;
-            if anchor_root {
-                bindings.retain(|b| match b[pattern.root()] {
-                    VNode::Stored(e) => e.id == scope.id,
-                    VNode::Arena(_) => false,
-                });
+) -> Result<Bindings<VNode>> {
+    if let (1, &TreeNodeKind::Ref { node, deep: true }) = (tree.len(), &tree.node(tree.root()).kind)
+    {
+        let (table, _) = match_columns(store, pattern, Some(node), Some((&[node], anchor_root)));
+        return Ok(table.map_cells(|e| {
+            if e.id == node.id {
+                VNode::Arena(tree.root())
+            } else {
+                VNode::Stored(e)
             }
-            // Canonicalize: a binding of the scope node itself is the
-            // tree's (arena) root, matching the recursive matcher's view.
-            for b in &mut bindings {
-                for v in b.iter_mut() {
-                    if let VNode::Stored(e) = v {
-                        if e.id == scope.id {
-                            *v = VNode::Arena(tree.root());
-                        }
-                    }
-                }
-            }
-            return Ok(bindings);
-        }
+        }));
     }
     let vt = VTree::new(store, tree);
     naive::match_vtree(&vt, pattern, anchor_root)
 }
 
-/// Evaluate the local predicate of a stored node, fetching content and
-/// attributes through the buffer pool as needed.
+/// Evaluate the local predicate of a stored node on the label columns:
+/// tag, content and attribute values are symbols there, resolved to
+/// their interned text — no page access.
 fn eval_stored_local(
     store: &DocumentStore,
-    pred: &crate::pattern::Pred,
-    e: NodeEntry,
-    cache: &mut HashMap<NodeId, Option<String>>,
-) -> Result<bool> {
-    let content = cached_content(store, e.id, cache)?;
-    // Tag comes from the columnar label region: no page access, and the
-    // interned `Arc<str>` is borrowed as-is (this runs per candidate
-    // row, so no per-row String allocation).
-    let tag = store.tag_name(xmlstore::TagId(store.columns().tag[e.id.0 as usize]));
-    let attr_lookup = |name: &str| -> Option<String> {
+    cols: &NodeColumns,
+    pred: &Pred,
+    e: &NodeEntry,
+) -> bool {
+    let dict = store.dict();
+    let text = |sym: u32| dict.resolve(Sym(sym));
+    let tag = text(cols.tag[e.id.0 as usize]);
+    let content = cols.content_sym(e.id).map(text);
+    let attr = |name: &str| -> Option<String> {
         let attr_tag = store.attr_tag_id(name)?;
-        // Attributes of e are index entries of @name contained in e with
-        // level e.level + 1.
-        let entries = store.nodes_with_tag(attr_tag);
-        let child = structural::contained_in(&entries, &e)
-            .iter()
-            .find(|c| c.level == e.level + 1)
-            .copied()?;
-        store.content(child.id).ok().flatten()
+        cols.attr_sym(e.id, attr_tag.0).map(|s| text(s).to_string())
     };
-    Ok(pred.eval_local(&tag, content.as_deref(), &attr_lookup))
-}
-
-fn cached_content(
-    store: &DocumentStore,
-    id: NodeId,
-    cache: &mut HashMap<NodeId, Option<String>>,
-) -> Result<Option<String>> {
-    if let Some(v) = cache.get(&id) {
-        return Ok(v.clone());
-    }
-    let v = store.content(id)?;
-    cache.insert(id, v.clone());
-    Ok(v)
+    pred.eval_local(&tag, content.as_deref(), &attr)
 }
 
 #[cfg(test)]
@@ -332,14 +376,10 @@ mod tests {
     fn bindings_are_in_document_order() {
         let s = store();
         let bindings = match_db(&s, &fig1_pattern()).unwrap();
-        let roots: Vec<u32> = bindings
-            .iter()
-            .map(|b| match b[0] {
-                VNode::Stored(e) => e.start,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert!(roots.windows(2).all(|w| w[0] <= w[1]));
+        assert!(bindings
+            .column(0)
+            .windows(2)
+            .all(|w| w[0].start <= w[1].start));
     }
 
     #[test]
@@ -395,18 +435,87 @@ mod tests {
     }
 
     #[test]
-    fn content_predicate_costs_data_io() {
+    fn predicates_and_joins_read_no_pages() {
+        // Tag tests, content predicates and join predicates all run on
+        // the label columns: every stored value is interned, so a
+        // predicate compares or resolves symbols.
         let s = store();
         s.reset_io_stats();
         let p = PatternTree::with_root(Pred::tag("author"));
-        let _ = match_db(&s, &p).unwrap();
-        let tag_only = s.io_stats().page_requests();
-        assert_eq!(tag_only, 0, "tag-only matching must not touch pages");
-
+        assert_eq!(match_db(&s, &p).unwrap().len(), 6);
         let p2 = PatternTree::with_root(Pred::tag("author").and(Pred::content_eq("Thompson")));
-        let b = match_db(&s, &p2).unwrap();
-        assert_eq!(b.len(), 1);
-        assert!(s.io_stats().page_requests() > 0);
+        assert_eq!(match_db(&s, &p2).unwrap().len(), 1);
+        let p3 = PatternTree::with_root(Pred::content_contains("Transaction"));
+        assert_eq!(match_db(&s, &p3).unwrap().len(), 4);
+        let mut p4 = PatternTree::with_root(Pred::tag("article"));
+        let a1 = p4.add_child(p4.root(), Axis::Child, Pred::tag("author"));
+        p4.add_child(
+            p4.root(),
+            Axis::Child,
+            Pred::tag("author").and(Pred::ContentEqNode(a1)),
+        );
+        assert_eq!(match_db(&s, &p4).unwrap().len(), 5);
+        assert_eq!(s.io_stats().page_requests(), 0);
+    }
+
+    #[test]
+    fn equal_symbol_means_equal_stored_string() {
+        // The premise of symbol predicates: the content column holds a
+        // symbol exactly when the pages hold a string, and two nodes
+        // carry the same symbol exactly when they carry the same string
+        // — empty, whitespace-only and repeated values included.
+        let xml = "<r>\
+            <a x=\"\" y=\" \">dup</a><a x=\"dup\">dup</a><a></a><a>  </a><a> dup</a>\
+            <b><c>dup</c>tail<c/>tail</b><b x=\"\"/>\
+        </r>";
+        let mut opts = StoreOptions::in_memory();
+        for strip in [true, false] {
+            opts.strip_whitespace = strip;
+            let s = DocumentStore::from_xml(xml, &opts).unwrap();
+            let cols = s.columns();
+            let nodes: Vec<(u32, Option<String>)> = (0..cols.len() as u32)
+                .map(|i| (cols.content[i as usize], s.content(NodeId(i)).unwrap()))
+                .collect();
+            assert!(nodes.iter().filter(|(_, text)| text.is_some()).count() >= 8);
+            for (sym, text) in &nodes {
+                assert_eq!(*sym == NO_SYM, text.is_none(), "{sym} vs {text:?}");
+                if let Some(text) = text {
+                    assert_eq!(&*s.dict().resolve(Sym(*sym)), text);
+                }
+                for (other_sym, other_text) in &nodes {
+                    assert_eq!(sym == other_sym, text == other_text);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn absent_contents_never_join() {
+        // DESIGN.md, *Oracle*: absent contents group together but never
+        // join. Two content-less <c/> siblings carry the same (absent)
+        // key word, yet a join predicate between them holds for no pair.
+        let s = DocumentStore::from_xml(
+            "<r><b><c/><c/></b><b><c>x</c><c>x</c></b></r>",
+            &StoreOptions::in_memory(),
+        )
+        .unwrap();
+        let mut p = PatternTree::with_root(Pred::tag("b"));
+        let c1 = p.add_child(p.root(), Axis::Child, Pred::tag("c"));
+        p.add_child(
+            p.root(),
+            Axis::Child,
+            Pred::tag("c").and(Pred::ContentEqNode(c1)),
+        );
+        let joined = match_db(&s, &p).unwrap();
+        let second_b = s.nodes_with_tag(s.tag_id("b").unwrap())[1];
+        assert_eq!(joined.len(), 4);
+        assert!(joined.column(p.root()).iter().all(|b| *b == second_b));
+        assert_eq!(
+            joined,
+            naive::match_db_scan(&s, &p)
+                .unwrap()
+                .map_cells(|v| v.as_stored().unwrap())
+        );
     }
 
     #[test]
@@ -501,12 +610,12 @@ mod tests {
             0,
             "content-eq via the value index must not touch data pages"
         );
-        // Without the index, the same pattern needs value look-ups.
+        // Without the index the same pattern filters the whole author
+        // list by symbol: the same rows, still without data pages.
         let plain = DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory()).unwrap();
         plain.reset_io_stats();
-        let bindings2 = match_db(&plain, &p).unwrap();
-        assert_eq!(bindings2.len(), 2);
-        assert!(plain.io_stats().page_requests() > 0);
+        assert_eq!(match_db(&plain, &p).unwrap(), bindings);
+        assert_eq!(plain.io_stats().page_requests(), 0);
     }
 
     #[test]

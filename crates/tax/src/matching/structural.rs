@@ -26,14 +26,6 @@ pub fn contained_in<'a>(list: &'a [NodeEntry], scope: &NodeEntry) -> &'a [NodeEn
     &list[lo..hi]
 }
 
-/// All entries of `list` contained in `scope`, allowing the node equal to
-/// `scope` itself.
-pub fn contained_in_or_self<'a>(list: &'a [NodeEntry], scope: &NodeEntry) -> &'a [NodeEntry] {
-    let lo = list.partition_point(|e| e.start < scope.start);
-    let hi = lo + list[lo..].partition_point(|e| e.start < scope.end);
-    &list[lo..hi]
-}
-
 /// Which axis a [`stack_tree_join`] enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinAxis {
@@ -266,14 +258,6 @@ mod tests {
         assert_eq!(runs, vec![(0, 3), (0, 2), (3, 4)]);
         assert!(containment_runs(&[], &descendants).is_empty());
         assert_eq!(containment_runs(&anc, &[]), vec![(0, 0); 3]);
-    }
-
-    #[test]
-    fn contained_in_or_self_includes_self() {
-        let list = leaves();
-        let r = contained_in_or_self(&list, &e(2, 2, 3, 3));
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0].id, NodeId(2));
     }
 
     #[test]

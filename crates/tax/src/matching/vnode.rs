@@ -17,6 +17,12 @@ pub enum VNode {
     Stored(NodeEntry),
 }
 
+impl From<NodeEntry> for VNode {
+    fn from(e: NodeEntry) -> Self {
+        VNode::Stored(e)
+    }
+}
+
 impl VNode {
     /// The stored entry, if this is a stored node.
     pub fn as_stored(&self) -> Option<NodeEntry> {

@@ -109,7 +109,7 @@ pub fn aggregate_opts(
         let mut values: Vec<f64> = Vec::new();
         if func != AggFunc::Count {
             let vt = VTree::new(store, &tree);
-            for b in &bindings {
+            for b in bindings.rows() {
                 if let Some(text) = vt.content(b[of])? {
                     if let Ok(v) = text.trim().parse::<f64>() {
                         values.push(v);
@@ -122,7 +122,7 @@ pub fn aggregate_opts(
         };
 
         // Insert at the anchor of the first witness.
-        let anchor = bindings[0][anchor_label];
+        let anchor = bindings.row(0)[anchor_label];
         let VNode::Arena(anchor_id) = anchor else {
             return Err(Error::Unsupported(
                 "aggregation anchor must be a constructed or reference node of the input tree, \

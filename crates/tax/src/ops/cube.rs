@@ -12,8 +12,8 @@
 //!
 //! * witnesses are extracted **once** with the full `L`-dimension
 //!   pattern (a tree participates only when every dimension is present —
-//!   standard cube semantics, see DESIGN.md), via the same batched /
-//!   per-tree paths as [`super::rollup`];
+//!   standard cube semantics, see DESIGN.md), by the extraction every
+//!   grouping sink shares (`super::witness`);
 //! * one pass over the shared witness stream folds every level at once:
 //!   the level-`k` accumulator for a witness is addressed by the key
 //!   prefix `key[..k]`, so level `k−1` state grows from the same
@@ -37,6 +37,7 @@
 //! level is wholly inside one shard and the per-shard accumulators never
 //! need cross-shard merging of partial state.
 
+use crate::batch::Source;
 use crate::error::{Error, Result};
 use crate::exec::{ExecOptions, ShardStats};
 use crate::ops::aggregate::AggFunc;
@@ -76,9 +77,9 @@ pub fn cube(
 /// point — the prefix-level fold over levels `1..=basis.len()`, each
 /// output tree marked with its level.
 #[allow(clippy::too_many_arguments)]
-pub fn cube_sharded(
+pub fn cube_sharded<'a>(
     store: &DocumentStore,
-    input: &Collection,
+    input: impl Into<Source<'a>>,
     pattern: &PatternTree,
     basis: &[BasisItem],
     member_pattern: &PatternTree,
@@ -94,7 +95,7 @@ pub fn cube_sharded(
     }
     fold_levels(
         store,
-        input,
+        &input.into(),
         pattern,
         basis,
         member_pattern,

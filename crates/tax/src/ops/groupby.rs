@@ -20,24 +20,29 @@
 //! Two implementations are provided:
 //!
 //! * [`groupby`] — the identifier-processing implementation of Sec. 5.3:
-//!   witness trees stay as node identifiers; only grouping-basis and
-//!   ordering values are populated (value look-ups), and members are
-//!   cloned as references, not data.
+//!   witnesses are columns of node identifiers and key symbols (the
+//!   shared extraction, `super::witness`); grouping and ordering values
+//!   are symbols of the label columns, resolved to text only where a
+//!   member sort compares them, and members are copied as references,
+//!   not data — one `Ref` node per member when the input is a batch of
+//!   stored rows.
 //! * [`groupby_replicated`] — the strawman Sec. 5.3 warns about: each
 //!   witness eagerly replicates and fully materializes its source tree
 //!   before sorting. Kept as the ablation baseline (experiment X4).
 
+use crate::batch::Source;
 use crate::error::Result;
-use crate::exec::{par_map, shard_map, ExecOptions, ShardStats};
-use crate::matching::vnode::{VNode, VTree};
-use crate::matching::{match_tree, Binding};
-use crate::ops::keyenc::{self, component};
+use crate::exec::{shard_map, ExecOptions, ShardStats};
+use crate::matching::match_tree;
+use crate::matching::vnode::VTree;
+use crate::ops::keyenc;
+use crate::ops::witness::{key_word, witnesses, Witnesses};
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tree::{Collection, Tree, TreeNodeKind};
 use crate::value::compare_opt_values;
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 use xmlstore::{Dictionary, DocumentStore, Sym, NO_SYM};
 
 /// One item of the grouping basis.
@@ -107,21 +112,13 @@ pub struct GroupOrder {
 /// equality is a flat word compare — see [`crate::ops::keyenc`].
 pub use crate::ops::keyenc::Key;
 
+/// One group under formation: the witness that created it (its key and
+/// basis cells are the group's) and its members, as witness ordinals —
+/// a member's input row is its witness's, and the ordinal is its arrival
+/// rank.
 struct Group {
-    /// Basis values (for the basis children).
-    basis_nodes: Vec<VNode>,
-    /// Which input tree each basis node came from.
-    basis_tree: usize,
-    /// Group members: `(input tree index, ordering values, arrival rank)`.
-    members: Vec<(usize, Vec<Option<String>>, usize)>,
-}
-
-/// Grouping/ordering values of one witness, extracted tree-locally (and
-/// so in parallel) before the sequential merge.
-struct Witness {
-    key: Key,
-    sort_key: Vec<Option<String>>,
-    basis_nodes: Vec<VNode>,
+    first: u32,
+    members: Vec<u32>,
 }
 
 /// Identifier-processing grouping (Sec. 5.3), serial.
@@ -137,12 +134,12 @@ pub fn groupby(
 }
 
 /// [`groupby`] over `opts.threads` workers: the blocking sink's entry
-/// point.
+/// point. The input is a batch of stored rows, a batch of trees, or a
+/// collection (classified once, see [`Source`]).
 ///
-/// Key extraction (pattern matching + value look-ups) fans out per input
-/// tree; the extracted witnesses then go through [`shard_map`] routed by
-/// the FNV-1a hash of their grouping key, each shard forms and builds its
-/// groups independently, and the per-shard outputs merge ordered by each
+/// The extracted witnesses go through [`shard_map`] routed by the FNV-1a
+/// hash of their grouping key, each shard forms and builds its groups
+/// independently, and the per-shard outputs merge ordered by each
 /// group's **global first-arrival position** — the witness ordinal that
 /// created the group. Every witness of one key hashes to the same shard,
 /// so member sets, member order, and basis children are shard-local
@@ -154,135 +151,111 @@ pub fn groupby(
 ///
 /// Returns the grouped collection plus the partition statistics
 /// (per-shard witness counts) for the metrics tree.
-pub fn groupby_sharded(
+pub fn groupby_sharded<'a>(
     store: &DocumentStore,
-    input: &Collection,
+    input: impl Into<Source<'a>>,
     pattern: &PatternTree,
     basis: &[BasisItem],
     ordering: &[GroupOrder],
     opts: &ExecOptions,
 ) -> Result<(Collection, ShardStats)> {
     validate(pattern, basis, ordering)?;
-
-    // Per-tree extraction: populate only the grouping and ordering
-    // values — the "minimum information" sort of Sec. 5.3.
-    let per_tree: Vec<Vec<Witness>> = par_map(opts, input, |_, tree| {
-        let vt = VTree::new(store, tree);
-        let mut witnesses = Vec::new();
-        let dict = store.dict();
-        for binding in match_tree(store, tree, pattern, false)? {
-            // Ordering values resolve to text for the numeric-aware sort.
-            let sort_key: Vec<Option<String>> = ordering
-                .iter()
-                .map(|o| {
-                    vt.content_sym(binding[o.label])
-                        .map(|s| dict.resolve(s).to_string())
-                })
-                .collect();
-            witnesses.push(Witness {
-                key: basis_key(&vt, &binding, basis),
-                sort_key,
-                basis_nodes: basis.iter().map(|b| binding[b.label]).collect(),
-            });
-        }
-        Ok(witnesses)
-    })?;
-
-    // Flatten to the global witness stream; the ordinal `seq` is the
-    // arrival position a sequential merge would see.
-    let mut stream: Vec<(usize, usize, Witness)> = Vec::new();
-    for (tree_idx, witnesses) in per_tree.into_iter().enumerate() {
-        for w in witnesses {
-            stream.push((tree_idx, stream.len(), w));
-        }
-    }
-
+    let input = input.into();
+    // Only the grouping and ordering values are populated — the
+    // "minimum information" sort of Sec. 5.3.
+    let w = witnesses(store, &input, pattern, basis, ordering, opts)?;
     shard_map(
         opts,
-        stream,
-        |entry| keyenc::hash_syms(&entry.2.key),
-        |shard| form_and_build(store, input, basis, ordering, shard),
+        (0..w.len() as u32).collect(),
+        |&i| keyenc::hash_syms(w.key(i)),
+        |shard| form_and_build(store, &input, &w, basis, ordering, shard),
     )
-}
-
-/// The grouping key of one witness: one symbol word per basis item, read
-/// from the columnar symbol region — no page access; the symbols *are*
-/// the key words. Shared by every grouping kernel so all of them key a
-/// witness identically.
-pub(crate) fn basis_key(vt: &VTree, binding: &Binding, basis: &[BasisItem]) -> Key {
-    basis
-        .iter()
-        .map(|item| {
-            let v = binding[item.label];
-            component(match &item.attr {
-                Some(name) => vt.attr_sym(v, name),
-                None => vt.content_sym(v),
-            })
-        })
-        .collect()
 }
 
 /// Group formation + tree building over one witness shard, witnesses in
 /// global arrival order. Returns `(first-arrival ordinal, group tree)`
 /// per group, in shard-local first-arrival order.
 ///
-/// Member dedup checks only the group's last member: same-tree witnesses
+/// Member dedup checks only the group's last member: same-row witnesses
 /// of one key are consecutive within a shard exactly as they are in the
 /// global stream.
 fn form_and_build(
     store: &DocumentStore,
-    input: &Collection,
+    input: &Source,
+    w: &Witnesses,
     basis: &[BasisItem],
     ordering: &[GroupOrder],
-    shard: Vec<(usize, usize, Witness)>,
-) -> Result<Vec<(usize, Tree)>> {
-    let mut index: HashMap<Key, usize> = HashMap::new();
-    let mut groups: Vec<(Group, usize)> = Vec::new();
-    for (tree_idx, seq, w) in shard {
-        let next = groups.len();
-        // The index is the key's only owner — no per-group key clone; the
-        // keys are scattered back out by group id once formation is done.
-        let gid = match index.entry(w.key) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                e.insert(next);
-                groups.push((
-                    Group {
-                        basis_nodes: w.basis_nodes,
-                        basis_tree: tree_idx,
-                        members: Vec::new(),
-                    },
-                    seq,
-                ));
-                next
-            }
-        };
-        // A source tree joins each of its witnesses' groups (Fig. 3's
+    shard: Vec<u32>,
+) -> Result<Vec<(u32, Tree)>> {
+    let mut index: HashMap<&[u32], usize> = HashMap::new();
+    let mut groups: Vec<Group> = Vec::new();
+    for i in shard {
+        let gid = *index.entry(w.key(i)).or_insert_with(|| {
+            groups.push(Group {
+                first: i,
+                members: Vec::new(),
+            });
+            groups.len() - 1
+        });
+        // A source row joins each of its witnesses' groups (Fig. 3's
         // non-partitioning), but enters a given group only once —
         // several witnesses with the *same* key (e.g. two authors
-        // sharing an institution) do not replicate the member. The
-        // global witness ordinal serves as the member's arrival rank:
-        // it orders members exactly as a per-arrival counter would.
-        if groups[gid].0.members.last().map(|m| m.0) != Some(tree_idx) {
-            groups[gid].0.members.push((tree_idx, w.sort_key, seq));
+        // sharing an institution) do not replicate the member.
+        let members = &mut groups[gid].members;
+        if members.last().map(|&m| w.tree_idx[m as usize]) != Some(w.tree_idx[i as usize]) {
+            members.push(i);
         }
     }
 
-    let mut keys: Vec<Key> = vec![Vec::new(); groups.len()];
-    for (key, gid) in index {
-        keys[gid] = key;
-    }
+    let dict = store.dict();
+    let [root_tag, basis_tag, subroot_tag] = [
+        crate::tags::GROUP_ROOT,
+        crate::tags::GROUPING_BASIS,
+        crate::tags::GROUP_SUBROOT,
+    ]
+    .map(|tag| dict.intern(tag));
     let mut out = Vec::with_capacity(groups.len());
-    for ((mut group, first_seq), key) in groups.into_iter().zip(keys) {
-        sort_members(&mut group.members, ordering);
-        out.push((
-            first_seq,
-            build_group_tree(
-                store, input, &key, &group, basis, /* replicate */ false,
-            )?,
-        ));
+    for mut group in groups {
+        sort_members(dict, w, &mut group.members, ordering);
+        let mut tree = Tree::new_elem_sym(root_tag);
+        let basis_root = tree.add_elem_sym(tree.root(), basis_tag);
+        add_basis_children(
+            dict,
+            &mut tree,
+            basis_root,
+            input,
+            w,
+            group.first,
+            basis,
+            false,
+        );
+        let subroot = tree.add_elem_sym(tree.root(), subroot_tag);
+        for &m in &group.members {
+            input.append_row(w.tree_idx[m as usize] as usize, &mut tree, subroot);
+        }
+        out.push((group.first, tree));
     }
     Ok(out)
+}
+
+/// Order a group's members by the ordering list, arrival rank breaking
+/// ties. The ordering values are content symbols; their text is resolved
+/// here, once per member, for the numeric-aware comparison.
+fn sort_members(dict: &Dictionary, w: &Witnesses, members: &mut [u32], ordering: &[GroupOrder]) {
+    if ordering.is_empty() {
+        return;
+    }
+    let mut keyed: Vec<(Vec<Option<Arc<str>>>, u32)> = members
+        .iter()
+        .map(|&m| {
+            let text = |&s: &u32| (s != NO_SYM).then(|| dict.resolve(Sym(s)));
+            (w.sort_syms(m).iter().map(text).collect(), m)
+        })
+        .collect();
+    keyed.sort_by(|a, b| compare_sort_keys(&a.0, &b.0, ordering).then(a.1.cmp(&b.1)));
+    for (slot, (_, m)) in members.iter_mut().zip(keyed) {
+        *slot = m;
+    }
 }
 
 /// Replication-based grouping: the Sec. 5.3 strawman that materializes
@@ -315,8 +288,11 @@ pub fn groupby_replicated(
     let mut last_source: HashMap<Key, usize> = HashMap::new();
     for (tree_idx, tree) in input.iter().enumerate() {
         let vt = VTree::new(store, tree);
-        for binding in match_tree(store, tree, pattern, false)? {
-            let key = basis_key(&vt, &binding, basis);
+        for binding in match_tree(store, tree, pattern, false)?.rows() {
+            let key: Key = basis
+                .iter()
+                .map(|item| key_word(&vt, binding[item.label], item))
+                .collect();
             let basis_tags = basis
                 .iter()
                 .map(|item| match &item.attr {
@@ -495,17 +471,14 @@ pub(crate) fn validate(
     Ok(())
 }
 
-fn sort_members(members: &mut [(usize, Vec<Option<String>>, usize)], ordering: &[GroupOrder]) {
-    members.sort_by(|a, b| compare_sort_keys(&a.1, &b.1, ordering).then(a.2.cmp(&b.2)));
-}
-
-fn compare_sort_keys(
-    a: &[Option<String>],
-    b: &[Option<String>],
+fn compare_sort_keys<S: AsRef<str>>(
+    a: &[Option<S>],
+    b: &[Option<S>],
     ordering: &[GroupOrder],
 ) -> Ordering {
     for (i, o) in ordering.iter().enumerate() {
-        let ord = compare_opt_values(a[i].as_deref(), b[i].as_deref());
+        let (x, y) = (a[i].as_ref(), b[i].as_ref());
+        let ord = compare_opt_values(x.map(AsRef::as_ref), y.map(AsRef::as_ref));
         let ord = match o.direction {
             Direction::Ascending => ord,
             Direction::Descending => ord.reverse(),
@@ -524,8 +497,8 @@ fn basis_child_tag(item: &BasisItem) -> String {
     }
 }
 
-/// Append the grouping-basis children under `basis_root`, one per basis
-/// item, exactly as the serial kernel builds them. Shared with the
+/// Append the grouping-basis children of the group witness `first`
+/// created under `basis_root`, one per basis item. Shared with the
 /// rollup and cube kernels so their basis children are byte-identical to
 /// the materialized group trees'.
 ///
@@ -541,71 +514,30 @@ pub(crate) fn add_basis_children(
     dict: &Dictionary,
     tree: &mut Tree,
     basis_root: usize,
-    src_tree: &Tree,
-    key: &[u32],
-    basis_nodes: &[VNode],
+    input: &Source,
+    w: &Witnesses,
+    first: u32,
     basis: &[BasisItem],
     deep_keys: bool,
 ) {
-    for (item, (v, value)) in basis.iter().zip(basis_nodes.iter().zip(key.iter())) {
-        let deep = item.deep || deep_keys;
+    let row = w.tree_idx[first as usize] as usize;
+    for (item, (&cell, &value)) in basis.iter().zip(w.cells(first).iter().zip(w.key(first))) {
         match item.attr {
             Some(_) => {
                 // $i.attr: a constructed child named after the attribute.
                 // The key word is already the value's symbol — it becomes
                 // the child's content without a dictionary round-trip.
                 let node = tree.add_elem(dict, basis_root, basis_child_tag(item));
-                if *value != NO_SYM {
+                if value != NO_SYM {
                     if let TreeNodeKind::Elem { content, .. } = &mut tree.node_mut(node).kind {
-                        *content = Some(Sym(*value));
+                        *content = Some(Sym(value));
                     }
                 }
             }
-            None => match v {
-                // $i / $i*: a match of the node (subtree when deep).
-                VNode::Stored(e) => {
-                    tree.add_ref(basis_root, *e, deep);
-                }
-                VNode::Arena(i) => {
-                    if deep {
-                        tree.append_subtree(basis_root, src_tree, *i);
-                    } else {
-                        let kind = src_tree.node(*i).kind.clone();
-                        tree.add_node(basis_root, kind);
-                    }
-                }
-            },
+            // $i / $i*: a match of the node (subtree when deep).
+            None => input.append_cell(row, cell, item.deep || deep_keys, tree, basis_root),
         }
     }
-}
-
-fn build_group_tree(
-    store: &DocumentStore,
-    input: &Collection,
-    key: &Key,
-    group: &Group,
-    basis: &[BasisItem],
-    _replicate: bool,
-) -> Result<Tree> {
-    let dict = store.dict();
-    let mut tree = Tree::new_elem(dict, crate::tags::GROUP_ROOT);
-    let basis_root = tree.add_elem(dict, tree.root(), crate::tags::GROUPING_BASIS);
-    let src_tree = &input[group.basis_tree];
-    add_basis_children(
-        dict,
-        &mut tree,
-        basis_root,
-        src_tree,
-        key,
-        &group.basis_nodes,
-        basis,
-        false,
-    );
-    let subroot = tree.add_elem(dict, tree.root(), crate::tags::GROUP_SUBROOT);
-    for (tree_idx, _, _) in &group.members {
-        tree.append_subtree(subroot, &input[*tree_idx], input[*tree_idx].root());
-    }
-    Ok(tree)
 }
 
 #[cfg(test)]
@@ -1020,7 +952,7 @@ mod tests {
                 let k = p.add_child(p.root(), crate::pattern::Axis::Child, Pred::tag("kw"));
                 let vt = VTree::new(store, t);
                 match_tree(store, t, &p, true)?
-                    .into_iter()
+                    .rows()
                     .map(|b| Ok(vt.content(b[k])?.unwrap_or_default()))
                     .collect()
             },

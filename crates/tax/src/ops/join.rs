@@ -10,7 +10,7 @@
 use crate::error::Result;
 use crate::exec::{par_map, shard_map, ExecOptions, ShardStats};
 use crate::matching::vnode::VTree;
-use crate::matching::{match_db, match_tree, Binding};
+use crate::matching::{match_db, match_tree, Bindings};
 use crate::ops::keyenc;
 use crate::ops::select::witness_tree;
 use crate::pattern::{PatternNodeId, PatternTree};
@@ -109,10 +109,8 @@ pub fn left_outer_join_db_sharded(
     // (a data look-up per binding — part of the direct plan's cost).
     let right_bindings = match_db(store, right_pattern)?;
     let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
-    let probe_tree = Tree::new_elem(store.dict(), "probe");
-    let vt_probe = VTree::new(store, &probe_tree);
-    for (i, b) in right_bindings.iter().enumerate() {
-        if let Some(v) = vt_probe.content(b[right_label])? {
+    for (i, e) in right_bindings.column(right_label).iter().enumerate() {
+        if let Some(v) = store.content(e.id)? {
             buckets.entry(v).or_default().push(i);
         }
     }
@@ -155,7 +153,7 @@ fn join_one(
     ltree: &Tree,
     key: Option<&str>,
     buckets: &HashMap<String, Vec<usize>>,
-    right_bindings: &[Binding],
+    right_bindings: &Bindings,
     right_pattern: &PatternTree,
     right_sl: &[PatternNodeId],
 ) -> Result<Vec<Tree>> {
@@ -172,7 +170,7 @@ fn join_one(
     for &ri in matches {
         let mut prod = Tree::new_elem(store.dict(), crate::tags::PROD_ROOT);
         prod.append_subtree(prod.root(), ltree, ltree.root());
-        let w = witness_tree(None, right_pattern, &right_bindings[ri], right_sl);
+        let w = witness_tree(None, right_pattern, right_bindings.row(ri), right_sl);
         prod.append_subtree(prod.root(), &w, w.root());
         out.push(prod);
     }

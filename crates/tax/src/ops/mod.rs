@@ -19,6 +19,12 @@
 //! | [`mod@reorder`] | collection reordering by bound contents | TAX [8] |
 //! | [`mod@setops`] | union / intersection / difference | TAX [8] |
 
+//!
+//! The three grouping sinks (`groupby`, `rollup`, `cube`) share one
+//! witness extraction (the private `witness` module): flat key / cell
+//! columns filled from a batch of stored rows by one columnar match, or
+//! from trees by one match per tree.
+
 pub mod aggregate;
 pub mod cube;
 pub mod dupelim;
@@ -31,6 +37,7 @@ pub mod reorder;
 pub mod rollup;
 pub mod select;
 pub mod setops;
+mod witness;
 
 pub use aggregate::{aggregate, AggFunc, UpdateSpec};
 pub use cube::cube;

@@ -87,7 +87,7 @@ pub fn project_one(
     // are flagged in place, stored nodes collected to be sorted.
     let mut arena_sel = vec![0u8; tree.len()];
     let mut stored: Vec<(NodeEntry, bool)> = Vec::new();
-    for b in &bindings {
+    for b in bindings.rows() {
         for item in pl {
             match b[item.label] {
                 VNode::Arena(i) => arena_sel[i] |= selected(item.deep),
@@ -306,7 +306,7 @@ fn project_one_reference(
     }
     // Union of selected nodes over all embeddings; deep wins.
     let mut selected: HashMap<VNode, bool> = HashMap::new();
-    for b in &bindings {
+    for b in bindings.rows() {
         for item in pl {
             let v = b[item.label];
             let e = selected.entry(v).or_insert(false);

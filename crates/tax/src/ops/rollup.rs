@@ -8,12 +8,15 @@
 //! hash-accumulates per-basis-key aggregate state directly from the
 //! input scan:
 //!
-//! * witnesses are keyed exactly as in
-//!   [`super::groupby::groupby_sharded`] (same multi-valued-basis
-//!   semantics: a two-author article contributes to both authors'
-//!   accumulators, and the same tree enters a given group only once);
-//! * each tree's aggregate contribution (its member-pattern binding
-//!   count and numeric values) is computed once, tree-locally, and
+//! * witnesses come from the same extraction as
+//!   [`super::groupby::groupby_sharded`]'s (`super::witness`: same keys,
+//!   same multi-valued-basis semantics — a two-author article
+//!   contributes to both authors' accumulators, and the same row enters
+//!   a given group only once);
+//! * each input row's aggregate contribution (its member-pattern
+//!   binding count and numeric values) is computed once — for a batch of
+//!   stored rows by one anchored [`match_in_scopes`], or for a COUNT
+//!   over a tag-only star by folding selection-vector runs per row — and
 //!   folded into the group's **running** accumulators in member arrival
 //!   order — Count/Sum/Min/Max as scalars, Avg as sum + count — so the
 //!   folds replay the materialized kernel's `values.iter()` order bit
@@ -40,18 +43,20 @@
 //! basis-prefix levels: a rollup asks for the single finest level, the
 //! grouping lattice ([`super::cube`]) for all of them.
 
+use crate::batch::Source;
 use crate::error::{Error, Result};
 use crate::exec::{par_map, shard_map, ExecOptions, ShardStats};
-use crate::matching::vnode::{VNode, VTree};
-use crate::matching::{match_db, match_tree};
+use crate::matching::vnode::VTree;
+use crate::matching::{match_in_scopes, match_tree};
 use crate::ops::aggregate::{format_value, AggFunc};
-use crate::ops::groupby::{add_basis_children, basis_key, validate, BasisItem, Key};
+use crate::ops::groupby::{add_basis_children, validate, BasisItem};
 use crate::ops::keyenc;
+use crate::ops::witness::{witnesses, Witnesses};
 use crate::pattern::{Axis, PatternNodeId, PatternTree, Pred};
-use crate::tree::{Collection, Tree, TreeNodeKind};
+use crate::tree::{Collection, Tree};
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
-use xmlstore::{kernels, Dictionary, DocumentStore, NodeEntry, SelVec};
+use xmlstore::{kernels, Dictionary, DocumentStore, NodeEntry, SelVec, Sym};
 
 /// The output tree shape of a rollup run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,18 +81,9 @@ pub(crate) enum FoldShape {
     LevelMarked,
 }
 
-/// One grouping witness: key plus the nodes that become basis children.
-struct RollupWitness {
-    key: Key,
-    basis_nodes: Vec<VNode>,
-}
-
-/// One witness-stream entry: `(input tree index, arrival ordinal,
-/// witness)` — the collection-major order the accumulators fold in.
-type StreamEntry = (usize, usize, RollupWitness);
-
-/// One input tree's aggregate contribution: what the materialized
-/// `Aggregate` would see for this tree as a group member.
+/// One input row's aggregate contribution: what the materialized
+/// `Aggregate` would see for this row as a group member.
+#[derive(Clone, Default)]
 struct Contribution {
     /// Member-pattern bindings (what COUNT counts).
     bindings: usize,
@@ -96,17 +92,14 @@ struct Contribution {
     values: Vec<f64>,
 }
 
-/// Running accumulator state of one group. Key and basis nodes borrow
-/// from the witness that created the group.
-struct GroupAcc<'a> {
-    key: &'a [u32],
-    basis_nodes: &'a [VNode],
-    basis_tree: usize,
-    /// Global arrival ordinal of the witness that created the group.
-    first_seq: usize,
-    /// Last input tree folded in (member dedup: same-key witnesses of
-    /// one tree are consecutive, exactly as in group formation).
-    last_member: Option<usize>,
+/// Running accumulator state of one group.
+struct GroupAcc {
+    /// The witness that created the group: its key prefix and basis
+    /// cells are the group's, its ordinal the group's arrival position.
+    first: u32,
+    /// Last input row folded in (member dedup: same-key witnesses of
+    /// one row are consecutive, exactly as in group formation).
+    last_member: Option<u32>,
     bindings: usize,
     values: usize,
     sum: f64,
@@ -114,7 +107,7 @@ struct GroupAcc<'a> {
     max: Option<f64>,
 }
 
-impl GroupAcc<'_> {
+impl GroupAcc {
     fn fold(&mut self, c: &Contribution) {
         self.bindings += c.bindings;
         for &v in &c.values {
@@ -179,9 +172,9 @@ pub fn rollup(
 /// prefix-level fold (`fold_levels`) run over the single level
 /// `basis.len()`.
 #[allow(clippy::too_many_arguments)]
-pub fn rollup_sharded(
+pub fn rollup_sharded<'a>(
     store: &DocumentStore,
-    input: &Collection,
+    input: impl Into<Source<'a>>,
     pattern: &PatternTree,
     basis: &[BasisItem],
     member_pattern: &PatternTree,
@@ -193,7 +186,7 @@ pub fn rollup_sharded(
 ) -> Result<(Collection, ShardStats)> {
     fold_levels(
         store,
-        input,
+        &input.into(),
         pattern,
         basis,
         member_pattern,
@@ -214,20 +207,18 @@ pub fn rollup_sharded(
 /// accumulates every level in `levels` (level `k` groups on the first
 /// `k` basis items).
 ///
-/// Witness extraction and per-tree contributions fan out over
-/// `opts.threads`; witnesses then go through [`shard_map`] routed by the
-/// FNV-1a hash of their **coarsest requested key prefix** — all
-/// witnesses of any prefix group share that prefix, so every group at
-/// every level is wholly inside one shard and no partial state ever
-/// crosses shards. The per-shard outputs merge ordered by `(level,
-/// global first-arrival position)`: levels coarsest first, groups in
-/// first-witness order within a level — byte-identical at every thread
-/// count. Returns the collection plus the partition statistics for the
-/// metrics tree.
+/// The witnesses go through [`shard_map`] routed by the FNV-1a hash of
+/// their **coarsest requested key prefix** — all witnesses of any prefix
+/// group share that prefix, so every group at every level is wholly
+/// inside one shard and no partial state ever crosses shards. The
+/// per-shard outputs merge ordered by `(level, global first-arrival
+/// position)`: levels coarsest first, groups in first-witness order
+/// within a level — byte-identical at every thread count. Returns the
+/// collection plus the partition statistics for the metrics tree.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fold_levels(
     store: &DocumentStore,
-    input: &Collection,
+    input: &Source,
     pattern: &PatternTree,
     basis: &[BasisItem],
     member_pattern: &PatternTree,
@@ -242,18 +233,19 @@ pub(crate) fn fold_levels(
     if of >= member_pattern.len() {
         return Err(Error::UnknownLabel(format!("${}", of + 1)));
     }
-    let (contributions, stream) =
-        extract(store, input, pattern, basis, member_pattern, of, func, opts)?;
+    let w = witnesses(store, input, pattern, basis, &[], opts)?;
+    let contributions = contributions(store, input, member_pattern, of, func, opts)?;
     let coarsest = *levels.start();
     shard_map(
         opts,
-        stream,
-        |entry| keyenc::hash_syms(&entry.2.key[..coarsest]),
+        (0..w.len() as u32).collect(),
+        |&i| keyenc::hash_syms(&w.key(i)[..coarsest]),
         |shard| {
             fold_shard(
                 store.dict(),
                 input,
                 basis,
+                &w,
                 &contributions,
                 func,
                 new_tag,
@@ -265,184 +257,61 @@ pub(crate) fn fold_levels(
     )
 }
 
-/// Extraction: grouping witnesses (as in groupby) plus each tree's
-/// aggregate contribution. When the input is a collection of disjoint
-/// stored subtrees (the post-selection scan the optimizer feeds the
-/// rollup), both patterns are matched **once** against the whole
-/// database through the tag index and the bindings routed back to their
-/// input trees by region containment — two index joins instead of 2·N
-/// scoped matches. Other inputs take the per-tree matcher. Either way
-/// the witness stream is collection-major (all of tree 0's witnesses,
-/// then tree 1's, …), which the member dedup relies on.
-#[allow(clippy::too_many_arguments)]
-fn extract(
+/// Each input row's aggregate contribution. Member bindings anchor at
+/// the row's root: inside a group tree the member label binds exactly
+/// the subroot's member children, i.e. this row.
+fn contributions(
     store: &DocumentStore,
-    input: &Collection,
-    pattern: &PatternTree,
-    basis: &[BasisItem],
+    input: &Source,
     member_pattern: &PatternTree,
     of: PatternNodeId,
     func: AggFunc,
     opts: &ExecOptions,
-) -> Result<(Vec<Contribution>, Vec<StreamEntry>)> {
-    if let Some(scopes) = stored_scopes(input) {
-        return extract_batched(
-            store,
-            input,
-            &scopes,
-            pattern,
-            basis,
-            member_pattern,
-            of,
-            func,
-        );
-    }
-    let per_tree = par_map(opts, input, |_, tree| {
-        extract_tree(store, tree, pattern, basis, member_pattern, of, func)
-    })?;
-    let mut contributions: Vec<Contribution> = Vec::with_capacity(per_tree.len());
-    let mut stream: Vec<StreamEntry> = Vec::new();
-    for (tree_idx, (witnesses, contribution)) in per_tree.into_iter().enumerate() {
-        contributions.push(contribution);
-        for w in witnesses {
-            stream.push((tree_idx, stream.len(), w));
-        }
-    }
-    Ok((contributions, stream))
-}
-
-/// `(tree index, stored scope)` per input tree, ordered by pre-order
-/// region start — the precondition for batched extraction. `None` when
-/// any tree is arena-backed, a shallow reference, or the scopes overlap
-/// (nested or duplicated inputs), in which case extraction falls back to
-/// the per-tree matcher.
-fn stored_scopes(input: &Collection) -> Option<Vec<(usize, NodeEntry)>> {
-    let mut scopes = Vec::with_capacity(input.len());
-    for (i, t) in input.iter().enumerate() {
-        if t.len() != 1 {
-            return None;
-        }
-        match t.node(t.root()).kind {
-            TreeNodeKind::Ref { node, deep: true } => scopes.push((i, node)),
-            _ => return None,
-        }
-    }
-    scopes.sort_by_key(|&(_, s)| s.start);
-    if scopes.windows(2).any(|w| w[1].1.start <= w[0].1.end) {
-        return None;
-    }
-    Some(scopes)
-}
-
-/// Batched extraction over disjoint stored subtrees: one database-wide
-/// index match per pattern, bindings assigned to input trees by region
-/// containment of the pattern-root binding (witnesses anywhere inside
-/// the tree; member bindings anchored at the tree root exactly, like the
-/// per-tree matcher's `anchor_root`). Returns the per-tree contributions
-/// and the collection-major witness stream directly — no per-tree
-/// buffers, just one stable sort of the doc-ordered bindings by input
-/// position (within a tree that keeps the document order the scoped
-/// matcher produces).
-#[allow(clippy::too_many_arguments)]
-fn extract_batched(
-    store: &DocumentStore,
-    input: &Collection,
-    scopes: &[(usize, NodeEntry)],
-    pattern: &PatternTree,
-    basis: &[BasisItem],
-    member_pattern: &PatternTree,
-    of: PatternNodeId,
-    func: AggFunc,
-) -> Result<(Vec<Contribution>, Vec<StreamEntry>)> {
-    let mut contributions: Vec<Contribution> = input
-        .iter()
-        .map(|_| Contribution {
-            bindings: 0,
-            values: Vec::new(),
-        })
-        .collect();
-    if scopes.is_empty() {
-        return Ok((contributions, Vec::new()));
-    }
-
-    // The input tree whose region contains `e`, if any.
-    let locate = |e: &NodeEntry| -> Option<(usize, NodeEntry)> {
-        let i = scopes.partition_point(|&(_, s)| s.start <= e.start);
-        let (ti, s) = scopes[i.checked_sub(1)?];
-        (e.end <= s.end).then_some((ti, s))
-    };
-
-    let bindings = match_db(store, pattern)?;
-    let mut flat: Vec<(usize, RollupWitness)> = Vec::with_capacity(bindings.len());
-    for binding in bindings {
-        let VNode::Stored(root) = binding[pattern.root()] else {
-            continue;
-        };
-        let Some((ti, scope)) = locate(&root) else {
-            continue;
-        };
-        let tree = &input[ti];
-        let key = basis_key(&VTree::new(store, tree), &binding, basis);
-        // Canonicalize a binding of the scope node itself to the tree's
-        // arena root, exactly as the per-tree matcher does.
-        let basis_nodes = basis
-            .iter()
-            .map(|b| match binding[b.label] {
-                VNode::Stored(e) if e.id == scope.id => VNode::Arena(tree.root()),
-                v => v,
-            })
-            .collect();
-        flat.push((ti, RollupWitness { key, basis_nodes }));
-    }
-    // Stable by construction: sorting doc-ordered bindings by input
-    // position yields the collection-major stream.
-    flat.sort_by_key(|&(ti, _)| ti);
-    let stream = flat
-        .into_iter()
-        .enumerate()
-        .map(|(seq, (ti, w))| (ti, seq, w))
-        .collect();
-
-    // COUNT fast path: a tag-only star member pattern anchored at the
-    // scope root has `Π_child |matches(child)|` bindings — each child
-    // binds independently — so the count folds whole selection-vector
-    // runs (an AND-popcount over the scope's dense descendant id range
-    // per child) without running the matcher or materializing bindings.
-    let star = (func == AggFunc::Count)
-        .then(|| tag_star_children(member_pattern))
-        .flatten();
-    if let Some((root_tag, children)) = star {
-        count_star_members(store, scopes, root_tag, &children, &mut contributions);
-        return Ok((contributions, stream));
-    }
-    if func == AggFunc::Count {
-        kernels::note_fallback_rows(scopes.len());
-    }
-
-    for binding in match_db(store, member_pattern)? {
-        let VNode::Stored(root) = binding[member_pattern.root()] else {
-            continue;
-        };
-        // Member bindings anchor at the tree root (`anchor_root = true`
-        // in the per-tree path).
-        let Some((ti, scope)) = locate(&root) else {
-            continue;
-        };
-        if root.id != scope.id {
-            continue;
-        }
-        let c = &mut contributions[ti];
-        c.bindings += 1;
-        if func != AggFunc::Count {
-            let vt = VTree::new(store, &input[ti]);
-            if let Some(text) = vt.content(binding[of])? {
-                if let Ok(v) = text.trim().parse::<f64>() {
-                    c.values.push(v);
+) -> Result<Vec<Contribution>> {
+    let dict = store.dict();
+    let number = |sym: Option<Sym>| sym.and_then(|s| dict.resolve(s).trim().parse::<f64>().ok());
+    match input {
+        Source::Stored(rows) => {
+            let mut out = vec![Contribution::default(); rows.len()];
+            // COUNT fast path: a tag-only star member pattern anchored at
+            // the row has `Π_child |matches(child)|` bindings — each
+            // child binds independently — so the count folds whole
+            // selection-vector runs (an AND-popcount over the row's
+            // dense descendant id range per child) without running the
+            // matcher or materializing bindings.
+            if func == AggFunc::Count {
+                if let Some((root_tag, children)) = tag_star_children(member_pattern) {
+                    count_star_members(store, rows, root_tag, &children, &mut out);
+                    return Ok(out);
+                }
+                kernels::note_fallback_rows(rows.len());
+            }
+            let (table, row_of) = match_in_scopes(store, member_pattern, rows, true)?;
+            let cols = store.columns();
+            for (e, &row) in table.column(of).iter().zip(&row_of) {
+                let c = &mut out[row as usize];
+                c.bindings += 1;
+                if func != AggFunc::Count {
+                    c.values.extend(number(cols.content_sym(e.id).map(Sym)));
                 }
             }
+            Ok(out)
         }
+        Source::Trees(trees) => par_map(opts, trees, |_, tree| {
+            let table = match_tree(store, tree, member_pattern, true)?;
+            let mut c = Contribution {
+                bindings: table.len(),
+                values: Vec::new(),
+            };
+            if func != AggFunc::Count {
+                let vt = VTree::new(store, tree);
+                for v in table.column(of) {
+                    c.values.extend(number(vt.content_sym(*v)));
+                }
+            }
+            Ok(c)
+        }),
     }
-    Ok((contributions, stream))
 }
 
 /// Decompose `p` into a tag-only star: a root whose predicate is exactly
@@ -472,14 +341,14 @@ fn tag_star_children(p: &PatternTree) -> Option<(&str, Vec<(&str, Axis)>)> {
     Some((root_tag, children))
 }
 
-/// Fold the member-binding count of a tag-only star into each scope's
+/// Fold the member-binding count of a tag-only star into each row's
 /// contribution: per child tag, one equality filter over the columnar
-/// `tag` (and, for the child axis, `level`) arrays, then per scope a
+/// `tag` (and, for the child axis, `level`) arrays, then per row a
 /// masked popcount over its dense descendant id range. Selection vectors
-/// are built once per distinct tag/level and shared across scopes.
+/// are built once per distinct tag/level and shared across rows.
 fn count_star_members(
     store: &DocumentStore,
-    scopes: &[(usize, NodeEntry)],
+    rows: &[NodeEntry],
     root_tag: &str,
     children: &[(&str, Axis)],
     contributions: &mut [Contribution],
@@ -494,7 +363,7 @@ fn count_star_members(
         .collect();
     let mut tag_sels: HashMap<u32, SelVec> = HashMap::new();
     let mut level_sels: HashMap<u16, SelVec> = HashMap::new();
-    for &(ti, scope) in scopes {
+    for (scope, contribution) in rows.iter().zip(contributions) {
         if cols.tag[scope.id.0 as usize] != root_sym.0 {
             continue;
         }
@@ -524,50 +393,8 @@ fn count_star_members(
                 break;
             }
         }
-        contributions[ti].bindings += count;
+        contribution.bindings += count;
     }
-}
-
-/// Per-tree extraction (the general path): grouping witnesses and the
-/// tree's aggregate contribution from two scoped matches.
-fn extract_tree(
-    store: &DocumentStore,
-    tree: &Tree,
-    pattern: &PatternTree,
-    basis: &[BasisItem],
-    member_pattern: &PatternTree,
-    of: PatternNodeId,
-    func: AggFunc,
-) -> Result<(Vec<RollupWitness>, Contribution)> {
-    let vt = VTree::new(store, tree);
-    let mut witnesses = Vec::new();
-    for binding in match_tree(store, tree, pattern, false)? {
-        witnesses.push(RollupWitness {
-            key: basis_key(&vt, &binding, basis),
-            basis_nodes: basis.iter().map(|b| binding[b.label]).collect(),
-        });
-    }
-    // Member bindings anchor at the tree root: inside a group tree the
-    // member label binds exactly the subroot's member children, i.e.
-    // this tree's root.
-    let member_bindings = match_tree(store, tree, member_pattern, true)?;
-    let mut values = Vec::new();
-    if func != AggFunc::Count {
-        for b in &member_bindings {
-            if let Some(text) = vt.content(b[of])? {
-                if let Ok(v) = text.trim().parse::<f64>() {
-                    values.push(v);
-                }
-            }
-        }
-    }
-    Ok((
-        witnesses,
-        Contribution {
-            bindings: member_bindings.len(),
-            values,
-        },
-    ))
 }
 
 /// Accumulation + output building over one witness shard, witnesses in
@@ -575,33 +402,32 @@ fn extract_tree(
 /// `form_and_build`. One pass folds **every** level in `levels`: the
 /// level-`k` accumulator of a witness is addressed by the key prefix
 /// `key[..k]`, so a coarser level grows from the same contributions as
-/// the finest without rescanning. Returns `((level, first_seq), tree)`
-/// pairs, level-major.
+/// the finest without rescanning. Returns `((level, first witness),
+/// tree)` pairs, level-major.
 #[allow(clippy::too_many_arguments)]
 fn fold_shard(
     dict: &Dictionary,
-    input: &Collection,
+    input: &Source,
     basis: &[BasisItem],
+    w: &Witnesses,
     contributions: &[Contribution],
     func: AggFunc,
     new_tag: &str,
     levels: RangeInclusive<usize>,
     shape: FoldShape,
-    shard: Vec<StreamEntry>,
-) -> Result<Vec<((usize, usize), Tree)>> {
+    shard: Vec<u32>,
+) -> Result<Vec<((usize, u32), Tree)>> {
     // Per level: key prefix → group index, and the groups in
     // first-witness order.
     let mut index: Vec<HashMap<&[u32], usize>> = levels.clone().map(|_| HashMap::new()).collect();
     let mut groups: Vec<Vec<GroupAcc>> = levels.clone().map(|_| Vec::new()).collect();
-    for &(tree_idx, seq, ref w) in &shard {
+    for i in shard {
+        let row = w.tree_idx[i as usize];
         for (slot, level) in levels.clone().enumerate() {
             let level_groups = &mut groups[slot];
-            let gid = *index[slot].entry(&w.key[..level]).or_insert_with(|| {
+            let gid = *index[slot].entry(&w.key(i)[..level]).or_insert_with(|| {
                 level_groups.push(GroupAcc {
-                    key: &w.key[..level],
-                    basis_nodes: &w.basis_nodes[..level],
-                    basis_tree: tree_idx,
-                    first_seq: seq,
+                    first: i,
                     last_member: None,
                     bindings: 0,
                     values: 0,
@@ -611,18 +437,24 @@ fn fold_shard(
                 });
                 level_groups.len() - 1
             });
-            // Member dedup is per level: a tree reaching one journal
+            // Member dedup is per level: a row reaching one journal
             // group through two authors still folds once at the journal
             // level (the stream is collection-major, so a group's
-            // same-tree witnesses arrive before any later tree's).
+            // same-row witnesses arrive before any later row's).
             let acc = &mut level_groups[gid];
-            if acc.last_member != Some(tree_idx) {
-                acc.last_member = Some(tree_idx);
-                acc.fold(&contributions[tree_idx]);
+            if acc.last_member != Some(row) {
+                acc.last_member = Some(row);
+                acc.fold(&contributions[row as usize]);
             }
         }
     }
 
+    // The tags are the same for every group and the values repeat (most
+    // counts are small), so each is interned once per shard, not once
+    // per tree.
+    let root_tag = dict.intern(crate::tags::GROUP_ROOT);
+    let value_tag = dict.intern(new_tag);
+    let mut value_syms: HashMap<u64, Sym> = HashMap::new();
     let mut out = Vec::with_capacity(groups.iter().map(Vec::len).sum());
     for (level, level_groups) in levels.zip(groups) {
         for acc in level_groups {
@@ -640,7 +472,7 @@ fn fold_shard(
             if value.is_none() && shape != FoldShape::Grouped {
                 continue;
             }
-            let mut tree = Tree::new_elem(dict, crate::tags::GROUP_ROOT);
+            let mut tree = Tree::new_elem_sym(root_tag);
             let root = tree.root();
             let basis_root = match shape {
                 FoldShape::Grouped => tree.add_elem(dict, root, crate::tags::GROUPING_BASIS),
@@ -658,16 +490,19 @@ fn fold_shard(
                 dict,
                 &mut tree,
                 basis_root,
-                &input[acc.basis_tree],
-                acc.key,
-                acc.basis_nodes,
+                input,
+                w,
+                acc.first,
                 &basis[..level],
                 shape != FoldShape::Grouped,
             );
             if let Some(v) = value {
-                tree.add_elem_with_content(dict, root, new_tag, format_value(v));
+                let text = *value_syms
+                    .entry(v.to_bits())
+                    .or_insert_with(|| dict.intern(&format_value(v)));
+                tree.add_elem_with_content_sym(root, value_tag, text);
             }
-            out.push(((level, acc.first_seq), tree));
+            out.push(((level, acc.first), tree));
         }
     }
     Ok(out)
@@ -1085,11 +920,10 @@ mod tests {
     }
 
     #[test]
-    fn arena_trees_take_the_per_tree_path_with_identical_results() {
-        // In-memory (arena) article trees cannot be located in the tag
-        // index, so extraction falls back to the per-tree matcher; the
-        // results must be what the batched path produces for the same
-        // logical content.
+    fn arena_trees_take_the_tree_source_with_identical_results() {
+        // In-memory (arena) article trees are not stored rows, so the
+        // witnesses come from the per-tree matcher; the results must be
+        // what the stored source produces for the same logical content.
         let s = store();
         let stored = articles(&s);
         let mut arena: Collection = Vec::new();
@@ -1105,8 +939,8 @@ mod tests {
             }
             arena.push(t);
         }
-        assert!(stored_scopes(&arena).is_none());
-        assert!(stored_scopes(&stored).is_some());
+        assert!(matches!(Source::from(&arena), Source::Trees(_)));
+        assert!(matches!(Source::from(&stored), Source::Stored(_)));
         let (gp, basis) = grouping();
         let (mp, of) = member("title");
         let from_arena = rollup(
@@ -1228,15 +1062,15 @@ mod tests {
     }
 
     #[test]
-    fn duplicated_stored_inputs_fall_back_and_count_twice() {
-        // The same article appearing twice in the input overlaps in the
-        // region index, so the batched path refuses; the per-tree path
-        // folds its contribution once per occurrence, exactly like the
-        // materialized pipeline, which lists the member twice.
+    fn duplicated_stored_inputs_count_twice() {
+        // The same article appearing twice in the input is not a
+        // disjoint scope list, so the rows are matched one scope at a
+        // time; its contribution folds once per occurrence, exactly like
+        // the materialized pipeline, which lists the member twice.
         let s = store();
         let mut arts = articles(&s);
         arts.push(arts[0].clone());
-        assert!(stored_scopes(&arts).is_none());
+        assert!(matches!(Source::from(&arts), Source::Stored(_)));
         let (gp, basis) = grouping();
         let (mp, of) = member("title");
         let fused = rollup(

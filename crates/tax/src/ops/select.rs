@@ -1,15 +1,27 @@
 //! Selection (Sec. 2): pattern + adornment list → witness trees.
 //!
 //! Each data tree in the output is the witness tree induced by one
-//! embedding of the pattern; the adornment list `SL` names pattern nodes
-//! whose *entire data subtrees* (not just the nodes) are kept. Selection
-//! is one-many: a pattern can match many times in one input tree.
+//! embedding of the pattern — one row of the [`Bindings`] table the
+//! matcher returns; the adornment list `SL` names pattern nodes whose
+//! *entire data subtrees* (not just the nodes) are kept. Selection is
+//! one-many: a pattern can match many times in one input tree.
+//!
+//! A witness tree is built only where something downstream walks it.
+//! The fused select→project leaf ([`select_project`]) whose projection
+//! list is exactly `[$root*]` outputs one deep stored node per row —
+//! the pattern root's column of the table, as it stands — and emits
+//! that column as a [`Batch::Stored`], no tree built and nothing
+//! re-matched.
 
+use crate::batch::Batch;
 use crate::error::Result;
 use crate::exec::{par_map, ExecOptions};
-use crate::matching::{match_db, match_tree, Binding};
+use crate::matching::vnode::VNode;
+use crate::matching::{match_db, match_tree, Bindings, Row};
+use crate::ops::project::{project_one, ProjectItem};
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tree::{Collection, Tree};
+use std::ops::Range;
 use xmlstore::DocumentStore;
 
 /// Selection over the stored database.
@@ -31,33 +43,56 @@ pub fn select_db_opts(
     opts: &ExecOptions,
 ) -> Result<Collection> {
     let bindings = match_db(store, pattern)?;
-    par_map(opts, &bindings, |_, b| {
-        Ok(witness_tree(None, pattern, b, sl))
+    select_rows(pattern, &bindings, 0..bindings.len(), sl, opts)
+}
+
+/// The witness trees of rows `rows` of a database match — the scan leaf
+/// pulls bounded row ranges of one match through this.
+pub fn select_rows(
+    pattern: &PatternTree,
+    bindings: &Bindings,
+    rows: Range<usize>,
+    sl: &[PatternNodeId],
+    opts: &ExecOptions,
+) -> Result<Collection> {
+    let rows: Vec<usize> = rows.collect();
+    par_map(opts, &rows, |_, &i| {
+        Ok(witness_tree(None, pattern, bindings.row(i), sl))
     })
 }
 
-/// Fused selection + projection over a slice of database bindings (the
-/// optimizer's select→project fusion): each binding's witness tree is
-/// projected immediately instead of materializing the whole selected
-/// collection — the scan leaf pulls bounded slices of one pattern match
-/// through this. Because projection treats input trees independently
-/// and appends outputs in order, this is byte-identical to
-/// `project(select_db(pattern, sl), pattern, pl, anchor_root = true)`.
-pub fn select_project_bindings(
+/// Fused selection + projection over rows `rows` of a database match
+/// (the optimizer's select→project fusion), byte-identical to
+/// `project(select_db(pattern, sl), pattern, pl, anchor_root = true)`
+/// restricted to those rows: projection treats input trees independently
+/// and appends outputs in order.
+///
+/// When `pl` is exactly `[$root*]`, each row's witness tree projects to
+/// the one deep reference to its root binding whatever `sl` says, so the
+/// output is the root column itself, as stored rows. Any other list
+/// builds each row's witness tree and projects it.
+pub fn select_project(
     store: &DocumentStore,
     pattern: &PatternTree,
-    bindings: &[Binding],
+    bindings: &Bindings,
+    rows: Range<usize>,
     sl: &[PatternNodeId],
-    pl: &[crate::ops::project::ProjectItem],
+    pl: &[ProjectItem],
     opts: &ExecOptions,
-) -> Result<Collection> {
-    let per_binding = par_map(opts, bindings, |_, b| {
-        let witness = witness_tree(None, pattern, b, sl);
+) -> Result<Batch> {
+    if pl == [ProjectItem::deep(pattern.root())] {
+        return Ok(Batch::Stored(
+            bindings.column(pattern.root())[rows].to_vec(),
+        ));
+    }
+    let rows: Vec<usize> = rows.collect();
+    let per_row = par_map(opts, &rows, |_, &i| {
+        let witness = witness_tree(None, pattern, bindings.row(i), sl);
         let mut out = Vec::new();
-        crate::ops::project::project_one(store, &witness, pattern, pl, true, &mut out)?;
+        project_one(store, &witness, pattern, pl, true, &mut out)?;
         Ok(out)
     })?;
-    Ok(per_binding.into_iter().flatten().collect())
+    Ok(Batch::Trees(per_row.into_iter().flatten().collect()))
 }
 
 /// Selection over an in-memory collection. Witness trees are produced per
@@ -81,11 +116,10 @@ pub fn select_opts(
     opts: &ExecOptions,
 ) -> Result<Collection> {
     let per_tree = par_map(opts, input, |_, tree| {
-        let mut witnesses = Vec::new();
-        for b in match_tree(store, tree, pattern, false)? {
-            witnesses.push(witness_tree(Some(tree), pattern, &b, sl));
-        }
-        Ok(witnesses)
+        Ok(match_tree(store, tree, pattern, false)?
+            .rows()
+            .map(|b| witness_tree(Some(tree), pattern, b, sl))
+            .collect::<Vec<_>>())
     })?;
     Ok(per_tree.into_iter().flatten().collect())
 }
@@ -96,20 +130,21 @@ pub fn select_opts(
 /// becomes). `source` is the input tree the binding was matched in, or
 /// `None` for a database match. Node identifiers only — no data pages
 /// are touched here (Sec. 5.3).
-pub fn witness_tree(
+pub fn witness_tree<C: Copy + Into<VNode>>(
     source: Option<&Tree>,
     pattern: &PatternTree,
-    binding: &Binding,
+    binding: Row<'_, C>,
     sl: &[PatternNodeId],
 ) -> Tree {
     let order = pattern.preorder();
     let root = order[0];
-    let mut tree = Tree::from_vnode(source, binding[root], sl.contains(&root));
+    let mut tree = Tree::from_vnode(source, binding[root].into(), sl.contains(&root));
     let mut map: Vec<usize> = vec![usize::MAX; pattern.len()];
     map[root] = tree.root();
     for &pid in order.iter().skip(1) {
         let parent = pattern.node(pid).parent.expect("non-root");
-        map[pid] = tree.append_vnode(map[parent], source, binding[pid], sl.contains(&pid));
+        let deep = sl.contains(&pid);
+        map[pid] = tree.append_vnode(map[parent], source, binding[pid].into(), deep);
     }
     tree
 }

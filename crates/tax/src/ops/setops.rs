@@ -99,8 +99,9 @@ mod tests {
         );
         crate::matching::match_db(s, &p)
             .unwrap()
-            .into_iter()
-            .map(|b| Tree::new_ref(b[0].as_stored().unwrap(), true))
+            .column(p.root())
+            .iter()
+            .map(|e| Tree::new_ref(*e, true))
             .collect()
     }
 

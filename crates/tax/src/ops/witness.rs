@@ -1,0 +1,142 @@
+//! Grouping witnesses: the one extraction behind `groupby`, `rollup`
+//! and `cube`.
+//!
+//! A witness is one embedding of the grouping pattern in one input row.
+//! What the sinks need of it is columnar and small — which row it came
+//! from, its grouping key (one symbol word per basis item), the nodes
+//! that become basis children, its ordering values (symbols again) — so
+//! that is all [`witnesses`] produces: flat `u32` / cell arrays, no
+//! per-witness allocation. Both sources fill the same columns:
+//!
+//! * **stored rows** — one [`match_in_scopes`] over all rows, then a
+//!   column gather from the label columns' `content` / attribute
+//!   symbols. The matcher emits rows scope-major, which *is* the
+//!   collection-major order the sinks' member dedup relies on, so there
+//!   is nothing to sort and nothing to route back to its tree;
+//! * **trees** — one [`match_tree`] per tree (fanned out over
+//!   `opts.threads`), then the same words read through a [`VTree`].
+//!
+//! No data page is read either way: keys and ordering values are
+//! symbols, resolved to text only when a sort compares them.
+
+use crate::batch::Source;
+use crate::error::Result;
+use crate::exec::{par_map, ExecOptions};
+use crate::matching::vnode::{VNode, VTree};
+use crate::matching::{match_in_scopes, match_tree};
+use crate::ops::groupby::{BasisItem, GroupOrder};
+use crate::ops::keyenc::component;
+use crate::pattern::PatternTree;
+use xmlstore::{DocumentStore, NO_SYM};
+
+/// The witness stream of one grouping sink, collection-major: all of
+/// row 0's witnesses, then row 1's, ….
+#[derive(Default)]
+pub(crate) struct Witnesses {
+    /// The input row each witness was matched in; non-decreasing.
+    pub tree_idx: Vec<u32>,
+    /// Grouping keys, row-major, `basis.len()` words a witness.
+    keys: Vec<u32>,
+    /// The nodes bound to the basis labels, row-major like `keys`.
+    cells: Vec<VNode>,
+    /// Content symbols of the ordering labels ([`NO_SYM`] when absent),
+    /// row-major, `ordering.len()` words a witness.
+    sort_syms: Vec<u32>,
+    basis: usize,
+    ordering: usize,
+}
+
+impl Witnesses {
+    /// Number of witnesses.
+    pub fn len(&self) -> usize {
+        self.tree_idx.len()
+    }
+
+    /// The grouping key of witness `w`.
+    pub fn key(&self, w: u32) -> &[u32] {
+        &self.keys[w as usize * self.basis..][..self.basis]
+    }
+
+    /// The nodes witness `w` binds to the basis labels.
+    pub fn cells(&self, w: u32) -> &[VNode] {
+        &self.cells[w as usize * self.basis..][..self.basis]
+    }
+
+    /// The ordering symbols of witness `w`.
+    pub fn sort_syms(&self, w: u32) -> &[u32] {
+        &self.sort_syms[w as usize * self.ordering..][..self.ordering]
+    }
+}
+
+/// The key word of one basis item on a node of an in-memory tree: the
+/// same symbol [`witnesses`] reads off the label columns for a stored
+/// row, so every grouping kernel keys a witness identically.
+pub(crate) fn key_word(vt: &VTree, v: VNode, item: &BasisItem) -> u32 {
+    component(match &item.attr {
+        Some(name) => vt.attr_sym(v, name),
+        None => vt.content_sym(v),
+    })
+}
+
+/// Extract the grouping witnesses of `input` under `pattern`: key words
+/// for `basis`, basis cells, and ordering symbols for `ordering`.
+pub(crate) fn witnesses(
+    store: &DocumentStore,
+    input: &Source,
+    pattern: &PatternTree,
+    basis: &[BasisItem],
+    ordering: &[GroupOrder],
+    opts: &ExecOptions,
+) -> Result<Witnesses> {
+    let mut out = Witnesses {
+        basis: basis.len(),
+        ordering: ordering.len(),
+        ..Witnesses::default()
+    };
+    match input {
+        Source::Stored(rows) => {
+            let (table, row_of) = match_in_scopes(store, pattern, rows, false)?;
+            let cols = store.columns();
+            let n = table.len();
+            out.tree_idx = row_of;
+            out.keys = vec![NO_SYM; n * basis.len()];
+            out.cells = vec![VNode::Arena(0); n * basis.len()];
+            for (k, item) in basis.iter().enumerate() {
+                // `Some(None)`: the attribute occurs nowhere in the store.
+                let attr_tag = item.attr.as_deref().map(|name| store.attr_tag_id(name));
+                for (w, e) in table.column(item.label).iter().enumerate() {
+                    out.keys[w * basis.len() + k] = match attr_tag {
+                        None => cols.content[e.id.0 as usize],
+                        Some(tag) => tag.and_then(|t| cols.attr_sym(e.id, t.0)).unwrap_or(NO_SYM),
+                    };
+                    out.cells[w * basis.len() + k] = VNode::Stored(*e);
+                }
+            }
+            out.sort_syms = vec![NO_SYM; n * ordering.len()];
+            for (k, o) in ordering.iter().enumerate() {
+                for (w, e) in table.column(o.label).iter().enumerate() {
+                    out.sort_syms[w * ordering.len() + k] = cols.content[e.id.0 as usize];
+                }
+            }
+        }
+        Source::Trees(trees) => {
+            let tables = par_map(opts, trees, |_, tree| {
+                match_tree(store, tree, pattern, false)
+            })?;
+            for (row, (tree, table)) in trees.iter().zip(tables).enumerate() {
+                let vt = VTree::new(store, tree);
+                out.tree_idx.resize(out.len() + table.len(), row as u32);
+                for b in table.rows() {
+                    for item in basis {
+                        out.keys.push(key_word(&vt, b[item.label], item));
+                        out.cells.push(b[item.label]);
+                    }
+                    for o in ordering {
+                        out.sort_syms.push(component(vt.content_sym(b[o.label])));
+                    }
+                }
+            }
+        }
+    }
+    Ok(out)
+}

@@ -292,6 +292,14 @@ impl PatternTree {
         out
     }
 
+    /// Every cross-node join condition of the pattern, as `(node, other)`
+    /// pairs whose contents must be equal.
+    pub fn join_pairs(&self) -> Vec<(PatternNodeId, PatternNodeId)> {
+        self.iter()
+            .flat_map(|(pid, n)| n.pred.join_targets().into_iter().map(move |t| (pid, t)))
+            .collect()
+    }
+
     /// First node whose predicate requires the given tag.
     pub fn find_by_tag(&self, tag: &str) -> Option<PatternNodeId> {
         self.preorder()

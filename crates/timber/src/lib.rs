@@ -52,7 +52,7 @@ pub mod result;
 mod stitch;
 
 pub use error::{Result, TimberError};
-pub use metrics::PlanMetrics;
+pub use metrics::{OutKind, PlanMetrics};
 pub use result::QueryResult;
 
 use std::fmt::Write as _;

@@ -1,7 +1,8 @@
 //! Per-operator execution metrics for the physical executor.
 //!
 //! Every [`PhysOp`](crate::physical::PhysOp) in an executed plan records
-//! how many trees flowed through it, how many batches it produced, how
+//! how many rows flowed through it (and whether the rows it emitted were
+//! stored rows or trees), how many batches it produced, how
 //! long its own kernel work took, and the buffer-pool/disk traffic that
 //! work caused. The per-operator records mirror the plan shape as a
 //! [`PlanMetrics`] tree — the payload of `EXPLAIN ANALYZE`.
@@ -11,15 +12,30 @@ use std::time::Duration;
 use tax::exec::ShardStats;
 use xmlstore::IoStats;
 
+/// What kind of batches an operator emitted (see
+/// [`Batch`](crate::physical::Batch)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OutKind {
+    /// Stored rows only: node labels, no tree built.
+    Stored,
+    /// Trees only.
+    Trees,
+    /// Both (a `Union` over a stored scan and a tree-building branch).
+    Mixed,
+}
+
 /// Execution metrics of one plan operator, with its children.
 #[derive(Debug, Clone, Default)]
 pub struct PlanMetrics {
     /// Operator description (the plan node's one-line rendering).
     pub op: String,
-    /// Trees pulled from the operator's input(s). Zero for leaves.
+    /// Rows pulled from the operator's input(s), stored rows and trees
+    /// alike. Zero for leaves.
     pub trees_in: usize,
-    /// Trees this operator emitted.
+    /// Rows this operator emitted — trees only when `out_kind` says so.
     pub trees_out: usize,
+    /// The kind of the emitted batches; `None` when nothing was emitted.
+    pub out_kind: Option<OutKind>,
     /// Output batches produced (blocking sinks also count their drain).
     pub batches: usize,
     /// Wall-clock time spent in this operator's own work, excluding
@@ -57,9 +73,15 @@ impl PlanMetrics {
 
     fn render_into(&self, out: &mut String, depth: usize) {
         let pad = "  ".repeat(depth);
+        let kind = match self.out_kind {
+            None => "",
+            Some(OutKind::Stored) => " stored",
+            Some(OutKind::Trees) => " trees",
+            Some(OutKind::Mixed) => " mixed",
+        };
         let _ = write!(
             out,
-            "{pad}{} | in={} out={} batches={} time={:.3?} pages={} disk_reads={} clones={} vec={} vecfb={}",
+            "{pad}{} | in={} out={}{kind} batches={} time={:.3?} pages={} disk_reads={} clones={} vec={} vecfb={}",
             self.op,
             self.trees_in,
             self.trees_out,
@@ -166,9 +188,11 @@ mod tests {
             trees_in: 3,
             trees_out: 3,
             batches: 1,
+            out_kind: Some(OutKind::Trees),
             children: vec![PlanMetrics {
-                op: "SelectDb".into(),
+                op: "SelectProject".into(),
                 trees_out: 3,
+                out_kind: Some(OutKind::Stored),
                 batches: 1,
                 ..Default::default()
             }],
@@ -177,8 +201,11 @@ mod tests {
         let text = m.render();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("Rename to <x> | in=3 out=3 batches=1"));
-        assert!(lines[1].starts_with("  SelectDb | in=0 out=3"));
+        assert!(lines[0].starts_with("Rename to <x> | in=3 out=3 trees batches=1"));
+        assert!(lines[1].starts_with("  SelectProject | in=0 out=3 stored batches=1"));
+        // An operator that emitted nothing has no kind to report.
+        let idle = PlanMetrics::default().render();
+        assert!(idle.contains("out=0 batches=0"), "{idle}");
         assert!(lines[0].contains("pages=0"));
         assert_eq!(m.node_count(), 2);
     }

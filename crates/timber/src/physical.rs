@@ -2,12 +2,12 @@
 //! pipelines.
 //!
 //! Each logical operator is built into a [`PhysOp`] — a batched iterator
-//! over trees — by pairing one of three generic drivers with the
+//! over rows — by pairing one of three generic drivers with the
 //! operator's `tax::ops` kernel as a closure:
 //!
-//! * the **scan** leaf matches its pattern against the database once and
-//!   turns the bindings into trees one bounded slice at a time
-//!   (selection, fused select→project);
+//! * the **scan** leaf matches its pattern against the database once
+//!   (one [`Bindings`] table) and turns the rows into output one bounded
+//!   row range at a time (selection, fused select→project);
 //! * the **map** driver *streams*: it pulls a batch from its input, runs
 //!   the kernel on just that batch (keeping the kernel's `par_map`
 //!   parallelism inside batch production), and hands the result upward
@@ -21,7 +21,17 @@
 //!
 //! `Union` concatenates its inputs and needs no kernel.
 //!
-//! Every operator meters its own work — trees in/out, batches, wall
+//! What moves between operators is a [`Batch`]: stored rows (node
+//! labels, each standing for its whole subtree) or trees. The scan leaf
+//! emits stored rows when its output is one deep stored node per row —
+//! the leaf of both paper plans — and the grouping sinks (`GroupBy`,
+//! `Rollup`, `Cube`) read them as they are; the map operators, the join
+//! and the stitch construct or walk arena trees and take their input
+//! through [`Batch::into_trees`], as does [`execute`] for the collection
+//! it returns. Every operator's output is trees except such a leaf's.
+//!
+//! Every operator meters its own work — rows in/out (and whether the
+//! rows out were stored rows or trees), batches, wall
 //! time, and the store's I/O delta — into a [`PlanMetrics`] tree; the
 //! time spent pulling from an input is charged to the input, not the
 //! consumer. Output order is deterministic: the same bytes at every
@@ -31,26 +41,28 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::error::Result;
-use crate::metrics::PlanMetrics;
+use crate::metrics::{OutKind, PlanMetrics};
 use std::collections::HashSet;
+use std::ops::Range;
 use std::time::{Duration, Instant};
-use tax::exec::{par_map, ExecOptions, ShardStats};
-use tax::matching::{match_db, Binding};
+pub use tax::batch::Batch;
+use tax::exec::{ExecOptions, ShardStats};
+use tax::matching::{match_db, Bindings};
 use tax::ops;
-use tax::ops::select::{select_project_bindings, witness_tree};
+use tax::ops::select::{select_project, select_rows};
 use tax::pattern::PatternTree;
 use tax::tree::{Collection, Tree};
 use xmlstore::{DocumentStore, IoStats};
 use xquery::Plan;
 
-/// Default number of trees per batch.
+/// Default number of rows per batch.
 pub const DEFAULT_BATCH_SIZE: usize = 256;
 
-/// A physical operator: a batched pull iterator over trees.
+/// A physical operator: a batched pull iterator over rows.
 pub trait PhysOp {
-    /// Produce the next batch of output trees, or `None` when exhausted.
+    /// Produce the next batch of output rows, or `None` when exhausted.
     /// Batches are never empty.
-    fn next_batch(&mut self) -> Result<Option<Vec<Tree>>>;
+    fn next_batch(&mut self) -> Result<Option<Batch>>;
 
     /// The metrics recorded so far, including the input operators'.
     fn metrics(&self) -> PlanMetrics;
@@ -67,19 +79,19 @@ pub fn execute(
     let mut root = build(store, plan, opts, batch)?;
     let mut out = Vec::new();
     while let Some(b) = root.next_batch()? {
-        out.extend(b);
+        out.extend(b.into_trees());
     }
     Ok((out, root.metrics()))
 }
 
-/// A scan's per-slice kernel: bindings → trees.
-type ScanKernel<'a> = Box<dyn Fn(&[Binding]) -> tax::Result<Vec<Tree>> + 'a>;
-/// A streaming operator's kernel: one input batch → its output trees.
+/// A scan's kernel: a row range of the match → its output rows.
+type ScanKernel<'a> = Box<dyn Fn(&Bindings, Range<usize>) -> tax::Result<Batch> + 'a>;
+/// A streaming operator's kernel: one input batch, as trees → its
+/// output trees.
 type MapKernel<'a> = Box<dyn FnMut(Vec<Tree>) -> tax::Result<Vec<Tree>> + 'a>;
-/// A blocking sink's kernel: the drained inputs (one collection per
-/// input plan) → the whole output plus its partition statistics.
-type SinkKernel<'a> =
-    Box<dyn FnOnce(Vec<Collection>) -> tax::Result<(Collection, ShardStats)> + 'a>;
+/// A blocking sink's kernel: the drained inputs (one batch per input
+/// plan) → the whole output plus its partition statistics.
+type SinkKernel<'a> = Box<dyn FnOnce(Vec<Batch>) -> tax::Result<(Collection, ShardStats)> + 'a>;
 
 /// Build the physical operator for one logical plan node (recursively
 /// building its inputs): the driver its execution shape calls for, with
@@ -131,20 +143,19 @@ pub fn build<'a>(
         Plan::SelectDb { pattern, sl } => scan(
             pattern,
             meter,
-            Box::new(move |bindings| {
-                par_map(&opts, bindings, |_, b| {
-                    Ok(witness_tree(None, pattern, b, sl))
-                })
+            Box::new(move |bindings, rows| {
+                select_rows(pattern, bindings, rows, sl, &opts).map(Batch::Trees)
             }),
         ),
         // One pattern match serves both halves of the fused
-        // select→project; each slice of bindings is projected as it is
-        // produced.
+        // select→project; each row range is projected as it is produced
+        // — as stored rows, untouched, when `pl` keeps exactly the deep
+        // root.
         Plan::SelectProject { pattern, sl, pl } => scan(
             pattern,
             meter,
-            Box::new(move |bindings| {
-                select_project_bindings(store, pattern, bindings, sl, pl, &opts)
+            Box::new(move |bindings, rows| {
+                select_project(store, pattern, bindings, rows, sl, pl, &opts)
             }),
         ),
         // Trees are independent under projection, so batching cannot
@@ -297,10 +308,10 @@ pub fn build<'a>(
         } => sink(
             vec![left],
             meter,
-            Box::new(move |ins| {
+            Box::new(move |mut ins| {
                 ops::join::left_outer_join_db_sharded(
                     store,
-                    &ins[0],
+                    &ins.remove(0).into_trees(),
                     left_pattern,
                     *left_label,
                     right_pattern,
@@ -327,12 +338,13 @@ pub fn build<'a>(
             std::iter::once(&**outer).chain(inner.as_deref()).collect(),
             meter,
             Box::new(move |ins| {
+                let mut ins = ins.into_iter().map(Batch::into_trees);
                 crate::stitch::stitch_sharded(
                     store,
-                    &ins[0],
+                    &ins.next().unwrap_or_default(),
                     outer_pattern,
                     *outer_label,
-                    ins.get(1).map_or(&[], Vec::as_slice),
+                    &ins.next().unwrap_or_default(),
                     inner_pattern,
                     *inner_label,
                     inner_extract,
@@ -362,6 +374,7 @@ struct Meter {
     op: String,
     trees_in: usize,
     trees_out: usize,
+    out_kind: Option<OutKind>,
     batches: usize,
     elapsed: Duration,
     io: IoStats,
@@ -381,6 +394,7 @@ impl Meter {
             op,
             trees_in: 0,
             trees_out: 0,
+            out_kind: None,
             batches: 0,
             elapsed: Duration::ZERO,
             io: IoStats::default(),
@@ -413,10 +427,19 @@ impl Meter {
         self.vec_fallback += xmlstore::kernels::fallback_rows().saturating_sub(window.4);
     }
 
-    /// Record one emitted batch of `n` trees.
-    fn emitted(&mut self, n: usize) {
+    /// Record one emitted batch.
+    fn emitted(&mut self, batch: &Batch) {
         self.batches += 1;
-        self.trees_out += n;
+        self.trees_out += batch.len();
+        let kind = if batch.is_stored() {
+            OutKind::Stored
+        } else {
+            OutKind::Trees
+        };
+        self.out_kind = Some(match self.out_kind {
+            Some(seen) if seen != kind => OutKind::Mixed,
+            _ => kind,
+        });
     }
 
     fn metrics(&self, children: Vec<PlanMetrics>) -> PlanMetrics {
@@ -424,6 +447,7 @@ impl Meter {
             op: self.op.clone(),
             trees_in: self.trees_in,
             trees_out: self.trees_out,
+            out_kind: self.out_kind,
             batches: self.batches,
             elapsed: self.elapsed,
             io: self.io,
@@ -437,28 +461,28 @@ impl Meter {
 }
 
 /// Leaf driver: match the database once, then run the kernel over one
-/// bounded slice of bindings per batch.
+/// bounded row range of the table per batch.
 struct ScanOp<'a> {
     store: &'a DocumentStore,
     pattern: &'a PatternTree,
     kernel: ScanKernel<'a>,
     batch: usize,
-    bindings: Option<Vec<Binding>>,
+    bindings: Option<Bindings>,
     pos: usize,
     meter: Meter,
 }
 
 impl ScanOp<'_> {
-    fn pull(&mut self) -> Result<Option<Vec<Tree>>> {
+    fn pull(&mut self) -> Result<Option<Batch>> {
         let bindings = match &mut self.bindings {
             Some(bindings) => bindings,
             unmatched => unmatched.insert(match_db(self.store, self.pattern)?),
         };
-        // A slice of bindings can project to nothing; keep pulling until
-        // some trees surface or the bindings run out.
+        // A row range can project to nothing; keep pulling until some
+        // rows surface or the table runs out.
         while self.pos < bindings.len() {
             let end = self.pos.saturating_add(self.batch).min(bindings.len());
-            let out = (self.kernel)(&bindings[self.pos..end])?;
+            let out = (self.kernel)(bindings, self.pos..end)?;
             self.pos = end;
             if !out.is_empty() {
                 return Ok(Some(out));
@@ -469,12 +493,12 @@ impl ScanOp<'_> {
 }
 
 impl PhysOp for ScanOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         let window = self.meter.start(self.store);
         let out = self.pull();
         self.meter.stop(self.store, window);
-        if let Ok(Some(trees)) = &out {
-            self.meter.emitted(trees.len());
+        if let Ok(Some(batch)) = &out {
+            self.meter.emitted(batch);
         }
         out
     }
@@ -484,8 +508,9 @@ impl PhysOp for ScanOp<'_> {
     }
 }
 
-/// Streaming driver: the kernel runs on each input batch independently;
-/// whatever it must remember across batches lives in the closure.
+/// Streaming driver: the kernel runs on each input batch independently,
+/// taken as trees; whatever it must remember across batches lives in the
+/// closure.
 struct MapOp<'a> {
     store: &'a DocumentStore,
     input: Box<dyn PhysOp + 'a>,
@@ -494,18 +519,18 @@ struct MapOp<'a> {
 }
 
 impl PhysOp for MapOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         loop {
             let Some(batch) = self.input.next_batch()? else {
                 return Ok(None);
             };
             self.meter.trees_in += batch.len();
             let window = self.meter.start(self.store);
-            let out = (self.kernel)(batch);
+            let out = (self.kernel)(batch.into_trees());
             self.meter.stop(self.store, window);
-            let out = out?;
+            let out = Batch::Trees(out?);
             if !out.is_empty() {
-                self.meter.emitted(out.len());
+                self.meter.emitted(&out);
                 return Ok(Some(out));
             }
         }
@@ -531,14 +556,14 @@ struct SinkOp<'a> {
 }
 
 impl PhysOp for SinkOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         if let Some(kernel) = self.kernel.take() {
             let mut drained = Vec::with_capacity(self.inputs.len());
             for input in &mut self.inputs {
-                let mut all = Vec::new();
+                let mut all = Batch::default();
                 while let Some(b) = input.next_batch()? {
                     self.meter.trees_in += b.len();
-                    all.extend(b);
+                    all.append(b);
                 }
                 drained.push(all);
             }
@@ -549,11 +574,11 @@ impl PhysOp for SinkOp<'_> {
             self.meter.shards = Some(shards);
             self.output = out.into_iter();
         }
-        let out: Vec<Tree> = self.output.by_ref().take(self.batch).collect();
+        let out = Batch::Trees(self.output.by_ref().take(self.batch).collect());
         if out.is_empty() {
             Ok(None)
         } else {
-            self.meter.emitted(out.len());
+            self.meter.emitted(&out);
             Ok(Some(out))
         }
     }
@@ -575,11 +600,11 @@ struct UnionOp<'a> {
 }
 
 impl PhysOp for UnionOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Vec<Tree>>> {
+    fn next_batch(&mut self) -> Result<Option<Batch>> {
         while self.pos < self.inputs.len() {
             if let Some(batch) = self.inputs[self.pos].next_batch()? {
                 self.meter.trees_in += batch.len();
-                self.meter.emitted(batch.len());
+                self.meter.emitted(&batch);
                 return Ok(Some(batch));
             }
             self.pos += 1;
@@ -617,8 +642,250 @@ mod tests {
         </authorpubs>
     "#;
 
+    const QUERY_COUNT: &str = r#"
+        FOR $a IN distinct-values(document("bib.xml")//author)
+        LET $t := document("bib.xml")//article[author = $a]/title
+        RETURN <authorpubs> {$a} {count($t)} </authorpubs>
+    "#;
+
+    const QUERY_CUBE: &str = r#"
+        FOR $b IN document("bib.xml")//article
+        CUBE BY $b/author, $b/title
+        RETURN <pubs> {count($b/title)} </pubs>
+    "#;
+
     fn db() -> TimberDb {
         TimberDb::load_xml(SAMPLE, &StoreOptions::in_memory()).unwrap()
+    }
+
+    /// The scan leaf of a grouped plan (the plans here are chains).
+    fn leaf_of(plan: &Plan) -> &Plan {
+        match plan {
+            Plan::Rename { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::GroupBy { input, .. }
+            | Plan::Rollup { input, .. }
+            | Plan::Cube { input, .. } => leaf_of(input),
+            leaf => leaf,
+        }
+    }
+
+    /// `plan` with its scan leaf replaced.
+    fn with_leaf(plan: &Plan, leaf: Plan) -> Plan {
+        let mut plan = plan.clone();
+        let mut at = &mut plan;
+        loop {
+            match at {
+                Plan::Rename { input, .. }
+                | Plan::Project { input, .. }
+                | Plan::GroupBy { input, .. }
+                | Plan::Rollup { input, .. }
+                | Plan::Cube { input, .. } => at = &mut **input,
+                scan => {
+                    *scan = leaf;
+                    return plan;
+                }
+            }
+        }
+    }
+
+    /// Metrics nodes from the root down the first-input chain.
+    fn chain(m: &PlanMetrics) -> Vec<&PlanMetrics> {
+        let mut nodes = vec![m];
+        while let Some(next) = nodes[nodes.len() - 1].children.first() {
+            nodes.push(next);
+        }
+        nodes
+    }
+
+    /// Pattern `root_tag -pc-> child_tag`.
+    fn parent_child(root_tag: &str, child_tag: &str) -> PatternTree {
+        let mut p = PatternTree::with_root(tax::Pred::tag(root_tag));
+        p.add_child(p.root(), tax::Axis::Child, tax::Pred::tag(child_tag));
+        p
+    }
+
+    #[test]
+    fn paper_plan_leaves_emit_stored_rows_and_the_sinks_read_them() {
+        let db = db();
+        for query in [QUERY_COUNT, QUERY1, QUERY_CUBE] {
+            let (plan, _) = db.compile(query, PlanMode::GroupByRewrite).unwrap();
+            let (trees, metrics) = execute(db.store(), &plan, &db.exec_options(), 2).unwrap();
+            assert!(!trees.is_empty());
+            // The leaf emits stored rows — no tree, nothing re-matched —
+            // and every operator above it emits trees; the rendering
+            // says which.
+            let nodes = chain(&metrics);
+            let (leaf, above) = nodes.split_last().unwrap();
+            assert!(leaf.op.starts_with("SelectProject"), "{}", leaf.op);
+            assert_eq!(leaf.out_kind, Some(OutKind::Stored));
+            assert!(above.iter().all(|m| m.out_kind == Some(OutKind::Trees)));
+            let text = metrics.render();
+            let lines: Vec<&str> = text.lines().collect();
+            assert!(lines[lines.len() - 1].contains(" out=3 stored batches=2 "));
+            assert!(lines[..lines.len() - 1]
+                .iter()
+                .all(|l| l.contains(" trees batches=")));
+            // The grouping sink is the leaf's consumer and took all of
+            // its rows.
+            let sink = above[above.len() - 1];
+            assert!(sink.shards.is_some(), "{}", sink.op);
+            assert_eq!(sink.trees_in, leaf.trees_out);
+
+            // Batch by batch: stored rows only, never more than `batch`.
+            let mut scan = build(db.store(), leaf_of(&plan), &db.exec_options(), 2).unwrap();
+            while let Some(b) = scan.next_batch().unwrap() {
+                assert!(
+                    matches!(&b, Batch::Stored(rows) if rows.len() <= 2),
+                    "{b:?}"
+                );
+            }
+            // What a sink's kernel is handed is the drained stored rows,
+            // not trees made of them.
+            let mut sink = SinkOp {
+                store: db.store(),
+                inputs: vec![build(db.store(), leaf_of(&plan), &db.exec_options(), 2).unwrap()],
+                kernel: Some(Box::new(|ins| {
+                    assert!(matches!(&ins[0], Batch::Stored(rows) if rows.len() == 3));
+                    Ok((Vec::new(), ShardStats::serial(3)))
+                })),
+                output: Vec::new().into_iter(),
+                batch: 2,
+                meter: Meter::new("Sink".into()),
+            };
+            assert!(sink.next_batch().unwrap().is_none());
+        }
+    }
+
+    #[test]
+    fn tree_building_leaves_feed_the_sinks_the_same_bytes() {
+        // The same article collection four ways: the stored rows of the
+        // `[$1*]` leaf; one-node witness trees of a `SelectDb`; the
+        // output of a `Project`; a fused leaf whose list keeps more than
+        // the deep root. The last three are trees, and every grouping
+        // sink must produce from them what it produces from the rows.
+        let db = db();
+        let article = PatternTree::with_root(tax::Pred::tag("article"));
+        let root = article.root();
+        let select_db = Plan::SelectDb {
+            pattern: article.clone(),
+            sl: vec![root],
+        };
+        let titled = parent_child("article", "title");
+        let tree_leaves = [
+            select_db.clone(),
+            Plan::Project {
+                input: Box::new(select_db),
+                pattern: article,
+                pl: vec![ops::project::ProjectItem::deep(root)],
+                anchor_root: true,
+            },
+            Plan::SelectProject {
+                pl: vec![
+                    ops::project::ProjectItem::deep(titled.root()),
+                    ops::project::ProjectItem::shallow(1),
+                ],
+                pattern: titled,
+                sl: vec![root],
+            },
+        ];
+        for query in [QUERY_COUNT, QUERY1, QUERY_CUBE] {
+            let (plan, _) = db.compile(query, PlanMode::GroupByRewrite).unwrap();
+            let opts = db.exec_options();
+            let (reference, _) = execute(db.store(), &plan, &opts, 2).unwrap();
+            for leaf in &tree_leaves {
+                let twin = with_leaf(&plan, leaf.clone());
+                for threads in [1, 3] {
+                    let opts = ExecOptions::with_threads(threads);
+                    let (out, metrics) = execute(db.store(), &twin, &opts, 2).unwrap();
+                    assert_eq!(to_xml(&db, &reference), to_xml(&db, &out), "{twin:?}");
+                    let nodes = chain(&metrics);
+                    assert!(nodes.iter().all(|m| m.out_kind == Some(OutKind::Trees)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_and_overlapping_stored_rows_reach_the_sinks() {
+        // A two-year article selected by `article[year]` with `PL=[$1*]`
+        // is two equal stored rows, and a `Union` of two scans of the
+        // same articles repeats every row: neither input is a disjoint
+        // scope list, and both must group as the same rows given as
+        // trees do (a `Project` over the `SelectDb` of the same pattern
+        // is what the fused leaf stands for).
+        let db = TimberDb::load_xml(
+            "<bib>\
+                <article><title>A</title><author>Jack</author><year>1999</year><year>2000</year></article>\
+                <article><title>B</title><author>Jill</author><author>Jack</author><year>2001</year></article>\
+                <article><title>C</title><author>John</author></article>\
+            </bib>",
+            &StoreOptions::in_memory(),
+        )
+        .unwrap();
+        let dated = parent_child("article", "year");
+        let root = dated.root();
+        let pl = vec![ops::project::ProjectItem::deep(root)];
+        let fused = |pattern: &PatternTree| Plan::SelectProject {
+            pattern: pattern.clone(),
+            sl: vec![root],
+            pl: pl.clone(),
+        };
+        let unfused = |pattern: &PatternTree| Plan::Project {
+            input: Box::new(Plan::SelectDb {
+                pattern: pattern.clone(),
+                sl: vec![root],
+            }),
+            pattern: pattern.clone(),
+            pl: pl.clone(),
+            anchor_root: true,
+        };
+        let every = PatternTree::with_root(tax::Pred::tag("article"));
+        // (stored leaf, its tree twin, rows, rows holding a Jack article)
+        let cases: [(Plan, Plan, usize, usize); 2] = [
+            (fused(&dated), unfused(&dated), 3, 3),
+            (
+                Plan::Union {
+                    inputs: vec![fused(&every), fused(&dated)],
+                },
+                Plan::Union {
+                    inputs: vec![unfused(&every), unfused(&dated)],
+                },
+                6,
+                5,
+            ),
+        ];
+        for (stored, trees, rows, jacks) in &cases {
+            for query in [QUERY_COUNT, QUERY1, QUERY_CUBE] {
+                let (plan, _) = db.compile(query, PlanMode::GroupByRewrite).unwrap();
+                let opts = db.exec_options();
+                let (want, _) =
+                    execute(db.store(), &with_leaf(&plan, trees.clone()), &opts, 2).unwrap();
+                let (got, metrics) =
+                    execute(db.store(), &with_leaf(&plan, stored.clone()), &opts, 2).unwrap();
+                assert_eq!(to_xml(&db, &want), to_xml(&db, &got), "{query}");
+                let nodes = chain(&metrics);
+                let feed = nodes.iter().find(|m| m.shards.is_some()).unwrap().children[0].clone();
+                assert_eq!(
+                    (feed.trees_out, feed.out_kind),
+                    (*rows, Some(OutKind::Stored))
+                );
+            }
+            // Jack's two-year article counts once per row it arrives in.
+            let (plan, _) = db.compile(QUERY_COUNT, PlanMode::GroupByRewrite).unwrap();
+            let (out, _) = execute(
+                db.store(),
+                &with_leaf(&plan, stored.clone()),
+                &db.exec_options(),
+                2,
+            )
+            .unwrap();
+            let xml = to_xml(&db, &out);
+            assert_eq!(
+                xml.lines().next().unwrap(),
+                format!("<authorpubs><author>Jack</author><count>{jacks}</count></authorpubs>"),
+            );
+        }
     }
 
     fn to_xml(db: &TimberDb, c: &Collection) -> String {
@@ -662,7 +929,7 @@ mod tests {
                 if fail {
                     return Err(tax::Error::Unsupported("kernel failed".into()));
                 }
-                let all = ins.remove(0);
+                let all = ins.remove(0).into_trees();
                 let n = all.len();
                 Ok((all, ShardStats::serial(n)))
             })),

@@ -53,7 +53,7 @@ fn extract_parts(
 ) -> Result<Vec<RawPart>> {
     let vt = VTree::new(store, tree);
     let mut out = Vec::new();
-    for binding in match_tree(store, tree, inner_pattern, true)? {
+    for binding in match_tree(store, tree, inner_pattern, true)?.rows() {
         let Some(key) = vt.content(binding[inner_label])? else {
             continue;
         };

@@ -139,8 +139,16 @@ impl NodeColumns {
         let end = self.end[i];
         let lo = id.0 + 1;
         // Rows are sorted by start for ids ≥ 1; descendants are exactly
-        // the rows whose start precedes our end.
-        let hi = lo + self.start[lo as usize..].partition_point(|&s| s < end) as u32;
+        // the rows whose start precedes our end. Most subtrees are a
+        // handful of rows in a store of many, so the window is doubled
+        // from the node outward before it is bisected: the search costs
+        // the logarithm of the subtree, not of the store.
+        let after = &self.start[lo as usize..];
+        let mut window = 1;
+        while window < after.len() && after[window - 1] < end {
+            window *= 2;
+        }
+        let hi = lo + after[..window.min(after.len())].partition_point(|&s| s < end) as u32;
         lo..hi
     }
 

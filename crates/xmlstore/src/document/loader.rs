@@ -110,7 +110,15 @@ impl Loader<'_> {
                 kind: NodeKind::Attribute,
                 content,
             });
-            self.content_syms.push(self.tags.intern(value).0);
+            // An empty value has no heap bytes (`ContentPtr::NULL`), and
+            // `open` rebuilds the column from the pointers: no symbol
+            // either, so the column says "has content" exactly when the
+            // pages do.
+            self.content_syms.push(if value.is_empty() {
+                NO_SYM
+            } else {
+                self.tags.intern(value).0
+            });
         }
 
         let has_element_children = elem

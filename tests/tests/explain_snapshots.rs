@@ -117,6 +117,24 @@ fn explain_analyze_structural_snapshot() {
             assert!(line.contains(field), "{line}");
         }
     }
+    // Each line says what its rows were: the scan leaf hands the
+    // grouping sink stored rows, everything above it builds trees.
+    let outs: Vec<&str> = metric_lines
+        .iter()
+        .map(|l| {
+            l.split(" out=")
+                .nth(1)
+                .unwrap()
+                .split(" batches=")
+                .next()
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(
+        outs,
+        ["3 trees", "3 trees", "3 trees", "3 stored"],
+        "{text}"
+    );
     // One lane, nothing to name: the summary is just the two counts.
     let summary = text.lines().find(|l| l.ends_with(" scalar-fallback rows"));
     let words: Vec<&str> = summary.expect(&text).split(' ').collect();

@@ -1,0 +1,217 @@
+//! Property suite of the columnar matcher: on random documents and
+//! random patterns, `match_db` returns the rows of the full-scan matcher
+//! in the same order, and `match_in_scopes` returns the per-scope
+//! matches concatenated, each row tagged with its scope.
+
+use smallrand::prop::{check, Gen};
+use tax::matching::{match_db, match_db_scoped, match_in_scopes, naive::match_db_scan, Bindings};
+use tax::pattern::{Axis, PatternTree, Pred};
+use xmlstore::{kernels, DocumentStore, NodeEntry, NodeId, StoreOptions};
+
+const TAGS: [&str; 3] = ["a", "b", "c"];
+const VALUES: [&str; 3] = ["1", "2", "x y"];
+
+/// A random element of depth ≤ `depth`: tags from a pool of three (so
+/// elements nest inside elements of their own tag and ancestor runs
+/// overlap), attributes that are sometimes empty, and content that is a
+/// repeated value, absent, or mixed with child elements.
+fn element(g: &mut Gen, depth: usize, out: &mut String) {
+    let tag = *g.pick(&TAGS);
+    out.push('<');
+    out.push_str(tag);
+    for name in ["x", "y"] {
+        if g.ratio(1, 4) {
+            let value = if g.ratio(1, 3) { "" } else { *g.pick(&VALUES) };
+            out.push_str(&format!(" {name}=\"{value}\""));
+        }
+    }
+    out.push('>');
+    let children = if depth == 0 { 0 } else { g.usize_in(0, 3) };
+    if children == 0 {
+        if g.ratio(2, 3) {
+            out.push_str(g.pick::<&str>(&VALUES));
+        }
+    } else {
+        for _ in 0..children {
+            if g.ratio(1, 6) {
+                out.push_str(g.pick::<&str>(&VALUES));
+            }
+            element(g, depth - 1, out);
+        }
+    }
+    out.push_str(&format!("</{tag}>"));
+}
+
+/// A random store: one document of depth ≤ 5, with or without the value
+/// index (which answers `tag ∧ content = v` by its own list).
+fn store(g: &mut Gen) -> DocumentStore {
+    let mut xml = String::from("<r>");
+    for _ in 0..g.usize_in(0, 3) {
+        element(g, 4, &mut xml);
+    }
+    xml.push_str("</r>");
+    let mut opts = StoreOptions::in_memory();
+    opts.value_index = g.bool();
+    DocumentStore::from_xml(&xml, &opts).expect("generated XML loads")
+}
+
+/// A random predicate for pattern node `pid`: usually a tag (one of them
+/// absent from every document), sometimes tag-less, optionally with a
+/// content equality or a join with an earlier node.
+fn pred(g: &mut Gen, pid: usize) -> Pred {
+    let mut p = match g.usize_in(0, 9) {
+        0 => Pred::True,
+        1 => Pred::tag("absent"),
+        _ => Pred::tag(*g.pick(&TAGS)),
+    };
+    if g.ratio(1, 5) {
+        p = p.and(Pred::content_eq(*g.pick(&VALUES)));
+    }
+    if pid > 0 && g.ratio(1, 6) {
+        p = p.and(Pred::ContentEqNode(g.usize_in(0, pid - 1)));
+    }
+    p
+}
+
+/// A random pattern of 1–4 nodes; every shape of that size occurs:
+/// chains (whose inner columns stop being monotone once same-tag
+/// elements nest), stars and mixes.
+fn pattern(g: &mut Gen) -> PatternTree {
+    let mut p = PatternTree::with_root(pred(g, 0));
+    for pid in 1..g.usize_in(1, 4) {
+        let parent = g.usize_in(0, pid - 1);
+        let axis = if g.bool() {
+            Axis::Child
+        } else {
+            Axis::Descendant
+        };
+        p.add_child(parent, axis, pred(g, pid));
+    }
+    p
+}
+
+/// The scan matcher's table in the index matcher's cell type: it sees
+/// the document root through its virtual tree.
+fn scan(store: &DocumentStore, pattern: &PatternTree) -> Vec<Vec<NodeEntry>> {
+    match_db_scan(store, pattern)
+        .expect("scan")
+        .rows()
+        .map(|row| {
+            row.cells()
+                .map(|v| v.as_stored().unwrap_or_else(|| store.root()))
+                .collect()
+        })
+        .collect()
+}
+
+fn rows(table: &Bindings) -> Vec<Vec<NodeEntry>> {
+    table.rows().map(|row| row.cells().collect()).collect()
+}
+
+#[test]
+fn match_db_equals_the_scan_matcher_row_for_row() {
+    check("match_db == match_db_scan", 400, |g| {
+        let (s, p) = (store(g), pattern(g));
+        let table = match_db(&s, &p).expect("match");
+        assert_eq!(rows(&table), scan(&s, &p), "{p:?}");
+        for pid in 0..p.len() {
+            assert_eq!(table.column(pid).len(), table.len());
+        }
+    });
+}
+
+#[test]
+fn nested_same_tag_parents_take_the_row_fallback() {
+    // a1 ⊃ a2 with b's inside and after a2: the rows of `a -ad-> b` are
+    // (a1,b1) (a1,b2) (a1,b3) (a2,b2), so the `b` column is not monotone
+    // and the join below it searches per row — and counts itself as
+    // fallback rows (the `vecfb` of EXPLAIN ANALYZE).
+    let s = DocumentStore::from_xml(
+        "<r><a><b><c>1</c></b><a><b><c>2</c></b></a><b><c>3</c></b></a></r>",
+        &StoreOptions::in_memory(),
+    )
+    .unwrap();
+    let mut p = PatternTree::with_root(Pred::tag("a"));
+    let b = p.add_child(p.root(), Axis::Descendant, Pred::tag("b"));
+    p.add_child(b, Axis::Child, Pred::tag("c"));
+    let before = kernels::fallback_rows();
+    let table = match_db(&s, &p).unwrap();
+    assert!(kernels::fallback_rows() >= before + 4);
+    assert_eq!(table.len(), 4);
+    let starts: Vec<u32> = table.column(b).iter().map(|e| e.start).collect();
+    assert!(starts.windows(2).any(|w| w[0] > w[1]), "{starts:?}");
+    assert_eq!(rows(&table), scan(&s, &p));
+}
+
+/// The rows `match_in_scopes` must return: one scoped match per scope,
+/// in turn.
+fn per_scope(
+    s: &DocumentStore,
+    p: &PatternTree,
+    scopes: &[NodeEntry],
+    anchor_root: bool,
+) -> (Vec<Vec<NodeEntry>>, Vec<u32>) {
+    let (mut all, mut scope_of_row) = (Vec::new(), Vec::new());
+    for (si, scope) in scopes.iter().enumerate() {
+        let table = match_db_scoped(s, p, Some(*scope)).expect("scoped match");
+        for row in rows(&table) {
+            if !anchor_root || row[p.root()].id == scope.id {
+                all.push(row);
+                scope_of_row.push(si as u32);
+            }
+        }
+    }
+    (all, scope_of_row)
+}
+
+#[test]
+fn match_in_scopes_concatenates_the_scoped_matches() {
+    check("match_in_scopes == per-scope", 400, |g| {
+        let (s, p) = (store(g), pattern(g));
+        let cols = s.columns();
+        let mut scopes: Vec<NodeEntry> = g
+            .vec(0, 6, |g| g.usize_in(0, cols.len() - 1))
+            .into_iter()
+            .map(|i| cols.entry(NodeId(i as u32)))
+            .collect();
+        // Usually what a scan produces — sorted, nothing nested or
+        // repeated — and sometimes any list at all.
+        if g.ratio(3, 4) {
+            scopes.sort_by_key(|e| e.start);
+            let mut kept: Vec<NodeEntry> = Vec::new();
+            for e in scopes {
+                if kept.last().is_none_or(|k| k.end < e.start) {
+                    kept.push(e);
+                }
+            }
+            scopes = kept;
+        }
+        for anchor_root in [false, true] {
+            let (table, scope_of_row) =
+                match_in_scopes(&s, &p, &scopes, anchor_root).expect("match");
+            let want = per_scope(&s, &p, &scopes, anchor_root);
+            assert_eq!((rows(&table), scope_of_row), want, "{p:?} in {scopes:?}");
+        }
+    });
+}
+
+#[test]
+fn nothing_to_match_is_an_empty_table() {
+    let s =
+        DocumentStore::from_xml("<r><a><b>1</b></a><c/></r>", &StoreOptions::in_memory()).unwrap();
+    let mut p = PatternTree::with_root(Pred::tag("a"));
+    p.add_child(p.root(), Axis::Child, Pred::tag("b"));
+    let c = s.nodes_with_tag(s.tag_id("c").unwrap())[0];
+    let mut absent = PatternTree::with_root(Pred::tag("a"));
+    absent.add_child(absent.root(), Axis::Descendant, Pred::tag("nowhere"));
+    for anchor_root in [false, true] {
+        // No scope; a scope holding no candidate; a tag no node has.
+        for (pattern, scopes) in [(&p, &[][..]), (&p, &[c][..]), (&absent, &[s.root()][..])] {
+            let (table, scope_of_row) = match_in_scopes(&s, pattern, scopes, anchor_root).unwrap();
+            assert!(table.is_empty() && scope_of_row.is_empty());
+            assert!((0..pattern.len()).all(|pid| table.column(pid).is_empty()));
+        }
+    }
+    assert!(match_db(&s, &absent).unwrap().is_empty());
+    assert!(match_db_scoped(&s, &p, Some(c)).unwrap().is_empty());
+}

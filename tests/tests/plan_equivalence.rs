@@ -6,11 +6,15 @@
 //! below on the one input shape where the rewrite and the query part.
 
 use smallrand::prop::check;
-use timber::{PlanMode, TimberDb};
+use tax::ops::project::ProjectItem;
+use tax::pattern::{Axis, PatternTree, Pred};
+use timber::{OutKind, PlanMode, TimberDb};
 use timber_integration_tests::{
-    assert_matches_model, bibliography, expected, run, Shape, QUERY1, QUERY2, QUERY_COUNT,
+    assert_matches_model, bibliography, expected, run, thread_matrix, Shape, QUERY1, QUERY2,
+    QUERY_COUNT,
 };
 use xmlstore::StoreOptions;
+use xquery::Plan;
 
 #[test]
 fn both_plans_equal_the_model_on_random_bibliographies() {
@@ -26,6 +30,83 @@ fn both_plans_equal_the_model_on_random_bibliographies() {
             }
         },
     );
+}
+
+/// `plan` (a chain of one-input operators) with its scan leaf replaced.
+fn with_leaf(plan: &Plan, leaf: Plan) -> Plan {
+    let mut plan = plan.clone();
+    let mut at = &mut plan;
+    loop {
+        match at {
+            Plan::Rename { input, .. } | Plan::Rollup { input, .. } => at = &mut **input,
+            scan => {
+                *scan = leaf;
+                return plan;
+            }
+        }
+    }
+}
+
+#[test]
+fn repeated_stored_rows_group_like_a_document_that_repeats_the_articles() {
+    // The XQuery subset cannot put a predicate on the outer scan, so the
+    // scans that hand a grouping sink the same stored row more than once
+    // are built by hand — and the model answers for them on the document
+    // with the articles physically repeated the same way: `article[author]`
+    // with `PL=[$1*]` emits an article once per author (equal rows,
+    // adjacent), and a `Union` of two article scans emits every article
+    // twice (the second pass out of document order). The count query is
+    // the one to ask: a rollup counts per row, whereas the titles query's
+    // final `Project` merges several references to one stored article
+    // into one (physical.rs holds that plan to its tree-building twin).
+    check("repeated stored rows equal the model", 32, |g| {
+        let xml = bibliography(g, Shape::Plain);
+        let body = &xml["<bib>".len()..xml.len() - "</bib>".len()];
+        let articles: Vec<&str> = body.split_inclusive("</article>").collect();
+        let per_author: String = articles
+            .iter()
+            .map(|a| a.repeat(a.matches("<author>").count()))
+            .collect();
+        let twice = body.repeat(2);
+
+        let mut authored = PatternTree::with_root(Pred::tag("article"));
+        authored.add_child(authored.root(), Axis::Child, Pred::tag("author"));
+        let scan = |pattern: PatternTree| Plan::SelectProject {
+            sl: vec![pattern.root()],
+            pl: vec![ProjectItem::deep(pattern.root())],
+            pattern,
+        };
+        let every = PatternTree::with_root(Pred::tag("article"));
+        let cases = [
+            (scan(authored), format!("<bib>{per_author}</bib>")),
+            (
+                Plan::Union {
+                    inputs: vec![scan(every.clone()), scan(every)],
+                },
+                format!("<bib>{twice}</bib>"),
+            ),
+        ];
+        let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+        for threads in thread_matrix(&[1, 4]) {
+            db.set_threads(threads);
+            for (leaf, repeated) in &cases {
+                let (plan, _) = db.compile(QUERY_COUNT, PlanMode::GroupByRewrite).unwrap();
+                let result = db.run_plan(&with_leaf(&plan, leaf.clone()), true).unwrap();
+                assert_eq!(
+                    result.to_xml_on(db.store()).unwrap(),
+                    expected(repeated, QUERY_COUNT),
+                    "threads={threads} {leaf:?} on {xml}"
+                );
+                // The rows reached the sink as stored rows.
+                let mut m = result.metrics.as_ref().unwrap();
+                while m.shards.is_none() {
+                    m = &m.children[0];
+                }
+                let fed = m.children[0].out_kind;
+                assert!(fed.is_none() || fed == Some(OutKind::Stored), "{fed:?}");
+            }
+        }
+    });
 }
 
 #[test]
