@@ -56,9 +56,11 @@
 //! nonzero when a fast path stops beating the reference twin measured
 //! beside it in the same run (one-scan cube ≥ 1.5× the composed rollups,
 //! batch containment ≥ 1.3× the stack walk, symbol rollup ≥ 2× the
-//! replicated grouping) or when a commit's log bytes grow with the
-//! store (a count, not a time: 64 inserts of one document must each
-//! log the same bytes from the second on). Absolute times against an
+//! replicated grouping) or when one of two counts — not times — is off:
+//! a commit's log bytes grow with the store (64 inserts of one document
+//! must each log the same bytes from the second on), or the cold titles
+//! query on a pool of a quarter of the store reads more than 1.2× its
+//! heap pages. Absolute times against an
 //! earlier commit are the repo benchmark's job (`benchmark/`), not this
 //! command's.
 
@@ -213,8 +215,8 @@ fn measure_unfused(db: &TimberDb, query: &str) -> RunStats {
 
 /// The CI fast-path gate: tier-1 queries, serial and sharded,
 /// best-of-five, in calibration units. Returns `false` when a same-run
-/// ratio gate or the commit-log count gate fails (the caller exits
-/// nonzero).
+/// ratio gate or a count gate (commit log, cold output) fails (the
+/// caller exits nonzero).
 fn run_bench_smoke(articles: usize, on_disk: bool, analyze: bool, json_path: Option<&str>) -> bool {
     println!(
         "-- bench-smoke: same-run ratio gates ({articles} articles, best of 5, calibration-normalized) --"
@@ -508,7 +510,38 @@ fn run_bench_smoke(articles: usize, on_disk: bool, analyze: bool, json_path: Opt
     }
 
     let commit_ok = commit_log_gate();
-    cube_ok && kernel_ok && symbols_ok && commit_ok
+    let cold_ok = cold_output_gate(articles, on_disk);
+    cube_ok && kernel_ok && symbols_ok && commit_ok && cold_ok
+}
+
+/// Cold output gate: `QUERY_TITLES` on an emptied pool of a quarter of
+/// the store. The grouped plan asks for no page and output population
+/// reads each heap page once per chunk, whatever order the groups put
+/// the values in, so the query's physical reads stay within 1.2× the
+/// store's heap pages. Both numbers are counts that repeat exactly.
+fn cold_output_gate(articles: usize, on_disk: bool) -> bool {
+    let xml = datagen::DblpGenerator::new(datagen::DblpConfig::sized(articles)).generate_xml();
+    let load = |pool_pages: usize| {
+        let opts = xmlstore::StoreOptions {
+            on_disk,
+            ..xmlstore::StoreOptions::default()
+        };
+        TimberDb::load_xml(&xml, &opts.with_pool_pages(pool_pages)).expect("load cold-gate store")
+    };
+    let total = load(1).store().total_pages();
+    let db = load(total as usize / 4);
+    let heap_pages = u64::from(db.store().heap_pages());
+    let cold = measure(&db, QUERY_TITLES, PlanMode::GroupByRewrite);
+    let reads = cold.io.disk.reads;
+    println!(
+        "cold titles on a pool of {} of {total} pages: {reads} disk reads for {heap_pages} heap pages (gate: <= 1.2x)",
+        total / 4
+    );
+    let ok = reads * 5 <= heap_pages * 6;
+    if !ok {
+        println!("COLD OUTPUT GATE FAILED: output population reads heap pages more than once");
+    }
+    ok
 }
 
 /// O(delta) commit gate: insert one 100-article document 64 times into

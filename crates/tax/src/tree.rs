@@ -8,13 +8,15 @@
 //! identifiers, and data pages are touched only for the values an operator
 //! actually needs.
 //!
-//! Data population is one walk with two receivers: [`Tree::write_xml`]
-//! appends a tree's XML text to a `String`, [`Tree::materialize`] builds
-//! the DOM element of the same bytes. Constructed elements are reported
-//! from their symbols; a reference goes through the store's walk over
-//! its label columns ([`DocumentStore::emit_open`]) and takes the node's
-//! arena children before it closes. A data page is requested only for a
-//! stored value that is written.
+//! Data population is one walk, run twice per chunk of trees: to list
+//! the stored rows whose values it will write, then — after one batched
+//! read of them ([`DocumentStore::values`]) — to write them, as XML text
+//! ([`Tree::write_xml`], [`write_xml_lines`]) or as the DOM elements of
+//! the same bytes ([`Tree::materialize`], [`materialize_all`]).
+//! Constructed elements are reported from their symbols; a reference
+//! goes through the store's walk over its label columns
+//! ([`DocumentStore::emit_open`]) and takes the node's arena children
+//! before it closes. Only heap pages are requested, each once a chunk.
 //!
 //! Constructed nodes carry dictionary [`Sym`]s, not strings: tags like
 //! `TAX_group_root` and computed values are interned once into the
@@ -26,7 +28,8 @@
 use crate::error::Result;
 use crate::matching::vnode::VNode;
 use std::sync::atomic::{AtomicU64, Ordering};
-use xmlstore::{Dictionary, DocumentStore, NodeEntry, Sym};
+use xmlparse::{Element, ElementBuilder, XmlSink, XmlWriter};
+use xmlstore::{Dictionary, DocumentStore, NodeEntry, RowSink, RowWriter, Sym};
 
 /// A collection of data trees — what every TAX operator consumes and
 /// produces.
@@ -383,16 +386,10 @@ impl Tree {
         }
     }
 
-    /// The tag of an arena node. For references this reads the stored
-    /// record (one page access).
+    /// The tag of an arena node. For references this reads the columnar
+    /// label region — no page access.
     pub fn tag_of(&self, store: &DocumentStore, id: TreeNodeId) -> Result<String> {
-        match &self.nodes[id].kind {
-            TreeNodeKind::Elem { tag, .. } => Ok(store.dict().resolve(*tag).to_string()),
-            TreeNodeKind::Ref { node, .. } => {
-                let rec = store.record(node.id)?;
-                Ok(store.tag_name(rec.tag).to_string())
-            }
-        }
+        Ok(store.tag_name(self.tag_sym_of(store, id)).to_string())
     }
 
     /// The content of an arena node (a data-value look-up for references).
@@ -407,18 +404,9 @@ impl Tree {
 
     /// Materialize ("data population", Sec. 5.3) into a DOM element,
     /// expanding deep references through the store.
-    pub fn materialize(&self, store: &DocumentStore) -> Result<xmlparse::Element> {
-        self.materialize_node(store, self.root())
-    }
-
-    /// Materialize the subtree rooted at arena node `id`.
-    pub fn materialize_node(
-        &self,
-        store: &DocumentStore,
-        id: TreeNodeId,
-    ) -> Result<xmlparse::Element> {
-        let mut dom = xmlparse::ElementBuilder::new();
-        self.emit(store, id, &mut dom)?;
+    pub fn materialize(&self, store: &DocumentStore) -> Result<Element> {
+        let mut dom = ElementBuilder::new();
+        populate(store, std::slice::from_ref(self), &mut dom, |_| {})?;
         Ok(dom.finish())
     }
 
@@ -426,37 +414,88 @@ impl Tree {
     /// serializing [`materialize`](Self::materialize), with no DOM in
     /// between.
     pub fn write_xml(&self, store: &DocumentStore, out: &mut String) -> Result<()> {
-        self.emit(store, self.root(), &mut xmlparse::XmlWriter::new(out))
+        let one = std::slice::from_ref(self);
+        populate(store, one, &mut XmlWriter::new(out), |_| {})
     }
 
-    /// Report the subtree at arena node `id` to `sink`: a constructed
+    /// Report the subtree at arena node `id` to `out`: a constructed
     /// element from its symbols, a reference through the store's column
     /// walk (its stored subtree too when deep), then — inside either —
-    /// the node's arena children.
-    fn emit(
-        &self,
-        store: &DocumentStore,
-        id: TreeNodeId,
-        sink: &mut impl xmlparse::XmlSink,
-    ) -> Result<()> {
+    /// the node's arena children. Into a `Vec<NodeId>` this lists the
+    /// stored rows whose values it writes, into a [`RowWriter`] it writes.
+    fn emit(&self, store: &DocumentStore, id: TreeNodeId, out: &mut impl RowSink) -> Result<()> {
         let node = &self.nodes[id];
-        let name = match &node.kind {
+        match &node.kind {
             TreeNodeKind::Elem { tag, content } => {
-                let name = store.dict().resolve(*tag);
-                sink.open(&name);
+                out.open(*tag);
                 if let Some(c) = content {
-                    sink.text((&*store.dict().resolve(*c)).into());
+                    out.text(*c);
                 }
-                name
             }
-            TreeNodeKind::Ref { node: stored, deep } => store.emit_open(stored.id, *deep, sink)?,
-        };
-        for &c in &node.children {
-            self.emit(store, c, sink)?;
+            TreeNodeKind::Ref { node: stored, deep } => store.emit_open(stored.id, *deep, out)?,
         }
-        sink.close(&name);
+        for &c in &node.children {
+            self.emit(store, c, out)?;
+        }
+        out.close();
         Ok(())
     }
+}
+
+/// Stored values a chunk of output may have pending before they are
+/// fetched and written (it closes at the first tree boundary past this):
+/// memory is bounded by the chunk's row list and value arena, not by the
+/// result, and each chunk reads a heap page once however trees order it.
+const CHUNK_VALUES: usize = 1 << 16;
+
+/// Output population (Sec. 5.3) of `trees` into `sink`, a chunk at a
+/// time: list the stored rows whose values the chunk's trees write (the
+/// walk alone — no output, no page), fetch them in one batched read,
+/// then run the walk again over the fetched values, calling `after_each`
+/// when a tree is written. Both runs see the projection pinned here.
+fn populate<S: XmlSink>(
+    store: &DocumentStore,
+    trees: &[Tree],
+    sink: &mut S,
+    mut after_each: impl FnMut(&mut S),
+) -> Result<()> {
+    let store = &store.snapshot();
+    let mut rows = Vec::new();
+    let mut rest = trees;
+    while !rest.is_empty() {
+        rows.clear();
+        let mut listed = 0;
+        while listed < rest.len() && rows.len() < CHUNK_VALUES {
+            rest[listed].emit(store, rest[listed].root(), &mut rows)?;
+            listed += 1;
+        }
+        let fetched = store.values(&rows)?;
+        let mut values = fetched.iter();
+        let (chunk, after) = rest.split_at(listed);
+        for tree in chunk {
+            let mut out = RowWriter::new(store.dict(), &mut values, sink);
+            tree.emit(store, tree.root(), &mut out)?;
+            after_each(sink);
+        }
+        rest = after;
+    }
+    Ok(())
+}
+
+/// Append the XML text of `trees` to `out`, one tree per line.
+pub fn write_xml_lines(store: &DocumentStore, trees: &[Tree], out: &mut String) -> Result<()> {
+    populate(store, trees, &mut XmlWriter::new(out), |text| {
+        text.text("\n")
+    })
+}
+
+/// Materialize every tree of `trees` as a DOM element.
+pub fn materialize_all(store: &DocumentStore, trees: &[Tree]) -> Result<Vec<Element>> {
+    let mut out = Vec::with_capacity(trees.len());
+    populate(store, trees, &mut ElementBuilder::new(), |dom| {
+        out.push(std::mem::take(dom).finish())
+    })?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -570,11 +609,11 @@ mod tests {
         src.add_elem_with_content(d, x, "y", "v");
 
         let mut dst = Tree::new_elem(d, "d");
-        let copied = dst.append_subtree(dst.root(), &src, x);
+        dst.append_subtree(dst.root(), &src, x);
         assert_eq!(dst.len(), 3);
-        let elem = dst.materialize_node(&s, copied).unwrap();
-        assert_eq!(elem.name, "x");
-        assert_eq!(elem.child("y").unwrap().text(), "v");
+        let elem = dst.materialize(&s).unwrap();
+        let copied = elem.child("x").unwrap();
+        assert_eq!(copied.child("y").unwrap().text(), "v");
     }
 
     #[test]

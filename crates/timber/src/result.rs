@@ -35,24 +35,24 @@ impl QueryResult {
     }
 
     /// Materialize every output tree as a DOM element ("data
-    /// population").
+    /// population"), a chunk of trees at a time like
+    /// [`to_xml_on`](Self::to_xml_on).
     pub fn elements_on(&self, store: &DocumentStore) -> Result<Vec<xmlparse::Element>> {
-        self.trees
-            .iter()
-            .map(|t| t.materialize(store).map_err(Into::into))
-            .collect()
+        Ok(tax::tree::materialize_all(store, &self.trees)?)
     }
 
     /// Serialize the whole result, one tree per line, straight from the
     /// trees and the store — the bytes of [`elements_on`](Self::elements_on)
-    /// serialized, without building the elements. An error mid-way
-    /// returns no partial text.
+    /// serialized, without building the elements. Output population is
+    /// one pass per chunk of trees: the stored rows whose values the
+    /// chunk writes are listed from the label columns, their values
+    /// fetched in one batched read that asks for each distinct heap page
+    /// once, in page order, and then the text is written. A page that
+    /// cannot be read fails its chunk with the store's typed error, and
+    /// an error returns no partial text.
     pub fn to_xml_on(&self, store: &DocumentStore) -> Result<String> {
         let mut out = String::new();
-        for t in &self.trees {
-            t.write_xml(store, &mut out)?;
-            out.push('\n');
-        }
+        tax::tree::write_xml_lines(store, &self.trees, &mut out)?;
         Ok(out)
     }
 }

@@ -11,20 +11,18 @@
 
 use crate::dom::{Element, XmlNode};
 use crate::serialize::{push_attr, push_escaped_text};
-use std::borrow::Cow;
 
 /// Receiver of one element tree, in document order. A producer calls
 /// `attr` only between an element's `open` and its first `text` or
-/// child `open`, and closes every element it opens. Values arrive as
-/// `Cow`: a producer that read one into a fresh `String` hands it over,
-/// so a receiver that keeps values does not copy them again.
+/// child `open`, and closes every element it opens. Values are borrowed:
+/// producers read them in batches into an arena of their own.
 pub trait XmlSink {
     /// An element starts.
     fn open(&mut self, name: &str);
     /// An attribute of the element just opened.
-    fn attr(&mut self, name: &str, value: Cow<'_, str>);
+    fn attr(&mut self, name: &str, value: &str);
     /// Character data (unescaped) inside the innermost open element.
-    fn text(&mut self, text: Cow<'_, str>);
+    fn text(&mut self, text: &str);
     /// The innermost open element, called `name`, ends.
     fn close(&mut self, name: &str);
 }
@@ -61,13 +59,13 @@ impl XmlSink for XmlWriter<'_> {
         self.in_start_tag = true;
     }
 
-    fn attr(&mut self, name: &str, value: Cow<'_, str>) {
-        push_attr(self.out, name, &value);
+    fn attr(&mut self, name: &str, value: &str) {
+        push_attr(self.out, name, value);
     }
 
-    fn text(&mut self, text: Cow<'_, str>) {
+    fn text(&mut self, text: &str) {
         self.end_start_tag();
-        push_escaped_text(self.out, &text);
+        push_escaped_text(self.out, text);
     }
 
     fn close(&mut self, name: &str) {
@@ -109,15 +107,15 @@ impl XmlSink for ElementBuilder {
         self.open.push(Element::new(name));
     }
 
-    fn attr(&mut self, name: &str, value: Cow<'_, str>) {
+    fn attr(&mut self, name: &str, value: &str) {
         if let Some(e) = self.open.last_mut() {
-            e.attributes.push((name.to_owned(), value.into_owned()));
+            e.attributes.push((name.to_owned(), value.to_owned()));
         }
     }
 
-    fn text(&mut self, text: Cow<'_, str>) {
+    fn text(&mut self, text: &str) {
         if let Some(e) = self.open.last_mut() {
-            e.children.push(XmlNode::Text(text.into_owned()));
+            e.children.push(XmlNode::Text(text.to_owned()));
         }
     }
 
@@ -139,12 +137,12 @@ mod tests {
     fn replay(e: &Element, sink: &mut impl XmlSink) {
         sink.open(&e.name);
         for (n, v) in &e.attributes {
-            sink.attr(n, Cow::Borrowed(v));
+            sink.attr(n, v);
         }
         for c in &e.children {
             match c {
                 XmlNode::Element(c) => replay(c, sink),
-                XmlNode::Text(t) => sink.text(Cow::Borrowed(t)),
+                XmlNode::Text(t) => sink.text(t),
                 XmlNode::Comment(_) => {}
             }
         }

@@ -36,16 +36,19 @@
 //! other decision lives behind one child module: `meta` (the durable
 //! metadata, its checkpoint snapshot and commit delta codecs), `loader`
 //! (document → records and pages), `projection` (the published view,
-//! how an edit extends it, snapshot pins, limbo),
+//! how an edit extends it, snapshot pins, limbo), `output` (the batched
+//! value read and the walk that lists and writes a stored subtree),
 //! `commit` (the one write transaction, its two page-write strategies,
 //! the allocator, checkpoint) and `reopen` (recovery glue).
 
 mod commit;
 mod loader;
 mod meta;
+mod output;
 mod projection;
 mod reopen;
 
+pub use output::{RowSink, RowWriter};
 pub use projection::{Entries, EntriesIter};
 pub use reopen::RecoveryInfo;
 
@@ -55,7 +58,6 @@ use crate::columns::NodeColumns;
 use crate::dict::{Dictionary, Sym};
 use crate::error::Result;
 use crate::fault::{FaultConfig, FaultInjector, FaultStats};
-use crate::heap::read_content_via;
 use crate::index::NodeEntry;
 use crate::node::{
     node_location, ContentPtr, NodeId, NodeKind, NodeRecord, NO_PARENT, RECORD_SIZE,
@@ -69,7 +71,6 @@ use projection::Projection;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
-use xmlparse::XmlSink;
 
 /// The reserved tag of the synthetic document root.
 pub const DOC_ROOT_TAG: &str = "doc_root";
@@ -223,13 +224,6 @@ impl StoreShared {
     /// Run `f` over the data region of page `pid` via the pool.
     fn with_page<R>(&self, pid: PageId, f: impl FnOnce(&[u8; PAGE_DATA_SIZE]) -> R) -> Result<R> {
         self.pool().with_page(pid, f)
-    }
-
-    /// Read heap content; a value that spans pages takes the pool lock
-    /// one page at a time. The pointer is already globalized (absolute
-    /// page ids).
-    fn read_heap(&self, ptr: ContentPtr) -> Result<String> {
-        read_content_via(|pid, f| self.with_page(pid, |p| f(p)), 0, ptr)
     }
 }
 
@@ -398,6 +392,12 @@ impl DocumentStore {
         self.shared.disk.num_pages()
     }
 
+    /// Pages that hold values (the heap runs of this handle's documents);
+    /// the rest of the file is node records and freed pages.
+    pub fn heap_pages(&self) -> u32 {
+        self.proj().docs.iter().map(|d| d.heap_pages).sum()
+    }
+
     /// Store size in bytes.
     pub fn size_bytes(&self) -> u64 {
         self.total_pages() as u64 * PAGE_SIZE as u64
@@ -462,7 +462,7 @@ impl DocumentStore {
         self.proj().value_index.is_some()
     }
 
-    // ---- record / content access (goes through the buffer pool) -------
+    // ---- record access (goes through the buffer pool) ------------------
 
     /// Fetch the full record of `id` against one pinned projection.
     fn record_in(&self, proj: &Projection, id: NodeId) -> Result<NodeRecord> {
@@ -488,31 +488,19 @@ impl DocumentStore {
     }
 
     /// Fetch the full record of `id` (one node-page access; the
-    /// synthetic root is materialized from metadata for free).
+    /// synthetic root is materialized from metadata for free). Queries
+    /// read columns and value locations instead; the matcher's scan
+    /// baseline pays this read on purpose.
     pub fn record(&self, id: NodeId) -> Result<NodeRecord> {
         self.record_in(&self.proj(), id)
     }
 
-    /// The index-style entry of `id` (via its record).
+    /// The index-style entry of `id`, from the label columns — no page
+    /// access.
     pub fn entry(&self, id: NodeId) -> Result<NodeEntry> {
-        let rec = self.record(id)?;
-        Ok(NodeEntry {
-            id,
-            start: rec.start,
-            end: rec.end,
-            level: rec.level,
-        })
-    }
-
-    /// Character content of `id`: `Some` for attributes, text nodes, and
-    /// text-only elements; `None` otherwise. This is the "data value
-    /// look-up" of Sec. 5.3 and touches heap pages.
-    pub fn content(&self, id: NodeId) -> Result<Option<String>> {
-        let rec = self.record(id)?;
-        if !rec.content.is_some() {
-            return Ok(None);
-        }
-        Ok(Some(self.shared.read_heap(rec.content)?))
+        let proj = self.proj();
+        proj.check(id)?;
+        Ok(proj.columns.entry(id))
     }
 
     /// Parent node id (None for the root).
@@ -540,103 +528,6 @@ impl DocumentStore {
         proj.check(id)?;
         let below = proj.columns.descendant_ids(id).map(NodeId);
         Ok(std::iter::once(id).chain(below).collect())
-    }
-
-    // ---- data population (Sec. 5.3) -------------------------------------
-
-    /// Report stored node `id` to `sink` and leave it open: its tag, its
-    /// attribute run, its merged content and, when `deep`, every
-    /// descendant (`#text` rows as text, elements nested and closed by
-    /// their `end` labels). The caller may add children of its own and
-    /// then closes the element under the returned name.
-    ///
-    /// Structure comes from the label columns of one pinned projection;
-    /// a data page is requested only for a value that is reported — one
-    /// record and one heap read per row whose content column is set.
-    pub fn emit_open(&self, id: NodeId, deep: bool, sink: &mut impl XmlSink) -> Result<Arc<str>> {
-        let proj = self.proj();
-        proj.check(id)?;
-        let cols = &*proj.columns;
-        let (name, mut j) = self.emit_start(&proj, id, sink)?;
-        if !deep {
-            return Ok(name);
-        }
-        // Rows are in document order, so the subtree is the run of rows
-        // starting before the root's end.
-        let stop = cols.end[id.0 as usize];
-        let mut open: Vec<(u32, Arc<str>)> = Vec::new();
-        while (j as usize) < cols.len() && cols.start[j as usize] < stop {
-            let row = j as usize;
-            while let Some((end, done)) = open.last() {
-                if *end > cols.start[row] {
-                    break;
-                }
-                sink.close(done);
-                open.pop();
-            }
-            if cols.kind[row] == NodeKind::Text {
-                sink.text(self.value_in(&proj, NodeId(j))?.unwrap_or_default().into());
-                j += 1;
-            } else {
-                let (child, next) = self.emit_start(&proj, NodeId(j), sink)?;
-                open.push((cols.end[row], child));
-                j = next;
-            }
-        }
-        for (_, done) in open.iter().rev() {
-            sink.close(done);
-        }
-        Ok(name)
-    }
-
-    /// The start of element row `id`: tag, attribute run, merged content.
-    /// Returns its name and the first row after the attribute run.
-    fn emit_start(
-        &self,
-        proj: &Projection,
-        id: NodeId,
-        sink: &mut impl XmlSink,
-    ) -> Result<(Arc<str>, u32)> {
-        let cols = &*proj.columns;
-        let tags = &self.shared.tags;
-        let name = tags.resolve(Sym(cols.tag[id.0 as usize]));
-        sink.open(&name);
-        let attrs = cols.attr_ids(id);
-        for a in attrs.clone() {
-            let attr = tags.resolve(Sym(cols.tag[a as usize]));
-            let value = self.value_in(proj, NodeId(a))?.unwrap_or_default();
-            sink.attr(attr.trim_start_matches('@'), value.into());
-        }
-        // Element content, and an attribute or text node reported on its
-        // own, all surface as character data.
-        if let Some(text) = self.value_in(proj, id)? {
-            sink.text(text.into());
-        }
-        Ok((name, attrs.end))
-    }
-
-    /// The value of row `id` when its content column is set: one record
-    /// read for the heap pointer, one heap read for the bytes.
-    fn value_in(&self, proj: &Projection, id: NodeId) -> Result<Option<String>> {
-        if proj.columns.content_sym(id).is_none() {
-            return Ok(None);
-        }
-        let rec = self.record_in(proj, id)?;
-        if !rec.content.is_some() {
-            return Ok(None);
-        }
-        Ok(Some(self.shared.read_heap(rec.content)?))
-    }
-
-    /// Rebuild the DOM element for the subtree rooted at `id` — the "data
-    /// population" step of Sec. 5.3. Attribute children become attributes,
-    /// `#text` children become text nodes, merged content becomes a text
-    /// child. The whole subtree materializes against one projection.
-    pub fn materialize(&self, id: NodeId) -> Result<xmlparse::Element> {
-        let mut dom = xmlparse::ElementBuilder::new();
-        let name = self.emit_open(id, true, &mut dom)?;
-        dom.close(&name);
-        Ok(dom.finish())
     }
 
     // ---- statistics ----------------------------------------------------
@@ -824,7 +715,8 @@ mod tests {
         // Index access alone: no page requests.
         assert_eq!(s.io_stats().page_requests(), 0);
         let _ = s.content(t.id).unwrap();
-        assert!(s.io_stats().page_requests() >= 2); // node page + heap page
+        // The heap page alone: the value's location is not on a page.
+        assert_eq!(s.io_stats().page_requests(), 1);
     }
 
     #[test]

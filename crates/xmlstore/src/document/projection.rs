@@ -12,7 +12,7 @@ use crate::columns::NodeColumns;
 use crate::dict::{Sym, NO_SYM};
 use crate::error::{Result, StoreError};
 use crate::index::{Cut, NodeEntry, TagIndex, ValueIndex};
-use crate::node::{NodeId, NodeKind, NodeRecord, NO_PARENT};
+use crate::node::{ContentPtr, NodeId, NodeKind, NodeRecord, NO_PARENT};
 use std::ops::Deref;
 use std::sync::atomic::{self, Ordering};
 use std::sync::Arc;
@@ -49,6 +49,11 @@ pub(super) struct Projection {
     id_bases: Vec<u32>,
     /// Global `(start, end)` label offset of each document.
     label_offsets: Vec<u32>,
+    /// Where each document's values lie: one heap location per local row
+    /// (null where the row has no content), page ids absolute. An array
+    /// never changes once built, so every later epoch that still holds
+    /// the document shares it by refcount.
+    value_locs: Vec<Arc<[ContentPtr]>>,
     pub node_count: u32,
     pub root_end: u32,
 }
@@ -71,6 +76,15 @@ impl Projection {
         (k, NodeId(id.0 - self.id_bases[k]))
     }
 
+    /// Where the value of row `id` lies; null for a row without content.
+    pub(super) fn value_loc(&self, id: NodeId) -> ContentPtr {
+        if id.0 == 0 {
+            return ContentPtr::NULL;
+        }
+        let (k, local) = self.locate(id);
+        self.value_locs[k][local.0 as usize]
+    }
+
     /// Project a stored (local) record into the global id/label space.
     pub(super) fn globalize(&self, k: usize, rec: &mut NodeRecord) {
         rec.start += self.label_offsets[k];
@@ -80,9 +94,7 @@ impl Projection {
         } else {
             rec.parent + self.id_bases[k]
         };
-        if rec.content.is_some() {
-            rec.content.page += self.docs[k].heap_base;
-        }
+        rec.content = rec.content.at(self.docs[k].heap_base);
     }
 
     /// The view of a store without documents — the synthetic root alone —
@@ -100,14 +112,16 @@ impl Projection {
             docs: Vec::new(),
             id_bases: Vec::new(),
             label_offsets: Vec::new(),
+            value_locs: Vec::new(),
             node_count: 1,
             root_end: 1,
         }
     }
 
     /// Append one document at the end of the id and label spaces: its
-    /// rows go onto the six columns and the tag (and value) lists. The
-    /// caller fits the root afterwards.
+    /// rows go onto the six columns and the tag (and value) lists, its
+    /// content pointers into a location array of its own. The caller
+    /// fits the root afterwards.
     fn push_doc(&mut self, doc: DocRows<'_>) {
         let (id_base, label_offset) = (self.node_count, self.root_end);
         // Unshared while a projection is being built.
@@ -125,6 +139,9 @@ impl Projection {
                 values.insert(r.tag, Sym(content), entry);
             }
         }
+        let heap_base = doc.meta.heap_base;
+        let locs = doc.records.iter().map(|r| r.content.at(heap_base));
+        self.value_locs.push(locs.collect());
         self.docs.push(doc.meta);
         self.id_bases.push(id_base);
         self.label_offsets.push(label_offset);
@@ -169,10 +186,12 @@ impl Projection {
         let cut_rows = cut.ids.end - cut.ids.start;
         let mut docs = self.docs.clone();
         let (mut id_bases, mut label_offsets) = (self.id_bases.clone(), self.label_offsets.clone());
+        let mut value_locs = self.value_locs.clone();
         if let Some(k) = remove {
             docs.remove(k);
             id_bases.remove(k);
             label_offsets.remove(k);
+            value_locs.remove(k);
             for (base, offset) in id_bases.iter_mut().zip(&mut label_offsets).skip(k) {
                 *base -= cut_rows;
                 *offset -= cut.span;
@@ -186,6 +205,7 @@ impl Projection {
             docs,
             id_bases,
             label_offsets,
+            value_locs,
             node_count: self.node_count - cut_rows,
             root_end: self.root_end - cut.span,
         };
@@ -212,6 +232,7 @@ pub(super) fn build_projection(
     proj.docs.reserve(docs.len());
     proj.id_bases.reserve(docs.len());
     proj.label_offsets.reserve(docs.len());
+    proj.value_locs.reserve(docs.len());
     for meta in docs {
         let (records, content_syms) = rows(meta)?;
         proj.push_doc(DocRows {
@@ -425,7 +446,7 @@ pub(super) fn reclaim_limbo(w: &mut WriterState) {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{store, SAMPLE};
+    use super::super::test_support::{durable_opts, store, temp_paths, SAMPLE};
     use super::super::{DocId, DocumentStore, StoreOptions};
     use super::*;
     use smallrand::prop::{check, Gen};
@@ -534,6 +555,7 @@ mod tests {
         assert_eq!(got.docs, want.docs);
         assert_eq!(got.id_bases, want.id_bases);
         assert_eq!(got.label_offsets, want.label_offsets);
+        assert_eq!(got.value_locs, want.value_locs, "value locations");
         assert_eq!(
             (got.node_count, got.root_end),
             (want.node_count, want.root_end)
@@ -616,11 +638,24 @@ mod tests {
                     let before = served(&pin);
                     pinned = Some((pin, before));
                 }
+                let before = s.shared.current();
                 random_edit(g, &s);
 
                 let published = s.shared.current();
                 let scratch = from_scratch(&s, &published);
                 assert_same_view(&published, &scratch, s.dict().len() as u32);
+                // A document that outlives the edit keeps its location
+                // array, not a copy of it.
+                for (doc, locs) in published.docs.iter().zip(&published.value_locs) {
+                    if let Some(k) = before.docs.iter().position(|d| d.doc_id == doc.doc_id) {
+                        assert!(Arc::ptr_eq(locs, &before.value_locs[k]));
+                    }
+                }
+                // A location is null exactly where the content column is.
+                for id in (0..published.node_count).map(NodeId) {
+                    let has = published.columns.content_sym(id).is_some();
+                    assert_eq!(published.value_loc(id).is_some(), has, "row {id:?}");
+                }
                 // The id bases, through the read path: a sampled node's
                 // record and parent resolve the same under both.
                 for _ in 0..4.min(published.node_count - 1) {
@@ -648,6 +683,29 @@ mod tests {
             // then, whatever was deleted or written over since.
             let (pin, before) = pinned.unwrap();
             assert_eq!(served(&pin), before);
+        });
+    }
+
+    #[test]
+    fn a_reopened_store_publishes_what_the_edits_built() {
+        check("open == the chain of edits", 8, |g| {
+            let (page, wal) = temp_paths("reopen_view");
+            let opts = durable_opts(&page);
+            let (built, bytes) = {
+                let s = DocumentStore::create(&opts).unwrap();
+                for _ in 0..g.usize_in(2, 10) {
+                    random_edit(g, &s);
+                    if g.ratio(1, 4) {
+                        s.checkpoint().unwrap();
+                    }
+                }
+                (s.shared.current(), served(&s))
+            };
+            let s = DocumentStore::open(&opts).unwrap();
+            assert_same_view(&s.shared.current(), &built, s.dict().len() as u32);
+            assert_eq!(served(&s), bytes);
+            let _ = std::fs::remove_file(&page);
+            let _ = std::fs::remove_file(&wal);
         });
     }
 
@@ -696,6 +754,12 @@ mod tests {
             columns.end[row] += cut.span;
         }
         assert!(differs(&bad), "unshifted labels pass");
+
+        // The location arrays of the two documents left, taken for each
+        // other's.
+        let mut bad = copy();
+        bad.value_locs.swap(0, 1);
+        assert!(differs(&bad), "misplaced value locations pass");
 
         // The synthetic root still ending where it did before the cut.
         let mut bad = copy();

@@ -8,8 +8,8 @@ use super::projection::build_projection;
 use super::{wal_path_for, DocumentStore, StoreOptions};
 use crate::dict::{Dictionary, NO_SYM};
 use crate::error::{Result, StoreError};
-use crate::heap::read_content_via;
-use crate::node::{node_location, NodeId, NodeRecord, RECORD_SIZE};
+use crate::heap::read_values;
+use crate::node::{ContentPtr, NodeRecord, RECORDS_PER_PAGE, RECORD_SIZE};
 use crate::page::PageId;
 use crate::storage::SharedDisk;
 use crate::wal::{self, Wal, WalHandle};
@@ -96,33 +96,29 @@ impl DocumentStore {
     }
 
     /// One document's records and content symbols, read back from its
-    /// pages (inserts take them from the loader instead).
+    /// pages (inserts take them from the loader instead): a node page is
+    /// decoded per request, and the contents come through one batched
+    /// read, each heap page asked for once.
     pub(super) fn read_rows(&self, d: &DocMeta) -> Result<(Vec<NodeRecord>, Vec<u32>)> {
         let mut records = Vec::with_capacity(d.node_count as usize);
-        for local in 0..d.node_count {
-            let (page, slot) = node_location(d.node_base, NodeId(local));
-            let rec = self.shared.with_page(PageId(page), |p| {
-                NodeRecord::decode(&p[slot..slot + RECORD_SIZE])
+        for page in d.node_base..d.node_base + d.node_pages {
+            let on_page = (d.node_count as usize - records.len()).min(RECORDS_PER_PAGE);
+            self.shared.with_page(PageId(page), |p| {
+                let slots = p.chunks_exact(RECORD_SIZE).take(on_page);
+                records.extend(slots.map(NodeRecord::decode));
             })?;
-            records.push(rec);
         }
         // Re-intern every stored content string so the columnar region
         // carries the same symbols the writing session used — the names
         // are already in the recovered dictionary, so these lookups hit
         // existing entries.
-        let mut content_syms = Vec::with_capacity(records.len());
-        for rec in &records {
-            content_syms.push(if rec.content.is_some() {
-                let s = read_content_via(
-                    |pid, f| self.shared.with_page(pid, |p| f(p)),
-                    d.heap_base,
-                    rec.content,
-                )?;
-                self.shared.tags.intern(&s).0
-            } else {
-                NO_SYM
-            });
-        }
+        let locs: Vec<ContentPtr> = records.iter().map(|r| r.content.at(d.heap_base)).collect();
+        let contents = read_values(|pid, f| self.shared.with_page(pid, |p| f(p)), &locs)?;
+        let tags = &self.shared.tags;
+        let content_syms = contents
+            .iter()
+            .map(|c| c.map_or(NO_SYM, |s| tags.intern(s).0))
+            .collect();
         Ok((records, content_syms))
     }
 

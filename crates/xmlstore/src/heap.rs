@@ -7,7 +7,6 @@
 //! fresh page. All offsets are relative to the page *data region* — the
 //! checksum header is invisible at this layer.
 
-use crate::buffer::BufferPool;
 use crate::error::{Result, StoreError};
 use crate::node::ContentPtr;
 use crate::page::{PageId, PAGE_DATA_SIZE, PAGE_SIZE};
@@ -82,54 +81,144 @@ impl HeapBuilder {
     }
 }
 
-/// Read the content at `ptr`, fetching each page through `with_page`.
-/// `heap_base` is the page id where heap page 0 was placed in the store
-/// file. Generic over the page accessor so the store can hand out one
-/// page at a time from behind its pool lock.
-pub fn read_content_via<F>(mut with_page: F, heap_base: u32, ptr: ContentPtr) -> Result<String>
+/// The values of one batched read, in request order: one arena and the
+/// end of each value in it.
+#[derive(Debug, Default)]
+pub struct Values {
+    arena: String,
+    ends: Vec<usize>,
+}
+
+impl Values {
+    /// Number of values asked for.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether nothing was asked for.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Value `i` of the request; `None` where there is no content.
+    pub fn get(&self, i: usize) -> Option<&str> {
+        let start = i.checked_sub(1).map_or(0, |before| self.ends[before]);
+        let value = &self.arena[start..self.ends[i]];
+        (!value.is_empty()).then_some(value)
+    }
+
+    /// The values in request order.
+    pub fn iter(&self) -> impl Iterator<Item = Option<&str>> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
+
+/// Read the contents at `ptrs` (page ids absolute; a null pointer reads
+/// as no content), fetching each page through `with_page`. Pages are
+/// asked for in ascending order and each distinct page once: every
+/// slice a page holds is copied while it is held, and a value that runs
+/// past its page is carried into the next. Generic over the page
+/// accessor so the store can hand out one page at a time from behind
+/// its pool lock.
+pub fn read_values<F>(mut with_page: F, ptrs: &[ContentPtr]) -> Result<Values>
 where
     F: FnMut(PageId, &mut dyn FnMut(&[u8; PAGE_DATA_SIZE])) -> Result<()>,
 {
-    if !ptr.is_some() {
-        return Ok(String::new());
+    let mut ends = Vec::with_capacity(ptrs.len());
+    let mut total = 0usize;
+    for p in ptrs {
+        if p.off as usize >= PAGE_DATA_SIZE {
+            return Err(StoreError::CorruptContent { page: p.page });
+        }
+        total += p.len as usize;
+        ends.push(total);
     }
-    let mut out = Vec::with_capacity(ptr.len as usize);
-    let first_page = heap_base + ptr.page;
-    let mut page = first_page;
-    let mut off = ptr.off as usize;
-    let mut remaining = ptr.len as usize;
-    while remaining > 0 {
-        let take = remaining.min(PAGE_DATA_SIZE - off);
-        with_page(PageId(page), &mut |p| {
-            out.extend_from_slice(&p[off..off + take]);
+    let mut arena = vec![0u8; total];
+    // The requests with bytes to read, by the page they start on.
+    let mut order: Vec<(u32, usize)> = (ptrs.iter().map(|p| p.page).zip(0..))
+        .filter(|&(_, i)| ptrs[i].is_some())
+        .collect();
+    order.sort_unstable();
+    // Values that began on an earlier page: where their next byte goes
+    // and how many are still to come.
+    let mut carry: Vec<(usize, usize)> = Vec::new();
+    let mut page = 0;
+    let mut done = 0;
+    while done < order.len() || !carry.is_empty() {
+        page = if carry.is_empty() {
+            order[done].0
+        } else {
+            page + 1
+        };
+        let here = order[done..]
+            .iter()
+            .take_while(|&&(on, _)| on == page)
+            .count();
+        with_page(PageId(page), &mut |data| {
+            carry.retain_mut(|(at, left)| {
+                let take = (*left).min(PAGE_DATA_SIZE);
+                arena[*at..*at + take].copy_from_slice(&data[..take]);
+                *at += take;
+                *left -= take;
+                *left > 0
+            });
+            for &(_, i) in &order[done..done + here] {
+                let (off, len) = (ptrs[i].off as usize, ptrs[i].len as usize);
+                let at = ends[i] - len;
+                let take = len.min(PAGE_DATA_SIZE - off);
+                arena[at..at + take].copy_from_slice(&data[off..off + take]);
+                if take < len {
+                    carry.push((at + take, len - take));
+                }
+            }
         })?;
-        remaining -= take;
-        page += 1;
-        off = 0;
+        done += here;
     }
-    // The loader only stores valid UTF-8, so a decode failure means the
-    // pointer is stale or the page was damaged in a way the checksum
-    // could not see (e.g. corrupted in memory after verification).
-    String::from_utf8(out).map_err(|_| StoreError::CorruptContent { page: first_page })
-}
-
-/// Read the content at `ptr` through a single buffer pool.
-pub fn read_content(pool: &mut BufferPool, heap_base: u32, ptr: ContentPtr) -> Result<String> {
-    read_content_via(|pid, f| pool.with_page(pid, |p| f(p)), heap_base, ptr)
+    // The loader only stores valid UTF-8, so a value that does not
+    // decode on its own means a pointer is stale or a page was damaged in
+    // a way the checksum could not see (e.g. in memory, once verified).
+    let damaged = |bytes: &[u8]| {
+        let alone = |p: &ContentPtr, end: usize| &bytes[end - p.len as usize..end];
+        let mut values = ptrs.iter().zip(&ends);
+        let bad = values.find(|&(p, &end)| std::str::from_utf8(alone(p, end)).is_err());
+        StoreError::CorruptContent {
+            page: bad.map_or(0, |(p, _)| p.page),
+        }
+    };
+    let arena = String::from_utf8(arena).map_err(|e| damaged(e.as_bytes()))?;
+    if !ends.iter().all(|&e| arena.is_char_boundary(e)) {
+        return Err(damaged(arena.as_bytes()));
+    }
+    Ok(Values { arena, ends })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::BufferPool;
     use crate::storage::DiskManager;
 
-    fn pool_from_heap(builder: HeapBuilder) -> (BufferPool, u32) {
+    /// A pool over the builder's pages, placed after `before` others.
+    fn pool_from_heap(builder: HeapBuilder, before: u32) -> BufferPool {
         let mut disk = DiskManager::in_memory();
+        for _ in 0..before {
+            disk.allocate().unwrap();
+        }
         for page in builder.into_pages() {
             let pid = disk.allocate().unwrap();
             disk.write_page(pid, &page).unwrap();
         }
-        (BufferPool::new(disk, 6).unwrap(), 0)
+        BufferPool::new(disk, 6).unwrap()
+    }
+
+    fn read_all(pool: &mut BufferPool, ptrs: &[ContentPtr]) -> Result<Vec<Option<String>>> {
+        let values = read_values(|pid, f| pool.with_page(pid, |p| f(p)), ptrs)?;
+        assert_eq!(values.len(), ptrs.len());
+        Ok(values.iter().map(|v| v.map(str::to_owned)).collect())
+    }
+
+    fn read_one(pool: &mut BufferPool, ptr: ContentPtr) -> Result<Option<String>> {
+        Ok(read_all(pool, &[ptr])?.remove(0))
     }
 
     #[test]
@@ -138,6 +227,10 @@ mod tests {
         let ptr = h.append("").unwrap();
         assert!(!ptr.is_some());
         assert_eq!(h.num_pages(), 0);
+        let mut pool = pool_from_heap(h, 1);
+        assert_eq!(read_one(&mut pool, ptr).unwrap(), None);
+        assert!(read_all(&mut pool, &[]).unwrap().is_empty());
+        assert_eq!(pool.stats().hits + pool.stats().misses, 0);
     }
 
     #[test]
@@ -146,9 +239,9 @@ mod tests {
         let a = h.append("hello").unwrap();
         let b = h.append("world!").unwrap();
         assert_eq!(h.num_pages(), 1);
-        let (mut pool, base) = pool_from_heap(h);
-        assert_eq!(read_content(&mut pool, base, a).unwrap(), "hello");
-        assert_eq!(read_content(&mut pool, base, b).unwrap(), "world!");
+        let mut pool = pool_from_heap(h, 0);
+        assert_eq!(read_one(&mut pool, a).unwrap().as_deref(), Some("hello"));
+        assert_eq!(read_one(&mut pool, b).unwrap().as_deref(), Some("world!"));
     }
 
     #[test]
@@ -159,8 +252,8 @@ mod tests {
         let long = "ab".repeat(PAGE_DATA_SIZE); // 2 pages worth
         let ptr = h.append(&long).unwrap();
         assert!(h.num_pages() >= 3);
-        let (mut pool, base) = pool_from_heap(h);
-        assert_eq!(read_content(&mut pool, base, ptr).unwrap(), long);
+        let mut pool = pool_from_heap(h, 0);
+        assert_eq!(read_one(&mut pool, ptr).unwrap(), Some(long));
     }
 
     #[test]
@@ -169,9 +262,9 @@ mod tests {
         let v = "y".repeat(PAGE_DATA_SIZE);
         let ptr = h.append(&v).unwrap();
         let w = h.append("tail").unwrap();
-        let (mut pool, base) = pool_from_heap(h);
-        assert_eq!(read_content(&mut pool, base, ptr).unwrap(), v);
-        assert_eq!(read_content(&mut pool, base, w).unwrap(), "tail");
+        let mut pool = pool_from_heap(h, 0);
+        assert_eq!(read_one(&mut pool, ptr).unwrap(), Some(v));
+        assert_eq!(read_one(&mut pool, w).unwrap().as_deref(), Some("tail"));
     }
 
     #[test]
@@ -179,24 +272,37 @@ mod tests {
         let mut h = HeapBuilder::new();
         let v = "Données ↦ schön 東京".to_owned();
         let ptr = h.append(&v).unwrap();
-        let (mut pool, base) = pool_from_heap(h);
-        assert_eq!(read_content(&mut pool, base, ptr).unwrap(), v);
+        let mut pool = pool_from_heap(h, 0);
+        assert_eq!(read_one(&mut pool, ptr).unwrap(), Some(v));
     }
 
     #[test]
-    fn heap_base_offset_respected() {
-        // Place the heap after two unrelated pages.
+    fn a_batch_asks_for_each_page_once_in_request_order() {
+        // Page 0: a, b, and the head of `long`; pages 1–2: its run;
+        // page 2 also holds `tail`. The heap sits after two other pages.
         let mut h = HeapBuilder::new();
-        let ptr = h.append("offset test").unwrap();
-        let mut disk = DiskManager::in_memory();
-        disk.allocate().unwrap();
-        disk.allocate().unwrap();
-        for page in h.into_pages() {
-            let pid = disk.allocate().unwrap();
-            disk.write_page(pid, &page).unwrap();
+        let a = h.append("alpha").unwrap();
+        let b = h.append("beta").unwrap();
+        let long = "né".repeat(PAGE_DATA_SIZE * 2 / 3);
+        let l = h.append(&long).unwrap();
+        let t = h.append("tail").unwrap();
+        assert_eq!((h.num_pages(), l.page, t.page), (3, 0, 2));
+        let mut pool = pool_from_heap(h, 2);
+        let ptrs: Vec<ContentPtr> = [t, ContentPtr::NULL, l, a, l, b, a]
+            .iter()
+            .map(|p| p.at(2))
+            .collect();
+        let got = read_all(&mut pool, &ptrs).unwrap();
+        let want = ["tail", "", &long, "alpha", &long, "beta", "alpha"];
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.as_deref().unwrap_or(""), w);
         }
-        let mut pool = BufferPool::new(disk, 4).unwrap();
-        assert_eq!(read_content(&mut pool, 2, ptr).unwrap(), "offset test");
+        assert_eq!(got[1], None);
+        // Three distinct pages, three requests — the two copies of the
+        // spanning value and `tail` share the visits to pages 3 and 4.
+        assert_eq!(pool.stats().hits + pool.stats().misses, 3);
+        // A value alone still reads its whole run.
+        assert_eq!(read_one(&mut pool, l.at(2)).unwrap(), Some(long));
     }
 
     #[test]
@@ -207,16 +313,27 @@ mod tests {
         let mut raw = [0u8; PAGE_SIZE];
         raw[PAGE_SIZE - PAGE_DATA_SIZE] = 0xFF; // lone continuation byte
         raw[PAGE_SIZE - PAGE_DATA_SIZE + 1] = 0xFE;
+        raw[PAGE_SIZE - PAGE_DATA_SIZE + 2] = b'a';
+        raw[PAGE_SIZE - PAGE_DATA_SIZE + 3..][..2].copy_from_slice("é".as_bytes());
         disk.write_page(pid, &raw).unwrap();
         let mut pool = BufferPool::new(disk, 2).unwrap();
-        let ptr = ContentPtr {
-            page: 0,
-            off: 0,
-            len: 2,
-        };
-        match read_content(&mut pool, 0, ptr) {
+        let at = |off, len| ContentPtr { page: 0, off, len };
+        match read_one(&mut pool, at(0, 2)) {
             Err(StoreError::CorruptContent { page: 0 }) => {}
             other => panic!("expected CorruptContent, got {other:?}"),
+        }
+        // A pointer that ends inside a character, and an offset no page
+        // has.
+        assert_eq!(
+            read_one(&mut pool, at(2, 3)).unwrap().as_deref(),
+            Some("aé")
+        );
+        // The two halves of one character decode together, not apart.
+        for bad in [at(2, 2), at(PAGE_DATA_SIZE as u16, 1), at(4, 1)] {
+            match read_all(&mut pool, &[at(2, 2), bad]) {
+                Err(StoreError::CorruptContent { page: 0 }) => {}
+                other => panic!("expected CorruptContent, got {other:?}"),
+            }
         }
     }
 }

@@ -75,11 +75,12 @@ pub use catalog::TagId;
 pub use columns::NodeColumns;
 pub use dict::{Dictionary, Sym, NO_SYM};
 pub use document::{
-    wal_path_for, DocId, DocumentStore, Entries, EntriesIter, IoStats, RecoveryInfo, StoreOptions,
-    DOC_ROOT_TAG,
+    wal_path_for, DocId, DocumentStore, Entries, EntriesIter, IoStats, RecoveryInfo, RowSink,
+    RowWriter, StoreOptions, DOC_ROOT_TAG,
 };
 pub use error::{Result, StoreError};
 pub use fault::{FaultConfig, FaultInjector, FaultStats, LogFault};
+pub use heap::Values;
 pub use index::NodeEntry;
 pub use kernels::SelVec;
 pub use node::{NodeId, NodeKind, NodeRecord};

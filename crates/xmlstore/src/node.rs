@@ -82,6 +82,15 @@ impl ContentPtr {
     pub fn is_some(&self) -> bool {
         self.len > 0
     }
+
+    /// This pointer, stored relative to its document's heap run, with
+    /// its page counted from the start of the file instead.
+    pub fn at(mut self, heap_base: u32) -> ContentPtr {
+        if self.is_some() {
+            self.page += heap_base;
+        }
+        self
+    }
 }
 
 /// One stored node.

@@ -133,9 +133,10 @@ fn drive(db: &TimberDb, reference: &[String], schedule: FaultConfig, label: &str
 
 #[test]
 fn transient_read_errors_are_absorbed_or_typed() {
-    // A two-page pool: almost every access is a physical read the
-    // schedule can hit.
-    let db = db(80, 2);
+    // A two-page pool under a dozen heap pages: the direct plan's
+    // look-ups, in binding order, are mostly physical reads the schedule
+    // can hit (the grouped plans read each heap page once per result).
+    let db = db(400, 2);
     let reference = reference(&db);
     let mut injected = 0u64;
     let retries_before = db.store().io_stats().buffer.retries;
@@ -153,7 +154,7 @@ fn transient_read_errors_are_absorbed_or_typed() {
 
 #[test]
 fn read_bit_flips_are_caught_or_healed() {
-    let db = db(80, 2);
+    let db = db(400, 2);
     let reference = reference(&db);
     let mut injected = 0u64;
     for seed in seeds() {
@@ -166,7 +167,7 @@ fn read_bit_flips_are_caught_or_healed() {
 #[test]
 fn mixed_schedule_with_predicates() {
     for seed in seeds() {
-        let db = db(60, 6);
+        let db = db(400, 3);
         let reference = reference(&db);
         // Everything at once, starting after the first 50 operations,
         // parsed from a CLI-style spec string (the same syntax
@@ -358,7 +359,7 @@ fn schedules_are_deterministic_across_runs() {
         let outcome = || -> (Vec<bool>, u64) {
             // Working set well above the pool: the workload thrashes, so
             // the schedule sees a long stream of physical reads.
-            let db = db(60, 2);
+            let db = db(400, 2);
             let schedule = FaultConfig::seeded(seed)
                 .with_read_error(0.25)
                 .with_read_flip(0.25);

@@ -146,17 +146,17 @@ fn fault_seeds() -> Vec<u64> {
 
 #[test]
 fn cube_under_fault_schedules_is_correct_or_typed_error() {
-    // On-disk ragged bibliography with a tiny pool so the lattice scan
-    // does real physical I/O the schedules can hit. Contract: the
+    // On-disk ragged bibliography with a tiny pool so populating the
+    // lattice's output does real physical I/O the schedules can hit. Contract: the
     // byte-identical fault-free answer, or a clean typed error — never a
     // panic, never a silently wrong level.
-    let xml = DblpGenerator::new(DblpConfig::sized(80).with_ragged_authors()).generate_xml();
+    let xml = DblpGenerator::new(DblpConfig::sized(400).with_ragged_authors()).generate_xml();
     let opts = StoreOptions {
         on_disk: true,
-        // One frame: a record fetch and its heap look-up evict each
-        // other. (Two frames only thrashed while the pool was striped
-        // one frame per lock; behind one lock they serve this query
-        // from ~17 reads, too few for a 2 % schedule to hit.)
+        // One frame, emptied when a schedule is armed: the plan reads
+        // no page, and output population reads each heap page of the
+        // result once — a dozen physical reads a query, so the
+        // schedules fire often enough to hit some of them.
         pool_pages: 1,
         ..StoreOptions::in_memory()
     };
@@ -170,8 +170,8 @@ fn cube_under_fault_schedules_is_correct_or_typed_error() {
     let mut injected = 0u64;
     for seed in fault_seeds() {
         for schedule in [
-            FaultConfig::seeded(seed).with_read_error(0.02),
-            FaultConfig::seeded(seed).with_read_flip(0.02),
+            FaultConfig::seeded(seed).with_read_error(0.2),
+            FaultConfig::seeded(seed).with_read_flip(0.2),
         ] {
             db.set_faults(Some(schedule)).unwrap();
             match db.query(&query, PlanMode::GroupByRewrite) {

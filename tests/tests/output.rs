@@ -320,45 +320,185 @@ fn random_documents_and_trees_stream_like_their_dom() {
     );
 }
 
-#[test]
-fn a_read_fault_mid_output_is_a_typed_error() {
-    // One frame, on disk: every value written is a physical read.
-    let xml = DblpGenerator::new(DblpConfig::sized(60)).generate_xml();
+/// An on-disk database of `articles` DBLP articles behind a pool of
+/// `pool_pages` frames, and the XML it was loaded from.
+fn disk_db(articles: usize, pool_pages: usize) -> TimberDb {
+    let xml = DblpGenerator::new(DblpConfig::sized(articles)).generate_xml();
     let opts = StoreOptions {
         on_disk: true,
-        pool_pages: 1,
+        pool_pages,
         ..StoreOptions::in_memory()
     };
-    let db = TimberDb::load_xml(&xml, &opts).unwrap();
-    let r = db.query(QUERY1, PlanMode::GroupByRewrite).unwrap();
-    let reference = r.to_xml_on(db.store()).unwrap();
-    assert!(r.len() > 2);
+    TimberDb::load_xml(&xml, &opts).unwrap()
+}
 
-    // As many reads succeed as the first tree needs, then every read
-    // fails for good: the first tree still streams, the whole result
-    // does not.
+#[test]
+fn a_read_fault_mid_output_is_a_typed_error() {
+    // One frame, on disk: every heap page the output touches is a
+    // physical read.
+    let db = disk_db(400, 1);
+    let r = db.query(QUERY1, PlanMode::GroupByRewrite).unwrap();
     db.clear_buffer_pool().unwrap();
     let before = db.io_stats().disk.reads;
-    let mut first = String::new();
-    r.trees[0].write_xml(db.store(), &mut first).unwrap();
+    let reference = r.to_xml_on(db.store()).unwrap();
     let reads = db.io_stats().disk.reads - before;
-    assert!(reads > 0 && reference.starts_with(&first));
+    assert!(r.len() > 2 && reads > 2, "{reads} reads");
+
+    // Half the pages of the result's one chunk come in, then every read
+    // fails for good: the chunk fails as a whole — the store's error,
+    // through `tax`, and not a byte of text.
     let schedule = FaultConfig::seeded(5)
         .with_read_error(1.0)
-        .with_after_ops(reads);
-    db.set_faults(Some(schedule.clone())).unwrap();
-    let mut again = String::new();
-    r.trees[0].write_xml(db.store(), &mut again).unwrap();
-    assert_eq!(again, first);
-
+        .with_after_ops(reads / 2);
     db.set_faults(Some(schedule)).unwrap();
     match r.to_xml_on(db.store()) {
         Err(TimberError::Algebra(e)) => assert!(!e.to_string().is_empty()),
         Err(other) => panic!("expected the store's error through tax, got {other}"),
         Ok(text) => panic!("{} bytes came back from a failing store", text.len()),
     }
+    let mut partial = String::from("kept");
+    assert!(r.trees[0].write_xml(db.store(), &mut partial).is_err());
+    assert_eq!(partial, "kept");
+    assert!(r.elements_on(db.store()).is_err());
     assert!(db.fault_stats().unwrap().read_errors > 0);
 
+    // The same call, once the faults are gone: the same bytes.
     db.set_faults(None).unwrap();
     assert_eq!(r.to_xml_on(db.store()).unwrap(), reference);
+}
+
+#[test]
+fn a_cold_result_reads_each_heap_page_once() {
+    // A pool of a quarter of the store, emptied first: the grouped plan
+    // asks for nothing, and populating its output — titles in author
+    // order, so in no page order at all — reads every heap page at most
+    // once (one more per chunk, were a value to straddle its boundary),
+    // in ascending order, never a node page.
+    let db = disk_db(3000, 1);
+    let pool = db.store().total_pages() as usize / 4;
+    let db = disk_db(3000, pool);
+    let heap = u64::from(db.store().heap_pages());
+    assert!(heap > pool as u64, "{heap} heap pages, pool of {pool}");
+    let r = db.query(QUERY1, PlanMode::GroupByRewrite).unwrap();
+    let warm = r.to_xml_on(db.store()).unwrap();
+
+    db.clear_buffer_pool().unwrap();
+    db.reset_io_stats();
+    let r = db.query(QUERY1, PlanMode::GroupByRewrite).unwrap();
+    assert_eq!(db.io_stats().page_requests(), 0, "the plan asks for a page");
+    let cold = r.to_xml_on(db.store()).unwrap();
+    let io = db.io_stats();
+    assert_eq!(cold, warm);
+    assert!(
+        io.disk.reads <= heap + 1,
+        "{} reads, {heap} heap pages",
+        io.disk.reads
+    );
+    assert_eq!(io.page_requests(), io.disk.reads, "a page asked for twice");
+    assert!(
+        io.disk.reads > heap / 2,
+        "{} reads is no cold run",
+        io.disk.reads
+    );
+}
+
+/// A document for the batched read: attributes (some empty), mixed
+/// content, text-only elements, duplicate strings, and — when `long` —
+/// one value of 19 KB that spans three heap pages.
+fn values_doc(g: &mut Gen, long: bool) -> String {
+    let mut e = random_element(g, 3);
+    e.attributes.push(("none".to_owned(), String::new()));
+    if long {
+        let long = Element::new("long").with_text("Grouping in XML ".repeat(1200));
+        e.children.insert(0, XmlNode::Element(long));
+        e.children
+            .push(XmlNode::Element(Element::new("after").with_text("x")));
+    }
+    element_to_string(&e)
+}
+
+/// `values(ids)` against `content` of each id, on `store`'s own ids.
+fn assert_batch_equals_singles(g: &mut Gen, store: &DocumentStore) {
+    let n = store.node_count() as usize;
+    let ids: Vec<NodeId> = match g.usize_in(0, 3) {
+        0 => Vec::new(),
+        1 => (0..n as u32).rev().map(NodeId).collect(),
+        _ => (0..g.usize_in(1, 2 * n))
+            .map(|_| NodeId(g.usize_in(0, n - 1) as u32))
+            .collect(),
+    };
+    let singles: Vec<Option<String>> = ids.iter().map(|&id| store.content(id).unwrap()).collect();
+    let batch = store.values(&ids).unwrap();
+    assert_eq!(batch.len(), ids.len());
+    let batch: Vec<Option<String>> = batch.iter().map(|v| v.map(str::to_owned)).collect();
+    assert_eq!(batch, singles, "ids {ids:?}");
+    // What the columns say has content is what the pages hold.
+    let cols = store.columns();
+    for (id, value) in ids.iter().zip(&singles) {
+        let sym = cols
+            .content_sym(*id)
+            .map(|s| store.dict().resolve(xmlstore::Sym(s)));
+        assert_eq!(sym.as_deref(), value.as_deref(), "row {id:?}");
+    }
+    match store.values(&[NodeId(0), NodeId(n as u32)]) {
+        Err(xmlstore::StoreError::NodeOutOfBounds { node, .. }) => assert_eq!(node, n as u32),
+        other => panic!("an id past the last row: {other:?}"),
+    }
+}
+
+#[test]
+fn batched_reads_equal_single_reads() {
+    check("batched_reads_equal_single_reads", 48, |g| {
+        let pool = *g.pick(&[1, 4, 4096]);
+        let opts = StoreOptions::in_memory().with_pool_pages(pool);
+        let store = DocumentStore::create(&opts).unwrap();
+        let mut docs = Vec::new();
+        for step in 0..g.usize_in(1, 6) {
+            let xml = values_doc(g, step == 1);
+            let doc = parse_document(&xml).unwrap();
+            match (docs.is_empty(), g.usize_in(0, 3)) {
+                (false, 0) => {
+                    let victim = docs.swap_remove(g.usize_in(0, docs.len() - 1));
+                    store.delete_document(victim).unwrap();
+                }
+                (false, 1) => {
+                    let at = g.usize_in(0, docs.len() - 1);
+                    docs[at] = store.replace_document(docs[at], &doc).unwrap();
+                }
+                _ => docs.push(store.insert_document(&doc).unwrap()),
+            }
+            assert_batch_equals_singles(g, &store);
+        }
+    });
+}
+
+#[test]
+fn a_pinned_snapshot_reads_a_replaced_documents_values() {
+    // The pin's location array lives by refcount and its pages sit in
+    // limbo: neither the commit that replaces the document, nor a
+    // checkpoint, nor later inserts hungry for pages take its values away.
+    let store = DocumentStore::create(&StoreOptions::in_memory().with_pool_pages(2)).unwrap();
+    let long = "Grouping in XML ".repeat(1200);
+    let first = store
+        .insert_xml(&format!("<a k=\"v\"><b>old</b><c>{long}</c></a>"))
+        .unwrap();
+    store.insert_xml("<a><b>other</b></a>").unwrap();
+    let pin = store.snapshot();
+    let read = |s: &DocumentStore| -> Vec<Option<String>> {
+        let ids: Vec<NodeId> = (0..s.node_count()).map(NodeId).collect();
+        let values = s.values(&ids).unwrap();
+        values.iter().map(|v| v.map(str::to_owned)).collect()
+    };
+    let before = read(&pin);
+    assert!(before.contains(&Some(long.clone())) && before.contains(&Some("old".to_owned())));
+
+    let new = parse_document("<a><b>new</b></a>").unwrap();
+    store.replace_document(first, &new).unwrap();
+    store.checkpoint().unwrap();
+    for _ in 0..3 {
+        store.insert_xml(&format!("<z>{long}</z>")).unwrap();
+    }
+    assert_eq!(read(&pin), before);
+    let now = read(&store.snapshot());
+    assert!(now.contains(&Some("new".to_owned())) && !now.contains(&Some("old".to_owned())));
 }

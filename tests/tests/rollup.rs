@@ -152,17 +152,17 @@ fn fault_seeds() -> Vec<u64> {
 
 #[test]
 fn rollup_under_fault_schedules_is_correct_or_typed_error() {
-    // On-disk database with a tiny pool so the rollup scan does real
-    // physical I/O the schedules can hit. Contract: the byte-identical
+    // On-disk database with a tiny pool so populating the rollup's
+    // output does real physical I/O the schedules can hit. Contract: the byte-identical
     // fault-free answer, or a clean typed error — never a panic, never
     // a silently wrong aggregate.
-    let xml = DblpGenerator::new(DblpConfig::sized(80)).generate_xml();
+    let xml = DblpGenerator::new(DblpConfig::sized(400)).generate_xml();
     let opts = StoreOptions {
         on_disk: true,
-        // One frame: a record fetch and its heap look-up evict each
-        // other. (Two frames only thrashed while the pool was striped
-        // one frame per lock; behind one lock they serve this query
-        // from ~17 reads, too few for a 2 % schedule to hit.)
+        // One frame, emptied when a schedule is armed: the plan reads
+        // no page, and output population reads each heap page of the
+        // result once — a dozen physical reads a query, so the
+        // schedules fire often enough to hit some of them.
         pool_pages: 1,
         ..StoreOptions::in_memory()
     };
@@ -172,8 +172,8 @@ fn rollup_under_fault_schedules_is_correct_or_typed_error() {
     let mut injected = 0u64;
     for seed in fault_seeds() {
         for schedule in [
-            FaultConfig::seeded(seed).with_read_error(0.02),
-            FaultConfig::seeded(seed).with_read_flip(0.02),
+            FaultConfig::seeded(seed).with_read_error(0.2),
+            FaultConfig::seeded(seed).with_read_flip(0.2),
         ] {
             db.set_faults(Some(schedule)).unwrap();
             for (qi, q) in queries.iter().enumerate() {
