@@ -56,17 +56,19 @@
 //! nonzero when a fast path stops beating the reference twin measured
 //! beside it in the same run (one-scan cube ≥ 1.5× the composed rollups,
 //! batch containment ≥ 1.3× the stack walk, symbol rollup ≥ 2× the
-//! replicated grouping) or when one of two counts — not times — is off:
-//! a commit's log bytes grow with the store (64 inserts of one document
-//! must each log the same bytes from the second on), or the cold titles
-//! query on a pool of a quarter of the store reads more than 1.2× its
-//! heap pages. Absolute times against an
+//! replicated grouping) or when one of three counts — not times — is
+//! off: a commit's log bytes grow with the store (64 inserts of one
+//! document must each log the same bytes from the second on), the cold
+//! titles query on a pool of a quarter of the store reads more than 1.2×
+//! its heap pages, or the titles GROUPBY plan's `GroupBy` builds a tree
+//! (it must hand its consumer groups as columns) or serves other bytes
+//! than the direct plan. Absolute times against an
 //! earlier commit are the repo benchmark's job (`benchmark/`), not this
 //! command's.
 
 #![forbid(unsafe_code)]
 
-use timber::{PlanMode, TimberDb};
+use timber::{OutKind, PlanMetrics, PlanMode, TimberDb};
 use timber_bench::*;
 
 fn main() {
@@ -511,7 +513,44 @@ fn run_bench_smoke(articles: usize, on_disk: bool, analyze: bool, json_path: Opt
 
     let commit_ok = commit_log_gate();
     let cold_ok = cold_output_gate(articles, on_disk);
-    cube_ok && kernel_ok && symbols_ok && commit_ok && cold_ok
+    let groups_ok = groups_gate(&db);
+    cube_ok && kernel_ok && symbols_ok && commit_ok && cold_ok && groups_ok
+}
+
+/// Group-columns gate: the titles GROUPBY plan's `GroupBy` emits its
+/// groups as columns — no tree between it and the final `Project` — and
+/// the plan serves the direct plan's bytes. Counts and bytes, which
+/// repeat exactly.
+fn groups_gate(db: &TimberDb) -> bool {
+    fn groupby(m: &PlanMetrics) -> Option<&PlanMetrics> {
+        match m.op.starts_with("GroupBy") {
+            true => Some(m),
+            false => m.children.iter().find_map(groupby),
+        }
+    }
+    let analyzed = db
+        .explain_analyze(QUERY_TITLES, PlanMode::GroupByRewrite)
+        .expect("titles GROUPBY plan runs");
+    let sink = groupby(&analyzed.metrics).expect("the titles plan groups");
+    let trees = match sink.out_kind {
+        Some(OutKind::Groups) => 0,
+        _ => sink.trees_out,
+    };
+    let bytes = |r: &timber::QueryResult| r.to_xml_on(db.store()).expect("result serializes");
+    let direct = db
+        .query(QUERY_TITLES, PlanMode::Direct)
+        .expect("titles direct plan runs");
+    let same = bytes(&analyzed.result) == bytes(&direct);
+    println!(
+        "titles GroupBy: {} groups out, {trees} trees; GROUPBY bytes {} the direct plan's (gate: 0 trees, equal)",
+        sink.trees_out,
+        if same { "equal" } else { "differ from" },
+    );
+    let ok = sink.out_kind == Some(OutKind::Groups) && same;
+    if !ok {
+        println!("GROUPS GATE FAILED: GroupBy built trees or the plans' bytes differ");
+    }
+    ok
 }
 
 /// Cold output gate: `QUERY_TITLES` on an emptied pool of a quarter of

@@ -1,22 +1,21 @@
-//! What flows between operators: a batch of rows that is either a list
-//! of stored nodes or a list of in-memory trees.
+//! What flows between operators: a batch of rows that is a list of
+//! stored nodes, of groups over stored nodes, or of in-memory trees.
 //!
 //! Most collections a plan moves are not trees anyone built: the article
 //! collection a scan hands to `GROUPBY` is a list of stored nodes, each
 //! standing for its whole subtree (Sec. 5.3, "witness trees held as node
-//! identifiers"). [`Batch::Stored`] says so by type, and the operators
-//! that only read keys out of their input (the grouping sinks) work on
-//! the labels directly. [`Batch::into_trees`] is the one place a stored
-//! row becomes a one-node [`Tree`], for operators that construct or walk
-//! arena trees. [`Source`] is the borrowed view the kernels read, so the
-//! public `&Collection` entry points — classified once, on entry — and
-//! the executor's batches reach the same code. DESIGN.md, *Binding
-//! tables*.
+//! identifiers"), and its groups are key cells and member row ordinals.
+//! [`Batch::Stored`] and [`Batch::Groups`] say so by type, and operators
+//! that read only keys or paths out of them work on the labels.
+//! [`Batch::into_trees`] is the one place a row becomes a [`Tree`], for
+//! operators that construct or walk arena trees. [`Source`] is the
+//! borrowed view the sinks read, so the public `&Collection` entry
+//! points — classified once, on entry — and the executor's batches
+//! reach the same code. DESIGN.md, *Binding tables*.
 
-use crate::matching::vnode::VNode;
-use crate::tree::{Collection, Tree, TreeNodeId, TreeNodeKind};
+use crate::tree::{Collection, Tree, TreeNodeKind};
 use std::borrow::Cow;
-use xmlstore::NodeEntry;
+use xmlstore::{NodeEntry, Sym};
 
 /// One batch of operator output.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,6 +25,58 @@ pub enum Batch {
     Stored(Vec<NodeEntry>),
     /// Each row is an in-memory tree.
     Trees(Vec<Tree>),
+    /// Each row is one group over stored rows, held as columns — what
+    /// `groupby` emits for a `Stored` input instead of group trees.
+    Groups(Groups),
+}
+
+/// Groups over stored rows: each group's basis children and members.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Groups {
+    /// The rows the members index: the sink's whole input.
+    pub(crate) rows: Vec<NodeEntry>,
+    /// Tags of `TAX_group_root`, `TAX_grouping_basis`, `TAX_group_subroot`.
+    pub(crate) tags: [Sym; 3],
+    /// The basis children of every group, `width` (basis items) a group.
+    pub(crate) keys: Vec<TreeNodeKind>,
+    pub(crate) width: usize,
+    /// Each group's members as ordinals into `rows`, in member order.
+    pub(crate) members: Vec<Vec<u32>>,
+}
+
+impl Groups {
+    /// The basis children of group `g`.
+    pub(crate) fn key(&self, g: usize) -> &[TreeNodeKind] {
+        &self.keys[g * self.width..][..self.width]
+    }
+
+    /// The group trees: `TAX_group_root { TAX_grouping_basis { keys },
+    /// TAX_group_subroot { one deep reference per member } }`.
+    pub(crate) fn into_trees(self) -> Vec<Tree> {
+        let [root, basis, subroot] = self.tags;
+        (0..self.members.len())
+            .map(|g| {
+                let mut tree = Tree::new_elem_sym(root);
+                let b = tree.add_elem_sym(tree.root(), basis);
+                for kind in self.key(g) {
+                    tree.add_node(b, kind.clone());
+                }
+                let s = tree.add_elem_sym(tree.root(), subroot);
+                for &m in &self.members[g] {
+                    tree.add_ref(s, self.rows[m as usize], true);
+                }
+                tree
+            })
+            .collect()
+    }
+}
+
+/// `items` in runs of `size`, moved.
+fn chunked<T>(items: Vec<T>, size: usize) -> Vec<Vec<T>> {
+    let mut items = items.into_iter();
+    std::iter::from_fn(|| Some(items.by_ref().take(size).collect::<Vec<T>>()))
+        .take_while(|chunk| !chunk.is_empty())
+        .collect()
 }
 
 impl Default for Batch {
@@ -40,6 +91,7 @@ impl Batch {
         match self {
             Batch::Stored(rows) => rows.len(),
             Batch::Trees(trees) => trees.len(),
+            Batch::Groups(groups) => groups.members.len(),
         }
     }
 
@@ -48,26 +100,35 @@ impl Batch {
         self.len() == 0
     }
 
-    /// Whether the rows are stored nodes.
-    pub fn is_stored(&self) -> bool {
-        matches!(self, Batch::Stored(_))
-    }
-
     /// The rows as trees: a stored row becomes the one-node deep
-    /// reference it stands for.
+    /// reference it stands for, a group its group tree.
     pub fn into_trees(self) -> Vec<Tree> {
         match self {
             Batch::Stored(rows) => rows.into_iter().map(|e| Tree::new_ref(e, true)).collect(),
             Batch::Trees(trees) => trees,
+            Batch::Groups(groups) => groups.into_trees(),
+        }
+    }
+
+    /// The rows in batches of at most `size` (at least one), in order —
+    /// groups in one batch: their consumer matches the member path once
+    /// over all the rows they share.
+    pub fn into_chunks(self, size: usize) -> Vec<Batch> {
+        let size = size.max(1);
+        match self {
+            Batch::Stored(rows) => chunked(rows, size).into_iter().map(Batch::Stored).collect(),
+            Batch::Trees(trees) => chunked(trees, size).into_iter().map(Batch::Trees).collect(),
+            groups => vec![groups],
         }
     }
 
     /// Append the rows of `other`. Stored rows stay stored only among
-    /// stored rows; a mix becomes trees.
+    /// stored rows; anything else becomes trees — groups included, so an
+    /// appended batch is never [`Batch::Groups`].
     pub fn append(&mut self, other: Batch) {
         match (&mut *self, other) {
             (Batch::Stored(rows), Batch::Stored(more)) => rows.extend(more),
-            (all, more) if all.is_empty() => *all = more,
+            (all, more @ Batch::Stored(_)) if all.is_empty() => *all = more,
             (_, more) => {
                 let mut trees = std::mem::take(self).into_trees();
                 trees.extend(more.into_trees());
@@ -86,11 +147,13 @@ pub enum Source<'a> {
     Trees(&'a [Tree]),
 }
 
+/// A sink's drained input: built by [`Batch::append`], so never groups.
 impl<'a> From<&'a Batch> for Source<'a> {
     fn from(batch: &'a Batch) -> Self {
         match batch {
             Batch::Stored(rows) => Source::Stored(Cow::Borrowed(rows)),
             Batch::Trees(trees) => Source::Trees(trees),
+            Batch::Groups(_) => unreachable!("a drained input holds no groups"),
         }
     }
 }
@@ -110,42 +173,6 @@ impl<'a> From<&'a Collection> for Source<'a> {
             Some(rows) if !rows.is_empty() => Source::Stored(Cow::Owned(rows)),
             _ => Source::Trees(trees),
         }
-    }
-}
-
-impl Source<'_> {
-    /// Copy row `row` (whole) under `parent` of `tree`.
-    pub(crate) fn append_row(&self, row: usize, tree: &mut Tree, parent: TreeNodeId) {
-        match self {
-            Source::Stored(rows) => tree.add_ref(parent, rows[row], true),
-            Source::Trees(trees) => tree.append_subtree(parent, &trees[row], trees[row].root()),
-        };
-    }
-
-    /// Copy node `cell` of row `row` under `parent` of `tree`: the node
-    /// alone, or with its subtree when `deep`. A node that *is* the row
-    /// keeps the depth the row has — a stored row is its whole subtree.
-    pub(crate) fn append_cell(
-        &self,
-        row: usize,
-        cell: VNode,
-        deep: bool,
-        tree: &mut Tree,
-        parent: TreeNodeId,
-    ) {
-        match (self, cell) {
-            (Source::Stored(rows), VNode::Stored(e)) => {
-                tree.add_ref(parent, e, deep || e.id == rows[row].id)
-            }
-            (Source::Trees(_), VNode::Stored(e)) => tree.add_ref(parent, e, deep),
-            (Source::Trees(trees), VNode::Arena(i)) if deep => {
-                tree.append_subtree(parent, &trees[row], i)
-            }
-            (Source::Trees(trees), VNode::Arena(i)) => {
-                tree.add_node(parent, trees[row].node(i).kind.clone())
-            }
-            (Source::Stored(_), VNode::Arena(_)) => unreachable!("a stored row has no arena nodes"),
-        };
     }
 }
 
@@ -182,12 +209,12 @@ mod tests {
         all.append(Batch::Stored(rows[1..].to_vec()));
         assert_eq!(all, Batch::Stored(rows.clone()));
         all.append(Batch::Trees(vec![Tree::new_elem(s.dict(), "x")]));
-        assert!(!all.is_stored());
+        assert!(matches!(all, Batch::Trees(_)));
         assert_eq!(all.len(), 3);
         let mut trees = Batch::Trees(vec![Tree::new_elem(s.dict(), "x")]);
         trees.append(Batch::Stored(rows));
         assert_eq!(trees.len(), 3);
-        assert!(!trees.is_stored());
+        assert!(matches!(trees, Batch::Trees(_)));
     }
 
     #[test]

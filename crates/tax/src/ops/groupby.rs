@@ -24,26 +24,27 @@
 //!   shared extraction, `super::witness`); grouping and ordering values
 //!   are symbols of the label columns, resolved to text only where a
 //!   member sort compares them, and members are copied as references,
-//!   not data — one `Ref` node per member when the input is a batch of
-//!   stored rows.
+//!   not data; over stored rows the groups come out as columns
+//!   ([`Groups`]: key cells and member row ordinals), no tree built.
 //! * [`groupby_replicated`] — the strawman Sec. 5.3 warns about: each
 //!   witness eagerly replicates and fully materializes its source tree
 //!   before sorting. Kept as the ablation baseline (experiment X4).
 
-use crate::batch::Source;
+use crate::batch::{Batch, Groups, Source};
 use crate::error::Result;
 use crate::exec::{shard_map, ExecOptions, ShardStats};
 use crate::matching::match_tree;
-use crate::matching::vnode::VTree;
+use crate::matching::vnode::{VNode, VTree};
 use crate::ops::keyenc;
 use crate::ops::witness::{key_word, witnesses, Witnesses};
 use crate::pattern::{PatternNodeId, PatternTree};
+use crate::tags::{GROUPING_BASIS, GROUP_ROOT, GROUP_SUBROOT};
 use crate::tree::{Collection, Tree, TreeNodeKind};
 use crate::value::compare_opt_values;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
-use xmlstore::{Dictionary, DocumentStore, Sym, NO_SYM};
+use xmlstore::{Dictionary, DocumentStore, NodeEntry, Sym, NO_SYM};
 
 /// One item of the grouping basis.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,15 +131,17 @@ pub fn groupby(
     ordering: &[GroupOrder],
 ) -> Result<Collection> {
     let opts = ExecOptions::sequential();
-    Ok(groupby_sharded(store, input, pattern, basis, ordering, &opts)?.0)
+    let (groups, _) = groupby_sharded(store, input, pattern, basis, ordering, &opts)?;
+    Ok(groups.into_trees())
 }
 
 /// [`groupby`] over `opts.threads` workers: the blocking sink's entry
 /// point. The input is a batch of stored rows, a batch of trees, or a
-/// collection (classified once, see [`Source`]).
+/// collection (classified once, see [`Source`]); the groups of stored
+/// rows come out as columns ([`Batch::Groups`]), those of trees as trees.
 ///
 /// The extracted witnesses go through [`shard_map`] routed by the FNV-1a
-/// hash of their grouping key, each shard forms and builds its groups
+/// hash of their grouping key, each shard forms its groups
 /// independently, and the per-shard outputs merge ordered by each
 /// group's **global first-arrival position** — the witness ordinal that
 /// created the group. Every witness of one key hashes to the same shard,
@@ -149,8 +152,8 @@ pub fn groupby(
 /// different keys, land in (possibly) different shards, and the article
 /// appears in both groups.
 ///
-/// Returns the grouped collection plus the partition statistics
-/// (per-shard witness counts) for the metrics tree.
+/// Returns the groups plus the partition statistics (per-shard witness
+/// counts) for the metrics tree.
 pub fn groupby_sharded<'a>(
     store: &DocumentStore,
     input: impl Into<Source<'a>>,
@@ -158,35 +161,67 @@ pub fn groupby_sharded<'a>(
     basis: &[BasisItem],
     ordering: &[GroupOrder],
     opts: &ExecOptions,
-) -> Result<(Collection, ShardStats)> {
+) -> Result<(Batch, ShardStats)> {
     validate(pattern, basis, ordering)?;
     let input = input.into();
     // Only the grouping and ordering values are populated — the
     // "minimum information" sort of Sec. 5.3.
     let w = witnesses(store, &input, pattern, basis, ordering, opts)?;
-    shard_map(
-        opts,
-        (0..w.len() as u32).collect(),
-        |&i| keyenc::hash_syms(w.key(i)),
-        |shard| form_and_build(store, &input, &w, basis, ordering, shard),
-    )
+    let dict = store.dict();
+    let tags = [GROUP_ROOT, GROUPING_BASIS, GROUP_SUBROOT].map(|tag| dict.intern(tag));
+    let ids: Vec<u32> = (0..w.len() as u32).collect();
+    let route = |&i: &u32| keyenc::hash_syms(w.key(i));
+    let (groups, stats) = shard_map(opts, ids, route, |shard| {
+        Ok(form_groups(dict, &w, ordering, shard))
+    })?;
+    let rows = match &input {
+        Source::Stored(rows) => rows,
+        Source::Trees(trees) => {
+            let tree = |g: &Group| {
+                let mut tree = Tree::new_elem_sym(tags[0]);
+                let b = tree.add_elem_sym(0, tags[1]);
+                add_basis_children(dict, &mut tree, b, &input, &w, g.first, basis, false);
+                let s = tree.add_elem_sym(0, tags[2]);
+                for &m in &g.members {
+                    let member = &trees[w.tree_idx[m as usize] as usize];
+                    tree.append_subtree(s, member, member.root());
+                }
+                tree
+            };
+            return Ok((Batch::Trees(groups.iter().map(tree).collect()), stats));
+        }
+    };
+    let mut keys = Vec::with_capacity(groups.len() * basis.len());
+    let members = groups
+        .into_iter()
+        .map(|g| {
+            keys.extend(stored_basis(dict, rows, &w, g.first, basis, false));
+            g.members.iter().map(|&m| w.tree_idx[m as usize]).collect()
+        })
+        .collect();
+    let groups = Groups {
+        rows: rows.to_vec(),
+        tags,
+        keys,
+        width: basis.len(),
+        members,
+    };
+    Ok((Batch::Groups(groups), stats))
 }
 
-/// Group formation + tree building over one witness shard, witnesses in
-/// global arrival order. Returns `(first-arrival ordinal, group tree)`
-/// per group, in shard-local first-arrival order.
+/// Group formation over one witness shard, witnesses in global arrival
+/// order. Returns `(first-arrival ordinal, group)` per group, in
+/// shard-local first-arrival order, members sorted by the ordering list.
 ///
 /// Member dedup checks only the group's last member: same-row witnesses
 /// of one key are consecutive within a shard exactly as they are in the
 /// global stream.
-fn form_and_build(
-    store: &DocumentStore,
-    input: &Source,
+fn form_groups(
+    dict: &Dictionary,
     w: &Witnesses,
-    basis: &[BasisItem],
     ordering: &[GroupOrder],
     shard: Vec<u32>,
-) -> Result<Vec<(u32, Tree)>> {
+) -> Vec<(u32, Group)> {
     let mut index: HashMap<&[u32], usize> = HashMap::new();
     let mut groups: Vec<Group> = Vec::new();
     for i in shard {
@@ -206,36 +241,10 @@ fn form_and_build(
             members.push(i);
         }
     }
-
-    let dict = store.dict();
-    let [root_tag, basis_tag, subroot_tag] = [
-        crate::tags::GROUP_ROOT,
-        crate::tags::GROUPING_BASIS,
-        crate::tags::GROUP_SUBROOT,
-    ]
-    .map(|tag| dict.intern(tag));
-    let mut out = Vec::with_capacity(groups.len());
-    for mut group in groups {
+    for group in &mut groups {
         sort_members(dict, w, &mut group.members, ordering);
-        let mut tree = Tree::new_elem_sym(root_tag);
-        let basis_root = tree.add_elem_sym(tree.root(), basis_tag);
-        add_basis_children(
-            dict,
-            &mut tree,
-            basis_root,
-            input,
-            w,
-            group.first,
-            basis,
-            false,
-        );
-        let subroot = tree.add_elem_sym(tree.root(), subroot_tag);
-        for &m in &group.members {
-            input.append_row(w.tree_idx[m as usize] as usize, &mut tree, subroot);
-        }
-        out.push((group.first, tree));
     }
-    Ok(out)
+    groups.into_iter().map(|g| (g.first, g)).collect()
 }
 
 /// Order a group's members by the ordering list, arrival rank breaking
@@ -520,23 +529,62 @@ pub(crate) fn add_basis_children(
     basis: &[BasisItem],
     deep_keys: bool,
 ) {
-    let row = w.tree_idx[first as usize] as usize;
-    for (item, (&cell, &value)) in basis.iter().zip(w.cells(first).iter().zip(w.key(first))) {
-        match item.attr {
-            Some(_) => {
-                // $i.attr: a constructed child named after the attribute.
-                // The key word is already the value's symbol — it becomes
-                // the child's content without a dictionary round-trip.
-                let node = tree.add_elem(dict, basis_root, basis_child_tag(item));
-                if value != NO_SYM {
-                    if let TreeNodeKind::Elem { content, .. } = &mut tree.node_mut(node).kind {
-                        *content = Some(Sym(value));
-                    }
-                }
+    let trees = match input {
+        Source::Stored(rows) => {
+            for kind in stored_basis(dict, rows, w, first, basis, deep_keys) {
+                tree.add_node(basis_root, kind);
             }
-            // $i / $i*: a match of the node (subtree when deep).
-            None => input.append_cell(row, cell, item.deep || deep_keys, tree, basis_root),
+            return;
         }
+        Source::Trees(trees) => trees,
+    };
+    let src = &trees[w.tree_idx[first as usize] as usize];
+    for (item, (&cell, &value)) in basis.iter().zip(w.cells(first).iter().zip(w.key(first))) {
+        let deep = item.deep || deep_keys;
+        // $i / $i*: a match of the node (subtree when deep).
+        match (&item.attr, cell) {
+            (Some(_), _) => tree.add_node(basis_root, attr_child(dict, item, value)),
+            (None, VNode::Stored(e)) => tree.add_ref(basis_root, e, deep),
+            (None, VNode::Arena(i)) if deep => tree.append_subtree(basis_root, src, i),
+            (None, VNode::Arena(i)) => tree.add_node(basis_root, src.node(i).kind.clone()),
+        };
+    }
+}
+
+/// The basis children of the group witness `first` created over stored
+/// `rows`, one node each: a reference to the bound node — whole when
+/// deep, or when it is the row itself (a stored row is its subtree) — or
+/// the constructed child of a `$i.attr` item.
+fn stored_basis<'w>(
+    dict: &'w Dictionary,
+    rows: &'w [NodeEntry],
+    w: &'w Witnesses,
+    first: u32,
+    basis: &'w [BasisItem],
+    deep_keys: bool,
+) -> impl Iterator<Item = TreeNodeKind> + 'w {
+    let row = rows[w.tree_idx[first as usize] as usize];
+    let cells = w.cells(first).iter().zip(w.key(first));
+    basis
+        .iter()
+        .zip(cells)
+        .map(move |(item, (cell, &value))| match (&item.attr, cell) {
+            (None, VNode::Stored(node)) => TreeNodeKind::Ref {
+                node: *node,
+                deep: item.deep || deep_keys || node.id == row.id,
+            },
+            (None, VNode::Arena(_)) => unreachable!("a stored row has no arena nodes"),
+            (Some(_), _) => attr_child(dict, item, value),
+        })
+}
+
+/// `$i.attr`: a constructed child named after the attribute. The key
+/// word is already the value's symbol — it becomes the child's content
+/// without a dictionary round-trip.
+fn attr_child(dict: &Dictionary, item: &BasisItem, value: u32) -> TreeNodeKind {
+    TreeNodeKind::Elem {
+        tag: dict.intern(&basis_child_tag(item)),
+        content: (value != NO_SYM).then_some(Sym(value)),
     }
 }
 
@@ -999,6 +1047,7 @@ mod tests {
                 let opts = ExecOptions::with_threads(threads);
                 let (sharded, stats) =
                     groupby_sharded(&s, &arts, &p, &basis, &ordering, &opts).unwrap();
+                let sharded = sharded.into_trees();
                 assert_eq!(serial.len(), sharded.len());
                 for (a, b) in serial.iter().zip(sharded.iter()) {
                     let xa = xmlparse::serialize::element_to_string(&a.materialize(&s).unwrap());

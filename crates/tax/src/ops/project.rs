@@ -11,13 +11,21 @@
 //! arrays and sorts in place of per-tree hash maps: an arena DFS ranks
 //! the arena nodes, selected arena nodes are flagged by arena id,
 //! selected stored nodes are sorted by `start`, merged, and placed by
-//! binary search among the tree's references (see [`project_one`]), and
-//! the distinct nodes in rank order feed one containment stack.
+//! binary search among the tree's deep references (see [`project_one`]),
+//! and the distinct nodes in rank order feed one containment stack.
+//!
+//! The final projection of the grouping rewrite (Fig. 5d) over groups
+//! held as columns builds no group tree to re-match: [`Projection`]
+//! matches the member path once over the grouped rows and writes each
+//! output tree from the key cell and the members' extracts.
 
+use crate::batch::Batch;
 use crate::error::Result;
-use crate::matching::match_tree;
 use crate::matching::vnode::VNode;
-use crate::pattern::{PatternNodeId, PatternTree};
+use crate::matching::{match_in_scopes, match_tree};
+use crate::ops::groupby::BasisItem;
+use crate::pattern::{Axis, PatternNodeId, PatternTree, Pred};
+use crate::tags;
 use crate::tree::{Collection, Tree, TreeNodeKind};
 #[cfg(test)]
 use std::collections::HashMap;
@@ -106,7 +114,7 @@ pub fn project_one(
     let ranks = arena_ranks(tree);
     let mut nodes: Vec<Selected> = Vec::new();
     if !stored.is_empty() {
-        let refs = RefIndex::new(tree, &ranks);
+        let refs = DeepRefs::new(tree, &ranks);
         stored.sort_unstable_by_key(|(e, _)| e.start);
         let mut k = 0;
         while k < stored.len() {
@@ -116,11 +124,11 @@ pub fn project_one(
                 deep |= stored[k].1;
                 k += 1;
             }
-            if let Some(i) = refs.referencing(&e) {
-                // A stored node that *is* a reference's target aliases
-                // that arena node.
-                arena_sel[i] |= selected(deep);
-            } else if let Some(owner) = refs.enclosing(&e) {
+            // A stored node is a place inside a deep reference, even
+            // when some other reference of the tree targets the same
+            // node: a group's basis key and the same author inside a
+            // member are two output nodes.
+            if let Some(owner) = refs.enclosing(&e) {
                 nodes.push(Selected {
                     enter: (owner, e.start),
                     exit: (owner, e.end),
@@ -208,14 +216,10 @@ fn arena_ranks(tree: &Tree) -> Vec<(u32, u32)> {
     ranks
 }
 
-/// The tree's references ordered by the `start` label of their targets,
-/// so that which reference a stored node belongs to is a binary search.
-struct RefIndex {
-    /// Every reference as `(start, enter, arena id)`, sorted.
-    all: Vec<(u32, u32, usize)>,
-    /// The deep references, one per distinct target, sorted by `start`.
-    deep: Vec<DeepRef>,
-}
+/// The tree's deep references, one per distinct target, ordered by the
+/// `start` label of their targets, so that which reference a stored node
+/// belongs to is a binary search.
+struct DeepRefs(Vec<DeepRef>);
 
 struct DeepRef {
     start: u32,
@@ -225,23 +229,14 @@ struct DeepRef {
     parent: Option<usize>,
 }
 
-impl RefIndex {
+impl DeepRefs {
     fn new(tree: &Tree, ranks: &[(u32, u32)]) -> Self {
-        let mut all = Vec::new();
         let mut deep = Vec::new(); // (start, exit, end, enter)
         for (i, &(enter, exit)) in ranks.iter().enumerate() {
-            if let TreeNodeKind::Ref {
-                node,
-                deep: is_deep,
-            } = &tree.node(i).kind
-            {
-                all.push((node.start, enter, i));
-                if *is_deep {
-                    deep.push((node.start, exit, node.end, enter));
-                }
+            if let TreeNodeKind::Ref { node, deep: true } = &tree.node(i).kind {
+                deep.push((node.start, exit, node.end, enter));
             }
         }
-        all.sort_unstable();
         // Of several deep references to one target, the one the DFS
         // leaves first owns the nodes below it.
         deep.sort_unstable();
@@ -262,24 +257,16 @@ impl RefIndex {
                 parent: open.len().checked_sub(2).map(|p| open[p]),
             });
         }
-        RefIndex { all, deep: linked }
-    }
-
-    /// The arena node referencing exactly `e` (the last in document
-    /// order, if several do).
-    fn referencing(&self, e: &NodeEntry) -> Option<usize> {
-        let after = self.all.partition_point(|r| r.0 <= e.start);
-        let &(start, _, i) = self.all.get(after.checked_sub(1)?)?;
-        (start == e.start).then_some(i)
+        DeepRefs(linked)
     }
 
     /// The `enter` rank of the innermost deep reference whose target
     /// properly contains `e`: when two references could both claim a
     /// stored node (nested targets), the narrower — innermost — wins.
     fn enclosing(&self, e: &NodeEntry) -> Option<u32> {
-        let before = self.deep.partition_point(|d| d.start < e.start);
+        let before = self.0.partition_point(|d| d.start < e.start);
         let mut at = before.checked_sub(1);
-        while let Some(d) = at.map(|i| &self.deep[i]) {
+        while let Some(d) = at.map(|i| &self.0[i]) {
             if e.start < d.end {
                 return Some(d.enter);
             }
@@ -287,6 +274,122 @@ impl RefIndex {
         }
         None
     }
+}
+
+/// A projection as the executor runs it: [`project`] over trees, and —
+/// when it is the rewrite's final projection (Fig. 5d) over a `GroupBy`
+/// — a gather over [`Groups`](crate::batch::Groups), no group tree
+/// re-matched: one anchored [`match_in_scopes`] of the member path over
+/// the grouped rows gives every row its extract nodes, and an output
+/// tree is the group root, the key cell and the members' extracts in
+/// member order, a group with none dropped. That is what [`project_one`]
+/// makes of the group tree when the rows are start-sorted and disjoint
+/// (a scan's output); other rows take that path.
+#[derive(Debug)]
+pub struct Projection<'p> {
+    pattern: &'p PatternTree,
+    pl: &'p [ProjectItem],
+    anchor_root: bool,
+    /// The member subtree and its extract node, for the Fig. 5d shape.
+    gather: Option<(PatternTree, PatternNodeId)>,
+}
+
+impl<'p> Projection<'p> {
+    /// `pattern` / `pl` over an input that is a `GroupBy` with the
+    /// pattern and basis `grouped`, or some other input (`None`).
+    pub fn new(
+        pattern: &'p PatternTree,
+        pl: &'p [ProjectItem],
+        anchor_root: bool,
+        grouped: Option<(&PatternTree, &[BasisItem])>,
+    ) -> Self {
+        let gather = grouped.and_then(|(gb, basis)| fig5d(pattern, pl, anchor_root, gb, basis));
+        Projection {
+            pattern,
+            pl,
+            anchor_root,
+            gather,
+        }
+    }
+
+    /// Project one batch.
+    pub fn project(&self, store: &DocumentStore, batch: Batch) -> Result<Vec<Tree>> {
+        let disjoint = |rows: &[NodeEntry]| rows.windows(2).all(|w| w[0].end < w[1].start);
+        let (groups, (member, extract)) = match (batch, &self.gather) {
+            (Batch::Groups(groups), Some(gather)) if disjoint(&groups.rows) => (groups, gather),
+            (batch, _) => {
+                let trees = batch.into_trees();
+                return project(store, &trees, self.pattern, self.pl, self.anchor_root);
+            }
+        };
+        // Each row's extracts in document order, each once; one inside
+        // the last kept is part of that deep extract.
+        let (table, row_of) = match_in_scopes(store, member, &groups.rows, true)?;
+        let mut found: Vec<(u32, NodeEntry)> = row_of
+            .into_iter()
+            .zip(table.column(*extract).iter().copied())
+            .collect();
+        found.sort_unstable_by_key(|&(row, e)| (row, e.start));
+        found.dedup_by(|(row, e), (kept_row, kept)| row == kept_row && e.start < kept.end);
+        let starts: Vec<usize> = (0..=groups.rows.len() as u32)
+            .map(|r| found.partition_point(|&(row, _)| row < r))
+            .collect();
+        let run = |m: u32| &found[starts[m as usize]..starts[m as usize + 1]];
+        let mut out = Vec::new();
+        for (g, members) in groups.members.iter().enumerate() {
+            if members.iter().all(|&m| run(m).is_empty()) {
+                continue;
+            }
+            let key = groups.key(g).iter().filter_map(|kind| match kind {
+                TreeNodeKind::Ref { node, .. } => Some(*node), // a content basis cell
+                TreeNodeKind::Elem { .. } => None,
+            });
+            let mut tree = Tree::new_elem_sym(groups.tags[0]);
+            for node in key.chain(members.iter().flat_map(|&m| run(m)).map(|&(_, e)| e)) {
+                tree.add_ref(0, node, true);
+            }
+            out.push(tree);
+        }
+        Ok(out)
+    }
+}
+
+/// The member subtree of `pattern` and its extract node when `pattern` /
+/// `pl` over a `GroupBy` with pattern `gb_pattern` and basis `basis` is
+/// exactly what the rewrite emits: anchored, join-free, `PL = [$1, $3*,
+/// extract*]` over nodes `0 {1 {2}, 3 {4 … extract …}}` —
+/// `TAX_group_root`, `TAX_grouping_basis`, a `pc` tag test of the tag
+/// every cell of the one content basis item has (so it binds the one
+/// basis child), `TAX_group_subroot`, the member.
+fn fig5d(
+    pattern: &PatternTree,
+    pl: &[ProjectItem],
+    anchor_root: bool,
+    gb_pattern: &PatternTree,
+    basis: &[BasisItem],
+) -> Option<(PatternTree, PatternNodeId)> {
+    let ([item], [root, key, out]) = (basis, pl) else {
+        return None;
+    };
+    let key_tag = gb_pattern.node(item.label).pred.required_tag()?;
+    let is = |id: usize, tag: &str| matches!(&pattern.node(id).pred, Pred::Tag(t) if t == tag);
+    let pc = |id: usize| pattern.node(id).axis == Axis::Child;
+    let kids = |id: usize| &pattern.node(id).children[..];
+    let fits = anchor_root
+        && item.attr.is_none()
+        && pattern.len() > 5
+        && pattern.join_pairs().is_empty()
+        && (kids(0), kids(1), kids(2), kids(3)) == (&[1, 3][..], &[2][..], &[][..], &[4][..])
+        && is(0, tags::GROUP_ROOT)
+        && is(1, tags::GROUPING_BASIS)
+        && is(2, key_tag)
+        && is(3, tags::GROUP_SUBROOT)
+        && (1..=4).all(pc)
+        && [*root, *key] == [ProjectItem::shallow(0), ProjectItem::deep(2)]
+        && out.deep;
+    let (member, mapping) = fits.then(|| pattern.subtree_pattern(4))?;
+    let extract = (*mapping.get(out.label)?).filter(|&x| x != member.root())?;
+    Some((member, extract))
 }
 
 /// Projection by hash maps: the reference implementation the property
@@ -320,28 +423,6 @@ fn project_one_reference(
     // arena nodes get DFS counters; a stored node inside a deep reference
     // inherits the reference's rank as its first key component and its
     // own (start, end) label as the second.
-
-    // Normalize: a selected stored node that *is* some reference's target
-    // aliases that arena node.
-    let mut ref_of: HashMap<u32, usize> = HashMap::new();
-    for i in tree.preorder() {
-        if let TreeNodeKind::Ref { node, .. } = &tree.node(i).kind {
-            ref_of.insert(node.id.0, i);
-        }
-    }
-    let mut norm: HashMap<VNode, bool> = HashMap::new();
-    for (v, deep) in selected {
-        let v = match v {
-            VNode::Stored(e) => match ref_of.get(&e.id.0) {
-                Some(&i) => VNode::Arena(i),
-                None => VNode::Stored(e),
-            },
-            other => other,
-        };
-        let slot = norm.entry(v).or_insert(false);
-        *slot = *slot || deep;
-    }
-    let selected = norm;
 
     let selected_stored: Vec<xmlstore::NodeEntry> = {
         let mut v: Vec<xmlstore::NodeEntry> =
@@ -652,7 +733,8 @@ mod tests {
         }
         // The narrower reference owns a node both could claim: the
         // authors of `book` hang under the `book*` reference, not under
-        // `shelf*`, and `title` is the arena reference it aliases.
+        // `shelf*`, and so does its `title` — a place of its own beside
+        // the shallow reference that targets the same node.
         let mut p = PatternTree::with_root(Pred::tag("wrap"));
         let au = p.add_child(p.root(), Axis::Descendant, Pred::tag("author"));
         let ti = p.add_child(p.root(), Axis::Descendant, Pred::tag("title"));
@@ -665,6 +747,11 @@ mod tests {
         ];
         let out = assert_same_projection(&s, &t, &p, &pl, true);
         assert_eq!(out.len(), 1);
+        let titles = out[0].preorder().into_iter();
+        let titles = titles.filter(|&i| out[0].tag_of(&s, i).unwrap() == "title");
+        // `title` twice (its reference, inside `book*`), `e`'s `title*`,
+        // and the other book's title inside `shelf*`.
+        assert_eq!(titles.count(), 4);
     }
 
     #[test]
@@ -777,5 +864,110 @@ mod tests {
         let out = assert_same_projection(&s, &group, &p, &pl, true);
         assert_eq!(out.len(), MEMBERS);
         assert!(out.iter().all(|t| t.len() == 2));
+    }
+
+    /// The Fig. 5d projection over groups of `author` keys, its member
+    /// path `article -axis-> title`.
+    fn fig5d_pattern(axis: Axis) -> (PatternTree, Vec<ProjectItem>) {
+        let mut p = PatternTree::with_root(Pred::tag(tags::GROUP_ROOT));
+        let basis = p.add_child(p.root(), Axis::Child, Pred::tag(tags::GROUPING_BASIS));
+        let key = p.add_child(basis, Axis::Child, Pred::tag("author"));
+        let sub = p.add_child(p.root(), Axis::Child, Pred::tag(tags::GROUP_SUBROOT));
+        let member = p.add_child(sub, Axis::Child, Pred::tag("article"));
+        let title = p.add_child(member, axis, Pred::tag("title"));
+        let pl = vec![
+            ProjectItem::shallow(p.root()),
+            ProjectItem::deep(key),
+            ProjectItem::deep(title),
+        ];
+        (p, pl)
+    }
+
+    #[test]
+    fn only_the_fig5d_shape_is_gathered() {
+        let mut gb = PatternTree::with_root(Pred::tag("article"));
+        let author = gb.add_child(gb.root(), Axis::Child, Pred::tag("author"));
+        let basis = [BasisItem::content(author)];
+        let (p, pl) = fig5d_pattern(Axis::Child);
+        let fits = |p: &PatternTree, pl: &[ProjectItem], anchor: bool, basis: &[BasisItem]| {
+            fig5d(p, pl, anchor, &gb, basis).is_some()
+        };
+        assert!(fits(&p, &pl, true, &basis));
+        assert!(fits(&fig5d_pattern(Axis::Descendant).0, &pl, true, &basis));
+        // Not anchored; an attribute or a second basis item; a key that
+        // is not the basis tag; a shallow key, a deep root, the member
+        // itself or one more node kept.
+        assert!(!fits(&p, &pl, false, &basis));
+        assert!(!fits(&p, &pl, true, &[BasisItem::attr(author, "id")]));
+        assert!(!fits(&p, &pl, true, &[basis[0].clone(), basis[0].clone()]));
+        assert!(!fits(&p, &pl, true, &[BasisItem::content(gb.root())]));
+        for (i, item) in [
+            ProjectItem::shallow(2),
+            ProjectItem::deep(0),
+            ProjectItem::deep(4),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut other = pl.clone();
+            other[i] = item;
+            assert!(!fits(&p, &other, true, &basis), "{other:?}");
+        }
+        let mut more = pl.clone();
+        more.push(ProjectItem::shallow(4));
+        assert!(!fits(&p, &more, true, &basis));
+        // A second child under the basis or a join predicate.
+        let mut wider = p.clone();
+        wider.add_child(1, Axis::Child, Pred::tag("author"));
+        assert!(!fits(&wider, &pl, true, &basis));
+        let mut joined = p.clone();
+        joined.add_child(
+            4,
+            Axis::Child,
+            Pred::tag("year").and(Pred::ContentEqNode(2)),
+        );
+        assert!(!fits(&joined, &pl, true, &basis));
+    }
+
+    #[test]
+    fn the_gather_writes_what_the_group_trees_project_to() {
+        use crate::batch::Batch;
+        use crate::exec::ExecOptions;
+        use crate::ops::groupby::{groupby_sharded, Direction, GroupOrder};
+        // Multi-title, untitled and nested-title articles; `A` keys the
+        // article whose authors the `author` extract returns.
+        let s = DocumentStore::from_xml(
+            "<bib>\
+                <article><author>A</author><title>T1</title><title>T2<title>N</title></title><author>B</author></article>\
+                <article><author>C</author></article>\
+                <article><author>A</author><author>C</author><title>T3</title><sec><title>S</title></sec></article>\
+            </bib>",
+            &StoreOptions::in_memory(),
+        )
+        .unwrap();
+        let rows = s.nodes_with_tag(s.tag_id("article").unwrap()).to_vec();
+        let mut gb = PatternTree::with_root(Pred::tag("article"));
+        let author = gb.add_child(gb.root(), Axis::Child, Pred::tag("author"));
+        let title = gb.add_child(gb.root(), Axis::Descendant, Pred::tag("title"));
+        let basis = [BasisItem::content(author)];
+        for ordering in [
+            vec![],
+            vec![GroupOrder {
+                label: title,
+                direction: Direction::Descending,
+            }],
+        ] {
+            let opts = ExecOptions::sequential();
+            let input = Batch::Stored(rows.clone());
+            let (groups, _) = groupby_sharded(&s, &input, &gb, &basis, &ordering, &opts).unwrap();
+            assert!(matches!(groups, Batch::Groups(_)), "{groups:?}");
+            for axis in [Axis::Child, Axis::Descendant] {
+                let (p, pl) = fig5d_pattern(axis);
+                let gather = Projection::new(&p, &pl, true, Some((&gb, &basis[..])));
+                let want = project(&s, &groups.clone().into_trees(), &p, &pl, true).unwrap();
+                let got = gather.project(&s, groups.clone()).unwrap();
+                assert_eq!(got, want, "{axis:?}");
+            }
+        }
     }
 }

@@ -20,6 +20,8 @@ pub enum OutKind {
     Stored,
     /// Trees only.
     Trees,
+    /// Groups over stored rows only, as columns: no group tree built.
+    Groups,
     /// Both (a `Union` over a stored scan and a tree-building branch).
     Mixed,
 }
@@ -77,6 +79,7 @@ impl PlanMetrics {
             None => "",
             Some(OutKind::Stored) => " stored",
             Some(OutKind::Trees) => " trees",
+            Some(OutKind::Groups) => " groups",
             Some(OutKind::Mixed) => " mixed",
         };
         let _ = write!(

@@ -22,13 +22,14 @@
 //! `Union` concatenates its inputs and needs no kernel.
 //!
 //! What moves between operators is a [`Batch`]: stored rows (node
-//! labels, each standing for its whole subtree) or trees. The scan leaf
-//! emits stored rows when its output is one deep stored node per row —
-//! the leaf of both paper plans — and the grouping sinks (`GroupBy`,
-//! `Rollup`, `Cube`) read them as they are; the map operators, the join
-//! and the stitch construct or walk arena trees and take their input
-//! through [`Batch::into_trees`], as does [`execute`] for the collection
-//! it returns. Every operator's output is trees except such a leaf's.
+//! labels, each standing for its whole subtree), groups over them, or
+//! trees. The scan leaf emits stored rows when its output is one deep
+//! stored node per row — the leaf of both paper plans — and the grouping
+//! sinks (`GroupBy`, `Rollup`, `Cube`) read them as they are; `GroupBy`
+//! emits their groups as columns, which a `Project` of the rewrite's
+//! Fig. 5d shape (recognized here, once) gathers its output from. Other
+//! operators construct or walk arena trees and take their input through
+//! [`Batch::into_trees`], as does [`execute`] for what it returns.
 //!
 //! Every operator meters its own work — rows in/out (and whether the
 //! rows out were stored rows or trees), batches, wall
@@ -86,12 +87,11 @@ pub fn execute(
 
 /// A scan's kernel: a row range of the match → its output rows.
 type ScanKernel<'a> = Box<dyn Fn(&Bindings, Range<usize>) -> tax::Result<Batch> + 'a>;
-/// A streaming operator's kernel: one input batch, as trees → its
-/// output trees.
-type MapKernel<'a> = Box<dyn FnMut(Vec<Tree>) -> tax::Result<Vec<Tree>> + 'a>;
+/// A streaming operator's kernel: one input batch → its output trees.
+type MapKernel<'a> = Box<dyn FnMut(Batch) -> tax::Result<Vec<Tree>> + 'a>;
 /// A blocking sink's kernel: the drained inputs (one batch per input
-/// plan) → the whole output plus its partition statistics.
-type SinkKernel<'a> = Box<dyn FnOnce(Vec<Batch>) -> tax::Result<(Collection, ShardStats)> + 'a>;
+/// plan, never groups) → the whole output plus its partition statistics.
+type SinkKernel<'a> = Box<dyn FnOnce(Vec<Batch>) -> tax::Result<(Batch, ShardStats)> + 'a>;
 
 /// Build the physical operator for one logical plan node (recursively
 /// building its inputs): the driver its execution shape calls for, with
@@ -158,18 +158,26 @@ pub fn build<'a>(
                 select_project(store, pattern, bindings, rows, sl, pl, &opts)
             }),
         ),
-        // Trees are independent under projection, so batching cannot
-        // change output.
+        // Trees (and groups) are independent under projection, so
+        // batching cannot change output. The rewrite's final projection
+        // over `GroupBy`'s groups gathers its output from the columns.
         Plan::Project {
             input,
             pattern,
             pl,
             anchor_root,
-        } => map(
-            input,
-            meter,
-            Box::new(move |batch| ops::project::project(store, &batch, pattern, pl, *anchor_root)),
-        )?,
+        } => {
+            let grouped = match &**input {
+                Plan::GroupBy { pattern, basis, .. } => Some((pattern, &basis[..])),
+                _ => None,
+            };
+            let projection = ops::project::Projection::new(pattern, pl, *anchor_root, grouped);
+            map(
+                input,
+                meter,
+                Box::new(move |b| projection.project(store, b)),
+            )?
+        }
         // Key extraction runs per batch; the seen-set persists across
         // batches so the stream-wide output matches the
         // collection-at-once kernel exactly.
@@ -178,7 +186,7 @@ pub fn build<'a>(
             map(
                 input,
                 meter,
-                Box::new(move |batch| {
+                on_trees(move |batch| {
                     let keys = ops::dupelim::dup_keys(store, &batch, pattern, *by, &opts)?;
                     Ok(batch
                         .into_iter()
@@ -202,7 +210,7 @@ pub fn build<'a>(
         } => map(
             input,
             meter,
-            Box::new(move |batch| {
+            on_trees(move |batch| {
                 ops::aggregate::aggregate_opts(
                     store, batch, pattern, *func, *of, new_tag, *spec, &opts,
                 )
@@ -211,7 +219,7 @@ pub fn build<'a>(
         Plan::Rename { input, tag } => map(
             input,
             meter,
-            Box::new(move |batch| ops::rename::rename_root(store.dict(), batch, tag)),
+            on_trees(move |batch| ops::rename::rename_root(store.dict(), batch, tag)),
         )?,
         Plan::GroupBy {
             input,
@@ -258,6 +266,7 @@ pub fn build<'a>(
                     shape,
                     &opts,
                 )
+                .map(trees)
             }),
         )?,
         Plan::Union { inputs } => Box::new(UnionOp {
@@ -294,6 +303,7 @@ pub fn build<'a>(
                     new_tag,
                     &opts,
                 )
+                .map(trees)
             }),
         )?,
         Plan::LeftOuterJoinDb {
@@ -319,6 +329,7 @@ pub fn build<'a>(
                     right_sl,
                     &opts,
                 )
+                .map(trees)
             }),
         )?,
         // The RETURN stitching pairs every outer tree with all inner
@@ -353,9 +364,20 @@ pub fn build<'a>(
                     tag,
                     &opts,
                 )
+                .map(trees)
             }),
         )?,
     })
+}
+
+/// A streaming kernel over trees as one over batches.
+fn on_trees<'a>(mut kernel: impl FnMut(Vec<Tree>) -> tax::Result<Vec<Tree>> + 'a) -> MapKernel<'a> {
+    Box::new(move |batch| kernel(batch.into_trees()))
+}
+
+/// A tree-building sink's output as a batch.
+fn trees((out, shards): (Collection, ShardStats)) -> (Batch, ShardStats) {
+    (Batch::Trees(out), shards)
 }
 
 /// The first line of the plan node's rendering — the operator label used
@@ -431,10 +453,10 @@ impl Meter {
     fn emitted(&mut self, batch: &Batch) {
         self.batches += 1;
         self.trees_out += batch.len();
-        let kind = if batch.is_stored() {
-            OutKind::Stored
-        } else {
-            OutKind::Trees
+        let kind = match batch {
+            Batch::Stored(_) => OutKind::Stored,
+            Batch::Trees(_) => OutKind::Trees,
+            Batch::Groups(_) => OutKind::Groups,
         };
         self.out_kind = Some(match self.out_kind {
             Some(seen) if seen != kind => OutKind::Mixed,
@@ -508,9 +530,8 @@ impl PhysOp for ScanOp<'_> {
     }
 }
 
-/// Streaming driver: the kernel runs on each input batch independently,
-/// taken as trees; whatever it must remember across batches lives in the
-/// closure.
+/// Streaming driver: the kernel runs on each input batch independently;
+/// whatever it must remember across batches lives in the closure.
 struct MapOp<'a> {
     store: &'a DocumentStore,
     input: Box<dyn PhysOp + 'a>,
@@ -526,7 +547,7 @@ impl PhysOp for MapOp<'_> {
             };
             self.meter.trees_in += batch.len();
             let window = self.meter.start(self.store);
-            let out = (self.kernel)(batch.into_trees());
+            let out = (self.kernel)(batch);
             self.meter.stop(self.store, window);
             let out = Batch::Trees(out?);
             if !out.is_empty() {
@@ -550,7 +571,7 @@ struct SinkOp<'a> {
     store: &'a DocumentStore,
     inputs: Vec<Box<dyn PhysOp + 'a>>,
     kernel: Option<SinkKernel<'a>>,
-    output: std::vec::IntoIter<Tree>,
+    output: std::vec::IntoIter<Batch>,
     batch: usize,
     meter: Meter,
 }
@@ -572,15 +593,13 @@ impl PhysOp for SinkOp<'_> {
             self.meter.stop(self.store, window);
             let (out, shards) = result?;
             self.meter.shards = Some(shards);
-            self.output = out.into_iter();
+            self.output = out.into_chunks(self.batch).into_iter();
         }
-        let out = Batch::Trees(self.output.by_ref().take(self.batch).collect());
-        if out.is_empty() {
-            Ok(None)
-        } else {
-            self.meter.emitted(&out);
-            Ok(Some(out))
+        let out = self.output.next();
+        if let Some(batch) = &out {
+            self.meter.emitted(batch);
         }
+        Ok(out)
     }
 
     fn metrics(&self) -> PlanMetrics {
@@ -713,19 +732,24 @@ mod tests {
             let (trees, metrics) = execute(db.store(), &plan, &db.exec_options(), 2).unwrap();
             assert!(!trees.is_empty());
             // The leaf emits stored rows — no tree, nothing re-matched —
-            // and every operator above it emits trees; the rendering
-            // says which.
+            // a `GroupBy` over them emits groups as columns, and every
+            // other operator above it emits trees; the rendering says
+            // which.
             let nodes = chain(&metrics);
             let (leaf, above) = nodes.split_last().unwrap();
             assert!(leaf.op.starts_with("SelectProject"), "{}", leaf.op);
             assert_eq!(leaf.out_kind, Some(OutKind::Stored));
-            assert!(above.iter().all(|m| m.out_kind == Some(OutKind::Trees)));
+            let kind = |m: &PlanMetrics| match m.op.starts_with("GroupBy") {
+                true => (OutKind::Groups, " groups batches="),
+                false => (OutKind::Trees, " trees batches="),
+            };
+            assert!(above.iter().all(|m| m.out_kind == Some(kind(m).0)));
             let text = metrics.render();
             let lines: Vec<&str> = text.lines().collect();
             assert!(lines[lines.len() - 1].contains(" out=3 stored batches=2 "));
-            assert!(lines[..lines.len() - 1]
-                .iter()
-                .all(|l| l.contains(" trees batches=")));
+            for (line, m) in lines.iter().zip(above) {
+                assert!(line.contains(kind(m).1), "{line}");
+            }
             // The grouping sink is the leaf's consumer and took all of
             // its rows.
             let sink = above[above.len() - 1];
@@ -747,7 +771,7 @@ mod tests {
                 inputs: vec![build(db.store(), leaf_of(&plan), &db.exec_options(), 2).unwrap()],
                 kernel: Some(Box::new(|ins| {
                     assert!(matches!(&ins[0], Batch::Stored(rows) if rows.len() == 3));
-                    Ok((Vec::new(), ShardStats::serial(3)))
+                    Ok((Batch::default(), ShardStats::serial(3)))
                 })),
                 output: Vec::new().into_iter(),
                 batch: 2,
@@ -929,7 +953,7 @@ mod tests {
                 if fail {
                     return Err(tax::Error::Unsupported("kernel failed".into()));
                 }
-                let all = ins.remove(0).into_trees();
+                let all = ins.remove(0);
                 let n = all.len();
                 Ok((all, ShardStats::serial(n)))
             })),
@@ -1003,7 +1027,7 @@ mod tests {
                 if calls == 2 {
                     return Err(tax::Error::Unsupported("batch 2 failed".into()));
                 }
-                Ok(batch)
+                Ok(batch.into_trees())
             }),
             meter: Meter::new("Map".into()),
         };

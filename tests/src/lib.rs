@@ -84,10 +84,12 @@ pub enum Shape {
     /// 1–3 distinct authors from a pool of five and exactly one title
     /// per article: shared authorship and repeated names are frequent.
     Plain,
-    /// 0–3 authors drawn with repetition, the title sometimes missing:
-    /// empty articles, duplicate authors, untitled articles. Every author
-    /// still has one titled article (appended last where none came up),
-    /// which is the GROUPBY rewrite's precondition — DESIGN.md, *Oracle*.
+    /// 0–3 authors drawn with repetition, the title and the year each
+    /// sometimes missing: empty articles, duplicate authors, untitled and
+    /// undated articles. Every author still has one titled and one dated
+    /// article (an article with both appended last where none came up),
+    /// which is the GROUPBY rewrite's precondition for `$b/title` and
+    /// `$b/year` — DESIGN.md, *Oracle*.
     Ragged,
     /// [`Shape::Plain`] plus a fractional `<year>` per article, for the
     /// numeric aggregates.
@@ -119,11 +121,13 @@ pub fn bibliography(g: &mut Gen, shape: Shape) -> String {
     const POOL: [&str; 5] = ["Jack", "Jill", "John", "Jane", "Joan"];
     const JOURNALS: [&str; 3] = ["TODS", "WebDB", "SIGMOD"];
     let mut s = String::from("<bib>");
-    // Ragged only: every author drawn, and those with a titled article.
-    let (mut drawn, mut titled): (Vec<&str>, Vec<&str>) = (Vec::new(), Vec::new());
+    // Ragged only: every author drawn, those with a titled article and
+    // those with a dated one.
+    let (mut drawn, mut titled, mut dated): (Vec<&str>, Vec<&str>, Vec<&str>) =
+        (Vec::new(), Vec::new(), Vec::new());
     for n in 0..g.usize_in(0, 11) {
         s.push_str("<article>");
-        let mut has_title = true;
+        let (mut has_title, mut has_year) = (true, false);
         match shape {
             Shape::Plain | Shape::Years => {
                 for a in distinct_names(g, &POOL, 3) {
@@ -133,11 +137,15 @@ pub fn bibliography(g: &mut Gen, shape: Shape) -> String {
             Shape::Ragged => {
                 let names = g.vec(0, 3, |g| *g.pick(&POOL));
                 has_title = g.ratio(4, 5);
+                has_year = g.ratio(4, 5);
                 for a in names {
                     let _ = write!(s, "<author>{a}</author>");
                     drawn.push(a);
                     if has_title {
                         titled.push(a);
+                    }
+                    if has_year {
+                        dated.push(a);
                     }
                 }
             }
@@ -163,6 +171,9 @@ pub fn bibliography(g: &mut Gen, shape: Shape) -> String {
         if has_title {
             let _ = write!(s, "<title>Title {n}</title>");
         }
+        if has_year {
+            let _ = write!(s, "<year>{}</year>", 1999 + n % 3);
+        }
         if shape == Shape::Years {
             let (year, cents) = (1970 + g.usize_in(0, 32), g.usize_in(0, 99));
             let _ = write!(s, "<year>{year}.{cents}</year>");
@@ -171,11 +182,11 @@ pub fn bibliography(g: &mut Gen, shape: Shape) -> String {
     }
     for a in POOL
         .iter()
-        .filter(|a| drawn.contains(a) && !titled.contains(a))
+        .filter(|a| drawn.contains(a) && !(titled.contains(a) && dated.contains(a)))
     {
         let _ = write!(
             s,
-            "<article><author>{a}</author><title>Only {a}</title></article>"
+            "<article><author>{a}</author><title>Only {a}</title><year>2000</year></article>"
         );
     }
     s.push_str("</bib>");

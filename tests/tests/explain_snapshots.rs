@@ -118,23 +118,26 @@ fn explain_analyze_structural_snapshot() {
         }
     }
     // Each line says what its rows were: the scan leaf hands the
-    // grouping sink stored rows, everything above it builds trees.
-    let outs: Vec<&str> = metric_lines
+    // grouping sink stored rows, the sink hands the projection groups
+    // as columns — no tree between `GroupBy` and `Project` — and the
+    // projection writes one tree per result, cloning none.
+    let field = |l: &str, name: &str, end: &str| -> String {
+        let rest = l.split(name).nth(1).unwrap();
+        rest.split(end).next().unwrap().to_owned()
+    };
+    let outs: Vec<String> = metric_lines
         .iter()
-        .map(|l| {
-            l.split(" out=")
-                .nth(1)
-                .unwrap()
-                .split(" batches=")
-                .next()
-                .unwrap()
-        })
+        .map(|l| field(l, " out=", " batches="))
         .collect();
     assert_eq!(
         outs,
-        ["3 trees", "3 trees", "3 trees", "3 stored"],
+        ["3 trees", "3 trees", "3 groups", "3 stored"],
         "{text}"
     );
+    let project = metric_lines[1];
+    assert!(project.trim_start().starts_with("Project"), "{project}");
+    assert_eq!(field(project, " clones=", " "), "0", "{project}");
+    assert_eq!(a.result.len(), 3);
     // One lane, nothing to name: the summary is just the two counts.
     let summary = text.lines().find(|l| l.ends_with(" scalar-fallback rows"));
     let words: Vec<&str> = summary.expect(&text).split(' ').collect();

@@ -57,6 +57,7 @@ fn groupby_parallel_is_identical_to_sequential() {
     for threads in THREAD_COUNTS {
         let opts = ExecOptions::with_threads(threads);
         let (parallel, _) = groupby_sharded(&s, &input, &gp, &basis, &ordering, &opts).unwrap();
+        let parallel = parallel.into_trees();
         // Same groups, in the same first-arrival order, with the same
         // members — structural equality over the whole collection.
         assert_eq!(sequential, parallel, "threads={threads}");

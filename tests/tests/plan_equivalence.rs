@@ -5,13 +5,15 @@
 //! the rewrite (Sec. 4.1/4.2) — together with its precondition, pinned
 //! below on the one input shape where the rewrite and the query part.
 
-use smallrand::prop::check;
+use smallrand::prop::{check, Gen};
+use std::fmt::Write as _;
 use tax::ops::project::ProjectItem;
 use tax::pattern::{Axis, PatternTree, Pred};
-use timber::{OutKind, PlanMode, TimberDb};
+use tax::tags;
+use timber::{OutKind, PlanMetrics, PlanMode, TimberDb};
 use timber_integration_tests::{
-    assert_matches_model, bibliography, expected, run, thread_matrix, Shape, QUERY1, QUERY2,
-    QUERY_COUNT,
+    assert_matches_model, batch_matrix, bibliography, expected, run, thread_matrix, Shape, QUERY1,
+    QUERY2, QUERY_COUNT,
 };
 use xmlstore::StoreOptions;
 use xquery::Plan;
@@ -38,12 +40,46 @@ fn with_leaf(plan: &Plan, leaf: Plan) -> Plan {
     let mut at = &mut plan;
     loop {
         match at {
-            Plan::Rename { input, .. } | Plan::Rollup { input, .. } => at = &mut **input,
+            Plan::Rename { input, .. }
+            | Plan::Rollup { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::GroupBy { input, .. } => at = &mut **input,
             scan => {
                 *scan = leaf;
                 return plan;
             }
         }
+    }
+}
+
+/// The fused `[$1*]` scan of `pattern`: one stored row per match.
+fn scan(pattern: PatternTree) -> Plan {
+    Plan::SelectProject {
+        sl: vec![pattern.root()],
+        pl: vec![ProjectItem::deep(pattern.root())],
+        pattern,
+    }
+}
+
+/// `article -pc-> author`.
+fn authored() -> PatternTree {
+    let mut p = PatternTree::with_root(Pred::tag("article"));
+    p.add_child(p.root(), Axis::Child, Pred::tag("author"));
+    p
+}
+
+/// The articles as one-node trees: a `Project` over the `SelectDb` the
+/// fused scan stands for.
+fn tree_leaf() -> Plan {
+    let article = PatternTree::with_root(Pred::tag("article"));
+    Plan::Project {
+        input: Box::new(Plan::SelectDb {
+            pattern: article.clone(),
+            sl: vec![article.root()],
+        }),
+        pattern: article,
+        pl: vec![ProjectItem::deep(0)],
+        anchor_root: true,
     }
 }
 
@@ -69,16 +105,9 @@ fn repeated_stored_rows_group_like_a_document_that_repeats_the_articles() {
             .collect();
         let twice = body.repeat(2);
 
-        let mut authored = PatternTree::with_root(Pred::tag("article"));
-        authored.add_child(authored.root(), Axis::Child, Pred::tag("author"));
-        let scan = |pattern: PatternTree| Plan::SelectProject {
-            sl: vec![pattern.root()],
-            pl: vec![ProjectItem::deep(pattern.root())],
-            pattern,
-        };
         let every = PatternTree::with_root(Pred::tag("article"));
         let cases = [
-            (scan(authored), format!("<bib>{per_author}</bib>")),
+            (scan(authored()), format!("<bib>{per_author}</bib>")),
             (
                 Plan::Union {
                     inputs: vec![scan(every.clone()), scan(every)],
@@ -146,6 +175,172 @@ fn the_rewrite_drops_an_author_no_titled_article_carries() {
         assert_eq!(run(&mut db, query, PlanMode::Direct, 256), want);
         assert_eq!(run(&mut db, query, PlanMode::GroupByRewrite, 256), jack);
     }
+}
+
+/// Query 1's shape returning `$b/<ret>`, the inner FLWR ordered by
+/// `order` (empty for none).
+fn nested(ret: &str, order: &str) -> String {
+    format!(
+        r#"FOR $a IN distinct-values(document("bib.xml")//author)
+        RETURN <x> {{$a}} {{ FOR $b IN document("bib.xml")//article
+          WHERE $a = $b/author {order} RETURN $b/{ret} }} </x>"#
+    )
+}
+
+#[test]
+fn returning_the_join_tag_keeps_the_key_and_the_members_node_apart() {
+    // `RETURN $b/author` returns the author a group is keyed by among
+    // each article's authors: in the GROUPBY plan the key and the first
+    // member's author are one stored node and two output nodes. The
+    // final projection once aliased a stored node to whatever reference
+    // of the group tree targeted it, and dropped the member's.
+    let xml = "<bib>\
+        <article><title>T1</title><author>A</author><author>B</author></article>\
+        <article><title>T2</title><author>A</author></article>\
+        <article><title>T3</title><author>B</author></article>\
+    </bib>";
+    let want = "<x><author>A</author><author>A</author><author>B</author><author>A</author></x>\n\
+        <x><author>B</author><author>A</author><author>B</author><author>B</author></x>\n";
+    let query = nested("author", "");
+    assert_eq!(expected(xml, &query), want);
+    let mut db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
+    for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
+        assert_eq!(run(&mut db, &query, mode, 256), want, "{mode:?}");
+    }
+    // Group trees (a tree input) go through the tree projection: the
+    // same bytes.
+    let (plan, _) = db.compile(&query, PlanMode::GroupByRewrite).unwrap();
+    let trees = db.run_plan(&with_leaf(&plan, tree_leaf()), true).unwrap();
+    assert_eq!(trees.to_xml_on(db.store()).unwrap(), want);
+}
+
+/// Articles of 1–3 authors drawn with repetition, 0–2 titles (one
+/// sometimes holding a nested `<title>`) and one `<year>` of three:
+/// multi-title, untitled and nested-title articles, and ORDER BY ties.
+fn gather_bibliography(g: &mut Gen) -> String {
+    let mut s = String::from("<bib>");
+    for n in 0..g.usize_in(0, 10) {
+        s.push_str("<article>");
+        for _ in 0..g.usize_in(1, 3) {
+            let _ = write!(
+                s,
+                "<author>{}</author>",
+                g.pick(&["Jack", "Jill", "John", "Jane"])
+            );
+        }
+        for t in 0..*g.pick(&[0, 1, 1, 2]) {
+            let _ = match g.ratio(1, 4) {
+                true => write!(s, "<title>T{n}.{t}<title>Inner {n}</title></title>"),
+                false => write!(s, "<title>T{n}.{t}</title>"),
+            };
+        }
+        let _ = write!(s, "<year>{}</year></article>", 1999 + g.usize_in(0, 2));
+    }
+    s + "</bib>"
+}
+
+/// The titles plan with the extract edge made `-ad->`: `$b//title`.
+fn descendant_extract(plan: &Plan) -> Plan {
+    let mut plan = plan.clone();
+    let Plan::Rename { input, .. } = &mut plan else {
+        panic!("{plan:?}")
+    };
+    let Plan::Project { pattern, pl, .. } = &mut **input else {
+        panic!("{input:?}")
+    };
+    assert_eq!(pattern.len(), 6, "{pattern:?}");
+    let mut p = PatternTree::with_root(Pred::tag(tags::GROUP_ROOT));
+    let basis = p.add_child(p.root(), Axis::Child, Pred::tag(tags::GROUPING_BASIS));
+    let key = p.add_child(basis, Axis::Child, Pred::tag("author"));
+    let subroot = p.add_child(p.root(), Axis::Child, Pred::tag(tags::GROUP_SUBROOT));
+    let member = p.add_child(subroot, Axis::Child, Pred::tag("article"));
+    let title = p.add_child(member, Axis::Descendant, Pred::tag("title"));
+    *pl = vec![
+        ProjectItem::shallow(p.root()),
+        ProjectItem::deep(key),
+        ProjectItem::deep(title),
+    ];
+    *pattern = p;
+    plan
+}
+
+/// The kind of rows the plan's `GroupBy` emitted.
+fn groupby_out(m: &PlanMetrics) -> Option<OutKind> {
+    match m.op.starts_with("GroupBy") {
+        true => m.out_kind,
+        false => m.children.iter().find_map(groupby_out),
+    }
+}
+
+#[test]
+fn the_group_projection_equals_the_model_on_random_bibliographies() {
+    // `GroupBy` hands the final projection groups as columns, and the
+    // projection gathers each output tree from one match of the member
+    // path — or, over repeated rows or trees, projects the group trees.
+    // Every way must serve the query as written, minus what DESIGN.md,
+    // *Oracle*, 1 states the rewrite drops: an author none of whose
+    // articles carries the returned path.
+    check(
+        "the_group_projection_equals_the_model_on_random_bibliographies",
+        24,
+        |g| {
+            let xml = gather_bibliography(g);
+            let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+            let titles = nested("title", "");
+            let queries = [
+                titles.clone(),
+                nested("title", "ORDER BY $b/year"),
+                nested("title", "ORDER BY $b/year DESCENDING"),
+                nested("author", ""),
+                nested("year", ""),
+            ];
+            let grouped = |model: &str| -> String {
+                let kept = model.lines().filter(|row| row.matches("</").count() > 2);
+                kept.map(|row| format!("{row}\n")).collect()
+            };
+            let (plan, _) = db.compile(&titles, PlanMode::GroupByRewrite).unwrap();
+            let every = PatternTree::with_root(Pred::tag("article"));
+            let hand_built = [
+                // A title nested in a title lies inside the outer one's
+                // subtree: `$b//title` serves `$b/title`'s bytes here.
+                descendant_extract(&plan),
+                // An article once per author, and every article twice:
+                // rows that are not a disjoint scope list.
+                with_leaf(&plan, scan(authored())),
+                with_leaf(
+                    &plan,
+                    Plan::Union {
+                        inputs: vec![scan(every.clone()), scan(every)],
+                    },
+                ),
+                with_leaf(&plan, tree_leaf()),
+            ];
+            for threads in thread_matrix(&[1, 4]) {
+                db.set_threads(threads);
+                for batch in batch_matrix(&[16, 256]) {
+                    for query in &queries {
+                        let want = expected(&xml, query);
+                        let cell = format!("threads={threads} batch={batch} {query} on {xml}");
+                        assert_eq!(run(&mut db, query, PlanMode::Direct, batch), want, "{cell}");
+                        let got = run(&mut db, query, PlanMode::GroupByRewrite, batch);
+                        assert_eq!(got, grouped(&want), "{cell}");
+                    }
+                    let want = grouped(&expected(&xml, &titles));
+                    for plan in &hand_built {
+                        let r = db.run_plan(plan, true).unwrap();
+                        let got = r.to_xml_on(db.store()).unwrap();
+                        assert_eq!(
+                            got, want,
+                            "threads={threads} batch={batch} {plan:?} on {xml}"
+                        );
+                    }
+                    let r = db.query(&titles, PlanMode::GroupByRewrite).unwrap();
+                    let out = groupby_out(r.metrics.as_ref().unwrap());
+                    assert!(matches!(out, None | Some(OutKind::Groups)), "{out:?}");
+                }
+            }
+        },
+    );
 }
 
 #[test]
