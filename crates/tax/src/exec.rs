@@ -16,6 +16,7 @@
 
 use crate::error::{Error, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 /// Run one per-item computation with panic containment: a panicking
 /// closure becomes [`Error::Panic`] carrying the item's index and the
@@ -184,7 +185,11 @@ where
     all.sort_by(|a, b| a.0.cmp(&b.0));
     Ok((
         all.into_iter().map(|(_, r)| r).collect(),
-        ShardStats { partitions, sizes },
+        ShardStats {
+            partitions,
+            sizes,
+            stages: None,
+        },
     ))
 }
 
@@ -215,6 +220,11 @@ pub struct ShardStats {
     pub partitions: usize,
     /// Keyed items (witnesses / keyed trees) routed to each partition.
     pub sizes: Vec<usize>,
+    /// A grouping sink's stage times, timed by the sink itself:
+    /// extracting witnesses, each row's aggregate contribution (none for
+    /// `GroupBy`), folding witnesses into groups, building the output —
+    /// the last two summed over shards. `None` for the join sinks.
+    pub stages: Option<[Duration; 4]>,
 }
 
 impl ShardStats {
@@ -223,6 +233,7 @@ impl ShardStats {
         ShardStats {
             partitions: 1,
             sizes: vec![n],
+            stages: None,
         }
     }
 
@@ -493,17 +504,20 @@ mod tests {
         let balanced = ShardStats {
             partitions: 4,
             sizes: vec![5, 5, 5, 5],
+            stages: None,
         };
         assert_eq!(balanced.skew(), 1.0);
         assert_eq!(balanced.total(), 20);
         let lopsided = ShardStats {
             partitions: 4,
             sizes: vec![20, 0, 0, 0],
+            stages: None,
         };
         assert_eq!(lopsided.skew(), 4.0);
         let empty = ShardStats {
             partitions: 4,
             sizes: vec![0; 4],
+            stages: None,
         };
         assert_eq!(empty.skew(), 1.0);
         // measured_skew distinguishes "balanced" from "never measured":

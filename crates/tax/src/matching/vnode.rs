@@ -31,14 +31,6 @@ impl VNode {
             VNode::Arena(_) => None,
         }
     }
-
-    /// The arena index, if this is an arena node.
-    pub fn as_arena(&self) -> Option<TreeNodeId> {
-        match self {
-            VNode::Arena(i) => Some(*i),
-            VNode::Stored(_) => None,
-        }
-    }
 }
 
 /// A read view over one in-memory tree plus the store behind its

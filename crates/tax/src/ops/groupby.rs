@@ -35,7 +35,7 @@ use crate::error::Result;
 use crate::exec::{shard_map, ExecOptions, ShardStats};
 use crate::matching::match_tree;
 use crate::matching::vnode::{VNode, VTree};
-use crate::ops::keyenc;
+use crate::ops::keyenc::{self, GroupIndex};
 use crate::ops::witness::{key_word, witnesses, Witnesses};
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tags::{GROUPING_BASIS, GROUP_ROOT, GROUP_SUBROOT};
@@ -44,6 +44,7 @@ use crate::value::compare_opt_values;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use xmlstore::{Dictionary, DocumentStore, NodeEntry, Sym, NO_SYM};
 
 /// One item of the grouping basis.
@@ -153,7 +154,7 @@ pub fn groupby(
 /// appears in both groups.
 ///
 /// Returns the groups plus the partition statistics (per-shard witness
-/// counts) for the metrics tree.
+/// counts, stage times) for the metrics tree.
 pub fn groupby_sharded<'a>(
     store: &DocumentStore,
     input: impl Into<Source<'a>>,
@@ -166,16 +167,18 @@ pub fn groupby_sharded<'a>(
     let input = input.into();
     // Only the grouping and ordering values are populated — the
     // "minimum information" sort of Sec. 5.3.
+    let clock = Instant::now();
     let w = witnesses(store, &input, pattern, basis, ordering, opts)?;
+    let witness = clock.elapsed();
     let dict = store.dict();
     let tags = [GROUP_ROOT, GROUPING_BASIS, GROUP_SUBROOT].map(|tag| dict.intern(tag));
     let ids: Vec<u32> = (0..w.len() as u32).collect();
     let route = |&i: &u32| keyenc::hash_syms(w.key(i));
-    let (groups, stats) = shard_map(opts, ids, route, |shard| {
+    let (groups, mut stats) = shard_map(opts, ids, route, |shard| {
         Ok(form_groups(dict, &w, ordering, shard))
     })?;
-    let rows = match &input {
-        Source::Stored(rows) => rows,
+    let fold = clock.elapsed() - witness;
+    let out = match &input {
         Source::Trees(trees) => {
             let tree = |g: &Group| {
                 let mut tree = Tree::new_elem_sym(tags[0]);
@@ -188,25 +191,29 @@ pub fn groupby_sharded<'a>(
                 }
                 tree
             };
-            return Ok((Batch::Trees(groups.iter().map(tree).collect()), stats));
+            Batch::Trees(groups.iter().map(tree).collect())
+        }
+        Source::Stored(rows) => {
+            let mut keys = Vec::with_capacity(groups.len() * basis.len());
+            let members = groups
+                .into_iter()
+                .map(|g| {
+                    keys.extend(stored_basis(dict, rows, &w, g.first, basis, false));
+                    g.members.iter().map(|&m| w.tree_idx[m as usize]).collect()
+                })
+                .collect();
+            Batch::Groups(Groups {
+                rows: rows.to_vec(),
+                tags,
+                keys,
+                width: basis.len(),
+                members,
+            })
         }
     };
-    let mut keys = Vec::with_capacity(groups.len() * basis.len());
-    let members = groups
-        .into_iter()
-        .map(|g| {
-            keys.extend(stored_basis(dict, rows, &w, g.first, basis, false));
-            g.members.iter().map(|&m| w.tree_idx[m as usize]).collect()
-        })
-        .collect();
-    let groups = Groups {
-        rows: rows.to_vec(),
-        tags,
-        keys,
-        width: basis.len(),
-        members,
-    };
-    Ok((Batch::Groups(groups), stats))
+    let build = clock.elapsed() - witness - fold;
+    stats.stages = Some([witness, Duration::ZERO, fold, build]);
+    Ok((out, stats))
 }
 
 /// Group formation over one witness shard, witnesses in global arrival
@@ -222,16 +229,16 @@ fn form_groups(
     ordering: &[GroupOrder],
     shard: Vec<u32>,
 ) -> Vec<(u32, Group)> {
-    let mut index: HashMap<&[u32], usize> = HashMap::new();
+    let mut index = GroupIndex::new(shard.iter().map(|&i| w.key(i)));
     let mut groups: Vec<Group> = Vec::new();
     for i in shard {
-        let gid = *index.entry(w.key(i)).or_insert_with(|| {
+        let gid = index.group(w.key(i), groups.len());
+        if gid == groups.len() {
             groups.push(Group {
                 first: i,
                 members: Vec::new(),
             });
-            groups.len() - 1
-        });
+        }
         // A source row joins each of its witnesses' groups (Fig. 3's
         // non-partitioning), but enters a given group only once —
         // several witnesses with the *same* key (e.g. two authors
@@ -333,20 +340,17 @@ pub fn groupby_replicated(
     }
 
     // Group the replicas by key (first-arrival group order).
-    let mut index: HashMap<Key, usize> = HashMap::new();
-    let mut grouped: Vec<(Key, Vec<usize>)> = Vec::new();
+    let mut index = GroupIndex::new(replicas.iter().map(|r| &r.key[..]));
+    let mut grouped: Vec<Vec<usize>> = Vec::new();
     for (i, r) in replicas.iter().enumerate() {
-        match index.get(&r.key) {
-            Some(&g) => grouped[g].1.push(i),
-            None => {
-                index.insert(r.key.clone(), grouped.len());
-                grouped.push((r.key.clone(), vec![i]));
-            }
+        match index.group(&r.key, grouped.len()) {
+            g if g == grouped.len() => grouped.push(vec![i]),
+            g => grouped[g].push(i),
         }
     }
 
     let mut out = Vec::with_capacity(grouped.len());
-    for (_key, mut member_ids) in grouped {
+    for mut member_ids in grouped {
         member_ids.sort_by(|&a, &b| {
             let ra = &replicas[a];
             let rb = &replicas[b];

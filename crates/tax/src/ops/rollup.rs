@@ -5,8 +5,8 @@
 //! discarded — the paper's E2 workload, and the XOLAP rollup formulation
 //! of Hachicha & Darmont — materializing a `TAX_group_root` tree with a
 //! full member list per group is pure overhead. `rollup` instead
-//! hash-accumulates per-basis-key aggregate state directly from the
-//! input scan:
+//! accumulates per-basis-key aggregate state directly from the input
+//! scan, each key's group found through a `keyenc::GroupIndex`:
 //!
 //! * witnesses come from the same extraction as
 //!   [`super::groupby::groupby_sharded`]'s (`super::witness`: same keys,
@@ -50,12 +50,14 @@ use crate::matching::vnode::VTree;
 use crate::matching::{match_in_scopes, match_tree};
 use crate::ops::aggregate::{format_value, AggFunc};
 use crate::ops::groupby::{add_basis_children, validate, BasisItem};
-use crate::ops::keyenc;
+use crate::ops::keyenc::{self, GroupIndex};
 use crate::ops::witness::{witnesses, Witnesses};
 use crate::pattern::{Axis, PatternNodeId, PatternTree, Pred};
 use crate::tree::{Collection, Tree};
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
+use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
 use xmlstore::{kernels, Dictionary, DocumentStore, NodeEntry, SelVec, Sym};
 
 /// The output tree shape of a rollup run.
@@ -214,7 +216,8 @@ pub fn rollup_sharded<'a>(
 /// per-shard outputs merge ordered by `(level, global first-arrival
 /// position)`: levels coarsest first, groups in first-witness order
 /// within a level — byte-identical at every thread count. Returns the
-/// collection plus the partition statistics for the metrics tree.
+/// collection plus the partition statistics and stage times for the
+/// metrics tree.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fold_levels(
     store: &DocumentStore,
@@ -233,15 +236,19 @@ pub(crate) fn fold_levels(
     if of >= member_pattern.len() {
         return Err(Error::UnknownLabel(format!("${}", of + 1)));
     }
+    let clock = Instant::now();
     let w = witnesses(store, input, pattern, basis, &[], opts)?;
+    let witness = clock.elapsed();
     let contributions = contributions(store, input, member_pattern, of, func, opts)?;
+    let contributed = clock.elapsed() - witness;
+    let spans = Mutex::new([Duration::ZERO; 2]);
     let coarsest = *levels.start();
-    shard_map(
+    let (out, mut stats) = shard_map(
         opts,
         (0..w.len() as u32).collect(),
         |&i| keyenc::hash_syms(&w.key(i)[..coarsest]),
         |shard| {
-            fold_shard(
+            Ok(fold_shard(
                 store.dict(),
                 input,
                 basis,
@@ -252,9 +259,13 @@ pub(crate) fn fold_levels(
                 levels.clone(),
                 shape,
                 shard,
-            )
+                &spans,
+            ))
         },
-    )
+    )?;
+    let [fold, build] = spans.into_inner().unwrap_or_else(PoisonError::into_inner);
+    stats.stages = Some([witness, contributed, fold, build]);
+    Ok((out, stats))
 }
 
 /// Each input row's aggregate contribution. Member bindings anchor at
@@ -345,7 +356,8 @@ fn tag_star_children(p: &PatternTree) -> Option<(&str, Vec<(&str, Axis)>)> {
 /// contribution: per child tag, one equality filter over the columnar
 /// `tag` (and, for the child axis, `level`) arrays, then per row a
 /// masked popcount over its dense descendant id range. Selection vectors
-/// are built once per distinct tag/level and shared across rows.
+/// are built on first use, once per distinct tag/level, and shared
+/// across rows; both caches are indexed, not hashed.
 fn count_star_members(
     store: &DocumentStore,
     rows: &[NodeEntry],
@@ -361,8 +373,12 @@ fn count_star_members(
         .iter()
         .map(|&(tag, _)| store.tag_id(tag).map(|s| s.0))
         .collect();
-    let mut tag_sels: HashMap<u32, SelVec> = HashMap::new();
-    let mut level_sels: HashMap<u16, SelVec> = HashMap::new();
+    // A tag's selection sits at the first child with that tag, a level's
+    // at the level.
+    let first_of = |sym| child_syms.iter().position(|&s| s == Some(sym));
+    let mut tag_sels: Vec<Option<SelVec>> = vec![None; children.len()];
+    let deepest = rows.iter().map(|r| r.level as usize).max().unwrap_or(0);
+    let mut level_sels: Vec<Option<SelVec>> = vec![None; deepest + 2];
     for (scope, contribution) in rows.iter().zip(contributions) {
         if cols.tag[scope.id.0 as usize] != root_sym.0 {
             continue;
@@ -373,16 +389,15 @@ fn count_star_members(
             let per_child = match sym {
                 None => 0,
                 Some(sym) => {
-                    let tag_sel = tag_sels
-                        .entry(sym)
-                        .or_insert_with(|| kernels::filter_eq_u32(&cols.tag, 0, sym));
+                    let tag_sel = tag_sels[first_of(sym).unwrap_or_default()]
+                        .get_or_insert_with(|| kernels::filter_eq_u32(&cols.tag, 0, sym));
                     match axis {
                         Axis::Descendant => tag_sel.count_in(range.clone()),
                         Axis::Child => {
                             let level = scope.level + 1;
-                            let level_sel = level_sels
-                                .entry(level)
-                                .or_insert_with(|| kernels::filter_eq_u16(&cols.level, 0, level));
+                            let level_sel = level_sels[level as usize].get_or_insert_with(|| {
+                                kernels::filter_eq_u16(&cols.level, 0, level)
+                            });
                             tag_sel.count_and_in(level_sel, range.clone())
                         }
                     }
@@ -399,11 +414,12 @@ fn count_star_members(
 
 /// Accumulation + output building over one witness shard, witnesses in
 /// global arrival order — the rollup counterpart of the groupby's
-/// `form_and_build`. One pass folds **every** level in `levels`: the
+/// `form_groups`. One pass folds **every** level in `levels`: the
 /// level-`k` accumulator of a witness is addressed by the key prefix
 /// `key[..k]`, so a coarser level grows from the same contributions as
 /// the finest without rescanning. Returns `((level, first witness),
-/// tree)` pairs, level-major.
+/// tree)` pairs, level-major, and adds the fold's and the build's time to
+/// `spans`.
 #[allow(clippy::too_many_arguments)]
 fn fold_shard(
     dict: &Dictionary,
@@ -416,16 +432,22 @@ fn fold_shard(
     levels: RangeInclusive<usize>,
     shape: FoldShape,
     shard: Vec<u32>,
-) -> Result<Vec<((usize, u32), Tree)>> {
+    spans: &Mutex<[Duration; 2]>,
+) -> Vec<((usize, u32), Tree)> {
+    let clock = Instant::now();
     // Per level: key prefix → group index, and the groups in
     // first-witness order.
-    let mut index: Vec<HashMap<&[u32], usize>> = levels.clone().map(|_| HashMap::new()).collect();
+    let mut index: Vec<GroupIndex> = levels
+        .clone()
+        .map(|level| GroupIndex::new(shard.iter().map(|&i| &w.key(i)[..level])))
+        .collect();
     let mut groups: Vec<Vec<GroupAcc>> = levels.clone().map(|_| Vec::new()).collect();
     for i in shard {
         let row = w.tree_idx[i as usize];
         for (slot, level) in levels.clone().enumerate() {
             let level_groups = &mut groups[slot];
-            let gid = *index[slot].entry(&w.key(i)[..level]).or_insert_with(|| {
+            let gid = index[slot].group(&w.key(i)[..level], level_groups.len());
+            if gid == level_groups.len() {
                 level_groups.push(GroupAcc {
                     first: i,
                     last_member: None,
@@ -435,8 +457,7 @@ fn fold_shard(
                     min: None,
                     max: None,
                 });
-                level_groups.len() - 1
-            });
+            }
             // Member dedup is per level: a row reaching one journal
             // group through two authors still folds once at the journal
             // level (the stream is collection-major, so a group's
@@ -448,6 +469,7 @@ fn fold_shard(
             }
         }
     }
+    let folded = clock.elapsed();
 
     // The tags are the same for every group and the values repeat (most
     // counts are small), so each is interned once per shard, not once
@@ -505,7 +527,10 @@ fn fold_shard(
             out.push(((level, acc.first), tree));
         }
     }
-    Ok(out)
+    let mut spans = spans.lock().unwrap_or_else(PoisonError::into_inner);
+    spans[0] += folded;
+    spans[1] += clock.elapsed() - folded;
+    out
 }
 
 #[cfg(test)]
@@ -1059,6 +1084,96 @@ mod tests {
         assert!(tag_star_children(&deep).is_none());
         let pred = PatternTree::with_root(Pred::tag("article").and(Pred::content_eq("x")));
         assert!(tag_star_children(&pred).is_none());
+    }
+
+    #[test]
+    fn count_star_over_scopes_at_two_depths() {
+        // `//article` rows at levels 2 and 3: the child-axis fold needs
+        // one level selection per scope depth, built once and reused.
+        // Titles also sit a level deeper (under <sec>), where only the
+        // descendant axis reaches them.
+        let s = DocumentStore::from_xml(
+            "<bib>\
+                <article><title>A</title><author>Jack</author><author>Jill</author></article>\
+                <vol><article><title>B</title><title>B2</title><author>Jack</author></article>\
+                     <article><sec><title>C</title></sec><author>Jill</author></article></vol>\
+                <article><sec><title>D</title></sec><title>D2</title><author>John</author></article>\
+                <vol><article><author>Jack</author></article></vol>\
+            </bib>",
+            &StoreOptions::in_memory(),
+        )
+        .unwrap();
+        let arts = articles(&s);
+        let levels: Vec<u16> = arts
+            .iter()
+            .map(|t| match t.node(t.root()).kind {
+                crate::tree::TreeNodeKind::Ref { node, .. } => node.level,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert!(levels.contains(&2) && levels.contains(&3), "{levels:?}");
+        let (gp, basis) = grouping();
+        let star = |children: &[(Axis, &str)]| {
+            let mut p = PatternTree::with_root(Pred::tag("article"));
+            let mut last = p.root();
+            for &(axis, tag) in children {
+                last = p.add_child(p.root(), axis, Pred::tag(tag));
+            }
+            (p, last)
+        };
+        let shapes = [
+            star(&[(Axis::Child, "title")]),
+            star(&[(Axis::Descendant, "title")]),
+            star(&[(Axis::Child, "title"), (Axis::Descendant, "title")]),
+            star(&[(Axis::Child, "author"), (Axis::Child, "title")]),
+            star(&[(Axis::Child, "title"), (Axis::Child, "missing")]),
+            star(&[(Axis::Descendant, "missing")]),
+        ];
+        for (i, (mp, of)) in shapes.iter().enumerate() {
+            assert!(tag_star_children(mp).is_some(), "shape {i}");
+            let fast = rollup(
+                &s,
+                &arts,
+                &gp,
+                &basis,
+                mp,
+                *of,
+                AggFunc::Count,
+                "count",
+                RollupShape::Grouped,
+            )
+            .unwrap();
+            let slow = materialized_star(&s, &arts, mp, *of, AggFunc::Count, "count");
+            assert_eq!(
+                projected_xml(&s, &fast, "count"),
+                projected_xml(&s, &slow, "count"),
+                "shape {i}"
+            );
+        }
+        // Spot-check the child/descendant split: Jack's articles hold 1,
+        // 2 and 0 child titles; Jill's 1 child title and 1 deeper one.
+        let (mp, of) = &shapes[1];
+        let out = rollup(
+            &s,
+            &arts,
+            &gp,
+            &basis,
+            mp,
+            *of,
+            AggFunc::Count,
+            "count",
+            RollupShape::Grouped,
+        )
+        .unwrap();
+        let xml = projected_xml(&s, &out, "count");
+        assert_eq!(
+            xml[0],
+            "<TAX_group_root><author>Jack</author><count>3</count></TAX_group_root>"
+        );
+        assert_eq!(
+            xml[1],
+            "<TAX_group_root><author>Jill</author><count>2</count></TAX_group_root>"
+        );
     }
 
     #[test]

@@ -347,31 +347,6 @@ impl PatternTree {
         (out, mapping)
     }
 
-    /// Graft a whole pattern under `parent` of `self`: `other`'s root is
-    /// attached via `axis`, and `other`'s structure is copied. Returns the
-    /// mapping `other id → new id in self`. Used by the rewriter to build
-    /// the final projection pattern over group trees.
-    pub fn graft(
-        &mut self,
-        parent: PatternNodeId,
-        axis: Axis,
-        other: &PatternTree,
-    ) -> Vec<PatternNodeId> {
-        let mut mapping = vec![usize::MAX; other.len()];
-        let new_root = self.add_child(parent, axis, other.nodes[other.root()].pred.clone());
-        mapping[other.root()] = new_root;
-        for pid in other.preorder().into_iter().skip(1) {
-            let old_parent = other.nodes[pid].parent.expect("non-root");
-            let new_id = self.add_child(
-                mapping[old_parent],
-                other.nodes[pid].axis,
-                other.nodes[pid].pred.clone(),
-            );
-            mapping[pid] = new_id;
-        }
-        mapping
-    }
-
     /// The subset test of the rewrite rules (Phase 1, step 2): find an
     /// embedding of `self` into `other` such that
     ///

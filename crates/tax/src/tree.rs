@@ -472,10 +472,10 @@ fn populate<S: XmlSink>(
         let fetched = store.values(&rows)?;
         let mut values = fetched.iter();
         let (chunk, after) = rest.split_at(listed);
+        let mut out = RowWriter::new(store.dict(), &mut values, sink);
         for tree in chunk {
-            let mut out = RowWriter::new(store.dict(), &mut values, sink);
             tree.emit(store, tree.root(), &mut out)?;
-            after_each(sink);
+            after_each(out.sink());
         }
         rest = after;
     }

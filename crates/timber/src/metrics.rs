@@ -59,7 +59,8 @@ pub struct PlanMetrics {
     pub vec_fallback: u64,
     /// Hash-partition statistics of a sharded blocking sink (`None` for
     /// streaming operators): partition count and per-shard input sizes,
-    /// from which the skew factor is derived.
+    /// from which the skew factor is derived, and a grouping sink's
+    /// stage times (`stages=w:…/c:…/f:…/b:…us`).
     pub shards: Option<ShardStats>,
     /// Metrics of the operator's input plans, in plan order.
     pub children: Vec<PlanMetrics>,
@@ -112,6 +113,10 @@ impl PlanMetrics {
                         let _ = write!(out, " skew=-");
                     }
                 }
+            }
+            if let Some(stages) = shards.stages {
+                let [w, c, f, b] = stages.map(|d| d.as_micros());
+                let _ = write!(out, " stages=w:{w}/c:{c}/f:{f}/b:{b}us");
             }
         }
         let _ = writeln!(out);
@@ -241,11 +246,16 @@ mod tests {
             shards: Some(ShardStats {
                 partitions: 4,
                 sizes: vec![4, 2, 1, 1],
+                stages: Some([2800, 1500, 650, 1100].map(Duration::from_micros)),
             }),
             ..Default::default()
         };
         let text = m.render();
         assert!(text.contains("parts=4 skew=2.00"), "{text}");
+        assert!(
+            text.contains(" stages=w:2800/c:1500/f:650/b:1100us"),
+            "{text}"
+        );
         // Streaming operators (shards: None) render without the fields.
         let s = PlanMetrics {
             op: "SelectDb".into(),
@@ -274,6 +284,7 @@ mod tests {
             shards: Some(ShardStats {
                 partitions: 4,
                 sizes: vec![0, 0, 0, 0],
+                stages: None,
             }),
             ..Default::default()
         };

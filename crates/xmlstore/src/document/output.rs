@@ -45,12 +45,17 @@ impl RowSink for Vec<NodeId> {
 /// The writing pass: reports the walk to an [`XmlSink`], names resolved
 /// through the dictionary, each stored value the next of `values` — the
 /// batched read of what the listing pass of the same walk produced.
+/// A name is resolved once per writer, by one short dictionary read; no
+/// lock is held between calls, so interning beside the write never waits.
 pub struct RowWriter<'a, 'v, S> {
     dict: &'a Dictionary,
     values: &'a mut dyn Iterator<Item = Option<&'v str>>,
     sink: &'a mut S,
-    /// Names of the elements still open, outermost first.
-    open: Vec<Arc<str>>,
+    /// Per symbol, 1 + the index of its name in `names`, 0 until resolved.
+    slots: Vec<u32>,
+    names: Vec<Arc<str>>,
+    /// The elements still open, outermost first, as indices into `names`.
+    open: Vec<u32>,
 }
 
 impl<'a, 'v, S: XmlSink> RowWriter<'a, 'v, S> {
@@ -64,20 +69,41 @@ impl<'a, 'v, S: XmlSink> RowWriter<'a, 'v, S> {
             dict,
             values,
             sink,
+            slots: Vec::new(),
+            names: Vec::new(),
             open: Vec::new(),
         }
+    }
+
+    /// The sink written to, between two walks.
+    pub fn sink(&mut self) -> &mut S {
+        self.sink
+    }
+
+    /// The index in `names` of the name of `sym`, resolved on first use.
+    fn name(&mut self, sym: Sym) -> u32 {
+        let at = sym.0 as usize;
+        if at >= self.slots.len() {
+            self.slots.resize(at + 1, 0);
+        }
+        if self.slots[at] == 0 {
+            self.names.push(self.dict.resolve(sym));
+            self.slots[at] = self.names.len() as u32;
+        }
+        self.slots[at] - 1
     }
 }
 
 impl<S: XmlSink> RowSink for RowWriter<'_, '_, S> {
     fn open(&mut self, tag: Sym) {
-        let name = self.dict.resolve(tag);
-        self.sink.open(&name);
+        let name = self.name(tag);
+        self.sink.open(&self.names[name as usize]);
         self.open.push(name);
     }
 
     fn attr(&mut self, tag: Sym, _row: NodeId) {
-        let name = self.dict.resolve(tag);
+        let name = self.name(tag);
+        let name = &self.names[name as usize];
         let value = self.values.next().flatten().unwrap_or_default();
         self.sink.attr(name.trim_start_matches('@'), value);
     }
@@ -89,12 +115,13 @@ impl<S: XmlSink> RowSink for RowWriter<'_, '_, S> {
     }
 
     fn text(&mut self, text: Sym) {
-        self.sink.text(&self.dict.resolve(text));
+        let name = self.name(text);
+        self.sink.text(&self.names[name as usize]);
     }
 
     fn close(&mut self) {
         if let Some(name) = self.open.pop() {
-            self.sink.close(&name);
+            self.sink.close(&self.names[name as usize]);
         }
     }
 }
@@ -150,7 +177,16 @@ impl DocumentStore {
     /// values it writes them. Run both on one
     /// [`snapshot`](DocumentStore::snapshot), so they see one projection.
     pub fn emit_open(&self, id: NodeId, deep: bool, out: &mut impl RowSink) -> Result<()> {
-        let proj = self.proj();
+        // Output runs on a pinned snapshot, a reference at a time:
+        // borrow the pin rather than take a count on it per reference.
+        let current;
+        let proj = match &self.pinned {
+            Some(p) => p,
+            None => {
+                current = self.proj();
+                &current
+            }
+        };
         proj.check(id)?;
         let cols = &*proj.columns;
         let mut j = emit_start(cols, id.0, out);

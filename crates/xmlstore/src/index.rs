@@ -201,11 +201,6 @@ impl TagIndex {
             .unwrap_or(&[])
     }
 
-    /// Number of entries for `tag`.
-    pub fn cardinality(&self, tag: TagId) -> usize {
-        self.nodes(tag).len()
-    }
-
     /// Total entries across all tags.
     pub fn total_entries(&self) -> usize {
         self.lists.iter().map(Vec::len).sum()

@@ -3,13 +3,30 @@
 //! for the corpus queries. Any change to the translator, a rewrite
 //! rule, or plan rendering shows up as a readable diff here.
 
-use timber::PlanMode;
+use timber::{PlanMode, TimberDb};
 use timber_integration_tests::{fig6_db, QUERY1, QUERY_COUNT};
+use xmlstore::StoreOptions;
 
 const QUERY_PROJECT: &str = r#"
     FOR $a IN distinct-values(document("bib.xml")//author)
     RETURN <row> {$a} </row>
 "#;
+
+/// A metrics line's `stages=` field with its numbers masked, as no
+/// test compares a `time=`: `w:#/c:#/f:#/b:#us`.
+fn masked_stages(line: &str) -> String {
+    let field = line.split(" stages=").nth(1).unwrap_or_default();
+    let field = field.split(' ').next().unwrap_or_default();
+    let mut out = String::new();
+    for c in field.chars() {
+        match c {
+            '0'..='9' if out.ends_with('#') => {}
+            '0'..='9' => out.push('#'),
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 #[test]
 fn query1_explain_snapshot() {
@@ -136,6 +153,17 @@ fn explain_analyze_structural_snapshot() {
     );
     let project = metric_lines[1];
     assert!(project.trim_start().starts_with("Project"), "{project}");
+    // The grouping sink times its own stages; GroupBy has no aggregate
+    // contributions to compute.
+    assert_eq!(
+        masked_stages(metric_lines[2]),
+        "w:#/c:#/f:#/b:#us",
+        "{text}"
+    );
+    assert!(metric_lines[2].contains("/c:0/"), "{text}");
+    for l in [metric_lines[0], project, metric_lines[3]] {
+        assert!(!l.contains("stages="), "{l}");
+    }
     assert_eq!(field(project, " clones=", " "), "0", "{project}");
     assert_eq!(a.result.len(), 3);
     // One lane, nothing to name: the summary is just the two counts.
@@ -229,7 +257,35 @@ fn explain_analyze_rollup_operator_line() {
     assert!(rollup_line.contains("out=3"), "{rollup_line}");
     assert!(rollup_line.contains("parts="), "{rollup_line}");
     assert!(rollup_line.contains("skew="), "{rollup_line}");
+    assert_eq!(
+        masked_stages(rollup_line),
+        "w:#/c:#/f:#/b:#us",
+        "{rollup_line}"
+    );
     // No GroupBy or Aggregate operator executed.
     assert!(!text.contains("\n  GroupBy"), "{text}");
     assert!(!text.contains("Aggregate Count"), "{text}");
+}
+
+#[test]
+fn explain_analyze_cube_operator_line() {
+    // The lattice is the rollup's fold over every prefix level: its line
+    // carries the same stage times.
+    let db = TimberDb::load_xml(
+        "<bib><article><journal>J</journal><author>X</author><pages>3</pages></article>\
+         <article><journal>J</journal><author>Y</author><pages>4</pages></article></bib>",
+        &StoreOptions::in_memory(),
+    )
+    .unwrap();
+    let query = r#"FOR $b IN document("bib.xml")//article CUBE BY $b/journal, $b/author
+                   RETURN <pubs> {sum($b/pages)} </pubs>"#;
+    let text = db
+        .explain_analyze(query, PlanMode::GroupByRewrite)
+        .unwrap()
+        .render();
+    let cube_line = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("Cube") && l.contains(" | in="))
+        .unwrap_or_else(|| panic!("no Cube metrics line in:\n{text}"));
+    assert_eq!(masked_stages(cube_line), "w:#/c:#/f:#/b:#us", "{cube_line}");
 }

@@ -10,6 +10,7 @@
 
 use datagen::{DblpConfig, DblpGenerator};
 use smallrand::prop::{check, Gen};
+use std::sync::atomic::{AtomicBool, Ordering};
 use tax::tree::TreeNodeId;
 use tax::Tree;
 use timber::{PlanMode, QueryResult, TimberDb, TimberError};
@@ -501,4 +502,125 @@ fn a_pinned_snapshot_reads_a_replaced_documents_values() {
     assert_eq!(read(&pin), before);
     let now = read(&store.snapshot());
     assert!(now.contains(&Some("new".to_owned())) && !now.contains(&Some("old".to_owned())));
+}
+
+/// The SUM rollup of the names test: one group per author, summing the
+/// years of the author's articles.
+const QUERY_SUM: &str = r#"
+    FOR $a IN distinct-values(document("bib.xml")//author)
+    LET $y := document("bib.xml")//article[author = $a]/year
+    RETURN <total> {$a} {sum($y)} </total>
+"#;
+
+/// `n` authors with one article each, of two years `i` and `0.5`: every
+/// group's sum `i.5` is a string no document holds, so the result writes
+/// `n` distinct constructed values. Returns the XML and the result's
+/// bytes, built without the engine.
+fn distinct_sums(n: usize) -> (String, String) {
+    let mut xml = String::from("<bib>");
+    let mut want = String::new();
+    for i in 0..n {
+        let author = format!("<author>a{i}</author>");
+        xml.push_str(&format!(
+            "<article>{author}<year>{i}</year><year>0.5</year></article>"
+        ));
+        want.push_str(&format!("<total>{author}<sum>{i}.5</sum></total>\n"));
+    }
+    xml.push_str("</bib>");
+    (xml, want)
+}
+
+/// A document of `n` distinct element names, `<t0>`…, and an arena tree
+/// over it with `n` more — constructed names `c0`…, holding contents
+/// `v0`… — around a deep and a shallow reference. Returns the store, the
+/// tree, and its DOM built from the names alone.
+fn wide_tree(n: usize) -> (DocumentStore, Tree, Element) {
+    let mut doc = Element::new("doc");
+    for i in 0..n {
+        let mut t = Element::new(format!("t{i}")).with_text(format!("s{i}"));
+        t.attributes.push((format!("a{i}"), format!("{i}")));
+        doc.children.push(XmlNode::Element(t));
+    }
+    let store = store_of(&element_to_string(&doc));
+    let d = store.dict();
+    let mut tree = Tree::new_elem(d, "wide");
+    let mut want = Element::new("wide");
+    for i in 0..n {
+        tree.add_elem_with_content(d, 0, format!("c{i}"), format!("v{i}"));
+        want.children.push(XmlNode::Element(
+            Element::new(format!("c{i}")).with_text(format!("v{i}")),
+        ));
+    }
+    let root = store.columns().entry(NodeId(1));
+    tree.add_ref(0, root, true);
+    want.children.push(XmlNode::Element(doc.clone()));
+    let shallow = tree.add_ref(0, root, false);
+    tree.add_elem(d, shallow, "c0");
+    want.children.push(XmlNode::Element(
+        Element::new("doc").with_child(Element::new("c0")),
+    ));
+    (store, tree, want)
+}
+
+#[test]
+fn many_distinct_names_and_values_stream_like_their_oracle() {
+    // The hand-built bytes are the model's (checked on a small case).
+    let (small, want) = distinct_sums(40);
+    assert_eq!(expected(&small, QUERY_SUM), want);
+
+    let (xml, want) = distinct_sums(10_000);
+    let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+    assert!(db.explain(QUERY_SUM).unwrap().contains("Rollup Sum"));
+    for threads in thread_matrix(&[1, 4]) {
+        db.set_threads(threads);
+        let r = db.query(QUERY_SUM, PlanMode::GroupByRewrite).unwrap();
+        assert_eq!(r.len(), 10_000);
+        assert_eq!(r.to_xml_on(db.store()).unwrap(), want, "threads={threads}");
+        assert_eq!(
+            dom_route(&r, db.store()),
+            want,
+            "DOM route, threads={threads}"
+        );
+    }
+
+    // 70 stored and 70 constructed names in one tree.
+    let (store, tree, dom) = wide_tree(70);
+    assert_eq!(tree.materialize(&store).unwrap(), dom);
+    assert_eq!(streamed(&tree, &store), element_to_string(&dom));
+}
+
+#[test]
+fn interning_beside_the_write_changes_no_byte() {
+    // `serve` interns beside readers: a writer must hold no dictionary
+    // lock across a write, and fresh symbols must not disturb the names
+    // it has resolved.
+    let (xml, want) = distinct_sums(10_000);
+    let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+    let r = db.query(QUERY_SUM, PlanMode::GroupByRewrite).unwrap();
+    let (store, tree, dom) = wide_tree(70);
+    let wide = element_to_string(&dom);
+    let stop = AtomicBool::new(false);
+    let interned = std::thread::scope(|s| {
+        let dicts = [db.store().dict(), store.dict()];
+        let stop = &stop;
+        let interner = s.spawn(move || {
+            let mut n = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                for dict in dicts {
+                    dict.intern(&format!("fresh {n}"));
+                }
+                n += 1;
+            }
+            n
+        });
+        for _ in 0..3 {
+            assert_eq!(r.to_xml_on(db.store()).unwrap(), want);
+            assert_eq!(dom_route(&r, db.store()), want);
+            assert_eq!(streamed(&tree, &store), wide);
+            assert_eq!(tree.materialize(&store).unwrap(), dom);
+        }
+        stop.store(true, Ordering::Relaxed);
+        interner.join().unwrap()
+    });
+    assert!(interned > 0);
 }
