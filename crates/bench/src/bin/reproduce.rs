@@ -13,6 +13,10 @@
 //! and per-operator trees in/out, batches, wall time and I/O from the
 //! physical executor.
 //!
+//! An unknown experiment name or option, a missing value, or a value of
+//! `--articles` / `--threads` that is not a number prints a usage line on
+//! stderr and exits with status 2.
+//!
 //! With no experiment argument, `all` is assumed. `--articles` sets the
 //! synthetic DBLP size for E1/E2 (default 20 000 ≈ 310 k stored nodes;
 //! the paper's DBLP Journals had 4.6 M nodes — pass a larger value to
@@ -71,6 +75,36 @@
 use timber::{OutKind, PlanMetrics, PlanMode, TimberDb};
 use timber_bench::*;
 
+/// The experiments `reproduce` knows by name.
+const EXPERIMENTS: [&str; 15] = [
+    "e1",
+    "e2",
+    "scale",
+    "pool",
+    "matching",
+    "groupby-impl",
+    "value-index",
+    "threads",
+    "rollup",
+    "cube",
+    "faults",
+    "recovery",
+    "wal-overhead",
+    "bench-smoke",
+    "all",
+];
+
+/// Report a malformed command line on stderr and exit with status 2.
+fn usage(problem: &str) -> ! {
+    eprintln!("reproduce: {problem}");
+    eprintln!(
+        "usage: reproduce [{}] [--articles N] [--mem] [--threads N] [--faults SPEC] \
+         [--analyze] [--json PATH]",
+        EXPERIMENTS.join("|")
+    );
+    std::process::exit(2)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut experiments: Vec<String> = Vec::new();
@@ -80,36 +114,27 @@ fn main() {
     let mut fault_spec: Option<String> = None;
     let mut analyze = false;
     let mut json_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--articles" => {
-                i += 1;
-                articles = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--articles N");
-            }
+    let mut args = args.iter();
+    let value = |args: &mut std::slice::Iter<String>, flag: &str| -> String {
+        args.next()
+            .cloned()
+            .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
+    };
+    let number = |text: String, flag: &str| -> usize {
+        text.parse()
+            .unwrap_or_else(|_| usage(&format!("{flag} takes a number, not {text:?}")))
+    };
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--articles" => articles = number(value(&mut args, arg), arg),
             "--mem" => on_disk = false,
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--threads N");
-            }
-            "--faults" => {
-                i += 1;
-                fault_spec = Some(args.get(i).expect("--faults SPEC").clone());
-            }
+            "--threads" => threads = number(value(&mut args, arg), arg),
+            "--faults" => fault_spec = Some(value(&mut args, arg)),
             "--analyze" => analyze = true,
-            "--json" => {
-                i += 1;
-                json_path = Some(args.get(i).expect("--json PATH").clone());
-            }
-            other => experiments.push(other.to_owned()),
+            "--json" => json_path = Some(value(&mut args, arg)),
+            name if EXPERIMENTS.contains(&name) => experiments.push(name.to_owned()),
+            other => usage(&format!("unknown experiment or option {other:?}")),
         }
-        i += 1;
     }
     if experiments.is_empty() {
         // A bare `--faults SPEC` means "replay this schedule".

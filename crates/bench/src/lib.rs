@@ -287,15 +287,13 @@ mod tests {
     }
 
     #[test]
-    fn groupby_wins_io_at_scale() {
+    fn both_plans_read_only_their_output_pages() {
+        // Neither plan reads a value before output, and both write the
+        // same nodes: a cold run of each asks for the same heap pages.
         let db = build_db(400, Some(1 << 21), false);
         let d = measure(&db, QUERY_COUNT, PlanMode::Direct);
         let g = measure(&db, QUERY_COUNT, PlanMode::GroupByRewrite);
-        assert!(
-            g.io.page_requests() < d.io.page_requests(),
-            "groupby {} vs direct {}",
-            g.io.page_requests(),
-            d.io.page_requests()
-        );
+        assert!(g.io.page_requests() > 0);
+        assert_eq!(d.io.page_requests(), g.io.page_requests());
     }
 }

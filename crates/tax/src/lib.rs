@@ -33,9 +33,9 @@
 //! * [`exec`] — execution options ([`ExecOptions`]) and the
 //!   deterministic parallel per-tree driver used by the bulk operators;
 //! * [`ops`] — the operators: selection (with adornment list), projection
-//!   (with projection list), duplicate elimination, left/full outer join
-//!   ("stitching"), **groupby** (pattern + grouping basis + ordering
-//!   list, Sec. 3), aggregation (pattern + function + update
+//!   (with projection list), duplicate elimination, the left outer join
+//!   and the RETURN stitch, **groupby** (pattern + grouping basis +
+//!   ordering list, Sec. 3), aggregation (pattern + function + update
 //!   specification, Sec. 4.3), and rename.
 //!
 //! # Example: the paper's Figure 1–3 pipeline

@@ -8,13 +8,15 @@
 //! aggregation are *separate* logical operators in TAX (unlike SQL),
 //! which is what lets grouping restructure trees without any aggregation.
 
+use crate::batch::Source;
 use crate::error::{Error, Result};
-use crate::exec::{par_map_owned, ExecOptions};
-use crate::matching::match_tree;
-use crate::matching::vnode::{VNode, VTree};
+use crate::exec::ExecOptions;
+use crate::matching::vnode::VNode;
+use crate::ops::groupby::BasisItem;
+use crate::ops::witness::witnesses;
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tree::{Collection, TreeNodeKind};
-use xmlstore::DocumentStore;
+use xmlstore::{Dictionary, DocumentStore, Sym, NO_SYM};
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,14 +77,15 @@ pub fn aggregate(
     )
 }
 
-/// [`aggregate`] with explicit execution options. Each input tree's
-/// aggregate is independent of every other tree's, so the trees fan out
-/// by ownership: a worker gathers a tree's values and inserts the
-/// computed element into that same (moved, never copied) tree.
+/// [`aggregate`] with explicit execution options. One witness
+/// extraction over all trees gives each tree its witnesses — the values
+/// at `of` as content symbols, the anchor of the first — and each tree's
+/// computed element is inserted into that same (moved, never copied)
+/// tree.
 #[allow(clippy::too_many_arguments)]
 pub fn aggregate_opts(
     store: &DocumentStore,
-    input: Collection,
+    mut input: Collection,
     pattern: &PatternTree,
     func: AggFunc,
     of: PatternNodeId,
@@ -93,37 +96,35 @@ pub fn aggregate_opts(
     let anchor_label = match spec {
         UpdateSpec::AfterLastChild(l) | UpdateSpec::Precedes(l) | UpdateSpec::Follows(l) => l,
     };
-    if of >= pattern.len() {
-        return Err(Error::UnknownLabel(format!("${}", of + 1)));
-    }
-    if anchor_label >= pattern.len() {
-        return Err(Error::UnknownLabel(format!("${}", anchor_label + 1)));
-    }
-
-    par_map_owned(opts, input, |_, mut tree| {
-        let bindings = match_tree(store, &tree, pattern, false)?;
-        if bindings.is_empty() {
-            return Ok(tree);
+    let basis = [BasisItem::content(of), BasisItem::content(anchor_label)];
+    let w = witnesses(
+        store,
+        &Source::Trees(&input),
+        pattern,
+        &basis,
+        &[],
+        false,
+        opts,
+    )?;
+    let dict = store.dict();
+    let rows = w.per_row(input.len());
+    for (tree, ws) in input.iter_mut().zip(rows) {
+        if ws.is_empty() {
+            continue;
         }
-        // Gather values.
-        let mut values: Vec<f64> = Vec::new();
-        if func != AggFunc::Count {
-            let vt = VTree::new(store, &tree);
-            for b in bindings.rows() {
-                if let Some(text) = vt.content(b[of])? {
-                    if let Ok(v) = text.trim().parse::<f64>() {
-                        values.push(v);
-                    }
-                }
-            }
-        }
-        let Some(value) = compute(func, bindings.len(), &values) else {
-            return Ok(tree);
+        let values: Vec<f64> = match func {
+            AggFunc::Count => Vec::new(),
+            _ => ws
+                .clone()
+                .filter_map(|i| numeric(dict, w.key(i)[0]))
+                .collect(),
+        };
+        let Some(value) = compute(func, ws.len(), &values) else {
+            continue;
         };
 
         // Insert at the anchor of the first witness.
-        let anchor = bindings.row(0)[anchor_label];
-        let VNode::Arena(anchor_id) = anchor else {
+        let VNode::Arena(anchor_id) = w.cells(ws.start)[1] else {
             return Err(Error::Unsupported(
                 "aggregation anchor must be a constructed or reference node of the input tree, \
                  not a node inside an unexpanded stored subtree"
@@ -131,8 +132,8 @@ pub fn aggregate_opts(
             ));
         };
         let kind = TreeNodeKind::Elem {
-            tag: store.dict().intern(new_tag),
-            content: Some(store.dict().intern(&format_value(value))),
+            tag: dict.intern(new_tag),
+            content: Some(dict.intern(&format_value(value))),
         };
         match spec {
             UpdateSpec::AfterLastChild(_) => {
@@ -156,8 +157,16 @@ pub fn aggregate_opts(
                 tree.insert_node(parent, pos, kind);
             }
         }
-        Ok(tree)
-    })
+    }
+    Ok(input)
+}
+
+/// The number a content symbol holds, if its text parses as one — what
+/// SUM / MIN / MAX / AVG fold; [`NO_SYM`] and non-numeric text hold none.
+pub(crate) fn numeric(dict: &Dictionary, sym: u32) -> Option<f64> {
+    (sym != NO_SYM)
+        .then(|| dict.resolve(Sym(sym)))
+        .and_then(|text| text.trim().parse().ok())
 }
 
 /// Apply an aggregate function to the gathered numeric values;

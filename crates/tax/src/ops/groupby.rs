@@ -163,12 +163,11 @@ pub fn groupby_sharded<'a>(
     ordering: &[GroupOrder],
     opts: &ExecOptions,
 ) -> Result<(Batch, ShardStats)> {
-    validate(pattern, basis, ordering)?;
     let input = input.into();
     // Only the grouping and ordering values are populated — the
     // "minimum information" sort of Sec. 5.3.
     let clock = Instant::now();
-    let w = witnesses(store, &input, pattern, basis, ordering, opts)?;
+    let w = witnesses(store, &input, pattern, basis, ordering, false, opts)?;
     let witness = clock.elapsed();
     let dict = store.dict();
     let tags = [GROUP_ROOT, GROUPING_BASIS, GROUP_SUBROOT].map(|tag| dict.intern(tag));
@@ -249,26 +248,35 @@ fn form_groups(
         }
     }
     for group in &mut groups {
-        sort_members(dict, w, &mut group.members, ordering);
+        sort_members(dict, w, &mut group.members, ordering, |&m| m);
     }
     groups.into_iter().map(|g| (g.first, g)).collect()
 }
 
 /// Order a group's members by the ordering list, arrival rank breaking
-/// ties. The ordering values are content symbols; their text is resolved
-/// here, once per member, for the numeric-aware comparison.
-fn sort_members(dict: &Dictionary, w: &Witnesses, members: &mut [u32], ordering: &[GroupOrder]) {
+/// ties. `first` names the witness a member sorts by; the ordering
+/// values are its content symbols, whose text is resolved here, once per
+/// member, for the numeric-aware comparison.
+pub(crate) fn sort_members<T: Copy>(
+    dict: &Dictionary,
+    w: &Witnesses,
+    members: &mut [T],
+    ordering: &[GroupOrder],
+    first: impl Fn(&T) -> u32,
+) {
     if ordering.is_empty() {
         return;
     }
-    let mut keyed: Vec<(Vec<Option<Arc<str>>>, u32)> = members
+    let mut keyed: Vec<(Vec<Option<Arc<str>>>, T)> = members
         .iter()
-        .map(|&m| {
+        .map(|m| {
             let text = |&s: &u32| (s != NO_SYM).then(|| dict.resolve(Sym(s)));
-            (w.sort_syms(m).iter().map(text).collect(), m)
+            (w.sort_syms(first(m)).iter().map(text).collect(), *m)
         })
         .collect();
-    keyed.sort_by(|a, b| compare_sort_keys(&a.0, &b.0, ordering).then(a.1.cmp(&b.1)));
+    keyed.sort_by(|a, b| {
+        compare_sort_keys(&a.0, &b.0, ordering).then(first(&a.1).cmp(&first(&b.1)))
+    });
     for (slot, (_, m)) in members.iter_mut().zip(keyed) {
         *slot = m;
     }
@@ -377,83 +385,6 @@ pub fn groupby_replicated(
         let subroot = tree.add_elem(dict, tree.root(), crate::tags::GROUP_SUBROOT);
         for &mid in &member_ids {
             tree.append_subtree(subroot, &replicas[mid].tree, replicas[mid].tree.root());
-        }
-        out.push(tree);
-    }
-    Ok(out)
-}
-
-/// Grouping with a **generic key function** — the Sec. 3 enhancement the
-/// paper mentions but does not elaborate ("one could use a generic
-/// function mapping trees to values rather than an attribute list …").
-///
-/// `key_of` maps each input tree to the (possibly several) group keys it
-/// belongs to; `order_value` supplies the member sort value. Groups are
-/// emitted in first-appearance order, with the same
-/// `TAX_group_root / TAX_grouping_basis / TAX_group_subroot` shape; the
-/// basis child is a constructed element named `basis_tag` carrying the
-/// key.
-pub fn groupby_with<K, O>(
-    store: &DocumentStore,
-    input: &Collection,
-    key_of: K,
-    order_value: O,
-    ordering: Option<Direction>,
-    basis_tag: &str,
-) -> Result<Collection>
-where
-    K: Fn(&DocumentStore, &Tree) -> Result<Vec<String>>,
-    O: Fn(&DocumentStore, &Tree) -> Result<Option<String>>,
-{
-    // (tree index, ordering value, arrival rank)
-    type FnMember = (usize, Option<String>, usize);
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let mut groups: Vec<(String, Vec<FnMember>)> = Vec::new();
-    let mut arrivals = 0usize;
-    for (tree_idx, tree) in input.iter().enumerate() {
-        let sort_key = if ordering.is_some() {
-            order_value(store, tree)?
-        } else {
-            None
-        };
-        let mut keys = key_of(store, tree)?;
-        keys.dedup();
-        for key in keys {
-            let gid = match index.get(&key) {
-                Some(&g) => g,
-                None => {
-                    let g = groups.len();
-                    index.insert(key.clone(), g);
-                    groups.push((key, Vec::new()));
-                    g
-                }
-            };
-            if groups[gid].1.last().map(|m| m.0) != Some(tree_idx) {
-                groups[gid].1.push((tree_idx, sort_key.clone(), arrivals));
-                arrivals += 1;
-            }
-        }
-    }
-
-    let mut out = Vec::with_capacity(groups.len());
-    for (key, mut members) in groups {
-        if let Some(dir) = ordering {
-            members.sort_by(|a, b| {
-                let ord = compare_opt_values(a.1.as_deref(), b.1.as_deref());
-                let ord = match dir {
-                    Direction::Ascending => ord,
-                    Direction::Descending => ord.reverse(),
-                };
-                ord.then(a.2.cmp(&b.2))
-            });
-        }
-        let dict = store.dict();
-        let mut tree = Tree::new_elem(dict, crate::tags::GROUP_ROOT);
-        let basis_root = tree.add_elem(dict, tree.root(), crate::tags::GROUPING_BASIS);
-        tree.add_elem_with_content(dict, basis_root, basis_tag, key);
-        let subroot = tree.add_elem(dict, tree.root(), crate::tags::GROUP_SUBROOT);
-        for (tree_idx, _, _) in &members {
-            tree.append_subtree(subroot, &input[*tree_idx], input[*tree_idx].root());
         }
         out.push(tree);
     }
@@ -913,119 +844,6 @@ mod tests {
             }]
         )
         .is_err());
-    }
-
-    #[test]
-    fn groupby_with_generic_key_function_decades() {
-        // Group articles by publication decade — impossible with a plain
-        // attribute list, easy with the generic-function enhancement.
-        let xml = "<bib>\
-            <article><title>A</title><year>1994</year></article>\
-            <article><title>B</title><year>1997</year></article>\
-            <article><title>C</title><year>2001</year></article>\
-        </bib>";
-        let s = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
-        let article = s.tag_id("article").unwrap();
-        let arts: Collection = s
-            .nodes_with_tag(article)
-            .iter()
-            .map(|e| Tree::new_ref(*e, true))
-            .collect();
-        let year_of = |store: &DocumentStore, t: &Tree| -> crate::Result<Option<String>> {
-            let mut p = PatternTree::with_root(Pred::tag("article"));
-            let y = p.add_child(p.root(), crate::pattern::Axis::Child, Pred::tag("year"));
-            let b = match_tree(store, t, &p, true)?;
-            match b.first() {
-                Some(b) => VTree::new(store, t).content(b[y]),
-                None => Ok(None),
-            }
-        };
-        let groups = groupby_with(
-            &s,
-            &arts,
-            |store, t| {
-                Ok(match year_of(store, t)? {
-                    Some(y) => {
-                        let decade = y[..3].to_owned() + "0s";
-                        vec![decade]
-                    }
-                    None => vec![],
-                })
-            },
-            |store, t| year_of(store, t),
-            Some(Direction::Ascending),
-            "decade",
-        )
-        .unwrap();
-        assert_eq!(groups.len(), 2);
-        let g0 = groups[0].materialize(&s).unwrap();
-        assert_eq!(
-            g0.child(crate::tags::GROUPING_BASIS)
-                .unwrap()
-                .child("decade")
-                .unwrap()
-                .text(),
-            "1990s"
-        );
-        assert_eq!(
-            g0.child(crate::tags::GROUP_SUBROOT)
-                .unwrap()
-                .children_named("article")
-                .count(),
-            2
-        );
-        // Ascending year order within the decade group.
-        let years: Vec<String> = g0
-            .child(crate::tags::GROUP_SUBROOT)
-            .unwrap()
-            .children_named("article")
-            .map(|a| a.child("year").unwrap().text())
-            .collect();
-        assert_eq!(years, ["1994", "1997"]);
-    }
-
-    #[test]
-    fn groupby_with_multi_key_membership() {
-        // A tree may belong to several groups (e.g. keyword grouping).
-        let s = DocumentStore::from_xml("<bib/>", &StoreOptions::in_memory()).unwrap();
-        let mk = |kws: &[&str]| -> Tree {
-            let mut t = Tree::new_elem(s.dict(), "article");
-            for k in kws {
-                t.add_elem_with_content(s.dict(), t.root(), "kw", *k);
-            }
-            t
-        };
-        let input = vec![mk(&["xml", "db"]), mk(&["db"]), mk(&["xml"])];
-        let groups = groupby_with(
-            &s,
-            &input,
-            |store, t| {
-                let mut p = PatternTree::with_root(Pred::tag("article"));
-                let k = p.add_child(p.root(), crate::pattern::Axis::Child, Pred::tag("kw"));
-                let vt = VTree::new(store, t);
-                match_tree(store, t, &p, true)?
-                    .rows()
-                    .map(|b| Ok(vt.content(b[k])?.unwrap_or_default()))
-                    .collect()
-            },
-            |_, _| Ok(None),
-            None,
-            "keyword",
-        )
-        .unwrap();
-        assert_eq!(groups.len(), 2); // xml, db
-        let sizes: Vec<usize> = groups
-            .iter()
-            .map(|g| {
-                g.materialize(&s)
-                    .unwrap()
-                    .child(crate::tags::GROUP_SUBROOT)
-                    .unwrap()
-                    .children_named("article")
-                    .count()
-            })
-            .collect();
-        assert_eq!(sizes, [2, 2]);
     }
 
     #[test]

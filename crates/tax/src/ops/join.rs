@@ -4,19 +4,29 @@
 //! between the outer bindings and the database (the "join-plan" pattern
 //! tree of Fig. 4b), producing `TAX_prod_root` trees that pair each outer
 //! tree with one matching witness from the database (Fig. 8); unmatched
-//! outer trees survive alone. A **full outer join** stitches RETURN
-//! arguments back together on a shared key.
+//! outer trees survive alone. The RETURN arguments are then **stitched**
+//! back together on the shared key: a full outer join fused with the
+//! final construction and rename ([`stitch_sharded`]).
+//!
+//! Both key on content symbols from the shared witness extraction — the
+//! outer key of a tree, the key of every database binding — so a value
+//! comparison reads no data page: equal symbol ⇔ equal string, and a node
+//! without content ([`NO_SYM`]) joins nothing.
 
+use crate::batch::Source;
 use crate::error::Result;
-use crate::exec::{par_map, shard_map, ExecOptions, ShardStats};
-use crate::matching::vnode::VTree;
-use crate::matching::{match_db, match_tree, Bindings};
+use crate::exec::{shard_map, ExecOptions, ShardStats};
+use crate::matching::vnode::VNode;
+use crate::matching::{match_db, Bindings};
+use crate::ops::aggregate::{compute, format_value, numeric, AggFunc};
+use crate::ops::groupby::{sort_members, BasisItem, Direction, GroupOrder};
 use crate::ops::keyenc;
 use crate::ops::select::witness_tree;
+use crate::ops::witness::{first_keys, witnesses};
 use crate::pattern::{PatternNodeId, PatternTree};
-use crate::tree::{Collection, Tree};
-use std::collections::HashMap;
-use xmlstore::DocumentStore;
+use crate::tree::{Collection, Tree, TreeNodeKind};
+use std::collections::{HashMap, HashSet};
+use xmlstore::{DocumentStore, NO_SYM};
 
 /// Left outer join of `left` against the stored database.
 ///
@@ -50,31 +60,14 @@ pub fn left_outer_join_db(
     .0)
 }
 
-/// The join key of one left tree: the content of the node its first
-/// `left_pattern` binding assigns to `left_label` (`None` when the tree
-/// does not match or the node has no content). This is the value the
-/// sharded sink partitions on.
-pub fn left_join_key(
-    store: &DocumentStore,
-    tree: &Tree,
-    left_pattern: &PatternTree,
-    left_label: PatternNodeId,
-) -> Result<Option<String>> {
-    let bindings = match_tree(store, tree, left_pattern, false)?;
-    match bindings.first() {
-        Some(b) => VTree::new(store, tree).content(b[left_label]),
-        None => Ok(None),
-    }
-}
-
 /// [`left_outer_join_db`] over `opts.threads` workers: the blocking
 /// sink's entry point.
 ///
 /// The right side is matched against the database **once** and bucketed
-/// by join value, shared read-only across workers. Each left tree's join
-/// key is extracted in parallel (a per-tree pattern match, fanned out
-/// over `opts.threads`); left trees then go through [`shard_map`] routed
-/// by an FNV-1a hash of that key, every shard probes the shared buckets
+/// by the content symbol of its key node, shared read-only across
+/// workers. Each left tree's key is its first witness's (one extraction
+/// over all left trees); left trees then go through [`shard_map`] routed
+/// by the FNV-1a hash of that key, every shard probes the shared buckets
 /// and builds its `TAX_prod_root` trees independently, and the merge
 /// re-emits the per-tree outputs ordered by **left input position** —
 /// byte-identical to a serial walk of the left collection.
@@ -92,150 +85,246 @@ pub fn left_outer_join_db_sharded(
     right_sl: &[PatternNodeId],
     opts: &ExecOptions,
 ) -> Result<(Collection, ShardStats)> {
-    if left_label >= left_pattern.len() {
-        return Err(crate::error::Error::UnknownLabel(format!(
-            "${}",
-            left_label + 1
-        )));
-    }
     if right_label >= right_pattern.len() {
         return Err(crate::error::Error::UnknownLabel(format!(
             "${}",
             right_label + 1
         )));
     }
+    let keys: Vec<u32> = first_keys(store, left, left_pattern, left_label, opts)?
+        .into_iter()
+        .map(|key| key.map_or(NO_SYM, |(key, _)| key))
+        .collect();
 
-    // Match the right side once; bucket bindings by join value
-    // (a data look-up per binding — part of the direct plan's cost).
+    // Match the right side once; bucket bindings by key symbol.
     let right_bindings = match_db(store, right_pattern)?;
-    let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
+    let cols = store.columns();
+    let mut buckets: HashMap<u32, Vec<usize>> = HashMap::new();
     for (i, e) in right_bindings.column(right_label).iter().enumerate() {
-        if let Some(v) = store.content(e.id)? {
-            buckets.entry(v).or_default().push(i);
+        let key = cols.content[e.id.0 as usize];
+        if key != NO_SYM {
+            buckets.entry(key).or_default().push(i);
         }
     }
-
-    // Parallel key extraction, in left order.
-    let keys: Vec<Option<String>> = par_map(opts, left, |_, ltree| {
-        left_join_key(store, ltree, left_pattern, left_label)
-    })?;
 
     let (per_left, stats) = shard_map(
         opts,
         (0..left.len()).collect(),
-        |&li| keyenc::hash_opt_str(keys[li].as_deref()),
+        |&li| keyenc::hash_syms(&[keys[li]]),
         |shard| {
-            shard
+            Ok(shard
                 .into_iter()
                 .map(|li| {
+                    let matches = buckets.get(&keys[li]).map_or(&[][..], Vec::as_slice);
                     let joined = join_one(
                         store,
                         &left[li],
-                        keys[li].as_deref(),
-                        &buckets,
+                        matches,
                         &right_bindings,
                         right_pattern,
                         right_sl,
-                    )?;
-                    Ok((li, joined))
+                    );
+                    (li, joined)
                 })
-                .collect()
+                .collect())
         },
     )?;
     Ok((per_left.into_iter().flatten().collect(), stats))
 }
 
-/// The per-left-tree join kernel: probe the right buckets with the
-/// tree's join key and emit its `TAX_prod_root` trees (the unmatched
-/// tree survives alone).
+/// The per-left-tree join kernel: one `TAX_prod_root` tree per matching
+/// right binding (the unmatched tree survives alone).
 fn join_one(
     store: &DocumentStore,
     ltree: &Tree,
-    key: Option<&str>,
-    buckets: &HashMap<String, Vec<usize>>,
+    matches: &[usize],
     right_bindings: &Bindings,
     right_pattern: &PatternTree,
     right_sl: &[PatternNodeId],
-) -> Result<Vec<Tree>> {
-    let matches: &[usize] = key
-        .and_then(|v| buckets.get(v))
-        .map(Vec::as_slice)
-        .unwrap_or(&[]);
+) -> Vec<Tree> {
+    let prod = || {
+        let mut prod = Tree::new_elem(store.dict(), crate::tags::PROD_ROOT);
+        prod.append_subtree(prod.root(), ltree, ltree.root());
+        prod
+    };
     if matches.is_empty() {
-        let mut prod = Tree::new_elem(store.dict(), crate::tags::PROD_ROOT);
-        prod.append_subtree(prod.root(), ltree, ltree.root());
-        return Ok(vec![prod]);
+        return vec![prod()];
     }
-    let mut out = Vec::with_capacity(matches.len());
-    for &ri in matches {
-        let mut prod = Tree::new_elem(store.dict(), crate::tags::PROD_ROOT);
-        prod.append_subtree(prod.root(), ltree, ltree.root());
-        let w = witness_tree(None, right_pattern, right_bindings.row(ri), right_sl);
-        prod.append_subtree(prod.root(), &w, w.root());
-        out.push(prod);
-    }
-    Ok(out)
+    matches
+        .iter()
+        .map(|&ri| {
+            let mut prod = prod();
+            let w = witness_tree(None, right_pattern, right_bindings.row(ri), right_sl);
+            prod.append_subtree(prod.root(), &w, w.root());
+            prod
+        })
+        .collect()
 }
 
-/// Full outer join of two in-memory collections on the contents of
-/// pattern-bound nodes — the "stitching" of RETURN arguments.
+/// One stitched part: an extracted node of an inner row, with what its
+/// output needs — its content (for an aggregate) and the witness it
+/// orders by.
+#[derive(Clone, Copy)]
+struct Part {
+    row: u32,
+    node: VNode,
+    deep: bool,
+    value: u32,
+    first: u32,
+}
+
+/// The RETURN stitching of the naive plan (Sec. 4.1) over `opts.threads`
+/// workers: a full outer join of `outer` and `inner` on the key (one hash
+/// pass over the inner rows), fused with the final per-binding
+/// construction and rename — the kernel behind the executor's
+/// `StitchConstruct` sink. Each matching outer tree becomes one `tag`
+/// element: its bound node, then the extracted parts of its key's inner
+/// rows (`inner_extract`, deep or not), or their aggregate `agg`.
 ///
-/// Trees pair when their key contents are equal; unmatched trees from
-/// either side survive alone under their own `TAX_prod_root`.
-pub fn full_outer_join(
+/// One anchored witness extraction over the inner rows yields every
+/// part's key, node, value and ordering symbol. The bucket merge walks
+/// them in input order and applies the naive plan's "duplicate
+/// elimination based on articles": an inner row joining a key through
+/// several paths contributes each extracted node once. Within a key the
+/// parts order as group members do (`ORDER BY` on the first witness of
+/// their row under that key, arrival breaking ties), so a row's parts
+/// stay together. Outer trees then go through [`shard_map`] routed by
+/// the hash of their key, each shard constructs its elements against
+/// the frozen buckets, and the merge re-emits them ordered by **outer
+/// input position**. Returns the collection plus partition statistics
+/// (outer trees per shard).
+#[allow(clippy::too_many_arguments)]
+pub fn stitch_sharded(
     store: &DocumentStore,
-    left: &Collection,
-    left_pattern: &PatternTree,
-    left_label: PatternNodeId,
-    right: &Collection,
-    right_pattern: &PatternTree,
-    right_label: PatternNodeId,
-) -> Result<Collection> {
-    let key_of =
-        |tree: &Tree, pattern: &PatternTree, label: PatternNodeId| -> Result<Option<String>> {
-            let bindings = match_tree(store, tree, pattern, false)?;
-            match bindings.first() {
-                Some(b) => VTree::new(store, tree).content(b[label]),
-                None => Ok(None),
+    outer: &[Tree],
+    outer_pattern: &PatternTree,
+    outer_label: PatternNodeId,
+    inner: &[Tree],
+    inner_pattern: &PatternTree,
+    inner_label: PatternNodeId,
+    inner_extract: &[(PatternNodeId, bool)],
+    agg: Option<(AggFunc, &str)>,
+    order: Option<(PatternNodeId, Direction)>,
+    tag: &str,
+    opts: &ExecOptions,
+) -> Result<(Collection, ShardStats)> {
+    // Basis: the key, then one item per extracted node.
+    let basis: Vec<BasisItem> = std::iter::once(inner_label)
+        .chain(inner_extract.iter().map(|&(label, _)| label))
+        .map(BasisItem::content)
+        .collect();
+    let ordering: Vec<GroupOrder> = order
+        .map(|(label, direction)| GroupOrder { label, direction })
+        .into_iter()
+        .collect();
+    let w = witnesses(
+        store,
+        &Source::Trees(inner),
+        inner_pattern,
+        &basis,
+        &ordering,
+        true,
+        opts,
+    )?;
+
+    let mut parts: HashMap<u32, Vec<Part>> = HashMap::new();
+    let mut seen: HashSet<(u32, u64)> = HashSet::new();
+    // The keys met in the current row, with their first witness.
+    let mut firsts: Vec<(u32, u32)> = Vec::new();
+    for i in 0..w.len() as u32 {
+        let row = w.tree_idx[i as usize];
+        if i > 0 && w.tree_idx[i as usize - 1] != row {
+            firsts.clear();
+        }
+        let key = w.key(i)[0];
+        if key == NO_SYM {
+            continue;
+        }
+        let first = match firsts.iter().find(|&&(k, _)| k == key) {
+            Some(&(_, first)) => first,
+            None => {
+                firsts.push((key, i));
+                i
             }
         };
-
-    let mut right_keys: Vec<Option<String>> = Vec::with_capacity(right.len());
-    for r in right {
-        right_keys.push(key_of(r, right_pattern, right_label)?);
-    }
-    let mut right_used = vec![false; right.len()];
-
-    let mut out = Vec::new();
-    for l in left {
-        let lk = key_of(l, left_pattern, left_label)?;
-        let mut matched = false;
-        if lk.is_some() {
-            for (i, rk) in right_keys.iter().enumerate() {
-                if *rk == lk {
-                    right_used[i] = true;
-                    matched = true;
-                    let mut prod = Tree::new_elem(store.dict(), crate::tags::PROD_ROOT);
-                    prod.append_subtree(prod.root(), l, l.root());
-                    prod.append_subtree(prod.root(), &right[i], right[i].root());
-                    out.push(prod);
-                }
+        let tree = &inner[row as usize];
+        let extracted = w.cells(i)[1..].iter().zip(&w.key(i)[1..]);
+        for ((&node, &value), &(_, deep)) in extracted.zip(inner_extract) {
+            if seen.insert((key, identity(tree, row, node))) {
+                let part = Part {
+                    row,
+                    node,
+                    deep,
+                    value,
+                    first,
+                };
+                parts.entry(key).or_default().push(part);
             }
         }
-        if !matched {
-            let mut prod = Tree::new_elem(store.dict(), crate::tags::PROD_ROOT);
-            prod.append_subtree(prod.root(), l, l.root());
-            out.push(prod);
-        }
     }
-    for (i, used) in right_used.iter().enumerate() {
-        if !used {
-            let mut prod = Tree::new_elem(store.dict(), crate::tags::PROD_ROOT);
-            prod.append_subtree(prod.root(), &right[i], right[i].root());
-            out.push(prod);
-        }
+    for bucket in parts.values_mut() {
+        sort_members(store.dict(), &w, bucket, &ordering, |p| p.first);
     }
-    Ok(out)
+
+    let keys = first_keys(store, outer, outer_pattern, outer_label, opts)?;
+    let dict = store.dict();
+    let tag = dict.intern(tag);
+    shard_map(
+        opts,
+        (0..outer.len()).collect(),
+        |&oi| keyenc::hash_syms(&[keys[oi].map_or(NO_SYM, |(key, _)| key)]),
+        |shard| {
+            Ok(shard
+                .into_iter()
+                .filter_map(|oi| {
+                    // A tree the outer pattern does not match emits nothing.
+                    let (key, bound) = keys[oi]?;
+                    let mut out = Tree::new_elem_sym(tag);
+                    out.append_vnode(out.root(), Some(&outer[oi]), bound, true);
+                    let matched = parts.get(&key).map_or(&[][..], Vec::as_slice);
+                    match agg {
+                        Some((func, agg_tag)) => {
+                            let values: Vec<f64> = match func {
+                                AggFunc::Count => Vec::new(),
+                                _ => matched
+                                    .iter()
+                                    .filter_map(|p| numeric(dict, p.value))
+                                    .collect(),
+                            };
+                            if let Some(v) = compute(func, matched.len(), &values) {
+                                out.add_elem_with_content(
+                                    dict,
+                                    out.root(),
+                                    agg_tag,
+                                    format_value(v),
+                                );
+                            }
+                        }
+                        None => {
+                            for p in matched {
+                                let src = Some(&inner[p.row as usize]);
+                                out.append_vnode(out.root(), src, p.node, p.deep);
+                            }
+                        }
+                    }
+                    Some((oi, out))
+                })
+                .collect())
+        },
+    )
+}
+
+/// A part's identity for the stitch's duplicate elimination: the stored
+/// node it is, or — a constructed node has no global identity — its
+/// position.
+fn identity(tree: &Tree, row: u32, node: VNode) -> u64 {
+    match node {
+        VNode::Stored(e) => u64::from(e.id.0),
+        VNode::Arena(i) => match &tree.node(i).kind {
+            TreeNodeKind::Ref { node, .. } => u64::from(node.id.0),
+            TreeNodeKind::Elem { .. } => 1 << 63 | u64::from(row) << 32 | i as u64,
+        },
+    }
 }
 
 #[cfg(test)]
@@ -342,35 +431,43 @@ mod tests {
     }
 
     #[test]
-    fn full_outer_join_pairs_and_leftovers() {
-        let s = store();
-        // Left: author name trees; right: one tree sharing a key plus one
-        // unmatched.
-        let mk = |tag: &str, content: &str| -> Tree {
-            let mut t = Tree::new_elem(s.dict(), "wrap");
-            t.add_elem_with_content(s.dict(), t.root(), tag, content);
-            t
-        };
-        let left = vec![mk("author", "Jack"), mk("author", "Ghost")];
-        let right = vec![mk("author", "Jack"), mk("author", "Jill")];
-        let mut lp = PatternTree::with_root(Pred::tag("wrap"));
-        let ll = lp.add_child(lp.root(), Axis::Child, Pred::tag("author"));
-        let joined = full_outer_join(&s, &left, &lp, ll, &right, &lp, ll).unwrap();
-        // Jack×Jack pair + Ghost alone + Jill alone = 3.
-        assert_eq!(joined.len(), 3);
-        let sizes: Vec<usize> = joined
-            .iter()
-            .map(|t| t.materialize(&s).unwrap().child_elements().count())
-            .collect();
-        assert_eq!(sizes.iter().filter(|&&n| n == 2).count(), 1);
-        assert_eq!(sizes.iter().filter(|&&n| n == 1).count(), 2);
-    }
-
-    #[test]
     fn unknown_labels_rejected() {
         let s = store();
         let (right, _, _) = join_right_pattern();
         assert!(left_outer_join_db(&s, &Vec::new(), &outer_pattern(), 9, &right, 2, &[]).is_err());
         assert!(left_outer_join_db(&s, &Vec::new(), &outer_pattern(), 1, &right, 9, &[]).is_err());
+    }
+
+    #[test]
+    fn absent_contents_never_join() {
+        // Structured authors have no content: the two dedup to one left
+        // tree, whose key joins no database binding — not even the
+        // article's equally structured author.
+        let xml = "<bib><author><n>A</n></author>\
+            <article><author><n>A</n></author><title>T</title></article></bib>";
+        let s = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
+        let authors = distinct_authors(&s);
+        assert_eq!(authors.len(), 1);
+        let (right, art, auth) = join_right_pattern();
+        let joined =
+            left_outer_join_db(&s, &authors, &outer_pattern(), 1, &right, auth, &[art]).unwrap();
+        assert_eq!(joined.len(), 1);
+        let prod = joined[0].materialize(&s).unwrap();
+        assert_eq!(prod.child_elements().count(), 1, "the left tree alone");
+    }
+
+    #[test]
+    fn a_constructed_key_joins_the_stored_nodes_with_its_text() {
+        let s = store();
+        let mut left = Tree::new_elem(s.dict(), "doc_root");
+        left.add_elem_with_content(s.dict(), left.root(), "author", "Jill");
+        let (right, art, auth) = join_right_pattern();
+        let joined =
+            left_outer_join_db(&s, &vec![left], &outer_pattern(), 1, &right, auth, &[art]).unwrap();
+        // Jill wrote one article: one pair, whose right part is it.
+        assert_eq!(joined.len(), 1);
+        let prod = joined[0].materialize(&s).unwrap();
+        let article = prod.descendants().find(|e| e.name == "article").unwrap();
+        assert_eq!(article.child("title").unwrap().text(), "XML and the Web");
     }
 }

@@ -1,18 +1,13 @@
-//! Key encoding and hashing — the one FNV-1a module shared by the
-//! grouping sinks (groupby / rollup / cube, symbol keys) and the
-//! value-join sinks (join operator, executor stitch — optional-string
-//! keys); [`crate::exec::shard_map`] turns the hashes into shards.
+//! Key encoding and hashing — the one FNV-1a module shared by every
+//! keyed sink (groupby / rollup / cube, the left outer join, the RETURN
+//! stitch); [`crate::exec::shard_map`] turns the hashes into shards.
 //!
-//! A grouping [`Key`] is a fixed-width sequence of dictionary symbols:
-//! one `u32` word per basis item, [`ABSENT`] when the value is missing
-//! (e.g. an absent attribute). Fixed width makes the encoding
-//! self-delimiting, so a key hashes in a single FNV-1a pass over the
-//! little-endian bytes of its words, and key equality is a flat word
-//! compare — no per-value length prefixes or presence tags.
-//!
-//! Optional-string join keys keep the older self-delimiting byte
-//! encoding: a one-byte presence tag keeps an absent value distinct from
-//! an empty string.
+//! A [`Key`] is a fixed-width sequence of dictionary symbols: one `u32`
+//! word per basis item, [`ABSENT`] when the value is missing (e.g. an
+//! absent attribute). Fixed width makes the encoding self-delimiting, so
+//! a key hashes in a single FNV-1a pass over the little-endian bytes of
+//! its words, and key equality is a flat word compare — no per-value
+//! length prefixes or presence tags.
 //!
 //! Within a shard a key finds its group through a `GroupIndex`.
 
@@ -41,23 +36,6 @@ pub fn hash_syms(key: &[u32]) -> u64 {
         h = fnv1a(h, &w.to_le_bytes());
     }
     h
-}
-
-/// Fold one optional string into an FNV-1a state. The presence tag keeps
-/// `None` distinct from `Some("")`, and the encoding self-delimiting
-/// across multi-value keys.
-#[inline]
-pub fn fold_opt_str(h: u64, value: Option<&str>) -> u64 {
-    match value {
-        None => fnv1a(h, &[0]),
-        Some(v) => fnv1a(fnv1a(h, &[1]), v.as_bytes()),
-    }
-}
-
-/// FNV-1a of a single optional string value (the join-key hash).
-#[inline]
-pub fn hash_opt_str(value: Option<&str>) -> u64 {
-    fold_opt_str(FNV_SEED, value)
 }
 
 /// Slots a slot table may spend per key; sparser symbols keep the map.
@@ -226,15 +204,5 @@ mod tests {
                 assert_eq!(group_with(table, &stream), want);
             }
         });
-    }
-
-    #[test]
-    fn opt_str_encoding_is_self_delimiting() {
-        // None vs Some("") differ by the presence tag.
-        assert_ne!(hash_opt_str(None), hash_opt_str(Some("")));
-        // Folding two values cannot collide with one concatenated value.
-        let two = fold_opt_str(fold_opt_str(FNV_SEED, Some("ab")), Some("c"));
-        let one = fold_opt_str(FNV_SEED, Some("abc"));
-        assert_ne!(two, one);
     }
 }

@@ -5,7 +5,7 @@
 //! clause" — e.g. `TAX_prod_root` → `authorpubs`.
 
 use crate::error::Result;
-use crate::tree::{Collection, Tree, TreeNodeKind};
+use crate::tree::{Collection, TreeNodeKind};
 use xmlstore::Dictionary;
 
 /// Rename the root of every tree to `new_tag`, in place. The tag is
@@ -32,22 +32,10 @@ pub fn rename_root(dict: &Dictionary, mut input: Collection, new_tag: &str) -> R
     Ok(input)
 }
 
-/// Wrap each tree under a fresh constructed root named `tag` — the
-/// element-constructor step of a RETURN clause.
-pub fn wrap_root(dict: &Dictionary, input: Collection, tag: &str) -> Result<Collection> {
-    let tag = dict.intern(tag);
-    let mut out = Vec::with_capacity(input.len());
-    for tree in input {
-        let mut t = Tree::new_elem_sym(tag);
-        t.append_subtree(t.root(), &tree, tree.root());
-        out.push(t);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::Tree;
     use xmlstore::{DocumentStore, StoreOptions};
 
     fn store() -> DocumentStore {
@@ -77,20 +65,8 @@ mod tests {
     }
 
     #[test]
-    fn wrap_root_nests() {
-        let s = store();
-        let mut t = Tree::new_elem(s.dict(), "inner");
-        t.add_elem_with_content(s.dict(), t.root(), "x", "1");
-        let out = wrap_root(s.dict(), vec![t], "outer").unwrap();
-        let e = out[0].materialize(&s).unwrap();
-        assert_eq!(e.name, "outer");
-        assert_eq!(e.child("inner").unwrap().child("x").unwrap().text(), "1");
-    }
-
-    #[test]
     fn empty_collection_passthrough() {
         let s = store();
         assert!(rename_root(s.dict(), Vec::new(), "t").unwrap().is_empty());
-        assert!(wrap_root(s.dict(), Vec::new(), "t").unwrap().is_empty());
     }
 }

@@ -48,9 +48,9 @@ use crate::error::{Error, Result};
 use crate::exec::{par_map, shard_map, ExecOptions, ShardStats};
 use crate::matching::vnode::VTree;
 use crate::matching::{match_in_scopes, match_tree};
-use crate::ops::aggregate::{format_value, AggFunc};
-use crate::ops::groupby::{add_basis_children, validate, BasisItem};
-use crate::ops::keyenc::{self, GroupIndex};
+use crate::ops::aggregate::{format_value, numeric, AggFunc};
+use crate::ops::groupby::{add_basis_children, BasisItem};
+use crate::ops::keyenc::{self, component, GroupIndex};
 use crate::ops::witness::{witnesses, Witnesses};
 use crate::pattern::{Axis, PatternNodeId, PatternTree, Pred};
 use crate::tree::{Collection, Tree};
@@ -232,12 +232,11 @@ pub(crate) fn fold_levels(
     shape: FoldShape,
     opts: &ExecOptions,
 ) -> Result<(Collection, ShardStats)> {
-    validate(pattern, basis, &[])?;
     if of >= member_pattern.len() {
         return Err(Error::UnknownLabel(format!("${}", of + 1)));
     }
     let clock = Instant::now();
-    let w = witnesses(store, input, pattern, basis, &[], opts)?;
+    let w = witnesses(store, input, pattern, basis, &[], false, opts)?;
     let witness = clock.elapsed();
     let contributions = contributions(store, input, member_pattern, of, func, opts)?;
     let contributed = clock.elapsed() - witness;
@@ -280,7 +279,6 @@ fn contributions(
     opts: &ExecOptions,
 ) -> Result<Vec<Contribution>> {
     let dict = store.dict();
-    let number = |sym: Option<Sym>| sym.and_then(|s| dict.resolve(s).trim().parse::<f64>().ok());
     match input {
         Source::Stored(rows) => {
             let mut out = vec![Contribution::default(); rows.len()];
@@ -303,7 +301,8 @@ fn contributions(
                 let c = &mut out[row as usize];
                 c.bindings += 1;
                 if func != AggFunc::Count {
-                    c.values.extend(number(cols.content_sym(e.id).map(Sym)));
+                    c.values
+                        .extend(numeric(dict, cols.content[e.id.0 as usize]));
                 }
             }
             Ok(out)
@@ -317,7 +316,8 @@ fn contributions(
             if func != AggFunc::Count {
                 let vt = VTree::new(store, tree);
                 for v in table.column(of) {
-                    c.values.extend(number(vt.content_sym(*v)));
+                    c.values
+                        .extend(numeric(dict, component(vt.content_sym(*v))));
                 }
             }
             Ok(c)

@@ -1,10 +1,11 @@
-//! Grouping witnesses: the one extraction behind `groupby`, `rollup`
-//! and `cube`.
+//! Witnesses: the one key extraction behind every keyed operator — the
+//! grouping sinks (`groupby`, `rollup`, `cube`), duplicate elimination,
+//! the left outer join, the RETURN stitch and aggregation.
 //!
-//! A witness is one embedding of the grouping pattern in one input row.
-//! What the sinks need of it is columnar and small — which row it came
-//! from, its grouping key (one symbol word per basis item), the nodes
-//! that become basis children, its ordering values (symbols again) — so
+//! A witness is one embedding of the operator's pattern in one input
+//! row. What the operators need of it is columnar and small — which row
+//! it came from, its key (one symbol word per basis item), the nodes
+//! bound to the basis labels, its ordering values (symbols again) — so
 //! that is all [`witnesses`] produces: flat `u32` / cell arrays, no
 //! per-witness allocation. Both sources fill the same columns:
 //!
@@ -17,25 +18,29 @@
 //!   `opts.threads`), then the same words read through a [`VTree`].
 //!
 //! No data page is read either way: keys and ordering values are
-//! symbols, resolved to text only when a sort compares them.
+//! symbols — one dictionary holds stored and constructed text, so equal
+//! symbol ⇔ equal string — resolved to text only when a sort compares
+//! them or an aggregate parses them.
 
 use crate::batch::Source;
 use crate::error::Result;
 use crate::exec::{par_map, ExecOptions};
 use crate::matching::vnode::{VNode, VTree};
 use crate::matching::{match_in_scopes, match_tree};
-use crate::ops::groupby::{BasisItem, GroupOrder};
+use crate::ops::groupby::{validate, BasisItem, GroupOrder};
 use crate::ops::keyenc::component;
-use crate::pattern::PatternTree;
+use crate::pattern::{PatternNodeId, PatternTree};
+use crate::tree::Tree;
+use std::ops::Range;
 use xmlstore::{DocumentStore, NO_SYM};
 
-/// The witness stream of one grouping sink, collection-major: all of
+/// The witness stream of one keyed operator, collection-major: all of
 /// row 0's witnesses, then row 1's, ….
 #[derive(Default)]
 pub(crate) struct Witnesses {
     /// The input row each witness was matched in; non-decreasing.
     pub tree_idx: Vec<u32>,
-    /// Grouping keys, row-major, `basis.len()` words a witness.
+    /// Keys, row-major, `basis.len()` words a witness.
     keys: Vec<u32>,
     /// The nodes bound to the basis labels, row-major like `keys`.
     cells: Vec<VNode>,
@@ -52,7 +57,7 @@ impl Witnesses {
         self.tree_idx.len()
     }
 
-    /// The grouping key of witness `w`.
+    /// The key of witness `w`.
     pub fn key(&self, w: u32) -> &[u32] {
         &self.keys[w as usize * self.basis..][..self.basis]
     }
@@ -66,11 +71,24 @@ impl Witnesses {
     pub fn sort_syms(&self, w: u32) -> &[u32] {
         &self.sort_syms[w as usize * self.ordering..][..self.ordering]
     }
+
+    /// The witnesses of each of the input's `rows` rows, as ordinal
+    /// ranges — empty where the pattern does not match the row.
+    pub fn per_row(&self, rows: usize) -> Vec<Range<u32>> {
+        let mut at = 0;
+        (0..rows as u32)
+            .map(|row| {
+                let start = at;
+                at += self.tree_idx[at..].partition_point(|&r| r == row);
+                start as u32..at as u32
+            })
+            .collect()
+    }
 }
 
 /// The key word of one basis item on a node of an in-memory tree: the
 /// same symbol [`witnesses`] reads off the label columns for a stored
-/// row, so every grouping kernel keys a witness identically.
+/// row, so every keyed kernel keys a witness identically.
 pub(crate) fn key_word(vt: &VTree, v: VNode, item: &BasisItem) -> u32 {
     component(match &item.attr {
         Some(name) => vt.attr_sym(v, name),
@@ -78,16 +96,19 @@ pub(crate) fn key_word(vt: &VTree, v: VNode, item: &BasisItem) -> u32 {
     })
 }
 
-/// Extract the grouping witnesses of `input` under `pattern`: key words
-/// for `basis`, basis cells, and ordering symbols for `ordering`.
+/// Extract the witnesses of `input` under `pattern`: key words for
+/// `basis`, basis cells, and ordering symbols for `ordering`. With
+/// `anchor_root` the pattern root binds only the rows themselves.
 pub(crate) fn witnesses(
     store: &DocumentStore,
     input: &Source,
     pattern: &PatternTree,
     basis: &[BasisItem],
     ordering: &[GroupOrder],
+    anchor_root: bool,
     opts: &ExecOptions,
 ) -> Result<Witnesses> {
+    validate(pattern, basis, ordering)?;
     let mut out = Witnesses {
         basis: basis.len(),
         ordering: ordering.len(),
@@ -95,7 +116,7 @@ pub(crate) fn witnesses(
     };
     match input {
         Source::Stored(rows) => {
-            let (table, row_of) = match_in_scopes(store, pattern, rows, false)?;
+            let (table, row_of) = match_in_scopes(store, pattern, rows, anchor_root)?;
             let cols = store.columns();
             let n = table.len();
             out.tree_idx = row_of;
@@ -121,7 +142,7 @@ pub(crate) fn witnesses(
         }
         Source::Trees(trees) => {
             let tables = par_map(opts, trees, |_, tree| {
-                match_tree(store, tree, pattern, false)
+                match_tree(store, tree, pattern, anchor_root)
             })?;
             for (row, (tree, table)) in trees.iter().zip(tables).enumerate() {
                 let vt = VTree::new(store, tree);
@@ -139,4 +160,32 @@ pub(crate) fn witnesses(
         }
     }
     Ok(out)
+}
+
+/// Each tree's key under `pattern`: the content symbol of the node its
+/// first witness binds to `label` ([`NO_SYM`] when the node has no
+/// content), with that node; `None` where the pattern does not match.
+/// What duplicate elimination, the left outer join and the stitch's
+/// outer side key on.
+pub(crate) fn first_keys(
+    store: &DocumentStore,
+    trees: &[Tree],
+    pattern: &PatternTree,
+    label: PatternNodeId,
+    opts: &ExecOptions,
+) -> Result<Vec<Option<(u32, VNode)>>> {
+    let basis = [BasisItem::content(label)];
+    let w = witnesses(
+        store,
+        &Source::Trees(trees),
+        pattern,
+        &basis,
+        &[],
+        false,
+        opts,
+    )?;
+    Ok(w.per_row(trees.len())
+        .into_iter()
+        .map(|ws| (!ws.is_empty()).then(|| (w.key(ws.start)[0], w.cells(ws.start)[0])))
+        .collect())
 }

@@ -350,7 +350,7 @@ pub fn build<'a>(
             meter,
             Box::new(move |ins| {
                 let mut ins = ins.into_iter().map(Batch::into_trees);
-                crate::stitch::stitch_sharded(
+                ops::join::stitch_sharded(
                     store,
                     &ins.next().unwrap_or_default(),
                     outer_pattern,

@@ -237,6 +237,26 @@ fn grouped_plans_stay_inside_clone_and_io_budget() {
 }
 
 #[test]
+fn direct_plans_read_no_page_on_any_operator() {
+    // The direct plan keys its duplicate eliminations, join and stitch on
+    // content symbols from the one witness extraction, as the grouped
+    // plans key their groups: no operator line asks for a page.
+    let db = fig6_db();
+    for query in [QUERY1, QUERY_COUNT] {
+        let text = db
+            .explain_analyze(query, PlanMode::Direct)
+            .unwrap()
+            .render();
+        let lines: Vec<&str> = text.lines().filter(|l| l.contains(" | in=")).collect();
+        assert_eq!(lines.len(), 8, "{text}");
+        for line in lines {
+            assert!(line.contains(" pages=0 "), "{line}");
+        }
+        assert!(text.contains("; 0 page requests, 0 disk reads"), "{text}");
+    }
+}
+
+#[test]
 fn explain_analyze_rollup_operator_line() {
     // The fused count plan runs a Rollup blocking sink; its metrics line
     // must report trees in (articles scanned), groups out, and the
