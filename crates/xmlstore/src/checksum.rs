@@ -1,16 +1,29 @@
-//! CRC32 (IEEE 802.3) page checksums.
+//! CRC32 (IEEE 802.3) page and log checksums.
 //!
-//! The workspace builds offline, so this is a self-contained table-driven
-//! implementation rather than an external crate. CRC32 detects every
+//! The workspace builds offline and forbids `unsafe`, so this is a
+//! self-contained table-driven implementation rather than an external
+//! crate or a carry-less-multiply intrinsic. CRC32 detects every
 //! single-bit and single-byte error and all burst errors up to 32 bits —
 //! exactly the corruption classes the fault injector produces (bit flips,
-//! torn writes) — at a cost of about one table lookup per byte.
+//! torn writes).
+//!
+//! The kernel is *slice-by-16*: table `k` holds a byte's contribution
+//! advanced past `k` further bytes, so one step folds 16 input bytes with
+//! 16 lookups that do not wait on each other, where the bytewise loop
+//! makes each lookup wait on the one before. On a 2-CPU x86-64 host that
+//! is about 3.9 µs per 8 KB page (≈ 2.1 GB/s) against 22 µs bytewise.
+//! A tail shorter than one step goes a byte at a time. The values are
+//! the bytewise definition's, which the tests keep as the oracle, and
+//! golden values pin the format of every page and log frame on disk.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-const fn make_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Bytes folded per step of the sliced loop (one table each).
+const SLICE: usize = 16;
+
+const fn make_tables() -> [[u32; 256]; SLICE] {
+    let mut tables = [[0u32; 256]; SLICE];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -23,20 +36,45 @@ const fn make_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    // Table k: the table-(k-1) entry pushed through one more zero byte.
+    let mut k = 1;
+    while k < SLICE {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = make_table();
+static TABLES: [[u32; 256]; SLICE] = make_tables();
+
+/// Feed one byte into a running CRC state.
+fn byte_step(state: u32, b: u8) -> u32 {
+    (state >> 8) ^ TABLES[0][((state ^ b as u32) & 0xFF) as usize]
+}
 
 /// Feed `bytes` into a running (pre-inverted) CRC state.
 fn update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        state = (state >> 8) ^ TABLE[((state ^ b as u32) & 0xFF) as usize];
+    let mut blocks = bytes.chunks_exact(SLICE);
+    for block in &mut blocks {
+        // The state folds into the block's first four bytes; byte i is
+        // then advanced past the SLICE - 1 - i bytes that follow it.
+        let s = state.to_le_bytes();
+        state = 0;
+        for (i, &b) in block.iter().enumerate() {
+            let b = if i < 4 { b ^ s[i] } else { b };
+            state ^= TABLES[SLICE - 1 - i][b as usize];
+        }
     }
-    state
+    let tail = blocks.remainder();
+    tail.iter().fold(state, |s, &b| byte_step(s, b))
 }
 
 /// CRC32 of `bytes`.
@@ -54,6 +92,18 @@ pub fn page_checksum(page_id: u32, data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PAGE_SIZE;
+    use smallrand::prop::{check, Gen};
+    use smallrand::{RngCore, SeedableRng, StdRng};
+
+    /// The bytewise definition the sliced kernel must equal.
+    fn reference(state: u32, bytes: &[u8]) -> u32 {
+        bytes.iter().fold(state, |s, &b| byte_step(s, b))
+    }
+
+    fn random_bytes(g: &mut Gen, len: usize) -> Vec<u8> {
+        (0..len).map(|_| g.rng().next_u64() as u8).collect()
+    }
 
     #[test]
     fn known_vectors() {
@@ -61,6 +111,66 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn sliced_kernel_equals_bytewise_at_every_short_length() {
+        let mut rng = StdRng::seed_from_u64(300);
+        let bytes: Vec<u8> = (0..300).map(|_| rng.next_u64() as u8).collect();
+        for len in 0..=bytes.len() {
+            assert_eq!(
+                update(!0, &bytes[..len]),
+                reference(!0, &bytes[..len]),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn sliced_kernel_equals_bytewise_at_every_offset() {
+        check("crc32 sliced == bytewise", 48, |g| {
+            let len = g.usize_in(0, 3 * PAGE_SIZE);
+            let bytes = random_bytes(g, len + SLICE);
+            let state = g.rng().next_u64() as u32;
+            for start in 0..SLICE {
+                let input = &bytes[start..start + len];
+                assert_eq!(
+                    update(state, input),
+                    reference(state, input),
+                    "len {len} start {start}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn chained_updates_equal_one_update() {
+        check("crc32 chained updates", 128, |g| {
+            let len = g.usize_in(0, 2 * PAGE_SIZE);
+            let bytes = random_bytes(g, len);
+            let mut cuts = g.vec(0, 6, |g| g.usize_in(0, len));
+            cuts.sort_unstable();
+            let mut state = !0;
+            let mut from = 0;
+            for &cut in cuts.iter().chain([&len]) {
+                state = update(state, &bytes[from..cut]);
+                from = cut;
+            }
+            assert_eq!(!state, crc32(&bytes), "cuts {cuts:?}");
+            assert_eq!(state, reference(!0, &bytes));
+        });
+    }
+
+    #[test]
+    fn page_checksum_equals_bytewise() {
+        check("page_checksum sliced == bytewise", 16, |g| {
+            let len = g.usize_in(0, PAGE_SIZE - 4);
+            let data = random_bytes(g, len);
+            for pid in [0, 1, 7, u32::MAX] {
+                let want = !reference(reference(!0, &pid.to_le_bytes()), &data);
+                assert_eq!(page_checksum(pid, &data), want, "pid {pid} len {len}");
+            }
+        });
     }
 
     #[test]
@@ -74,6 +184,15 @@ mod tests {
                 assert_ne!(page_checksum(7, &corrupt), base, "byte {byte} bit {bit}");
             }
         }
+    }
+
+    /// `page_checksum` of a fixed page tail, pinned at the value the
+    /// bytewise kernel produced: every sealed page on disk depends on it.
+    #[test]
+    fn golden_page_checksum_pins_the_page_format() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let tail: Vec<u8> = (0..PAGE_SIZE - 4).map(|_| rng.next_u64() as u8).collect();
+        assert_eq!(page_checksum(7, &tail), 0x58F0_84E8);
     }
 
     #[test]

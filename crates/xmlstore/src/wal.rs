@@ -838,6 +838,64 @@ mod tests {
         assert_eq!(got, records);
     }
 
+    /// The frame header (`len`, `crc`) of one record of each kind, pinned
+    /// at the values the bytewise CRC32 kernel produced: the CRC covers
+    /// the whole payload, so a changed kernel or payload layout shows
+    /// here before it can make an existing log unreadable.
+    #[test]
+    fn golden_frames_pin_the_log_format() {
+        use smallrand::{RngCore, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut seeded = || {
+            let mut b = Box::new([0u8; PAGE_SIZE]);
+            b.iter_mut().for_each(|x| *x = rng.next_u64() as u8);
+            b
+        };
+        let (before, after) = (seeded(), seeded());
+        let records = [
+            WalRecord::Begin {
+                txn: 0x0102_0304_0506_0708,
+            },
+            WalRecord::PageImage {
+                txn: 9,
+                pid: PageId(7),
+                before: BeforeImage::Zero,
+                after: after.clone(),
+            },
+            WalRecord::PageImage {
+                txn: 9,
+                pid: PageId(7),
+                before: BeforeImage::Bytes(before),
+                after,
+            },
+            WalRecord::Commit {
+                txn: 9,
+                meta: (0..40).collect(),
+            },
+            WalRecord::Abort { txn: u64::MAX },
+            WalRecord::Checkpoint {
+                meta: (0..200).map(|i| (i * 7) as u8).collect(),
+            },
+        ];
+        let headers: Vec<(u32, u32)> = records
+            .iter()
+            .map(|rec| {
+                let mut frame = Vec::new();
+                encode_record(0x1234_5678, rec, &mut frame);
+                (rd_u32(&frame, 0).unwrap(), rd_u32(&frame, 4).unwrap())
+            })
+            .collect();
+        let golden = [
+            (17, 0xC611_CBAC),
+            (8214, 0x7647_7A40),
+            (16406, 0xC21E_4FD1),
+            (61, 0x421F_FEA1),
+            (17, 0x080E_BCDA),
+            (213, 0x6048_5BF7),
+        ];
+        assert_eq!(headers, golden);
+    }
+
     #[test]
     fn torn_tail_truncates_cleanly() {
         let records = sample_records();

@@ -34,7 +34,7 @@ fn any_single_corrupted_byte_is_caught() {
         dm.write_page(pid, &image).unwrap();
 
         // Corrupt one byte anywhere in the physical page, including the
-        // header: the id echo and the stored checksum are protected too.
+        // header: the page LSN and the stored checksum are protected too.
         let offset = g.usize_in(0, PAGE_SIZE - 1);
         let xor = g.usize_in(1, 255) as u8;
         dm.poke_byte(pid, offset, xor).unwrap();
