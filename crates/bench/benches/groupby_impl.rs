@@ -4,13 +4,11 @@
 //! witness before grouping).
 
 use microbench::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tax::ops::groupby::{
-    groupby, groupby_replicated, groupby_sharded, BasisItem, Direction, GroupOrder,
-};
+use tax::ops::groupby::{groupby, groupby_replicated, BasisItem, Direction, GroupOrder};
 use tax::ops::project::ProjectItem;
 use tax::ops::{project, select_db};
 use tax::pattern::{Axis, PatternTree, Pred};
-use tax::{Collection, ExecOptions};
+use tax::Collection;
 use timber_bench::build_db;
 
 fn article_collection(db: &timber::TimberDb) -> Collection {
@@ -43,6 +41,7 @@ fn bench_groupby_impls(c: &mut Criterion) {
                     std::hint::black_box(
                         groupby(db.store(), &input, &gp, &basis, &ordering)
                             .unwrap()
+                            .0
                             .len(),
                     )
                 })
@@ -65,38 +64,5 @@ fn bench_groupby_impls(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread axis: the identifier-processing GROUPBY with its per-tree
-/// witness extraction fanned out over 1/2/4 worker threads. The merge
-/// stays sequential, so every thread count produces identical groups.
-fn bench_groupby_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("groupby_threads");
-    group.sample_size(10);
-    let articles = 2_000usize;
-    let db = build_db(articles, None, false);
-    let input = article_collection(&db);
-    let mut gp = PatternTree::with_root(Pred::tag("article"));
-    let title = gp.add_child(gp.root(), Axis::Child, Pred::tag("title"));
-    let author = gp.add_child(gp.root(), Axis::Child, Pred::tag("author"));
-    let basis = [BasisItem::content(author)];
-    let ordering = [GroupOrder {
-        label: title,
-        direction: Direction::Descending,
-    }];
-    for &threads in &[1usize, 2, 4] {
-        let opts = ExecOptions::with_threads(threads);
-        group.bench_with_input(BenchmarkId::new("identifier", threads), &threads, |b, _| {
-            b.iter(|| {
-                std::hint::black_box(
-                    groupby_sharded(db.store(), &input, &gp, &basis, &ordering, &opts)
-                        .unwrap()
-                        .0
-                        .len(),
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_groupby_impls, bench_groupby_threads);
+criterion_group!(benches, bench_groupby_impls);
 criterion_main!(benches);

@@ -28,31 +28,5 @@ fn bench_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread axis: both plans of Query 1 at a fixed size, evaluated with
-/// 1/2/4 worker threads. Outputs are byte-identical across thread
-/// counts; only wall-clock time moves.
-fn bench_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("thread_sweep_titles");
-    group.sample_size(10);
-    let articles = 4_000usize;
-    let mut db = build_db(articles, None, false);
-    group.throughput(Throughput::Elements(articles as u64));
-    for &threads in &[1usize, 2, 4] {
-        db.set_threads(threads);
-        for (name, mode) in [
-            ("direct", PlanMode::Direct),
-            ("groupby", PlanMode::GroupByRewrite),
-        ] {
-            group.bench_with_input(BenchmarkId::new(name, threads), &threads, |b, _| {
-                b.iter(|| {
-                    let r = db.query(QUERY_TITLES, mode).expect("query");
-                    std::hint::black_box(r.len())
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_scale, bench_threads);
+criterion_group!(benches, bench_scale);
 criterion_main!(benches);

@@ -69,7 +69,10 @@ fn bench_aggregate_chain(c: &mut Criterion) {
             &articles,
             |b, _| {
                 b.iter(|| {
-                    let groups = groupby(store, &input, &gp, &basis, &[]).unwrap();
+                    let groups = groupby(store, &input, &gp, &basis, &[])
+                        .unwrap()
+                        .0
+                        .into_trees();
                     let counted = aggregate(
                         store,
                         groups,

@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! reproduce [e1] [e2] [scale] [pool] [matching] [groupby-impl] [value-index]
-//!           [threads] [rollup] [cube] [faults] [recovery] [wal-overhead]
+//!           [rollup] [cube] [faults] [recovery] [wal-overhead]
 //!           [bench-smoke] [all]
-//!           [--articles N] [--mem] [--threads N] [--faults SPEC] [--analyze]
-//!           [--json PATH]
+//!           [--articles N] [--mem] [--faults SPEC] [--analyze] [--json PATH]
 //! ```
 //!
 //! `--analyze` additionally prints an `EXPLAIN ANALYZE` report for the
@@ -14,21 +13,18 @@
 //! physical executor.
 //!
 //! An unknown experiment name or option, a missing value, or a value of
-//! `--articles` / `--threads` that is not a number prints a usage line on
-//! stderr and exits with status 2.
+//! `--articles` that is not a number prints a usage line on stderr and
+//! exits with status 2.
 //!
 //! With no experiment argument, `all` is assumed. `--articles` sets the
 //! synthetic DBLP size for E1/E2 (default 20 000 ≈ 310 k stored nodes;
 //! the paper's DBLP Journals had 4.6 M nodes — pass a larger value to
 //! approach it). `--mem` keeps the page file in memory (for quick runs).
-//! `--threads N` evaluates the operators with N worker threads (output is
-//! byte-identical to a single-threaded run); the `threads` experiment
-//! sweeps E1 over 1/2/4/8 threads, and `rollup` sweeps the E2 count
-//! query over the same thread counts comparing the materialized
-//! `GroupBy → Aggregate` pipeline against the fused streaming rollup.
-//! The `cube` experiment (X14) sweeps the XOLAP lattice query over the
-//! same thread counts, comparing the one-scan `Plan::Cube` against the
-//! composed per-level rollup union it fuses away.
+//! The `rollup` experiment (X13) times the E2 count query through the
+//! materialized `GroupBy → Aggregate` pipeline against the fused
+//! streaming rollup; the `cube` experiment (X14) times the XOLAP lattice
+//! query through the one-scan `Plan::Cube` against the composed
+//! per-level rollup union it fuses away.
 //!
 //! The `faults` experiment replays a deterministic fault schedule against
 //! the E1/E2 workload and reports per-run outcomes (absorbed via retry,
@@ -54,8 +50,8 @@
 //! amortize below the 10 % target at bulk scale.
 //!
 //! `bench-smoke` is the CI fast-path gate (never part of `all`): it
-//! times the tier-1 workload — E1/E2 under both plans, serial and with
-//! sharded sinks at 4 threads — best-of-five, normalizes by a CPU
+//! times the tier-1 workload — E1/E2 under both plans — best-of-five,
+//! normalizes by a CPU
 //! calibration loop, writes the report to `--json PATH`, and exits
 //! nonzero when a fast path stops beating the reference twin measured
 //! beside it in the same run (one-scan cube ≥ 1.5× the composed rollups,
@@ -76,7 +72,7 @@ use timber::{OutKind, PlanMetrics, PlanMode, TimberDb};
 use timber_bench::*;
 
 /// The experiments `reproduce` knows by name.
-const EXPERIMENTS: [&str; 15] = [
+const EXPERIMENTS: [&str; 14] = [
     "e1",
     "e2",
     "scale",
@@ -84,7 +80,6 @@ const EXPERIMENTS: [&str; 15] = [
     "matching",
     "groupby-impl",
     "value-index",
-    "threads",
     "rollup",
     "cube",
     "faults",
@@ -98,8 +93,8 @@ const EXPERIMENTS: [&str; 15] = [
 fn usage(problem: &str) -> ! {
     eprintln!("reproduce: {problem}");
     eprintln!(
-        "usage: reproduce [{}] [--articles N] [--mem] [--threads N] [--faults SPEC] \
-         [--analyze] [--json PATH]",
+        "usage: reproduce [{}] [--articles N] [--mem] [--faults SPEC] [--analyze] \
+         [--json PATH]",
         EXPERIMENTS.join("|")
     );
     std::process::exit(2)
@@ -110,7 +105,6 @@ fn main() {
     let mut experiments: Vec<String> = Vec::new();
     let mut articles = 20_000usize;
     let mut on_disk = true;
-    let mut threads = 1usize;
     let mut fault_spec: Option<String> = None;
     let mut analyze = false;
     let mut json_path: Option<String> = None;
@@ -128,7 +122,6 @@ fn main() {
         match arg.as_str() {
             "--articles" => articles = number(value(&mut args, arg), arg),
             "--mem" => on_disk = false,
-            "--threads" => threads = number(value(&mut args, arg), arg),
             "--faults" => fault_spec = Some(value(&mut args, arg)),
             "--analyze" => analyze = true,
             "--json" => json_path = Some(value(&mut args, arg)),
@@ -152,13 +145,12 @@ fn main() {
 
     println!("== Grouping in XML (EDBT 2002) — experiment reproduction ==");
     println!(
-        "synthetic DBLP: {articles} articles, 8 KB pages, 32 MB buffer pool, {} backend, {threads} worker thread(s)\n",
+        "synthetic DBLP: {articles} articles, 8 KB pages, 32 MB buffer pool, {} backend\n",
         if on_disk { "file" } else { "memory" }
     );
 
     if wants("e1") || wants("e2") {
-        let mut db = build_db(articles, None, on_disk);
-        db.set_threads(threads);
+        let db = build_db(articles, None, on_disk);
         println!(
             "database: {} stored nodes, {} pages ({:.1} MB)\n",
             db.store().node_count(),
@@ -179,10 +171,10 @@ fn main() {
         }
     }
     if wants("scale") {
-        run_scale(on_disk, threads);
+        run_scale(on_disk);
     }
     if wants("pool") {
-        run_pool(articles, on_disk, threads);
+        run_pool(articles, on_disk);
     }
     if wants("matching") {
         run_matching(articles);
@@ -193,9 +185,6 @@ fn main() {
     if wants("value-index") {
         run_value_index();
     }
-    if wants("threads") {
-        run_threads(articles, on_disk);
-    }
     if wants("rollup") {
         run_rollup(articles, on_disk);
     }
@@ -203,10 +192,10 @@ fn main() {
         run_cube(articles, on_disk);
     }
     if wants("faults") {
-        run_faults(threads, fault_spec.as_deref());
+        run_faults(fault_spec.as_deref());
     }
     if wants("recovery") {
-        run_recovery(threads, fault_spec.as_deref());
+        run_recovery(fault_spec.as_deref());
     }
     if wants("wal-overhead") {
         run_wal_overhead(articles);
@@ -240,8 +229,8 @@ fn measure_unfused(db: &TimberDb, query: &str) -> RunStats {
     }
 }
 
-/// The CI fast-path gate: tier-1 queries, serial and sharded,
-/// best-of-five, in calibration units. Returns `false` when a same-run
+/// The CI fast-path gate: tier-1 queries, best-of-five, in calibration
+/// units. Returns `false` when a same-run
 /// ratio gate or a count gate (commit log, cold output) fails (the
 /// caller exits nonzero).
 fn run_bench_smoke(articles: usize, on_disk: bool, analyze: bool, json_path: Option<&str>) -> bool {
@@ -250,7 +239,7 @@ fn run_bench_smoke(articles: usize, on_disk: bool, analyze: bool, json_path: Opt
     );
     let calibration_secs = calibrate();
     println!("calibration quantum: {calibration_secs:.4}s");
-    let mut db = build_db(articles, None, on_disk);
+    let db = build_db(articles, None, on_disk);
 
     // The count query runs in three plan flavors: `*_groupby` pins the
     // un-fused GroupBy → Aggregate pipeline (the materializing
@@ -264,22 +253,17 @@ fn run_bench_smoke(articles: usize, on_disk: bool, analyze: bool, json_path: Opt
     const DIRECT: Arm = |db, q| measure(db, q, PlanMode::Direct);
     const GROUPBY: Arm = |db, q| measure(db, q, PlanMode::GroupByRewrite);
     const UNFUSED: Arm = measure_unfused;
-    let workload: [(&str, &str, Arm, usize); 11] = [
-        ("e1_titles_direct", QUERY_TITLES, DIRECT, 1),
-        ("e1_titles_groupby", QUERY_TITLES, GROUPBY, 1),
-        ("e2_count_direct", QUERY_COUNT, DIRECT, 1),
-        ("e2_count_groupby", QUERY_COUNT, UNFUSED, 1),
-        ("e2_count_rollup", QUERY_COUNT, GROUPBY, 1),
-        ("e1_titles_groupby_t4", QUERY_TITLES, GROUPBY, 4),
-        ("e2_count_groupby_t4", QUERY_COUNT, UNFUSED, 4),
-        ("e2_count_rollup_t4", QUERY_COUNT, GROUPBY, 4),
-        ("e2_cube_composed", QUERY_CUBE, UNFUSED, 1),
-        ("e2_cube", QUERY_CUBE, GROUPBY, 1),
-        ("e2_cube_t4", QUERY_CUBE, GROUPBY, 4),
+    let workload: [(&str, &str, Arm); 7] = [
+        ("e1_titles_direct", QUERY_TITLES, DIRECT),
+        ("e1_titles_groupby", QUERY_TITLES, GROUPBY),
+        ("e2_count_direct", QUERY_COUNT, DIRECT),
+        ("e2_count_groupby", QUERY_COUNT, UNFUSED),
+        ("e2_count_rollup", QUERY_COUNT, GROUPBY),
+        ("e2_cube_composed", QUERY_CUBE, UNFUSED),
+        ("e2_cube", QUERY_CUBE, GROUPBY),
     ];
     let mut entries = Vec::with_capacity(workload.len());
-    for &(key, query, arm, threads) in &workload {
-        db.set_threads(threads);
+    for &(key, query, arm) in &workload {
         // One discarded warmup, then best-of-5: the ratio gates compare
         // minima, so scheduler noise (worst on small CI runners) cannot
         // manufacture a failure.
@@ -297,13 +281,9 @@ fn run_bench_smoke(articles: usize, on_disk: bool, analyze: bool, json_path: Opt
     // whole server read path — frame codec, per-request snapshot pin,
     // grouped execution, XML serialization, TCP round trip — not just
     // the kernel the embedded keys already cover.
-    let mut shared = std::sync::Arc::new(db);
-    for (key, threads) in [("server_query", 1usize), ("server_query_t4", 4)] {
-        // shutdown() joins every server thread, so between runs the Arc
-        // is single-owner again and the thread count can change.
-        std::sync::Arc::get_mut(&mut shared)
-            .expect("server threads still hold the db after shutdown")
-            .set_threads(threads);
+    let shared = std::sync::Arc::new(db);
+    {
+        let key = "server_query";
         let handle = timberd::Server::bind("127.0.0.1:0", std::sync::Arc::clone(&shared))
             .expect("bind loopback server")
             .spawn()
@@ -327,13 +307,14 @@ fn run_bench_smoke(articles: usize, on_disk: bool, analyze: bool, json_path: Opt
         println!("{key:<22} {best:>9.4}s = {u:>9.3} units");
         entries.push((key.to_owned(), u));
     }
-    let Ok(mut db) = std::sync::Arc::try_unwrap(shared) else {
+    // shutdown() joins every server thread, so the Arc is single-owner
+    // again.
+    let Ok(db) = std::sync::Arc::try_unwrap(shared) else {
         panic!("server threads still hold the db after shutdown")
     };
 
-    db.set_threads(4);
     if analyze {
-        run_analyze(&db, "bench-smoke E1 titles (threads=4)", QUERY_TITLES);
+        run_analyze(&db, "bench-smoke E1 titles", QUERY_TITLES);
     }
 
     // X15: durable-load overhead. The same bulk insert lands in the same
@@ -372,12 +353,9 @@ fn run_bench_smoke(articles: usize, on_disk: bool, analyze: bool, json_path: Opt
     // 10× the smoke article count, so the ≥2× requirement gates the
     // refactor win itself.
     let articles_10x = articles * 10;
-    let mut db10 = build_db(articles_10x, None, on_disk);
-    for (key, threads) in [
-        ("e2_count_rollup_10x", 1usize),
-        ("e2_count_rollup_10x_t4", 4),
-    ] {
-        db10.set_threads(threads);
+    let db10 = build_db(articles_10x, None, on_disk);
+    {
+        let key = "e2_count_rollup_10x";
         measure(&db10, QUERY_COUNT, PlanMode::GroupByRewrite);
         let mut best = f64::INFINITY;
         for _ in 0..5 {
@@ -391,7 +369,6 @@ fn run_bench_smoke(articles: usize, on_disk: bool, analyze: bool, json_path: Opt
         println!("{key:<22} {best:>9.4}s = {u:>9.3} units");
         entries.push((key.to_owned(), u));
     }
-    db10.set_threads(1);
     let replicated_secs = timed_replicated_grouping(&db10);
     {
         let key = "e2_count_replicated_10x";
@@ -741,7 +718,7 @@ fn run_analyze(db: &timber::TimberDb, label: &str, query: &str) {
     }
 }
 
-fn run_faults(threads: usize, spec: Option<&str>) {
+fn run_faults(spec: Option<&str>) {
     use xmlstore::FaultConfig;
 
     let schedule: FaultConfig = spec
@@ -753,8 +730,7 @@ fn run_faults(threads: usize, spec: Option<&str>) {
     let articles = 2_000;
     println!("-- X10: deterministic fault-schedule replay ({articles} articles, 8-page pool) --");
     println!("schedule: {schedule}");
-    let mut db = build_db(articles, Some(8 * 8192), true);
-    db.set_threads(threads);
+    let db = build_db(articles, Some(8 * 8192), true);
 
     let runs = [
         ("E1 titles/direct", QUERY_TITLES, PlanMode::Direct),
@@ -801,7 +777,7 @@ fn run_faults(threads: usize, spec: Option<&str>) {
 /// then reopened through ARIES recovery and checked — document by
 /// document and byte-by-byte on the grouped query output — against a
 /// never-crashed oracle holding exactly the committed documents.
-fn run_recovery(threads: usize, spec: Option<&str>) {
+fn run_recovery(spec: Option<&str>) {
     use datagen::{DblpConfig, DblpGenerator};
     use timber::TimberDb;
     use xmlstore::{wal_path_for, FaultConfig, StoreOptions};
@@ -826,7 +802,6 @@ fn run_recovery(threads: usize, spec: Option<&str>) {
     .with_durable();
 
     let mut db = TimberDb::create(&opts).expect("create durable store");
-    db.set_threads(threads);
     db.set_faults(Some(schedule)).expect("arm crash schedule");
 
     // The committed model: XML of every live document, insertion order.
@@ -965,11 +940,10 @@ fn run_e2(db: &timber::TimberDb) {
     );
 }
 
-fn run_scale(on_disk: bool, threads: usize) {
+fn run_scale(on_disk: bool) {
     println!("-- X1: scale sweep (direct/GROUPBY ratio vs database size) --");
     for articles in [2_000, 5_000, 10_000, 20_000, 50_000] {
-        let mut db = build_db(articles, None, on_disk);
-        db.set_threads(threads);
+        let db = build_db(articles, None, on_disk);
         let d = measure(&db, QUERY_TITLES, PlanMode::Direct);
         let g = measure(&db, QUERY_TITLES, PlanMode::GroupByRewrite);
         let dc = measure(&db, QUERY_COUNT, PlanMode::Direct);
@@ -984,11 +958,10 @@ fn run_scale(on_disk: bool, threads: usize) {
     println!();
 }
 
-fn run_pool(articles: usize, on_disk: bool, threads: usize) {
+fn run_pool(articles: usize, on_disk: bool) {
     println!("-- X2: buffer-pool sweep (Query 1 titles, {articles} articles) --");
     for mb in [4, 8, 16, 32, 64, 128] {
-        let mut db = build_db(articles, Some(mb << 20), on_disk);
-        db.set_threads(threads);
+        let db = build_db(articles, Some(mb << 20), on_disk);
         let d = measure(&db, QUERY_TITLES, PlanMode::Direct);
         let g = measure(&db, QUERY_TITLES, PlanMode::GroupByRewrite);
         println!(
@@ -1085,47 +1058,25 @@ fn run_value_index() {
     println!();
 }
 
-fn run_threads(articles: usize, on_disk: bool) {
-    println!("-- X5: worker-thread sweep (E1 queries, {articles} articles) --");
-    let mut db = build_db(articles, None, on_disk);
-    let mut base: Option<(f64, f64)> = None;
-    for threads in [1usize, 2, 4, 8] {
-        db.set_threads(threads);
-        let d = measure(&db, QUERY_TITLES, PlanMode::Direct);
-        let g = measure(&db, QUERY_TITLES, PlanMode::GroupByRewrite);
-        let (dt, gt) = (d.elapsed.as_secs_f64(), g.elapsed.as_secs_f64());
-        let (d1, g1) = *base.get_or_insert((dt, gt));
-        println!(
-            "{threads:>2} thread(s): direct {dt:>8.3}s ({:>4.2}x vs 1T) | groupby {gt:>8.3}s ({:>4.2}x vs 1T)",
-            d1 / dt,
-            g1 / gt,
-        );
-    }
-    println!("(outputs are byte-identical across thread counts by construction)\n");
-}
-
 fn run_rollup(articles: usize, on_disk: bool) {
     println!(
         "-- X13: rollup fusion (E2 count: materialized GroupBy → Aggregate vs fused streaming rollup, {articles} articles) --"
     );
-    let mut db = build_db(articles, None, on_disk);
-    for threads in [1usize, 2, 4, 8] {
-        db.set_threads(threads);
-        let m = measure_unfused(&db, QUERY_COUNT);
-        let r = measure(&db, QUERY_COUNT, PlanMode::GroupByRewrite);
-        assert_eq!(
-            (m.output_trees, m.output_bytes),
-            (r.output_trees, r.output_bytes),
-            "fused rollup output diverged from the materialized pipeline"
-        );
-        let (mt, rt) = (m.elapsed.as_secs_f64(), r.elapsed.as_secs_f64());
-        println!(
-            "{threads:>2} thread(s): materialized {mt:>8.3}s ({:>8} pages) | rollup {rt:>8.3}s ({:>8} pages) | {:.2}x faster",
-            m.io.page_requests(),
-            r.io.page_requests(),
-            mt / rt,
-        );
-    }
+    let db = build_db(articles, None, on_disk);
+    let m = measure_unfused(&db, QUERY_COUNT);
+    let r = measure(&db, QUERY_COUNT, PlanMode::GroupByRewrite);
+    assert_eq!(
+        (m.output_trees, m.output_bytes),
+        (r.output_trees, r.output_bytes),
+        "fused rollup output diverged from the materialized pipeline"
+    );
+    let (mt, rt) = (m.elapsed.as_secs_f64(), r.elapsed.as_secs_f64());
+    println!(
+        "materialized {mt:>8.3}s ({:>8} pages) | rollup {rt:>8.3}s ({:>8} pages) | {:.2}x faster",
+        m.io.page_requests(),
+        r.io.page_requests(),
+        mt / rt,
+    );
     println!("(the differential suite pins byte-identity; see tests/tests/rollup.rs)\n");
 }
 
@@ -1133,27 +1084,24 @@ fn run_cube(articles: usize, on_disk: bool) {
     println!(
         "-- X14: grouping lattice (journal → year → author cube: composed per-level rollups vs one-scan Cube, {articles} articles) --"
     );
-    let mut db = build_db(articles, None, on_disk);
-    for threads in [1usize, 2, 4, 8] {
-        db.set_threads(threads);
-        let c = measure_unfused(&db, QUERY_CUBE);
-        let f = measure(&db, QUERY_CUBE, PlanMode::GroupByRewrite);
-        // The fused output carries per-level markers the composed union
-        // lacks, so tree/byte counts differ by exactly those markers;
-        // the differential suite (tests/tests/cube.rs) pins the stripped
-        // outputs byte for byte. Here the group count must agree.
-        assert_eq!(
-            c.output_trees, f.output_trees,
-            "one-scan cube group count diverged from the composed lattice"
-        );
-        let (ct, ft) = (c.elapsed.as_secs_f64(), f.elapsed.as_secs_f64());
-        println!(
-            "{threads:>2} thread(s): composed {ct:>8.3}s ({:>8} pages) | cube {ft:>8.3}s ({:>8} pages) | {:.2}x faster",
-            c.io.page_requests(),
-            f.io.page_requests(),
-            ct / ft,
-        );
-    }
+    let db = build_db(articles, None, on_disk);
+    let c = measure_unfused(&db, QUERY_CUBE);
+    let f = measure(&db, QUERY_CUBE, PlanMode::GroupByRewrite);
+    // The fused output carries per-level markers the composed union
+    // lacks, so tree/byte counts differ by exactly those markers; the
+    // differential suite (tests/tests/cube.rs) pins the stripped outputs
+    // byte for byte. Here the group count must agree.
+    assert_eq!(
+        c.output_trees, f.output_trees,
+        "one-scan cube group count diverged from the composed lattice"
+    );
+    let (ct, ft) = (c.elapsed.as_secs_f64(), f.elapsed.as_secs_f64());
+    println!(
+        "composed {ct:>8.3}s ({:>8} pages) | cube {ft:>8.3}s ({:>8} pages) | {:.2}x faster",
+        c.io.page_requests(),
+        f.io.page_requests(),
+        ct / ft,
+    );
     println!("(all prefix levels share one scan and one accumulator pass; see DESIGN.md)\n");
 }
 
@@ -1215,7 +1163,7 @@ fn run_groupby_impl() {
     db.clear_buffer_pool().unwrap();
     db.reset_io_stats();
     let t0 = std::time::Instant::now();
-    let fast = groupby(store, &input, &gp, &basis, &[]).unwrap();
+    let (fast, _) = groupby(store, &input, &gp, &basis, &[]).unwrap();
     let t_fast = t0.elapsed();
     let io_fast = db.io_stats().page_requests();
 

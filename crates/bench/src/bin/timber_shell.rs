@@ -18,7 +18,6 @@
 //! .cube                run the X14 lattice query (journal → year →
 //!                      author cube) under the current settings
 //! .batch <n>           executor batch size
-//! .threads <n>         worker threads for operator evaluation
 //! .explain             show plans instead of executing (toggle)
 //! .explain analyze     execute and report per-operator metrics
 //! .faults <spec|off>   arm a deterministic fault schedule, e.g.
@@ -47,7 +46,6 @@ struct Shell {
     conn: Option<Client>,
     mode: Mode,
     explain: Explain,
-    threads: usize,
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -100,7 +98,6 @@ fn main() {
         conn: None,
         mode: Mode::GroupBy,
         explain: Explain::Off,
-        threads: 1,
     };
     if let Some(path) = std::env::args().nth(1) {
         shell.load(&path);
@@ -157,7 +154,7 @@ impl Shell {
                 println!(
                     ".load <file.xml> | .gen <articles> | .mode {MODE_VALUES}\n\
                      .insert <file.xml> | .delete <doc> | .checkpoint\n\
-                     .batch <n> | .threads <n>\n\
+                     .batch <n>\n\
                      .cube (run the X14 lattice query) | .explain (toggle) | .explain analyze | .explain off\n\
                      .faults <spec|off> | .stats | .quit\n\
                      .connect <addr> | .disconnect | .snapshot | .release\n\
@@ -250,8 +247,7 @@ impl Shell {
                     let xml =
                         datagen::DblpGenerator::new(datagen::DblpConfig::sized(n)).generate_xml();
                     match TimberDb::load_xml(&xml, &StoreOptions::default()) {
-                        Ok(mut db) => {
-                            db.set_threads(self.threads);
+                        Ok(db) => {
                             println!(
                                 "generated {n} articles: {} nodes, {:.1} MB",
                                 db.store().node_count(),
@@ -293,16 +289,6 @@ impl Shell {
                     }
                 }
                 Err(_) => eprintln!(".batch needs a tree count"),
-            },
-            ".threads" => match arg.parse::<usize>() {
-                Ok(n) => {
-                    self.threads = n.max(1);
-                    if let Some(db) = &mut self.db {
-                        db.set_threads(self.threads);
-                    }
-                    println!("evaluating with {} worker thread(s)", self.threads);
-                }
-                Err(_) => eprintln!(".threads needs a thread count"),
             },
             ".explain" => {
                 self.explain = match arg {
@@ -401,8 +387,7 @@ impl Shell {
         match std::fs::read_to_string(path) {
             Err(e) => eprintln!("cannot read {path}: {e}"),
             Ok(xml) => match TimberDb::load_xml(&xml, &StoreOptions::default()) {
-                Ok(mut db) => {
-                    db.set_threads(self.threads);
+                Ok(db) => {
                     println!(
                         "loaded {path}: {} nodes, {} pages",
                         db.store().node_count(),
@@ -422,8 +407,7 @@ impl Shell {
         }
         if self.db.is_none() {
             match TimberDb::create(&StoreOptions::default()) {
-                Ok(mut db) => {
-                    db.set_threads(self.threads);
+                Ok(db) => {
                     self.db = Some(db);
                     println!("created an empty database");
                 }
@@ -560,7 +544,6 @@ mod tests {
             conn: None,
             mode: Mode::GroupBy,
             explain: Explain::Off,
-            threads: 1,
         }
     }
 

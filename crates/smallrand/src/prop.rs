@@ -92,9 +92,10 @@ impl Gen {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// The base seed of a property's cases: 64-bit FNV-1a over its name.
+fn name_seed(name: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in name.as_bytes() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -108,7 +109,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// On failure the case number and seed are printed before the panic is
 /// propagated.
 pub fn check<F: FnMut(&mut Gen)>(name: &str, cases: u64, mut property: F) {
-    let base = fnv1a(name.as_bytes());
+    let base = name_seed(name);
     for case in 0..cases {
         let seed = base ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let property = &mut property;

@@ -17,14 +17,9 @@ pub enum Error {
     BadPattern(String),
     /// An operator precondition was violated.
     Unsupported(String),
-    /// A per-tree computation panicked; the panic was contained and the
-    /// rest of the run survived.
-    Panic {
-        /// Input index of the item whose computation panicked.
-        index: usize,
-        /// The panic payload, if it was a string.
-        message: String,
-    },
+    /// Query evaluation panicked; the panic was contained and the store
+    /// survived. Carries the panic payload, if it was a string.
+    Panic(String),
 }
 
 impl fmt::Display for Error {
@@ -34,9 +29,7 @@ impl fmt::Display for Error {
             Error::UnknownLabel(l) => write!(f, "unknown pattern label {l}"),
             Error::BadPattern(m) => write!(f, "bad pattern: {m}"),
             Error::Unsupported(m) => write!(f, "unsupported operation: {m}"),
-            Error::Panic { index, message } => {
-                write!(f, "evaluation of item {index} panicked: {message}")
-            }
+            Error::Panic(message) => write!(f, "query evaluation panicked: {message}"),
         }
     }
 }

@@ -30,8 +30,9 @@
 //!   citing Al-Khalifa et al. ICDE'02) and touches **no data pages**
 //!   unless a predicate needs content; a naive full-scan matcher is kept
 //!   as the ablation baseline;
-//! * [`exec`] — execution options ([`ExecOptions`]) and the
-//!   deterministic parallel per-tree driver used by the bulk operators;
+//! * [`exec`] — what the executor wraps around the kernels: panic
+//!   containment and a grouping sink's statistics. A query runs on the
+//!   calling thread, one serial kernel per operator;
 //! * [`ops`] — the operators: selection (with adornment list), projection
 //!   (with projection list), duplicate elimination, the left outer join
 //!   and the RETURN stitch, **groupby** (pattern + grouping basis +
@@ -63,7 +64,7 @@
 //! assert_eq!(witnesses.len(), 3);
 //!
 //! // Figure 3: group by author content, order by descending title.
-//! let grouped = groupby(
+//! let (grouped, _stages) = groupby(
 //!     &store,
 //!     &witnesses,
 //!     &p,

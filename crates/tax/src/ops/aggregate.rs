@@ -10,7 +10,6 @@
 
 use crate::batch::Source;
 use crate::error::{Error, Result};
-use crate::exec::ExecOptions;
 use crate::matching::vnode::VNode;
 use crate::ops::groupby::BasisItem;
 use crate::ops::witness::witnesses;
@@ -56,34 +55,12 @@ pub enum UpdateSpec {
 /// or reference roots) — inserting inside an unexpanded stored subtree is
 /// not supported, matching how TIMBER computes aggregates over witness
 /// structures rather than rewriting stored documents.
+///
+/// One witness extraction over all trees gives each tree its witnesses —
+/// the values at `of` as content symbols, the anchor of the first — and
+/// each tree's computed element is inserted into that same (moved, never
+/// copied) tree.
 pub fn aggregate(
-    store: &DocumentStore,
-    input: Collection,
-    pattern: &PatternTree,
-    func: AggFunc,
-    of: PatternNodeId,
-    new_tag: &str,
-    spec: UpdateSpec,
-) -> Result<Collection> {
-    aggregate_opts(
-        store,
-        input,
-        pattern,
-        func,
-        of,
-        new_tag,
-        spec,
-        &ExecOptions::default(),
-    )
-}
-
-/// [`aggregate`] with explicit execution options. One witness
-/// extraction over all trees gives each tree its witnesses — the values
-/// at `of` as content symbols, the anchor of the first — and each tree's
-/// computed element is inserted into that same (moved, never copied)
-/// tree.
-#[allow(clippy::too_many_arguments)]
-pub fn aggregate_opts(
     store: &DocumentStore,
     mut input: Collection,
     pattern: &PatternTree,
@@ -91,21 +68,12 @@ pub fn aggregate_opts(
     of: PatternNodeId,
     new_tag: &str,
     spec: UpdateSpec,
-    opts: &ExecOptions,
 ) -> Result<Collection> {
     let anchor_label = match spec {
         UpdateSpec::AfterLastChild(l) | UpdateSpec::Precedes(l) | UpdateSpec::Follows(l) => l,
     };
     let basis = [BasisItem::content(of), BasisItem::content(anchor_label)];
-    let w = witnesses(
-        store,
-        &Source::Trees(&input),
-        pattern,
-        &basis,
-        &[],
-        false,
-        opts,
-    )?;
+    let w = witnesses(store, &Source::Trees(&input), pattern, &basis, &[], false)?;
     let dict = store.dict();
     let rows = w.per_row(input.len());
     for (tree, ws) in input.iter_mut().zip(rows) {

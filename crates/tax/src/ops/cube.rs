@@ -30,16 +30,10 @@
 //! * levels emit coarsest-first (1 … `L`), groups in first-witness order
 //!   within each level — the order the composed `Union` of per-level
 //!   rollup plans produces.
-//!
-//! Sharding routes every witness by the hash of its **level-1** key
-//! component (the fold's coarsest requested prefix): all witnesses of
-//! any prefix group share their first component, so every group at every
-//! level is wholly inside one shard and the per-shard accumulators never
-//! need cross-shard merging of partial state.
 
 use crate::batch::Source;
 use crate::error::{Error, Result};
-use crate::exec::{ExecOptions, ShardStats};
+use crate::exec::Stages;
 use crate::ops::aggregate::AggFunc;
 use crate::ops::groupby::BasisItem;
 use crate::ops::rollup::{fold_levels, FoldShape};
@@ -47,37 +41,11 @@ use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tree::Collection;
 use xmlstore::DocumentStore;
 
-/// One-scan grouping lattice, serial.
+/// One-scan grouping lattice: the blocking sink's kernel — the
+/// prefix-level fold over levels `1..=basis.len()`, each output tree
+/// marked with its level. Returns the trees and the sink's stage times.
 #[allow(clippy::too_many_arguments)]
-pub fn cube(
-    store: &DocumentStore,
-    input: &Collection,
-    pattern: &PatternTree,
-    basis: &[BasisItem],
-    member_pattern: &PatternTree,
-    of: PatternNodeId,
-    func: AggFunc,
-    new_tag: &str,
-) -> Result<Collection> {
-    Ok(cube_sharded(
-        store,
-        input,
-        pattern,
-        basis,
-        member_pattern,
-        of,
-        func,
-        new_tag,
-        &ExecOptions::sequential(),
-    )?
-    .0)
-}
-
-/// [`cube`] over `opts.threads` workers: the blocking sink's entry
-/// point — the prefix-level fold over levels `1..=basis.len()`, each
-/// output tree marked with its level.
-#[allow(clippy::too_many_arguments)]
-pub fn cube_sharded<'a>(
+pub fn cube<'a>(
     store: &DocumentStore,
     input: impl Into<Source<'a>>,
     pattern: &PatternTree,
@@ -86,8 +54,7 @@ pub fn cube_sharded<'a>(
     of: PatternNodeId,
     func: AggFunc,
     new_tag: &str,
-    opts: &ExecOptions,
-) -> Result<(Collection, ShardStats)> {
+) -> Result<(Collection, Stages)> {
     if basis.is_empty() {
         return Err(Error::Unsupported(
             "cube requires at least one grouping dimension".into(),
@@ -104,7 +71,6 @@ pub fn cube_sharded<'a>(
         new_tag,
         1..=basis.len(),
         FoldShape::LevelMarked,
-        opts,
     )
 }
 
@@ -234,7 +200,8 @@ mod tests {
                     tag,
                     RollupShape::Flat,
                 )
-                .unwrap();
+                .unwrap()
+                .0;
                 to_xml(s, &out)
             })
             .collect()
@@ -253,7 +220,7 @@ mod tests {
             ("pages", AggFunc::Avg, "avg"),
         ] {
             let (mp, of) = member(leaf);
-            let out = cube(&s, &arts, &p, &basis, &mp, of, func, tag).unwrap();
+            let out = cube(&s, &arts, &p, &basis, &mp, of, func, tag).unwrap().0;
             let reference = composed(&s, &arts, &p, &basis, &mp, of, func, tag);
             // Partition the cube output by its level markers and
             // compare each level byte-for-byte after stripping them.
@@ -275,7 +242,9 @@ mod tests {
         let arts = articles(&s);
         let (p, basis) = lattice();
         let (mp, of) = member("title");
-        let out = cube(&s, &arts, &p, &basis, &mp, of, AggFunc::Count, "count").unwrap();
+        let out = cube(&s, &arts, &p, &basis, &mp, of, AggFunc::Count, "count")
+            .unwrap()
+            .0;
         let mut last_level = 0usize;
         for t in &out {
             let e = t.materialize(&s).unwrap();
@@ -309,7 +278,9 @@ mod tests {
         let arts = articles(&s);
         let (p, basis) = lattice();
         let (mp, of) = member("title");
-        let out = cube(&s, &arts, &p, &basis, &mp, of, AggFunc::Count, "count").unwrap();
+        let out = cube(&s, &arts, &p, &basis, &mp, of, AggFunc::Count, "count")
+            .unwrap()
+            .0;
         let tods = out
             .iter()
             .map(|t| t.materialize(&s).unwrap())
@@ -349,7 +320,7 @@ mod tests {
             ("pages", AggFunc::Avg, "avg"),
         ] {
             let (mp, of) = member(leaf);
-            let out = cube(&s, &arts, &p, &basis, &mp, of, func, tag).unwrap();
+            let out = cube(&s, &arts, &p, &basis, &mp, of, func, tag).unwrap().0;
             let rendered = to_xml(&s, &out).join("\n");
             assert!(
                 rendered.contains("<author><name><full>Jack</full></name></author>"),
@@ -399,7 +370,7 @@ mod tests {
             AggFunc::Max,
             AggFunc::Avg,
         ] {
-            let out = cube(&s, &arts, &p, &basis, &mp, of, func, "v").unwrap();
+            let out = cube(&s, &arts, &p, &basis, &mp, of, func, "v").unwrap().0;
             let reference = composed(&s, &arts, &p, &basis, &mp, of, func, "v");
             let mut by_level: Vec<Vec<String>> = vec![Vec::new(); basis.len()];
             for t in &out {
@@ -422,7 +393,9 @@ mod tests {
         }
         // The fractional average renders through the shared
         // format_value on both paths: (30 + 19) / 2 at (TODS, 1999).
-        let out = cube(&s, &arts, &p, &basis, &mp, of, AggFunc::Avg, "avg").unwrap();
+        let out = cube(&s, &arts, &p, &basis, &mp, of, AggFunc::Avg, "avg")
+            .unwrap()
+            .0;
         let rendered = to_xml(&s, &out).join("\n");
         assert!(rendered.contains("<avg>24.5</avg>"), "{rendered}");
         assert!(
@@ -432,33 +405,6 @@ mod tests {
             )),
             "{rendered}"
         );
-    }
-
-    #[test]
-    fn sharded_cube_matches_serial_kernel() {
-        let s = store();
-        let arts = articles(&s);
-        let (p, basis) = lattice();
-        for (leaf, func, tag) in [
-            ("title", AggFunc::Count, "count"),
-            ("pages", AggFunc::Avg, "avg"),
-        ] {
-            let (mp, of) = member(leaf);
-            let serial = cube(&s, &arts, &p, &basis, &mp, of, func, tag).unwrap();
-            for threads in [1usize, 2, 3, 8] {
-                let opts = ExecOptions::with_threads(threads);
-                let (sharded, stats) =
-                    cube_sharded(&s, &arts, &p, &basis, &mp, of, func, tag, &opts).unwrap();
-                assert_eq!(
-                    to_xml(&s, &serial),
-                    to_xml(&s, &sharded),
-                    "threads={threads}"
-                );
-                // 6 witnesses: 2 + 2 + 1 + 1 (one per author per article).
-                assert_eq!(stats.total(), 6);
-                assert_eq!(stats.partitions, threads.min(6));
-            }
-        }
     }
 
     #[test]
@@ -490,8 +436,12 @@ mod tests {
         }
         let (p, basis) = lattice();
         let (mp, of) = member("pages");
-        let from_arena = cube(&s, &arena, &p, &basis, &mp, of, AggFunc::Sum, "sum").unwrap();
-        let from_stored = cube(&s, &stored, &p, &basis, &mp, of, AggFunc::Sum, "sum").unwrap();
+        let from_arena = cube(&s, &arena, &p, &basis, &mp, of, AggFunc::Sum, "sum")
+            .unwrap()
+            .0;
+        let from_stored = cube(&s, &stored, &p, &basis, &mp, of, AggFunc::Sum, "sum")
+            .unwrap()
+            .0;
         // Same logical content → same keys, levels, and values (subtree
         // storage differs, so compare the text projections).
         let digest = |c: &Collection| -> Vec<Vec<String>> {
@@ -513,7 +463,7 @@ mod tests {
         let s = store();
         let (p, basis) = lattice();
         let (mp, of) = member("title");
-        let (out, stats) = cube_sharded(
+        let (out, _) = cube(
             &s,
             &Vec::new(),
             &p,
@@ -522,11 +472,9 @@ mod tests {
             of,
             AggFunc::Count,
             "count",
-            &ExecOptions::with_threads(4),
         )
         .unwrap();
         assert!(out.is_empty());
-        assert_eq!(stats.partitions, 1);
         // No dimensions.
         assert!(cube(&s, &Vec::new(), &p, &[], &mp, of, AggFunc::Count, "count").is_err());
         // Aggregated label outside the member pattern.

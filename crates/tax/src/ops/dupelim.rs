@@ -10,7 +10,6 @@
 //! symbol ⇔ equal string, so the comparison reads no data page.
 
 use crate::error::Result;
-use crate::exec::ExecOptions;
 use crate::ops::witness::first_keys;
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tree::{Collection, Tree};
@@ -27,7 +26,7 @@ pub fn dup_elim(
     pattern: &PatternTree,
     by: PatternNodeId,
 ) -> Result<Collection> {
-    let keys = dup_keys(store, &input, pattern, by, &ExecOptions::default())?;
+    let keys = dup_keys(store, &input, pattern, by)?;
     let mut seen = HashSet::new();
     Ok(input
         .into_iter()
@@ -46,9 +45,8 @@ pub fn dup_keys(
     input: &[Tree],
     pattern: &PatternTree,
     by: PatternNodeId,
-    opts: &ExecOptions,
 ) -> Result<Vec<Option<u32>>> {
-    let keys = first_keys(store, input, pattern, by, opts)?;
+    let keys = first_keys(store, input, pattern, by)?;
     Ok(keys.into_iter().map(|k| k.map(|(key, _)| key)).collect())
 }
 
@@ -134,7 +132,7 @@ mod tests {
             .chain([Tree::new_elem(s.dict(), "odd")])
             .collect();
         let p = PatternTree::with_root(Pred::tag("author"));
-        let keys = dup_keys(&s, &authors, &p, 0, &ExecOptions::default()).unwrap();
+        let keys = dup_keys(&s, &authors, &p, 0).unwrap();
         assert_eq!(keys[0], Some(xmlstore::NO_SYM));
         assert_eq!(keys[0], keys[1]);
         assert_eq!(keys[3], None);

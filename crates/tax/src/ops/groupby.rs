@@ -32,10 +32,10 @@
 
 use crate::batch::{Batch, Groups, Source};
 use crate::error::Result;
-use crate::exec::{shard_map, ExecOptions, ShardStats};
+use crate::exec::Stages;
 use crate::matching::match_tree;
 use crate::matching::vnode::{VNode, VTree};
-use crate::ops::keyenc::{self, GroupIndex};
+use crate::ops::keyenc::GroupIndex;
 use crate::ops::witness::{key_word, witnesses, Witnesses};
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tags::{GROUPING_BASIS, GROUP_ROOT, GROUP_SUBROOT};
@@ -109,9 +109,9 @@ pub struct GroupOrder {
 }
 
 /// The grouping key: one dictionary symbol per basis item
-/// ([`keyenc::ABSENT`] when the value is missing, e.g. an absent
-/// attribute). Fixed-width words, so hashing is a single FNV pass and
-/// equality is a flat word compare — see [`crate::ops::keyenc`].
+/// ([`crate::ops::keyenc::ABSENT`] when the value is missing, e.g. an
+/// absent attribute). Fixed-width words, so equality is a flat word
+/// compare — see [`crate::ops::keyenc`].
 pub use crate::ops::keyenc::Key;
 
 /// One group under formation: the witness that created it (its key and
@@ -123,59 +123,31 @@ struct Group {
     members: Vec<u32>,
 }
 
-/// Identifier-processing grouping (Sec. 5.3), serial.
-pub fn groupby(
-    store: &DocumentStore,
-    input: &Collection,
-    pattern: &PatternTree,
-    basis: &[BasisItem],
-    ordering: &[GroupOrder],
-) -> Result<Collection> {
-    let opts = ExecOptions::sequential();
-    let (groups, _) = groupby_sharded(store, input, pattern, basis, ordering, &opts)?;
-    Ok(groups.into_trees())
-}
-
-/// [`groupby`] over `opts.threads` workers: the blocking sink's entry
-/// point. The input is a batch of stored rows, a batch of trees, or a
+/// Identifier-processing grouping (Sec. 5.3): the blocking sink's
+/// kernel. The input is a batch of stored rows, a batch of trees, or a
 /// collection (classified once, see [`Source`]); the groups of stored
-/// rows come out as columns ([`Batch::Groups`]), those of trees as trees.
+/// rows come out as columns ([`Batch::Groups`]), those of trees as trees,
+/// in first-arrival order — the order of the witness that created each
+/// group. A two-author article's witnesses carry different keys, and the
+/// article appears in both groups (Fig. 3's non-partitioning semantics).
 ///
-/// The extracted witnesses go through [`shard_map`] routed by the FNV-1a
-/// hash of their grouping key, each shard forms its groups
-/// independently, and the per-shard outputs merge ordered by each
-/// group's **global first-arrival position** — the witness ordinal that
-/// created the group. Every witness of one key hashes to the same shard,
-/// so member sets, member order, and basis children are shard-local
-/// decisions identical to the serial kernel's, and the output is
-/// byte-identical at every thread count. The paper's non-partitioning
-/// semantics survive unchanged: a two-author article's witnesses carry
-/// different keys, land in (possibly) different shards, and the article
-/// appears in both groups.
-///
-/// Returns the groups plus the partition statistics (per-shard witness
-/// counts, stage times) for the metrics tree.
-pub fn groupby_sharded<'a>(
+/// Returns the groups and the sink's stage times.
+pub fn groupby<'a>(
     store: &DocumentStore,
     input: impl Into<Source<'a>>,
     pattern: &PatternTree,
     basis: &[BasisItem],
     ordering: &[GroupOrder],
-    opts: &ExecOptions,
-) -> Result<(Batch, ShardStats)> {
+) -> Result<(Batch, Stages)> {
     let input = input.into();
     // Only the grouping and ordering values are populated — the
     // "minimum information" sort of Sec. 5.3.
     let clock = Instant::now();
-    let w = witnesses(store, &input, pattern, basis, ordering, false, opts)?;
+    let w = witnesses(store, &input, pattern, basis, ordering, false)?;
     let witness = clock.elapsed();
     let dict = store.dict();
     let tags = [GROUP_ROOT, GROUPING_BASIS, GROUP_SUBROOT].map(|tag| dict.intern(tag));
-    let ids: Vec<u32> = (0..w.len() as u32).collect();
-    let route = |&i: &u32| keyenc::hash_syms(w.key(i));
-    let (groups, mut stats) = shard_map(opts, ids, route, |shard| {
-        Ok(form_groups(dict, &w, ordering, shard))
-    })?;
+    let groups = form_groups(dict, &w, ordering);
     let fold = clock.elapsed() - witness;
     let out = match &input {
         Source::Trees(trees) => {
@@ -211,26 +183,18 @@ pub fn groupby_sharded<'a>(
         }
     };
     let build = clock.elapsed() - witness - fold;
-    stats.stages = Some([witness, Duration::ZERO, fold, build]);
-    Ok((out, stats))
+    Ok((out, [witness, Duration::ZERO, fold, build]))
 }
 
-/// Group formation over one witness shard, witnesses in global arrival
-/// order. Returns `(first-arrival ordinal, group)` per group, in
-/// shard-local first-arrival order, members sorted by the ordering list.
+/// Group formation over the witnesses in arrival order: groups in
+/// first-arrival order, members sorted by the ordering list.
 ///
 /// Member dedup checks only the group's last member: same-row witnesses
-/// of one key are consecutive within a shard exactly as they are in the
-/// global stream.
-fn form_groups(
-    dict: &Dictionary,
-    w: &Witnesses,
-    ordering: &[GroupOrder],
-    shard: Vec<u32>,
-) -> Vec<(u32, Group)> {
-    let mut index = GroupIndex::new(shard.iter().map(|&i| w.key(i)));
+/// of one key are consecutive in the collection-major stream.
+fn form_groups(dict: &Dictionary, w: &Witnesses, ordering: &[GroupOrder]) -> Vec<Group> {
+    let mut index = GroupIndex::new((0..w.len() as u32).map(|i| w.key(i)));
     let mut groups: Vec<Group> = Vec::new();
-    for i in shard {
+    for i in 0..w.len() as u32 {
         let gid = index.group(w.key(i), groups.len());
         if gid == groups.len() {
             groups.push(Group {
@@ -250,7 +214,7 @@ fn form_groups(
     for group in &mut groups {
         sort_members(dict, w, &mut group.members, ordering, |&m| m);
     }
-    groups.into_iter().map(|g| (g.first, g)).collect()
+    groups
 }
 
 /// Order a group's members by the ordering list, arrival rank breaking
@@ -542,6 +506,17 @@ mod tests {
         DocumentStore::from_xml(FIG_SAMPLE, &StoreOptions::in_memory()).unwrap()
     }
 
+    /// [`groupby`]'s groups as trees.
+    fn group_trees(
+        s: &DocumentStore,
+        input: &Collection,
+        p: &PatternTree,
+        basis: &[BasisItem],
+        ordering: &[GroupOrder],
+    ) -> Result<Collection> {
+        Ok(groupby(s, input, p, basis, ordering)?.0.into_trees())
+    }
+
     fn fig1_pattern() -> PatternTree {
         let mut p = PatternTree::with_root(Pred::tag("article"));
         p.add_child(
@@ -602,7 +577,7 @@ mod tests {
                 direction: o.direction,
             })
             .collect();
-        groupby(s, input, &p, &basis, &ordering).unwrap()
+        group_trees(s, input, &p, &basis, &ordering).unwrap()
     }
 
     #[test]
@@ -694,7 +669,7 @@ mod tests {
         let arts = articles(&s);
         let mut p = PatternTree::with_root(Pred::tag("article"));
         let author = p.add_child(p.root(), Axis::Child, Pred::tag("author"));
-        let groups = groupby(&s, &arts, &p, &[BasisItem::subtree(author)], &[]).unwrap();
+        let groups = group_trees(&s, &arts, &p, &[BasisItem::subtree(author)], &[]).unwrap();
         let g0 = groups[0].materialize(&s).unwrap();
         // Author nodes are leaves, so deep == shallow here, but the call
         // path exercises $i*.
@@ -721,7 +696,7 @@ mod tests {
             .map(|e| Tree::new_ref(*e, true))
             .collect();
         let p = PatternTree::with_root(Pred::tag("article"));
-        let groups = groupby(&s, &arts, &p, &[BasisItem::attr(p.root(), "year")], &[]).unwrap();
+        let groups = group_trees(&s, &arts, &p, &[BasisItem::attr(p.root(), "year")], &[]).unwrap();
         assert_eq!(groups.len(), 2);
         let g0 = groups[0].materialize(&s).unwrap();
         assert_eq!(
@@ -758,7 +733,7 @@ mod tests {
         let mut p = PatternTree::with_root(Pred::tag("article"));
         let author = p.add_child(p.root(), Axis::Child, Pred::tag("author"));
         let journal = p.add_child(p.root(), Axis::Child, Pred::tag("journal"));
-        let groups = groupby(
+        let groups = group_trees(
             &s,
             &arts,
             &p,
@@ -781,7 +756,7 @@ mod tests {
             label: title,
             direction: Direction::Descending,
         }];
-        let fast = groupby(&s, &arts, &p, &basis, &ordering).unwrap();
+        let fast = group_trees(&s, &arts, &p, &basis, &ordering).unwrap();
         let slow = groupby_replicated(&s, &arts, &p, &basis, &ordering).unwrap();
         assert_eq!(fast.len(), slow.len());
         for (f, sl) in fast.iter().zip(slow.iter()) {
@@ -808,7 +783,7 @@ mod tests {
         let basis = [BasisItem::content(author)];
 
         s.reset_io_stats();
-        let _ = groupby(&s, &arts, &p, &basis, &[]).unwrap();
+        let _ = group_trees(&s, &arts, &p, &basis, &[]).unwrap();
         let fast_io = s.io_stats().page_requests();
 
         s.reset_io_stats();
@@ -824,7 +799,7 @@ mod tests {
     fn empty_input_gives_no_groups() {
         let s = store();
         let p = PatternTree::with_root(Pred::tag("article"));
-        let groups = groupby(&s, &Vec::new(), &p, &[BasisItem::content(0)], &[]).unwrap();
+        let groups = group_trees(&s, &Vec::new(), &p, &[BasisItem::content(0)], &[]).unwrap();
         assert!(groups.is_empty());
     }
 
@@ -832,8 +807,8 @@ mod tests {
     fn unknown_basis_label_rejected() {
         let s = store();
         let p = PatternTree::with_root(Pred::tag("article"));
-        assert!(groupby(&s, &Vec::new(), &p, &[BasisItem::content(5)], &[]).is_err());
-        assert!(groupby(
+        assert!(group_trees(&s, &Vec::new(), &p, &[BasisItem::content(5)], &[]).is_err());
+        assert!(group_trees(
             &s,
             &Vec::new(),
             &p,
@@ -847,62 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_groupby_matches_serial_kernel() {
-        // Multi-valued basis (authors) → a two-author article's witnesses
-        // can hash to different shards; the order-restoring merge must
-        // still reproduce the serial output byte for byte.
-        let s = store();
-        let arts = articles(&s);
-        let mut p = PatternTree::with_root(Pred::tag("article"));
-        let title = p.add_child(p.root(), Axis::Child, Pred::tag("title"));
-        let author = p.add_child(p.root(), Axis::Child, Pred::tag("author"));
-        let basis = [BasisItem::content(author)];
-        for ordering in [
-            Vec::new(),
-            vec![GroupOrder {
-                label: title,
-                direction: Direction::Descending,
-            }],
-        ] {
-            let serial = groupby(&s, &arts, &p, &basis, &ordering).unwrap();
-            for threads in [1usize, 2, 3, 8] {
-                let opts = ExecOptions::with_threads(threads);
-                let (sharded, stats) =
-                    groupby_sharded(&s, &arts, &p, &basis, &ordering, &opts).unwrap();
-                let sharded = sharded.into_trees();
-                assert_eq!(serial.len(), sharded.len());
-                for (a, b) in serial.iter().zip(sharded.iter()) {
-                    let xa = xmlparse::serialize::element_to_string(&a.materialize(&s).unwrap());
-                    let xb = xmlparse::serialize::element_to_string(&b.materialize(&s).unwrap());
-                    assert_eq!(xa, xb, "threads={threads}");
-                }
-                // 4 witnesses (Silberschatz ×2, Garcia-Molina, Thompson).
-                assert_eq!(stats.total(), 4);
-                assert_eq!(stats.partitions, threads.min(4));
-                assert_eq!(stats.sizes.len(), stats.partitions);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_groupby_empty_input() {
-        let s = store();
-        let p = PatternTree::with_root(Pred::tag("article"));
-        let (groups, stats) = groupby_sharded(
-            &s,
-            &Vec::new(),
-            &p,
-            &[BasisItem::content(0)],
-            &[],
-            &ExecOptions::with_threads(4),
-        )
-        .unwrap();
-        assert!(groups.is_empty());
-        assert_eq!(stats.partitions, 1);
-        assert_eq!(stats.total(), 0);
-    }
-
-    #[test]
     fn missing_attribute_groups_under_none_key() {
         let xml = r#"<bib><article year="1999"><title>A</title></article><article><title>B</title></article></bib>"#;
         let s = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
@@ -913,7 +832,7 @@ mod tests {
             .map(|e| Tree::new_ref(*e, true))
             .collect();
         let p = PatternTree::with_root(Pred::tag("article"));
-        let groups = groupby(&s, &arts, &p, &[BasisItem::attr(p.root(), "year")], &[]).unwrap();
+        let groups = group_trees(&s, &arts, &p, &[BasisItem::attr(p.root(), "year")], &[]).unwrap();
         assert_eq!(groups.len(), 2); // "1999" and missing
     }
 
@@ -945,7 +864,7 @@ mod tests {
         let inst = p.add_child(author, Axis::Child, Pred::tag("institution"));
         let basis = [BasisItem::content(inst)];
 
-        let fast = groupby(&s, &arts, &p, &basis, &[]).unwrap();
+        let fast = group_trees(&s, &arts, &p, &basis, &[]).unwrap();
         let slow = groupby_replicated(&s, &arts, &p, &basis, &[]).unwrap();
         assert_eq!(fast.len(), 2); // X, Y
         assert_eq!(fast.len(), slow.len());

@@ -6,7 +6,7 @@
 //! tree with one matching witness from the database (Fig. 8); unmatched
 //! outer trees survive alone. The RETURN arguments are then **stitched**
 //! back together on the shared key: a full outer join fused with the
-//! final construction and rename ([`stitch_sharded`]).
+//! final construction and rename ([`stitch`]).
 //!
 //! Both key on content symbols from the shared witness extraction — the
 //! outer key of a tree, the key of every database binding — so a value
@@ -15,12 +15,10 @@
 
 use crate::batch::Source;
 use crate::error::Result;
-use crate::exec::{shard_map, ExecOptions, ShardStats};
 use crate::matching::vnode::VNode;
 use crate::matching::{match_db, Bindings};
 use crate::ops::aggregate::{compute, format_value, numeric, AggFunc};
 use crate::ops::groupby::{sort_members, BasisItem, Direction, GroupOrder};
-use crate::ops::keyenc;
 use crate::ops::select::witness_tree;
 use crate::ops::witness::{first_keys, witnesses};
 use crate::pattern::{PatternNodeId, PatternTree};
@@ -28,73 +26,36 @@ use crate::tree::{Collection, Tree, TreeNodeKind};
 use std::collections::{HashMap, HashSet};
 use xmlstore::{DocumentStore, NO_SYM};
 
-/// Left outer join of `left` against the stored database.
+/// Left outer join of `left` against the stored database — the
+/// blocking sink's kernel.
 ///
-/// For each left tree, its join value is the content of the node bound by
-/// `left_label` under `left_pattern`. The right side is matched once
-/// against the database with `right_pattern`; a right binding joins when
-/// the content of its `right_label` node equals the left value. Each
-/// matching pair yields one `TAX_prod_root` tree holding the left tree
-/// followed by the right witness tree (adorned by `right_sl`); a left
-/// tree with no match yields a `TAX_prod_root` with the left part only.
+/// For each left tree, its join value is the content symbol of the node
+/// bound by `left_label` under `left_pattern` (its first witness's, one
+/// extraction over all left trees). The right side is matched once
+/// against the database with `right_pattern` and bucketed by the content
+/// symbol of its `right_label` node; a right binding joins when that
+/// symbol equals the left value. Each matching pair yields one
+/// `TAX_prod_root` tree holding the left tree followed by the right
+/// witness tree (adorned by `right_sl`); a left tree with no match yields
+/// a `TAX_prod_root` with the left part only. Output follows the left
+/// input order.
 #[allow(clippy::too_many_arguments)]
 pub fn left_outer_join_db(
     store: &DocumentStore,
-    left: &Collection,
+    left: &[Tree],
     left_pattern: &PatternTree,
     left_label: PatternNodeId,
     right_pattern: &PatternTree,
     right_label: PatternNodeId,
     right_sl: &[PatternNodeId],
 ) -> Result<Collection> {
-    Ok(left_outer_join_db_sharded(
-        store,
-        left,
-        left_pattern,
-        left_label,
-        right_pattern,
-        right_label,
-        right_sl,
-        &ExecOptions::sequential(),
-    )?
-    .0)
-}
-
-/// [`left_outer_join_db`] over `opts.threads` workers: the blocking
-/// sink's entry point.
-///
-/// The right side is matched against the database **once** and bucketed
-/// by the content symbol of its key node, shared read-only across
-/// workers. Each left tree's key is its first witness's (one extraction
-/// over all left trees); left trees then go through [`shard_map`] routed
-/// by the FNV-1a hash of that key, every shard probes the shared buckets
-/// and builds its `TAX_prod_root` trees independently, and the merge
-/// re-emits the per-tree outputs ordered by **left input position** —
-/// byte-identical to a serial walk of the left collection.
-///
-/// Returns the joined collection plus partition statistics (left trees
-/// per shard) for the metrics tree.
-#[allow(clippy::too_many_arguments)]
-pub fn left_outer_join_db_sharded(
-    store: &DocumentStore,
-    left: &Collection,
-    left_pattern: &PatternTree,
-    left_label: PatternNodeId,
-    right_pattern: &PatternTree,
-    right_label: PatternNodeId,
-    right_sl: &[PatternNodeId],
-    opts: &ExecOptions,
-) -> Result<(Collection, ShardStats)> {
     if right_label >= right_pattern.len() {
         return Err(crate::error::Error::UnknownLabel(format!(
             "${}",
             right_label + 1
         )));
     }
-    let keys: Vec<u32> = first_keys(store, left, left_pattern, left_label, opts)?
-        .into_iter()
-        .map(|key| key.map_or(NO_SYM, |(key, _)| key))
-        .collect();
+    let keys = first_keys(store, left, left_pattern, left_label)?;
 
     // Match the right side once; bucket bindings by key symbol.
     let right_bindings = match_db(store, right_pattern)?;
@@ -107,29 +68,20 @@ pub fn left_outer_join_db_sharded(
         }
     }
 
-    let (per_left, stats) = shard_map(
-        opts,
-        (0..left.len()).collect(),
-        |&li| keyenc::hash_syms(&[keys[li]]),
-        |shard| {
-            Ok(shard
-                .into_iter()
-                .map(|li| {
-                    let matches = buckets.get(&keys[li]).map_or(&[][..], Vec::as_slice);
-                    let joined = join_one(
-                        store,
-                        &left[li],
-                        matches,
-                        &right_bindings,
-                        right_pattern,
-                        right_sl,
-                    );
-                    (li, joined)
-                })
-                .collect())
-        },
-    )?;
-    Ok((per_left.into_iter().flatten().collect(), stats))
+    let mut out = Vec::new();
+    for (ltree, key) in left.iter().zip(keys) {
+        let key = key.map_or(NO_SYM, |(key, _)| key);
+        let matches = buckets.get(&key).map_or(&[][..], Vec::as_slice);
+        out.extend(join_one(
+            store,
+            ltree,
+            matches,
+            &right_bindings,
+            right_pattern,
+            right_sl,
+        ));
+    }
+    Ok(out)
 }
 
 /// The per-left-tree join kernel: one `TAX_prod_root` tree per matching
@@ -173,11 +125,10 @@ struct Part {
     first: u32,
 }
 
-/// The RETURN stitching of the naive plan (Sec. 4.1) over `opts.threads`
-/// workers: a full outer join of `outer` and `inner` on the key (one hash
-/// pass over the inner rows), fused with the final per-binding
-/// construction and rename — the kernel behind the executor's
-/// `StitchConstruct` sink. Each matching outer tree becomes one `tag`
+/// The RETURN stitching of the naive plan (Sec. 4.1): a full outer join
+/// of `outer` and `inner` on the key (one hash pass over the inner rows),
+/// fused with the final per-binding construction and rename — the kernel
+/// behind the executor's `StitchConstruct` sink. Each matching outer tree becomes one `tag`
 /// element: its bound node, then the extracted parts of its key's inner
 /// rows (`inner_extract`, deep or not), or their aggregate `agg`.
 ///
@@ -188,13 +139,10 @@ struct Part {
 /// several paths contributes each extracted node once. Within a key the
 /// parts order as group members do (`ORDER BY` on the first witness of
 /// their row under that key, arrival breaking ties), so a row's parts
-/// stay together. Outer trees then go through [`shard_map`] routed by
-/// the hash of their key, each shard constructs its elements against
-/// the frozen buckets, and the merge re-emits them ordered by **outer
-/// input position**. Returns the collection plus partition statistics
-/// (outer trees per shard).
+/// stay together. Each outer tree then constructs its element against
+/// the buckets, in outer input order.
 #[allow(clippy::too_many_arguments)]
-pub fn stitch_sharded(
+pub fn stitch(
     store: &DocumentStore,
     outer: &[Tree],
     outer_pattern: &PatternTree,
@@ -206,8 +154,7 @@ pub fn stitch_sharded(
     agg: Option<(AggFunc, &str)>,
     order: Option<(PatternNodeId, Direction)>,
     tag: &str,
-    opts: &ExecOptions,
-) -> Result<(Collection, ShardStats)> {
+) -> Result<Collection> {
     // Basis: the key, then one item per extracted node.
     let basis: Vec<BasisItem> = std::iter::once(inner_label)
         .chain(inner_extract.iter().map(|&(label, _)| label))
@@ -224,7 +171,6 @@ pub fn stitch_sharded(
         &basis,
         &ordering,
         true,
-        opts,
     )?;
 
     let mut parts: HashMap<u32, Vec<Part>> = HashMap::new();
@@ -266,52 +212,41 @@ pub fn stitch_sharded(
         sort_members(store.dict(), &w, bucket, &ordering, |p| p.first);
     }
 
-    let keys = first_keys(store, outer, outer_pattern, outer_label, opts)?;
+    let keys = first_keys(store, outer, outer_pattern, outer_label)?;
     let dict = store.dict();
     let tag = dict.intern(tag);
-    shard_map(
-        opts,
-        (0..outer.len()).collect(),
-        |&oi| keyenc::hash_syms(&[keys[oi].map_or(NO_SYM, |(key, _)| key)]),
-        |shard| {
-            Ok(shard
-                .into_iter()
-                .filter_map(|oi| {
-                    // A tree the outer pattern does not match emits nothing.
-                    let (key, bound) = keys[oi]?;
-                    let mut out = Tree::new_elem_sym(tag);
-                    out.append_vnode(out.root(), Some(&outer[oi]), bound, true);
-                    let matched = parts.get(&key).map_or(&[][..], Vec::as_slice);
-                    match agg {
-                        Some((func, agg_tag)) => {
-                            let values: Vec<f64> = match func {
-                                AggFunc::Count => Vec::new(),
-                                _ => matched
-                                    .iter()
-                                    .filter_map(|p| numeric(dict, p.value))
-                                    .collect(),
-                            };
-                            if let Some(v) = compute(func, matched.len(), &values) {
-                                out.add_elem_with_content(
-                                    dict,
-                                    out.root(),
-                                    agg_tag,
-                                    format_value(v),
-                                );
-                            }
-                        }
-                        None => {
-                            for p in matched {
-                                let src = Some(&inner[p.row as usize]);
-                                out.append_vnode(out.root(), src, p.node, p.deep);
-                            }
-                        }
+    Ok(outer
+        .iter()
+        .zip(keys)
+        .filter_map(|(otree, key)| {
+            // A tree the outer pattern does not match emits nothing.
+            let (key, bound) = key?;
+            let mut out = Tree::new_elem_sym(tag);
+            out.append_vnode(out.root(), Some(otree), bound, true);
+            let matched = parts.get(&key).map_or(&[][..], Vec::as_slice);
+            match agg {
+                Some((func, agg_tag)) => {
+                    let values: Vec<f64> = match func {
+                        AggFunc::Count => Vec::new(),
+                        _ => matched
+                            .iter()
+                            .filter_map(|p| numeric(dict, p.value))
+                            .collect(),
+                    };
+                    if let Some(v) = compute(func, matched.len(), &values) {
+                        out.add_elem_with_content(dict, out.root(), agg_tag, format_value(v));
                     }
-                    Some((oi, out))
-                })
-                .collect())
-        },
-    )
+                }
+                None => {
+                    for p in matched {
+                        let src = Some(&inner[p.row as usize]);
+                        out.append_vnode(out.root(), src, p.node, p.deep);
+                    }
+                }
+            }
+            Some(out)
+        })
+        .collect())
 }
 
 /// A part's identity for the stitch's duplicate elimination: the stored
@@ -463,7 +398,7 @@ mod tests {
         left.add_elem_with_content(s.dict(), left.root(), "author", "Jill");
         let (right, art, auth) = join_right_pattern();
         let joined =
-            left_outer_join_db(&s, &vec![left], &outer_pattern(), 1, &right, auth, &[art]).unwrap();
+            left_outer_join_db(&s, &[left], &outer_pattern(), 1, &right, auth, &[art]).unwrap();
         // Jill wrote one article: one pair, whose right part is it.
         assert_eq!(joined.len(), 1);
         let prod = joined[0].materialize(&s).unwrap();

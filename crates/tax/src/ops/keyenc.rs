@@ -1,17 +1,14 @@
-//! Key encoding and hashing — the one FNV-1a module shared by every
-//! keyed sink (groupby / rollup / cube, the left outer join, the RETURN
-//! stitch); [`crate::exec::shard_map`] turns the hashes into shards.
+//! Grouping keys — the encoding shared by the grouping sinks (groupby,
+//! rollup, cube).
 //!
 //! A [`Key`] is a fixed-width sequence of dictionary symbols: one `u32`
 //! word per basis item, [`ABSENT`] when the value is missing (e.g. an
 //! absent attribute). Fixed width makes the encoding self-delimiting, so
-//! a key hashes in a single FNV-1a pass over the little-endian bytes of
-//! its words, and key equality is a flat word compare — no per-value
-//! length prefixes or presence tags.
+//! key equality is a flat word compare — no per-value length prefixes or
+//! presence tags.
 //!
-//! Within a shard a key finds its group through a `GroupIndex`.
+//! A key finds its group through a `GroupIndex`.
 
-use crate::exec::{fnv1a, FNV_SEED};
 use std::collections::HashMap;
 use xmlstore::Sym;
 
@@ -28,21 +25,11 @@ pub fn component(s: Option<Sym>) -> u32 {
     s.map_or(ABSENT, |s| s.0)
 }
 
-/// FNV-1a over a symbol key: one pass over the words' LE bytes.
-#[inline]
-pub fn hash_syms(key: &[u32]) -> u64 {
-    let mut h = FNV_SEED;
-    for w in key {
-        h = fnv1a(h, &w.to_le_bytes());
-    }
-    h
-}
-
 /// Slots a slot table may spend per key; sparser symbols keep the map.
 const SLOTS_PER_KEY: usize = 4;
 
 /// Key → group id, ids in first-arrival order: a grouping sink's index,
-/// one per shard (and level). A key of at most one word is a symbol, so
+/// one per level. A key of at most one word is a symbol, so
 /// over a dense range it indexes a slot table: slot `w + 1` holds 1 + the
 /// group id of word `w` (0: none yet), and [`ABSENT`] wraps to slot 0,
 /// the empty key's. Wider keys and sparse symbols keep the std map, whose
@@ -94,16 +81,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sym_keys_hash_by_value_not_identity() {
-        assert_eq!(hash_syms(&[1, 2, 3]), hash_syms(&[1, 2, 3]));
-        assert_ne!(hash_syms(&[1, 2, 3]), hash_syms(&[1, 2, 4]));
-        // Fixed width keeps adjacent words from bleeding into each other.
-        assert_ne!(hash_syms(&[0x0101, 0x01]), hash_syms(&[0x01, 0x0101]));
-    }
-
-    #[test]
     fn absent_is_a_distinct_key_word() {
-        assert_ne!(hash_syms(&[ABSENT]), hash_syms(&[0]));
+        assert_ne!(component(None), component(Some(Sym(0))));
         assert_eq!(component(None), ABSENT);
         assert_eq!(component(Some(Sym(7))), 7);
     }

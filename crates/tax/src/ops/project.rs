@@ -932,8 +932,7 @@ mod tests {
     #[test]
     fn the_gather_writes_what_the_group_trees_project_to() {
         use crate::batch::Batch;
-        use crate::exec::ExecOptions;
-        use crate::ops::groupby::{groupby_sharded, Direction, GroupOrder};
+        use crate::ops::groupby::{groupby, Direction, GroupOrder};
         // Multi-title, untitled and nested-title articles; `A` keys the
         // article whose authors the `author` extract returns.
         let s = DocumentStore::from_xml(
@@ -957,9 +956,8 @@ mod tests {
                 direction: Direction::Descending,
             }],
         ] {
-            let opts = ExecOptions::sequential();
             let input = Batch::Stored(rows.clone());
-            let (groups, _) = groupby_sharded(&s, &input, &gb, &basis, &ordering, &opts).unwrap();
+            let (groups, _) = groupby(&s, &input, &gb, &basis, &ordering).unwrap();
             assert!(matches!(groups, Batch::Groups(_)), "{groups:?}");
             for axis in [Axis::Child, Axis::Descendant] {
                 let (p, pl) = fig5d_pattern(axis);

@@ -9,7 +9,7 @@
 //! scan, each key's group found through a `keyenc::GroupIndex`:
 //!
 //! * witnesses come from the same extraction as
-//!   [`super::groupby::groupby_sharded`]'s (`super::witness`: same keys,
+//!   [`super::groupby::groupby`]'s (`super::witness`: same keys,
 //!   same multi-valued-basis semantics — a two-author article
 //!   contributes to both authors' accumulators, and the same row enters
 //!   a given group only once);
@@ -45,19 +45,18 @@
 
 use crate::batch::Source;
 use crate::error::{Error, Result};
-use crate::exec::{par_map, shard_map, ExecOptions, ShardStats};
+use crate::exec::Stages;
 use crate::matching::vnode::VTree;
 use crate::matching::{match_in_scopes, match_tree};
 use crate::ops::aggregate::{format_value, numeric, AggFunc};
 use crate::ops::groupby::{add_basis_children, BasisItem};
-use crate::ops::keyenc::{self, component, GroupIndex};
+use crate::ops::keyenc::{component, GroupIndex};
 use crate::ops::witness::{witnesses, Witnesses};
 use crate::pattern::{Axis, PatternNodeId, PatternTree, Pred};
 use crate::tree::{Collection, Tree};
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
-use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use xmlstore::{kernels, Dictionary, DocumentStore, NodeEntry, SelVec, Sym};
 
 /// The output tree shape of a rollup run.
@@ -141,40 +140,12 @@ impl GroupAcc {
     }
 }
 
-/// Streaming grouped aggregation, serial.
+/// Streaming grouped aggregation: the blocking sink's kernel. A rollup
+/// is the finest level of the grouping lattice — the prefix-level fold
+/// (`fold_levels`) run over the single level `basis.len()`. Returns the
+/// group trees and the sink's stage times.
 #[allow(clippy::too_many_arguments)]
-pub fn rollup(
-    store: &DocumentStore,
-    input: &Collection,
-    pattern: &PatternTree,
-    basis: &[BasisItem],
-    member_pattern: &PatternTree,
-    of: PatternNodeId,
-    func: AggFunc,
-    new_tag: &str,
-    shape: RollupShape,
-) -> Result<Collection> {
-    Ok(rollup_sharded(
-        store,
-        input,
-        pattern,
-        basis,
-        member_pattern,
-        of,
-        func,
-        new_tag,
-        shape,
-        &ExecOptions::sequential(),
-    )?
-    .0)
-}
-
-/// [`rollup`] over `opts.threads` workers: the blocking sink's entry
-/// point. A rollup is the finest level of the grouping lattice — the
-/// prefix-level fold (`fold_levels`) run over the single level
-/// `basis.len()`.
-#[allow(clippy::too_many_arguments)]
-pub fn rollup_sharded<'a>(
+pub fn rollup<'a>(
     store: &DocumentStore,
     input: impl Into<Source<'a>>,
     pattern: &PatternTree,
@@ -184,8 +155,7 @@ pub fn rollup_sharded<'a>(
     func: AggFunc,
     new_tag: &str,
     shape: RollupShape,
-    opts: &ExecOptions,
-) -> Result<(Collection, ShardStats)> {
+) -> Result<(Collection, Stages)> {
     fold_levels(
         store,
         &input.into(),
@@ -200,24 +170,15 @@ pub fn rollup_sharded<'a>(
             RollupShape::Grouped => FoldShape::Grouped,
             RollupShape::Flat => FoldShape::Flat,
         },
-        opts,
     )
 }
 
 /// The prefix-level fold behind both [`rollup`] and
 /// [`cube`](super::cube::cube): one extraction, then one pass that
 /// accumulates every level in `levels` (level `k` groups on the first
-/// `k` basis items).
-///
-/// The witnesses go through [`shard_map`] routed by the FNV-1a hash of
-/// their **coarsest requested key prefix** — all witnesses of any prefix
-/// group share that prefix, so every group at every level is wholly
-/// inside one shard and no partial state ever crosses shards. The
-/// per-shard outputs merge ordered by `(level, global first-arrival
-/// position)`: levels coarsest first, groups in first-witness order
-/// within a level — byte-identical at every thread count. Returns the
-/// collection plus the partition statistics and stage times for the
-/// metrics tree.
+/// `k` basis items). Levels emit coarsest first, groups in
+/// first-witness order within a level. Returns the collection plus the
+/// stage times for the metrics tree.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fold_levels(
     store: &DocumentStore,
@@ -230,41 +191,30 @@ pub(crate) fn fold_levels(
     new_tag: &str,
     levels: RangeInclusive<usize>,
     shape: FoldShape,
-    opts: &ExecOptions,
-) -> Result<(Collection, ShardStats)> {
+) -> Result<(Collection, Stages)> {
     if of >= member_pattern.len() {
         return Err(Error::UnknownLabel(format!("${}", of + 1)));
     }
     let clock = Instant::now();
-    let w = witnesses(store, input, pattern, basis, &[], false, opts)?;
+    let w = witnesses(store, input, pattern, basis, &[], false)?;
     let witness = clock.elapsed();
-    let contributions = contributions(store, input, member_pattern, of, func, opts)?;
+    let contributions = contributions(store, input, member_pattern, of, func)?;
     let contributed = clock.elapsed() - witness;
-    let spans = Mutex::new([Duration::ZERO; 2]);
-    let coarsest = *levels.start();
-    let (out, mut stats) = shard_map(
-        opts,
-        (0..w.len() as u32).collect(),
-        |&i| keyenc::hash_syms(&w.key(i)[..coarsest]),
-        |shard| {
-            Ok(fold_shard(
-                store.dict(),
-                input,
-                basis,
-                &w,
-                &contributions,
-                func,
-                new_tag,
-                levels.clone(),
-                shape,
-                shard,
-                &spans,
-            ))
-        },
-    )?;
-    let [fold, build] = spans.into_inner().unwrap_or_else(PoisonError::into_inner);
-    stats.stages = Some([witness, contributed, fold, build]);
-    Ok((out, stats))
+    let groups = fold_groups(&w, &contributions, levels.clone());
+    let fold = clock.elapsed() - witness - contributed;
+    let out = build_trees(
+        store.dict(),
+        input,
+        basis,
+        &w,
+        func,
+        new_tag,
+        levels,
+        shape,
+        groups,
+    );
+    let build = clock.elapsed() - witness - contributed - fold;
+    Ok((out, [witness, contributed, fold, build]))
 }
 
 /// Each input row's aggregate contribution. Member bindings anchor at
@@ -276,7 +226,6 @@ fn contributions(
     member_pattern: &PatternTree,
     of: PatternNodeId,
     func: AggFunc,
-    opts: &ExecOptions,
 ) -> Result<Vec<Contribution>> {
     let dict = store.dict();
     match input {
@@ -307,21 +256,24 @@ fn contributions(
             }
             Ok(out)
         }
-        Source::Trees(trees) => par_map(opts, trees, |_, tree| {
-            let table = match_tree(store, tree, member_pattern, true)?;
-            let mut c = Contribution {
-                bindings: table.len(),
-                values: Vec::new(),
-            };
-            if func != AggFunc::Count {
-                let vt = VTree::new(store, tree);
-                for v in table.column(of) {
-                    c.values
-                        .extend(numeric(dict, component(vt.content_sym(*v))));
+        Source::Trees(trees) => trees
+            .iter()
+            .map(|tree| {
+                let table = match_tree(store, tree, member_pattern, true)?;
+                let mut c = Contribution {
+                    bindings: table.len(),
+                    values: Vec::new(),
+                };
+                if func != AggFunc::Count {
+                    let vt = VTree::new(store, tree);
+                    for v in table.column(of) {
+                        c.values
+                            .extend(numeric(dict, component(vt.content_sym(*v))));
+                    }
                 }
-            }
-            Ok(c)
-        }),
+                Ok(c)
+            })
+            .collect(),
     }
 }
 
@@ -412,37 +364,24 @@ fn count_star_members(
     }
 }
 
-/// Accumulation + output building over one witness shard, witnesses in
-/// global arrival order — the rollup counterpart of the groupby's
-/// `form_groups`. One pass folds **every** level in `levels`: the
-/// level-`k` accumulator of a witness is addressed by the key prefix
-/// `key[..k]`, so a coarser level grows from the same contributions as
-/// the finest without rescanning. Returns `((level, first witness),
-/// tree)` pairs, level-major, and adds the fold's and the build's time to
-/// `spans`.
-#[allow(clippy::too_many_arguments)]
-fn fold_shard(
-    dict: &Dictionary,
-    input: &Source,
-    basis: &[BasisItem],
+/// Accumulation over the witnesses in arrival order — the rollup
+/// counterpart of the groupby's `form_groups`. One pass folds **every**
+/// level in `levels`: the level-`k` accumulator of a witness is addressed
+/// by the key prefix `key[..k]`, so a coarser level grows from the same
+/// contributions as the finest without rescanning. Returns each level's
+/// groups in first-witness order.
+fn fold_groups(
     w: &Witnesses,
     contributions: &[Contribution],
-    func: AggFunc,
-    new_tag: &str,
     levels: RangeInclusive<usize>,
-    shape: FoldShape,
-    shard: Vec<u32>,
-    spans: &Mutex<[Duration; 2]>,
-) -> Vec<((usize, u32), Tree)> {
-    let clock = Instant::now();
-    // Per level: key prefix → group index, and the groups in
-    // first-witness order.
+) -> Vec<Vec<GroupAcc>> {
+    let ids = 0..w.len() as u32;
     let mut index: Vec<GroupIndex> = levels
         .clone()
-        .map(|level| GroupIndex::new(shard.iter().map(|&i| &w.key(i)[..level])))
+        .map(|level| GroupIndex::new(ids.clone().map(|i| &w.key(i)[..level])))
         .collect();
     let mut groups: Vec<Vec<GroupAcc>> = levels.clone().map(|_| Vec::new()).collect();
-    for i in shard {
+    for i in ids {
         let row = w.tree_idx[i as usize];
         for (slot, level) in levels.clone().enumerate() {
             let level_groups = &mut groups[slot];
@@ -469,11 +408,24 @@ fn fold_shard(
             }
         }
     }
-    let folded = clock.elapsed();
+    groups
+}
 
+/// One output tree per folded group, level-major.
+#[allow(clippy::too_many_arguments)]
+fn build_trees(
+    dict: &Dictionary,
+    input: &Source,
+    basis: &[BasisItem],
+    w: &Witnesses,
+    func: AggFunc,
+    new_tag: &str,
+    levels: RangeInclusive<usize>,
+    shape: FoldShape,
+    groups: Vec<Vec<GroupAcc>>,
+) -> Collection {
     // The tags are the same for every group and the values repeat (most
-    // counts are small), so each is interned once per shard, not once
-    // per tree.
+    // counts are small), so each is interned once, not once per tree.
     let root_tag = dict.intern(crate::tags::GROUP_ROOT);
     let value_tag = dict.intern(new_tag);
     let mut value_syms: HashMap<u64, Sym> = HashMap::new();
@@ -524,12 +476,9 @@ fn fold_shard(
                     .or_insert_with(|| dict.intern(&format_value(v)));
                 tree.add_elem_with_content_sym(root, value_tag, text);
             }
-            out.push(((level, acc.first), tree));
+            out.push(tree);
         }
     }
-    let mut spans = spans.lock().unwrap_or_else(PoisonError::into_inner);
-    spans[0] += folded;
-    spans[1] += clock.elapsed() - folded;
     out
 }
 
@@ -599,7 +548,7 @@ mod tests {
         new_tag: &str,
     ) -> Collection {
         let (gp, basis) = grouping();
-        let groups = groupby(s, input, &gp, &basis, &[]).unwrap();
+        let groups = groupby(s, input, &gp, &basis, &[]).unwrap().0.into_trees();
         let mut ap = PatternTree::with_root(Pred::tag(tags::GROUP_ROOT));
         let subroot = ap.add_child(ap.root(), Axis::Child, Pred::tag(tags::GROUP_SUBROOT));
         let m = ap.add_child(
@@ -670,7 +619,8 @@ mod tests {
                 tag,
                 RollupShape::Grouped,
             )
-            .unwrap();
+            .unwrap()
+            .0;
             let reference = materialized(&s, &arts, leaf, func, tag);
             assert_eq!(fused.len(), reference.len(), "{func:?}");
             assert_eq!(
@@ -699,7 +649,8 @@ mod tests {
             "count",
             RollupShape::Grouped,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // First-witness order: Jack, John, Jill.
         let counts: Vec<(String, String)> = out
             .iter()
@@ -753,7 +704,8 @@ mod tests {
             "min",
             RollupShape::Grouped,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(out.len(), 3);
         for t in &out {
             assert!(t.materialize(&s).unwrap().child("min").is_none());
@@ -784,7 +736,8 @@ mod tests {
                 tag,
                 RollupShape::Grouped,
             )
-            .unwrap();
+            .unwrap()
+            .0;
             let flat = rollup(
                 &s,
                 &arts,
@@ -796,7 +749,8 @@ mod tests {
                 tag,
                 RollupShape::Flat,
             )
-            .unwrap();
+            .unwrap()
+            .0;
             let flat_xml: Vec<String> = flat
                 .iter()
                 .map(|t| xmlparse::serialize::element_to_string(&t.materialize(&s).unwrap()))
@@ -838,7 +792,8 @@ mod tests {
             "sum",
             RollupShape::Grouped,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let flat = rollup(
             &s,
             &arts,
@@ -850,7 +805,8 @@ mod tests {
             "sum",
             RollupShape::Flat,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let flat_xml: Vec<String> = flat
             .iter()
             .map(|t| xmlparse::serialize::element_to_string(&t.materialize(&s).unwrap()))
@@ -888,60 +844,9 @@ mod tests {
             "min",
             RollupShape::Flat,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(out.is_empty(), "{} trees", out.len());
-    }
-
-    #[test]
-    fn sharded_rollup_matches_serial_kernel() {
-        let s = store();
-        let arts = articles(&s);
-        let (gp, basis) = grouping();
-        for (leaf, func, tag) in [
-            ("title", AggFunc::Count, "count"),
-            ("year", AggFunc::Avg, "avg"),
-        ] {
-            let (mp, of) = member(leaf);
-            let serial = rollup(
-                &s,
-                &arts,
-                &gp,
-                &basis,
-                &mp,
-                of,
-                func,
-                tag,
-                RollupShape::Grouped,
-            )
-            .unwrap();
-            for threads in [1usize, 2, 3, 8] {
-                let opts = ExecOptions::with_threads(threads);
-                let (sharded, stats) = rollup_sharded(
-                    &s,
-                    &arts,
-                    &gp,
-                    &basis,
-                    &mp,
-                    of,
-                    func,
-                    tag,
-                    RollupShape::Grouped,
-                    &opts,
-                )
-                .unwrap();
-                assert_eq!(serial.len(), sharded.len());
-                for (a, b) in serial.iter().zip(sharded.iter()) {
-                    assert_eq!(
-                        xmlparse::serialize::element_to_string(&a.materialize(&s).unwrap()),
-                        xmlparse::serialize::element_to_string(&b.materialize(&s).unwrap()),
-                        "threads={threads}"
-                    );
-                }
-                // 5 witnesses: Jack ×2, John ×2, Jill.
-                assert_eq!(stats.total(), 5);
-                assert_eq!(stats.partitions, threads.min(5));
-            }
-        }
     }
 
     #[test]
@@ -979,7 +884,8 @@ mod tests {
             "count",
             RollupShape::Grouped,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let from_stored = rollup(
             &s,
             &stored,
@@ -991,7 +897,8 @@ mod tests {
             "count",
             RollupShape::Grouped,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let counts = |c: &Collection| -> Vec<(String, String)> {
             c.iter()
                 .map(|t| {
@@ -1065,7 +972,8 @@ mod tests {
                 "count",
                 RollupShape::Grouped,
             )
-            .unwrap();
+            .unwrap()
+            .0;
             // The expectation enumerates bindings through the matcher
             // over materialized group trees; it shares no code with the
             // popcount product.
@@ -1142,7 +1050,8 @@ mod tests {
                 "count",
                 RollupShape::Grouped,
             )
-            .unwrap();
+            .unwrap()
+            .0;
             let slow = materialized_star(&s, &arts, mp, *of, AggFunc::Count, "count");
             assert_eq!(
                 projected_xml(&s, &fast, "count"),
@@ -1164,7 +1073,8 @@ mod tests {
             "count",
             RollupShape::Grouped,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let xml = projected_xml(&s, &out, "count");
         assert_eq!(
             xml[0],
@@ -1199,7 +1109,8 @@ mod tests {
             "count",
             RollupShape::Grouped,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let reference = materialized(&s, &arts, "title", AggFunc::Count, "count");
         assert_eq!(
             projected_xml(&s, &fused, "count"),
@@ -1212,7 +1123,7 @@ mod tests {
         let s = store();
         let (gp, basis) = grouping();
         let (mp, of) = member("title");
-        let (out, stats) = rollup_sharded(
+        let (out, _) = rollup(
             &s,
             &Vec::new(),
             &gp,
@@ -1222,11 +1133,9 @@ mod tests {
             AggFunc::Count,
             "count",
             RollupShape::Grouped,
-            &ExecOptions::with_threads(4),
         )
         .unwrap();
         assert!(out.is_empty());
-        assert_eq!(stats.partitions, 1);
         // Aggregated label outside the member pattern.
         assert!(rollup(
             &s,

@@ -15,7 +15,6 @@
 
 use crate::batch::Batch;
 use crate::error::Result;
-use crate::exec::{par_map, ExecOptions};
 use crate::matching::vnode::VNode;
 use crate::matching::{match_db, match_tree, Bindings, Row};
 use crate::ops::project::{project_one, ProjectItem};
@@ -30,20 +29,8 @@ pub fn select_db(
     pattern: &PatternTree,
     sl: &[PatternNodeId],
 ) -> Result<Collection> {
-    select_db_opts(store, pattern, sl, &ExecOptions::default())
-}
-
-/// [`select_db`] with explicit execution options: the pattern match runs
-/// single-threaded over the indexes, then witness-tree construction fans
-/// out per binding.
-pub fn select_db_opts(
-    store: &DocumentStore,
-    pattern: &PatternTree,
-    sl: &[PatternNodeId],
-    opts: &ExecOptions,
-) -> Result<Collection> {
     let bindings = match_db(store, pattern)?;
-    select_rows(pattern, &bindings, 0..bindings.len(), sl, opts)
+    Ok(select_rows(pattern, &bindings, 0..bindings.len(), sl))
 }
 
 /// The witness trees of rows `rows` of a database match — the scan leaf
@@ -53,12 +40,9 @@ pub fn select_rows(
     bindings: &Bindings,
     rows: Range<usize>,
     sl: &[PatternNodeId],
-    opts: &ExecOptions,
-) -> Result<Collection> {
-    let rows: Vec<usize> = rows.collect();
-    par_map(opts, &rows, |_, &i| {
-        Ok(witness_tree(None, pattern, bindings.row(i), sl))
-    })
+) -> Collection {
+    rows.map(|i| witness_tree(None, pattern, bindings.row(i), sl))
+        .collect()
 }
 
 /// Fused selection + projection over rows `rows` of a database match
@@ -78,21 +62,18 @@ pub fn select_project(
     rows: Range<usize>,
     sl: &[PatternNodeId],
     pl: &[ProjectItem],
-    opts: &ExecOptions,
 ) -> Result<Batch> {
     if pl == [ProjectItem::deep(pattern.root())] {
         return Ok(Batch::Stored(
             bindings.column(pattern.root())[rows].to_vec(),
         ));
     }
-    let rows: Vec<usize> = rows.collect();
-    let per_row = par_map(opts, &rows, |_, &i| {
+    let mut out = Vec::new();
+    for i in rows {
         let witness = witness_tree(None, pattern, bindings.row(i), sl);
-        let mut out = Vec::new();
         project_one(store, &witness, pattern, pl, true, &mut out)?;
-        Ok(out)
-    })?;
-    Ok(Batch::Trees(per_row.into_iter().flatten().collect()))
+    }
+    Ok(Batch::Trees(out))
 }
 
 /// Selection over an in-memory collection. Witness trees are produced per
@@ -103,25 +84,16 @@ pub fn select(
     pattern: &PatternTree,
     sl: &[PatternNodeId],
 ) -> Result<Collection> {
-    select_opts(store, input, pattern, sl, &ExecOptions::default())
-}
-
-/// [`select`] with explicit execution options: matching and witness
-/// construction fan out per input tree.
-pub fn select_opts(
-    store: &DocumentStore,
-    input: &Collection,
-    pattern: &PatternTree,
-    sl: &[PatternNodeId],
-    opts: &ExecOptions,
-) -> Result<Collection> {
-    let per_tree = par_map(opts, input, |_, tree| {
-        Ok(match_tree(store, tree, pattern, false)?
-            .rows()
-            .map(|b| witness_tree(Some(tree), pattern, b, sl))
-            .collect::<Vec<_>>())
-    })?;
-    Ok(per_tree.into_iter().flatten().collect())
+    let mut out = Vec::new();
+    for tree in input {
+        let table = match_tree(store, tree, pattern, false)?;
+        out.extend(
+            table
+                .rows()
+                .map(|b| witness_tree(Some(tree), pattern, b, sl)),
+        );
+    }
+    Ok(out)
 }
 
 /// Build the witness tree for one binding: it mirrors the pattern's

@@ -14,8 +14,8 @@
 //!   symbols. The matcher emits rows scope-major, which *is* the
 //!   collection-major order the sinks' member dedup relies on, so there
 //!   is nothing to sort and nothing to route back to its tree;
-//! * **trees** — one [`match_tree`] per tree (fanned out over
-//!   `opts.threads`), then the same words read through a [`VTree`].
+//! * **trees** — one [`match_tree`] per tree, then the same words read
+//!   through a [`VTree`].
 //!
 //! No data page is read either way: keys and ordering values are
 //! symbols — one dictionary holds stored and constructed text, so equal
@@ -24,7 +24,6 @@
 
 use crate::batch::Source;
 use crate::error::Result;
-use crate::exec::{par_map, ExecOptions};
 use crate::matching::vnode::{VNode, VTree};
 use crate::matching::{match_in_scopes, match_tree};
 use crate::ops::groupby::{validate, BasisItem, GroupOrder};
@@ -106,7 +105,6 @@ pub(crate) fn witnesses(
     basis: &[BasisItem],
     ordering: &[GroupOrder],
     anchor_root: bool,
-    opts: &ExecOptions,
 ) -> Result<Witnesses> {
     validate(pattern, basis, ordering)?;
     let mut out = Witnesses {
@@ -141,10 +139,8 @@ pub(crate) fn witnesses(
             }
         }
         Source::Trees(trees) => {
-            let tables = par_map(opts, trees, |_, tree| {
-                match_tree(store, tree, pattern, anchor_root)
-            })?;
-            for (row, (tree, table)) in trees.iter().zip(tables).enumerate() {
+            for (row, tree) in trees.iter().enumerate() {
+                let table = match_tree(store, tree, pattern, anchor_root)?;
                 let vt = VTree::new(store, tree);
                 out.tree_idx.resize(out.len() + table.len(), row as u32);
                 for b in table.rows() {
@@ -172,18 +168,9 @@ pub(crate) fn first_keys(
     trees: &[Tree],
     pattern: &PatternTree,
     label: PatternNodeId,
-    opts: &ExecOptions,
 ) -> Result<Vec<Option<(u32, VNode)>>> {
     let basis = [BasisItem::content(label)];
-    let w = witnesses(
-        store,
-        &Source::Trees(trees),
-        pattern,
-        &basis,
-        &[],
-        false,
-        opts,
-    )?;
+    let w = witnesses(store, &Source::Trees(trees), pattern, &basis, &[], false)?;
     Ok(w.per_row(trees.len())
         .into_iter()
         .map(|ws| (!ws.is_empty()).then(|| (w.key(ws.start)[0], w.cells(ws.start)[0])))

@@ -59,7 +59,10 @@ fn setup(xml: &str) -> (DocumentStore, Collection, PatternTree, usize, usize) {
 
 fn check_group_count(xml: &str) {
     let (s, arts, p, _title, author) = setup(xml);
-    let groups = groupby(&s, &arts, &p, &[BasisItem::content(author)], &[]).unwrap();
+    let groups = groupby(&s, &arts, &p, &[BasisItem::content(author)], &[])
+        .unwrap()
+        .0
+        .into_trees();
     let distinct = xml
         .split("<author>")
         .skip(1)
@@ -80,7 +83,10 @@ fn check_memberships(xml: &str) {
     // Non-partitioning: total group members = total (article, author)
     // pairs (authors are distinct within an article by construction).
     let (s, arts, p, _title, author) = setup(xml);
-    let groups = groupby(&s, &arts, &p, &[BasisItem::content(author)], &[]).unwrap();
+    let groups = groupby(&s, &arts, &p, &[BasisItem::content(author)], &[])
+        .unwrap()
+        .0
+        .into_trees();
     let total_members: usize = groups
         .iter()
         .map(|g| {
@@ -119,7 +125,9 @@ fn check_sorted(xml: &str, descending: bool) {
             direction: dir,
         }],
     )
-    .unwrap();
+    .unwrap()
+    .0
+    .into_trees();
     for g in &groups {
         let e = g.materialize(&s).unwrap();
         let titles: Vec<String> = e
@@ -155,7 +163,10 @@ fn check_impls_agree(xml: &str) {
         label: title,
         direction: Direction::Ascending,
     }];
-    let fast = groupby(&s, &arts, &p, &[BasisItem::content(author)], &ordering).unwrap();
+    let fast = groupby(&s, &arts, &p, &[BasisItem::content(author)], &ordering)
+        .unwrap()
+        .0
+        .into_trees();
     let slow = groupby_replicated(&s, &arts, &p, &[BasisItem::content(author)], &ordering).unwrap();
     assert_eq!(fast.len(), slow.len(), "on {xml}");
     for (f, sl) in fast.iter().zip(slow.iter()) {
@@ -175,7 +186,10 @@ fn identifier_and_replicated_agree() {
 
 fn check_first_appearance_order(xml: &str) {
     let (s, arts, p, _title, author) = setup(xml);
-    let groups = groupby(&s, &arts, &p, &[BasisItem::content(author)], &[]).unwrap();
+    let groups = groupby(&s, &arts, &p, &[BasisItem::content(author)], &[])
+        .unwrap()
+        .0
+        .into_trees();
     let keys: Vec<String> = groups
         .iter()
         .map(|g| {

@@ -79,7 +79,6 @@ pub enum PlanMode {
 /// A loaded database plus the query pipeline.
 pub struct TimberDb {
     store: DocumentStore,
-    exec: tax::ExecOptions,
     batch_size: usize,
 }
 
@@ -88,7 +87,6 @@ impl TimberDb {
     pub fn load_xml(xml: &str, opts: &StoreOptions) -> Result<Self> {
         Ok(TimberDb {
             store: DocumentStore::from_xml(xml, opts)?,
-            exec: tax::ExecOptions::default(),
             batch_size: physical::DEFAULT_BATCH_SIZE,
         })
     }
@@ -97,7 +95,6 @@ impl TimberDb {
     pub fn load_document(doc: &xmlparse::Document, opts: &StoreOptions) -> Result<Self> {
         Ok(TimberDb {
             store: DocumentStore::load(doc, opts)?,
-            exec: tax::ExecOptions::default(),
             batch_size: physical::DEFAULT_BATCH_SIZE,
         })
     }
@@ -108,7 +105,6 @@ impl TimberDb {
     pub fn create(opts: &StoreOptions) -> Result<Self> {
         Ok(TimberDb {
             store: DocumentStore::create(opts)?,
-            exec: tax::ExecOptions::default(),
             batch_size: physical::DEFAULT_BATCH_SIZE,
         })
     }
@@ -120,7 +116,6 @@ impl TimberDb {
     pub fn open(opts: &StoreOptions) -> Result<Self> {
         Ok(TimberDb {
             store: DocumentStore::open(opts)?,
-            exec: tax::ExecOptions::default(),
             batch_size: physical::DEFAULT_BATCH_SIZE,
         })
     }
@@ -163,12 +158,11 @@ impl TimberDb {
     /// queries on it keep answering from that state no matter how many
     /// transactions commit afterwards, and never block behind writers.
     /// Dropping the handle releases the snapshot (and eventually the
-    /// pages it was holding in limbo). Execution settings (threads, batch
-    /// size) are copied at snapshot time.
+    /// pages it was holding in limbo). The batch size is copied at
+    /// snapshot time.
     pub fn snapshot(&self) -> TimberDb {
         TimberDb {
             store: self.store.snapshot(),
-            exec: self.exec,
             batch_size: self.batch_size,
         }
     }
@@ -205,22 +199,10 @@ impl TimberDb {
         &self.store
     }
 
-    /// Worker threads used for operator evaluation (`0` acts as `1`).
-    /// Parallel evaluation is deterministic: outputs are byte-identical
-    /// to a single-threaded run.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.exec = tax::ExecOptions::with_threads(threads);
-    }
-
-    /// The current worker-thread setting.
-    pub fn threads(&self) -> usize {
-        self.exec.threads
-    }
-
-    /// The execution options queries run with.
-    pub fn exec_options(&self) -> tax::ExecOptions {
-        self.exec
-    }
+    /// Does nothing: a query runs on the calling thread, and
+    /// concurrency is between queries.
+    #[deprecated(note = "queries run on the calling thread")]
+    pub fn set_threads(&mut self, _: usize) {}
 
     /// Trees per batch in the physical executor (`0` acts as `1`).
     pub fn batch_size(&self) -> usize {
@@ -269,7 +251,7 @@ impl TimberDb {
         let store = self.store.snapshot();
         let start = std::time::Instant::now();
         let io_before = store.io_stats();
-        let (trees, metrics) = physical::execute(&store, plan, &self.exec, self.batch_size)?;
+        let (trees, metrics) = physical::execute(&store, plan, &tax::ExecOptions, self.batch_size)?;
         let elapsed = start.elapsed();
         let io_after = store.io_stats();
         Ok(QueryResult {
@@ -574,33 +556,24 @@ mod tests {
     }
 
     #[test]
-    fn cube_query_agrees_across_batches_and_threads() {
+    fn cube_query_agrees_across_batches() {
         let mut db = cube_db();
         db.set_batch_size(usize::MAX);
         let reference = db.query(QUERY_CUBE, PlanMode::GroupByRewrite).unwrap();
         let expected = reference.to_xml_on(db.store()).unwrap();
-        for threads in [1, 4] {
-            db.set_threads(threads);
-            for batch in [1, 3, physical::DEFAULT_BATCH_SIZE] {
-                db.set_batch_size(batch);
-                let r = db.query(QUERY_CUBE, PlanMode::GroupByRewrite).unwrap();
-                assert_eq!(
-                    r.to_xml_on(db.store()).unwrap(),
-                    expected,
-                    "threads={threads} batch={batch}"
-                );
-            }
+        for batch in [1, 3, physical::DEFAULT_BATCH_SIZE] {
+            db.set_batch_size(batch);
+            let r = db.query(QUERY_CUBE, PlanMode::GroupByRewrite).unwrap();
+            assert_eq!(r.to_xml_on(db.store()).unwrap(), expected, "batch={batch}");
         }
-        // The cube sink reports its partitions in EXPLAIN ANALYZE.
-        db.set_threads(4);
-        db.set_batch_size(physical::DEFAULT_BATCH_SIZE);
+        // The cube sink reports its stage times in EXPLAIN ANALYZE.
         let a = db
             .explain_analyze(QUERY_CUBE, PlanMode::GroupByRewrite)
             .unwrap();
         let text = a.render();
         assert!(
             text.lines()
-                .any(|l| l.contains("Cube") && l.contains("parts=") && l.contains("skew=")),
+                .any(|l| l.contains("Cube") && l.contains(" stages=")),
             "{text}"
         );
     }
@@ -620,10 +593,8 @@ mod tests {
     fn every_run_records_metrics_and_matches_the_one_batch_serial_run() {
         let mut db = db();
         for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-            db.set_threads(1);
             db.set_batch_size(usize::MAX);
             let reference = db.query(QUERY1, mode).unwrap();
-            db.set_threads(4);
             db.set_batch_size(2);
             let batched = db.query(QUERY1, mode).unwrap();
             assert!(reference.metrics.is_some() && batched.metrics.is_some());
@@ -654,27 +625,11 @@ mod tests {
             assert!(line.contains("time="), "{line}");
             assert!(line.contains("pages="), "{line}");
         }
-        // The blocking sinks report their partition count and skew,
-        // even single-threaded (parts=1).
+        // The grouping sink reports its stage times.
         assert!(
             text.lines()
-                .any(|l| l.contains("GroupBy") && l.contains("parts=") && l.contains("skew=")),
+                .any(|l| l.contains("GroupBy") && l.contains(" stages=")),
             "{text}"
-        );
-    }
-
-    #[test]
-    fn explain_analyze_reports_partitions_under_threads() {
-        let mut db = db();
-        db.set_threads(4);
-        let a = db.explain_analyze(QUERY1, PlanMode::Direct).unwrap();
-        let text = a.render();
-        // The direct plan's join and stitch sinks both report shards.
-        let parts_lines: Vec<&str> = text.lines().filter(|l| l.contains("parts=")).collect();
-        assert!(parts_lines.len() >= 2, "{text}");
-        assert!(
-            parts_lines.iter().any(|l| !l.contains("parts=1 ")),
-            "expected a sink to split under threads=4: {text}"
         );
     }
 

@@ -57,10 +57,8 @@ pub struct PlanMetrics {
     /// dictionary's order watermark). A plan silently dropping to scalar
     /// shows up here, not as a silent slowdown.
     pub vec_fallback: u64,
-    /// Hash-partition statistics of a sharded blocking sink (`None` for
-    /// streaming operators): partition count and per-shard input sizes,
-    /// from which the skew factor is derived, and a grouping sink's
-    /// stage times (`stages=w:…/c:…/f:…/b:…us`).
+    /// A grouping sink's statistics — its stage times,
+    /// `stages=w:…/c:…/f:…/b:…us` (`None` for every other operator).
     pub shards: Option<ShardStats>,
     /// Metrics of the operator's input plans, in plan order.
     pub children: Vec<PlanMetrics>,
@@ -98,26 +96,8 @@ impl PlanMetrics {
             self.vec_fallback,
         );
         if let Some(shards) = &self.shards {
-            // A serial sink never split, and an empty input never
-            // exercised the split — say so instead of rendering a
-            // "measured" partition count and a perfect 1.00 skew.
-            if shards.partitions <= 1 {
-                let _ = write!(out, " parts=1 (serial) skew=-");
-            } else {
-                let _ = write!(out, " parts={}", shards.partitions);
-                match shards.measured_skew() {
-                    Some(skew) => {
-                        let _ = write!(out, " skew={skew:.2}");
-                    }
-                    None => {
-                        let _ = write!(out, " skew=-");
-                    }
-                }
-            }
-            if let Some(stages) = shards.stages {
-                let [w, c, f, b] = stages.map(|d| d.as_micros());
-                let _ = write!(out, " stages=w:{w}/c:{c}/f:{f}/b:{b}us");
-            }
+            let [w, c, f, b] = shards.stages.map(|d| d.as_micros());
+            let _ = write!(out, " stages=w:{w}/c:{c}/f:{f}/b:{b}us");
         }
         let _ = writeln!(out);
         for child in &self.children {
@@ -243,55 +223,21 @@ mod tests {
             trees_in: 8,
             trees_out: 4,
             batches: 1,
-            shards: Some(ShardStats {
-                partitions: 4,
-                sizes: vec![4, 2, 1, 1],
-                stages: Some([2800, 1500, 650, 1100].map(Duration::from_micros)),
-            }),
+            shards: Some(ShardStats::new(
+                [2800, 1500, 650, 1100].map(Duration::from_micros),
+            )),
             ..Default::default()
         };
         let text = m.render();
-        assert!(text.contains("parts=4 skew=2.00"), "{text}");
         assert!(
-            text.contains(" stages=w:2800/c:1500/f:650/b:1100us"),
+            text.ends_with(" vecfb=0 stages=w:2800/c:1500/f:650/b:1100us\n"),
             "{text}"
         );
-        // Streaming operators (shards: None) render without the fields.
+        // Streaming operators (shards: None) render without the field.
         let s = PlanMetrics {
             op: "SelectDb".into(),
             ..Default::default()
         };
-        assert!(!s.render().contains("parts="));
-    }
-
-    #[test]
-    fn render_marks_serial_and_empty_shard_stats() {
-        // Serial kernel: the sink never split, whatever the input size.
-        let serial = PlanMetrics {
-            op: "GroupBy".into(),
-            shards: Some(ShardStats::serial(7)),
-            ..Default::default()
-        };
-        assert!(
-            serial.render().contains("parts=1 (serial) skew=-"),
-            "{}",
-            serial.render()
-        );
-        // Sharded sink over an empty input: partitions existed but no
-        // item was routed, so no skew was measured.
-        let empty = PlanMetrics {
-            op: "GroupBy".into(),
-            shards: Some(ShardStats {
-                partitions: 4,
-                sizes: vec![0, 0, 0, 0],
-                stages: None,
-            }),
-            ..Default::default()
-        };
-        assert!(
-            empty.render().contains("parts=4 skew=-"),
-            "{}",
-            empty.render()
-        );
+        assert!(!s.render().contains("stages="));
     }
 }

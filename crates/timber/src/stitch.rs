@@ -1,5 +1,5 @@
 //! The direct plan's RETURN stitching end to end: the collections the
-//! executor feeds `tax::ops::join::stitch_sharded` (Figs. 7 and 8) and
+//! executor feeds `tax::ops::join::stitch` (Figs. 7 and 8) and
 //! what it builds from them, against the rewritten plan.
 
 mod tests {
@@ -20,8 +20,7 @@ mod tests {
     }
 
     fn run(db: &TimberDb, plan: &Plan) -> Collection {
-        let opts = ExecOptions::sequential();
-        execute(db.store(), plan, &opts, DEFAULT_BATCH_SIZE)
+        execute(db.store(), plan, &ExecOptions, DEFAULT_BATCH_SIZE)
             .unwrap()
             .0
     }

@@ -19,24 +19,22 @@ struct Args {
     create: bool,
     mem: bool,
     pool_pages: Option<usize>,
-    threads: usize,
     value_index: bool,
 }
 
 const USAGE: &str = "usage: timberd [--listen ADDR] (--mem | --store FILE [--create]) \
-     [--pool-pages N] [--threads N] [--value-index]";
+     [--pool-pages N] [--value-index]";
 
-fn parse_args() -> Result<Args, String> {
+/// Parse the command line (without the program name).
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         listen: "127.0.0.1:7345".to_owned(),
         store: None,
         create: false,
         mem: false,
         pool_pages: None,
-        threads: 1,
         value_index: false,
     };
-    let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--listen" => args.listen = it.next().ok_or("--listen needs an address")?,
@@ -46,10 +44,6 @@ fn parse_args() -> Result<Args, String> {
             "--pool-pages" => {
                 let n = it.next().ok_or("--pool-pages needs a count")?;
                 args.pool_pages = Some(n.parse().map_err(|_| "--pool-pages needs a number")?);
-            }
-            "--threads" => {
-                let n = it.next().ok_or("--threads needs a count")?;
-                args.threads = n.parse().map_err(|_| "--threads needs a number")?;
             }
             "--value-index" => args.value_index = true,
             "--help" | "-h" => {
@@ -66,7 +60,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
@@ -91,14 +85,13 @@ fn main() {
             }
         }
     };
-    let mut db = match db {
+    let db = match db {
         Ok(db) => db,
         Err(e) => {
             eprintln!("cannot open store: {e}");
             std::process::exit(1);
         }
     };
-    db.set_threads(args.threads);
     if let Some(info) = db.recovery_info() {
         eprintln!(
             "recovery: {} committed transactions, {} losers rolled back",
@@ -119,5 +112,22 @@ fn main() {
     if let Err(e) = server.run() {
         eprintln!("server error: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn threads_is_an_unknown_argument() {
+        // Queries run on the calling thread; there is no thread count to set.
+        assert!(parse(&["--mem", "--pool-pages", "64"]).is_ok());
+        let err = parse(&["--mem", "--threads", "4"]).err().unwrap();
+        assert!(err.starts_with("unknown argument '--threads'"), "{err}");
     }
 }

@@ -54,7 +54,9 @@ fn main() {
             direction: Direction::Ascending,
         }],
     )
-    .expect("groupby");
+    .expect("groupby")
+    .0
+    .into_trees();
     println!("{} author groups", groups.len());
 
     // 3. Aggregations over each group: COUNT of member articles, MIN and

@@ -95,7 +95,9 @@ fn main() {
             direction: Direction::Descending,
         }],
     )
-    .expect("outer groupby");
+    .expect("outer groupby")
+    .0
+    .into_trees();
     println!("  {} institution groups", outer_groups.len());
 
     // Inner grouping: within each institution group, group that group's
@@ -139,8 +141,9 @@ fn main() {
         let mut ap = PatternTree::with_root(Pred::tag("article"));
         let author = ap.add_child(ap.root(), Axis::Child, Pred::tag("author"));
         let name = ap.add_child(author, Axis::Child, Pred::tag("name"));
-        let inner =
-            groupby(store, &members, &ap, &[BasisItem::content(name)], &[]).expect("inner groupby");
+        let inner = groupby(store, &members, &ap, &[BasisItem::content(name)], &[])
+            .expect("inner groupby")
+            .0;
         total_author_groups += inner.len();
         println!(
             "  {:<40} {:>4} articles, {:>3} author groups",

@@ -2,7 +2,7 @@
 //! query as written over parsed DOMs, independent of everything it
 //! checks), the helpers that hold a served result against it, the one
 //! random-bibliography generator, the paper's corpus queries and the
-//! Fig. 6 database, and the CI thread/batch matrix.
+//! Fig. 6 database, and the CI batch matrix.
 
 #![forbid(unsafe_code)]
 
@@ -50,8 +50,7 @@ pub fn fig6_db() -> TimberDb {
     TimberDb::load_xml(FIG6_DB, &StoreOptions::in_memory()).expect("load fig6")
 }
 
-/// Serialized output of `query` under `mode` at the given batch size
-/// (and the handle's current thread count).
+/// Serialized output of `query` under `mode` at the given batch size.
 pub fn run(db: &mut TimberDb, query: &str, mode: PlanMode, batch: usize) -> String {
     db.set_batch_size(batch);
     let r = db.query(query, mode).expect("query evaluates");
@@ -64,16 +63,15 @@ pub fn expected(xml: &str, query: &str) -> String {
     model::eval(&[xml], query).expect("the reference model evaluates the query")
 }
 
-/// Serve `query` in both plan modes at the handle's current thread count
-/// and the given batch size, and hold each against the oracle.
+/// Serve `query` in both plan modes at the given batch size, and hold
+/// each against the oracle.
 pub fn assert_matches_model(db: &mut TimberDb, xml: &str, query: &str, batch: usize, what: &str) {
     let want = expected(xml, query);
     for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
         let got = run(db, query, mode, batch);
-        let threads = db.threads();
         assert_eq!(
             got, want,
-            "{what}: {mode:?} threads={threads} batch={batch} query: {query} on {xml}"
+            "{what}: {mode:?} batch={batch} query: {query} on {xml}"
         );
     }
 }
@@ -193,12 +191,13 @@ pub fn bibliography(g: &mut Gen, shape: Shape) -> String {
     s
 }
 
-/// Parse a comma-separated list of positive integers from `var`, falling
-/// back to `default` when the variable is unset, empty, or malformed.
-/// This is how CI plumbs its `{threads} × {batch}` matrix into the
-/// differential suite without recompiling.
-fn env_matrix(var: &str, default: &[usize]) -> Vec<usize> {
-    match std::env::var(var) {
+/// Batch sizes the differential tests sweep: `TIMBER_TEST_BATCH` (a
+/// comma-separated list of positive integers, e.g. `"16,256"`) or, when
+/// it is unset, empty or malformed, the given default. This is how CI
+/// plumbs its batch matrix into the differential suites without
+/// recompiling.
+pub fn batch_matrix(default: &[usize]) -> Vec<usize> {
+    match std::env::var("TIMBER_TEST_BATCH") {
         Ok(s) if !s.trim().is_empty() => {
             let parsed: Option<Vec<usize>> = s
                 .split(',')
@@ -211,16 +210,4 @@ fn env_matrix(var: &str, default: &[usize]) -> Vec<usize> {
         }
         _ => default.to_vec(),
     }
-}
-
-/// Thread counts the differential tests sweep: `TIMBER_TEST_THREADS`
-/// (e.g. `"1,4"`) or the given default.
-pub fn thread_matrix(default: &[usize]) -> Vec<usize> {
-    env_matrix("TIMBER_TEST_THREADS", default)
-}
-
-/// Batch sizes the differential tests sweep: `TIMBER_TEST_BATCH`
-/// (e.g. `"16,256"`) or the given default.
-pub fn batch_matrix(default: &[usize]) -> Vec<usize> {
-    env_matrix("TIMBER_TEST_BATCH", default)
 }

@@ -21,6 +21,7 @@
 
 use datagen::{DblpConfig, DblpGenerator};
 use timber::{PlanMode, TimberDb};
+use timber_integration_tests::{expected, QUERY2};
 use xmlstore::storage::DiskManager;
 use xmlstore::{
     FaultConfig, FaultInjector, FaultStats, PageId, StoreError, StoreOptions, PAGE_HEADER_SIZE,
@@ -320,37 +321,50 @@ fn poked_corruption_is_typed_then_recoverable() {
 }
 
 #[test]
-fn worker_panic_is_contained_and_store_survives() {
-    use tax::ops::select::select_db_opts;
-    use tax::pattern::{Axis, PatternTree, Pred};
-    use tax::ExecOptions;
-
-    let db = db(60, 8);
-    let s = db.store();
-    let mut p = PatternTree::with_root(Pred::tag("doc_root"));
-    let art = p.add_child(p.root(), Axis::Descendant, Pred::tag("article"));
-    let healthy = select_db_opts(s, &p, &[art], &ExecOptions::with_threads(4)).unwrap();
-    assert!(!healthy.is_empty());
-
-    // A per-tree computation that panics on one input must surface as
-    // tax::Error::Panic, not tear down the thread pool or the process.
-    let items: Vec<usize> = (0..healthy.len()).collect();
-    let err = tax::exec::par_map(&ExecOptions::with_threads(4), &items, |_, &i| {
-        if i == items.len() / 2 {
-            panic!("poisoned tree");
+fn sinks_correct_or_typed_error_under_faults() {
+    // An on-disk store with a two-page pool, so populating the output of
+    // every sink — GroupBy, the left outer join, the stitch — does real
+    // page I/O that the armed schedule can fail: every outcome must be
+    // the model's answer or a typed error, never a panic or a silently
+    // wrong result.
+    let corpus = [QUERY_TITLES, QUERY2, QUERY_COUNT];
+    let xml = DblpGenerator::new(DblpConfig::sized(60)).generate_xml();
+    let opts = StoreOptions {
+        on_disk: true,
+        pool_pages: 2,
+        ..StoreOptions::in_memory()
+    };
+    let mut db = TimberDb::load_xml(&xml, &opts).unwrap();
+    db.set_batch_size(64);
+    let reference: Vec<String> = corpus.iter().map(|q| expected(&xml, q)).collect();
+    let mut injected = 0u64;
+    for seed in [7u64, 11, 13] {
+        let schedule = FaultConfig::seeded(seed)
+            .with_read_error(0.02)
+            .with_read_flip(0.01);
+        db.set_faults(Some(schedule)).unwrap();
+        for (qi, query) in corpus.iter().enumerate() {
+            // Serialization itself may also hit a fault.
+            let out = db
+                .query(query, PlanMode::GroupByRewrite)
+                .and_then(|r| r.to_xml_on(db.store()));
+            if let Ok(xml) = out {
+                assert_eq!(xml, reference[qi], "seed={seed} query #{qi}");
+            }
         }
-        Ok(i)
-    })
-    .unwrap_err();
-    assert!(
-        matches!(err, tax::Error::Panic { .. }),
-        "expected contained panic, got {err:?}"
-    );
-
-    // The store (whose pool shards the panicking workers shared) still
-    // answers queries correctly afterwards.
-    let again = select_db_opts(s, &p, &[art], &ExecOptions::with_threads(4)).unwrap();
-    assert_eq!(healthy, again);
+        injected += db.fault_stats().unwrap().total();
+        db.set_faults(None).unwrap();
+        // Disarmed, the sinks answer perfectly again.
+        for (qi, query) in corpus.iter().enumerate() {
+            let r = db.query(query, PlanMode::GroupByRewrite).unwrap();
+            assert_eq!(
+                r.to_xml_on(db.store()).unwrap(),
+                reference[qi],
+                "post-disarm seed={seed} query #{qi}"
+            );
+        }
+    }
+    assert!(injected > 0, "schedules must actually inject faults");
 }
 
 #[test]

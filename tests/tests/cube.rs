@@ -3,9 +3,8 @@
 //! `Plan::Cube`, and its serialized output — minus the per-level
 //! `TAX_cube_level` markers — must be the bytes the reference model
 //! evaluates the query to, as must the composed per-level union the
-//! direct mode runs: for every aggregate function, across the
-//! thread/batch CI matrix (`TIMBER_TEST_THREADS` / `TIMBER_TEST_BATCH`),
-//! on random ragged bibliographies where an author's name sits at
+//! direct mode runs: for every aggregate function, across the batch CI
+//! matrix (`TIMBER_TEST_BATCH`), on random ragged bibliographies where an author's name sits at
 //! varying depths, and under seeded fault schedules
 //! (correct-or-typed-error).
 
@@ -13,7 +12,7 @@ use datagen::{DblpConfig, DblpGenerator};
 use smallrand::prop::check;
 use tax::ops::cube::strip_level_markers;
 use timber::{PlanMode, TimberDb};
-use timber_integration_tests::{batch_matrix, bibliography, expected, run, thread_matrix, Shape};
+use timber_integration_tests::{batch_matrix, bibliography, expected, run, Shape};
 use xmlstore::{FaultConfig, StoreOptions};
 
 /// The lattice query: all prefix levels of journal → year → author,
@@ -61,12 +60,10 @@ fn every_cube_query_fuses_to_one_scan() {
     }
 }
 
-/// Both modes of `query` over `xml` at the handle's thread count against
-/// the model: the fused scan with its level markers stripped, the
+/// Both modes of `query` over `xml` against the model: the fused scan with its level markers stripped, the
 /// composed union as it is.
 fn assert_cube_matches_model(db: &mut TimberDb, xml: &str, query: &str, batch: usize) {
     let want = expected(xml, query);
-    let threads = db.threads();
     let fused = run(db, query, PlanMode::GroupByRewrite, batch);
     assert_eq!(fused.is_empty(), want.is_empty());
     assert!(
@@ -76,24 +73,21 @@ fn assert_cube_matches_model(db: &mut TimberDb, xml: &str, query: &str, batch: u
     assert_eq!(
         strip_level_markers(&fused),
         want,
-        "fused threads={threads} batch={batch} query: {query} on {xml}"
+        "fused batch={batch} query: {query} on {xml}"
     );
     assert_eq!(
         run(db, query, PlanMode::Direct, batch),
         want,
-        "composed threads={threads} batch={batch} query: {query} on {xml}"
+        "composed batch={batch} query: {query} on {xml}"
     );
 }
 
 #[test]
-fn cube_matches_the_model_across_threads_and_batches() {
+fn cube_matches_the_model_across_batches() {
     let mut db = TimberDb::load_xml(CUBE_DB, &StoreOptions::in_memory()).unwrap();
-    for threads in thread_matrix(&[1, 4]) {
-        db.set_threads(threads);
-        for func in FUNCS {
-            for batch in batch_matrix(&[1, 3, 16, 256]) {
-                assert_cube_matches_model(&mut db, CUBE_DB, &cube_query(func), batch);
-            }
+    for func in FUNCS {
+        for batch in batch_matrix(&[1, 3, 16, 256]) {
+            assert_cube_matches_model(&mut db, CUBE_DB, &cube_query(func), batch);
         }
     }
 }
@@ -128,7 +122,6 @@ fn cube_matches_the_model_on_random_ragged_bibliographies() {
         |g| {
             let xml = bibliography(g, Shape::Cube);
             let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-            db.set_threads(*g.pick(&thread_matrix(&[1, 4])));
             let batch = *g.pick(&batch_matrix(&[1, 16, 256]));
             for func in FUNCS {
                 assert_cube_matches_model(&mut db, &xml, &cube_query(func), batch);

@@ -1,16 +1,16 @@
 //! Differential testing of the executor against the reference model
-//! (`tests/src/model.rs`): the batched, sharded pipeline must serialize
-//! to exactly the bytes the query as written evaluates to — for every
-//! query of the E1/E2 corpus, two more nested RETURN paths and an
-//! `ORDER BY` on the returned path, in both plan modes, across thread
-//! counts and batch sizes, on the Fig. 6 database and on random dated
-//! and ragged bibliographies.
+//! (`tests/src/model.rs`): the batched pipeline must serialize to exactly
+//! the bytes the query as written evaluates to — for every query of the
+//! E1/E2 corpus, two more nested RETURN paths and an `ORDER BY` on the
+//! returned path, in both plan modes, across batch sizes, on the Fig. 6
+//! database, on a bibliography where every article has two authors, and
+//! on random dated and ragged bibliographies.
 
 use smallrand::prop::check;
 use timber::{PlanMode, TimberDb};
 use timber_integration_tests::{
-    assert_matches_model, batch_matrix, bibliography, expected, fig6_db, run, thread_matrix, Shape,
-    FIG6_DB, QUERY1, QUERY2, QUERY_COUNT,
+    assert_matches_model, batch_matrix, bibliography, expected, fig6_db, run, Shape, FIG6_DB,
+    QUERY1, QUERY2, QUERY_COUNT,
 };
 use xmlstore::StoreOptions;
 
@@ -78,15 +78,23 @@ const FIG6_DATED: &str = "<bib>\
     <article><author>John</author><title>Hack HTML</title><year>2000</year></article>\
 </bib>";
 
+/// Three two-author articles, every author sharing an article with each
+/// of the others: Fig. 3's non-partitioning semantics put each article
+/// in both of its authors' groups.
+const TWO_AUTHORS_EACH: &str = "<bib>\
+    <article><author>Jack</author><author>John</author><title>T1</title><year>1999</year></article>\
+    <article><author>Jill</author><author>Jack</author><title>T2</title><year>2000</year></article>\
+    <article><author>John</author><author>Jill</author><title>T3</title><year>2001</year></article>\
+</bib>";
+
 #[test]
 fn every_cell_equals_the_model_on_fig6() {
-    let mut db = TimberDb::load_xml(FIG6_DATED, &StoreOptions::in_memory()).unwrap();
     assert_eq!(expected(FIG6_DB, QUERY1), expected(FIG6_DATED, QUERY1));
-    for threads in thread_matrix(&[1, 2, 4]) {
-        db.set_threads(threads);
+    for (xml, what) in [(FIG6_DATED, "fig6"), (TWO_AUTHORS_EACH, "two authors each")] {
+        let mut db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
         for query in CORPUS {
             for batch in batch_matrix(&[1, 2, 3, 256]) {
-                assert_matches_model(&mut db, FIG6_DATED, query, batch, "fig6");
+                assert_matches_model(&mut db, xml, query, batch, what);
             }
         }
     }
@@ -114,7 +122,6 @@ fn every_cell_equals_the_model_on_random_bibliographies() {
             let shape = [Shape::Years, Shape::Ragged][g.usize_in(0, 1)];
             let xml = bibliography(g, shape);
             let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-            db.set_threads(*g.pick(&thread_matrix(&[1, 4])));
             let batch = *g.pick(&batch_matrix(&[1, 3, 256]));
             for query in CORPUS {
                 if shape == Shape::Ragged && query == QUERY_TITLES_BY_TITLE {

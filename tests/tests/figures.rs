@@ -74,7 +74,9 @@ fn fig3_grouping_with_descending_title_order() {
             direction: Direction::Descending,
         }],
     )
-    .unwrap();
+    .unwrap()
+    .0
+    .into_trees();
     // Fig. 3: three groups (Silberschatz, Garcia-Molina, Thompson).
     assert_eq!(groups.len(), 3);
     let g0 = groups[0].materialize(&s).unwrap();

@@ -15,7 +15,7 @@ use tax::tree::TreeNodeId;
 use tax::Tree;
 use timber::{PlanMode, QueryResult, TimberDb, TimberError};
 use timber_integration_tests::{
-    batch_matrix, expected, fig6_db, thread_matrix, FIG6_DB, QUERY1, QUERY2, QUERY_COUNT,
+    batch_matrix, expected, fig6_db, FIG6_DB, QUERY1, QUERY2, QUERY_COUNT,
 };
 use xmlparse::serialize::element_to_string;
 use xmlparse::{parse_document, Element, XmlNode};
@@ -41,17 +41,13 @@ fn dom_route(r: &QueryResult, store: &DocumentStore) -> String {
 fn assert_corpus_parity(db: &mut TimberDb, xml: &str, what: &str) {
     for query in CORPUS {
         let want = expected(xml, query);
-        for threads in thread_matrix(&[1, 4]) {
-            db.set_threads(threads);
-            for batch in batch_matrix(&[3, 256]) {
-                db.set_batch_size(batch);
-                for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-                    let r = db.query(query, mode).unwrap();
-                    let label =
-                        format!("{what} threads={threads} batch={batch} {mode:?} query: {query}");
-                    assert_eq!(r.to_xml_on(db.store()).unwrap(), want, "streamed: {label}");
-                    assert_eq!(dom_route(&r, db.store()), want, "DOM route: {label}");
-                }
+        for batch in batch_matrix(&[3, 256]) {
+            db.set_batch_size(batch);
+            for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
+                let r = db.query(query, mode).unwrap();
+                let label = format!("{what} batch={batch} {mode:?} query: {query}");
+                assert_eq!(r.to_xml_on(db.store()).unwrap(), want, "streamed: {label}");
+                assert_eq!(dom_route(&r, db.store()), want, "DOM route: {label}");
             }
         }
     }
@@ -569,19 +565,12 @@ fn many_distinct_names_and_values_stream_like_their_oracle() {
     assert_eq!(expected(&small, QUERY_SUM), want);
 
     let (xml, want) = distinct_sums(10_000);
-    let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+    let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
     assert!(db.explain(QUERY_SUM).unwrap().contains("Rollup Sum"));
-    for threads in thread_matrix(&[1, 4]) {
-        db.set_threads(threads);
-        let r = db.query(QUERY_SUM, PlanMode::GroupByRewrite).unwrap();
-        assert_eq!(r.len(), 10_000);
-        assert_eq!(r.to_xml_on(db.store()).unwrap(), want, "threads={threads}");
-        assert_eq!(
-            dom_route(&r, db.store()),
-            want,
-            "DOM route, threads={threads}"
-        );
-    }
+    let r = db.query(QUERY_SUM, PlanMode::GroupByRewrite).unwrap();
+    assert_eq!(r.len(), 10_000);
+    assert_eq!(r.to_xml_on(db.store()).unwrap(), want);
+    assert_eq!(dom_route(&r, db.store()), want, "DOM route");
 
     // 70 stored and 70 constructed names in one tree.
     let (store, tree, dom) = wide_tree(70);

@@ -12,8 +12,8 @@ use tax::pattern::{Axis, PatternTree, Pred};
 use tax::tags;
 use timber::{OutKind, PlanMetrics, PlanMode, TimberDb};
 use timber_integration_tests::{
-    assert_matches_model, batch_matrix, bibliography, expected, run, thread_matrix, Shape, QUERY1,
-    QUERY2, QUERY_COUNT,
+    assert_matches_model, batch_matrix, bibliography, expected, run, Shape, QUERY1, QUERY2,
+    QUERY_COUNT,
 };
 use xmlstore::StoreOptions;
 use xquery::Plan;
@@ -115,25 +115,22 @@ fn repeated_stored_rows_group_like_a_document_that_repeats_the_articles() {
                 format!("<bib>{twice}</bib>"),
             ),
         ];
-        let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-        for threads in thread_matrix(&[1, 4]) {
-            db.set_threads(threads);
-            for (leaf, repeated) in &cases {
-                let (plan, _) = db.compile(QUERY_COUNT, PlanMode::GroupByRewrite).unwrap();
-                let result = db.run_plan(&with_leaf(&plan, leaf.clone()), true).unwrap();
-                assert_eq!(
-                    result.to_xml_on(db.store()).unwrap(),
-                    expected(repeated, QUERY_COUNT),
-                    "threads={threads} {leaf:?} on {xml}"
-                );
-                // The rows reached the sink as stored rows.
-                let mut m = result.metrics.as_ref().unwrap();
-                while m.shards.is_none() {
-                    m = &m.children[0];
-                }
-                let fed = m.children[0].out_kind;
-                assert!(fed.is_none() || fed == Some(OutKind::Stored), "{fed:?}");
+        let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+        for (leaf, repeated) in &cases {
+            let (plan, _) = db.compile(QUERY_COUNT, PlanMode::GroupByRewrite).unwrap();
+            let result = db.run_plan(&with_leaf(&plan, leaf.clone()), true).unwrap();
+            assert_eq!(
+                result.to_xml_on(db.store()).unwrap(),
+                expected(repeated, QUERY_COUNT),
+                "{leaf:?} on {xml}"
+            );
+            // The rows reached the sink as stored rows.
+            let mut m = result.metrics.as_ref().unwrap();
+            while m.shards.is_none() {
+                m = &m.children[0];
             }
+            let fed = m.children[0].out_kind;
+            assert!(fed.is_none() || fed == Some(OutKind::Stored), "{fed:?}");
         }
     });
 }
@@ -342,32 +339,26 @@ fn the_group_projection_equals_the_model_on_random_bibliographies() {
                 ),
                 with_leaf(&plan, tree_leaf()),
             ];
-            for threads in thread_matrix(&[1, 4]) {
-                db.set_threads(threads);
-                for batch in batch_matrix(&[16, 256]) {
-                    for query in &queries {
-                        let want = expected(&xml, query);
-                        let cell = format!("threads={threads} batch={batch} {query} on {xml}");
-                        assert_eq!(run(&mut db, query, PlanMode::Direct, batch), want, "{cell}");
-                        let got = run(&mut db, query, PlanMode::GroupByRewrite, batch);
-                        match query.contains("ORDER BY $b/title") {
-                            true => assert_eq!(rows(&got), rows(&grouped(&want)), "{cell}"),
-                            false => assert_eq!(got, grouped(&want), "{cell}"),
-                        }
+            for batch in batch_matrix(&[16, 256]) {
+                for query in &queries {
+                    let want = expected(&xml, query);
+                    let cell = format!("batch={batch} {query} on {xml}");
+                    assert_eq!(run(&mut db, query, PlanMode::Direct, batch), want, "{cell}");
+                    let got = run(&mut db, query, PlanMode::GroupByRewrite, batch);
+                    match query.contains("ORDER BY $b/title") {
+                        true => assert_eq!(rows(&got), rows(&grouped(&want)), "{cell}"),
+                        false => assert_eq!(got, grouped(&want), "{cell}"),
                     }
-                    let want = grouped(&expected(&xml, &titles));
-                    for plan in &hand_built {
-                        let r = db.run_plan(plan, true).unwrap();
-                        let got = r.to_xml_on(db.store()).unwrap();
-                        assert_eq!(
-                            got, want,
-                            "threads={threads} batch={batch} {plan:?} on {xml}"
-                        );
-                    }
-                    let r = db.query(&titles, PlanMode::GroupByRewrite).unwrap();
-                    let out = groupby_out(r.metrics.as_ref().unwrap());
-                    assert!(matches!(out, None | Some(OutKind::Groups)), "{out:?}");
                 }
+                let want = grouped(&expected(&xml, &titles));
+                for plan in &hand_built {
+                    let r = db.run_plan(plan, true).unwrap();
+                    let got = r.to_xml_on(db.store()).unwrap();
+                    assert_eq!(got, want, "batch={batch} {plan:?} on {xml}");
+                }
+                let r = db.query(&titles, PlanMode::GroupByRewrite).unwrap();
+                let out = groupby_out(r.metrics.as_ref().unwrap());
+                assert!(matches!(out, None | Some(OutKind::Groups)), "{out:?}");
             }
         },
     );

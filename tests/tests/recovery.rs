@@ -8,9 +8,9 @@
 //! Reopen the page file, let recovery replay the log, and assert the
 //! store holds exactly the documents whose commit records reached the
 //! log. "Exactly" is checked the strong way: the paper's full grouping
-//! query suite (Q1, Q2, Q-count under both plans, across the thread
-//! matrix) runs against the recovered store and is byte-diffed against
-//! a never-crashed oracle built from the same committed operations.
+//! query suite (Q1, Q2, Q-count under both plans) runs against the
+//! recovered store and is byte-diffed against a never-crashed oracle
+//! built from the same committed operations.
 //!
 //! Recovery itself must be idempotent: replaying the crashed log twice
 //! over the crashed page file leaves the same bytes as replaying once.
@@ -18,7 +18,7 @@
 use datagen::{DblpConfig, DblpGenerator};
 use smallrand::{RngExt, SeedableRng, StdRng};
 use timber::{PlanMode, TimberDb, TimberError};
-use timber_integration_tests::{thread_matrix, QUERY1, QUERY2, QUERY_COUNT};
+use timber_integration_tests::{QUERY1, QUERY2, QUERY_COUNT};
 use xmlstore::storage::DiskManager;
 use xmlstore::{wal, wal_path_for, FaultConfig, StoreError, StoreOptions};
 
@@ -136,15 +136,12 @@ fn run_script(db: &mut TimberDb) -> Vec<String> {
 }
 
 /// The query suite both stores answer: Q1/Q2/Q-count under both plans.
-fn suite(db: &mut TimberDb) -> Vec<String> {
+fn suite(db: &TimberDb) -> Vec<String> {
     let mut out = Vec::new();
-    for threads in thread_matrix(&[1, 4]) {
-        db.set_threads(threads);
-        for q in [QUERY1, QUERY2, QUERY_COUNT] {
-            for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-                let r = db.query(q, mode).unwrap();
-                out.push(r.to_xml_on(db.store()).unwrap());
-            }
+    for q in [QUERY1, QUERY2, QUERY_COUNT] {
+        for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
+            let r = db.query(q, mode).unwrap();
+            out.push(r.to_xml_on(db.store()).unwrap());
         }
     }
     out
@@ -213,7 +210,7 @@ fn crash_recover_verify(seed: u64, crash_at: u64) {
     let _ = std::fs::remove_file(&once_p);
 
     // Recovery: exactly the committed documents survive.
-    let mut recovered = TimberDb::open(&opts).unwrap();
+    let recovered = TimberDb::open(&opts).unwrap();
     let info = recovered.recovery_info().unwrap();
     assert_eq!(
         recovered.documents().len(),
@@ -221,7 +218,7 @@ fn crash_recover_verify(seed: u64, crash_at: u64) {
         "{label}: recovered {info:?}, expected docs {:?}",
         alive.iter().map(String::len).collect::<Vec<_>>(),
     );
-    let mut reference = oracle(&alive);
+    let reference = oracle(&alive);
     assert_eq!(
         recovered
             .documents()
@@ -236,8 +233,8 @@ fn crash_recover_verify(seed: u64, crash_at: u64) {
         "{label}: node counts per document diverge"
     );
     assert_eq!(
-        suite(&mut recovered),
-        suite(&mut reference),
+        suite(&recovered),
+        suite(&reference),
         "{label}: grouping suite diverges from the never-crashed oracle"
     );
 
@@ -263,10 +260,10 @@ fn fault_free_workload_survives_reopen_byte_identically() {
     let alive = run_script(&mut db);
     assert_eq!(alive.len(), 3);
     drop(db);
-    let mut reopened = TimberDb::open(&opts).unwrap();
+    let reopened = TimberDb::open(&opts).unwrap();
     assert_eq!(reopened.recovery_info().unwrap().losers, 0);
     assert_eq!(reopened.documents().len(), 3);
-    assert_eq!(suite(&mut reopened), suite(&mut oracle(&alive)));
+    assert_eq!(suite(&reopened), suite(&oracle(&alive)));
     drop(reopened);
     let _ = std::fs::remove_file(&page);
     let _ = std::fs::remove_file(&wal_p);

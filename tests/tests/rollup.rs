@@ -2,9 +2,8 @@
 //! `PlanMode::GroupByRewrite` grouped aggregates run the streaming
 //! `Rollup` kernel, and its serialized output — like the direct plan's —
 //! must be the bytes the reference model evaluates the query to: for
-//! every aggregate function, across thread counts and batch sizes (CI
-//! sweeps `{threads 1,4} × {batch 16,256}` via `TIMBER_TEST_THREADS` /
-//! `TIMBER_TEST_BATCH`), on random multi-author bibliographies, for
+//! every aggregate function, across batch sizes (CI sweeps `{16, 256}`
+//! via `TIMBER_TEST_BATCH`), on random multi-author bibliographies, for
 //! fractional Avg/Sum values, and under seeded fault schedules
 //! (correct-or-typed-error).
 
@@ -12,8 +11,8 @@ use datagen::{DblpConfig, DblpGenerator};
 use smallrand::prop::check;
 use timber::{PlanMode, TimberDb};
 use timber_integration_tests::{
-    assert_matches_model, batch_matrix, bibliography, expected, fig6_db, thread_matrix, Shape,
-    FIG6_DB, QUERY_COUNT,
+    assert_matches_model, batch_matrix, bibliography, expected, fig6_db, Shape, FIG6_DB,
+    QUERY_COUNT,
 };
 use xmlstore::{FaultConfig, StoreOptions};
 
@@ -60,20 +59,17 @@ const YEARS_DB: &str = "<bib>\
     <article><author>John</author><title>Gamma</title><year>1984</year></article>\
 </bib>";
 
-/// Every `{threads} × {batch} × {Direct, GroupByRewrite}` cell of `query`
-/// over `xml` against the model.
+/// Every `{batch} × {Direct, GroupByRewrite}` cell of `query` over `xml`
+/// against the model.
 fn assert_matrix_matches_model(xml: &str, query: &str, what: &str) {
     let mut db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
-    for threads in thread_matrix(&[1, 4]) {
-        db.set_threads(threads);
-        for batch in batch_matrix(&[1, 16, 256]) {
-            assert_matches_model(&mut db, xml, query, batch, what);
-        }
+    for batch in batch_matrix(&[1, 16, 256]) {
+        assert_matches_model(&mut db, xml, query, batch, what);
     }
 }
 
 #[test]
-fn rollup_matches_the_model_across_threads_and_batches() {
+fn rollup_matches_the_model_across_batches() {
     for query in corpus() {
         assert_matrix_matches_model(YEARS_DB, &query, "years");
     }
@@ -104,7 +100,7 @@ fn avg_keeps_its_fraction_formatting_through_the_rollup() {
 fn fractional_values_fold_identically() {
     // Fractional years force real floating-point accumulation: the
     // running Sum/Avg folds must add in document order bit for bit, at
-    // every thread count; the non-numeric year is ignored.
+    // every batch size; the non-numeric year is ignored.
     let xml = "<bib>\
         <article><author>Jack</author><title>A</title><year>0.1</year></article>\
         <article><author>Jack</author><title>B</title><year>0.2</year></article>\
@@ -127,17 +123,14 @@ fn rollup_matches_the_model_on_random_bibliographies() {
         "rollup_matches_the_model_on_random_bibliographies",
         24,
         |g| {
-            let threads = *g.pick(&thread_matrix(&[1, 4]));
             let batch = *g.pick(&batch_matrix(&[1, 16, 256]));
             let xml = bibliography(g, Shape::Years);
             let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-            db.set_threads(threads);
             for query in corpus() {
                 assert_matches_model(&mut db, &xml, &query, batch, "years");
             }
             let xml = bibliography(g, Shape::Ragged);
             let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-            db.set_threads(threads);
             assert_matches_model(&mut db, &xml, QUERY_COUNT, batch, "ragged");
         },
     );

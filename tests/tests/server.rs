@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use timber::{PlanMode, TimberDb};
 use timber_client::{Client, ClientError, Mode};
-use timber_integration_tests::{thread_matrix, QUERY_COUNT};
+use timber_integration_tests::QUERY_COUNT;
 use timberd::{Server, ServerHandle};
 use xmlstore::{wal_path_for, FaultConfig, StoreOptions};
 
@@ -56,10 +56,9 @@ fn bib(tag: u64, n: usize, rng: &mut StdRng) -> String {
     xml
 }
 
-/// Boot an in-memory server with the CI thread matrix applied.
+/// Boot an in-memory server.
 fn boot_mem() -> (ServerHandle, SocketAddr) {
-    let mut db = TimberDb::create(&StoreOptions::in_memory()).unwrap();
-    db.set_threads(*thread_matrix(&[1]).first().unwrap_or(&1));
+    let db = TimberDb::create(&StoreOptions::in_memory()).unwrap();
     let handle = Server::bind("127.0.0.1:0", Arc::new(db))
         .unwrap()
         .spawn()

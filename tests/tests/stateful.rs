@@ -13,9 +13,7 @@
 use smallrand::prop::Gen;
 use std::path::PathBuf;
 use timber::{PlanMode, TimberDb};
-use timber_integration_tests::{
-    batch_matrix, bibliography, model, thread_matrix, Shape, QUERY1, QUERY_COUNT,
-};
+use timber_integration_tests::{batch_matrix, bibliography, model, Shape, QUERY1, QUERY_COUNT};
 use xmlstore::{wal_path_for, DocId, StoreOptions};
 
 fn seeds() -> Vec<u64> {
@@ -42,15 +40,8 @@ fn assert_serves(db: &TimberDb, docs: &[String], label: &str) {
 /// closed and opened again.
 fn run_script(seed: u64, mut db: TimberDb, reopen: Option<&StoreOptions>) {
     let mut g = Gen::new(seed);
-    // Serial unless CI's `TIMBER_TEST_THREADS` says otherwise: what varies
-    // here is the store's state, and sharded runs of tiny inputs are slow.
-    let threads = *g.pick(&thread_matrix(&[1]));
     let batch = *g.pick(&batch_matrix(&[1, 3, 256]));
-    let tune = |db: &mut TimberDb| {
-        db.set_threads(threads);
-        db.set_batch_size(batch);
-    };
-    tune(&mut db);
+    db.set_batch_size(batch);
     // The model: the live documents in insertion order, and each pinned
     // snapshot beside the list it was pinned over.
     let mut live: Vec<(DocId, String)> = Vec::new();
@@ -99,7 +90,7 @@ fn run_script(seed: u64, mut db: TimberDb, reopen: Option<&StoreOptions>) {
                     pins.clear();
                     drop(db);
                     db = TimberDb::open(opts).unwrap();
-                    tune(&mut db);
+                    db.set_batch_size(batch);
                     "reopen"
                 }
                 None => continue,

@@ -100,7 +100,8 @@ fn fig10_intermediate_group_trees() {
     // Fig. 5b: article -pc-> author; grouping basis $2.content.
     let mut gp = PatternTree::with_root(Pred::tag("article"));
     let author = gp.add_child(gp.root(), Axis::Child, Pred::tag("author"));
-    let groups = groupby(store, &arts, &gp, &[BasisItem::content(author)], &[]).unwrap();
+    let (groups, _) = groupby(store, &arts, &gp, &[BasisItem::content(author)], &[]).unwrap();
+    let groups = groups.into_trees();
 
     // Fig. 10: three groups — Jack (2 articles), John (2), Jill (1).
     assert_eq!(groups.len(), 3);
