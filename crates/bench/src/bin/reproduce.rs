@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! reproduce [e1] [e2] [scale] [pool] [matching] [groupby-impl] [value-index]
-//!           [rollup] [cube] [faults] [recovery] [wal-overhead]
-//!           [bench-smoke] [all]
-//!           [--articles N] [--mem] [--faults SPEC] [--analyze] [--json PATH]
+//!           [rollup] [cube] [faults] [recovery] [wal-overhead] [all]
+//!           [--articles N] [--mem] [--faults SPEC] [--analyze]
 //! ```
 //!
 //! `--analyze` additionally prints an `EXPLAIN ANALYZE` report for the
@@ -48,31 +47,14 @@
 //! file sync, one group log flush), so the overhead is two fdatasyncs
 //! plus the page-file flush — fixed costs that dominate tiny loads and
 //! amortize below the 10 % target at bulk scale.
-//!
-//! `bench-smoke` is the CI fast-path gate (never part of `all`): it
-//! times the tier-1 workload — E1/E2 under both plans — best-of-five,
-//! normalizes by a CPU
-//! calibration loop, writes the report to `--json PATH`, and exits
-//! nonzero when a fast path stops beating the reference twin measured
-//! beside it in the same run (one-scan cube ≥ 1.5× the composed rollups,
-//! batch containment ≥ 1.3× the stack walk, symbol rollup ≥ 2× the
-//! replicated grouping) or when one of three counts — not times — is
-//! off: a commit's log bytes grow with the store (64 inserts of one
-//! document must each log the same bytes from the second on), the cold
-//! titles query on a pool of a quarter of the store reads more than 1.2×
-//! its heap pages, or the titles GROUPBY plan's `GroupBy` builds a tree
-//! (it must hand its consumer groups as columns) or serves other bytes
-//! than the direct plan. Absolute times against an
-//! earlier commit are the repo benchmark's job (`benchmark/`), not this
-//! command's.
 
 #![forbid(unsafe_code)]
 
-use timber::{OutKind, PlanMetrics, PlanMode, TimberDb};
+use timber::{PlanMode, TimberDb};
 use timber_bench::*;
 
 /// The experiments `reproduce` knows by name.
-const EXPERIMENTS: [&str; 14] = [
+const EXPERIMENTS: [&str; 13] = [
     "e1",
     "e2",
     "scale",
@@ -85,7 +67,6 @@ const EXPERIMENTS: [&str; 14] = [
     "faults",
     "recovery",
     "wal-overhead",
-    "bench-smoke",
     "all",
 ];
 
@@ -93,8 +74,7 @@ const EXPERIMENTS: [&str; 14] = [
 fn usage(problem: &str) -> ! {
     eprintln!("reproduce: {problem}");
     eprintln!(
-        "usage: reproduce [{}] [--articles N] [--mem] [--faults SPEC] [--analyze] \
-         [--json PATH]",
+        "usage: reproduce [{}] [--articles N] [--mem] [--faults SPEC] [--analyze]",
         EXPERIMENTS.join("|")
     );
     std::process::exit(2)
@@ -107,7 +87,6 @@ fn main() {
     let mut on_disk = true;
     let mut fault_spec: Option<String> = None;
     let mut analyze = false;
-    let mut json_path: Option<String> = None;
     let mut args = args.iter();
     let value = |args: &mut std::slice::Iter<String>, flag: &str| -> String {
         args.next()
@@ -124,7 +103,6 @@ fn main() {
             "--mem" => on_disk = false,
             "--faults" => fault_spec = Some(value(&mut args, arg)),
             "--analyze" => analyze = true,
-            "--json" => json_path = Some(value(&mut args, arg)),
             name if EXPERIMENTS.contains(&name) => experiments.push(name.to_owned()),
             other => usage(&format!("unknown experiment or option {other:?}")),
         }
@@ -138,9 +116,6 @@ fn main() {
         });
     }
     let run_all = experiments.iter().any(|e| e == "all");
-    // The CI perf gate runs only when asked for by name — `all` is the
-    // local exploratory sweep and must not pick up gating semantics.
-    let wants_smoke = experiments.iter().any(|e| e == "bench-smoke");
     let wants = |name: &str| run_all || experiments.iter().any(|e| e == name);
 
     println!("== Grouping in XML (EDBT 2002) — experiment reproduction ==");
@@ -200,15 +175,12 @@ fn main() {
     if wants("wal-overhead") {
         run_wal_overhead(articles);
     }
-    if wants_smoke && !run_bench_smoke(articles, on_disk, analyze, json_path.as_deref()) {
-        std::process::exit(1);
-    }
 }
 
 /// [`measure`] for the un-fused grouped plan — `Optimizer::materializing()`,
-/// the optimizer configuration the X13/X14 ablations and the bench-smoke
-/// ratio gates time the fused kernels against. Same protocol: cold pool,
-/// compile and serialization inside the timed window.
+/// the optimizer configuration the X13/X14 ablations time the fused
+/// kernels against. Same protocol: cold pool, compile and serialization
+/// inside the timed window.
 fn measure_unfused(db: &TimberDb, query: &str) -> RunStats {
     db.clear_buffer_pool().expect("clear pool");
     db.reset_io_stats();
@@ -227,424 +199,6 @@ fn measure_unfused(db: &TimberDb, query: &str) -> RunStats {
         output_bytes: xml.len(),
         rewritten: result.rewritten,
     }
-}
-
-/// The CI fast-path gate: tier-1 queries, best-of-five, in calibration
-/// units. Returns `false` when a same-run
-/// ratio gate or a count gate (commit log, cold output) fails (the
-/// caller exits nonzero).
-fn run_bench_smoke(articles: usize, on_disk: bool, analyze: bool, json_path: Option<&str>) -> bool {
-    println!(
-        "-- bench-smoke: same-run ratio gates ({articles} articles, best of 5, calibration-normalized) --"
-    );
-    let calibration_secs = calibrate();
-    println!("calibration quantum: {calibration_secs:.4}s");
-    let db = build_db(articles, None, on_disk);
-
-    // The count query runs in three plan flavors: `*_groupby` pins the
-    // un-fused GroupBy → Aggregate pipeline (the materializing
-    // optimizer), `*_rollup` the fused streaming kernel (GroupByRewrite
-    // fires rollup-fuse), so the report shows both paths side by side.
-    // `e2_cube*` pins the XOLAP lattice: the one-scan `Plan::Cube`
-    // against the composed per-level rollup union it replaces — both
-    // timed here so the ≥1.5× one-scan advantage is gated as a same-run
-    // ratio.
-    type Arm = fn(&TimberDb, &str) -> RunStats;
-    const DIRECT: Arm = |db, q| measure(db, q, PlanMode::Direct);
-    const GROUPBY: Arm = |db, q| measure(db, q, PlanMode::GroupByRewrite);
-    const UNFUSED: Arm = measure_unfused;
-    let workload: [(&str, &str, Arm); 7] = [
-        ("e1_titles_direct", QUERY_TITLES, DIRECT),
-        ("e1_titles_groupby", QUERY_TITLES, GROUPBY),
-        ("e2_count_direct", QUERY_COUNT, DIRECT),
-        ("e2_count_groupby", QUERY_COUNT, UNFUSED),
-        ("e2_count_rollup", QUERY_COUNT, GROUPBY),
-        ("e2_cube_composed", QUERY_CUBE, UNFUSED),
-        ("e2_cube", QUERY_CUBE, GROUPBY),
-    ];
-    let mut entries = Vec::with_capacity(workload.len());
-    for &(key, query, arm) in &workload {
-        // One discarded warmup, then best-of-5: the ratio gates compare
-        // minima, so scheduler noise (worst on small CI runners) cannot
-        // manufacture a failure.
-        arm(&db, query);
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            best = best.min(arm(&db, query).elapsed.as_secs_f64());
-        }
-        let u = units(best, calibration_secs);
-        println!("{key:<22} {best:>9.4}s = {u:>9.3} units");
-        entries.push((key.to_owned(), u));
-    }
-    // Loopback server round trip: the same fused count rollup, issued
-    // through a timberd session over the wire protocol. This gates the
-    // whole server read path — frame codec, per-request snapshot pin,
-    // grouped execution, XML serialization, TCP round trip — not just
-    // the kernel the embedded keys already cover.
-    let shared = std::sync::Arc::new(db);
-    {
-        let key = "server_query";
-        let handle = timberd::Server::bind("127.0.0.1:0", std::sync::Arc::clone(&shared))
-            .expect("bind loopback server")
-            .spawn()
-            .expect("spawn server");
-        let mut client =
-            timber_client::Client::connect(handle.local_addr()).expect("connect to timberd");
-        client
-            .query(QUERY_COUNT, timber_client::Mode::Grouped)
-            .expect("warmup server query");
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let t = std::time::Instant::now();
-            client
-                .query(QUERY_COUNT, timber_client::Mode::Grouped)
-                .expect("server query");
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        drop(client);
-        handle.shutdown();
-        let u = units(best, calibration_secs);
-        println!("{key:<22} {best:>9.4}s = {u:>9.3} units");
-        entries.push((key.to_owned(), u));
-    }
-    // shutdown() joins every server thread, so the Arc is single-owner
-    // again.
-    let Ok(db) = std::sync::Arc::try_unwrap(shared) else {
-        panic!("server threads still hold the db after shutdown")
-    };
-
-    if analyze {
-        run_analyze(&db, "bench-smoke E1 titles", QUERY_TITLES);
-    }
-
-    // X15: durable-load overhead. The same bulk insert lands in the same
-    // on-disk page file twice — once plain, once through the write-ahead
-    // log (fresh-extent commits: direct page writes, one sync, one group
-    // log flush), the plain twin measured beside it so the overhead
-    // ratio is visible without calibration.
-    let load_articles = (articles / 4).max(1_000);
-    let load_xml =
-        datagen::DblpGenerator::new(datagen::DblpConfig::sized(load_articles)).generate_xml();
-    let mut best_plain = f64::INFINITY;
-    let mut best_wal = f64::INFINITY;
-    for _ in 0..3 {
-        best_plain = best_plain.min(timed_durable_load(&load_xml, false));
-        best_wal = best_wal.min(timed_durable_load(&load_xml, true));
-    }
-    for (key, best) in [("load_plain", best_plain), ("load_wal", best_wal)] {
-        let u = units(best, calibration_secs);
-        println!("{key:<22} {best:>9.4}s = {u:>9.3} units");
-        entries.push((key.to_owned(), u));
-    }
-    // At smoke scale the fixed fsync costs dominate a millisecond-range
-    // load, so the ratio is informational only — the ≤10 % durability
-    // target is measured at bulk scale by `reproduce wal-overhead` (X15).
-    println!(
-        "wal overhead at smoke scale: {:+.1}% (fixed-cost dominated; X15 gates at bulk scale)",
-        (best_wal / best_plain - 1.0) * 100.0
-    );
-
-    // 10× scale — the symbol-path acceptance gate. The fused count
-    // rollup extracts grouping keys as dictionary symbols straight from
-    // the columnar label region; the replicated grouping kernel is the
-    // pre-refactor data path (every witness's values materialized
-    // through the buffer pool — Sec. 5.3's strawman, and what string
-    // keys forced on every fold). Both sides run here, seconds apart at
-    // 10× the smoke article count, so the ≥2× requirement gates the
-    // refactor win itself.
-    let articles_10x = articles * 10;
-    let db10 = build_db(articles_10x, None, on_disk);
-    {
-        let key = "e2_count_rollup_10x";
-        measure(&db10, QUERY_COUNT, PlanMode::GroupByRewrite);
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            best = best.min(
-                measure(&db10, QUERY_COUNT, PlanMode::GroupByRewrite)
-                    .elapsed
-                    .as_secs_f64(),
-            );
-        }
-        let u = units(best, calibration_secs);
-        println!("{key:<22} {best:>9.4}s = {u:>9.3} units");
-        entries.push((key.to_owned(), u));
-    }
-    let replicated_secs = timed_replicated_grouping(&db10);
-    {
-        let key = "e2_count_replicated_10x";
-        let u = units(replicated_secs, calibration_secs);
-        println!("{key:<22} {replicated_secs:>9.4}s = {u:>9.3} units");
-        entries.push((key.to_owned(), u));
-    }
-
-    // Vectorized kernel micro-benches at 10× scale: the chunked tag
-    // filter over the columnar tag array and the batch containment
-    // partition (article ⊃ title), each against its scalar twin
-    // measured seconds apart in this same run. The containment pair is
-    // gated below as a same-run ratio, so the vectorization win itself
-    // is an acceptance criterion — no calibration needed.
-    {
-        use tax::matching::structural::{stack_tree_join, JoinAxis};
-        use xmlstore::kernels;
-
-        let store10 = db10.store();
-        let cols10 = store10.columns();
-        let title_sym = store10.tag_id("title").map_or(u32::MAX, |t| t.0);
-        let articles_g = store10
-            .tag_id("article")
-            .map(|t| store10.nodes_with_tag(t))
-            .unwrap_or_else(|| store10.no_entries());
-        let titles_g = store10
-            .tag_id("title")
-            .map(|t| store10.nodes_with_tag(t))
-            .unwrap_or_else(|| store10.no_entries());
-        let ancestors: &[xmlstore::NodeEntry] = &articles_g;
-        let descendants: &[xmlstore::NodeEntry] = &titles_g;
-
-        let kernel_runs: [(&str, &mut dyn FnMut() -> usize); 4] = [
-            ("kernel_tag_filter", &mut || {
-                kernels::filter_eq_u32(&cols10.tag, 0, title_sym).count()
-            }),
-            ("kernel_tag_filter_scalar", &mut || {
-                kernels::scalar::filter_eq_u32(&cols10.tag, 0, title_sym).count()
-            }),
-            ("kernel_containment", &mut || {
-                kernels::containment_runs(ancestors, descendants)
-                    .iter()
-                    .map(|&(lo, hi)| (hi - lo) as usize)
-                    .sum()
-            }),
-            ("kernel_containment_scalar", &mut || {
-                stack_tree_join(ancestors, descendants, JoinAxis::AncestorDescendant).len()
-            }),
-        ];
-        for (key, f) in kernel_runs {
-            let best = timed_kernel(f);
-            let u = units(best, calibration_secs);
-            println!("{key:<22} {best:>9.6}s = {u:>9.3} units");
-            entries.push((key.to_owned(), u));
-        }
-    }
-
-    let report = BenchReport {
-        calibration_secs,
-        articles,
-        entries,
-    };
-    if let Some(path) = json_path {
-        std::fs::write(path, report.to_json()).expect("write --json report");
-        println!("report written to {path}");
-    }
-
-    // Lattice acceptance gate: the one-scan cube must stay ≥1.5× faster
-    // than running the composed per-level rollup plans. Both sides were
-    // measured seconds apart on this host, so the ratio needs no
-    // calibration — it gates the fusion win itself.
-    let mut cube_ok = true;
-    if let (Some(cube), Some(composed)) = (report.get("e2_cube"), report.get("e2_cube_composed")) {
-        let ratio = composed / cube;
-        println!("one-scan cube vs composed rollups: {ratio:.2}x (gate: >= 1.50x)");
-        if ratio < 1.5 {
-            println!(
-                "CUBE GATE FAILED: fused lattice no longer 1.5x faster than the composed plans"
-            );
-            cube_ok = false;
-        }
-    }
-
-    // Vectorization acceptance gate: the batch containment partition
-    // must stay ≥1.3× faster than the per-row stack walk on the same
-    // inputs, measured seconds apart in this run. The tag-filter ratio
-    // is reported for the record but not gated: at column sizes where
-    // both sides stream the array once, the measured gap is mostly
-    // memory bandwidth and too host-dependent to gate on.
-    let mut kernel_ok = true;
-    if let (Some(vectorized), Some(scalar)) = (
-        report.get("kernel_containment"),
-        report.get("kernel_containment_scalar"),
-    ) {
-        let ratio = scalar / vectorized;
-        println!("batch containment vs stack walk: {ratio:.2}x (gate: >= 1.30x)");
-        if ratio < 1.3 {
-            println!(
-                "KERNEL GATE FAILED: batch containment no longer 1.3x faster than the stack walk"
-            );
-            kernel_ok = false;
-        }
-    }
-    if let (Some(vectorized), Some(scalar)) = (
-        report.get("kernel_tag_filter"),
-        report.get("kernel_tag_filter_scalar"),
-    ) {
-        println!(
-            "chunked tag filter vs scalar rows: {:.2}x (informational)",
-            scalar / vectorized
-        );
-    }
-
-    // The paper's E1 comparison. Reported, not gated: both plans run the
-    // same projection and the same output writer, so a change to either
-    // moves both sides of the ratio.
-    if let (Some(direct), Some(grouped)) = (
-        report.get("e1_titles_direct"),
-        report.get("e1_titles_groupby"),
-    ) {
-        println!(
-            "E1 direct / GROUPBY: {:.2}x (paper: 1.81x; informational)",
-            direct / grouped
-        );
-    }
-
-    // Symbol-path acceptance gate: the fused rollup over dictionary
-    // symbols must beat the replicated (value-materializing) grouping
-    // by ≥2× at 10× scale, measured in this same run.
-    let mut symbols_ok = true;
-    if let (Some(fused), Some(replicated)) = (
-        report.get("e2_count_rollup_10x"),
-        report.get("e2_count_replicated_10x"),
-    ) {
-        let ratio = replicated / fused;
-        println!("symbol rollup vs replicated grouping at 10x: {ratio:.2}x (gate: >= 2.00x)");
-        if ratio < 2.0 {
-            println!(
-                "SYMBOL GATE FAILED: columnar rollup no longer 2x faster than the replicated path"
-            );
-            symbols_ok = false;
-        }
-    }
-
-    let commit_ok = commit_log_gate();
-    let cold_ok = cold_output_gate(articles, on_disk);
-    let groups_ok = groups_gate(&db);
-    cube_ok && kernel_ok && symbols_ok && commit_ok && cold_ok && groups_ok
-}
-
-/// Group-columns gate: the titles GROUPBY plan's `GroupBy` emits its
-/// groups as columns — no tree between it and the final `Project` — and
-/// the plan serves the direct plan's bytes. Counts and bytes, which
-/// repeat exactly.
-fn groups_gate(db: &TimberDb) -> bool {
-    fn groupby(m: &PlanMetrics) -> Option<&PlanMetrics> {
-        match m.op.starts_with("GroupBy") {
-            true => Some(m),
-            false => m.children.iter().find_map(groupby),
-        }
-    }
-    let analyzed = db
-        .explain_analyze(QUERY_TITLES, PlanMode::GroupByRewrite)
-        .expect("titles GROUPBY plan runs");
-    let sink = groupby(&analyzed.metrics).expect("the titles plan groups");
-    let trees = match sink.out_kind {
-        Some(OutKind::Groups) => 0,
-        _ => sink.trees_out,
-    };
-    let bytes = |r: &timber::QueryResult| r.to_xml_on(db.store()).expect("result serializes");
-    let direct = db
-        .query(QUERY_TITLES, PlanMode::Direct)
-        .expect("titles direct plan runs");
-    let same = bytes(&analyzed.result) == bytes(&direct);
-    println!(
-        "titles GroupBy: {} groups out, {trees} trees; GROUPBY bytes {} the direct plan's (gate: 0 trees, equal)",
-        sink.trees_out,
-        if same { "equal" } else { "differ from" },
-    );
-    let ok = sink.out_kind == Some(OutKind::Groups) && same;
-    if !ok {
-        println!("GROUPS GATE FAILED: GroupBy built trees or the plans' bytes differ");
-    }
-    ok
-}
-
-/// Cold output gate: `QUERY_TITLES` on an emptied pool of a quarter of
-/// the store. The grouped plan asks for no page and output population
-/// reads each heap page once per chunk, whatever order the groups put
-/// the values in, so the query's physical reads stay within 1.2× the
-/// store's heap pages. Both numbers are counts that repeat exactly.
-fn cold_output_gate(articles: usize, on_disk: bool) -> bool {
-    let xml = datagen::DblpGenerator::new(datagen::DblpConfig::sized(articles)).generate_xml();
-    let load = |pool_pages: usize| {
-        let opts = xmlstore::StoreOptions {
-            on_disk,
-            ..xmlstore::StoreOptions::default()
-        };
-        TimberDb::load_xml(&xml, &opts.with_pool_pages(pool_pages)).expect("load cold-gate store")
-    };
-    let total = load(1).store().total_pages();
-    let db = load(total as usize / 4);
-    let heap_pages = u64::from(db.store().heap_pages());
-    let cold = measure(&db, QUERY_TITLES, PlanMode::GroupByRewrite);
-    let reads = cold.io.disk.reads;
-    println!(
-        "cold titles on a pool of {} of {total} pages: {reads} disk reads for {heap_pages} heap pages (gate: <= 1.2x)",
-        total / 4
-    );
-    let ok = reads * 5 <= heap_pages * 6;
-    if !ok {
-        println!("COLD OUTPUT GATE FAILED: output population reads heap pages more than once");
-    }
-    ok
-}
-
-/// O(delta) commit gate: insert one 100-article document 64 times into
-/// a durable in-memory store. Every insert lands on fresh pages, so its
-/// log records are `Begin` + `Commit{delta}` with no page images; from
-/// the second commit on the document's names are durable, and the bytes
-/// a commit logs must stay equal — and small — while the store grows
-/// 64-fold. The count repeats exactly and is gated; the wall times
-/// beside it are this host's and only printed.
-fn commit_log_gate() -> bool {
-    const COMMITS: usize = 64;
-    const MAX_DELTA_BYTES: u64 = 4096;
-    let xml = datagen::DblpGenerator::new(datagen::DblpConfig::sized(100)).generate_xml();
-    let opts = xmlstore::StoreOptions::in_memory().with_durable();
-    let db = TimberDb::create(&opts).expect("create commit-gate store");
-    let logged = |db: &TimberDb| db.wal_stats().expect("durable store").appended_bytes;
-    let (mut bytes, mut ms) = (Vec::new(), Vec::new());
-    for _ in 0..COMMITS {
-        let before = logged(&db);
-        let t0 = std::time::Instant::now();
-        db.insert_xml(&xml).expect("commit-gate insert");
-        ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        bytes.push(logged(&db) - before);
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    println!(
-        "commit first8 / last8: {:.2} / {:.2} ms (informational)",
-        mean(&ms[..8]),
-        mean(&ms[COMMITS - 8..])
-    );
-    let steady = bytes[1];
-    println!(
-        "commit log bytes: {} then {steady} per commit (gate: commits 2..{COMMITS} equal and <= {MAX_DELTA_BYTES})",
-        bytes[0]
-    );
-    let ok = steady <= MAX_DELTA_BYTES && bytes[1..].iter().all(|&b| b == steady);
-    if !ok {
-        println!("COMMIT LOG GATE FAILED: log bytes per commit grow with the store: {bytes:?}");
-    }
-    ok
-}
-
-/// Best-of-three per-call seconds for a kernel micro-bench. A single
-/// kernel call is microseconds, far below timer noise, so one warmup
-/// call sizes an inner loop that keeps each timed block around 50 ms;
-/// the result the kernel computes is fed through `black_box` so the
-/// optimizer cannot delete the loop.
-fn timed_kernel(f: &mut dyn FnMut() -> usize) -> f64 {
-    let t0 = std::time::Instant::now();
-    let mut sink = f();
-    let once = t0.elapsed().as_secs_f64().max(1e-9);
-    let iters = (0.05 / once).ceil().max(1.0) as usize;
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = std::time::Instant::now();
-        for _ in 0..iters {
-            sink = sink.wrapping_add(f());
-        }
-        best = best.min(t0.elapsed().as_secs_f64() / iters as f64);
-    }
-    std::hint::black_box(sink);
-    best
 }
 
 /// X15: the price of durability on bulk load. The same synthetic DBLP
@@ -1103,42 +657,6 @@ fn run_cube(articles: usize, on_disk: bool) {
         ct / ft,
     );
     println!("(all prefix levels share one scan and one accumulator pass; see DESIGN.md)\n");
-}
-
-/// Time the pre-refactor grouping data path at the given database's
-/// scale: `groupby_replicated` materializes every witness's grouping
-/// values (and member subtrees) through the buffer pool, which is what
-/// string keys forced on the grouping kernel before values were
-/// dictionary-interned. The select+project input build is untimed and
-/// shared in shape with the fused plan's scan, so the timing isolates
-/// the grouping work the symbol path replaces. Best-of-three seconds,
-/// cold buffer pool each run — the same protocol `measure` uses.
-fn timed_replicated_grouping(db: &TimberDb) -> f64 {
-    use tax::ops::groupby::{groupby_replicated, BasisItem};
-    use tax::ops::project::ProjectItem;
-    use tax::ops::{project, select_db};
-    use tax::pattern::{Axis, PatternTree, Pred};
-
-    let store = db.store();
-    let mut sp = PatternTree::with_root(Pred::tag("doc_root"));
-    let art = sp.add_child(sp.root(), Axis::Descendant, Pred::tag("article"));
-    let sel = select_db(store, &sp, &[art]).unwrap();
-    let input = project(store, &sel, &sp, &[ProjectItem::deep(art)], true).unwrap();
-
-    let mut gp = PatternTree::with_root(Pred::tag("article"));
-    let author = gp.add_child(gp.root(), Axis::Child, Pred::tag("author"));
-    let basis = [BasisItem::content(author)];
-
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        db.clear_buffer_pool().unwrap();
-        db.reset_io_stats();
-        let t0 = std::time::Instant::now();
-        let groups = groupby_replicated(store, &input, &gp, &basis, &[]).unwrap();
-        best = best.min(t0.elapsed().as_secs_f64());
-        assert!(!groups.is_empty(), "replicated grouping produced no groups");
-    }
-    best
 }
 
 fn run_groupby_impl() {

@@ -123,81 +123,6 @@ pub fn try_measure(db: &TimberDb, query: &str, mode: PlanMode) -> timber::Result
     })
 }
 
-/// Wall-clock seconds of a fixed CPU-bound xorshift workload (best of
-/// three runs).
-///
-/// Raw wall times from different CI runners cannot be read side by
-/// side. Every [`BenchReport`] therefore stores times in *calibration
-/// units*: measured seconds divided by this quantum, which scales with
-/// the host's single-core speed. The workload is pure register
-/// arithmetic, so the units transfer across CPUs of the same rough
-/// generation well enough to compare uploaded reports by eye.
-pub fn calibrate() -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = std::time::Instant::now();
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut acc = 0u64;
-        for _ in 0..20_000_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            acc = acc.wrapping_add(x);
-        }
-        std::hint::black_box(acc);
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Convert measured wall-clock `seconds` into calibration units for the
-/// quantum measured on the same host in the same run.
-///
-/// A host that is uniformly 2× slower doubles both the numerator (the
-/// measured query seconds) and the denominator (its own freshly
-/// measured [`calibrate`] quantum), so the units are unchanged. Only a
-/// genuine slowdown of the *workload relative to the host* moves the
-/// number.
-pub fn units(seconds: f64, calibration_secs: f64) -> f64 {
-    seconds / calibration_secs.max(1e-12)
-}
-
-/// A machine-portable benchmark report: named measurements in
-/// calibration units (see [`calibrate`]), plus the calibration quantum
-/// and database size that produced them. Serialized as JSON by hand —
-/// the workspace is offline and carries no serde.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchReport {
-    /// Seconds of the calibration quantum on the measuring host.
-    pub calibration_secs: f64,
-    /// Synthetic-DBLP size the workload ran against.
-    pub articles: usize,
-    /// `(key, calibration units)` per benchmark, in run order.
-    pub entries: Vec<(String, f64)>,
-}
-
-impl BenchReport {
-    /// The measurement for `key`, if present.
-    pub fn get(&self, key: &str) -> Option<f64> {
-        self.entries.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
-    }
-
-    /// Render as JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"calibration_secs\": {:.6},\n  \"articles\": {},\n  \"entries\": {{\n",
-            self.calibration_secs, self.articles
-        ));
-        for (i, (k, v)) in self.entries.iter().enumerate() {
-            let comma = if i + 1 < self.entries.len() { "," } else { "" };
-            out.push_str(&format!("    \"{k}\": {v:.6}{comma}\n"));
-        }
-        out.push_str("  }\n}\n");
-        out
-    }
-}
-
 /// Direct-over-groupby slowdown factor.
 pub fn speedup(direct: &RunStats, grouped: &RunStats) -> f64 {
     direct.elapsed.as_secs_f64() / grouped.elapsed.as_secs_f64().max(1e-9)
@@ -258,32 +183,6 @@ mod tests {
         assert!(try_measure(&db, QUERY_COUNT, PlanMode::GroupByRewrite).is_err());
         db.set_faults(None).unwrap();
         assert!(try_measure(&db, QUERY_COUNT, PlanMode::GroupByRewrite).is_ok());
-    }
-
-    #[test]
-    fn bench_report_renders_json_in_units() {
-        let r = BenchReport {
-            calibration_secs: 0.04,
-            articles: 1500,
-            // A host uniformly 2× slower measures the same units.
-            entries: vec![
-                ("e2_count_groupby".into(), units(0.48, 0.04)),
-                ("same_on_slower_host".into(), units(0.96, 0.08)),
-            ],
-        };
-        assert_eq!(r.get("e2_count_groupby"), r.get("same_on_slower_host"));
-        assert_eq!(r.get("absent"), None);
-        assert_eq!(
-            r.to_json(),
-            "{\n  \"calibration_secs\": 0.040000,\n  \"articles\": 1500,\n  \"entries\": {\n    \
-             \"e2_count_groupby\": 12.000000,\n    \"same_on_slower_host\": 12.000000\n  }\n}\n"
-        );
-    }
-
-    #[test]
-    fn calibration_is_positive_and_stable() {
-        let a = calibrate();
-        assert!(a > 0.0);
     }
 
     #[test]

@@ -1,20 +1,14 @@
 //! Structural (containment) joins over index entry lists.
 //!
 //! Both inputs are sorted by `start`, which the tag index guarantees.
-//! Two algorithms are provided:
-//!
-//! * [`contained_in`] — range expansion: binary-search the descendant
-//!   list for one ancestor's interval. Used by the pattern matcher, where
-//!   the ancestor side arrives one binding at a time.
-//! * [`stack_tree_join`] — the single-pass stack-based
-//!   ancestor-descendant join of Al-Khalifa et al. (ICDE 2002), the
-//!   algorithm the paper cites for TIMBER ("efficient single-pass
-//!   containment join algorithms whose asymptotic cost is optimal").
-//!   Used when both sides are full candidate lists, and benchmarked
-//!   against the naive nested-loop join (ablation X3).
+//! The pattern matcher joins whole candidate lists with the merge kernel
+//! [`xmlstore::kernels::containment_runs`]; [`contained_in`] is its
+//! one-scope form, binary-searching the descendant list for one
+//! ancestor's interval. [`nested_loop_join`] is the `O(|A| · |D|)`
+//! oracle both are checked against.
 
 use std::ops::Range;
-use xmlstore::{NodeColumns, NodeEntry, NodeId};
+use xmlstore::{NodeColumns, NodeEntry};
 
 /// All entries of `list` strictly contained in `scope`
 /// (`scope.start < e.start && e.end < scope.end`). `list` must be sorted
@@ -26,70 +20,13 @@ pub fn contained_in<'a>(list: &'a [NodeEntry], scope: &NodeEntry) -> &'a [NodeEn
     &list[lo..hi]
 }
 
-/// Which axis a [`stack_tree_join`] enforces.
+/// Which axis a [`nested_loop_join`] enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinAxis {
     /// Ancestor-descendant.
     AncestorDescendant,
     /// Parent-child (`level` difference of exactly 1).
     ParentChild,
-}
-
-/// Single-pass stack-based structural join (Stack-Tree-Desc).
-///
-/// Returns `(ancestor, descendant)` pairs, ordered by descendant. Both
-/// inputs must be sorted by `start`. Runs in
-/// `O(|ancestors| + |descendants| + |output|)`.
-pub fn stack_tree_join(
-    ancestors: &[NodeEntry],
-    descendants: &[NodeEntry],
-    axis: JoinAxis,
-) -> Vec<(NodeEntry, NodeEntry)> {
-    let mut out = Vec::new();
-    let mut stack: Vec<NodeEntry> = Vec::new();
-    let mut ai = 0;
-
-    for d in descendants {
-        // Pop ancestors that end before this descendant begins.
-        while let Some(top) = stack.last() {
-            if top.end < d.start {
-                stack.pop();
-            } else {
-                break;
-            }
-        }
-        // Push ancestors that start before this descendant.
-        while ai < ancestors.len() && ancestors[ai].start < d.start {
-            let a = ancestors[ai];
-            ai += 1;
-            // Maintain the nesting invariant on the stack.
-            while let Some(top) = stack.last() {
-                if top.end < a.start {
-                    stack.pop();
-                } else {
-                    break;
-                }
-            }
-            if a.end > d.start {
-                // Only keep ancestors whose interval is still open.
-                stack.push(a);
-            }
-        }
-        // Every stack entry containing d joins with it.
-        for a in stack.iter() {
-            if a.start < d.start && d.end < a.end {
-                match axis {
-                    JoinAxis::AncestorDescendant => out.push((*a, *d)),
-                    JoinAxis::ParentChild => {
-                        if d.level == a.level + 1 {
-                            out.push((*a, *d));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
 }
 
 /// The dense id range of the columnar label region covered by `scope`
@@ -106,64 +43,9 @@ pub fn scoped_ids(cols: &NodeColumns, scope: Option<&NodeEntry>) -> Range<u32> {
     }
 }
 
-/// [`stack_tree_join`] run directly over the columnar label region: both
-/// sides are id lists (ascending ids ⇔ ascending `start`), and labels are
-/// read from the dense parallel arrays instead of materialized
-/// [`NodeEntry`] values. Returns `(ancestor, descendant)` id pairs,
-/// ordered by descendant.
-pub fn stack_tree_join_cols(
-    cols: &NodeColumns,
-    ancestors: &[NodeId],
-    descendants: &[NodeId],
-    axis: JoinAxis,
-) -> Vec<(NodeId, NodeId)> {
-    let mut out = Vec::new();
-    let mut stack: Vec<u32> = Vec::new();
-    let mut ai = 0;
-
-    for &d in descendants {
-        let di = d.0 as usize;
-        let (d_start, d_end, d_level) = (cols.start[di], cols.end[di], cols.level[di]);
-        while let Some(&top) = stack.last() {
-            if cols.end[top as usize] < d_start {
-                stack.pop();
-            } else {
-                break;
-            }
-        }
-        while ai < ancestors.len() && cols.start[ancestors[ai].0 as usize] < d_start {
-            let a = ancestors[ai].0;
-            ai += 1;
-            while let Some(&top) = stack.last() {
-                if cols.end[top as usize] < cols.start[a as usize] {
-                    stack.pop();
-                } else {
-                    break;
-                }
-            }
-            if cols.end[a as usize] > d_start {
-                stack.push(a);
-            }
-        }
-        for &a in stack.iter() {
-            let aj = a as usize;
-            if cols.start[aj] < d_start && d_end < cols.end[aj] {
-                match axis {
-                    JoinAxis::AncestorDescendant => out.push((NodeId(a), d)),
-                    JoinAxis::ParentChild => {
-                        if d_level == cols.level[aj] + 1 {
-                            out.push((NodeId(a), d));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Nested-loop containment join: the `O(|A| · |D|)` baseline used only to
-/// cross-check and benchmark [`stack_tree_join`].
+/// Nested-loop containment join: the `O(|A| · |D|)` oracle the
+/// containment kernels are cross-checked against. Returns
+/// `(ancestor, descendant)` pairs, ordered by descendant.
 pub fn nested_loop_join(
     ancestors: &[NodeEntry],
     descendants: &[NodeEntry],
@@ -213,9 +95,6 @@ mod tests {
     fn ancestors() -> Vec<NodeEntry> {
         vec![e(0, 0, 19, 1), e(6, 20, 29, 1)]
     }
-    fn mids() -> Vec<NodeEntry> {
-        vec![e(1, 1, 8, 2), e(4, 9, 18, 2)]
-    }
     fn leaves() -> Vec<NodeEntry> {
         vec![
             e(2, 2, 3, 3),
@@ -261,49 +140,28 @@ mod tests {
     }
 
     #[test]
-    fn stack_tree_ad_matches_nested_loop() {
-        let a = ancestors();
-        let d = leaves();
-        let mut fast = stack_tree_join(&a, &d, JoinAxis::AncestorDescendant);
-        let mut slow = nested_loop_join(&a, &d, JoinAxis::AncestorDescendant);
-        let key = |p: &(NodeEntry, NodeEntry)| (p.0.id.0, p.1.id.0);
-        fast.sort_by_key(key);
-        slow.sort_by_key(key);
-        assert_eq!(fast, slow);
-        assert_eq!(fast.len(), 4);
-    }
-
-    #[test]
-    fn stack_tree_pc_level_filter() {
-        let a = mids();
-        let d = leaves();
-        let pairs = stack_tree_join(&a, &d, JoinAxis::ParentChild);
-        assert_eq!(pairs.len(), 3); // c2,c3 under b1; c5 under b4; c7 has no mid parent
-        let ad = stack_tree_join(&ancestors(), &leaves(), JoinAxis::ParentChild);
-        assert_eq!(ad.len(), 1); // only c7 is a direct child of a6
-    }
-
-    #[test]
     fn nested_ancestor_lists() {
         // Ancestor list containing nested intervals (a0 and b1 both
-        // ancestors of c2): both must pair.
+        // ancestors of c2): both must pair, and only b1 as its parent.
         let a = vec![e(0, 0, 19, 1), e(1, 1, 8, 2)];
         let d = vec![e(2, 2, 3, 3)];
-        let pairs = stack_tree_join(&a, &d, JoinAxis::AncestorDescendant);
+        let pairs = nested_loop_join(&a, &d, JoinAxis::AncestorDescendant);
         assert_eq!(pairs.len(), 2);
+        let pc = nested_loop_join(&a, &d, JoinAxis::ParentChild);
+        assert_eq!(pc, vec![(a[1], d[0])]);
     }
 
     #[test]
     fn empty_inputs() {
-        assert!(stack_tree_join(&[], &leaves(), JoinAxis::AncestorDescendant).is_empty());
-        assert!(stack_tree_join(&ancestors(), &[], JoinAxis::AncestorDescendant).is_empty());
+        assert!(nested_loop_join(&[], &leaves(), JoinAxis::AncestorDescendant).is_empty());
+        assert!(nested_loop_join(&ancestors(), &[], JoinAxis::AncestorDescendant).is_empty());
     }
 
     #[test]
     fn disjoint_ranges_do_not_join() {
         let a = vec![e(0, 0, 5, 1)];
         let d = vec![e(1, 6, 7, 2)];
-        assert!(stack_tree_join(&a, &d, JoinAxis::AncestorDescendant).is_empty());
+        assert!(nested_loop_join(&a, &d, JoinAxis::AncestorDescendant).is_empty());
     }
 
     /// The test forest as a columnar label region, under a spanning root:
@@ -340,33 +198,6 @@ mod tests {
         assert_eq!(scoped_ids(&cols, Some(&cols.entry(NodeId(1)))), 1..7);
         // A leaf scopes to itself.
         assert_eq!(scoped_ids(&cols, Some(&cols.entry(NodeId(3)))), 3..4);
-    }
-
-    #[test]
-    fn columnar_join_matches_entry_join() {
-        let cols = columns();
-        let anc_ids = [NodeId(1), NodeId(7)];
-        let desc_ids = [NodeId(3), NodeId(4), NodeId(6), NodeId(8)];
-        let anc: Vec<NodeEntry> = anc_ids.iter().map(|&i| cols.entry(i)).collect();
-        let desc: Vec<NodeEntry> = desc_ids.iter().map(|&i| cols.entry(i)).collect();
-        for axis in [JoinAxis::AncestorDescendant, JoinAxis::ParentChild] {
-            let by_cols = stack_tree_join_cols(&cols, &anc_ids, &desc_ids, axis);
-            let by_entries: Vec<(NodeId, NodeId)> = stack_tree_join(&anc, &desc, axis)
-                .into_iter()
-                .map(|(a, d)| (a.id, d.id))
-                .collect();
-            assert_eq!(by_cols, by_entries);
-        }
-        let ad = stack_tree_join_cols(&cols, &anc_ids, &desc_ids, JoinAxis::AncestorDescendant);
-        assert_eq!(
-            ad,
-            vec![
-                (NodeId(1), NodeId(3)),
-                (NodeId(1), NodeId(4)),
-                (NodeId(1), NodeId(6)),
-                (NodeId(7), NodeId(8)),
-            ]
-        );
     }
 }
 
@@ -418,72 +249,6 @@ mod proptests {
 
     fn random_depth_seed(g: &mut Gen) -> Vec<u8> {
         g.vec(0, 119, |g| g.usize_in(0, 255) as u8)
-    }
-
-    #[test]
-    fn stack_tree_equals_nested_loop() {
-        check("stack_tree_equals_nested_loop", 256, |g| {
-            let forest = random_forest(random_depth_seed(g));
-            let mask = g.rng().next_u64();
-            let mut ancestors = Vec::new();
-            let mut descendants = Vec::new();
-            for (i, e) in forest.iter().enumerate() {
-                if (mask >> (i % 64)) & 1 == 0 {
-                    ancestors.push(*e);
-                } else {
-                    descendants.push(*e);
-                }
-            }
-            for axis in [JoinAxis::AncestorDescendant, JoinAxis::ParentChild] {
-                let mut fast = stack_tree_join(&ancestors, &descendants, axis);
-                let mut slow = nested_loop_join(&ancestors, &descendants, axis);
-                let key = |p: &(NodeEntry, NodeEntry)| (p.0.id.0, p.1.id.0);
-                fast.sort_by_key(key);
-                slow.sort_by_key(key);
-                assert_eq!(fast, slow);
-            }
-        });
-    }
-
-    #[test]
-    fn columnar_join_equals_entry_join_on_random_forests() {
-        use xmlstore::{NodeColumns, NodeKind, NO_SYM};
-        check(
-            "columnar_join_equals_entry_join_on_random_forests",
-            128,
-            |g| {
-                let forest = random_forest(random_depth_seed(g));
-                // Ids are preorder ordinals, so start order == id order and
-                // row i of the columnar region is node id i.
-                let mut cols = NodeColumns::with_capacity(forest.len());
-                for (i, e) in forest.iter().enumerate() {
-                    assert_eq!(e.id.0 as usize, i);
-                    cols.push(e.start, e.end, e.level, 0, NodeKind::Element, NO_SYM);
-                }
-                let mask = g.rng().next_u64();
-                let mut anc = Vec::new();
-                let mut anc_ids = Vec::new();
-                let mut desc = Vec::new();
-                let mut desc_ids = Vec::new();
-                for (i, e) in forest.iter().enumerate() {
-                    if (mask >> (i % 64)) & 1 == 0 {
-                        anc.push(*e);
-                        anc_ids.push(e.id);
-                    } else {
-                        desc.push(*e);
-                        desc_ids.push(e.id);
-                    }
-                }
-                for axis in [JoinAxis::AncestorDescendant, JoinAxis::ParentChild] {
-                    let by_cols = stack_tree_join_cols(&cols, &anc_ids, &desc_ids, axis);
-                    let by_entries: Vec<(NodeId, NodeId)> = stack_tree_join(&anc, &desc, axis)
-                        .into_iter()
-                        .map(|(a, d)| (a.id, d.id))
-                        .collect();
-                    assert_eq!(by_cols, by_entries);
-                }
-            },
-        );
     }
 
     #[test]

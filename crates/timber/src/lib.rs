@@ -10,8 +10,8 @@
 //!
 //! There are two [`PlanMode`]s — the paper's comparison, direct vs
 //! GROUPBY — and one executor. Any other plan (the un-fused grouped
-//! pipeline `xquery::opt::Optimizer::materializing()` yields, for the
-//! ablation benches) is compiled by its caller and handed to
+//! pipeline `xquery::opt::Optimizer::materializing()` yields, for
+//! `reproduce`'s ablations) is compiled by its caller and handed to
 //! [`TimberDb::run_plan`]. What either mode must return is defined
 //! outside this crate, by the reference model the integration tests
 //! compare against (`tests/src/model.rs`).

@@ -20,8 +20,10 @@
 //! The front end is deliberately simple: thread-per-connection, blocking
 //! I/O, one request in flight per connection. [`Server::spawn`] returns
 //! a handle whose [`ServerHandle::shutdown`] unblocks and joins every
-//! connection thread, so embedders (tests, benches) get a clean
-//! single-owner [`TimberDb`] back after a stop.
+//! connection thread, so embedders (tests, the benchmark) get a clean
+//! single-owner [`TimberDb`] back after a stop. The accept loop reaps
+//! finished connections as it goes, so a long-running server holds one
+//! descriptor per *live* connection, not per connection ever accepted.
 
 #![forbid(unsafe_code)]
 
@@ -50,13 +52,9 @@ pub struct ServerHandle {
 }
 
 /// Live-connection bookkeeping shared between the accept loop and the
-/// shutdown path: a clone of every open socket (so shutdown can unblock
-/// reads) and every connection thread's join handle.
-#[derive(Default)]
-struct ConnTable {
-    socks: Mutex<Vec<TcpStream>>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
-}
+/// shutdown path: per connection, a clone of its socket (so shutdown can
+/// unblock its read) and its thread's join handle.
+type ConnTable = Mutex<Vec<(TcpStream, JoinHandle<()>)>>;
 
 impl Server {
     /// Bind the listener. Pass `port 0` to let the OS pick one (see
@@ -118,13 +116,12 @@ impl ServerHandle {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let socks = std::mem::take(&mut *lock(&self.shared.socks));
-        for s in &socks {
-            let _ = s.shutdown(Shutdown::Both);
+        let conns = std::mem::take(&mut *lock(&self.shared));
+        for (sock, _) in &conns {
+            let _ = sock.shutdown(Shutdown::Both);
         }
-        let threads = std::mem::take(&mut *lock(&self.shared.threads));
-        for h in threads {
-            let _ = h.join();
+        for (_, thread) in conns {
+            let _ = thread.join();
         }
     }
 }
@@ -144,13 +141,17 @@ fn accept_loop(
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Without a clone, shutdown could not unblock the connection.
+        let Ok(sock) = stream.try_clone() else {
+            continue;
+        };
         let _ = stream.set_nodelay(true);
-        if let Ok(clone) = stream.try_clone() {
-            lock(&shared.socks).push(clone);
-        }
         let db = Arc::clone(&db);
-        let handle = std::thread::spawn(move || handle_conn(db, stream));
-        lock(&shared.threads).push(handle);
+        let thread = std::thread::spawn(move || handle_conn(db, stream));
+        let mut conns = lock(&shared);
+        // Dropping a finished connection's entry closes its socket clone.
+        conns.retain(|(_, thread)| !thread.is_finished());
+        conns.push((sock, thread));
     }
 }
 
@@ -293,6 +294,7 @@ fn err<E: std::fmt::Display>(e: E) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
     use timber_client::Client;
     use xmlstore::StoreOptions;
 
@@ -364,6 +366,40 @@ mod tests {
         assert_eq!(c.docs().unwrap().len(), 1);
         drop(c);
         handle.shutdown();
+    }
+
+    #[test]
+    fn closed_connections_are_reaped_on_accept() {
+        let (handle, mut c) = boot();
+        c.insert_xml(SAMPLE).unwrap();
+        let addr = handle.local_addr();
+        for _ in 0..300 {
+            let mut short = Client::connect(addr).unwrap();
+            short.docs().unwrap();
+        }
+        let eventually = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(Instant::now() < deadline, "{what}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        let held = || lock(&handle.shared).len();
+        let running = || {
+            lock(&handle.shared)
+                .iter()
+                .filter(|(_, t)| !t.is_finished())
+                .count()
+        };
+        eventually("short connections never finished", &|| running() <= 1);
+        let mut last = Client::connect(addr).unwrap();
+        assert_eq!(last.docs().unwrap().len(), 1);
+        // Accepting `last` reaps every finished entry.
+        eventually("closed connections still held", &|| held() <= 2);
+        // The two live connections still get unblocked and joined.
+        drop(c);
+        handle.shutdown();
+        drop(last);
     }
 
     #[test]

@@ -51,6 +51,8 @@ pub enum ParseErrorKind {
     DuplicateAttribute(String),
     /// The document has no root element, or text outside the root.
     InvalidDocumentStructure(&'static str),
+    /// Elements nest deeper than [`crate::parser::MAX_DEPTH`].
+    TooDeep,
 }
 
 impl ParseError {
@@ -84,6 +86,9 @@ impl fmt::Display for ParseError {
                 write!(f, "duplicate attribute {name:?}")
             }
             ParseErrorKind::InvalidDocumentStructure(msg) => write!(f, "{msg}"),
+            ParseErrorKind::TooDeep => {
+                write!(f, "elements nest deeper than {}", crate::parser::MAX_DEPTH)
+            }
         }
     }
 }

@@ -1,8 +1,16 @@
 //! Recursive-descent XML parser producing a [`Document`].
+//!
+//! The parser recurses once per element nesting level, so depth is
+//! bounded by [`MAX_DEPTH`]: a deeper document is a typed
+//! [`ParseErrorKind::TooDeep`] error, not a stack overflow.
 
 use crate::dom::{Document, Element, XmlNode};
 use crate::error::{ParseErrorKind, Pos, Result};
 use crate::lexer::Cursor;
+
+/// The deepest element nesting a document may have (the root is depth
+/// 1); libxml2's default limit.
+pub const MAX_DEPTH: usize = 256;
 
 /// Parse a complete XML document.
 ///
@@ -20,7 +28,7 @@ pub fn parse_document(input: &str) -> Result<Document> {
             "expected a root element",
         )));
     }
-    let root = p.parse_element()?;
+    let root = p.parse_element(1)?;
     // Trailing misc: whitespace, comments, PIs.
     loop {
         p.cur.skip_whitespace();
@@ -82,9 +90,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parse one element, cursor positioned at `<`.
-    fn parse_element(&mut self) -> Result<Element> {
+    /// Parse one element at nesting level `depth`, cursor positioned at
+    /// `<`.
+    fn parse_element(&mut self, depth: usize) -> Result<Element> {
         let open_pos = self.cur.pos();
+        if depth > MAX_DEPTH {
+            return Err(self.cur.err(ParseErrorKind::TooDeep));
+        }
         self.cur.expect("<", "element start")?;
         let name = self.cur.scan_name("element name")?.to_owned();
         let mut elem = Element::new(name);
@@ -94,7 +106,7 @@ impl<'a> Parser<'a> {
             return Ok(elem);
         }
         self.cur.expect(">", "end of open tag")?;
-        self.parse_content(&mut elem, open_pos)?;
+        self.parse_content(&mut elem, open_pos, depth)?;
         Ok(elem)
     }
 
@@ -137,7 +149,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parse element content up to and including the matching close tag.
-    fn parse_content(&mut self, elem: &mut Element, open_pos: Pos) -> Result<()> {
+    fn parse_content(&mut self, elem: &mut Element, open_pos: Pos, depth: usize) -> Result<()> {
         let mut text = String::new();
         loop {
             if self.cur.at_eof() {
@@ -175,7 +187,7 @@ impl<'a> Parser<'a> {
                     return Ok(());
                 } else {
                     flush_text(elem, &mut text);
-                    let child = self.parse_element()?;
+                    let child = self.parse_element(depth + 1)?;
                     elem.children.push(XmlNode::Element(child));
                 }
             } else {
@@ -397,17 +409,20 @@ mod tests {
         assert_eq!(err.pos.line, 2);
     }
 
+    fn nested(depth: usize) -> String {
+        format!("{}x{}", "<d>".repeat(depth), "</d>".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error() {
+        let err = parse_document(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        assert!(err.to_string().contains("deeper than 256"), "{err}");
+    }
+
     #[test]
     fn deeply_nested_ok() {
-        let mut s = String::new();
-        for _ in 0..200 {
-            s.push_str("<d>");
-        }
-        s.push('x');
-        for _ in 0..200 {
-            s.push_str("</d>");
-        }
-        let doc = parse_document(&s).unwrap();
+        let doc = parse_document(&nested(MAX_DEPTH)).unwrap();
         assert_eq!(doc.root().deep_text(), "x");
     }
 }

@@ -17,6 +17,9 @@ pub enum QueryError {
     Unsupported(String),
     /// A variable was used before being bound.
     UnboundVariable(String),
+    /// FLWR expressions nest deeper than [`crate::parser::MAX_NESTING`];
+    /// `offset` is the byte offset of the first one past the limit.
+    TooDeep { offset: usize },
 }
 
 impl fmt::Display for QueryError {
@@ -30,6 +33,11 @@ impl fmt::Display for QueryError {
             }
             QueryError::Unsupported(m) => write!(f, "unsupported query: {m}"),
             QueryError::UnboundVariable(v) => write!(f, "unbound variable ${v}"),
+            QueryError::TooDeep { offset } => write!(
+                f,
+                "FLWR expressions nest deeper than {} at byte {offset}",
+                crate::parser::MAX_NESTING
+            ),
         }
     }
 }

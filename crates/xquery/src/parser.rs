@@ -1,13 +1,26 @@
 //! Recursive-descent parser for the FLWR subset.
+//!
+//! A nested FLWR recurses through its enclosing RETURN constructor, so
+//! nesting is bounded by [`MAX_NESTING`]: a deeper query is a typed
+//! [`QueryError::TooDeep`] error, not a stack overflow.
 
 use crate::ast::*;
 use crate::error::{QueryError, Result};
 use crate::lexer::{tokenize, Keyword, Spanned, Token};
 
+/// The deepest FLWR nesting a query may have (the outer FLWR is depth
+/// 1). The translator takes one nested FLWR; the limit only keeps the
+/// parser's recursion bounded.
+pub const MAX_NESTING: usize = 32;
+
 /// Parse a complete query (one FLWR expression).
 pub fn parse_query(input: &str) -> Result<Flwr> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let flwr = p.parse_flwr()?;
     if p.pos != p.tokens.len() {
         return Err(p.err("trailing input after the query"));
@@ -18,6 +31,8 @@ pub fn parse_query(input: &str) -> Result<Flwr> {
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// FLWR expressions open at `pos`.
+    depth: usize,
 }
 
 /// Canonical (lowercase) spelling of a keyword used as a name.
@@ -107,6 +122,17 @@ impl Parser {
     }
 
     fn parse_flwr(&mut self) -> Result<Flwr> {
+        if self.depth == MAX_NESTING {
+            let offset = self.tokens.get(self.pos).map_or(0, |s| s.offset);
+            return Err(QueryError::TooDeep { offset });
+        }
+        self.depth += 1;
+        let flwr = self.parse_flwr_clauses();
+        self.depth -= 1;
+        flwr
+    }
+
+    fn parse_flwr_clauses(&mut self) -> Result<Flwr> {
         self.expect_keyword(Keyword::For, "FOR")?;
         let var = self.expect_var()?;
         self.expect_keyword(Keyword::In, "IN")?;
@@ -542,6 +568,43 @@ mod tests {
     #[test]
     fn keywords_lowercase_accepted() {
         assert!(parse_query(r#"for $a in document("b.xml")//x return $a"#).is_ok());
+    }
+
+    /// `depth` FLWR expressions, each nested in its parent's RETURN.
+    fn nested_flwr(depth: usize) -> String {
+        let flwr = r#"FOR $a IN document("b.xml")//x RETURN "#;
+        let open = format!("{flwr}<r> {{ ");
+        format!(
+            "{}{flwr}$a{}",
+            open.repeat(depth - 1),
+            " } </r>".repeat(depth - 1)
+        )
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let mut q = &parse_query(&nested_flwr(MAX_NESTING)).unwrap();
+        for _ in 1..MAX_NESTING {
+            let ReturnExpr::Element(c) = &q.return_clause else {
+                panic!("every level but the last returns a constructor")
+            };
+            let ReturnItem::Nested(inner) = &c.items[0] else {
+                panic!("the constructor holds the nested FLWR")
+            };
+            q = inner;
+        }
+        assert_eq!(q.return_clause, ReturnExpr::Var("a".into()));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error() {
+        let text = nested_flwr(MAX_NESTING + 1);
+        let err = parse_query(&text).unwrap_err();
+        let QueryError::TooDeep { offset } = err else {
+            panic!("{err}")
+        };
+        // The offending FOR is the last one in the text.
+        assert_eq!(offset, text.rfind("FOR").unwrap());
     }
 
     #[test]

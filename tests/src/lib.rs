@@ -2,7 +2,7 @@
 //! query as written over parsed DOMs, independent of everything it
 //! checks), the helpers that hold a served result against it, the one
 //! random-bibliography generator, the paper's corpus queries and the
-//! Fig. 6 database, and the CI batch matrix.
+//! Fig. 6 database, the deeply nested inputs, and the CI batch matrix.
 
 #![forbid(unsafe_code)]
 
@@ -189,6 +189,24 @@ pub fn bibliography(g: &mut Gen, shape: Shape) -> String {
     }
     s.push_str("</bib>");
     s
+}
+
+/// `depth` nested `<a>` elements around one text node.
+pub fn deep_xml(depth: usize) -> String {
+    format!("{}x{}", "<a>".repeat(depth), "</a>".repeat(depth))
+}
+
+/// `depth` FLWR expressions over `bib.xml`, each nested in its parent's
+/// RETURN constructor.
+pub fn deep_flwr(depth: usize) -> String {
+    let flwr = r#"FOR $a IN document("bib.xml")//author RETURN "#;
+    let open = format!("{flwr}<r> {{ ");
+    let close = " } </r>";
+    format!(
+        "{}{flwr}$a{}",
+        open.repeat(depth - 1),
+        close.repeat(depth - 1)
+    )
 }
 
 /// Batch sizes the differential tests sweep: `TIMBER_TEST_BATCH` (a

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use timber::{PlanMode, TimberDb};
 use timber_client::{Client, ClientError, Mode};
-use timber_integration_tests::QUERY_COUNT;
+use timber_integration_tests::{deep_flwr, deep_xml, QUERY_COUNT};
 use timberd::{Server, ServerHandle};
 use xmlstore::{wal_path_for, FaultConfig, StoreOptions};
 
@@ -535,5 +535,34 @@ fn retired_mode_bytes_get_the_typed_error_and_the_connection_keeps_serving() {
     }
     assert_eq!(call(Opcode::Query, Mode::Grouped as u8), (STATUS_OK, want));
     drop((c, raw));
+    handle.shutdown();
+}
+
+/// Hostile depth over the wire: a 100 000-deep `INSERT` and a deeply
+/// nested FLWR `QUERY` each get `STATUS_ERR` naming the limit — not a
+/// stack overflow on the connection thread, which would abort the whole
+/// server — and the same server then answers a normal query.
+#[test]
+fn deep_inputs_get_the_typed_error_and_the_server_keeps_serving() {
+    let (handle, addr) = boot_mem();
+    let mut c = Client::connect(addr).unwrap();
+    c.insert_xml(&bib(1, 12, &mut StdRng::seed_from_u64(5)))
+        .unwrap();
+    let want = c.query(QUERY_COUNT, Mode::Grouped).unwrap();
+
+    let mut hostile = Client::connect(addr).unwrap();
+    match hostile.insert_xml(&deep_xml(100_000)) {
+        Err(ClientError::Server(m)) => assert!(m.contains("deeper than"), "{m}"),
+        other => panic!("deep INSERT: {other:?}"),
+    }
+    for mode in [Mode::Direct, Mode::Grouped] {
+        match hostile.query(&deep_flwr(10_000), mode) {
+            Err(ClientError::Server(m)) => assert!(m.contains("deeper than"), "{m}"),
+            other => panic!("deep QUERY: {other:?}"),
+        }
+    }
+    assert_eq!(hostile.docs().unwrap().len(), 1);
+    assert_eq!(c.query(QUERY_COUNT, Mode::Grouped).unwrap(), want);
+    drop((c, hostile));
     handle.shutdown();
 }

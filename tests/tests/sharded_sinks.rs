@@ -28,7 +28,11 @@ fn multivalued_basis_duplicates_across_shards() {
     }
     for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
         for batch in batch_matrix(&[1, 2, 3, 256]) {
-            assert_eq!(want, run(&mut db, QUERY1, mode, batch), "{mode:?} batch={batch}");
+            assert_eq!(
+                want,
+                run(&mut db, QUERY1, mode, batch),
+                "{mode:?} batch={batch}"
+            );
         }
     }
 }
