@@ -1,7 +1,7 @@
 //! Reproduce the experiments of *Grouping in XML* (EDBT 2002), Sec. 6.
 //!
 //! ```text
-//! reproduce [e1] [e2] [scale] [pool] [matching] [groupby-impl] [value-index]
+//! reproduce [e1] [e2] [scale] [pool] [matching] [groupby-impl]
 //!           [rollup] [cube] [faults] [recovery] [wal-overhead] [all]
 //!           [--articles N] [--mem] [--faults SPEC] [--analyze]
 //! ```
@@ -54,14 +54,13 @@ use timber::{PlanMode, TimberDb};
 use timber_bench::*;
 
 /// The experiments `reproduce` knows by name.
-const EXPERIMENTS: [&str; 13] = [
+const EXPERIMENTS: [&str; 12] = [
     "e1",
     "e2",
     "scale",
     "pool",
     "matching",
     "groupby-impl",
-    "value-index",
     "rollup",
     "cube",
     "faults",
@@ -156,9 +155,6 @@ fn main() {
     }
     if wants("groupby-impl") {
         run_groupby_impl();
-    }
-    if wants("value-index") {
-        run_value_index();
     }
     if wants("rollup") {
         run_rollup(articles, on_disk);
@@ -284,7 +280,7 @@ fn run_faults(spec: Option<&str>) {
     let articles = 2_000;
     println!("-- X10: deterministic fault-schedule replay ({articles} articles, 8-page pool) --");
     println!("schedule: {schedule}");
-    let db = build_db(articles, Some(8 * 8192), true);
+    let db = build_db(articles, Some(8), true);
 
     let runs = [
         ("E1 titles/direct", QUERY_TITLES, PlanMode::Direct),
@@ -515,7 +511,7 @@ fn run_scale(on_disk: bool) {
 fn run_pool(articles: usize, on_disk: bool) {
     println!("-- X2: buffer-pool sweep (Query 1 titles, {articles} articles) --");
     for mb in [4, 8, 16, 32, 64, 128] {
-        let db = build_db(articles, Some(mb << 20), on_disk);
+        let db = build_db(articles, Some((mb << 20) / xmlstore::PAGE_SIZE), on_disk);
         let d = measure(&db, QUERY_TITLES, PlanMode::Direct);
         let g = measure(&db, QUERY_TITLES, PlanMode::GroupByRewrite);
         println!(
@@ -566,52 +562,6 @@ fn run_matching(articles: usize) {
     );
 }
 
-fn run_value_index() {
-    use datagen::{DblpConfig, DblpGenerator};
-    use tax::matching::match_db;
-    use tax::pattern::{Axis, PatternTree, Pred};
-    use timber::TimberDb;
-    use xmlstore::StoreOptions;
-
-    let articles = 20_000;
-    println!("-- X8: content value index vs per-candidate symbol tests ({articles} articles) --");
-    let xml = DblpGenerator::new(DblpConfig::sized(articles)).generate_xml();
-    let with_vi = TimberDb::load_xml(&xml, &StoreOptions::default().with_value_index()).unwrap();
-    let without = TimberDb::load_xml(&xml, &StoreOptions::default()).unwrap();
-
-    // Find the most prolific author's name for a selective predicate.
-    let store = without.store();
-    let author_tag = store.tag_id("author").unwrap();
-    let mut counts: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-    for e in store.nodes_with_tag(author_tag) {
-        *counts
-            .entry(store.content(e.id).unwrap().unwrap())
-            .or_default() += 1;
-    }
-    let (top, _) = counts.iter().max_by_key(|(_, n)| **n).unwrap();
-
-    let mut p = PatternTree::with_root(Pred::tag("article"));
-    p.add_child(
-        p.root(),
-        Axis::Child,
-        Pred::tag("author").and(Pred::content_eq(top.clone())),
-    );
-
-    for (name, db) in [("value index", &with_vi), ("tag index only", &without)] {
-        db.clear_buffer_pool().unwrap();
-        db.reset_io_stats();
-        let t0 = std::time::Instant::now();
-        let bindings = match_db(db.store(), &p).unwrap();
-        println!(
-            "{name:>15}: {:>8.4}s, {:>8} page requests, {} matches",
-            t0.elapsed().as_secs_f64(),
-            db.io_stats().page_requests(),
-            bindings.len()
-        );
-    }
-    println!();
-}
-
 fn run_rollup(articles: usize, on_disk: bool) {
     println!(
         "-- X13: rollup fusion (E2 count: materialized GroupBy → Aggregate vs fused streaming rollup, {articles} articles) --"
@@ -641,13 +591,12 @@ fn run_cube(articles: usize, on_disk: bool) {
     let db = build_db(articles, None, on_disk);
     let c = measure_unfused(&db, QUERY_CUBE);
     let f = measure(&db, QUERY_CUBE, PlanMode::GroupByRewrite);
-    // The fused output carries per-level markers the composed union
-    // lacks, so tree/byte counts differ by exactly those markers; the
-    // differential suite (tests/tests/cube.rs) pins the stripped outputs
-    // byte for byte. Here the group count must agree.
+    // The differential suite (tests/tests/cube.rs) pins the bytes; here
+    // the group and byte counts must agree.
     assert_eq!(
-        c.output_trees, f.output_trees,
-        "one-scan cube group count diverged from the composed lattice"
+        (c.output_trees, c.output_bytes),
+        (f.output_trees, f.output_bytes),
+        "one-scan cube output diverged from the composed lattice"
     );
     let (ct, ft) = (c.elapsed.as_secs_f64(), f.elapsed.as_secs_f64());
     println!(

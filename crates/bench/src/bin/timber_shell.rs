@@ -17,7 +17,6 @@
 //! .mode direct|groupby|both
 //! .cube                run the X14 lattice query (journal → year →
 //!                      author cube) under the current settings
-//! .batch <n>           executor batch size
 //! .explain             show plans instead of executing (toggle)
 //! .explain analyze     execute and report per-operator metrics
 //! .faults <spec|off>   arm a deterministic fault schedule, e.g.
@@ -154,7 +153,6 @@ impl Shell {
                 println!(
                     ".load <file.xml> | .gen <articles> | .mode {MODE_VALUES}\n\
                      .insert <file.xml> | .delete <doc> | .checkpoint\n\
-                     .batch <n>\n\
                      .cube (run the X14 lattice query) | .explain (toggle) | .explain analyze | .explain off\n\
                      .faults <spec|off> | .stats | .quit\n\
                      .connect <addr> | .disconnect | .snapshot | .release\n\
@@ -279,17 +277,6 @@ impl Shell {
                 println!("-- X14 lattice query: CUBE BY journal, year, author --");
                 self.run_query(timber_bench::QUERY_CUBE.trim());
             }
-            ".batch" => match arg.parse::<usize>() {
-                Ok(n) => {
-                    if let Some(db) = &mut self.db {
-                        db.set_batch_size(n);
-                        println!("batch size {}", db.batch_size());
-                    } else {
-                        eprintln!("no database loaded (.load or .gen first)");
-                    }
-                }
-                Err(_) => eprintln!(".batch needs a tree count"),
-            },
             ".explain" => {
                 self.explain = match arg {
                     "analyze" => Explain::Analyze,

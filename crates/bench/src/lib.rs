@@ -63,16 +63,16 @@ pub const PAPER_E2: (f64, f64) = (155.564, 23.033);
 
 /// Build a synthetic-DBLP database.
 ///
-/// `pool_bytes` defaults to the paper's 32 MB when `None`; the store goes
-/// to a real temp file when `on_disk`.
-pub fn build_db(articles: usize, pool_bytes: Option<usize>, on_disk: bool) -> TimberDb {
+/// `pool_pages` defaults to the paper's 32 MB of 8 KB pages when `None`;
+/// the store goes to a real temp file when `on_disk`.
+pub fn build_db(articles: usize, pool_pages: Option<usize>, on_disk: bool) -> TimberDb {
     let xml = DblpGenerator::new(DblpConfig::sized(articles)).generate_xml();
     let mut opts = StoreOptions {
         on_disk,
         ..StoreOptions::default()
     };
-    if let Some(bytes) = pool_bytes {
-        opts = opts.with_pool_bytes(bytes);
+    if let Some(pages) = pool_pages {
+        opts = opts.with_pool_pages(pages);
     }
     if !on_disk {
         opts.pool_pages = opts.pool_pages.max(64);
@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn harness_smoke() {
-        let db = build_db(200, Some(1 << 20), false);
+        let db = build_db(200, Some(128), false);
         let d = measure(&db, QUERY_TITLES, PlanMode::Direct);
         let g = measure(&db, QUERY_TITLES, PlanMode::GroupByRewrite);
         assert!(!d.rewritten);
@@ -177,7 +177,7 @@ mod tests {
     fn try_measure_surfaces_injected_faults() {
         // A certain-failure schedule: every physical read errors, retries
         // included, so the run must end in a typed error, not a panic.
-        let db = build_db(200, Some(4 * 8192), true);
+        let db = build_db(200, Some(4), true);
         let schedule: xmlstore::FaultConfig = "seed=1,read_err=1.0".parse().unwrap();
         db.set_faults(Some(schedule)).unwrap();
         assert!(try_measure(&db, QUERY_COUNT, PlanMode::GroupByRewrite).is_err());
@@ -189,7 +189,7 @@ mod tests {
     fn both_plans_read_only_their_output_pages() {
         // Neither plan reads a value before output, and both write the
         // same nodes: a cold run of each asks for the same heap pages.
-        let db = build_db(400, Some(1 << 21), false);
+        let db = build_db(400, Some(256), false);
         let d = measure(&db, QUERY_COUNT, PlanMode::Direct);
         let g = measure(&db, QUERY_COUNT, PlanMode::GroupByRewrite);
         assert!(g.io.page_requests() > 0);

@@ -102,7 +102,4 @@ pub mod tags {
     pub const GROUP_SUBROOT: &str = "TAX_group_subroot";
     /// Root produced by joins/products (Fig. 8).
     pub const PROD_ROOT: &str = "TAX_prod_root";
-    /// Per-tree level marker emitted by the grouping lattice (cube):
-    /// its text content is the 1-based prefix level of the tree's key.
-    pub const CUBE_LEVEL: &str = "TAX_cube_level";
 }

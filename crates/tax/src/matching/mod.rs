@@ -6,8 +6,8 @@
 //!
 //! * the **columnar matcher** ([`match_db`], [`match_db_scoped`],
 //!   [`match_in_scopes`]) runs against the stored database on index data
-//!   alone. Candidates per pattern node come straight from the tag index
-//!   (or the optional value index); each pattern edge is one batch
+//!   alone. Candidates per pattern node come straight from the tag index;
+//!   each pattern edge is one batch
 //!   containment join ([`kernels::containment_runs`]) that yields a
 //!   gather index, through which every column bound so far is extended
 //!   at once, the child-axis level test applied to the gathered run. No
@@ -133,15 +133,9 @@ fn candidates(
                 .collect(),
         );
     };
-    // Content value index (optional, `StoreOptions::value_index`): a
-    // `tag ∧ content = "v"` predicate is answered by its own list.
-    let (list, eq_satisfied) = match (store.tag_id(tag), pred.eq_content_value()) {
-        (Some(id), Some(v)) => match store.nodes_with_tag_and_content(id, v) {
-            Some(list) => (list, true),
-            None => (store.nodes_with_tag(id), false),
-        },
-        (Some(id), None) => (store.nodes_with_tag(id), false),
-        (None, _) => (store.no_entries(), false),
+    let list = match store.tag_id(tag) {
+        Some(id) => store.nodes_with_tag(id),
+        None => store.no_entries(),
     };
     let window = match scope {
         Some(s) => {
@@ -150,13 +144,27 @@ fn candidates(
         }
         None => 0..list.len(),
     };
-    if !pred.needs_data() || (eq_satisfied && pred.is_tag_eq_only()) {
+    if !pred.needs_data() {
         return Candidates::Index(list, window);
     }
+    // A string `content = "v"` conjunct holds exactly where the content
+    // is `v`, and every stored value is interned: one comparison of the
+    // content symbol per candidate. A literal the dictionary does not
+    // hold is no node's content.
+    let eq = pred.string_eq_content();
+    let want = match eq.map(|v| store.dict().get(v)) {
+        Some(None) => return Candidates::Filtered(Vec::new()),
+        want => want.flatten(),
+    };
+    let decided = pred
+        .conjuncts()
+        .iter()
+        .all(|c| !c.needs_data() || eq.is_some_and(|v| c.string_eq_content() == Some(v)));
     Candidates::Filtered(
         list[window]
             .iter()
-            .filter(|e| eval_stored_local(store, cols, pred, e))
+            .filter(|e| want.map_or(true, |sym| cols.content[e.id.0 as usize] == sym.0))
+            .filter(|e| decided || eval_stored_local(store, cols, pred, e))
             .copied()
             .collect(),
     )
@@ -468,23 +476,19 @@ mod tests {
             <a x=\"\" y=\" \">dup</a><a x=\"dup\">dup</a><a></a><a>  </a><a> dup</a>\
             <b><c>dup</c>tail<c/>tail</b><b x=\"\"/>\
         </r>";
-        let mut opts = StoreOptions::in_memory();
-        for strip in [true, false] {
-            opts.strip_whitespace = strip;
-            let s = DocumentStore::from_xml(xml, &opts).unwrap();
-            let cols = s.columns();
-            let nodes: Vec<(u32, Option<String>)> = (0..cols.len() as u32)
-                .map(|i| (cols.content[i as usize], s.content(NodeId(i)).unwrap()))
-                .collect();
-            assert!(nodes.iter().filter(|(_, text)| text.is_some()).count() >= 8);
-            for (sym, text) in &nodes {
-                assert_eq!(*sym == NO_SYM, text.is_none(), "{sym} vs {text:?}");
-                if let Some(text) = text {
-                    assert_eq!(&*s.dict().resolve(Sym(*sym)), text);
-                }
-                for (other_sym, other_text) in &nodes {
-                    assert_eq!(sym == other_sym, text == other_text);
-                }
+        let s = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
+        let cols = s.columns();
+        let nodes: Vec<(u32, Option<String>)> = (0..cols.len() as u32)
+            .map(|i| (cols.content[i as usize], s.content(NodeId(i)).unwrap()))
+            .collect();
+        assert!(nodes.iter().filter(|(_, text)| text.is_some()).count() >= 8);
+        for (sym, text) in &nodes {
+            assert_eq!(*sym == NO_SYM, text.is_none(), "{sym} vs {text:?}");
+            if let Some(text) = text {
+                assert_eq!(&*s.dict().resolve(Sym(*sym)), text);
+            }
+            for (other_sym, other_text) in &nodes {
+                assert_eq!(sym == other_sym, text == other_text);
             }
         }
     }
@@ -590,32 +594,54 @@ mod tests {
     }
 
     #[test]
-    fn value_index_answers_content_eq_without_io() {
-        let s =
-            DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory().with_value_index()).unwrap();
-        // Footnote 8's example: find articles of one author. The value
-        // index returns the *author* nodes with zero I/O; the structural
-        // step up to the article still runs on index labels.
-        let mut p = PatternTree::with_root(Pred::tag("article"));
-        p.add_child(
-            p.root(),
-            Axis::Child,
-            Pred::tag("author").and(Pred::content_eq("Silberschatz")),
-        );
+    fn string_content_eq_decides_on_symbols_without_io() {
+        // Footnote 8's example: find articles of one author. A string
+        // literal is compared as the content symbol of each author
+        // candidate, so the match reads no page.
+        let s = store();
+        let by = |author: &str| {
+            let mut p = PatternTree::with_root(Pred::tag("article"));
+            let pred = Pred::tag("author").and(Pred::content_eq(author));
+            p.add_child(p.root(), Axis::Child, pred);
+            p
+        };
         s.reset_io_stats();
-        let bindings = match_db(&s, &p).unwrap();
-        assert_eq!(bindings.len(), 2);
-        assert_eq!(
-            s.io_stats().page_requests(),
-            0,
-            "content-eq via the value index must not touch data pages"
-        );
-        // Without the index the same pattern filters the whole author
-        // list by symbol: the same rows, still without data pages.
-        let plain = DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory()).unwrap();
-        plain.reset_io_stats();
-        assert_eq!(match_db(&plain, &p).unwrap(), bindings);
-        assert_eq!(plain.io_stats().page_requests(), 0);
+        let hits = match_db(&s, &by("Silberschatz")).unwrap();
+        let sym = s.dict().get("Silberschatz").unwrap();
+        let want: Vec<NodeEntry> = s
+            .nodes_with_tag(s.tag_id("author").unwrap())
+            .iter()
+            .filter(|e| s.content_sym(e.id) == Some(sym))
+            .copied()
+            .collect();
+        assert_eq!(hits.column(1), want);
+        assert_eq!(want.len(), 2);
+        // A literal the dictionary does not hold matches nothing, and
+        // the lookup does not intern it.
+        assert!(match_db(&s, &by("Nobody")).unwrap().is_empty());
+        assert!(s.dict().get("Nobody").is_none());
+        assert_eq!(s.io_stats().page_requests(), 0);
+    }
+
+    #[test]
+    fn numeric_content_eq_compares_numbers() {
+        // `7`, `7.0` and `07` are one number and three symbols: the
+        // numeric literal keeps the number-aware comparison, a string
+        // literal matches only its own spelling.
+        let xml = "<r><a><y>7</y></a><a><y>7.0</y></a><a><y>07</y></a></r>";
+        let s = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
+        for (literal, rows) in [("7", 3), ("7.00", 3), ("x7", 0)] {
+            let mut p = PatternTree::with_root(Pred::tag("a"));
+            p.add_child(
+                p.root(),
+                Axis::Child,
+                Pred::tag("y").and(Pred::content_eq(literal)),
+            );
+            let got = match_db(&s, &p).unwrap();
+            assert_eq!(got.len(), rows, "{literal}");
+            let scan = naive::match_db_scan(&s, &p).unwrap();
+            assert_eq!(got, scan.map_cells(|v| v.as_stored().unwrap()));
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! A rollup is the lattice's finest level, so the cube *is* the rollup's
 //! prefix-level fold ([`super::rollup`]'s `fold_levels`) asked for
 //! levels `1..=L` instead of `L..=L` — this module adds the entry
-//! points and the level-marker strip, no accumulation of its own:
+//! point, no accumulation of its own:
 //!
 //! * witnesses are extracted **once** with the full `L`-dimension
 //!   pattern (a tree participates only when every dimension is present —
@@ -21,29 +21,27 @@
 //!   keeps its own per-group member dedup, because a multi-valued basis
 //!   (a two-author article) must contribute once per `(journal, author)`
 //!   group but also only once to the coarser `journal` group;
-//! * output trees use the rollup's *flat* shape —
-//!   `TAX_group_root { key…, <tag>value</tag> }`, groups with an
-//!   undefined aggregate dropped — plus a leading
-//!   [`crate::tags::CUBE_LEVEL`] marker child carrying the level, so the
-//!   per-level output is byte-identical to the composed per-level flat
-//!   rollups once the marker is stripped;
+//! * output trees use the rollup's *flat* shape at every level — a
+//!   level-`k` tree is `TAX_group_root { k keys, <tag>value</tag> }`,
+//!   groups with an undefined aggregate dropped — so a tree's level is
+//!   its number of key children;
 //! * levels emit coarsest-first (1 … `L`), groups in first-witness order
 //!   within each level — the order the composed `Union` of per-level
-//!   rollup plans produces.
+//!   rollup plans produces, so the two are byte-identical.
 
 use crate::batch::Source;
 use crate::error::{Error, Result};
 use crate::exec::Stages;
 use crate::ops::aggregate::AggFunc;
 use crate::ops::groupby::BasisItem;
-use crate::ops::rollup::{fold_levels, FoldShape};
+use crate::ops::rollup::{fold_levels, RollupShape};
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tree::Collection;
 use xmlstore::DocumentStore;
 
 /// One-scan grouping lattice: the blocking sink's kernel — the
-/// prefix-level fold over levels `1..=basis.len()`, each output tree
-/// marked with its level. Returns the trees and the sink's stage times.
+/// prefix-level fold over levels `1..=basis.len()`, in the flat shape.
+/// Returns the trees and the sink's stage times.
 #[allow(clippy::too_many_arguments)]
 pub fn cube<'a>(
     store: &DocumentStore,
@@ -70,42 +68,15 @@ pub fn cube<'a>(
         func,
         new_tag,
         1..=basis.len(),
-        FoldShape::LevelMarked,
+        RollupShape::Flat,
     )
-}
-
-/// Remove every serialized [`crate::tags::CUBE_LEVEL`] marker element
-/// from `xml`. The cube's per-level output is byte-identical to the
-/// composed per-level flat rollups *after* this strip — the helper the
-/// differential suites (and any consumer that wants the plain flat
-/// shape) share.
-pub fn strip_level_markers(xml: &str) -> String {
-    let open = format!("<{}>", crate::tags::CUBE_LEVEL);
-    let close = format!("</{}>", crate::tags::CUBE_LEVEL);
-    let mut out = String::with_capacity(xml.len());
-    let mut rest = xml;
-    while let Some(start) = rest.find(&open) {
-        out.push_str(&rest[..start]);
-        let after = &rest[start..];
-        match after.find(&close) {
-            Some(end) => rest = &after[end + close.len()..],
-            None => {
-                // Unterminated marker: keep the text as-is.
-                out.push_str(after);
-                return out;
-            }
-        }
-    }
-    out.push_str(rest);
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::rollup::{rollup, RollupShape};
+    use crate::ops::rollup::rollup;
     use crate::pattern::{Axis, Pred};
-    use crate::tags;
     use crate::tree::Tree;
     use xmlstore::StoreOptions;
 
@@ -161,17 +132,16 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn strip_level_markers_removes_only_markers() {
-        let m = tags::CUBE_LEVEL;
-        assert_eq!(
-            strip_level_markers(&format!("<g><{m}>2</{m}><k>v</k></g>")),
-            "<g><k>v</k></g>"
-        );
-        assert_eq!(strip_level_markers("<g><k>v</k></g>"), "<g><k>v</k></g>");
-        // An unterminated marker is left alone rather than eaten.
-        let broken = format!("<g><{m}>2");
-        assert_eq!(strip_level_markers(&broken), broken);
+    /// The output serialized and split by level: a flat level-`k` tree
+    /// has `k` key children and one value child.
+    fn by_level(s: &DocumentStore, c: &Collection, levels: usize) -> Vec<Vec<String>> {
+        let mut out = vec![Vec::new(); levels];
+        for t in c {
+            let e = t.materialize(s).unwrap();
+            let level = e.child_elements().count() - 1;
+            out[level - 1].push(xmlparse::serialize::element_to_string(&e));
+        }
+        out
     }
 
     /// The composed reference: one flat rollup per prefix level, run
@@ -222,22 +192,14 @@ mod tests {
             let (mp, of) = member(leaf);
             let out = cube(&s, &arts, &p, &basis, &mp, of, func, tag).unwrap().0;
             let reference = composed(&s, &arts, &p, &basis, &mp, of, func, tag);
-            // Partition the cube output by its level markers and
-            // compare each level byte-for-byte after stripping them.
-            let mut by_level: Vec<Vec<String>> = vec![Vec::new(); basis.len()];
-            for t in &out {
-                let xml = xmlparse::serialize::element_to_string(&t.materialize(&s).unwrap());
-                let level = (1..=basis.len())
-                    .find(|k| xml.contains(&format!("<{m}>{k}</{m}>", m = tags::CUBE_LEVEL)))
-                    .expect("level marker");
-                by_level[level - 1].push(strip_level_markers(&xml));
-            }
-            assert_eq!(by_level, reference, "{func:?}");
+            assert_eq!(by_level(&s, &out, basis.len()), reference, "{func:?}");
+            // Coarsest level first: the bytes of the composed union.
+            assert_eq!(to_xml(&s, &out), reference.concat(), "{func:?}");
         }
     }
 
     #[test]
-    fn levels_emit_ascending_with_leading_markers() {
+    fn levels_emit_ascending_in_the_flat_shape() {
         let s = store();
         let arts = articles(&s);
         let (p, basis) = lattice();
@@ -245,29 +207,21 @@ mod tests {
         let out = cube(&s, &arts, &p, &basis, &mp, of, AggFunc::Count, "count")
             .unwrap()
             .0;
-        let mut last_level = 0usize;
-        for t in &out {
-            let e = t.materialize(&s).unwrap();
-            // The marker is the first child.
-            let first = e.child_elements().next().expect("children");
-            assert_eq!(first.name, tags::CUBE_LEVEL);
-            let level: usize = first.text().parse().unwrap();
-            assert!(level >= last_level, "levels must ascend");
-            last_level = level;
-        }
-        assert_eq!(last_level, 3);
+        let keys: Vec<usize> = out
+            .iter()
+            .map(|t| t.materialize(&s).unwrap().child_elements().count() - 1)
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]), "{keys:?}");
         // Level 1 groups TODS/WebDB, level 2 adds years, level 3 authors.
-        let markers = |k: usize| {
-            out.iter()
-                .filter(|t| {
-                    xmlparse::serialize::element_to_string(&t.materialize(&s).unwrap())
-                        .contains(&format!("<{m}>{k}</{m}>", m = tags::CUBE_LEVEL))
-                })
-                .count()
-        };
-        assert_eq!(markers(1), 2); // TODS, WebDB
-        assert_eq!(markers(2), 3); // (TODS,1999), (TODS,2001), (WebDB,2001)
-        assert_eq!(markers(3), 5); // +Jack/John; Jill/Jack; John
+        let at = |k: usize| keys.iter().filter(|&&n| n == k).count();
+        assert_eq!(at(1), 2); // TODS, WebDB
+        assert_eq!(at(2), 3); // (TODS,1999), (TODS,2001), (WebDB,2001)
+        assert_eq!(at(3), 5); // +Jack/John; Jill/Jack; John
+        assert_eq!(keys.len(), 10);
+        assert_eq!(
+            to_xml(&s, &out)[0],
+            "<TAX_group_root><journal>TODS</journal><count>3</count></TAX_group_root>"
+        );
     }
 
     #[test]
@@ -285,7 +239,7 @@ mod tests {
             .iter()
             .map(|t| t.materialize(&s).unwrap())
             .find(|e| {
-                e.child_elements().next().map(|c| c.text()) == Some("1".into())
+                e.child_elements().count() == 2
                     && e.child("journal").map(|j| j.text()) == Some("TODS".into())
             })
             .expect("level-1 TODS group");
@@ -328,16 +282,9 @@ mod tests {
             );
             assert!(!rendered.contains("<author/>"), "{func:?}: {rendered}");
             let reference = composed(&s, &arts, &p, &basis, &mp, of, func, tag);
-            let mut by_level: Vec<Vec<String>> = vec![Vec::new(); basis.len()];
-            for t in &out {
-                let x = xmlparse::serialize::element_to_string(&t.materialize(&s).unwrap());
-                let level = (1..=basis.len())
-                    .find(|k| x.contains(&format!("<{m}>{k}</{m}>", m = tags::CUBE_LEVEL)))
-                    .expect("level marker");
-                by_level[level - 1].push(strip_level_markers(&x));
-            }
-            assert_eq!(by_level, reference, "{func:?}");
-            assert!(!by_level[basis.len() - 1].is_empty(), "{func:?}");
+            let levels = by_level(&s, &out, basis.len());
+            assert_eq!(levels, reference, "{func:?}");
+            assert!(!levels[basis.len() - 1].is_empty(), "{func:?}");
         }
     }
 
@@ -372,16 +319,9 @@ mod tests {
         ] {
             let out = cube(&s, &arts, &p, &basis, &mp, of, func, "v").unwrap().0;
             let reference = composed(&s, &arts, &p, &basis, &mp, of, func, "v");
-            let mut by_level: Vec<Vec<String>> = vec![Vec::new(); basis.len()];
-            for t in &out {
-                let xml = xmlparse::serialize::element_to_string(&t.materialize(&s).unwrap());
-                let level = (1..=basis.len())
-                    .find(|k| xml.contains(&format!("<{m}>{k}</{m}>", m = tags::CUBE_LEVEL)))
-                    .unwrap();
-                by_level[level - 1].push(strip_level_markers(&xml));
-            }
-            assert_eq!(by_level, reference, "{func:?}");
-            let all = by_level.concat().join("\n");
+            let levels = by_level(&s, &out, basis.len());
+            assert_eq!(levels, reference, "{func:?}");
+            let all = levels.concat().join("\n");
             assert!(
                 !all.contains("<journal>TODS</journal><year>2001</year>"),
                 "{func:?}: the (TODS, 2001) groups must be dropped: {all}"

@@ -72,16 +72,6 @@ pub enum RollupShape {
     Flat,
 }
 
-/// What [`fold_levels`] emits per group: the two rollup shapes, plus the
-/// cube's — [`RollupShape::Flat`] behind a leading
-/// [`crate::tags::CUBE_LEVEL`] child carrying the group's level.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FoldShape {
-    Grouped,
-    Flat,
-    LevelMarked,
-}
-
 /// One input row's aggregate contribution: what the materialized
 /// `Aggregate` would see for this row as a group member.
 #[derive(Clone, Default)]
@@ -166,10 +156,7 @@ pub fn rollup<'a>(
         func,
         new_tag,
         basis.len()..=basis.len(),
-        match shape {
-            RollupShape::Grouped => FoldShape::Grouped,
-            RollupShape::Flat => FoldShape::Flat,
-        },
+        shape,
     )
 }
 
@@ -190,7 +177,7 @@ pub(crate) fn fold_levels(
     func: AggFunc,
     new_tag: &str,
     levels: RangeInclusive<usize>,
-    shape: FoldShape,
+    shape: RollupShape,
 ) -> Result<(Collection, Stages)> {
     if of >= member_pattern.len() {
         return Err(Error::UnknownLabel(format!("${}", of + 1)));
@@ -421,7 +408,7 @@ fn build_trees(
     func: AggFunc,
     new_tag: &str,
     levels: RangeInclusive<usize>,
-    shape: FoldShape,
+    shape: RollupShape,
     groups: Vec<Vec<GroupAcc>>,
 ) -> Collection {
     // The tags are the same for every group and the values repeat (most
@@ -436,28 +423,23 @@ fn build_trees(
             // when no binding exists or the aggregate is undefined; the
             // grouped shape emits the tree without the value child to
             // match (the downstream projection drops such groups), and
-            // the flat shapes — the projection pre-applied — drop the
+            // the flat shape — the projection pre-applied — drops the
             // group outright.
             let value = if acc.bindings > 0 {
                 acc.finish(func)
             } else {
                 None
             };
-            if value.is_none() && shape != FoldShape::Grouped {
+            if value.is_none() && shape == RollupShape::Flat {
                 continue;
             }
             let mut tree = Tree::new_elem_sym(root_tag);
             let root = tree.root();
             let basis_root = match shape {
-                FoldShape::Grouped => tree.add_elem(dict, root, crate::tags::GROUPING_BASIS),
-                FoldShape::Flat => root,
-                FoldShape::LevelMarked => {
-                    let marker = crate::tags::CUBE_LEVEL;
-                    tree.add_elem_with_content(dict, root, marker, level.to_string());
-                    root
-                }
+                RollupShape::Grouped => tree.add_elem(dict, root, crate::tags::GROUPING_BASIS),
+                RollupShape::Flat => root,
             };
-            // The flat shapes pre-apply the consumer's deep key
+            // The flat shape pre-applies the consumer's deep key
             // projection, so structured key nodes must materialize their
             // whole subtree.
             add_basis_children(
@@ -468,7 +450,7 @@ fn build_trees(
                 w,
                 acc.first,
                 &basis[..level],
-                shape != FoldShape::Grouped,
+                shape == RollupShape::Flat,
             );
             if let Some(v) = value {
                 let text = *value_syms

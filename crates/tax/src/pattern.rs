@@ -167,25 +167,15 @@ impl Pred {
         }
     }
 
-    /// The value a top-level `content = "v"` conjunct pins, if any —
-    /// the case a content value index can answer directly.
-    pub fn eq_content_value(&self) -> Option<&str> {
-        match self {
-            Pred::Content(CmpOp::Eq, v) => Some(v),
-            Pred::And(a, b) => a.eq_content_value().or_else(|| b.eq_content_value()),
+    /// The literal of the first top-level `content = "v"` conjunct whose
+    /// `v` does not parse as a number. [`compare_values`] then compares
+    /// strings, so the conjunct holds exactly where the content *is* `v`.
+    /// A numeric literal is left to the number-aware comparison, under
+    /// which `7`, `7.0` and `07` are equal.
+    pub fn string_eq_content(&self) -> Option<&str> {
+        self.conjuncts().into_iter().find_map(|c| match c {
+            Pred::Content(CmpOp::Eq, v) if v.trim().parse::<f64>().is_err() => Some(v.as_str()),
             _ => None,
-        }
-    }
-
-    /// Whether the predicate is fully decided by the tag and a
-    /// `content = "v"` equality (plus join conjuncts): if so, candidates
-    /// from a value index need no further data look-ups.
-    pub fn is_tag_eq_only(&self) -> bool {
-        self.conjuncts().iter().all(|c| {
-            matches!(
-                c,
-                Pred::Tag(_) | Pred::Content(CmpOp::Eq, _) | Pred::ContentEqNode(_)
-            )
         })
     }
 

@@ -22,12 +22,14 @@
 //! `TAX_group_root` and computed values are interned once into the
 //! store's unified dictionary and resolved back to text only at
 //! serialization. Tree payloads are therefore fixed-width and `Clone` is
-//! a flat memcpy of arena vectors — every clone is counted in a global
-//! counter so the executor can surface tree-copy traffic per operator.
+//! a flat memcpy of arena vectors — every clone is counted in a
+//! per-thread counter so the executor can surface tree-copy traffic per
+//! operator (a query runs on one thread, so no other query's clones
+//! land in its window).
 
 use crate::error::Result;
 use crate::matching::vnode::VNode;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use xmlparse::{Element, ElementBuilder, XmlSink, XmlWriter};
 use xmlstore::{Dictionary, DocumentStore, NodeEntry, RowSink, RowWriter, Sym};
 
@@ -38,18 +40,15 @@ pub type Collection = Vec<Tree>;
 /// Arena index of a node within a [`Tree`].
 pub type TreeNodeId = usize;
 
-/// Global count of [`Tree`] clones since process start (or the last
-/// [`reset_tree_clones`]) — the executor's clone-budget metric.
-static TREE_CLONES: AtomicU64 = AtomicU64::new(0);
-
-/// Number of tree clones performed so far.
-pub fn tree_clones() -> u64 {
-    TREE_CLONES.load(Ordering::Relaxed)
+thread_local! {
+    /// This thread's count of [`Tree`] clones — the executor's
+    /// clone-budget metric.
+    static TREE_CLONES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Reset the global tree-clone counter (tests and benchmarks).
-pub fn reset_tree_clones() {
-    TREE_CLONES.store(0, Ordering::Relaxed);
+/// Number of tree clones this thread has performed so far.
+pub fn tree_clones() -> u64 {
+    TREE_CLONES.get()
 }
 
 /// What a tree node is.
@@ -95,7 +94,7 @@ pub struct Tree {
 
 impl Clone for Tree {
     fn clone(&self) -> Self {
-        TREE_CLONES.fetch_add(1, Ordering::Relaxed);
+        TREE_CLONES.set(TREE_CLONES.get() + 1);
         Tree {
             nodes: self.nodes.clone(),
         }

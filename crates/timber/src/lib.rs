@@ -79,7 +79,6 @@ pub enum PlanMode {
 /// A loaded database plus the query pipeline.
 pub struct TimberDb {
     store: DocumentStore,
-    batch_size: usize,
 }
 
 impl TimberDb {
@@ -87,7 +86,6 @@ impl TimberDb {
     pub fn load_xml(xml: &str, opts: &StoreOptions) -> Result<Self> {
         Ok(TimberDb {
             store: DocumentStore::from_xml(xml, opts)?,
-            batch_size: physical::DEFAULT_BATCH_SIZE,
         })
     }
 
@@ -95,7 +93,6 @@ impl TimberDb {
     pub fn load_document(doc: &xmlparse::Document, opts: &StoreOptions) -> Result<Self> {
         Ok(TimberDb {
             store: DocumentStore::load(doc, opts)?,
-            batch_size: physical::DEFAULT_BATCH_SIZE,
         })
     }
 
@@ -105,7 +102,6 @@ impl TimberDb {
     pub fn create(opts: &StoreOptions) -> Result<Self> {
         Ok(TimberDb {
             store: DocumentStore::create(opts)?,
-            batch_size: physical::DEFAULT_BATCH_SIZE,
         })
     }
 
@@ -116,7 +112,6 @@ impl TimberDb {
     pub fn open(opts: &StoreOptions) -> Result<Self> {
         Ok(TimberDb {
             store: DocumentStore::open(opts)?,
-            batch_size: physical::DEFAULT_BATCH_SIZE,
         })
     }
 
@@ -158,12 +153,10 @@ impl TimberDb {
     /// queries on it keep answering from that state no matter how many
     /// transactions commit afterwards, and never block behind writers.
     /// Dropping the handle releases the snapshot (and eventually the
-    /// pages it was holding in limbo). The batch size is copied at
-    /// snapshot time.
+    /// pages it was holding in limbo).
     pub fn snapshot(&self) -> TimberDb {
         TimberDb {
             store: self.store.snapshot(),
-            batch_size: self.batch_size,
         }
     }
 
@@ -204,16 +197,6 @@ impl TimberDb {
     #[deprecated(note = "queries run on the calling thread")]
     pub fn set_threads(&mut self, _: usize) {}
 
-    /// Trees per batch in the physical executor (`0` acts as `1`).
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// Set the physical executor's batch size.
-    pub fn set_batch_size(&mut self, batch: usize) {
-        self.batch_size = batch.max(1);
-    }
-
     /// Compile a query to a logical plan under the given mode. Returns
     /// the plan and whether the grouping rewrite fired.
     pub fn compile(&self, query: &str, mode: PlanMode) -> Result<(Plan, bool)> {
@@ -244,14 +227,16 @@ impl TimberDb {
         self.run_plan(&plan, rewritten)
     }
 
-    /// Evaluate an already compiled plan. The whole execution runs
+    /// Evaluate an already compiled plan, in batches of
+    /// [`physical::DEFAULT_BATCH_SIZE`]. The whole execution runs
     /// against one pinned snapshot, so a plan never observes a commit
     /// that lands mid-query.
     pub fn run_plan(&self, plan: &Plan, rewritten: bool) -> Result<QueryResult> {
         let store = self.store.snapshot();
         let start = std::time::Instant::now();
         let io_before = store.io_stats();
-        let (trees, metrics) = physical::execute(&store, plan, &tax::ExecOptions, self.batch_size)?;
+        let batch = physical::DEFAULT_BATCH_SIZE;
+        let (trees, metrics) = physical::execute(&store, plan, &tax::ExecOptions, batch)?;
         let elapsed = start.elapsed();
         let io_after = store.io_stats();
         Ok(QueryResult {
@@ -295,7 +280,6 @@ impl TimberDb {
             trace,
             metrics,
             result,
-            batch_size: self.batch_size,
         })
     }
 
@@ -343,8 +327,6 @@ pub struct ExplainAnalysis {
     pub metrics: PlanMetrics,
     /// The query result (also carries the metrics).
     pub result: QueryResult,
-    /// The batch size the physical pipeline ran with.
-    pub batch_size: usize,
 }
 
 impl ExplainAnalysis {
@@ -364,7 +346,7 @@ impl ExplainAnalysis {
         let _ = writeln!(
             out,
             "\n== execution (physical, batch={}) ==",
-            self.batch_size
+            physical::DEFAULT_BATCH_SIZE
         );
         out.push_str(&self.metrics.render());
         let _ = writeln!(
@@ -439,6 +421,16 @@ mod tests {
 
     fn db() -> TimberDb {
         TimberDb::load_xml(SAMPLE, &StoreOptions::in_memory()).unwrap()
+    }
+
+    /// `query` under `mode`, run through the executor at `batch` trees
+    /// per batch, serialized.
+    fn xml_at_batch(db: &TimberDb, query: &str, mode: PlanMode, batch: usize) -> String {
+        let (plan, _) = db.compile(query, mode).unwrap();
+        let (trees, _) = physical::execute(db.store(), &plan, &tax::ExecOptions, batch).unwrap();
+        let mut out = String::new();
+        tax::tree::write_xml_lines(db.store(), &trees, &mut out).unwrap();
+        out
     }
 
     #[test]
@@ -547,24 +539,20 @@ mod tests {
         assert!(mat_plan.explain().contains("Union (3 branches)"));
         let fused = db.query(QUERY_CUBE, PlanMode::GroupByRewrite).unwrap();
         let composed = db.run_plan(&mat_plan, true).unwrap();
+        let direct = db.query(QUERY_CUBE, PlanMode::Direct).unwrap();
         let fused_xml = fused.to_xml_on(db.store()).unwrap();
-        assert!(fused_xml.contains("TAX_cube_level"), "{fused_xml}");
-        assert_eq!(
-            tax::ops::cube::strip_level_markers(&fused_xml),
-            composed.to_xml_on(db.store()).unwrap()
-        );
+        assert_eq!(fused_xml, composed.to_xml_on(db.store()).unwrap());
+        assert_eq!(fused_xml, direct.to_xml_on(db.store()).unwrap());
     }
 
     #[test]
     fn cube_query_agrees_across_batches() {
-        let mut db = cube_db();
-        db.set_batch_size(usize::MAX);
-        let reference = db.query(QUERY_CUBE, PlanMode::GroupByRewrite).unwrap();
-        let expected = reference.to_xml_on(db.store()).unwrap();
+        let db = cube_db();
+        let mode = PlanMode::GroupByRewrite;
+        let expected = xml_at_batch(&db, QUERY_CUBE, mode, usize::MAX);
         for batch in [1, 3, physical::DEFAULT_BATCH_SIZE] {
-            db.set_batch_size(batch);
-            let r = db.query(QUERY_CUBE, PlanMode::GroupByRewrite).unwrap();
-            assert_eq!(r.to_xml_on(db.store()).unwrap(), expected, "batch={batch}");
+            let got = xml_at_batch(&db, QUERY_CUBE, mode, batch);
+            assert_eq!(got, expected, "batch={batch}");
         }
         // The cube sink reports its stage times in EXPLAIN ANALYZE.
         let a = db
@@ -591,16 +579,13 @@ mod tests {
 
     #[test]
     fn every_run_records_metrics_and_matches_the_one_batch_serial_run() {
-        let mut db = db();
+        let db = db();
         for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-            db.set_batch_size(usize::MAX);
-            let reference = db.query(QUERY1, mode).unwrap();
-            db.set_batch_size(2);
-            let batched = db.query(QUERY1, mode).unwrap();
-            assert!(reference.metrics.is_some() && batched.metrics.is_some());
+            let run = db.query(QUERY1, mode).unwrap();
+            assert!(run.metrics.is_some());
             assert_eq!(
-                batched.to_xml_on(db.store()).unwrap(),
-                reference.to_xml_on(db.store()).unwrap(),
+                run.to_xml_on(db.store()).unwrap(),
+                xml_at_batch(&db, QUERY1, mode, usize::MAX),
                 "{mode:?}"
             );
         }
@@ -635,13 +620,12 @@ mod tests {
 
     #[test]
     fn batch_size_does_not_change_output() {
-        let mut db = db();
+        let db = db();
         let baseline = db.query(QUERY1, PlanMode::Direct).unwrap();
         let expected = baseline.to_xml_on(db.store()).unwrap();
         for batch in [1, 2, 7] {
-            db.set_batch_size(batch);
-            let r = db.query(QUERY1, PlanMode::Direct).unwrap();
-            assert_eq!(r.to_xml_on(db.store()).unwrap(), expected, "batch={batch}");
+            let got = xml_at_batch(&db, QUERY1, PlanMode::Direct, batch);
+            assert_eq!(got, expected, "batch={batch}");
         }
     }
 

@@ -401,8 +401,8 @@ fn op_label(plan: &Plan) -> String {
         .to_string()
 }
 
-/// Per-operator counters plus start/stop windows over the store's global
-/// I/O statistics.
+/// Per-operator counters plus start/stop windows over the store-wide
+/// I/O statistics and this thread's clone and kernel-row counters.
 struct Meter {
     op: String,
     trees_in: usize,
@@ -418,7 +418,8 @@ struct Meter {
 }
 
 /// One open measurement window: start instant plus snapshots of the
-/// process-global counters the stop diff subtracts.
+/// counters the stop diff subtracts (the store's I/O, this thread's
+/// clones and kernel rows).
 type MeterWindow = (Instant, IoStats, u64, u64, u64);
 
 impl Meter {

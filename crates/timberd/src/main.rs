@@ -7,6 +7,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::sync::Arc;
 use timber::TimberDb;
@@ -19,11 +20,10 @@ struct Args {
     create: bool,
     mem: bool,
     pool_pages: Option<usize>,
-    value_index: bool,
 }
 
-const USAGE: &str = "usage: timberd [--listen ADDR] (--mem | --store FILE [--create]) \
-     [--pool-pages N] [--value-index]";
+const USAGE: &str =
+    "usage: timberd [--listen ADDR] (--mem | --store FILE [--create]) [--pool-pages N]";
 
 /// Parse the command line (without the program name).
 fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
@@ -33,7 +33,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         create: false,
         mem: false,
         pool_pages: None,
-        value_index: false,
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -45,7 +44,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
                 let n = it.next().ok_or("--pool-pages needs a count")?;
                 args.pool_pages = Some(n.parse().map_err(|_| "--pool-pages needs a number")?);
             }
-            "--value-index" => args.value_index = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -70,9 +68,6 @@ fn main() {
     let mut opts = StoreOptions::in_memory();
     if let Some(n) = args.pool_pages {
         opts = opts.with_pool_pages(n);
-    }
-    if args.value_index {
-        opts = opts.with_value_index();
     }
     let db = match &args.store {
         None => TimberDb::create(&opts),
@@ -125,9 +120,15 @@ mod tests {
 
     #[test]
     fn threads_is_an_unknown_argument() {
-        // Queries run on the calling thread; there is no thread count to set.
+        // Queries run on the calling thread; there is no thread count to
+        // set. Nor is there a content value index to build.
         assert!(parse(&["--mem", "--pool-pages", "64"]).is_ok());
-        let err = parse(&["--mem", "--threads", "4"]).err().unwrap();
-        assert!(err.starts_with("unknown argument '--threads'"), "{err}");
+        for flag in ["--threads", "--value-index"] {
+            let err = parse(&["--mem", flag, "4"]).err().unwrap();
+            assert!(
+                err.starts_with(&format!("unknown argument '{flag}'")),
+                "{err}"
+            );
+        }
     }
 }

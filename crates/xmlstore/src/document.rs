@@ -99,14 +99,6 @@ pub struct StoreOptions {
     /// If the store is on disk, put the page file here instead of a
     /// temporary path (the file is then kept after drop).
     pub path: Option<PathBuf>,
-    /// Drop whitespace-only text between elements (bibliographic data is
-    /// data-centric, so this is the default).
-    pub strip_whitespace: bool,
-    /// Also build a content value index (`(tag, value) → nodes`). The
-    /// paper's experiments used only the tag index (its footnote 8
-    /// explains the limits of value indices in XML), so this is off by
-    /// default.
-    pub value_index: bool,
     /// Write-ahead log every mutation so the store survives crashes.
     /// The log lives next to the page file (`path` + `.wal`) when the
     /// store is on disk at a named path; otherwise it is kept in memory,
@@ -121,8 +113,6 @@ impl Default for StoreOptions {
             pool_pages: 32 * 1024 * 1024 / PAGE_SIZE,
             on_disk: true,
             path: None,
-            strip_whitespace: true,
-            value_index: false,
             durable: false,
         }
     }
@@ -135,23 +125,8 @@ impl StoreOptions {
             pool_pages: 1024,
             on_disk: false,
             path: None,
-            strip_whitespace: true,
-            value_index: false,
             durable: false,
         }
-    }
-
-    /// Enable the content value index.
-    pub fn with_value_index(mut self) -> Self {
-        self.value_index = true;
-        self
-    }
-
-    /// Set the buffer pool size in bytes (rounded down to whole pages,
-    /// minimum one page).
-    pub fn with_pool_bytes(mut self, bytes: usize) -> Self {
-        self.pool_pages = (bytes / PAGE_SIZE).max(1);
-        self
     }
 
     /// Set the buffer pool size in pages.
@@ -201,8 +176,6 @@ struct StoreShared {
     current: RwLock<Arc<Projection>>,
     writer: Mutex<WriterState>,
     wal: Option<WalHandle>,
-    strip_whitespace: bool,
-    build_values: bool,
     /// The one buffer pool, behind one lock (see DESIGN.md,
     /// *Concurrency model*, for the measurement that retired striping).
     pool: Mutex<BufferPool>,
@@ -296,7 +269,7 @@ impl DocumentStore {
         let mut pool = BufferPool::with_shared(disk.clone(), opts.pool_pages)?;
         pool.set_wal(wal.clone());
         let epoch = 1;
-        let proj = Arc::new(Projection::empty(epoch, doc_root_tag, opts.value_index, 0));
+        let proj = Arc::new(Projection::empty(epoch, doc_root_tag, 0));
         let dict_logged = tags.len();
         Ok(DocumentStore {
             shared: Arc::new(StoreShared {
@@ -312,8 +285,6 @@ impl DocumentStore {
                     epoch,
                 }),
                 wal,
-                strip_whitespace: opts.strip_whitespace,
-                build_values: opts.value_index,
                 pool: Mutex::new(pool),
                 disk,
                 recovery,
@@ -404,13 +375,9 @@ impl DocumentStore {
     }
 
     /// The unified symbol dictionary (tags *and* content values).
+    /// Interning is concurrent (`&self`), so query layers can intern
+    /// constructed tags and computed values directly.
     pub fn dict(&self) -> &Dictionary {
-        &self.shared.tags
-    }
-
-    /// The tag dictionary. Interning is concurrent (`&self`), so query
-    /// layers can intern constructed tags and computed values directly.
-    pub fn tags(&self) -> &Dictionary {
         &self.shared.tags
     }
 
@@ -454,12 +421,6 @@ impl DocumentStore {
             end: self.proj().root_end,
             level: 0,
         }
-    }
-
-    /// Whether the content value index was built
-    /// (`StoreOptions::value_index`).
-    pub fn has_value_index(&self) -> bool {
-        self.proj().value_index.is_some()
     }
 
     // ---- record access (goes through the buffer pool) ------------------

@@ -148,10 +148,7 @@ impl DocumentStore {
         // the dictionary is concurrent, so writers only serialize on
         // the page/WAL work below.
         let sh = &self.shared;
-        let local = edit
-            .add
-            .map(|doc| build_local(doc, &sh.tags, sh.strip_whitespace))
-            .transpose()?;
+        let local = edit.add.map(|doc| build_local(doc, &sh.tags)).transpose()?;
         let (heap_pages, node_pages): (&[PageImage], &[PageImage]) = match &local {
             Some(l) => (&l.heap_pages, &l.node_pages),
             None => (&[], &[]),

@@ -1,5 +1,7 @@
 //! The loader: one parsed document → local node records, encoded heap
 //! and node pages, and content symbols, ready for a commit to place.
+//! Whitespace-only text is not stored: the data is data-centric, and
+//! the reference model's data model drops it too.
 
 use crate::catalog::{attr_tag_name, TEXT_TAG};
 use crate::dict::{Dictionary, NO_SYM};
@@ -25,11 +27,7 @@ pub(super) struct LocalDoc {
     pub span: u32,
 }
 
-pub(super) fn build_local(
-    doc: &xmlparse::Document,
-    tags: &Dictionary,
-    strip_whitespace: bool,
-) -> Result<LocalDoc> {
+pub(super) fn build_local(doc: &xmlparse::Document, tags: &Dictionary) -> Result<LocalDoc> {
     let mut heap = HeapBuilder::new();
     let mut records: Vec<NodeRecord> = Vec::new();
     let mut content_syms: Vec<u32> = Vec::new();
@@ -40,7 +38,6 @@ pub(super) fn build_local(
         records: &mut records,
         content_syms: &mut content_syms,
         counter: &mut counter,
-        strip_whitespace,
     };
     loader.load_element(doc.root(), NO_PARENT, 1)?;
     let span = counter;
@@ -72,7 +69,6 @@ struct Loader<'a> {
     /// ([`NO_SYM`] when it has none).
     content_syms: &'a mut Vec<u32>,
     counter: &'a mut u32,
-    strip_whitespace: bool,
 }
 
 impl Loader<'_> {
@@ -134,7 +130,7 @@ impl Loader<'_> {
                         self.load_element(e, id, level + 1)?;
                     }
                     xmlparse::XmlNode::Text(t) => {
-                        if self.strip_whitespace && t.trim().is_empty() {
+                        if t.trim().is_empty() {
                             continue;
                         }
                         let text_tag = self.tags.intern(TEXT_TAG);
@@ -160,7 +156,7 @@ impl Loader<'_> {
         } else {
             // Text-only (or empty) content merges into the element.
             let text = elem.text();
-            if !(text.is_empty() || (self.strip_whitespace && text.trim().is_empty())) {
+            if !text.trim().is_empty() {
                 let content = self.heap.append(&text)?;
                 self.records[id as usize].content = content;
                 self.content_syms[id as usize] = self.tags.intern(&text).0;
@@ -205,20 +201,13 @@ mod tests {
     }
 
     #[test]
-    fn strip_whitespace_toggle() {
-        let xml = "<a> <b/> </a>";
-        let stripped = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
-        let kept = DocumentStore::from_xml(
-            xml,
-            &StoreOptions {
-                strip_whitespace: false,
-                ..StoreOptions::in_memory()
-            },
-        )
-        .unwrap();
-        // stripped: doc_root + a + b; kept adds two #text nodes.
-        assert_eq!(stripped.node_count(), 3);
-        assert_eq!(kept.node_count(), 5);
+    fn whitespace_only_text_is_not_stored() {
+        // doc_root + a + b + c: no #text nodes around `b`, no content on `c`.
+        let s = DocumentStore::from_xml("<a> <b/> <c> </c></a>", &StoreOptions::in_memory());
+        let s = s.unwrap();
+        assert_eq!(s.node_count(), 4);
+        let c = s.nodes_with_tag(s.tag_id("c").unwrap())[0];
+        assert_eq!(s.content(c.id).unwrap(), None);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub(super) struct DocMeta {
 /// The document table and the id counters. Together with the name table
 /// (which lives in the store's [`Dictionary`](crate::dict::Dictionary)
 /// and nowhere else in memory) this is the durable metadata; everything
-/// else (tag index, value index, free list, global projection) is
+/// else (tag index, free list, global projection) is
 /// derived from it plus the pages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) struct StoreMeta {

@@ -11,7 +11,7 @@ use crate::catalog::TagId;
 use crate::columns::NodeColumns;
 use crate::dict::{Sym, NO_SYM};
 use crate::error::{Result, StoreError};
-use crate::index::{Cut, NodeEntry, TagIndex, ValueIndex};
+use crate::index::{Cut, NodeEntry, TagIndex};
 use crate::node::{ContentPtr, NodeId, NodeKind, NodeRecord, NO_PARENT};
 use std::ops::Deref;
 use std::sync::atomic::{self, Ordering};
@@ -27,7 +27,7 @@ pub(super) struct DocRows<'a> {
 }
 
 /// One immutable view of the store, published atomically by a commit:
-/// the tag/value indexes, the columnar label region, and the document
+/// the tag index, the columnar label region, and the document
 /// table with its derived global id/label spaces. Readers resolve
 /// everything through one `Arc<Projection>`, so a reader never observes
 /// a half-applied transaction — it either runs entirely against the
@@ -42,7 +42,6 @@ pub(super) struct Projection {
     pub epoch: u64,
     index: TagIndex,
     pub columns: Arc<NodeColumns>,
-    pub value_index: Option<ValueIndex>,
     pub docs: Vec<DocMeta>,
     /// Global node id of each document's first local node; `id_bases[0]`
     /// is 1 (id 0 is the synthetic root).
@@ -99,7 +98,7 @@ impl Projection {
 
     /// The view of a store without documents — the synthetic root alone —
     /// with room for `rows` more rows in the label columns.
-    pub(super) fn empty(epoch: u64, doc_root_tag: TagId, build_values: bool, rows: usize) -> Self {
+    pub(super) fn empty(epoch: u64, doc_root_tag: TagId, rows: usize) -> Self {
         let mut columns = NodeColumns::with_capacity(1 + rows);
         columns.push(0, 1, 0, doc_root_tag.0, NodeKind::Element, NO_SYM);
         let mut index = TagIndex::new();
@@ -108,7 +107,6 @@ impl Projection {
             epoch,
             index,
             columns: Arc::new(columns),
-            value_index: build_values.then(ValueIndex::new),
             docs: Vec::new(),
             id_bases: Vec::new(),
             label_offsets: Vec::new(),
@@ -119,7 +117,7 @@ impl Projection {
     }
 
     /// Append one document at the end of the id and label spaces: its
-    /// rows go onto the six columns and the tag (and value) lists, its
+    /// rows go onto the six columns and the tag lists, its
     /// content pointers into a location array of its own. The caller
     /// fits the root afterwards.
     fn push_doc(&mut self, doc: DocRows<'_>) {
@@ -135,9 +133,6 @@ impl Projection {
             };
             self.index.insert(r.tag, entry);
             columns.push(entry.start, entry.end, r.level, r.tag.0, r.kind, content);
-            if let (Some(values), true) = (&mut self.value_index, content != NO_SYM) {
-                values.insert(r.tag, Sym(content), entry);
-            }
         }
         let heap_base = doc.meta.heap_base;
         let locs = doc.records.iter().map(|r| r.content.at(heap_base));
@@ -201,7 +196,6 @@ impl Projection {
             epoch,
             index: self.index.spliced(&cut, added.iter().map(|r| r.tag)),
             columns: Arc::new(self.columns.spliced(&cut, added.len())),
-            value_index: self.value_index.as_ref().map(|v| v.spliced(&cut)),
             docs,
             id_bases,
             label_offsets,
@@ -223,12 +217,11 @@ impl Projection {
 pub(super) fn build_projection(
     epoch: u64,
     doc_root_tag: TagId,
-    build_values: bool,
     docs: &[DocMeta],
     mut rows: impl FnMut(&DocMeta) -> Result<(Vec<NodeRecord>, Vec<u32>)>,
 ) -> Result<Projection> {
     let rows_total: usize = docs.iter().map(|d| d.node_count as usize).sum();
-    let mut proj = Projection::empty(epoch, doc_root_tag, build_values, rows_total);
+    let mut proj = Projection::empty(epoch, doc_root_tag, rows_total);
     proj.docs.reserve(docs.len());
     proj.id_bases.reserve(docs.len());
     proj.label_offsets.reserve(docs.len());
@@ -266,7 +259,6 @@ pub struct Entries {
 
 enum EntrySel {
     Tag(TagId),
-    Value(TagId, Sym),
     Empty,
 }
 
@@ -274,11 +266,6 @@ impl Entries {
     fn slice(&self) -> &[NodeEntry] {
         match &self.sel {
             EntrySel::Tag(tag) => self.proj.index.nodes(*tag),
-            EntrySel::Value(tag, value) => self
-                .proj
-                .value_index
-                .as_ref()
-                .map_or(&[][..], |vi| vi.nodes(*tag, *value)),
             EntrySel::Empty => &[],
         }
     }
@@ -390,20 +377,6 @@ impl DocumentStore {
             sel: EntrySel::Empty,
         }
     }
-
-    /// Document-order nodes of `tag` whose content equals `value`, from
-    /// the value index (no data-page access). `None` when the index was
-    /// not built. Every stored value is interned, so a string the
-    /// dictionary has never seen matches nothing.
-    pub fn nodes_with_tag_and_content(&self, tag: TagId, value: &str) -> Option<Entries> {
-        let proj = self.proj();
-        let sel = match self.shared.tags.get(value) {
-            Some(value) => EntrySel::Value(tag, value),
-            None => EntrySel::Empty,
-        };
-        let built = proj.value_index.is_some();
-        built.then_some(Entries { proj, sel })
-    }
 }
 
 /// Park a committed-away document's runs in limbo, tagged with the
@@ -446,7 +419,7 @@ pub(super) fn reclaim_limbo(w: &mut WriterState) {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{durable_opts, store, temp_paths, SAMPLE};
+    use super::super::test_support::{durable_opts, store, temp_paths};
     use super::super::{DocId, DocumentStore, StoreOptions};
     use super::*;
     use smallrand::prop::{check, Gen};
@@ -478,39 +451,9 @@ mod tests {
         assert!(articles[0].is_parent_of(&authors[0]));
     }
 
-    #[test]
-    fn value_index_built_on_request() {
-        let s =
-            DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory().with_value_index()).unwrap();
-        let author = s.tag_id("author").unwrap();
-        let hits = s.nodes_with_tag_and_content(author, "John").unwrap();
-        assert_eq!(hits.len(), 2);
-        assert!(s
-            .nodes_with_tag_and_content(author, "Nobody")
-            .unwrap()
-            .is_empty());
-        // Attribute values are indexed too (tag @year).
-        let year = s.attr_tag_id("year").unwrap();
-        assert_eq!(s.nodes_with_tag_and_content(year, "1999").unwrap().len(), 1);
-        // Off by default.
-        let plain = DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory()).unwrap();
-        assert!(!plain.has_value_index());
-        assert!(plain.nodes_with_tag_and_content(author, "John").is_none());
-    }
-
-    #[test]
-    fn value_index_lookup_touches_no_pages() {
-        let s =
-            DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory().with_value_index()).unwrap();
-        s.reset_io_stats();
-        let author = s.tag_id("author").unwrap();
-        let _ = s.nodes_with_tag_and_content(author, "Jack").unwrap();
-        assert_eq!(s.io_stats().page_requests(), 0);
-    }
-
     /// A small random document: a few element kinds, attributes, mixed
-    /// content, and values drawn from a small pool so tag lists and
-    /// value-index keys span documents.
+    /// content, and values drawn from a small pool so tag lists span
+    /// documents.
     fn random_doc(g: &mut Gen) -> String {
         const VALUES: [&str; 6] = ["Jack", "Jill", "1999", "2002", "XML", "a b"];
         let mut xml = String::from("<bib>");
@@ -539,14 +482,7 @@ mod tests {
     fn from_scratch(s: &DocumentStore, published: &Projection) -> Projection {
         let sh = &s.shared;
         let rows = |d: &DocMeta| s.read_rows(d);
-        build_projection(
-            published.epoch,
-            sh.doc_root_tag,
-            sh.build_values,
-            &published.docs,
-            rows,
-        )
-        .unwrap()
+        build_projection(published.epoch, sh.doc_root_tag, &published.docs, rows).unwrap()
     }
 
     /// Field-by-field equality of two projections over a dictionary of
@@ -581,15 +517,6 @@ mod tests {
             assert_eq!(got.index.nodes(tag), want.index.nodes(tag), "tag {tag:?}");
         }
         assert_eq!(got.index.total_entries(), want.index.total_entries());
-        assert_eq!(got.value_index.is_some(), want.value_index.is_some());
-        if let (Some(gv), Some(wv)) = (&got.value_index, &want.value_index) {
-            assert_eq!(gv.key_count(), wv.key_count());
-            assert_eq!(gv.total_entries(), wv.total_entries());
-            for (&tag, &value) in w.tag.iter().zip(&w.content) {
-                let (tag, value) = (Sym(tag), Sym(value));
-                assert_eq!(gv.nodes(tag, value), wv.nodes(tag, value));
-            }
-        }
     }
 
     /// Everything a reader can get out of a handle without knowing the
@@ -623,11 +550,6 @@ mod tests {
     fn every_published_projection_equals_a_from_scratch_build() {
         check("published projection == from-scratch build", 48, |g| {
             let opts = StoreOptions::in_memory().with_pool_pages(16);
-            let opts = if g.bool() {
-                opts.with_value_index()
-            } else {
-                opts
-            };
             let s = DocumentStore::create(&opts).unwrap();
             let steps = g.usize_in(4, 16);
             let pin_at = g.usize_in(0, steps - 1);
@@ -666,18 +588,6 @@ mod tests {
                     let up = s.record(parent).unwrap();
                     assert!(up.start < rec.start && rec.end < up.end && up.level + 1 == rec.level);
                 }
-                // The value index answers by string what the columns hold.
-                if let Some(hits) = s.nodes_with_tag_and_content(s.intern("author"), "Jack") {
-                    let cols = &published.columns;
-                    let (author, jack) = (s.intern("author").0, s.intern("Jack").0);
-                    let want = (0..cols.len())
-                        .filter(|&i| cols.tag[i] == author && cols.content[i] == jack)
-                        .map(|i| cols.entry(NodeId(i as u32)));
-                    assert_eq!(hits.to_vec(), want.collect::<Vec<_>>());
-                    let unknown = s.nodes_with_tag_and_content(Sym(author), "never stored");
-                    assert!(unknown.unwrap().is_empty());
-                    assert!(s.dict().get("never stored").is_none());
-                }
             }
             // The snapshot pinned mid-script still serves what it served
             // then, whatever was deleted or written over since.
@@ -713,7 +623,7 @@ mod tests {
     fn the_comparison_catches_each_missed_shift() {
         // Three documents, the first deleted: what `edited` published, the
         // from-scratch build it must equal, and the cut that was made.
-        let s = DocumentStore::create(&StoreOptions::in_memory().with_value_index()).unwrap();
+        let s = DocumentStore::create(&StoreOptions::in_memory()).unwrap();
         let first = s.insert_xml("<a><b>one</b><c k=\"v\"/></a>").unwrap();
         s.insert_xml("<a><b>two</b></a>").unwrap();
         s.insert_xml("<a><c>three</c><b>two</b></a>").unwrap();

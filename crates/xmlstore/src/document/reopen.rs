@@ -86,7 +86,7 @@ impl DocumentStore {
             let mut w = store.writer();
             let (epoch, docs) = (w.epoch + 1, &w.meta.docs);
             let rows = |d: &DocMeta| store.read_rows(d);
-            let proj = build_projection(epoch, sh.doc_root_tag, sh.build_values, docs, rows)?;
+            let proj = build_projection(epoch, sh.doc_root_tag, docs, rows)?;
             store.install(&mut w, proj);
         }
         store.clear_buffer_pool()?;
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn durable_store_reopens_with_committed_documents() {
         let (page, wal) = temp_paths("reopen");
-        let opts = durable_opts(&page).with_value_index();
+        let opts = durable_opts(&page);
         {
             let s = DocumentStore::create(&opts).unwrap();
             s.insert_xml(SAMPLE).unwrap();
@@ -159,11 +159,6 @@ mod tests {
         let authors = s.nodes_with_tag(author);
         assert_eq!(authors.len(), 4);
         assert_eq!(s.content(authors[3].id).unwrap().as_deref(), Some("Jill"));
-        // The value index was rebuilt from the pages.
-        assert_eq!(
-            s.nodes_with_tag_and_content(author, "John").unwrap().len(),
-            2
-        );
         // Recovery is deterministic: a second replay of the durable log
         // leaves the same page bytes as the first.
         let log = std::fs::read(&wal).unwrap();

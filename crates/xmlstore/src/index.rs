@@ -9,7 +9,6 @@
 //! cases, using indices alone, without access to the actual data").
 
 use crate::catalog::TagId;
-use crate::dict::Sym;
 use crate::node::NodeId;
 
 /// An index entry: a node id together with its containment label.
@@ -70,69 +69,6 @@ fn splice_entries(src: &[NodeEntry], cut: &Cut, extra: usize) -> Vec<NodeEntry> 
         level: e.level,
     }));
     out
-}
-
-/// Value index: `(TagId, content Sym) → sorted-by-start Vec<NodeEntry>`.
-///
-/// The paper's footnote 8 discusses why value indices help less in XML
-/// than in relational systems: the index is built over a *domain*, so
-/// many element types roll into one index (here keyed by tag to keep the
-/// type confusion explicit), and it returns the node *with the value* —
-/// e.g. the author — whereas the query usually wants a related node —
-/// the article — so navigation or a structural join must follow.
-/// TIMBER's experiments used only the tag index; this one is optional
-/// (`StoreOptions::value_index`) and exercised by selection predicates.
-/// Every stored value is interned, so the key is the content symbol of
-/// the label columns, not a second copy of the string.
-#[derive(Debug, Default, Clone)]
-pub struct ValueIndex {
-    map: std::collections::HashMap<(TagId, Sym), Vec<NodeEntry>>,
-}
-
-impl ValueIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        ValueIndex::default()
-    }
-
-    /// Record `entry` (with tag `tag`) as carrying `value`. Entries must
-    /// arrive in document order per key.
-    pub fn insert(&mut self, tag: TagId, value: Sym, entry: NodeEntry) {
-        let list = self.map.entry((tag, value)).or_default();
-        debug_assert!(
-            list.last().map(|p| p.start < entry.start).unwrap_or(true),
-            "value-index entries must arrive in document order"
-        );
-        list.push(entry);
-    }
-
-    /// The document-order nodes of tag `tag` whose content is `value`.
-    pub fn nodes(&self, tag: TagId, value: Sym) -> &[NodeEntry] {
-        self.map
-            .get(&(tag, value))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// A copy of this index without the rows of `cut`; keys left with no
-    /// rows go.
-    pub(crate) fn spliced(&self, cut: &Cut) -> ValueIndex {
-        let lists = self.map.iter();
-        let kept = lists.map(|(key, list)| (*key, splice_entries(list, cut, 0)));
-        ValueIndex {
-            map: kept.filter(|(_, list)| !list.is_empty()).collect(),
-        }
-    }
-
-    /// Number of distinct `(tag, value)` keys.
-    pub fn key_count(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Total entries.
-    pub fn total_entries(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
-    }
 }
 
 /// Tag-name index: `TagId → sorted-by-start Vec<NodeEntry>`.
@@ -254,29 +190,10 @@ mod tests {
     }
 
     #[test]
-    fn value_index_roundtrip() {
-        let (jack, jill) = (Sym(7), Sym(8));
-        let mut ix = ValueIndex::new();
-        ix.insert(TagId(1), jack, entry(1, 5, 6, 2));
-        ix.insert(TagId(1), jack, entry(2, 9, 10, 2));
-        ix.insert(TagId(1), jill, entry(3, 13, 14, 2));
-        ix.insert(TagId(2), jack, entry(4, 17, 18, 2));
-        assert_eq!(ix.nodes(TagId(1), jack).len(), 2);
-        assert_eq!(ix.nodes(TagId(1), jill).len(), 1);
-        // Type separation: author "Jack" vs editor "Jack" do not mix.
-        assert_eq!(ix.nodes(TagId(2), jack).len(), 1);
-        assert_eq!(ix.nodes(TagId(9), jack).len(), 0);
-        assert_eq!(ix.key_count(), 3);
-        assert_eq!(ix.total_entries(), 4);
-    }
-
-    #[test]
     fn splicing_cuts_an_id_range_and_shifts_what_follows() {
         let mut ix = TagIndex::new();
-        let mut vx = ValueIndex::new();
         for (id, start) in [(1, 1), (2, 5), (3, 9), (4, 13)] {
             ix.insert(TagId(3), entry(id, start, start + 1, 2));
-            vx.insert(TagId(3), Sym(id), entry(id, start, start + 1, 2));
         }
         // Rows 2..4 (labels 5..13) leave; row 4 becomes row 2 at label 5.
         let cut = Cut { ids: 2..4, span: 8 };
@@ -284,9 +201,6 @@ mod tests {
         let spliced = ix.spliced(&cut, [TagId(3), TagId(7), TagId(3)].into_iter());
         assert_eq!(spliced.nodes(TagId(3)), after);
         assert_eq!(spliced.lists[3].capacity(), 4);
-        let values = vx.spliced(&cut);
-        assert_eq!(values.nodes(TagId(3), Sym(4)), &after[1..]);
-        assert_eq!(values.key_count(), 2);
         // Cutting nothing at the end of the id space is a plain copy.
         let none = Cut { ids: 5..5, span: 0 };
         assert_eq!(

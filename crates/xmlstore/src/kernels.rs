@@ -12,42 +12,46 @@
 //! queries are held to the reference model in `tests/src/model.rs`
 //! instead.
 //!
-//! Two process-wide counters ([`vec_rows`], [`fallback_rows`]) tally how
+//! Two per-thread counters ([`vec_rows`], [`fallback_rows`]) tally how
 //! many rows flowed through the kernels vs the matcher's per-row
 //! fallbacks (inputs the batch forms cannot take), the same way
 //! `tax::tree::tree_clones` tallies deep clones; the physical executor
 //! windows them per operator and EXPLAIN ANALYZE reports them as
-//! `vec=`/`vecfb=`, so a plan dropping to the row loops is visible.
+//! `vec=`/`vecfb=`, so a plan dropping to the row loops is visible. A
+//! query runs on one thread, so concurrent queries never count each
+//! other's rows.
 
 use crate::index::NodeEntry;
+use std::cell::Cell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Rows processed by vectorized kernels since process start.
-static VEC_ROWS: AtomicU64 = AtomicU64::new(0);
-/// Rows processed by per-row fallbacks since process start.
-static FALLBACK_ROWS: AtomicU64 = AtomicU64::new(0);
-
-/// Total rows processed by vectorized kernels.
-pub fn vec_rows() -> u64 {
-    VEC_ROWS.load(Ordering::Relaxed)
+thread_local! {
+    /// Rows this thread has run through vectorized kernels.
+    static VEC_ROWS: Cell<u64> = const { Cell::new(0) };
+    /// Rows this thread has run through per-row fallbacks.
+    static FALLBACK_ROWS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Total rows processed by scalar fallbacks.
+/// Total rows this thread has processed with vectorized kernels.
+pub fn vec_rows() -> u64 {
+    VEC_ROWS.get()
+}
+
+/// Total rows this thread has processed with scalar fallbacks.
 pub fn fallback_rows() -> u64 {
-    FALLBACK_ROWS.load(Ordering::Relaxed)
+    FALLBACK_ROWS.get()
 }
 
 /// Credit `n` rows to the vectorized counter (for callers that fold
 /// kernel output without re-entering a kernel, e.g. run-length folds).
 pub fn note_vec_rows(n: usize) {
-    VEC_ROWS.fetch_add(n as u64, Ordering::Relaxed);
+    VEC_ROWS.set(VEC_ROWS.get() + n as u64);
 }
 
 /// Credit `n` rows to the fallback counter (for callers that take a
 /// scalar path a vectorized kernel exists for).
 pub fn note_fallback_rows(n: usize) {
-    FALLBACK_ROWS.fetch_add(n as u64, Ordering::Relaxed);
+    FALLBACK_ROWS.set(FALLBACK_ROWS.get() + n as u64);
 }
 
 /// A selection over the dense row range `base .. base + len`: one bit

@@ -421,7 +421,7 @@ fn detect(plan: &Plan) -> Option<Plan> {
     if !right_pattern.is_ancestor(subject, *right_extract) {
         return None;
     }
-    Some(build_groupby_plan(
+    build_groupby_plan(
         right_pattern,
         subject,
         join_node,
@@ -429,7 +429,7 @@ fn detect(plan: &Plan) -> Option<Plan> {
         agg.clone(),
         *order,
         tag,
-    ))
+    )
 }
 
 /// Is this plan a `SelectDb` possibly wrapped in projections / duplicate
@@ -452,7 +452,7 @@ fn build_groupby_plan(
     agg: Option<(AggFunc, String)>,
     order: Option<(PatternNodeId, Direction)>,
     tag: &str,
-) -> Plan {
+) -> Option<Plan> {
     // Step 1: the initial pattern tree — the bound variable with its path
     // from the document root (Fig. 5a). Selection with SL = subject,
     // projection with PL = subject*.
@@ -481,11 +481,11 @@ fn build_groupby_plan(
         subject,
         join_node,
         &mut gb_map,
-    );
+    )?;
     let ordering: Vec<GroupOrder> = match order {
         None => vec![],
         Some((onode, dir)) => {
-            let label = graft_into(&mut gb_pattern, right_pattern, subject, onode, &mut gb_map);
+            let label = graft_into(&mut gb_pattern, right_pattern, subject, onode, &mut gb_map)?;
             vec![GroupOrder {
                 label,
                 direction: dir,
@@ -569,7 +569,7 @@ fn build_groupby_plan(
         (group_plan, fp, pl)
     };
 
-    Plan::Rename {
+    Some(Plan::Rename {
         input: Box::new(Plan::Project {
             input: Box::new(plan_before_project),
             pattern: fp,
@@ -577,7 +577,7 @@ fn build_groupby_plan(
             anchor_root: true,
         }),
         tag: tag.to_owned(),
-    }
+    })
 }
 
 /// The pattern consisting of the path root → … → `target` only, plus the
@@ -627,15 +627,15 @@ fn path_between(
 
 /// Graft the `from`→`to` path of `src` into `dst` (which mirrors the
 /// subtree rooted at `from`), reusing already-grafted nodes via `map`.
-/// Returns `to`'s node in `dst`.
+/// Returns `to`'s node in `dst`; `None` if `from` itself is not mapped.
 fn graft_into(
     dst: &mut PatternTree,
     src: &PatternTree,
     from: PatternNodeId,
     to: PatternNodeId,
     map: &mut [Option<PatternNodeId>],
-) -> PatternNodeId {
-    let mut last = map[from].expect("root mapped");
+) -> Option<PatternNodeId> {
+    let mut last = map[from]?;
     let mut prev = last;
     for pid in path_between(src, from, to) {
         let node = match map[pid] {
@@ -649,7 +649,7 @@ fn graft_into(
         prev = node;
         last = node;
     }
-    last
+    Some(last)
 }
 
 /// First extract node's id in the right pattern (used by the LCA
@@ -946,8 +946,7 @@ impl Fusable<'_> {
 /// Under those guards the cube's level-`k` accumulation *is* the flat
 /// rollup of branch `k` — same witness stream (identical pattern and
 /// input), same prefix keys, same fold order — so the fused output
-/// matches the union byte for byte, except for the `TAX_cube_level`
-/// marker child each cube tree carries. When any guard fails the rule
+/// matches the union byte for byte. When any guard fails the rule
 /// backs off and [`RollupFuseRule`] fuses the branches individually.
 pub struct CubeFuseRule;
 
@@ -969,7 +968,7 @@ impl Rule for CubeFuseRule {
             .iter()
             .map(|b| fusable(b).filter(Fusable::projection_is_flat_shape))
             .collect::<Option<Vec<_>>>()?;
-        let full = branches.last().expect("at least two branches");
+        let full = branches.last()?;
         if full.basis.len() != branches.len() {
             return None;
         }
@@ -1065,15 +1064,16 @@ impl Rule for ProjectionPruneRule {
             return None;
         }
         let (pruned, mapping) = pattern.subtree_pattern(child);
-        let remap = |l: PatternNodeId| mapping[l].expect("label below the pruned root");
-        let sl: Vec<PatternNodeId> = sl.iter().map(|&l| remap(l)).collect();
-        let pl: Vec<ProjectItem> = pl
+        let sl = sl.iter().map(|&l| mapping[l]).collect::<Option<Vec<_>>>()?;
+        let pl = pl
             .iter()
-            .map(|p| ProjectItem {
-                label: remap(p.label),
-                deep: p.deep,
+            .map(|p| {
+                Some(ProjectItem {
+                    label: mapping[p.label]?,
+                    deep: p.deep,
+                })
             })
-            .collect();
+            .collect::<Option<Vec<_>>>()?;
         Some(Plan::Project {
             input: Box::new(Plan::SelectDb {
                 pattern: pruned.clone(),

@@ -168,10 +168,10 @@ impl Parser {
                         break;
                     }
                 }
-                Some(CubeClause {
-                    var: cvar.expect("at least one dimension"),
-                    dims,
-                })
+                let Some(var) = cvar else {
+                    return Err(self.err("expected a CUBE BY dimension"));
+                };
+                Some(CubeClause { var, dims })
             } else {
                 None
             };
@@ -375,22 +375,25 @@ impl Parser {
     }
 
     fn parse_return_item(&mut self) -> Result<ReturnItem> {
+        let agg = match self.peek() {
+            Some(Token::Name(n)) => AggName::parse(n),
+            _ => None,
+        };
+        if let Some(func) = agg {
+            self.bump();
+            self.expect(Token::LParen, "'(' after the aggregate function")?;
+            let v = self.expect_var()?;
+            let mut path = Vec::new();
+            while self.eat(&Token::Slash) {
+                path.push(self.expect_name()?);
+            }
+            self.expect(Token::RParen, "')' closing the aggregate call")?;
+            return Ok(ReturnItem::Agg(func, v, path));
+        }
         match self.peek().cloned() {
             Some(Token::Keyword(Keyword::For)) => {
                 let nested = self.parse_flwr()?;
                 Ok(ReturnItem::Nested(Box::new(nested)))
-            }
-            Some(Token::Name(n)) if AggName::parse(&n).is_some() => {
-                let func = AggName::parse(&n).expect("checked");
-                self.bump();
-                self.expect(Token::LParen, "'(' after the aggregate function")?;
-                let v = self.expect_var()?;
-                let mut path = Vec::new();
-                while self.eat(&Token::Slash) {
-                    path.push(self.expect_name()?);
-                }
-                self.expect(Token::RParen, "')' closing the aggregate call")?;
-                Ok(ReturnItem::Agg(func, v, path))
             }
             Some(Token::Var(_)) => {
                 let v = self.expect_var()?;

@@ -142,8 +142,8 @@ pub enum Plan {
     /// per-level `Project ∘ Aggregate ∘ GroupBy` pipelines): one scan
     /// computes the aggregate at **every** prefix of the basis,
     /// emitting per level the flat rollup shape
-    /// `TAX_group_root { key…, <new_tag>value</new_tag> }` with a
-    /// leading `TAX_cube_level` marker child, levels coarsest-first.
+    /// `TAX_group_root { key…, <new_tag>value</new_tag> }`, levels
+    /// coarsest-first — the bytes of the union it replaces.
     Cube {
         /// Input plan (shared by every level).
         input: Box<Plan>,

@@ -103,7 +103,7 @@ pub fn translate(q: &Flwr) -> Result<Plan> {
             ReturnItem::Var(v) if v == outer_var => saw_outer_var = true,
             ReturnItem::Var(v) => match &q.let_clause {
                 Some(l) if &l.var == v => {
-                    set_nested(&mut nested_part, NestedPart::Let { agg: None })?
+                    set_nested(&mut nested_part, NestedPart::Let { l, agg: None })?
                 }
                 _ => return Err(QueryError::UnboundVariable(v.clone())),
             },
@@ -115,7 +115,8 @@ pub fn translate(q: &Flwr) -> Result<Plan> {
                 }
                 match &q.let_clause {
                     Some(l) if &l.var == v => {
-                        set_nested(&mut nested_part, NestedPart::Let { agg: Some(*func) })?
+                        let agg = Some(*func);
+                        set_nested(&mut nested_part, NestedPart::Let { l, agg })?
                     }
                     _ => return Err(QueryError::UnboundVariable(v.clone())),
                 }
@@ -153,13 +154,12 @@ pub fn translate(q: &Flwr) -> Result<Plan> {
 
     let (right, agg) = match part {
         NestedPart::Flwr(nested) => (build_right_from_nested(outer_var, nested)?, None),
-        NestedPart::Let { agg } => {
+        NestedPart::Let { l, agg } => {
             if q.order_by.is_some() {
                 return Err(QueryError::Unsupported(
                     "ORDER BY with the LET formulation is not supported".into(),
                 ));
             }
-            let l = q.let_clause.as_ref().expect("checked above");
             (build_right_from_let(outer_var, l)?, agg)
         }
     };
@@ -241,11 +241,11 @@ fn translate_cube(q: &Flwr, cube: &CubeClause) -> Result<Plan> {
             "the outer FOR must range over document(…)".into(),
         ));
     };
-    if q.for_clause.source.steps.is_empty() {
+    let Some(subject_step) = q.for_clause.source.steps.last() else {
         return Err(QueryError::Unsupported(
             "the outer FOR path needs at least one step".into(),
         ));
-    }
+    };
     if q.for_clause
         .source
         .steps
@@ -293,17 +293,19 @@ fn translate_cube(q: &Flwr, cube: &CubeClause) -> Result<Plan> {
 
     // Distinct dimension leaf tags keep the per-level key projection
     // unambiguous (each wrapper child binds exactly one pattern node).
-    let dim_tags: Vec<&String> = cube
-        .dims
-        .iter()
-        .map(|d| d.last().expect("parser requires non-empty dims"))
-        .collect();
-    for (i, t) in dim_tags.iter().enumerate() {
-        if dim_tags[..i].contains(t) {
+    let mut dim_tags: Vec<&String> = Vec::with_capacity(cube.dims.len());
+    for dim in &cube.dims {
+        let Some(t) = dim.last() else {
+            return Err(QueryError::Unsupported(
+                "a CUBE BY dimension needs a path".into(),
+            ));
+        };
+        if dim_tags.contains(&t) {
             return Err(QueryError::Unsupported(format!(
                 "CUBE BY dimensions must end in distinct tags (<{t}> repeats)"
             )));
         }
+        dim_tags.push(t);
     }
 
     // The shared input scan: one deep subject tree per match of the FOR
@@ -318,7 +320,7 @@ fn translate_cube(q: &Flwr, cube: &CubeClause) -> Result<Plan> {
         pl: vec![ProjectItem::deep(subject_in_path)],
         anchor_root: true,
     };
-    let subject_tag = &q.for_clause.source.steps.last().expect("non-empty").name;
+    let subject_tag = &subject_step.name;
 
     // The full grouping pattern: subject with every dimension grafted.
     // Every level matches this same pattern, so a tree participates only
@@ -423,7 +425,10 @@ fn graft_path(
 
 enum NestedPart<'a> {
     Flwr(&'a Flwr),
-    Let { agg: Option<AggName> },
+    Let {
+        l: &'a LetClause,
+        agg: Option<AggName>,
+    },
 }
 
 fn set_nested<'a>(slot: &mut Option<NestedPart<'a>>, part: NestedPart<'a>) -> Result<()> {
@@ -467,6 +472,17 @@ fn build_right_from_nested(outer_var: &str, nested: &Flwr) -> Result<RightSide> 
     if nested.let_clause.is_some() {
         return Err(QueryError::Unsupported(
             "LET inside the nested FLWR is not supported".into(),
+        ));
+    }
+    if nested
+        .for_clause
+        .source
+        .steps
+        .iter()
+        .any(|s| s.predicate.is_some())
+    {
+        return Err(QueryError::Unsupported(
+            "predicates in the nested FOR path are not supported".into(),
         ));
     }
     let (mut pattern, bound) = chain_pattern(&nested.for_clause.source.steps);
@@ -547,18 +563,18 @@ fn build_right_from_let(outer_var: &str, l: &LetClause) -> Result<RightSide> {
     // Exactly one step carries the `[relpath = $outer]` predicate; the
     // predicated step is the bound subject, the remaining steps lead to
     // the extracted node.
-    let mut pred_step: Option<usize> = None;
+    let mut pred_step = None;
     for (i, step) in l.source.steps.iter().enumerate() {
-        if step.predicate.is_some() {
+        if let Some(pred) = &step.predicate {
             if pred_step.is_some() {
                 return Err(QueryError::Unsupported(
                     "only one predicated step is supported in LET".into(),
                 ));
             }
-            pred_step = Some(i);
+            pred_step = Some((i, pred));
         }
     }
-    let Some(subject_idx) = pred_step else {
+    let Some((subject_idx, step_pred)) = pred_step else {
         return Err(QueryError::Unsupported(
             "the LET path needs a [child = $var] predicate to correlate with the FOR".into(),
         ));
@@ -568,12 +584,7 @@ fn build_right_from_let(outer_var: &str, l: &LetClause) -> Result<RightSide> {
             "the LET path must be …//subject[path = $var]/extracted".into(),
         ));
     }
-    let (mut pattern, _) = chain_pattern(&l.source.steps[..subject_idx + 1]);
-    let bound = pattern.preorder().into_iter().last().expect("non-empty");
-    let step_pred = l.source.steps[subject_idx]
-        .predicate
-        .as_ref()
-        .expect("located above");
+    let (mut pattern, bound) = chain_pattern(&l.source.steps[..subject_idx + 1]);
     match &step_pred.rhs {
         Operand::Var(v) if v == outer_var => {}
         _ => {

@@ -10,8 +10,8 @@ pub mod model;
 
 use smallrand::prop::Gen;
 use std::fmt::Write as _;
-use timber::{PlanMode, TimberDb};
-use xmlstore::StoreOptions;
+use timber::{PlanMode, QueryResult, TimberDb};
+use xmlstore::{IoStats, StoreOptions};
 
 /// The sample database of Figure 6: three articles, overlapping authors.
 pub const FIG6_DB: &str = "<bib>\
@@ -50,10 +50,26 @@ pub fn fig6_db() -> TimberDb {
     TimberDb::load_xml(FIG6_DB, &StoreOptions::in_memory()).expect("load fig6")
 }
 
+/// The result of `query` under `mode`, run through the executor in
+/// batches of `batch` trees. A handle always runs at
+/// `physical::DEFAULT_BATCH_SIZE`; the suites that sweep batch sizes
+/// (`TIMBER_TEST_BATCH`, [`batch_matrix`]) reach the executor here.
+pub fn execute(db: &TimberDb, query: &str, mode: PlanMode, batch: usize) -> QueryResult {
+    let (plan, rewritten) = db.compile(query, mode).expect("query compiles");
+    let exec = timber::physical::execute(db.store(), &plan, &tax::ExecOptions, batch);
+    let (trees, metrics) = exec.expect("query evaluates");
+    QueryResult {
+        trees,
+        rewritten,
+        elapsed: std::time::Duration::ZERO,
+        io: IoStats::default(),
+        metrics: Some(metrics),
+    }
+}
+
 /// Serialized output of `query` under `mode` at the given batch size.
-pub fn run(db: &mut TimberDb, query: &str, mode: PlanMode, batch: usize) -> String {
-    db.set_batch_size(batch);
-    let r = db.query(query, mode).expect("query evaluates");
+pub fn run(db: &TimberDb, query: &str, mode: PlanMode, batch: usize) -> String {
+    let r = execute(db, query, mode, batch);
     r.to_xml_on(db.store()).expect("result serializes")
 }
 
@@ -65,7 +81,7 @@ pub fn expected(xml: &str, query: &str) -> String {
 
 /// Serve `query` in both plan modes at the given batch size, and hold
 /// each against the oracle.
-pub fn assert_matches_model(db: &mut TimberDb, xml: &str, query: &str, batch: usize, what: &str) {
+pub fn assert_matches_model(db: &TimberDb, xml: &str, query: &str, batch: usize, what: &str) {
     let want = expected(xml, query);
     for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
         let got = run(db, query, mode, batch);

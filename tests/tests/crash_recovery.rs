@@ -334,8 +334,7 @@ fn sinks_correct_or_typed_error_under_faults() {
         pool_pages: 2,
         ..StoreOptions::in_memory()
     };
-    let mut db = TimberDb::load_xml(&xml, &opts).unwrap();
-    db.set_batch_size(64);
+    let db = TimberDb::load_xml(&xml, &opts).unwrap();
     let reference: Vec<String> = corpus.iter().map(|q| expected(&xml, q)).collect();
     let mut injected = 0u64;
     for seed in [7u64, 11, 13] {

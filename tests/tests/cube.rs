@@ -1,16 +1,14 @@
 //! Differential suite for the grouping lattice: under
 //! `PlanMode::GroupByRewrite` a `CUBE BY` query fuses into the one-scan
-//! `Plan::Cube`, and its serialized output — minus the per-level
-//! `TAX_cube_level` markers — must be the bytes the reference model
-//! evaluates the query to, as must the composed per-level union the
-//! direct mode runs: for every aggregate function, across the batch CI
-//! matrix (`TIMBER_TEST_BATCH`), on random ragged bibliographies where an author's name sits at
-//! varying depths, and under seeded fault schedules
-//! (correct-or-typed-error).
+//! `Plan::Cube`, and its serialized output must be the bytes the
+//! reference model evaluates the query to, as must the composed
+//! per-level union the direct mode runs: for every aggregate function,
+//! across the batch CI matrix (`TIMBER_TEST_BATCH`), on random ragged
+//! bibliographies where an author's name sits at varying depths, and
+//! under seeded fault schedules (correct-or-typed-error).
 
 use datagen::{DblpConfig, DblpGenerator};
 use smallrand::prop::check;
-use tax::ops::cube::strip_level_markers;
 use timber::{PlanMode, TimberDb};
 use timber_integration_tests::{batch_matrix, bibliography, expected, run, Shape};
 use xmlstore::{FaultConfig, StoreOptions};
@@ -60,18 +58,12 @@ fn every_cube_query_fuses_to_one_scan() {
     }
 }
 
-/// Both modes of `query` over `xml` against the model: the fused scan with its level markers stripped, the
-/// composed union as it is.
-fn assert_cube_matches_model(db: &mut TimberDb, xml: &str, query: &str, batch: usize) {
+/// Both modes of `query` over `xml` against the model: the fused scan
+/// and the composed union, byte for byte.
+fn assert_cube_matches_model(db: &TimberDb, xml: &str, query: &str, batch: usize) {
     let want = expected(xml, query);
-    let fused = run(db, query, PlanMode::GroupByRewrite, batch);
-    assert_eq!(fused.is_empty(), want.is_empty());
-    assert!(
-        fused.is_empty() || fused.contains("TAX_cube_level"),
-        "{fused}"
-    );
     assert_eq!(
-        strip_level_markers(&fused),
+        run(db, query, PlanMode::GroupByRewrite, batch),
         want,
         "fused batch={batch} query: {query} on {xml}"
     );
@@ -84,10 +76,10 @@ fn assert_cube_matches_model(db: &mut TimberDb, xml: &str, query: &str, batch: u
 
 #[test]
 fn cube_matches_the_model_across_batches() {
-    let mut db = TimberDb::load_xml(CUBE_DB, &StoreOptions::in_memory()).unwrap();
+    let db = TimberDb::load_xml(CUBE_DB, &StoreOptions::in_memory()).unwrap();
     for func in FUNCS {
         for batch in batch_matrix(&[1, 3, 16, 256]) {
-            assert_cube_matches_model(&mut db, CUBE_DB, &cube_query(func), batch);
+            assert_cube_matches_model(&db, CUBE_DB, &cube_query(func), batch);
         }
     }
 }
@@ -97,8 +89,8 @@ fn single_dimension_cube_rides_the_fused_rollup_path() {
     // A one-dimension lattice is a plain rollup: the translator emits a
     // union of one branch, cube-fuse declines it, and rollup-fuse fuses
     // the branch — so `CUBE BY $b/journal` exercises the existing fused
-    // path and needs no level markers to agree with the model.
-    let mut db = TimberDb::load_xml(CUBE_DB, &StoreOptions::in_memory()).unwrap();
+    // path.
+    let db = TimberDb::load_xml(CUBE_DB, &StoreOptions::in_memory()).unwrap();
     let query = r#"
         FOR $b IN document("bib.xml")//article
         CUBE BY $b/journal
@@ -108,10 +100,9 @@ fn single_dimension_cube_rides_the_fused_rollup_path() {
     assert!(!trace.fired("cube-fuse"), "{}", trace.render());
     assert!(trace.fired("rollup-fuse"), "{}", trace.render());
     assert!(plan.explain().contains("Rollup"), "{}", plan.explain());
-    let fused = run(&mut db, query, PlanMode::GroupByRewrite, 16);
-    assert!(!fused.contains("TAX_cube_level"), "{fused}");
+    let fused = run(&db, query, PlanMode::GroupByRewrite, 16);
     assert_eq!(fused, expected(CUBE_DB, query));
-    assert_eq!(run(&mut db, query, PlanMode::Direct, 16), fused);
+    assert_eq!(run(&db, query, PlanMode::Direct, 16), fused);
 }
 
 #[test]
@@ -121,10 +112,10 @@ fn cube_matches_the_model_on_random_ragged_bibliographies() {
         20,
         |g| {
             let xml = bibliography(g, Shape::Cube);
-            let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+            let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
             let batch = *g.pick(&batch_matrix(&[1, 16, 256]));
             for func in FUNCS {
-                assert_cube_matches_model(&mut db, &xml, &cube_query(func), batch);
+                assert_cube_matches_model(&db, &xml, &cube_query(func), batch);
             }
         },
     );
@@ -159,7 +150,7 @@ fn cube_under_fault_schedules_is_correct_or_typed_error() {
         let r = db.query(&query, PlanMode::GroupByRewrite).unwrap();
         r.to_xml_on(db.store()).unwrap()
     };
-    assert_eq!(strip_level_markers(&reference), expected(&xml, &query));
+    assert_eq!(reference, expected(&xml, &query));
     let mut injected = 0u64;
     for seed in fault_seeds() {
         for schedule in [

@@ -91,10 +91,10 @@ const TWO_AUTHORS_EACH: &str = "<bib>\
 fn every_cell_equals_the_model_on_fig6() {
     assert_eq!(expected(FIG6_DB, QUERY1), expected(FIG6_DATED, QUERY1));
     for (xml, what) in [(FIG6_DATED, "fig6"), (TWO_AUTHORS_EACH, "two authors each")] {
-        let mut db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
+        let db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
         for query in CORPUS {
             for batch in batch_matrix(&[1, 2, 3, 256]) {
-                assert_matches_model(&mut db, xml, query, batch, what);
+                assert_matches_model(&db, xml, query, batch, what);
             }
         }
     }
@@ -121,13 +121,13 @@ fn every_cell_equals_the_model_on_random_bibliographies() {
         |g| {
             let shape = [Shape::Years, Shape::Ragged][g.usize_in(0, 1)];
             let xml = bibliography(g, shape);
-            let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+            let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
             let batch = *g.pick(&batch_matrix(&[1, 3, 256]));
             for query in CORPUS {
                 if shape == Shape::Ragged && query == QUERY_TITLES_BY_TITLE {
                     continue;
                 }
-                assert_matches_model(&mut db, &xml, query, batch, "random");
+                assert_matches_model(&db, &xml, query, batch, "random");
             }
         },
     );
@@ -135,10 +135,10 @@ fn every_cell_equals_the_model_on_random_bibliographies() {
 
 #[test]
 fn empty_database_yields_empty_output_at_every_batching() {
-    let mut db = TimberDb::load_xml("<bib/>", &StoreOptions::in_memory()).unwrap();
+    let db = TimberDb::load_xml("<bib/>", &StoreOptions::in_memory()).unwrap();
     for query in CORPUS {
         assert_eq!(expected("<bib/>", query), "");
-        assert_matches_model(&mut db, "<bib/>", query, 1, "empty");
+        assert_matches_model(&db, "<bib/>", query, 1, "empty");
     }
 }
 
@@ -146,12 +146,12 @@ fn empty_database_yields_empty_output_at_every_batching() {
 fn explain_analyze_output_matches_plain_query() {
     // The analyzed execution is the same pipeline; its result must match
     // a plain run byte for byte.
-    let mut db = fig6_db();
+    let db = fig6_db();
     for query in CORPUS {
         for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
             let analyzed = db.explain_analyze(query, mode).unwrap();
             assert_eq!(
-                run(&mut db, query, mode, 256),
+                run(&db, query, mode, 256),
                 analyzed.result.to_xml_on(db.store()).unwrap(),
                 "{mode:?} query: {query}"
             );

@@ -15,7 +15,7 @@ use tax::tree::TreeNodeId;
 use tax::Tree;
 use timber::{PlanMode, QueryResult, TimberDb, TimberError};
 use timber_integration_tests::{
-    batch_matrix, expected, fig6_db, FIG6_DB, QUERY1, QUERY2, QUERY_COUNT,
+    batch_matrix, execute, expected, fig6_db, FIG6_DB, QUERY1, QUERY2, QUERY_COUNT,
 };
 use xmlparse::serialize::element_to_string;
 use xmlparse::{parse_document, Element, XmlNode};
@@ -38,13 +38,12 @@ fn dom_route(r: &QueryResult, store: &DocumentStore) -> String {
     out
 }
 
-fn assert_corpus_parity(db: &mut TimberDb, xml: &str, what: &str) {
+fn assert_corpus_parity(db: &TimberDb, xml: &str, what: &str) {
     for query in CORPUS {
         let want = expected(xml, query);
         for batch in batch_matrix(&[3, 256]) {
-            db.set_batch_size(batch);
             for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-                let r = db.query(query, mode).unwrap();
+                let r = execute(db, query, mode, batch);
                 let label = format!("{what} batch={batch} {mode:?} query: {query}");
                 assert_eq!(r.to_xml_on(db.store()).unwrap(), want, "streamed: {label}");
                 assert_eq!(dom_route(&r, db.store()), want, "DOM route: {label}");
@@ -55,10 +54,10 @@ fn assert_corpus_parity(db: &mut TimberDb, xml: &str, what: &str) {
 
 #[test]
 fn streamed_and_dom_routes_equal_the_model_on_corpus() {
-    assert_corpus_parity(&mut fig6_db(), FIG6_DB, "fig6");
+    assert_corpus_parity(&fig6_db(), FIG6_DB, "fig6");
     let xml = DblpGenerator::new(DblpConfig::sized(200)).generate_xml();
-    let mut dblp = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-    assert_corpus_parity(&mut dblp, &xml, "dblp-200");
+    let dblp = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+    assert_corpus_parity(&dblp, &xml, "dblp-200");
 }
 
 /// Attributes holding `"` `&` `<`, mixed content, empty elements, a

@@ -26,9 +26,9 @@ fn both_plans_equal_the_model_on_random_bibliographies() {
         |g| {
             let shape = [Shape::Plain, Shape::Ragged][g.usize_in(0, 1)];
             let xml = bibliography(g, shape);
-            let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+            let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
             for query in [QUERY1, QUERY2, QUERY_COUNT] {
-                assert_matches_model(&mut db, &xml, query, 256, "plan equivalence");
+                assert_matches_model(&db, &xml, query, 256, "plan equivalence");
             }
         },
     );
@@ -149,7 +149,7 @@ fn the_rewrite_drops_an_author_no_titled_article_carries() {
     </bib>";
     let jack = "<authorpubs><author>Jack</author><title>T</title></authorpubs>\n";
     let jack_count = "<authorpubs><author>Jack</author><count>1</count></authorpubs>\n";
-    let mut db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
+    let db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
     for (query, jane, jack) in [
         (
             QUERY1,
@@ -169,8 +169,8 @@ fn the_rewrite_drops_an_author_no_titled_article_carries() {
     ] {
         let want = expected(xml, query);
         assert_eq!(want, format!("{jane}{jack}"));
-        assert_eq!(run(&mut db, query, PlanMode::Direct, 256), want);
-        assert_eq!(run(&mut db, query, PlanMode::GroupByRewrite, 256), jack);
+        assert_eq!(run(&db, query, PlanMode::Direct, 256), want);
+        assert_eq!(run(&db, query, PlanMode::GroupByRewrite, 256), jack);
     }
 }
 
@@ -200,9 +200,9 @@ fn returning_the_join_tag_keeps_the_key_and_the_members_node_apart() {
         <x><author>B</author><author>A</author><author>B</author><author>B</author></x>\n";
     let query = nested("author", "");
     assert_eq!(expected(xml, &query), want);
-    let mut db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
+    let db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
     for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-        assert_eq!(run(&mut db, &query, mode, 256), want, "{mode:?}");
+        assert_eq!(run(&db, &query, mode, 256), want, "{mode:?}");
     }
     // Group trees (a tree input) go through the tree projection: the
     // same bytes.
@@ -223,9 +223,9 @@ fn ordering_by_a_repeated_path_keeps_an_articles_titles_together() {
     let query = nested("title", "ORDER BY $b/title");
     let want = "<x><author>A</author><title>B</title><title>Z</title><title>M</title></x>\n";
     assert_eq!(expected(xml, &query), want);
-    let mut db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
+    let db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
     for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-        assert_eq!(run(&mut db, &query, mode, 256), want, "{mode:?}");
+        assert_eq!(run(&db, &query, mode, 256), want, "{mode:?}");
     }
 }
 
@@ -303,7 +303,7 @@ fn the_group_projection_equals_the_model_on_random_bibliographies() {
         24,
         |g| {
             let xml = gather_bibliography(g);
-            let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+            let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
             let titles = nested("title", "");
             let queries = [
                 titles.clone(),
@@ -343,8 +343,8 @@ fn the_group_projection_equals_the_model_on_random_bibliographies() {
                 for query in &queries {
                     let want = expected(&xml, query);
                     let cell = format!("batch={batch} {query} on {xml}");
-                    assert_eq!(run(&mut db, query, PlanMode::Direct, batch), want, "{cell}");
-                    let got = run(&mut db, query, PlanMode::GroupByRewrite, batch);
+                    assert_eq!(run(&db, query, PlanMode::Direct, batch), want, "{cell}");
+                    let got = run(&db, query, PlanMode::GroupByRewrite, batch);
                     match query.contains("ORDER BY $b/title") {
                         true => assert_eq!(rows(&got), rows(&grouped(&want)), "{cell}"),
                         false => assert_eq!(got, grouped(&want), "{cell}"),

@@ -62,9 +62,9 @@ const YEARS_DB: &str = "<bib>\
 /// Every `{batch} × {Direct, GroupByRewrite}` cell of `query` over `xml`
 /// against the model.
 fn assert_matrix_matches_model(xml: &str, query: &str, what: &str) {
-    let mut db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
+    let db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
     for batch in batch_matrix(&[1, 16, 256]) {
-        assert_matches_model(&mut db, xml, query, batch, what);
+        assert_matches_model(&db, xml, query, batch, what);
     }
 }
 
@@ -125,13 +125,13 @@ fn rollup_matches_the_model_on_random_bibliographies() {
         |g| {
             let batch = *g.pick(&batch_matrix(&[1, 16, 256]));
             let xml = bibliography(g, Shape::Years);
-            let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+            let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
             for query in corpus() {
-                assert_matches_model(&mut db, &xml, &query, batch, "years");
+                assert_matches_model(&db, &xml, &query, batch, "years");
             }
             let xml = bibliography(g, Shape::Ragged);
-            let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-            assert_matches_model(&mut db, &xml, QUERY_COUNT, batch, "ragged");
+            let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+            assert_matches_model(&db, &xml, QUERY_COUNT, batch, "ragged");
         },
     );
 }

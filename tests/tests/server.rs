@@ -24,6 +24,8 @@
 //!   snapshot.
 //! - The two retired mode bytes get the typed `unknown mode byte` reply
 //!   and leave the connection serving.
+//! - A predicate on the nested FOR path is a typed error, embedded and
+//!   over the wire, and the server keeps serving.
 
 use smallrand::{RngExt, SeedableRng, StdRng};
 use std::collections::HashMap;
@@ -31,11 +33,12 @@ use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use timber::{PlanMode, TimberDb};
+use timber::{PlanMode, TimberDb, TimberError};
 use timber_client::{Client, ClientError, Mode};
 use timber_integration_tests::{deep_flwr, deep_xml, QUERY_COUNT};
 use timberd::{Server, ServerHandle};
 use xmlstore::{wal_path_for, FaultConfig, StoreOptions};
+use xquery::QueryError;
 
 /// Author pool shared by the synthetic documents, small enough that
 /// grouped queries always find shared keys.
@@ -564,5 +567,56 @@ fn deep_inputs_get_the_typed_error_and_the_server_keeps_serving() {
     assert_eq!(hostile.docs().unwrap().len(), 1);
     assert_eq!(c.query(QUERY_COUNT, Mode::Grouped).unwrap(), want);
     drop((c, hostile));
+    handle.shutdown();
+}
+
+/// The Query 1 shape with a predicate on the nested FOR path.
+fn nested_for_with(pred: &str) -> String {
+    format!(
+        r#"FOR $a IN distinct-values(document("bib.xml")//author)
+           RETURN <authorpubs> {{$a}}
+             {{ FOR $b IN document("bib.xml")//article{pred}
+                WHERE $a = $b/author RETURN $b/title }}
+           </authorpubs>"#
+    )
+}
+
+/// The translator used to build the nested FOR's pattern without its
+/// step predicates, so both forms answered as if unfiltered (the 2001
+/// article's title came back for `[year = "1999"]`). Both are now
+/// `Unsupported`, in both plan modes, embedded and over the wire.
+#[test]
+fn nested_for_predicates_are_a_typed_error_and_the_server_keeps_serving() {
+    let queries = [r#"[year = "1999"]"#, "[author = $a]"].map(nested_for_with);
+    let xml = "<bib>\
+        <article><title>Old</title><author>Jack</author><year>1999</year></article>\
+        <article><title>New</title><author>Jack</author><year>2001</year></article>\
+    </bib>";
+    let db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
+    for query in &queries {
+        for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
+            match db.query(query, mode) {
+                Err(TimberError::Query(QueryError::Unsupported(m))) => {
+                    assert!(m.contains("nested FOR"), "{m}")
+                }
+                other => panic!("{mode:?}: {:?}", other.map(|r| r.len())),
+            }
+        }
+    }
+
+    let (handle, addr) = boot_mem();
+    let mut c = Client::connect(addr).unwrap();
+    c.insert_xml(xml).unwrap();
+    let want = c.query(QUERY_COUNT, Mode::Grouped).unwrap();
+    for query in &queries {
+        for mode in [Mode::Direct, Mode::Grouped] {
+            match c.query(query, mode) {
+                Err(ClientError::Server(m)) => assert!(m.contains("nested FOR"), "{m}"),
+                other => panic!("{mode:?}: {other:?}"),
+            }
+        }
+    }
+    assert_eq!(c.query(QUERY_COUNT, Mode::Grouped).unwrap(), want);
+    drop(c);
     handle.shutdown();
 }

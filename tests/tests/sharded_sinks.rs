@@ -16,7 +16,7 @@ fn multivalued_basis_duplicates_across_shards() {
         <article><author>Jill</author><author>Jack</author><title>T2</title></article>\
         <article><author>John</author><author>Jill</author><title>T3</title></article>\
     </bib>";
-    let mut db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
+    let db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
     let want = expected(xml, QUERY1);
     // Each title appears under both of its authors.
     for t in [
@@ -30,7 +30,7 @@ fn multivalued_basis_duplicates_across_shards() {
         for batch in batch_matrix(&[1, 2, 3, 256]) {
             assert_eq!(
                 want,
-                run(&mut db, QUERY1, mode, batch),
+                run(&db, QUERY1, mode, batch),
                 "{mode:?} batch={batch}"
             );
         }

@@ -133,11 +133,11 @@ fn dictionary_roundtrips_across_wal_recovery_reopen() {
 fn serialized_output_byte_identical_across_matrix() {
     let dblp = DblpGenerator::new(DblpConfig::sized(120)).generate_xml();
     for xml in [timber_integration_tests::FIG6_DB.to_owned(), dblp] {
-        let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+        let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
         for query in [QUERY1, QUERY2, QUERY_COUNT] {
             assert!(!expected(&xml, query).is_empty());
             for batch in batch_matrix(&[1, 3, 256]) {
-                assert_matches_model(&mut db, &xml, query, batch, "symbols");
+                assert_matches_model(&db, &xml, query, batch, "symbols");
             }
         }
     }

@@ -164,11 +164,11 @@ fn queries_on_the_kernels_equal_the_model() {
     // duplicate authors), across the batch matrix CI sweeps.
     check("queries_on_the_kernels_equal_the_model", 24, |g| {
         let xml = bibliography(g, Shape::Ragged);
-        let mut db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+        let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
         let vec_rows_before = kernels::vec_rows();
         for batch in batch_matrix(&[16, 256]) {
             for query in [QUERY1, QUERY2, QUERY_COUNT] {
-                assert_matches_model(&mut db, &xml, query, batch, "kernels");
+                assert_matches_model(&db, &xml, query, batch, "kernels");
             }
         }
         // It was the kernels that answered, not a row loop.
