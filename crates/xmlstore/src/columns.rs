@@ -152,6 +152,15 @@ impl NodeColumns {
         lo..hi
     }
 
+    /// The parent of `id`, `None` for the root: in document order, the
+    /// nearest earlier row one level up (every row between the two lies
+    /// in the parent's subtree at `id`'s level or deeper).
+    pub fn parent_id(&self, id: NodeId) -> Option<NodeId> {
+        let level = self.level[id.0 as usize];
+        let up = self.level[..id.0 as usize].iter().rposition(|&l| l < level);
+        up.map(|p| NodeId(p as u32))
+    }
+
     /// The child ids of `id` (all kinds, document order), skipping over
     /// grandchild subtrees via their `end` labels. Allocation-free: the
     /// matching hot loop calls this per element, so it lazily walks the
@@ -265,6 +274,14 @@ mod tests {
         let mut buf = vec![NodeId(99)];
         c.child_ids_into(NodeId(1), &mut buf);
         assert_eq!(buf, [NodeId(2), NodeId(3), NodeId(4)]);
+    }
+
+    #[test]
+    fn a_parent_is_the_nearest_earlier_row_one_level_up() {
+        let c = cols();
+        let parents: Vec<_> = (0..6).map(|i| c.parent_id(NodeId(i))).collect();
+        let want = [None, Some(0), Some(1), Some(1), Some(1), Some(4)];
+        assert_eq!(parents, want.map(|p| p.map(NodeId)));
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! same way — a checkpoint record holds the full name table in symbol
 //! order, and every commit record holds the suffix interned since the
 //! last durable record ([`Dictionary::names_from`]). Crash recovery
-//! replays checkpoint + suffixes and re-interns the identical
+//! replays checkpoint + suffixes and rebuilds the identical
 //! `name → Sym` assignment that the crashed process used — the numeric
-//! tags and content symbols on the pages stay valid across reopen.
+//! tags and content symbols on the node pages stay valid across reopen.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};

@@ -55,13 +55,11 @@ pub use reopen::RecoveryInfo;
 use crate::buffer::{BufferPool, BufferStats};
 use crate::catalog::{attr_tag_name, TagId};
 use crate::columns::NodeColumns;
-use crate::dict::{Dictionary, Sym};
+use crate::dict::{Dictionary, Sym, NO_SYM};
 use crate::error::Result;
 use crate::fault::{FaultConfig, FaultInjector, FaultStats};
 use crate::index::NodeEntry;
-use crate::node::{
-    node_location, ContentPtr, NodeId, NodeKind, NodeRecord, NO_PARENT, RECORD_SIZE,
-};
+use crate::node::{node_location, ContentPtr, NodeId, NodeKind, NodeRecord, RECORD_SIZE};
 use crate::page::{PageId, PAGE_DATA_SIZE, PAGE_SIZE};
 use crate::storage::{DiskManager, DiskStats, SharedDisk};
 use crate::wal::{Wal, WalHandle, WalStats};
@@ -433,7 +431,7 @@ impl DocumentStore {
                 tag: self.shared.doc_root_tag,
                 start: 0,
                 end: proj.root_end,
-                parent: NO_PARENT,
+                sym: NO_SYM,
                 level: 0,
                 kind: NodeKind::Element,
                 content: ContentPtr::NULL,
@@ -464,14 +462,12 @@ impl DocumentStore {
         Ok(proj.columns.entry(id))
     }
 
-    /// Parent node id (None for the root).
+    /// Parent node id (None for the root), from the label columns — no
+    /// page access.
     pub fn parent(&self, id: NodeId) -> Result<Option<NodeId>> {
-        let rec = self.record(id)?;
-        Ok(if rec.parent == NO_PARENT {
-            None
-        } else {
-            Some(NodeId(rec.parent))
-        })
+        let proj = self.proj();
+        proj.check(id)?;
+        Ok(proj.columns.parent_id(id))
     }
 
     /// All child node ids of `id` (elements, attributes, and text nodes),

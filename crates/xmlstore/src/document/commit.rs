@@ -226,7 +226,6 @@ impl DocumentStore {
         let rows = local.as_ref().zip(added).map(|(l, meta)| DocRows {
             meta,
             records: &l.records,
-            content_syms: &l.content_syms,
         });
         let next = sh.current().edited(w.epoch + 1, at, rows);
         self.install(&mut w, next);

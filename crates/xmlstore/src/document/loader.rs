@@ -1,13 +1,13 @@
-//! The loader: one parsed document → local node records, encoded heap
-//! and node pages, and content symbols, ready for a commit to place.
-//! Whitespace-only text is not stored: the data is data-centric, and
-//! the reference model's data model drops it too.
+//! The loader: one parsed document → local node records, each carrying
+//! its content symbol, and encoded heap and node pages, ready for a
+//! commit to place. Whitespace-only text is not stored: the data is
+//! data-centric, and the reference model's data model drops it too.
 
-use crate::catalog::{attr_tag_name, TEXT_TAG};
+use crate::catalog::{attr_tag_name, TagId, TEXT_TAG};
 use crate::dict::{Dictionary, NO_SYM};
 use crate::error::Result;
 use crate::heap::HeapBuilder;
-use crate::node::{ContentPtr, NodeKind, NodeRecord, NO_PARENT, RECORDS_PER_PAGE, RECORD_SIZE};
+use crate::node::{ContentPtr, NodeKind, NodeRecord, RECORDS_PER_PAGE, RECORD_SIZE};
 use crate::page::{PAGE_HEADER_SIZE, PAGE_SIZE};
 
 /// One encoded page, ready to be written at whatever id the allocator
@@ -15,32 +15,28 @@ use crate::page::{PAGE_HEADER_SIZE, PAGE_SIZE};
 pub(super) type PageImage = Box<[u8; PAGE_SIZE]>;
 
 /// One document built in memory, ready to commit: local records (ids and
-/// labels starting at 0, synthetic root excluded), their content symbols,
-/// and the encoded pages.
+/// labels starting at 0, synthetic root excluded) and the encoded pages.
 pub(super) struct LocalDoc {
     pub records: Vec<NodeRecord>,
     pub heap_pages: Vec<PageImage>,
     pub node_pages: Vec<PageImage>,
-    /// Per-record content symbol ([`NO_SYM`] when the record has none),
-    /// parallel to `records`.
-    pub content_syms: Vec<u32>,
     pub span: u32,
 }
 
 pub(super) fn build_local(doc: &xmlparse::Document, tags: &Dictionary) -> Result<LocalDoc> {
-    let mut heap = HeapBuilder::new();
-    let mut records: Vec<NodeRecord> = Vec::new();
-    let mut content_syms: Vec<u32> = Vec::new();
-    let mut counter: u32 = 0;
     let mut loader = Loader {
         tags,
-        heap: &mut heap,
-        records: &mut records,
-        content_syms: &mut content_syms,
-        counter: &mut counter,
+        heap: HeapBuilder::new(),
+        records: Vec::new(),
+        counter: 0,
     };
-    loader.load_element(doc.root(), NO_PARENT, 1)?;
-    let span = counter;
+    loader.load_element(doc.root(), 1)?;
+    let Loader {
+        heap,
+        records,
+        counter: span,
+        ..
+    } = loader;
 
     let heap_pages = heap.into_pages();
     let mut node_pages = Vec::with_capacity(records.len().div_ceil(RECORDS_PER_PAGE));
@@ -56,65 +52,38 @@ pub(super) fn build_local(doc: &xmlparse::Document, tags: &Dictionary) -> Result
         records,
         heap_pages,
         node_pages,
-        content_syms,
         span,
     })
 }
 
 struct Loader<'a> {
     tags: &'a Dictionary,
-    heap: &'a mut HeapBuilder,
-    records: &'a mut Vec<NodeRecord>,
-    /// Parallel to `records`: the content symbol of each record
-    /// ([`NO_SYM`] when it has none).
-    content_syms: &'a mut Vec<u32>,
-    counter: &'a mut u32,
+    heap: HeapBuilder,
+    records: Vec<NodeRecord>,
+    counter: u32,
 }
 
 impl Loader<'_> {
     /// DFS over the DOM assigning local ids, labels, and content.
-    fn load_element(&mut self, elem: &xmlparse::Element, parent: u32, level: u16) -> Result<u32> {
-        let id = self.records.len() as u32;
+    fn load_element(&mut self, elem: &xmlparse::Element, level: u16) -> Result<()> {
+        let id = self.records.len();
         let tag = self.tags.intern(&elem.name);
-        let start = *self.counter;
-        *self.counter += 1;
+        let start = self.counter;
+        self.counter += 1;
         self.records.push(NodeRecord {
             tag,
             start,
             end: 0, // patched at exit
-            parent,
+            sym: NO_SYM,
             level,
             kind: NodeKind::Element,
             content: ContentPtr::NULL,
         });
-        self.content_syms.push(NO_SYM);
 
         // Attributes as leaf nodes.
         for (name, value) in &elem.attributes {
             let attr_tag = self.tags.intern(&attr_tag_name(name));
-            let s = *self.counter;
-            *self.counter += 1;
-            let e = *self.counter;
-            *self.counter += 1;
-            let content = self.heap.append(value)?;
-            self.records.push(NodeRecord {
-                tag: attr_tag,
-                start: s,
-                end: e,
-                parent: id,
-                level: level + 1,
-                kind: NodeKind::Attribute,
-                content,
-            });
-            // An empty value has no heap bytes (`ContentPtr::NULL`), and
-            // `open` rebuilds the column from the pointers: no symbol
-            // either, so the column says "has content" exactly when the
-            // pages do.
-            self.content_syms.push(if value.is_empty() {
-                NO_SYM
-            } else {
-                self.tags.intern(value).0
-            });
+            self.leaf(attr_tag, NodeKind::Attribute, level + 1, value)?;
         }
 
         let has_element_children = elem
@@ -126,47 +95,57 @@ impl Loader<'_> {
             // Mixed or element content: text children become #text nodes.
             for child in &elem.children {
                 match child {
-                    xmlparse::XmlNode::Element(e) => {
-                        self.load_element(e, id, level + 1)?;
-                    }
-                    xmlparse::XmlNode::Text(t) => {
-                        if t.trim().is_empty() {
-                            continue;
-                        }
+                    xmlparse::XmlNode::Element(e) => self.load_element(e, level + 1)?,
+                    xmlparse::XmlNode::Text(t) if !t.trim().is_empty() => {
                         let text_tag = self.tags.intern(TEXT_TAG);
-                        let s = *self.counter;
-                        *self.counter += 1;
-                        let e = *self.counter;
-                        *self.counter += 1;
-                        let content = self.heap.append(t)?;
-                        self.records.push(NodeRecord {
-                            tag: text_tag,
-                            start: s,
-                            end: e,
-                            parent: id,
-                            level: level + 1,
-                            kind: NodeKind::Text,
-                            content,
-                        });
-                        self.content_syms.push(self.tags.intern(t).0);
+                        self.leaf(text_tag, NodeKind::Text, level + 1, t)?;
                     }
-                    xmlparse::XmlNode::Comment(_) => {}
+                    xmlparse::XmlNode::Text(_) | xmlparse::XmlNode::Comment(_) => {}
                 }
             }
         } else {
             // Text-only (or empty) content merges into the element.
             let text = elem.text();
             if !text.trim().is_empty() {
-                let content = self.heap.append(&text)?;
-                self.records[id as usize].content = content;
-                self.content_syms[id as usize] = self.tags.intern(&text).0;
+                let (content, sym) = self.value(&text)?;
+                let rec = &mut self.records[id];
+                (rec.content, rec.sym) = (content, sym);
             }
         }
 
-        let end = *self.counter;
-        *self.counter += 1;
-        self.records[id as usize].end = end;
-        Ok(id)
+        self.records[id].end = self.counter;
+        self.counter += 1;
+        Ok(())
+    }
+
+    /// A leaf row — an attribute or a `#text` node — holding `text`.
+    fn leaf(&mut self, tag: TagId, kind: NodeKind, level: u16, text: &str) -> Result<()> {
+        let start = self.counter;
+        self.counter += 2;
+        let (content, sym) = self.value(text)?;
+        self.records.push(NodeRecord {
+            tag,
+            start,
+            end: start + 1,
+            sym,
+            level,
+            kind,
+            content,
+        });
+        Ok(())
+    }
+
+    /// Store `text` on the heap and intern it. An empty value has no heap
+    /// bytes (`ContentPtr::NULL`) and no symbol either, so a record's
+    /// pointer and symbol say "has content" together.
+    fn value(&mut self, text: &str) -> Result<(ContentPtr, u32)> {
+        let content = self.heap.append(text)?;
+        let sym = if text.is_empty() {
+            NO_SYM
+        } else {
+            self.tags.intern(text).0
+        };
+        Ok((content, sym))
     }
 }
 

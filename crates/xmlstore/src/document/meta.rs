@@ -56,9 +56,10 @@ pub(super) struct MetaDelta {
 
 const META_MAGIC: u32 = 0x544d_4254; // "TBMT"
 const DELTA_MAGIC: u32 = 0x444d_4254; // "TBMD"
-/// v3: commits carry a [`MetaDelta`]; only checkpoints carry the full
+/// v4: node records carry their content symbol where v3 kept the parent
+/// id. Commits carry a [`MetaDelta`]; only checkpoints carry the full
 /// snapshot. Any other version is refused.
-const META_VERSION: u32 = 3;
+const META_VERSION: u32 = 4;
 
 const HAS_REMOVED: u8 = 1;
 const HAS_ADDED: u8 = 2;

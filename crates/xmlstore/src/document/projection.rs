@@ -12,18 +12,16 @@ use crate::columns::NodeColumns;
 use crate::dict::{Sym, NO_SYM};
 use crate::error::{Result, StoreError};
 use crate::index::{Cut, NodeEntry, TagIndex};
-use crate::node::{ContentPtr, NodeId, NodeKind, NodeRecord, NO_PARENT};
+use crate::node::{ContentPtr, NodeId, NodeKind, NodeRecord};
 use std::ops::Deref;
 use std::sync::atomic::{self, Ordering};
 use std::sync::Arc;
 
 /// One document's rows in local ids and labels, as the loader built them
-/// or `open` read them back from pages; `content_syms` is parallel to
-/// `records`.
+/// or `open` read them back from pages.
 pub(super) struct DocRows<'a> {
     pub meta: DocMeta,
     pub records: &'a [NodeRecord],
-    pub content_syms: &'a [u32],
 }
 
 /// One immutable view of the store, published atomically by a commit:
@@ -88,11 +86,6 @@ impl Projection {
     pub(super) fn globalize(&self, k: usize, rec: &mut NodeRecord) {
         rec.start += self.label_offsets[k];
         rec.end += self.label_offsets[k];
-        rec.parent = if rec.parent == NO_PARENT {
-            0
-        } else {
-            rec.parent + self.id_bases[k]
-        };
         rec.content = rec.content.at(self.docs[k].heap_base);
     }
 
@@ -124,7 +117,7 @@ impl Projection {
         let (id_base, label_offset) = (self.node_count, self.root_end);
         // Unshared while a projection is being built.
         let columns = Arc::make_mut(&mut self.columns);
-        for (local, (r, &content)) in doc.records.iter().zip(doc.content_syms).enumerate() {
+        for (local, r) in doc.records.iter().enumerate() {
             let entry = NodeEntry {
                 id: NodeId(id_base + local as u32),
                 start: r.start + label_offset,
@@ -132,7 +125,7 @@ impl Projection {
                 level: r.level,
             };
             self.index.insert(r.tag, entry);
-            columns.push(entry.start, entry.end, r.level, r.tag.0, r.kind, content);
+            columns.push(entry.start, entry.end, r.level, r.tag.0, r.kind, r.sym);
         }
         let heap_base = doc.meta.heap_base;
         let locs = doc.records.iter().map(|r| r.content.at(heap_base));
@@ -218,7 +211,7 @@ pub(super) fn build_projection(
     epoch: u64,
     doc_root_tag: TagId,
     docs: &[DocMeta],
-    mut rows: impl FnMut(&DocMeta) -> Result<(Vec<NodeRecord>, Vec<u32>)>,
+    mut rows: impl FnMut(&DocMeta) -> Result<Vec<NodeRecord>>,
 ) -> Result<Projection> {
     let rows_total: usize = docs.iter().map(|d| d.node_count as usize).sum();
     let mut proj = Projection::empty(epoch, doc_root_tag, rows_total);
@@ -227,11 +220,10 @@ pub(super) fn build_projection(
     proj.label_offsets.reserve(docs.len());
     proj.value_locs.reserve(docs.len());
     for meta in docs {
-        let (records, content_syms) = rows(meta)?;
+        let records = rows(meta)?;
         proj.push_doc(DocRows {
             meta: *meta,
             records: &records,
-            content_syms: &content_syms,
         });
     }
     Ok(proj.fit_root())
@@ -614,6 +606,13 @@ mod tests {
             let s = DocumentStore::open(&opts).unwrap();
             assert_same_view(&s.shared.current(), &built, s.dict().len() as u32);
             assert_eq!(served(&s), bytes);
+            // Every row's parent, from the columns, is the row that
+            // contains it one level up.
+            assert_eq!(s.parent(NodeId(0)).unwrap(), None);
+            for id in (1..s.node_count()).map(NodeId) {
+                let up = s.entry(s.parent(id).unwrap().unwrap()).unwrap();
+                assert!(up.is_parent_of(&s.entry(id).unwrap()), "row {id:?}");
+            }
             let _ = std::fs::remove_file(&page);
             let _ = std::fs::remove_file(&wal);
         });

@@ -1,15 +1,15 @@
 //! Reopen and recovery glue: run the log's analysis/redo/undo over the
 //! page file, fold the committed metadata deltas over the checkpoint
 //! snapshot, then rebuild everything the store derives from metadata
-//! plus pages — dictionary, free list, the first projection.
+//! plus node pages — dictionary, free list, the first projection. No
+//! heap page is read: each node record carries its content symbol.
 
 use super::meta::{decode_delta, decode_meta, encode_meta, DocMeta};
 use super::projection::build_projection;
 use super::{wal_path_for, DocumentStore, StoreOptions};
 use crate::dict::{Dictionary, NO_SYM};
 use crate::error::{Result, StoreError};
-use crate::heap::read_values;
-use crate::node::{ContentPtr, NodeRecord, RECORDS_PER_PAGE, RECORD_SIZE};
+use crate::node::{NodeRecord, RECORDS_PER_PAGE, RECORD_SIZE};
 use crate::page::PageId;
 use crate::storage::SharedDisk;
 use crate::wal::{self, Wal, WalHandle};
@@ -95,31 +95,33 @@ impl DocumentStore {
         Ok(store)
     }
 
-    /// One document's records and content symbols, read back from its
-    /// pages (inserts take them from the loader instead): a node page is
-    /// decoded per request, and the contents come through one batched
-    /// read, each heap page asked for once.
-    pub(super) fn read_rows(&self, d: &DocMeta) -> Result<(Vec<NodeRecord>, Vec<u32>)> {
+    /// One document's records, read back from its node pages alone
+    /// (inserts take them from the loader instead), one request per page.
+    /// A record's content symbol must be one the recovered dictionary
+    /// holds, and [`NO_SYM`] exactly where its heap pointer is null;
+    /// anything else is `CorruptContent` on that node page.
+    pub(super) fn read_rows(&self, d: &DocMeta) -> Result<Vec<NodeRecord>> {
+        let syms = self.shared.tags.len() as u32;
+        let sound = |r: &NodeRecord| {
+            if r.content.is_some() {
+                r.sym < syms
+            } else {
+                r.sym == NO_SYM
+            }
+        };
         let mut records = Vec::with_capacity(d.node_count as usize);
         for page in d.node_base..d.node_base + d.node_pages {
             let on_page = (d.node_count as usize - records.len()).min(RECORDS_PER_PAGE);
+            let from = records.len();
             self.shared.with_page(PageId(page), |p| {
                 let slots = p.chunks_exact(RECORD_SIZE).take(on_page);
                 records.extend(slots.map(NodeRecord::decode));
             })?;
+            if !records[from..].iter().all(sound) {
+                return Err(StoreError::CorruptContent { page });
+            }
         }
-        // Re-intern every stored content string so the columnar region
-        // carries the same symbols the writing session used — the names
-        // are already in the recovered dictionary, so these lookups hit
-        // existing entries.
-        let locs: Vec<ContentPtr> = records.iter().map(|r| r.content.at(d.heap_base)).collect();
-        let contents = read_values(|pid, f| self.shared.with_page(pid, |p| f(p)), &locs)?;
-        let tags = &self.shared.tags;
-        let content_syms = contents
-            .iter()
-            .map(|c| c.map_or(NO_SYM, |s| tags.intern(s).0))
-            .collect();
-        Ok((records, content_syms))
+        Ok(records)
     }
 
     /// What crash recovery did, if this store was reopened with
@@ -135,6 +137,7 @@ mod tests {
     use super::super::test_support::{durable_opts, temp_paths, SAMPLE};
     use super::super::DOC_ROOT_TAG;
     use super::*;
+    use crate::page::{PAGE_HEADER_SIZE, PAGE_SIZE};
     use crate::storage::DiskManager;
     use crate::wal::WalRecord;
 
@@ -300,6 +303,60 @@ mod tests {
         let _ = std::fs::remove_file(&wal);
     }
 
+    /// A new content symbol from the dictionary's length and the old one.
+    type SymEdit = fn(u32, u32) -> u32;
+
+    /// Commit SAMPLE, set the content symbol of its local row `row` to
+    /// `sym(dictionary length, the row's own symbol)`, write the node page
+    /// back through the disk manager — which seals a fresh checksum, so
+    /// only the symbol check can object — and reopen. Also returns the
+    /// node page's id.
+    fn reopen_with_symbol(tag: &str, row: usize, sym: SymEdit) -> (Result<DocumentStore>, u32) {
+        let (page, wal) = temp_paths(tag);
+        let opts = durable_opts(&page);
+        let (node_page, syms) = {
+            let s = DocumentStore::create(&opts).unwrap();
+            s.insert_xml(SAMPLE).unwrap();
+            (s.shared.current().docs[0].node_base, s.dict().len() as u32)
+        };
+        let mut disk = DiskManager::open_existing(&page).unwrap();
+        let mut image = [0u8; PAGE_SIZE];
+        disk.read_page(PageId(node_page), &mut image).unwrap();
+        let slot = &mut image[PAGE_HEADER_SIZE + row * RECORD_SIZE..][..RECORD_SIZE];
+        let mut rec = NodeRecord::decode(slot);
+        rec.sym = sym(syms, rec.sym);
+        rec.encode(slot);
+        disk.write_page(PageId(node_page), &image).unwrap();
+        drop(disk);
+        let reopened = DocumentStore::open(&opts);
+        let _ = std::fs::remove_file(&page);
+        let _ = std::fs::remove_file(&wal);
+        (reopened, node_page)
+    }
+
+    #[test]
+    fn a_record_symbol_the_dictionary_or_its_pointer_disowns_is_typed_corruption() {
+        // SAMPLE's local row 0 is `bib`, without content; row 2 is
+        // `@year`, "1999". Rewritten with its own symbol, a page reopens:
+        // the harness itself is sound.
+        let (intact, _) = reopen_with_symbol("sym_intact", 2, |_, own| own);
+        let s = intact.unwrap();
+        let year = s.nodes_with_tag(s.attr_tag_id("year").unwrap())[0];
+        assert_eq!(s.content(year.id).unwrap().as_deref(), Some("1999"));
+        let cases: [(&str, usize, SymEdit); 3] = [
+            ("sym_past_the_table", 2, |syms, _| syms),
+            ("no_sym_with_content", 2, |_, _| NO_SYM),
+            ("sym_without_content", 0, |_, _| 1),
+        ];
+        for (tag, row, sym) in cases {
+            match reopen_with_symbol(tag, row, sym) {
+                (Err(StoreError::CorruptContent { page }), node_page) if page == node_page => {}
+                (Err(e), _) => panic!("{tag}: expected CorruptContent on the node page, got {e}"),
+                (Ok(_), _) => panic!("{tag}: the store reopened"),
+            }
+        }
+    }
+
     /// Commit three documents, then rewrite the log with `tamper` applied
     /// to each record's metadata payload (frames re-encoded, so checksums
     /// and LSNs are those of an intact log) and reopen.
@@ -360,17 +417,22 @@ mod tests {
                 meta.truncate(meta.len() - 3);
             }
         });
-        // The previous format: version 2, in the checkpoint or in a commit
-        // (which then carried a whole snapshot, not a delta).
-        let v2 = |meta: &mut Vec<u8>| meta[4..8].copy_from_slice(&2u32.to_le_bytes());
-        corrupt("v2 checkpoint", &|rec| {
-            if let WalRecord::Checkpoint { meta } = rec {
-                v2(meta);
-            }
-        });
+        // Earlier formats. Version 2, in the checkpoint or in a commit
+        // (which then carried a whole snapshot, not a delta). Version 3,
+        // whose node records held parent ids where they now hold content
+        // symbols: most parent ids are valid symbols, so only the version
+        // keeps such a store from opening with the wrong values.
+        let version = |meta: &mut Vec<u8>, v: u32| meta[4..8].copy_from_slice(&v.to_le_bytes());
+        for (tag, v) in [("v2 checkpoint", 2), ("v3 checkpoint", 3)] {
+            corrupt(tag, &|rec| {
+                if let WalRecord::Checkpoint { meta } = rec {
+                    version(meta, v);
+                }
+            });
+        }
         corrupt("v2 commit", &|rec| {
             if let WalRecord::Commit { meta, .. } = rec {
-                v2(meta);
+                version(meta, 2);
             }
         });
         corrupt("snapshot in a commit", &|rec| {

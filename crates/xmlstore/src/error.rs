@@ -29,10 +29,12 @@ pub enum StoreError {
         /// Checksum stored in the page header.
         actual: u32,
     },
-    /// Stored content bytes are not valid UTF-8 (undetected page damage
-    /// or a stale content pointer).
+    /// Stored content bytes are not valid UTF-8, or a node record's
+    /// content symbol is not one the store holds or disagrees with its
+    /// heap pointer (undetected page damage or a stale pointer).
     CorruptContent {
-        /// The heap page the content was read from.
+        /// The heap page the content was read from, or the node page
+        /// holding the record.
         page: u32,
     },
     /// The fault injector's `crash=N` schedule fired: the simulated
@@ -102,7 +104,7 @@ impl fmt::Display for StoreError {
                  (computed {expected:#010x}, header says {actual:#010x})"
             ),
             StoreError::CorruptContent { page } => {
-                write!(f, "content on page {page} is not valid UTF-8")
+                write!(f, "content on page {page} is not UTF-8 or has a bad symbol")
             }
             StoreError::SimulatedCrash => {
                 write!(f, "simulated crash: the injected kill point was reached")

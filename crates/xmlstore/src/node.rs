@@ -17,9 +17,6 @@ use crate::page::PAGE_DATA_SIZE;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
-/// Sentinel parent value for the document root.
-pub const NO_PARENT: u32 = u32::MAX;
-
 /// Size of one encoded node record in bytes.
 pub const RECORD_SIZE: usize = 32;
 
@@ -103,8 +100,9 @@ pub struct NodeRecord {
     /// Region end; all descendants have `start` and `end` inside
     /// `(start, end)`.
     pub end: u32,
-    /// Parent node id, or [`NO_PARENT`] for the root.
-    pub parent: u32,
+    /// Content symbol (`Sym.0`), or [`NO_SYM`](crate::dict::NO_SYM)
+    /// exactly where `content` is null.
+    pub sym: u32,
     /// Depth; the root is level 0.
     pub level: u16,
     /// Element / attribute / text.
@@ -130,7 +128,7 @@ impl NodeRecord {
         out[0..4].copy_from_slice(&self.tag.0.to_le_bytes());
         out[4..8].copy_from_slice(&self.start.to_le_bytes());
         out[8..12].copy_from_slice(&self.end.to_le_bytes());
-        out[12..16].copy_from_slice(&self.parent.to_le_bytes());
+        out[12..16].copy_from_slice(&self.sym.to_le_bytes());
         out[16..18].copy_from_slice(&self.level.to_le_bytes());
         out[18] = self.kind.to_u8();
         out[19] = 0; // reserved
@@ -157,7 +155,7 @@ impl NodeRecord {
             tag: TagId(u32le(0..4)),
             start: u32le(4..8),
             end: u32le(8..12),
-            parent: u32le(12..16),
+            sym: u32le(12..16),
             level: u16le(16..18),
             kind: NodeKind::from_u8(buf[18]),
             content: ContentPtr {
@@ -185,7 +183,7 @@ mod tests {
             tag: TagId(3),
             start,
             end,
-            parent: 0,
+            sym: crate::dict::NO_SYM,
             level,
             kind: NodeKind::Element,
             content: ContentPtr::NULL,
@@ -198,7 +196,7 @@ mod tests {
             tag: TagId(42),
             start: 7,
             end: 90,
-            parent: 3,
+            sym: 3,
             level: 5,
             kind: NodeKind::Attribute,
             content: ContentPtr {

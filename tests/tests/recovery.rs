@@ -20,7 +20,7 @@ use smallrand::{RngExt, SeedableRng, StdRng};
 use timber::{PlanMode, TimberDb, TimberError};
 use timber_integration_tests::{QUERY1, QUERY2, QUERY_COUNT};
 use xmlstore::storage::DiskManager;
-use xmlstore::{wal, wal_path_for, FaultConfig, StoreError, StoreOptions};
+use xmlstore::{wal, wal_path_for, FaultConfig, NodeId, StoreError, StoreOptions};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -158,6 +158,22 @@ fn oracle(alive: &[String]) -> TimberDb {
     db
 }
 
+/// Every row with content holds the same text in both of its copies: the
+/// name of the symbol its node record carries (which `open` reads) and the
+/// value on the heap (which output reads).
+fn assert_both_copies_agree(db: &TimberDb, label: &str) {
+    let store = db.store();
+    let rows: Vec<NodeId> = (0..store.node_count())
+        .map(NodeId)
+        .filter(|&id| store.content_sym(id).is_some())
+        .collect();
+    let values = store.values(&rows).unwrap();
+    for (i, &id) in rows.iter().enumerate() {
+        let name = store.dict().resolve(store.content_sym(id).unwrap());
+        assert_eq!(values.get(i), Some(&*name), "{label}: row {id:?}");
+    }
+}
+
 /// Size the crash schedule: run the script fault-free (injector armed
 /// but firing nothing) and count write-class operations.
 fn count_write_ops(seed: u64) -> u64 {
@@ -263,6 +279,7 @@ fn fault_free_workload_survives_reopen_byte_identically() {
     let reopened = TimberDb::open(&opts).unwrap();
     assert_eq!(reopened.recovery_info().unwrap().losers, 0);
     assert_eq!(reopened.documents().len(), 3);
+    assert_both_copies_agree(&reopened, "clean reopen");
     assert_eq!(suite(&reopened), suite(&oracle(&alive)));
     drop(reopened);
     let _ = std::fs::remove_file(&page);
@@ -479,6 +496,7 @@ fn recovery_folds_the_delta_chain_at_every_crash_point_of_the_tail() {
                 assert_eq!(got.resolve(sym), want.resolve(sym), "{label}: symbol {i}");
             }
             assert_eq!(recovered.documents(), oracle.documents(), "{label}");
+            assert_both_copies_agree(&recovered, &label);
             assert_eq!(count_bytes(&recovered), count_bytes(&oracle), "{label}");
             drop((recovered, oracle));
             remove_files(&[&page, &wal_p, &opage, &owal]);

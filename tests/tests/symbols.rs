@@ -111,8 +111,8 @@ fn dictionary_roundtrips_across_wal_recovery_reopen() {
                 assert_eq!(dict.get(name), Some(*sym), "assignment moved for {name:?}");
                 assert_eq!(&*dict.resolve(*sym), name.as_str());
             }
-            // Recovery re-interned, never extended: the table is exactly the
-            // crashed session's, and fresh interning continues its sequence.
+            // Recovery never extends the table: it is exactly the crashed
+            // session's, and fresh interning continues its sequence.
             assert_eq!(dict.len(), before);
             assert_eq!(dict.intern("\u{1}fresh-after-reopen").0 as usize, before);
 
