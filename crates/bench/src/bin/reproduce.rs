@@ -464,9 +464,11 @@ fn run_e1(db: &timber::TimberDb) {
     let d = measure(db, QUERY_TITLES, PlanMode::Direct);
     let g = measure(db, QUERY_TITLES, PlanMode::GroupByRewrite);
     assert!(g.rewritten, "rewrite must fire");
+    assert_plans_agree("E1 nested form", &d, &g);
     println!("{}", format_row("E1 nested form", &d, &g));
     let d2 = measure(db, QUERY_TITLES_LET, PlanMode::Direct);
     let g2 = measure(db, QUERY_TITLES_LET, PlanMode::GroupByRewrite);
+    assert_plans_agree("E1 LET form", &d2, &g2);
     println!("{}", format_row("E1 LET form", &d2, &g2));
     println!(
         "paper ratio 1.81x; measured {:.2}x (nested), {:.2}x (LET); output: {} authorpubs, {:.1} MB\n",
@@ -481,12 +483,22 @@ fn run_e2(db: &timber::TimberDb) {
     println!("-- E2: count variant (paper: direct 155.564 s vs GROUPBY 23.033 s, 6.75x) --");
     let d = measure(db, QUERY_COUNT, PlanMode::Direct);
     let g = measure(db, QUERY_COUNT, PlanMode::GroupByRewrite);
+    assert_plans_agree("E2 count", &d, &g);
     println!("{}", format_row("E2 count", &d, &g));
     println!(
         "paper ratio 6.75x; measured {:.2}x; output: {} authorpubs, {:.2} MB\n",
         speedup(&d, &g),
         g.output_trees,
         g.output_bytes as f64 / (1024.0 * 1024.0)
+    );
+}
+
+/// The paper's two plans answer one query: equal output trees and bytes.
+fn assert_plans_agree(label: &str, direct: &RunStats, grouped: &RunStats) {
+    assert_eq!(
+        (direct.output_trees, direct.output_bytes),
+        (grouped.output_trees, grouped.output_bytes),
+        "{label}: the direct plan's output diverged from the GROUPBY plan's"
     );
 }
 

@@ -20,8 +20,8 @@
 //!   node ids around and fetch data values only when a value is actually
 //!   needed;
 //! * [`batch`] — what flows between operators: a [`Batch`] of rows that
-//!   is either a list of stored nodes or a list of trees, and the
-//!   borrowed [`Source`] view the kernels read;
+//!   is a list of stored nodes, of a scan's matches, of groups, or of
+//!   trees, and the borrowed [`Source`] view the kernels read;
 //! * [`pattern`] — pattern trees: nodes with predicates, `pc`
 //!   (parent-child) and `ad` (ancestor-descendant) edges, plus the
 //!   *subset* test used by the rewrite rules of Sec. 4.1;
@@ -100,6 +100,4 @@ pub mod tags {
     pub const GROUPING_BASIS: &str = "TAX_grouping_basis";
     /// Right child: the ordered group members.
     pub const GROUP_SUBROOT: &str = "TAX_group_subroot";
-    /// Root produced by joins/products (Fig. 8).
-    pub const PROD_ROOT: &str = "TAX_prod_root";
 }

@@ -57,11 +57,6 @@ impl<C: Copy> Bindings<C> {
         }
     }
 
-    /// The first embedding, if any.
-    pub fn first(&self) -> Option<Row<'_, C>> {
-        (!self.is_empty()).then(|| self.row(0))
-    }
-
     /// All embeddings, in order.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = Row<'_, C>> {
         (0..self.len()).map(|i| Row {

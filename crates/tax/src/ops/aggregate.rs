@@ -73,7 +73,8 @@ pub fn aggregate(
         UpdateSpec::AfterLastChild(l) | UpdateSpec::Precedes(l) | UpdateSpec::Follows(l) => l,
     };
     let basis = [BasisItem::content(of), BasisItem::content(anchor_label)];
-    let w = witnesses(store, &Source::Trees(&input), pattern, &basis, &[], false)?;
+    let trees = Source::Trees(input[..].into());
+    let w = witnesses(store, &trees, pattern, &basis, &[], false)?;
     let dict = store.dict();
     let rows = w.per_row(input.len());
     for (tree, ws) in input.iter_mut().zip(rows) {

@@ -5,56 +5,64 @@
 //! selection/projection ("a duplicate elimination based on the content of
 //! the bound variable", here `$2.content` — the author value). Sec. 6
 //! eliminates duplicates "by looking up the actual data values"; here the
-//! value is the node's content symbol, taken by the shared witness
-//! extraction from the label columns or the constructed node — equal
-//! symbol ⇔ equal string, so the comparison reads no data page.
+//! value is the node's content symbol — read off the selection's table
+//! for its rows, taken by the shared witness extraction from the label
+//! columns or the constructed node for trees. Equal symbol ⇔ equal
+//! string, so the comparison reads no data page.
 
+use crate::batch::{Batch, Source};
 use crate::error::Result;
-use crate::ops::witness::first_keys;
+use crate::ops::groupby::BasisItem;
+use crate::ops::witness::witnesses;
 use crate::pattern::{PatternNodeId, PatternTree};
-use crate::tree::{Collection, Tree};
 use std::collections::HashSet;
-use xmlstore::DocumentStore;
+use xmlstore::{DocumentStore, NodeEntry};
 
-/// Keep the first tree for each distinct content of the node bound by
-/// `by`. Trees in which the pattern does not match at all are kept
-/// unconditionally (they carry no duplicate key); nodes without content
-/// share one key.
+/// Keep the first row for each distinct content of the node bound by
+/// `by`, skipping the keys in `seen` and adding those met — a stream
+/// carries `seen` from batch to batch. A selection's rows bound at `by`
+/// key by their bound node and stay rows; other rows key as their trees,
+/// by their first witness. A tree in which the pattern does not match at
+/// all is kept unconditionally (it carries no duplicate key); nodes
+/// without content share one key.
 pub fn dup_elim(
     store: &DocumentStore,
-    input: Collection,
+    input: Batch,
     pattern: &PatternTree,
     by: PatternNodeId,
-) -> Result<Collection> {
-    let keys = dup_keys(store, &input, pattern, by)?;
-    let mut seen = HashSet::new();
-    Ok(input
-        .into_iter()
-        .zip(keys)
-        .filter_map(|(tree, key)| (key.is_none() || seen.insert(key)).then_some(tree))
-        .collect())
-}
-
-/// Per-tree duplicate keys: the content symbol of the node the tree's
-/// first witness binds to `by` ([`xmlstore::NO_SYM`] when it has none),
-/// `None` when the pattern does not match. Exposed separately so a
-/// streaming executor can run the first-occurrence scan itself, carrying
-/// the seen-set across batches.
-pub fn dup_keys(
-    store: &DocumentStore,
-    input: &[Tree],
-    pattern: &PatternTree,
-    by: PatternNodeId,
-) -> Result<Vec<Option<u32>>> {
-    let keys = first_keys(store, input, pattern, by)?;
-    Ok(keys.into_iter().map(|k| k.map(|(key, _)| key)).collect())
+    seen: &mut HashSet<u32>,
+) -> Result<Batch> {
+    let cols = store.columns();
+    let key = |e: &NodeEntry| cols.content[e.id.0 as usize];
+    match (input.bound(pattern, by), input) {
+        (Ok(nodes), Batch::Matches(mut rows)) => {
+            let mut fresh = nodes.iter().map(|e| seen.insert(key(e)));
+            rows.rows.retain(|_| fresh.next() == Some(true));
+            Ok(Batch::Matches(rows))
+        }
+        (_, input) => {
+            let (trees, basis) = (input.into_trees(), [BasisItem::content(by)]);
+            let source = Source::Trees(trees[..].into());
+            let w = witnesses(store, &source, pattern, &basis, &[], false)?;
+            let (rows, mut kept) = (w.per_row(trees.len()), Vec::new());
+            for (tree, ws) in trees.into_iter().zip(rows) {
+                // A tree the pattern does not match carries no key.
+                if ws.is_empty() || seen.insert(w.key(ws.start)[0]) {
+                    kept.push(tree);
+                }
+            }
+            Ok(Batch::Trees(kept))
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Matches;
     use crate::ops::select::select_db;
     use crate::pattern::{Axis, Pred};
+    use crate::tree::{Collection, Tree};
     use xmlstore::StoreOptions;
 
     const SAMPLE: &str = "<bib>\
@@ -67,6 +75,16 @@ mod tests {
         DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory()).unwrap()
     }
 
+    /// [`dup_elim`] over one collection of trees.
+    fn dedup(
+        s: &DocumentStore,
+        input: Collection,
+        p: &PatternTree,
+        by: PatternNodeId,
+    ) -> Result<Collection> {
+        dup_elim(s, Batch::Trees(input), p, by, &mut HashSet::new()).map(Batch::into_trees)
+    }
+
     #[test]
     fn distinct_authors_query1_outer_step() {
         // The outer step of Query 1: select authors, project, dup-elim.
@@ -75,13 +93,24 @@ mod tests {
         let author = p.add_child(p.root(), Axis::Descendant, Pred::tag("author"));
         let sel = select_db(&s, &p, &[author]).unwrap();
         assert_eq!(sel.len(), 5);
-        let distinct = dup_elim(&s, sel, &p, author).unwrap();
+        let distinct = dedup(&s, sel, &p, author).unwrap();
         assert_eq!(distinct.len(), 3); // Jack, John, Jill
         let names: Vec<String> = distinct
             .iter()
             .map(|t| t.materialize(&s).unwrap().child("author").unwrap().text())
             .collect();
         assert_eq!(names, ["Jack", "John", "Jill"]); // first occurrence order
+
+        // The selection's rows key by their bound node and stay rows, in
+        // batches sharing one seen-set: the same three witness trees.
+        let mut seen = HashSet::new();
+        let mut rows = Batch::default();
+        for batch in Matches::select(&s, &p, &[author]).unwrap().chunks(2) {
+            let kept = dup_elim(&s, Batch::Matches(batch), &p, author, &mut seen).unwrap();
+            assert!(matches!(kept, Batch::Matches(_)), "{kept:?}");
+            rows.append(kept);
+        }
+        assert_eq!(rows.into_trees(), distinct);
     }
 
     #[test]
@@ -92,7 +121,7 @@ mod tests {
             crate::tree::Tree::new_elem(s.dict(), "odd"),
         ];
         let p = PatternTree::with_root(Pred::tag("author"));
-        let out = dup_elim(&s, input, &p, p.root()).unwrap();
+        let out = dedup(&s, input, &p, p.root()).unwrap();
         assert_eq!(out.len(), 2);
     }
 
@@ -100,7 +129,7 @@ mod tests {
     fn bad_label_rejected() {
         let s = store();
         let p = PatternTree::with_root(Pred::tag("author"));
-        assert!(dup_elim(&s, Vec::new(), &p, 7).is_err());
+        assert!(dedup(&s, Vec::new(), &p, 7).is_err());
     }
 
     #[test]
@@ -112,7 +141,7 @@ mod tests {
         let author = p.add_child(p.root(), Axis::Descendant, Pred::tag("author"));
         let sel = select_db(&s, &p, &[author]).unwrap();
         s.reset_io_stats();
-        assert_eq!(dup_elim(&s, sel, &p, author).unwrap().len(), 3);
+        assert_eq!(dedup(&s, sel, &p, author).unwrap().len(), 3);
         assert_eq!(s.io_stats().page_requests(), 0);
     }
 
@@ -132,11 +161,7 @@ mod tests {
             .chain([Tree::new_elem(s.dict(), "odd")])
             .collect();
         let p = PatternTree::with_root(Pred::tag("author"));
-        let keys = dup_keys(&s, &authors, &p, 0).unwrap();
-        assert_eq!(keys[0], Some(xmlstore::NO_SYM));
-        assert_eq!(keys[0], keys[1]);
-        assert_eq!(keys[3], None);
-        let kept = dup_elim(&s, authors.clone(), &p, 0).unwrap();
+        let kept = dedup(&s, authors.clone(), &p, 0).unwrap();
         assert_eq!(
             kept,
             [&authors[0], &authors[2], &authors[3]].map(Clone::clone)
@@ -157,7 +182,7 @@ mod tests {
             vec![built.clone(), Tree::new_ref(jack, true)],
             vec![Tree::new_ref(jack, true), built.clone()],
         ] {
-            let kept = dup_elim(&s, input.clone(), &p, 0).unwrap();
+            let kept = dedup(&s, input.clone(), &p, 0).unwrap();
             assert_eq!(kept, input[..1]);
         }
     }

@@ -1,272 +1,215 @@
-//! Value-based joins (Sec. 4.1).
+//! The naive plan's join pipeline (Sec. 4.1): the left outer join of the
+//! outer bindings against the database, and the RETURN stitch.
 //!
-//! The naive parse of a nested FLWR generates a **left outer join**
-//! between the outer bindings and the database (the "join-plan" pattern
-//! tree of Fig. 4b), producing `TAX_prod_root` trees that pair each outer
-//! tree with one matching witness from the database (Fig. 8); unmatched
-//! outer trees survive alone. The RETURN arguments are then **stitched**
-//! back together on the shared key: a full outer join fused with the
-//! final construction and rename ([`stitch`]).
-//!
-//! Both key on content symbols from the shared witness extraction — the
-//! outer key of a tree, the key of every database binding — so a value
-//! comparison reads no data page: equal symbol ⇔ equal string, and a node
-//! without content ([`NO_SYM`]) joins nothing.
+//! A nested FLWR joins the outer bindings with the database through the
+//! "join-plan" pattern tree of Fig. 4b — every (author, article) pair of
+//! Fig. 8 — then stitches the RETURN arguments back together on the
+//! shared key: a full outer join fused with the final construction and
+//! rename ([`stitch`]). The pairs stay identifiers (Sec. 5.3): the join
+//! emits one group per outer row, its key cell and the ordinals of the
+//! subjects it joined ([`Groups`]), and the stitch matches the subject's
+//! paths to the RETURN and ORDER BY nodes once, over those subjects
+//! ([`Members`]). Keys are content symbols, an outer row's read off its
+//! selection's table: equal symbol ⇔ equal string, and a node without
+//! content ([`NO_SYM`]) joins nothing. No data page is read.
 
-use crate::batch::Source;
-use crate::error::Result;
+use crate::batch::{Batch, Groups, Source};
+use crate::error::{Error, Result};
+use crate::matching::match_db;
 use crate::matching::vnode::VNode;
-use crate::matching::{match_db, Bindings};
 use crate::ops::aggregate::{compute, format_value, numeric, AggFunc};
 use crate::ops::groupby::{sort_members, BasisItem, Direction, GroupOrder};
-use crate::ops::select::witness_tree;
-use crate::ops::witness::{first_keys, witnesses};
+use crate::ops::witness::witnesses;
 use crate::pattern::{PatternNodeId, PatternTree};
+use crate::tags::{GROUPING_BASIS, GROUP_ROOT, GROUP_SUBROOT};
 use crate::tree::{Collection, Tree, TreeNodeKind};
 use std::collections::{HashMap, HashSet};
-use xmlstore::{DocumentStore, NO_SYM};
+use xmlstore::{DocumentStore, NodeEntry, NO_SYM};
 
-/// Left outer join of `left` against the stored database — the
-/// blocking sink's kernel.
-///
-/// For each left tree, its join value is the content symbol of the node
-/// bound by `left_label` under `left_pattern` (its first witness's, one
-/// extraction over all left trees). The right side is matched once
-/// against the database with `right_pattern` and bucketed by the content
-/// symbol of its `right_label` node; a right binding joins when that
-/// symbol equals the left value. Each matching pair yields one
-/// `TAX_prod_root` tree holding the left tree followed by the right
-/// witness tree (adorned by `right_sl`); a left tree with no match yields
-/// a `TAX_prod_root` with the left part only. Output follows the left
-/// input order.
-#[allow(clippy::too_many_arguments)]
+/// Left outer join of `left` — rows of a selection of `left_pattern`
+/// bound at `left_label` — against the stored database: the blocking
+/// sink's kernel. The right side is matched once with `right_pattern`,
+/// and a binding joins a left row when its `right_label` node has the
+/// row's content symbol. Each left row, in order, becomes one group: its
+/// bound node as the key cell and, as members, the subjects (the node
+/// `right_sl` adorns) of the bindings it joins, in binding order, a run
+/// of one subject's bindings once — no members when it joins nothing.
+/// The members index the distinct subjects in document order.
 pub fn left_outer_join_db(
     store: &DocumentStore,
-    left: &[Tree],
+    left: &Batch,
     left_pattern: &PatternTree,
     left_label: PatternNodeId,
     right_pattern: &PatternTree,
     right_label: PatternNodeId,
     right_sl: &[PatternNodeId],
-) -> Result<Collection> {
+) -> Result<Groups> {
+    let subject = subject(right_pattern, right_sl)?;
     if right_label >= right_pattern.len() {
-        return Err(crate::error::Error::UnknownLabel(format!(
-            "${}",
-            right_label + 1
-        )));
+        return Err(Error::UnknownLabel(format!("${}", right_label + 1)));
     }
-    let keys = first_keys(store, left, left_pattern, left_label)?;
-
-    // Match the right side once; bucket bindings by key symbol.
-    let right_bindings = match_db(store, right_pattern)?;
+    let left = left.bound(left_pattern, left_label)?;
+    let right = match_db(store, right_pattern)?;
     let cols = store.columns();
-    let mut buckets: HashMap<u32, Vec<usize>> = HashMap::new();
-    for (i, e) in right_bindings.column(right_label).iter().enumerate() {
-        let key = cols.content[e.id.0 as usize];
-        if key != NO_SYM {
-            buckets.entry(key).or_default().push(i);
+    let key = |e: &NodeEntry| cols.content[e.id.0 as usize];
+    let mut rows = right.column(subject).to_vec();
+    rows.sort_unstable_by_key(|e| e.start);
+    rows.dedup_by_key(|e| e.start);
+    let mut buckets: HashMap<u32, Vec<u32>> = HashMap::new();
+    for (e, s) in right.column(right_label).iter().zip(right.column(subject)) {
+        let member = rows.partition_point(|r| r.start < s.start) as u32;
+        let bucket = buckets.entry(key(e)).or_default();
+        if bucket.last() != Some(&member) {
+            bucket.push(member);
         }
     }
-
-    let mut out = Vec::new();
-    for (ltree, key) in left.iter().zip(keys) {
-        let key = key.map_or(NO_SYM, |(key, _)| key);
-        let matches = buckets.get(&key).map_or(&[][..], Vec::as_slice);
-        out.extend(join_one(
-            store,
-            ltree,
-            matches,
-            &right_bindings,
-            right_pattern,
-            right_sl,
-        ));
-    }
-    Ok(out)
+    buckets.remove(&NO_SYM);
+    let members = left.iter().map(|e| buckets.get(&key(e)).cloned());
+    let members = members.map(Option::unwrap_or_default).collect();
+    let keys = left
+        .into_iter()
+        .map(|node| TreeNodeKind::Ref { node, deep: true });
+    let tags = [GROUP_ROOT, GROUPING_BASIS, GROUP_SUBROOT].map(|tag| store.dict().intern(tag));
+    let (keys, width) = (keys.collect(), 1);
+    Ok(Groups {
+        rows,
+        tags,
+        keys,
+        width,
+        members,
+    })
 }
 
-/// The per-left-tree join kernel: one `TAX_prod_root` tree per matching
-/// right binding (the unmatched tree survives alone).
-fn join_one(
-    store: &DocumentStore,
-    ltree: &Tree,
-    matches: &[usize],
-    right_bindings: &Bindings,
-    right_pattern: &PatternTree,
-    right_sl: &[PatternNodeId],
-) -> Vec<Tree> {
-    let prod = || {
-        let mut prod = Tree::new_elem(store.dict(), crate::tags::PROD_ROOT);
-        prod.append_subtree(prod.root(), ltree, ltree.root());
-        prod
-    };
-    if matches.is_empty() {
-        return vec![prod()];
+/// The join's subject: the one node its right side adorns.
+fn subject(right_pattern: &PatternTree, right_sl: &[PatternNodeId]) -> Result<PatternNodeId> {
+    match *right_sl {
+        [subject] if subject < right_pattern.len() => Ok(subject),
+        _ => Err(Error::Unsupported("a join adorns one subject".into())),
     }
-    matches
-        .iter()
-        .map(|&ri| {
-            let mut prod = prod();
-            let w = witness_tree(None, right_pattern, right_bindings.row(ri), right_sl);
-            prod.append_subtree(prod.root(), &w, w.root());
-            prod
-        })
-        .collect()
 }
 
-/// One stitched part: an extracted node of an inner row, with what its
-/// output needs — its content (for an aggregate) and the witness it
-/// orders by.
+/// What the stitch reads of each subject a join pairs: the join's right
+/// pattern cut to the paths from the subject to the RETURN node (its
+/// label in it is the second field) and to the ORDER BY node.
+#[derive(Debug)]
+pub struct Members(PatternTree, PatternNodeId, Vec<GroupOrder>);
+
+impl Members {
+    /// The members of a join of `right_pattern` adorned at `right_sl`,
+    /// returning `extract`, ordered by `order`.
+    pub fn new(
+        right_pattern: &PatternTree,
+        right_sl: &[PatternNodeId],
+        extract: PatternNodeId,
+        order: Option<(PatternNodeId, Direction)>,
+    ) -> Result<Members> {
+        let targets: Vec<PatternNodeId> = [extract].into_iter().chain(order.map(|o| o.0)).collect();
+        let subject = subject(right_pattern, right_sl)?;
+        let Some((pattern, ids)) = right_pattern.paths(subject, &targets) else {
+            return Err(Error::Unsupported(
+                "RETURN and ORDER BY lie under the subject".into(),
+            ));
+        };
+        let ordering = order.map(|(_, direction)| (ids[1], direction));
+        let ordering = ordering.map(|(label, direction)| GroupOrder { label, direction });
+        Ok(Members(pattern, ids[0], ordering.into_iter().collect()))
+    }
+}
+
+/// One stitched part: an extracted node, its content (for an aggregate)
+/// and its subject's first witness, which it orders by.
 #[derive(Clone, Copy)]
 struct Part {
-    row: u32,
     node: VNode,
-    deep: bool,
     value: u32,
     first: u32,
 }
 
 /// The RETURN stitching of the naive plan (Sec. 4.1): a full outer join
-/// of `outer` and `inner` on the key (one hash pass over the inner rows),
-/// fused with the final per-binding construction and rename — the kernel
-/// behind the executor's `StitchConstruct` sink. Each matching outer tree becomes one `tag`
-/// element: its bound node, then the extracted parts of its key's inner
-/// rows (`inner_extract`, deep or not), or their aggregate `agg`.
+/// of the `outer` rows and the join's groups on the key, fused with the
+/// final per-binding construction and rename — the kernel behind the
+/// executor's `StitchConstruct` sink. Each outer row (a selection's,
+/// bound at `outer_label`) becomes one `tag` element: its bound node,
+/// then the extracted nodes of the subjects its key joined, or their
+/// aggregate `agg`.
 ///
-/// One anchored witness extraction over the inner rows yields every
-/// part's key, node, value and ordering symbol. The bucket merge walks
-/// them in input order and applies the naive plan's "duplicate
-/// elimination based on articles": an inner row joining a key through
-/// several paths contributes each extracted node once. Within a key the
-/// parts order as group members do (`ORDER BY` on the first witness of
-/// their row under that key, arrival breaking ties), so a row's parts
-/// stay together. Each outer tree then constructs its element against
-/// the buckets, in outer input order.
-#[allow(clippy::too_many_arguments)]
+/// One anchored witness extraction over the joined subjects yields every
+/// part's node, value and ordering symbol. A key's parts are its group's
+/// subjects' extracts in member order, each node once — the naive plan's
+/// "duplicate elimination based on articles" — ordered as group members
+/// are (`ORDER BY` on the first witness of their subject, arrival
+/// breaking ties), so a subject's parts stay together.
 pub fn stitch(
     store: &DocumentStore,
-    outer: &[Tree],
+    outer: &Batch,
     outer_pattern: &PatternTree,
     outer_label: PatternNodeId,
-    inner: &[Tree],
-    inner_pattern: &PatternTree,
-    inner_label: PatternNodeId,
-    inner_extract: &[(PatternNodeId, bool)],
+    inner: Option<(&Groups, &Members)>,
     agg: Option<(AggFunc, &str)>,
-    order: Option<(PatternNodeId, Direction)>,
     tag: &str,
 ) -> Result<Collection> {
-    // Basis: the key, then one item per extracted node.
-    let basis: Vec<BasisItem> = std::iter::once(inner_label)
-        .chain(inner_extract.iter().map(|&(label, _)| label))
-        .map(BasisItem::content)
-        .collect();
-    let ordering: Vec<GroupOrder> = order
-        .map(|(label, direction)| GroupOrder { label, direction })
-        .into_iter()
-        .collect();
-    let w = witnesses(
-        store,
-        &Source::Trees(inner),
-        inner_pattern,
-        &basis,
-        &ordering,
-        true,
-    )?;
-
-    let mut parts: HashMap<u32, Vec<Part>> = HashMap::new();
-    let mut seen: HashSet<(u32, u64)> = HashSet::new();
-    // The keys met in the current row, with their first witness.
-    let mut firsts: Vec<(u32, u32)> = Vec::new();
-    for i in 0..w.len() as u32 {
-        let row = w.tree_idx[i as usize];
-        if i > 0 && w.tree_idx[i as usize - 1] != row {
-            firsts.clear();
-        }
-        let key = w.key(i)[0];
-        if key == NO_SYM {
-            continue;
-        }
-        let first = match firsts.iter().find(|&&(k, _)| k == key) {
-            Some(&(_, first)) => first,
-            None => {
-                firsts.push((key, i));
-                i
-            }
-        };
-        let tree = &inner[row as usize];
-        let extracted = w.cells(i)[1..].iter().zip(&w.key(i)[1..]);
-        for ((&node, &value), &(_, deep)) in extracted.zip(inner_extract) {
-            if seen.insert((key, identity(tree, row, node))) {
-                let part = Part {
-                    row,
-                    node,
-                    deep,
-                    value,
-                    first,
-                };
-                parts.entry(key).or_default().push(part);
-            }
-        }
-    }
-    for bucket in parts.values_mut() {
-        sort_members(store.dict(), &w, bucket, &ordering, |p| p.first);
-    }
-
-    let keys = first_keys(store, outer, outer_pattern, outer_label)?;
+    let outer = outer.bound(outer_pattern, outer_label)?;
+    let cols = store.columns();
+    let key = |e: &NodeEntry| cols.content[e.id.0 as usize];
     let dict = store.dict();
-    let tag = dict.intern(tag);
-    Ok(outer
-        .iter()
-        .zip(keys)
-        .filter_map(|(otree, key)| {
-            // A tree the outer pattern does not match emits nothing.
-            let (key, bound) = key?;
-            let mut out = Tree::new_elem_sym(tag);
-            out.append_vnode(out.root(), Some(otree), bound, true);
-            let matched = parts.get(&key).map_or(&[][..], Vec::as_slice);
-            match agg {
-                Some((func, agg_tag)) => {
-                    let values: Vec<f64> = match func {
-                        AggFunc::Count => Vec::new(),
-                        _ => matched
-                            .iter()
-                            .filter_map(|p| numeric(dict, p.value))
-                            .collect(),
-                    };
-                    if let Some(v) = compute(func, matched.len(), &values) {
-                        out.add_elem_with_content(dict, out.root(), agg_tag, format_value(v));
-                    }
-                }
-                None => {
-                    for p in matched {
-                        let src = Some(&inner[p.row as usize]);
-                        out.append_vnode(out.root(), src, p.node, p.deep);
-                    }
+    let mut parts: HashMap<u32, Vec<Part>> = HashMap::new();
+    if let Some((groups, Members(pattern, extract, ordering))) = inner {
+        let subjects = Source::Stored(groups.rows[..].into());
+        let basis = [BasisItem::content(*extract)];
+        let w = witnesses(store, &subjects, pattern, &basis, ordering, true)?;
+        let per_row = w.per_row(groups.rows.len());
+        for (g, group) in groups.members.iter().enumerate() {
+            let [TreeNodeKind::Ref { node: k, .. }] = groups.key(g) else {
+                continue;
+            };
+            // One bucket per key: equal keys joined the same subjects.
+            if key(k) == NO_SYM || parts.contains_key(&key(k)) {
+                continue;
+            }
+            let mut seen = HashSet::new();
+            let mut bucket = Vec::new();
+            for ws in group.iter().map(|&m| per_row[m as usize].clone()) {
+                let first = ws.start;
+                for i in ws.filter(|&i| seen.insert(w.cells(i)[0])) {
+                    let (node, value) = (w.cells(i)[0], w.key(i)[0]);
+                    bucket.push(Part { node, value, first });
                 }
             }
-            Some(out)
-        })
-        .collect())
-}
-
-/// A part's identity for the stitch's duplicate elimination: the stored
-/// node it is, or — a constructed node has no global identity — its
-/// position.
-fn identity(tree: &Tree, row: u32, node: VNode) -> u64 {
-    match node {
-        VNode::Stored(e) => u64::from(e.id.0),
-        VNode::Arena(i) => match &tree.node(i).kind {
-            TreeNodeKind::Ref { node, .. } => u64::from(node.id.0),
-            TreeNodeKind::Elem { .. } => 1 << 63 | u64::from(row) << 32 | i as u64,
-        },
+            sort_members(dict, &w, &mut bucket, ordering, |p| p.first);
+            parts.insert(key(k), bucket);
+        }
     }
+    let tag = dict.intern(tag);
+    let element = |bound: NodeEntry| {
+        let mut out = Tree::new_elem_sym(tag);
+        out.add_ref(out.root(), bound, true);
+        let matched = parts.get(&key(&bound)).map_or(&[][..], Vec::as_slice);
+        let Some((func, agg_tag)) = agg else {
+            for p in matched {
+                out.add_node(out.root(), Tree::vnode_kind(None, p.node, true));
+            }
+            return out;
+        };
+        let values: Vec<f64> = match func {
+            AggFunc::Count => Vec::new(),
+            _ => matched
+                .iter()
+                .filter_map(|p| numeric(dict, p.value))
+                .collect(),
+        };
+        if let Some(v) = compute(func, matched.len(), &values) {
+            out.add_elem_with_content(dict, out.root(), agg_tag, format_value(v));
+        }
+        out
+    };
+    Ok(outer.into_iter().map(element).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Matches;
     use crate::ops::dupelim::dup_elim;
-    use crate::ops::select::select_db;
     use crate::pattern::{Axis, Pred};
     use crate::tags;
     use xmlstore::StoreOptions;
@@ -295,11 +238,25 @@ mod tests {
         (p, art, auth)
     }
 
-    /// Distinct-author trees (Fig. 7).
-    fn distinct_authors(s: &DocumentStore) -> Collection {
+    /// Distinct-author rows (Fig. 7): the outer scan's, deduplicated.
+    fn distinct_authors(s: &DocumentStore) -> Batch {
         let p = outer_pattern();
-        let sel = select_db(s, &p, &[1]).unwrap();
-        dup_elim(s, sel, &p, 1).unwrap()
+        let rows = Batch::Matches(Matches::select(s, &p, &[1]).unwrap());
+        dup_elim(s, rows, &p, 1, &mut HashSet::new()).unwrap()
+    }
+
+    /// Each group's key text and its members, materialized.
+    fn pairs(s: &DocumentStore, groups: Groups) -> Vec<(String, Vec<xmlparse::Element>)> {
+        let trees = Batch::Groups(groups).into_trees();
+        let pair = |t: &Tree| {
+            let e = t.materialize(s).unwrap();
+            assert_eq!(e.name, tags::GROUP_ROOT);
+            let basis = e.child(tags::GROUPING_BASIS).unwrap();
+            let key = basis.child("author").unwrap().text();
+            let members = e.child(tags::GROUP_SUBROOT).unwrap().child_elements();
+            (key, members.cloned().collect())
+        };
+        trees.iter().map(pair).collect()
     }
 
     #[test]
@@ -310,12 +267,15 @@ mod tests {
         let (right, art, auth) = join_right_pattern();
         let joined =
             left_outer_join_db(&s, &authors, &outer_pattern(), 1, &right, auth, &[art]).unwrap();
-        // Jack: 2 articles; John: 2; Jill: 1 → 5 prod trees (Fig. 8).
-        assert_eq!(joined.len(), 5);
-        let e = joined[0].materialize(&s).unwrap();
-        assert_eq!(e.name, tags::PROD_ROOT);
-        // Left part (doc_root/author) + right witness (doc_root/article/author).
-        assert_eq!(e.child_elements().count(), 2);
+        // Jack: 2 articles; John: 2; Jill: 1 → 5 (author, article) pairs
+        // (Fig. 8), held as one group per author.
+        let pairs = pairs(&s, joined);
+        let shape: Vec<(&str, usize)> = pairs.iter().map(|(k, m)| (&k[..], m.len())).collect();
+        assert_eq!(shape, [("Jack", 2), ("John", 2), ("Jill", 1)]);
+        assert!(pairs
+            .iter()
+            .flat_map(|(_, m)| m)
+            .all(|a| a.name == "article"));
     }
 
     #[test]
@@ -328,55 +288,50 @@ mod tests {
         let (right, art, auth) = join_right_pattern();
         let joined =
             left_outer_join_db(&s, &authors, &outer_pattern(), 1, &right, auth, &[art]).unwrap();
-        // Orphan joins nothing but survives; Jack joins one article.
-        assert_eq!(joined.len(), 2);
-        let solo: Vec<_> = joined
-            .iter()
-            .map(|t| t.materialize(&s).unwrap().child_elements().count())
+        // Orphan joins nothing but keeps its group; Jack joins one article.
+        let shape: Vec<(String, usize)> = pairs(&s, joined)
+            .into_iter()
+            .map(|(k, m)| (k, m.len()))
             .collect();
-        assert!(solo.contains(&1), "unmatched left tree must survive alone");
-        assert!(solo.contains(&2));
+        assert_eq!(shape, [("Orphan".to_owned(), 0), ("Jack".to_owned(), 1)]);
     }
 
     #[test]
     fn right_adornment_controls_depth() {
+        // The adorned node is the subject a pair holds, whole: with
+        // SL = [article] the titles are reachable from the pairs, with
+        // SL = [author] the members are the joining authors themselves.
         let s = store();
         let authors = distinct_authors(&s);
         let (right, art, auth) = join_right_pattern();
-        // With SL = [article], titles are reachable in the prod trees.
-        let joined =
-            left_outer_join_db(&s, &authors, &outer_pattern(), 1, &right, auth, &[art]).unwrap();
-        let any_title = joined.iter().any(|t| {
-            t.materialize(&s)
-                .unwrap()
-                .descendants()
-                .any(|e| e.name == "title")
-        });
-        assert!(any_title);
-        // Without adornment, articles are shallow: no titles anywhere.
-        let joined2 =
-            left_outer_join_db(&s, &authors, &outer_pattern(), 1, &right, auth, &[]).unwrap();
-        let any_title2 = joined2.iter().any(|t| {
-            t.materialize(&s)
-                .unwrap()
-                .descendants()
-                .any(|e| e.name == "title")
-        });
-        assert!(!any_title2);
+        for (sl, member, titled) in [(art, "article", true), (auth, "author", false)] {
+            let joined =
+                left_outer_join_db(&s, &authors, &outer_pattern(), 1, &right, auth, &[sl]).unwrap();
+            let members: Vec<xmlparse::Element> =
+                pairs(&s, joined).into_iter().flat_map(|(_, m)| m).collect();
+            assert_eq!(members.len(), 5);
+            assert!(members.iter().all(|m| m.name == member));
+            assert_eq!(members.iter().any(|m| m.child("title").is_some()), titled);
+        }
     }
 
     #[test]
     fn unknown_labels_rejected() {
         let s = store();
-        let (right, _, _) = join_right_pattern();
-        assert!(left_outer_join_db(&s, &Vec::new(), &outer_pattern(), 9, &right, 2, &[]).is_err());
-        assert!(left_outer_join_db(&s, &Vec::new(), &outer_pattern(), 1, &right, 9, &[]).is_err());
+        let (right, art, _) = join_right_pattern();
+        let none = Batch::default();
+        assert!(left_outer_join_db(&s, &none, &outer_pattern(), 9, &right, 2, &[art]).is_err());
+        assert!(left_outer_join_db(&s, &none, &outer_pattern(), 1, &right, 9, &[art]).is_err());
+        // The right side adorns exactly one subject.
+        for sl in [&[][..], &[art, 2], &[9]] {
+            assert!(left_outer_join_db(&s, &none, &outer_pattern(), 1, &right, 2, sl).is_err());
+        }
     }
 
     #[test]
     fn absent_contents_never_join() {
         // Structured authors have no content: the two dedup to one left
-        // tree, whose key joins no database binding — not even the
+        // row, whose key joins no database binding — not even the
         // article's equally structured author.
         let xml = "<bib><author><n>A</n></author>\
             <article><author><n>A</n></author><title>T</title></article></bib>";
@@ -386,23 +341,25 @@ mod tests {
         let (right, art, auth) = join_right_pattern();
         let joined =
             left_outer_join_db(&s, &authors, &outer_pattern(), 1, &right, auth, &[art]).unwrap();
-        assert_eq!(joined.len(), 1);
-        let prod = joined[0].materialize(&s).unwrap();
-        assert_eq!(prod.child_elements().count(), 1, "the left tree alone");
+        let pairs = pairs(&s, joined);
+        assert_eq!(pairs.len(), 1);
+        assert!(pairs[0].1.is_empty(), "the left row alone");
     }
 
     #[test]
-    fn a_constructed_key_joins_the_stored_nodes_with_its_text() {
+    fn a_left_side_other_than_a_scan_of_its_pattern_is_refused() {
+        // The join keys its left rows by the scan's bound column: a
+        // constructed tree, or rows of a scan of another pattern, are a
+        // typed refusal, not a guess.
         let s = store();
-        let mut left = Tree::new_elem(s.dict(), "doc_root");
-        left.add_elem_with_content(s.dict(), left.root(), "author", "Jill");
+        let mut built = Tree::new_elem(s.dict(), "doc_root");
+        built.add_elem_with_content(s.dict(), built.root(), "author", "Jill");
+        let p = PatternTree::with_root(Pred::tag("author"));
+        let other = Batch::Matches(Matches::select(&s, &p, &[0]).unwrap());
         let (right, art, auth) = join_right_pattern();
-        let joined =
-            left_outer_join_db(&s, &[left], &outer_pattern(), 1, &right, auth, &[art]).unwrap();
-        // Jill wrote one article: one pair, whose right part is it.
-        assert_eq!(joined.len(), 1);
-        let prod = joined[0].materialize(&s).unwrap();
-        let article = prod.descendants().find(|e| e.name == "article").unwrap();
-        assert_eq!(article.child("title").unwrap().text(), "XML and the Web");
+        for left in [Batch::Trees(vec![built]), other] {
+            let err = left_outer_join_db(&s, &left, &outer_pattern(), 1, &right, auth, &[art]);
+            assert!(matches!(err, Err(Error::Unsupported(_))), "{err:?}");
+        }
     }
 }

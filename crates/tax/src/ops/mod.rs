@@ -10,19 +10,18 @@
 //! | [`mod@select`] | selection with adornment list `SL` | Sec. 2 |
 //! | [`mod@project`] | projection with projection list `PL` | Sec. 2 |
 //! | [`mod@dupelim`] | duplicate elimination on a bound node's content | Sec. 4.1 |
-//! | [`mod@join`] | left outer join ("join-plan" trees) and the RETURN stitch | Sec. 4.1 |
+//! | [`mod@join`] | left outer join (Fig. 8's pairs, as groups) and the RETURN stitch | Sec. 4.1 |
 //! | [`mod@groupby`] | grouping with basis + ordering list | Sec. 3 |
 //! | [`mod@aggregate`] | aggregation with update specification | Sec. 4.3 |
 //! | [`mod@rollup`] | fused grouped aggregation (no group materialization) | Sec. 3 + 4.3 |
 //! | [`mod@cube`] | grouping lattice: all basis-prefix levels in one scan | XOLAP [Hachicha & Darmont] |
 //! | [`mod@rename`] | root renaming (final tag of RETURN) | Sec. 4.1 |
 //!
-//! Every keyed operator — the three grouping sinks, duplicate
-//! elimination, the join, the stitch and aggregation — gets its keys
-//! from one witness extraction (the private `witness` module): flat key /
-//! cell columns of content symbols, filled from a batch of stored rows by
-//! one columnar match, or from trees by one match per tree. [`keyenc`]
-//! hashes and indexes those keys.
+//! Keyed operators take their keys from one witness extraction (the
+//! private `witness` module): flat key / cell columns of content symbols,
+//! from stored rows by one columnar match, from trees by one match per
+//! tree — or, for the naive plan's outer rows, off the selection's table.
+//! [`keyenc`] hashes and indexes those keys.
 
 pub mod aggregate;
 pub mod cube;
@@ -44,4 +43,4 @@ pub use join::left_outer_join_db;
 pub use project::{project, ProjectItem};
 pub use rename::rename_root;
 pub use rollup::{rollup, RollupShape};
-pub use select::{select, select_db};
+pub use select::select_db;

@@ -2,7 +2,7 @@
 //!
 //! The naive parse and the rewritten plan both end with "a rename
 //! operator … to change the dummy root to the tag specified in the return
-//! clause" — e.g. `TAX_prod_root` → `authorpubs`.
+//! clause" — e.g. `TAX_group_root` → `authorpubs`.
 
 use crate::error::Result;
 use crate::tree::{Collection, TreeNodeKind};
@@ -45,7 +45,7 @@ mod tests {
     #[test]
     fn rename_constructed_root_keeps_children_and_content() {
         let s = store();
-        let mut t = Tree::new_elem(s.dict(), crate::tags::PROD_ROOT);
+        let mut t = Tree::new_elem(s.dict(), crate::tags::GROUP_ROOT);
         t.add_elem_with_content(s.dict(), t.root(), "author", "Jack");
         let out = rename_root(s.dict(), vec![t], "authorpubs").unwrap();
         let e = out[0].materialize(&s).unwrap();

@@ -1,27 +1,25 @@
 //! Selection (Sec. 2): pattern + adornment list → witness trees.
 //!
 //! Each data tree in the output is the witness tree induced by one
-//! embedding of the pattern — one row of the [`Bindings`] table the
+//! embedding of the pattern — one row of the
+//! [`Bindings`](crate::matching::Bindings) table the
 //! matcher returns; the adornment list `SL` names pattern nodes whose
 //! *entire data subtrees* (not just the nodes) are kept. Selection is
-//! one-many: a pattern can match many times in one input tree.
+//! one-many: a pattern can match many times in one document.
 //!
-//! A witness tree is built only where something downstream walks it.
-//! The fused select→project leaf ([`select_project`]) whose projection
-//! list is exactly `[$root*]` outputs one deep stored node per row —
-//! the pattern root's column of the table, as it stands — and emits
-//! that column as a [`Batch::Stored`], no tree built and nothing
-//! re-matched.
+//! A witness tree is built only where something downstream walks it:
+//! the executor's scan hands on the rows of its table
+//! ([`Matches`](crate::batch::Matches)), and the fused select→project
+//! keeps them, or the root column, where its projection list allows
+//! ([`Matches::project`](crate::batch::Matches::project)).
 
-use crate::batch::Batch;
+use crate::batch::Matches;
 use crate::error::Result;
-use crate::matching::vnode::VNode;
-use crate::matching::{match_db, match_tree, Bindings, Row};
-use crate::ops::project::{project_one, ProjectItem};
+use crate::matching::Row;
+use crate::ops::project::ProjectItem;
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tree::{Collection, Tree};
-use std::ops::Range;
-use xmlstore::DocumentStore;
+use xmlstore::{DocumentStore, NodeEntry};
 
 /// Selection over the stored database.
 pub fn select_db(
@@ -29,94 +27,52 @@ pub fn select_db(
     pattern: &PatternTree,
     sl: &[PatternNodeId],
 ) -> Result<Collection> {
-    let bindings = match_db(store, pattern)?;
-    Ok(select_rows(pattern, &bindings, 0..bindings.len(), sl))
+    Ok(Matches::select(store, pattern, sl)?.trees())
 }
 
-/// The witness trees of rows `rows` of a database match — the scan leaf
-/// pulls bounded row ranges of one match through this.
-pub fn select_rows(
-    pattern: &PatternTree,
-    bindings: &Bindings,
-    rows: Range<usize>,
-    sl: &[PatternNodeId],
-) -> Collection {
-    rows.map(|i| witness_tree(None, pattern, bindings.row(i), sl))
-        .collect()
+/// The bound node of a selection whose pattern is a chain adorned only
+/// at its last node — the naive plan's FOR selection (Fig. 4a) — or
+/// `None` for any other pattern or list. Such a row *is* its witness
+/// tree's first witness under the pattern: every other candidate of a
+/// pattern node lies inside that deep last node, after it in document
+/// order. So an operator keying the witness trees by the bound node's
+/// content can read the key off the row.
+pub(crate) fn chain_bound(pattern: &PatternTree, sl: &[PatternNodeId]) -> Option<PatternNodeId> {
+    let chain = pattern.iter().all(|(_, node)| node.children.len() <= 1);
+    let last = pattern.iter().find(|(_, node)| node.children.is_empty())?.0;
+    (chain && sl == [last]).then_some(last)
 }
 
-/// Fused selection + projection over rows `rows` of a database match
-/// (the optimizer's select→project fusion), byte-identical to
-/// `project(select_db(pattern, sl), pattern, pl, anchor_root = true)`
-/// restricted to those rows: projection treats input trees independently
-/// and appends outputs in order.
-///
-/// When `pl` is exactly `[$root*]`, each row's witness tree projects to
-/// the one deep reference to its root binding whatever `sl` says, so the
-/// output is the root column itself, as stored rows. Any other list
-/// builds each row's witness tree and projects it.
-pub fn select_project(
-    store: &DocumentStore,
-    pattern: &PatternTree,
-    bindings: &Bindings,
-    rows: Range<usize>,
-    sl: &[PatternNodeId],
-    pl: &[ProjectItem],
-) -> Result<Batch> {
-    if pl == [ProjectItem::deep(pattern.root())] {
-        return Ok(Batch::Stored(
-            bindings.column(pattern.root())[rows].to_vec(),
-        ));
-    }
-    let mut out = Vec::new();
-    for i in rows {
-        let witness = witness_tree(None, pattern, bindings.row(i), sl);
-        project_one(store, &witness, pattern, pl, true, &mut out)?;
-    }
-    Ok(Batch::Trees(out))
+/// Whether projecting such a selection's witness trees through its own
+/// pattern, anchored, with `pl` gives each tree back unchanged: `pl`
+/// keeps every node in order, deep only the bound one. (A one-node
+/// witness tree is a stored row, and is projected as one.)
+pub fn keeps_witness(pattern: &PatternTree, sl: &[PatternNodeId], pl: &[ProjectItem]) -> bool {
+    pattern.len() > 1
+        && chain_bound(pattern, sl).is_some_and(|bound| {
+            let witness = pattern.iter().map(|(label, _)| ProjectItem {
+                label,
+                deep: label == bound,
+            });
+            pl.iter().copied().eq(witness)
+        })
 }
 
-/// Selection over an in-memory collection. Witness trees are produced per
-/// embedding, as over the database.
-pub fn select(
-    store: &DocumentStore,
-    input: &Collection,
+/// The witness tree of one row of a database match: it mirrors the
+/// pattern's shape, each node a reference to the bound stored node, deep
+/// iff its pattern node is adorned. Node identifiers only — no data
+/// pages are touched here (Sec. 5.3).
+pub(crate) fn witness_tree(
     pattern: &PatternTree,
-    sl: &[PatternNodeId],
-) -> Result<Collection> {
-    let mut out = Vec::new();
-    for tree in input {
-        let table = match_tree(store, tree, pattern, false)?;
-        out.extend(
-            table
-                .rows()
-                .map(|b| witness_tree(Some(tree), pattern, b, sl)),
-        );
-    }
-    Ok(out)
-}
-
-/// Build the witness tree for one binding: it mirrors the pattern's
-/// shape; each node is the bound data node, deep iff its pattern node is
-/// adorned (see [`Tree::from_vnode`] for what each kind of bound node
-/// becomes). `source` is the input tree the binding was matched in, or
-/// `None` for a database match. Node identifiers only — no data pages
-/// are touched here (Sec. 5.3).
-pub fn witness_tree<C: Copy + Into<VNode>>(
-    source: Option<&Tree>,
-    pattern: &PatternTree,
-    binding: Row<'_, C>,
+    row: Row<'_, NodeEntry>,
     sl: &[PatternNodeId],
 ) -> Tree {
     let order = pattern.preorder();
-    let root = order[0];
-    let mut tree = Tree::from_vnode(source, binding[root].into(), sl.contains(&root));
-    let mut map: Vec<usize> = vec![usize::MAX; pattern.len()];
-    map[root] = tree.root();
-    for &pid in order.iter().skip(1) {
-        let parent = pattern.node(pid).parent.expect("non-root");
-        let deep = sl.contains(&pid);
-        map[pid] = tree.append_vnode(map[parent], source, binding[pid].into(), deep);
+    let mut tree = Tree::new_ref(row[order[0]], sl.contains(&order[0]));
+    let mut map = vec![tree.root(); pattern.len()];
+    for &pid in &order[1..] {
+        let parent = map[pattern.node(pid).parent.expect("non-root")];
+        map[pid] = tree.add_ref(parent, row[pid], sl.contains(&pid));
     }
     tree
 }
@@ -200,23 +156,6 @@ mod tests {
         // Shallow article: no title/author children.
         let article = e.child("article").unwrap();
         assert!(article.child("title").is_none());
-    }
-
-    #[test]
-    fn select_over_collection() {
-        let s = store();
-        // First select articles deeply, then select authors within them.
-        let p1 = PatternTree::with_root(Pred::tag("article"));
-        let c1 = select_db(&s, &p1, &[p1.root()]).unwrap();
-        assert_eq!(c1.len(), 3);
-        let p2 = PatternTree::with_root(Pred::tag("author"));
-        let c2 = select(&s, &c1, &p2, &[p2.root()]).unwrap();
-        assert_eq!(c2.len(), 4); // 1 + 2 + 1 authors
-        let names: Vec<String> = c2
-            .iter()
-            .map(|t| t.materialize(&s).unwrap().text())
-            .collect();
-        assert!(names.contains(&"Thompson".to_owned()));
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Witnesses: the one key extraction behind every keyed operator — the
-//! grouping sinks (`groupby`, `rollup`, `cube`), duplicate elimination,
-//! the left outer join, the RETURN stitch and aggregation.
+//! Witnesses: the one key extraction behind the keyed operators — the
+//! grouping sinks (`groupby`, `rollup`, `cube`), the RETURN stitch's
+//! members, aggregation, and duplicate elimination over trees. (The naive
+//! plan's outer rows need none: their key is the scan's bound cell.)
 //!
 //! A witness is one embedding of the operator's pattern in one input
 //! row. What the operators need of it is columnar and small — which row
@@ -28,8 +29,7 @@ use crate::matching::vnode::{VNode, VTree};
 use crate::matching::{match_in_scopes, match_tree};
 use crate::ops::groupby::{validate, BasisItem, GroupOrder};
 use crate::ops::keyenc::component;
-use crate::pattern::{PatternNodeId, PatternTree};
-use crate::tree::Tree;
+use crate::pattern::PatternTree;
 use std::ops::Range;
 use xmlstore::{DocumentStore, NO_SYM};
 
@@ -156,23 +156,4 @@ pub(crate) fn witnesses(
         }
     }
     Ok(out)
-}
-
-/// Each tree's key under `pattern`: the content symbol of the node its
-/// first witness binds to `label` ([`NO_SYM`] when the node has no
-/// content), with that node; `None` where the pattern does not match.
-/// What duplicate elimination, the left outer join and the stitch's
-/// outer side key on.
-pub(crate) fn first_keys(
-    store: &DocumentStore,
-    trees: &[Tree],
-    pattern: &PatternTree,
-    label: PatternNodeId,
-) -> Result<Vec<Option<(u32, VNode)>>> {
-    let basis = [BasisItem::content(label)];
-    let w = witnesses(store, &Source::Trees(trees), pattern, &basis, &[], false)?;
-    Ok(w.per_row(trees.len())
-        .into_iter()
-        .map(|ws| (!ws.is_empty()).then(|| (w.key(ws.start)[0], w.cells(ws.start)[0])))
-        .collect())
 }

@@ -337,6 +337,33 @@ impl PatternTree {
         (out, mapping)
     }
 
+    /// The pattern rooted at `root` that keeps only the paths from `root`
+    /// down to each of `targets`, shared prefixes once, with each
+    /// target's id in it; `None` when a target does not lie at or under
+    /// `root`. Nodes are added path by path, in `targets` order.
+    pub fn paths(
+        &self,
+        root: PatternNodeId,
+        targets: &[PatternNodeId],
+    ) -> Option<(PatternTree, Vec<PatternNodeId>)> {
+        let mut out = PatternTree::with_root(self.nodes[root].pred.clone());
+        let mut map = vec![None; self.nodes.len()];
+        map[root] = Some(out.root());
+        let grafted = targets.iter().map(|&t| self.graft(&mut out, &mut map, t));
+        let ids = grafted.collect::<Option<_>>()?;
+        Some((out, ids))
+    }
+
+    /// Node `n`'s id in `out`, adding it and its missing ancestors first
+    /// (`map` holds the ids of the nodes added so far).
+    fn graft(&self, out: &mut PatternTree, map: &mut [Option<usize>], n: usize) -> Option<usize> {
+        if map[n].is_none() {
+            let (node, parent) = (&self.nodes[n], self.graft(out, map, self.nodes[n].parent?)?);
+            map[n] = Some(out.add_child(parent, node.axis, node.pred.clone()));
+        }
+        map[n]
+    }
+
     /// The subset test of the rewrite rules (Phase 1, step 2): find an
     /// embedding of `self` into `other` such that
     ///

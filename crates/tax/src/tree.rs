@@ -133,9 +133,10 @@ impl Tree {
     /// One virtual node as a standalone tree. A stored node becomes a
     /// reference of the requested depth; an arena reference of `src` is
     /// re-issued at the requested depth; a constructed element keeps its
-    /// tag and content and, when `deep`, its arena subtree. `src` is the
-    /// tree `VNode::Arena` indexes into (`None` when matching the stored
-    /// database, where every binding is `VNode::Stored`).
+    /// tag and content and, when `deep`, its arena subtree (a deep
+    /// reference already stands for its whole stored subtree). `src` is
+    /// the tree `VNode::Arena` indexes into (`None` when matching the
+    /// stored database, where every binding is `VNode::Stored`).
     pub fn from_vnode(src: Option<&Tree>, v: VNode, deep: bool) -> Self {
         let mut t = Tree {
             nodes: vec![TreeNode {
@@ -144,22 +145,14 @@ impl Tree {
                 children: Vec::new(),
             }],
         };
-        t.copy_vnode_children(0, src, v, deep);
+        if let (true, VNode::Arena(i), Some(src)) = (deep, v, src) {
+            if matches!(src.nodes[i].kind, TreeNodeKind::Elem { .. }) {
+                for &c in &src.nodes[i].children {
+                    t.append_subtree(0, src, c);
+                }
+            }
+        }
         t
-    }
-
-    /// Append what [`from_vnode`](Self::from_vnode) would build as the
-    /// last child of `parent`, returning the new node's index.
-    pub fn append_vnode(
-        &mut self,
-        parent: TreeNodeId,
-        src: Option<&Tree>,
-        v: VNode,
-        deep: bool,
-    ) -> TreeNodeId {
-        let id = self.add_node(parent, Self::vnode_kind(src, v, deep));
-        self.copy_vnode_children(id, src, v, deep);
-        id
     }
 
     /// The payload `v` takes in a tree built at the requested depth.
@@ -171,18 +164,6 @@ impl Tree {
                 match &src.nodes[i].kind {
                     TreeNodeKind::Ref { node, .. } => TreeNodeKind::Ref { node: *node, deep },
                     elem @ TreeNodeKind::Elem { .. } => elem.clone(),
-                }
-            }
-        }
-    }
-
-    /// A deep constructed element brings its arena children along (a
-    /// deep reference already stands for its whole stored subtree).
-    fn copy_vnode_children(&mut self, at: TreeNodeId, src: Option<&Tree>, v: VNode, deep: bool) {
-        if let (true, VNode::Arena(i), Some(src)) = (deep, v, src) {
-            if matches!(src.nodes[i].kind, TreeNodeKind::Elem { .. }) {
-                for &c in &src.nodes[i].children {
-                    self.append_subtree(at, src, c);
                 }
             }
         }
@@ -554,12 +535,6 @@ mod tests {
         let mut expect = Tree::new_elem(d, "wrap");
         expect.add_elem_with_content(d, 0, "leaf", "x");
         assert_eq!(deep, expect);
-        // Appending is building then grafting.
-        let mut a = Tree::new_elem(d, "out");
-        a.append_vnode(0, Some(&src), VNode::Arena(wrap), true);
-        let mut b = Tree::new_elem(d, "out");
-        b.append_subtree(0, &deep, deep.root());
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Per-operator execution metrics for the physical executor.
 //!
 //! Every [`PhysOp`](crate::physical::PhysOp) in an executed plan records
-//! how many rows flowed through it (and whether the rows it emitted were
-//! stored rows or trees), how many batches it produced, how
-//! long its own kernel work took, and the buffer-pool/disk traffic that
-//! work caused. The per-operator records mirror the plan shape as a
-//! [`PlanMetrics`] tree — the payload of `EXPLAIN ANALYZE`.
+//! how many rows flowed through it (and what kind of rows it emitted),
+//! how many batches it produced, how long its own kernel work took, and
+//! the buffer-pool/disk traffic that work caused. The records mirror the
+//! plan shape as a [`PlanMetrics`] tree — the payload of `EXPLAIN ANALYZE`.
 
 use std::fmt::Write;
 use std::time::Duration;
@@ -18,6 +17,8 @@ use xmlstore::IoStats;
 pub enum OutKind {
     /// Stored rows only: node labels, no tree built.
     Stored,
+    /// A selection's match rows only: no witness tree built.
+    Matches,
     /// Trees only.
     Trees,
     /// Groups over stored rows only, as columns: no group tree built.
@@ -53,9 +54,9 @@ pub struct PlanMetrics {
     /// operator's own work (filter rows plus containment-run rows).
     pub vec_rows: u64,
     /// Rows a vectorized kernel existed for but that ran scalar instead
-    /// (forced scalar mode, non-monotone join inputs, symbols above the
-    /// dictionary's order watermark). A plan silently dropping to scalar
-    /// shows up here, not as a silent slowdown.
+    /// (a COUNT fold whose member pattern is not a tag-only star, a
+    /// containment join under a parent column out of document order). A
+    /// plan silently dropping to scalar shows up here, not as a slowdown.
     pub vec_fallback: u64,
     /// A grouping sink's statistics — its stage times,
     /// `stages=w:…/c:…/f:…/b:…us` (`None` for every other operator).
@@ -77,6 +78,7 @@ impl PlanMetrics {
         let kind = match self.out_kind {
             None => "",
             Some(OutKind::Stored) => " stored",
+            Some(OutKind::Matches) => " matches",
             Some(OutKind::Trees) => " trees",
             Some(OutKind::Groups) => " groups",
             Some(OutKind::Mixed) => " mixed",

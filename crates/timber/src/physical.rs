@@ -6,8 +6,8 @@
 //! operator's `tax::ops` kernel as a closure:
 //!
 //! * the **scan** leaf matches its pattern against the database once
-//!   (one [`Bindings`] table) and turns the rows into output one bounded
-//!   row range at a time (selection, fused select→project);
+//!   (one binding table) and turns the rows into output one bounded run
+//!   of rows at a time (selection, fused select→project);
 //! * the **map** driver *streams*: it pulls a batch from its input, runs
 //!   the kernel on just that batch, and hands the result upward
 //!   (projection, duplicate elimination, aggregation, rename), so
@@ -20,22 +20,22 @@
 //! `Union` concatenates its inputs and needs no kernel.
 //!
 //! What moves between operators is a [`Batch`]: stored rows (node
-//! labels, each standing for its whole subtree), groups over them, or
-//! trees. The scan leaf emits stored rows when its output is one deep
-//! stored node per row — the leaf of both paper plans — and the grouping
-//! sinks (`GroupBy`, `Rollup`, `Cube`) read them as they are; `GroupBy`
-//! emits their groups as columns, which a `Project` of the rewrite's
-//! Fig. 5d shape (recognized here, once) gathers its output from. Other
-//! operators construct or walk arena trees and take their input through
-//! [`Batch::into_trees`], as does [`execute`] for what it returns.
+//! labels, each standing for its whole subtree), a selection's match
+//! rows, groups, or trees. The GROUPBY plan's scan emits stored rows,
+//! which the grouping sinks (`GroupBy`, `Rollup`, `Cube`) read as they
+//! are, and `GroupBy` groups, which a `Project` of the rewrite's Fig. 5d
+//! shape (recognized here, once) gathers from. The direct plan keeps its
+//! selections' match rows up to the stitch: a `Project` giving each
+//! witness tree back whole (recognized here, once) passes them on, and
+//! the left outer join emits its pairs as groups. Other operators take
+//! their input through [`Batch::into_trees`], as does [`execute`].
 //!
-//! Every operator meters its own work — rows in/out (and whether the
-//! rows out were stored rows or trees), batches, wall
-//! time, and the store's I/O delta — into a [`PlanMetrics`] tree; the
-//! time spent pulling from an input is charged to the input, not the
-//! consumer. Output order is deterministic: the same bytes at every
-//! batch size, the one-batch run included — which is what the
-//! differential suites compare against.
+//! Every operator meters its own work — rows in/out (and what kind of
+//! rows it emitted), batches, wall time, and the store's I/O delta —
+//! into a [`PlanMetrics`] tree; the time spent pulling from an input is
+//! charged to the input, not the consumer. Output order is deterministic:
+//! the same bytes at every batch size, the one-batch run included — which
+//! is what the differential suites compare against.
 //!
 //! A query runs on the calling thread, one serial kernel per operator;
 //! concurrency is between queries. The drain in [`execute`] is the one
@@ -47,14 +47,13 @@
 use crate::error::Result;
 use crate::metrics::{OutKind, PlanMetrics};
 use std::collections::HashSet;
-use std::ops::Range;
 use std::time::{Duration, Instant};
 pub use tax::batch::Batch;
+use tax::batch::Matches;
 use tax::exec::{ExecOptions, ShardStats, Stages};
-use tax::matching::{match_db, Bindings};
 use tax::ops;
-use tax::ops::select::{select_project, select_rows};
-use tax::pattern::PatternTree;
+use tax::ops::select::keeps_witness;
+use tax::pattern::{PatternNodeId, PatternTree};
 use tax::tree::{Collection, Tree};
 use xmlstore::{DocumentStore, IoStats};
 use xquery::Plan;
@@ -98,13 +97,12 @@ fn drain(root: &mut dyn PhysOp) -> Result<Collection> {
     })?
 }
 
-/// A scan's kernel: a row range of the match → its output rows.
-type ScanKernel<'a> = Box<dyn Fn(&Bindings, Range<usize>) -> tax::Result<Batch> + 'a>;
-/// A streaming operator's kernel: one input batch → its output trees.
-type MapKernel<'a> = Box<dyn FnMut(Batch) -> tax::Result<Vec<Tree>> + 'a>;
+/// A scan's kernel: a run of the match's rows → its output rows.
+type ScanKernel<'a> = Box<dyn Fn(Matches) -> tax::Result<Batch> + 'a>;
+/// A streaming operator's kernel: one input batch → its output rows.
+type MapKernel<'a> = Box<dyn FnMut(Batch) -> tax::Result<Batch> + 'a>;
 /// A blocking sink's kernel: the drained inputs (one batch per input
-/// plan, never groups) → the whole output plus, for a grouping sink, its
-/// stage times.
+/// plan) → the whole output plus, for a grouping sink, its stage times.
 type SinkKernel<'a> = Box<dyn FnOnce(Vec<Batch>) -> tax::Result<(Batch, Option<Stages>)> + 'a>;
 
 /// Build the physical operator for one logical plan node (recursively
@@ -118,17 +116,18 @@ pub fn build<'a>(
 ) -> Result<Box<dyn PhysOp + 'a>> {
     let batch = batch.max(1);
     let meter = Meter::new(op_label(plan));
-    let scan = |pattern: &'a PatternTree, meter, kernel: ScanKernel<'a>| -> Box<dyn PhysOp + 'a> {
-        Box::new(ScanOp {
-            store,
-            pattern,
-            kernel,
-            batch,
-            bindings: None,
-            pos: 0,
-            meter,
-        })
-    };
+    let scan =
+        |pattern: &'a PatternTree, sl: &'a [PatternNodeId], meter, kernel: ScanKernel<'a>| {
+            Box::new(ScanOp {
+                store,
+                pattern,
+                sl,
+                kernel,
+                batch,
+                rows: None,
+                meter,
+            }) as Box<dyn PhysOp + 'a>
+        };
     let map = |input: &'a Plan, meter, kernel: MapKernel<'a>| -> Result<Box<dyn PhysOp + 'a>> {
         Ok(Box::new(MapOp {
             store,
@@ -152,25 +151,20 @@ pub fn build<'a>(
             }))
         };
     Ok(match plan {
-        Plan::SelectDb { pattern, sl } => scan(
-            pattern,
-            meter,
-            Box::new(move |bindings, rows| {
-                Ok(Batch::Trees(select_rows(pattern, bindings, rows, sl)))
-            }),
-        ),
+        Plan::SelectDb { pattern, sl } => {
+            scan(pattern, sl, meter, Box::new(|m| Ok(Batch::Matches(m))))
+        }
         // One pattern match serves both halves of the fused
-        // select→project; each row range is projected as it is produced
-        // — as stored rows, untouched, when `pl` keeps exactly the deep
-        // root.
-        Plan::SelectProject { pattern, sl, pl } => scan(
-            pattern,
-            meter,
-            Box::new(move |bindings, rows| select_project(store, pattern, bindings, rows, sl, pl)),
-        ),
+        // select→project; each run of rows is projected as it is
+        // produced.
+        Plan::SelectProject { pattern, sl, pl } => {
+            scan(pattern, sl, meter, Box::new(move |m| m.project(store, pl)))
+        }
         // Trees (and groups) are independent under projection, so
         // batching cannot change output. The rewrite's final projection
-        // over `GroupBy`'s groups gathers its output from the columns.
+        // over `GroupBy`'s groups gathers its output from the columns,
+        // and one that gives a selection's witness trees back whole
+        // passes its rows on.
         Plan::Project {
             input,
             pattern,
@@ -182,31 +176,29 @@ pub fn build<'a>(
                 _ => None,
             };
             let projection = ops::project::Projection::new(pattern, pl, *anchor_root, grouped);
+            let whole = match &**input {
+                Plan::SelectDb { pattern: p, sl } => p == pattern && keeps_witness(p, sl, pl),
+                _ => false,
+            };
             map(
                 input,
                 meter,
-                Box::new(move |b| projection.project(store, b)),
+                Box::new(move |b| match b {
+                    b @ Batch::Matches(_) if whole && *anchor_root => Ok(b),
+                    b => projection.project(store, b).map(Batch::Trees),
+                }),
             )?
         }
-        // Key extraction runs per batch; the seen-set persists across
-        // batches so the stream-wide output matches the
-        // collection-at-once kernel exactly.
+        // Keys are taken per batch; the seen-set persists across batches
+        // so the stream-wide output matches the collection-at-once
+        // kernel exactly.
         Plan::DupElim { input, pattern, by } => {
             let mut seen = HashSet::new();
             map(
                 input,
                 meter,
-                on_trees(move |batch| {
-                    let keys = ops::dupelim::dup_keys(store, &batch, pattern, *by)?;
-                    Ok(batch
-                        .into_iter()
-                        .zip(keys)
-                        // A tree the pattern does not match carries no
-                        // key and is kept unconditionally.
-                        .filter_map(|(tree, key)| {
-                            (key.is_none() || seen.insert(key)).then_some(tree)
-                        })
-                        .collect())
+                Box::new(move |batch| {
+                    ops::dupelim::dup_elim(store, batch, pattern, *by, &mut seen)
                 }),
             )?
         }
@@ -314,6 +306,7 @@ pub fn build<'a>(
                 .map(staged)
             }),
         )?,
+        // The join sinks time no stages.
         Plan::LeftOuterJoinDb {
             left,
             left_pattern,
@@ -321,74 +314,80 @@ pub fn build<'a>(
             right_pattern,
             right_label,
             right_sl,
-            right_extract: _,
-            order: _,
+            ..
         } => sink(
             vec![left],
             meter,
-            Box::new(move |mut ins| {
+            Box::new(move |ins| {
                 ops::join::left_outer_join_db(
                     store,
-                    &ins.remove(0).into_trees(),
+                    &ins[0],
                     left_pattern,
                     *left_label,
                     right_pattern,
                     *right_label,
                     right_sl,
                 )
-                .map(unstaged)
+                .map(|pairs| (Batch::Groups(pairs), None))
             }),
         )?,
-        // The RETURN stitching pairs every outer tree with all inner
-        // parts sharing its key, so both inputs drain fully first.
+        // The RETURN stitching pairs every outer row with the parts of
+        // the subjects its key joined, so both inputs drain fully first.
         Plan::StitchConstruct {
             outer,
             outer_pattern,
             outer_label,
             inner,
-            inner_pattern,
-            inner_label,
-            inner_extract,
             agg,
-            order,
             tag,
-        } => sink(
-            std::iter::once(&**outer).chain(inner.as_deref()).collect(),
-            meter,
-            Box::new(move |ins| {
-                let mut ins = ins.into_iter().map(Batch::into_trees);
-                ops::join::stitch(
-                    store,
-                    &ins.next().unwrap_or_default(),
-                    outer_pattern,
-                    *outer_label,
-                    &ins.next().unwrap_or_default(),
-                    inner_pattern,
-                    *inner_label,
-                    inner_extract,
-                    agg.as_ref().map(|(f, t)| (*f, t.as_str())),
-                    *order,
-                    tag,
-                )
-                .map(unstaged)
-            }),
-        )?,
+        } => {
+            let members = inner.as_deref().map(|join| match join {
+                Plan::LeftOuterJoinDb {
+                    right_pattern,
+                    right_sl,
+                    right_extract,
+                    order,
+                    ..
+                } => ops::join::Members::new(right_pattern, right_sl, *right_extract, *order),
+                _ => Err(tax::Error::Unsupported(
+                    "the stitch's inner input is a left outer join".into(),
+                )),
+            });
+            let members = members.transpose()?;
+            sink(
+                std::iter::once(&**outer).chain(inner.as_deref()).collect(),
+                meter,
+                Box::new(move |ins| {
+                    let mut ins = ins.into_iter();
+                    let outer = ins.next().unwrap_or_default();
+                    let pairs = match ins.next() {
+                        Some(Batch::Groups(pairs)) => Some(pairs),
+                        _ => None,
+                    };
+                    ops::join::stitch(
+                        store,
+                        &outer,
+                        outer_pattern,
+                        *outer_label,
+                        pairs.as_ref().zip(members.as_ref()),
+                        agg.as_ref().map(|(f, t)| (*f, t.as_str())),
+                        tag,
+                    )
+                    .map(|out| (Batch::Trees(out), None))
+                }),
+            )?
+        }
     })
 }
 
 /// A streaming kernel over trees as one over batches.
 fn on_trees<'a>(mut kernel: impl FnMut(Vec<Tree>) -> tax::Result<Vec<Tree>> + 'a) -> MapKernel<'a> {
-    Box::new(move |batch| kernel(batch.into_trees()))
+    Box::new(move |batch| kernel(batch.into_trees()).map(Batch::Trees))
 }
 
 /// A tree-building grouping sink's output as a sink's.
 fn staged((out, stages): (Collection, Stages)) -> (Batch, Option<Stages>) {
     (Batch::Trees(out), Some(stages))
-}
-
-/// A join sink's output as a sink's: it times no stages.
-fn unstaged(out: Collection) -> (Batch, Option<Stages>) {
-    (Batch::Trees(out), None)
 }
 
 /// The first line of the plan node's rendering — the operator label used
@@ -467,6 +466,7 @@ impl Meter {
         self.trees_out += batch.len();
         let kind = match batch {
             Batch::Stored(_) => OutKind::Stored,
+            Batch::Matches(_) => OutKind::Matches,
             Batch::Trees(_) => OutKind::Trees,
             Batch::Groups(_) => OutKind::Groups,
         };
@@ -495,29 +495,30 @@ impl Meter {
 }
 
 /// Leaf driver: match the database once, then run the kernel over one
-/// bounded row range of the table per batch.
+/// bounded run of the table's rows per batch.
 struct ScanOp<'a> {
     store: &'a DocumentStore,
     pattern: &'a PatternTree,
+    sl: &'a [PatternNodeId],
     kernel: ScanKernel<'a>,
     batch: usize,
-    bindings: Option<Bindings>,
-    pos: usize,
+    rows: Option<std::vec::IntoIter<Matches>>,
     meter: Meter,
 }
 
 impl ScanOp<'_> {
     fn pull(&mut self) -> Result<Option<Batch>> {
-        let bindings = match &mut self.bindings {
-            Some(bindings) => bindings,
-            unmatched => unmatched.insert(match_db(self.store, self.pattern)?),
+        let rows = match &mut self.rows {
+            Some(rows) => rows,
+            unmatched => {
+                let all = Matches::select(self.store, self.pattern, self.sl)?;
+                unmatched.insert(all.chunks(self.batch).into_iter())
+            }
         };
-        // A row range can project to nothing; keep pulling until some
+        // A run of rows can project to nothing; keep pulling until some
         // rows surface or the table runs out.
-        while self.pos < bindings.len() {
-            let end = self.pos.saturating_add(self.batch).min(bindings.len());
-            let out = (self.kernel)(bindings, self.pos..end)?;
-            self.pos = end;
+        for run in rows {
+            let out = (self.kernel)(run)?;
             if !out.is_empty() {
                 return Ok(Some(out));
             }
@@ -561,7 +562,7 @@ impl PhysOp for MapOp<'_> {
             let window = self.meter.start(self.store);
             let out = (self.kernel)(batch);
             self.meter.stop(self.store, window);
-            let out = Batch::Trees(out?);
+            let out = out?;
             if !out.is_empty() {
                 self.meter.emitted(&out);
                 return Ok(Some(out));
@@ -796,10 +797,11 @@ mod tests {
     #[test]
     fn tree_building_leaves_feed_the_sinks_the_same_bytes() {
         // The same article collection four ways: the stored rows of the
-        // `[$1*]` leaf; one-node witness trees of a `SelectDb`; the
-        // output of a `Project`; a fused leaf whose list keeps more than
-        // the deep root. The last three are trees, and every grouping
-        // sink must produce from them what it produces from the rows.
+        // `[$1*]` leaf; the match rows of a `SelectDb`, read as their
+        // one-node witness trees; the output of a `Project`; a fused leaf
+        // whose list keeps more than the deep root. The sinks read the
+        // last three as trees, and every grouping sink must produce from
+        // them what it produces from the rows.
         let db = db();
         let article = PatternTree::with_root(tax::Pred::tag("article"));
         let root = article.root();
@@ -832,8 +834,13 @@ mod tests {
                 let twin = with_leaf(&plan, leaf.clone());
                 let (out, metrics) = execute(db.store(), &twin, &ExecOptions, 2).unwrap();
                 assert_eq!(to_xml(&db, &reference), to_xml(&db, &out), "{twin:?}");
-                let nodes = chain(&metrics);
-                assert!(nodes.iter().all(|m| m.out_kind == Some(OutKind::Trees)));
+                for m in chain(&metrics) {
+                    let kind = match m.op.starts_with("SelectDb") {
+                        true => OutKind::Matches,
+                        false => OutKind::Trees,
+                    };
+                    assert_eq!(m.out_kind, Some(kind), "{}", m.op);
+                }
             }
         }
     }
@@ -1041,7 +1048,7 @@ mod tests {
                 if calls == 2 {
                     return Err(tax::Error::Unsupported("batch 2 failed".into()));
                 }
-                Ok(batch.into_trees())
+                Ok(batch)
             }),
             meter: Meter::new("Map".into()),
         };

@@ -1,9 +1,9 @@
-//! The direct plan's RETURN stitching end to end: the collections the
-//! executor feeds `tax::ops::join::stitch` (Figs. 7 and 8) and
-//! what it builds from them, against the rewritten plan.
+//! The direct plan's RETURN stitching end to end: the rows the executor
+//! feeds `tax::ops::join::stitch` (Figs. 7 and 8) and what it builds
+//! from them, against the rewritten plan.
 
 mod tests {
-    use crate::physical::{execute, DEFAULT_BATCH_SIZE};
+    use crate::physical::{build, execute, Batch, DEFAULT_BATCH_SIZE};
     use crate::{PlanMode, TimberDb};
     use tax::{Collection, ExecOptions};
     use xmlstore::StoreOptions;
@@ -57,8 +57,9 @@ mod tests {
 
     #[test]
     fn fig8_join_collection() {
-        // The LOJ produces one TAX_prod_root tree per (author, article)
-        // join pair (Fig. 8): Jack×2, John×2, Jill×1 = 5.
+        // The LOJ pairs each distinct author with the articles it joins
+        // (Fig. 8), held as one group per author with the articles as
+        // members: Jack×2, John×2, Jill×1 = 5 pairs.
         let db = db();
         let (plan, _) = db.compile(QUERY2, PlanMode::Direct).unwrap();
         let Plan::StitchConstruct {
@@ -67,8 +68,22 @@ mod tests {
         else {
             panic!()
         };
-        let c = run(&db, inner);
-        assert_eq!(c.len(), 5);
+        let mut join = build(db.store(), inner, DEFAULT_BATCH_SIZE).unwrap();
+        let Some(Batch::Groups(pairs)) = join.next_batch().unwrap() else {
+            panic!("the join emits its pairs as groups")
+        };
+        assert!(join.next_batch().unwrap().is_none());
+        let members: Vec<usize> = Batch::Groups(pairs)
+            .into_trees()
+            .iter()
+            .map(|t| {
+                let e = t.materialize(db.store()).unwrap();
+                let subroot = e.child(tax::tags::GROUP_SUBROOT).unwrap();
+                assert!(subroot.child_elements().all(|m| m.name == "article"));
+                subroot.child_elements().count()
+            })
+            .collect();
+        assert_eq!(members, [2, 2, 1]);
     }
 
     #[test]

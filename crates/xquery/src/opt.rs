@@ -300,22 +300,14 @@ fn map_children(plan: Plan, f: &mut impl FnMut(Plan) -> Plan) -> Plan {
             outer_pattern,
             outer_label,
             inner,
-            inner_pattern,
-            inner_label,
-            inner_extract,
             agg,
-            order,
             tag,
         } => Plan::StitchConstruct {
             outer: Box::new(f(*outer)),
             outer_pattern,
             outer_label,
             inner: inner.map(|i| Box::new(f(*i))),
-            inner_pattern,
-            inner_label,
-            inner_extract,
             agg,
-            order,
             tag,
         },
     }
@@ -364,7 +356,6 @@ fn detect(plan: &Plan) -> Option<Plan> {
         outer_pattern,
         outer_label,
         inner: Some(inner),
-        inner_extract,
         agg,
         tag,
         ..
@@ -405,20 +396,13 @@ fn detect(plan: &Plan) -> Option<Plan> {
     }
 
     // The grouping subject: the adorned bound variable of the inner FOR
-    // (from the join's selection list), falling back to the lowest
-    // common ancestor of the join node and the extract paths.
-    let subject = right_sl.first().copied().or_else(|| {
-        lca(
-            right_pattern,
-            join_node,
-            extract_source(right_pattern, inner_extract),
-        )
-    })?;
-    if !right_pattern.is_ancestor(subject, join_node) {
+    // (the join's selection list), above the join and RETURN nodes.
+    let &[subject] = &right_sl[..] else {
         return None;
-    }
-
-    if !right_pattern.is_ancestor(subject, *right_extract) {
+    };
+    if !right_pattern.is_ancestor(subject, join_node)
+        || !right_pattern.is_ancestor(subject, *right_extract)
+    {
         return None;
     }
     build_groupby_plan(
@@ -456,8 +440,8 @@ fn build_groupby_plan(
     // Step 1: the initial pattern tree — the bound variable with its path
     // from the document root (Fig. 5a). Selection with SL = subject,
     // projection with PL = subject*.
-    let (subject_path, path_map) = prefix_path_pattern(right_pattern, subject);
-    let subject_in_path = path_map[subject];
+    let (subject_path, ids) = right_pattern.paths(right_pattern.root(), &[subject])?;
+    let subject_in_path = ids[0];
     let input_plan = Plan::Project {
         input: Box::new(Plan::SelectDb {
             pattern: subject_path.clone(),
@@ -472,31 +456,19 @@ fn build_groupby_plan(
     // the inner pattern restricted to the join path (Fig. 5b), plus the
     // ordering path when the user requested sorting; grouping basis = the
     // join value's content.
-    let mut gb_pattern = PatternTree::with_root(right_pattern.node(subject).pred.clone());
-    let mut gb_map: Vec<Option<PatternNodeId>> = vec![None; right_pattern.len()];
-    gb_map[subject] = Some(gb_pattern.root());
-    let basis_node = graft_into(
-        &mut gb_pattern,
-        right_pattern,
-        subject,
-        join_node,
-        &mut gb_map,
-    )?;
-    let ordering: Vec<GroupOrder> = match order {
-        None => vec![],
-        Some((onode, dir)) => {
-            let label = graft_into(&mut gb_pattern, right_pattern, subject, onode, &mut gb_map)?;
-            vec![GroupOrder {
-                label,
-                direction: dir,
-            }]
-        }
-    };
+    let targets: Vec<PatternNodeId> = std::iter::once(join_node)
+        .chain(order.map(|(node, _)| node))
+        .collect();
+    let (gb_pattern, ids) = right_pattern.paths(subject, &targets)?;
+    let ordering = order.map(|(_, direction)| GroupOrder {
+        label: ids[1],
+        direction,
+    });
     let group_plan = Plan::GroupBy {
         input: Box::new(input_plan),
         pattern: gb_pattern,
-        basis: vec![BasisItem::content(basis_node)],
-        ordering,
+        basis: vec![BasisItem::content(ids[0])],
+        ordering: ordering.into_iter().collect(),
     };
 
     // Step 3/4: the final projection over group trees (Fig. 5d); for the
@@ -580,30 +552,6 @@ fn build_groupby_plan(
     })
 }
 
-/// The pattern consisting of the path root → … → `target` only, plus the
-/// node mapping.
-fn prefix_path_pattern(
-    pattern: &PatternTree,
-    target: PatternNodeId,
-) -> (PatternTree, Vec<PatternNodeId>) {
-    let mut chain = vec![target];
-    let mut cur = target;
-    while let Some(parent) = pattern.node(cur).parent {
-        chain.push(parent);
-        cur = parent;
-    }
-    chain.reverse();
-    let mut out = PatternTree::with_root(pattern.node(chain[0]).pred.clone());
-    let mut mapping = vec![usize::MAX; pattern.len()];
-    mapping[chain[0]] = out.root();
-    let mut prev = out.root();
-    for &pid in &chain[1..] {
-        prev = out.add_child(prev, pattern.node(pid).axis, pattern.node(pid).pred.clone());
-        mapping[pid] = prev;
-    }
-    (out, mapping)
-}
-
 /// Node ids strictly between `from` (exclusive) and `to` (inclusive),
 /// walking parent links from `to`.
 fn path_between(
@@ -623,63 +571,6 @@ fn path_between(
     }
     // `from` is not an ancestor; return just `to` (callers guard this).
     vec![to]
-}
-
-/// Graft the `from`→`to` path of `src` into `dst` (which mirrors the
-/// subtree rooted at `from`), reusing already-grafted nodes via `map`.
-/// Returns `to`'s node in `dst`; `None` if `from` itself is not mapped.
-fn graft_into(
-    dst: &mut PatternTree,
-    src: &PatternTree,
-    from: PatternNodeId,
-    to: PatternNodeId,
-    map: &mut [Option<PatternNodeId>],
-) -> Option<PatternNodeId> {
-    let mut last = map[from]?;
-    let mut prev = last;
-    for pid in path_between(src, from, to) {
-        let node = match map[pid] {
-            Some(n) => n,
-            None => {
-                let n = dst.add_child(prev, src.node(pid).axis, src.node(pid).pred.clone());
-                map[pid] = Some(n);
-                n
-            }
-        };
-        prev = node;
-        last = node;
-    }
-    Some(last)
-}
-
-/// First extract node's id in the right pattern (used by the LCA
-/// fallback). The stitch extract ids index the *stitch* pattern, so the
-/// fallback conservatively picks the right pattern's last leaf.
-fn extract_source(pattern: &PatternTree, _extract: &[(PatternNodeId, bool)]) -> PatternNodeId {
-    pattern
-        .iter()
-        .filter(|(_, n)| n.children.is_empty())
-        .map(|(id, _)| id)
-        .last()
-        .unwrap_or(0)
-}
-
-/// Lowest common ancestor of two pattern nodes.
-fn lca(pattern: &PatternTree, a: PatternNodeId, b: PatternNodeId) -> Option<PatternNodeId> {
-    let mut ancestors = std::collections::HashSet::new();
-    let mut cur = Some(a);
-    while let Some(n) = cur {
-        ancestors.insert(n);
-        cur = pattern.node(n).parent;
-    }
-    let mut cur = Some(b);
-    while let Some(n) = cur {
-        if ancestors.contains(&n) {
-            return Some(n);
-        }
-        cur = pattern.node(n).parent;
-    }
-    None
 }
 
 /// Rollup fusion: an `Aggregate` whose only input is a `GroupBy`, with

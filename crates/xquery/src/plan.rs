@@ -53,7 +53,8 @@ pub enum Plan {
         /// The label whose content is the key.
         by: PatternNodeId,
     },
-    /// The naive parse's left outer join against the database (Fig. 8).
+    /// The naive parse's left outer join against the database (Fig. 8):
+    /// per left row, the right subjects it joins.
     LeftOuterJoinDb {
         /// Left input plan (the outer bindings).
         left: Box<Plan>,
@@ -66,12 +67,14 @@ pub enum Plan {
         right_pattern: PatternTree,
         /// Right key label.
         right_label: PatternNodeId,
-        /// Adornment of right witnesses.
+        /// Adornment of right witnesses: the one subject (e.g. the
+        /// article) the join pairs with each left row.
         right_sl: Vec<PatternNodeId>,
         /// The node the nested RETURN extracts (right-pattern label).
         right_extract: PatternNodeId,
         /// The user's ORDER BY, as a right-pattern label and direction
-        /// (the rewriter turns this into the GROUPBY ordering list).
+        /// (the stitch's member order; the rewriter turns this into the
+        /// GROUPBY ordering list).
         order: Option<(PatternNodeId, Direction)>,
     },
     /// The grouping operator (Sec. 3).
@@ -168,10 +171,11 @@ pub enum Plan {
         /// The new root tag.
         tag: String,
     },
-    /// The RETURN stitching of the naive plan: pair each outer tree with
-    /// the inner trees sharing its key (a full outer join on the key,
-    /// fused with the final projection and rename), emitting one
-    /// constructed element per outer tree.
+    /// The RETURN stitching of the naive plan: pair each outer binding
+    /// with the join's subjects sharing its key (a full outer join on the
+    /// key, fused with the final projection and rename), emitting one
+    /// constructed element per outer binding: the bound node, then each
+    /// subject's `right_extract` nodes in the join's `order`.
     StitchConstruct {
         /// The outer collection (distinct bindings).
         outer: Box<Plan>,
@@ -179,23 +183,13 @@ pub enum Plan {
         outer_pattern: PatternTree,
         /// Outer key label (also the `{$a}` emitted node).
         outer_label: PatternNodeId,
-        /// The joined collection carrying the per-binding results; `None`
-        /// when the RETURN has no nested part.
+        /// The [`Plan::LeftOuterJoinDb`] carrying the per-binding
+        /// results; `None` when the RETURN has no nested part.
         inner: Option<Box<Plan>>,
-        /// Pattern over inner trees.
-        inner_pattern: PatternTree,
-        /// Inner key label.
-        inner_label: PatternNodeId,
-        /// Labels (and deep flags) of the inner nodes emitted per match,
-        /// e.g. the title.
-        inner_extract: Vec<(PatternNodeId, bool)>,
         /// `Some((func, tag))`: emit `<tag>{f(values)}</tag>` computed
         /// over the extracted nodes' contents instead of the nodes
         /// themselves (`count($t)`, `sum($t)`, …).
         agg: Option<(AggFunc, String)>,
-        /// Order the emitted parts per key by this stitch-pattern node's
-        /// content (the inner FLWR's ORDER BY).
-        order: Option<(PatternNodeId, Direction)>,
         /// The constructed element name (e.g. `authorpubs`).
         tag: String,
     },
@@ -393,29 +387,18 @@ impl Plan {
                 outer,
                 inner,
                 outer_label,
-                inner_label,
-                inner_extract,
                 agg,
-                order,
                 tag,
                 ..
             } => {
-                let ex: Vec<String> = inner_extract
-                    .iter()
-                    .map(|(l, d)| format!("${}{}", l + 1, if *d { "*" } else { "" }))
-                    .collect();
                 let agg_s = agg
                     .as_ref()
                     .map(|(f, t)| format!(" agg={f:?}<{t}>"))
                     .unwrap_or_default();
-                let ord_s = order
-                    .map(|(l, d)| format!(" order=${} {:?}", l + 1, d))
-                    .unwrap_or_default();
                 let _ = writeln!(
                     out,
-                    "{pad}StitchConstruct <{tag}> key: outer.${} = inner.${} extract={ex:?}{agg_s}{ord_s}",
-                    outer_label + 1,
-                    inner_label + 1
+                    "{pad}StitchConstruct <{tag}> key: outer.${}{agg_s}",
+                    outer_label + 1
                 );
                 outer.explain_into(out, depth + 1);
                 if let Some(inner) = inner {

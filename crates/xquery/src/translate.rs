@@ -1,12 +1,17 @@
 //! The "naive parsing" of Sec. 4.1: FLWR → join-based TAX plan.
 //!
-//! The outer FOR/WHERE becomes a pattern tree, a selection, a projection,
-//! and (for `distinct-values`) a duplicate elimination. A nested FLWR (or
-//! a `LET` with a variable predicate) becomes a **left outer join**
-//! between the outer bindings and the database — the "join-plan" pattern
-//! tree of Fig. 4b / Fig. 11b. The RETURN arguments are then stitched
-//! back together per outer binding (full outer join + final projection +
-//! rename, fused here into [`Plan::StitchConstruct`]).
+//! The outer FOR becomes a pattern tree (a chain down to the bound
+//! variable, Fig. 4a), a selection adorned at that variable, a projection
+//! keeping each witness tree, and (for `distinct-values`) a duplicate
+//! elimination on its content. A nested FLWR (or a `LET` with a variable
+//! predicate) becomes a **left outer join** between the outer bindings
+//! and the database — the "join-plan" pattern tree of Fig. 4b /
+//! Fig. 11b: the right pattern holds the inner FOR's subject (adorned),
+//! the join node compared with the outer value, the RETURN node and the
+//! ORDER BY node. The RETURN arguments are then stitched back together
+//! per outer binding (full outer join + final projection + rename, fused
+//! here into [`Plan::StitchConstruct`]), reading the RETURN and ORDER BY
+//! nodes off the join.
 //!
 //! Two deliberate inefficiencies of the naive plan are preserved, because
 //! the paper calls them out: the database is selected **multiple times**
@@ -140,14 +145,10 @@ pub fn translate(q: &Flwr) -> Result<Plan> {
         // Pure projection query: no join needed.
         return Ok(Plan::StitchConstruct {
             outer: Box::new(outer_plan),
-            outer_pattern: outer_pattern.clone(),
+            outer_pattern,
             outer_label,
             inner: None,
-            inner_pattern: PatternTree::with_root(Pred::True),
-            inner_label: 0,
-            inner_extract: vec![],
             agg: None,
-            order: None,
             tag: constructor.tag.clone(),
         });
     };
@@ -165,44 +166,6 @@ pub fn translate(q: &Flwr) -> Result<Plan> {
     };
     let agg: Option<(AggFunc, String)> = agg.map(|f| (agg_func_of(f), f.name().to_owned()));
 
-    // The stitch pattern navigates the TAX_prod_root trees produced by
-    // the join: the outer part carries the key; the right witness carries
-    // the bound element and the extracted nodes.
-    // Witness trees mirror their pattern's shape with *direct* arena
-    // children, so every stitch edge is pc — this also keeps the key
-    // binding from wandering into the right witness's deep subtrees.
-    let mut stitch = PatternTree::with_root(Pred::tag(tax::tags::PROD_ROOT));
-    let key_doc = stitch.add_child(stitch.root(), Axis::Child, Pred::tag(DOC_ROOT));
-    let mut key_node = key_doc;
-    for pid in path_to(&outer_pattern, outer_label) {
-        key_node = stitch.add_child(key_node, Axis::Child, outer_pattern.node(pid).pred.clone());
-    }
-    let right_doc = stitch.add_child(stitch.root(), Axis::Child, Pred::tag(DOC_ROOT));
-    // Graft paths from the right pattern's bound element down to the
-    // extract (and ordering) nodes: doc_root -pc-> article -pc-> … .
-    // Inside witness trees every edge is a direct (arena) child edge;
-    // shared prefixes reuse the same stitch node.
-    let mut stitch_map: Vec<Option<PatternNodeId>> = vec![None; right.pattern.len()];
-    let extract_in_stitch = graft_path(
-        &mut stitch,
-        right_doc,
-        &right.pattern,
-        right.extract,
-        &mut stitch_map,
-    );
-    let order_in_stitch = right.order.map(|(node, dir)| {
-        (
-            graft_path(
-                &mut stitch,
-                right_doc,
-                &right.pattern,
-                node,
-                &mut stitch_map,
-            ),
-            dir,
-        )
-    });
-
     let inner = Plan::LeftOuterJoinDb {
         left: Box::new(outer_plan.clone()),
         left_pattern: outer_pattern.clone(),
@@ -219,11 +182,7 @@ pub fn translate(q: &Flwr) -> Result<Plan> {
         outer_pattern,
         outer_label,
         inner: Some(Box::new(inner)),
-        inner_pattern: stitch,
-        inner_label: key_node,
-        inner_extract: vec![(extract_in_stitch, true)],
         agg,
-        order: order_in_stitch,
         tag: constructor.tag.clone(),
     })
 }
@@ -395,32 +354,6 @@ fn agg_func_of(f: AggName) -> AggFunc {
         AggName::Max => AggFunc::Max,
         AggName::Avg => AggFunc::Avg,
     }
-}
-
-/// Graft the root-to-`target` path of `pattern` under `under` in
-/// `stitch` (all pc edges), reusing nodes recorded in `map`.
-fn graft_path(
-    stitch: &mut PatternTree,
-    under: PatternNodeId,
-    pattern: &PatternTree,
-    target: PatternNodeId,
-    map: &mut [Option<PatternNodeId>],
-) -> PatternNodeId {
-    let mut prev = under;
-    let mut last = under;
-    for pid in path_to(pattern, target) {
-        let node = match map[pid] {
-            Some(n) => n,
-            None => {
-                let n = stitch.add_child(prev, Axis::Child, pattern.node(pid).pred.clone());
-                map[pid] = Some(n);
-                n
-            }
-        };
-        prev = node;
-        last = node;
-    }
-    last
 }
 
 enum NestedPart<'a> {
@@ -639,22 +572,6 @@ fn axis_of(a: StepAxis) -> Axis {
         StepAxis::Child => Axis::Child,
         StepAxis::Descendant => Axis::Descendant,
     }
-}
-
-/// The node ids on the path from the pattern root (exclusive) down to
-/// `target` (inclusive).
-fn path_to(pattern: &PatternTree, target: PatternNodeId) -> Vec<PatternNodeId> {
-    let mut path = vec![target];
-    let mut cur = target;
-    while let Some(parent) = pattern.node(cur).parent {
-        if parent == pattern.root() {
-            break;
-        }
-        path.push(parent);
-        cur = parent;
-    }
-    path.reverse();
-    path
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! rule, or plan rendering shows up as a readable diff here.
 
 use timber::{PlanMode, TimberDb};
-use timber_integration_tests::{fig6_db, QUERY1, QUERY_COUNT};
+use timber_integration_tests::{fig6_db, QUERY1, QUERY2, QUERY_COUNT};
 use xmlstore::StoreOptions;
 
 const QUERY_PROJECT: &str = r#"
@@ -32,7 +32,7 @@ fn masked_stages(line: &str) -> String {
 fn query1_explain_snapshot() {
     let expected = "\
 == direct plan ==
-StitchConstruct <authorpubs> key: outer.$2 = inner.$3 extract=[\"$6*\"]
+StitchConstruct <authorpubs> key: outer.$2
   DupElim pattern=[$1:doc_root, $1-ad->$2:author] by=$2
     Project pattern=[$1:doc_root, $1-ad->$2:author] PL=[\"$1\", \"$2*\"] anchor_root=true
       SelectDb pattern=[$1:doc_root, $1-ad->$2:author] SL=[\"$2\"]
@@ -59,7 +59,7 @@ pass 1: select-project-fuse
 fn count_query_explain_snapshot() {
     let expected = "\
 == direct plan ==
-StitchConstruct <authorpubs> key: outer.$2 = inner.$3 extract=[\"$6*\"] agg=Count<count>
+StitchConstruct <authorpubs> key: outer.$2 agg=Count<count>
   DupElim pattern=[$1:doc_root, $1-ad->$2:author] by=$2
     Project pattern=[$1:doc_root, $1-ad->$2:author] PL=[\"$1\", \"$2*\"] anchor_root=true
       SelectDb pattern=[$1:doc_root, $1-ad->$2:author] SL=[\"$2\"]
@@ -89,13 +89,13 @@ fn projection_only_explain_snapshot() {
     // doc_root node).
     let expected = "\
 == direct plan ==
-StitchConstruct <row> key: outer.$2 = inner.$1 extract=[]
+StitchConstruct <row> key: outer.$2
   DupElim pattern=[$1:doc_root, $1-ad->$2:author] by=$2
     Project pattern=[$1:doc_root, $1-ad->$2:author] PL=[\"$1\", \"$2*\"] anchor_root=true
       SelectDb pattern=[$1:doc_root, $1-ad->$2:author] SL=[\"$2\"]
 
 == optimized plan ==
-StitchConstruct <row> key: outer.$2 = inner.$1 extract=[]
+StitchConstruct <row> key: outer.$2
   DupElim pattern=[$1:doc_root, $1-ad->$2:author] by=$2
     SelectProject pattern=[$1:doc_root, $1-ad->$2:author] SL=[\"$2\"] PL=[\"$1\", \"$2*\"]
 
@@ -239,19 +239,35 @@ fn grouped_plans_stay_inside_clone_and_io_budget() {
 #[test]
 fn direct_plans_read_no_page_on_any_operator() {
     // The direct plan keys its duplicate eliminations, join and stitch on
-    // content symbols from the one witness extraction, as the grouped
-    // plans key their groups: no operator line asks for a page.
+    // content symbols read off the label columns, as the grouped plans
+    // key their groups: no operator line asks for a page. Below the
+    // stitch it builds no tree either: the scans hand on their match
+    // rows, the projections and duplicate eliminations pass them on, and
+    // the join emits its pairs as groups.
     let db = fig6_db();
-    for query in [QUERY1, QUERY_COUNT] {
+    for query in [QUERY1, QUERY2, QUERY_COUNT] {
         let text = db
             .explain_analyze(query, PlanMode::Direct)
             .unwrap()
             .render();
         let lines: Vec<&str> = text.lines().filter(|l| l.contains(" | in=")).collect();
         assert_eq!(lines.len(), 8, "{text}");
-        for line in lines {
+        assert!(lines[0].starts_with("StitchConstruct"), "{text}");
+        assert!(lines[0].contains(" out=3 trees "), "{text}");
+        for line in &lines {
             assert!(line.contains(" pages=0 "), "{line}");
+            assert!(line.contains(" clones=0 "), "{line}");
         }
+        let kinds: Vec<&str> = lines[1..]
+            .iter()
+            .map(|l| l.split(" out=").nth(1).unwrap().split(' ').nth(1).unwrap())
+            .collect();
+        let scan = ["matches"; 3];
+        assert_eq!(
+            kinds,
+            [&scan[..], &["groups"], &scan[..]].concat(),
+            "{text}"
+        );
         assert!(text.contains("; 0 page requests, 0 disk reads"), "{text}");
     }
 }

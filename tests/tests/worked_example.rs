@@ -2,6 +2,8 @@
 //! step by step over the Figure 6 sample database, checking each
 //! intermediate collection against the figures.
 
+use std::collections::HashSet;
+use tax::batch::{Batch, Matches};
 use tax::ops::groupby::{groupby, BasisItem};
 use tax::ops::project::ProjectItem;
 use tax::ops::{dup_elim, left_outer_join_db, project, select_db};
@@ -33,7 +35,9 @@ fn fig7_outer_selection_projection_dupelim() {
         true,
     )
     .unwrap();
-    let distinct = dup_elim(store, proj, &p, 1).unwrap();
+    let distinct = dup_elim(store, Batch::Trees(proj), &p, 1, &mut HashSet::new())
+        .unwrap()
+        .into_trees();
     // Fig. 7: three doc_root/author trees: Jack, John, Jill.
     assert_eq!(distinct.len(), 3);
     let names: Vec<String> = distinct
@@ -50,25 +54,46 @@ fn fig7_outer_selection_projection_dupelim() {
 }
 
 #[test]
-fn fig8_left_outer_join_produces_five_prod_trees() {
+fn fig8_left_outer_join_pairs_five_author_article_members() {
     let db = fig6_db();
     let store = db.store();
     let p = outer_pattern();
-    let sel = select_db(store, &p, &[1]).unwrap();
-    let distinct = dup_elim(store, sel, &p, 1).unwrap();
+    // The outer selection's rows, duplicates eliminated: Fig. 7 as the
+    // rows of the scan's binding table.
+    let rows = Batch::Matches(Matches::select(store, &p, &[1]).unwrap());
+    let distinct = dup_elim(store, rows, &p, 1, &mut HashSet::new()).unwrap();
+    assert!(matches!(distinct, Batch::Matches(_)), "{distinct:?}");
 
     // Fig. 4b inner pattern: doc_root -ad-> article -pc-> author.
     let mut right = PatternTree::with_root(Pred::tag("doc_root"));
     let art = right.add_child(right.root(), Axis::Descendant, Pred::tag("article"));
     let auth = right.add_child(art, Axis::Child, Pred::tag("author"));
 
+    // Fig. 8's product trees, held as identifiers: one group per
+    // author, its articles as members.
     let joined = left_outer_join_db(store, &distinct, &p, 1, &right, auth, &[art]).unwrap();
-    // Fig. 8: Jack×2, John×2, Jill×1.
-    assert_eq!(joined.len(), 5);
-    for t in &joined {
-        let e = t.materialize(store).unwrap();
-        assert_eq!(e.name, tags::PROD_ROOT);
-    }
+    let pairs: Vec<(String, Vec<String>)> = Batch::Groups(joined)
+        .into_trees()
+        .iter()
+        .map(|t| {
+            let e = t.materialize(store).unwrap();
+            assert_eq!(e.name, tags::GROUP_ROOT);
+            let key = e.child(tags::GROUPING_BASIS).unwrap().child("author");
+            let members = e.child(tags::GROUP_SUBROOT).unwrap().child_elements();
+            let titles = members.map(|a| a.child("title").unwrap().text()).collect();
+            (key.unwrap().text(), titles)
+        })
+        .collect();
+    // Jack×2, John×2, Jill×1: five (author, article) pairs.
+    assert_eq!(
+        pairs,
+        [
+            ("Jack", vec!["Querying XML", "XML and the Web"]),
+            ("John", vec!["Querying XML", "Hack HTML"]),
+            ("Jill", vec!["XML and the Web"]),
+        ]
+        .map(|(a, ts)| (a.to_owned(), ts.into_iter().map(str::to_owned).collect()))
+    );
 }
 
 #[test]
