@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reproduce [e1] [e2] [scale] [pool] [matching] [groupby-impl]
-//!           [rollup] [cube] [faults] [recovery] [wal-overhead] [all]
+//!           [faults] [recovery] [wal-overhead] [all]
 //!           [--articles N] [--mem] [--faults SPEC] [--analyze]
 //! ```
 //!
@@ -19,11 +19,6 @@
 //! synthetic DBLP size for E1/E2 (default 20 000 ≈ 310 k stored nodes;
 //! the paper's DBLP Journals had 4.6 M nodes — pass a larger value to
 //! approach it). `--mem` keeps the page file in memory (for quick runs).
-//! The `rollup` experiment (X13) times the E2 count query through the
-//! materialized `GroupBy → Aggregate` pipeline against the fused
-//! streaming rollup; the `cube` experiment (X14) times the XOLAP lattice
-//! query through the one-scan `Plan::Cube` against the composed
-//! per-level rollup union it fuses away.
 //!
 //! The `faults` experiment replays a deterministic fault schedule against
 //! the E1/E2 workload and reports per-run outcomes (absorbed via retry,
@@ -50,19 +45,17 @@
 
 #![forbid(unsafe_code)]
 
-use timber::{PlanMode, TimberDb};
+use timber::PlanMode;
 use timber_bench::*;
 
 /// The experiments `reproduce` knows by name.
-const EXPERIMENTS: [&str; 12] = [
+const EXPERIMENTS: [&str; 10] = [
     "e1",
     "e2",
     "scale",
     "pool",
     "matching",
     "groupby-impl",
-    "rollup",
-    "cube",
     "faults",
     "recovery",
     "wal-overhead",
@@ -156,12 +149,6 @@ fn main() {
     if wants("groupby-impl") {
         run_groupby_impl();
     }
-    if wants("rollup") {
-        run_rollup(articles, on_disk);
-    }
-    if wants("cube") {
-        run_cube(articles, on_disk);
-    }
     if wants("faults") {
         run_faults(fault_spec.as_deref());
     }
@@ -170,30 +157,6 @@ fn main() {
     }
     if wants("wal-overhead") {
         run_wal_overhead(articles);
-    }
-}
-
-/// [`measure`] for the un-fused grouped plan — `Optimizer::materializing()`,
-/// the optimizer configuration the X13/X14 ablations time the fused
-/// kernels against. Same protocol: cold pool, compile and serialization
-/// inside the timed window.
-fn measure_unfused(db: &TimberDb, query: &str) -> RunStats {
-    db.clear_buffer_pool().expect("clear pool");
-    db.reset_io_stats();
-    let start = std::time::Instant::now();
-    let ast = xquery::parse_query(query).expect("bench query parses");
-    let naive = xquery::translate(&ast).expect("bench query translates");
-    let (plan, trace) = xquery::opt::Optimizer::materializing().optimize(naive);
-    let result = db
-        .run_plan(&plan, trace.fired("groupby-rewrite"))
-        .expect("fault-free measurement");
-    let xml = result.to_xml_on(db.store()).expect("result serializes");
-    RunStats {
-        elapsed: start.elapsed(),
-        io: db.io_stats(),
-        output_trees: result.len(),
-        output_bytes: xml.len(),
-        rewritten: result.rewritten,
     }
 }
 
@@ -572,52 +535,6 @@ fn run_matching(articles: usize) {
         io_scan,
         io_scan as f64 / io_index.max(1) as f64
     );
-}
-
-fn run_rollup(articles: usize, on_disk: bool) {
-    println!(
-        "-- X13: rollup fusion (E2 count: materialized GroupBy → Aggregate vs fused streaming rollup, {articles} articles) --"
-    );
-    let db = build_db(articles, None, on_disk);
-    let m = measure_unfused(&db, QUERY_COUNT);
-    let r = measure(&db, QUERY_COUNT, PlanMode::GroupByRewrite);
-    assert_eq!(
-        (m.output_trees, m.output_bytes),
-        (r.output_trees, r.output_bytes),
-        "fused rollup output diverged from the materialized pipeline"
-    );
-    let (mt, rt) = (m.elapsed.as_secs_f64(), r.elapsed.as_secs_f64());
-    println!(
-        "materialized {mt:>8.3}s ({:>8} pages) | rollup {rt:>8.3}s ({:>8} pages) | {:.2}x faster",
-        m.io.page_requests(),
-        r.io.page_requests(),
-        mt / rt,
-    );
-    println!("(the differential suite pins byte-identity; see tests/tests/rollup.rs)\n");
-}
-
-fn run_cube(articles: usize, on_disk: bool) {
-    println!(
-        "-- X14: grouping lattice (journal → year → author cube: composed per-level rollups vs one-scan Cube, {articles} articles) --"
-    );
-    let db = build_db(articles, None, on_disk);
-    let c = measure_unfused(&db, QUERY_CUBE);
-    let f = measure(&db, QUERY_CUBE, PlanMode::GroupByRewrite);
-    // The differential suite (tests/tests/cube.rs) pins the bytes; here
-    // the group and byte counts must agree.
-    assert_eq!(
-        (c.output_trees, c.output_bytes),
-        (f.output_trees, f.output_bytes),
-        "one-scan cube output diverged from the composed lattice"
-    );
-    let (ct, ft) = (c.elapsed.as_secs_f64(), f.elapsed.as_secs_f64());
-    println!(
-        "composed {ct:>8.3}s ({:>8} pages) | cube {ft:>8.3}s ({:>8} pages) | {:.2}x faster",
-        c.io.page_requests(),
-        f.io.page_requests(),
-        ct / ft,
-    );
-    println!("(all prefix levels share one scan and one accumulator pass; see DESIGN.md)\n");
 }
 
 fn run_groupby_impl() {

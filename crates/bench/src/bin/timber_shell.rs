@@ -15,7 +15,7 @@
 //! .checkpoint          flush dirty pages and truncate the write-ahead
 //!                      log (durable databases)
 //! .mode direct|groupby|both
-//! .cube                run the X14 lattice query (journal → year →
+//! .cube                run the lattice query (journal → year →
 //!                      author cube) under the current settings
 //! .explain             show plans instead of executing (toggle)
 //! .explain analyze     execute and report per-operator metrics
@@ -153,7 +153,7 @@ impl Shell {
                 println!(
                     ".load <file.xml> | .gen <articles> | .mode {MODE_VALUES}\n\
                      .insert <file.xml> | .delete <doc> | .checkpoint\n\
-                     .cube (run the X14 lattice query) | .explain (toggle) | .explain analyze | .explain off\n\
+                     .cube (run the lattice query) | .explain (toggle) | .explain analyze | .explain off\n\
                      .faults <spec|off> | .stats | .quit\n\
                      .connect <addr> | .disconnect | .snapshot | .release\n\
                      end a query with ';' to run it"
@@ -274,7 +274,7 @@ impl Shell {
                 ),
             },
             ".cube" => {
-                println!("-- X14 lattice query: CUBE BY journal, year, author --");
+                println!("-- lattice query: CUBE BY journal, year, author --");
                 self.run_query(timber_bench::QUERY_CUBE.trim());
             }
             ".explain" => {

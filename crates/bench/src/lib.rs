@@ -46,10 +46,8 @@ pub const QUERY_COUNT: &str = r#"
     RETURN <authorpubs> {$a} {count($t)} </authorpubs>
 "#;
 
-/// The XOLAP lattice query (X14): all prefix levels of
-/// journal → year → author computed by one `Plan::Cube` scan under the
-/// grouping rewrite, or as the composed per-level rollup union under the
-/// materialized mode.
+/// The XOLAP lattice query the shell's `.cube` runs: all prefix levels
+/// of journal → year → author, computed by one `Plan::Cube` scan.
 pub const QUERY_CUBE: &str = r#"
     FOR $b IN document("bib.xml")//article
     CUBE BY $b/journal, $b/year, $b/author

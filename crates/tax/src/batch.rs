@@ -92,13 +92,17 @@ impl Matches {
 
     /// The fused select→project over these rows: their witness trees
     /// projected through the selection's pattern with `pl`, anchored. A
-    /// list of the deep root alone gives its column as stored rows, a
-    /// list that keeps each witness tree whole ([`keeps_witness`]) the
-    /// rows themselves, any other list the projected trees.
+    /// list of one deep node that is the root, or a chain selection's
+    /// bound node ([`chain_bound`]), gives its column as stored rows:
+    /// every other node the list could select lies inside it. A list that
+    /// keeps each witness tree whole ([`keeps_witness`]) gives the rows
+    /// themselves, any other list the projected trees.
     pub fn project(self, store: &DocumentStore, pl: &[ProjectItem]) -> Result<Batch> {
         let (pattern, sl, _) = &*self.scan;
-        if pl == [ProjectItem::deep(pattern.root())] {
-            return Ok(Batch::Stored(self.column(pattern.root())));
+        if let [ProjectItem { label, deep: true }] = *pl {
+            if label == pattern.root() || chain_bound(pattern, sl) == Some(label) {
+                return Ok(Batch::Stored(self.column(label)));
+            }
         }
         if keeps_witness(pattern, sl, pl) {
             return Ok(Batch::Matches(self));

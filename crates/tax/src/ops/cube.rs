@@ -26,8 +26,8 @@
 //!   groups with an undefined aggregate dropped — so a tree's level is
 //!   its number of key children;
 //! * levels emit coarsest-first (1 … `L`), groups in first-witness order
-//!   within each level — the order the composed `Union` of per-level
-//!   rollup plans produces, so the two are byte-identical.
+//!   within each level — the rows the per-level flat rollups give one
+//!   after another, which the kernel tests below hold it to.
 
 use crate::batch::Source;
 use crate::error::{Error, Result};

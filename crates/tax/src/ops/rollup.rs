@@ -26,18 +26,17 @@
 //!   first-witness order, with basis children built by the same routine
 //!   as the group trees' — no member subtrees, ever.
 //!
-//! The member subroot is omitted, so the rollup output is byte-identical
-//! to `GroupBy → Aggregate` only for consumers that never bind
-//! `TAX_group_subroot`; the `rollup-fuse` optimizer rule (in `xquery`)
-//! checks exactly that before substituting this kernel.
+//! The member subroot is omitted, so the rollup output is
+//! `GroupBy → Aggregate` minus what only a consumer binding
+//! `TAX_group_subroot` could see. The grouping rewrite (in `xquery`)
+//! emits the rollup for Sec. 4.3's count variant in place of `Project ∘
+//! Aggregate ∘ GroupBy`; the kernel tests below hold it to that pipeline.
 //!
-//! With [`RollupShape::Flat`] the kernel additionally absorbs the
-//! canonical downstream projection: it emits
+//! With [`RollupShape::Flat`] — the shape the rewrite asks for — the
+//! kernel also applies that final projection: it emits
 //! `TAX_group_root { <key subtree>, <tag>value</tag> }` — no basis
 //! wrapper — and **drops** groups whose aggregate is undefined, exactly
 //! as the projection (whose pattern requires the value child) would.
-//! The optimizer only selects this shape when the consuming projection
-//! is precisely that extraction.
 //!
 //! The accumulation is `fold_levels`, a fold over a range of
 //! basis-prefix levels: a rollup asks for the single finest level, the

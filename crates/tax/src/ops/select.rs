@@ -47,7 +47,11 @@ pub(crate) fn chain_bound(pattern: &PatternTree, sl: &[PatternNodeId]) -> Option
 /// pattern, anchored, with `pl` gives each tree back unchanged: `pl`
 /// keeps every node in order, deep only the bound one. (A one-node
 /// witness tree is a stored row, and is projected as one.)
-pub fn keeps_witness(pattern: &PatternTree, sl: &[PatternNodeId], pl: &[ProjectItem]) -> bool {
+pub(crate) fn keeps_witness(
+    pattern: &PatternTree,
+    sl: &[PatternNodeId],
+    pl: &[ProjectItem],
+) -> bool {
     pattern.len() > 1
         && chain_bound(pattern, sl).is_some_and(|bound| {
             let witness = pattern.iter().map(|(label, _)| ProjectItem {

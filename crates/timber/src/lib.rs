@@ -9,12 +9,11 @@
 //! (`xmlstore`).
 //!
 //! There are two [`PlanMode`]s — the paper's comparison, direct vs
-//! GROUPBY — and one executor. Any other plan (the un-fused grouped
-//! pipeline `xquery::opt::Optimizer::materializing()` yields, for
-//! `reproduce`'s ablations) is compiled by its caller and handed to
-//! [`TimberDb::run_plan`]. What either mode must return is defined
-//! outside this crate, by the reference model the integration tests
-//! compare against (`tests/src/model.rs`).
+//! GROUPBY — and one executor. Any other plan (one built by hand, such as
+//! the paper's literal `Project ∘ Aggregate ∘ GroupBy` count plan) is
+//! handed to [`TimberDb::run_plan`]. What either mode must return is
+//! defined outside this crate, by the reference model the integration
+//! tests compare against (`tests/src/model.rs`).
 //!
 //! # Example
 //!
@@ -71,8 +70,7 @@ pub enum PlanMode {
     Direct,
     /// The optimized plan: the full rewrite-rule framework, headlined by
     /// the GROUPBY rewrite (falls back to the naive plan when no rule
-    /// applies). Grouped aggregates fuse into the streaming `Rollup`
-    /// kernel.
+    /// applies). A grouped aggregate runs as the streaming `Rollup`.
     GroupByRewrite,
 }
 
@@ -480,32 +478,6 @@ mod tests {
         RETURN <authorpubs> {$a} {count($t)} </authorpubs>
     "#;
 
-    /// The un-fused grouped plan: the optimizer configuration the X13/X14
-    /// ablations run, reached through `run_plan`.
-    fn materializing_plan(query: &str) -> (Plan, OptTrace) {
-        let naive = xquery::translate(&xquery::parse_query(query).unwrap()).unwrap();
-        xquery::opt::Optimizer::materializing().optimize(naive)
-    }
-
-    #[test]
-    fn rollup_plan_matches_materialized_and_direct() {
-        let db = db();
-        let (plan, _, trace) = db
-            .compile_traced(QUERY_COUNT, PlanMode::GroupByRewrite)
-            .unwrap();
-        assert!(trace.fired("rollup-fuse"), "{}", trace.render());
-        assert!(plan.explain().contains("Rollup Count"));
-        let (mat_plan, mat_trace) = materializing_plan(QUERY_COUNT);
-        assert!(!mat_trace.fired("rollup-fuse"));
-        assert!(mat_plan.explain().contains("GroupBy"));
-        let direct = db.query(QUERY_COUNT, PlanMode::Direct).unwrap();
-        let rollup = db.query(QUERY_COUNT, PlanMode::GroupByRewrite).unwrap();
-        let materialized = db.run_plan(&mat_plan, true).unwrap();
-        let expected = direct.to_xml_on(db.store()).unwrap();
-        assert_eq!(rollup.to_xml_on(db.store()).unwrap(), expected);
-        assert_eq!(materialized.to_xml_on(db.store()).unwrap(), expected);
-    }
-
     const QUERY_CUBE: &str = r#"
         FOR $b IN document("bib.xml")//article
         CUBE BY $b/journal, $b/year, $b/author
@@ -522,27 +494,6 @@ mod tests {
                 <author>John</author></article>\
         </bib>";
         TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap()
-    }
-
-    #[test]
-    fn cube_query_fuses_to_one_scan_and_matches_the_composed_union() {
-        let db = cube_db();
-        let (plan, _, trace) = db
-            .compile_traced(QUERY_CUBE, PlanMode::GroupByRewrite)
-            .unwrap();
-        assert!(trace.fired("cube-fuse"), "{}", trace.render());
-        assert!(plan.explain().contains("Cube Count"), "{}", plan.explain());
-        // The materializing optimizer keeps the composed per-level
-        // union — the byte-identity reference.
-        let (mat_plan, mat_trace) = materializing_plan(QUERY_CUBE);
-        assert!(!mat_trace.fired("cube-fuse"));
-        assert!(mat_plan.explain().contains("Union (3 branches)"));
-        let fused = db.query(QUERY_CUBE, PlanMode::GroupByRewrite).unwrap();
-        let composed = db.run_plan(&mat_plan, true).unwrap();
-        let direct = db.query(QUERY_CUBE, PlanMode::Direct).unwrap();
-        let fused_xml = fused.to_xml_on(db.store()).unwrap();
-        assert_eq!(fused_xml, composed.to_xml_on(db.store()).unwrap());
-        assert_eq!(fused_xml, direct.to_xml_on(db.store()).unwrap());
     }
 
     #[test]

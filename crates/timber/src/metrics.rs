@@ -23,8 +23,6 @@ pub enum OutKind {
     Trees,
     /// Groups over stored rows only, as columns: no group tree built.
     Groups,
-    /// Both (a `Union` over a stored scan and a tree-building branch).
-    Mixed,
 }
 
 /// Execution metrics of one plan operator, with its children.
@@ -81,7 +79,6 @@ impl PlanMetrics {
             Some(OutKind::Matches) => " matches",
             Some(OutKind::Trees) => " trees",
             Some(OutKind::Groups) => " groups",
-            Some(OutKind::Mixed) => " mixed",
         };
         let _ = write!(
             out,

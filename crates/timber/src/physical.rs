@@ -17,18 +17,18 @@
 //!   exactly once, and then emits the result in batches (grouping,
 //!   rollup, cube, the left outer join, the RETURN stitching).
 //!
-//! `Union` concatenates its inputs and needs no kernel.
-//!
 //! What moves between operators is a [`Batch`]: stored rows (node
 //! labels, each standing for its whole subtree), a selection's match
-//! rows, groups, or trees. The GROUPBY plan's scan emits stored rows,
-//! which the grouping sinks (`GroupBy`, `Rollup`, `Cube`) read as they
-//! are, and `GroupBy` groups, which a `Project` of the rewrite's Fig. 5d
-//! shape (recognized here, once) gathers from. The direct plan keeps its
-//! selections' match rows up to the stitch: a `Project` giving each
-//! witness tree back whole (recognized here, once) passes them on, and
-//! the left outer join emits its pairs as groups. Other operators take
-//! their input through [`Batch::into_trees`], as does [`execute`].
+//! rows, groups, or trees. A `Project` over a `SelectDb` of its own
+//! pattern runs as the fused select→project (recognized here, once), so
+//! a scan whose list keeps one deep node per row — the GROUPBY plans',
+//! and the `CUBE BY` scan in either mode — hands the grouping sinks
+//! (`GroupBy`, `Rollup`, `Cube`) stored rows, which they read as they
+//! are, and the direct plan's projections pass their match rows on up to
+//! the stitch. `GroupBy` emits groups, which a `Project` of the
+//! rewrite's Fig. 5d shape (recognized here, once) gathers from, and the
+//! left outer join emits its pairs as groups. Other operators take their
+//! input through [`Batch::into_trees`], as does [`execute`].
 //!
 //! Every operator meters its own work — rows in/out (and what kind of
 //! rows it emitted), batches, wall time, and the store's I/O delta —
@@ -52,7 +52,6 @@ pub use tax::batch::Batch;
 use tax::batch::Matches;
 use tax::exec::{ExecOptions, ShardStats, Stages};
 use tax::ops;
-use tax::ops::select::keeps_witness;
 use tax::pattern::{PatternNodeId, PatternTree};
 use tax::tree::{Collection, Tree};
 use xmlstore::{DocumentStore, IoStats};
@@ -161,30 +160,27 @@ pub fn build<'a>(
             scan(pattern, sl, meter, Box::new(move |m| m.project(store, pl)))
         }
         // Trees (and groups) are independent under projection, so
-        // batching cannot change output. The rewrite's final projection
-        // over `GroupBy`'s groups gathers its output from the columns,
-        // and one that gives a selection's witness trees back whole
-        // passes its rows on.
+        // batching cannot change output. A projection of a selection
+        // through the selection's own pattern is the fused one over its
+        // rows, and the rewrite's final projection over `GroupBy`'s
+        // groups gathers its output from the columns.
         Plan::Project {
             input,
             pattern,
             pl,
             anchor_root,
         } => {
-            let grouped = match &**input {
-                Plan::GroupBy { pattern, basis, .. } => Some((pattern, &basis[..])),
-                _ => None,
+            let (fused, grouped) = match &**input {
+                Plan::SelectDb { pattern: p, .. } => (*anchor_root && p == pattern, None),
+                Plan::GroupBy { pattern, basis, .. } => (false, Some((pattern, &basis[..]))),
+                _ => (false, None),
             };
             let projection = ops::project::Projection::new(pattern, pl, *anchor_root, grouped);
-            let whole = match &**input {
-                Plan::SelectDb { pattern: p, sl } => p == pattern && keeps_witness(p, sl, pl),
-                _ => false,
-            };
             map(
                 input,
                 meter,
                 Box::new(move |b| match b {
-                    b @ Batch::Matches(_) if whole && *anchor_root => Ok(b),
+                    Batch::Matches(rows) if fused => rows.project(store, pl),
                     b => projection.project(store, b).map(Batch::Trees),
                 }),
             )?
@@ -270,14 +266,6 @@ pub fn build<'a>(
                 .map(staged)
             }),
         )?,
-        Plan::Union { inputs } => Box::new(UnionOp {
-            inputs: inputs
-                .iter()
-                .map(|p| build(store, p, batch))
-                .collect::<Result<Vec<_>>>()?,
-            pos: 0,
-            meter,
-        }),
         // The one-scan grouping lattice: the rollup's fold for every
         // prefix level of the basis at once, levels emitted coarsest
         // first.
@@ -464,15 +452,11 @@ impl Meter {
     fn emitted(&mut self, batch: &Batch) {
         self.batches += 1;
         self.trees_out += batch.len();
-        let kind = match batch {
+        self.out_kind = Some(match batch {
             Batch::Stored(_) => OutKind::Stored,
             Batch::Matches(_) => OutKind::Matches,
             Batch::Trees(_) => OutKind::Trees,
             Batch::Groups(_) => OutKind::Groups,
-        };
-        self.out_kind = Some(match self.out_kind {
-            Some(seen) if seen != kind => OutKind::Mixed,
-            _ => kind,
         });
     }
 
@@ -613,35 +597,6 @@ impl PhysOp for SinkOp<'_> {
             self.meter.emitted(batch);
         }
         Ok(out)
-    }
-
-    fn metrics(&self) -> PlanMetrics {
-        self.meter
-            .metrics(self.inputs.iter().map(|i| i.metrics()).collect())
-    }
-}
-
-/// Streaming concatenation: drains its inputs left to right, passing
-/// each child's batches through unchanged, so the output order is the
-/// branch order (the composed cube plan relies on this — levels emit
-/// coarsest first).
-struct UnionOp<'a> {
-    inputs: Vec<Box<dyn PhysOp + 'a>>,
-    pos: usize,
-    meter: Meter,
-}
-
-impl PhysOp for UnionOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        while self.pos < self.inputs.len() {
-            if let Some(batch) = self.inputs[self.pos].next_batch()? {
-                self.meter.trees_in += batch.len();
-                self.meter.emitted(&batch);
-                return Ok(Some(batch));
-            }
-            self.pos += 1;
-        }
-        Ok(None)
     }
 
     fn metrics(&self) -> PlanMetrics {
@@ -798,15 +753,16 @@ mod tests {
     fn tree_building_leaves_feed_the_sinks_the_same_bytes() {
         // The same article collection four ways: the stored rows of the
         // `[$1*]` leaf; the match rows of a `SelectDb`, read as their
-        // one-node witness trees; the output of a `Project`; a fused leaf
-        // whose list keeps more than the deep root. The sinks read the
-        // last three as trees, and every grouping sink must produce from
-        // them what it produces from the rows.
+        // one-node witness trees; the output of a `Project` through a
+        // pattern other than its selection's; a fused leaf whose list
+        // keeps more than the deep root. The sinks read the last three as
+        // trees, and every grouping sink must produce from them what it
+        // produces from the rows.
         let db = db();
         let article = PatternTree::with_root(tax::Pred::tag("article"));
         let root = article.root();
         let select_db = Plan::SelectDb {
-            pattern: article.clone(),
+            pattern: article,
             sl: vec![root],
         };
         let titled = parent_child("article", "title");
@@ -814,7 +770,7 @@ mod tests {
             select_db.clone(),
             Plan::Project {
                 input: Box::new(select_db),
-                pattern: article,
+                pattern: titled.clone(),
                 pl: vec![ops::project::ProjectItem::deep(root)],
                 anchor_root: true,
             },
@@ -848,11 +804,11 @@ mod tests {
     #[test]
     fn repeated_and_overlapping_stored_rows_reach_the_sinks() {
         // A two-year article selected by `article[year]` with `PL=[$1*]`
-        // is two equal stored rows, and a `Union` of two scans of the
-        // same articles repeats every row: neither input is a disjoint
-        // scope list, and both must group as the same rows given as
-        // trees do (a `Project` over the `SelectDb` of the same pattern
-        // is what the fused leaf stands for).
+        // is two equal stored rows, adjacent: not a disjoint scope list.
+        // They must group as the same rows given as trees do — here
+        // projected through the bare `article` pattern, which builds one
+        // deep reference per row. Fused or not, a projection of a
+        // selection through its own pattern emits the stored rows.
         let db = TimberDb::load_xml(
             "<bib>\
                 <article><title>A</title><author>Jack</author><year>1999</year><year>2000</year></article>\
@@ -865,75 +821,49 @@ mod tests {
         let dated = parent_child("article", "year");
         let root = dated.root();
         let pl = vec![ops::project::ProjectItem::deep(root)];
-        let fused = |pattern: &PatternTree| Plan::SelectProject {
-            pattern: pattern.clone(),
+        let select_db = Box::new(Plan::SelectDb {
+            pattern: dated.clone(),
             sl: vec![root],
-            pl: pl.clone(),
-        };
-        let unfused = |pattern: &PatternTree| Plan::Project {
-            input: Box::new(Plan::SelectDb {
-                pattern: pattern.clone(),
-                sl: vec![root],
-            }),
-            pattern: pattern.clone(),
+        });
+        let project = |pattern: PatternTree| Plan::Project {
+            input: select_db.clone(),
+            pattern,
             pl: pl.clone(),
             anchor_root: true,
         };
-        let every = PatternTree::with_root(tax::Pred::tag("article"));
-        // (stored leaf, its tree twin, rows, rows holding a Jack article)
-        let cases: [(Plan, Plan, usize, usize); 2] = [
-            (fused(&dated), unfused(&dated), 3, 3),
-            (
-                Plan::Union {
-                    inputs: vec![fused(&every), fused(&dated)],
-                },
-                Plan::Union {
-                    inputs: vec![unfused(&every), unfused(&dated)],
-                },
-                6,
-                5,
-            ),
+        let stored = [
+            Plan::SelectProject {
+                pattern: dated.clone(),
+                sl: vec![root],
+                pl: pl.clone(),
+            },
+            project(dated.clone()),
         ];
-        for (stored, trees, rows, jacks) in &cases {
-            for query in [QUERY_COUNT, QUERY1, QUERY_CUBE] {
-                let (plan, _) = db.compile(query, PlanMode::GroupByRewrite).unwrap();
-                let (want, _) = execute(
-                    db.store(),
-                    &with_leaf(&plan, trees.clone()),
-                    &ExecOptions,
-                    2,
-                )
-                .unwrap();
-                let (got, metrics) = execute(
-                    db.store(),
-                    &with_leaf(&plan, stored.clone()),
-                    &ExecOptions,
-                    2,
-                )
-                .unwrap();
+        let trees = project(PatternTree::with_root(tax::Pred::tag("article")));
+        for query in [QUERY_COUNT, QUERY1, QUERY_CUBE] {
+            let (plan, _) = db.compile(query, PlanMode::GroupByRewrite).unwrap();
+            let run = |leaf: &Plan| {
+                let twin = with_leaf(&plan, leaf.clone());
+                execute(db.store(), &twin, &ExecOptions, 2).unwrap()
+            };
+            let (want, _) = run(&trees);
+            for leaf in &stored {
+                let (got, metrics) = run(leaf);
                 assert_eq!(to_xml(&db, &want), to_xml(&db, &got), "{query}");
                 let nodes = chain(&metrics);
                 let feed = nodes.iter().find(|m| m.shards.is_some()).unwrap().children[0].clone();
-                assert_eq!(
-                    (feed.trees_out, feed.out_kind),
-                    (*rows, Some(OutKind::Stored))
-                );
+                assert_eq!((feed.trees_out, feed.out_kind), (3, Some(OutKind::Stored)));
             }
-            // Jack's two-year article counts once per row it arrives in.
-            let (plan, _) = db.compile(QUERY_COUNT, PlanMode::GroupByRewrite).unwrap();
-            let (out, _) = execute(
-                db.store(),
-                &with_leaf(&plan, stored.clone()),
-                &ExecOptions,
-                2,
-            )
-            .unwrap();
-            let xml = to_xml(&db, &out);
-            assert_eq!(
-                xml.lines().next().unwrap(),
-                format!("<authorpubs><author>Jack</author><count>{jacks}</count></authorpubs>"),
-            );
         }
+        // Jack's two-year article counts once per row it arrives in.
+        let (plan, _) = db.compile(QUERY_COUNT, PlanMode::GroupByRewrite).unwrap();
+        let twin = with_leaf(&plan, stored[0].clone());
+        let (out, _) = execute(db.store(), &twin, &ExecOptions, 2).unwrap();
+        let xml = to_xml(&db, &out);
+        assert_eq!(
+            xml.lines().next().unwrap(),
+            "<authorpubs><author>Jack</author><count>3</count></authorpubs>",
+        );
     }
 
     fn to_xml(db: &TimberDb, c: &Collection) -> String {

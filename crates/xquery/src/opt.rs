@@ -9,35 +9,24 @@
 //! The standard rule set, in order:
 //!
 //! 1. [`GroupByRewriteRule`] — the paper's Sec. 4.1 grouping rewrite
-//!    (join pipeline → `GROUPBY` pipeline). It must run first:
-//!    detection keys on the
-//!    pristine `StitchConstruct`/`LeftOuterJoinDb` shape the naive
+//!    (join pipeline → `GROUPBY` pipeline; for the Sec. 4.3 count
+//!    variant, one [`Plan::Rollup`]). It must run first: detection keys
+//!    on the pristine `StitchConstruct`/`LeftOuterJoinDb` shape the naive
 //!    translation emits.
-//! 2. [`CubeFuseRule`] — collapses the `Union` of per-level
-//!    `Project ∘ Aggregate ∘ GroupBy` pipelines a `CUBE BY` translation
-//!    emits into one [`Plan::Cube`] scan, when every branch passes the
-//!    rollup-fusion guards, all branches share one input / pattern /
-//!    aggregate, and the bases form the prefix chain of the lattice. It
-//!    must run before [`RollupFuseRule`], which would otherwise fuse the
-//!    branches individually (the graceful-degradation path when a cube
-//!    guard fails).
-//! 3. [`RollupFuseRule`] — fuses an `Aggregate` whose only input is a
-//!    `GroupBy` (and whose grouped trees are not otherwise consumed)
-//!    into one streaming [`Plan::Rollup`], skipping group-tree
-//!    materialization entirely. It runs right after the grouping
-//!    rewrite so the `Aggregate`∘`GroupBy` pair it keys on is fused
-//!    before the projection rules restructure the pipeline below it.
-//! 4. [`ProjectionPruneRule`] — drops the synthetic `doc_root` pattern
+//! 2. [`ProjectionPruneRule`] — drops the synthetic `doc_root` pattern
 //!    root from a `Project`∘`SelectDb` pair when no downstream list
 //!    references it, shrinking every pattern match by one node.
-//! 5. [`SelectProjectFuseRule`] — fuses a `Project` directly over a
+//! 3. [`SelectProjectFuseRule`] — fuses a `Project` directly over a
 //!    `SelectDb` with the *same* pattern into one
 //!    [`Plan::SelectProject`], so a single pattern match serves both
 //!    operators.
+//!
+//! No rule recognizes an aggregate: the rewrite and the `CUBE BY`
+//! translation emit the `Rollup` / `Cube` operator the query means.
 
 use crate::plan::Plan;
 use std::fmt::Write;
-use tax::ops::aggregate::{AggFunc, UpdateSpec};
+use tax::ops::aggregate::AggFunc;
 use tax::ops::groupby::{BasisItem, Direction, GroupOrder};
 use tax::ops::project::ProjectItem;
 use tax::pattern::{Axis, PatternNodeId, PatternTree, Pred};
@@ -105,26 +94,9 @@ const MAX_PASSES: usize = 16;
 const MAX_LOCAL: usize = 8;
 
 impl Optimizer {
-    /// The standard rule set (grouping rewrite, cube fusion, rollup
-    /// fusion, projection pruning, select→project fusion), in the order
-    /// described at module level.
+    /// The standard rule set (grouping rewrite, projection pruning,
+    /// select→project fusion), in the order described at module level.
     pub fn standard() -> Optimizer {
-        Optimizer::with_rules(vec![
-            Box::new(GroupByRewriteRule),
-            Box::new(CubeFuseRule),
-            Box::new(RollupFuseRule),
-            Box::new(ProjectionPruneRule),
-            Box::new(SelectProjectFuseRule),
-        ])
-    }
-
-    /// The standard set *without* [`CubeFuseRule`] and
-    /// [`RollupFuseRule`]: grouped plans keep the materialized
-    /// `GroupBy → Aggregate` pipeline (and cube plans the `Union` of
-    /// per-level pipelines). This is the reference plan the rollup's and
-    /// cube's differential tests and the `e2_count_groupby` benchmark
-    /// key compare against.
-    pub fn materializing() -> Optimizer {
         Optimizer::with_rules(vec![
             Box::new(GroupByRewriteRule),
             Box::new(ProjectionPruneRule),
@@ -271,9 +243,6 @@ fn map_children(plan: Plan, f: &mut impl FnMut(Plan) -> Plan) -> Plan {
             new_tag,
             flat,
         },
-        Plan::Union { inputs } => Plan::Union {
-            inputs: inputs.into_iter().map(f).collect(),
-        },
         Plan::Cube {
             input,
             pattern,
@@ -345,10 +314,15 @@ impl Rule for GroupByRewriteRule {
 // 2. the `GROUPBY` operator whose pattern is the subject-rooted subtree
 //    of the inner pattern and whose grouping basis is the join value
 //    (`$2.content`, Fig. 5b/5c);
-// 3. (count variant) an aggregation inserting the member count;
-// 4. a final projection extracting the RETURN nodes from the group
+// 3. a final projection extracting the RETURN nodes from the group
 //    trees (Fig. 5d);
-// 5. a rename to the constructed tag.
+// 4. a rename to the constructed tag.
+//
+// For the count variant (Sec. 4.3) steps 2–3 and the aggregation between
+// them — `Project ∘ Aggregate ∘ GroupBy` — are one `Rollup` over the same
+// pattern and basis: it folds each group's aggregate as the members
+// arrive and emits the projected tree, building no group tree. The
+// literal three-operator plan still runs when built by hand.
 
 /// Phase 1: inspect the plan; on success build the Phase 2 plan.
 fn detect(plan: &Plan) -> Option<Plan> {
@@ -426,8 +400,9 @@ fn is_selection_chain(plan: &Plan) -> bool {
     }
 }
 
-/// Phase 2: the GROUPBY plan.
-#[allow(clippy::too_many_arguments)]
+/// Phase 2: the GROUPBY plan, or the rollup for an aggregate. A
+/// grouping with both an aggregate and an ordering is declined: the
+/// translator never builds one.
 fn build_groupby_plan(
     right_pattern: &PatternTree,
     subject: PatternNodeId,
@@ -437,12 +412,15 @@ fn build_groupby_plan(
     order: Option<(PatternNodeId, Direction)>,
     tag: &str,
 ) -> Option<Plan> {
+    if agg.is_some() && order.is_some() {
+        return None;
+    }
     // Step 1: the initial pattern tree — the bound variable with its path
     // from the document root (Fig. 5a). Selection with SL = subject,
     // projection with PL = subject*.
     let (subject_path, ids) = right_pattern.paths(right_pattern.root(), &[subject])?;
     let subject_in_path = ids[0];
-    let input_plan = Plan::Project {
+    let input = Box::new(Plan::Project {
         input: Box::new(Plan::SelectDb {
             pattern: subject_path.clone(),
             sl: vec![subject_in_path],
@@ -450,446 +428,80 @@ fn build_groupby_plan(
         pattern: subject_path,
         pl: vec![ProjectItem::deep(subject_in_path)],
         anchor_root: true,
-    };
+    });
 
     // Step 2: the GROUPBY input pattern — the subject-rooted subtree of
     // the inner pattern restricted to the join path (Fig. 5b), plus the
     // ordering path when the user requested sorting; grouping basis = the
-    // join value's content.
+    // join value's content. The member path leads from the subject to
+    // the RETURN node.
     let targets: Vec<PatternNodeId> = std::iter::once(join_node)
         .chain(order.map(|(node, _)| node))
         .collect();
-    let (gb_pattern, ids) = right_pattern.paths(subject, &targets)?;
-    let ordering = order.map(|(_, direction)| GroupOrder {
-        label: ids[1],
-        direction,
-    });
-    let group_plan = Plan::GroupBy {
-        input: Box::new(input_plan),
-        pattern: gb_pattern,
-        basis: vec![BasisItem::content(ids[0])],
-        ordering: ordering.into_iter().collect(),
-    };
+    let (pattern, ids) = right_pattern.paths(subject, &targets)?;
+    let basis = vec![BasisItem::content(ids[0])];
+    let (member, extract) = right_pattern.paths(subject, &[extract])?;
 
-    // Step 3/4: the final projection over group trees (Fig. 5d); for the
-    // count variant, an aggregation first inserts the member count.
-    let subject_tag = right_pattern
-        .node(subject)
-        .pred
-        .required_tag()
-        .unwrap_or("*")
-        .to_owned();
-    let join_tag = right_pattern
-        .node(join_node)
-        .pred
-        .required_tag()
-        .unwrap_or("*")
-        .to_owned();
-
-    let mut fp = PatternTree::with_root(Pred::tag(tax::tags::GROUP_ROOT));
-    let basis = fp.add_child(fp.root(), Axis::Child, Pred::tag(tax::tags::GROUPING_BASIS));
-    let key = fp.add_child(basis, Axis::Child, Pred::tag(join_tag));
-    let pl = vec![ProjectItem::shallow(fp.root()), ProjectItem::deep(key)];
-
-    let (plan_before_project, fp, pl) = if let Some((func, agg_tag)) = agg {
-        // Aggregate over the extracted values within each group:
-        // TAX_group_root / subroot / subject / … / extract.
-        let mut agg_pattern = PatternTree::with_root(Pred::tag(tax::tags::GROUP_ROOT));
-        let subroot = agg_pattern.add_child(
-            agg_pattern.root(),
-            Axis::Child,
-            Pred::tag(tax::tags::GROUP_SUBROOT),
-        );
-        let member = agg_pattern.add_child(subroot, Axis::Child, Pred::tag(subject_tag));
-        let mut prev = member;
-        for pid in path_between(right_pattern, subject, extract) {
-            prev = agg_pattern.add_child(
-                prev,
-                right_pattern.node(pid).axis,
-                right_pattern.node(pid).pred.clone(),
-            );
-        }
-        let agg_plan = Plan::Aggregate {
-            input: Box::new(group_plan),
-            pattern: agg_pattern,
+    let grouped = match agg {
+        Some((func, new_tag)) => Plan::Rollup {
+            input,
+            pattern,
+            basis,
+            member_pattern: member,
+            of: extract[0],
             func,
-            of: prev,
-            new_tag: agg_tag.clone(),
-            spec: UpdateSpec::AfterLastChild(0),
-        };
-        let mut fp = fp;
-        let agg_node = fp.add_child(fp.root(), Axis::Child, Pred::tag(agg_tag));
-        let mut pl = pl;
-        pl.push(ProjectItem::deep(agg_node));
-        (agg_plan, fp, pl)
-    } else {
-        // Extract the RETURN node from inside the group members:
-        // subroot -pc-> subject -…-> extract.
-        let mut fp = fp;
-        let subroot = fp.add_child(fp.root(), Axis::Child, Pred::tag(tax::tags::GROUP_SUBROOT));
-        let member = fp.add_child(subroot, Axis::Child, Pred::tag(subject_tag));
-        let mut pl = pl;
-        let mut prev = member;
-        for pid in path_between(right_pattern, subject, extract) {
-            prev = fp.add_child(
-                prev,
-                right_pattern.node(pid).axis,
-                right_pattern.node(pid).pred.clone(),
-            );
+            new_tag,
+            flat: true,
+        },
+        None => {
+            let ordering = order.map(|(_, direction)| GroupOrder {
+                label: ids[1],
+                direction,
+            });
+            let group = Plan::GroupBy {
+                input,
+                pattern,
+                basis,
+                ordering: ordering.into_iter().collect(),
+            };
+            // Step 3: the final projection over group trees (Fig. 5d):
+            // the root, its key, and each member's RETURN nodes.
+            let join_tag = right_pattern.node(join_node).pred.required_tag();
+            let mut fp = PatternTree::with_root(Pred::tag(tags::GROUP_ROOT));
+            let wrapper = fp.add_child(0, Axis::Child, Pred::tag(tags::GROUPING_BASIS));
+            let key = fp.add_child(wrapper, Axis::Child, Pred::tag(join_tag.unwrap_or("*")));
+            let subroot = fp.add_child(0, Axis::Child, Pred::tag(tags::GROUP_SUBROOT));
+            let out = graft(&mut fp, subroot, &member)[extract[0]];
+            Plan::Project {
+                input: Box::new(group),
+                pattern: fp,
+                pl: vec![
+                    ProjectItem::shallow(0),
+                    ProjectItem::deep(key),
+                    ProjectItem::deep(out),
+                ],
+                anchor_root: true,
+            }
         }
-        pl.push(ProjectItem::deep(prev));
-        (group_plan, fp, pl)
     };
-
     Some(Plan::Rename {
-        input: Box::new(Plan::Project {
-            input: Box::new(plan_before_project),
-            pattern: fp,
-            pl,
-            anchor_root: true,
-        }),
+        input: Box::new(grouped),
         tag: tag.to_owned(),
     })
 }
 
-/// Node ids strictly between `from` (exclusive) and `to` (inclusive),
-/// walking parent links from `to`.
-fn path_between(
-    pattern: &PatternTree,
-    from: PatternNodeId,
-    to: PatternNodeId,
-) -> Vec<PatternNodeId> {
-    let mut path = vec![to];
-    let mut cur = to;
-    while let Some(parent) = pattern.node(cur).parent {
-        if parent == from {
-            path.reverse();
-            return path;
-        }
-        path.push(parent);
-        cur = parent;
-    }
-    // `from` is not an ancestor; return just `to` (callers guard this).
-    vec![to]
-}
-
-/// Rollup fusion: an `Aggregate` whose only input is a `GroupBy`, with
-/// the grouped trees not otherwise consumed, fuses into one streaming
-/// [`Plan::Rollup`] that never materializes the group trees.
-///
-/// The rule keys on the exact pipeline the grouping rewrite emits —
-/// `Project ∘ Aggregate ∘ GroupBy` with the `Project` as the pair's sole
-/// consumer — and checks everything the substitution's byte-identity
-/// argument needs:
-///
-/// * the consuming projection anchors at tree roots, its pattern root is
-///   exactly `Tag(TAX_group_root)`, and every pattern node carries a
-///   required tag that is **not** `TAX_group_subroot`, reached by a `pc`
-///   edge — so no binding can ever descend into the member subtree,
-///   which is the only part of a group tree the rollup omits;
-/// * the aggregate pattern is the canonical member walk
-///   `TAX_group_root -pc-> TAX_group_subroot -pc-> member …`, its update
-///   spec appends at the group root, and the aggregated label lies
-///   inside the member subtree — so it re-anchors cleanly at the input
-///   trees (inside a group tree, the member label binds exactly the
-///   subroot's member children, i.e. the input trees themselves);
-/// * the `GroupBy` has no ordering list: members then accumulate in
-///   witness arrival order, and the rollup's running folds replay the
-///   materialized kernel's value sequence bit for bit (floating-point
-///   folds are order-sensitive).
-///
-/// Undefined aggregates need no special case: the materialized
-/// `Aggregate` passes such group trees through without the value child
-/// and the projection drops them; the rollup emits the group without the
-/// value child and the same projection drops it too.
-pub struct RollupFuseRule;
-
-impl Rule for RollupFuseRule {
-    fn name(&self) -> &'static str {
-        "rollup-fuse"
-    }
-
-    fn apply(&self, plan: &Plan) -> Option<Plan> {
-        let f = fusable(plan)?;
-        let flat = f.basis.len() == 1 && f.projection_is_flat_shape();
-        let rollup = Plan::Rollup {
-            input: Box::new(f.input.clone()),
-            pattern: f.gb_pattern.clone(),
-            basis: f.basis.to_vec(),
-            member_pattern: f.member_pattern,
-            of: f.of,
-            func: f.func,
-            new_tag: f.new_tag.to_owned(),
-            flat,
+/// Copy `sub` under `at` in `into`, its root a `pc` child; returns the
+/// ids its nodes got there.
+fn graft(into: &mut PatternTree, at: PatternNodeId, sub: &PatternTree) -> Vec<PatternNodeId> {
+    let mut ids = Vec::with_capacity(sub.len());
+    for (_, node) in sub.iter() {
+        let (parent, axis) = match node.parent {
+            Some(p) => (ids[p], node.axis),
+            None => (at, Axis::Child),
         };
-        Some(if flat {
-            rollup
-        } else {
-            Plan::Project {
-                input: Box::new(rollup),
-                pattern: f.pattern.clone(),
-                pl: f.pl.to_vec(),
-                anchor_root: true,
-            }
-        })
+        ids.push(into.add_child(parent, axis, node.pred.clone()));
     }
-}
-
-/// A `Project ∘ Aggregate ∘ GroupBy` pipeline that passed every guard
-/// of the [`RollupFuseRule`] substitution argument, taken apart into
-/// what a fused [`Plan::Rollup`] / [`Plan::Cube`] is built from.
-struct Fusable<'a> {
-    /// The consuming projection.
-    pattern: &'a PatternTree,
-    pl: &'a [ProjectItem],
-    /// The `GroupBy`'s input, pattern and basis.
-    input: &'a Plan,
-    gb_pattern: &'a PatternTree,
-    basis: &'a [BasisItem],
-    /// The aggregate, re-anchored at the member trees.
-    member_pattern: PatternTree,
-    of: PatternNodeId,
-    func: tax::ops::aggregate::AggFunc,
-    new_tag: &'a str,
-}
-
-/// Decompose `plan` as a fusable pipeline, or `None` when its shape or
-/// any guard listed on [`RollupFuseRule`] fails.
-fn fusable(plan: &Plan) -> Option<Fusable<'_>> {
-    let Plan::Project {
-        input,
-        pattern,
-        pl,
-        anchor_root: true,
-    } = plan
-    else {
-        return None;
-    };
-    let Plan::Aggregate {
-        input: agg_input,
-        pattern: agg_pattern,
-        func,
-        of,
-        new_tag,
-        spec,
-    } = input.as_ref()
-    else {
-        return None;
-    };
-    let Plan::GroupBy {
-        input: gb_input,
-        pattern: gb_pattern,
-        basis,
-        ordering,
-    } = agg_input.as_ref()
-    else {
-        return None;
-    };
-    if !ordering.is_empty() {
-        return None;
-    }
-
-    // The consumer must be provably blind to the member subtree.
-    let proot = pattern.root();
-    if !matches!(&pattern.node(proot).pred, Pred::Tag(t) if t == tags::GROUP_ROOT) {
-        return None;
-    }
-    for (id, node) in pattern.iter() {
-        let tag = node.pred.required_tag()?;
-        if tag == tags::GROUP_SUBROOT {
-            return None;
-        }
-        if id != proot && node.axis != Axis::Child {
-            return None;
-        }
-    }
-
-    // The aggregate must walk root → subroot → member and append its
-    // value at the group root.
-    let aroot = agg_pattern.root();
-    if *spec != UpdateSpec::AfterLastChild(aroot) {
-        return None;
-    }
-    if !matches!(&agg_pattern.node(aroot).pred, Pred::Tag(t) if t == tags::GROUP_ROOT) {
-        return None;
-    }
-    let [subroot] = agg_pattern.node(aroot).children[..] else {
-        return None;
-    };
-    if agg_pattern.node(subroot).axis != Axis::Child
-        || !matches!(&agg_pattern.node(subroot).pred, Pred::Tag(t) if t == tags::GROUP_SUBROOT)
-    {
-        return None;
-    }
-    let [member] = agg_pattern.node(subroot).children[..] else {
-        return None;
-    };
-    if agg_pattern.node(member).axis != Axis::Child {
-        return None;
-    }
-    let (member_pattern, mapping) = agg_pattern.subtree_pattern(member);
-    let of = (*mapping.get(*of)?)?;
-    Some(Fusable {
-        pattern,
-        pl,
-        input: gb_input,
-        gb_pattern,
-        basis,
-        member_pattern,
-        of,
-        func: *func,
-        new_tag,
-    })
-}
-
-impl Fusable<'_> {
-    /// True when the consuming projection is exactly the canonical flat
-    /// reshape `root { basis-wrapper { key_1 … key_k }, aggregate }` over
-    /// the `k` basis items — the shape the fused kernels emit directly,
-    /// so the `Project` node can disappear. Requires all of:
-    ///
-    /// * every basis item is content-valued, so the basis wrapper holds
-    ///   exactly the bound key nodes, whose subtrees the kernel copies
-    ///   verbatim (identical to the projection's deep copy);
-    /// * the pattern is exactly `3 + k` nodes
-    ///   `root { wrapper { key_1 … key_k }, agg }` with bare-`Tag`
-    ///   predicates: the wrapper is `TAX_grouping_basis`, the key tags
-    ///   are the basis nodes' required tags in basis order and pairwise
-    ///   distinct (every emitted wrapper holds exactly one child per
-    ///   tag, so each key binding exists and is unique), and the
-    ///   aggregate tag is `new_tag` (bound iff the aggregate is defined —
-    ///   the flat kernel drops undefined groups just as the projection
-    ///   drops trees with no aggregate binding);
-    /// * the projection list is exactly `[shallow(root), deep(key_1), …,
-    ///   deep(key_k), deep(agg)]` — a fresh shallow group root with the
-    ///   key subtrees and value element appended in order, which is the
-    ///   flat tree.
-    fn projection_is_flat_shape(&self) -> bool {
-        let (pattern, basis) = (self.pattern, self.basis);
-        if basis.is_empty() || basis.iter().any(|b| b.attr.is_some()) {
-            return false;
-        }
-        let Some(key_tags) = basis
-            .iter()
-            .map(|b| self.gb_pattern.node(b.label).pred.required_tag())
-            .collect::<Option<Vec<_>>>()
-        else {
-            return false;
-        };
-        for (i, t) in key_tags.iter().enumerate() {
-            if key_tags[..i].contains(t) {
-                return false;
-            }
-        }
-        if pattern.iter().count() != 3 + basis.len() {
-            return false;
-        }
-        let proot = pattern.root();
-        let [wrapper, agg] = pattern.node(proot).children[..] else {
-            return false;
-        };
-        if !matches!(&pattern.node(wrapper).pred, Pred::Tag(t) if t == tags::GROUPING_BASIS) {
-            return false;
-        }
-        if !matches!(&pattern.node(agg).pred, Pred::Tag(t) if t == self.new_tag)
-            || !pattern.node(agg).children.is_empty()
-        {
-            return false;
-        }
-        let keys = &pattern.node(wrapper).children[..];
-        if keys.len() != basis.len() {
-            return false;
-        }
-        for (&key, tag) in keys.iter().zip(&key_tags) {
-            if !matches!(&pattern.node(key).pred, Pred::Tag(t) if t == tag)
-                || !pattern.node(key).children.is_empty()
-            {
-                return false;
-            }
-        }
-        let mut expect = vec![ProjectItem::shallow(proot)];
-        expect.extend(keys.iter().map(|&k| ProjectItem::deep(k)));
-        expect.push(ProjectItem::deep(agg));
-        *self.pl == expect
-    }
-}
-
-/// Cube fusion: the `Union` of per-level `Project ∘ Aggregate ∘ GroupBy`
-/// pipelines emitted by a `CUBE BY` translation collapses into one
-/// [`Plan::Cube`] scan that accumulates every lattice level at once.
-///
-/// Per branch the rule re-runs the [`RollupFuseRule`] substitution
-/// argument — consumer blind to the member subtree, canonical aggregate
-/// walk, unordered `GroupBy` — and additionally requires the consuming
-/// projection to be exactly the *multi-key flat* reshape
-/// `root { wrapper { key_1 … key_k }, value }` with projection list
-/// `[shallow(root), deep(key_1), …, deep(key_k), deep(value)]`, because
-/// the cube kernel only emits the flat shape. Across branches it
-/// requires:
-///
-/// * branch `k` (1-based) groups on exactly the first `k` items of the
-///   last branch's basis — the prefix chain of the lattice;
-/// * every branch shares the same grouping pattern, member pattern,
-///   aggregated label, function, and value tag;
-/// * every branch consumes the same input plan (compared by rendered
-///   plan text, since plans carry no structural equality).
-///
-/// Under those guards the cube's level-`k` accumulation *is* the flat
-/// rollup of branch `k` — same witness stream (identical pattern and
-/// input), same prefix keys, same fold order — so the fused output
-/// matches the union byte for byte. When any guard fails the rule
-/// backs off and [`RollupFuseRule`] fuses the branches individually.
-pub struct CubeFuseRule;
-
-impl Rule for CubeFuseRule {
-    fn name(&self) -> &'static str {
-        "cube-fuse"
-    }
-
-    fn apply(&self, plan: &Plan) -> Option<Plan> {
-        let Plan::Union { inputs } = plan else {
-            return None;
-        };
-        if inputs.len() < 2 {
-            return None;
-        }
-        // The cube kernel only emits the flat shape, so per branch the
-        // flat projection is mandatory, not an optimization.
-        let branches: Vec<Fusable<'_>> = inputs
-            .iter()
-            .map(|b| fusable(b).filter(Fusable::projection_is_flat_shape))
-            .collect::<Option<Vec<_>>>()?;
-        let full = branches.last()?;
-        if full.basis.len() != branches.len() {
-            return None;
-        }
-        let input_text = full.input.explain();
-        for (i, b) in branches.iter().enumerate() {
-            if b.basis != &full.basis[..i + 1] {
-                return None;
-            }
-            if b.gb_pattern != full.gb_pattern
-                || b.member_pattern != full.member_pattern
-                || b.of != full.of
-                || b.func != full.func
-                || b.new_tag != full.new_tag
-            {
-                return None;
-            }
-            if i + 1 < branches.len() && b.input.explain() != input_text {
-                return None;
-            }
-        }
-        Some(Plan::Cube {
-            input: Box::new(full.input.clone()),
-            pattern: full.gb_pattern.clone(),
-            basis: full.basis.to_vec(),
-            member_pattern: full.member_pattern.clone(),
-            of: full.of,
-            func: full.func,
-            new_tag: full.new_tag.to_owned(),
-        })
-    }
+    ids
 }
 
 /// Projection pruning: in a `Project` applied directly over a `SelectDb`
@@ -1066,75 +678,47 @@ mod tests {
     "#;
 
     #[test]
-    fn rollup_fuse_fires_on_the_count_pipeline() {
+    fn count_rewrites_to_a_flat_rollup() {
+        // Sec. 4.3's `Project ∘ Aggregate ∘ GroupBy` is emitted as the one
+        // operator it means; no rule takes a pipeline apart afterwards.
         let (plan, trace) = optimize(naive(QUERY_COUNT));
-        assert!(trace.fired("groupby-rewrite"), "{:?}", trace.firings);
-        assert!(trace.fired("rollup-fuse"), "{:?}", trace.firings);
+        let fired: Vec<&str> = trace.firings.iter().map(|f| f.rule).collect();
+        assert_eq!(
+            fired,
+            ["groupby-rewrite", "projection-prune", "select-project-fuse"]
+        );
         let text = plan.explain();
-        assert!(text.contains("Rollup Count"), "{text}");
-        assert!(!text.contains("GroupBy"), "{text}");
-        assert!(!text.contains("Aggregate"), "{text}");
-        // Both fire in the first pass, grouping rewrite before fusion.
-        let order: Vec<&str> = trace.firings.iter().map(|f| f.rule).collect();
-        let gb = order.iter().position(|r| *r == "groupby-rewrite").unwrap();
-        let ru = order.iter().position(|r| *r == "rollup-fuse").unwrap();
-        assert!(gb < ru, "{order:?}");
+        let lines: Vec<&str> = text.lines().map(str::trim_start).collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert_eq!(lines[0], "Rename to <authorpubs>");
+        assert!(
+            lines[1].starts_with("Rollup Count(member $2) as <count> flat "),
+            "{text}"
+        );
+        assert!(lines[2].starts_with("SelectProject"), "{text}");
     }
 
     #[test]
-    fn rollup_fuse_skips_plans_that_keep_the_group_trees() {
-        // QUERY1 groups without aggregating: its projection extracts the
-        // member titles through TAX_group_subroot, so the group trees
-        // are consumed and fusion must not fire.
-        let (plan, trace) = optimize(naive(QUERY1));
-        assert!(!trace.fired("rollup-fuse"), "{:?}", trace.firings);
-        assert!(plan.explain().contains("GroupBy"));
-    }
-
-    #[test]
-    fn materializing_optimizer_keeps_aggregate_over_groupby() {
-        let (plan, trace) = Optimizer::materializing().optimize(naive(QUERY_COUNT));
-        assert!(trace.fired("groupby-rewrite"));
-        assert!(!trace.fired("rollup-fuse"));
-        let text = plan.explain();
-        assert!(text.contains("Aggregate Count"), "{text}");
-        assert!(text.contains("GroupBy"), "{text}");
-    }
-
-    #[test]
-    fn rollup_fuse_refuses_an_ordered_groupby() {
-        // Inject an ordering list into the fused pair's GroupBy: the
-        // rollup's running floating-point folds are only bit-identical
-        // in witness arrival order, so the rule must back off.
-        let naive_plan = naive(QUERY_COUNT);
-        let (plan, _) =
-            Optimizer::with_rules(vec![Box::new(GroupByRewriteRule)]).optimize(naive_plan);
-        fn add_ordering(plan: Plan) -> Plan {
-            if let Plan::GroupBy {
-                input,
-                pattern,
-                basis,
-                ..
-            } = plan
-            {
-                let label = basis[0].label;
-                return Plan::GroupBy {
-                    input,
-                    pattern,
-                    basis,
-                    ordering: vec![tax::ops::groupby::GroupOrder {
-                        label,
-                        direction: tax::ops::groupby::Direction::Ascending,
-                    }],
-                };
-            }
-            map_children(plan, &mut add_ordering)
-        }
-        let ordered = add_ordering(plan);
-        let (fused, trace) =
-            Optimizer::with_rules(vec![Box::new(RollupFuseRule)]).optimize(ordered);
-        assert!(!trace.fired("rollup-fuse"), "{:?}", trace.firings);
-        assert!(fused.explain().contains("GroupBy"));
+    fn the_rewrite_declines_an_aggregate_with_an_ordering() {
+        // `translate` never orders a LET aggregate; a hand-built plan that
+        // does keeps its join.
+        let mut plan = naive(QUERY_COUNT);
+        let Plan::StitchConstruct {
+            inner: Some(join), ..
+        } = &mut plan
+        else {
+            panic!("{plan:?}")
+        };
+        let Plan::LeftOuterJoinDb {
+            right_extract,
+            order,
+            ..
+        } = &mut **join
+        else {
+            panic!("{join:?}")
+        };
+        *order = Some((*right_extract, Direction::Ascending));
+        assert!(GroupByRewriteRule.apply(&plan).is_none());
     }
 
     const QUERY_CUBE: &str = r#"
@@ -1144,96 +728,32 @@ mod tests {
     "#;
 
     #[test]
-    fn cube_fuse_collapses_the_lattice_union() {
+    fn a_three_dimension_cube_is_one_cube_over_one_scan() {
         let (plan, trace) = optimize(naive(QUERY_CUBE));
-        assert!(trace.fired("cube-fuse"), "{:?}", trace.firings);
-        assert!(!trace.fired("rollup-fuse"), "{:?}", trace.firings);
-        let text = plan.explain();
-        assert!(text.contains("Cube Count"), "{text}");
-        assert!(text.contains("levels=3"), "{text}");
-        assert!(!text.contains("Union"), "{text}");
-        assert!(!text.contains("GroupBy"), "{text}");
-        assert!(!text.contains("Aggregate"), "{text}");
-        // The shared scan below the cube still gets select/project fused.
-        assert!(text.contains("SelectProject"), "{text}");
+        let fired: Vec<&str> = trace.firings.iter().map(|f| f.rule).collect();
+        assert_eq!(fired, ["projection-prune", "select-project-fuse"]);
+        assert_eq!(
+            plan.explain(),
+            "Rename to <pubs>\n  \
+             Cube Count(member $2) as <count> levels=3 \
+             pattern=[$1:article, $1-pc->$2:journal, $1-pc->$3:year, $1-pc->$4:author] \
+             basis=[\"$2.content\", \"$3.content\", \"$4.content\"] \
+             member=[$1:article, $1-pc->$2:title]\n    \
+             SelectProject pattern=[$1:article] SL=[\"$1\"] PL=[\"$1*\"]\n"
+        );
     }
 
     #[test]
-    fn materializing_optimizer_keeps_the_lattice_union() {
-        let (plan, trace) = Optimizer::materializing().optimize(naive(QUERY_CUBE));
-        assert!(!trace.fired("cube-fuse"), "{:?}", trace.firings);
+    fn a_one_dimension_cube_is_a_one_level_cube() {
+        let q = r#"FOR $b IN document("bib.xml")//article CUBE BY $b/journal
+                   RETURN <pubs> {count($b/title)} </pubs>"#;
+        let (plan, _) = optimize(naive(q));
         let text = plan.explain();
-        assert!(text.contains("Union (3 branches)"), "{text}");
-        assert_eq!(text.matches("GroupBy").count(), 3, "{text}");
-        assert!(!text.contains("Cube"), "{text}");
-    }
-
-    #[test]
-    fn cube_fuse_degrades_to_per_branch_rollups_when_a_guard_fails() {
-        // Order one branch's GroupBy: cube-fuse must back off entirely,
-        // and rollup-fuse then fuses the still-unordered branches — the
-        // graceful-degradation path.
-        fn order_first_level(plan: Plan) -> Plan {
-            if let Plan::GroupBy {
-                input,
-                pattern,
-                basis,
-                ordering,
-            } = plan
-            {
-                let ordering = if basis.len() == 1 {
-                    vec![tax::ops::groupby::GroupOrder {
-                        label: basis[0].label,
-                        direction: tax::ops::groupby::Direction::Ascending,
-                    }]
-                } else {
-                    ordering
-                };
-                return Plan::GroupBy {
-                    input,
-                    pattern,
-                    basis,
-                    ordering,
-                };
-            }
-            map_children(plan, &mut order_first_level)
-        }
-        let (plan, trace) = optimize(order_first_level(naive(QUERY_CUBE)));
-        assert!(!trace.fired("cube-fuse"), "{:?}", trace.firings);
-        assert!(trace.fired("rollup-fuse"), "{:?}", trace.firings);
-        let text = plan.explain();
-        assert!(text.contains("Union (3 branches)"), "{text}");
-        assert_eq!(text.matches("Rollup Count").count(), 2, "{text}");
-        assert_eq!(text.matches("GroupBy").count(), 1, "{text}");
-    }
-
-    #[test]
-    fn cube_fuse_requires_prefix_bases_and_shared_scans() {
-        let Plan::Rename { input, .. } = naive(QUERY_CUBE) else {
-            panic!()
-        };
-        let Plan::Union { inputs } = *input else {
-            panic!()
-        };
-        assert!(CubeFuseRule
-            .apply(&Plan::Union {
-                inputs: inputs.clone()
-            })
-            .is_some());
-        // Dropping the middle level breaks the prefix chain.
-        let gappy = vec![inputs[0].clone(), inputs[2].clone()];
-        assert!(CubeFuseRule.apply(&Plan::Union { inputs: gappy }).is_none());
-        // A single branch is not a lattice.
-        let single = vec![inputs[2].clone()];
-        assert!(CubeFuseRule
-            .apply(&Plan::Union { inputs: single })
-            .is_none());
-        // Reordered levels are not a prefix chain either.
-        let mut reversed = inputs;
-        reversed.reverse();
-        assert!(CubeFuseRule
-            .apply(&Plan::Union { inputs: reversed })
-            .is_none());
+        assert!(
+            text.contains("Cube Count(member $2) as <count> levels=1 "),
+            "{text}"
+        );
+        assert!(!text.contains("Rollup"), "{text}");
     }
 
     #[test]

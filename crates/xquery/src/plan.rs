@@ -1,9 +1,10 @@
 //! Logical TAX plans.
 //!
 //! A [`Plan`] is a tree of algebra operators over the stored database.
-//! The translator emits the *naive* plan of Sec. 4.1; the rewriter
-//! replaces the join pipeline with a `GROUPBY` pipeline. The evaluator
-//! (in the `timber` crate) interprets either.
+//! The translator emits the *naive* plan of Sec. 4.1 (a `CUBE BY` query
+//! straight as a [`Plan::Cube`]); the rewriter replaces the join pipeline
+//! with a `GROUPBY` pipeline, or a [`Plan::Rollup`] for the count
+//! variant. The evaluator (in the `timber` crate) interprets either.
 
 use std::fmt::Write;
 use tax::ops::aggregate::{AggFunc, UpdateSpec};
@@ -103,13 +104,12 @@ pub enum Plan {
         /// Where to insert it.
         spec: UpdateSpec,
     },
-    /// Fused grouped aggregation (the `rollup-fuse` rewrite of
-    /// `Aggregate` over `GroupBy`): hash-accumulate per-basis-key
-    /// aggregate state directly from the input scan, never building the
-    /// grouped member trees. Emits `TAX_group_root { TAX_grouping_basis
-    /// {…}, <new_tag>value</new_tag> }` per group in first-witness
-    /// order — byte-identical to the materialized pair for any consumer
-    /// that never binds `TAX_group_subroot`.
+    /// Grouped aggregation (Sec. 4.3's count variant as one operator):
+    /// the grouping rewrite emits it where the paper's plan is `Project ∘
+    /// Aggregate ∘ GroupBy`. It folds each input tree's contribution into
+    /// running per-basis-key aggregate state, never building the grouped
+    /// member trees, and emits `TAX_group_root { <key>, <new_tag>value
+    /// </new_tag> }` per group in first-witness order.
     Rollup {
         /// Input plan.
         input: Box<Plan>,
@@ -117,8 +117,8 @@ pub enum Plan {
         pattern: PatternTree,
         /// Grouping basis.
         basis: Vec<BasisItem>,
-        /// The member-side aggregate pattern, re-anchored at the input
-        /// trees (the `Aggregate` pattern's subtree below the member).
+        /// The aggregate's pattern, rooted at the input trees (the
+        /// subject → aggregated-node path).
         member_pattern: PatternTree,
         /// Label in `member_pattern` whose contents are aggregated.
         of: PatternNodeId,
@@ -126,27 +126,15 @@ pub enum Plan {
         func: AggFunc,
         /// Name of the element carrying the computed value.
         new_tag: String,
-        /// Flat output shape: the rollup also absorbed the downstream
-        /// projection, emitting `TAX_group_root { <key>, <new_tag>v
-        /// </new_tag> }` with no basis wrapper and dropping groups whose
-        /// aggregate is undefined (the projection would have dropped
-        /// them via the unbound optional aggregate child).
+        /// Flat output shape, the final projection pre-applied: no basis
+        /// wrapper, and a group whose aggregate is undefined is dropped.
+        /// The rewrite always sets it.
         flat: bool,
     },
-    /// Collection concatenation: the inputs' outputs in order. The cube
-    /// translation emits one branch per lattice level; `cube-fuse`
-    /// replaces the whole union with a single [`Plan::Cube`] scan when
-    /// its guards hold.
-    Union {
-        /// The branches, in output order.
-        inputs: Vec<Plan>,
-    },
-    /// The grouping lattice (the `cube-fuse` rewrite of a `Union` of
-    /// per-level `Project ∘ Aggregate ∘ GroupBy` pipelines): one scan
-    /// computes the aggregate at **every** prefix of the basis,
-    /// emitting per level the flat rollup shape
-    /// `TAX_group_root { key…, <new_tag>value</new_tag> }`, levels
-    /// coarsest-first — the bytes of the union it replaces.
+    /// The grouping lattice (`CUBE BY`): one scan computes the aggregate
+    /// at **every** prefix of the basis, emitting per level the flat
+    /// rollup shape `TAX_group_root { key…, <new_tag>value</new_tag> }`,
+    /// levels coarsest-first.
     Cube {
         /// Input plan (shared by every level).
         input: Box<Plan>,
@@ -154,8 +142,8 @@ pub enum Plan {
         pattern: PatternTree,
         /// The full ordered basis; level `k` groups on `basis[..k]`.
         basis: Vec<BasisItem>,
-        /// The member-side aggregate pattern, re-anchored at the input
-        /// trees (as in [`Plan::Rollup`]).
+        /// The aggregate's pattern, rooted at the input trees (as in
+        /// [`Plan::Rollup`]).
         member_pattern: PatternTree,
         /// Label in `member_pattern` whose contents are aggregated.
         of: PatternNodeId,
@@ -286,15 +274,7 @@ impl Plan {
                 basis,
                 ordering,
             } => {
-                let bs: Vec<String> = basis
-                    .iter()
-                    .map(|b| match &b.attr {
-                        Some(a) => format!("${}.{a}", b.label + 1),
-                        None => {
-                            format!("${}{}.content", b.label + 1, if b.deep { "*" } else { "" })
-                        }
-                    })
-                    .collect();
+                let bs = basis_summary(basis);
                 let os: Vec<String> = ordering
                     .iter()
                     .map(|o| format!("${} {:?}", o.label + 1, o.direction))
@@ -326,15 +306,7 @@ impl Plan {
                 new_tag,
                 flat,
             } => {
-                let bs: Vec<String> = basis
-                    .iter()
-                    .map(|b| match &b.attr {
-                        Some(a) => format!("${}.{a}", b.label + 1),
-                        None => {
-                            format!("${}{}.content", b.label + 1, if b.deep { "*" } else { "" })
-                        }
-                    })
-                    .collect();
+                let bs = basis_summary(basis);
                 let _ = writeln!(
                     out,
                     "{pad}Rollup {func:?}(member ${}) as <{new_tag}>{} pattern={} basis={bs:?} member={}",
@@ -345,12 +317,6 @@ impl Plan {
                 );
                 input.explain_into(out, depth + 1);
             }
-            Plan::Union { inputs } => {
-                let _ = writeln!(out, "{pad}Union ({} branches)", inputs.len());
-                for i in inputs {
-                    i.explain_into(out, depth + 1);
-                }
-            }
             Plan::Cube {
                 input,
                 pattern,
@@ -360,15 +326,7 @@ impl Plan {
                 func,
                 new_tag,
             } => {
-                let bs: Vec<String> = basis
-                    .iter()
-                    .map(|b| match &b.attr {
-                        Some(a) => format!("${}.{a}", b.label + 1),
-                        None => {
-                            format!("${}{}.content", b.label + 1, if b.deep { "*" } else { "" })
-                        }
-                    })
-                    .collect();
+                let bs = basis_summary(basis);
                 let _ = writeln!(
                     out,
                     "{pad}Cube {func:?}(member ${}) as <{new_tag}> levels={} pattern={} basis={bs:?} member={}",
@@ -417,7 +375,6 @@ impl Plan {
             | Plan::DupElim { input, .. }
             | Plan::Aggregate { input, .. }
             | Plan::Rename { input, .. } => input.uses_groupby(),
-            Plan::Union { inputs } => inputs.iter().any(Plan::uses_groupby),
             Plan::LeftOuterJoinDb { left, .. } => left.uses_groupby(),
             Plan::StitchConstruct { outer, inner, .. } => {
                 outer.uses_groupby() || inner.as_ref().map(|i| i.uses_groupby()).unwrap_or(false)
@@ -434,7 +391,6 @@ impl Plan {
             | Plan::DupElim { input, .. }
             | Plan::Aggregate { input, .. }
             | Plan::Rename { input, .. } => input.uses_join(),
-            Plan::Union { inputs } => inputs.iter().any(Plan::uses_join),
             Plan::GroupBy { input, .. } | Plan::Rollup { input, .. } | Plan::Cube { input, .. } => {
                 input.uses_join()
             }
@@ -443,6 +399,15 @@ impl Plan {
             }
         }
     }
+}
+
+/// A grouping basis as its plan text: `$2.content`, `$2*.content`, `$2.id`.
+fn basis_summary(basis: &[BasisItem]) -> Vec<String> {
+    let item = |b: &BasisItem| match &b.attr {
+        Some(a) => format!("${}.{a}", b.label + 1),
+        None => format!("${}{}.content", b.label + 1, if b.deep { "*" } else { "" }),
+    };
+    basis.iter().map(item).collect()
 }
 
 /// One-line pattern rendering: `doc_root -ad-> article -pc-> author`.

@@ -23,7 +23,7 @@ use crate::ast::*;
 use crate::error::{QueryError, Result};
 use crate::plan::Plan;
 use tax::ops::aggregate::AggFunc;
-use tax::ops::groupby::Direction;
+use tax::ops::groupby::{BasisItem, Direction};
 use tax::ops::project::ProjectItem;
 use tax::pattern::{Axis, PatternNodeId, PatternTree, Pred};
 
@@ -187,13 +187,11 @@ pub fn translate(q: &Flwr) -> Result<Plan> {
     })
 }
 
-/// Translate a `CUBE BY` query into its *composed* form: a `Union` with
-/// one canonical `Project ∘ Aggregate ∘ GroupBy` pipeline per lattice
-/// level, every branch sharing the same full grouping pattern (so the
-/// witness streams are identical) and grouping on the basis prefix
-/// `basis[..k]`. The `cube-fuse` optimizer rule collapses the union
-/// into one [`Plan::Cube`] scan; without it (the materializing
-/// optimizer) the union *is* the byte-identity reference plan.
+/// Translate a `CUBE BY` query: one [`Plan::Cube`] over the scan of the
+/// FOR subjects, grouping on every dimension prefix `basis[..k]` and
+/// aggregating the RETURN path. `CUBE BY` has no paper plan "as
+/// written", so both plan modes run this one; the reference model
+/// defines its bytes.
 fn translate_cube(q: &Flwr, cube: &CubeClause) -> Result<Plan> {
     let PathRoot::Document(_) = q.for_clause.source.root else {
         return Err(QueryError::Unsupported(
@@ -250,8 +248,8 @@ fn translate_cube(q: &Flwr, cube: &CubeClause) -> Result<Plan> {
         ));
     }
 
-    // Distinct dimension leaf tags keep the per-level key projection
-    // unambiguous (each wrapper child binds exactly one pattern node).
+    // Distinct dimension leaf tags keep an output row's key children
+    // apart.
     let mut dim_tags: Vec<&String> = Vec::with_capacity(cube.dims.len());
     for dim in &cube.dims {
         let Some(t) = dim.last() else {
@@ -267,10 +265,10 @@ fn translate_cube(q: &Flwr, cube: &CubeClause) -> Result<Plan> {
         dim_tags.push(t);
     }
 
-    // The shared input scan: one deep subject tree per match of the FOR
-    // path (exactly the grouping rewrite's input shape).
+    // The input scan: one deep subject tree per match of the FOR path
+    // (exactly the grouping rewrite's input shape).
     let (subject_path, subject_in_path) = chain_pattern(&q.for_clause.source.steps);
-    let input_plan = Plan::Project {
+    let input = Plan::Project {
         input: Box::new(Plan::SelectDb {
             pattern: subject_path.clone(),
             sl: vec![subject_in_path],
@@ -279,69 +277,32 @@ fn translate_cube(q: &Flwr, cube: &CubeClause) -> Result<Plan> {
         pl: vec![ProjectItem::deep(subject_in_path)],
         anchor_root: true,
     };
-    let subject_tag = &subject_step.name;
 
-    // The full grouping pattern: subject with every dimension grafted.
-    // Every level matches this same pattern, so a tree participates only
-    // when all dimensions are present (cube semantics) and the witness
-    // streams of all levels coincide.
-    let mut gb_pattern = PatternTree::with_root(Pred::tag(subject_tag.clone()));
-    let gb_root = gb_pattern.root();
-    let basis_full: Vec<tax::ops::groupby::BasisItem> = cube
+    // The grouping pattern: the subject with every dimension grafted, so
+    // a tree participates only when all dimensions are present (cube
+    // semantics). The aggregate's pattern: the subject and its path.
+    let subject = Pred::tag(subject_step.name.clone());
+    let (mut pattern, mut member_pattern) = (
+        PatternTree::with_root(subject.clone()),
+        PatternTree::with_root(subject),
+    );
+    let root = pattern.root();
+    let basis = cube
         .dims
         .iter()
-        .map(|dim| {
-            tax::ops::groupby::BasisItem::content(add_child_chain(&mut gb_pattern, gb_root, dim))
-        })
+        .map(|dim| BasisItem::content(add_child_chain(&mut pattern, root, dim)))
         .collect();
-
-    // The canonical member walk for the aggregate.
-    let mut agg_pattern = PatternTree::with_root(Pred::tag(tax::tags::GROUP_ROOT));
-    let subroot = agg_pattern.add_child(
-        agg_pattern.root(),
-        Axis::Child,
-        Pred::tag(tax::tags::GROUP_SUBROOT),
-    );
-    let member = agg_pattern.add_child(subroot, Axis::Child, Pred::tag(subject_tag.clone()));
-    let of_in_agg = add_child_chain(&mut agg_pattern, member, agg_path);
-
-    let func_tax = agg_func_of(*func);
-    let new_tag = func.name().to_owned();
-    let mut branches = Vec::with_capacity(basis_full.len());
-    for k in 1..=basis_full.len() {
-        let gb = Plan::GroupBy {
-            input: Box::new(input_plan.clone()),
-            pattern: gb_pattern.clone(),
-            basis: basis_full[..k].to_vec(),
-            ordering: vec![],
-        };
-        let agg = Plan::Aggregate {
-            input: Box::new(gb),
-            pattern: agg_pattern.clone(),
-            func: func_tax,
-            of: of_in_agg,
-            new_tag: new_tag.clone(),
-            spec: tax::ops::aggregate::UpdateSpec::AfterLastChild(0),
-        };
-        // The canonical flat reshape: `root { key_1 … key_k, value }`.
-        let mut fp = PatternTree::with_root(Pred::tag(tax::tags::GROUP_ROOT));
-        let wrapper = fp.add_child(fp.root(), Axis::Child, Pred::tag(tax::tags::GROUPING_BASIS));
-        let mut pl = vec![ProjectItem::shallow(fp.root())];
-        for tag in &dim_tags[..k] {
-            let key = fp.add_child(wrapper, Axis::Child, Pred::tag((*tag).clone()));
-            pl.push(ProjectItem::deep(key));
-        }
-        let agg_node = fp.add_child(fp.root(), Axis::Child, Pred::tag(new_tag.clone()));
-        pl.push(ProjectItem::deep(agg_node));
-        branches.push(Plan::Project {
-            input: Box::new(agg),
-            pattern: fp,
-            pl,
-            anchor_root: true,
-        });
-    }
+    let of = add_child_chain(&mut member_pattern, root, agg_path);
     Ok(Plan::Rename {
-        input: Box::new(Plan::Union { inputs: branches }),
+        input: Box::new(Plan::Cube {
+            input: Box::new(input),
+            pattern,
+            basis,
+            member_pattern,
+            of,
+            func: agg_func_of(*func),
+            new_tag: func.name().to_owned(),
+        }),
         tag: constructor.tag.clone(),
     })
 }
@@ -745,47 +706,39 @@ mod tests {
     "#;
 
     #[test]
-    fn cube_translates_to_a_prefix_union() {
+    fn cube_translates_to_one_cube_over_the_subject_scan() {
         let plan = translate(&parse_query(QUERY_CUBE).unwrap()).unwrap();
         let Plan::Rename { input, tag } = &plan else {
             panic!("outer node must rename to the constructor tag")
         };
         assert_eq!(tag, "pubs");
-        let Plan::Union { inputs } = input.as_ref() else {
-            panic!("cube translation is a union of lattice levels")
+        let Plan::Cube {
+            input,
+            pattern,
+            basis,
+            member_pattern,
+            of,
+            ..
+        } = input.as_ref()
+        else {
+            panic!("a cube translates to one Cube: {plan:?}")
         };
-        assert_eq!(inputs.len(), 3, "one branch per dimension prefix");
-        let mut shared_pattern = None;
-        let mut shared_input = None;
-        for (i, branch) in inputs.iter().enumerate() {
-            let Plan::Project { input, .. } = branch else {
-                panic!("branch {i} is not the flat reshape")
-            };
-            let Plan::Aggregate { input, .. } = input.as_ref() else {
-                panic!("branch {i} lacks the aggregate")
-            };
-            let Plan::GroupBy {
-                input,
-                pattern,
-                basis,
-                ordering,
-            } = input.as_ref()
-            else {
-                panic!("branch {i} lacks the grouping")
-            };
-            assert_eq!(basis.len(), i + 1, "branch {i} groups on the prefix");
-            assert!(ordering.is_empty());
-            // Every level shares the full pattern and the same scan, so
-            // the witness streams coincide (and cube-fuse can fire).
-            let text = crate::plan::pattern_summary(pattern);
-            assert_eq!(*shared_pattern.get_or_insert_with(|| text.clone()), text);
-            let scan = input.explain();
-            assert_eq!(*shared_input.get_or_insert_with(|| scan.clone()), scan);
-        }
         assert_eq!(
-            shared_pattern.unwrap(),
+            crate::plan::pattern_summary(pattern),
             "[$1:article, $1-pc->$2:journal, $1-pc->$3:year, $1-pc->$4:author]"
         );
+        let labels: Vec<usize> = basis.iter().map(|b| b.label).collect();
+        assert_eq!(labels, [1, 2, 3], "one level per dimension prefix");
+        assert_eq!(
+            crate::plan::pattern_summary(member_pattern),
+            "[$1:article, $1-pc->$2:title]"
+        );
+        assert_eq!(*of, 1);
+        // The input is the subject scan, as the grouping rewrite's.
+        assert!(matches!(
+            input.as_ref(),
+            Plan::Project { input, .. } if matches!(input.as_ref(), Plan::SelectDb { .. })
+        ));
     }
 
     #[test]

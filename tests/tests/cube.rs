@@ -1,8 +1,7 @@
-//! Differential suite for the grouping lattice: under
-//! `PlanMode::GroupByRewrite` a `CUBE BY` query fuses into the one-scan
-//! `Plan::Cube`, and its serialized output must be the bytes the
-//! reference model evaluates the query to, as must the composed
-//! per-level union the direct mode runs: for every aggregate function,
+//! Differential suite for the grouping lattice: a `CUBE BY` query
+//! translates to the one-scan `Plan::Cube` in both plan modes, and its
+//! serialized output must be the bytes the reference model evaluates the
+//! query to: for every aggregate function,
 //! across the batch CI matrix (`TIMBER_TEST_BATCH`), on random ragged
 //! bibliographies where an author's name sits at varying depths, and
 //! under seeded fault schedules (correct-or-typed-error).
@@ -41,37 +40,37 @@ const CUBE_DB: &str = "<bib>\
 
 #[test]
 fn every_cube_query_fuses_to_one_scan() {
+    // All prefix levels come from one `Cube` over one scan, in both
+    // modes; the optimizer only prunes and fuses the scan below it.
     let db = TimberDb::load_xml(CUBE_DB, &StoreOptions::in_memory()).unwrap();
     for func in FUNCS {
         let query = cube_query(func);
-        let (plan, _, trace) = db.compile_traced(&query, PlanMode::GroupByRewrite).unwrap();
-        assert!(trace.fired("cube-fuse"), "{func}: {}", trace.render());
-        let text = plan.explain();
-        assert!(text.contains("Cube"), "{text}");
-        assert!(!text.contains("Union"), "{text}");
-        assert!(!text.contains("GroupBy"), "{text}");
-        // The direct mode runs the translator's composed per-level union.
-        let (plan, _) = db.compile(&query, PlanMode::Direct).unwrap();
-        let text = plan.explain();
-        assert!(text.contains("Union (3 branches)"), "{text}");
-        assert!(!text.contains("Cube"), "{text}");
+        for (mode, scan) in [
+            (PlanMode::Direct, "Project"),
+            (PlanMode::GroupByRewrite, "SelectProject"),
+        ] {
+            let (plan, _) = db.compile(&query, mode).unwrap();
+            let text = plan.explain();
+            let ops: Vec<&str> = text.lines().map(|l| l.trim_start()).collect();
+            assert!(
+                ops[1].starts_with("Cube ") && ops[1].contains(" levels=3 "),
+                "{text}"
+            );
+            assert!(ops[2].starts_with(scan), "{mode:?}: {text}");
+        }
     }
 }
 
-/// Both modes of `query` over `xml` against the model: the fused scan
-/// and the composed union, byte for byte.
+/// Both modes of `query` over `xml` against the model.
 fn assert_cube_matches_model(db: &TimberDb, xml: &str, query: &str, batch: usize) {
     let want = expected(xml, query);
-    assert_eq!(
-        run(db, query, PlanMode::GroupByRewrite, batch),
-        want,
-        "fused batch={batch} query: {query} on {xml}"
-    );
-    assert_eq!(
-        run(db, query, PlanMode::Direct, batch),
-        want,
-        "composed batch={batch} query: {query} on {xml}"
-    );
+    for mode in [PlanMode::GroupByRewrite, PlanMode::Direct] {
+        assert_eq!(
+            run(db, query, mode, batch),
+            want,
+            "{mode:?} batch={batch} query: {query} on {xml}"
+        );
+    }
 }
 
 #[test]
@@ -86,20 +85,16 @@ fn cube_matches_the_model_across_batches() {
 
 #[test]
 fn single_dimension_cube_rides_the_fused_rollup_path() {
-    // A one-dimension lattice is a plain rollup: the translator emits a
-    // union of one branch, cube-fuse declines it, and rollup-fuse fuses
-    // the branch — so `CUBE BY $b/journal` exercises the existing fused
-    // path.
+    // A one-dimension lattice is a plain rollup: its one level runs the
+    // rollup's fold over the flat shape.
     let db = TimberDb::load_xml(CUBE_DB, &StoreOptions::in_memory()).unwrap();
     let query = r#"
         FOR $b IN document("bib.xml")//article
         CUBE BY $b/journal
         RETURN <pubs> {count($b/pages)} </pubs>
     "#;
-    let (plan, _, trace) = db.compile_traced(query, PlanMode::GroupByRewrite).unwrap();
-    assert!(!trace.fired("cube-fuse"), "{}", trace.render());
-    assert!(trace.fired("rollup-fuse"), "{}", trace.render());
-    assert!(plan.explain().contains("Rollup"), "{}", plan.explain());
+    let (plan, _) = db.compile(query, PlanMode::GroupByRewrite).unwrap();
+    assert!(plan.explain().contains(" levels=1 "), "{}", plan.explain());
     let fused = run(&db, query, PlanMode::GroupByRewrite, 16);
     assert_eq!(fused, expected(CUBE_DB, query));
     assert_eq!(run(&db, query, PlanMode::Direct, 16), fused);

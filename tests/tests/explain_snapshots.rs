@@ -75,7 +75,6 @@ Rename to <authorpubs>
 
 == rewrite trace ==
 pass 1: groupby-rewrite
-pass 1: rollup-fuse
 pass 1: projection-prune
 pass 1: select-project-fuse
 ";
@@ -274,15 +273,14 @@ fn direct_plans_read_no_page_on_any_operator() {
 
 #[test]
 fn explain_analyze_rollup_operator_line() {
-    // The fused count plan runs a Rollup blocking sink; its metrics line
-    // must report trees in (articles scanned), groups out, and its stage
+    // The count plan runs a Rollup blocking sink; its metrics line must
+    // report trees in (articles scanned), groups out, and its stage
     // times, like the other grouping sinks.
     let db = fig6_db();
     let a = db
         .explain_analyze(QUERY_COUNT, PlanMode::GroupByRewrite)
         .unwrap();
     let text = a.render();
-    assert!(text.contains("pass 1: rollup-fuse"), "{text}");
     let rollup_line = text
         .lines()
         .find(|l| l.trim_start().starts_with("Rollup Count") && l.contains(" | in="))
@@ -308,7 +306,10 @@ fn explain_analyze_rollup_operator_line() {
 #[test]
 fn explain_analyze_cube_operator_line() {
     // The lattice is the rollup's fold over every prefix level: its line
-    // carries the same stage times.
+    // carries the same stage times. Both modes run the one `Cube`, and
+    // the scan under it hands it stored rows — in Direct mode through the
+    // projection over the selection — so no line copies a tree or asks
+    // for a page.
     let db = TimberDb::load_xml(
         "<bib><article><journal>J</journal><author>X</author><pages>3</pages></article>\
          <article><journal>J</journal><author>Y</author><pages>4</pages></article></bib>",
@@ -317,13 +318,21 @@ fn explain_analyze_cube_operator_line() {
     .unwrap();
     let query = r#"FOR $b IN document("bib.xml")//article CUBE BY $b/journal, $b/author
                    RETURN <pubs> {sum($b/pages)} </pubs>"#;
-    let text = db
-        .explain_analyze(query, PlanMode::GroupByRewrite)
-        .unwrap()
-        .render();
-    let cube_line = text
-        .lines()
-        .find(|l| l.trim_start().starts_with("Cube") && l.contains(" | in="))
-        .unwrap_or_else(|| panic!("no Cube metrics line in:\n{text}"));
-    assert_eq!(masked_stages(cube_line), "w:#/c:#/f:#/b:#us", "{cube_line}");
+    for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
+        let text = db.explain_analyze(query, mode).unwrap().render();
+        let lines: Vec<&str> = text.lines().filter(|l| l.contains(" | in=")).collect();
+        let cube = lines
+            .iter()
+            .position(|l| l.trim_start().starts_with("Cube"))
+            .unwrap_or_else(|| panic!("no Cube metrics line in:\n{text}"));
+        assert_eq!(masked_stages(lines[cube]), "w:#/c:#/f:#/b:#us", "{text}");
+        assert!(
+            lines[cube + 1].contains(" out=2 stored "),
+            "{mode:?}: {text}"
+        );
+        for line in &lines {
+            assert!(line.contains(" pages=0 "), "{mode:?}: {line}");
+            assert!(line.contains(" clones=0 "), "{mode:?}: {line}");
+        }
+    }
 }

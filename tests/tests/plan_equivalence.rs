@@ -1,19 +1,23 @@
 //! Property-based equivalence: on randomly generated bibliographic
 //! databases, the naive join plan and the rewritten GROUPBY plan must
 //! both produce what the query as written evaluates to (the reference
-//! model), for all three query forms. This is the correctness core of
-//! the rewrite (Sec. 4.1/4.2) — together with its precondition, pinned
-//! below on the one input shape where the rewrite and the query part.
+//! model), for all three query forms — and so must the paper's literal
+//! count plan, which the rewrite emits as one `Rollup`. This is the
+//! correctness core of the rewrite (Sec. 4.1/4.2) — together with its
+//! precondition, pinned below on the one input shape where the rewrite
+//! and the query part.
 
 use smallrand::prop::{check, Gen};
 use std::fmt::Write as _;
+use tax::ops::aggregate::{AggFunc, UpdateSpec};
+use tax::ops::groupby::BasisItem;
 use tax::ops::project::ProjectItem;
 use tax::pattern::{Axis, PatternTree, Pred};
 use tax::tags;
 use timber::{OutKind, PlanMetrics, PlanMode, TimberDb};
 use timber_integration_tests::{
-    assert_matches_model, batch_matrix, bibliography, expected, run, Shape, QUERY1, QUERY2,
-    QUERY_COUNT,
+    assert_matches_model, batch_matrix, bibliography, expected, fig6_db, run, Shape, FIG6_DB,
+    QUERY1, QUERY2, QUERY_COUNT,
 };
 use xmlstore::StoreOptions;
 use xquery::Plan;
@@ -30,8 +34,79 @@ fn both_plans_equal_the_model_on_random_bibliographies() {
             for query in [QUERY1, QUERY2, QUERY_COUNT] {
                 assert_matches_model(&db, &xml, query, 256, "plan equivalence");
             }
+            let literal = db.run_plan(&literal_count_plan(), true).unwrap();
+            assert_eq!(
+                literal.to_xml_on(db.store()).unwrap(),
+                expected(&xml, QUERY_COUNT),
+                "literal count plan on {xml}"
+            );
         },
     );
+}
+
+/// The paper's count plan as written (Sec. 4.1, count variant Sec. 4.3),
+/// built by hand for [`QUERY_COUNT`]: the scan of the articles, `GROUPBY`
+/// on the author (Fig. 5b/5c), the title count appended to each group
+/// tree, the final projection (Fig. 5d) and the rename. The rewrite emits
+/// the middle three as one `Rollup`.
+fn literal_count_plan() -> Plan {
+    let tag = |t: &str| Pred::tag(t);
+    let mut grouping = PatternTree::with_root(tag("article"));
+    let author = grouping.add_child(0, Axis::Child, tag("author"));
+    let mut members = PatternTree::with_root(tag(tags::GROUP_ROOT));
+    let subroot = members.add_child(0, Axis::Child, tag(tags::GROUP_SUBROOT));
+    let article = members.add_child(subroot, Axis::Child, tag("article"));
+    let title = members.add_child(article, Axis::Child, tag("title"));
+    let mut out = PatternTree::with_root(tag(tags::GROUP_ROOT));
+    let basis = out.add_child(0, Axis::Child, tag(tags::GROUPING_BASIS));
+    let key = out.add_child(basis, Axis::Child, tag("author"));
+    let count = out.add_child(0, Axis::Child, tag("count"));
+    let group = Plan::GroupBy {
+        input: Box::new(scan(PatternTree::with_root(tag("article")))),
+        pattern: grouping,
+        basis: vec![BasisItem::content(author)],
+        ordering: vec![],
+    };
+    let aggregate = Plan::Aggregate {
+        input: Box::new(group),
+        pattern: members,
+        func: AggFunc::Count,
+        of: title,
+        new_tag: "count".into(),
+        spec: UpdateSpec::AfterLastChild(0),
+    };
+    Plan::Rename {
+        input: Box::new(Plan::Project {
+            input: Box::new(aggregate),
+            pattern: out,
+            pl: vec![
+                ProjectItem::shallow(0),
+                ProjectItem::deep(key),
+                ProjectItem::deep(count),
+            ],
+            anchor_root: true,
+        }),
+        tag: "authorpubs".into(),
+    }
+}
+
+#[test]
+fn the_papers_literal_count_plan_equals_the_model_on_fig6() {
+    // Every operator of the literal plan runs, the materialized group
+    // trees and the executor's `Aggregate` included, and serves the bytes
+    // the rewrite's `Rollup` serves.
+    let db = fig6_db();
+    let result = db.run_plan(&literal_count_plan(), true).unwrap();
+    let want = expected(FIG6_DB, QUERY_COUNT);
+    assert_eq!(result.to_xml_on(db.store()).unwrap(), want);
+    assert_eq!(run(&db, QUERY_COUNT, PlanMode::GroupByRewrite, 256), want);
+    let text = result.metrics.unwrap().render();
+    let ops: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    let literal = ["Rename", "Project", "Aggregate", "GroupBy", "SelectProject"];
+    assert_eq!(ops, literal, "{text}");
 }
 
 /// `plan` (a chain of one-input operators) with its scan leaf replaced.
@@ -68,70 +143,51 @@ fn authored() -> PatternTree {
     p
 }
 
-/// The articles as one-node trees: a `Project` over the `SelectDb` the
-/// fused scan stands for.
+/// The articles as one-node trees: the match rows of a `SelectDb`, which
+/// a grouping sink reads as their witness trees.
 fn tree_leaf() -> Plan {
-    let article = PatternTree::with_root(Pred::tag("article"));
-    Plan::Project {
-        input: Box::new(Plan::SelectDb {
-            pattern: article.clone(),
-            sl: vec![article.root()],
-        }),
-        pattern: article,
-        pl: vec![ProjectItem::deep(0)],
-        anchor_root: true,
+    Plan::SelectDb {
+        pattern: PatternTree::with_root(Pred::tag("article")),
+        sl: vec![0],
     }
 }
 
 #[test]
 fn repeated_stored_rows_group_like_a_document_that_repeats_the_articles() {
-    // The XQuery subset cannot put a predicate on the outer scan, so the
-    // scans that hand a grouping sink the same stored row more than once
-    // are built by hand — and the model answers for them on the document
+    // The XQuery subset cannot put a predicate on the outer scan, so a
+    // scan that hands a grouping sink the same stored row more than once
+    // is built by hand — and the model answers for it on the document
     // with the articles physically repeated the same way: `article[author]`
     // with `PL=[$1*]` emits an article once per author (equal rows,
-    // adjacent), and a `Union` of two article scans emits every article
-    // twice (the second pass out of document order). The count query is
-    // the one to ask: a rollup counts per row, whereas the titles query's
-    // final `Project` merges several references to one stored article
-    // into one (physical.rs holds that plan to its tree-building twin).
+    // adjacent). The count query is the one to ask: a rollup counts per
+    // row, whereas the titles query's final `Project` merges several
+    // references to one stored article into one (physical.rs holds that
+    // plan to its tree-building twin).
     check("repeated stored rows equal the model", 32, |g| {
         let xml = bibliography(g, Shape::Plain);
         let body = &xml["<bib>".len()..xml.len() - "</bib>".len()];
-        let articles: Vec<&str> = body.split_inclusive("</article>").collect();
-        let per_author: String = articles
-            .iter()
+        let per_author: String = body
+            .split_inclusive("</article>")
             .map(|a| a.repeat(a.matches("<author>").count()))
             .collect();
-        let twice = body.repeat(2);
-
-        let every = PatternTree::with_root(Pred::tag("article"));
-        let cases = [
-            (scan(authored()), format!("<bib>{per_author}</bib>")),
-            (
-                Plan::Union {
-                    inputs: vec![scan(every.clone()), scan(every)],
-                },
-                format!("<bib>{twice}</bib>"),
-            ),
-        ];
+        let repeated = format!("<bib>{per_author}</bib>");
         let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-        for (leaf, repeated) in &cases {
-            let (plan, _) = db.compile(QUERY_COUNT, PlanMode::GroupByRewrite).unwrap();
-            let result = db.run_plan(&with_leaf(&plan, leaf.clone()), true).unwrap();
-            assert_eq!(
-                result.to_xml_on(db.store()).unwrap(),
-                expected(repeated, QUERY_COUNT),
-                "{leaf:?} on {xml}"
-            );
-            // The rows reached the sink as stored rows.
-            let mut m = result.metrics.as_ref().unwrap();
-            while m.shards.is_none() {
-                m = &m.children[0];
-            }
-            let fed = m.children[0].out_kind;
-            assert!(fed.is_none() || fed == Some(OutKind::Stored), "{fed:?}");
+        let (plan, _) = db.compile(QUERY_COUNT, PlanMode::GroupByRewrite).unwrap();
+        let result = db
+            .run_plan(&with_leaf(&plan, scan(authored())), true)
+            .unwrap();
+        assert_eq!(
+            result.to_xml_on(db.store()).unwrap(),
+            expected(&repeated, QUERY_COUNT),
+            "on {xml}"
+        );
+        // The rows reached the sink as stored rows.
+        let mut m = result.metrics.as_ref().unwrap();
+        while m.shards.is_none() {
+            m = &m.children[0];
         }
+        let fed = m.children[0].out_kind;
+        assert!(fed.is_none() || fed == Some(OutKind::Stored), "{fed:?}");
     });
 }
 
@@ -323,20 +379,13 @@ fn the_group_projection_equals_the_model_on_random_bibliographies() {
                 rows
             };
             let (plan, _) = db.compile(&titles, PlanMode::GroupByRewrite).unwrap();
-            let every = PatternTree::with_root(Pred::tag("article"));
             let hand_built = [
                 // A title nested in a title lies inside the outer one's
                 // subtree: `$b//title` serves `$b/title`'s bytes here.
                 descendant_extract(&plan),
-                // An article once per author, and every article twice:
-                // rows that are not a disjoint scope list.
+                // An article once per author: rows that are not a
+                // disjoint scope list.
                 with_leaf(&plan, scan(authored())),
-                with_leaf(
-                    &plan,
-                    Plan::Union {
-                        inputs: vec![scan(every.clone()), scan(every)],
-                    },
-                ),
                 with_leaf(&plan, tree_leaf()),
             ];
             for batch in batch_matrix(&[16, 256]) {
