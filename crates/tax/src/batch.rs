@@ -93,9 +93,9 @@ impl Matches {
     /// The fused select→project over these rows: their witness trees
     /// projected through the selection's pattern with `pl`, anchored. A
     /// list of one deep node that is the root, or a chain selection's
-    /// bound node ([`chain_bound`]), gives its column as stored rows:
+    /// bound node (`chain_bound`), gives its column as stored rows:
     /// every other node the list could select lies inside it. A list that
-    /// keeps each witness tree whole ([`keeps_witness`]) gives the rows
+    /// keeps each witness tree whole (`keeps_witness`) gives the rows
     /// themselves, any other list the projected trees.
     pub fn project(self, store: &DocumentStore, pl: &[ProjectItem]) -> Result<Batch> {
         let (pattern, sl, _) = &*self.scan;

@@ -6,7 +6,7 @@
 //! basis items. The XOLAP formulations of Hachicha & Darmont (arXiv
 //! 1102.0952, 0809.2691) express exactly this over TAX pattern trees.
 //! A rollup is the lattice's finest level, so the cube *is* the rollup's
-//! prefix-level fold ([`super::rollup`]'s `fold_levels`) asked for
+//! prefix-level fold ([`super::rollup`](mod@super::rollup)'s `fold_levels`) asked for
 //! levels `1..=L` instead of `L..=L` — this module adds the entry
 //! point, no accumulation of its own:
 //!

@@ -40,7 +40,7 @@
 //!
 //! The accumulation is `fold_levels`, a fold over a range of
 //! basis-prefix levels: a rollup asks for the single finest level, the
-//! grouping lattice ([`super::cube`]) for all of them.
+//! grouping lattice ([`super::cube`](mod@super::cube)) for all of them.
 
 use crate::batch::Source;
 use crate::error::{Error, Result};

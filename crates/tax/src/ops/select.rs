@@ -9,7 +9,7 @@
 //!
 //! A witness tree is built only where something downstream walks it:
 //! the executor's scan hands on the rows of its table
-//! ([`Matches`](crate::batch::Matches)), and the fused select→project
+//! ([`Matches`]), and the fused select→project
 //! keeps them, or the root column, where its projection list allows
 //! ([`Matches::project`](crate::batch::Matches::project)).
 

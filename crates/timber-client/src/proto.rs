@@ -66,10 +66,10 @@ impl Opcode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Mode {
-    /// The naive join-based plan, no rewrite rules.
+    /// The naive join-based plan, no rewrite.
     Direct = 0,
-    /// The full rewrite-rule framework (GROUPBY rewrite + rollup/cube
-    /// fusion).
+    /// The GROUPBY plan: the naive plan with the grouping rewrite
+    /// applied.
     Grouped = 1,
 }
 

@@ -177,7 +177,7 @@ mod tests {
             batches: 1,
             out_kind: Some(OutKind::Trees),
             children: vec![PlanMetrics {
-                op: "SelectProject".into(),
+                op: "Project".into(),
                 trees_out: 3,
                 out_kind: Some(OutKind::Stored),
                 batches: 1,
@@ -189,7 +189,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("Rename to <x> | in=3 out=3 trees batches=1"));
-        assert!(lines[1].starts_with("  SelectProject | in=0 out=3 stored batches=1"));
+        assert!(lines[1].starts_with("  Project | in=0 out=3 stored batches=1"));
         // An operator that emitted nothing has no kind to report.
         let idle = PlanMetrics::default().render();
         assert!(idle.contains("out=0 batches=0"), "{idle}");

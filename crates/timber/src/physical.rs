@@ -2,12 +2,12 @@
 //! pipelines.
 //!
 //! Each logical operator is built into a [`PhysOp`] — a batched iterator
-//! over rows — by pairing one of three generic drivers with the
-//! operator's `tax::ops` kernel as a closure:
+//! over rows — by one of three generic drivers, the last two paired with
+//! the operator's `tax::ops` kernel as a closure:
 //!
-//! * the **scan** leaf matches its pattern against the database once
-//!   (one binding table) and turns the rows into output one bounded run
-//!   of rows at a time (selection, fused select→project);
+//! * the **scan** leaf (selection) matches its pattern against the
+//!   database once (one binding table) and hands its rows on one bounded
+//!   run at a time;
 //! * the **map** driver *streams*: it pulls a batch from its input, runs
 //!   the kernel on just that batch, and hands the result upward
 //!   (projection, duplicate elimination, aggregation, rename), so
@@ -20,14 +20,15 @@
 //! What moves between operators is a [`Batch`]: stored rows (node
 //! labels, each standing for its whole subtree), a selection's match
 //! rows, groups, or trees. A `Project` over a `SelectDb` of its own
-//! pattern runs as the fused select→project (recognized here, once), so
-//! a scan whose list keeps one deep node per row — the GROUPBY plans',
-//! and the `CUBE BY` scan in either mode — hands the grouping sinks
-//! (`GroupBy`, `Rollup`, `Cube`) stored rows, which they read as they
-//! are, and the direct plan's projections pass their match rows on up to
-//! the stitch. `GroupBy` emits groups, which a `Project` of the
-//! rewrite's Fig. 5d shape (recognized here, once) gathers from, and the
-//! left outer join emits its pairs as groups. Other operators take their
+//! pattern projects the selection's match rows as they come (recognized
+//! here, once: the one fused select→project), so a subject scan — the
+//! GROUPBY plans', and the `CUBE BY` scan in either mode, whose list
+//! keeps one deep node per row — hands the grouping sinks (`GroupBy`,
+//! `Rollup`, `Cube`) stored rows, which they read as they are, and the
+//! direct plan's projections pass their match rows on up to the stitch.
+//! `GroupBy` emits groups, which a `Project` of the rewrite's Fig. 5d
+//! shape (recognized here, once) gathers from, and the left outer join
+//! emits its pairs as groups. Other operators take their
 //! input through [`Batch::into_trees`], as does [`execute`].
 //!
 //! Every operator meters its own work — rows in/out (and what kind of
@@ -96,8 +97,6 @@ fn drain(root: &mut dyn PhysOp) -> Result<Collection> {
     })?
 }
 
-/// A scan's kernel: a run of the match's rows → its output rows.
-type ScanKernel<'a> = Box<dyn Fn(Matches) -> tax::Result<Batch> + 'a>;
 /// A streaming operator's kernel: one input batch → its output rows.
 type MapKernel<'a> = Box<dyn FnMut(Batch) -> tax::Result<Batch> + 'a>;
 /// A blocking sink's kernel: the drained inputs (one batch per input
@@ -115,18 +114,6 @@ pub fn build<'a>(
 ) -> Result<Box<dyn PhysOp + 'a>> {
     let batch = batch.max(1);
     let meter = Meter::new(op_label(plan));
-    let scan =
-        |pattern: &'a PatternTree, sl: &'a [PatternNodeId], meter, kernel: ScanKernel<'a>| {
-            Box::new(ScanOp {
-                store,
-                pattern,
-                sl,
-                kernel,
-                batch,
-                rows: None,
-                meter,
-            }) as Box<dyn PhysOp + 'a>
-        };
     let map = |input: &'a Plan, meter, kernel: MapKernel<'a>| -> Result<Box<dyn PhysOp + 'a>> {
         Ok(Box::new(MapOp {
             store,
@@ -150,15 +137,14 @@ pub fn build<'a>(
             }))
         };
     Ok(match plan {
-        Plan::SelectDb { pattern, sl } => {
-            scan(pattern, sl, meter, Box::new(|m| Ok(Batch::Matches(m))))
-        }
-        // One pattern match serves both halves of the fused
-        // select→project; each run of rows is projected as it is
-        // produced.
-        Plan::SelectProject { pattern, sl, pl } => {
-            scan(pattern, sl, meter, Box::new(move |m| m.project(store, pl)))
-        }
+        Plan::SelectDb { pattern, sl } => Box::new(ScanOp {
+            store,
+            pattern,
+            sl,
+            batch,
+            rows: None,
+            meter,
+        }),
         // Trees (and groups) are independent under projection, so
         // batching cannot change output. A projection of a selection
         // through the selection's own pattern is the fused one over its
@@ -478,13 +464,12 @@ impl Meter {
     }
 }
 
-/// Leaf driver: match the database once, then run the kernel over one
-/// bounded run of the table's rows per batch.
+/// Leaf driver: match the database once, then hand on one bounded run
+/// of the table's rows per batch.
 struct ScanOp<'a> {
     store: &'a DocumentStore,
     pattern: &'a PatternTree,
     sl: &'a [PatternNodeId],
-    kernel: ScanKernel<'a>,
     batch: usize,
     rows: Option<std::vec::IntoIter<Matches>>,
     meter: Meter,
@@ -499,15 +484,7 @@ impl ScanOp<'_> {
                 unmatched.insert(all.chunks(self.batch).into_iter())
             }
         };
-        // A run of rows can project to nothing; keep pulling until some
-        // rows surface or the table runs out.
-        for run in rows {
-            let out = (self.kernel)(run)?;
-            if !out.is_empty() {
-                return Ok(Some(out));
-            }
-        }
-        Ok(None)
+        Ok(rows.next().map(Batch::Matches))
     }
 }
 
@@ -645,33 +622,32 @@ mod tests {
         TimberDb::load_xml(SAMPLE, &StoreOptions::in_memory()).unwrap()
     }
 
-    /// The scan leaf of a grouped plan (the plans here are chains).
+    /// The input of a grouped plan's grouping sink: its subject scan
+    /// (the plans here are chains).
     fn leaf_of(plan: &Plan) -> &Plan {
         match plan {
-            Plan::Rename { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::GroupBy { input, .. }
-            | Plan::Rollup { input, .. }
-            | Plan::Cube { input, .. } => leaf_of(input),
-            leaf => leaf,
+            Plan::GroupBy { input, .. } | Plan::Rollup { input, .. } | Plan::Cube { input, .. } => {
+                input
+            }
+            Plan::Rename { input, .. } | Plan::Project { input, .. } => leaf_of(input),
+            other => panic!("no grouping sink above {other:?}"),
         }
     }
 
-    /// `plan` with its scan leaf replaced.
+    /// `plan` with its grouping sink's input replaced.
     fn with_leaf(plan: &Plan, leaf: Plan) -> Plan {
         let mut plan = plan.clone();
         let mut at = &mut plan;
         loop {
             match at {
-                Plan::Rename { input, .. }
-                | Plan::Project { input, .. }
-                | Plan::GroupBy { input, .. }
+                Plan::GroupBy { input, .. }
                 | Plan::Rollup { input, .. }
-                | Plan::Cube { input, .. } => at = &mut **input,
-                scan => {
-                    *scan = leaf;
+                | Plan::Cube { input, .. } => {
+                    **input = leaf;
                     return plan;
                 }
+                Plan::Rename { input, .. } | Plan::Project { input, .. } => at = &mut **input,
+                other => panic!("no grouping sink above {other:?}"),
             }
         }
     }
@@ -699,13 +675,17 @@ mod tests {
             let (plan, _) = db.compile(query, PlanMode::GroupByRewrite).unwrap();
             let (trees, metrics) = execute(db.store(), &plan, &ExecOptions, 2).unwrap();
             assert!(!trees.is_empty());
-            // The leaf emits stored rows — no tree, nothing re-matched —
-            // a `GroupBy` over them emits groups as columns, and every
-            // other operator above it emits trees; the rendering says
-            // which.
+            // The selection hands on its match rows, the projection over
+            // it emits stored rows — no tree, nothing re-matched — a
+            // `GroupBy` over them emits groups as columns, and every other
+            // operator above it emits trees; the rendering says which.
             let nodes = chain(&metrics);
-            let (leaf, above) = nodes.split_last().unwrap();
-            assert!(leaf.op.starts_with("SelectProject"), "{}", leaf.op);
+            let [above @ .., leaf, select] = &nodes[..] else {
+                panic!("{}", metrics.render())
+            };
+            assert!(select.op.starts_with("SelectDb"), "{}", select.op);
+            assert_eq!(select.out_kind, Some(OutKind::Matches));
+            assert!(leaf.op.starts_with("Project"), "{}", leaf.op);
             assert_eq!(leaf.out_kind, Some(OutKind::Stored));
             let kind = |m: &PlanMetrics| match m.op.starts_with("GroupBy") {
                 true => (OutKind::Groups, " groups batches="),
@@ -714,11 +694,13 @@ mod tests {
             assert!(above.iter().all(|m| m.out_kind == Some(kind(m).0)));
             let text = metrics.render();
             let lines: Vec<&str> = text.lines().collect();
-            assert!(lines[lines.len() - 1].contains(" out=3 stored batches=2 "));
+            let n = lines.len();
+            assert!(lines[n - 1].contains(" out=3 matches batches=2 "));
+            assert!(lines[n - 2].contains(" out=3 stored batches=2 "));
             for (line, m) in lines.iter().zip(above) {
                 assert!(line.contains(kind(m).1), "{line}");
             }
-            // The grouping sink is the leaf's consumer and took all of
+            // The grouping sink is the scan's consumer and took all of
             // its rows.
             let sink = above[above.len() - 1];
             assert!(sink.shards.is_some(), "{}", sink.op);
@@ -752,12 +734,12 @@ mod tests {
     #[test]
     fn tree_building_leaves_feed_the_sinks_the_same_bytes() {
         // The same article collection four ways: the stored rows of the
-        // `[$1*]` leaf; the match rows of a `SelectDb`, read as their
+        // `[$1*]` scan; the match rows of a `SelectDb`, read as their
         // one-node witness trees; the output of a `Project` through a
-        // pattern other than its selection's; a fused leaf whose list
-        // keeps more than the deep root. The sinks read the last three as
-        // trees, and every grouping sink must produce from them what it
-        // produces from the rows.
+        // pattern other than its selection's; a fused projection whose
+        // list keeps more than the deep root. The sinks read the last
+        // three as trees, and every grouping sink must produce from them
+        // what it produces from the rows.
         let db = db();
         let article = PatternTree::with_root(tax::Pred::tag("article"));
         let root = article.root();
@@ -774,13 +756,17 @@ mod tests {
                 pl: vec![ops::project::ProjectItem::deep(root)],
                 anchor_root: true,
             },
-            Plan::SelectProject {
+            Plan::Project {
+                input: Box::new(Plan::SelectDb {
+                    pattern: titled.clone(),
+                    sl: vec![root],
+                }),
                 pl: vec![
                     ops::project::ProjectItem::deep(titled.root()),
                     ops::project::ProjectItem::shallow(1),
                 ],
                 pattern: titled,
-                sl: vec![root],
+                anchor_root: true,
             },
         ];
         for query in [QUERY_COUNT, QUERY1, QUERY_CUBE] {
@@ -807,8 +793,8 @@ mod tests {
         // is two equal stored rows, adjacent: not a disjoint scope list.
         // They must group as the same rows given as trees do — here
         // projected through the bare `article` pattern, which builds one
-        // deep reference per row. Fused or not, a projection of a
-        // selection through its own pattern emits the stored rows.
+        // deep reference per row. A projection of a selection through its
+        // own pattern emits the stored rows.
         let db = TimberDb::load_xml(
             "<bib>\
                 <article><title>A</title><author>Jack</author><year>1999</year><year>2000</year></article>\
@@ -831,14 +817,7 @@ mod tests {
             pl: pl.clone(),
             anchor_root: true,
         };
-        let stored = [
-            Plan::SelectProject {
-                pattern: dated.clone(),
-                sl: vec![root],
-                pl: pl.clone(),
-            },
-            project(dated.clone()),
-        ];
+        let stored = project(dated);
         let trees = project(PatternTree::with_root(tax::Pred::tag("article")));
         for query in [QUERY_COUNT, QUERY1, QUERY_CUBE] {
             let (plan, _) = db.compile(query, PlanMode::GroupByRewrite).unwrap();
@@ -847,17 +826,15 @@ mod tests {
                 execute(db.store(), &twin, &ExecOptions, 2).unwrap()
             };
             let (want, _) = run(&trees);
-            for leaf in &stored {
-                let (got, metrics) = run(leaf);
-                assert_eq!(to_xml(&db, &want), to_xml(&db, &got), "{query}");
-                let nodes = chain(&metrics);
-                let feed = nodes.iter().find(|m| m.shards.is_some()).unwrap().children[0].clone();
-                assert_eq!((feed.trees_out, feed.out_kind), (3, Some(OutKind::Stored)));
-            }
+            let (got, metrics) = run(&stored);
+            assert_eq!(to_xml(&db, &want), to_xml(&db, &got), "{query}");
+            let nodes = chain(&metrics);
+            let feed = nodes.iter().find(|m| m.shards.is_some()).unwrap().children[0].clone();
+            assert_eq!((feed.trees_out, feed.out_kind), (3, Some(OutKind::Stored)));
         }
         // Jack's two-year article counts once per row it arrives in.
         let (plan, _) = db.compile(QUERY_COUNT, PlanMode::GroupByRewrite).unwrap();
-        let twin = with_leaf(&plan, stored[0].clone());
+        let twin = with_leaf(&plan, stored);
         let (out, _) = execute(db.store(), &twin, &ExecOptions, 2).unwrap();
         let xml = to_xml(&db, &out);
         assert_eq!(

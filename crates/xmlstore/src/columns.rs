@@ -10,7 +10,7 @@
 //! identifier-only processing (Sec. 5.3) taken to its storage-layout
 //! conclusion: every commit installs a fresh region — the previous one
 //! bulk-copied with the removed document's rows cut out and the added
-//! document's rows appended ([`NodeColumns::spliced`]) — and hands it
+//! document's rows appended (`NodeColumns::spliced`) — and hands it
 //! out behind an `Arc`, so scan batches borrow it without copying and
 //! keep a consistent snapshot even while the store mutates underneath.
 //! Each column stays one contiguous slice, which is what every kernel

@@ -3,9 +3,10 @@
 //! commit to place. Whitespace-only text is not stored: the data is
 //! data-centric, and the reference model's data model drops it too.
 
+use super::DOC_ROOT_TAG;
 use crate::catalog::{attr_tag_name, TagId, TEXT_TAG};
 use crate::dict::{Dictionary, NO_SYM};
-use crate::error::Result;
+use crate::error::{Result, StoreError};
 use crate::heap::HeapBuilder;
 use crate::node::{ContentPtr, NodeKind, NodeRecord, RECORDS_PER_PAGE, RECORD_SIZE};
 use crate::page::{PAGE_HEADER_SIZE, PAGE_SIZE};
@@ -64,8 +65,13 @@ struct Loader<'a> {
 }
 
 impl Loader<'_> {
-    /// DFS over the DOM assigning local ids, labels, and content.
+    /// DFS over the DOM assigning local ids, labels, and content. An
+    /// element named [`DOC_ROOT_TAG`] is refused: that tag names the
+    /// synthetic root every stored node lies below.
     fn load_element(&mut self, elem: &xmlparse::Element, level: u16) -> Result<()> {
+        if elem.name == DOC_ROOT_TAG {
+            return Err(StoreError::ReservedTag { tag: DOC_ROOT_TAG });
+        }
         let id = self.records.len();
         let tag = self.tags.intern(&elem.name);
         let start = self.counter;

@@ -57,6 +57,13 @@ pub enum StoreError {
         /// The offending document id.
         doc: u64,
     },
+    /// A document to load holds an element named with the tag reserved
+    /// for the synthetic store root. Refused: every pattern anchored at
+    /// that root would also bind below the stored element.
+    ReservedTag {
+        /// The reserved tag.
+        tag: &'static str,
+    },
 }
 
 impl StoreError {
@@ -114,6 +121,12 @@ impl fmt::Display for StoreError {
             }
             StoreError::NoSuchDocument { doc } => {
                 write!(f, "no document with id {doc}")
+            }
+            StoreError::ReservedTag { tag } => {
+                write!(
+                    f,
+                    "element <{tag}> uses the tag reserved for the store root"
+                )
             }
         }
     }

@@ -24,12 +24,11 @@
 //!   renaming, and the final stitch/construct step;
 //! * [`mod@translate`] — the naive parse (Sec. 4.1, "Naive Parsing"),
 //!   producing the join-based plan of Figs. 4, 7, 8;
-//! * [`opt`] — the rule-based optimizer and its single entry point
-//!   [`opt::optimize`]: the grouping rewrite of Sec. 4.1 (Phase 1
-//!   detection via the pattern-tree subset test, Phase 2 the `GROUPBY`
-//!   plan of Figs. 5, 9, 10), rollup fusion of grouped aggregates,
-//!   projection pruning, and select→project fusion, applied to a
-//!   fixpoint with a firing trace.
+//! * [`opt`] — the optimizer, [`opt::optimize`]: the grouping rewrite of
+//!   Sec. 4.1 and nothing else (Phase 1 detection via the pattern-tree
+//!   subset test, Phase 2 the `GROUPBY` plan of Figs. 5, 9, 10, or one
+//!   `Rollup` for a grouped aggregate), applied once at the plan root,
+//!   with a firing trace.
 //!
 //! # Example
 //!

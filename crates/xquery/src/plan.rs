@@ -4,7 +4,9 @@
 //! The translator emits the *naive* plan of Sec. 4.1 (a `CUBE BY` query
 //! straight as a [`Plan::Cube`]); the rewriter replaces the join pipeline
 //! with a `GROUPBY` pipeline, or a [`Plan::Rollup`] for the count
-//! variant. The evaluator (in the `timber` crate) interprets either.
+//! variant. Every scan is a [`Plan::SelectDb`], and a selection whose
+//! witness trees are projected is a [`Plan::Project`] over it, which the
+//! evaluator (in the `timber` crate) runs as one match.
 
 use std::fmt::Write;
 use tax::ops::aggregate::{AggFunc, UpdateSpec};
@@ -32,18 +34,6 @@ pub enum Plan {
         pl: Vec<ProjectItem>,
         /// Whether the pattern root binds only tree roots.
         anchor_root: bool,
-    },
-    /// Fused selection + projection over the stored database (the
-    /// optimizer's select→project fusion): one pattern match serves
-    /// both operators, so each binding's witness tree is projected
-    /// without materializing the intermediate selected collection.
-    SelectProject {
-        /// Shared pattern (selection and projection agree on it).
-        pattern: PatternTree,
-        /// Adorned labels (whole subtrees kept in the witness).
-        sl: Vec<PatternNodeId>,
-        /// Projection list.
-        pl: Vec<ProjectItem>,
     },
     /// Duplicate elimination on a bound node's content.
     DupElim {
@@ -203,19 +193,6 @@ impl Plan {
                     sl.iter().map(|l| format!("${}", l + 1)).collect::<Vec<_>>()
                 );
             }
-            Plan::SelectProject { pattern, sl, pl } => {
-                let pls: Vec<String> = pl
-                    .iter()
-                    .map(|p| format!("${}{}", p.label + 1, if p.deep { "*" } else { "" }))
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "{pad}SelectProject pattern={} SL={:?} PL={:?}",
-                    pattern_summary(pattern),
-                    sl.iter().map(|l| format!("${}", l + 1)).collect::<Vec<_>>(),
-                    pls
-                );
-            }
             Plan::Project {
                 input,
                 pattern,
@@ -365,40 +342,6 @@ impl Plan {
             }
         }
     }
-
-    /// Does the plan (recursively) contain a `GroupBy` node?
-    pub fn uses_groupby(&self) -> bool {
-        match self {
-            Plan::GroupBy { .. } | Plan::Rollup { .. } | Plan::Cube { .. } => true,
-            Plan::SelectDb { .. } | Plan::SelectProject { .. } => false,
-            Plan::Project { input, .. }
-            | Plan::DupElim { input, .. }
-            | Plan::Aggregate { input, .. }
-            | Plan::Rename { input, .. } => input.uses_groupby(),
-            Plan::LeftOuterJoinDb { left, .. } => left.uses_groupby(),
-            Plan::StitchConstruct { outer, inner, .. } => {
-                outer.uses_groupby() || inner.as_ref().map(|i| i.uses_groupby()).unwrap_or(false)
-            }
-        }
-    }
-
-    /// Does the plan (recursively) contain a `LeftOuterJoinDb` node?
-    pub fn uses_join(&self) -> bool {
-        match self {
-            Plan::LeftOuterJoinDb { .. } => true,
-            Plan::SelectDb { .. } | Plan::SelectProject { .. } => false,
-            Plan::Project { input, .. }
-            | Plan::DupElim { input, .. }
-            | Plan::Aggregate { input, .. }
-            | Plan::Rename { input, .. } => input.uses_join(),
-            Plan::GroupBy { input, .. } | Plan::Rollup { input, .. } | Plan::Cube { input, .. } => {
-                input.uses_join()
-            }
-            Plan::StitchConstruct { outer, inner, .. } => {
-                outer.uses_join() || inner.as_ref().map(|i| i.uses_join()).unwrap_or(false)
-            }
-        }
-    }
 }
 
 /// A grouping basis as its plan text: `$2.content`, `$2*.content`, `$2.id`.
@@ -470,35 +413,5 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines[1].starts_with("  "));
         assert!(lines[2].starts_with("    "));
-    }
-
-    #[test]
-    fn uses_flags() {
-        let gb = Plan::GroupBy {
-            input: Box::new(Plan::SelectDb {
-                pattern: sample_pattern(),
-                sl: vec![],
-            }),
-            pattern: sample_pattern(),
-            basis: vec![],
-            ordering: vec![],
-        };
-        assert!(gb.uses_groupby());
-        assert!(!gb.uses_join());
-        let join = Plan::LeftOuterJoinDb {
-            left: Box::new(Plan::SelectDb {
-                pattern: sample_pattern(),
-                sl: vec![],
-            }),
-            left_pattern: sample_pattern(),
-            left_label: 2,
-            right_pattern: sample_pattern(),
-            right_label: 2,
-            right_sl: vec![],
-            right_extract: 2,
-            order: None,
-        };
-        assert!(join.uses_join());
-        assert!(!join.uses_groupby());
     }
 }

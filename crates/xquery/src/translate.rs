@@ -268,15 +268,7 @@ fn translate_cube(q: &Flwr, cube: &CubeClause) -> Result<Plan> {
     // The input scan: one deep subject tree per match of the FOR path
     // (exactly the grouping rewrite's input shape).
     let (subject_path, subject_in_path) = chain_pattern(&q.for_clause.source.steps);
-    let input = Plan::Project {
-        input: Box::new(Plan::SelectDb {
-            pattern: subject_path.clone(),
-            sl: vec![subject_in_path],
-        }),
-        pattern: subject_path,
-        pl: vec![ProjectItem::deep(subject_in_path)],
-        anchor_root: true,
-    };
+    let input = subject_scan(subject_path, subject_in_path);
 
     // The grouping pattern: the subject with every dimension grafted, so
     // a tree participates only when all dimensions are present (cube
@@ -503,6 +495,39 @@ fn build_right_from_let(outer_var: &str, l: &LetClause) -> Result<RightSide> {
     })
 }
 
+/// The subject scan of Fig. 5a over `path`, the chain from a pattern's
+/// root down to `subject`: a selection with `SL = [subject]` and a
+/// projection with `PL = [subject*]`, one stored subject tree per match.
+///
+/// The chain starts below its root when that root is a bare `doc_root`
+/// whose child hangs on an `ad` edge and names a tag other than
+/// `doc_root`. The store refuses `doc_root` elements on input, so the
+/// root can only bind the synthetic store root, an ancestor of every
+/// stored node: it constrains nothing. A `doc_root` child, a wildcard
+/// child or a `pc` edge does constrain the match, and keeps the root.
+pub(crate) fn subject_scan(mut path: PatternTree, mut subject: PatternNodeId) -> Plan {
+    let root = path.node(path.root());
+    if let (Pred::Tag(tag), &[child]) = (&root.pred, &root.children[..]) {
+        let below = path.node(child);
+        let named = below.pred.required_tag().is_some_and(|t| t != DOC_ROOT);
+        if tag == DOC_ROOT && below.axis == Axis::Descendant && named {
+            let (pruned, ids) = path.subtree_pattern(child);
+            if let Some(id) = ids[subject] {
+                (path, subject) = (pruned, id);
+            }
+        }
+    }
+    Plan::Project {
+        input: Box::new(Plan::SelectDb {
+            pattern: path.clone(),
+            sl: vec![subject],
+        }),
+        pattern: path,
+        pl: vec![ProjectItem::deep(subject)],
+        anchor_root: true,
+    }
+}
+
 /// Build `doc_root` + the step chain; returns the pattern and the last
 /// node.
 fn chain_pattern(steps: &[Step]) -> (PatternTree, PatternNodeId) {
@@ -559,9 +584,8 @@ mod tests {
     #[test]
     fn query1_naive_plan_shape() {
         let plan = translate(&parse_query(QUERY1).unwrap()).unwrap();
-        assert!(plan.uses_join(), "naive plan must use the left outer join");
-        assert!(!plan.uses_groupby());
         let text = plan.explain();
+        assert!(!text.contains("GroupBy"), "{text}");
         assert!(text.contains("StitchConstruct <authorpubs>"), "{text}");
         assert!(text.contains("DupElim"), "{text}");
         assert!(text.contains("LeftOuterJoinDb"), "{text}");
@@ -601,7 +625,6 @@ mod tests {
     #[test]
     fn query2_let_form_translates() {
         let plan = translate(&parse_query(QUERY2).unwrap()).unwrap();
-        assert!(plan.uses_join());
         let Plan::StitchConstruct {
             inner: Some(inner),
             agg,
@@ -642,7 +665,7 @@ mod tests {
             RETURN <row> {$a} </row>
         "#;
         let plan = translate(&parse_query(q).unwrap()).unwrap();
-        assert!(!plan.uses_join());
+        assert!(!plan.explain().contains("LeftOuterJoinDb"));
         let Plan::StitchConstruct { inner, .. } = &plan else {
             panic!()
         };
@@ -772,6 +795,34 @@ mod tests {
         ] {
             let err = translate(&parse_query(q).unwrap()).unwrap_err();
             assert!(err.to_string().contains(needle), "{q}: {err}");
+        }
+    }
+
+    #[test]
+    fn the_subject_scan_drops_only_a_root_that_constrains_nothing() {
+        let scan_of = |path: &str| {
+            let q = parse_query(&format!(
+                r#"FOR $b IN document("bib.xml"){path} CUBE BY $b/year
+                   RETURN <p>{{count($b/title)}}</p>"#
+            ))
+            .unwrap();
+            let text = translate(&q).unwrap().explain();
+            text.lines().nth(3).unwrap().trim_start().to_owned()
+        };
+        for (path, pattern) in [
+            ("//article", "[$1:article]"),
+            ("//bib/article", "[$1:bib, $1-pc->$2:article]"),
+            // `//doc_root` would bind the store root itself once pruned.
+            ("//doc_root", "[$1:doc_root, $1-ad->$2:doc_root]"),
+            // A `pc` edge pins the child to the top level.
+            ("/bib", "[$1:doc_root, $1-pc->$2:bib]"),
+        ] {
+            let subject = pattern.matches(", ").count() + 1;
+            assert_eq!(
+                scan_of(path),
+                format!("SelectDb pattern={pattern} SL=[\"${subject}\"]"),
+                "{path}"
+            );
         }
     }
 

@@ -40,24 +40,29 @@ const CUBE_DB: &str = "<bib>\
 
 #[test]
 fn every_cube_query_fuses_to_one_scan() {
-    // All prefix levels come from one `Cube` over one scan, in both
-    // modes; the optimizer only prunes and fuses the scan below it.
+    // All prefix levels come from one `Cube` over one scan of the
+    // articles: one plan, the same in both modes.
     let db = TimberDb::load_xml(CUBE_DB, &StoreOptions::in_memory()).unwrap();
     for func in FUNCS {
         let query = cube_query(func);
-        for (mode, scan) in [
-            (PlanMode::Direct, "Project"),
-            (PlanMode::GroupByRewrite, "SelectProject"),
-        ] {
-            let (plan, _) = db.compile(&query, mode).unwrap();
-            let text = plan.explain();
-            let ops: Vec<&str> = text.lines().map(|l| l.trim_start()).collect();
-            assert!(
-                ops[1].starts_with("Cube ") && ops[1].contains(" levels=3 "),
-                "{text}"
-            );
-            assert!(ops[2].starts_with(scan), "{mode:?}: {text}");
-        }
+        let (plan, _) = db.compile(&query, PlanMode::Direct).unwrap();
+        let text = plan.explain();
+        let ops: Vec<&str> = text.lines().map(|l| l.trim_start()).collect();
+        assert!(
+            ops[1].starts_with("Cube ") && ops[1].contains(" levels=3 "),
+            "{text}"
+        );
+        assert_eq!(
+            ops[2..],
+            [
+                "Project pattern=[$1:article] PL=[\"$1*\"] anchor_root=true",
+                "SelectDb pattern=[$1:article] SL=[\"$1\"]",
+            ],
+            "{text}"
+        );
+        let (grouped, rewritten) = db.compile(&query, PlanMode::GroupByRewrite).unwrap();
+        assert!(!rewritten);
+        assert_eq!(grouped.explain(), text);
     }
 }
 

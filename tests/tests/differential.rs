@@ -15,7 +15,7 @@ use timber_integration_tests::{
 use xmlstore::StoreOptions;
 
 /// A projection-only query: no grouping, no join — exercises the
-/// optimizer's select→project fusion and the streaming leaf.
+/// executor's select→project fusion and the streaming leaf.
 const QUERY_PROJECT: &str = r#"
     FOR $a IN distinct-values(document("bib.xml")//author)
     RETURN <row> {$a} </row>

@@ -45,12 +45,11 @@ StitchConstruct <authorpubs> key: outer.$2
 Rename to <authorpubs>
   Project pattern=[$1:TAX_group_root, $1-pc->$2:TAX_grouping_basis, $2-pc->$3:author, $1-pc->$4:TAX_group_subroot, $4-pc->$5:article, $5-pc->$6:title] PL=[\"$1\", \"$3*\", \"$6*\"] anchor_root=true
     GroupBy pattern=[$1:article, $1-pc->$2:author] basis=[\"$2.content\"] ordering=[]
-      SelectProject pattern=[$1:article] SL=[\"$1\"] PL=[\"$1*\"]
+      Project pattern=[$1:article] PL=[\"$1*\"] anchor_root=true
+        SelectDb pattern=[$1:article] SL=[\"$1\"]
 
 == rewrite trace ==
 pass 1: groupby-rewrite
-pass 1: projection-prune
-pass 1: select-project-fuse
 ";
     assert_eq!(fig6_db().explain(QUERY1).unwrap(), expected);
 }
@@ -71,21 +70,19 @@ StitchConstruct <authorpubs> key: outer.$2 agg=Count<count>
 == optimized plan ==
 Rename to <authorpubs>
   Rollup Count(member $2) as <count> flat pattern=[$1:article, $1-pc->$2:author] basis=[\"$2.content\"] member=[$1:article, $1-pc->$2:title]
-    SelectProject pattern=[$1:article] SL=[\"$1\"] PL=[\"$1*\"]
+    Project pattern=[$1:article] PL=[\"$1*\"] anchor_root=true
+      SelectDb pattern=[$1:article] SL=[\"$1\"]
 
 == rewrite trace ==
 pass 1: groupby-rewrite
-pass 1: projection-prune
-pass 1: select-project-fuse
 ";
     assert_eq!(fig6_db().explain(QUERY_COUNT).unwrap(), expected);
 }
 
 #[test]
 fn projection_only_explain_snapshot() {
-    // No grouping, no join: only the select→project fusion fires (the
-    // root-pruning rule refuses because the projection list keeps the
-    // doc_root node).
+    // No grouping, no join: nothing is rewritten, and the optimized plan
+    // is the direct one.
     let expected = "\
 == direct plan ==
 StitchConstruct <row> key: outer.$2
@@ -94,12 +91,10 @@ StitchConstruct <row> key: outer.$2
       SelectDb pattern=[$1:doc_root, $1-ad->$2:author] SL=[\"$2\"]
 
 == optimized plan ==
-StitchConstruct <row> key: outer.$2
-  DupElim pattern=[$1:doc_root, $1-ad->$2:author] by=$2
-    SelectProject pattern=[$1:doc_root, $1-ad->$2:author] SL=[\"$2\"] PL=[\"$1\", \"$2*\"]
+(no rewrite rules fired; same as direct)
 
 == rewrite trace ==
-pass 1: select-project-fuse
+(no rules fired)
 ";
     assert_eq!(fig6_db().explain(QUERY_PROJECT).unwrap(), expected);
 }
@@ -118,7 +113,7 @@ fn explain_analyze_structural_snapshot() {
     assert!(text.contains("== rewrite trace ==\npass 1: groupby-rewrite\n"));
     assert!(text.contains("== execution (physical, batch=256) ==\n"));
     let metric_lines: Vec<&str> = text.lines().filter(|l| l.contains(" | in=")).collect();
-    assert_eq!(metric_lines.len(), 4, "{text}");
+    assert_eq!(metric_lines.len(), 5, "{text}");
     for line in &metric_lines {
         for field in [
             "out=",
@@ -133,10 +128,11 @@ fn explain_analyze_structural_snapshot() {
             assert!(line.contains(field), "{line}");
         }
     }
-    // Each line says what its rows were: the scan leaf hands the
-    // grouping sink stored rows, the sink hands the projection groups
-    // as columns — no tree between `GroupBy` and `Project` — and the
-    // projection writes one tree per result, cloning none.
+    // Each line says what its rows were: the selection hands its match
+    // rows to the projection over it, which hands the grouping sink
+    // stored rows; the sink hands the final projection groups as columns
+    // — no tree between `GroupBy` and `Project` — and that projection
+    // writes one tree per result, cloning none.
     let field = |l: &str, name: &str, end: &str| -> String {
         let rest = l.split(name).nth(1).unwrap();
         rest.split(end).next().unwrap().to_owned()
@@ -147,7 +143,7 @@ fn explain_analyze_structural_snapshot() {
         .collect();
     assert_eq!(
         outs,
-        ["3 trees", "3 trees", "3 groups", "3 stored"],
+        ["3 trees", "3 trees", "3 groups", "3 stored", "3 matches"],
         "{text}"
     );
     let project = metric_lines[1];
@@ -160,10 +156,13 @@ fn explain_analyze_structural_snapshot() {
         "{text}"
     );
     assert!(metric_lines[2].contains("/c:0/"), "{text}");
-    for l in [metric_lines[0], project, metric_lines[3]] {
+    for l in [metric_lines[0], project, metric_lines[3], metric_lines[4]] {
         assert!(!l.contains("stages="), "{l}");
     }
-    assert_eq!(field(project, " clones=", " "), "0", "{project}");
+    for l in &metric_lines[1..] {
+        assert_eq!(field(l, " clones=", " "), "0", "{l}");
+        assert_eq!(field(l, " pages=", " "), "0", "{l}");
+    }
     assert_eq!(a.result.len(), 3);
     // One lane, nothing to name: the summary is just the two counts.
     let summary = text.lines().find(|l| l.ends_with(" scalar-fallback rows"));
@@ -307,9 +306,8 @@ fn explain_analyze_rollup_operator_line() {
 fn explain_analyze_cube_operator_line() {
     // The lattice is the rollup's fold over every prefix level: its line
     // carries the same stage times. Both modes run the one `Cube`, and
-    // the scan under it hands it stored rows — in Direct mode through the
-    // projection over the selection — so no line copies a tree or asks
-    // for a page.
+    // the scan under it — a projection over a selection — hands it stored
+    // rows, so no line copies a tree or asks for a page.
     let db = TimberDb::load_xml(
         "<bib><article><journal>J</journal><author>X</author><pages>3</pages></article>\
          <article><journal>J</journal><author>Y</author><pages>4</pages></article></bib>",

@@ -105,34 +105,44 @@ fn the_papers_literal_count_plan_equals_the_model_on_fig6() {
         .lines()
         .filter_map(|l| l.split_whitespace().next())
         .collect();
-    let literal = ["Rename", "Project", "Aggregate", "GroupBy", "SelectProject"];
+    let literal = [
+        "Rename",
+        "Project",
+        "Aggregate",
+        "GroupBy",
+        "Project",
+        "SelectDb",
+    ];
     assert_eq!(ops, literal, "{text}");
 }
 
-/// `plan` (a chain of one-input operators) with its scan leaf replaced.
+/// `plan` (a chain of one-input operators) with its grouping sink's
+/// input, the subject scan, replaced.
 fn with_leaf(plan: &Plan, leaf: Plan) -> Plan {
     let mut plan = plan.clone();
     let mut at = &mut plan;
     loop {
         match at {
-            Plan::Rename { input, .. }
-            | Plan::Rollup { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::GroupBy { input, .. } => at = &mut **input,
-            scan => {
-                *scan = leaf;
+            Plan::Rollup { input, .. } | Plan::GroupBy { input, .. } => {
+                **input = leaf;
                 return plan;
             }
+            Plan::Rename { input, .. } | Plan::Project { input, .. } => at = &mut **input,
+            other => panic!("no grouping sink above {other:?}"),
         }
     }
 }
 
-/// The fused `[$1*]` scan of `pattern`: one stored row per match.
+/// The `[$1*]` scan of `pattern`: one stored row per match.
 fn scan(pattern: PatternTree) -> Plan {
-    Plan::SelectProject {
-        sl: vec![pattern.root()],
+    Plan::Project {
+        input: Box::new(Plan::SelectDb {
+            pattern: pattern.clone(),
+            sl: vec![pattern.root()],
+        }),
         pl: vec![ProjectItem::deep(pattern.root())],
         pattern,
+        anchor_root: true,
     }
 }
 
@@ -228,6 +238,63 @@ fn the_rewrite_drops_an_author_no_titled_article_carries() {
         assert_eq!(run(&db, query, PlanMode::Direct, 256), want);
         assert_eq!(run(&db, query, PlanMode::GroupByRewrite, 256), jack);
     }
+}
+
+/// The three query forms over the subject `//doc_root`. The store's only
+/// `doc_root` is its synthetic root, which has no `doc_root` above it, so
+/// the query as written finds no subject.
+const DOC_ROOT_SUBJECTS: [&str; 3] = [
+    r#"FOR $a IN distinct-values(document("bib.xml")//author)
+       RETURN <authorpubs> {$a}
+         { FOR $b IN document("bib.xml")//doc_root
+           WHERE $a = $b/bib/article/author
+           RETURN $b/bib/article/title }
+       </authorpubs>"#,
+    r#"FOR $a IN distinct-values(document("bib.xml")//author)
+       LET $t := document("bib.xml")//doc_root[bib/article/author = $a]/bib
+       RETURN <authorpubs> {$a} {count($t)} </authorpubs>"#,
+    r#"FOR $b IN document("bib.xml")//doc_root CUBE BY $b/bib
+       RETURN <p>{count($b/bib)}</p>"#,
+];
+
+/// `model` minus the rows DESIGN.md, *Oracle*, 1 says the GROUPBY plan
+/// drops: an author no subject joins, nesting nothing or counting zero.
+fn joined_rows(model: &str) -> String {
+    let joined = |row: &&str| row.matches("</").count() > 2 && !row.contains("<count>0</count>");
+    model
+        .lines()
+        .filter(joined)
+        .map(|row| format!("{row}\n"))
+        .collect()
+}
+
+#[test]
+fn a_doc_root_subject_binds_no_stored_node_in_either_plan() {
+    // The subject scan must not start below a `doc_root` pattern root
+    // whose child is `doc_root` itself: the scan would then bind the
+    // store root, and the GROUPBY plan would group every article under
+    // it. Both plans must find no subject, as the model does.
+    let hold = |xml: &str| {
+        let db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
+        for batch in batch_matrix(&[1, 16, 256]) {
+            for (i, query) in DOC_ROOT_SUBJECTS.iter().enumerate() {
+                let want = expected(xml, query);
+                let cell = format!("batch={batch} {query} on {xml}");
+                assert_eq!(run(&db, query, PlanMode::Direct, batch), want, "{cell}");
+                let grouped = match i {
+                    2 => want,
+                    _ => joined_rows(&want),
+                };
+                assert_eq!(grouped, "", "{cell}");
+                let got = run(&db, query, PlanMode::GroupByRewrite, batch);
+                assert_eq!(got, grouped, "{cell}");
+            }
+        }
+    };
+    hold(FIG6_DB);
+    check("a doc_root subject binds no stored node", 1, |g| {
+        hold(&bibliography(g, Shape::Plain))
+    });
 }
 
 /// Query 1's shape returning `$b/<ret>`, the inner FLWR ordered by

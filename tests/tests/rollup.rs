@@ -52,8 +52,12 @@ fn every_corpus_aggregate_fuses_to_a_rollup() {
             ops[1].starts_with("Rollup") && ops[1].contains(" flat "),
             "{text}"
         );
-        assert!(ops[2].starts_with("SelectProject"), "{text}");
-        assert_eq!(ops.len(), 3, "{text}");
+        assert!(ops[2].starts_with("Project pattern=[$1:article]"), "{text}");
+        assert!(
+            ops[3].starts_with("SelectDb pattern=[$1:article]"),
+            "{text}"
+        );
+        assert_eq!(ops.len(), 4, "{text}");
     }
 }
 
