@@ -8,15 +8,16 @@
 //! identifiers, and data pages are touched only for the values an operator
 //! actually needs.
 //!
-//! Data population is one walk, run twice per chunk of trees: to list
-//! the stored rows whose values it will write, then — after one batched
-//! read of them ([`DocumentStore::values`]) — to write them, as XML text
-//! ([`Tree::write_xml`], [`write_xml_lines`]) or as the DOM elements of
-//! the same bytes ([`Tree::materialize`], [`materialize_all`]).
-//! Constructed elements are reported from their symbols; a reference
-//! goes through the store's walk over its label columns
-//! ([`DocumentStore::emit_open`]) and takes the node's arena children
-//! before it closes. Only heap pages are requested, each once a chunk.
+//! Data population walks each tree once, recording a chunk of trees on
+//! a [`Tape`]: its events, and the stored rows whose values it writes.
+//! One batched read fetches those rows ([`DocumentStore::values`]) and a
+//! [`RowWriter`] replays the tape, as XML text ([`Tree::write_xml`],
+//! [`write_xml_lines`]) or as the DOM elements of the same bytes
+//! ([`Tree::materialize`], [`materialize_all`]). Constructed elements are
+//! recorded from their symbols; a reference goes through the store's walk
+//! over its label columns ([`DocumentStore::emit_open`]) and takes the
+//! node's arena children before it closes. Only heap pages are
+//! requested, each once a chunk.
 //!
 //! Constructed nodes carry dictionary [`Sym`]s, not strings: tags like
 //! `TAX_group_root` and computed values are interned once into the
@@ -31,7 +32,7 @@ use crate::error::Result;
 use crate::matching::vnode::VNode;
 use std::cell::Cell;
 use xmlparse::{Element, ElementBuilder, XmlSink, XmlWriter};
-use xmlstore::{Dictionary, DocumentStore, NodeEntry, RowSink, RowWriter, Sym};
+use xmlstore::{Dictionary, DocumentStore, NodeEntry, RowWriter, Sym, Tape};
 
 /// A collection of data trees — what every TAX operator consumes and
 /// produces.
@@ -386,7 +387,7 @@ impl Tree {
     /// expanding deep references through the store.
     pub fn materialize(&self, store: &DocumentStore) -> Result<Element> {
         let mut dom = ElementBuilder::new();
-        populate(store, std::slice::from_ref(self), &mut dom, |_| {})?;
+        populate(store, std::slice::from_ref(self), &mut dom, |_| {}, CHUNK)?;
         Ok(dom.finish())
     }
 
@@ -395,15 +396,14 @@ impl Tree {
     /// between.
     pub fn write_xml(&self, store: &DocumentStore, out: &mut String) -> Result<()> {
         let one = std::slice::from_ref(self);
-        populate(store, one, &mut XmlWriter::new(out), |_| {})
+        populate(store, one, &mut XmlWriter::new(out), |_| {}, CHUNK).map(drop)
     }
 
-    /// Report the subtree at arena node `id` to `out`: a constructed
+    /// Record the subtree at arena node `id` on `out`: a constructed
     /// element from its symbols, a reference through the store's column
     /// walk (its stored subtree too when deep), then — inside either —
-    /// the node's arena children. Into a `Vec<NodeId>` this lists the
-    /// stored rows whose values it writes, into a [`RowWriter`] it writes.
-    fn emit(&self, store: &DocumentStore, id: TreeNodeId, out: &mut impl RowSink) -> Result<()> {
+    /// the node's arena children.
+    fn emit(&self, store: &DocumentStore, id: TreeNodeId, out: &mut Tape) -> Result<()> {
         let node = &self.nodes[id];
         match &node.kind {
             TreeNodeKind::Elem { tag, content } => {
@@ -422,66 +422,68 @@ impl Tree {
     }
 }
 
-/// Stored values a chunk of output may have pending before they are
-/// fetched and written (it closes at the first tree boundary past this):
-/// memory is bounded by the chunk's row list and value arena, not by the
-/// result, and each chunk reads a heap page once however trees order it.
+/// Stored values, and events, a chunk of output may record before it is
+/// fetched and written (it closes at the first tree boundary past
+/// either): memory is bounded by the chunk's tape and value arena, not
+/// by the result — the event bound keeps a result of constructed
+/// elements alone bounded too — and each chunk reads a heap page once
+/// however trees order it.
 const CHUNK_VALUES: usize = 1 << 16;
+const CHUNK_EVENTS: usize = 1 << 18;
+const CHUNK: (usize, usize) = (CHUNK_VALUES, CHUNK_EVENTS);
 
 /// Output population (Sec. 5.3) of `trees` into `sink`, a chunk at a
-/// time: list the stored rows whose values the chunk's trees write (the
-/// walk alone — no output, no page), fetch them in one batched read,
-/// then run the walk again over the fetched values, calling `after_each`
-/// when a tree is written. Both runs see the projection pinned here.
+/// time: walk the chunk's trees once onto a tape (no output, no page),
+/// fetch the tape's stored values in one batched read, then replay the
+/// tape, calling `after_each` where a tree ends. A chunk closes at
+/// `bounds` = (values, events). Every chunk sees the projection pinned
+/// here. Returns the number of chunks written.
 fn populate<S: XmlSink>(
     store: &DocumentStore,
     trees: &[Tree],
     sink: &mut S,
     mut after_each: impl FnMut(&mut S),
-) -> Result<()> {
+    bounds: (usize, usize),
+) -> Result<usize> {
     let store = &store.snapshot();
-    let mut rows = Vec::new();
-    let mut rest = trees;
-    while !rest.is_empty() {
-        rows.clear();
-        let mut listed = 0;
-        while listed < rest.len() && rows.len() < CHUNK_VALUES {
-            rest[listed].emit(store, rest[listed].root(), &mut rows)?;
-            listed += 1;
+    let mut out = RowWriter::new(store.dict(), sink);
+    let mut tape = Tape::default();
+    let mut chunks = 0;
+    for (i, tree) in trees.iter().enumerate() {
+        tree.emit(store, tree.root(), &mut tape)?;
+        tape.end_tree();
+        let full = tape.rows().len() >= bounds.0 || tape.events() >= bounds.1;
+        if full || i + 1 == trees.len() {
+            let values = store.values(tape.rows())?;
+            out.replay(&tape, &values, &mut after_each);
+            tape.clear();
+            chunks += 1;
         }
-        let fetched = store.values(&rows)?;
-        let mut values = fetched.iter();
-        let (chunk, after) = rest.split_at(listed);
-        let mut out = RowWriter::new(store.dict(), &mut values, sink);
-        for tree in chunk {
-            tree.emit(store, tree.root(), &mut out)?;
-            after_each(out.sink());
-        }
-        rest = after;
     }
-    Ok(())
+    Ok(chunks)
 }
 
 /// Append the XML text of `trees` to `out`, one tree per line.
 pub fn write_xml_lines(store: &DocumentStore, trees: &[Tree], out: &mut String) -> Result<()> {
-    populate(store, trees, &mut XmlWriter::new(out), |text| {
-        text.text("\n")
-    })
+    let newline = |text: &mut XmlWriter| text.text("\n");
+    populate(store, trees, &mut XmlWriter::new(out), newline, CHUNK).map(drop)
 }
 
 /// Materialize every tree of `trees` as a DOM element.
 pub fn materialize_all(store: &DocumentStore, trees: &[Tree]) -> Result<Vec<Element>> {
     let mut out = Vec::with_capacity(trees.len());
-    populate(store, trees, &mut ElementBuilder::new(), |dom| {
-        out.push(std::mem::take(dom).finish())
-    })?;
+    let finish = |dom: &mut ElementBuilder| out.push(std::mem::take(dom).finish());
+    populate(store, trees, &mut ElementBuilder::new(), finish, CHUNK)?;
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmlstore::StoreOptions;
+    use smallrand::prop::Gen;
+    use std::fmt::Write as _;
+    use xmlparse::serialize::element_to_string;
+    use xmlstore::{FaultConfig, StoreOptions};
 
     fn store() -> DocumentStore {
         DocumentStore::from_xml(
@@ -641,6 +643,163 @@ mod tests {
         t.add_elem_with_content(s.dict(), t.root(), "author", "Jack");
         let e = t.materialize(&s).unwrap();
         assert_eq!(e.child("author").unwrap().text(), "Jack");
+    }
+
+    /// A random bibliography of `articles` articles: authors from a pool
+    /// of five, attributes on some articles (one with escaped quotes),
+    /// titles that need escaping, mixed content in some.
+    fn bibliography(g: &mut Gen, articles: usize) -> String {
+        const POOL: [&str; 5] = ["Jack", "Jill", "John", "Jane", "Joan"];
+        let mut s = String::from("<bib>");
+        for n in 0..articles {
+            s.push_str("<article");
+            if g.bool() {
+                let _ = write!(s, " year=\"{}\"", 1999 + n % 3);
+            }
+            if g.ratio(1, 4) {
+                s.push_str(" key=\"a&amp;b &quot;q&quot;\"");
+            }
+            s.push('>');
+            for _ in 0..g.usize_in(1, 3) {
+                let _ = write!(s, "<author>{}</author>", g.pick(&POOL));
+            }
+            let word = g.ident(12);
+            let _ = write!(s, "<title>Title {n}: &lt;{word}&gt; &amp; more</title>");
+            if g.ratio(1, 3) {
+                s.push_str("<note>see <i>this</i> too</note>");
+            }
+            s.push_str("</article>");
+        }
+        s.push_str("</bib>");
+        s
+    }
+
+    /// Query 1's output shape over `s`, and stored parts of every kind:
+    /// per author row, `<authorpubs>` holding the name and a deep
+    /// reference to its article; per article, a deep reference, and a
+    /// shallow one holding deep references to its authors.
+    fn result_of(s: &DocumentStore) -> Vec<Tree> {
+        let d = s.dict();
+        let (article, author) = (s.tag_id("article").unwrap(), s.tag_id("author").unwrap());
+        let mut trees = Vec::new();
+        for a in s.nodes_with_tag(author) {
+            let mut t = Tree::new_elem(d, "authorpubs");
+            t.add_elem_with_content_sym(0, author, s.content_sym(a.id).unwrap());
+            let parent = s.parent(a.id).unwrap().unwrap();
+            t.add_ref(0, s.entry(parent).unwrap(), true);
+            trees.push(t);
+        }
+        for art in s.nodes_with_tag(article) {
+            trees.push(Tree::new_ref(art, true));
+            let mut shallow = Tree::new_ref(art, false);
+            for c in s.children(art.id).unwrap() {
+                if Sym(s.columns().tag[c.0 as usize]) == author {
+                    shallow.add_ref(0, s.entry(c).unwrap(), true);
+                }
+            }
+            trees.push(shallow);
+        }
+        trees
+    }
+
+    /// `trees` populated at `bounds` by both routes: the text, one tree a
+    /// line, and the DOM elements — which must serialize to that text —
+    /// with the number of chunks written.
+    fn populate_at(s: &DocumentStore, trees: &[Tree], bounds: (usize, usize)) -> (String, usize) {
+        let mut text = String::new();
+        let newline = |w: &mut XmlWriter| w.text("\n");
+        let chunks = populate(s, trees, &mut XmlWriter::new(&mut text), newline, bounds).unwrap();
+        let mut dom = Vec::new();
+        let finish = |b: &mut ElementBuilder| dom.push(std::mem::take(b).finish());
+        let dom_chunks = populate(s, trees, &mut ElementBuilder::new(), finish, bounds).unwrap();
+        assert_eq!(dom_chunks, chunks);
+        let lines: String = dom.iter().map(|e| element_to_string(e) + "\n").collect();
+        assert_eq!(lines, text, "the DOM route at {chunks} chunks");
+        (text, chunks)
+    }
+
+    /// Every bound of 1, 2, 3 and 7 values, or events, writes the bytes
+    /// of one chunk, in as many chunks as the bound asks for.
+    fn assert_chunkings_agree(s: &DocumentStore, trees: &[Tree]) {
+        let (one, chunks) = populate_at(s, trees, CHUNK);
+        assert_eq!(chunks, 1);
+        let stored = trees.iter().any(|t| {
+            let mut tape = Tape::default();
+            t.emit(s, t.root(), &mut tape).unwrap();
+            !tape.rows().is_empty()
+        });
+        for bound in [1, 2, 3, 7] {
+            let (text, chunks) = populate_at(s, trees, (bound, usize::MAX));
+            assert_eq!(text, one, "{bound} values a chunk");
+            assert_eq!(chunks > 1, stored, "{chunks} chunks at {bound} values");
+            let (text, chunks) = populate_at(s, trees, (usize::MAX, bound));
+            assert_eq!(text, one, "{bound} events a chunk");
+            let split = chunks > 1 && (bound > 1 || chunks == trees.len());
+            assert!(split, "{chunks} chunks at {bound} events");
+        }
+    }
+
+    #[test]
+    fn every_chunking_writes_the_bytes_of_one_chunk() {
+        let fig6 = "<bib>\
+            <article><author>Jack</author><author>John</author><title>Querying XML</title></article>\
+            <article><author>Jill</author><author>Jack</author><title>XML and the Web</title></article>\
+            <article><author>John</author><title>Hack HTML</title></article>\
+        </bib>";
+        let random = bibliography(&mut Gen::new(32), 9);
+        for xml in [fig6, &random] {
+            let s = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
+            assert_chunkings_agree(&s, &result_of(&s));
+        }
+        // Constructed elements alone read no value: only the event bound
+        // splits them.
+        let s = store();
+        let constructed: Vec<Tree> = (0..6)
+            .map(|i| {
+                let mut t = Tree::new_elem(s.dict(), "row");
+                t.add_elem_with_content(s.dict(), 0, "n", format!("{i} & <{i}>"));
+                t
+            })
+            .collect();
+        assert_chunkings_agree(&s, &constructed);
+    }
+
+    #[test]
+    fn a_read_fault_in_the_second_chunk_keeps_the_first_chunks_text() {
+        // One pool frame, values on several heap pages, a tree a chunk:
+        // the first and the last article, so the second chunk needs a
+        // page the first did not leave in the pool.
+        let xml = bibliography(&mut Gen::new(7), 300);
+        let opts = StoreOptions::in_memory().with_pool_pages(1);
+        let s = DocumentStore::from_xml(&xml, &opts).unwrap();
+        assert!(s.heap_pages() > 1, "{} heap pages", s.heap_pages());
+        let articles = s.nodes_with_tag(s.tag_id("article").unwrap());
+        let trees = [articles[0], articles[articles.len() - 1]].map(|a| Tree::new_ref(a, true));
+        let bounds = (usize::MAX, 1);
+        let (reference, chunks) = populate_at(&s, &trees, bounds);
+        assert_eq!(chunks, 2);
+
+        // Every read after the first chunk's fails.
+        s.clear_buffer_pool().unwrap();
+        let before = s.io_stats().disk.reads;
+        let mut first = String::new();
+        trees[0].write_xml(&s, &mut first).unwrap();
+        let reads = s.io_stats().disk.reads - before;
+        s.clear_buffer_pool().unwrap();
+        let faults = FaultConfig::seeded(3)
+            .with_read_error(1.0)
+            .with_after_ops(reads);
+        s.inject_faults(Some(faults)).unwrap();
+        let mut text = String::from("kept|");
+        let newline = |w: &mut XmlWriter| w.text("\n");
+        let err = populate(&s, &trees, &mut XmlWriter::new(&mut text), newline, bounds);
+        assert!(
+            matches!(err, Err(crate::Error::Store(ref e)) if e.is_transient()),
+            "{err:?}"
+        );
+        assert_eq!(text, format!("kept|{first}\n"));
+        s.inject_faults(None).unwrap();
+        assert_eq!(populate_at(&s, &trees, bounds).0, reference);
     }
 
     #[test]

@@ -166,17 +166,29 @@ fn handle_conn(db: Arc<TimberDb>, mut stream: TcpStream) {
             Ok(Some(f)) => f,
             Ok(None) | Err(_) => return, // disconnect (or forced shutdown)
         };
-        let (status, payload) = match dispatch(&db, &mut session, &frame) {
-            Ok(p) => (STATUS_OK, p),
-            Err(msg) => (STATUS_ERR, msg.into_bytes()),
-        };
-        let mut out = Vec::with_capacity(payload.len() + 1);
-        out.push(status);
-        out.extend_from_slice(&payload);
-        if proto::write_frame(&mut stream, &out).is_err() {
+        if write_reply(&mut stream, dispatch(&db, &mut session, &frame)).is_err() {
             return;
         }
     }
+}
+
+/// Write one reply frame, the length with the status byte and then the
+/// payload, without copying it; a result over the cap is a typed error.
+fn write_reply(w: &mut impl std::io::Write, reply: Result<Vec<u8>, String>) -> std::io::Result<()> {
+    let cap = proto::MAX_FRAME as usize;
+    let (status, payload) = match reply {
+        Ok(p) if p.len() < cap => (STATUS_OK, p),
+        Ok(p) => {
+            let size = p.len() + 1;
+            let msg = format!("a {size}-byte reply exceeds the {cap}-byte frame cap");
+            (STATUS_ERR, msg.into_bytes())
+        }
+        Err(msg) => (STATUS_ERR, msg.into_bytes()),
+    };
+    let [a, b, c, d] = (payload.len() as u32 + 1).to_le_bytes();
+    w.write_all(&[a, b, c, d, status])?;
+    w.write_all(&payload)?;
+    w.flush()
 }
 
 fn plan_mode(m: Mode) -> PlanMode {
@@ -401,6 +413,24 @@ mod tests {
         drop(c);
         handle.shutdown();
         drop(last);
+    }
+
+    #[test]
+    fn a_reply_over_the_frame_cap_is_a_typed_error() {
+        let mut wire = Vec::new();
+        let big = vec![b'x'; proto::MAX_FRAME as usize];
+        write_reply(&mut wire, Ok(big)).unwrap();
+        let frame = proto::read_frame(&mut &wire[..]).unwrap().unwrap();
+        assert_eq!(frame[0], STATUS_ERR);
+        let text = String::from_utf8(frame[1..].to_vec()).unwrap();
+        let size = proto::MAX_FRAME + 1;
+        assert!(text.contains(&size.to_string()), "{text}");
+        assert!(text.contains(&proto::MAX_FRAME.to_string()), "{text}");
+        // Under the cap, the reply is the status byte and the payload.
+        wire.clear();
+        write_reply(&mut wire, Ok(b"<a/>".to_vec())).unwrap();
+        let frame = proto::read_frame(&mut &wire[..]).unwrap().unwrap();
+        assert_eq!(frame, b"\0<a/>");
     }
 
     #[test]

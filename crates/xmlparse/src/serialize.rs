@@ -92,21 +92,53 @@ fn write_element(out: &mut String, elem: &Element, indent: Option<usize>) {
 
 /// Append `s` to `out`, copying the runs that need no escaping whole.
 /// This is the one escaping table: `& < >` always, `"` when `quote`.
+/// The scan tests eight bytes a step and looks at single bytes only in
+/// a word that holds one to escape, or in a string shorter than a word.
 fn push_escaped(out: &mut String, s: &str, quote: bool) {
+    let bytes = s.as_bytes();
+    // Whether the word ending at `end` holds a byte to escape (true for a
+    // string shorter than a word): a byte ORed with 2 is `>` exactly when
+    // it is `<` or `>`, and ORed with 4 is `&` exactly when it is `"` or `&`.
+    let quote_bit = if quote { u64::from_le_bytes([4; 8]) } else { 0 };
+    let hit = |end: usize| {
+        let word = end
+            .checked_sub(8)
+            .and_then(|at| bytes.get(at..end)?.try_into().ok());
+        word.map_or(true, |word: [u8; 8]| {
+            let word = u64::from_le_bytes(word);
+            has_byte(word | u64::from_le_bytes([2; 8]), b'>') | has_byte(word | quote_bit, b'&')
+        })
+    };
     let mut copied = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let entity = match b {
-            b'&' => "&amp;",
-            b'<' => "&lt;",
-            b'>' => "&gt;",
-            b'"' if quote => "&quot;",
-            _ => continue,
-        };
-        out.push_str(&s[copied..i]);
-        out.push_str(entity);
-        copied = i + 1;
+    for at in (0..bytes.len()).step_by(8) {
+        // The last word ends the string, overlapping the one before.
+        let end = (at + 8).min(bytes.len());
+        if !hit(end) {
+            continue;
+        }
+        for (i, &b) in (at..end).zip(&bytes[at..end]) {
+            let entity = match b {
+                b'&' => "&amp;",
+                b'<' => "&lt;",
+                b'>' => "&gt;",
+                b'"' if quote => "&quot;",
+                _ => continue,
+            };
+            out.push_str(&s[copied..i]);
+            out.push_str(entity);
+            copied = i + 1;
+        }
     }
     out.push_str(&s[copied..]);
+}
+
+/// Whether a byte of `word` is `b`. `x` has a zero byte exactly where
+/// `word` holds `b`, and `x - 0x01…01` sets the top bit, clear in `x`, of
+/// its lowest zero byte, or of none if it has none.
+fn has_byte(word: u64, b: u8) -> bool {
+    let ones = u64::from_le_bytes([1; 8]);
+    let x = word ^ (ones * u64::from(b));
+    x.wrapping_sub(ones) & !x & u64::from_le_bytes([0x80; 8]) != 0
 }
 
 /// Append character data to `out`, escaping `& < >`.
@@ -114,33 +146,13 @@ pub fn push_escaped_text(out: &mut String, s: &str) {
     push_escaped(out, s, false);
 }
 
-/// Append an attribute value for double-quoted output to `out`,
-/// escaping `& < > "`.
-pub fn push_escaped_attr(out: &mut String, s: &str) {
-    push_escaped(out, s, true);
-}
-
-/// Append ` name="value"` to `out`, the value escaped.
+/// Append ` name="value"` to `out`, the value escaped for double quotes.
 pub(crate) fn push_attr(out: &mut String, name: &str, value: &str) {
     out.push(' ');
     out.push_str(name);
     out.push_str("=\"");
-    push_escaped_attr(out, value);
+    push_escaped(out, value, true);
     out.push('"');
-}
-
-/// Escape character data: `& < >`.
-pub fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    push_escaped_text(&mut out, s);
-    out
-}
-
-/// Escape an attribute value for double-quoted output: `& < > "`.
-pub fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    push_escaped_attr(&mut out, s);
-    out
 }
 
 #[cfg(test)]
@@ -208,6 +220,58 @@ mod tests {
             .map(|e| e.text())
             .collect();
         assert_eq!(titles, ["T", "U"]);
+    }
+
+    /// The escaping table a byte at a time: what `push_escaped` must
+    /// write for every input.
+    fn escaped_bytewise(s: &str, quote: bool) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '&' => out.push_str("&amp;"),
+                '<' => out.push_str("&lt;"),
+                '>' => out.push_str("&gt;"),
+                '"' if quote => out.push_str("&quot;"),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    fn assert_escapes_bytewise(s: &str) {
+        for quote in [false, true] {
+            let mut out = String::from("kept");
+            push_escaped(&mut out, s, quote);
+            let expected = format!("kept{}", escaped_bytewise(s, quote));
+            assert_eq!(out, expected, "quote={quote} over {s:?}");
+        }
+    }
+
+    #[test]
+    fn word_at_a_time_escaping_equals_the_bytewise_table() {
+        assert_escapes_bytewise("");
+        // Each special byte at every offset of three words, alone or
+        // next to multi-byte UTF-8, and behind a clean run of 200 bytes.
+        let clean = "a".repeat(200);
+        for special in ["&", "<", ">", "\""] {
+            for at in 0..24 {
+                let pad = &clean[..at];
+                assert_escapes_bytewise(&format!("{pad}{special}"));
+                assert_escapes_bytewise(&format!("{pad}{special}é€{pad}"));
+                assert_escapes_bytewise(&format!("€{pad}𝄞{special}\u{80}{pad}"));
+            }
+            assert_escapes_bytewise(&format!("{clean}{special}{clean}"));
+        }
+        // Random strings up to 100 characters of specials, ASCII and
+        // one- to four-byte UTF-8.
+        let pieces = [
+            "&", "<", ">", "\"", "'", "a", "Z", " ", "é", "€", "𝄞", "\u{80}", "\u{7f}",
+        ];
+        smallrand::prop::check("escaping", 400, |g| {
+            let n = g.usize_in(0, 100);
+            let s: String = (0..n).map(|_| *g.pick(&pieces)).collect();
+            assert_escapes_bytewise(&s);
+        });
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! metadata, its checkpoint snapshot and commit delta codecs), `loader`
 //! (document → records and pages), `projection` (the published view,
 //! how an edit extends it, snapshot pins, limbo), `output` (the batched
-//! value read and the walk that lists and writes a stored subtree),
+//! value read, the walk that records a stored subtree, the replay),
 //! `commit` (the one write transaction, its two page-write strategies,
 //! the allocator, checkpoint) and `reopen` (recovery glue).
 
@@ -48,7 +48,7 @@ mod output;
 mod projection;
 mod reopen;
 
-pub use output::{RowSink, RowWriter};
+pub use output::{RowWriter, Tape};
 pub use projection::{Entries, EntriesIter};
 pub use reopen::RecoveryInfo;
 

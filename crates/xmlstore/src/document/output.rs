@@ -1,8 +1,8 @@
-//! Output population (Sec. 5.3) as list → fetch → write: the one walk of
-//! a stored subtree run into a `Vec<NodeId>` lists the rows whose values
-//! it will write, [`DocumentStore::values`] fetches them in one batched,
-//! page-ordered read, and the same walk run into a [`RowWriter`] writes
-//! them (DESIGN.md, *Output population*).
+//! Output population (Sec. 5.3) as walk → fetch → replay: the one walk
+//! of a stored subtree records its events and the rows whose values it
+//! writes into a [`Tape`], [`DocumentStore::values`] fetches those rows
+//! in one batched, page-ordered read, and a [`RowWriter`] replays the
+//! tape over the fetched values (DESIGN.md, *Output population*).
 
 use super::DocumentStore;
 use crate::columns::NodeColumns;
@@ -13,43 +13,79 @@ use crate::node::{NodeId, NodeKind};
 use std::sync::Arc;
 use xmlparse::XmlSink;
 
-/// Receiver of the output walk: names as symbols, a stored value as the
-/// row that holds it, so the walk reads no page and resolves no string.
-/// `attr` comes only between an `open` and what the element contains.
-pub trait RowSink {
+/// One step of the output walk: names are symbols, and `Attr` (an
+/// attribute of the element just opened) and `Value` (character data)
+/// take their value from the next of the tape's rows, so recording reads
+/// no page and resolves no string. `Text` is constructed character data.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    Open(Sym),
+    Attr(Sym),
+    Value,
+    Text(Sym),
+    Close,
+    EndTree,
+}
+
+/// What the output walk recorded: its events in order, and the rows
+/// whose values its `Attr` and `Value` events write, in the same order.
+/// An `Attr` comes only between an `Open` and what the element holds.
+#[derive(Debug, Default)]
+pub struct Tape {
+    events: Vec<Event>,
+    rows: Vec<NodeId>,
+}
+
+impl Tape {
     /// An element starts.
-    fn open(&mut self, tag: Sym);
-    /// An attribute of the element just opened; `row` holds its value.
-    fn attr(&mut self, tag: Sym, row: NodeId);
-    /// The content of stored `row`, as character data.
-    fn value(&mut self, row: NodeId);
-    /// Constructed character data.
-    fn text(&mut self, text: Sym);
-    /// The innermost open element ends.
-    fn close(&mut self);
-}
-
-/// The listing pass: the rows whose values the walk writes, in order.
-impl RowSink for Vec<NodeId> {
-    fn open(&mut self, _tag: Sym) {}
-    fn attr(&mut self, _tag: Sym, row: NodeId) {
-        self.push(row);
+    pub fn open(&mut self, tag: Sym) {
+        self.events.push(Event::Open(tag));
     }
+
     fn value(&mut self, row: NodeId) {
-        self.push(row);
+        self.events.push(Event::Value);
+        self.rows.push(row);
     }
-    fn text(&mut self, _text: Sym) {}
-    fn close(&mut self) {}
+
+    /// Constructed character data.
+    pub fn text(&mut self, text: Sym) {
+        self.events.push(Event::Text(text));
+    }
+
+    /// The innermost open element ends.
+    pub fn close(&mut self) {
+        self.events.push(Event::Close);
+    }
+
+    /// A result tree ends; the replay hands its caller the sink here.
+    pub fn end_tree(&mut self) {
+        self.events.push(Event::EndTree);
+    }
+
+    /// Number of events recorded.
+    pub fn events(&self) -> usize {
+        self.events.len()
+    }
+
+    /// The rows whose values the tape writes, in order — what
+    /// [`DocumentStore::values`] fetches before the replay.
+    pub fn rows(&self) -> &[NodeId] {
+        &self.rows
+    }
+
+    /// Forget what was recorded, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.events.clear();
+        self.rows.clear();
+    }
 }
 
-/// The writing pass: reports the walk to an [`XmlSink`], names resolved
-/// through the dictionary, each stored value the next of `values` — the
-/// batched read of what the listing pass of the same walk produced.
+/// Replays [`Tape`]s into an [`XmlSink`]: names resolved through the
+/// dictionary, each stored value the next of the tape's fetched values.
 /// A name is resolved once per writer, by one short dictionary read; no
 /// lock is held between calls, so interning beside the write never waits.
-pub struct RowWriter<'a, 'v, S> {
+pub struct RowWriter<'a, S> {
     dict: &'a Dictionary,
-    values: &'a mut dyn Iterator<Item = Option<&'v str>>,
     sink: &'a mut S,
     /// Per symbol, 1 + the index of its name in `names`, 0 until resolved.
     slots: Vec<u32>,
@@ -58,26 +94,16 @@ pub struct RowWriter<'a, 'v, S> {
     open: Vec<u32>,
 }
 
-impl<'a, 'v, S: XmlSink> RowWriter<'a, 'v, S> {
-    /// A writer into `sink` that takes stored values from `values`.
-    pub fn new(
-        dict: &'a Dictionary,
-        values: &'a mut dyn Iterator<Item = Option<&'v str>>,
-        sink: &'a mut S,
-    ) -> Self {
+impl<'a, S: XmlSink> RowWriter<'a, S> {
+    /// A writer into `sink`.
+    pub fn new(dict: &'a Dictionary, sink: &'a mut S) -> Self {
         RowWriter {
             dict,
-            values,
             sink,
             slots: Vec::new(),
             names: Vec::new(),
             open: Vec::new(),
         }
-    }
-
-    /// The sink written to, between two walks.
-    pub fn sink(&mut self) -> &mut S {
-        self.sink
     }
 
     /// The index in `names` of the name of `sym`, resolved on first use.
@@ -92,47 +118,50 @@ impl<'a, 'v, S: XmlSink> RowWriter<'a, 'v, S> {
         }
         self.slots[at] - 1
     }
-}
 
-impl<S: XmlSink> RowSink for RowWriter<'_, '_, S> {
-    fn open(&mut self, tag: Sym) {
-        let name = self.name(tag);
-        self.sink.open(&self.names[name as usize]);
-        self.open.push(name);
-    }
-
-    fn attr(&mut self, tag: Sym, _row: NodeId) {
-        let name = self.name(tag);
-        let name = &self.names[name as usize];
-        let value = self.values.next().flatten().unwrap_or_default();
-        self.sink.attr(name.trim_start_matches('@'), value);
-    }
-
-    fn value(&mut self, _row: NodeId) {
+    /// Write `tape` to the sink, its stored values taken in order from
+    /// `values` — the batched read of [`Tape::rows`] — and `end_tree`
+    /// called with the sink where a result tree ends.
+    pub fn replay(&mut self, tape: &Tape, values: &Values, mut end_tree: impl FnMut(&mut S)) {
         // A row without content reads as empty.
-        self.sink
-            .text(self.values.next().flatten().unwrap_or_default());
-    }
-
-    fn text(&mut self, text: Sym) {
-        let name = self.name(text);
-        self.sink.text(&self.names[name as usize]);
-    }
-
-    fn close(&mut self) {
-        if let Some(name) = self.open.pop() {
-            self.sink.close(&self.names[name as usize]);
+        let mut values = values.iter().map(Option::unwrap_or_default);
+        for &event in &tape.events {
+            match event {
+                Event::Open(tag) => {
+                    let name = self.name(tag);
+                    self.sink.open(&self.names[name as usize]);
+                    self.open.push(name);
+                }
+                Event::Attr(tag) => {
+                    let name = self.name(tag);
+                    let value = values.next().unwrap_or_default();
+                    let name = self.names[name as usize].trim_start_matches('@');
+                    self.sink.attr(name, value);
+                }
+                Event::Value => self.sink.text(values.next().unwrap_or_default()),
+                Event::Text(text) => {
+                    let text = self.name(text);
+                    self.sink.text(&self.names[text as usize]);
+                }
+                Event::Close => {
+                    if let Some(name) = self.open.pop() {
+                        self.sink.close(&self.names[name as usize]);
+                    }
+                }
+                Event::EndTree => end_tree(self.sink),
+            }
         }
     }
 }
 
 /// The start of element row `row`: tag, attribute run, merged content.
 /// Returns the first row after the attribute run.
-fn emit_start(cols: &NodeColumns, row: u32, out: &mut impl RowSink) -> u32 {
+fn emit_start(cols: &NodeColumns, row: u32, out: &mut Tape) -> u32 {
     out.open(Sym(cols.tag[row as usize]));
     let attrs = cols.attr_ids(NodeId(row));
     for a in attrs.clone() {
-        out.attr(Sym(cols.tag[a as usize]), NodeId(a));
+        out.events.push(Event::Attr(Sym(cols.tag[a as usize])));
+        out.rows.push(NodeId(a));
     }
     // Element content, and an attribute or text node reported on its
     // own, all surface as character data.
@@ -165,18 +194,17 @@ impl DocumentStore {
         Ok(self.values(&[id])?.get(0).map(str::to_owned))
     }
 
-    /// Report stored node `id` to `out` and leave it open: its tag, its
+    /// Record stored node `id` on `out` and leave it open: its tag, its
     /// attribute run, its merged content and, when `deep`, every
     /// descendant (`#text` rows as values, elements nested and closed by
-    /// their `end` labels). The caller may add children of its own and
+    /// their levels). The caller may add children of its own and
     /// then closes the element.
     ///
     /// The one walk of a stored subtree for output, and it reads only the
-    /// label columns: into a `Vec<NodeId>` it lists the rows whose values
-    /// will be written, into a [`RowWriter`] over those rows' fetched
-    /// values it writes them. Run both on one
-    /// [`snapshot`](DocumentStore::snapshot), so they see one projection.
-    pub fn emit_open(&self, id: NodeId, deep: bool, out: &mut impl RowSink) -> Result<()> {
+    /// label columns. Fetch the tape's rows with [`values`](Self::values)
+    /// on the same [`snapshot`](DocumentStore::snapshot), so the rows
+    /// and their values come from one projection, then replay it.
+    pub fn emit_open(&self, id: NodeId, deep: bool, out: &mut Tape) -> Result<()> {
         // Output runs on a pinned snapshot, a reference at a time:
         // borrow the pin rather than take a count on it per reference.
         let current;
@@ -194,12 +222,13 @@ impl DocumentStore {
             return Ok(());
         }
         // Rows are in document order, so the subtree is the run of rows
-        // starting before the root's end.
-        let stop = cols.end[id.0 as usize];
-        let mut open: Vec<u32> = Vec::new();
-        while (j as usize) < cols.len() && cols.start[j as usize] < stop {
+        // deeper than its root, and an element ends where a row no
+        // deeper than it starts.
+        let level = cols.level[id.0 as usize];
+        let mut open: Vec<u16> = Vec::new();
+        while (j as usize) < cols.len() && cols.level[j as usize] > level {
             let row = j as usize;
-            while open.last().is_some_and(|end| *end <= cols.start[row]) {
+            while open.last().is_some_and(|l| *l >= cols.level[row]) {
                 out.close();
                 open.pop();
             }
@@ -207,7 +236,7 @@ impl DocumentStore {
                 out.value(NodeId(j));
                 j += 1;
             } else {
-                open.push(cols.end[row]);
+                open.push(cols.level[row]);
                 j = emit_start(cols, j, out);
             }
         }
@@ -223,14 +252,12 @@ impl DocumentStore {
     /// child.
     pub fn materialize(&self, id: NodeId) -> Result<xmlparse::Element> {
         let pinned = self.snapshot();
-        let mut rows = Vec::new();
-        pinned.emit_open(id, true, &mut rows)?;
-        let values = pinned.values(&rows)?;
+        let mut tape = Tape::default();
+        pinned.emit_open(id, true, &mut tape)?;
+        tape.close();
+        let values = pinned.values(tape.rows())?;
         let mut dom = xmlparse::ElementBuilder::new();
-        let mut fetched = values.iter();
-        let mut out = RowWriter::new(pinned.dict(), &mut fetched, &mut dom);
-        pinned.emit_open(id, true, &mut out)?;
-        out.close();
+        RowWriter::new(pinned.dict(), &mut dom).replay(&tape, &values, |_| {});
         Ok(dom.finish())
     }
 }

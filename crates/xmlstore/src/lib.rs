@@ -75,8 +75,8 @@ pub use catalog::TagId;
 pub use columns::NodeColumns;
 pub use dict::{Dictionary, Sym, NO_SYM};
 pub use document::{
-    wal_path_for, DocId, DocumentStore, Entries, EntriesIter, IoStats, RecoveryInfo, RowSink,
-    RowWriter, StoreOptions, DOC_ROOT_TAG,
+    wal_path_for, DocId, DocumentStore, Entries, EntriesIter, IoStats, RecoveryInfo, RowWriter,
+    StoreOptions, Tape, DOC_ROOT_TAG,
 };
 pub use error::{Result, StoreError};
 pub use fault::{FaultConfig, FaultInjector, FaultStats, LogFault};
