@@ -8,8 +8,8 @@
 //!
 //! `--analyze` additionally prints an `EXPLAIN ANALYZE` report for the
 //! E1/E2 queries: the executed plan, the optimizer's rule-firing trace,
-//! and per-operator trees in/out, batches, wall time and I/O from the
-//! physical executor.
+//! and per-operator rows in/out, wall time and I/O from the physical
+//! executor.
 //!
 //! An unknown experiment name or option, a missing value, or a value of
 //! `--articles` that is not a number prints a usage line on stderr and

@@ -1,5 +1,6 @@
-//! What flows between operators: a batch of rows that is a list of
-//! stored nodes, of a selection's match rows, of groups, or of trees.
+//! What flows between operators: an operator's whole output, one batch
+//! of rows that is a list of stored nodes, of a selection's match rows,
+//! of groups, or of trees.
 //!
 //! Most collections a plan moves are not trees anyone built (Sec. 5.3,
 //! "witness trees held as node identifiers"): the article collection a
@@ -24,7 +25,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use xmlstore::{DocumentStore, NodeEntry, Sym};
 
-/// One batch of operator output.
+/// An operator's output: every row it emits, in order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Batch {
     /// Each row is one stored node standing for its whole subtree — what
@@ -45,8 +46,7 @@ pub enum Batch {
 /// and binding table.
 type Selection = (PatternTree, Vec<PatternNodeId>, Bindings);
 
-/// Rows of a selection, as ordinals into its table (which every batch
-/// of one scan shares).
+/// Rows of a selection, as ordinals into its table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matches {
     scan: Arc<Selection>,
@@ -65,16 +65,6 @@ impl Matches {
         let rows = (0..table.len() as u32).collect();
         let scan = Arc::new((pattern.clone(), sl.to_vec(), table));
         Ok(Matches { scan, rows })
-    }
-
-    /// The rows in runs of at most `size`, in order.
-    pub fn chunks(self, size: usize) -> Vec<Matches> {
-        let scan = &self.scan;
-        let chunk = |rows| Matches {
-            scan: Arc::clone(scan),
-            rows,
-        };
-        chunked(self.rows, size).into_iter().map(chunk).collect()
     }
 
     /// The witness trees of the rows.
@@ -156,14 +146,6 @@ impl Groups {
     }
 }
 
-/// `items` in runs of `size` (at least one), moved.
-fn chunked<T>(items: Vec<T>, size: usize) -> Vec<Vec<T>> {
-    let mut items = items.into_iter();
-    std::iter::from_fn(|| Some(items.by_ref().take(size.max(1)).collect::<Vec<T>>()))
-        .take_while(|chunk| !chunk.is_empty())
-        .collect()
-}
-
 impl Default for Batch {
     fn default() -> Self {
         Batch::Trees(Vec::new())
@@ -195,36 +177,6 @@ impl Batch {
             Batch::Matches(matches) => matches.trees(),
             Batch::Trees(trees) => trees,
             Batch::Groups(groups) => groups.trees(),
-        }
-    }
-
-    /// The rows in batches of at most `size` (at least one), in order —
-    /// groups in one batch: their consumer matches the member path once
-    /// over all the rows they share.
-    pub fn into_chunks(self, size: usize) -> Vec<Batch> {
-        match self {
-            Batch::Stored(rows) => chunked(rows, size).into_iter().map(Batch::Stored).collect(),
-            Batch::Matches(rows) => rows.chunks(size).into_iter().map(Batch::Matches).collect(),
-            Batch::Trees(trees) => chunked(trees, size).into_iter().map(Batch::Trees).collect(),
-            groups => vec![groups],
-        }
-    }
-
-    /// Append the rows of `other`. An empty batch becomes `other`; stored
-    /// rows stay stored among stored rows, and matches among matches of
-    /// one scan; anything else becomes trees.
-    pub fn append(&mut self, other: Batch) {
-        match (&mut *self, other) {
-            (all, more) if all.is_empty() => *all = more,
-            (Batch::Stored(rows), Batch::Stored(more)) => rows.extend(more),
-            (Batch::Matches(all), Batch::Matches(more)) if Arc::ptr_eq(&all.scan, &more.scan) => {
-                all.rows.extend(more.rows)
-            }
-            (_, more) => {
-                let mut trees = std::mem::take(self).into_trees();
-                trees.extend(more.into_trees());
-                *self = Batch::Trees(trees);
-            }
         }
     }
 
@@ -304,22 +256,6 @@ mod tests {
         for (t, e) in trees.iter().zip(&rows) {
             assert_eq!(*t, Tree::new_ref(*e, true));
         }
-    }
-
-    #[test]
-    fn append_keeps_stored_rows_only_among_stored_rows() {
-        let (s, rows) = articles();
-        let mut all = Batch::default();
-        all.append(Batch::Stored(rows[..1].to_vec()));
-        all.append(Batch::Stored(rows[1..].to_vec()));
-        assert_eq!(all, Batch::Stored(rows.clone()));
-        all.append(Batch::Trees(vec![Tree::new_elem(s.dict(), "x")]));
-        assert!(matches!(all, Batch::Trees(_)));
-        assert_eq!(all.len(), 3);
-        let mut trees = Batch::Trees(vec![Tree::new_elem(s.dict(), "x")]);
-        trees.append(Batch::Stored(rows));
-        assert_eq!(trees.len(), 3);
-        assert!(matches!(trees, Batch::Trees(_)));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! value is the node's content symbol — read off the selection's table
 //! for its rows, taken by the shared witness extraction from the label
 //! columns or the constructed node for trees. Equal symbol ⇔ equal
-//! string, so the comparison reads no data page.
+//! string, so the comparison reads no data page. The executor calls it
+//! once over its whole input, so the first row per key in that call is
+//! the first in the query.
 
 use crate::batch::{Batch, Source};
 use crate::error::Result;
@@ -19,20 +21,18 @@ use std::collections::HashSet;
 use xmlstore::{DocumentStore, NodeEntry};
 
 /// Keep the first row for each distinct content of the node bound by
-/// `by`, skipping the keys in `seen` and adding those met — a stream
-/// carries `seen` from batch to batch. A selection's rows bound at `by`
-/// key by their bound node and stay rows; other rows key as their trees,
-/// by their first witness. A tree in which the pattern does not match at
-/// all is kept unconditionally (it carries no duplicate key); nodes
-/// without content share one key.
+/// `by`. A selection's rows bound at `by` key by their bound node and
+/// stay rows; other rows key as their trees, by their first witness. A
+/// tree in which the pattern does not match at all is kept
+/// unconditionally (it carries no duplicate key); nodes without content
+/// share one key.
 pub fn dup_elim(
     store: &DocumentStore,
     input: Batch,
     pattern: &PatternTree,
     by: PatternNodeId,
-    seen: &mut HashSet<u32>,
 ) -> Result<Batch> {
-    let cols = store.columns();
+    let (cols, mut seen) = (store.columns(), HashSet::new());
     let key = |e: &NodeEntry| cols.content[e.id.0 as usize];
     match (input.bound(pattern, by), input) {
         (Ok(nodes), Batch::Matches(mut rows)) => {
@@ -82,7 +82,7 @@ mod tests {
         p: &PatternTree,
         by: PatternNodeId,
     ) -> Result<Collection> {
-        dup_elim(s, Batch::Trees(input), p, by, &mut HashSet::new()).map(Batch::into_trees)
+        dup_elim(s, Batch::Trees(input), p, by).map(Batch::into_trees)
     }
 
     #[test]
@@ -101,16 +101,12 @@ mod tests {
             .collect();
         assert_eq!(names, ["Jack", "John", "Jill"]); // first occurrence order
 
-        // The selection's rows key by their bound node and stay rows, in
-        // batches sharing one seen-set: the same three witness trees.
-        let mut seen = HashSet::new();
-        let mut rows = Batch::default();
-        for batch in Matches::select(&s, &p, &[author]).unwrap().chunks(2) {
-            let kept = dup_elim(&s, Batch::Matches(batch), &p, author, &mut seen).unwrap();
-            assert!(matches!(kept, Batch::Matches(_)), "{kept:?}");
-            rows.append(kept);
-        }
-        assert_eq!(rows.into_trees(), distinct);
+        // The selection's rows key by their bound node and stay rows:
+        // the same three witness trees.
+        let rows = Batch::Matches(Matches::select(&s, &p, &[author]).unwrap());
+        let kept = dup_elim(&s, rows, &p, author).unwrap();
+        assert!(matches!(kept, Batch::Matches(_)), "{kept:?}");
+        assert_eq!(kept.into_trees(), distinct);
     }
 
     #[test]

@@ -242,7 +242,7 @@ mod tests {
     fn distinct_authors(s: &DocumentStore) -> Batch {
         let p = outer_pattern();
         let rows = Batch::Matches(Matches::select(s, &p, &[1]).unwrap());
-        dup_elim(s, rows, &p, 1, &mut HashSet::new()).unwrap()
+        dup_elim(s, rows, &p, 1).unwrap()
     }
 
     /// Each group's key text and its members, materialized.

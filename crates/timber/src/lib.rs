@@ -225,23 +225,19 @@ impl TimberDb {
         self.run_plan(&plan, rewritten)
     }
 
-    /// Evaluate an already compiled plan, in batches of
-    /// [`physical::DEFAULT_BATCH_SIZE`]. The whole execution runs
+    /// Evaluate an already compiled plan. The whole execution runs
     /// against one pinned snapshot, so a plan never observes a commit
     /// that lands mid-query.
     pub fn run_plan(&self, plan: &Plan, rewritten: bool) -> Result<QueryResult> {
         let store = self.store.snapshot();
         let start = std::time::Instant::now();
         let io_before = store.io_stats();
-        let batch = physical::DEFAULT_BATCH_SIZE;
-        let (trees, metrics) = physical::execute(&store, plan, &tax::ExecOptions, batch)?;
-        let elapsed = start.elapsed();
-        let io_after = store.io_stats();
+        let (trees, metrics) = physical::evaluate(&store, plan)?;
         Ok(QueryResult {
             trees,
             rewritten,
-            elapsed,
-            io: diff_io(io_before, io_after),
+            elapsed: start.elapsed(),
+            io: store.io_stats().since(io_before),
             metrics: Some(metrics),
         })
     }
@@ -341,11 +337,7 @@ impl ExplainAnalysis {
         out.push_str(&self.plan.explain());
         out.push_str("\n== rewrite trace ==\n");
         out.push_str(&self.trace.render());
-        let _ = writeln!(
-            out,
-            "\n== execution (physical, batch={}) ==",
-            physical::DEFAULT_BATCH_SIZE
-        );
+        out.push_str("\n== execution (physical) ==\n");
         out.push_str(&self.metrics.render());
         let _ = writeln!(
             out,
@@ -362,38 +354,6 @@ impl ExplainAnalysis {
             self.result.io.disk.reads,
         );
         out
-    }
-}
-
-pub(crate) fn diff_io(before: IoStats, after: IoStats) -> IoStats {
-    IoStats {
-        buffer: xmlstore::buffer::BufferStats {
-            hits: after.buffer.hits - before.buffer.hits,
-            misses: after.buffer.misses - before.buffer.misses,
-            evictions: after.buffer.evictions - before.buffer.evictions,
-            writebacks: after.buffer.writebacks - before.buffer.writebacks,
-            retries: after.buffer.retries - before.buffer.retries,
-        },
-        disk: xmlstore::storage::DiskStats {
-            reads: after.disk.reads - before.disk.reads,
-            writes: after.disk.writes - before.disk.writes,
-        },
-    }
-}
-
-pub(crate) fn add_io(a: IoStats, b: IoStats) -> IoStats {
-    IoStats {
-        buffer: xmlstore::buffer::BufferStats {
-            hits: a.buffer.hits + b.buffer.hits,
-            misses: a.buffer.misses + b.buffer.misses,
-            evictions: a.buffer.evictions + b.buffer.evictions,
-            writebacks: a.buffer.writebacks + b.buffer.writebacks,
-            retries: a.buffer.retries + b.buffer.retries,
-        },
-        disk: xmlstore::storage::DiskStats {
-            reads: a.disk.reads + b.disk.reads,
-            writes: a.disk.writes + b.disk.writes,
-        },
     }
 }
 
@@ -419,16 +379,6 @@ mod tests {
 
     fn db() -> TimberDb {
         TimberDb::load_xml(SAMPLE, &StoreOptions::in_memory()).unwrap()
-    }
-
-    /// `query` under `mode`, run through the executor at `batch` trees
-    /// per batch, serialized.
-    fn xml_at_batch(db: &TimberDb, query: &str, mode: PlanMode, batch: usize) -> String {
-        let (plan, _) = db.compile(query, mode).unwrap();
-        let (trees, _) = physical::execute(db.store(), &plan, &tax::ExecOptions, batch).unwrap();
-        let mut out = String::new();
-        tax::tree::write_xml_lines(db.store(), &trees, &mut out).unwrap();
-        out
     }
 
     #[test]
@@ -497,27 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn cube_query_agrees_across_batches() {
-        let db = cube_db();
-        let mode = PlanMode::GroupByRewrite;
-        let expected = xml_at_batch(&db, QUERY_CUBE, mode, usize::MAX);
-        for batch in [1, 3, physical::DEFAULT_BATCH_SIZE] {
-            let got = xml_at_batch(&db, QUERY_CUBE, mode, batch);
-            assert_eq!(got, expected, "batch={batch}");
-        }
-        // The cube sink reports its stage times in EXPLAIN ANALYZE.
-        let a = db
-            .explain_analyze(QUERY_CUBE, PlanMode::GroupByRewrite)
-            .unwrap();
-        let text = a.render();
-        assert!(
-            text.lines()
-                .any(|l| l.contains("Cube") && l.contains(" stages=")),
-            "{text}"
-        );
-    }
-
-    #[test]
     fn explain_renders_both_plans() {
         let db = db();
         let text = db.explain(QUERY1).unwrap();
@@ -530,15 +459,17 @@ mod tests {
 
     #[test]
     fn every_run_records_metrics_and_matches_the_one_batch_serial_run() {
+        // `physical::execute` runs every operator once, whatever batch
+        // size it is passed: its bytes are a handle's.
         let db = db();
         for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
             let run = db.query(QUERY1, mode).unwrap();
             assert!(run.metrics.is_some());
-            assert_eq!(
-                run.to_xml_on(db.store()).unwrap(),
-                xml_at_batch(&db, QUERY1, mode, usize::MAX),
-                "{mode:?}"
-            );
+            let (plan, _) = db.compile(QUERY1, mode).unwrap();
+            let (trees, _) = physical::execute(db.store(), &plan, &tax::ExecOptions, 1).unwrap();
+            let mut want = String::new();
+            tax::tree::write_xml_lines(db.store(), &trees, &mut want).unwrap();
+            assert_eq!(run.to_xml_on(db.store()).unwrap(), want, "{mode:?}");
         }
     }
 
@@ -554,30 +485,59 @@ mod tests {
         let text = a.render();
         assert!(text.contains("== rewrite trace =="));
         assert!(text.contains("groupby-rewrite"));
-        assert!(text.contains("== execution (physical, batch=256) =="));
+        assert!(text.contains("== execution (physical) =="));
         // Every operator line carries the counters.
         for line in text.lines().filter(|l| l.contains(" | in=")) {
             assert!(line.contains("out="), "{line}");
             assert!(line.contains("time="), "{line}");
             assert!(line.contains("pages="), "{line}");
         }
-        // The grouping sink reports its stage times.
+        // The grouping sink reports its stage times, and so does the cube.
         assert!(
             text.lines()
                 .any(|l| l.contains("GroupBy") && l.contains(" stages=")),
             "{text}"
         );
+        let db = cube_db();
+        let text = db
+            .explain_analyze(QUERY_CUBE, PlanMode::GroupByRewrite)
+            .unwrap()
+            .render();
+        assert!(
+            text.lines()
+                .any(|l| l.contains("Cube") && l.contains(" stages=")),
+            "{text}"
+        );
     }
 
     #[test]
-    fn batch_size_does_not_change_output() {
+    fn a_reset_during_a_query_leaves_its_io_delta_a_count() {
+        // One handle zeroes the store-wide counters while another
+        // queries and writes its output: the query's own window read no
+        // page, and a reset inside it must not wrap that to 2^64 or
+        // panic.
+        use std::time::{Duration, Instant};
         let db = db();
-        let baseline = db.query(QUERY1, PlanMode::Direct).unwrap();
-        let expected = baseline.to_xml_on(db.store()).unwrap();
-        for batch in [1, 2, 7] {
-            let got = xml_at_batch(&db, QUERY1, PlanMode::Direct, batch);
-            assert_eq!(got, expected, "batch={batch}");
-        }
+        let want = db.query(QUERY1, PlanMode::Direct).unwrap();
+        let want = want.to_xml_on(db.store()).unwrap();
+        let until = Instant::now() + Duration::from_millis(500);
+        std::thread::scope(|scope| {
+            let resetter = db.snapshot();
+            scope.spawn(move || {
+                while Instant::now() < until {
+                    resetter.reset_io_stats();
+                }
+            });
+            while Instant::now() < until {
+                for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
+                    let r = db.query(QUERY1, mode).unwrap();
+                    assert_eq!(r.to_xml_on(db.store()).unwrap(), want, "{mode:?}");
+                    assert_eq!(r.io.page_requests(), 0, "{mode:?}");
+                    let m = r.metrics.unwrap_or_default();
+                    assert_eq!(m.total_page_requests(), 0, "{}", m.render());
+                }
+            }
+        });
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Per-operator execution metrics for the physical executor.
 //!
-//! Every [`PhysOp`](crate::physical::PhysOp) in an executed plan records
-//! how many rows flowed through it (and what kind of rows it emitted),
-//! how many batches it produced, how long its own kernel work took, and
-//! the buffer-pool/disk traffic that work caused. The records mirror the
-//! plan shape as a [`PlanMetrics`] tree — the payload of `EXPLAIN ANALYZE`.
+//! Every operator of an executed plan records how many rows flowed
+//! through it (and what kind of rows it emitted), how long its own
+//! kernel call took, and the buffer-pool/disk traffic that call
+//! caused. The records mirror the plan shape as a [`PlanMetrics`] tree —
+//! the payload of `EXPLAIN ANALYZE`.
 
 use std::fmt::Write;
 use std::time::Duration;
 use tax::exec::ShardStats;
 use xmlstore::IoStats;
 
-/// What kind of batches an operator emitted (see
+/// What kind of rows an operator emitted (see
 /// [`Batch`](crate::physical::Batch)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutKind {
@@ -35,12 +35,10 @@ pub struct PlanMetrics {
     pub trees_in: usize,
     /// Rows this operator emitted — trees only when `out_kind` says so.
     pub trees_out: usize,
-    /// The kind of the emitted batches; `None` when nothing was emitted.
+    /// The kind of the emitted rows; `None` when nothing was emitted.
     pub out_kind: Option<OutKind>,
-    /// Output batches produced (blocking sinks also count their drain).
-    pub batches: usize,
     /// Wall-clock time spent in this operator's own work, excluding
-    /// time spent pulling from its inputs.
+    /// its inputs' work.
     pub elapsed: Duration,
     /// Buffer/disk traffic attributable to this operator's own work.
     pub io: IoStats,
@@ -82,11 +80,10 @@ impl PlanMetrics {
         };
         let _ = write!(
             out,
-            "{pad}{} | in={} out={}{kind} batches={} time={:.3?} pages={} disk_reads={} clones={} vec={} vecfb={}",
+            "{pad}{} | in={} out={}{kind} time={:.3?} pages={} disk_reads={} clones={} vec={} vecfb={}",
             self.op,
             self.trees_in,
             self.trees_out,
-            self.batches,
             self.elapsed,
             self.io.page_requests(),
             self.io.disk.reads,
@@ -174,13 +171,11 @@ mod tests {
             op: "Rename to <x>".into(),
             trees_in: 3,
             trees_out: 3,
-            batches: 1,
             out_kind: Some(OutKind::Trees),
             children: vec![PlanMetrics {
                 op: "Project".into(),
                 trees_out: 3,
                 out_kind: Some(OutKind::Stored),
-                batches: 1,
                 ..Default::default()
             }],
             ..Default::default()
@@ -188,11 +183,11 @@ mod tests {
         let text = m.render();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("Rename to <x> | in=3 out=3 trees batches=1"));
-        assert!(lines[1].starts_with("  Project | in=0 out=3 stored batches=1"));
+        assert!(lines[0].starts_with("Rename to <x> | in=3 out=3 trees time="));
+        assert!(lines[1].starts_with("  Project | in=0 out=3 stored time="));
         // An operator that emitted nothing has no kind to report.
         let idle = PlanMetrics::default().render();
-        assert!(idle.contains("out=0 batches=0"), "{idle}");
+        assert!(idle.contains("out=0 time="), "{idle}");
         assert!(lines[0].contains("pages=0"));
         assert_eq!(m.node_count(), 2);
     }
@@ -221,7 +216,6 @@ mod tests {
             op: "GroupBy".into(),
             trees_in: 8,
             trees_out: 4,
-            batches: 1,
             shards: Some(ShardStats::new(
                 [2800, 1500, 650, 1100].map(Duration::from_micros),
             )),

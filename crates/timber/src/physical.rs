@@ -1,227 +1,204 @@
-//! The physical executor: logical [`Plan`] trees → pull-based operator
-//! pipelines.
+//! The physical executor: a logical [`Plan`] tree, run operator by
+//! operator.
 //!
-//! Each logical operator is built into a [`PhysOp`] — a batched iterator
-//! over rows — by one of three generic drivers, the last two paired with
-//! the operator's `tax::ops` kernel as a closure:
-//!
-//! * the **scan** leaf (selection) matches its pattern against the
-//!   database once (one binding table) and hands its rows on one bounded
-//!   run at a time;
-//! * the **map** driver *streams*: it pulls a batch from its input, runs
-//!   the kernel on just that batch, and hands the result upward
-//!   (projection, duplicate elimination, aggregation, rename), so
-//!   pipelines of these operators never materialize the whole
-//!   intermediate collection;
-//! * the **sink** driver *blocks*: it drains its inputs, runs the kernel
-//!   exactly once, and then emits the result in batches (grouping,
-//!   rollup, cube, the left outer join, the RETURN stitching).
+//! The paper evaluates a query as a short chain of TAX operators, each
+//! over a whole collection (Sec. 4–5), and so does `run`: it runs a
+//! plan node's inputs, then calls the node's `tax::ops` kernel once on
+//! their whole output — the selection matches its pattern against the
+//! database once (one binding table), and every other operator reads
+//! its inputs' rows as they were emitted. Every compiled plan ends in a
+//! blocking operator (`GroupBy`, `Rollup`, `Cube` or the stitch) that
+//! needs all the rows below it anyway.
 //!
 //! What moves between operators is a [`Batch`]: stored rows (node
 //! labels, each standing for its whole subtree), a selection's match
 //! rows, groups, or trees. A `Project` over a `SelectDb` of its own
-//! pattern projects the selection's match rows as they come (recognized
-//! here, once: the one fused select→project), so a subject scan — the
-//! GROUPBY plans', and the `CUBE BY` scan in either mode, whose list
-//! keeps one deep node per row — hands the grouping sinks (`GroupBy`,
-//! `Rollup`, `Cube`) stored rows, which they read as they are, and the
-//! direct plan's projections pass their match rows on up to the stitch.
+//! pattern projects the selection's match rows (recognized here, once:
+//! the one fused select→project), so a subject scan — the GROUPBY
+//! plans', and the `CUBE BY` scan in either mode, whose list keeps one
+//! deep node per row — hands the grouping sinks (`GroupBy`, `Rollup`,
+//! `Cube`) stored rows, which they read as they are, and the direct
+//! plan's projections pass their match rows on up to the stitch.
 //! `GroupBy` emits groups, which a `Project` of the rewrite's Fig. 5d
 //! shape (recognized here, once) gathers from, and the left outer join
-//! emits its pairs as groups. Other operators take their
-//! input through [`Batch::into_trees`], as does [`execute`].
+//! emits its pairs as groups. Other operators take their input through
+//! [`Batch::into_trees`], as does [`execute`].
 //!
-//! Every operator meters its own work — rows in/out (and what kind of
-//! rows it emitted), batches, wall time, and the store's I/O delta —
-//! into a [`PlanMetrics`] tree; the time spent pulling from an input is
-//! charged to the input, not the consumer. Output order is deterministic:
-//! the same bytes at every batch size, the one-batch run included — which
-//! is what the differential suites compare against.
+//! Every operator meters its own kernel call — rows in/out (and what
+//! kind of rows it emitted), wall time, and the store's I/O delta — into
+//! a [`PlanMetrics`] tree; its inputs' work is charged to them.
 //!
 //! A query runs on the calling thread, one serial kernel per operator;
-//! concurrency is between queries. The drain in [`execute`] is the one
-//! panic boundary: a kernel that panics fails its query with
-//! `tax::Error::Panic`, and the store keeps answering.
+//! concurrency is between queries. The [`tax::exec::contain`] call
+//! around the root `run` is the one panic boundary: a kernel that
+//! panics fails its query with `tax::Error::Panic`, and the store keeps
+//! answering.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::error::Result;
 use crate::metrics::{OutKind, PlanMetrics};
-use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 pub use tax::batch::Batch;
 use tax::batch::Matches;
 use tax::exec::{ExecOptions, ShardStats, Stages};
 use tax::ops;
-use tax::pattern::{PatternNodeId, PatternTree};
-use tax::tree::{Collection, Tree};
+use tax::tree::Collection;
 use xmlstore::{DocumentStore, IoStats};
 use xquery::Plan;
 
-/// Default number of rows per batch.
+/// A batch size for callers that pass one to [`execute`], which ignores
+/// it: every operator runs once over its whole input.
 pub const DEFAULT_BATCH_SIZE: usize = 256;
 
-/// A physical operator: a batched pull iterator over rows.
-pub trait PhysOp {
-    /// Produce the next batch of output rows, or `None` when exhausted.
-    /// Batches are never empty.
-    fn next_batch(&mut self) -> Result<Option<Batch>>;
-
-    /// The metrics recorded so far, including the input operators'.
-    fn metrics(&self) -> PlanMetrics;
-}
-
-/// Build the physical operator tree for a logical plan and drain it.
-/// Returns the output collection and the per-operator metrics.
-/// [`ExecOptions`] sets nothing; it is taken for callers that pass it.
+/// Run a logical plan: its output collection and per-operator metrics.
+/// [`ExecOptions`] sets nothing and `batch` is ignored; both are taken
+/// for callers that pass them.
 pub fn execute(
     store: &DocumentStore,
     plan: &Plan,
     _: &ExecOptions,
-    batch: usize,
+    _batch: usize,
 ) -> Result<(Collection, PlanMetrics)> {
-    let mut root = build(store, plan, batch)?;
-    let out = drain(&mut *root)?;
-    Ok((out, root.metrics()))
+    evaluate(store, plan)
 }
 
-/// Every row `root` emits, as trees. A kernel panicking anywhere below
-/// `root` is contained here and returned as `tax::Error::Panic`.
-fn drain(root: &mut dyn PhysOp) -> Result<Collection> {
-    tax::exec::contain(|| -> Result<Collection> {
-        let mut out = Vec::new();
-        while let Some(b) = root.next_batch()? {
-            out.extend(b.into_trees());
+/// Run a logical plan: its output collection and per-operator metrics.
+pub(crate) fn evaluate(store: &DocumentStore, plan: &Plan) -> Result<(Collection, PlanMetrics)> {
+    contained(|| run(store, plan))
+}
+
+/// The output of `root`, as trees. A kernel panicking anywhere in it is
+/// contained here and returned as `tax::Error::Panic`.
+fn contained(
+    root: impl FnOnce() -> Result<(Batch, PlanMetrics)>,
+) -> Result<(Collection, PlanMetrics)> {
+    tax::exec::contain(|| root().map(|(out, metrics)| (out.into_trees(), metrics)))?
+}
+
+/// Run `plan`'s inputs, then its kernel once on their whole output, in
+/// one metered window: the operator's output and the metrics of it and
+/// everything below it. The first error, in an input or in the kernel,
+/// ends the run.
+pub(crate) fn run(store: &DocumentStore, plan: &Plan) -> Result<(Batch, PlanMetrics)> {
+    let (mut ins, mut children) = (Vec::new(), Vec::new());
+    for input in inputs(plan) {
+        let (rows, metrics) = run(store, input)?;
+        ins.push(rows);
+        children.push(metrics);
+    }
+    let trees_in = ins.iter().map(Batch::len).sum();
+    let meter = Meter::start(store);
+    let out = kernel(store, plan, ins);
+    let mut metrics = meter.stop(store, op_label(plan), children);
+    let (out, stages) = out?;
+    metrics.trees_in = trees_in;
+    metrics.trees_out = out.len();
+    metrics.out_kind = (!out.is_empty()).then_some(match &out {
+        Batch::Stored(_) => OutKind::Stored,
+        Batch::Matches(_) => OutKind::Matches,
+        Batch::Trees(_) => OutKind::Trees,
+        Batch::Groups(_) => OutKind::Groups,
+    });
+    metrics.shards = stages.map(ShardStats::new);
+    Ok((out, metrics))
+}
+
+/// The input plans of `plan`, in plan order.
+fn inputs(plan: &Plan) -> Vec<&Plan> {
+    match plan {
+        Plan::SelectDb { .. } => Vec::new(),
+        Plan::Project { input, .. }
+        | Plan::DupElim { input, .. }
+        | Plan::Aggregate { input, .. }
+        | Plan::Rename { input, .. }
+        | Plan::GroupBy { input, .. }
+        | Plan::Rollup { input, .. }
+        | Plan::Cube { input, .. } => vec![input],
+        Plan::LeftOuterJoinDb { left, .. } => vec![left],
+        Plan::StitchConstruct { outer, inner, .. } => {
+            std::iter::once(&**outer).chain(inner.as_deref()).collect()
         }
-        Ok(out)
-    })?
+    }
 }
 
-/// A streaming operator's kernel: one input batch → its output rows.
-type MapKernel<'a> = Box<dyn FnMut(Batch) -> tax::Result<Batch> + 'a>;
-/// A blocking sink's kernel: the drained inputs (one batch per input
-/// plan) → the whole output plus, for a grouping sink, its stage times.
-type SinkKernel<'a> = Box<dyn FnOnce(Vec<Batch>) -> tax::Result<(Batch, Option<Stages>)> + 'a>;
-
-/// Build the physical operator for one logical plan node (recursively
-/// building its inputs): the driver its execution shape calls for, with
-/// the operator's kernel as a closure over the plan node's parameters.
-/// `batch` of zero acts as one.
-pub fn build<'a>(
-    store: &'a DocumentStore,
-    plan: &'a Plan,
-    batch: usize,
-) -> Result<Box<dyn PhysOp + 'a>> {
-    let batch = batch.max(1);
-    let meter = Meter::new(op_label(plan));
-    let map = |input: &'a Plan, meter, kernel: MapKernel<'a>| -> Result<Box<dyn PhysOp + 'a>> {
-        Ok(Box::new(MapOp {
-            store,
-            input: build(store, input, batch)?,
-            kernel,
-            meter,
-        }))
-    };
-    let sink =
-        |inputs: Vec<&'a Plan>, meter, kernel: SinkKernel<'a>| -> Result<Box<dyn PhysOp + 'a>> {
-            Ok(Box::new(SinkOp {
-                store,
-                inputs: inputs
-                    .into_iter()
-                    .map(|p| build(store, p, batch))
-                    .collect::<Result<_>>()?,
-                kernel: Some(kernel),
-                output: Vec::new().into_iter(),
-                batch,
-                meter,
-            }))
-        };
+/// `plan`'s own kernel on its inputs' output (one batch per input, in
+/// plan order): its output rows plus, for a grouping sink, its stage
+/// times.
+fn kernel(
+    store: &DocumentStore,
+    plan: &Plan,
+    ins: Vec<Batch>,
+) -> tax::Result<(Batch, Option<Stages>)> {
+    let mut ins = ins.into_iter();
+    let input = ins.next().unwrap_or_default();
+    let trees = |out: Collection| (Batch::Trees(out), None);
+    let staged = |(out, stages): (Collection, Stages)| (Batch::Trees(out), Some(stages));
     Ok(match plan {
-        Plan::SelectDb { pattern, sl } => Box::new(ScanOp {
-            store,
-            pattern,
-            sl,
-            batch,
-            rows: None,
-            meter,
-        }),
-        // Trees (and groups) are independent under projection, so
-        // batching cannot change output. A projection of a selection
-        // through the selection's own pattern is the fused one over its
-        // rows, and the rewrite's final projection over `GroupBy`'s
-        // groups gathers its output from the columns.
+        Plan::SelectDb { pattern, sl } => {
+            (Batch::Matches(Matches::select(store, pattern, sl)?), None)
+        }
+        // A projection of a selection through the selection's own
+        // pattern is the fused one over its rows, and the rewrite's
+        // final projection over `GroupBy`'s groups gathers its output
+        // from the columns.
         Plan::Project {
-            input,
+            input: from,
             pattern,
             pl,
             anchor_root,
-        } => {
-            let (fused, grouped) = match &**input {
-                Plan::SelectDb { pattern: p, .. } => (*anchor_root && p == pattern, None),
-                Plan::GroupBy { pattern, basis, .. } => (false, Some((pattern, &basis[..]))),
-                _ => (false, None),
-            };
-            let projection = ops::project::Projection::new(pattern, pl, *anchor_root, grouped);
-            map(
-                input,
-                meter,
-                Box::new(move |b| match b {
-                    Batch::Matches(rows) if fused => rows.project(store, pl),
-                    b => projection.project(store, b).map(Batch::Trees),
-                }),
-            )?
-        }
-        // Keys are taken per batch; the seen-set persists across batches
-        // so the stream-wide output matches the collection-at-once
-        // kernel exactly.
-        Plan::DupElim { input, pattern, by } => {
-            let mut seen = HashSet::new();
-            map(
-                input,
-                meter,
-                Box::new(move |batch| {
-                    ops::dupelim::dup_elim(store, batch, pattern, *by, &mut seen)
-                }),
-            )?
+        } => match (&**from, input) {
+            (Plan::SelectDb { pattern: p, .. }, Batch::Matches(rows))
+                if *anchor_root && p == pattern =>
+            {
+                (rows.project(store, pl)?, None)
+            }
+            (from, input) => {
+                let grouped = match from {
+                    Plan::GroupBy { pattern, basis, .. } => Some((pattern, &basis[..])),
+                    _ => None,
+                };
+                let projection = ops::project::Projection::new(pattern, pl, *anchor_root, grouped);
+                trees(projection.project(store, input)?)
+            }
+        },
+        Plan::DupElim { pattern, by, .. } => {
+            (ops::dupelim::dup_elim(store, input, pattern, *by)?, None)
         }
         Plan::Aggregate {
-            input,
             pattern,
             func,
             of,
             new_tag,
             spec,
-        } => map(
-            input,
-            meter,
-            on_trees(move |batch| {
-                ops::aggregate::aggregate(store, batch, pattern, *func, *of, new_tag, *spec)
-            }),
-        )?,
-        Plan::Rename { input, tag } => map(
-            input,
-            meter,
-            on_trees(move |batch| ops::rename::rename_root(store.dict(), batch, tag)),
-        )?,
+            ..
+        } => trees(ops::aggregate::aggregate(
+            store,
+            input.into_trees(),
+            pattern,
+            *func,
+            *of,
+            new_tag,
+            *spec,
+        )?),
+        Plan::Rename { tag, .. } => trees(ops::rename::rename_root(
+            store.dict(),
+            input.into_trees(),
+            tag,
+        )?),
         Plan::GroupBy {
-            input,
             pattern,
             basis,
             ordering,
-        } => sink(
-            vec![input],
-            meter,
-            Box::new(move |ins| {
-                let (groups, stages) =
-                    ops::groupby::groupby(store, &ins[0], pattern, basis, ordering)?;
-                Ok((groups, Some(stages)))
-            }),
-        )?,
-        // The fused grouped aggregate folds each tree's contribution
-        // into running per-group accumulators instead of materializing
-        // group trees, so rows in greatly exceed groups out.
+            ..
+        } => {
+            let (groups, stages) = ops::groupby::groupby(store, &input, pattern, basis, ordering)?;
+            (groups, Some(stages))
+        }
+        // The fused grouped aggregate folds each row's contribution into
+        // running per-group accumulators instead of materializing group
+        // trees, so rows in greatly exceed groups out.
         Plan::Rollup {
-            input,
             pattern,
             basis,
             member_pattern,
@@ -229,139 +206,111 @@ pub fn build<'a>(
             func,
             new_tag,
             flat,
-        } => sink(
-            vec![input],
-            meter,
-            Box::new(move |ins| {
-                let shape = if *flat {
-                    ops::rollup::RollupShape::Flat
-                } else {
-                    ops::rollup::RollupShape::Grouped
-                };
-                ops::rollup::rollup(
-                    store,
-                    &ins[0],
-                    pattern,
-                    basis,
-                    member_pattern,
-                    *of,
-                    *func,
-                    new_tag,
-                    shape,
-                )
-                .map(staged)
-            }),
-        )?,
+            ..
+        } => {
+            let shape = if *flat {
+                ops::rollup::RollupShape::Flat
+            } else {
+                ops::rollup::RollupShape::Grouped
+            };
+            staged(ops::rollup::rollup(
+                store,
+                &input,
+                pattern,
+                basis,
+                member_pattern,
+                *of,
+                *func,
+                new_tag,
+                shape,
+            )?)
+        }
         // The one-scan grouping lattice: the rollup's fold for every
         // prefix level of the basis at once, levels emitted coarsest
         // first.
         Plan::Cube {
-            input,
             pattern,
             basis,
             member_pattern,
             of,
             func,
             new_tag,
-        } => sink(
-            vec![input],
-            meter,
-            Box::new(move |ins| {
-                ops::cube::cube(
-                    store,
-                    &ins[0],
-                    pattern,
-                    basis,
-                    member_pattern,
-                    *of,
-                    *func,
-                    new_tag,
-                )
-                .map(staged)
-            }),
-        )?,
+            ..
+        } => staged(ops::cube::cube(
+            store,
+            &input,
+            pattern,
+            basis,
+            member_pattern,
+            *of,
+            *func,
+            new_tag,
+        )?),
         // The join sinks time no stages.
         Plan::LeftOuterJoinDb {
-            left,
             left_pattern,
             left_label,
             right_pattern,
             right_label,
             right_sl,
             ..
-        } => sink(
-            vec![left],
-            meter,
-            Box::new(move |ins| {
-                ops::join::left_outer_join_db(
-                    store,
-                    &ins[0],
-                    left_pattern,
-                    *left_label,
-                    right_pattern,
-                    *right_label,
-                    right_sl,
-                )
-                .map(|pairs| (Batch::Groups(pairs), None))
-            }),
-        )?,
+        } => {
+            let pairs = ops::join::left_outer_join_db(
+                store,
+                &input,
+                left_pattern,
+                *left_label,
+                right_pattern,
+                *right_label,
+                right_sl,
+            )?;
+            (Batch::Groups(pairs), None)
+        }
         // The RETURN stitching pairs every outer row with the parts of
-        // the subjects its key joined, so both inputs drain fully first.
+        // the subjects its key joined.
         Plan::StitchConstruct {
-            outer,
             outer_pattern,
             outer_label,
             inner,
             agg,
             tag,
+            ..
         } => {
-            let members = inner.as_deref().map(|join| match join {
-                Plan::LeftOuterJoinDb {
+            let members = match inner.as_deref() {
+                None => None,
+                Some(Plan::LeftOuterJoinDb {
                     right_pattern,
                     right_sl,
                     right_extract,
                     order,
                     ..
-                } => ops::join::Members::new(right_pattern, right_sl, *right_extract, *order),
-                _ => Err(tax::Error::Unsupported(
-                    "the stitch's inner input is a left outer join".into(),
-                )),
-            });
-            let members = members.transpose()?;
-            sink(
-                std::iter::once(&**outer).chain(inner.as_deref()).collect(),
-                meter,
-                Box::new(move |ins| {
-                    let mut ins = ins.into_iter();
-                    let outer = ins.next().unwrap_or_default();
-                    let pairs = match ins.next() {
-                        Some(Batch::Groups(pairs)) => Some(pairs),
-                        _ => None,
-                    };
-                    ops::join::stitch(
-                        store,
-                        &outer,
-                        outer_pattern,
-                        *outer_label,
-                        pairs.as_ref().zip(members.as_ref()),
-                        agg.as_ref().map(|(f, t)| (*f, t.as_str())),
-                        tag,
-                    )
-                    .map(|out| (Batch::Trees(out), None))
-                }),
-            )?
+                }) => Some(ops::join::Members::new(
+                    right_pattern,
+                    right_sl,
+                    *right_extract,
+                    *order,
+                )?),
+                Some(_) => {
+                    return Err(tax::Error::Unsupported(
+                        "the stitch's inner input is a left outer join".into(),
+                    ))
+                }
+            };
+            let pairs = match ins.next() {
+                Some(Batch::Groups(pairs)) => Some(pairs),
+                _ => None,
+            };
+            trees(ops::join::stitch(
+                store,
+                &input,
+                outer_pattern,
+                *outer_label,
+                pairs.as_ref().zip(members.as_ref()),
+                agg.as_ref().map(|(f, t)| (*f, t.as_str())),
+                tag,
+            )?)
         }
     })
-}
-
-/// A streaming kernel over trees as one over batches.
-fn on_trees<'a>(mut kernel: impl FnMut(Vec<Tree>) -> tax::Result<Vec<Tree>> + 'a) -> MapKernel<'a> {
-    Box::new(move |batch| kernel(batch.into_trees()).map(Batch::Trees))
-}
-
-/// A tree-building grouping sink's output as a sink's.
-fn staged((out, stages): (Collection, Stages)) -> (Batch, Option<Stages>) {
-    (Batch::Trees(out), Some(stages))
 }
 
 /// The first line of the plan node's rendering — the operator label used
@@ -374,211 +323,41 @@ fn op_label(plan: &Plan) -> String {
         .to_string()
 }
 
-/// Per-operator counters plus start/stop windows over the store-wide
-/// I/O statistics and this thread's clone and kernel-row counters.
+/// One operator's open measurement window: its start instant and the
+/// counters its stop subtracts — the store's I/O, this thread's clones
+/// and kernel rows.
 struct Meter {
-    op: String,
-    trees_in: usize,
-    trees_out: usize,
-    out_kind: Option<OutKind>,
-    batches: usize,
-    elapsed: Duration,
+    start: Instant,
     io: IoStats,
     tree_clones: u64,
     vec_rows: u64,
     vec_fallback: u64,
-    shards: Option<ShardStats>,
 }
-
-/// One open measurement window: start instant plus snapshots of the
-/// counters the stop diff subtracts (the store's I/O, this thread's
-/// clones and kernel rows).
-type MeterWindow = (Instant, IoStats, u64, u64, u64);
 
 impl Meter {
-    fn new(op: String) -> Meter {
+    fn start(store: &DocumentStore) -> Meter {
         Meter {
-            op,
-            trees_in: 0,
-            trees_out: 0,
-            out_kind: None,
-            batches: 0,
-            elapsed: Duration::ZERO,
-            io: IoStats::default(),
-            tree_clones: 0,
-            vec_rows: 0,
-            vec_fallback: 0,
-            shards: None,
+            start: Instant::now(),
+            io: store.io_stats(),
+            tree_clones: tax::tree::tree_clones(),
+            vec_rows: xmlstore::kernels::vec_rows(),
+            vec_fallback: xmlstore::kernels::fallback_rows(),
         }
     }
 
-    /// Open a measurement window. Pair with [`Meter::stop`].
-    fn start(&self, store: &DocumentStore) -> MeterWindow {
-        (
-            Instant::now(),
-            store.io_stats(),
-            tax::tree::tree_clones(),
-            xmlstore::kernels::vec_rows(),
-            xmlstore::kernels::fallback_rows(),
-        )
-    }
-
-    /// Close a measurement window, accumulating elapsed time, the
-    /// store's I/O delta, the deep-tree-clone delta, and the vectorized
-    /// kernel row / scalar fallback row deltas.
-    fn stop(&mut self, store: &DocumentStore, window: MeterWindow) {
-        self.elapsed += window.0.elapsed();
-        self.io = crate::add_io(self.io, crate::diff_io(window.1, store.io_stats()));
-        self.tree_clones += tax::tree::tree_clones().saturating_sub(window.2);
-        self.vec_rows += xmlstore::kernels::vec_rows().saturating_sub(window.3);
-        self.vec_fallback += xmlstore::kernels::fallback_rows().saturating_sub(window.4);
-    }
-
-    /// Record one emitted batch.
-    fn emitted(&mut self, batch: &Batch) {
-        self.batches += 1;
-        self.trees_out += batch.len();
-        self.out_kind = Some(match batch {
-            Batch::Stored(_) => OutKind::Stored,
-            Batch::Matches(_) => OutKind::Matches,
-            Batch::Trees(_) => OutKind::Trees,
-            Batch::Groups(_) => OutKind::Groups,
-        });
-    }
-
-    fn metrics(&self, children: Vec<PlanMetrics>) -> PlanMetrics {
+    /// Close the window: the operator's metrics over it, rows not yet
+    /// counted.
+    fn stop(self, store: &DocumentStore, op: String, children: Vec<PlanMetrics>) -> PlanMetrics {
         PlanMetrics {
-            op: self.op.clone(),
-            trees_in: self.trees_in,
-            trees_out: self.trees_out,
-            out_kind: self.out_kind,
-            batches: self.batches,
-            elapsed: self.elapsed,
-            io: self.io,
-            tree_clones: self.tree_clones,
-            vec_rows: self.vec_rows,
-            vec_fallback: self.vec_fallback,
-            shards: self.shards.clone(),
+            op,
+            elapsed: self.start.elapsed(),
+            io: store.io_stats().since(self.io),
+            tree_clones: tax::tree::tree_clones().saturating_sub(self.tree_clones),
+            vec_rows: xmlstore::kernels::vec_rows().saturating_sub(self.vec_rows),
+            vec_fallback: xmlstore::kernels::fallback_rows().saturating_sub(self.vec_fallback),
             children,
+            ..PlanMetrics::default()
         }
-    }
-}
-
-/// Leaf driver: match the database once, then hand on one bounded run
-/// of the table's rows per batch.
-struct ScanOp<'a> {
-    store: &'a DocumentStore,
-    pattern: &'a PatternTree,
-    sl: &'a [PatternNodeId],
-    batch: usize,
-    rows: Option<std::vec::IntoIter<Matches>>,
-    meter: Meter,
-}
-
-impl ScanOp<'_> {
-    fn pull(&mut self) -> Result<Option<Batch>> {
-        let rows = match &mut self.rows {
-            Some(rows) => rows,
-            unmatched => {
-                let all = Matches::select(self.store, self.pattern, self.sl)?;
-                unmatched.insert(all.chunks(self.batch).into_iter())
-            }
-        };
-        Ok(rows.next().map(Batch::Matches))
-    }
-}
-
-impl PhysOp for ScanOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        let window = self.meter.start(self.store);
-        let out = self.pull();
-        self.meter.stop(self.store, window);
-        if let Ok(Some(batch)) = &out {
-            self.meter.emitted(batch);
-        }
-        out
-    }
-
-    fn metrics(&self) -> PlanMetrics {
-        self.meter.metrics(Vec::new())
-    }
-}
-
-/// Streaming driver: the kernel runs on each input batch independently;
-/// whatever it must remember across batches lives in the closure.
-struct MapOp<'a> {
-    store: &'a DocumentStore,
-    input: Box<dyn PhysOp + 'a>,
-    kernel: MapKernel<'a>,
-    meter: Meter,
-}
-
-impl PhysOp for MapOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        loop {
-            let Some(batch) = self.input.next_batch()? else {
-                return Ok(None);
-            };
-            self.meter.trees_in += batch.len();
-            let window = self.meter.start(self.store);
-            let out = (self.kernel)(batch);
-            self.meter.stop(self.store, window);
-            let out = out?;
-            if !out.is_empty() {
-                self.meter.emitted(&out);
-                return Ok(Some(out));
-            }
-        }
-    }
-
-    fn metrics(&self) -> PlanMetrics {
-        self.meter.metrics(vec![self.input.metrics()])
-    }
-}
-
-/// Blocking driver: the kernel needs its whole input, so the first pull
-/// drains every input plan, runs the kernel once, and every pull emits
-/// the next batch of its output. The kernel is consumed by that one run:
-/// after a failure (in an input or in the kernel) the sink is exhausted,
-/// never re-run.
-struct SinkOp<'a> {
-    store: &'a DocumentStore,
-    inputs: Vec<Box<dyn PhysOp + 'a>>,
-    kernel: Option<SinkKernel<'a>>,
-    output: std::vec::IntoIter<Batch>,
-    batch: usize,
-    meter: Meter,
-}
-
-impl PhysOp for SinkOp<'_> {
-    fn next_batch(&mut self) -> Result<Option<Batch>> {
-        if let Some(kernel) = self.kernel.take() {
-            let mut drained = Vec::with_capacity(self.inputs.len());
-            for input in &mut self.inputs {
-                let mut all = Batch::default();
-                while let Some(b) = input.next_batch()? {
-                    self.meter.trees_in += b.len();
-                    all.append(b);
-                }
-                drained.push(all);
-            }
-            let window = self.meter.start(self.store);
-            let result = kernel(drained);
-            self.meter.stop(self.store, window);
-            let (out, stages) = result?;
-            self.meter.shards = stages.map(ShardStats::new);
-            self.output = out.into_chunks(self.batch).into_iter();
-        }
-        let out = self.output.next();
-        if let Some(batch) = &out {
-            self.meter.emitted(batch);
-        }
-        Ok(out)
-    }
-
-    fn metrics(&self) -> PlanMetrics {
-        self.meter
-            .metrics(self.inputs.iter().map(|i| i.metrics()).collect())
     }
 }
 
@@ -587,7 +366,7 @@ impl PhysOp for SinkOp<'_> {
 mod tests {
     use super::*;
     use crate::{PlanMode, TimberDb};
-    use std::cell::Cell;
+    use tax::pattern::PatternTree;
     use xmlstore::StoreOptions;
 
     const SAMPLE: &str = "<bib>\
@@ -622,14 +401,15 @@ mod tests {
         TimberDb::load_xml(SAMPLE, &StoreOptions::in_memory()).unwrap()
     }
 
-    /// The input of a grouped plan's grouping sink: its subject scan
-    /// (the plans here are chains).
-    fn leaf_of(plan: &Plan) -> &Plan {
+    fn exec(db: &TimberDb, plan: &Plan) -> (Collection, PlanMetrics) {
+        evaluate(db.store(), plan).unwrap()
+    }
+
+    /// A grouped plan's grouping sink (the plans here are chains).
+    fn sink_of(plan: &Plan) -> &Plan {
         match plan {
-            Plan::GroupBy { input, .. } | Plan::Rollup { input, .. } | Plan::Cube { input, .. } => {
-                input
-            }
-            Plan::Rename { input, .. } | Plan::Project { input, .. } => leaf_of(input),
+            Plan::GroupBy { .. } | Plan::Rollup { .. } | Plan::Cube { .. } => plan,
+            Plan::Rename { input, .. } | Plan::Project { input, .. } => sink_of(input),
             other => panic!("no grouping sink above {other:?}"),
         }
     }
@@ -673,7 +453,7 @@ mod tests {
         let db = db();
         for query in [QUERY_COUNT, QUERY1, QUERY_CUBE] {
             let (plan, _) = db.compile(query, PlanMode::GroupByRewrite).unwrap();
-            let (trees, metrics) = execute(db.store(), &plan, &ExecOptions, 2).unwrap();
+            let (trees, metrics) = exec(&db, &plan);
             assert!(!trees.is_empty());
             // The selection hands on its match rows, the projection over
             // it emits stored rows — no tree, nothing re-matched — a
@@ -688,15 +468,15 @@ mod tests {
             assert!(leaf.op.starts_with("Project"), "{}", leaf.op);
             assert_eq!(leaf.out_kind, Some(OutKind::Stored));
             let kind = |m: &PlanMetrics| match m.op.starts_with("GroupBy") {
-                true => (OutKind::Groups, " groups batches="),
-                false => (OutKind::Trees, " trees batches="),
+                true => (OutKind::Groups, " groups time="),
+                false => (OutKind::Trees, " trees time="),
             };
             assert!(above.iter().all(|m| m.out_kind == Some(kind(m).0)));
             let text = metrics.render();
             let lines: Vec<&str> = text.lines().collect();
             let n = lines.len();
-            assert!(lines[n - 1].contains(" out=3 matches batches=2 "));
-            assert!(lines[n - 2].contains(" out=3 stored batches=2 "));
+            assert!(lines[n - 1].contains(" out=3 matches time="));
+            assert!(lines[n - 2].contains(" out=3 stored time="));
             for (line, m) in lines.iter().zip(above) {
                 assert!(line.contains(kind(m).1), "{line}");
             }
@@ -706,28 +486,18 @@ mod tests {
             assert!(sink.shards.is_some(), "{}", sink.op);
             assert_eq!(sink.trees_in, leaf.trees_out);
 
-            // Batch by batch: stored rows only, never more than `batch`.
-            let mut scan = build(db.store(), leaf_of(&plan), 2).unwrap();
-            while let Some(b) = scan.next_batch().unwrap() {
-                assert!(
-                    matches!(&b, Batch::Stored(rows) if rows.len() <= 2),
-                    "{b:?}"
-                );
-            }
-            // What a sink's kernel is handed is the drained stored rows,
-            // not trees made of them.
-            let mut sink = SinkOp {
-                store: db.store(),
-                inputs: vec![build(db.store(), leaf_of(&plan), 2).unwrap()],
-                kernel: Some(Box::new(|ins| {
-                    assert!(matches!(&ins[0], Batch::Stored(rows) if rows.len() == 3));
-                    Ok((Batch::default(), None))
-                })),
-                output: Vec::new().into_iter(),
-                batch: 2,
-                meter: Meter::new("Sink".into()),
-            };
-            assert!(sink.next_batch().unwrap().is_none());
+            // What the sink's kernel is handed is the scan's output: the
+            // stored rows, not trees made of them, and it groups them as
+            // the whole plan does.
+            let grouping = sink_of(&plan);
+            let (rows, _) = run(db.store(), inputs(grouping)[0]).unwrap();
+            assert!(
+                matches!(&rows, Batch::Stored(r) if r.len() == 3),
+                "{rows:?}"
+            );
+            let (direct, _) = kernel(db.store(), grouping, vec![rows]).unwrap();
+            let (whole, _) = run(db.store(), grouping).unwrap();
+            assert_eq!(direct, whole, "{}", sink.op);
         }
     }
 
@@ -771,10 +541,10 @@ mod tests {
         ];
         for query in [QUERY_COUNT, QUERY1, QUERY_CUBE] {
             let (plan, _) = db.compile(query, PlanMode::GroupByRewrite).unwrap();
-            let (reference, _) = execute(db.store(), &plan, &ExecOptions, 2).unwrap();
+            let (reference, _) = exec(&db, &plan);
             for leaf in &tree_leaves {
                 let twin = with_leaf(&plan, leaf.clone());
-                let (out, metrics) = execute(db.store(), &twin, &ExecOptions, 2).unwrap();
+                let (out, metrics) = exec(&db, &twin);
                 assert_eq!(to_xml(&db, &reference), to_xml(&db, &out), "{twin:?}");
                 for m in chain(&metrics) {
                     let kind = match m.op.starts_with("SelectDb") {
@@ -823,7 +593,7 @@ mod tests {
             let (plan, _) = db.compile(query, PlanMode::GroupByRewrite).unwrap();
             let run = |leaf: &Plan| {
                 let twin = with_leaf(&plan, leaf.clone());
-                execute(db.store(), &twin, &ExecOptions, 2).unwrap()
+                exec(&db, &twin)
             };
             let (want, _) = run(&trees);
             let (got, metrics) = run(&stored);
@@ -835,7 +605,7 @@ mod tests {
         // Jack's two-year article counts once per row it arrives in.
         let (plan, _) = db.compile(QUERY_COUNT, PlanMode::GroupByRewrite).unwrap();
         let twin = with_leaf(&plan, stored);
-        let (out, _) = execute(db.store(), &twin, &ExecOptions, 2).unwrap();
+        let (out, _) = exec(&db, &twin);
         let xml = to_xml(&db, &out);
         assert_eq!(
             xml.lines().next().unwrap(),
@@ -848,130 +618,6 @@ mod tests {
             .map(|t| xmlparse::serialize::element_to_string(&t.materialize(db.store()).unwrap()))
             .collect::<Vec<_>>()
             .join("\n")
-    }
-
-    #[test]
-    fn every_batch_size_matches_the_one_batch_serial_run() {
-        let db = db();
-        for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-            let (plan, _) = db.compile(QUERY1, mode).unwrap();
-            let (reference, _) = execute(db.store(), &plan, &ExecOptions, usize::MAX).unwrap();
-            for batch in [1, 2, 3, DEFAULT_BATCH_SIZE] {
-                let (out, _) = execute(db.store(), &plan, &ExecOptions, batch).unwrap();
-                assert_eq!(
-                    to_xml(&db, &reference),
-                    to_xml(&db, &out),
-                    "{mode:?} batch={batch}"
-                );
-            }
-        }
-    }
-
-    /// A sink over `input` whose kernel passes its drained input through
-    /// and counts its runs.
-    fn counting_sink<'a>(
-        db: &'a TimberDb,
-        input: &'a Plan,
-        runs: &'a Cell<usize>,
-        fail: bool,
-    ) -> SinkOp<'a> {
-        SinkOp {
-            store: db.store(),
-            inputs: vec![build(db.store(), input, 2).unwrap()],
-            kernel: Some(Box::new(move |mut ins| {
-                runs.set(runs.get() + 1);
-                if fail {
-                    return Err(tax::Error::Unsupported("kernel failed".into()));
-                }
-                Ok((ins.remove(0), None))
-            })),
-            output: Vec::new().into_iter(),
-            batch: 2,
-            meter: Meter::new("Sink".into()),
-        }
-    }
-
-    #[test]
-    fn sink_kernel_runs_exactly_once() {
-        let db = db();
-        let (plan, _) = db.compile(QUERY1, PlanMode::Direct).unwrap();
-        let Plan::StitchConstruct { outer, .. } = &plan else {
-            panic!()
-        };
-        let runs = Cell::new(0);
-        let mut sink = counting_sink(&db, outer, &runs, false);
-        let mut trees = 0;
-        while let Some(b) = sink.next_batch().unwrap() {
-            assert!(b.len() <= 2);
-            trees += b.len();
-        }
-        assert_eq!(trees, 3); // Jack, John, Jill
-                              // Pulling an exhausted sink neither re-drains nor re-runs.
-        for _ in 0..3 {
-            assert!(sink.next_batch().unwrap().is_none());
-        }
-        assert_eq!(runs.get(), 1);
-        let m = sink.metrics();
-        assert_eq!((m.trees_in, m.trees_out, m.batches), (3, 3, 2));
-    }
-
-    #[test]
-    fn sink_kernel_error_is_typed_and_terminal() {
-        let db = db();
-        let (plan, _) = db.compile(QUERY1, PlanMode::Direct).unwrap();
-        let Plan::StitchConstruct { outer, .. } = &plan else {
-            panic!()
-        };
-        let runs = Cell::new(0);
-        let mut sink = counting_sink(&db, outer, &runs, true);
-        let err = sink.next_batch().unwrap_err();
-        assert!(
-            matches!(
-                err,
-                crate::TimberError::Algebra(tax::Error::Unsupported(ref m)) if m == "kernel failed"
-            ),
-            "{err:?}"
-        );
-        // A further pull reports exhaustion; the kernel is not retried.
-        assert!(sink.next_batch().unwrap().is_none());
-        assert_eq!(runs.get(), 1);
-    }
-
-    #[test]
-    fn map_kernel_error_on_a_later_batch_is_typed() {
-        let db = db();
-        let (plan, _) = db.compile(QUERY1, PlanMode::Direct).unwrap();
-        let Plan::StitchConstruct { outer, .. } = &plan else {
-            panic!()
-        };
-        // 3 distinct-author trees arrive one per batch; the kernel
-        // fails on the second.
-        let mut calls = 0;
-        let mut op = MapOp {
-            store: db.store(),
-            input: build(db.store(), outer, 1).unwrap(),
-            kernel: Box::new(move |batch| {
-                calls += 1;
-                if calls == 2 {
-                    return Err(tax::Error::Unsupported("batch 2 failed".into()));
-                }
-                Ok(batch)
-            }),
-            meter: Meter::new("Map".into()),
-        };
-        assert_eq!(op.next_batch().unwrap().map(|b| b.len()), Some(1));
-        let err = op.next_batch().unwrap_err();
-        assert!(
-            matches!(
-                err,
-                crate::TimberError::Algebra(tax::Error::Unsupported(ref m)) if m == "batch 2 failed"
-            ),
-            "{err:?}"
-        );
-        // The stream carries on with the next input batch, then ends.
-        assert_eq!(op.next_batch().unwrap().map(|b| b.len()), Some(1));
-        assert!(op.next_batch().unwrap().is_none());
-        assert!(op.next_batch().unwrap().is_none());
     }
 
     #[test]
@@ -988,7 +634,7 @@ mod tests {
         let db = TimberDb::load_xml("<bib/>", &StoreOptions::in_memory()).unwrap();
         for (mode, grouping_sinks) in [(PlanMode::Direct, 0), (PlanMode::GroupByRewrite, 1)] {
             let (plan, _) = db.compile(QUERY1, mode).unwrap();
-            let (trees, metrics) = execute(db.store(), &plan, &ExecOptions, 2).unwrap();
+            let (trees, metrics) = exec(&db, &plan);
             assert!(trees.is_empty());
             let stats = sinks(&metrics);
             assert_eq!(stats.len(), grouping_sinks, "{mode:?}");
@@ -996,69 +642,6 @@ mod tests {
             let text = metrics.render();
             assert_eq!(text.matches(" stages=").count(), grouping_sinks, "{text}");
         }
-    }
-
-    #[test]
-    fn kernel_panic_is_contained_and_store_survives() {
-        // A kernel that panics fails its query with a typed error at the
-        // drain, and the store it was reading keeps answering.
-        let db = db();
-        let want = db.query(QUERY1, PlanMode::Direct).unwrap();
-        let (plan, _) = db.compile(QUERY1, PlanMode::Direct).unwrap();
-        let Plan::StitchConstruct { outer, .. } = &plan else {
-            panic!()
-        };
-        let mut sink = SinkOp {
-            store: db.store(),
-            inputs: vec![build(db.store(), outer, 2).unwrap()],
-            kernel: Some(Box::new(|_| panic!("poisoned kernel"))),
-            output: Vec::new().into_iter(),
-            batch: 2,
-            meter: Meter::new("Sink".into()),
-        };
-        let err = drain(&mut sink).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                crate::TimberError::Algebra(tax::Error::Panic(ref m)) if m == "poisoned kernel"
-            ),
-            "{err:?}"
-        );
-        let again = db.query(QUERY1, PlanMode::Direct).unwrap();
-        assert_eq!(to_xml(&db, &again.trees), to_xml(&db, &want.trees));
-    }
-
-    #[test]
-    fn streaming_select_batches_bounded() {
-        let db = db();
-        let (plan, _) = db.compile(QUERY1, PlanMode::Direct).unwrap();
-        let Plan::StitchConstruct { outer, .. } = &plan else {
-            panic!()
-        };
-        // The outer pipeline ends in dup-elim over 5 author bindings.
-        let (_, metrics) = execute(db.store(), outer, &ExecOptions, 2).unwrap();
-        assert_eq!(metrics.trees_out, 3); // Jack, John, Jill
-                                          // The select leaf produced its 5 witnesses in ceil(5/2) batches.
-        let mut leaf = &metrics;
-        while !leaf.children.is_empty() {
-            leaf = &leaf.children[0];
-        }
-        assert!(leaf.op.starts_with("SelectDb"), "{}", leaf.op);
-        assert_eq!(leaf.trees_out, 5);
-        assert_eq!(leaf.batches, 3);
-    }
-
-    #[test]
-    fn dupelim_seen_set_spans_batches() {
-        let db = db();
-        let (plan, _) = db.compile(QUERY1, PlanMode::Direct).unwrap();
-        let Plan::StitchConstruct { outer, .. } = &plan else {
-            panic!()
-        };
-        // Batch size 1: each author binding arrives alone; duplicates
-        // (Jack, John appear twice) must still be dropped globally.
-        let (trees, _) = execute(db.store(), outer, &ExecOptions, 1).unwrap();
-        assert_eq!(trees.len(), 3);
     }
 
     #[test]
@@ -1075,43 +658,111 @@ mod tests {
             pattern: PatternTree::with_root(tax::Pred::tag("no_such_tag")),
             by: 0,
         };
-        let (trees, _) = execute(db.store(), &plan, &ExecOptions, 2).unwrap();
+        let (trees, _) = exec(&db, &plan);
         assert_eq!(trees.len(), 3);
     }
 
     #[test]
-    fn metrics_cover_every_operator() {
+    fn sink_kernel_error_is_typed_and_terminal() {
+        // A duplicate elimination keyed by a label its pattern lacks
+        // fails; the run ends there with its typed error, so the stitch
+        // above it — whose own inner input it would refuse — never runs.
         let db = db();
-        let (plan, _) = db.compile(QUERY1, PlanMode::GroupByRewrite).unwrap();
-        let (trees, metrics) = execute(db.store(), &plan, &ExecOptions, 8).unwrap();
-        assert_eq!(metrics.trees_out, trees.len());
-        // Every plan node has a metrics node with a recorded batch count.
-        fn check(m: &PlanMetrics) -> usize {
-            assert!(!m.op.is_empty());
-            assert!(m.trees_out == 0 || m.batches > 0, "{}", m.op);
-            1 + m.children.iter().map(check).sum::<usize>()
-        }
-        let nodes = check(&metrics);
-        assert_eq!(nodes, metrics.node_count());
-        assert!(nodes >= 4, "expected a multi-operator plan, got {nodes}");
-        // The grouped plan runs entirely over the columnar label region:
-        // tag tests, grouping keys, and counts never touch a data page.
-        assert_eq!(metrics.total_page_requests(), 0);
+        let (plan, _) = db.compile(QUERY1, PlanMode::Direct).unwrap();
+        let Plan::StitchConstruct { outer, .. } = &plan else {
+            panic!()
+        };
+        let Plan::DupElim { input, pattern, .. } = &**outer else {
+            panic!("{outer:?}")
+        };
+        let failing = Plan::DupElim {
+            input: input.clone(),
+            pattern: pattern.clone(),
+            by: 7,
+        };
+        let stitch = |outer: Plan| match &plan {
+            Plan::StitchConstruct {
+                outer_pattern,
+                outer_label,
+                agg,
+                tag,
+                ..
+            } => Plan::StitchConstruct {
+                outer: Box::new(outer),
+                outer_pattern: outer_pattern.clone(),
+                outer_label: *outer_label,
+                inner: Some(input.clone()),
+                agg: agg.clone(),
+                tag: tag.clone(),
+            },
+            _ => unreachable!(),
+        };
+        let refused = evaluate(db.store(), &stitch((**outer).clone())).unwrap_err();
+        assert!(
+            matches!(
+                refused,
+                crate::TimberError::Algebra(tax::Error::Unsupported(ref m))
+                    if m == "the stitch's inner input is a left outer join"
+            ),
+            "{refused:?}"
+        );
+        let err = evaluate(db.store(), &stitch(failing.clone())).unwrap_err();
+        let alone = evaluate(db.store(), &failing).unwrap_err();
+        assert!(matches!(err, crate::TimberError::Algebra(_)), "{err:?}");
+        assert_eq!(format!("{err:?}"), format!("{alone:?}"));
+        // Nothing is left half run: the store answers the next query.
+        assert_eq!(exec(&db, &plan).0.len(), 3);
     }
 
     #[test]
-    fn blocking_sinks_emit_in_batches() {
+    fn kernel_panic_is_contained_and_store_survives() {
+        // A kernel that panics fails its query with a typed error at the
+        // one boundary around the root run, and the store it was reading
+        // keeps answering.
         let db = db();
+        let want = db.query(QUERY1, PlanMode::Direct).unwrap();
         let (plan, _) = db.compile(QUERY1, PlanMode::Direct).unwrap();
-        let mut root = build(db.store(), &plan, 2).unwrap();
-        let mut sizes = Vec::new();
-        while let Some(b) = root.next_batch().unwrap() {
-            assert!(!b.is_empty());
-            sizes.push(b.len());
+        let Plan::StitchConstruct { outer, .. } = &plan else {
+            panic!()
+        };
+        let err = contained(|| {
+            let (rows, metrics) = run(db.store(), outer)?;
+            assert_eq!(rows.len(), 3);
+            panic!("poisoned kernel after {}", metrics.op)
+        })
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::TimberError::Algebra(tax::Error::Panic(ref m))
+                    if m.starts_with("poisoned kernel after DupElim")
+            ),
+            "{err:?}"
+        );
+        let again = db.query(QUERY1, PlanMode::Direct).unwrap();
+        assert_eq!(to_xml(&db, &again.trees), to_xml(&db, &want.trees));
+    }
+
+    #[test]
+    fn metrics_cover_every_operator() {
+        // In both modes on Fig. 6: one metrics node per plan node, each
+        // operator's rows in are its inputs' rows out, and no operator
+        // asks for a page — tag tests, keys, joins and counts all read
+        // the columnar label region.
+        fn check(m: &PlanMetrics) -> usize {
+            assert!(!m.op.is_empty());
+            let fed: usize = m.children.iter().map(|c| c.trees_out).sum();
+            assert_eq!(m.trees_in, fed, "{}", m.op);
+            1 + m.children.iter().map(check).sum::<usize>()
         }
-        // 3 authorpubs trees in batches of ≤ 2.
-        assert_eq!(sizes.iter().sum::<usize>(), 3);
-        assert!(sizes.iter().all(|&s| s <= 2));
-        assert!(sizes.len() >= 2);
+        let db = db();
+        for (mode, operators) in [(PlanMode::Direct, 8), (PlanMode::GroupByRewrite, 5)] {
+            let (plan, _) = db.compile(QUERY1, mode).unwrap();
+            let (trees, metrics) = exec(&db, &plan);
+            assert_eq!(metrics.trees_out, trees.len());
+            let nodes = check(&metrics);
+            assert_eq!((nodes, metrics.node_count()), (operators, operators));
+            assert_eq!(metrics.total_page_requests(), 0, "{}", metrics.render());
+        }
     }
 }

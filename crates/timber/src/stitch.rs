@@ -3,9 +3,9 @@
 //! from them, against the rewritten plan.
 
 mod tests {
-    use crate::physical::{build, execute, Batch, DEFAULT_BATCH_SIZE};
+    use crate::physical::{self, evaluate, Batch};
     use crate::{PlanMode, TimberDb};
-    use tax::{Collection, ExecOptions};
+    use tax::Collection;
     use xmlstore::StoreOptions;
     use xquery::Plan;
 
@@ -20,9 +20,7 @@ mod tests {
     }
 
     fn run(db: &TimberDb, plan: &Plan) -> Collection {
-        execute(db.store(), plan, &ExecOptions, DEFAULT_BATCH_SIZE)
-            .unwrap()
-            .0
+        evaluate(db.store(), plan).unwrap().0
     }
 
     const QUERY2: &str = r#"
@@ -68,11 +66,10 @@ mod tests {
         else {
             panic!()
         };
-        let mut join = build(db.store(), inner, DEFAULT_BATCH_SIZE).unwrap();
-        let Some(Batch::Groups(pairs)) = join.next_batch().unwrap() else {
+        let (Batch::Groups(pairs), metrics) = physical::run(db.store(), inner).unwrap() else {
             panic!("the join emits its pairs as groups")
         };
-        assert!(join.next_batch().unwrap().is_none());
+        assert_eq!((metrics.trees_in, metrics.trees_out), (3, 3));
         let members: Vec<usize> = Batch::Groups(pairs)
             .into_trees()
             .iter()

@@ -2,7 +2,7 @@
 //! query as written over parsed DOMs, independent of everything it
 //! checks), the helpers that hold a served result against it, the one
 //! random-bibliography generator, the paper's corpus queries and the
-//! Fig. 6 database, the deeply nested inputs, and the CI batch matrix.
+//! Fig. 6 database, and the deeply nested inputs.
 
 #![forbid(unsafe_code)]
 
@@ -10,8 +10,8 @@ pub mod model;
 
 use smallrand::prop::Gen;
 use std::fmt::Write as _;
-use timber::{PlanMode, QueryResult, TimberDb};
-use xmlstore::{IoStats, StoreOptions};
+use timber::{PlanMode, TimberDb};
+use xmlstore::StoreOptions;
 
 /// The sample database of Figure 6: three articles, overlapping authors.
 pub const FIG6_DB: &str = "<bib>\
@@ -50,26 +50,10 @@ pub fn fig6_db() -> TimberDb {
     TimberDb::load_xml(FIG6_DB, &StoreOptions::in_memory()).expect("load fig6")
 }
 
-/// The result of `query` under `mode`, run through the executor in
-/// batches of `batch` trees. A handle always runs at
-/// `physical::DEFAULT_BATCH_SIZE`; the suites that sweep batch sizes
-/// (`TIMBER_TEST_BATCH`, [`batch_matrix`]) reach the executor here.
-pub fn execute(db: &TimberDb, query: &str, mode: PlanMode, batch: usize) -> QueryResult {
-    let (plan, rewritten) = db.compile(query, mode).expect("query compiles");
-    let exec = timber::physical::execute(db.store(), &plan, &tax::ExecOptions, batch);
-    let (trees, metrics) = exec.expect("query evaluates");
-    QueryResult {
-        trees,
-        rewritten,
-        elapsed: std::time::Duration::ZERO,
-        io: IoStats::default(),
-        metrics: Some(metrics),
-    }
-}
-
-/// Serialized output of `query` under `mode` at the given batch size.
-pub fn run(db: &TimberDb, query: &str, mode: PlanMode, batch: usize) -> String {
-    let r = execute(db, query, mode, batch);
+/// Serialized output of `query` under `mode`, run through
+/// [`TimberDb::query`], the entry point `timberd` serves.
+pub fn run(db: &TimberDb, query: &str, mode: PlanMode) -> String {
+    let r = db.query(query, mode).expect("query evaluates");
     r.to_xml_on(db.store()).expect("result serializes")
 }
 
@@ -79,16 +63,12 @@ pub fn expected(xml: &str, query: &str) -> String {
     model::eval(&[xml], query).expect("the reference model evaluates the query")
 }
 
-/// Serve `query` in both plan modes at the given batch size, and hold
-/// each against the oracle.
-pub fn assert_matches_model(db: &TimberDb, xml: &str, query: &str, batch: usize, what: &str) {
+/// Serve `query` in both plan modes, and hold each against the oracle.
+pub fn assert_matches_model(db: &TimberDb, xml: &str, query: &str, what: &str) {
     let want = expected(xml, query);
     for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-        let got = run(db, query, mode, batch);
-        assert_eq!(
-            got, want,
-            "{what}: {mode:?} batch={batch} query: {query} on {xml}"
-        );
+        let got = run(db, query, mode);
+        assert_eq!(got, want, "{what}: {mode:?} query: {query} on {xml}");
     }
 }
 
@@ -223,25 +203,4 @@ pub fn deep_flwr(depth: usize) -> String {
         open.repeat(depth - 1),
         close.repeat(depth - 1)
     )
-}
-
-/// Batch sizes the differential tests sweep: `TIMBER_TEST_BATCH` (a
-/// comma-separated list of positive integers, e.g. `"16,256"`) or, when
-/// it is unset, empty or malformed, the given default. This is how CI
-/// plumbs its batch matrix into the differential suites without
-/// recompiling.
-pub fn batch_matrix(default: &[usize]) -> Vec<usize> {
-    match std::env::var("TIMBER_TEST_BATCH") {
-        Ok(s) if !s.trim().is_empty() => {
-            let parsed: Option<Vec<usize>> = s
-                .split(',')
-                .map(|p| p.trim().parse::<usize>().ok().filter(|&n| n > 0))
-                .collect();
-            match parsed {
-                Some(v) if !v.is_empty() => v,
-                _ => default.to_vec(),
-            }
-        }
-        _ => default.to_vec(),
-    }
 }

@@ -1,15 +1,14 @@
 //! Differential suite for the grouping lattice: a `CUBE BY` query
 //! translates to the one-scan `Plan::Cube` in both plan modes, and its
 //! serialized output must be the bytes the reference model evaluates the
-//! query to: for every aggregate function,
-//! across the batch CI matrix (`TIMBER_TEST_BATCH`), on random ragged
+//! query to: for every aggregate function, on random ragged
 //! bibliographies where an author's name sits at varying depths, and
 //! under seeded fault schedules (correct-or-typed-error).
 
 use datagen::{DblpConfig, DblpGenerator};
 use smallrand::prop::check;
 use timber::{PlanMode, TimberDb};
-use timber_integration_tests::{batch_matrix, bibliography, expected, run, Shape};
+use timber_integration_tests::{bibliography, expected, run, Shape};
 use xmlstore::{FaultConfig, StoreOptions};
 
 /// The lattice query: all prefix levels of journal → year → author,
@@ -67,14 +66,11 @@ fn every_cube_query_fuses_to_one_scan() {
 }
 
 /// Both modes of `query` over `xml` against the model.
-fn assert_cube_matches_model(db: &TimberDb, xml: &str, query: &str, batch: usize) {
+fn assert_cube_matches_model(db: &TimberDb, xml: &str, query: &str) {
     let want = expected(xml, query);
     for mode in [PlanMode::GroupByRewrite, PlanMode::Direct] {
-        assert_eq!(
-            run(db, query, mode, batch),
-            want,
-            "{mode:?} batch={batch} query: {query} on {xml}"
-        );
+        let got = run(db, query, mode);
+        assert_eq!(got, want, "{mode:?} query: {query} on {xml}");
     }
 }
 
@@ -82,9 +78,7 @@ fn assert_cube_matches_model(db: &TimberDb, xml: &str, query: &str, batch: usize
 fn cube_matches_the_model_across_batches() {
     let db = TimberDb::load_xml(CUBE_DB, &StoreOptions::in_memory()).unwrap();
     for func in FUNCS {
-        for batch in batch_matrix(&[1, 3, 16, 256]) {
-            assert_cube_matches_model(&db, CUBE_DB, &cube_query(func), batch);
-        }
+        assert_cube_matches_model(&db, CUBE_DB, &cube_query(func));
     }
 }
 
@@ -100,9 +94,9 @@ fn single_dimension_cube_rides_the_fused_rollup_path() {
     "#;
     let (plan, _) = db.compile(query, PlanMode::GroupByRewrite).unwrap();
     assert!(plan.explain().contains(" levels=1 "), "{}", plan.explain());
-    let fused = run(&db, query, PlanMode::GroupByRewrite, 16);
+    let fused = run(&db, query, PlanMode::GroupByRewrite);
     assert_eq!(fused, expected(CUBE_DB, query));
-    assert_eq!(run(&db, query, PlanMode::Direct, 16), fused);
+    assert_eq!(run(&db, query, PlanMode::Direct), fused);
 }
 
 #[test]
@@ -113,9 +107,8 @@ fn cube_matches_the_model_on_random_ragged_bibliographies() {
         |g| {
             let xml = bibliography(g, Shape::Cube);
             let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-            let batch = *g.pick(&batch_matrix(&[1, 16, 256]));
             for func in FUNCS {
-                assert_cube_matches_model(&db, &xml, &cube_query(func), batch);
+                assert_cube_matches_model(&db, &xml, &cube_query(func));
             }
         },
     );

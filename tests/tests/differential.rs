@@ -1,21 +1,21 @@
 //! Differential testing of the executor against the reference model
-//! (`tests/src/model.rs`): the batched pipeline must serialize to exactly
-//! the bytes the query as written evaluates to — for every query of the
+//! (`tests/src/model.rs`): every query must serialize to exactly the
+//! bytes the query as written evaluates to — for every query of the
 //! E1/E2 corpus, two more nested RETURN paths and an `ORDER BY` on the
-//! returned path, in both plan modes, across batch sizes, on the Fig. 6
-//! database, on a bibliography where every article has two authors, and
-//! on random dated and ragged bibliographies.
+//! returned path, in both plan modes, on the Fig. 6 database, on a
+//! bibliography where every article has two authors, and on random
+//! dated and ragged bibliographies.
 
 use smallrand::prop::check;
 use timber::{PlanMode, TimberDb};
 use timber_integration_tests::{
-    assert_matches_model, batch_matrix, bibliography, expected, fig6_db, run, Shape, FIG6_DB,
-    QUERY1, QUERY2, QUERY_COUNT,
+    assert_matches_model, bibliography, expected, fig6_db, run, Shape, FIG6_DB, QUERY1, QUERY2,
+    QUERY_COUNT,
 };
 use xmlstore::StoreOptions;
 
 /// A projection-only query: no grouping, no join — exercises the
-/// executor's select→project fusion and the streaming leaf.
+/// executor's select→project fusion.
 const QUERY_PROJECT: &str = r#"
     FOR $a IN distinct-values(document("bib.xml")//author)
     RETURN <row> {$a} </row>
@@ -80,7 +80,8 @@ const FIG6_DATED: &str = "<bib>\
 
 /// Three two-author articles, every author sharing an article with each
 /// of the others: Fig. 3's non-partitioning semantics put each article
-/// in both of its authors' groups.
+/// in both of its authors' groups. Each has a year, which keeps
+/// `QUERY_YEARS` inside the GROUPBY rewrite's precondition.
 const TWO_AUTHORS_EACH: &str = "<bib>\
     <article><author>Jack</author><author>John</author><title>T1</title><year>1999</year></article>\
     <article><author>Jill</author><author>Jack</author><title>T2</title><year>2000</year></article>\
@@ -93,9 +94,7 @@ fn every_cell_equals_the_model_on_fig6() {
     for (xml, what) in [(FIG6_DATED, "fig6"), (TWO_AUTHORS_EACH, "two authors each")] {
         let db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
         for query in CORPUS {
-            for batch in batch_matrix(&[1, 2, 3, 256]) {
-                assert_matches_model(&db, xml, query, batch, what);
-            }
+            assert_matches_model(&db, xml, query, what);
         }
     }
 }
@@ -122,12 +121,11 @@ fn every_cell_equals_the_model_on_random_bibliographies() {
             let shape = [Shape::Years, Shape::Ragged][g.usize_in(0, 1)];
             let xml = bibliography(g, shape);
             let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-            let batch = *g.pick(&batch_matrix(&[1, 3, 256]));
             for query in CORPUS {
                 if shape == Shape::Ragged && query == QUERY_TITLES_BY_TITLE {
                     continue;
                 }
-                assert_matches_model(&db, &xml, query, batch, "random");
+                assert_matches_model(&db, &xml, query, "random");
             }
         },
     );
@@ -138,7 +136,7 @@ fn empty_database_yields_empty_output_at_every_batching() {
     let db = TimberDb::load_xml("<bib/>", &StoreOptions::in_memory()).unwrap();
     for query in CORPUS {
         assert_eq!(expected("<bib/>", query), "");
-        assert_matches_model(&db, "<bib/>", query, 1, "empty");
+        assert_matches_model(&db, "<bib/>", query, "empty");
     }
 }
 
@@ -151,7 +149,7 @@ fn explain_analyze_output_matches_plain_query() {
         for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
             let analyzed = db.explain_analyze(query, mode).unwrap();
             assert_eq!(
-                run(&db, query, mode, 256),
+                run(&db, query, mode),
                 analyzed.result.to_xml_on(db.store()).unwrap(),
                 "{mode:?} query: {query}"
             );

@@ -111,13 +111,12 @@ fn explain_analyze_structural_snapshot() {
     let text = a.render();
     assert!(text.starts_with("== plan (GroupByRewrite mode, groupby rewrite fired) ==\n"));
     assert!(text.contains("== rewrite trace ==\npass 1: groupby-rewrite\n"));
-    assert!(text.contains("== execution (physical, batch=256) ==\n"));
+    assert!(text.contains("== execution (physical) ==\n"));
     let metric_lines: Vec<&str> = text.lines().filter(|l| l.contains(" | in=")).collect();
     assert_eq!(metric_lines.len(), 5, "{text}");
     for line in &metric_lines {
         for field in [
             "out=",
-            "batches=",
             "time=",
             "pages=",
             "disk_reads=",
@@ -139,7 +138,7 @@ fn explain_analyze_structural_snapshot() {
     };
     let outs: Vec<String> = metric_lines
         .iter()
-        .map(|l| field(l, " out=", " batches="))
+        .map(|l| field(l, " out=", " time="))
         .collect();
     assert_eq!(
         outs,

@@ -86,7 +86,7 @@ fn a_document_at_the_depth_limit_loads_queries_and_serializes() {
     );
     let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
     for query in [QUERY1, QUERY2, QUERY_COUNT] {
-        assert_matches_model(&db, &xml, query, 256, "depth-limit document");
+        assert_matches_model(&db, &xml, query, "depth-limit document");
     }
     let root = db.store().materialize(NodeId(1)).unwrap();
     assert_eq!(xmlparse::serialize::element_to_string(&root), xml);

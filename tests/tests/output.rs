@@ -14,9 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use tax::tree::TreeNodeId;
 use tax::Tree;
 use timber::{PlanMode, QueryResult, TimberDb, TimberError};
-use timber_integration_tests::{
-    batch_matrix, execute, expected, fig6_db, FIG6_DB, QUERY1, QUERY2, QUERY_COUNT,
-};
+use timber_integration_tests::{expected, fig6_db, FIG6_DB, QUERY1, QUERY2, QUERY_COUNT};
 use xmlparse::serialize::element_to_string;
 use xmlparse::{parse_document, Element, XmlNode};
 use xmlstore::{DocumentStore, FaultConfig, NodeEntry, NodeId, NodeKind, StoreOptions};
@@ -41,13 +39,11 @@ fn dom_route(r: &QueryResult, store: &DocumentStore) -> String {
 fn assert_corpus_parity(db: &TimberDb, xml: &str, what: &str) {
     for query in CORPUS {
         let want = expected(xml, query);
-        for batch in batch_matrix(&[3, 256]) {
-            for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-                let r = execute(db, query, mode, batch);
-                let label = format!("{what} batch={batch} {mode:?} query: {query}");
-                assert_eq!(r.to_xml_on(db.store()).unwrap(), want, "streamed: {label}");
-                assert_eq!(dom_route(&r, db.store()), want, "DOM route: {label}");
-            }
+        for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
+            let r = db.query(query, mode).unwrap();
+            let label = format!("{what} {mode:?} query: {query}");
+            assert_eq!(r.to_xml_on(db.store()).unwrap(), want, "streamed: {label}");
+            assert_eq!(dom_route(&r, db.store()), want, "DOM route: {label}");
         }
     }
 }

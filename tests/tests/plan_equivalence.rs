@@ -16,8 +16,8 @@ use tax::pattern::{Axis, PatternTree, Pred};
 use tax::tags;
 use timber::{OutKind, PlanMetrics, PlanMode, TimberDb};
 use timber_integration_tests::{
-    assert_matches_model, batch_matrix, bibliography, expected, fig6_db, run, Shape, FIG6_DB,
-    QUERY1, QUERY2, QUERY_COUNT,
+    assert_matches_model, bibliography, expected, fig6_db, run, Shape, FIG6_DB, QUERY1, QUERY2,
+    QUERY_COUNT,
 };
 use xmlstore::StoreOptions;
 use xquery::Plan;
@@ -32,7 +32,7 @@ fn both_plans_equal_the_model_on_random_bibliographies() {
             let xml = bibliography(g, shape);
             let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
             for query in [QUERY1, QUERY2, QUERY_COUNT] {
-                assert_matches_model(&db, &xml, query, 256, "plan equivalence");
+                assert_matches_model(&db, &xml, query, "plan equivalence");
             }
             let literal = db.run_plan(&literal_count_plan(), true).unwrap();
             assert_eq!(
@@ -99,7 +99,7 @@ fn the_papers_literal_count_plan_equals_the_model_on_fig6() {
     let result = db.run_plan(&literal_count_plan(), true).unwrap();
     let want = expected(FIG6_DB, QUERY_COUNT);
     assert_eq!(result.to_xml_on(db.store()).unwrap(), want);
-    assert_eq!(run(&db, QUERY_COUNT, PlanMode::GroupByRewrite, 256), want);
+    assert_eq!(run(&db, QUERY_COUNT, PlanMode::GroupByRewrite), want);
     let text = result.metrics.unwrap().render();
     let ops: Vec<&str> = text
         .lines()
@@ -235,8 +235,8 @@ fn the_rewrite_drops_an_author_no_titled_article_carries() {
     ] {
         let want = expected(xml, query);
         assert_eq!(want, format!("{jane}{jack}"));
-        assert_eq!(run(&db, query, PlanMode::Direct, 256), want);
-        assert_eq!(run(&db, query, PlanMode::GroupByRewrite, 256), jack);
+        assert_eq!(run(&db, query, PlanMode::Direct), want);
+        assert_eq!(run(&db, query, PlanMode::GroupByRewrite), jack);
     }
 }
 
@@ -276,19 +276,17 @@ fn a_doc_root_subject_binds_no_stored_node_in_either_plan() {
     // it. Both plans must find no subject, as the model does.
     let hold = |xml: &str| {
         let db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
-        for batch in batch_matrix(&[1, 16, 256]) {
-            for (i, query) in DOC_ROOT_SUBJECTS.iter().enumerate() {
-                let want = expected(xml, query);
-                let cell = format!("batch={batch} {query} on {xml}");
-                assert_eq!(run(&db, query, PlanMode::Direct, batch), want, "{cell}");
-                let grouped = match i {
-                    2 => want,
-                    _ => joined_rows(&want),
-                };
-                assert_eq!(grouped, "", "{cell}");
-                let got = run(&db, query, PlanMode::GroupByRewrite, batch);
-                assert_eq!(got, grouped, "{cell}");
-            }
+        for (i, query) in DOC_ROOT_SUBJECTS.iter().enumerate() {
+            let want = expected(xml, query);
+            let cell = format!("{query} on {xml}");
+            assert_eq!(run(&db, query, PlanMode::Direct), want, "{cell}");
+            let grouped = match i {
+                2 => want,
+                _ => joined_rows(&want),
+            };
+            assert_eq!(grouped, "", "{cell}");
+            let got = run(&db, query, PlanMode::GroupByRewrite);
+            assert_eq!(got, grouped, "{cell}");
         }
     };
     hold(FIG6_DB);
@@ -325,7 +323,7 @@ fn returning_the_join_tag_keeps_the_key_and_the_members_node_apart() {
     assert_eq!(expected(xml, &query), want);
     let db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
     for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-        assert_eq!(run(&db, &query, mode, 256), want, "{mode:?}");
+        assert_eq!(run(&db, &query, mode), want, "{mode:?}");
     }
     // Group trees (a tree input) go through the tree projection: the
     // same bytes.
@@ -348,7 +346,7 @@ fn ordering_by_a_repeated_path_keeps_an_articles_titles_together() {
     assert_eq!(expected(xml, &query), want);
     let db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
     for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-        assert_eq!(run(&db, &query, mode, 256), want, "{mode:?}");
+        assert_eq!(run(&db, &query, mode), want, "{mode:?}");
     }
 }
 
@@ -455,37 +453,35 @@ fn the_group_projection_equals_the_model_on_random_bibliographies() {
                 with_leaf(&plan, scan(authored())),
                 with_leaf(&plan, tree_leaf()),
             ];
-            for batch in batch_matrix(&[16, 256]) {
-                for query in &queries {
-                    let want = expected(&xml, query);
-                    let cell = format!("batch={batch} {query} on {xml}");
-                    assert_eq!(run(&db, query, PlanMode::Direct, batch), want, "{cell}");
-                    let got = run(&db, query, PlanMode::GroupByRewrite, batch);
-                    match query.contains("ORDER BY $b/title") {
-                        true => assert_eq!(rows(&got), rows(&grouped(&want)), "{cell}"),
-                        false => assert_eq!(got, grouped(&want), "{cell}"),
-                    }
+            for query in &queries {
+                let want = expected(&xml, query);
+                let cell = format!("{query} on {xml}");
+                assert_eq!(run(&db, query, PlanMode::Direct), want, "{cell}");
+                let got = run(&db, query, PlanMode::GroupByRewrite);
+                match query.contains("ORDER BY $b/title") {
+                    true => assert_eq!(rows(&got), rows(&grouped(&want)), "{cell}"),
+                    false => assert_eq!(got, grouped(&want), "{cell}"),
                 }
-                // The LET forms reach the join's unmatched path here: an
-                // author whose articles are all untitled joins nothing, and
-                // the direct plan must still emit the author alone, or
-                // with `<count>0</count>`. The rewrite drops that author
-                // (*Oracle*, 1), so these cells hold the direct plan only.
-                for query in [QUERY2, QUERY_COUNT] {
-                    let want = expected(&xml, query);
-                    let cell = format!("batch={batch} {query} on {xml}");
-                    assert_eq!(run(&db, query, PlanMode::Direct, batch), want, "{cell}");
-                }
-                let want = grouped(&expected(&xml, &titles));
-                for plan in &hand_built {
-                    let r = db.run_plan(plan, true).unwrap();
-                    let got = r.to_xml_on(db.store()).unwrap();
-                    assert_eq!(got, want, "batch={batch} {plan:?} on {xml}");
-                }
-                let r = db.query(&titles, PlanMode::GroupByRewrite).unwrap();
-                let out = groupby_out(r.metrics.as_ref().unwrap());
-                assert!(matches!(out, None | Some(OutKind::Groups)), "{out:?}");
             }
+            // The LET forms reach the join's unmatched path here: an
+            // author whose articles are all untitled joins nothing, and
+            // the direct plan must still emit the author alone, or
+            // with `<count>0</count>`. The rewrite drops that author
+            // (*Oracle*, 1), so these cells hold the direct plan only.
+            for query in [QUERY2, QUERY_COUNT] {
+                let want = expected(&xml, query);
+                let cell = format!("{query} on {xml}");
+                assert_eq!(run(&db, query, PlanMode::Direct), want, "{cell}");
+            }
+            let want = grouped(&expected(&xml, &titles));
+            for plan in &hand_built {
+                let r = db.run_plan(plan, true).unwrap();
+                let got = r.to_xml_on(db.store()).unwrap();
+                assert_eq!(got, want, "{plan:?} on {xml}");
+            }
+            let r = db.query(&titles, PlanMode::GroupByRewrite).unwrap();
+            let out = groupby_out(r.metrics.as_ref().unwrap());
+            assert!(matches!(out, None | Some(OutKind::Groups)), "{out:?}");
         },
     );
 }

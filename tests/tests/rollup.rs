@@ -3,8 +3,7 @@
 //! aggregates as the streaming `Rollup`, and its serialized output — like
 //! the direct plan's —
 //! must be the bytes the reference model evaluates the query to: for
-//! every aggregate function, across batch sizes (CI sweeps `{16, 256}`
-//! via `TIMBER_TEST_BATCH`), on random multi-author bibliographies, for
+//! every aggregate function, on random multi-author bibliographies, for
 //! fractional Avg/Sum values, and under seeded fault schedules
 //! (correct-or-typed-error).
 
@@ -12,8 +11,7 @@ use datagen::{DblpConfig, DblpGenerator};
 use smallrand::prop::check;
 use timber::{PlanMode, TimberDb};
 use timber_integration_tests::{
-    assert_matches_model, batch_matrix, bibliography, expected, fig6_db, Shape, FIG6_DB,
-    QUERY_COUNT,
+    assert_matches_model, bibliography, expected, fig6_db, Shape, FIG6_DB, QUERY_COUNT,
 };
 use xmlstore::{FaultConfig, StoreOptions};
 
@@ -72,23 +70,21 @@ const YEARS_DB: &str = "<bib>\
     <article><author>John</author><title>Gamma</title><year>1984</year></article>\
 </bib>";
 
-/// Every `{batch} × {Direct, GroupByRewrite}` cell of `query` over `xml`
-/// against the model.
-fn assert_matrix_matches_model(xml: &str, query: &str, what: &str) {
+/// Both plan modes' output of `query` over `xml`, loaded, against the
+/// model.
+fn assert_plans_match_model(xml: &str, query: &str, what: &str) {
     let db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
-    for batch in batch_matrix(&[1, 16, 256]) {
-        assert_matches_model(&db, xml, query, batch, what);
-    }
+    assert_matches_model(&db, xml, query, what);
 }
 
 #[test]
 fn rollup_matches_the_model_across_batches() {
     for query in corpus() {
-        assert_matrix_matches_model(YEARS_DB, &query, "years");
+        assert_plans_match_model(YEARS_DB, &query, "years");
     }
     // Fig. 6 has titles and no years: only the count over titles is
     // defined for every author there.
-    assert_matrix_matches_model(FIG6_DB, QUERY_COUNT, "fig6");
+    assert_plans_match_model(FIG6_DB, QUERY_COUNT, "fig6");
 }
 
 #[test]
@@ -106,14 +102,14 @@ fn avg_keeps_its_fraction_formatting_through_the_rollup() {
     assert!(want.contains("<avg>1998.3333333333333</avg>"), "{want}");
     // Whole-number averages render as integers (2002, not 2002.0).
     assert!(want.contains("<avg>2002</avg>"), "{want}");
-    assert_matrix_matches_model(xml, &q, "avg formatting");
+    assert_plans_match_model(xml, &q, "avg formatting");
 }
 
 #[test]
 fn fractional_values_fold_identically() {
     // Fractional years force real floating-point accumulation: the
-    // running Sum/Avg folds must add in document order bit for bit, at
-    // every batch size; the non-numeric year is ignored.
+    // running Sum/Avg folds must add in document order bit for bit; the
+    // non-numeric year is ignored.
     let xml = "<bib>\
         <article><author>Jack</author><title>A</title><year>0.1</year></article>\
         <article><author>Jack</author><title>B</title><year>0.2</year></article>\
@@ -122,7 +118,7 @@ fn fractional_values_fold_identically() {
         <article><author>Jill</author><title>E</title><year>not-a-number</year></article>\
     </bib>";
     for func in ["sum", "avg", "min", "max"] {
-        assert_matrix_matches_model(xml, &agg_query(func), func);
+        assert_plans_match_model(xml, &agg_query(func), func);
     }
 }
 
@@ -136,15 +132,14 @@ fn rollup_matches_the_model_on_random_bibliographies() {
         "rollup_matches_the_model_on_random_bibliographies",
         24,
         |g| {
-            let batch = *g.pick(&batch_matrix(&[1, 16, 256]));
             let xml = bibliography(g, Shape::Years);
             let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
             for query in corpus() {
-                assert_matches_model(&db, &xml, &query, batch, "years");
+                assert_matches_model(&db, &xml, &query, "years");
             }
             let xml = bibliography(g, Shape::Ragged);
             let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
-            assert_matches_model(&db, &xml, QUERY_COUNT, batch, "ragged");
+            assert_matches_model(&db, &xml, QUERY_COUNT, "ragged");
         },
     );
 }

@@ -4,7 +4,7 @@
 //! authors' keys land in.
 
 use timber::{PlanMode, TimberDb};
-use timber_integration_tests::{batch_matrix, expected, run, QUERY1};
+use timber_integration_tests::{expected, run, QUERY1};
 use xmlstore::StoreOptions;
 
 #[test]
@@ -27,12 +27,6 @@ fn multivalued_basis_duplicates_across_shards() {
         assert_eq!(want.matches(t).count(), 2, "{t} in {want}");
     }
     for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-        for batch in batch_matrix(&[1, 2, 3, 256]) {
-            assert_eq!(
-                want,
-                run(&db, QUERY1, mode, batch),
-                "{mode:?} batch={batch}"
-            );
-        }
+        assert_eq!(want, run(&db, QUERY1, mode), "{mode:?}");
     }
 }

@@ -13,9 +13,7 @@
 use smallrand::prop::Gen;
 use std::path::PathBuf;
 use timber::{PlanMode, TimberDb};
-use timber_integration_tests::{
-    batch_matrix, bibliography, model, run, Shape, QUERY1, QUERY_COUNT,
-};
+use timber_integration_tests::{bibliography, model, run, Shape, QUERY1, QUERY_COUNT};
 use xmlstore::{wal_path_for, DocId, StoreOptions};
 
 fn seeds() -> Vec<u64> {
@@ -25,14 +23,13 @@ fn seeds() -> Vec<u64> {
     }
 }
 
-/// `db` serves the model's bytes for `docs`, in both modes, at `batch`
-/// trees per executor batch.
-fn assert_serves(db: &TimberDb, docs: &[String], batch: usize, label: &str) {
+/// `db` serves the model's bytes for `docs`, in both modes.
+fn assert_serves(db: &TimberDb, docs: &[String], label: &str) {
     let docs: Vec<&str> = docs.iter().map(String::as_str).collect();
     for query in [QUERY1, QUERY_COUNT] {
         let want = model::eval(&docs, query).expect("the reference model evaluates the corpus");
         for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-            let got = run(db, query, mode, batch);
+            let got = run(db, query, mode);
             assert_eq!(got, want, "{label}: {mode:?} query: {query} over {docs:?}");
         }
     }
@@ -42,7 +39,6 @@ fn assert_serves(db: &TimberDb, docs: &[String], batch: usize, label: &str) {
 /// closed and opened again.
 fn run_script(seed: u64, mut db: TimberDb, reopen: Option<&StoreOptions>) {
     let mut g = Gen::new(seed);
-    let batch = *g.pick(&batch_matrix(&[1, 3, 256]));
     // The model: the live documents in insertion order, and each pinned
     // snapshot beside the list it was pinned over.
     let mut live: Vec<(DocId, String)> = Vec::new();
@@ -102,9 +98,9 @@ fn run_script(seed: u64, mut db: TimberDb, reopen: Option<&StoreOptions>) {
         let stored: Vec<DocId> = db.documents().iter().map(|(id, _)| *id).collect();
         assert_eq!(stored, ids, "{label}: document table");
         let docs: Vec<String> = live.iter().map(|(_, xml)| xml.clone()).collect();
-        assert_serves(&db, &docs, batch, &label);
+        assert_serves(&db, &docs, &label);
         for (i, (pinned, docs)) in pins.iter().enumerate() {
-            assert_serves(pinned, docs, batch, &format!("{label}, pin #{i}"));
+            assert_serves(pinned, docs, &format!("{label}, pin #{i}"));
         }
     }
 }

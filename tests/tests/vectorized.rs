@@ -2,14 +2,14 @@
 //! chunked filters must be bit-identical to their scalar twins, the
 //! batch containment partition must expand to exactly the nested-loop
 //! join's pairs, and whole queries running on those kernels must
-//! serialize to the reference model's bytes — across batch sizes and
-//! random ragged bibliographies.
+//! serialize to the reference model's bytes — on random ragged
+//! bibliographies.
 
 use smallrand::prop::{check, Gen};
 use tax::matching::structural::{self, JoinAxis};
 use timber::TimberDb;
 use timber_integration_tests::{
-    assert_matches_model, batch_matrix, bibliography, Shape, QUERY1, QUERY2, QUERY_COUNT,
+    assert_matches_model, bibliography, Shape, QUERY1, QUERY2, QUERY_COUNT,
 };
 use xmlstore::{kernels, NodeEntry, NodeId, SelVec, StoreOptions};
 
@@ -161,15 +161,13 @@ fn queries_on_the_kernels_equal_the_model() {
     // join and the COUNT star fold (run-length products instead of
     // per-binding enumeration) serve exactly the bytes of the query as
     // written — on adversarial shapes (empty articles, missing titles,
-    // duplicate authors), across the batch matrix CI sweeps.
+    // duplicate authors), in both plan modes.
     check("queries_on_the_kernels_equal_the_model", 24, |g| {
         let xml = bibliography(g, Shape::Ragged);
         let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
         let vec_rows_before = kernels::vec_rows();
-        for batch in batch_matrix(&[16, 256]) {
-            for query in [QUERY1, QUERY2, QUERY_COUNT] {
-                assert_matches_model(&db, &xml, query, batch, "kernels");
-            }
+        for query in [QUERY1, QUERY2, QUERY_COUNT] {
+            assert_matches_model(&db, &xml, query, "kernels");
         }
         // It was the kernels that answered, not a row loop.
         assert!(kernels::vec_rows() > vec_rows_before);

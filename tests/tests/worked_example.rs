@@ -2,7 +2,6 @@
 //! step by step over the Figure 6 sample database, checking each
 //! intermediate collection against the figures.
 
-use std::collections::HashSet;
 use tax::batch::{Batch, Matches};
 use tax::ops::groupby::{groupby, BasisItem};
 use tax::ops::project::ProjectItem;
@@ -35,7 +34,7 @@ fn fig7_outer_selection_projection_dupelim() {
         true,
     )
     .unwrap();
-    let distinct = dup_elim(store, Batch::Trees(proj), &p, 1, &mut HashSet::new())
+    let distinct = dup_elim(store, Batch::Trees(proj), &p, 1)
         .unwrap()
         .into_trees();
     // Fig. 7: three doc_root/author trees: Jack, John, Jill.
@@ -61,7 +60,7 @@ fn fig8_left_outer_join_pairs_five_author_article_members() {
     // The outer selection's rows, duplicates eliminated: Fig. 7 as the
     // rows of the scan's binding table.
     let rows = Batch::Matches(Matches::select(store, &p, &[1]).unwrap());
-    let distinct = dup_elim(store, rows, &p, 1, &mut HashSet::new()).unwrap();
+    let distinct = dup_elim(store, rows, &p, 1).unwrap();
     assert!(matches!(distinct, Batch::Matches(_)), "{distinct:?}");
 
     // Fig. 4b inner pattern: doc_root -ad-> article -pc-> author.
