@@ -507,7 +507,7 @@ impl Shell {
                         }
                         print!("{xml}");
                         println!(
-                            "[{} trees, {:.3}s, {} page requests, {} disk reads{}]",
+                            "[{} rows, {:.3}s, {} page requests, {} disk reads{}]",
                             result.len(),
                             dt.as_secs_f64(),
                             io.page_requests(),

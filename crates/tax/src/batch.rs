@@ -1,6 +1,6 @@
 //! What flows between operators: an operator's whole output, one batch
 //! of rows that is a list of stored nodes, of a selection's match rows,
-//! of groups, or of trees.
+//! of groups, of one-level trees, or of trees.
 //!
 //! Most collections a plan moves are not trees anyone built (Sec. 5.3,
 //! "witness trees held as node identifiers"): the article collection a
@@ -9,9 +9,10 @@
 //! matched; groups, and the left outer join's pairs (Fig. 8), are key
 //! cells and member row ordinals. [`Batch::Stored`], [`Batch::Matches`]
 //! and [`Batch::Groups`] say so by type, and operators that read only
-//! keys or paths out of them work on the labels. [`Batch::into_trees`] is
-//! the one place a row becomes a [`Tree`]. [`Source`] is the borrowed
-//! view the sinks read, so the public `&Collection` entry points —
+//! keys or paths out of them work on the labels, and the output
+//! operators emit [`Batch::Rows`]. [`Batch::into_trees`] is the one
+//! place a row becomes a [`Tree`]. [`Source`] is the borrowed view the
+//! sinks read, so the public `&Collection` entry points —
 //! classified once, on entry — and the executor's batches reach the same
 //! code. DESIGN.md, *Binding tables*.
 
@@ -20,10 +21,11 @@ use crate::matching::{match_db, Bindings};
 use crate::ops::project::{project_one, ProjectItem};
 use crate::ops::select::{chain_bound, keeps_witness, witness_tree};
 use crate::pattern::{PatternNodeId, PatternTree};
-use crate::tree::{Collection, Tree, TreeNodeKind};
+use crate::tree::{populate, Collection, Results, Tree, TreeNodeKind, CHUNK};
 use std::borrow::Cow;
 use std::sync::Arc;
-use xmlstore::{DocumentStore, NodeEntry, Sym};
+use xmlparse::XmlWriter;
+use xmlstore::{DocumentStore, NodeEntry, Sym, Tape};
 
 /// An operator's output: every row it emits, in order.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,6 +42,9 @@ pub enum Batch {
     /// `groupby` emits for a `Stored` input, and the left outer join for
     /// its pairs, instead of trees.
     Groups(Groups),
+    /// Each row is a one-level tree held as cells — what the output
+    /// operators emit instead of trees.
+    Rows(Rows),
 }
 
 /// A selection over the stored database: its pattern, adornment list
@@ -146,6 +151,82 @@ impl Groups {
     }
 }
 
+/// One-level trees as columns: row `i` is an element `tag` whose
+/// children are `cells[starts[i]..starts[i + 1]]`, each a deep stored
+/// reference or a constructed element with content. Output population
+/// writes a row straight from its cells.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rows {
+    pub(crate) tag: Sym,
+    starts: Vec<u32>,
+    cells: Vec<TreeNodeKind>,
+}
+
+impl Rows {
+    /// No rows yet, each to be tagged `tag`.
+    pub(crate) fn new(tag: Sym) -> Rows {
+        let (starts, cells) = (vec![0], Vec::new());
+        Rows { tag, starts, cells }
+    }
+
+    /// Append a row of `cells`.
+    pub(crate) fn push(&mut self, cells: impl IntoIterator<Item = TreeNodeKind>) {
+        self.cells.extend(cells);
+        let end = u32::try_from(self.cells.len()).expect("a batch holds under 2^32 cells");
+        self.starts.push(end);
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Whether there is no row.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn row(&self, i: usize) -> &[TreeNodeKind] {
+        &self.cells[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+
+    /// The rows as trees: the tag, each cell a child of it.
+    pub fn into_trees(self) -> Vec<Tree> {
+        let tree = |i| {
+            let mut tree = Tree::new_elem_sym(self.tag);
+            for cell in self.row(i) {
+                tree.add_node(tree.root(), cell.clone());
+            }
+            tree
+        };
+        (0..self.len()).map(tree).collect()
+    }
+
+    /// Append row `i`'s XML text to `out`: the bytes its tree writes.
+    pub fn write_xml(&self, store: &DocumentStore, i: usize, out: &mut String) -> Result<()> {
+        let mut one = Rows::new(self.tag);
+        one.push(self.row(i).iter().cloned());
+        populate(store, &one, &mut XmlWriter::new(out), |_| {}, CHUNK).map(drop)
+    }
+}
+
+/// A row is recorded as its tree is: the tag, each cell, closed.
+impl Results for Rows {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn emit(&self, store: &DocumentStore, i: usize, out: &mut Tape) -> Result<()> {
+        out.open(self.tag);
+        for cell in self.row(i) {
+            cell.emit_open(store, out)?;
+            out.close();
+        }
+        out.close();
+        Ok(())
+    }
+}
+
 impl Default for Batch {
     fn default() -> Self {
         Batch::Trees(Vec::new())
@@ -160,6 +241,7 @@ impl Batch {
             Batch::Matches(matches) => matches.rows.len(),
             Batch::Trees(trees) => trees.len(),
             Batch::Groups(groups) => groups.members.len(),
+            Batch::Rows(rows) => rows.len(),
         }
     }
 
@@ -170,13 +252,14 @@ impl Batch {
 
     /// The rows as trees: a stored row becomes the one-node deep
     /// reference it stands for, a match its witness tree, a group its
-    /// group tree.
+    /// group tree, a one-level row its tree.
     pub fn into_trees(self) -> Vec<Tree> {
         match self {
             Batch::Stored(rows) => rows.into_iter().map(|e| Tree::new_ref(e, true)).collect(),
             Batch::Matches(matches) => matches.trees(),
             Batch::Trees(trees) => trees,
             Batch::Groups(groups) => groups.trees(),
+            Batch::Rows(rows) => rows.into_trees(),
         }
     }
 
@@ -203,7 +286,8 @@ pub enum Source<'a> {
     Trees(Cow<'a, [Tree]>),
 }
 
-/// A sink's drained input: matches and groups are read as their trees.
+/// A sink's drained input: matches, groups and one-level rows are read
+/// as their trees.
 impl<'a> From<&'a Batch> for Source<'a> {
     fn from(batch: &'a Batch) -> Self {
         match batch {
@@ -211,6 +295,7 @@ impl<'a> From<&'a Batch> for Source<'a> {
             Batch::Matches(matches) => Source::Trees(Cow::Owned(matches.trees())),
             Batch::Trees(trees) => Source::Trees(Cow::Borrowed(trees)),
             Batch::Groups(groups) => Source::Trees(Cow::Owned(groups.trees())),
+            Batch::Rows(rows) => Source::Trees(Cow::Owned(rows.clone().into_trees())),
         }
     }
 }

@@ -20,8 +20,9 @@
 //!   node ids around and fetch data values only when a value is actually
 //!   needed;
 //! * [`batch`] — what flows between operators: a [`Batch`] of rows that
-//!   is a list of stored nodes, of a scan's matches, of groups, or of
-//!   trees, and the borrowed [`Source`] view the kernels read;
+//!   is a list of stored nodes, of a scan's matches, of groups, of
+//!   one-level rows, or of trees, and the borrowed [`Source`] view the
+//!   kernels read;
 //! * [`pattern`] — pattern trees: nodes with predicates, `pc`
 //!   (parent-child) and `ad` (ancestor-descendant) edges, plus the
 //!   *subset* test used by the rewrite rules of Sec. 4.1;

@@ -29,19 +29,19 @@
 //!   within each level — the rows the per-level flat rollups give one
 //!   after another, which the kernel tests below hold it to.
 
-use crate::batch::Source;
+use crate::batch::{Batch, Source};
 use crate::error::{Error, Result};
 use crate::exec::Stages;
 use crate::ops::aggregate::AggFunc;
 use crate::ops::groupby::BasisItem;
 use crate::ops::rollup::{fold_levels, RollupShape};
 use crate::pattern::{PatternNodeId, PatternTree};
-use crate::tree::Collection;
 use xmlstore::DocumentStore;
 
 /// One-scan grouping lattice: the blocking sink's kernel — the
 /// prefix-level fold over levels `1..=basis.len()`, in the flat shape.
-/// Returns the trees and the sink's stage times.
+/// Returns the groups — rows over stored rows, trees otherwise — and
+/// the sink's stage times.
 #[allow(clippy::too_many_arguments)]
 pub fn cube<'a>(
     store: &DocumentStore,
@@ -52,7 +52,7 @@ pub fn cube<'a>(
     of: PatternNodeId,
     func: AggFunc,
     new_tag: &str,
-) -> Result<(Collection, Stages)> {
+) -> Result<(Batch, Stages)> {
     if basis.is_empty() {
         return Err(Error::Unsupported(
             "cube requires at least one grouping dimension".into(),
@@ -77,7 +77,7 @@ mod tests {
     use super::*;
     use crate::ops::rollup::rollup;
     use crate::pattern::{Axis, Pred};
-    use crate::tree::Tree;
+    use crate::tree::{Collection, Tree};
     use xmlstore::StoreOptions;
 
     const SAMPLE: &str = "<bib>\
@@ -171,7 +171,8 @@ mod tests {
                     RollupShape::Flat,
                 )
                 .unwrap()
-                .0;
+                .0
+                .into_trees();
                 to_xml(s, &out)
             })
             .collect()
@@ -190,7 +191,10 @@ mod tests {
             ("pages", AggFunc::Avg, "avg"),
         ] {
             let (mp, of) = member(leaf);
-            let out = cube(&s, &arts, &p, &basis, &mp, of, func, tag).unwrap().0;
+            let out = cube(&s, &arts, &p, &basis, &mp, of, func, tag)
+                .unwrap()
+                .0
+                .into_trees();
             let reference = composed(&s, &arts, &p, &basis, &mp, of, func, tag);
             assert_eq!(by_level(&s, &out, basis.len()), reference, "{func:?}");
             // Coarsest level first: the bytes of the composed union.
@@ -206,7 +210,8 @@ mod tests {
         let (mp, of) = member("title");
         let out = cube(&s, &arts, &p, &basis, &mp, of, AggFunc::Count, "count")
             .unwrap()
-            .0;
+            .0
+            .into_trees();
         let keys: Vec<usize> = out
             .iter()
             .map(|t| t.materialize(&s).unwrap().child_elements().count() - 1)
@@ -234,7 +239,8 @@ mod tests {
         let (mp, of) = member("title");
         let out = cube(&s, &arts, &p, &basis, &mp, of, AggFunc::Count, "count")
             .unwrap()
-            .0;
+            .0
+            .into_trees();
         let tods = out
             .iter()
             .map(|t| t.materialize(&s).unwrap())
@@ -274,7 +280,10 @@ mod tests {
             ("pages", AggFunc::Avg, "avg"),
         ] {
             let (mp, of) = member(leaf);
-            let out = cube(&s, &arts, &p, &basis, &mp, of, func, tag).unwrap().0;
+            let out = cube(&s, &arts, &p, &basis, &mp, of, func, tag)
+                .unwrap()
+                .0
+                .into_trees();
             let rendered = to_xml(&s, &out).join("\n");
             assert!(
                 rendered.contains("<author><name><full>Jack</full></name></author>"),
@@ -317,7 +326,10 @@ mod tests {
             AggFunc::Max,
             AggFunc::Avg,
         ] {
-            let out = cube(&s, &arts, &p, &basis, &mp, of, func, "v").unwrap().0;
+            let out = cube(&s, &arts, &p, &basis, &mp, of, func, "v")
+                .unwrap()
+                .0
+                .into_trees();
             let reference = composed(&s, &arts, &p, &basis, &mp, of, func, "v");
             let levels = by_level(&s, &out, basis.len());
             assert_eq!(levels, reference, "{func:?}");
@@ -335,7 +347,8 @@ mod tests {
         // format_value on both paths: (30 + 19) / 2 at (TODS, 1999).
         let out = cube(&s, &arts, &p, &basis, &mp, of, AggFunc::Avg, "avg")
             .unwrap()
-            .0;
+            .0
+            .into_trees();
         let rendered = to_xml(&s, &out).join("\n");
         assert!(rendered.contains("<avg>24.5</avg>"), "{rendered}");
         assert!(
@@ -378,10 +391,12 @@ mod tests {
         let (mp, of) = member("pages");
         let from_arena = cube(&s, &arena, &p, &basis, &mp, of, AggFunc::Sum, "sum")
             .unwrap()
-            .0;
+            .0
+            .into_trees();
         let from_stored = cube(&s, &stored, &p, &basis, &mp, of, AggFunc::Sum, "sum")
             .unwrap()
-            .0;
+            .0
+            .into_trees();
         // Same logical content → same keys, levels, and values (subtree
         // storage differs, so compare the text projections).
         let digest = |c: &Collection| -> Vec<Vec<String>> {

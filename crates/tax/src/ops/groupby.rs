@@ -454,7 +454,7 @@ pub(crate) fn add_basis_children(
 /// `rows`, one node each: a reference to the bound node — whole when
 /// deep, or when it is the row itself (a stored row is its subtree) — or
 /// the constructed child of a `$i.attr` item.
-fn stored_basis<'w>(
+pub(crate) fn stored_basis<'w>(
     dict: &'w Dictionary,
     rows: &'w [NodeEntry],
     w: &'w Witnesses,

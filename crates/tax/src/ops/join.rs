@@ -13,7 +13,7 @@
 //! selection's table: equal symbol ⇔ equal string, and a node without
 //! content ([`NO_SYM`]) joins nothing. No data page is read.
 
-use crate::batch::{Batch, Groups, Source};
+use crate::batch::{Batch, Groups, Rows, Source};
 use crate::error::{Error, Result};
 use crate::matching::match_db;
 use crate::matching::vnode::VNode;
@@ -22,7 +22,7 @@ use crate::ops::groupby::{sort_members, BasisItem, Direction, GroupOrder};
 use crate::ops::witness::witnesses;
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tags::{GROUPING_BASIS, GROUP_ROOT, GROUP_SUBROOT};
-use crate::tree::{Collection, Tree, TreeNodeKind};
+use crate::tree::{Tree, TreeNodeKind};
 use std::collections::{HashMap, HashSet};
 use xmlstore::{DocumentStore, NodeEntry, NO_SYM};
 
@@ -129,8 +129,8 @@ struct Part {
 /// of the `outer` rows and the join's groups on the key, fused with the
 /// final per-binding construction and rename — the kernel behind the
 /// executor's `StitchConstruct` sink. Each outer row (a selection's,
-/// bound at `outer_label`) becomes one `tag` element: its bound node,
-/// then the extracted nodes of the subjects its key joined, or their
+/// bound at `outer_label`) becomes one `tag` row: its bound node, then
+/// the extracted nodes of the subjects its key joined, or their
 /// aggregate `agg`.
 ///
 /// One anchored witness extraction over the joined subjects yields every
@@ -147,7 +147,7 @@ pub fn stitch(
     inner: Option<(&Groups, &Members)>,
     agg: Option<(AggFunc, &str)>,
     tag: &str,
-) -> Result<Collection> {
+) -> Result<Rows> {
     let outer = outer.bound(outer_pattern, outer_label)?;
     let cols = store.columns();
     let key = |e: &NodeEntry| cols.content[e.id.0 as usize];
@@ -179,16 +179,14 @@ pub fn stitch(
             parts.insert(key(k), bucket);
         }
     }
-    let tag = dict.intern(tag);
-    let element = |bound: NodeEntry| {
-        let mut out = Tree::new_elem_sym(tag);
-        out.add_ref(out.root(), bound, true);
-        let matched = parts.get(&key(&bound)).map_or(&[][..], Vec::as_slice);
+    let mut out = Rows::new(dict.intern(tag));
+    for node in outer {
+        let bound = std::iter::once(TreeNodeKind::Ref { node, deep: true });
+        let matched = parts.get(&key(&node)).map_or(&[][..], Vec::as_slice);
         let Some((func, agg_tag)) = agg else {
-            for p in matched {
-                out.add_node(out.root(), Tree::vnode_kind(None, p.node, true));
-            }
-            return out;
+            let nodes = matched.iter().map(|p| Tree::vnode_kind(None, p.node, true));
+            out.push(bound.chain(nodes));
+            continue;
         };
         let values: Vec<f64> = match func {
             AggFunc::Count => Vec::new(),
@@ -197,12 +195,13 @@ pub fn stitch(
                 .filter_map(|p| numeric(dict, p.value))
                 .collect(),
         };
-        if let Some(v) = compute(func, matched.len(), &values) {
-            out.add_elem_with_content(dict, out.root(), agg_tag, format_value(v));
-        }
-        out
-    };
-    Ok(outer.into_iter().map(element).collect())
+        let value = compute(func, matched.len(), &values).map(|v| TreeNodeKind::Elem {
+            tag: dict.intern(agg_tag),
+            content: Some(dict.intern(&format_value(v))),
+        });
+        out.push(bound.chain(value));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -17,9 +17,9 @@
 //! The final projection of the grouping rewrite (Fig. 5d) over groups
 //! held as columns builds no group tree to re-match: [`Projection`]
 //! matches the member path once over the grouped rows and writes each
-//! output tree from the key cell and the members' extracts.
+//! output row from the key cell and the members' extracts.
 
-use crate::batch::Batch;
+use crate::batch::{Batch, Rows};
 use crate::error::Result;
 use crate::matching::vnode::VNode;
 use crate::matching::{match_in_scopes, match_tree};
@@ -281,7 +281,7 @@ impl DeepRefs {
 /// — a gather over [`Groups`](crate::batch::Groups), no group tree
 /// re-matched: one anchored [`match_in_scopes`] of the member path over
 /// the grouped rows gives every row its extract nodes, and an output
-/// tree is the group root, the key cell and the members' extracts in
+/// row is the group root over the key cell and the members' extracts in
 /// member order, a group with none dropped. That is what [`project_one`]
 /// makes of the group tree when the rows are start-sorted and disjoint
 /// (a scan's output); other rows take that path.
@@ -312,14 +312,16 @@ impl<'p> Projection<'p> {
         }
     }
 
-    /// Project one batch.
-    pub fn project(&self, store: &DocumentStore, batch: Batch) -> Result<Vec<Tree>> {
+    /// Project one batch: the gather's output as rows, any other as
+    /// trees.
+    pub fn project(&self, store: &DocumentStore, batch: Batch) -> Result<Batch> {
         let disjoint = |rows: &[NodeEntry]| rows.windows(2).all(|w| w[0].end < w[1].start);
         let (groups, (member, extract)) = match (batch, &self.gather) {
             (Batch::Groups(groups), Some(gather)) if disjoint(&groups.rows) => (groups, gather),
             (batch, _) => {
                 let trees = batch.into_trees();
-                return project(store, &trees, self.pattern, self.pl, self.anchor_root);
+                let out = project(store, &trees, self.pattern, self.pl, self.anchor_root)?;
+                return Ok(Batch::Trees(out));
             }
         };
         // Each row's extracts in document order, each once; one inside
@@ -335,7 +337,7 @@ impl<'p> Projection<'p> {
             .map(|r| found.partition_point(|&(row, _)| row < r))
             .collect();
         let run = |m: u32| &found[starts[m as usize]..starts[m as usize + 1]];
-        let mut out = Vec::new();
+        let mut out = Rows::new(groups.tags[0]);
         for (g, members) in groups.members.iter().enumerate() {
             if members.iter().all(|&m| run(m).is_empty()) {
                 continue;
@@ -344,13 +346,10 @@ impl<'p> Projection<'p> {
                 TreeNodeKind::Ref { node, .. } => Some(*node), // a content basis cell
                 TreeNodeKind::Elem { .. } => None,
             });
-            let mut tree = Tree::new_elem_sym(groups.tags[0]);
-            for node in key.chain(members.iter().flat_map(|&m| run(m)).map(|&(_, e)| e)) {
-                tree.add_ref(0, node, true);
-            }
-            out.push(tree);
+            let nodes = key.chain(members.iter().flat_map(|&m| run(m)).map(|&(_, e)| e));
+            out.push(nodes.map(|node| TreeNodeKind::Ref { node, deep: true }));
         }
-        Ok(out)
+        Ok(Batch::Rows(out))
     }
 }
 
@@ -964,7 +963,8 @@ mod tests {
                 let gather = Projection::new(&p, &pl, true, Some((&gb, &basis[..])));
                 let want = project(&s, &groups.clone().into_trees(), &p, &pl, true).unwrap();
                 let got = gather.project(&s, groups.clone()).unwrap();
-                assert_eq!(got, want, "{axis:?}");
+                assert!(matches!(got, Batch::Rows(_)), "{got:?}");
+                assert_eq!(got.into_trees(), want, "{axis:?}");
             }
         }
     }

@@ -35,24 +35,25 @@
 //! With [`RollupShape::Flat`] — the shape the rewrite asks for — the
 //! kernel also applies that final projection: it emits
 //! `TAX_group_root { <key subtree>, <tag>value</tag> }` — no basis
-//! wrapper — and **drops** groups whose aggregate is undefined, exactly
-//! as the projection (whose pattern requires the value child) would.
+//! wrapper, and over stored rows as one-level [`Rows`], no tree — and
+//! **drops** groups whose aggregate is undefined, exactly as the
+//! projection (whose pattern requires the value child) would.
 //!
 //! The accumulation is `fold_levels`, a fold over a range of
 //! basis-prefix levels: a rollup asks for the single finest level, the
 //! grouping lattice ([`super::cube`](mod@super::cube)) for all of them.
 
-use crate::batch::Source;
+use crate::batch::{Batch, Rows, Source};
 use crate::error::{Error, Result};
 use crate::exec::Stages;
 use crate::matching::vnode::VTree;
 use crate::matching::{match_in_scopes, match_tree};
 use crate::ops::aggregate::{format_value, numeric, AggFunc};
-use crate::ops::groupby::{add_basis_children, BasisItem};
+use crate::ops::groupby::{add_basis_children, stored_basis, BasisItem};
 use crate::ops::keyenc::{component, GroupIndex};
 use crate::ops::witness::{witnesses, Witnesses};
 use crate::pattern::{Axis, PatternNodeId, PatternTree, Pred};
-use crate::tree::{Collection, Tree};
+use crate::tree::{Tree, TreeNodeKind};
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::time::Instant;
@@ -132,7 +133,8 @@ impl GroupAcc {
 /// Streaming grouped aggregation: the blocking sink's kernel. A rollup
 /// is the finest level of the grouping lattice — the prefix-level fold
 /// (`fold_levels`) run over the single level `basis.len()`. Returns the
-/// group trees and the sink's stage times.
+/// groups — rows in the flat shape over stored rows, trees otherwise —
+/// and the sink's stage times.
 #[allow(clippy::too_many_arguments)]
 pub fn rollup<'a>(
     store: &DocumentStore,
@@ -144,7 +146,7 @@ pub fn rollup<'a>(
     func: AggFunc,
     new_tag: &str,
     shape: RollupShape,
-) -> Result<(Collection, Stages)> {
+) -> Result<(Batch, Stages)> {
     fold_levels(
         store,
         &input.into(),
@@ -163,7 +165,7 @@ pub fn rollup<'a>(
 /// [`cube`](super::cube::cube): one extraction, then one pass that
 /// accumulates every level in `levels` (level `k` groups on the first
 /// `k` basis items). Levels emit coarsest first, groups in
-/// first-witness order within a level. Returns the collection plus the
+/// first-witness order within a level. Returns the output plus the
 /// stage times for the metrics tree.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fold_levels(
@@ -177,7 +179,7 @@ pub(crate) fn fold_levels(
     new_tag: &str,
     levels: RangeInclusive<usize>,
     shape: RollupShape,
-) -> Result<(Collection, Stages)> {
+) -> Result<(Batch, Stages)> {
     if of >= member_pattern.len() {
         return Err(Error::UnknownLabel(format!("${}", of + 1)));
     }
@@ -188,7 +190,7 @@ pub(crate) fn fold_levels(
     let contributed = clock.elapsed() - witness;
     let groups = fold_groups(&w, &contributions, levels.clone());
     let fold = clock.elapsed() - witness - contributed;
-    let out = build_trees(
+    let out = build(
         store.dict(),
         input,
         basis,
@@ -397,9 +399,10 @@ fn fold_groups(
     groups
 }
 
-/// One output tree per folded group, level-major.
+/// One output row per folded group, level-major: a one-level row in the
+/// flat shape over stored rows, a tree otherwise.
 #[allow(clippy::too_many_arguments)]
-fn build_trees(
+fn build(
     dict: &Dictionary,
     input: &Source,
     basis: &[BasisItem],
@@ -409,13 +412,17 @@ fn build_trees(
     levels: RangeInclusive<usize>,
     shape: RollupShape,
     groups: Vec<Vec<GroupAcc>>,
-) -> Collection {
+) -> Batch {
     // The tags are the same for every group and the values repeat (most
     // counts are small), so each is interned once, not once per tree.
     let root_tag = dict.intern(crate::tags::GROUP_ROOT);
     let value_tag = dict.intern(new_tag);
     let mut value_syms: HashMap<u64, Sym> = HashMap::new();
-    let mut out = Vec::with_capacity(groups.iter().map(Vec::len).sum());
+    let mut rows = match (shape, input) {
+        (RollupShape::Flat, Source::Stored(stored)) => Some((Rows::new(root_tag), stored)),
+        _ => None,
+    };
+    let mut out = Vec::new();
     for (level, level_groups) in levels.zip(groups) {
         for acc in level_groups {
             // The materialized Aggregate leaves a group tree unchanged
@@ -430,6 +437,19 @@ fn build_trees(
                 None
             };
             if value.is_none() && shape == RollupShape::Flat {
+                continue;
+            }
+            let value = value.map(|v| TreeNodeKind::Elem {
+                tag: value_tag,
+                content: Some(
+                    *value_syms
+                        .entry(v.to_bits())
+                        .or_insert_with(|| dict.intern(&format_value(v))),
+                ),
+            });
+            if let Some((rows, stored)) = &mut rows {
+                let keys = stored_basis(dict, stored, w, acc.first, &basis[..level], true);
+                rows.push(keys.chain(value));
                 continue;
             }
             let mut tree = Tree::new_elem_sym(root_tag);
@@ -451,16 +471,13 @@ fn build_trees(
                 &basis[..level],
                 shape == RollupShape::Flat,
             );
-            if let Some(v) = value {
-                let text = *value_syms
-                    .entry(v.to_bits())
-                    .or_insert_with(|| dict.intern(&format_value(v)));
-                tree.add_elem_with_content_sym(root, value_tag, text);
+            if let Some(value) = value {
+                tree.add_node(root, value);
             }
             out.push(tree);
         }
     }
-    out
+    rows.map_or(Batch::Trees(out), |(rows, _)| Batch::Rows(rows))
 }
 
 #[cfg(test)]
@@ -471,6 +488,7 @@ mod tests {
     use crate::ops::project::{project, ProjectItem};
     use crate::pattern::{Axis, Pred};
     use crate::tags;
+    use crate::tree::Collection;
     use xmlstore::StoreOptions;
 
     const SAMPLE: &str = "<bib>\
@@ -601,7 +619,8 @@ mod tests {
                 RollupShape::Grouped,
             )
             .unwrap()
-            .0;
+            .0
+            .into_trees();
             let reference = materialized(&s, &arts, leaf, func, tag);
             assert_eq!(fused.len(), reference.len(), "{func:?}");
             assert_eq!(
@@ -631,7 +650,8 @@ mod tests {
             RollupShape::Grouped,
         )
         .unwrap()
-        .0;
+        .0
+        .into_trees();
         // First-witness order: Jack, John, Jill.
         let counts: Vec<(String, String)> = out
             .iter()
@@ -686,7 +706,8 @@ mod tests {
             RollupShape::Grouped,
         )
         .unwrap()
-        .0;
+        .0
+        .into_trees();
         assert_eq!(out.len(), 3);
         for t in &out {
             assert!(t.materialize(&s).unwrap().child("min").is_none());
@@ -718,7 +739,8 @@ mod tests {
                 RollupShape::Grouped,
             )
             .unwrap()
-            .0;
+            .0
+            .into_trees();
             let flat = rollup(
                 &s,
                 &arts,
@@ -731,7 +753,8 @@ mod tests {
                 RollupShape::Flat,
             )
             .unwrap()
-            .0;
+            .0
+            .into_trees();
             let flat_xml: Vec<String> = flat
                 .iter()
                 .map(|t| xmlparse::serialize::element_to_string(&t.materialize(&s).unwrap()))
@@ -774,7 +797,8 @@ mod tests {
             RollupShape::Grouped,
         )
         .unwrap()
-        .0;
+        .0
+        .into_trees();
         let flat = rollup(
             &s,
             &arts,
@@ -787,7 +811,8 @@ mod tests {
             RollupShape::Flat,
         )
         .unwrap()
-        .0;
+        .0
+        .into_trees();
         let flat_xml: Vec<String> = flat
             .iter()
             .map(|t| xmlparse::serialize::element_to_string(&t.materialize(&s).unwrap()))
@@ -826,7 +851,8 @@ mod tests {
             RollupShape::Flat,
         )
         .unwrap()
-        .0;
+        .0
+        .into_trees();
         assert!(out.is_empty(), "{} trees", out.len());
     }
 
@@ -866,7 +892,8 @@ mod tests {
             RollupShape::Grouped,
         )
         .unwrap()
-        .0;
+        .0
+        .into_trees();
         let from_stored = rollup(
             &s,
             &stored,
@@ -879,7 +906,8 @@ mod tests {
             RollupShape::Grouped,
         )
         .unwrap()
-        .0;
+        .0
+        .into_trees();
         let counts = |c: &Collection| -> Vec<(String, String)> {
             c.iter()
                 .map(|t| {
@@ -954,7 +982,8 @@ mod tests {
                 RollupShape::Grouped,
             )
             .unwrap()
-            .0;
+            .0
+            .into_trees();
             // The expectation enumerates bindings through the matcher
             // over materialized group trees; it shares no code with the
             // popcount product.
@@ -1032,7 +1061,8 @@ mod tests {
                 RollupShape::Grouped,
             )
             .unwrap()
-            .0;
+            .0
+            .into_trees();
             let slow = materialized_star(&s, &arts, mp, *of, AggFunc::Count, "count");
             assert_eq!(
                 projected_xml(&s, &fast, "count"),
@@ -1055,7 +1085,8 @@ mod tests {
             RollupShape::Grouped,
         )
         .unwrap()
-        .0;
+        .0
+        .into_trees();
         let xml = projected_xml(&s, &out, "count");
         assert_eq!(
             xml[0],
@@ -1091,7 +1122,8 @@ mod tests {
             RollupShape::Grouped,
         )
         .unwrap()
-        .0;
+        .0
+        .into_trees();
         let reference = materialized(&s, &arts, "title", AggFunc::Count, "count");
         assert_eq!(
             projected_xml(&s, &fused, "count"),

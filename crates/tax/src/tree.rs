@@ -399,26 +399,54 @@ impl Tree {
         populate(store, one, &mut XmlWriter::new(out), |_| {}, CHUNK).map(drop)
     }
 
-    /// Record the subtree at arena node `id` on `out`: a constructed
-    /// element from its symbols, a reference through the store's column
-    /// walk (its stored subtree too when deep), then — inside either —
-    /// the node's arena children.
+    /// Record the subtree at arena node `id` on `out`: the node, then —
+    /// inside it — its arena children.
     fn emit(&self, store: &DocumentStore, id: TreeNodeId, out: &mut Tape) -> Result<()> {
         let node = &self.nodes[id];
-        match &node.kind {
+        node.kind.emit_open(store, out)?;
+        for &c in &node.children {
+            self.emit(store, c, out)?;
+        }
+        out.close();
+        Ok(())
+    }
+}
+
+impl TreeNodeKind {
+    /// Record the node on `out` and leave it open: a constructed element
+    /// from its symbols, a reference through the store's column walk
+    /// (its stored subtree too when deep).
+    pub(crate) fn emit_open(&self, store: &DocumentStore, out: &mut Tape) -> Result<()> {
+        match self {
             TreeNodeKind::Elem { tag, content } => {
                 out.open(*tag);
                 if let Some(c) = content {
                     out.text(*c);
                 }
             }
-            TreeNodeKind::Ref { node: stored, deep } => store.emit_open(stored.id, *deep, out)?,
+            TreeNodeKind::Ref { node, deep } => store.emit_open(node.id, *deep, out)?,
         }
-        for &c in &node.children {
-            self.emit(store, c, out)?;
-        }
-        out.close();
         Ok(())
+    }
+}
+
+/// Results that output population writes, one at a time: trees, or the
+/// rows of a [`Rows`](crate::batch::Rows).
+pub trait Results {
+    /// Number of results.
+    fn count(&self) -> usize;
+
+    /// Record result `i` on `out`, closed.
+    fn emit(&self, store: &DocumentStore, i: usize, out: &mut Tape) -> Result<()>;
+}
+
+impl Results for [Tree] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn emit(&self, store: &DocumentStore, i: usize, out: &mut Tape) -> Result<()> {
+        self[i].emit(store, self[i].root(), out)
     }
 }
 
@@ -430,17 +458,17 @@ impl Tree {
 /// however trees order it.
 const CHUNK_VALUES: usize = 1 << 16;
 const CHUNK_EVENTS: usize = 1 << 18;
-const CHUNK: (usize, usize) = (CHUNK_VALUES, CHUNK_EVENTS);
+pub(crate) const CHUNK: (usize, usize) = (CHUNK_VALUES, CHUNK_EVENTS);
 
-/// Output population (Sec. 5.3) of `trees` into `sink`, a chunk at a
-/// time: walk the chunk's trees once onto a tape (no output, no page),
+/// Output population (Sec. 5.3) of `results` into `sink`, a chunk at a
+/// time: walk the chunk's results once onto a tape (no output, no page),
 /// fetch the tape's stored values in one batched read, then replay the
-/// tape, calling `after_each` where a tree ends. A chunk closes at
+/// tape, calling `after_each` where a result ends. A chunk closes at
 /// `bounds` = (values, events). Every chunk sees the projection pinned
 /// here. Returns the number of chunks written.
-fn populate<S: XmlSink>(
+pub(crate) fn populate<S: XmlSink, R: Results + ?Sized>(
     store: &DocumentStore,
-    trees: &[Tree],
+    results: &R,
     sink: &mut S,
     mut after_each: impl FnMut(&mut S),
     bounds: (usize, usize),
@@ -449,11 +477,11 @@ fn populate<S: XmlSink>(
     let mut out = RowWriter::new(store.dict(), sink);
     let mut tape = Tape::default();
     let mut chunks = 0;
-    for (i, tree) in trees.iter().enumerate() {
-        tree.emit(store, tree.root(), &mut tape)?;
+    for i in 0..results.count() {
+        results.emit(store, i, &mut tape)?;
         tape.end_tree();
         let full = tape.rows().len() >= bounds.0 || tape.events() >= bounds.1;
-        if full || i + 1 == trees.len() {
+        if full || i + 1 == results.count() {
             let values = store.values(tape.rows())?;
             out.replay(&tape, &values, &mut after_each);
             tape.clear();
@@ -463,23 +491,31 @@ fn populate<S: XmlSink>(
     Ok(chunks)
 }
 
-/// Append the XML text of `trees` to `out`, one tree per line.
-pub fn write_xml_lines(store: &DocumentStore, trees: &[Tree], out: &mut String) -> Result<()> {
+/// Append the XML text of `results` to `out`, one result per line.
+pub fn write_xml_lines<R: Results + ?Sized>(
+    store: &DocumentStore,
+    results: &R,
+    out: &mut String,
+) -> Result<()> {
     let newline = |text: &mut XmlWriter| text.text("\n");
-    populate(store, trees, &mut XmlWriter::new(out), newline, CHUNK).map(drop)
+    populate(store, results, &mut XmlWriter::new(out), newline, CHUNK).map(drop)
 }
 
-/// Materialize every tree of `trees` as a DOM element.
-pub fn materialize_all(store: &DocumentStore, trees: &[Tree]) -> Result<Vec<Element>> {
-    let mut out = Vec::with_capacity(trees.len());
+/// Materialize every result of `results` as a DOM element.
+pub fn materialize_all<R: Results + ?Sized>(
+    store: &DocumentStore,
+    results: &R,
+) -> Result<Vec<Element>> {
+    let mut out = Vec::with_capacity(results.count());
     let finish = |dom: &mut ElementBuilder| out.push(std::mem::take(dom).finish());
-    populate(store, trees, &mut ElementBuilder::new(), finish, CHUNK)?;
+    populate(store, results, &mut ElementBuilder::new(), finish, CHUNK)?;
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Batch;
     use smallrand::prop::Gen;
     use std::fmt::Write as _;
     use xmlparse::serialize::element_to_string;
@@ -702,19 +738,29 @@ mod tests {
         trees
     }
 
-    /// `trees` populated at `bounds` by both routes: the text, one tree a
-    /// line, and the DOM elements — which must serialize to that text —
-    /// with the number of chunks written.
-    fn populate_at(s: &DocumentStore, trees: &[Tree], bounds: (usize, usize)) -> (String, usize) {
+    /// `results` populated at `bounds` by both routes: the text, one
+    /// result a line, and the DOM elements — which must serialize to that
+    /// text — with the number of chunks written.
+    fn populate_with<R: Results + ?Sized>(
+        s: &DocumentStore,
+        results: &R,
+        bounds: (usize, usize),
+    ) -> (String, Vec<Element>, usize) {
         let mut text = String::new();
         let newline = |w: &mut XmlWriter| w.text("\n");
-        let chunks = populate(s, trees, &mut XmlWriter::new(&mut text), newline, bounds).unwrap();
+        let chunks = populate(s, results, &mut XmlWriter::new(&mut text), newline, bounds).unwrap();
         let mut dom = Vec::new();
         let finish = |b: &mut ElementBuilder| dom.push(std::mem::take(b).finish());
-        let dom_chunks = populate(s, trees, &mut ElementBuilder::new(), finish, bounds).unwrap();
+        let dom_chunks = populate(s, results, &mut ElementBuilder::new(), finish, bounds).unwrap();
         assert_eq!(dom_chunks, chunks);
         let lines: String = dom.iter().map(|e| element_to_string(e) + "\n").collect();
         assert_eq!(lines, text, "the DOM route at {chunks} chunks");
+        (text, dom, chunks)
+    }
+
+    /// [`populate_with`]'s text and chunk count.
+    fn populate_at(s: &DocumentStore, trees: &[Tree], bounds: (usize, usize)) -> (String, usize) {
+        let (text, _, chunks) = populate_with(s, trees, bounds);
         (text, chunks)
     }
 
@@ -764,6 +810,96 @@ mod tests {
         assert_chunkings_agree(&s, &constructed);
     }
 
+    /// Query 1, its count variant and `CUBE BY $b/author, $b/title`
+    /// over `s` as both plans' output operators emit them, renamed as
+    /// the plans do: the GROUPBY plans' gather, flat fold and lattice over
+    /// the scan's stored rows, and the direct plans' stitch over the
+    /// distinct authors and their join with the articles.
+    fn paper_outputs(s: &DocumentStore) -> Vec<(&'static str, Batch)> {
+        use crate::batch::Matches;
+        use crate::ops::join::{stitch, Members};
+        use crate::ops::project::{ProjectItem, Projection};
+        use crate::ops::{cube, dup_elim, groupby, left_outer_join_db, rename_root, rollup};
+        use crate::ops::{AggFunc, BasisItem, RollupShape};
+        use crate::pattern::{Axis, PatternTree, Pred};
+        use crate::tags::{GROUPING_BASIS, GROUP_ROOT, GROUP_SUBROOT};
+        let tag = |t: &str| Pred::tag(t);
+        let articles = Batch::Stored(s.nodes_with_tag(s.tag_id("article").unwrap()).to_vec());
+        let mut scan = PatternTree::with_root(tag("article"));
+        let author = scan.add_child(0, Axis::Child, tag("author"));
+        let title = scan.add_child(0, Axis::Child, tag("title"));
+        let by_author = [BasisItem::content(author)];
+        let mut fig5d = PatternTree::with_root(tag(GROUP_ROOT));
+        let basis = fig5d.add_child(0, Axis::Child, tag(GROUPING_BASIS));
+        let key = fig5d.add_child(basis, Axis::Child, tag("author"));
+        let subroot = fig5d.add_child(0, Axis::Child, tag(GROUP_SUBROOT));
+        let member = fig5d.add_child(subroot, Axis::Child, tag("article"));
+        let extract = fig5d.add_child(member, Axis::Child, tag("title"));
+        let pl = [0, key, extract].map(ProjectItem::deep);
+        let pl = [ProjectItem::shallow(0), pl[1], pl[2]];
+        let gather = Projection::new(&fig5d, &pl, true, Some((&scan, &by_author[..])));
+        let (groups, _) = groupby(s, &articles, &scan, &by_author, &[]).unwrap();
+        let mut titled = PatternTree::with_root(tag("article"));
+        let t = titled.add_child(0, Axis::Child, tag("title"));
+        let count = AggFunc::Count;
+        let flat = RollupShape::Flat;
+        let (counted, _) = rollup(
+            s, &articles, &scan, &by_author, &titled, t, count, "count", flat,
+        )
+        .unwrap();
+        let lattice = [BasisItem::content(author), BasisItem::content(title)];
+        let (cubed, _) = cube(s, &articles, &scan, &lattice, &titled, t, count, "count").unwrap();
+
+        let mut outer = PatternTree::with_root(tag("doc_root"));
+        outer.add_child(0, Axis::Descendant, tag("author"));
+        let scanned = Batch::Matches(Matches::select(s, &outer, &[1]).unwrap());
+        let authors = dup_elim(s, scanned, &outer, 1).unwrap();
+        let mut right = PatternTree::with_root(tag("doc_root"));
+        let article = right.add_child(0, Axis::Descendant, tag("article"));
+        let joined = right.add_child(article, Axis::Child, tag("author"));
+        let extract = right.add_child(article, Axis::Child, tag("title"));
+        let pairs = left_outer_join_db(s, &authors, &outer, 1, &right, joined, &[article]).unwrap();
+        let members = Members::new(&right, &[article], extract, None).unwrap();
+        let inner = Some((&pairs, &members));
+        let direct = |agg| stitch(s, &authors, &outer, 1, inner, agg, "authorpubs").unwrap();
+        let renamed = |out, tag| rename_root(s.dict(), out, tag).unwrap();
+        vec![
+            (
+                "Query 1, GROUPBY",
+                renamed(gather.project(s, groups).unwrap(), "authorpubs"),
+            ),
+            ("Query 1, direct", Batch::Rows(direct(None))),
+            ("count, GROUPBY", renamed(counted, "authorpubs")),
+            ("count, direct", Batch::Rows(direct(Some((count, "count"))))),
+            ("CUBE BY", renamed(cubed, "pubs")),
+        ]
+    }
+
+    #[test]
+    fn rows_write_what_their_trees_write() {
+        // At every chunking — 1, 2, 3, 7 values or events a chunk, or one
+        // chunk — the rows write the bytes, and the DOM elements, of
+        // their trees written by the tree path.
+        let bounds = [1, 2, 3, 7].map(|b| [(b, usize::MAX), (usize::MAX, b)]);
+        for seed in 0..6 {
+            let xml = bibliography(&mut Gen::new(seed), 2 + seed as usize * 3);
+            let s = DocumentStore::from_xml(&xml, &StoreOptions::in_memory()).unwrap();
+            for (what, out) in paper_outputs(&s) {
+                let Batch::Rows(rows) = out else {
+                    panic!("{what}: {out:?}")
+                };
+                assert!(!rows.is_empty(), "{what} over {xml}");
+                let trees = rows.clone().into_trees();
+                for at in bounds.concat().into_iter().chain([CHUNK]) {
+                    let (text, dom, _) = populate_with(&s, &rows, at);
+                    let (want, want_dom, _) = populate_with(&s, &trees[..], at);
+                    assert_eq!(text, want, "{what} at {at:?} over {xml}");
+                    assert_eq!(dom, want_dom, "{what} at {at:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn a_read_fault_in_the_second_chunk_keeps_the_first_chunks_text() {
         // One pool frame, values on several heap pages, a tree a chunk:
@@ -792,7 +928,13 @@ mod tests {
         s.inject_faults(Some(faults)).unwrap();
         let mut text = String::from("kept|");
         let newline = |w: &mut XmlWriter| w.text("\n");
-        let err = populate(&s, &trees, &mut XmlWriter::new(&mut text), newline, bounds);
+        let err = populate(
+            &s,
+            &trees[..],
+            &mut XmlWriter::new(&mut text),
+            newline,
+            bounds,
+        );
         assert!(
             matches!(err, Err(crate::Error::Store(ref e)) if e.is_transient()),
             "{err:?}"

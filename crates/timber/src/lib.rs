@@ -53,7 +53,7 @@ mod stitch;
 
 pub use error::{Result, TimberError};
 pub use metrics::{OutKind, PlanMetrics};
-pub use result::QueryResult;
+pub use result::{Output, QueryResult};
 
 use std::fmt::Write as _;
 use xmlstore::{
@@ -232,9 +232,9 @@ impl TimberDb {
         let store = self.store.snapshot();
         let start = std::time::Instant::now();
         let io_before = store.io_stats();
-        let (trees, metrics) = physical::evaluate(&store, plan)?;
+        let (out, metrics) = physical::evaluate(&store, plan)?;
         Ok(QueryResult {
-            trees,
+            output: out.into(),
             rewritten,
             elapsed: start.elapsed(),
             io: store.io_stats().since(io_before),
@@ -347,7 +347,7 @@ impl ExplainAnalysis {
         );
         let _ = writeln!(
             out,
-            "\n{} trees in {:.3?}; {} page requests, {} disk reads",
+            "\n{} rows in {:.3?}; {} page requests, {} disk reads",
             self.result.len(),
             self.result.elapsed,
             self.result.io.page_requests(),
@@ -392,7 +392,7 @@ mod tests {
             xml.contains("<authorpubs><author>Jack</author><title>Querying XML</title><title>XML and the Web</title></authorpubs>"),
             "{xml}"
         );
-        assert_eq!(r.trees.len(), 3); // Jack, John, Jill
+        assert_eq!(r.len(), 3); // Jack, John, Jill
     }
 
     #[test]
@@ -468,7 +468,7 @@ mod tests {
             let (plan, _) = db.compile(QUERY1, mode).unwrap();
             let (trees, _) = physical::execute(db.store(), &plan, &tax::ExecOptions, 1).unwrap();
             let mut want = String::new();
-            tax::tree::write_xml_lines(db.store(), &trees, &mut want).unwrap();
+            tax::tree::write_xml_lines(db.store(), &trees[..], &mut want).unwrap();
             assert_eq!(run.to_xml_on(db.store()).unwrap(), want, "{mode:?}");
         }
     }

@@ -23,6 +23,8 @@ pub enum OutKind {
     Trees,
     /// Groups over stored rows only, as columns: no group tree built.
     Groups,
+    /// One-level rows only, as cells: no output tree built.
+    Rows,
 }
 
 /// Execution metrics of one plan operator, with its children.
@@ -77,6 +79,7 @@ impl PlanMetrics {
             Some(OutKind::Matches) => " matches",
             Some(OutKind::Trees) => " trees",
             Some(OutKind::Groups) => " groups",
+            Some(OutKind::Rows) => " rows",
         };
         let _ = write!(
             out,

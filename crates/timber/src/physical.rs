@@ -12,7 +12,7 @@
 //!
 //! What moves between operators is a [`Batch`]: stored rows (node
 //! labels, each standing for its whole subtree), a selection's match
-//! rows, groups, or trees. A `Project` over a `SelectDb` of its own
+//! rows, groups, one-level rows, or trees. A `Project` over a `SelectDb` of its own
 //! pattern projects the selection's match rows (recognized here, once:
 //! the one fused select→project), so a subject scan — the GROUPBY
 //! plans', and the `CUBE BY` scan in either mode, whose list keeps one
@@ -21,8 +21,11 @@
 //! plan's projections pass their match rows on up to the stitch.
 //! `GroupBy` emits groups, which a `Project` of the rewrite's Fig. 5d
 //! shape (recognized here, once) gathers from, and the left outer join
-//! emits its pairs as groups. Other operators take their input through
-//! [`Batch::into_trees`], as does [`execute`].
+//! emits its pairs as groups. The gather, the flat `Rollup` and `Cube`
+//! over stored rows and the stitch emit one-level rows, and `Rename`
+//! over them sets their tag, so a compiled plan's output is rows. Other
+//! operators take their input through [`Batch::into_trees`], as does
+//! [`execute`].
 //!
 //! Every operator meters its own kernel call — rows in/out (and what
 //! kind of rows it emitted), wall time, and the store's I/O delta — into
@@ -60,20 +63,19 @@ pub fn execute(
     _: &ExecOptions,
     _batch: usize,
 ) -> Result<(Collection, PlanMetrics)> {
-    evaluate(store, plan)
+    let (out, metrics) = evaluate(store, plan)?;
+    Ok((out.into_trees(), metrics))
 }
 
-/// Run a logical plan: its output collection and per-operator metrics.
-pub(crate) fn evaluate(store: &DocumentStore, plan: &Plan) -> Result<(Collection, PlanMetrics)> {
+/// Run a logical plan: its output rows and per-operator metrics.
+pub(crate) fn evaluate(store: &DocumentStore, plan: &Plan) -> Result<(Batch, PlanMetrics)> {
     contained(|| run(store, plan))
 }
 
-/// The output of `root`, as trees. A kernel panicking anywhere in it is
-/// contained here and returned as `tax::Error::Panic`.
-fn contained(
-    root: impl FnOnce() -> Result<(Batch, PlanMetrics)>,
-) -> Result<(Collection, PlanMetrics)> {
-    tax::exec::contain(|| root().map(|(out, metrics)| (out.into_trees(), metrics)))?
+/// The output of `root`. A kernel panicking anywhere in it is contained
+/// here and returned as `tax::Error::Panic`.
+fn contained(root: impl FnOnce() -> Result<(Batch, PlanMetrics)>) -> Result<(Batch, PlanMetrics)> {
+    tax::exec::contain(root)?
 }
 
 /// Run `plan`'s inputs, then its kernel once on their whole output, in
@@ -99,6 +101,7 @@ pub(crate) fn run(store: &DocumentStore, plan: &Plan) -> Result<(Batch, PlanMetr
         Batch::Matches(_) => OutKind::Matches,
         Batch::Trees(_) => OutKind::Trees,
         Batch::Groups(_) => OutKind::Groups,
+        Batch::Rows(_) => OutKind::Rows,
     });
     metrics.shards = stages.map(ShardStats::new);
     Ok((out, metrics))
@@ -133,7 +136,7 @@ fn kernel(
     let mut ins = ins.into_iter();
     let input = ins.next().unwrap_or_default();
     let trees = |out: Collection| (Batch::Trees(out), None);
-    let staged = |(out, stages): (Collection, Stages)| (Batch::Trees(out), Some(stages));
+    let staged = |(out, stages): (Batch, Stages)| (out, Some(stages));
     Ok(match plan {
         Plan::SelectDb { pattern, sl } => {
             (Batch::Matches(Matches::select(store, pattern, sl)?), None)
@@ -159,7 +162,7 @@ fn kernel(
                     _ => None,
                 };
                 let projection = ops::project::Projection::new(pattern, pl, *anchor_root, grouped);
-                trees(projection.project(store, input)?)
+                (projection.project(store, input)?, None)
             }
         },
         Plan::DupElim { pattern, by, .. } => {
@@ -181,11 +184,7 @@ fn kernel(
             new_tag,
             *spec,
         )?),
-        Plan::Rename { tag, .. } => trees(ops::rename::rename_root(
-            store.dict(),
-            input.into_trees(),
-            tag,
-        )?),
+        Plan::Rename { tag, .. } => (ops::rename::rename_root(store.dict(), input, tag)?, None),
         Plan::GroupBy {
             pattern,
             basis,
@@ -300,7 +299,7 @@ fn kernel(
                 Some(Batch::Groups(pairs)) => Some(pairs),
                 _ => None,
             };
-            trees(ops::join::stitch(
+            let rows = ops::join::stitch(
                 store,
                 &input,
                 outer_pattern,
@@ -308,7 +307,8 @@ fn kernel(
                 pairs.as_ref().zip(members.as_ref()),
                 agg.as_ref().map(|(f, t)| (*f, t.as_str())),
                 tag,
-            )?)
+            )?;
+            (Batch::Rows(rows), None)
         }
     })
 }
@@ -402,7 +402,8 @@ mod tests {
     }
 
     fn exec(db: &TimberDb, plan: &Plan) -> (Collection, PlanMetrics) {
-        evaluate(db.store(), plan).unwrap()
+        let (out, metrics) = evaluate(db.store(), plan).unwrap();
+        (out.into_trees(), metrics)
     }
 
     /// A grouped plan's grouping sink (the plans here are chains).
@@ -458,7 +459,8 @@ mod tests {
             // The selection hands on its match rows, the projection over
             // it emits stored rows — no tree, nothing re-matched — a
             // `GroupBy` over them emits groups as columns, and every other
-            // operator above it emits trees; the rendering says which.
+            // operator above it emits one-level rows; the rendering says
+            // which.
             let nodes = chain(&metrics);
             let [above @ .., leaf, select] = &nodes[..] else {
                 panic!("{}", metrics.render())
@@ -469,7 +471,7 @@ mod tests {
             assert_eq!(leaf.out_kind, Some(OutKind::Stored));
             let kind = |m: &PlanMetrics| match m.op.starts_with("GroupBy") {
                 true => (OutKind::Groups, " groups time="),
-                false => (OutKind::Trees, " trees time="),
+                false => (OutKind::Rows, " rows time="),
             };
             assert!(above.iter().all(|m| m.out_kind == Some(kind(m).0)));
             let text = metrics.render();
@@ -499,6 +501,33 @@ mod tests {
             let (whole, _) = run(db.store(), grouping).unwrap();
             assert_eq!(direct, whole, "{}", sink.op);
         }
+    }
+
+    #[test]
+    fn the_paper_queries_leave_the_executor_as_rows() {
+        // Every compiled plan's root emits one-level rows, which the
+        // result holds as they are; a hand-built plan whose root emits
+        // other rows leaves as trees.
+        let db = db();
+        for query in [QUERY1, QUERY_COUNT, QUERY_CUBE] {
+            for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
+                let r = db.query(query, mode).unwrap();
+                let root = r.metrics.as_ref().map(|m| m.out_kind);
+                assert_eq!(root, Some(Some(OutKind::Rows)), "{mode:?}: {query}");
+                let rows = match &r.output {
+                    crate::Output::Rows(rows) => rows.len(),
+                    trees => panic!("{mode:?}: {trees:?}"),
+                };
+                assert!(rows > 0 && rows == r.len(), "{mode:?}: {query}");
+            }
+        }
+        let scan = PatternTree::with_root(tax::Pred::tag("article"));
+        let plan = Plan::SelectDb {
+            sl: vec![scan.root()],
+            pattern: scan,
+        };
+        let r = db.run_plan(&plan, false).unwrap();
+        assert!(matches!(&r.output, crate::Output::Trees(t) if t.len() == 3));
     }
 
     #[test]
@@ -740,7 +769,10 @@ mod tests {
             "{err:?}"
         );
         let again = db.query(QUERY1, PlanMode::Direct).unwrap();
-        assert_eq!(to_xml(&db, &again.trees), to_xml(&db, &want.trees));
+        assert_eq!(
+            again.to_xml_on(db.store()).unwrap(),
+            want.to_xml_on(db.store()).unwrap()
+        );
     }
 
     #[test]

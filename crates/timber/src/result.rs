@@ -1,17 +1,54 @@
-//! Query results: trees, timing, and I/O accounting.
+//! Query results: rows or trees, timing, and I/O accounting.
 
 use crate::error::Result;
 use crate::metrics::PlanMetrics;
 use std::time::Duration;
+use tax::batch::{Batch, Rows};
+use tax::tree::Results;
 use tax::Collection;
-use xmlstore::{DocumentStore, IoStats};
+use xmlstore::{DocumentStore, IoStats, Tape};
+
+/// What a query returned, still referring into the store: render it
+/// with [`QueryResult::to_xml_on`].
+#[derive(Debug)]
+pub enum Output {
+    /// One-level rows: every compiled plan's output.
+    Rows(Rows),
+    /// Trees: a hand-built plan's, such as the literal count plan's.
+    Trees(Collection),
+}
+
+/// One-level rows stay rows; any other batch becomes its trees.
+impl From<Batch> for Output {
+    fn from(batch: Batch) -> Self {
+        match batch {
+            Batch::Rows(rows) => Output::Rows(rows),
+            other => Output::Trees(other.into_trees()),
+        }
+    }
+}
+
+impl Results for Output {
+    fn count(&self) -> usize {
+        match self {
+            Output::Rows(rows) => rows.len(),
+            Output::Trees(trees) => trees.len(),
+        }
+    }
+
+    fn emit(&self, store: &DocumentStore, i: usize, out: &mut Tape) -> tax::Result<()> {
+        match self {
+            Output::Rows(rows) => rows.emit(store, i, out),
+            Output::Trees(trees) => trees[..].emit(store, i, out),
+        }
+    }
+}
 
 /// The outcome of one query evaluation.
 #[derive(Debug)]
 pub struct QueryResult {
-    /// The output collection. Trees may still hold references into the
-    /// store; render them with [`QueryResult::to_xml_on`].
-    pub trees: Collection,
+    /// The output.
+    pub output: Output,
     /// Whether the GROUPBY rewrite produced the executed plan.
     pub rewritten: bool,
     /// Wall-clock evaluation time.
@@ -24,27 +61,27 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    /// Number of output trees.
+    /// Number of output rows.
     pub fn len(&self) -> usize {
-        self.trees.len()
+        self.output.count()
     }
 
     /// Whether the result is empty.
     pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
+        self.len() == 0
     }
 
-    /// Materialize every output tree as a DOM element ("data
-    /// population"), a chunk of trees at a time like
+    /// Materialize every output row as a DOM element ("data
+    /// population"), a chunk of rows at a time like
     /// [`to_xml_on`](Self::to_xml_on).
     pub fn elements_on(&self, store: &DocumentStore) -> Result<Vec<xmlparse::Element>> {
-        Ok(tax::tree::materialize_all(store, &self.trees)?)
+        Ok(tax::tree::materialize_all(store, &self.output)?)
     }
 
-    /// Serialize the whole result, one tree per line, straight from the
-    /// trees and the store — the bytes of [`elements_on`](Self::elements_on)
+    /// Serialize the whole result, one row per line, straight from the
+    /// rows and the store — the bytes of [`elements_on`](Self::elements_on)
     /// serialized, without building the elements. Output population is
-    /// one pass per chunk of trees: the stored rows whose values the
+    /// one pass per chunk of rows: the stored rows whose values the
     /// chunk writes are listed from the label columns, their values
     /// fetched in one batched read that asks for each distinct heap page
     /// once, in page order, and then the text is written. A page that
@@ -52,7 +89,7 @@ impl QueryResult {
     /// an error returns no partial text.
     pub fn to_xml_on(&self, store: &DocumentStore) -> Result<String> {
         let mut out = String::new();
-        tax::tree::write_xml_lines(store, &self.trees, &mut out)?;
+        tax::tree::write_xml_lines(store, &self.output, &mut out)?;
         Ok(out)
     }
 }

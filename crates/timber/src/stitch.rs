@@ -20,7 +20,7 @@ mod tests {
     }
 
     fn run(db: &TimberDb, plan: &Plan) -> Collection {
-        evaluate(db.store(), plan).unwrap().0
+        evaluate(db.store(), plan).unwrap().0.into_trees()
     }
 
     const QUERY2: &str = r#"

@@ -120,7 +120,55 @@ impl Values {
 /// past its page is carried into the next. Generic over the page
 /// accessor so the store can hand out one page at a time from behind
 /// its pool lock.
-pub fn read_values<F>(mut with_page: F, ptrs: &[ContentPtr]) -> Result<Values>
+pub fn read_values<F>(with_page: F, ptrs: &[ContentPtr]) -> Result<Values>
+where
+    F: FnMut(PageId, &mut dyn FnMut(&[u8; PAGE_DATA_SIZE])) -> Result<()>,
+{
+    read_in_order(with_page, ptrs, by_page(ptrs))
+}
+
+/// The requests with bytes to read, as `(page, index)`, by page and
+/// then by index: a stable radix sort, one scatter pass per byte of the
+/// page id that is not the same in every request, over counts taken in
+/// one pass. Its scratch is the list's length and 4 × 256 counters,
+/// however far apart the pages lie.
+fn by_page(ptrs: &[ContentPtr]) -> Vec<(u32, usize)> {
+    let mut order: Vec<(u32, usize)> = (ptrs.iter().map(|p| p.page).zip(0..))
+        .filter(|&(_, i)| ptrs[i].is_some())
+        .collect();
+    let digit = |page: u32, byte: usize| (page >> (8 * byte)) as usize & 0xFF;
+    // `at[byte][d]` counts, then places, the requests whose `byte` is `d`.
+    let mut at = [[0usize; 256]; 4];
+    let (mut any, mut all) = (0, u32::MAX);
+    for &(page, _) in &order {
+        for (byte, at) in at.iter_mut().enumerate() {
+            at[digit(page, byte)] += 1;
+        }
+        (any, all) = (any | page, all & page);
+    }
+    let mut next = vec![(0, 0); order.len()];
+    for (byte, at) in (at.iter_mut().enumerate()).filter(|(b, _)| digit(any ^ all, *b) != 0) {
+        let mut sum = 0;
+        for slot in at.iter_mut() {
+            (*slot, sum) = (sum, sum + *slot);
+        }
+        for &request in &order {
+            let slot = &mut at[digit(request.0, byte)];
+            next[*slot] = request;
+            *slot += 1;
+        }
+        std::mem::swap(&mut order, &mut next);
+    }
+    order
+}
+
+/// [`read_values`] with its requests in `order`, which lists each
+/// request with bytes once, by page.
+fn read_in_order<F>(
+    mut with_page: F,
+    ptrs: &[ContentPtr],
+    order: Vec<(u32, usize)>,
+) -> Result<Values>
 where
     F: FnMut(PageId, &mut dyn FnMut(&[u8; PAGE_DATA_SIZE])) -> Result<()>,
 {
@@ -134,11 +182,6 @@ where
         ends.push(total);
     }
     let mut arena = vec![0u8; total];
-    // The requests with bytes to read, by the page they start on.
-    let mut order: Vec<(u32, usize)> = (ptrs.iter().map(|p| p.page).zip(0..))
-        .filter(|&(_, i)| ptrs[i].is_some())
-        .collect();
-    order.sort_unstable();
     // Values that began on an earlier page: where their next byte goes
     // and how many are still to come.
     let mut carry: Vec<(usize, usize)> = Vec::new();
@@ -303,6 +346,101 @@ mod tests {
         assert_eq!(pool.stats().hits + pool.stats().misses, 3);
         // A value alone still reads its whole run.
         assert_eq!(read_one(&mut pool, l.at(2)).unwrap(), Some(long));
+    }
+
+    /// The comparison sort [`by_page`] replaced: the order it must give.
+    fn by_page_sorted(ptrs: &[ContentPtr]) -> Vec<(u32, usize)> {
+        let mut order: Vec<(u32, usize)> = (ptrs.iter().map(|p| p.page).zip(0..))
+            .filter(|&(_, i)| ptrs[i].is_some())
+            .collect();
+        order.sort_unstable();
+        order
+    }
+
+    /// Byte `at` of a synthetic page: a letter that depends on both.
+    fn letter(page: u32, at: usize) -> u8 {
+        b'a' + ((page as usize * 7 + at) % 26) as u8
+    }
+
+    /// The values of `ptrs` read over synthetic pages in `order`, and
+    /// the pages asked for, in turn.
+    fn read_synthetic(ptrs: &[ContentPtr], order: Vec<(u32, usize)>) -> (Values, Vec<u32>) {
+        let mut asked = Vec::new();
+        let with_page = |pid: PageId, f: &mut dyn FnMut(&[u8; PAGE_DATA_SIZE])| {
+            asked.push(pid.0);
+            f(&std::array::from_fn(|at| letter(pid.0, at)));
+            Ok(())
+        };
+        let values = read_in_order(with_page, ptrs, order).unwrap();
+        (values, asked)
+    }
+
+    /// `ptrs` read in page-bucket order equal a read in the sorted order:
+    /// each value as the synthetic pages hold it, and the same pages
+    /// asked for, each once, ascending.
+    fn assert_buckets_read_as_the_sort(ptrs: &[ContentPtr]) {
+        let order = by_page(ptrs);
+        assert_eq!(order, by_page_sorted(ptrs), "{ptrs:?}");
+        let (got, asked) = read_synthetic(ptrs, order);
+        let (want, sorted_asked) = read_synthetic(ptrs, by_page_sorted(ptrs));
+        assert_eq!(asked, sorted_asked);
+        assert!(asked.windows(2).all(|w| w[0] < w[1]), "{asked:?}");
+        assert_eq!(
+            got.iter().collect::<Vec<_>>(),
+            want.iter().collect::<Vec<_>>()
+        );
+        for (p, v) in ptrs.iter().zip(got.iter()) {
+            let byte = |k: usize| {
+                let at = p.off as usize + k;
+                let page = p.page + (at / PAGE_DATA_SIZE) as u32;
+                char::from(letter(page, at % PAGE_DATA_SIZE))
+            };
+            let bytes: String = (0..p.len as usize).map(byte).collect();
+            assert_eq!(v, p.is_some().then_some(&bytes[..]));
+        }
+    }
+
+    #[test]
+    fn page_buckets_order_requests_as_the_sort_does() {
+        use smallrand::prop::check;
+        check("page_buckets_order_requests_as_the_sort_does", 300, |g| {
+            // Pages near each other, a few bytes apart, or across the
+            // whole id range.
+            let span = *g.pick(&[0, 3, 200, 70_000, 1 << 31]);
+            let base = g.usize_in(0, 1 << 24) as u32;
+            let mut ptrs: Vec<ContentPtr> = g.vec(0, 40, |g| {
+                if g.ratio(1, 5) {
+                    return ContentPtr::NULL;
+                }
+                let off = g.usize_in(0, PAGE_DATA_SIZE - 1);
+                // Some values run past their page, some across three.
+                let len = match g.usize_in(0, 3) {
+                    0 => g.usize_in(1, 3 * PAGE_DATA_SIZE),
+                    _ => g.usize_in(1, 40),
+                };
+                ContentPtr {
+                    page: base + g.usize_in(0, span) as u32,
+                    off: off as u16,
+                    len: len as u32,
+                }
+            });
+            // Repeated requests.
+            for _ in 0..g.usize_in(0, 4).min(ptrs.len()) {
+                let again = *g.pick(&ptrs);
+                ptrs.insert(g.usize_in(0, ptrs.len()), again);
+            }
+            assert_buckets_read_as_the_sort(&ptrs);
+        });
+        assert_buckets_read_as_the_sort(&[]);
+        // Two values 100 000 pages apart: two pages asked for.
+        let at = |page| ContentPtr {
+            page,
+            off: 9,
+            len: 5,
+        };
+        let apart = [at(100_007), ContentPtr::NULL, at(7)];
+        assert_buckets_read_as_the_sort(&apart);
+        assert_eq!(read_synthetic(&apart, by_page(&apart)).1, [7, 100_007]);
     }
 
     #[test]

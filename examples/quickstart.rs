@@ -60,7 +60,7 @@ fn main() {
         db.reset_io_stats();
         let result = db.query(QUERY1, mode).expect("query");
         println!(
-            "== {name}: {} result trees, {} page requests ==",
+            "== {name}: {} result rows, {} page requests ==",
             result.len(),
             result.io.page_requests()
         );

@@ -131,7 +131,8 @@ fn explain_analyze_structural_snapshot() {
     // rows to the projection over it, which hands the grouping sink
     // stored rows; the sink hands the final projection groups as columns
     // — no tree between `GroupBy` and `Project` — and that projection
-    // writes one tree per result, cloning none.
+    // writes one row per result, cloning none: no operator builds a
+    // tree.
     let field = |l: &str, name: &str, end: &str| -> String {
         let rest = l.split(name).nth(1).unwrap();
         rest.split(end).next().unwrap().to_owned()
@@ -142,7 +143,7 @@ fn explain_analyze_structural_snapshot() {
         .collect();
     assert_eq!(
         outs,
-        ["3 trees", "3 trees", "3 groups", "3 stored", "3 matches"],
+        ["3 rows", "3 rows", "3 groups", "3 stored", "3 matches"],
         "{text}"
     );
     let project = metric_lines[1];
@@ -173,7 +174,7 @@ fn explain_analyze_structural_snapshot() {
         "{text}"
     );
     assert!(text.trim_end().ends_with("disk reads"), "{text}");
-    assert!(text.contains("3 trees in "), "{text}");
+    assert!(text.contains("3 rows in "), "{text}");
 }
 
 #[test]
@@ -250,7 +251,7 @@ fn direct_plans_read_no_page_on_any_operator() {
         let lines: Vec<&str> = text.lines().filter(|l| l.contains(" | in=")).collect();
         assert_eq!(lines.len(), 8, "{text}");
         assert!(lines[0].starts_with("StitchConstruct"), "{text}");
-        assert!(lines[0].contains(" out=3 trees "), "{text}");
+        assert!(lines[0].contains(" out=3 rows "), "{text}");
         for line in &lines {
             assert!(line.contains(" pages=0 "), "{line}");
             assert!(line.contains(" clones=0 "), "{line}");
