@@ -29,8 +29,10 @@ mod bindings;
 pub mod naive;
 pub mod structural;
 pub mod vnode;
+mod walk;
 
 pub use bindings::{Bindings, Row};
+pub use walk::for_each_match;
 
 use crate::error::Result;
 use crate::pattern::{Axis, PatternTree, Pred};

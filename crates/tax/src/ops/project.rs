@@ -22,7 +22,7 @@
 use crate::batch::{Batch, Rows};
 use crate::error::Result;
 use crate::matching::vnode::VNode;
-use crate::matching::{match_in_scopes, match_tree};
+use crate::matching::{for_each_match, match_tree};
 use crate::ops::groupby::BasisItem;
 use crate::pattern::{Axis, PatternNodeId, PatternTree, Pred};
 use crate::tags;
@@ -279,7 +279,7 @@ impl DeepRefs {
 /// A projection as the executor runs it: [`project`] over trees, and —
 /// when it is the rewrite's final projection (Fig. 5d) over a `GroupBy`
 /// — a gather over [`Groups`](crate::batch::Groups), no group tree
-/// re-matched: one anchored [`match_in_scopes`] of the member path over
+/// re-matched: one anchored [`for_each_match`] of the member path over
 /// the grouped rows gives every row its extract nodes, and an output
 /// row is the group root over the key cell and the members' extracts in
 /// member order, a group with none dropped. That is what [`project_one`]
@@ -326,11 +326,10 @@ impl<'p> Projection<'p> {
         };
         // Each row's extracts in document order, each once; one inside
         // the last kept is part of that deep extract.
-        let (table, row_of) = match_in_scopes(store, member, &groups.rows, true)?;
-        let mut found: Vec<(u32, NodeEntry)> = row_of
-            .into_iter()
-            .zip(table.column(*extract).iter().copied())
-            .collect();
+        let mut found: Vec<(u32, NodeEntry)> = Vec::new();
+        for_each_match(store, member, &groups.rows, true, |row, m| {
+            found.push((row, m[*extract]))
+        })?;
         found.sort_unstable_by_key(|&(row, e)| (row, e.start));
         found.dedup_by(|(row, e), (kept_row, kept)| row == kept_row && e.start < kept.end);
         let starts: Vec<usize> = (0..=groups.rows.len() as u32)

@@ -14,13 +14,12 @@
 //!   contributes to both authors' accumulators, and the same row enters
 //!   a given group only once);
 //! * each input row's aggregate contribution (its member-pattern
-//!   binding count and numeric values) is computed once — for a batch of
-//!   stored rows by one anchored [`match_in_scopes`], or for a COUNT
-//!   over a tag-only star by folding selection-vector runs per row — and
-//!   folded into the group's **running** accumulators in member arrival
-//!   order — Count/Sum/Min/Max as scalars, Avg as sum + count — so the
-//!   folds replay the materialized kernel's `values.iter()` order bit
-//!   for bit;
+//!   binding count and numeric values) is computed once — for stored
+//!   rows by one anchored [`for_each_match`], counted as each embedding
+//!   arrives — and folded into the group's **running** accumulators in
+//!   member arrival order — Count/Sum/Min/Max as scalars, Avg as sum +
+//!   count — so the folds replay the materialized kernel's
+//!   `values.iter()` order bit for bit;
 //! * each group emits one small output tree
 //!   `TAX_group_root { TAX_grouping_basis {…}, <tag>value</tag> }` in
 //!   first-witness order, with basis children built by the same routine
@@ -47,17 +46,17 @@ use crate::batch::{Batch, Rows, Source};
 use crate::error::{Error, Result};
 use crate::exec::Stages;
 use crate::matching::vnode::VTree;
-use crate::matching::{match_in_scopes, match_tree};
+use crate::matching::{for_each_match, match_tree};
 use crate::ops::aggregate::{format_value, numeric, AggFunc};
 use crate::ops::groupby::{add_basis_children, stored_basis, BasisItem};
 use crate::ops::keyenc::{component, GroupIndex};
 use crate::ops::witness::{witnesses, Witnesses};
-use crate::pattern::{Axis, PatternNodeId, PatternTree, Pred};
+use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tree::{Tree, TreeNodeKind};
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::time::Instant;
-use xmlstore::{kernels, Dictionary, DocumentStore, NodeEntry, SelVec, Sym};
+use xmlstore::{Dictionary, DocumentStore, Sym};
 
 /// The output tree shape of a rollup run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,29 +218,15 @@ fn contributions(
     match input {
         Source::Stored(rows) => {
             let mut out = vec![Contribution::default(); rows.len()];
-            // COUNT fast path: a tag-only star member pattern anchored at
-            // the row has `Π_child |matches(child)|` bindings — each
-            // child binds independently — so the count folds whole
-            // selection-vector runs (an AND-popcount over the row's
-            // dense descendant id range per child) without running the
-            // matcher or materializing bindings.
-            if func == AggFunc::Count {
-                if let Some((root_tag, children)) = tag_star_children(member_pattern) {
-                    count_star_members(store, rows, root_tag, &children, &mut out);
-                    return Ok(out);
-                }
-                kernels::note_fallback_rows(rows.len());
-            }
-            let (table, row_of) = match_in_scopes(store, member_pattern, rows, true)?;
             let cols = store.columns();
-            for (e, &row) in table.column(of).iter().zip(&row_of) {
+            for_each_match(store, member_pattern, rows, true, |row, m| {
                 let c = &mut out[row as usize];
                 c.bindings += 1;
                 if func != AggFunc::Count {
                     c.values
-                        .extend(numeric(dict, cols.content[e.id.0 as usize]));
+                        .extend(numeric(dict, cols.content[m[of].id.0 as usize]));
                 }
-            }
+            })?;
             Ok(out)
         }
         Source::Trees(trees) => trees
@@ -262,93 +247,6 @@ fn contributions(
                 Ok(c)
             })
             .collect(),
-    }
-}
-
-/// Decompose `p` into a tag-only star: a root whose predicate is exactly
-/// a tag test, with every other node a leaf child of the root whose
-/// predicate is also exactly a tag test. Those are the member patterns
-/// the COUNT fast path can fold from selection vectors; anything else
-/// (content predicates, grandchildren, join conditions) returns `None`
-/// and keeps the matcher path.
-fn tag_star_children(p: &PatternTree) -> Option<(&str, Vec<(&str, Axis)>)> {
-    let root = p.root();
-    let Pred::Tag(root_tag) = &p.node(root).pred else {
-        return None;
-    };
-    let mut children = Vec::with_capacity(p.len() - 1);
-    for (pid, node) in p.iter() {
-        if pid == root {
-            continue;
-        }
-        if node.parent != Some(root) || !node.children.is_empty() {
-            return None;
-        }
-        let Pred::Tag(tag) = &node.pred else {
-            return None;
-        };
-        children.push((tag.as_str(), node.axis));
-    }
-    Some((root_tag, children))
-}
-
-/// Fold the member-binding count of a tag-only star into each row's
-/// contribution: per child tag, one equality filter over the columnar
-/// `tag` (and, for the child axis, `level`) arrays, then per row a
-/// masked popcount over its dense descendant id range. Selection vectors
-/// are built on first use, once per distinct tag/level, and shared
-/// across rows; both caches are indexed, not hashed.
-fn count_star_members(
-    store: &DocumentStore,
-    rows: &[NodeEntry],
-    root_tag: &str,
-    children: &[(&str, Axis)],
-    contributions: &mut [Contribution],
-) {
-    let cols = store.columns();
-    let Some(root_sym) = store.tag_id(root_tag) else {
-        return; // tag absent: no member bindings anywhere
-    };
-    let child_syms: Vec<Option<u32>> = children
-        .iter()
-        .map(|&(tag, _)| store.tag_id(tag).map(|s| s.0))
-        .collect();
-    // A tag's selection sits at the first child with that tag, a level's
-    // at the level.
-    let first_of = |sym| child_syms.iter().position(|&s| s == Some(sym));
-    let mut tag_sels: Vec<Option<SelVec>> = vec![None; children.len()];
-    let deepest = rows.iter().map(|r| r.level as usize).max().unwrap_or(0);
-    let mut level_sels: Vec<Option<SelVec>> = vec![None; deepest + 2];
-    for (scope, contribution) in rows.iter().zip(contributions) {
-        if cols.tag[scope.id.0 as usize] != root_sym.0 {
-            continue;
-        }
-        let range = cols.descendant_ids(scope.id);
-        let mut count = 1usize;
-        for (&sym, &(_, axis)) in child_syms.iter().zip(children) {
-            let per_child = match sym {
-                None => 0,
-                Some(sym) => {
-                    let tag_sel = tag_sels[first_of(sym).unwrap_or_default()]
-                        .get_or_insert_with(|| kernels::filter_eq_u32(&cols.tag, 0, sym));
-                    match axis {
-                        Axis::Descendant => tag_sel.count_in(range.clone()),
-                        Axis::Child => {
-                            let level = scope.level + 1;
-                            let level_sel = level_sels[level as usize].get_or_insert_with(|| {
-                                kernels::filter_eq_u16(&cols.level, 0, level)
-                            });
-                            tag_sel.count_and_in(level_sel, range.clone())
-                        }
-                    }
-                }
-            };
-            count *= per_child;
-            if count == 0 {
-                break;
-            }
-        }
-        contribution.bindings += count;
     }
 }
 
@@ -966,10 +864,6 @@ mod tests {
             },
         ];
         for (i, (mp, of)) in shapes.iter().enumerate() {
-            assert!(
-                tag_star_children(mp).is_some(),
-                "shape {i} should be a star"
-            );
             let fast = rollup(
                 &s,
                 &arts,
@@ -986,7 +880,7 @@ mod tests {
             .into_trees();
             // The expectation enumerates bindings through the matcher
             // over materialized group trees; it shares no code with the
-            // popcount product.
+            // stored-row walk.
             let slow = materialized_star(&s, &arts, mp, *of, AggFunc::Count, "count");
             assert_eq!(
                 projected_xml(&s, &fast, "count"),
@@ -994,22 +888,14 @@ mod tests {
                 "shape {i}"
             );
         }
-        // Non-star members (content predicate, grandchild) refuse the
-        // fast path.
-        let mut deep = PatternTree::with_root(Pred::tag("article"));
-        let a = deep.add_child(deep.root(), Axis::Child, Pred::tag("author"));
-        deep.add_child(a, Axis::Child, Pred::tag("x"));
-        assert!(tag_star_children(&deep).is_none());
-        let pred = PatternTree::with_root(Pred::tag("article").and(Pred::content_eq("x")));
-        assert!(tag_star_children(&pred).is_none());
     }
 
     #[test]
     fn count_star_over_scopes_at_two_depths() {
-        // `//article` rows at levels 2 and 3: the child-axis fold needs
-        // one level selection per scope depth, built once and reused.
-        // Titles also sit a level deeper (under <sec>), where only the
-        // descendant axis reaches them.
+        // `//article` rows at levels 2 and 3: the child-axis test is
+        // relative to each row's own level. Titles also sit a level
+        // deeper (under <sec>), where only the descendant axis reaches
+        // them.
         let s = DocumentStore::from_xml(
             "<bib>\
                 <article><title>A</title><author>Jack</author><author>Jill</author></article>\
@@ -1048,7 +934,6 @@ mod tests {
             star(&[(Axis::Descendant, "missing")]),
         ];
         for (i, (mp, of)) in shapes.iter().enumerate() {
-            assert!(tag_star_children(mp).is_some(), "shape {i}");
             let fast = rollup(
                 &s,
                 &arts,

@@ -10,9 +10,9 @@
 //! that is all [`witnesses`] produces: flat `u32` / cell arrays, no
 //! per-witness allocation. Both sources fill the same columns:
 //!
-//! * **stored rows** — one [`match_in_scopes`] over all rows, then a
-//!   column gather from the label columns' `content` / attribute
-//!   symbols. The matcher emits rows scope-major, which *is* the
+//! * **stored rows** — one [`for_each_match`] over all rows, each
+//!   embedding's words read off the label columns' `content` / attribute
+//!   symbols as it arrives. Embeddings come scope-major, which *is* the
 //!   collection-major order the sinks' member dedup relies on, so there
 //!   is nothing to sort and nothing to route back to its tree;
 //! * **trees** — one [`match_tree`] per tree, then the same words read
@@ -26,7 +26,7 @@
 use crate::batch::Source;
 use crate::error::Result;
 use crate::matching::vnode::{VNode, VTree};
-use crate::matching::{match_in_scopes, match_tree};
+use crate::matching::{for_each_match, match_tree};
 use crate::ops::groupby::{validate, BasisItem, GroupOrder};
 use crate::ops::keyenc::component;
 use crate::pattern::PatternTree;
@@ -114,29 +114,31 @@ pub(crate) fn witnesses(
     };
     match input {
         Source::Stored(rows) => {
-            let (table, row_of) = match_in_scopes(store, pattern, rows, anchor_root)?;
             let cols = store.columns();
-            let n = table.len();
-            out.tree_idx = row_of;
-            out.keys = vec![NO_SYM; n * basis.len()];
-            out.cells = vec![VNode::Arena(0); n * basis.len()];
-            for (k, item) in basis.iter().enumerate() {
-                // `Some(None)`: the attribute occurs nowhere in the store.
-                let attr_tag = item.attr.as_deref().map(|name| store.attr_tag_id(name));
-                for (w, e) in table.column(item.label).iter().enumerate() {
-                    out.keys[w * basis.len() + k] = match attr_tag {
+            // `Some(None)`: the attribute occurs nowhere in the store.
+            let attr_tags: Vec<_> = basis
+                .iter()
+                .map(|item| item.attr.as_deref().map(|name| store.attr_tag_id(name)))
+                .collect();
+            // A row usually holds a witness or more.
+            out.tree_idx.reserve(rows.len());
+            out.keys.reserve(rows.len() * basis.len());
+            out.cells.reserve(rows.len() * basis.len());
+            out.sort_syms.reserve(rows.len() * ordering.len());
+            for_each_match(store, pattern, rows, anchor_root, |row, m| {
+                out.tree_idx.push(row);
+                for (item, attr_tag) in basis.iter().zip(&attr_tags) {
+                    let e = m[item.label];
+                    out.keys.push(match attr_tag {
                         None => cols.content[e.id.0 as usize],
                         Some(tag) => tag.and_then(|t| cols.attr_sym(e.id, t.0)).unwrap_or(NO_SYM),
-                    };
-                    out.cells[w * basis.len() + k] = VNode::Stored(*e);
+                    });
+                    out.cells.push(VNode::Stored(e));
                 }
-            }
-            out.sort_syms = vec![NO_SYM; n * ordering.len()];
-            for (k, o) in ordering.iter().enumerate() {
-                for (w, e) in table.column(o.label).iter().enumerate() {
-                    out.sort_syms[w * ordering.len() + k] = cols.content[e.id.0 as usize];
+                for o in ordering {
+                    out.sort_syms.push(cols.content[m[o.label].id.0 as usize]);
                 }
-            }
+            })?;
         }
         Source::Trees(trees) => {
             for (row, tree) in trees.iter().enumerate() {

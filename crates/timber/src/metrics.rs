@@ -49,12 +49,13 @@ pub struct PlanMetrics {
     /// scan/group/aggregate pipelines).
     pub tree_clones: u64,
     /// Rows that flowed through vectorized columnar kernels during this
-    /// operator's own work (filter rows plus containment-run rows).
+    /// operator's own work (filter rows, containment-run rows, and the
+    /// label rows the stored-row walk reads).
     pub vec_rows: u64,
     /// Rows a vectorized kernel existed for but that ran scalar instead
-    /// (a COUNT fold whose member pattern is not a tag-only star, a
-    /// containment join under a parent column out of document order). A
-    /// plan silently dropping to scalar shows up here, not as a slowdown.
+    /// (a containment join under a parent column out of document order).
+    /// A plan silently dropping to scalar shows up here, not as a
+    /// slowdown.
     pub vec_fallback: u64,
     /// A grouping sink's statistics — its stage times,
     /// `stages=w:…/c:…/f:…/b:…us` (`None` for every other operator).

@@ -109,6 +109,7 @@ impl NodeColumns {
     }
 
     /// The index-style entry of row `id`.
+    #[inline]
     pub fn entry(&self, id: NodeId) -> NodeEntry {
         let i = id.0 as usize;
         NodeEntry {

@@ -1,16 +1,15 @@
-//! Vectorized columnar kernels over the label region: branch-free
-//! chunked filters producing [`SelVec`] selection vectors, and a batch
+//! Vectorized columnar kernels over the label region: a branch-free
+//! chunked filter producing [`SelVec`] selection vectors, and a batch
 //! containment join that partitions descendant runs against ancestor
 //! intervals with galloping binary search.
 //!
-//! The two filters (`filter_eq_u32` over tag and symbol columns,
-//! `filter_eq_u16` over levels) build one `u64` mask word per 64 input
-//! rows out of straight-line `(pred as u64) << bit` lane writes, a shape
-//! LLVM autovectorizes on every target. Each has a one-row-at-a-time
-//! twin in [`scalar`] with the identical signature and bit-identical
-//! output: the reference the kernel-level tests compare against. Whole
-//! queries are held to the reference model in `tests/src/model.rs`
-//! instead.
+//! The filter ([`filter_eq_u32`], over tag and symbol columns) builds
+//! one `u64` mask word per 64 input rows out of straight-line
+//! `(pred as u64) << bit` lane writes, a shape LLVM autovectorizes on
+//! every target. It has a one-row-at-a-time twin in [`scalar`] with the
+//! identical signature and bit-identical output: the reference the
+//! kernel-level tests compare against. Whole queries are held to the
+//! reference model in `tests/src/model.rs` instead.
 //!
 //! Two per-thread counters ([`vec_rows`], [`fallback_rows`]) tally how
 //! many rows flowed through the kernels vs the matcher's per-row
@@ -23,7 +22,6 @@
 
 use crate::index::NodeEntry;
 use std::cell::Cell;
-use std::ops::Range;
 
 thread_local! {
     /// Rows this thread has run through vectorized kernels.
@@ -42,8 +40,8 @@ pub fn fallback_rows() -> u64 {
     FALLBACK_ROWS.get()
 }
 
-/// Credit `n` rows to the vectorized counter (for callers that fold
-/// kernel output without re-entering a kernel, e.g. run-length folds).
+/// Credit `n` rows to the vectorized counter (for callers that scan the
+/// label columns without entering a kernel, e.g. the stored-row walk).
 pub fn note_vec_rows(n: usize) {
     VEC_ROWS.set(VEC_ROWS.get() + n as u64);
 }
@@ -115,47 +113,6 @@ impl SelVec {
         debug_assert!(id >= self.base && id < self.base + self.len);
         let i = (id - self.base) as usize;
         self.bits[i / 64] |= 1 << (i % 64);
-    }
-
-    /// Selected rows within the id range `r`, by masked popcount —
-    /// no per-row iteration.
-    pub fn count_in(&self, r: Range<u32>) -> usize {
-        self.masked_count(r, None)
-    }
-
-    /// Rows selected by **both** vectors within the id range `r`
-    /// (`self & other`, popcounted without materializing the AND).
-    /// Both vectors must cover identical ranges.
-    pub fn count_and_in(&self, other: &SelVec, r: Range<u32>) -> usize {
-        debug_assert_eq!((self.base, self.len), (other.base, other.len));
-        self.masked_count(r, Some(other))
-    }
-
-    fn masked_count(&self, r: Range<u32>, and: Option<&SelVec>) -> usize {
-        let lo = r.start.max(self.base);
-        let hi = r.end.min(self.base + self.len);
-        if lo >= hi {
-            return 0;
-        }
-        let (lo, hi) = ((lo - self.base) as usize, (hi - self.base) as usize);
-        let (wl, wh) = (lo / 64, (hi - 1) / 64);
-        let head = u64::MAX << (lo % 64);
-        let tail = u64::MAX >> (63 - (hi - 1) % 64);
-        let mut n = 0usize;
-        for w in wl..=wh {
-            let mut word = self.bits[w];
-            if let Some(o) = and {
-                word &= o.bits[w];
-            }
-            if w == wl {
-                word &= head;
-            }
-            if w == wh {
-                word &= tail;
-            }
-            n += word.count_ones() as usize;
-        }
-        n
     }
 
     /// Iterator over the selected row ids, ascending.
@@ -264,14 +221,6 @@ pub fn filter_eq_u32(vals: &[u32], base: u32, needle: u32) -> SelVec {
     SelVec::from_bits(base, vals.len() as u32, bits)
 }
 
-/// Equality filter over a `u16` column (levels): selects rows where
-/// `vals[i] == needle`.
-pub fn filter_eq_u16(vals: &[u16], base: u32, needle: u16) -> SelVec {
-    note_vec_rows(vals.len());
-    let bits = chunk_mask(vals, |v| v == needle);
-    SelVec::from_bits(base, vals.len() as u32, bits)
-}
-
 /// Batch containment partition: for each ancestor interval (`ancestors`
 /// sorted by `start`), the contiguous run `lo..hi` of descendant
 /// indices (`descendants` sorted by `start`, intervals properly nested
@@ -326,24 +275,13 @@ fn gallop(list: &[NodeEntry], from: usize, pred: impl Fn(&NodeEntry) -> bool) ->
     }
 }
 
-/// Scalar twins of the two filters: one row at a time, branches and
-/// all. Bit-identical outputs are the invariant the kernel tests pin.
+/// Scalar twin of the filter: one row at a time, branches and all.
+/// Bit-identical output is the invariant the kernel tests pin.
 pub mod scalar {
     use super::SelVec;
 
     /// Scalar twin of [`super::filter_eq_u32`].
     pub fn filter_eq_u32(vals: &[u32], base: u32, needle: u32) -> SelVec {
-        let mut sel = SelVec::empty(base, vals.len() as u32);
-        for (i, &v) in vals.iter().enumerate() {
-            if v == needle {
-                sel.set(base + i as u32);
-            }
-        }
-        sel
-    }
-
-    /// Scalar twin of [`super::filter_eq_u16`].
-    pub fn filter_eq_u16(vals: &[u16], base: u32, needle: u16) -> SelVec {
         let mut sel = SelVec::empty(base, vals.len() as u32);
         for (i, &v) in vals.iter().enumerate() {
             if v == needle {
@@ -371,29 +309,6 @@ mod tests {
             assert_eq!(fast, slow, "n={n}");
             assert_eq!(fast.count(), vals.iter().filter(|&&v| v == 3).count());
         }
-    }
-
-    #[test]
-    fn level_filter_matches_scalar() {
-        let lv: Vec<u16> = (0..200).map(|i| (i % 5) as u16).collect();
-        assert_eq!(filter_eq_u16(&lv, 0, 2), scalar::filter_eq_u16(&lv, 0, 2));
-    }
-
-    #[test]
-    fn count_in_masks_word_boundaries() {
-        let vals: Vec<u32> = vec![1; 200];
-        let sel = filter_eq_u32(&vals, 100, 1);
-        assert_eq!(sel.count(), 200);
-        assert_eq!(sel.count_in(100..300), 200);
-        assert_eq!(sel.count_in(150..170), 20);
-        assert_eq!(sel.count_in(0..100), 0);
-        assert_eq!(sel.count_in(299..900), 1);
-        assert_eq!(sel.count_in(300..400), 0);
-        // AND-count against a sparser vector.
-        let sparse: Vec<u32> = (0..200).map(|i| i % 2).collect();
-        let odd = filter_eq_u32(&sparse, 100, 1);
-        assert_eq!(sel.count_and_in(&odd, 100..300), 100);
-        assert_eq!(sel.count_and_in(&odd, 100..104), 2);
     }
 
     #[test]

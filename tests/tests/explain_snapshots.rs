@@ -221,9 +221,10 @@ fn grouped_plans_stay_inside_clone_and_io_budget() {
             "output of {query:?}:\n{xml}"
         );
     }
-    // The fused count plan must run on the vectorized kernels: the
-    // COUNT(*) star fold filters the tag/level columns array-at-a-time.
-    // A plan silently dropping to the scalar row loop would zero this.
+    // The fused count plan must run on the columnar kernels: the
+    // stored-row walk reads each article's rows off the tag/level
+    // columns and notes them. A plan silently dropping to the scalar row
+    // loop would zero this.
     let a = db
         .explain_analyze(QUERY_COUNT, PlanMode::GroupByRewrite)
         .unwrap();

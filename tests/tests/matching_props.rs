@@ -1,11 +1,19 @@
 //! Property suite of the columnar matcher: on random documents and
 //! random patterns, `match_db` returns the rows of the full-scan matcher
-//! in the same order, and `match_in_scopes` returns the per-scope
-//! matches concatenated, each row tagged with its scope.
+//! in the same order, `match_in_scopes` returns the per-scope matches
+//! concatenated, each row tagged with its scope, and `for_each_match` —
+//! the stored-row walk the keyed operators call — visits exactly those
+//! rows.
 
 use smallrand::prop::{check, Gen};
-use tax::matching::{match_db, match_db_scoped, match_in_scopes, naive::match_db_scan, Bindings};
+use std::collections::HashMap;
+use tax::batch::Source;
+use tax::matching::{
+    for_each_match, match_db, match_db_scoped, match_in_scopes, naive::match_db_scan, Bindings,
+};
+use tax::ops::{cube, groupby, rollup, AggFunc, BasisItem, RollupShape};
 use tax::pattern::{Axis, PatternTree, Pred};
+use tax::Tree;
 use xmlstore::{kernels, DocumentStore, NodeEntry, NodeId, StoreOptions};
 
 const TAGS: [&str; 3] = ["a", "b", "c"];
@@ -163,28 +171,33 @@ fn per_scope(
     (all, scope_of_row)
 }
 
+/// Random scopes: usually what a scan produces — sorted, nothing nested
+/// or repeated — and sometimes any list at all.
+fn scopes(g: &mut Gen, s: &DocumentStore) -> Vec<NodeEntry> {
+    let cols = s.columns();
+    let mut scopes: Vec<NodeEntry> = g
+        .vec(0, 6, |g| g.usize_in(0, cols.len() - 1))
+        .into_iter()
+        .map(|i| cols.entry(NodeId(i as u32)))
+        .collect();
+    if g.ratio(3, 4) {
+        scopes.sort_by_key(|e| e.start);
+        let mut kept: Vec<NodeEntry> = Vec::new();
+        for e in scopes {
+            if kept.last().map_or(true, |k| k.end < e.start) {
+                kept.push(e);
+            }
+        }
+        scopes = kept;
+    }
+    scopes
+}
+
 #[test]
 fn match_in_scopes_concatenates_the_scoped_matches() {
     check("match_in_scopes == per-scope", 400, |g| {
         let (s, p) = (store(g), pattern(g));
-        let cols = s.columns();
-        let mut scopes: Vec<NodeEntry> = g
-            .vec(0, 6, |g| g.usize_in(0, cols.len() - 1))
-            .into_iter()
-            .map(|i| cols.entry(NodeId(i as u32)))
-            .collect();
-        // Usually what a scan produces — sorted, nothing nested or
-        // repeated — and sometimes any list at all.
-        if g.ratio(3, 4) {
-            scopes.sort_by_key(|e| e.start);
-            let mut kept: Vec<NodeEntry> = Vec::new();
-            for e in scopes {
-                if kept.last().is_none_or(|k| k.end < e.start) {
-                    kept.push(e);
-                }
-            }
-            scopes = kept;
-        }
+        let scopes = scopes(g, &s);
         for anchor_root in [false, true] {
             let (table, scope_of_row) =
                 match_in_scopes(&s, &p, &scopes, anchor_root).expect("match");
@@ -213,4 +226,211 @@ fn nothing_to_match_is_an_empty_table() {
     }
     assert!(match_db(&s, &absent).unwrap().is_empty());
     assert!(match_db_scoped(&s, &p, Some(c)).unwrap().is_empty());
+}
+
+/// A random tag-only star: a root and 0–3 leaf children on random edges,
+/// each a bare tag test, one of them sometimes a tag no node has.
+fn star(g: &mut Gen) -> PatternTree {
+    let tag = |g: &mut Gen| {
+        Pred::tag(if g.ratio(1, 10) {
+            "absent"
+        } else {
+            *g.pick(&TAGS)
+        })
+    };
+    let mut p = PatternTree::with_root(tag(g));
+    for _ in 0..g.usize_in(0, 3) {
+        let axis = if g.bool() {
+            Axis::Child
+        } else {
+            Axis::Descendant
+        };
+        let pred = tag(g);
+        p.add_child(p.root(), axis, pred);
+    }
+    p
+}
+
+#[test]
+fn the_stored_row_walk_visits_the_rows_of_the_join() {
+    // Stars take the walk, every other pattern the join behind it: either
+    // way the same rows, in the same order, with the same scope — nested
+    // same-tag roots, absent tags and childless stars included.
+    check("for_each_match == match_in_scopes", 400, |g| {
+        let s = store(g);
+        let p = if g.ratio(3, 4) { star(g) } else { pattern(g) };
+        let scopes = scopes(g, &s);
+        for anchor_root in [false, true] {
+            let (table, scope_of_row) =
+                match_in_scopes(&s, &p, &scopes, anchor_root).expect("match");
+            let (mut visited, mut scope_of_visit) = (Vec::new(), Vec::new());
+            for_each_match(&s, &p, &scopes, anchor_root, |scope, m| {
+                visited.push(m.to_vec());
+                scope_of_visit.push(scope);
+            })
+            .expect("walk");
+            assert_eq!(
+                (visited, scope_of_visit),
+                (rows(&table), scope_of_row),
+                "{p:?} in {scopes:?}, anchor_root {anchor_root}"
+            );
+        }
+    });
+}
+
+/// The groups a grouping sink must form from `witnesses` — (scope, key)
+/// pairs in arrival order — at key prefix `level`: keys in first-arrival
+/// order, each with its first witness and its member scopes, a scope
+/// entering a group once.
+fn reference_groups(witnesses: &[(u32, Vec<u32>)], level: usize) -> Vec<(usize, Vec<u32>)> {
+    let mut index: HashMap<&[u32], usize> = HashMap::new();
+    let mut groups: Vec<(usize, Vec<u32>)> = Vec::new();
+    for (w, (scope, key)) in witnesses.iter().enumerate() {
+        let g = *index.entry(&key[..level]).or_insert_with(|| {
+            groups.push((w, Vec::new()));
+            groups.len() - 1
+        });
+        let members = &mut groups[g].1;
+        if members.last() != Some(scope) {
+            members.push(*scope);
+        }
+    }
+    groups
+}
+
+#[test]
+fn nested_articles_group_as_the_join_binds_them() {
+    // An <article> inside an <article>, with authors before and after
+    // the inner one: unanchored, the outer row's witnesses are its own
+    // authors and then the inner article's, which the inner row has
+    // again. Each sink over the walk's witnesses must build what a
+    // reference built from `match_in_scopes`' rows says.
+    let s = DocumentStore::from_xml(
+        "<bib>\
+            <article><author>A</author><title>T1</title><year>1</year>\
+                <article><author>B</author><title>T2</title><title>T3</title><year>2</year></article>\
+                <author>C</author><year>2</year></article>\
+            <article><author>B</author><title>T4</title><year>1</year></article>\
+        </bib>",
+        &StoreOptions::in_memory(),
+    )
+    .unwrap();
+    let cols = s.columns();
+    let content = |e: NodeEntry| cols.content[e.id.0 as usize];
+    let xml = |node: NodeEntry, deep: bool| {
+        xmlparse::serialize::element_to_string(&Tree::new_ref(node, deep).materialize(&s).unwrap())
+    };
+    let serialize = |trees: Vec<Tree>| -> Vec<String> {
+        let elements = trees.iter().map(|t| t.materialize(&s).unwrap());
+        elements
+            .map(|e| xmlparse::serialize::element_to_string(&e))
+            .collect()
+    };
+    // article {author, year}, grouped on both; article -pc-> title counted.
+    let mut p = PatternTree::with_root(Pred::tag("article"));
+    let author = p.add_child(p.root(), Axis::Child, Pred::tag("author"));
+    let year = p.add_child(p.root(), Axis::Child, Pred::tag("year"));
+    let basis = [BasisItem::content(author), BasisItem::content(year)];
+    let mut member = PatternTree::with_root(Pred::tag("article"));
+    let title = member.add_child(member.root(), Axis::Child, Pred::tag("title"));
+    // All three articles (the outer one holds the second), and the two
+    // disjoint ones a scan of top-level articles gives.
+    let articles = s.nodes_with_tag(s.tag_id("article").unwrap()).to_vec();
+    for rows in [articles.clone(), vec![articles[0], articles[2]]] {
+        let input = || Source::Stored(rows[..].into());
+        // The reference: the join's witnesses, and each row's titles.
+        let (table, scope_of_row) = match_in_scopes(&s, &p, &rows, false).unwrap();
+        let witnesses: Vec<(u32, Vec<u32>)> = (0..table.len())
+            .map(|w| {
+                (
+                    scope_of_row[w],
+                    vec![
+                        content(table.column(author)[w]),
+                        content(table.column(year)[w]),
+                    ],
+                )
+            })
+            .collect();
+        let mut titles = vec![0; rows.len()];
+        for scope in match_in_scopes(&s, &member, &rows, true).unwrap().1 {
+            titles[scope as usize] += 1;
+        }
+        let keys = |first: usize, level: usize| -> String {
+            let labels = [author, year];
+            let cells = labels[..level].iter().map(|&pid| table.column(pid)[first]);
+            cells.map(|cell| xml(cell, true)).collect()
+        };
+        let flat = |level: usize| -> Vec<String> {
+            let groups = reference_groups(&witnesses, level).into_iter();
+            groups
+                .filter_map(|(first, members)| {
+                    let count: usize = members.iter().map(|&m| titles[m as usize]).sum();
+                    let keys = keys(first, level);
+                    (count > 0).then(|| {
+                        format!("<TAX_group_root>{keys}<count>{count}</count></TAX_group_root>")
+                    })
+                })
+                .collect()
+        };
+
+        // GroupBy: each group's basis and its member rows, whole.
+        let want: Vec<String> = reference_groups(&witnesses, 2)
+            .into_iter()
+            .map(|(first, members)| {
+                let basis: String = [author, year]
+                    .map(|pid| xml(table.column(pid)[first], false))
+                    .concat();
+                let subroot: String = members
+                    .iter()
+                    .map(|&m| xml(rows[m as usize], true))
+                    .collect();
+                format!(
+                    "<TAX_group_root><TAX_grouping_basis>{basis}</TAX_grouping_basis>\
+                     <TAX_group_subroot>{subroot}</TAX_group_subroot></TAX_group_root>"
+                )
+            })
+            .collect();
+        let (grouped, _) = groupby(&s, input(), &p, &basis, &[]).unwrap();
+        assert_eq!(
+            serialize(grouped.into_trees()),
+            want,
+            "groupby over {rows:?}"
+        );
+
+        // Rollup: COUNT of titles per (author, year); cube: per author,
+        // then per (author, year).
+        let (rolled, _) = rollup(
+            &s,
+            input(),
+            &p,
+            &basis,
+            &member,
+            title,
+            AggFunc::Count,
+            "count",
+            RollupShape::Flat,
+        )
+        .unwrap();
+        assert_eq!(
+            serialize(rolled.into_trees()),
+            flat(2),
+            "rollup over {rows:?}"
+        );
+        let (cubed, _) = cube(
+            &s,
+            input(),
+            &p,
+            &basis,
+            &member,
+            title,
+            AggFunc::Count,
+            "count",
+        )
+        .unwrap();
+        assert_eq!(
+            serialize(cubed.into_trees()),
+            [flat(1), flat(2)].concat(),
+            "cube over {rows:?}"
+        );
+    }
 }
