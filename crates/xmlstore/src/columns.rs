@@ -8,12 +8,15 @@
 //! searches and linear scans over dense arrays instead of per-node
 //! record fetches through the buffer pool. This is the paper's
 //! identifier-only processing (Sec. 5.3) taken to its storage-layout
-//! conclusion: every commit installs a fresh region — the previous one
-//! bulk-copied with the removed document's rows cut out and the added
-//! document's rows appended (`NodeColumns::spliced`) — and hands it
-//! out behind an `Arc`, so scan batches borrow it without copying and
-//! keep a consistent snapshot even while the store mutates underneath.
-//! Each column stays one contiguous slice, which is what every kernel
+//! conclusion. Each projection hands its region out behind an `Arc`, so
+//! scan batches borrow it without copying and keep a consistent
+//! snapshot even while the store mutates underneath. A commit builds
+//! the next region with [`NodeColumns::splice_into`]: the removed
+//! document's rows cut out, the added document's rows appended. When
+//! nobody holds the region published before the current one, that
+//! region is rebuilt in place, keeping the rows below the point where
+//! the two diverged; otherwise the commit makes a full copy. Each
+//! column stays one contiguous slice, which is what every kernel
 //! assumes.
 
 use crate::dict::NO_SYM;
@@ -79,33 +82,19 @@ impl NodeColumns {
         self.content.push(content);
     }
 
-    /// A copy of this region without the rows of `cut` and with room for
-    /// `extra` more: rows before the cut verbatim, rows after it moved up
-    /// with their labels shifted down by the cut's span. Row 0's `end`
-    /// is the caller's to patch.
-    pub(crate) fn spliced(&self, cut: &Cut, extra: usize) -> NodeColumns {
-        let (lo, hi) = (cut.ids.start as usize, cut.ids.end as usize);
-        let rows = self.len() - (hi - lo) + extra;
-        fn copy<T: Copy>(src: &[T], lo: usize, hi: usize, rows: usize) -> Vec<T> {
-            let mut out = Vec::with_capacity(rows);
-            out.extend_from_slice(&src[..lo]);
-            out.extend_from_slice(&src[hi..]);
-            out
-        }
-        let shifted = |src: &[u32]| {
-            let mut out = Vec::with_capacity(rows);
-            out.extend_from_slice(&src[..lo]);
-            out.extend(src[hi..].iter().map(|l| l - cut.span));
-            out
-        };
-        NodeColumns {
-            start: shifted(&self.start),
-            end: shifted(&self.end),
-            level: copy(&self.level, lo, hi, rows),
-            tag: copy(&self.tag, lo, hi, rows),
-            kind: copy(&self.kind, lo, hi, rows),
-            content: copy(&self.content, lo, hi, rows),
-        }
+    /// This region without the rows of `cut` and with room for `extra`
+    /// more, rebuilt in `out` by [`splice`]; empty `out` and `keep` 0
+    /// make a full copy. Row 0's `end` is the caller's to patch.
+    pub(crate) fn splice_into(&self, mut out: Self, keep: u32, cut: &Cut, extra: usize) -> Self {
+        let ids = cut.ids.start as usize..cut.ids.end as usize;
+        let (keep, shift) = (keep as usize, |l| l - cut.span);
+        splice(&mut out.start, &self.start, keep, ids.clone(), extra, shift);
+        splice(&mut out.end, &self.end, keep, ids.clone(), extra, shift);
+        splice(&mut out.level, &self.level, keep, ids.clone(), extra, |l| l);
+        splice(&mut out.tag, &self.tag, keep, ids.clone(), extra, |t| t);
+        splice(&mut out.kind, &self.kind, keep, ids.clone(), extra, |k| k);
+        splice(&mut out.content, &self.content, keep, ids, extra, |c| c);
+        out
     }
 
     /// The index-style entry of row `id`.
@@ -212,6 +201,26 @@ impl NodeColumns {
     }
 }
 
+/// Rebuild `out` as `src` without its rows `cut` and with room for
+/// `extra` more: `out`'s first `keep` rows, which must equal `src`'s
+/// (checked in debug builds), stay; then come `src`'s rows up to the cut
+/// and, through `shift`, those after it. Room grows amortized: exact
+/// growth would make every append to a recycled buffer copy what it kept.
+pub(crate) fn splice<T: Copy + PartialEq + std::fmt::Debug>(
+    out: &mut Vec<T>,
+    src: &[T],
+    keep: usize,
+    cut: std::ops::Range<usize>,
+    extra: usize,
+    shift: impl Fn(T) -> T,
+) {
+    debug_assert_eq!(out[..keep], src[..keep], "kept rows differ");
+    out.truncate(keep);
+    out.reserve(src.len() - cut.len() + extra - keep);
+    out.extend_from_slice(&src[keep..cut.start]);
+    out.extend(src[cut.end..].iter().map(|&x| shift(x)));
+}
+
 /// Lazy iterator over the direct children of a node, advancing by
 /// sibling jumps (binary search on `start` past the current child's
 /// `end`) — no intermediate allocation.
@@ -298,17 +307,48 @@ mod tests {
         // Take out `a`'s document (rows 1..3, labels 1..5): `b` and `d`
         // move up two rows and down four labels.
         let cut = Cut { ids: 1..3, span: 4 };
-        let s = c.spliced(&cut, 2);
+        let s = c.splice_into(NodeColumns::default(), 0, &cut, 2);
         assert_eq!(s.start, [0, 1, 2]);
         assert_eq!(s.end, [9, 4, 3]);
         assert_eq!(s.level, [0, 1, 2]);
         assert_eq!(s.tag, [0, 3, 5]);
         assert_eq!(s.content, [NO_SYM, NO_SYM, 9]);
         assert_eq!(s.kind, [NodeKind::Element; 3]);
-        assert!(s.start.capacity() == 5 && s.kind.capacity() == 5);
+        assert!(s.start.capacity() >= 5 && s.kind.capacity() >= 5);
         // Cutting nothing copies everything.
         let none = Cut { ids: 5..5, span: 0 };
-        assert_eq!(c.spliced(&none, 0).end, c.end);
+        let copy = c.splice_into(NodeColumns::default(), 0, &none, 0);
+        assert_eq!(copy.end, c.end);
+
+        // Rebuilt in a spare whose rows below `keep` are ours: it keeps
+        // them, drops what it held past them, and reallocates nothing
+        // while it has room.
+        let mut spare = copy.clone();
+        spare.start[4] = 99;
+        spare.push(9, 9, 9, 9, NodeKind::Text, 9);
+        let buf = spare.start.as_ptr();
+        let s = c.splice_into(spare, 4, &none, 0);
+        assert_eq!(
+            (s.start.as_ptr(), &s.start, &s.tag),
+            (buf, &c.start, &c.tag)
+        );
+        // A delete below what was kept keeps only the rows before it.
+        let s = c.splice_into(s, 1, &cut, 0);
+        assert_eq!(
+            (s.start, s.content),
+            (vec![0, 1, 2], vec![NO_SYM, NO_SYM, 9])
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "kept rows differ")]
+    fn a_spare_that_differs_below_keep_is_caught() {
+        let c = cols();
+        let mut spare = c.clone();
+        spare.content[3] = 0;
+        let none = Cut { ids: 6..6, span: 0 };
+        c.splice_into(spare, 6, &none, 0);
     }
 
     #[test]

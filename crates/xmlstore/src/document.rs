@@ -406,8 +406,9 @@ impl DocumentStore {
     }
 
     /// A zero-copy handle on the columnar label region. The snapshot
-    /// stays valid (and unchanged) even if the store mutates afterwards;
-    /// mutations install a fresh region.
+    /// stays valid (and unchanged) even if the store mutates afterwards:
+    /// a commit rebuilds a region in place only when nobody holds it, and
+    /// copies the labels into a new one otherwise.
     pub fn columns(&self) -> Arc<NodeColumns> {
         Arc::clone(&self.proj().columns)
     }

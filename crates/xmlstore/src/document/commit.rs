@@ -10,8 +10,9 @@
 //!
 //! What a commit does is sized by the edit: it logs the dictionary
 //! suffix and the one or two document-table entries that changed, and
-//! it extends the previous projection instead of rebuilding one. Only
-//! the label memcpy inside [`Projection::edited`] grows with the store.
+//! [`Projection::edited`] rebuilds the projection before last in place
+//! when nobody holds it, copying the rows from the earlier of this and
+//! the previous edit's cut on; when a reader holds it, all the labels.
 
 use super::loader::{build_local, PageImage};
 use super::meta::{encode_delta, encode_meta, DocMeta, MetaDelta, StoreMeta};
@@ -42,9 +43,10 @@ pub(super) struct WriterState {
     /// them (see [`LimboRun`]).
     pub limbo: Vec<LimboRun>,
     /// Every projection published and possibly still referenced,
-    /// oldest first; the last entry is the current one. A prefix entry
-    /// with a strong count of 1 is referenced by nobody else and is
-    /// dropped at the next reclaim, unlocking its limbo runs.
+    /// oldest first; the last entry is the current one. An entry with a
+    /// strong count of 1 is referenced by nobody else and goes at the
+    /// next commit's reclaim: a prefix entry unlocks its limbo runs, and
+    /// the current one's predecessor becomes the next one.
     pub history: Vec<Arc<Projection>>,
     pub epoch: u64,
 }
@@ -161,6 +163,7 @@ impl DocumentStore {
                 found.ok_or(StoreError::NoSuchDocument { doc })
             })
             .transpose()?;
+        let spare = reclaim_limbo(&mut w);
         // A removed document's pages stay live until the commit lands,
         // so its replacement allocates elsewhere (free pages from
         // *earlier* deletes are fair game). An edit that adds nothing
@@ -227,7 +230,7 @@ impl DocumentStore {
             meta,
             records: &l.records,
         });
-        let next = sh.current().edited(w.epoch + 1, at, rows);
+        let next = sh.current().edited(spare, w.epoch + 1, at, rows);
         self.install(&mut w, next);
         if let Some(removed) = removed {
             limbo_runs(&mut w, &removed);
@@ -355,7 +358,6 @@ impl DocumentStore {
                 fresh: true,
             });
         }
-        reclaim_limbo(w);
         let mut len = 0u32;
         let mut prev: Option<u32> = None;
         let mut found: Option<u32> = None;
@@ -512,6 +514,21 @@ mod tests {
         }
         xml.push_str("</bib>");
         xmlparse::parse_document(&xml).unwrap()
+    }
+
+    #[test]
+    fn deletes_drop_the_projections_nobody_holds() {
+        // A delete allocates no pages; it still reclaims, so with no
+        // reader only the current projection and its predecessor live.
+        let s = DocumentStore::create(&StoreOptions::in_memory()).unwrap();
+        let docs: Vec<_> = (0..5)
+            .map(|i| s.insert_document(&bib(2, &i.to_string())).unwrap())
+            .collect();
+        for doc in docs {
+            s.delete_document(doc).unwrap();
+        }
+        let live = s.writer().history.len();
+        assert!(live <= 2, "{live} projections live");
     }
 
     #[test]

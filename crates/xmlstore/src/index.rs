@@ -9,6 +9,7 @@
 //! cases, using indices alone, without access to the actual data").
 
 use crate::catalog::TagId;
+use crate::columns::splice;
 use crate::node::NodeId;
 
 /// An index entry: a node id together with its containment label.
@@ -53,24 +54,6 @@ pub(crate) struct Cut {
     pub span: u32,
 }
 
-/// Copy the id-sorted `src` into a fresh list with room for `extra` more
-/// entries: rows before the cut verbatim, rows inside it dropped, rows
-/// after it shifted down.
-fn splice_entries(src: &[NodeEntry], cut: &Cut, extra: usize) -> Vec<NodeEntry> {
-    let lo = src.partition_point(|e| e.id.0 < cut.ids.start);
-    let hi = lo + src[lo..].partition_point(|e| e.id.0 < cut.ids.end);
-    let mut out = Vec::with_capacity(lo + src.len() - hi + extra);
-    out.extend_from_slice(&src[..lo]);
-    let nodes = cut.ids.end - cut.ids.start;
-    out.extend(src[hi..].iter().map(|e| NodeEntry {
-        id: NodeId(e.id.0 - nodes),
-        start: e.start - cut.span,
-        end: e.end - cut.span,
-        level: e.level,
-    }));
-    out
-}
-
 /// Tag-name index: `TagId → sorted-by-start Vec<NodeEntry>`.
 #[derive(Debug, Default, Clone)]
 pub struct TagIndex {
@@ -101,25 +84,40 @@ impl TagIndex {
         self.lists[idx].push(entry);
     }
 
-    /// A copy of this index without the rows of `cut`, each list with
+    /// This index without the rows of `cut`, rebuilt in `out` by
+    /// [`splice`] keeping the entries below row `keep`, each list with
     /// room for the entries of `added` (one tag per row the caller is
-    /// about to insert), so the bulk copy lands in the allocation the
-    /// appends fill. The counts go into a dense array beside the lists:
-    /// the tag space holds every content symbol too, and a lookup per
-    /// list costs more than the reallocations it saves.
-    pub(crate) fn spliced(&self, cut: &Cut, added: impl Iterator<Item = TagId>) -> TagIndex {
+    /// about to insert), so the appends do not reallocate. The counts go
+    /// into a dense array beside the lists: the tag space holds every
+    /// content symbol too, and a lookup per list costs more than the
+    /// reallocations it saves.
+    pub(crate) fn splice_into(
+        &self,
+        mut out: TagIndex,
+        keep: u32,
+        cut: &Cut,
+        added: impl Iterator<Item = TagId>,
+    ) -> TagIndex {
         let mut extra = vec![0usize; self.lists.len()];
         for tag in added {
             if let Some(n) = extra.get_mut(tag.0 as usize) {
                 *n += 1;
             }
         }
-        let lists = self.lists.iter().zip(extra);
-        TagIndex {
-            lists: lists
-                .map(|(list, extra)| splice_entries(list, cut, extra))
-                .collect(),
+        let rows = cut.ids.end - cut.ids.start;
+        let shift = |e: NodeEntry| NodeEntry {
+            id: NodeId(e.id.0 - rows),
+            start: e.start - cut.span,
+            end: e.end - cut.span,
+            level: e.level,
+        };
+        out.lists.resize_with(self.lists.len(), Vec::new);
+        for ((out, src), extra) in out.lists.iter_mut().zip(&self.lists).zip(extra) {
+            let at = |id| src.partition_point(|e| e.id.0 < id);
+            let ids = at(cut.ids.start)..at(cut.ids.end);
+            splice(out, src, at(keep), ids, extra, shift);
         }
+        out
     }
 
     /// The first entry of `tag`'s list, for patching in place (the
@@ -198,15 +196,21 @@ mod tests {
         // Rows 2..4 (labels 5..13) leave; row 4 becomes row 2 at label 5.
         let cut = Cut { ids: 2..4, span: 8 };
         let after = [entry(1, 1, 2, 2), entry(2, 5, 6, 2)];
-        let spliced = ix.spliced(&cut, [TagId(3), TagId(7), TagId(3)].into_iter());
+        let added = [TagId(3), TagId(7), TagId(3)];
+        let spliced = ix.splice_into(TagIndex::new(), 0, &cut, added.into_iter());
         assert_eq!(spliced.nodes(TagId(3)), after);
-        assert_eq!(spliced.lists[3].capacity(), 4);
+        assert!(spliced.lists[3].capacity() >= 4);
         // Cutting nothing at the end of the id space is a plain copy.
         let none = Cut { ids: 5..5, span: 0 };
-        assert_eq!(
-            ix.spliced(&none, std::iter::empty()).nodes(TagId(3)),
-            ix.nodes(TagId(3))
-        );
+        let copy = ix.splice_into(TagIndex::new(), 0, &none, std::iter::empty());
+        assert_eq!(copy.nodes(TagId(3)), ix.nodes(TagId(3)));
+        // Rebuilt in a spare that holds the entries below id 3: they stay,
+        // the spare's own entries past them go, and so do lists the
+        // source does not have.
+        let mut spare = spliced.clone();
+        spare.insert(TagId(9), entry(7, 20, 21, 1));
+        let s = ix.splice_into(spare, 3, &none, std::iter::empty());
+        assert_eq!((s.nodes(TagId(3)), s.lists.len()), (ix.nodes(TagId(3)), 4));
     }
 
     #[test]
