@@ -11,8 +11,8 @@
 //!   containment join ([`kernels::containment_runs`]) that yields a
 //!   gather index, through which every column bound so far is extended
 //!   at once, the child-axis level test applied to the gathered run. No
-//!   row is ever allocated on its own. Content and attribute predicates
-//!   and cross-node join predicates compare the *symbols* of the label
+//!   row is ever allocated on its own. Content predicates and
+//!   cross-node join predicates compare the *symbols* of the label
 //!   columns — the loader interns every stored value, so equal symbol ⇔
 //!   equal string — and resolve a symbol to text only for an ordering or
 //!   substring test; no data page is requested.
@@ -125,8 +125,8 @@ fn candidates(
     let Some(tag) = pred.required_tag() else {
         // No tag pinned: every node in scope. Node ids are preorder
         // ordinals, so the scoped set is one dense id range of the label
-        // columns — already in document order. Attributes are reached
-        // through attribute predicates, never bound as nodes.
+        // columns — already in document order. Attributes are never
+        // bound as nodes.
         return Candidates::Filtered(
             structural::scoped_ids(cols, scope)
                 .filter(|&i| cols.kind[i as usize] != NodeKind::Attribute)
@@ -324,8 +324,8 @@ pub fn match_tree(
 }
 
 /// Evaluate the local predicate of a stored node on the label columns:
-/// tag, content and attribute values are symbols there, resolved to
-/// their interned text — no page access.
+/// tag and content are symbols there, resolved to their interned text —
+/// no page access.
 fn eval_stored_local(
     store: &DocumentStore,
     cols: &NodeColumns,
@@ -336,11 +336,7 @@ fn eval_stored_local(
     let text = |sym: u32| dict.resolve(Sym(sym));
     let tag = text(cols.tag[e.id.0 as usize]);
     let content = cols.content_sym(e.id).map(text);
-    let attr = |name: &str| -> Option<String> {
-        let attr_tag = store.attr_tag_id(name)?;
-        cols.attr_sym(e.id, attr_tag.0).map(|s| text(s).to_string())
-    };
-    pred.eval_local(&tag, content.as_deref(), &attr)
+    pred.eval_local(&tag, content.as_deref())
 }
 
 #[cfg(test)]
@@ -539,20 +535,6 @@ mod tests {
             );
             assert_eq!(match_db(&s, &p).unwrap().len(), expected, "{op:?}");
         }
-    }
-
-    #[test]
-    fn attribute_predicate() {
-        let xml = r#"<bib><article year="1999"><title>A</title></article><article year="2002"><title>B</title></article></bib>"#;
-        let s = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
-        let p = PatternTree::with_root(Pred::tag("article").and(Pred::Attr(
-            "year".into(),
-            CmpOp::Gt,
-            "2000".into(),
-        )));
-        use crate::value::CmpOp;
-        let bindings = match_db(&s, &p).unwrap();
-        assert_eq!(bindings.len(), 1);
     }
 
     #[test]

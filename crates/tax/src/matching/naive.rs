@@ -7,7 +7,7 @@
 //! touching data pages. Node ids are pre-order ordinals, so each index
 //! list is sorted by id as well as by `start`, and membership is a binary
 //! search; subtree enumeration is a range scan. Data pages are read only
-//! for content/attribute predicates, for patterns whose root predicate
+//! for content predicates, for patterns whose root predicate
 //! pins no tag, and for join-predicate post-filtering.
 //!
 //! [`match_db_scan`] deliberately avoids the index: it navigates the
@@ -163,8 +163,7 @@ fn check_node(vt: &VTree<'_>, v: VNode, probe: &Probe<'_>) -> Result<bool> {
     } else {
         None
     };
-    let attr = |name: &str| vt.attr(v, name).ok().flatten();
-    Ok(pred.eval_local(tag, content.as_deref(), &attr))
+    Ok(pred.eval_local(tag, content.as_deref()))
 }
 
 /// How a virtual node continues downward.
@@ -362,8 +361,7 @@ fn eval_by_navigation(vt: &VTree<'_>, v: VNode, pred: &Pred) -> Result<bool> {
     } else {
         None
     };
-    let attr = |name: &str| vt.attr(v, name).ok().flatten();
-    Ok(pred.eval_local(&tag, content.as_deref(), &attr))
+    Ok(pred.eval_local(&tag, content.as_deref()))
 }
 
 #[cfg(test)]

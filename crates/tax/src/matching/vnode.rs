@@ -36,7 +36,7 @@ impl VNode {
 /// A read view over one in-memory tree plus the store behind its
 /// references. The store's label columns are pinned once, at
 /// construction, so every structural question about a stored node —
-/// tag, children, content symbol, attribute symbol — is an array read.
+/// tag, children, content symbol — is an array read.
 pub struct VTree<'a> {
     store: &'a DocumentStore,
     tree: &'a Tree,
@@ -94,8 +94,8 @@ impl<'a> VTree<'a> {
     }
 
     /// Children of a virtual node, in document order. Attribute nodes of
-    /// stored elements are not surfaced as children (they are reached via
-    /// attribute predicates), matching how pattern trees address data.
+    /// stored elements are not surfaced as children: pattern trees
+    /// address elements only.
     /// Stored-node navigation runs over the columnar label region and
     /// touches no pages.
     pub fn children(&self, v: VNode) -> Result<Vec<VNode>> {
@@ -165,24 +165,6 @@ impl<'a> VTree<'a> {
             Payload::Stored(id) => self.cols.content_sym(id).map(Sym),
             Payload::Elem { content, .. } => content,
         }
-    }
-
-    /// Attribute value of a virtual node.
-    pub fn attr(&self, v: VNode, name: &str) -> Result<Option<String>> {
-        Ok(self
-            .attr_sym(v, name)
-            .map(|s| self.store.dict().resolve(s).to_string()))
-    }
-
-    /// Attribute value of a virtual node as a content symbol, from the
-    /// columnar region — no page access. Constructed elements carry no
-    /// attributes.
-    pub fn attr_sym(&self, v: VNode, name: &str) -> Option<Sym> {
-        let Payload::Stored(id) = self.payload(v) else {
-            return None;
-        };
-        let attr_tag = self.store.attr_tag_id(name)?;
-        self.cols.attr_sym(id, attr_tag.0).map(Sym)
     }
 }
 
@@ -259,21 +241,6 @@ mod tests {
         let all = vt.all_nodes().unwrap();
         // wrapper + article-ref + title + 2 authors = 5
         assert_eq!(all.len(), 5);
-    }
-
-    #[test]
-    fn attr_lookup_through_refs() {
-        let s = store();
-        let article = s.tag_id("article").unwrap();
-        let art = s.nodes_with_tag(article)[0];
-        let t = Tree::new_ref(art, true);
-        let vt = VTree::new(&s, &t);
-        assert_eq!(vt.attr(vt.root(), "year").unwrap().as_deref(), Some("1999"));
-        assert_eq!(vt.attr(vt.root(), "month").unwrap(), None);
-        let mut t2 = Tree::new_elem(s.dict(), "synthetic");
-        let vt2 = VTree::new(&s, &t2);
-        assert_eq!(vt2.attr(vt2.root(), "year").unwrap(), None);
-        let _ = &mut t2;
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! `A⟨aggAttr = f($j), spec⟩(C)` outputs one tree per input tree,
 //! identical to the input except for a new element carrying the computed
-//! value, placed according to the update specification — e.g.
-//! `afterLastChild($i)` or `precedes($i)`/`follows($i)`. Grouping and
-//! aggregation are *separate* logical operators in TAX (unlike SQL),
-//! which is what lets grouping restructure trees without any aggregation.
+//! value, placed according to the update specification
+//! `afterLastChild($i)`. Grouping and aggregation are *separate* logical
+//! operators in TAX (unlike SQL), which is what lets grouping restructure
+//! trees without any aggregation.
 
 use crate::batch::Source;
 use crate::error::{Error, Result};
@@ -39,10 +39,6 @@ pub enum UpdateSpec {
     /// `after lastChild($i)`: as the new last child of the node bound by
     /// `$i`.
     AfterLastChild(PatternNodeId),
-    /// `precedes($i)`: as the immediately preceding sibling.
-    Precedes(PatternNodeId),
-    /// `follows($i)`: as the immediately following sibling.
-    Follows(PatternNodeId),
 }
 
 /// Apply the aggregation operator.
@@ -69,9 +65,7 @@ pub fn aggregate(
     new_tag: &str,
     spec: UpdateSpec,
 ) -> Result<Collection> {
-    let anchor_label = match spec {
-        UpdateSpec::AfterLastChild(l) | UpdateSpec::Precedes(l) | UpdateSpec::Follows(l) => l,
-    };
+    let UpdateSpec::AfterLastChild(anchor_label) = spec;
     let basis = [BasisItem::content(of), BasisItem::content(anchor_label)];
     let trees = Source::Trees(input[..].into());
     let w = witnesses(store, &trees, pattern, &basis, &[], false)?;
@@ -104,28 +98,7 @@ pub fn aggregate(
             tag: dict.intern(new_tag),
             content: Some(dict.intern(&format_value(value))),
         };
-        match spec {
-            UpdateSpec::AfterLastChild(_) => {
-                tree.add_node(anchor_id, kind);
-            }
-            UpdateSpec::Precedes(_) | UpdateSpec::Follows(_) => {
-                let parent = tree.node(anchor_id).parent.ok_or_else(|| {
-                    Error::Unsupported("cannot insert a sibling of the root".into())
-                })?;
-                let pos = tree
-                    .node(parent)
-                    .children
-                    .iter()
-                    .position(|&c| c == anchor_id)
-                    .expect("anchor is a child of its parent");
-                let pos = if matches!(spec, UpdateSpec::Follows(_)) {
-                    pos + 1
-                } else {
-                    pos
-                };
-                tree.insert_node(parent, pos, kind);
-            }
-        }
+        tree.add_node(anchor_id, kind);
     }
     Ok(input)
 }
@@ -272,40 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn precedes_and_follows_position() {
-        let s = store();
-        let (p, _root, title) = title_pattern();
-        let before = aggregate(
-            &s,
-            vec![sample_tree(&s)],
-            &p,
-            AggFunc::Count,
-            title,
-            "n",
-            UpdateSpec::Precedes(title),
-        )
-        .unwrap();
-        let e = before[0].materialize(&s).unwrap();
-        let kids: Vec<&str> = e.child_elements().map(|c| c.name.as_str()).collect();
-        // Inserted before the first matched title.
-        assert_eq!(kids, ["author", "n", "title", "title", "title"]);
-
-        let after = aggregate(
-            &s,
-            vec![sample_tree(&s)],
-            &p,
-            AggFunc::Count,
-            title,
-            "n",
-            UpdateSpec::Follows(title),
-        )
-        .unwrap();
-        let e = after[0].materialize(&s).unwrap();
-        let kids: Vec<&str> = e.child_elements().map(|c| c.name.as_str()).collect();
-        assert_eq!(kids, ["author", "title", "n", "title", "title"]);
-    }
-
-    #[test]
     fn unmatched_trees_pass_through_unchanged() {
         let s = store();
         let (p, _root, title) = title_pattern();
@@ -362,23 +301,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out[0], t);
-    }
-
-    #[test]
-    fn sibling_of_root_rejected() {
-        let s = store();
-        let p = PatternTree::with_root(Pred::tag("pubs"));
-        let t = Tree::new_elem(s.dict(), "pubs");
-        let err = aggregate(
-            &s,
-            vec![t],
-            &p,
-            AggFunc::Count,
-            0,
-            "n",
-            UpdateSpec::Precedes(0),
-        );
-        assert!(err.is_err());
     }
 
     #[test]

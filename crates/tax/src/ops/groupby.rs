@@ -1,10 +1,9 @@
 //! The grouping operator (Sec. 3) — the paper's contribution.
 //!
 //! `groupby` takes a collection, a pattern tree `P`, a *grouping basis*
-//! (pattern labels, `$i*`-adorned labels, or `$i.attr` attributes whose
-//! values partition the witness trees), and an *ordering list*
-//! (ASCENDING/DESCENDING on labels). For each group `Wᵢ` the output tree
-//! `Sᵢ` is:
+//! (pattern labels whose `$i.content` values partition the witness
+//! trees), and an *ordering list* (ASCENDING/DESCENDING on labels). For
+//! each group `Wᵢ` the output tree `Sᵢ` is:
 //!
 //! ```text
 //! TAX_group_root
@@ -35,8 +34,8 @@ use crate::error::Result;
 use crate::exec::Stages;
 use crate::matching::match_tree;
 use crate::matching::vnode::{VNode, VTree};
-use crate::ops::keyenc::GroupIndex;
-use crate::ops::witness::{key_word, witnesses, Witnesses};
+use crate::ops::keyenc::{component, GroupIndex};
+use crate::ops::witness::{witnesses, Witnesses};
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tags::{GROUPING_BASIS, GROUP_ROOT, GROUP_SUBROOT};
 use crate::tree::{Collection, Tree, TreeNodeKind};
@@ -47,46 +46,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xmlstore::{Dictionary, DocumentStore, NodeEntry, Sym, NO_SYM};
 
-/// One item of the grouping basis.
+/// One item of the grouping basis: `$i.content`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BasisItem {
-    /// The pattern node whose match supplies the value.
+    /// The pattern node whose matched content supplies the value.
     pub label: PatternNodeId,
-    /// `$i*`: include the matched node's whole subtree in the basis
-    /// child.
-    pub deep: bool,
-    /// `$i.attr`: group on this attribute of the matched node instead of
-    /// its content.
-    pub attr: Option<String>,
 }
 
 impl BasisItem {
     /// Group on `$i.content`.
     pub fn content(label: PatternNodeId) -> Self {
-        BasisItem {
-            label,
-            deep: false,
-            attr: None,
-        }
-    }
-
-    /// Group on `$i.content`, keeping the whole matched subtree in the
-    /// basis child (`$i*`).
-    pub fn subtree(label: PatternNodeId) -> Self {
-        BasisItem {
-            label,
-            deep: true,
-            attr: None,
-        }
-    }
-
-    /// Group on `$i.attr`.
-    pub fn attr(label: PatternNodeId, name: impl Into<String>) -> Self {
-        BasisItem {
-            label,
-            deep: false,
-            attr: Some(name.into()),
-        }
+        BasisItem { label }
     }
 }
 
@@ -110,8 +80,8 @@ pub struct GroupOrder {
 
 /// The grouping key: one dictionary symbol per basis item
 /// ([`crate::ops::keyenc::ABSENT`] when the value is missing, e.g. an
-/// absent attribute). Fixed-width words, so equality is a flat word
-/// compare — see [`crate::ops::keyenc`].
+/// element with no content). Fixed-width words, so equality is a flat
+/// word compare — see [`crate::ops::keyenc`].
 pub use crate::ops::keyenc::Key;
 
 /// One group under formation: the witness that created it (its key and
@@ -154,7 +124,7 @@ pub fn groupby<'a>(
             let tree = |g: &Group| {
                 let mut tree = Tree::new_elem_sym(tags[0]);
                 let b = tree.add_elem_sym(0, tags[1]);
-                add_basis_children(dict, &mut tree, b, &input, &w, g.first, basis, false);
+                add_basis_children(&mut tree, b, &input, &w, g.first, basis.len(), false);
                 let s = tree.add_elem_sym(0, tags[2]);
                 for &m in &g.members {
                     let member = &trees[w.tree_idx[m as usize] as usize];
@@ -169,7 +139,7 @@ pub fn groupby<'a>(
             let members = groups
                 .into_iter()
                 .map(|g| {
-                    keys.extend(stored_basis(dict, rows, &w, g.first, basis, false));
+                    keys.extend(stored_basis(rows, &w, g.first, basis.len(), false));
                     g.members.iter().map(|&m| w.tree_idx[m as usize]).collect()
                 })
                 .collect();
@@ -279,14 +249,11 @@ pub fn groupby_replicated(
         for binding in match_tree(store, tree, pattern, false)?.rows() {
             let key: Key = basis
                 .iter()
-                .map(|item| key_word(&vt, binding[item.label], item))
+                .map(|item| component(vt.content_sym(binding[item.label])))
                 .collect();
             let basis_tags = basis
                 .iter()
-                .map(|item| match &item.attr {
-                    Some(name) => Ok(name.clone()),
-                    None => vt.tag(binding[item.label]),
-                })
+                .map(|item| vt.tag(binding[item.label]))
                 .collect::<Result<Vec<String>>>()?;
             let sort_key = ordering
                 .iter()
@@ -333,12 +300,7 @@ pub fn groupby_replicated(
         let mut tree = Tree::new_elem(dict, crate::tags::GROUP_ROOT);
         let basis_root = tree.add_elem(dict, tree.root(), crate::tags::GROUPING_BASIS);
         let first = &replicas[member_ids[0]];
-        for ((item, value), tag) in basis
-            .iter()
-            .zip(first.key.iter())
-            .zip(first.basis_tags.iter())
-        {
-            let _ = item;
+        for (value, tag) in first.key.iter().zip(&first.basis_tags) {
             let node = tree.add_elem(dict, basis_root, tag);
             if *value != NO_SYM {
                 if let TreeNodeKind::Elem { content, .. } = &mut tree.node_mut(node).kind {
@@ -398,17 +360,10 @@ fn compare_sort_keys<S: AsRef<str>>(
     Ordering::Equal
 }
 
-fn basis_child_tag(item: &BasisItem) -> String {
-    match &item.attr {
-        Some(name) => name.clone(),
-        None => format!("basis_{}", item.label + 1),
-    }
-}
-
 /// Append the grouping-basis children of the group witness `first`
-/// created under `basis_root`, one per basis item. Shared with the
-/// rollup and cube kernels so their basis children are byte-identical to
-/// the materialized group trees'.
+/// created under `basis_root`, one for each of the first `width` basis
+/// items. Shared with the rollup and cube kernels so their basis
+/// children are byte-identical to the materialized group trees'.
 ///
 /// `deep_keys` is set by the *flat* shapes (fused rollup, cube): they
 /// pre-apply the consumer's `Project deep(key)` step, which expands each
@@ -417,20 +372,18 @@ fn basis_child_tag(item: &BasisItem) -> String {
 /// ragged hierarchy) and diverge from the materialized pipeline. The
 /// grouped shape keeps the shallow copy; its downstream projection does
 /// the deep expansion itself.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn add_basis_children(
-    dict: &Dictionary,
     tree: &mut Tree,
     basis_root: usize,
     input: &Source,
     w: &Witnesses,
     first: u32,
-    basis: &[BasisItem],
+    width: usize,
     deep_keys: bool,
 ) {
     let trees = match input {
         Source::Stored(rows) => {
-            for kind in stored_basis(dict, rows, w, first, basis, deep_keys) {
+            for kind in stored_basis(rows, w, first, width, deep_keys) {
                 tree.add_node(basis_root, kind);
             }
             return;
@@ -438,53 +391,34 @@ pub(crate) fn add_basis_children(
         Source::Trees(trees) => trees,
     };
     let src = &trees[w.tree_idx[first as usize] as usize];
-    for (item, (&cell, &value)) in basis.iter().zip(w.cells(first).iter().zip(w.key(first))) {
-        let deep = item.deep || deep_keys;
-        // $i / $i*: a match of the node (subtree when deep).
-        match (&item.attr, cell) {
-            (Some(_), _) => tree.add_node(basis_root, attr_child(dict, item, value)),
-            (None, VNode::Stored(e)) => tree.add_ref(basis_root, e, deep),
-            (None, VNode::Arena(i)) if deep => tree.append_subtree(basis_root, src, i),
-            (None, VNode::Arena(i)) => tree.add_node(basis_root, src.node(i).kind.clone()),
+    for &cell in &w.cells(first)[..width] {
+        match cell {
+            VNode::Stored(e) => tree.add_ref(basis_root, e, deep_keys),
+            VNode::Arena(i) if deep_keys => tree.append_subtree(basis_root, src, i),
+            VNode::Arena(i) => tree.add_node(basis_root, src.node(i).kind.clone()),
         };
     }
 }
 
 /// The basis children of the group witness `first` created over stored
-/// `rows`, one node each: a reference to the bound node — whole when
-/// deep, or when it is the row itself (a stored row is its subtree) — or
-/// the constructed child of a `$i.attr` item.
+/// `rows`, one for each of the first `width` basis items: a reference to
+/// the bound node — whole when `deep_keys`, or when it is the row itself
+/// (a stored row is its subtree).
 pub(crate) fn stored_basis<'w>(
-    dict: &'w Dictionary,
     rows: &'w [NodeEntry],
     w: &'w Witnesses,
     first: u32,
-    basis: &'w [BasisItem],
+    width: usize,
     deep_keys: bool,
 ) -> impl Iterator<Item = TreeNodeKind> + 'w {
     let row = rows[w.tree_idx[first as usize] as usize];
-    let cells = w.cells(first).iter().zip(w.key(first));
-    basis
-        .iter()
-        .zip(cells)
-        .map(move |(item, (cell, &value))| match (&item.attr, cell) {
-            (None, VNode::Stored(node)) => TreeNodeKind::Ref {
-                node: *node,
-                deep: item.deep || deep_keys || node.id == row.id,
-            },
-            (None, VNode::Arena(_)) => unreachable!("a stored row has no arena nodes"),
-            (Some(_), _) => attr_child(dict, item, value),
-        })
-}
-
-/// `$i.attr`: a constructed child named after the attribute. The key
-/// word is already the value's symbol — it becomes the child's content
-/// without a dictionary round-trip.
-fn attr_child(dict: &Dictionary, item: &BasisItem, value: u32) -> TreeNodeKind {
-    TreeNodeKind::Elem {
-        tag: dict.intern(&basis_child_tag(item)),
-        content: (value != NO_SYM).then_some(Sym(value)),
-    }
+    w.cells(first)[..width].iter().map(move |cell| match cell {
+        VNode::Stored(node) => TreeNodeKind::Ref {
+            node: *node,
+            deep: deep_keys || node.id == row.id,
+        },
+        VNode::Arena(_) => unreachable!("a stored row has no arena nodes"),
+    })
 }
 
 #[cfg(test)]
@@ -664,59 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn deep_basis_includes_subtree() {
-        let s = store();
-        let arts = articles(&s);
-        let mut p = PatternTree::with_root(Pred::tag("article"));
-        let author = p.add_child(p.root(), Axis::Child, Pred::tag("author"));
-        let groups = group_trees(&s, &arts, &p, &[BasisItem::subtree(author)], &[]).unwrap();
-        let g0 = groups[0].materialize(&s).unwrap();
-        // Author nodes are leaves, so deep == shallow here, but the call
-        // path exercises $i*.
-        assert!(g0
-            .child(tags::GROUPING_BASIS)
-            .unwrap()
-            .child("author")
-            .is_some());
-        assert_eq!(groups.len(), 3);
-    }
-
-    #[test]
-    fn attribute_basis() {
-        let xml = r#"<bib>
-            <article year="1999"><title>A</title></article>
-            <article year="2002"><title>B</title></article>
-            <article year="1999"><title>C</title></article>
-        </bib>"#;
-        let s = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
-        let article = s.tag_id("article").unwrap();
-        let arts: Collection = s
-            .nodes_with_tag(article)
-            .iter()
-            .map(|e| Tree::new_ref(*e, true))
-            .collect();
-        let p = PatternTree::with_root(Pred::tag("article"));
-        let groups = group_trees(&s, &arts, &p, &[BasisItem::attr(p.root(), "year")], &[]).unwrap();
-        assert_eq!(groups.len(), 2);
-        let g0 = groups[0].materialize(&s).unwrap();
-        assert_eq!(
-            g0.child(tags::GROUPING_BASIS)
-                .unwrap()
-                .child("year")
-                .unwrap()
-                .text(),
-            "1999"
-        );
-        assert_eq!(
-            g0.child(tags::GROUP_SUBROOT)
-                .unwrap()
-                .children_named("article")
-                .count(),
-            2
-        );
-    }
-
-    #[test]
     fn multi_item_basis() {
         let xml = "<bib>\
             <article><author>Jack</author><journal>TODS</journal><title>X</title></article>\
@@ -823,7 +704,9 @@ mod tests {
 
     #[test]
     fn missing_attribute_groups_under_none_key() {
-        let xml = r#"<bib><article year="1999"><title>A</title></article><article><title>B</title></article></bib>"#;
+        // A key node with no content forms its own group.
+        let xml = "<bib><article><year>1999</year><title>A</title></article>\
+            <article><year/><title>B</title></article></bib>";
         let s = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
         let article = s.tag_id("article").unwrap();
         let arts: Collection = s
@@ -831,9 +714,24 @@ mod tests {
             .iter()
             .map(|e| Tree::new_ref(*e, true))
             .collect();
-        let p = PatternTree::with_root(Pred::tag("article"));
-        let groups = group_trees(&s, &arts, &p, &[BasisItem::attr(p.root(), "year")], &[]).unwrap();
+        let mut p = PatternTree::with_root(Pred::tag("article"));
+        let year = p.add_child(p.root(), Axis::Child, Pred::tag("year"));
+        let groups = group_trees(&s, &arts, &p, &[BasisItem::content(year)], &[]).unwrap();
         assert_eq!(groups.len(), 2); // "1999" and missing
+        let g1 = groups[1].materialize(&s).unwrap();
+        let key = g1
+            .child(tags::GROUPING_BASIS)
+            .unwrap()
+            .child("year")
+            .unwrap();
+        assert_eq!(key.text(), "");
+        assert_eq!(
+            g1.child(tags::GROUP_SUBROOT)
+                .unwrap()
+                .children_named("article")
+                .count(),
+            1
+        );
     }
 
     #[test]

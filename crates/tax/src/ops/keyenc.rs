@@ -3,9 +3,9 @@
 //!
 //! A [`Key`] is a fixed-width sequence of dictionary symbols: one `u32`
 //! word per basis item, [`ABSENT`] when the value is missing (e.g. an
-//! absent attribute). Fixed width makes the encoding self-delimiting, so
-//! key equality is a flat word compare — no per-value length prefixes or
-//! presence tags.
+//! element with no content). Fixed width makes the encoding
+//! self-delimiting, so key equality is a flat word compare — no
+//! per-value length prefixes or presence tags.
 //!
 //! A key finds its group through a `GroupIndex`.
 

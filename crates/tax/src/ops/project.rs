@@ -374,7 +374,6 @@ fn fig5d(
     let pc = |id: usize| pattern.node(id).axis == Axis::Child;
     let kids = |id: usize| &pattern.node(id).children[..];
     let fits = anchor_root
-        && item.attr.is_none()
         && pattern.len() > 5
         && pattern.join_pairs().is_empty()
         && (kids(0), kids(1), kids(2), kids(3)) == (&[1, 3][..], &[2][..], &[][..], &[4][..])
@@ -892,11 +891,10 @@ mod tests {
         };
         assert!(fits(&p, &pl, true, &basis));
         assert!(fits(&fig5d_pattern(Axis::Descendant).0, &pl, true, &basis));
-        // Not anchored; an attribute or a second basis item; a key that
-        // is not the basis tag; a shallow key, a deep root, the member
+        // Not anchored; a second basis item; a key that is not the basis
+        // tag; a shallow key, a deep root, the member
         // itself or one more node kept.
         assert!(!fits(&p, &pl, false, &basis));
-        assert!(!fits(&p, &pl, true, &[BasisItem::attr(author, "id")]));
         assert!(!fits(&p, &pl, true, &[basis[0].clone(), basis[0].clone()]));
         assert!(!fits(&p, &pl, true, &[BasisItem::content(gb.root())]));
         for (i, item) in [

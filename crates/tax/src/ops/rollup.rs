@@ -192,7 +192,6 @@ pub(crate) fn fold_levels(
     let out = build(
         store.dict(),
         input,
-        basis,
         &w,
         func,
         new_tag,
@@ -303,7 +302,6 @@ fn fold_groups(
 fn build(
     dict: &Dictionary,
     input: &Source,
-    basis: &[BasisItem],
     w: &Witnesses,
     func: AggFunc,
     new_tag: &str,
@@ -346,7 +344,7 @@ fn build(
                 ),
             });
             if let Some((rows, stored)) = &mut rows {
-                let keys = stored_basis(dict, stored, w, acc.first, &basis[..level], true);
+                let keys = stored_basis(stored, w, acc.first, level, true);
                 rows.push(keys.chain(value));
                 continue;
             }
@@ -360,13 +358,12 @@ fn build(
             // projection, so structured key nodes must materialize their
             // whole subtree.
             add_basis_children(
-                dict,
                 &mut tree,
                 basis_root,
                 input,
                 w,
                 acc.first,
-                &basis[..level],
+                level,
                 shape == RollupShape::Flat,
             );
             if let Some(value) = value {

@@ -11,10 +11,10 @@
 //! per-witness allocation. Both sources fill the same columns:
 //!
 //! * **stored rows** — one [`for_each_match`] over all rows, each
-//!   embedding's words read off the label columns' `content` / attribute
-//!   symbols as it arrives. Embeddings come scope-major, which *is* the
-//!   collection-major order the sinks' member dedup relies on, so there
-//!   is nothing to sort and nothing to route back to its tree;
+//!   embedding's words read off the label columns' `content` symbols as
+//!   it arrives. Embeddings come scope-major, which *is* the collection-
+//!   major order the sinks' member dedup relies on, so there is nothing
+//!   to sort and nothing to route back to its tree;
 //! * **trees** — one [`match_tree`] per tree, then the same words read
 //!   through a [`VTree`].
 //!
@@ -31,7 +31,7 @@ use crate::ops::groupby::{validate, BasisItem, GroupOrder};
 use crate::ops::keyenc::component;
 use crate::pattern::PatternTree;
 use std::ops::Range;
-use xmlstore::{DocumentStore, NO_SYM};
+use xmlstore::DocumentStore;
 
 /// The witness stream of one keyed operator, collection-major: all of
 /// row 0's witnesses, then row 1's, ….
@@ -43,8 +43,8 @@ pub(crate) struct Witnesses {
     keys: Vec<u32>,
     /// The nodes bound to the basis labels, row-major like `keys`.
     cells: Vec<VNode>,
-    /// Content symbols of the ordering labels ([`NO_SYM`] when absent),
-    /// row-major, `ordering.len()` words a witness.
+    /// Content symbols of the ordering labels ([`NO_SYM`](xmlstore::NO_SYM)
+    /// when absent), row-major, `ordering.len()` words a witness.
     sort_syms: Vec<u32>,
     basis: usize,
     ordering: usize,
@@ -85,16 +85,6 @@ impl Witnesses {
     }
 }
 
-/// The key word of one basis item on a node of an in-memory tree: the
-/// same symbol [`witnesses`] reads off the label columns for a stored
-/// row, so every keyed kernel keys a witness identically.
-pub(crate) fn key_word(vt: &VTree, v: VNode, item: &BasisItem) -> u32 {
-    component(match &item.attr {
-        Some(name) => vt.attr_sym(v, name),
-        None => vt.content_sym(v),
-    })
-}
-
 /// Extract the witnesses of `input` under `pattern`: key words for
 /// `basis`, basis cells, and ordering symbols for `ordering`. With
 /// `anchor_root` the pattern root binds only the rows themselves.
@@ -115,11 +105,6 @@ pub(crate) fn witnesses(
     match input {
         Source::Stored(rows) => {
             let cols = store.columns();
-            // `Some(None)`: the attribute occurs nowhere in the store.
-            let attr_tags: Vec<_> = basis
-                .iter()
-                .map(|item| item.attr.as_deref().map(|name| store.attr_tag_id(name)))
-                .collect();
             // A row usually holds a witness or more.
             out.tree_idx.reserve(rows.len());
             out.keys.reserve(rows.len() * basis.len());
@@ -127,12 +112,9 @@ pub(crate) fn witnesses(
             out.sort_syms.reserve(rows.len() * ordering.len());
             for_each_match(store, pattern, rows, anchor_root, |row, m| {
                 out.tree_idx.push(row);
-                for (item, attr_tag) in basis.iter().zip(&attr_tags) {
+                for item in basis {
                     let e = m[item.label];
-                    out.keys.push(match attr_tag {
-                        None => cols.content[e.id.0 as usize],
-                        Some(tag) => tag.and_then(|t| cols.attr_sym(e.id, t.0)).unwrap_or(NO_SYM),
-                    });
+                    out.keys.push(cols.content[e.id.0 as usize]);
                     out.cells.push(VNode::Stored(e));
                 }
                 for o in ordering {
@@ -146,8 +128,11 @@ pub(crate) fn witnesses(
                 let vt = VTree::new(store, tree);
                 out.tree_idx.resize(out.len() + table.len(), row as u32);
                 for b in table.rows() {
+                    // The same symbols the label columns hold for a
+                    // stored row, so every keyed kernel keys a witness
+                    // identically.
                     for item in basis {
-                        out.keys.push(key_word(&vt, b[item.label], item));
+                        out.keys.push(component(vt.content_sym(b[item.label])));
                         out.cells.push(b[item.label]);
                     }
                     for o in ordering {

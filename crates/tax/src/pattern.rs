@@ -43,17 +43,11 @@ pub enum Pred {
     /// `$i.content` contains the substring (the paper's
     /// `"*Transaction*"`).
     ContentContains(String),
-    /// `$i.@name op value`: a predicate on an attribute of the node.
-    Attr(String, CmpOp, String),
     /// Join predicate `$i.content = $j.content` (Fig. 4b); evaluated as a
     /// post-filter over complete bindings.
     ContentEqNode(PatternNodeId),
     /// Conjunction.
     And(Box<Pred>, Box<Pred>),
-    /// Disjunction.
-    Or(Box<Pred>, Box<Pred>),
-    /// Negation.
-    Not(Box<Pred>),
 }
 
 impl Pred {
@@ -80,16 +74,6 @@ impl Pred {
     /// Conjunction, builder style.
     pub fn and(self, other: Pred) -> Pred {
         Pred::And(Box::new(self), Box::new(other))
-    }
-
-    /// Disjunction, builder style.
-    pub fn or(self, other: Pred) -> Pred {
-        Pred::Or(Box::new(self), Box::new(other))
-    }
-
-    /// Negation, builder style.
-    pub fn negate(self) -> Pred {
-        Pred::Not(Box::new(self))
     }
 
     /// The tag this predicate requires, if it pins one down (i.e. a
@@ -120,21 +104,15 @@ impl Pred {
     pub fn has_join(&self) -> bool {
         match self {
             Pred::ContentEqNode(_) => true,
-            Pred::And(a, b) | Pred::Or(a, b) => a.has_join() || b.has_join(),
-            Pred::Not(a) => a.has_join(),
+            Pred::And(a, b) => a.has_join() || b.has_join(),
             _ => false,
         }
     }
 
-    /// Evaluate the *local* (non-join) part against a node's tag, content
-    /// and attribute lookup. Join conjuncts evaluate to `true` here and
-    /// are checked later over complete bindings.
-    pub fn eval_local(
-        &self,
-        tag: &str,
-        content: Option<&str>,
-        attr: &dyn Fn(&str) -> Option<String>,
-    ) -> bool {
+    /// Evaluate the *local* (non-join) part against a node's tag and
+    /// content. Join conjuncts evaluate to `true` here and are checked
+    /// later over complete bindings.
+    pub fn eval_local(&self, tag: &str, content: Option<&str>) -> bool {
         match self {
             Pred::True => true,
             Pred::Tag(t) => t == tag,
@@ -145,25 +123,18 @@ impl Pred {
             Pred::ContentContains(sub) => {
                 content.map(|c| c.contains(sub.as_str())).unwrap_or(false)
             }
-            Pred::Attr(name, op, v) => match attr(name) {
-                Some(a) => op.matches(compare_values(&a, v)),
-                None => false,
-            },
             Pred::ContentEqNode(_) => true,
-            Pred::And(a, b) => a.eval_local(tag, content, attr) && b.eval_local(tag, content, attr),
-            Pred::Or(a, b) => a.eval_local(tag, content, attr) || b.eval_local(tag, content, attr),
-            Pred::Not(a) => !a.eval_local(tag, content, attr),
+            Pred::And(a, b) => a.eval_local(tag, content) && b.eval_local(tag, content),
         }
     }
 
-    /// Whether evaluating the local part needs the node's content or
-    /// attributes (i.e. a data-value look-up).
+    /// Whether evaluating the local part needs the node's content (i.e.
+    /// a data-value look-up).
     pub fn needs_data(&self) -> bool {
         match self {
             Pred::True | Pred::Tag(_) | Pred::ContentEqNode(_) => false,
-            Pred::Content(..) | Pred::ContentContains(_) | Pred::Attr(..) => true,
-            Pred::And(a, b) | Pred::Or(a, b) => a.needs_data() || b.needs_data(),
-            Pred::Not(a) => a.needs_data(),
+            Pred::Content(..) | Pred::ContentContains(_) => true,
+            Pred::And(a, b) => a.needs_data() || b.needs_data(),
         }
     }
 
@@ -482,36 +453,21 @@ mod tests {
 
     #[test]
     fn eval_local_predicates() {
-        let no_attr = |_: &str| None;
-        assert!(Pred::tag("a").eval_local("a", None, &no_attr));
-        assert!(!Pred::tag("a").eval_local("b", None, &no_attr));
-        assert!(Pred::content_eq("x").eval_local("a", Some("x"), &no_attr));
-        assert!(!Pred::content_eq("x").eval_local("a", None, &no_attr));
-        assert!(Pred::content_contains("rans").eval_local("t", Some("Transaction Mng"), &no_attr));
-        assert!(Pred::content_cmp(CmpOp::Lt, "2000").eval_local("y", Some("1999"), &no_attr));
-        let attrs = |name: &str| {
-            if name == "year" {
-                Some("1999".to_owned())
-            } else {
-                None
-            }
-        };
-        assert!(Pred::Attr("year".into(), CmpOp::Eq, "1999".into()).eval_local("a", None, &attrs));
-        assert!(!Pred::Attr("month".into(), CmpOp::Eq, "1".into()).eval_local("a", None, &attrs));
+        assert!(Pred::tag("a").eval_local("a", None));
+        assert!(!Pred::tag("a").eval_local("b", None));
+        assert!(Pred::content_eq("x").eval_local("a", Some("x")));
+        assert!(!Pred::content_eq("x").eval_local("a", None));
+        assert!(Pred::content_contains("rans").eval_local("t", Some("Transaction Mng")));
+        assert!(Pred::content_cmp(CmpOp::Lt, "2000").eval_local("y", Some("1999")));
         assert!(Pred::tag("a")
             .and(Pred::content_eq("x"))
-            .eval_local("a", Some("x"), &no_attr));
-        assert!(Pred::tag("a")
-            .or(Pred::tag("b"))
-            .eval_local("b", None, &no_attr));
-        assert!(Pred::tag("a").negate().eval_local("b", None, &no_attr));
+            .eval_local("a", Some("x")));
     }
 
     #[test]
     fn join_predicates_are_locally_true() {
-        let no_attr = |_: &str| None;
         let p = Pred::tag("author").and(Pred::ContentEqNode(2));
-        assert!(p.eval_local("author", None, &no_attr));
+        assert!(p.eval_local("author", None));
         assert!(p.has_join());
         assert_eq!(p.join_targets(), vec![2]);
         assert!(!Pred::tag("a").has_join());

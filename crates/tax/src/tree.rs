@@ -300,24 +300,6 @@ impl Tree {
         self.add_node(parent, TreeNodeKind::Ref { node, deep })
     }
 
-    /// Insert a new node under `parent` at child position `pos`.
-    pub fn insert_node(
-        &mut self,
-        parent: TreeNodeId,
-        pos: usize,
-        kind: TreeNodeKind,
-    ) -> TreeNodeId {
-        let id = self.nodes.len();
-        self.nodes.push(TreeNode {
-            kind,
-            parent: Some(parent),
-            children: Vec::new(),
-        });
-        let pos = pos.min(self.nodes[parent].children.len());
-        self.nodes[parent].children.insert(pos, id);
-        id
-    }
-
     /// Deep-copy the subtree of `other` rooted at `src` as the last child
     /// of `parent` in `self`. Returns the copied root's index.
     pub fn append_subtree(
@@ -592,24 +574,6 @@ mod tests {
             })
             .collect();
         assert_eq!(order, ["r", "a", "a1", "b"]);
-    }
-
-    #[test]
-    fn insert_node_at_position() {
-        let s = store();
-        let d = s.dict();
-        let mut t = Tree::new_elem(d, "r");
-        let a = t.add_elem(d, t.root(), "a");
-        let c = t.add_elem(d, t.root(), "c");
-        let b = t.insert_node(
-            t.root(),
-            1,
-            TreeNodeKind::Elem {
-                tag: d.intern("b"),
-                content: None,
-            },
-        );
-        assert_eq!(t.node(t.root()).children, vec![a, b, c]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! conclusion. Each projection hands its region out behind an `Arc`, so
 //! scan batches borrow it without copying and keep a consistent
 //! snapshot even while the store mutates underneath. A commit builds
-//! the next region with [`NodeColumns::splice_into`]: the removed
+//! the next region with `NodeColumns::splice_into`: the removed
 //! document's rows cut out, the added document's rows appended. When
 //! nobody holds the region published before the current one, that
 //! region is rebuilt in place, keeping the rows below the point where
@@ -187,18 +187,6 @@ impl NodeColumns {
             .count();
         lo..lo + run as u32
     }
-
-    /// The value of attribute tag `attr_tag` on element `id`, as a
-    /// content symbol — no page access.
-    pub fn attr_sym(&self, id: NodeId, attr_tag: u32) -> Option<u32> {
-        let attrs = self.attr_ids(id);
-        for j in attrs {
-            if self.tag[j as usize] == attr_tag {
-                return self.content_sym(NodeId(j));
-            }
-        }
-        None
-    }
 }
 
 /// Rebuild `out` as `src` without its rows `cut` and with room for
@@ -355,8 +343,6 @@ mod tests {
     fn attrs_and_content() {
         let c = cols();
         assert_eq!(c.attr_ids(NodeId(1)), 2..3);
-        assert_eq!(c.attr_sym(NodeId(1), 2), Some(7));
-        assert_eq!(c.attr_sym(NodeId(1), 9), None);
         assert_eq!(c.content_sym(NodeId(3)), Some(8));
         assert_eq!(c.content_sym(NodeId(1)), None);
         assert_eq!(c.entry(NodeId(4)).end, 9);

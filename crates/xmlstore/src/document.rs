@@ -53,7 +53,7 @@ pub use projection::{Entries, EntriesIter};
 pub use reopen::RecoveryInfo;
 
 use crate::buffer::{BufferPool, BufferStats};
-use crate::catalog::{attr_tag_name, TagId};
+use crate::catalog::TagId;
 use crate::columns::NodeColumns;
 use crate::dict::{Dictionary, Sym, NO_SYM};
 use crate::error::Result;
@@ -421,11 +421,6 @@ impl DocumentStore {
     /// Id of an element tag name, if present in the store.
     pub fn tag_id(&self, name: &str) -> Option<TagId> {
         self.shared.tags.get(name)
-    }
-
-    /// Id of an attribute `name` (stored as `@name`), if present.
-    pub fn attr_tag_id(&self, name: &str) -> Option<TagId> {
-        self.shared.tags.get(&attr_tag_name(name))
     }
 
     /// Name of a tag id (a clone of the interned string).

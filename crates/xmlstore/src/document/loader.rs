@@ -159,13 +159,13 @@ impl Loader<'_> {
 mod tests {
     use super::super::test_support::store;
     use super::super::{DocumentStore, StoreOptions};
-    use crate::catalog::TEXT_TAG;
+    use crate::catalog::{attr_tag_name, TEXT_TAG};
     use crate::node::NodeKind;
 
     #[test]
     fn attribute_stored_as_node() {
         let s = store();
-        let year = s.attr_tag_id("year").unwrap();
+        let year = s.tag_id(&attr_tag_name("year")).unwrap();
         let entries = s.nodes_with_tag(year);
         assert_eq!(entries.len(), 1);
         assert_eq!(s.content(entries[0].id).unwrap().as_deref(), Some("1999"));

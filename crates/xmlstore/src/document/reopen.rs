@@ -137,6 +137,7 @@ mod tests {
     use super::super::test_support::{durable_opts, temp_paths, SAMPLE};
     use super::super::DOC_ROOT_TAG;
     use super::*;
+    use crate::catalog::attr_tag_name;
     use crate::page::{PAGE_HEADER_SIZE, PAGE_SIZE};
     use crate::storage::DiskManager;
     use crate::wal::WalRecord;
@@ -341,7 +342,7 @@ mod tests {
         // the harness itself is sound.
         let (intact, _) = reopen_with_symbol("sym_intact", 2, |_, own| own);
         let s = intact.unwrap();
-        let year = s.nodes_with_tag(s.attr_tag_id("year").unwrap())[0];
+        let year = s.nodes_with_tag(s.tag_id(&attr_tag_name("year")).unwrap())[0];
         assert_eq!(s.content(year.id).unwrap().as_deref(), Some("1999"));
         let cases: [(&str, usize, SymEdit); 3] = [
             ("sym_past_the_table", 2, |syms, _| syms),

@@ -31,8 +31,6 @@ const GROUPBY_REWRITE: &str = "groupby-rewrite";
 pub struct RuleFiring {
     /// The rule that fired.
     pub rule: &'static str,
-    /// The pass (1-based) it fired in.
-    pub pass: usize,
 }
 
 /// The recorded trace of an [`optimize`] run.
@@ -40,8 +38,6 @@ pub struct RuleFiring {
 pub struct OptTrace {
     /// Every rule firing, in order.
     pub firings: Vec<RuleFiring>,
-    /// Number of passes executed.
-    pub passes: usize,
 }
 
 impl OptTrace {
@@ -57,7 +53,7 @@ impl OptTrace {
         }
         let mut out = String::new();
         for f in &self.firings {
-            let _ = writeln!(out, "pass {}: {}", f.pass, f.rule);
+            let _ = writeln!(out, "{}", f.rule);
         }
         out
     }
@@ -67,16 +63,15 @@ impl OptTrace {
 /// does not recognize is returned unchanged, with no firing.
 pub fn optimize(plan: Plan) -> (Plan, OptTrace) {
     let (plan, firings) = match detect(&plan) {
-        Some(rewritten) => {
-            let firing = RuleFiring {
+        Some(rewritten) => (
+            rewritten,
+            vec![RuleFiring {
                 rule: GROUPBY_REWRITE,
-                pass: 1,
-            };
-            (rewritten, vec![firing])
-        }
+            }],
+        ),
         None => (plan, Vec::new()),
     };
-    (plan, OptTrace { firings, passes: 1 })
+    (plan, OptTrace { firings })
 }
 
 // === The grouping rewrite of Sec. 4.1 (Phases 1 and 2) ===
@@ -299,8 +294,7 @@ mod tests {
     #[test]
     fn query1_traces_exactly_groupby_rewrite() {
         let (plan, trace) = optimize(naive(QUERY1));
-        assert_eq!(trace.render(), "pass 1: groupby-rewrite\n");
-        assert_eq!(trace.passes, 1);
+        assert_eq!(trace.render(), "groupby-rewrite\n");
         // The rewrite's scan is the `Project ∘ SelectDb` of the articles.
         let text = plan.explain();
         let leaf: Vec<&str> = text.lines().rev().take(2).map(str::trim_start).collect();
@@ -418,7 +412,6 @@ mod tests {
         let (after, trace) = optimize(plan);
         assert_eq!(after.explain(), before);
         assert!(trace.firings.is_empty());
-        assert_eq!(trace.passes, 1);
     }
 
     // === Grouping-rewrite (Sec. 4.1) detection and plan shape ===

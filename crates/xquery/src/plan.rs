@@ -344,12 +344,9 @@ impl Plan {
     }
 }
 
-/// A grouping basis as its plan text: `$2.content`, `$2*.content`, `$2.id`.
+/// A grouping basis as its plan text: `$2.content`.
 fn basis_summary(basis: &[BasisItem]) -> Vec<String> {
-    let item = |b: &BasisItem| match &b.attr {
-        Some(a) => format!("${}.{a}", b.label + 1),
-        None => format!("${}{}.content", b.label + 1, if b.deep { "*" } else { "" }),
-    };
+    let item = |b: &BasisItem| format!("${}.content", b.label + 1);
     basis.iter().map(item).collect()
 }
 

@@ -49,7 +49,7 @@ Rename to <authorpubs>
         SelectDb pattern=[$1:article] SL=[\"$1\"]
 
 == rewrite trace ==
-pass 1: groupby-rewrite
+groupby-rewrite
 ";
     assert_eq!(fig6_db().explain(QUERY1).unwrap(), expected);
 }
@@ -74,7 +74,7 @@ Rename to <authorpubs>
       SelectDb pattern=[$1:article] SL=[\"$1\"]
 
 == rewrite trace ==
-pass 1: groupby-rewrite
+groupby-rewrite
 ";
     assert_eq!(fig6_db().explain(QUERY_COUNT).unwrap(), expected);
 }
@@ -110,7 +110,7 @@ fn explain_analyze_structural_snapshot() {
         .unwrap();
     let text = a.render();
     assert!(text.starts_with("== plan (GroupByRewrite mode, groupby rewrite fired) ==\n"));
-    assert!(text.contains("== rewrite trace ==\npass 1: groupby-rewrite\n"));
+    assert!(text.contains("== rewrite trace ==\ngroupby-rewrite\n"));
     assert!(text.contains("== execution (physical) ==\n"));
     let metric_lines: Vec<&str> = text.lines().filter(|l| l.contains(" | in=")).collect();
     assert_eq!(metric_lines.len(), 5, "{text}");

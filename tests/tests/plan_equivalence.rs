@@ -44,6 +44,39 @@ fn both_plans_equal_the_model_on_random_bibliographies() {
     );
 }
 
+/// Attributes ride along: the engine groups on content alone, and both
+/// plans write a node's attributes out as the model does. Articles carry
+/// `key` and `mdate`, some authors an `id` (Jack once with one, once
+/// without), and titles a `lang` and an escaped `&`.
+#[test]
+fn attributes_flow_through_both_plans_as_in_the_model() {
+    let xml = r#"<bib>
+        <article key="journals/tods/A1" mdate="2002-01-03">
+            <author id="a1">Jack</author><author>Jill</author>
+            <title lang="en">Querying XML &amp; SQL</title>
+        </article>
+        <article key="journals/tods/A2" mdate="2001-11-30">
+            <author>Jack</author><author id="a3">John</author>
+            <title lang="de">XML and the Web</title>
+        </article>
+        <article key="conf/webdb/A3" mdate="2002-02-14">
+            <author id="a2">Jill</author>
+            <title lang="en">Hack HTML &amp; CSS</title>
+        </article>
+    </bib>"#;
+    let db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
+    for query in [QUERY1, QUERY2, QUERY_COUNT] {
+        assert_matches_model(&db, xml, query, "attributes");
+    }
+    // The case is only worth its name if the output holds them.
+    let out = expected(xml, QUERY1);
+    assert!(out.contains(r#"<author id="a1">Jack</author>"#), "{out}");
+    assert!(
+        out.contains(r#"<title lang="en">Querying XML &amp; SQL</title>"#),
+        "{out}"
+    );
+}
+
 /// The paper's count plan as written (Sec. 4.1, count variant Sec. 4.3),
 /// built by hand for [`QUERY_COUNT`]: the scan of the articles, `GROUPBY`
 /// on the author (Fig. 5b/5c), the title count appended to each group
