@@ -538,9 +538,9 @@ fn run_matching(articles: usize) {
 }
 
 fn run_groupby_impl() {
+    use tax::batch::Matches;
     use tax::ops::groupby::{groupby, groupby_replicated, BasisItem};
     use tax::ops::project::ProjectItem;
-    use tax::ops::{project, select_db};
     use tax::pattern::{Axis, PatternTree, Pred};
 
     let articles = 5_000;
@@ -549,8 +549,8 @@ fn run_groupby_impl() {
     let store = db.store();
     let mut sp = PatternTree::with_root(Pred::tag("doc_root"));
     let art = sp.add_child(sp.root(), Axis::Descendant, Pred::tag("article"));
-    let sel = select_db(store, &sp, &[art]).unwrap();
-    let input = project(store, &sel, &sp, &[ProjectItem::deep(art)], true).unwrap();
+    let sel = Matches::select(store, &sp, &[art]).unwrap();
+    let input = sel.project(&[ProjectItem::deep(art)]).unwrap();
 
     let mut gp = PatternTree::with_root(Pred::tag("article"));
     let author = gp.add_child(gp.root(), Axis::Child, Pred::tag("author"));

@@ -1,28 +1,30 @@
 //! What flows between operators: an operator's whole output, one batch
 //! of rows that is a list of stored nodes, of a selection's match rows,
-//! of groups, of one-level trees, or of trees.
+//! of groups, or of one-level rows. No operator takes a tree.
 //!
-//! Most collections a plan moves are not trees anyone built (Sec. 5.3,
+//! The collections a plan moves are not trees anyone built (Sec. 5.3,
 //! "witness trees held as node identifiers"): the article collection a
 //! scan hands to `GROUPBY` is stored nodes, each standing for its whole
 //! subtree; a selection's witness trees are rows of the binding table it
 //! matched; groups, and the left outer join's pairs (Fig. 8), are key
-//! cells and member row ordinals. [`Batch::Stored`], [`Batch::Matches`]
-//! and [`Batch::Groups`] say so by type, and operators that read only
-//! keys or paths out of them work on the labels, and the output
-//! operators emit [`Batch::Rows`]. [`Batch::into_trees`] is the one
-//! place a row becomes a [`Tree`]. [`Source`] is the borrowed view the
-//! sinks read, so the public `&Collection` entry points —
-//! classified once, on entry — and the executor's batches reach the same
-//! code. DESIGN.md, *Binding tables*.
+//! cells, member row ordinals and appended aggregate cells.
+//! [`Batch::Stored`], [`Batch::Matches`] and [`Batch::Groups`] say so by
+//! type, operators that read only keys or paths out of them work on the
+//! labels, and the output operators emit [`Batch::Rows`]. A tree is what
+//! a batch renders into, for output and for the figures:
+//! [`Batch::into_trees`] is the one place a row becomes a [`Tree`].
+//! [`Source`] is the stored rows a grouping sink reads, taken from a
+//! batch or from a public `&Collection` of deep references; any other
+//! input is refused. DESIGN.md, *Binding tables*.
 
 use crate::error::{Error, Result};
 use crate::matching::{match_db, Bindings};
-use crate::ops::project::{project_one, ProjectItem};
+use crate::ops::project::ProjectItem;
 use crate::ops::select::{chain_bound, keeps_witness, witness_tree};
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tree::{populate, Collection, Results, Tree, TreeNodeKind, CHUNK};
 use std::borrow::Cow;
+use std::ops::Deref;
 use std::sync::Arc;
 use xmlparse::XmlWriter;
 use xmlstore::{DocumentStore, NodeEntry, Sym, Tape};
@@ -36,11 +38,9 @@ pub enum Batch {
     /// Each row is one row of a selection's binding table — the witness
     /// tree it induces, without the tree.
     Matches(Matches),
-    /// Each row is an in-memory tree.
-    Trees(Vec<Tree>),
     /// Each row is one group over stored rows, held as columns — what
-    /// `groupby` emits for a `Stored` input, and the left outer join for
-    /// its pairs, instead of trees.
+    /// `groupby` and the left outer join emit, and `aggregate` appends
+    /// to.
     Groups(Groups),
     /// Each row is a one-level tree held as cells — what the output
     /// operators emit instead of trees.
@@ -91,8 +91,8 @@ impl Matches {
     /// bound node (`chain_bound`), gives its column as stored rows:
     /// every other node the list could select lies inside it. A list that
     /// keeps each witness tree whole (`keeps_witness`) gives the rows
-    /// themselves, any other list the projected trees.
-    pub fn project(self, store: &DocumentStore, pl: &[ProjectItem]) -> Result<Batch> {
+    /// themselves. Any other list is refused.
+    pub fn project(self, pl: &[ProjectItem]) -> Result<Batch> {
         let (pattern, sl, _) = &*self.scan;
         if let [ProjectItem { label, deep: true }] = *pl {
             if label == pattern.root() || chain_bound(pattern, sl) == Some(label) {
@@ -102,15 +102,14 @@ impl Matches {
         if keeps_witness(pattern, sl, pl) {
             return Ok(Batch::Matches(self));
         }
-        let mut out = Vec::new();
-        for tree in self.trees() {
-            project_one(store, &tree, pattern, pl, true, &mut out)?;
-        }
-        Ok(Batch::Trees(out))
+        Err(Error::Unsupported(
+            "a fused projection keeps the root, the bound node or the witness".into(),
+        ))
     }
 }
 
-/// Groups over stored rows: each group's basis children and members.
+/// Groups over stored rows: each group's basis children, members and
+/// appended cells.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Groups {
     /// The rows the members index: the sink's whole input.
@@ -122,6 +121,9 @@ pub struct Groups {
     pub(crate) width: usize,
     /// Each group's members as ordinals into `rows`, in member order.
     pub(crate) members: Vec<Vec<u32>>,
+    /// The cells `aggregate` appended to each group, in the order it
+    /// ran (`afterLastChild($1)`); empty until it runs.
+    pub(crate) appended: Vec<Vec<TreeNodeKind>>,
 }
 
 impl Groups {
@@ -130,8 +132,21 @@ impl Groups {
         &self.keys[g * self.width..][..self.width]
     }
 
+    /// The cells appended to group `g`.
+    pub(crate) fn appended(&self, g: usize) -> &[TreeNodeKind] {
+        self.appended.get(g).map_or(&[], Vec::as_slice)
+    }
+
+    /// The stored rows that are group `g`'s members, in member order.
+    pub fn member_rows(&self, g: usize) -> Vec<NodeEntry> {
+        self.members[g]
+            .iter()
+            .map(|&m| self.rows[m as usize])
+            .collect()
+    }
+
     /// The group trees: `TAX_group_root { TAX_grouping_basis { keys },
-    /// TAX_group_subroot { one deep reference per member } }`.
+    /// TAX_group_subroot { one deep reference per member }, appended }`.
     pub(crate) fn trees(&self) -> Vec<Tree> {
         let [root, basis, subroot] = self.tags;
         (0..self.members.len())
@@ -144,6 +159,9 @@ impl Groups {
                 let s = tree.add_elem_sym(tree.root(), subroot);
                 for &m in &self.members[g] {
                     tree.add_ref(s, self.rows[m as usize], true);
+                }
+                for cell in self.appended(g) {
+                    tree.add_node(tree.root(), cell.clone());
                 }
                 tree
             })
@@ -227,9 +245,10 @@ impl Results for Rows {
     }
 }
 
+/// No rows.
 impl Default for Batch {
     fn default() -> Self {
-        Batch::Trees(Vec::new())
+        Batch::Stored(Vec::new())
     }
 }
 
@@ -239,7 +258,6 @@ impl Batch {
         match self {
             Batch::Stored(rows) => rows.len(),
             Batch::Matches(matches) => matches.rows.len(),
-            Batch::Trees(trees) => trees.len(),
             Batch::Groups(groups) => groups.members.len(),
             Batch::Rows(rows) => rows.len(),
         }
@@ -257,7 +275,6 @@ impl Batch {
         match self {
             Batch::Stored(rows) => rows.into_iter().map(|e| Tree::new_ref(e, true)).collect(),
             Batch::Matches(matches) => matches.trees(),
-            Batch::Trees(trees) => trees,
             Batch::Groups(groups) => groups.trees(),
             Batch::Rows(rows) => rows.into_trees(),
         }
@@ -277,44 +294,46 @@ impl Batch {
     }
 }
 
-/// A borrowed operator input: stored rows or trees.
+/// A grouping sink's input: stored rows, each standing for its whole
+/// subtree.
 #[derive(Debug, Clone)]
-pub enum Source<'a> {
-    /// Stored nodes, each standing for its whole subtree.
-    Stored(Cow<'a, [NodeEntry]>),
-    /// In-memory trees.
-    Trees(Cow<'a, [Tree]>),
+pub struct Source<'a>(Cow<'a, [NodeEntry]>);
+
+impl Deref for Source<'_> {
+    type Target = [NodeEntry];
+    fn deref(&self) -> &[NodeEntry] {
+        &self.0
+    }
 }
 
-/// A sink's drained input: matches, groups and one-level rows are read
-/// as their trees.
-impl<'a> From<&'a Batch> for Source<'a> {
-    fn from(batch: &'a Batch) -> Self {
+/// A batch is a sink's input when it holds stored rows, or none.
+impl<'a> TryFrom<&'a Batch> for Source<'a> {
+    type Error = Error;
+    fn try_from(batch: &'a Batch) -> Result<Self> {
         match batch {
-            Batch::Stored(rows) => Source::Stored(Cow::Borrowed(rows)),
-            Batch::Matches(matches) => Source::Trees(Cow::Owned(matches.trees())),
-            Batch::Trees(trees) => Source::Trees(Cow::Borrowed(trees)),
-            Batch::Groups(groups) => Source::Trees(Cow::Owned(groups.trees())),
-            Batch::Rows(rows) => Source::Trees(Cow::Owned(rows.clone().into_trees())),
+            Batch::Stored(rows) => Ok(Source(Cow::Borrowed(rows))),
+            rows if rows.is_empty() => Ok(Source(Cow::Borrowed(&[]))),
+            _ => Err(Error::Unsupported(
+                "a grouping sink reads stored rows".into(),
+            )),
         }
     }
 }
 
-/// A collection is classified once: when every tree is one deep stored
-/// reference, the rows are the referenced nodes.
-impl<'a> From<&'a Collection> for Source<'a> {
-    fn from(trees: &'a Collection) -> Self {
-        let rows: Option<Vec<NodeEntry>> = trees
-            .iter()
-            .map(|t| match (t.len(), &t.node(t.root()).kind) {
-                (1, &TreeNodeKind::Ref { node, deep: true }) => Some(node),
-                _ => None,
-            })
-            .collect();
-        match rows {
-            Some(rows) if !rows.is_empty() => Source::Stored(Cow::Owned(rows)),
-            _ => Source::Trees(Cow::Borrowed(trees)),
-        }
+/// A collection is a sink's input when every tree is one deep stored
+/// reference: the rows are the referenced nodes.
+impl<'a> TryFrom<&'a Collection> for Source<'a> {
+    type Error = Error;
+    fn try_from(trees: &'a Collection) -> Result<Self> {
+        let row = |t: &Tree| match (t.len(), &t.node(t.root()).kind) {
+            (1, &TreeNodeKind::Ref { node, deep: true }) => Ok(node),
+            _ => Err(Error::Unsupported(
+                "a grouping sink reads deep references to stored nodes".into(),
+            )),
+        };
+        Ok(Source(Cow::Owned(
+            trees.iter().map(row).collect::<Result<_>>()?,
+        )))
     }
 }
 
@@ -347,14 +366,15 @@ mod tests {
     fn a_collection_of_deep_references_classifies_as_stored() {
         let (s, rows) = articles();
         let refs: Collection = rows.iter().map(|e| Tree::new_ref(*e, true)).collect();
-        assert!(matches!(Source::from(&refs), Source::Stored(r) if r[..] == rows[..]));
-        // A shallow reference, a constructed tree or a tree with arena
-        // children keeps the whole collection as trees.
+        assert_eq!(Source::try_from(&refs).unwrap()[..], rows[..]);
+        assert!(Source::try_from(&Vec::new()).unwrap().is_empty());
+        // A shallow reference or a constructed tree is refused.
         let mut mixed: Collection = rows.iter().map(|e| Tree::new_ref(*e, true)).collect();
         mixed.push(Tree::new_ref(rows[0], false));
-        assert!(matches!(Source::from(&mixed), Source::Trees(_)));
         let built = vec![Tree::new_elem(s.dict(), "x")];
-        assert!(matches!(Source::from(&built), Source::Trees(_)));
-        assert!(matches!(Source::from(&Vec::new()), Source::Trees(_)));
+        for trees in [mixed, built] {
+            let refused = Source::try_from(&trees);
+            assert!(matches!(refused, Err(Error::Unsupported(_))), "{refused:?}");
+        }
     }
 }

@@ -7,22 +7,20 @@
 //! sub-elements — is tamed by *pattern trees*: a pattern binds one
 //! variable per pattern node, and the *witness trees* produced by a match
 //! are perfectly homogeneous, so downstream operators can address bound
-//! nodes by label.
+//! nodes by label. The operators here read those collections as rows of
+//! node identifiers (Sec. 5.3); a tree is only what rows render into.
 //!
 //! # Crate layout
 //!
 //! * [`value`] — content values and the numeric-aware comparisons used by
 //!   predicates and ordering lists;
-//! * [`tree`] — the in-memory data tree. A tree node is either a
-//!   constructed element or a *reference* to a stored node, optionally
-//!   `deep` (the whole stored subtree). References are how the
-//!   identifier-only processing of Sec. 5.3 is realized: operators pass
-//!   node ids around and fetch data values only when a value is actually
-//!   needed;
+//! * [`tree`] — the in-memory data tree rows render into, and output
+//!   population. A tree node is either a constructed element or a
+//!   *reference* to a stored node, optionally `deep` (the whole stored
+//!   subtree); data values are fetched only when a tree is written;
 //! * [`batch`] — what flows between operators: a [`Batch`] of rows that
-//!   is a list of stored nodes, of a scan's matches, of groups, of
-//!   one-level rows, or of trees, and the borrowed [`Source`] view the
-//!   kernels read;
+//!   is a list of stored nodes, of a scan's matches, of groups, or of
+//!   one-level rows, and the stored-row [`Source`] a grouping sink reads;
 //! * [`pattern`] — pattern trees: nodes with predicates, `pc`
 //!   (parent-child) and `ad` (ancestor-descendant) edges, plus the
 //!   *subset* test used by the rewrite rules of Sec. 4.1;
@@ -30,7 +28,7 @@
 //!   uses the tag index and sort-merge/stack structural joins (Sec. 5.2,
 //!   citing Al-Khalifa et al. ICDE'02) and touches **no data pages**
 //!   unless a predicate needs content; a naive full-scan matcher is kept
-//!   as the ablation baseline;
+//!   as the ablation baseline and oracle;
 //! * [`exec`] — what the executor wraps around the kernels: panic
 //!   containment and a grouping sink's statistics. A query runs on the
 //!   calling thread, one serial kernel per operator;
@@ -44,8 +42,10 @@
 //!
 //! ```
 //! use xmlstore::{DocumentStore, StoreOptions};
+//! use tax::batch::Matches;
 //! use tax::pattern::{Axis, PatternTree, Pred};
 //! use tax::ops::groupby::{groupby, BasisItem, GroupOrder, Direction};
+//! use tax::ops::project::ProjectItem;
 //! use tax::ops::select::select_db;
 //!
 //! let xml = "<bib>\
@@ -64,10 +64,17 @@
 //! let witnesses = select_db(&store, &p, &[]).unwrap();
 //! assert_eq!(witnesses.len(), 3);
 //!
+//! // The articles, whole: a scan whose projection keeps the deep root.
+//! let scan = PatternTree::with_root(Pred::tag("article"));
+//! let articles = Matches::select(&store, &scan, &[scan.root()])
+//!     .unwrap()
+//!     .project(&[ProjectItem::deep(scan.root())])
+//!     .unwrap();
+//!
 //! // Figure 3: group by author content, order by descending title.
 //! let (grouped, _stages) = groupby(
 //!     &store,
-//!     &witnesses,
+//!     &articles,
 //!     &p,
 //!     &[BasisItem::content(a)],
 //!     &[GroupOrder { label: _t, direction: Direction::Descending }],

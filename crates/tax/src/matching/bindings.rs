@@ -13,17 +13,15 @@ use crate::pattern::PatternNodeId;
 use std::ops::Index;
 use xmlstore::NodeEntry;
 
-/// All embeddings of one pattern. Cells are [`NodeEntry`] labels for a
-/// match against the stored database and
-/// [`VNode`](super::vnode::VNode)s for a match against an in-memory tree.
-/// Rows are in document order of the pattern root.
+/// All embeddings of one pattern: the stored nodes each binds. Rows are
+/// in document order of the pattern root.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Bindings<C = NodeEntry> {
+pub struct Bindings {
     /// One column per pattern node; all the same length.
-    cols: Vec<Vec<C>>,
+    cols: Vec<Vec<NodeEntry>>,
 }
 
-impl<C: Copy> Bindings<C> {
+impl Bindings {
     /// An empty table for a pattern of `width` nodes (at least one: a
     /// pattern always has a root).
     pub(crate) fn new(width: usize) -> Self {
@@ -44,12 +42,12 @@ impl<C: Copy> Bindings<C> {
     }
 
     /// The nodes bound to pattern node `pid`, row for row.
-    pub fn column(&self, pid: PatternNodeId) -> &[C] {
+    pub fn column(&self, pid: PatternNodeId) -> &[NodeEntry] {
         &self.cols[pid]
     }
 
     /// Embedding `i`; index it by pattern node.
-    pub fn row(&self, i: usize) -> Row<'_, C> {
+    pub fn row(&self, i: usize) -> Row<'_> {
         assert!(i < self.len(), "row {i} of {}", self.len());
         Row {
             cols: &self.cols,
@@ -58,7 +56,7 @@ impl<C: Copy> Bindings<C> {
     }
 
     /// All embeddings, in order.
-    pub fn rows(&self) -> impl ExactSizeIterator<Item = Row<'_, C>> {
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = Row<'_>> {
         (0..self.len()).map(|i| Row {
             cols: &self.cols,
             i,
@@ -66,7 +64,7 @@ impl<C: Copy> Bindings<C> {
     }
 
     /// Append one embedding, cells in pattern-node order.
-    pub(crate) fn push_row(&mut self, cells: impl IntoIterator<Item = C>) {
+    pub(crate) fn push_row(&mut self, cells: impl IntoIterator<Item = NodeEntry>) {
         let mut filled = 0;
         for (col, cell) in self.cols.iter_mut().zip(cells) {
             col.push(cell);
@@ -76,14 +74,14 @@ impl<C: Copy> Bindings<C> {
     }
 
     /// Append every row of `other` (a table of the same pattern).
-    pub(crate) fn append(&mut self, other: Bindings<C>) {
+    pub(crate) fn append(&mut self, other: Bindings) {
         for (col, more) in self.cols.iter_mut().zip(other.cols) {
             col.extend(more);
         }
     }
 
     /// Replace column `pid` (the matcher's column-at-a-time fill).
-    pub(crate) fn set_column(&mut self, pid: PatternNodeId, col: Vec<C>) {
+    pub(crate) fn set_column(&mut self, pid: PatternNodeId, col: Vec<NodeEntry>) {
         self.cols[pid] = col;
     }
 
@@ -95,45 +93,26 @@ impl<C: Copy> Bindings<C> {
             *col = idx.iter().map(|&r| col[r as usize]).collect();
         }
     }
-
-    /// The same table with every cell converted.
-    pub(crate) fn map_cells<D>(self, f: impl Fn(C) -> D) -> Bindings<D> {
-        Bindings {
-            cols: self
-                .cols
-                .into_iter()
-                .map(|col| col.into_iter().map(&f).collect())
-                .collect(),
-        }
-    }
 }
 
 /// One embedding of a [`Bindings`] table: `row[pid]` is the node bound
 /// to pattern node `pid`.
-#[derive(Debug)]
-pub struct Row<'a, C> {
-    cols: &'a [Vec<C>],
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'a> {
+    cols: &'a [Vec<NodeEntry>],
     i: usize,
 }
 
-impl<C> Clone for Row<'_, C> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<C> Copy for Row<'_, C> {}
-
-impl<C> Index<PatternNodeId> for Row<'_, C> {
-    type Output = C;
-    fn index(&self, pid: PatternNodeId) -> &C {
+impl Index<PatternNodeId> for Row<'_> {
+    type Output = NodeEntry;
+    fn index(&self, pid: PatternNodeId) -> &NodeEntry {
         &self.cols[pid][self.i]
     }
 }
 
-impl<'a, C: Copy> Row<'a, C> {
+impl<'a> Row<'a> {
     /// The cells in pattern-node order.
-    pub fn cells(self) -> impl Iterator<Item = C> + 'a {
+    pub fn cells(self) -> impl Iterator<Item = NodeEntry> + 'a {
         self.cols.iter().map(move |col| col[self.i])
     }
 }

@@ -15,11 +15,8 @@
 //!   cross-node join predicates compare the *symbols* of the label
 //!   columns — the loader interns every stored value, so equal symbol ⇔
 //!   equal string — and resolve a symbol to text only for an ordering or
-//!   substring test; no data page is requested.
-//! * [`match_tree`] matches an **in-memory data tree** (a witness tree,
-//!   a group tree, …) by recursive embedding; references descend into
-//!   the store. A tree that is one deep stored reference is a scope of
-//!   the columnar matcher.
+//!   substring test; no data page is requested. A keyed operator matches
+//!   inside its stored rows through [`for_each_match`].
 //!
 //! A full-scan matcher ([`naive::match_db_scan`]) is kept as the
 //! ablation baseline the paper argues against ("the simplest way to find
@@ -36,9 +33,7 @@ pub use walk::for_each_match;
 
 use crate::error::Result;
 use crate::pattern::{Axis, PatternTree, Pred};
-use crate::tree::{Tree, TreeNodeKind};
 use std::ops::{Deref, Range};
-use vnode::{VNode, VTree};
 use xmlstore::{
     kernels, DocumentStore, Entries, NodeColumns, NodeEntry, NodeId, NodeKind, Sym, NO_SYM,
 };
@@ -292,37 +287,6 @@ fn match_columns(
     (table, scope_of_row)
 }
 
-/// Match `pattern` against an in-memory data tree. With
-/// `anchor_root == true` the pattern root may bind only to the tree root
-/// (the constraint the paper suggests for one-output-per-input
-/// projection).
-///
-/// A tree that is one deep stored reference is matched by the columnar
-/// matcher with the referenced node as its one scope — index data only
-/// (Sec. 5.2/5.3) — and a binding of the scope node itself is reported
-/// as the tree's (arena) root, the recursive matcher's view of it. Other
-/// trees use the recursive matcher.
-pub fn match_tree(
-    store: &DocumentStore,
-    tree: &Tree,
-    pattern: &PatternTree,
-    anchor_root: bool,
-) -> Result<Bindings<VNode>> {
-    if let (1, &TreeNodeKind::Ref { node, deep: true }) = (tree.len(), &tree.node(tree.root()).kind)
-    {
-        let (table, _) = match_columns(store, pattern, Some(node), Some((&[node], anchor_root)));
-        return Ok(table.map_cells(|e| {
-            if e.id == node.id {
-                VNode::Arena(tree.root())
-            } else {
-                VNode::Stored(e)
-            }
-        }));
-    }
-    let vt = VTree::new(store, tree);
-    naive::match_vtree(&vt, pattern, anchor_root)
-}
-
 /// Evaluate the local predicate of a stored node on the label columns:
 /// tag and content are symbols there, resolved to their interned text —
 /// no page access.
@@ -512,12 +476,7 @@ mod tests {
         let second_b = s.nodes_with_tag(s.tag_id("b").unwrap())[1];
         assert_eq!(joined.len(), 4);
         assert!(joined.column(p.root()).iter().all(|b| *b == second_b));
-        assert_eq!(
-            joined,
-            naive::match_db_scan(&s, &p)
-                .unwrap()
-                .map_cells(|v| v.as_stored().unwrap())
-        );
+        assert_eq!(joined, naive::match_db_scan(&s, &p).unwrap());
     }
 
     #[test]
@@ -538,43 +497,16 @@ mod tests {
     }
 
     #[test]
-    fn match_tree_over_witness_tree() {
-        let s = store();
-        // Build a witness-like tree: article(shallow) -> author(shallow)
-        let article = s.tag_id("article").unwrap();
-        let author = s.tag_id("author").unwrap();
-        let art = s.nodes_with_tag(article)[0];
-        let auth = s.nodes_with_tag(author)[0];
-        let mut t = Tree::new_ref(art, false);
-        t.add_ref(t.root(), auth, false);
-
-        let mut p = PatternTree::with_root(Pred::tag("article"));
-        p.add_child(p.root(), Axis::Descendant, Pred::tag("author"));
-        let bindings = match_tree(&s, &t, &p, false).unwrap();
-        assert_eq!(bindings.len(), 1);
-    }
-
-    #[test]
-    fn match_tree_descends_into_deep_refs() {
-        let s = store();
-        let article = s.tag_id("article").unwrap();
-        let art = s.nodes_with_tag(article)[1]; // two authors
-        let t = Tree::new_ref(art, true);
-        let mut p = PatternTree::with_root(Pred::tag("article"));
-        p.add_child(p.root(), Axis::Child, Pred::tag("author"));
-        let bindings = match_tree(&s, &t, &p, false).unwrap();
-        assert_eq!(bindings.len(), 2);
-    }
-
-    #[test]
     fn anchor_root_restricts_embeddings() {
-        let s = store();
-        let mut t = Tree::new_elem(s.dict(), "wrapper");
-        let inner = t.add_elem(s.dict(), t.root(), "wrapper");
-        t.add_elem_with_content(s.dict(), inner, "x", "1");
+        let s = DocumentStore::from_xml(
+            "<r><wrapper><wrapper><x>1</x></wrapper></wrapper></r>",
+            &StoreOptions::in_memory(),
+        )
+        .unwrap();
+        let outer = s.nodes_with_tag(s.tag_id("wrapper").unwrap())[0];
         let p = PatternTree::with_root(Pred::tag("wrapper"));
-        assert_eq!(match_tree(&s, &t, &p, false).unwrap().len(), 2);
-        assert_eq!(match_tree(&s, &t, &p, true).unwrap().len(), 1);
+        let rows = |anchor| match_in_scopes(&s, &p, &[outer], anchor).unwrap().0.len();
+        assert_eq!((rows(false), rows(true)), (2, 1));
     }
 
     #[test]
@@ -623,8 +555,7 @@ mod tests {
             );
             let got = match_db(&s, &p).unwrap();
             assert_eq!(got.len(), rows, "{literal}");
-            let scan = naive::match_db_scan(&s, &p).unwrap();
-            assert_eq!(got, scan.map_cells(|v| v.as_stored().unwrap()));
+            assert_eq!(got, naive::match_db_scan(&s, &p).unwrap());
         }
     }
 

@@ -7,14 +7,18 @@
 //! `afterLastChild($i)`. Grouping and aggregation are *separate* logical
 //! operators in TAX (unlike SQL), which is what lets grouping restructure
 //! trees without any aggregation.
+//!
+//! The trees aggregated here are `GROUPBY`'s groups, held as columns
+//! ([`Groups`]): the pattern reaches the members through the group root
+//! and subroot, and the new element is appended after the root's last
+//! child — a cell the group carries, folded over its members in member
+//! order with the rollup's accumulator.
 
-use crate::batch::Source;
+use crate::batch::Groups;
 use crate::error::{Error, Result};
-use crate::matching::vnode::VNode;
-use crate::ops::groupby::BasisItem;
-use crate::ops::witness::witnesses;
-use crate::pattern::{PatternNodeId, PatternTree};
-use crate::tree::{Collection, TreeNodeKind};
+use crate::ops::rollup::{contributions, Acc, ValueCells};
+use crate::pattern::{Axis, PatternNodeId, PatternTree, Pred};
+use crate::tags::{GROUP_ROOT, GROUP_SUBROOT};
 use xmlstore::{Dictionary, DocumentStore, Sym, NO_SYM};
 
 /// Aggregate functions.
@@ -41,66 +45,75 @@ pub enum UpdateSpec {
     AfterLastChild(PatternNodeId),
 }
 
-/// Apply the aggregation operator.
+/// Apply the aggregation operator to `groups`.
 ///
-/// * `of`: the pattern node whose matched contents are aggregated; for
-///   [`AggFunc::Count`] it may be any bound node (witnesses are counted).
-/// * `new_tag`: the element name carrying the computed value (`aggAttr`).
+/// * `pattern`: `TAX_group_root -pc-> TAX_group_subroot -pc-> member…`,
+///   without join predicates; its witnesses in a group are the member
+///   subpattern's embeddings anchored at each member row;
+/// * `of`: the pattern node, at or below the member, whose matched
+///   contents are aggregated; for [`AggFunc::Count`] the witnesses are
+///   counted;
+/// * `new_tag`: the element name carrying the computed value (`aggAttr`);
+/// * `spec`: `afterLastChild($1)`, the group root.
 ///
-/// Anchors must bind to arena nodes of the input trees (constructed nodes
-/// or reference roots) — inserting inside an unexpanded stored subtree is
-/// not supported, matching how TIMBER computes aggregates over witness
-/// structures rather than rewriting stored documents.
-///
-/// One witness extraction over all trees gives each tree its witnesses —
-/// the values at `of` as content symbols, the anchor of the first — and
-/// each tree's computed element is inserted into that same (moved, never
-/// copied) tree.
+/// A group with no witness, or whose aggregate is undefined (MIN over no
+/// numeric value), is left unchanged. A pattern or update specification
+/// of any other shape is refused.
 pub fn aggregate(
     store: &DocumentStore,
-    mut input: Collection,
+    mut groups: Groups,
     pattern: &PatternTree,
     func: AggFunc,
     of: PatternNodeId,
     new_tag: &str,
     spec: UpdateSpec,
-) -> Result<Collection> {
-    let UpdateSpec::AfterLastChild(anchor_label) = spec;
-    let basis = [BasisItem::content(of), BasisItem::content(anchor_label)];
-    let trees = Source::Trees(input[..].into());
-    let w = witnesses(store, &trees, pattern, &basis, &[], false)?;
-    let dict = store.dict();
-    let rows = w.per_row(input.len());
-    for (tree, ws) in input.iter_mut().zip(rows) {
-        if ws.is_empty() {
-            continue;
-        }
-        let values: Vec<f64> = match func {
-            AggFunc::Count => Vec::new(),
-            _ => ws
-                .clone()
-                .filter_map(|i| numeric(dict, w.key(i)[0]))
-                .collect(),
-        };
-        let Some(value) = compute(func, ws.len(), &values) else {
-            continue;
-        };
-
-        // Insert at the anchor of the first witness.
-        let VNode::Arena(anchor_id) = w.cells(ws.start)[1] else {
-            return Err(Error::Unsupported(
-                "aggregation anchor must be a constructed or reference node of the input tree, \
-                 not a node inside an unexpanded stored subtree"
-                    .into(),
-            ));
-        };
-        let kind = TreeNodeKind::Elem {
-            tag: dict.intern(new_tag),
-            content: Some(dict.intern(&format_value(value))),
-        };
-        tree.add_node(anchor_id, kind);
+) -> Result<Groups> {
+    let UpdateSpec::AfterLastChild(anchor) = spec;
+    if let Some(label) = [of, anchor].into_iter().find(|&l| l >= pattern.len()) {
+        return Err(Error::UnknownLabel(format!("${}", label + 1)));
     }
-    Ok(input)
+    let (member, of) = member_path(pattern, of, anchor).ok_or_else(|| {
+        Error::Unsupported(
+            "aggregation folds group members: TAX_group_root -pc-> TAX_group_subroot \
+             -pc-> member, appended after the root's last child"
+                .into(),
+        )
+    })?;
+    let contributions = contributions(store, &groups.rows, &member, of, func)?;
+    let mut values = ValueCells::new(store.dict(), new_tag);
+    groups.appended.resize(groups.members.len(), Vec::new());
+    for (members, cells) in groups.members.iter().zip(&mut groups.appended) {
+        let mut acc = Acc::default();
+        for &m in members {
+            acc.fold(&contributions[m as usize]);
+        }
+        cells.extend(acc.finish(func).map(|v| values.cell(v)));
+    }
+    Ok(groups)
+}
+
+/// The member subpattern of `pattern` and `of` in it, when `pattern` is
+/// a join-free `TAX_group_root -pc-> TAX_group_subroot -pc-> member…`,
+/// `of` lies at or below the member and `anchor` is the root.
+fn member_path(
+    pattern: &PatternTree,
+    of: PatternNodeId,
+    anchor: PatternNodeId,
+) -> Option<(PatternTree, PatternNodeId)> {
+    let is = |id: usize, tag: &str| matches!(&pattern.node(id).pred, Pred::Tag(t) if t == tag);
+    let only_child = |id: usize| match pattern.node(id).children[..] {
+        [c] if pattern.node(c).axis == Axis::Child => Some(c),
+        _ => None,
+    };
+    let root = pattern.root();
+    let subroot = only_child(root)?;
+    let member = only_child(subroot)?;
+    let fits = anchor == root
+        && is(root, GROUP_ROOT)
+        && is(subroot, GROUP_SUBROOT)
+        && pattern.join_pairs().is_empty();
+    let (member, mapping) = fits.then(|| pattern.subtree_pattern(member))?;
+    Some((member, mapping[of]?))
 }
 
 /// The number a content symbol holds, if its text parses as one — what
@@ -142,191 +155,170 @@ pub fn format_value(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::{Axis, Pred};
-    use crate::tree::Tree;
+    use crate::batch::Batch;
+    use crate::ops::groupby::{groupby, BasisItem};
     use xmlstore::StoreOptions;
 
+    /// Jack: the first two articles; Jill: the second; Joan: the third,
+    /// untitled, its year not a number.
+    const SAMPLE: &str = "<bib>\
+        <article><author>Jack</author><title>A</title><year>1999</year></article>\
+        <article><author>Jack</author><author>Jill</author><title>B</title><title>C</title>\
+            <year>2001</year><year>2002</year></article>\
+        <article><author>Joan</author><year>unknown</year></article>\
+    </bib>";
+
     fn store() -> DocumentStore {
-        DocumentStore::from_xml("<bib/>", &StoreOptions::in_memory()).unwrap()
+        DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory()).unwrap()
     }
 
-    /// authorpubs tree with three title children and a price-ish value.
-    fn sample_tree(s: &DocumentStore) -> Tree {
-        let mut t = Tree::new_elem(s.dict(), "authorpubs");
-        t.add_elem_with_content(s.dict(), t.root(), "author", "Jack");
-        t.add_elem_with_content(s.dict(), t.root(), "title", "A");
-        t.add_elem_with_content(s.dict(), t.root(), "title", "B");
-        t.add_elem_with_content(s.dict(), t.root(), "title", "C");
-        t
+    /// The articles grouped by author.
+    fn groups(s: &DocumentStore) -> Groups {
+        let rows = s.nodes_with_tag(s.tag_id("article").unwrap()).to_vec();
+        let mut p = PatternTree::with_root(Pred::tag("article"));
+        let author = p.add_child(p.root(), Axis::Child, Pred::tag("author"));
+        let (out, _) = groupby(
+            s,
+            &Batch::Stored(rows),
+            &p,
+            &[BasisItem::content(author)],
+            &[],
+        )
+        .unwrap();
+        match out {
+            Batch::Groups(groups) => groups,
+            other => panic!("{other:?}"),
+        }
     }
 
-    fn title_pattern() -> (PatternTree, PatternNodeId, PatternNodeId) {
-        let mut p = PatternTree::with_root(Pred::tag("authorpubs"));
-        let title = p.add_child(p.root(), Axis::Child, Pred::tag("title"));
-        (p, 0, title)
+    /// `TAX_group_root -pc-> TAX_group_subroot -pc-> article -pc-> leaf`.
+    fn member_pattern(leaf: &str) -> (PatternTree, PatternNodeId) {
+        let mut p = PatternTree::with_root(Pred::tag(GROUP_ROOT));
+        let sub = p.add_child(p.root(), Axis::Child, Pred::tag(GROUP_SUBROOT));
+        let member = p.add_child(sub, Axis::Child, Pred::tag("article"));
+        let l = p.add_child(member, Axis::Child, Pred::tag(leaf));
+        (p, l)
+    }
+
+    /// Each group's appended cells as `tag=value`, by group.
+    fn appended(s: &DocumentStore, groups: &Groups) -> Vec<Vec<String>> {
+        let dict = s.dict();
+        let text = |cell: &crate::tree::TreeNodeKind| match cell {
+            crate::tree::TreeNodeKind::Elem { tag, content } => {
+                format!("{}={}", dict.resolve(*tag), dict.resolve(content.unwrap()))
+            }
+            other => panic!("{other:?}"),
+        };
+        (0..groups.members.len())
+            .map(|g| groups.appended(g).iter().map(text).collect())
+            .collect()
+    }
+
+    fn run(s: &DocumentStore, leaf: &str, func: AggFunc, tag: &str) -> Groups {
+        let (p, of) = member_pattern(leaf);
+        aggregate(
+            s,
+            groups(s),
+            &p,
+            func,
+            of,
+            tag,
+            UpdateSpec::AfterLastChild(0),
+        )
+        .unwrap()
     }
 
     #[test]
     fn count_after_last_child() {
         let s = store();
-        let (p, root, title) = title_pattern();
-        let out = aggregate(
-            &s,
-            vec![sample_tree(&s)],
-            &p,
-            AggFunc::Count,
-            title,
-            "pubcount",
-            UpdateSpec::AfterLastChild(root),
-        )
-        .unwrap();
-        assert_eq!(out.len(), 1);
-        let e = out[0].materialize(&s).unwrap();
+        let out = run(&s, "title", AggFunc::Count, "pubcount");
+        assert_eq!(
+            appended(&s, &out),
+            [vec!["pubcount=3"], vec!["pubcount=2"], vec![]]
+        );
+        // The group tree carries it as the root's last child.
+        let tree = Batch::Groups(out).into_trees().swap_remove(0);
+        let e = tree.materialize(&s).unwrap();
         let kids: Vec<&str> = e.child_elements().map(|c| c.name.as_str()).collect();
-        assert_eq!(kids, ["author", "title", "title", "title", "pubcount"]);
+        assert_eq!(
+            kids,
+            ["TAX_grouping_basis", "TAX_group_subroot", "pubcount"]
+        );
         assert_eq!(e.child("pubcount").unwrap().text(), "3");
-    }
-
-    fn years_tree(s: &DocumentStore) -> Tree {
-        let mut t = Tree::new_elem(s.dict(), "pubs");
-        t.add_elem_with_content(s.dict(), t.root(), "year", "1999");
-        t.add_elem_with_content(s.dict(), t.root(), "year", "2001");
-        t.add_elem_with_content(s.dict(), t.root(), "year", "2002");
-        t
-    }
-
-    fn year_pattern() -> (PatternTree, PatternNodeId) {
-        let mut p = PatternTree::with_root(Pred::tag("pubs"));
-        let y = p.add_child(p.root(), Axis::Child, Pred::tag("year"));
-        (p, y)
     }
 
     #[test]
     fn numeric_aggregates() {
         let s = store();
-        let (p, y) = year_pattern();
         for (func, expect) in [
-            (AggFunc::Sum, "6002"),
-            (AggFunc::Min, "1999"),
-            (AggFunc::Max, "2002"),
+            (AggFunc::Sum, ["agg=6002", "agg=4003"]),
+            (AggFunc::Min, ["agg=1999", "agg=2001"]),
+            (AggFunc::Max, ["agg=2002", "agg=2002"]),
         ] {
-            let out = aggregate(
-                &s,
-                vec![years_tree(&s)],
-                &p,
-                func,
-                y,
-                "agg",
-                UpdateSpec::AfterLastChild(0),
-            )
-            .unwrap();
-            let e = out[0].materialize(&s).unwrap();
-            assert_eq!(e.child("agg").unwrap().text(), expect, "{func:?}");
+            let out = appended(&s, &run(&s, "year", func, "agg"));
+            assert_eq!(out[..2], expect.map(|e| vec![e.to_owned()]), "{func:?}");
         }
     }
 
     #[test]
     fn avg_formats_fraction() {
         let s = store();
-        let (p, y) = year_pattern();
-        let out = aggregate(
-            &s,
-            vec![years_tree(&s)],
-            &p,
-            AggFunc::Avg,
-            y,
-            "avg",
-            UpdateSpec::AfterLastChild(0),
-        )
-        .unwrap();
-        let e = out[0].materialize(&s).unwrap();
-        let v: f64 = e.child("avg").unwrap().text().parse().unwrap();
-        assert!((v - 2000.666).abs() < 0.01);
+        let out = appended(&s, &run(&s, "year", AggFunc::Avg, "avg"));
+        let v: f64 = out[0][0]["avg=".len()..].parse().unwrap();
+        assert!((v - 2000.666).abs() < 0.01, "{out:?}");
+        assert_eq!(out[1], ["avg=2001.5"]);
     }
 
     #[test]
     fn unmatched_trees_pass_through_unchanged() {
+        // Joan's article has no title: her group tree comes out as it
+        // went in.
         let s = store();
-        let (p, _root, title) = title_pattern();
-        let mut t = Tree::new_elem(s.dict(), "other");
-        t.add_elem_with_content(s.dict(), t.root(), "x", "1");
-        let out = aggregate(
-            &s,
-            vec![t.clone()],
-            &p,
-            AggFunc::Count,
-            title,
-            "n",
-            UpdateSpec::AfterLastChild(0),
-        )
-        .unwrap();
-        assert_eq!(out[0], t);
+        let before = Batch::Groups(groups(&s)).into_trees();
+        let after = Batch::Groups(run(&s, "title", AggFunc::Count, "n")).into_trees();
+        assert_eq!(after[2], before[2]);
+        assert_ne!(after[0], before[0]);
     }
 
     #[test]
     fn non_numeric_values_ignored_for_sum() {
+        // Joan's one year is not a number: her sum is over no value.
         let s = store();
-        let mut t = Tree::new_elem(s.dict(), "pubs");
-        t.add_elem_with_content(s.dict(), t.root(), "year", "1999");
-        t.add_elem_with_content(s.dict(), t.root(), "year", "unknown");
-        let (p, y) = year_pattern();
-        let out = aggregate(
-            &s,
-            vec![t],
-            &p,
-            AggFunc::Sum,
-            y,
-            "sum",
-            UpdateSpec::AfterLastChild(0),
-        )
-        .unwrap();
-        let e = out[0].materialize(&s).unwrap();
-        assert_eq!(e.child("sum").unwrap().text(), "1999");
+        let out = appended(&s, &run(&s, "year", AggFunc::Sum, "sum"));
+        assert_eq!(out[2], ["sum=0"]);
     }
 
     #[test]
     fn min_of_no_numeric_values_passes_through() {
         let s = store();
-        let mut t = Tree::new_elem(s.dict(), "pubs");
-        t.add_elem_with_content(s.dict(), t.root(), "year", "n/a");
-        let (p, y) = year_pattern();
-        let out = aggregate(
-            &s,
-            vec![t.clone()],
-            &p,
-            AggFunc::Min,
-            y,
-            "min",
-            UpdateSpec::AfterLastChild(0),
-        )
-        .unwrap();
-        assert_eq!(out[0], t);
+        let out = appended(&s, &run(&s, "year", AggFunc::Min, "min"));
+        assert!(out[2].is_empty(), "{out:?}");
     }
 
     #[test]
     fn unknown_labels_rejected() {
         let s = store();
-        let p = PatternTree::with_root(Pred::tag("pubs"));
-        assert!(aggregate(
-            &s,
-            Vec::new(),
-            &p,
-            AggFunc::Count,
-            4,
-            "n",
-            UpdateSpec::AfterLastChild(0)
-        )
-        .is_err());
-        assert!(aggregate(
-            &s,
-            Vec::new(),
-            &p,
-            AggFunc::Count,
-            0,
-            "n",
-            UpdateSpec::AfterLastChild(4)
-        )
-        .is_err());
+        let (p, of) = member_pattern("title");
+        for (of, anchor) in [(9, 0), (of, 9)] {
+            let spec = UpdateSpec::AfterLastChild(anchor);
+            let err = aggregate(&s, groups(&s), &p, AggFunc::Count, of, "n", spec);
+            assert!(matches!(err, Err(Error::UnknownLabel(_))), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn other_shapes_are_refused() {
+        // An anchor below the root, a value above the member, a pattern
+        // that does not reach the members through the subroot.
+        let s = store();
+        let (p, title) = member_pattern("title");
+        let mut flat = PatternTree::with_root(Pred::tag(GROUP_ROOT));
+        let leaf = flat.add_child(flat.root(), Axis::Descendant, Pred::tag("title"));
+        for (p, of, anchor) in [(&p, title, 1), (&p, 1, 0), (&flat, leaf, 0)] {
+            let spec = UpdateSpec::AfterLastChild(anchor);
+            let err = aggregate(&s, groups(&s), p, AggFunc::Count, of, "n", spec);
+            assert!(matches!(err, Err(Error::Unsupported(_))), "{err:?}");
+        }
     }
 
     #[test]

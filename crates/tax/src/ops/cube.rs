@@ -21,9 +21,9 @@
 //!   keeps its own per-group member dedup, because a multi-valued basis
 //!   (a two-author article) must contribute once per `(journal, author)`
 //!   group but also only once to the coarser `journal` group;
-//! * output trees use the rollup's *flat* shape at every level — a
-//!   level-`k` tree is `TAX_group_root { k keys, <tag>value</tag> }`,
-//!   groups with an undefined aggregate dropped — so a tree's level is
+//! * output rows use the rollup's *flat* shape at every level — a
+//!   level-`k` row is `TAX_group_root { k keys, <tag>value</tag> }`,
+//!   groups with an undefined aggregate dropped — so a row's level is
 //!   its number of key children;
 //! * levels emit coarsest-first (1 … `L`), groups in first-witness order
 //!   within each level — the rows the per-level flat rollups give one
@@ -34,18 +34,18 @@ use crate::error::{Error, Result};
 use crate::exec::Stages;
 use crate::ops::aggregate::AggFunc;
 use crate::ops::groupby::BasisItem;
-use crate::ops::rollup::{fold_levels, RollupShape};
+use crate::ops::rollup::fold_levels;
 use crate::pattern::{PatternNodeId, PatternTree};
 use xmlstore::DocumentStore;
 
 /// One-scan grouping lattice: the blocking sink's kernel — the
-/// prefix-level fold over levels `1..=basis.len()`, in the flat shape.
-/// Returns the groups — rows over stored rows, trees otherwise — and
-/// the sink's stage times.
+/// prefix-level fold over levels `1..=basis.len()`, in the flat shape,
+/// over stored rows (see [`Source`]). Returns the groups as one-level
+/// rows and the sink's stage times.
 #[allow(clippy::too_many_arguments)]
 pub fn cube<'a>(
     store: &DocumentStore,
-    input: impl Into<Source<'a>>,
+    input: impl TryInto<Source<'a>, Error = Error>,
     pattern: &PatternTree,
     basis: &[BasisItem],
     member_pattern: &PatternTree,
@@ -60,7 +60,7 @@ pub fn cube<'a>(
     }
     fold_levels(
         store,
-        &input.into(),
+        &input.try_into()?,
         pattern,
         basis,
         member_pattern,
@@ -68,14 +68,13 @@ pub fn cube<'a>(
         func,
         new_tag,
         1..=basis.len(),
-        RollupShape::Flat,
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::rollup::rollup;
+    use crate::ops::rollup::{rollup, RollupShape};
     use crate::pattern::{Axis, Pred};
     use crate::tree::{Collection, Tree};
     use xmlstore::StoreOptions;
@@ -358,59 +357,6 @@ mod tests {
             )),
             "{rendered}"
         );
-    }
-
-    #[test]
-    fn arena_inputs_take_the_per_tree_path_with_identical_results() {
-        let s = store();
-        let stored = articles(&s);
-        let mut arena: Collection = Vec::new();
-        for (journal, year, authors, title, pages) in [
-            ("TODS", "1999", vec!["Jack", "John"], "Querying XML", "30"),
-            (
-                "TODS",
-                "2001",
-                vec!["Jill", "Jack"],
-                "XML and the Web",
-                "12",
-            ),
-            ("WebDB", "2001", vec!["John"], "Hack HTML", "7"),
-            ("TODS", "1999", vec!["Jack"], "Typing XML", "21"),
-        ] {
-            let mut t = Tree::new_elem(s.dict(), "article");
-            t.add_elem_with_content(s.dict(), t.root(), "title", title);
-            t.add_elem_with_content(s.dict(), t.root(), "journal", journal);
-            t.add_elem_with_content(s.dict(), t.root(), "year", year);
-            for a in authors {
-                t.add_elem_with_content(s.dict(), t.root(), "author", a);
-            }
-            t.add_elem_with_content(s.dict(), t.root(), "pages", pages);
-            arena.push(t);
-        }
-        let (p, basis) = lattice();
-        let (mp, of) = member("pages");
-        let from_arena = cube(&s, &arena, &p, &basis, &mp, of, AggFunc::Sum, "sum")
-            .unwrap()
-            .0
-            .into_trees();
-        let from_stored = cube(&s, &stored, &p, &basis, &mp, of, AggFunc::Sum, "sum")
-            .unwrap()
-            .0
-            .into_trees();
-        // Same logical content → same keys, levels, and values (subtree
-        // storage differs, so compare the text projections).
-        let digest = |c: &Collection| -> Vec<Vec<String>> {
-            c.iter()
-                .map(|t| {
-                    t.materialize(&s)
-                        .unwrap()
-                        .child_elements()
-                        .map(|ch| format!("{}={}", ch.name, ch.text()))
-                        .collect()
-                })
-                .collect()
-        };
-        assert_eq!(digest(&from_arena), digest(&from_stored));
     }
 
     #[test]

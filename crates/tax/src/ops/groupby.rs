@@ -22,19 +22,17 @@
 //!   witnesses are columns of node identifiers and key symbols (the
 //!   shared extraction, `super::witness`); grouping and ordering values
 //!   are symbols of the label columns, resolved to text only where a
-//!   member sort compares them, and members are copied as references,
-//!   not data; over stored rows the groups come out as columns
+//!   member sort compares them, and the groups come out as columns
 //!   ([`Groups`]: key cells and member row ordinals), no tree built.
 //! * [`groupby_replicated`] — the strawman Sec. 5.3 warns about: each
 //!   witness eagerly replicates and fully materializes its source tree
 //!   before sorting. Kept as the ablation baseline (experiment X4).
 
 use crate::batch::{Batch, Groups, Source};
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::exec::Stages;
-use crate::matching::match_tree;
-use crate::matching::vnode::{VNode, VTree};
-use crate::ops::keyenc::{component, GroupIndex};
+use crate::matching::for_each_match;
+use crate::ops::keyenc::GroupIndex;
 use crate::ops::witness::{witnesses, Witnesses};
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tags::{GROUPING_BASIS, GROUP_ROOT, GROUP_SUBROOT};
@@ -94,64 +92,47 @@ struct Group {
 }
 
 /// Identifier-processing grouping (Sec. 5.3): the blocking sink's
-/// kernel. The input is a batch of stored rows, a batch of trees, or a
-/// collection (classified once, see [`Source`]); the groups of stored
-/// rows come out as columns ([`Batch::Groups`]), those of trees as trees,
-/// in first-arrival order — the order of the witness that created each
-/// group. A two-author article's witnesses carry different keys, and the
-/// article appears in both groups (Fig. 3's non-partitioning semantics).
+/// kernel. The input is stored rows — a batch of them, or a collection
+/// of deep references (see [`Source`]); anything else is refused. The
+/// groups come out as columns ([`Batch::Groups`]) in first-arrival order
+/// — the order of the witness that created each group. A two-author
+/// article's witnesses carry different keys, and the article appears in
+/// both groups (Fig. 3's non-partitioning semantics).
 ///
 /// Returns the groups and the sink's stage times.
 pub fn groupby<'a>(
     store: &DocumentStore,
-    input: impl Into<Source<'a>>,
+    input: impl TryInto<Source<'a>, Error = Error>,
     pattern: &PatternTree,
     basis: &[BasisItem],
     ordering: &[GroupOrder],
 ) -> Result<(Batch, Stages)> {
-    let input = input.into();
+    let rows = input.try_into()?;
     // Only the grouping and ordering values are populated — the
     // "minimum information" sort of Sec. 5.3.
     let clock = Instant::now();
-    let w = witnesses(store, &input, pattern, basis, ordering, false)?;
+    let w = witnesses(store, &rows, pattern, basis, ordering, false)?;
     let witness = clock.elapsed();
     let dict = store.dict();
     let tags = [GROUP_ROOT, GROUPING_BASIS, GROUP_SUBROOT].map(|tag| dict.intern(tag));
     let groups = form_groups(dict, &w, ordering);
     let fold = clock.elapsed() - witness;
-    let out = match &input {
-        Source::Trees(trees) => {
-            let tree = |g: &Group| {
-                let mut tree = Tree::new_elem_sym(tags[0]);
-                let b = tree.add_elem_sym(0, tags[1]);
-                add_basis_children(&mut tree, b, &input, &w, g.first, basis.len(), false);
-                let s = tree.add_elem_sym(0, tags[2]);
-                for &m in &g.members {
-                    let member = &trees[w.tree_idx[m as usize] as usize];
-                    tree.append_subtree(s, member, member.root());
-                }
-                tree
-            };
-            Batch::Trees(groups.iter().map(tree).collect())
-        }
-        Source::Stored(rows) => {
-            let mut keys = Vec::with_capacity(groups.len() * basis.len());
-            let members = groups
-                .into_iter()
-                .map(|g| {
-                    keys.extend(stored_basis(rows, &w, g.first, basis.len(), false));
-                    g.members.iter().map(|&m| w.tree_idx[m as usize]).collect()
-                })
-                .collect();
-            Batch::Groups(Groups {
-                rows: rows.to_vec(),
-                tags,
-                keys,
-                width: basis.len(),
-                members,
-            })
-        }
-    };
+    let mut keys = Vec::with_capacity(groups.len() * basis.len());
+    let members = groups
+        .into_iter()
+        .map(|g| {
+            keys.extend(stored_basis(&rows, &w, g.first, basis.len(), false));
+            g.members.iter().map(|&m| w.tree_idx[m as usize]).collect()
+        })
+        .collect();
+    let out = Batch::Groups(Groups {
+        rows: rows.to_vec(),
+        tags,
+        keys,
+        width: basis.len(),
+        members,
+        appended: Vec::new(),
+    });
     let build = clock.elapsed() - witness - fold;
     Ok((out, [witness, Duration::ZERO, fold, build]))
 }
@@ -218,14 +199,16 @@ pub(crate) fn sort_members<T: Copy>(
 
 /// Replication-based grouping: the Sec. 5.3 strawman that materializes
 /// every member eagerly. Produces the same logical output as [`groupby`]
-/// but populates all data up front.
-pub fn groupby_replicated(
+/// but populates all data up front. The input is stored rows, as for
+/// [`groupby`].
+pub fn groupby_replicated<'a>(
     store: &DocumentStore,
-    input: &Collection,
+    input: impl TryInto<Source<'a>, Error = Error>,
     pattern: &PatternTree,
     basis: &[BasisItem],
     ordering: &[GroupOrder],
 ) -> Result<Collection> {
+    let rows = input.try_into()?;
     validate(pattern, basis, ordering)?;
     // Replicate: one fully materialized copy of the source tree per
     // witness, tagged with its grouping values.
@@ -234,48 +217,50 @@ pub fn groupby_replicated(
         sort_key: Vec<Option<String>>,
         tree: Tree,
         /// The tag of each basis node's match (for the basis children).
-        basis_tags: Vec<String>,
+        basis_tags: Vec<Sym>,
         arrival: usize,
     }
+    let mut matches: Vec<(usize, Vec<NodeEntry>)> = Vec::new();
+    for_each_match(store, pattern, &rows, false, |row, m| {
+        matches.push((row as usize, m.to_vec()))
+    })?;
+    let cols = store.columns();
     let mut replicas: Vec<Replica> = Vec::new();
-    // Last source tree replicated under each key. Checking only the
-    // globally last replica would miss same-tree witnesses whose keys
+    // Last source row replicated under each key. Checking only the
+    // globally last replica would miss same-row witnesses whose keys
     // interleave (e.g. authors from institutions X, Y, X), duplicating
-    // the tree in group X — the per-key map matches the identifier
+    // the row in group X — the per-key map matches the identifier
     // implementation's per-group member dedup exactly.
     let mut last_source: HashMap<Key, usize> = HashMap::new();
-    for (tree_idx, tree) in input.iter().enumerate() {
-        let vt = VTree::new(store, tree);
-        for binding in match_tree(store, tree, pattern, false)?.rows() {
-            let key: Key = basis
-                .iter()
-                .map(|item| component(vt.content_sym(binding[item.label])))
-                .collect();
-            let basis_tags = basis
-                .iter()
-                .map(|item| vt.tag(binding[item.label]))
-                .collect::<Result<Vec<String>>>()?;
-            let sort_key = ordering
-                .iter()
-                .map(|o| vt.content(binding[o.label]))
-                .collect::<Result<Vec<_>>>()?;
-            // Same-key witnesses of one source tree collapse, matching
-            // the identifier implementation's member semantics.
-            if last_source.get(&key) == Some(&tree_idx) {
-                continue;
-            }
-            last_source.insert(key.clone(), tree_idx);
-            // Eager full materialization — the expensive step.
-            let materialized = Tree::from_element(store.dict(), &tree.materialize(store)?);
-            let arrival = replicas.len();
-            replicas.push(Replica {
-                key,
-                sort_key,
-                tree: materialized,
-                basis_tags,
-                arrival,
-            });
+    for (row, binding) in matches {
+        let key: Key = basis
+            .iter()
+            .map(|item| cols.content[binding[item.label].id.0 as usize])
+            .collect();
+        let basis_tags = basis
+            .iter()
+            .map(|item| Sym(cols.tag[binding[item.label].id.0 as usize]))
+            .collect();
+        let sort_key = ordering
+            .iter()
+            .map(|o| store.content(binding[o.label].id))
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        // Same-key witnesses of one source row collapse, matching the
+        // identifier implementation's member semantics.
+        if last_source.get(&key) == Some(&row) {
+            continue;
         }
+        last_source.insert(key.clone(), row);
+        // Eager full materialization — the expensive step.
+        let element = Tree::new_ref(rows[row], true).materialize(store)?;
+        let arrival = replicas.len();
+        replicas.push(Replica {
+            key,
+            sort_key,
+            tree: Tree::from_element(store.dict(), &element),
+            basis_tags,
+            arrival,
+        });
     }
 
     // Group the replicas by key (first-arrival group order).
@@ -297,18 +282,14 @@ pub fn groupby_replicated(
                 .then(ra.arrival.cmp(&rb.arrival))
         });
         let dict = store.dict();
-        let mut tree = Tree::new_elem(dict, crate::tags::GROUP_ROOT);
-        let basis_root = tree.add_elem(dict, tree.root(), crate::tags::GROUPING_BASIS);
+        let mut tree = Tree::new_elem(dict, GROUP_ROOT);
+        let basis_root = tree.add_elem(dict, tree.root(), GROUPING_BASIS);
         let first = &replicas[member_ids[0]];
-        for (value, tag) in first.key.iter().zip(&first.basis_tags) {
-            let node = tree.add_elem(dict, basis_root, tag);
-            if *value != NO_SYM {
-                if let TreeNodeKind::Elem { content, .. } = &mut tree.node_mut(node).kind {
-                    *content = Some(Sym(*value));
-                }
-            }
+        for (&value, &tag) in first.key.iter().zip(&first.basis_tags) {
+            let content = (value != NO_SYM).then_some(Sym(value));
+            tree.add_node(basis_root, TreeNodeKind::Elem { tag, content });
         }
-        let subroot = tree.add_elem(dict, tree.root(), crate::tags::GROUP_SUBROOT);
+        let subroot = tree.add_elem(dict, tree.root(), GROUP_SUBROOT);
         for &mid in &member_ids {
             tree.append_subtree(subroot, &replicas[mid].tree, replicas[mid].tree.root());
         }
@@ -360,50 +341,12 @@ fn compare_sort_keys<S: AsRef<str>>(
     Ordering::Equal
 }
 
-/// Append the grouping-basis children of the group witness `first`
-/// created under `basis_root`, one for each of the first `width` basis
-/// items. Shared with the rollup and cube kernels so their basis
-/// children are byte-identical to the materialized group trees'.
-///
-/// `deep_keys` is set by the *flat* shapes (fused rollup, cube): they
-/// pre-apply the consumer's `Project deep(key)` step, which expands each
-/// key node's whole subtree — a shallow copy would drop the children of
-/// a structured key node (an `<author><name>…</name></author>` in a
-/// ragged hierarchy) and diverge from the materialized pipeline. The
-/// grouped shape keeps the shallow copy; its downstream projection does
-/// the deep expansion itself.
-pub(crate) fn add_basis_children(
-    tree: &mut Tree,
-    basis_root: usize,
-    input: &Source,
-    w: &Witnesses,
-    first: u32,
-    width: usize,
-    deep_keys: bool,
-) {
-    let trees = match input {
-        Source::Stored(rows) => {
-            for kind in stored_basis(rows, w, first, width, deep_keys) {
-                tree.add_node(basis_root, kind);
-            }
-            return;
-        }
-        Source::Trees(trees) => trees,
-    };
-    let src = &trees[w.tree_idx[first as usize] as usize];
-    for &cell in &w.cells(first)[..width] {
-        match cell {
-            VNode::Stored(e) => tree.add_ref(basis_root, e, deep_keys),
-            VNode::Arena(i) if deep_keys => tree.append_subtree(basis_root, src, i),
-            VNode::Arena(i) => tree.add_node(basis_root, src.node(i).kind.clone()),
-        };
-    }
-}
-
 /// The basis children of the group witness `first` created over stored
 /// `rows`, one for each of the first `width` basis items: a reference to
 /// the bound node — whole when `deep_keys`, or when it is the row itself
-/// (a stored row is its subtree).
+/// (a stored row is its subtree). `deep_keys` is set by the flat shapes
+/// (fused rollup, cube): they pre-apply the consumer's `Project
+/// deep(key)` step, which keeps a structured key node's whole subtree.
 pub(crate) fn stored_basis<'w>(
     rows: &'w [NodeEntry],
     w: &'w Witnesses,
@@ -412,13 +355,12 @@ pub(crate) fn stored_basis<'w>(
     deep_keys: bool,
 ) -> impl Iterator<Item = TreeNodeKind> + 'w {
     let row = rows[w.tree_idx[first as usize] as usize];
-    w.cells(first)[..width].iter().map(move |cell| match cell {
-        VNode::Stored(node) => TreeNodeKind::Ref {
-            node: *node,
+    w.cells(first)[..width]
+        .iter()
+        .map(move |&node| TreeNodeKind::Ref {
+            node,
             deep: deep_keys || node.id == row.id,
-        },
-        VNode::Arena(_) => unreachable!("a stored row has no arena nodes"),
-    })
+        })
 }
 
 #[cfg(test)]
@@ -466,7 +408,7 @@ mod tests {
     fn articles(s: &DocumentStore) -> Collection {
         let p = fig1_pattern();
         // Select whole articles (deep root), one witness per embedding;
-        // grouping below re-matches per tree.
+        // grouping below matches inside each article.
         let mut seen = std::collections::HashSet::new();
         select_db(s, &p, &[p.root()])
             .unwrap()

@@ -13,16 +13,15 @@
 //! selection's table: equal symbol ⇔ equal string, and a node without
 //! content ([`NO_SYM`]) joins nothing. No data page is read.
 
-use crate::batch::{Batch, Groups, Rows, Source};
+use crate::batch::{Batch, Groups, Rows};
 use crate::error::{Error, Result};
 use crate::matching::match_db;
-use crate::matching::vnode::VNode;
 use crate::ops::aggregate::{compute, format_value, numeric, AggFunc};
 use crate::ops::groupby::{sort_members, BasisItem, Direction, GroupOrder};
 use crate::ops::witness::witnesses;
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tags::{GROUPING_BASIS, GROUP_ROOT, GROUP_SUBROOT};
-use crate::tree::{Tree, TreeNodeKind};
+use crate::tree::TreeNodeKind;
 use std::collections::{HashMap, HashSet};
 use xmlstore::{DocumentStore, NodeEntry, NO_SYM};
 
@@ -77,6 +76,7 @@ pub fn left_outer_join_db(
         keys,
         width,
         members,
+        appended: Vec::new(),
     })
 }
 
@@ -120,7 +120,7 @@ impl Members {
 /// and its subject's first witness, which it orders by.
 #[derive(Clone, Copy)]
 struct Part {
-    node: VNode,
+    node: NodeEntry,
     value: u32,
     first: u32,
 }
@@ -154,9 +154,8 @@ pub fn stitch(
     let dict = store.dict();
     let mut parts: HashMap<u32, Vec<Part>> = HashMap::new();
     if let Some((groups, Members(pattern, extract, ordering))) = inner {
-        let subjects = Source::Stored(groups.rows[..].into());
         let basis = [BasisItem::content(*extract)];
-        let w = witnesses(store, &subjects, pattern, &basis, ordering, true)?;
+        let w = witnesses(store, &groups.rows, pattern, &basis, ordering, true)?;
         let per_row = w.per_row(groups.rows.len());
         for (g, group) in groups.members.iter().enumerate() {
             let [TreeNodeKind::Ref { node: k, .. }] = groups.key(g) else {
@@ -184,7 +183,10 @@ pub fn stitch(
         let bound = std::iter::once(TreeNodeKind::Ref { node, deep: true });
         let matched = parts.get(&key(&node)).map_or(&[][..], Vec::as_slice);
         let Some((func, agg_tag)) = agg else {
-            let nodes = matched.iter().map(|p| Tree::vnode_kind(None, p.node, true));
+            let nodes = matched.iter().map(|p| TreeNodeKind::Ref {
+                node: p.node,
+                deep: true,
+            });
             out.push(bound.chain(nodes));
             continue;
         };
@@ -211,6 +213,7 @@ mod tests {
     use crate::ops::dupelim::dup_elim;
     use crate::pattern::{Axis, Pred};
     use crate::tags;
+    use crate::tree::Tree;
     use xmlstore::StoreOptions;
 
     /// The Figure 6 sample database.
@@ -347,16 +350,15 @@ mod tests {
 
     #[test]
     fn a_left_side_other_than_a_scan_of_its_pattern_is_refused() {
-        // The join keys its left rows by the scan's bound column: a
-        // constructed tree, or rows of a scan of another pattern, are a
-        // typed refusal, not a guess.
+        // The join keys its left rows by the scan's bound column: stored
+        // rows, or rows of a scan of another pattern, are a typed
+        // refusal, not a guess.
         let s = store();
-        let mut built = Tree::new_elem(s.dict(), "doc_root");
-        built.add_elem_with_content(s.dict(), built.root(), "author", "Jill");
+        let stored = Batch::Stored(s.nodes_with_tag(s.tag_id("author").unwrap()).to_vec());
         let p = PatternTree::with_root(Pred::tag("author"));
         let other = Batch::Matches(Matches::select(&s, &p, &[0]).unwrap());
         let (right, art, auth) = join_right_pattern();
-        for left in [Batch::Trees(vec![built]), other] {
+        for left in [stored, other] {
             let err = left_outer_join_db(&s, &left, &outer_pattern(), 1, &right, auth, &[art]);
             assert!(matches!(err, Err(Error::Unsupported(_))), "{err:?}");
         }

@@ -10,7 +10,6 @@
 //! A key finds its group through a `GroupIndex`.
 
 use std::collections::HashMap;
-use xmlstore::Sym;
 
 /// The key word standing for a missing value.
 pub use xmlstore::NO_SYM as ABSENT;
@@ -18,12 +17,6 @@ pub use xmlstore::NO_SYM as ABSENT;
 /// A grouping key: one symbol word per basis item, [`ABSENT`] when the
 /// value is missing.
 pub type Key = Vec<u32>;
-
-/// The key word for an optional symbol.
-#[inline]
-pub fn component(s: Option<Sym>) -> u32 {
-    s.map_or(ABSENT, |s| s.0)
-}
 
 /// Slots a slot table may spend per key; sparser symbols keep the map.
 const SLOTS_PER_KEY: usize = 4;
@@ -82,9 +75,10 @@ mod tests {
 
     #[test]
     fn absent_is_a_distinct_key_word() {
-        assert_ne!(component(None), component(Some(Sym(0))));
-        assert_eq!(component(None), ABSENT);
-        assert_eq!(component(Some(Sym(7))), 7);
+        // No interned symbol is the absent word.
+        let dict = xmlstore::Dictionary::default();
+        assert_ne!(dict.intern("").0, ABSENT);
+        assert_ne!(dict.intern("x").0, ABSENT);
     }
 
     /// The grouping sinks' use of an index over a witness stream of

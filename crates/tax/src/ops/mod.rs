@@ -1,9 +1,14 @@
 //! The TAX operators.
 //!
-//! Every operator takes a collection of data trees (and the store behind
-//! their references) and produces a collection of data trees, so
-//! expressions compose (Sec. 2). The operators implemented here are the
-//! ones the paper's plans build:
+//! In TAX every operator takes a collection of data trees and produces
+//! one, so expressions compose (Sec. 2). Here the collections are rows
+//! that stand for those trees — stored nodes, a selection's match rows,
+//! groups as columns, one-level output rows ([`Batch`](crate::Batch)) —
+//! and no operator takes a tree: each takes the rows the paper's plans
+//! feed it and refuses any other input with a typed
+//! [`Error::Unsupported`](crate::Error::Unsupported). A tree is what the
+//! rows render into. The operators implemented here are the ones the
+//! paper's plans build:
 //!
 //! | module | operator | paper section |
 //! |---|---|---|
@@ -12,16 +17,16 @@
 //! | [`mod@dupelim`] | duplicate elimination on a bound node's content | Sec. 4.1 |
 //! | [`mod@join`] | left outer join (Fig. 8's pairs, as groups) and the RETURN stitch | Sec. 4.1 |
 //! | [`mod@groupby`] | grouping with basis + ordering list | Sec. 3 |
-//! | [`mod@aggregate`] | aggregation with update specification | Sec. 4.3 |
+//! | [`mod@aggregate`] | aggregation over groups with update specification | Sec. 4.3 |
 //! | [`mod@rollup`] | fused grouped aggregation (no group materialization) | Sec. 3 + 4.3 |
 //! | [`mod@cube`] | grouping lattice: all basis-prefix levels in one scan | XOLAP [Hachicha & Darmont] |
 //! | [`mod@rename`] | root renaming (final tag of RETURN) | Sec. 4.1 |
 //!
 //! Keyed operators take their keys from one witness extraction (the
 //! private `witness` module): flat key / cell columns of content symbols,
-//! from stored rows by one columnar match, from trees by one match per
-//! tree — or, for the naive plan's outer rows, off the selection's table.
-//! [`keyenc`] hashes and indexes those keys.
+//! from stored rows by one columnar match — or, for the naive plan's
+//! outer rows, off the selection's table. [`keyenc`] hashes and indexes
+//! those keys.
 
 pub mod aggregate;
 pub mod cube;
@@ -40,7 +45,7 @@ pub use cube::cube;
 pub use dupelim::dup_elim;
 pub use groupby::{groupby, groupby_replicated, BasisItem, Direction, GroupOrder};
 pub use join::left_outer_join_db;
-pub use project::{project, ProjectItem};
+pub use project::ProjectItem;
 pub use rename::rename_root;
 pub use rollup::{rollup, RollupShape};
 pub use select::select_db;

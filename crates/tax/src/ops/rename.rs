@@ -5,75 +5,30 @@
 //! clause" — e.g. `TAX_group_root` → `authorpubs`.
 
 use crate::batch::Batch;
-use crate::error::Result;
-use crate::tree::TreeNodeKind;
+use crate::error::{Error, Result};
 use xmlstore::Dictionary;
 
-/// Rename the root of every row to `new_tag`, in place: one-level rows
-/// take it as their tag, any other row is renamed as its tree. The tag
-/// is interned once, whatever the batch size.
-///
-/// A constructed root keeps its content; a reference root is replaced by
-/// a constructed element whose children are the reference's arena
-/// children (for a deep reference the stored subtree's children are
-/// *not* pulled up — rename is meant for the dummy roots produced by
-/// joins, groupings, and constructors, which are always constructed).
+/// Rename the root of every one-level row to `new_tag`: the rows take
+/// it as their tag, interned once, whatever the batch size. Any other
+/// batch is refused — rename is meant for the dummy roots the output
+/// operators construct.
 pub fn rename_root(dict: &Dictionary, input: Batch, new_tag: &str) -> Result<Batch> {
-    let tag = dict.intern(new_tag);
-    let mut input = match input {
-        Batch::Rows(mut rows) => {
-            rows.tag = tag;
-            return Ok(Batch::Rows(rows));
-        }
-        other => other.into_trees(),
+    let Batch::Rows(mut rows) = input else {
+        return Err(Error::Unsupported("rename takes one-level rows".into()));
     };
-    for t in &mut input {
-        let root = t.root();
-        let new_kind = match &t.node(root).kind {
-            TreeNodeKind::Elem { content, .. } => TreeNodeKind::Elem {
-                tag,
-                content: *content,
-            },
-            TreeNodeKind::Ref { .. } => TreeNodeKind::Elem { tag, content: None },
-        };
-        t.node_mut(root).kind = new_kind;
-    }
-    Ok(Batch::Trees(input))
+    rows.tag = dict.intern(new_tag);
+    Ok(Batch::Rows(rows))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::Rows;
-    use crate::tree::Tree;
+    use crate::tree::{Tree, TreeNodeKind};
     use xmlstore::{DocumentStore, StoreOptions};
 
     fn store() -> DocumentStore {
         DocumentStore::from_xml("<bib><a>x</a></bib>", &StoreOptions::in_memory()).unwrap()
-    }
-
-    #[test]
-    fn rename_constructed_root_keeps_children_and_content() {
-        let s = store();
-        let mut t = Tree::new_elem(s.dict(), crate::tags::GROUP_ROOT);
-        t.add_elem_with_content(s.dict(), t.root(), "author", "Jack");
-        let out = rename_root(s.dict(), Batch::Trees(vec![t]), "authorpubs").unwrap();
-        let out = out.into_trees();
-        let e = out[0].materialize(&s).unwrap();
-        assert_eq!(e.name, "authorpubs");
-        assert_eq!(e.child("author").unwrap().text(), "Jack");
-    }
-
-    #[test]
-    fn rename_ref_root_becomes_elem() {
-        let s = store();
-        let a = s.tag_id("a").unwrap();
-        let node = s.nodes_with_tag(a)[0];
-        let t = Tree::new_ref(node, false);
-        let out = rename_root(s.dict(), Batch::Trees(vec![t]), "renamed").unwrap();
-        let out = out.into_trees();
-        let e = out[0].materialize(&s).unwrap();
-        assert_eq!(e.name, "renamed");
     }
 
     #[test]
@@ -83,18 +38,47 @@ mod tests {
         let mut rows = Rows::new(s.dict().intern(crate::tags::GROUP_ROOT));
         rows.push([TreeNodeKind::Ref { node, deep: true }]);
         rows.push([]);
-        let trees = Batch::Trees(Batch::Rows(rows.clone()).into_trees());
-        let want = rename_root(s.dict(), trees, "x").unwrap();
         let got = rename_root(s.dict(), Batch::Rows(rows), "x").unwrap();
         assert!(matches!(got, Batch::Rows(_)), "{got:?}");
-        assert_eq!(got.into_trees(), want.into_trees());
+        let mut want = Tree::new_elem(s.dict(), "x");
+        want.add_ref(0, node, true);
+        assert_eq!(got.into_trees(), [want, Tree::new_elem(s.dict(), "x")]);
+    }
+
+    #[test]
+    fn rename_constructed_root_keeps_children_and_content() {
+        // A row's root is constructed: renaming it keeps its cells, a
+        // constructed cell's content included.
+        let s = store();
+        let node = s.nodes_with_tag(s.tag_id("a").unwrap())[0];
+        let dict = s.dict();
+        let mut rows = Rows::new(dict.intern(crate::tags::GROUP_ROOT));
+        let count = TreeNodeKind::Elem {
+            tag: dict.intern("count"),
+            content: Some(dict.intern("3")),
+        };
+        rows.push([TreeNodeKind::Ref { node, deep: true }, count]);
+        let out = rename_root(dict, Batch::Rows(rows), "authorpubs").unwrap();
+        let e = out.into_trees()[0].materialize(&s).unwrap();
+        assert_eq!(e.name, "authorpubs");
+        assert_eq!(e.child("a").unwrap().text(), "x");
+        assert_eq!(e.child("count").unwrap().text(), "3");
+    }
+
+    #[test]
+    fn other_rows_are_refused() {
+        let s = store();
+        let stored = Batch::Stored(s.nodes_with_tag(s.tag_id("a").unwrap()).to_vec());
+        for input in [stored, Batch::default()] {
+            let err = rename_root(s.dict(), input, "t");
+            assert!(matches!(err, Err(Error::Unsupported(_))), "{err:?}");
+        }
     }
 
     #[test]
     fn empty_collection_passthrough() {
         let s = store();
-        assert!(rename_root(s.dict(), Batch::default(), "t")
-            .unwrap()
-            .is_empty());
+        let none = Batch::Rows(Rows::new(s.dict().intern("r")));
+        assert!(rename_root(s.dict(), none, "t").unwrap().is_empty());
     }
 }

@@ -19,7 +19,7 @@ use crate::matching::Row;
 use crate::ops::project::ProjectItem;
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tree::{Collection, Tree};
-use xmlstore::{DocumentStore, NodeEntry};
+use xmlstore::DocumentStore;
 
 /// Selection over the stored database.
 pub fn select_db(
@@ -66,11 +66,7 @@ pub(crate) fn keeps_witness(
 /// pattern's shape, each node a reference to the bound stored node, deep
 /// iff its pattern node is adorned. Node identifiers only — no data
 /// pages are touched here (Sec. 5.3).
-pub(crate) fn witness_tree(
-    pattern: &PatternTree,
-    row: Row<'_, NodeEntry>,
-    sl: &[PatternNodeId],
-) -> Tree {
+pub(crate) fn witness_tree(pattern: &PatternTree, row: Row<'_>, sl: &[PatternNodeId]) -> Tree {
     let order = pattern.preorder();
     let mut tree = Tree::new_ref(row[order[0]], sl.contains(&order[0]));
     let mut map = vec![tree.root(); pattern.len()];

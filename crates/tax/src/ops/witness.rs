@@ -1,37 +1,29 @@
 //! Witnesses: the one key extraction behind the keyed operators — the
-//! grouping sinks (`groupby`, `rollup`, `cube`), the RETURN stitch's
-//! members, aggregation, and duplicate elimination over trees. (The naive
-//! plan's outer rows need none: their key is the scan's bound cell.)
+//! grouping sinks (`groupby`, `rollup`, `cube`) and the RETURN stitch's
+//! members. (Duplicate elimination and the join need none: their key is
+//! the scan's bound cell.)
 //!
-//! A witness is one embedding of the operator's pattern in one input
-//! row. What the operators need of it is columnar and small — which row
-//! it came from, its key (one symbol word per basis item), the nodes
-//! bound to the basis labels, its ordering values (symbols again) — so
-//! that is all [`witnesses`] produces: flat `u32` / cell arrays, no
-//! per-witness allocation. Both sources fill the same columns:
+//! A witness is one embedding of the operator's pattern in one stored
+//! input row. What the operators need of it is columnar and small —
+//! which row it came from, its key (one symbol word per basis item), the
+//! nodes bound to the basis labels, its ordering values (symbols again)
+//! — so that is all [`witnesses`] produces: flat `u32` / node arrays, no
+//! per-witness allocation. One [`for_each_match`] over all rows fills
+//! them, each embedding's words read off the label columns' `content`
+//! symbols as it arrives. Embeddings come scope-major, which *is* the
+//! collection-major order the sinks' member dedup relies on, so there is
+//! nothing to sort.
 //!
-//! * **stored rows** — one [`for_each_match`] over all rows, each
-//!   embedding's words read off the label columns' `content` symbols as
-//!   it arrives. Embeddings come scope-major, which *is* the collection-
-//!   major order the sinks' member dedup relies on, so there is nothing
-//!   to sort and nothing to route back to its tree;
-//! * **trees** — one [`match_tree`] per tree, then the same words read
-//!   through a [`VTree`].
-//!
-//! No data page is read either way: keys and ordering values are
-//! symbols — one dictionary holds stored and constructed text, so equal
+//! No data page is read: keys and ordering values are symbols — equal
 //! symbol ⇔ equal string — resolved to text only when a sort compares
 //! them or an aggregate parses them.
 
-use crate::batch::Source;
 use crate::error::Result;
-use crate::matching::vnode::{VNode, VTree};
-use crate::matching::{for_each_match, match_tree};
+use crate::matching::for_each_match;
 use crate::ops::groupby::{validate, BasisItem, GroupOrder};
-use crate::ops::keyenc::component;
 use crate::pattern::PatternTree;
 use std::ops::Range;
-use xmlstore::DocumentStore;
+use xmlstore::{DocumentStore, NodeEntry};
 
 /// The witness stream of one keyed operator, collection-major: all of
 /// row 0's witnesses, then row 1's, ….
@@ -42,7 +34,7 @@ pub(crate) struct Witnesses {
     /// Keys, row-major, `basis.len()` words a witness.
     keys: Vec<u32>,
     /// The nodes bound to the basis labels, row-major like `keys`.
-    cells: Vec<VNode>,
+    cells: Vec<NodeEntry>,
     /// Content symbols of the ordering labels ([`NO_SYM`](xmlstore::NO_SYM)
     /// when absent), row-major, `ordering.len()` words a witness.
     sort_syms: Vec<u32>,
@@ -62,7 +54,7 @@ impl Witnesses {
     }
 
     /// The nodes witness `w` binds to the basis labels.
-    pub fn cells(&self, w: u32) -> &[VNode] {
+    pub fn cells(&self, w: u32) -> &[NodeEntry] {
         &self.cells[w as usize * self.basis..][..self.basis]
     }
 
@@ -85,12 +77,12 @@ impl Witnesses {
     }
 }
 
-/// Extract the witnesses of `input` under `pattern`: key words for
-/// `basis`, basis cells, and ordering symbols for `ordering`. With
-/// `anchor_root` the pattern root binds only the rows themselves.
+/// Extract the witnesses of the stored `rows` under `pattern`: key
+/// words for `basis`, basis cells, and ordering symbols for `ordering`.
+/// With `anchor_root` the pattern root binds only the rows themselves.
 pub(crate) fn witnesses(
     store: &DocumentStore,
-    input: &Source,
+    rows: &[NodeEntry],
     pattern: &PatternTree,
     basis: &[BasisItem],
     ordering: &[GroupOrder],
@@ -102,45 +94,22 @@ pub(crate) fn witnesses(
         ordering: ordering.len(),
         ..Witnesses::default()
     };
-    match input {
-        Source::Stored(rows) => {
-            let cols = store.columns();
-            // A row usually holds a witness or more.
-            out.tree_idx.reserve(rows.len());
-            out.keys.reserve(rows.len() * basis.len());
-            out.cells.reserve(rows.len() * basis.len());
-            out.sort_syms.reserve(rows.len() * ordering.len());
-            for_each_match(store, pattern, rows, anchor_root, |row, m| {
-                out.tree_idx.push(row);
-                for item in basis {
-                    let e = m[item.label];
-                    out.keys.push(cols.content[e.id.0 as usize]);
-                    out.cells.push(VNode::Stored(e));
-                }
-                for o in ordering {
-                    out.sort_syms.push(cols.content[m[o.label].id.0 as usize]);
-                }
-            })?;
+    let cols = store.columns();
+    // A row usually holds a witness or more.
+    out.tree_idx.reserve(rows.len());
+    out.keys.reserve(rows.len() * basis.len());
+    out.cells.reserve(rows.len() * basis.len());
+    out.sort_syms.reserve(rows.len() * ordering.len());
+    for_each_match(store, pattern, rows, anchor_root, |row, m| {
+        out.tree_idx.push(row);
+        for item in basis {
+            let e = m[item.label];
+            out.keys.push(cols.content[e.id.0 as usize]);
+            out.cells.push(e);
         }
-        Source::Trees(trees) => {
-            for (row, tree) in trees.iter().enumerate() {
-                let table = match_tree(store, tree, pattern, anchor_root)?;
-                let vt = VTree::new(store, tree);
-                out.tree_idx.resize(out.len() + table.len(), row as u32);
-                for b in table.rows() {
-                    // The same symbols the label columns hold for a
-                    // stored row, so every keyed kernel keys a witness
-                    // identically.
-                    for item in basis {
-                        out.keys.push(component(vt.content_sym(b[item.label])));
-                        out.cells.push(b[item.label]);
-                    }
-                    for o in ordering {
-                        out.sort_syms.push(component(vt.content_sym(b[o.label])));
-                    }
-                }
-            }
+        for o in ordering {
+            out.sort_syms.push(cols.content[m[o.label].id.0 as usize]);
         }
-    }
+    })?;
     Ok(out)
 }

@@ -1,12 +1,12 @@
-//! The in-memory data tree manipulated by TAX operators.
+//! The in-memory data tree that operator rows render into.
 //!
 //! A tree is an arena of nodes; each node is either a **constructed
 //! element** (tag + optional content) or a **reference** to a stored node.
 //! A *deep* reference stands for the entire stored subtree and is only
-//! expanded when the tree is materialized — this is the "identifier
-//! processing" of Sec. 5.3: witness trees and group trees circulate as
-//! identifiers, and data pages are touched only for the values an operator
-//! actually needs.
+//! expanded when the tree is materialized — the "identifier processing"
+//! of Sec. 5.3: data pages are touched only when a tree is written. No
+//! operator takes a tree; rows become trees for output and for the
+//! figures ([`Batch::into_trees`](crate::Batch::into_trees)).
 //!
 //! Data population walks each tree once, recording a chunk of trees on
 //! a [`Tape`]: its events, and the stored rows whose values it writes.
@@ -29,13 +29,11 @@
 //! land in its window).
 
 use crate::error::Result;
-use crate::matching::vnode::VNode;
 use std::cell::Cell;
 use xmlparse::{Element, ElementBuilder, XmlSink, XmlWriter};
 use xmlstore::{Dictionary, DocumentStore, NodeEntry, RowWriter, Sym, Tape};
 
-/// A collection of data trees — what every TAX operator consumes and
-/// produces.
+/// A collection of data trees: what a batch of rows renders into.
 pub type Collection = Vec<Tree>;
 
 /// Arena index of a node within a [`Tree`].
@@ -128,45 +126,6 @@ impl Tree {
                 parent: None,
                 children: Vec::new(),
             }],
-        }
-    }
-
-    /// One virtual node as a standalone tree. A stored node becomes a
-    /// reference of the requested depth; an arena reference of `src` is
-    /// re-issued at the requested depth; a constructed element keeps its
-    /// tag and content and, when `deep`, its arena subtree (a deep
-    /// reference already stands for its whole stored subtree). `src` is
-    /// the tree `VNode::Arena` indexes into (`None` when matching the
-    /// stored database, where every binding is `VNode::Stored`).
-    pub fn from_vnode(src: Option<&Tree>, v: VNode, deep: bool) -> Self {
-        let mut t = Tree {
-            nodes: vec![TreeNode {
-                kind: Self::vnode_kind(src, v, deep),
-                parent: None,
-                children: Vec::new(),
-            }],
-        };
-        if let (true, VNode::Arena(i), Some(src)) = (deep, v, src) {
-            if matches!(src.nodes[i].kind, TreeNodeKind::Elem { .. }) {
-                for &c in &src.nodes[i].children {
-                    t.append_subtree(0, src, c);
-                }
-            }
-        }
-        t
-    }
-
-    /// The payload `v` takes in a tree built at the requested depth.
-    pub(crate) fn vnode_kind(src: Option<&Tree>, v: VNode, deep: bool) -> TreeNodeKind {
-        match v {
-            VNode::Stored(node) => TreeNodeKind::Ref { node, deep },
-            VNode::Arena(i) => {
-                let src = src.expect("an arena binding implies a source tree");
-                match &src.nodes[i].kind {
-                    TreeNodeKind::Ref { node, .. } => TreeNodeKind::Ref { node: *node, deep },
-                    elem @ TreeNodeKind::Elem { .. } => elem.clone(),
-                }
-            }
         }
     }
 
@@ -528,36 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn from_vnode_builds_each_kind_at_the_requested_depth() {
-        let s = store();
-        let d = s.dict();
-        let article = s.nodes_with_tag(s.tag_id("article").unwrap())[0];
-        // src: root{ wrap{ leaf="x" }, ref(article, shallow){ marker } }
-        let mut src = Tree::new_elem(d, "root");
-        let wrap = src.add_elem(d, src.root(), "wrap");
-        src.add_elem_with_content(d, wrap, "leaf", "x");
-        let r = src.add_ref(src.root(), article, false);
-        src.add_elem(d, r, "marker");
-
-        for deep in [false, true] {
-            // A stored node is a reference of the requested depth.
-            let t = Tree::from_vnode(None, VNode::Stored(article), deep);
-            assert_eq!(t, Tree::new_ref(article, deep));
-            // An arena reference is re-issued at the requested depth,
-            // without the arena children that hung under it.
-            let t = Tree::from_vnode(Some(&src), VNode::Arena(r), deep);
-            assert_eq!(t, Tree::new_ref(article, deep));
-        }
-        // A constructed element: the node alone, or its arena subtree.
-        let shallow = Tree::from_vnode(Some(&src), VNode::Arena(wrap), false);
-        assert_eq!(shallow, Tree::new_elem(d, "wrap"));
-        let deep = Tree::from_vnode(Some(&src), VNode::Arena(wrap), true);
-        let mut expect = Tree::new_elem(d, "wrap");
-        expect.add_elem_with_content(d, 0, "leaf", "x");
-        assert_eq!(deep, expect);
-    }
-
-    #[test]
     fn preorder_order() {
         let s = store();
         let d = s.dict();
@@ -801,7 +730,7 @@ mod tests {
         let extract = fig5d.add_child(member, Axis::Child, tag("title"));
         let pl = [0, key, extract].map(ProjectItem::deep);
         let pl = [ProjectItem::shallow(0), pl[1], pl[2]];
-        let gather = Projection::new(&fig5d, &pl, true, Some((&scan, &by_author[..])));
+        let gather = Projection::new(&fig5d, &pl, true, Some((&scan, &by_author[..])), None);
         let (groups, _) = groupby(s, &articles, &scan, &by_author, &[]).unwrap();
         let mut titled = PatternTree::with_root(tag("article"));
         let t = titled.add_child(0, Axis::Child, tag("title"));

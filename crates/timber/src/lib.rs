@@ -53,7 +53,7 @@ mod stitch;
 
 pub use error::{Result, TimberError};
 pub use metrics::{OutKind, PlanMetrics};
-pub use result::{Output, QueryResult};
+pub use result::QueryResult;
 
 use std::fmt::Write as _;
 use xmlstore::{
@@ -227,14 +227,19 @@ impl TimberDb {
 
     /// Evaluate an already compiled plan. The whole execution runs
     /// against one pinned snapshot, so a plan never observes a commit
-    /// that lands mid-query.
+    /// that lands mid-query. A plan whose root emits anything but
+    /// one-level rows is refused.
     pub fn run_plan(&self, plan: &Plan, rewritten: bool) -> Result<QueryResult> {
         let store = self.store.snapshot();
         let start = std::time::Instant::now();
         let io_before = store.io_stats();
         let (out, metrics) = physical::evaluate(&store, plan)?;
+        let physical::Batch::Rows(output) = out else {
+            let refused = "a plan's root emits one-level rows".into();
+            return Err(tax::Error::Unsupported(refused).into());
+        };
         Ok(QueryResult {
-            output: out.into(),
+            output,
             rewritten,
             elapsed: start.elapsed(),
             io: store.io_stats().since(io_before),

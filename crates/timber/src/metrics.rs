@@ -19,8 +19,6 @@ pub enum OutKind {
     Stored,
     /// A selection's match rows only: no witness tree built.
     Matches,
-    /// Trees only.
-    Trees,
     /// Groups over stored rows only, as columns: no group tree built.
     Groups,
     /// One-level rows only, as cells: no output tree built.
@@ -32,10 +30,10 @@ pub enum OutKind {
 pub struct PlanMetrics {
     /// Operator description (the plan node's one-line rendering).
     pub op: String,
-    /// Rows pulled from the operator's input(s), stored rows and trees
-    /// alike. Zero for leaves.
+    /// Rows pulled from the operator's input(s), of every kind. Zero for
+    /// leaves.
     pub trees_in: usize,
-    /// Rows this operator emitted — trees only when `out_kind` says so.
+    /// Rows this operator emitted, of the kind `out_kind` says.
     pub trees_out: usize,
     /// The kind of the emitted rows; `None` when nothing was emitted.
     pub out_kind: Option<OutKind>,
@@ -78,7 +76,6 @@ impl PlanMetrics {
             None => "",
             Some(OutKind::Stored) => " stored",
             Some(OutKind::Matches) => " matches",
-            Some(OutKind::Trees) => " trees",
             Some(OutKind::Groups) => " groups",
             Some(OutKind::Rows) => " rows",
         };
@@ -175,7 +172,7 @@ mod tests {
             op: "Rename to <x>".into(),
             trees_in: 3,
             trees_out: 3,
-            out_kind: Some(OutKind::Trees),
+            out_kind: Some(OutKind::Rows),
             children: vec![PlanMetrics {
                 op: "Project".into(),
                 trees_out: 3,
@@ -187,7 +184,7 @@ mod tests {
         let text = m.render();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("Rename to <x> | in=3 out=3 trees time="));
+        assert!(lines[0].starts_with("Rename to <x> | in=3 out=3 rows time="));
         assert!(lines[1].starts_with("  Project | in=0 out=3 stored time="));
         // An operator that emitted nothing has no kind to report.
         let idle = PlanMetrics::default().render();

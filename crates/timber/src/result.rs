@@ -1,54 +1,18 @@
-//! Query results: rows or trees, timing, and I/O accounting.
+//! Query results: rows, timing, and I/O accounting.
 
 use crate::error::Result;
 use crate::metrics::PlanMetrics;
 use std::time::Duration;
-use tax::batch::{Batch, Rows};
+use tax::batch::Rows;
 use tax::tree::Results;
-use tax::Collection;
-use xmlstore::{DocumentStore, IoStats, Tape};
-
-/// What a query returned, still referring into the store: render it
-/// with [`QueryResult::to_xml_on`].
-#[derive(Debug)]
-pub enum Output {
-    /// One-level rows: every compiled plan's output.
-    Rows(Rows),
-    /// Trees: a hand-built plan's, such as the literal count plan's.
-    Trees(Collection),
-}
-
-/// One-level rows stay rows; any other batch becomes its trees.
-impl From<Batch> for Output {
-    fn from(batch: Batch) -> Self {
-        match batch {
-            Batch::Rows(rows) => Output::Rows(rows),
-            other => Output::Trees(other.into_trees()),
-        }
-    }
-}
-
-impl Results for Output {
-    fn count(&self) -> usize {
-        match self {
-            Output::Rows(rows) => rows.len(),
-            Output::Trees(trees) => trees.len(),
-        }
-    }
-
-    fn emit(&self, store: &DocumentStore, i: usize, out: &mut Tape) -> tax::Result<()> {
-        match self {
-            Output::Rows(rows) => rows.emit(store, i, out),
-            Output::Trees(trees) => trees[..].emit(store, i, out),
-        }
-    }
-}
+use xmlstore::{DocumentStore, IoStats};
 
 /// The outcome of one query evaluation.
 #[derive(Debug)]
 pub struct QueryResult {
-    /// The output.
-    pub output: Output,
+    /// The output: one-level rows, still referring into the store —
+    /// render them with [`QueryResult::to_xml_on`].
+    pub output: Rows,
     /// Whether the GROUPBY rewrite produced the executed plan.
     pub rewritten: bool,
     /// Wall-clock evaluation time.

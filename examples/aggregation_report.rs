@@ -10,10 +10,10 @@
 #![forbid(unsafe_code)]
 
 use datagen::{DblpConfig, DblpGenerator};
+use tax::batch::{Batch, Matches};
 use tax::ops::aggregate::{aggregate, AggFunc, UpdateSpec};
 use tax::ops::groupby::{groupby, BasisItem, Direction, GroupOrder};
 use tax::ops::project::ProjectItem;
-use tax::ops::{project, select_db};
 use tax::pattern::{Axis, PatternTree, Pred};
 use tax::tags;
 use timber::TimberDb;
@@ -37,14 +37,14 @@ fn main() {
     // 1. The article collection (Fig. 9 shape).
     let mut sp = PatternTree::with_root(Pred::tag("doc_root"));
     let art = sp.add_child(sp.root(), Axis::Descendant, Pred::tag("article"));
-    let sel = select_db(store, &sp, &[art]).expect("select");
-    let input = project(store, &sel, &sp, &[ProjectItem::deep(art)], true).expect("project");
+    let sel = Matches::select(store, &sp, &[art]).expect("select");
+    let input = sel.project(&[ProjectItem::deep(art)]).expect("project");
 
     // 2. Group by author, members ordered by ascending year.
     let mut gp = PatternTree::with_root(Pred::tag("article"));
     let author = gp.add_child(gp.root(), Axis::Child, Pred::tag("author"));
     let year = gp.add_child(gp.root(), Axis::Child, Pred::tag("year"));
-    let groups = groupby(
+    let (groups, _) = groupby(
         store,
         &input,
         &gp,
@@ -54,14 +54,15 @@ fn main() {
             direction: Direction::Ascending,
         }],
     )
-    .expect("groupby")
-    .0
-    .into_trees();
+    .expect("groupby");
     println!("{} author groups", groups.len());
+    let Batch::Groups(groups) = groups else {
+        unreachable!("groupby emits groups")
+    };
 
     // 3. Aggregations over each group: COUNT of member articles, MIN and
     //    MAX of the member years, appended after the group root's last
-    //    child.
+    //    child — cells each group carries until it is written.
     let mut count_p = PatternTree::with_root(Pred::tag(tags::GROUP_ROOT));
     let sub = count_p.add_child(count_p.root(), Axis::Child, Pred::tag(tags::GROUP_SUBROOT));
     let member = count_p.add_child(sub, Axis::Child, Pred::tag("article"));
@@ -103,7 +104,7 @@ fn main() {
 
     // 4. Report the most prolific authors.
     let mut rows: Vec<(String, u64, String, String)> = Vec::new();
-    for g in &with_max {
+    for g in &Batch::Groups(with_max).into_trees() {
         let e = g.materialize(store).expect("materialize");
         let author = e
             .child(tags::GROUPING_BASIS)

@@ -10,9 +10,9 @@
 #![forbid(unsafe_code)]
 
 use datagen::{DblpConfig, DblpGenerator};
+use tax::batch::{Batch, Matches};
 use tax::ops::groupby::{groupby, BasisItem, Direction, GroupOrder};
 use tax::ops::project::ProjectItem;
-use tax::ops::{project, select_db};
 use tax::pattern::{Axis, PatternTree, Pred};
 use tax::tags;
 use timber::{PlanMode, TimberDb};
@@ -73,11 +73,11 @@ fn main() {
     println!("-- two-level grouping (TAX operators) --");
     let store = db.store();
 
-    // Collection of article subtrees.
+    // The articles, one stored row each.
     let mut sp = PatternTree::with_root(Pred::tag("doc_root"));
     let art = sp.add_child(sp.root(), Axis::Descendant, Pred::tag("article"));
-    let sel = select_db(store, &sp, &[art]).expect("select");
-    let input = project(store, &sel, &sp, &[ProjectItem::deep(art)], true).expect("project");
+    let sel = Matches::select(store, &sp, &[art]).expect("select");
+    let input = sel.project(&[ProjectItem::deep(art)]).expect("project");
 
     // Outer grouping: by institution (through author), members ordered by
     // descending title — the Fig. 3 ordering list.
@@ -85,7 +85,7 @@ fn main() {
     let title = gp.add_child(gp.root(), Axis::Child, Pred::tag("title"));
     let author = gp.add_child(gp.root(), Axis::Child, Pred::tag("author"));
     let inst = gp.add_child(author, Axis::Child, Pred::tag("institution"));
-    let outer_groups = groupby(
+    let (outer_groups, _) = groupby(
         store,
         &input,
         &gp,
@@ -95,15 +95,17 @@ fn main() {
             direction: Direction::Descending,
         }],
     )
-    .expect("outer groupby")
-    .0
-    .into_trees();
+    .expect("outer groupby");
     println!("  {} institution groups", outer_groups.len());
+    let Batch::Groups(outer_groups) = outer_groups else {
+        unreachable!("groupby emits groups")
+    };
 
     // Inner grouping: within each institution group, group that group's
     // member articles by author.
     let mut total_author_groups = 0usize;
-    for group in outer_groups.iter().take(3) {
+    let trees = Batch::Groups(outer_groups.clone()).into_trees();
+    for (g, group) in trees.iter().enumerate().take(3) {
         let e = group.materialize(store).expect("materialize");
         let inst_name = e
             .child(tags::GROUPING_BASIS)
@@ -111,33 +113,8 @@ fn main() {
             .map(|i| i.text())
             .unwrap_or_default();
 
-        // Re-wrap the member articles as a collection.
-        let members: Vec<tax::Tree> = {
-            let subroot_sym = store.dict().intern(tags::GROUP_SUBROOT);
-            let subroot = group
-                .node(group.root())
-                .children
-                .iter()
-                .copied()
-                .find(|&c| {
-                    matches!(
-                        &group.node(c).kind,
-                        tax::TreeNodeKind::Elem { tag, .. } if *tag == subroot_sym
-                    )
-                })
-                .expect("subroot");
-            group
-                .node(subroot)
-                .children
-                .iter()
-                .map(|&c| {
-                    let mut t = tax::Tree::new_elem(store.dict(), "tmp");
-                    let copied = t.append_subtree(t.root(), group, c);
-                    extract_subtree(&t, copied)
-                })
-                .collect()
-        };
-
+        // The group's member articles, as stored rows.
+        let members = Batch::Stored(outer_groups.member_rows(g));
         let mut ap = PatternTree::with_root(Pred::tag("article"));
         let author = ap.add_child(ap.root(), Axis::Child, Pred::tag("author"));
         let name = ap.add_child(author, Axis::Child, Pred::tag("name"));
@@ -153,27 +130,6 @@ fn main() {
         );
     }
     println!("  (author groups across first three institutions: {total_author_groups})");
-}
-
-/// Copy the subtree rooted at `n` of `t` into its own tree.
-fn extract_subtree(t: &tax::Tree, n: usize) -> tax::Tree {
-    let mut out = match &t.node(n).kind {
-        tax::TreeNodeKind::Elem { tag, content } => {
-            let mut o = tax::Tree::new_elem_sym(*tag);
-            if let Some(c) = content {
-                if let tax::TreeNodeKind::Elem { content, .. } = &mut o.node_mut(0).kind {
-                    *content = Some(*c);
-                }
-            }
-            o
-        }
-        tax::TreeNodeKind::Ref { node, deep } => tax::Tree::new_ref(*node, *deep),
-    };
-    for &c in &t.node(n).children {
-        let root = out.root();
-        out.append_subtree(root, t, c);
-    }
-    out
 }
 
 fn truncate(s: &str, n: usize) -> String {

@@ -7,7 +7,7 @@
 
 use smallrand::prop::{check, Gen};
 use std::collections::HashMap;
-use tax::batch::Source;
+use tax::batch::Batch;
 use tax::matching::{
     for_each_match, match_db, match_db_scoped, match_in_scopes, naive::match_db_scan, Bindings,
 };
@@ -97,18 +97,9 @@ fn pattern(g: &mut Gen) -> PatternTree {
     p
 }
 
-/// The scan matcher's table in the index matcher's cell type: it sees
-/// the document root through its virtual tree.
+/// The scan matcher's table, row by row.
 fn scan(store: &DocumentStore, pattern: &PatternTree) -> Vec<Vec<NodeEntry>> {
-    match_db_scan(store, pattern)
-        .expect("scan")
-        .rows()
-        .map(|row| {
-            row.cells()
-                .map(|v| v.as_stored().unwrap_or_else(|| store.root()))
-                .collect()
-        })
-        .collect()
+    rows(&match_db_scan(store, pattern).expect("scan"))
 }
 
 fn rows(table: &Bindings) -> Vec<Vec<NodeEntry>> {
@@ -337,7 +328,8 @@ fn nested_articles_group_as_the_join_binds_them() {
     // disjoint ones a scan of top-level articles gives.
     let articles = s.nodes_with_tag(s.tag_id("article").unwrap()).to_vec();
     for rows in [articles.clone(), vec![articles[0], articles[2]]] {
-        let input = || Source::Stored(rows[..].into());
+        let batch = Batch::Stored(rows.clone());
+        let input = || &batch;
         // The reference: the join's witnesses, and each row's titles.
         let (table, scope_of_row) = match_in_scopes(&s, &p, &rows, false).unwrap();
         let witnesses: Vec<(u32, Vec<u32>)> = (0..table.len())

@@ -13,7 +13,7 @@ use smallrand::prop::{check, Gen};
 use std::sync::atomic::{AtomicBool, Ordering};
 use tax::tree::TreeNodeId;
 use tax::Tree;
-use timber::{Output, PlanMode, QueryResult, TimberDb, TimberError};
+use timber::{PlanMode, QueryResult, TimberDb, TimberError};
 use timber_integration_tests::{expected, fig6_db, FIG6_DB, QUERY1, QUERY2, QUERY_COUNT};
 use xmlparse::serialize::element_to_string;
 use xmlparse::{parse_document, Element, XmlNode};
@@ -350,9 +350,7 @@ fn a_read_fault_mid_output_is_a_typed_error() {
     }
     // A row written alone fails typed too, and leaves its buffer as it
     // was.
-    let Output::Rows(rows) = &r.output else {
-        panic!("the grouped plan's output is rows: {:?}", r.output)
-    };
+    let rows = &r.output;
     let mut partial = String::from("kept");
     match rows.write_xml(db.store(), 0, &mut partial) {
         Err(tax::Error::Store(e)) => assert!(!e.to_string().is_empty()),

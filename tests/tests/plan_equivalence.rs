@@ -79,9 +79,9 @@ fn attributes_flow_through_both_plans_as_in_the_model() {
 
 /// The paper's count plan as written (Sec. 4.1, count variant Sec. 4.3),
 /// built by hand for [`QUERY_COUNT`]: the scan of the articles, `GROUPBY`
-/// on the author (Fig. 5b/5c), the title count appended to each group
-/// tree, the final projection (Fig. 5d) and the rename. The rewrite emits
-/// the middle three as one `Rollup`.
+/// on the author (Fig. 5b/5c), the title count appended to each group,
+/// the final projection (Fig. 5d) and the rename. The rewrite emits the
+/// middle three as one `Rollup`.
 fn literal_count_plan() -> Plan {
     let tag = |t: &str| Pred::tag(t);
     let mut grouping = PatternTree::with_root(tag("article"));
@@ -125,9 +125,9 @@ fn literal_count_plan() -> Plan {
 
 #[test]
 fn the_papers_literal_count_plan_equals_the_model_on_fig6() {
-    // Every operator of the literal plan runs, the materialized group
-    // trees and the executor's `Aggregate` included, and serves the bytes
-    // the rewrite's `Rollup` serves.
+    // Every operator of the literal plan runs over rows — `GroupBy`'s
+    // groups, the count `Aggregate` appends to each, the projection of
+    // key and count — and serves the bytes the rewrite's `Rollup` serves.
     let db = fig6_db();
     let result = db.run_plan(&literal_count_plan(), true).unwrap();
     let want = expected(FIG6_DB, QUERY_COUNT);
@@ -186,15 +186,6 @@ fn authored() -> PatternTree {
     p
 }
 
-/// The articles as one-node trees: the match rows of a `SelectDb`, which
-/// a grouping sink reads as their witness trees.
-fn tree_leaf() -> Plan {
-    Plan::SelectDb {
-        pattern: PatternTree::with_root(Pred::tag("article")),
-        sl: vec![0],
-    }
-}
-
 #[test]
 fn repeated_stored_rows_group_like_a_document_that_repeats_the_articles() {
     // The XQuery subset cannot put a predicate on the outer scan, so a
@@ -203,9 +194,9 @@ fn repeated_stored_rows_group_like_a_document_that_repeats_the_articles() {
     // with the articles physically repeated the same way: `article[author]`
     // with `PL=[$1*]` emits an article once per author (equal rows,
     // adjacent). The count query is the one to ask: a rollup counts per
-    // row, whereas the titles query's final `Project` merges several
-    // references to one stored article into one (physical.rs holds that
-    // plan to its tree-building twin).
+    // row, whereas the titles query's final `Project` writes a node that
+    // several rows of one stored article reach once (physical.rs pins
+    // that plan's bytes).
     check("repeated stored rows equal the model", 32, |g| {
         let xml = bibliography(g, Shape::Plain);
         let body = &xml["<bib>".len()..xml.len() - "</bib>".len()];
@@ -270,6 +261,45 @@ fn the_rewrite_drops_an_author_no_titled_article_carries() {
         assert_eq!(want, format!("{jane}{jack}"));
         assert_eq!(run(&db, query, PlanMode::Direct), want);
         assert_eq!(run(&db, query, PlanMode::GroupByRewrite), jack);
+    }
+}
+
+#[test]
+fn nested_articles_part_the_rewrite_from_the_query() {
+    // An article inside an article, and one inside a `<section>`. The
+    // query binds `$b/author` at `$b` only; the rewrite's grouping
+    // witnesses are unanchored (TAX semantics), so the outer article
+    // also joins Jill's group through the inner one's author. DESIGN.md,
+    // *Oracle*, 4: the direct plan equals the model, the rewrite is
+    // pinned to its bytes — which also hold the gather on nested rows,
+    // where a node two members reach is written once.
+    let xml = "<bib><article><author>Jack</author><title>Outer</title>\
+        <article><author>Jack</author><author>Jill</author><title>Inner</title></article></article>\
+        <section><article><author>Jill</author><title>Sec</title></article></section></bib>";
+    let titles =
+        "<authorpubs><author>Jack</author><title>Outer</title><title>Inner</title></authorpubs>\n\
+        <authorpubs><author>Jill</author><title>Inner</title><title>Sec</title></authorpubs>\n";
+    let rewritten = "<authorpubs><author>Jack</author><title>Outer</title><title>Inner</title></authorpubs>\n\
+        <authorpubs><author>Jill</author><title>Outer</title><title>Inner</title><title>Sec</title></authorpubs>\n";
+    let count = |jill: u32| {
+        format!(
+            "<authorpubs><author>Jack</author><count>2</count></authorpubs>\n\
+             <authorpubs><author>Jill</author><count>{jill}</count></authorpubs>\n"
+        )
+    };
+    let db = TimberDb::load_xml(xml, &StoreOptions::in_memory()).unwrap();
+    for (query, model, grouped) in [
+        (QUERY1, titles.to_owned(), rewritten.to_owned()),
+        (QUERY2, titles.to_owned(), rewritten.to_owned()),
+        (QUERY_COUNT, count(2), count(3)),
+    ] {
+        assert_eq!(expected(xml, query), model);
+        assert_eq!(run(&db, query, PlanMode::Direct), model, "{query}");
+        assert_eq!(
+            run(&db, query, PlanMode::GroupByRewrite),
+            grouped,
+            "{query}"
+        );
     }
 }
 
@@ -358,11 +388,6 @@ fn returning_the_join_tag_keeps_the_key_and_the_members_node_apart() {
     for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
         assert_eq!(run(&db, &query, mode), want, "{mode:?}");
     }
-    // Group trees (a tree input) go through the tree projection: the
-    // same bytes.
-    let (plan, _) = db.compile(&query, PlanMode::GroupByRewrite).unwrap();
-    let trees = db.run_plan(&with_leaf(&plan, tree_leaf()), true).unwrap();
-    assert_eq!(trees.to_xml_on(db.store()).unwrap(), want);
 }
 
 #[test]
@@ -444,9 +469,9 @@ fn groupby_out(m: &PlanMetrics) -> Option<OutKind> {
 #[test]
 fn the_group_projection_equals_the_model_on_random_bibliographies() {
     // `GroupBy` hands the final projection groups as columns, and the
-    // projection gathers each output tree from one match of the member
-    // path — or, over repeated rows or trees, projects the group trees.
-    // Every way must serve the query as written, minus what DESIGN.md,
+    // projection gathers each output row from one match of the member
+    // path, a node repeated rows reach written once. Every way must
+    // serve the query as written, minus what DESIGN.md,
     // *Oracle*, 1 states the rewrite drops: an author none of whose
     // articles carries the returned path; the direct plan serves it whole.
     // Ordered by `$b/title`, which an article may lack, the grouped plan's
@@ -484,7 +509,6 @@ fn the_group_projection_equals_the_model_on_random_bibliographies() {
                 // An article once per author: rows that are not a
                 // disjoint scope list.
                 with_leaf(&plan, scan(authored())),
-                with_leaf(&plan, tree_leaf()),
             ];
             for query in &queries {
                 let want = expected(&xml, query);

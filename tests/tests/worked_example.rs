@@ -5,7 +5,7 @@
 use tax::batch::{Batch, Matches};
 use tax::ops::groupby::{groupby, BasisItem};
 use tax::ops::project::ProjectItem;
-use tax::ops::{dup_elim, left_outer_join_db, project, select_db};
+use tax::ops::{dup_elim, left_outer_join_db, select_db};
 use tax::pattern::{Axis, PatternTree, Pred};
 use tax::tags;
 use timber::PlanMode;
@@ -26,17 +26,11 @@ fn fig7_outer_selection_projection_dupelim() {
     // Selection (SL = $2), projection ($1, $2*), dup-elim on $2.content.
     let sel = select_db(store, &p, &[1]).unwrap();
     assert_eq!(sel.len(), 5, "five author occurrences");
-    let proj = project(
-        store,
-        &sel,
-        &p,
-        &[ProjectItem::shallow(0), ProjectItem::deep(1)],
-        true,
-    )
-    .unwrap();
-    let distinct = dup_elim(store, Batch::Trees(proj), &p, 1)
+    let proj = Matches::select(store, &p, &[1])
         .unwrap()
-        .into_trees();
+        .project(&[ProjectItem::shallow(0), ProjectItem::deep(1)])
+        .unwrap();
+    let distinct = dup_elim(store, proj, &p, 1).unwrap().into_trees();
     // Fig. 7: three doc_root/author trees: Jack, John, Jill.
     assert_eq!(distinct.len(), 3);
     let names: Vec<String> = distinct
@@ -102,8 +96,8 @@ fn fig9_article_collection() {
     // Phase 2 step 1: selection+projection with the Fig. 5a pattern.
     let mut p = PatternTree::with_root(Pred::tag("doc_root"));
     let art = p.add_child(p.root(), Axis::Descendant, Pred::tag("article"));
-    let sel = select_db(store, &p, &[art]).unwrap();
-    let arts = project(store, &sel, &p, &[ProjectItem::deep(art)], true).unwrap();
+    let sel = Matches::select(store, &p, &[art]).unwrap();
+    let arts = sel.project(&[ProjectItem::deep(art)]).unwrap().into_trees();
     assert_eq!(arts.len(), 3);
     let titles: Vec<String> = arts
         .iter()
@@ -118,8 +112,8 @@ fn fig10_intermediate_group_trees() {
     let store = db.store();
     let mut p = PatternTree::with_root(Pred::tag("doc_root"));
     let art = p.add_child(p.root(), Axis::Descendant, Pred::tag("article"));
-    let sel = select_db(store, &p, &[art]).unwrap();
-    let arts = project(store, &sel, &p, &[ProjectItem::deep(art)], true).unwrap();
+    let sel = Matches::select(store, &p, &[art]).unwrap();
+    let arts = sel.project(&[ProjectItem::deep(art)]).unwrap();
 
     // Fig. 5b: article -pc-> author; grouping basis $2.content.
     let mut gp = PatternTree::with_root(Pred::tag("article"));
