@@ -79,11 +79,13 @@ pub enum Plan {
         /// Ordering list.
         ordering: Vec<GroupOrder>,
     },
-    /// Aggregation with update specification (Sec. 4.3).
+    /// Aggregation with update specification (Sec. 4.3), over the
+    /// groups of its input.
     Aggregate {
         /// Input plan.
         input: Box<Plan>,
-        /// Pattern to match per tree.
+        /// Pattern over each group: `TAX_group_root -pc->
+        /// TAX_group_subroot -pc-> member…`.
         pattern: PatternTree,
         /// Aggregate function.
         func: AggFunc,
@@ -96,7 +98,7 @@ pub enum Plan {
     },
     /// Grouped aggregation (Sec. 4.3's count variant as one operator):
     /// the grouping rewrite emits it where the paper's plan is `Project ∘
-    /// Aggregate ∘ GroupBy`. It folds each input tree's contribution into
+    /// Aggregate ∘ GroupBy`. It folds each input row's contribution into
     /// running per-basis-key aggregate state, never building the grouped
     /// member trees, and emits `TAX_group_root { <key>, <new_tag>value
     /// </new_tag> }` per group in first-witness order.
@@ -118,7 +120,8 @@ pub enum Plan {
         new_tag: String,
         /// Flat output shape, the final projection pre-applied: no basis
         /// wrapper, and a group whose aggregate is undefined is dropped.
-        /// The rewrite always sets it.
+        /// The rewrite always sets it, and the executor refuses a plan
+        /// that does not.
         flat: bool,
     },
     /// The grouping lattice (`CUBE BY`): one scan computes the aggregate
