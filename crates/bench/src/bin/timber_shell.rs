@@ -481,7 +481,6 @@ impl Shell {
         };
         for (name, mode) in modes {
             if self.explain == Explain::Analyze {
-                db.reset_io_stats();
                 match db.explain_analyze(query, *mode) {
                     Ok(a) => {
                         if self.mode == Mode::Both {

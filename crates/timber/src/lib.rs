@@ -158,11 +158,6 @@ impl TimberDb {
         }
     }
 
-    /// Whether this handle is a pinned snapshot (see [`TimberDb::snapshot`]).
-    pub fn is_snapshot(&self) -> bool {
-        self.store.is_snapshot()
-    }
-
     /// The commit epoch this handle reads at.
     pub fn epoch(&self) -> u64 {
         self.store.epoch()
@@ -232,7 +227,6 @@ impl TimberDb {
     pub fn run_plan(&self, plan: &Plan, rewritten: bool) -> Result<QueryResult> {
         let store = self.store.snapshot();
         let start = std::time::Instant::now();
-        let io_before = store.io_stats();
         let (out, metrics) = physical::evaluate(&store, plan)?;
         let physical::Batch::Rows(output) = out else {
             let refused = "a plan's root emits one-level rows".into();
@@ -242,7 +236,6 @@ impl TimberDb {
             output,
             rewritten,
             elapsed: start.elapsed(),
-            io: store.io_stats().since(io_before),
             metrics: Some(metrics),
         })
     }
@@ -282,7 +275,9 @@ impl TimberDb {
         })
     }
 
-    /// Current I/O counters of the store.
+    /// Current I/O counters of the store. They are store-wide: every
+    /// handle on the store adds to them. A plan reads no page, so they
+    /// count output population, loads and writes.
     pub fn io_stats(&self) -> IoStats {
         self.store.io_stats()
     }
@@ -352,11 +347,9 @@ impl ExplainAnalysis {
         );
         let _ = writeln!(
             out,
-            "\n{} rows in {:.3?}; {} page requests, {} disk reads",
+            "\n{} rows in {:.3?}",
             self.result.len(),
             self.result.elapsed,
-            self.result.io.page_requests(),
-            self.result.io.disk.reads,
         );
         out
     }
@@ -414,17 +407,18 @@ mod tests {
 
     #[test]
     fn count_plans_agree_and_read_no_page() {
-        // Keys, joins and counts are symbols in both plans: neither asks
-        // for a page before the output is written.
+        // Keys, joins and counts are symbols in both plans: on a quiet
+        // store, neither moves the page counters before the output is
+        // written.
         let db = db();
+        let before = db.io_stats();
         let direct = db.query(QUERY_COUNT, PlanMode::Direct).unwrap();
         let grouped = db.query(QUERY_COUNT, PlanMode::GroupByRewrite).unwrap();
+        assert_eq!(db.io_stats(), before);
         assert_eq!(
             direct.to_xml_on(db.store()).unwrap(),
             grouped.to_xml_on(db.store()).unwrap()
         );
-        assert_eq!(direct.io.page_requests(), 0);
-        assert_eq!(grouped.io.page_requests(), 0);
     }
 
     const QUERY_COUNT: &str = r#"
@@ -495,7 +489,7 @@ mod tests {
         for line in text.lines().filter(|l| l.contains(" | in=")) {
             assert!(line.contains("out="), "{line}");
             assert!(line.contains("time="), "{line}");
-            assert!(line.contains("pages="), "{line}");
+            assert!(line.contains("clones="), "{line}");
         }
         // The grouping sink reports its stage times, and so does the cube.
         assert!(
@@ -518,9 +512,8 @@ mod tests {
     #[test]
     fn a_reset_during_a_query_leaves_its_io_delta_a_count() {
         // One handle zeroes the store-wide counters while another
-        // queries and writes its output: the query's own window read no
-        // page, and a reset inside it must not wrap that to 2^64 or
-        // panic.
+        // queries and writes its output: every run still writes the
+        // solo bytes.
         use std::time::{Duration, Instant};
         let db = db();
         let want = db.query(QUERY1, PlanMode::Direct).unwrap();
@@ -537,9 +530,6 @@ mod tests {
                 for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
                     let r = db.query(QUERY1, mode).unwrap();
                     assert_eq!(r.to_xml_on(db.store()).unwrap(), want, "{mode:?}");
-                    assert_eq!(r.io.page_requests(), 0, "{mode:?}");
-                    let m = r.metrics.unwrap_or_default();
-                    assert_eq!(m.total_page_requests(), 0, "{}", m.render());
                 }
             }
         });

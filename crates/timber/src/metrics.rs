@@ -2,14 +2,15 @@
 //!
 //! Every operator of an executed plan records how many rows flowed
 //! through it (and what kind of rows it emitted), how long its own
-//! kernel call took, and the buffer-pool/disk traffic that call
-//! caused. The records mirror the plan shape as a [`PlanMetrics`] tree —
-//! the payload of `EXPLAIN ANALYZE`.
+//! kernel call took, and the clones and kernel rows that call counted
+//! on its thread. The records mirror the plan shape as a [`PlanMetrics`]
+//! tree — the payload of `EXPLAIN ANALYZE`. No operator reads a page
+//! (keys are interned symbols on the label columns), so there is no
+//! page counter here: pages are read when the output is written.
 
 use std::fmt::Write;
 use std::time::Duration;
 use tax::exec::ShardStats;
-use xmlstore::IoStats;
 
 /// What kind of rows an operator emitted (see
 /// [`Batch`](crate::physical::Batch)).
@@ -40,8 +41,6 @@ pub struct PlanMetrics {
     /// Wall-clock time spent in this operator's own work, excluding
     /// its inputs' work.
     pub elapsed: Duration,
-    /// Buffer/disk traffic attributable to this operator's own work.
-    pub io: IoStats,
     /// Deep `Tree` clones performed during this operator's own work (the
     /// clone budget: the zero-copy data path keeps this near zero for
     /// scan/group/aggregate pipelines).
@@ -81,13 +80,11 @@ impl PlanMetrics {
         };
         let _ = write!(
             out,
-            "{pad}{} | in={} out={}{kind} time={:.3?} pages={} disk_reads={} clones={} vec={} vecfb={}",
+            "{pad}{} | in={} out={}{kind} time={:.3?} clones={} vec={} vecfb={}",
             self.op,
             self.trees_in,
             self.trees_out,
             self.elapsed,
-            self.io.page_requests(),
-            self.io.disk.reads,
             self.tree_clones,
             self.vec_rows,
             self.vec_fallback,
@@ -100,26 +97,6 @@ impl PlanMetrics {
         for child in &self.children {
             child.render_into(out, depth + 1);
         }
-    }
-
-    /// Sum of `elapsed` over this node and all descendants.
-    pub fn total_elapsed(&self) -> Duration {
-        self.elapsed
-            + self
-                .children
-                .iter()
-                .map(PlanMetrics::total_elapsed)
-                .sum::<Duration>()
-    }
-
-    /// Sum of page requests over this node and all descendants.
-    pub fn total_page_requests(&self) -> u64 {
-        self.io.page_requests()
-            + self
-                .children
-                .iter()
-                .map(PlanMetrics::total_page_requests)
-                .sum::<u64>()
     }
 
     /// Sum of deep tree clones over this node and all descendants.
@@ -189,7 +166,6 @@ mod tests {
         // An operator that emitted nothing has no kind to report.
         let idle = PlanMetrics::default().render();
         assert!(idle.contains("out=0 time="), "{idle}");
-        assert!(lines[0].contains("pages=0"));
         assert_eq!(m.node_count(), 2);
     }
 

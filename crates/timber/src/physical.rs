@@ -31,8 +31,11 @@
 //! trees.
 //!
 //! Every operator meters its own kernel call — rows in/out (and what
-//! kind of rows it emitted), wall time, and the store's I/O delta — into
-//! a [`PlanMetrics`] tree; its inputs' work is charged to them.
+//! kind of rows it emitted), wall time, and this thread's clone and
+//! kernel-row counts — into a [`PlanMetrics`] tree; its inputs' work is
+//! charged to them. No kernel reads a page: keys are interned symbols on
+//! the label columns, and values are fetched only when the output is
+//! written.
 //!
 //! A query runs on the calling thread, one serial kernel per operator;
 //! concurrency is between queries. The [`tax::exec::contain`] call
@@ -51,7 +54,7 @@ use tax::exec::{ExecOptions, ShardStats, Stages};
 use tax::ops;
 use tax::tree::Collection;
 use tax::Error;
-use xmlstore::{DocumentStore, IoStats};
+use xmlstore::DocumentStore;
 use xquery::Plan;
 
 /// A batch size for callers that pass one to [`execute`], which ignores
@@ -94,9 +97,9 @@ pub(crate) fn run(store: &DocumentStore, plan: &Plan) -> Result<(Batch, PlanMetr
         children.push(metrics);
     }
     let trees_in = ins.iter().map(Batch::len).sum();
-    let meter = Meter::start(store);
+    let meter = Meter::start();
     let out = kernel(store, plan, ins);
-    let mut metrics = meter.stop(store, op_label(plan), children);
+    let mut metrics = meter.stop(op_label(plan), children);
     let (out, stages) = out?;
     metrics.trees_in = trees_in;
     metrics.trees_out = out.len();
@@ -329,21 +332,18 @@ fn op_label(plan: &Plan) -> String {
 }
 
 /// One operator's open measurement window: its start instant and the
-/// counters its stop subtracts — the store's I/O, this thread's clones
-/// and kernel rows.
+/// counters its stop subtracts — this thread's clones and kernel rows.
 struct Meter {
     start: Instant,
-    io: IoStats,
     tree_clones: u64,
     vec_rows: u64,
     vec_fallback: u64,
 }
 
 impl Meter {
-    fn start(store: &DocumentStore) -> Meter {
+    fn start() -> Meter {
         Meter {
             start: Instant::now(),
-            io: store.io_stats(),
             tree_clones: tax::tree::tree_clones(),
             vec_rows: xmlstore::kernels::vec_rows(),
             vec_fallback: xmlstore::kernels::fallback_rows(),
@@ -352,11 +352,10 @@ impl Meter {
 
     /// Close the window: the operator's metrics over it, rows not yet
     /// counted.
-    fn stop(self, store: &DocumentStore, op: String, children: Vec<PlanMetrics>) -> PlanMetrics {
+    fn stop(self, op: String, children: Vec<PlanMetrics>) -> PlanMetrics {
         PlanMetrics {
             op,
             elapsed: self.start.elapsed(),
-            io: store.io_stats().since(self.io),
             tree_clones: tax::tree::tree_clones().saturating_sub(self.tree_clones),
             vec_rows: xmlstore::kernels::vec_rows().saturating_sub(self.vec_rows),
             vec_fallback: xmlstore::kernels::fallback_rows().saturating_sub(self.vec_fallback),
@@ -794,10 +793,8 @@ mod tests {
 
     #[test]
     fn metrics_cover_every_operator() {
-        // In both modes on Fig. 6: one metrics node per plan node, each
-        // operator's rows in are its inputs' rows out, and no operator
-        // asks for a page — tag tests, keys, joins and counts all read
-        // the columnar label region.
+        // In both modes on Fig. 6: one metrics node per plan node, and
+        // each operator's rows in are its inputs' rows out.
         fn check(m: &PlanMetrics) -> usize {
             assert!(!m.op.is_empty());
             let fed: usize = m.children.iter().map(|c| c.trees_out).sum();
@@ -811,7 +808,6 @@ mod tests {
             assert_eq!(metrics.trees_out, trees.len());
             let nodes = check(&metrics);
             assert_eq!((nodes, metrics.node_count()), (operators, operators));
-            assert_eq!(metrics.total_page_requests(), 0, "{}", metrics.render());
         }
     }
 }

@@ -1,11 +1,11 @@
-//! Query results: rows, timing, and I/O accounting.
+//! Query results: rows and timing.
 
 use crate::error::Result;
 use crate::metrics::PlanMetrics;
 use std::time::Duration;
 use tax::batch::Rows;
 use tax::tree::Results;
-use xmlstore::{DocumentStore, IoStats};
+use xmlstore::DocumentStore;
 
 /// The outcome of one query evaluation.
 #[derive(Debug)]
@@ -17,8 +17,6 @@ pub struct QueryResult {
     pub rewritten: bool,
     /// Wall-clock evaluation time.
     pub elapsed: Duration,
-    /// Buffer/disk traffic attributable to this evaluation.
-    pub io: IoStats,
     /// Per-operator metrics of the executed plan (always present on a
     /// result the executor produced).
     pub metrics: Option<PlanMetrics>,

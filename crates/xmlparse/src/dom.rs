@@ -23,11 +23,6 @@ impl Document {
         &self.root
     }
 
-    /// Mutable access to the root element.
-    pub fn root_mut(&mut self) -> &mut Element {
-        &mut self.root
-    }
-
     /// Consume the document, yielding the root element.
     pub fn into_root(self) -> Element {
         self.root
@@ -55,14 +50,6 @@ impl XmlNode {
     pub fn as_element(&self) -> Option<&Element> {
         match self {
             XmlNode::Element(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// The contained text, if this node is character data.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            XmlNode::Text(t) => Some(t),
             _ => None,
         }
     }

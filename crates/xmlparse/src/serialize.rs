@@ -26,14 +26,6 @@ pub fn element_to_string(elem: &Element) -> String {
     out
 }
 
-/// Serialize a single element with indentation.
-pub fn element_to_string_pretty(elem: &Element) -> String {
-    let mut out = String::new();
-    write_element(&mut out, elem, Some(0));
-    out.push('\n');
-    out
-}
-
 fn write_element(out: &mut String, elem: &Element, indent: Option<usize>) {
     if let Some(depth) = indent {
         for _ in 0..depth {

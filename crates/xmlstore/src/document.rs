@@ -161,27 +161,6 @@ impl IoStats {
     pub fn page_requests(&self) -> u64 {
         self.buffer.hits + self.buffer.misses
     }
-
-    /// The counts accrued since `before` was read from the same store,
-    /// each saturating at zero: the counters are store-wide, so a
-    /// [`DocumentStore::reset_io_stats`] on any handle in between leaves
-    /// one below its earlier reading.
-    pub fn since(&self, before: IoStats) -> IoStats {
-        let (b, was) = (self.buffer, before.buffer);
-        IoStats {
-            buffer: BufferStats {
-                hits: b.hits.saturating_sub(was.hits),
-                misses: b.misses.saturating_sub(was.misses),
-                evictions: b.evictions.saturating_sub(was.evictions),
-                writebacks: b.writebacks.saturating_sub(was.writebacks),
-                retries: b.retries.saturating_sub(was.retries),
-            },
-            disk: DiskStats {
-                reads: self.disk.reads.saturating_sub(before.disk.reads),
-                writes: self.disk.writes.saturating_sub(before.disk.writes),
-            },
-        }
-    }
 }
 
 /// State shared by every handle on one store: the concurrent
@@ -691,27 +670,6 @@ mod tests {
         let _ = s.content(t.id).unwrap();
         // The heap page alone: the value's location is not on a page.
         assert_eq!(s.io_stats().page_requests(), 1);
-    }
-
-    #[test]
-    fn io_deltas_saturate_across_a_reset() {
-        let s = store();
-        let t = s.nodes_with_tag(s.tag_id("title").unwrap())[0];
-        for _ in 0..3 {
-            let _ = s.content(t.id).unwrap();
-        }
-        let before = s.io_stats();
-        assert_eq!(
-            before.page_requests(),
-            before.since(IoStats::default()).page_requests()
-        );
-        // Another handle zeroes the shared counters between two readings:
-        // the delta is what accrued since the reset, never a wrapped count.
-        s.snapshot().reset_io_stats();
-        let _ = s.content(t.id).unwrap();
-        let delta = s.io_stats().since(before);
-        assert_eq!((delta.page_requests(), delta.buffer.evictions), (0, 0));
-        assert_eq!(s.io_stats().since(s.io_stats()), IoStats::default());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use super::projection::{limbo_runs, reclaim_limbo, DocRows, LimboRun, Projection
 use super::{DocId, DocumentStore};
 use crate::error::{Result, StoreError};
 use crate::page::PageId;
-use crate::wal::{BeforeImage, Lsn, TxnId, WalHandle, WalRecord};
+use crate::wal::{Lsn, TxnId, WalHandle, WalRecord};
 use std::collections::BTreeSet;
 use std::sync::{Arc, MutexGuard};
 
@@ -295,8 +295,7 @@ impl DocumentStore {
     }
 
     /// Commit a document that reuses freed pages: log a full after-image
-    /// per page (before-image `Zero` — the page was free, so rollback
-    /// zeroes it), install the images in the buffer pool (steal/no-force:
+    /// per page (the page was free, so rollback zeroes it), install the images in the buffer pool (steal/no-force:
     /// an eviction may write them early after flushing the log up to
     /// their LSN; commit itself flushes only the log), then log the
     /// commit.
@@ -315,7 +314,6 @@ impl DocumentStore {
                 Some(w) => w.lock().append(WalRecord::PageImage {
                     txn,
                     pid,
-                    before: BeforeImage::Zero,
                     after: page.clone(),
                 }),
                 None => 0,

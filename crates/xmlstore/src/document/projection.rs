@@ -349,11 +349,6 @@ impl DocumentStore {
         }
     }
 
-    /// Whether this handle is pinned to a snapshot.
-    pub fn is_snapshot(&self) -> bool {
-        self.pinned.is_some()
-    }
-
     /// The commit epoch this handle reads at.
     pub fn epoch(&self) -> u64 {
         self.proj().epoch

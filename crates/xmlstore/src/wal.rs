@@ -17,9 +17,10 @@
 //! reader truncates exactly where the duplication starts and replay
 //! stays idempotent.
 //!
-//! Record kinds: `Begin`, `PageImage` (full before/after page images —
-//! physical logging; the before image is a flag when the page was free
-//! or fresh, which after zero-on-reuse is always the case in practice),
+//! Record kinds: `Begin`, `PageImage` (a full after image — physical
+//! logging; the before image is a flag byte, always 0 for the all-zero
+//! page, since only free or fresh pages are written and they are zeroed
+//! on reuse),
 //! `Commit` (carrying the transaction's metadata *delta*: new counters,
 //! the dictionary names interned since the last durable record, the
 //! document-table entry removed and/or added), `Abort`, and `Checkpoint`
@@ -58,7 +59,7 @@
 //!    images make this idempotent, and it also repairs pages torn by a
 //!    crash mid-writeback);
 //! 3. **Undo** — loser transactions' images are rolled back in reverse
-//!    log order, restoring the before image, but only where the loser's
+//!    log order, zeroing the page again, but only where the loser's
 //!    write is still the newest on that page (last-image check), so a
 //!    later committed reuse of the page survives.
 //!
@@ -90,17 +91,6 @@ const KIND_COMMIT: u8 = 3;
 const KIND_ABORT: u8 = 4;
 const KIND_CHECKPOINT: u8 = 5;
 
-/// The before image of a logged page write.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BeforeImage {
-    /// The page was free or freshly allocated: its logical before state
-    /// is all-zero (pages are zeroed on reuse), so no bytes are logged.
-    Zero,
-    /// An explicit prior image (kept for format generality; the current
-    /// write path never overwrites a live page in place).
-    Bytes(Box<[u8; PAGE_SIZE]>),
-}
-
 /// One log record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
@@ -109,14 +99,14 @@ pub enum WalRecord {
         /// The transaction.
         txn: TxnId,
     },
-    /// A full physical page image written by `txn`.
+    /// A full physical page image written by `txn`. Only a free or
+    /// fresh page is ever written (pages are zeroed on reuse), so the
+    /// state to restore if `txn` loses is all-zero and is not logged.
     PageImage {
         /// The writing transaction.
         txn: TxnId,
         /// The page written.
         pid: PageId,
-        /// State to restore if `txn` loses.
-        before: BeforeImage,
         /// State to reinstall if `txn` wins.
         after: Box<[u8; PAGE_SIZE]>,
     },
@@ -162,21 +152,11 @@ pub fn encode_record(lsn: Lsn, rec: &WalRecord, out: &mut Vec<u8>) {
         WalRecord::Begin { txn } | WalRecord::Abort { txn } => {
             payload.extend_from_slice(&txn.to_le_bytes());
         }
-        WalRecord::PageImage {
-            txn,
-            pid,
-            before,
-            after,
-        } => {
+        WalRecord::PageImage { txn, pid, after } => {
             payload.extend_from_slice(&txn.to_le_bytes());
             payload.extend_from_slice(&pid.0.to_le_bytes());
-            match before {
-                BeforeImage::Zero => payload.push(0),
-                BeforeImage::Bytes(b) => {
-                    payload.push(1);
-                    payload.extend_from_slice(&b[..]);
-                }
-            }
+            // The before-image flag: 0, the all-zero page.
+            payload.push(0);
             payload.extend_from_slice(&after[..]);
         }
         WalRecord::Commit { txn, meta } => {
@@ -224,22 +204,16 @@ fn decode_payload(payload: &[u8]) -> Option<(Lsn, WalRecord)> {
         KIND_PAGE_IMAGE => {
             let txn = rd_u64(payload, 9)?;
             let pid = PageId(rd_u32(payload, 17)?);
-            let flag = *payload.get(21)?;
-            let (before, after_at) = match flag {
-                0 => (BeforeImage::Zero, 22),
-                1 => (BeforeImage::Bytes(rd_page(payload, 22)?), 22 + PAGE_SIZE),
-                _ => return None,
-            };
-            let after = rd_page(payload, after_at)?;
-            if payload.len() != after_at + PAGE_SIZE {
+            // Any before-image flag but 0 (the all-zero page) ends the
+            // valid log.
+            if *payload.get(21)? != 0 {
                 return None;
             }
-            WalRecord::PageImage {
-                txn,
-                pid,
-                before,
-                after,
+            let after = rd_page(payload, 22)?;
+            if payload.len() != 22 + PAGE_SIZE {
+                return None;
             }
+            WalRecord::PageImage { txn, pid, after }
         }
         KIND_COMMIT => {
             let txn = rd_u64(payload, 9)?;
@@ -732,18 +706,12 @@ pub fn replay(disk: &mut DiskManager, log_bytes: &[u8]) -> Result<RecoveredState
     // final state, and redo already installed it.
     let mut undone = 0usize;
     for (lsn, rec) in contents.records.iter().rev() {
-        if let WalRecord::PageImage {
-            txn, pid, before, ..
-        } = rec
-        {
+        if let WalRecord::PageImage { txn, pid, .. } = rec {
             if !losers.contains(txn) || last_image.get(&pid.0) != Some(lsn) {
                 continue;
             }
             ensure_allocated(disk, *pid)?;
-            let mut image = match before {
-                BeforeImage::Zero => [0u8; PAGE_SIZE],
-                BeforeImage::Bytes(b) => **b,
-            };
+            let mut image = [0u8; PAGE_SIZE];
             page::set_lsn(&mut image, *lsn);
             disk.write_page(*pid, &image)?;
             undone += 1;
@@ -802,14 +770,7 @@ mod tests {
             WalRecord::PageImage {
                 txn: 1,
                 pid: PageId(0),
-                before: BeforeImage::Zero,
                 after: image(0xAA),
-            },
-            WalRecord::PageImage {
-                txn: 1,
-                pid: PageId(1),
-                before: BeforeImage::Bytes(image(0x11)),
-                after: image(0xBB),
             },
             WalRecord::Commit {
                 txn: 1,
@@ -851,7 +812,10 @@ mod tests {
             b.iter_mut().for_each(|x| *x = rng.next_u64() as u8);
             b
         };
-        let (before, after) = (seeded(), seeded());
+        // The first page drawn was an explicit before image, which the
+        // log no longer writes; drawing it still keeps the after image
+        // the one the `PageImage` row pins.
+        let (_, after) = (seeded(), seeded());
         let records = [
             WalRecord::Begin {
                 txn: 0x0102_0304_0506_0708,
@@ -859,13 +823,6 @@ mod tests {
             WalRecord::PageImage {
                 txn: 9,
                 pid: PageId(7),
-                before: BeforeImage::Zero,
-                after: after.clone(),
-            },
-            WalRecord::PageImage {
-                txn: 9,
-                pid: PageId(7),
-                before: BeforeImage::Bytes(before),
                 after,
             },
             WalRecord::Commit {
@@ -888,7 +845,6 @@ mod tests {
         let golden = [
             (17, 0xC611_CBAC),
             (8214, 0x7647_7A40),
-            (16406, 0xC21E_4FD1),
             (61, 0x421F_FEA1),
             (17, 0x080E_BCDA),
             (213, 0x6048_5BF7),
@@ -907,6 +863,21 @@ mod tests {
             assert!(parsed.valid_len <= cut as u64);
             let reparsed = read_log(&bytes[..parsed.valid_len as usize]);
             assert_eq!(reparsed.records.len(), parsed.records.len());
+        }
+        // A page image whose before-image flag is not 0, with a valid
+        // checksum, ends the valid log at its frame: 1 once meant logged
+        // before-image bytes, and no write path logs them.
+        let at = encode_all(&records[..2]).len();
+        for flag in [1u8, 2] {
+            let mut bad = bytes.clone();
+            let payload = &mut bad[at + FRAME_HEADER..];
+            let len = rd_u32(&bytes, at).unwrap() as usize;
+            payload[21] = flag;
+            let crc = crc32(&payload[..len]);
+            bad[at + 4..at + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+            let parsed = read_log(&bad);
+            assert_eq!(parsed.valid_len, at as u64, "flag {flag}");
+            assert_eq!(parsed.records.len(), 2, "flag {flag}");
         }
     }
 
@@ -936,7 +907,6 @@ mod tests {
             WalRecord::PageImage {
                 txn: 1,
                 pid: PageId(0),
-                before: BeforeImage::Zero,
                 after: image(0xAA),
             },
             WalRecord::Commit {
@@ -947,7 +917,6 @@ mod tests {
             WalRecord::PageImage {
                 txn: 2,
                 pid: PageId(1),
-                before: BeforeImage::Zero,
                 after: image(0xBB),
             },
             // no commit for txn 2: loser
@@ -976,7 +945,6 @@ mod tests {
             WalRecord::PageImage {
                 txn: 1,
                 pid: PageId(0),
-                before: BeforeImage::Zero,
                 after: image(0x11),
             },
             WalRecord::Abort { txn: 1 },
@@ -985,7 +953,6 @@ mod tests {
             WalRecord::PageImage {
                 txn: 2,
                 pid: PageId(0),
-                before: BeforeImage::Zero,
                 after: image(0x22),
             },
             WalRecord::Commit {
@@ -1010,7 +977,6 @@ mod tests {
             WalRecord::PageImage {
                 txn: 1,
                 pid: PageId(0),
-                before: BeforeImage::Zero,
                 after: image(0x11),
             },
             WalRecord::Commit {
@@ -1074,7 +1040,6 @@ mod tests {
             WalRecord::PageImage {
                 txn: 1,
                 pid: PageId(0),
-                before: BeforeImage::Zero,
                 after: image(0xCC),
             },
             WalRecord::Commit {
@@ -1085,7 +1050,6 @@ mod tests {
             WalRecord::PageImage {
                 txn: 2,
                 pid: PageId(1),
-                before: BeforeImage::Zero,
                 after: image(0xDD),
             },
         ]);

@@ -12,7 +12,7 @@
 
 use smallrand::prop::{check, Gen};
 use xmlstore::storage::{DiskManager, SharedDisk};
-use xmlstore::wal::{self, BeforeImage};
+use xmlstore::wal;
 use xmlstore::{Lsn, PageId, Wal, WalRecord, PAGE_SIZE};
 
 use std::path::PathBuf;
@@ -41,7 +41,6 @@ fn build_log(g: &mut Gen) -> (Vec<u8>, Vec<(Lsn, WalRecord)>) {
             w.append(WalRecord::PageImage {
                 txn: t,
                 pid: PageId(g.usize_in(0, 3) as u32),
-                before: BeforeImage::Zero,
                 after,
             });
         }

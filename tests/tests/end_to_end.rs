@@ -70,9 +70,8 @@ fn groupby_plan_row_wins_hold_with_scale() {
     // The GROUPBY plan's advantage (the paper's central performance
     // claim), counted in rows its operators take in: the direct plan
     // selects the authors twice and joins each with every article it
-    // wrote, the grouped plan scans the articles once. Neither reads a
-    // page before output; the advantage must not collapse as the
-    // database grows.
+    // wrote, the grouped plan scans the articles once. The advantage
+    // must not collapse as the database grows.
     fn rows_in(m: &PlanMetrics) -> f64 {
         m.trees_in as f64 + m.children.iter().map(rows_in).sum::<f64>()
     }
@@ -81,7 +80,6 @@ fn groupby_plan_row_wins_hold_with_scale() {
         let db = load(articles);
         let direct = db.query(QUERY_COUNT, PlanMode::Direct).unwrap();
         let grouped = db.query(QUERY_COUNT, PlanMode::GroupByRewrite).unwrap();
-        assert_eq!(direct.io.page_requests() + grouped.io.page_requests(), 0);
         let rows = |r: &QueryResult| rows_in(r.metrics.as_ref().unwrap());
         let ratio = rows(&direct) / rows(&grouped);
         assert!(

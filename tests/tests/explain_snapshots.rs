@@ -101,9 +101,9 @@ StitchConstruct <row> key: outer.$2
 
 #[test]
 fn explain_analyze_structural_snapshot() {
-    // Timings and I/O counts vary run to run; pin the structure: section
-    // headers, one metrics line per plan operator, and the counters each
-    // line must carry.
+    // Timings vary run to run; pin the structure: section headers, one
+    // metrics line per plan operator, and the counters each line must
+    // carry.
     let db = fig6_db();
     let a = db
         .explain_analyze(QUERY1, PlanMode::GroupByRewrite)
@@ -115,17 +115,13 @@ fn explain_analyze_structural_snapshot() {
     let metric_lines: Vec<&str> = text.lines().filter(|l| l.contains(" | in=")).collect();
     assert_eq!(metric_lines.len(), 5, "{text}");
     for line in &metric_lines {
-        for field in [
-            "out=",
-            "time=",
-            "pages=",
-            "disk_reads=",
-            "clones=",
-            "vec=",
-            "vecfb=",
-        ] {
+        for field in ["out=", "time=", "clones=", "vec=", "vecfb="] {
             assert!(line.contains(field), "{line}");
         }
+        assert!(
+            !line.contains("pages=") && !line.contains("disk_reads="),
+            "{line}"
+        );
     }
     // Each line says what its rows were: the selection hands its match
     // rows to the projection over it, which hands the grouping sink
@@ -161,7 +157,6 @@ fn explain_analyze_structural_snapshot() {
     }
     for l in &metric_lines[1..] {
         assert_eq!(field(l, " clones=", " "), "0", "{l}");
-        assert_eq!(field(l, " pages=", " "), "0", "{l}");
     }
     assert_eq!(a.result.len(), 3);
     // One lane, nothing to name: the summary is just the two counts.
@@ -173,18 +168,17 @@ fn explain_analyze_structural_snapshot() {
             if is_count(n) && is_count(m)),
         "{text}"
     );
-    assert!(text.trim_end().ends_with("disk reads"), "{text}");
-    assert!(text.contains("3 rows in "), "{text}");
+    let last = text.trim_end().lines().last().unwrap_or_default();
+    assert!(last.starts_with("3 rows in "), "{text}");
 }
 
 #[test]
 fn grouped_plans_stay_inside_clone_and_io_budget() {
     // The clone budget of the symbol-clean data path: the grouped plans
     // answer tag tests, grouping keys, and counts from the columnar
-    // label region (zero buffer-pool page requests) and move trees by
-    // reference (zero deep `Tree` clones). Any regression — a stray
-    // `.clone()` on a batch, or a kernel falling back to record reads —
-    // shows up here as a nonzero counter.
+    // label region and move trees by reference (zero deep `Tree`
+    // clones). A stray `.clone()` on a batch shows up here as a nonzero
+    // counter; a page read, in `page_free.rs`.
     let db = fig6_db();
     for (query, mode) in [
         (QUERY1, PlanMode::GroupByRewrite),
@@ -192,12 +186,6 @@ fn grouped_plans_stay_inside_clone_and_io_budget() {
     ] {
         let a = db.explain_analyze(query, mode).unwrap();
         let m = &a.metrics;
-        assert_eq!(
-            m.total_page_requests(),
-            0,
-            "grouped plan touched data pages for {query:?}:\n{}",
-            m.render()
-        );
         assert_eq!(
             m.total_tree_clones(),
             0,
@@ -236,13 +224,12 @@ fn grouped_plans_stay_inside_clone_and_io_budget() {
 }
 
 #[test]
-fn direct_plans_read_no_page_on_any_operator() {
+fn direct_plans_build_no_tree_below_the_stitch() {
     // The direct plan keys its duplicate eliminations, join and stitch on
     // content symbols read off the label columns, as the grouped plans
-    // key their groups: no operator line asks for a page. Below the
-    // stitch it builds no tree either: the scans hand on their match
-    // rows, the projections and duplicate eliminations pass them on, and
-    // the join emits its pairs as groups.
+    // key their groups, and below the stitch it builds no tree: the
+    // scans hand on their match rows, the projections and duplicate
+    // eliminations pass them on, and the join emits its pairs as groups.
     let db = fig6_db();
     for query in [QUERY1, QUERY2, QUERY_COUNT] {
         let text = db
@@ -254,7 +241,6 @@ fn direct_plans_read_no_page_on_any_operator() {
         assert!(lines[0].starts_with("StitchConstruct"), "{text}");
         assert!(lines[0].contains(" out=3 rows "), "{text}");
         for line in &lines {
-            assert!(line.contains(" pages=0 "), "{line}");
             assert!(line.contains(" clones=0 "), "{line}");
         }
         let kinds: Vec<&str> = lines[1..]
@@ -267,7 +253,6 @@ fn direct_plans_read_no_page_on_any_operator() {
             [&scan[..], &["groups"], &scan[..]].concat(),
             "{text}"
         );
-        assert!(text.contains("; 0 page requests, 0 disk reads"), "{text}");
     }
 }
 
@@ -308,7 +293,7 @@ fn explain_analyze_cube_operator_line() {
     // The lattice is the rollup's fold over every prefix level: its line
     // carries the same stage times. Both modes run the one `Cube`, and
     // the scan under it — a projection over a selection — hands it stored
-    // rows, so no line copies a tree or asks for a page.
+    // rows, so no line copies a tree.
     let db = TimberDb::load_xml(
         "<bib><article><journal>J</journal><author>X</author><pages>3</pages></article>\
          <article><journal>J</journal><author>Y</author><pages>4</pages></article></bib>",
@@ -330,7 +315,6 @@ fn explain_analyze_cube_operator_line() {
             "{mode:?}: {text}"
         );
         for line in &lines {
-            assert!(line.contains(" pages=0 "), "{mode:?}: {line}");
             assert!(line.contains(" clones=0 "), "{mode:?}: {line}");
         }
     }
