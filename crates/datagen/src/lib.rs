@@ -264,11 +264,6 @@ impl DblpGenerator {
         out
     }
 
-    /// Author name by pool rank (for test oracles).
-    pub fn author_name(&self, rank: usize) -> &str {
-        &self.author_names[rank]
-    }
-
     fn write_article(&mut self, out: &mut String, idx: usize) {
         let n_authors = sample_author_count(&mut self.rng, self.cfg.max_authors);
         // Distinct authors within one article.

@@ -43,11 +43,6 @@ impl Gen {
         self.rng.random_range(lo..=hi)
     }
 
-    /// Uniform `i64` in `[lo, hi]`.
-    pub fn i64_in(&mut self, lo: i64, hi: i64) -> i64 {
-        self.rng.random_range(lo..=hi)
-    }
-
     /// A fair coin.
     pub fn bool(&mut self) -> bool {
         self.rng.next_u64() & 1 == 1

@@ -12,19 +12,16 @@
 //! type, operators that read only keys or paths out of them work on the
 //! labels, and the output operators emit [`Batch::Rows`]. A tree is what
 //! a batch renders into, for output and for the figures:
-//! [`Batch::into_trees`] is the one place a row becomes a [`Tree`].
-//! [`Source`] is the stored rows a grouping sink reads, taken from a
-//! batch or from a public `&Collection` of deep references; any other
-//! input is refused. DESIGN.md, *Binding tables*.
+//! [`Batch::into_trees`] is the one place a row becomes a [`Tree`]. A
+//! grouping sink reads stored rows (`Batch::stored`) and refuses any
+//! other input. DESIGN.md, *Binding tables*.
 
 use crate::error::{Error, Result};
 use crate::matching::{match_db, Bindings};
 use crate::ops::project::ProjectItem;
 use crate::ops::select::{chain_bound, keeps_witness, witness_tree};
 use crate::pattern::{PatternNodeId, PatternTree};
-use crate::tree::{populate, Collection, Results, Tree, TreeNodeKind, CHUNK};
-use std::borrow::Cow;
-use std::ops::Deref;
+use crate::tree::{populate, Results, Tree, TreeNodeKind, CHUNK};
 use std::sync::Arc;
 use xmlparse::XmlWriter;
 use xmlstore::{DocumentStore, NodeEntry, Sym, Tape};
@@ -292,48 +289,17 @@ impl Batch {
             _ => Err(Error::Unsupported("keys by a scan's bound node".into())),
         }
     }
-}
 
-/// A grouping sink's input: stored rows, each standing for its whole
-/// subtree.
-#[derive(Debug, Clone)]
-pub struct Source<'a>(Cow<'a, [NodeEntry]>);
-
-impl Deref for Source<'_> {
-    type Target = [NodeEntry];
-    fn deref(&self) -> &[NodeEntry] {
-        &self.0
-    }
-}
-
-/// A batch is a sink's input when it holds stored rows, or none.
-impl<'a> TryFrom<&'a Batch> for Source<'a> {
-    type Error = Error;
-    fn try_from(batch: &'a Batch) -> Result<Self> {
-        match batch {
-            Batch::Stored(rows) => Ok(Source(Cow::Borrowed(rows))),
-            rows if rows.is_empty() => Ok(Source(Cow::Borrowed(&[]))),
+    /// The stored rows a grouping sink reads, each standing for its whole
+    /// subtree: an empty batch holds none. Other rows are refused.
+    pub(crate) fn stored(&self) -> Result<&[NodeEntry]> {
+        match self {
+            Batch::Stored(rows) => Ok(rows),
+            rows if rows.is_empty() => Ok(&[]),
             _ => Err(Error::Unsupported(
                 "a grouping sink reads stored rows".into(),
             )),
         }
-    }
-}
-
-/// A collection is a sink's input when every tree is one deep stored
-/// reference: the rows are the referenced nodes.
-impl<'a> TryFrom<&'a Collection> for Source<'a> {
-    type Error = Error;
-    fn try_from(trees: &'a Collection) -> Result<Self> {
-        let row = |t: &Tree| match (t.len(), &t.node(t.root()).kind) {
-            (1, &TreeNodeKind::Ref { node, deep: true }) => Ok(node),
-            _ => Err(Error::Unsupported(
-                "a grouping sink reads deep references to stored nodes".into(),
-            )),
-        };
-        Ok(Source(Cow::Owned(
-            trees.iter().map(row).collect::<Result<_>>()?,
-        )))
     }
 }
 
@@ -363,18 +329,43 @@ mod tests {
     }
 
     #[test]
-    fn a_collection_of_deep_references_classifies_as_stored() {
+    fn grouping_sinks_read_stored_rows_or_none() {
+        // Each grouping sink groups an empty batch, of any kind, into no
+        // output, and refuses a selection's matches, groups or one-level
+        // rows.
+        use crate::ops::{cube, groupby, groupby_replicated, rollup};
+        use crate::ops::{AggFunc, BasisItem, RollupShape};
+        use crate::pattern::{Axis, Pred};
         let (s, rows) = articles();
-        let refs: Collection = rows.iter().map(|e| Tree::new_ref(*e, true)).collect();
-        assert_eq!(Source::try_from(&refs).unwrap()[..], rows[..]);
-        assert!(Source::try_from(&Vec::new()).unwrap().is_empty());
-        // A shallow reference or a constructed tree is refused.
-        let mut mixed: Collection = rows.iter().map(|e| Tree::new_ref(*e, true)).collect();
-        mixed.push(Tree::new_ref(rows[0], false));
-        let built = vec![Tree::new_elem(s.dict(), "x")];
-        for trees in [mixed, built] {
-            let refused = Source::try_from(&trees);
-            assert!(matches!(refused, Err(Error::Unsupported(_))), "{refused:?}");
+        let mut p = PatternTree::with_root(Pred::tag("article"));
+        let t = p.add_child(p.root(), Axis::Child, Pred::tag("t"));
+        let basis = [BasisItem::content(t)];
+        let (count, flat) = (AggFunc::Count, RollupShape::Flat);
+        let sinks = |input: &Batch| {
+            [
+                groupby(&s, input, &p, &basis, &[]).map(|(out, _)| out.len()),
+                groupby_replicated(&s, input, &p, &basis, &[]).map(|out| out.len()),
+                rollup(&s, input, &p, &basis, &p, t, count, "n", flat).map(|(out, _)| out.len()),
+                cube(&s, input, &p, &basis, &p, t, count, "n").map(|(out, _)| out.len()),
+            ]
+        };
+        let nothing = PatternTree::with_root(Pred::tag("no_such_tag"));
+        let unmatched = Batch::Matches(Matches::select(&s, &nothing, &[0]).unwrap());
+        for empty in [Batch::default(), unmatched] {
+            for got in sinks(&empty) {
+                assert_eq!(got.unwrap(), 0, "{empty:?}");
+            }
+        }
+        let stored = Batch::Stored(rows);
+        assert!(sinks(&stored).into_iter().all(|got| got.unwrap() > 0));
+        let matches = Batch::Matches(Matches::select(&s, &p, &[p.root()]).unwrap());
+        let (groups, _) = groupby(&s, &stored, &p, &basis, &[]).unwrap();
+        let (rows, _) = rollup(&s, &stored, &p, &basis, &p, t, count, "n", flat).unwrap();
+        assert!(matches!(groups, Batch::Groups(_)) && matches!(rows, Batch::Rows(_)));
+        for input in [matches, groups, rows] {
+            for refused in sinks(&input) {
+                assert!(matches!(refused, Err(Error::Unsupported(_))), "{refused:?}");
+            }
         }
     }
 }

@@ -20,7 +20,7 @@
 //!   subtree); data values are fetched only when a tree is written;
 //! * [`batch`] — what flows between operators: a [`Batch`] of rows that
 //!   is a list of stored nodes, of a scan's matches, of groups, or of
-//!   one-level rows, and the stored-row [`Source`] a grouping sink reads;
+//!   one-level rows;
 //! * [`pattern`] — pattern trees: nodes with predicates, `pc`
 //!   (parent-child) and `ad` (ancestor-descendant) edges, plus the
 //!   *subset* test used by the rewrite rules of Sec. 4.1;
@@ -93,7 +93,7 @@ pub mod pattern;
 pub mod tree;
 pub mod value;
 
-pub use batch::{Batch, Source};
+pub use batch::Batch;
 pub use error::{Error, Result};
 pub use exec::ExecOptions;
 pub use pattern::{Axis, PatternNodeId, PatternTree, Pred};

@@ -29,7 +29,7 @@
 //!   within each level — the rows the per-level flat rollups give one
 //!   after another, which the kernel tests below hold it to.
 
-use crate::batch::{Batch, Source};
+use crate::batch::Batch;
 use crate::error::{Error, Result};
 use crate::exec::Stages;
 use crate::ops::aggregate::AggFunc;
@@ -40,12 +40,12 @@ use xmlstore::DocumentStore;
 
 /// One-scan grouping lattice: the blocking sink's kernel — the
 /// prefix-level fold over levels `1..=basis.len()`, in the flat shape,
-/// over stored rows (see [`Source`]). Returns the groups as one-level
+/// over stored rows, or none. Returns the groups as one-level
 /// rows and the sink's stage times.
 #[allow(clippy::too_many_arguments)]
-pub fn cube<'a>(
+pub fn cube(
     store: &DocumentStore,
-    input: impl TryInto<Source<'a>, Error = Error>,
+    input: &Batch,
     pattern: &PatternTree,
     basis: &[BasisItem],
     member_pattern: &PatternTree,
@@ -60,7 +60,7 @@ pub fn cube<'a>(
     }
     fold_levels(
         store,
-        &input.try_into()?,
+        input.stored()?,
         pattern,
         basis,
         member_pattern,
@@ -76,7 +76,7 @@ mod tests {
     use super::*;
     use crate::ops::rollup::{rollup, RollupShape};
     use crate::pattern::{Axis, Pred};
-    use crate::tree::{Collection, Tree};
+    use crate::tree::Collection;
     use xmlstore::StoreOptions;
 
     const SAMPLE: &str = "<bib>\
@@ -94,12 +94,8 @@ mod tests {
         DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory()).unwrap()
     }
 
-    fn articles(s: &DocumentStore) -> Collection {
-        let article = s.tag_id("article").unwrap();
-        s.nodes_with_tag(article)
-            .iter()
-            .map(|e| Tree::new_ref(*e, true))
-            .collect()
+    fn articles(s: &DocumentStore) -> Batch {
+        Batch::Stored(s.nodes_with_tag(s.tag_id("article").unwrap()).to_vec())
     }
 
     /// article -pc-> {journal, year, author}: the full 3-dim pattern.
@@ -148,7 +144,7 @@ mod tests {
     #[allow(clippy::too_many_arguments)]
     fn composed(
         s: &DocumentStore,
-        input: &Collection,
+        input: &Batch,
         pattern: &PatternTree,
         basis: &[BasisItem],
         mp: &PatternTree,
@@ -366,7 +362,7 @@ mod tests {
         let (mp, of) = member("title");
         let (out, _) = cube(
             &s,
-            &Vec::new(),
+            &Batch::default(),
             &p,
             &basis,
             &mp,
@@ -377,8 +373,28 @@ mod tests {
         .unwrap();
         assert!(out.is_empty());
         // No dimensions.
-        assert!(cube(&s, &Vec::new(), &p, &[], &mp, of, AggFunc::Count, "count").is_err());
+        assert!(cube(
+            &s,
+            &Batch::default(),
+            &p,
+            &[],
+            &mp,
+            of,
+            AggFunc::Count,
+            "count"
+        )
+        .is_err());
         // Aggregated label outside the member pattern.
-        assert!(cube(&s, &Vec::new(), &p, &basis, &mp, 9, AggFunc::Count, "count").is_err());
+        assert!(cube(
+            &s,
+            &Batch::default(),
+            &p,
+            &basis,
+            &mp,
+            9,
+            AggFunc::Count,
+            "count"
+        )
+        .is_err());
     }
 }

@@ -28,8 +28,8 @@
 //!   witness eagerly replicates and fully materializes its source tree
 //!   before sorting. Kept as the ablation baseline (experiment X4).
 
-use crate::batch::{Batch, Groups, Source};
-use crate::error::{Error, Result};
+use crate::batch::{Batch, Groups};
+use crate::error::Result;
 use crate::exec::Stages;
 use crate::matching::for_each_match;
 use crate::ops::keyenc::GroupIndex;
@@ -92,26 +92,26 @@ struct Group {
 }
 
 /// Identifier-processing grouping (Sec. 5.3): the blocking sink's
-/// kernel. The input is stored rows — a batch of them, or a collection
-/// of deep references (see [`Source`]); anything else is refused. The
+/// kernel. The input is stored rows, or none; anything else is refused
+/// with [`Error::Unsupported`](crate::Error::Unsupported). The
 /// groups come out as columns ([`Batch::Groups`]) in first-arrival order
 /// — the order of the witness that created each group. A two-author
 /// article's witnesses carry different keys, and the article appears in
 /// both groups (Fig. 3's non-partitioning semantics).
 ///
 /// Returns the groups and the sink's stage times.
-pub fn groupby<'a>(
+pub fn groupby(
     store: &DocumentStore,
-    input: impl TryInto<Source<'a>, Error = Error>,
+    input: &Batch,
     pattern: &PatternTree,
     basis: &[BasisItem],
     ordering: &[GroupOrder],
 ) -> Result<(Batch, Stages)> {
-    let rows = input.try_into()?;
+    let rows = input.stored()?;
     // Only the grouping and ordering values are populated — the
     // "minimum information" sort of Sec. 5.3.
     let clock = Instant::now();
-    let w = witnesses(store, &rows, pattern, basis, ordering, false)?;
+    let w = witnesses(store, rows, pattern, basis, ordering, false)?;
     let witness = clock.elapsed();
     let dict = store.dict();
     let tags = [GROUP_ROOT, GROUPING_BASIS, GROUP_SUBROOT].map(|tag| dict.intern(tag));
@@ -121,7 +121,7 @@ pub fn groupby<'a>(
     let members = groups
         .into_iter()
         .map(|g| {
-            keys.extend(stored_basis(&rows, &w, g.first, basis.len(), false));
+            keys.extend(stored_basis(rows, &w, g.first, basis.len(), false));
             g.members.iter().map(|&m| w.tree_idx[m as usize]).collect()
         })
         .collect();
@@ -201,14 +201,14 @@ pub(crate) fn sort_members<T: Copy>(
 /// every member eagerly. Produces the same logical output as [`groupby`]
 /// but populates all data up front. The input is stored rows, as for
 /// [`groupby`].
-pub fn groupby_replicated<'a>(
+pub fn groupby_replicated(
     store: &DocumentStore,
-    input: impl TryInto<Source<'a>, Error = Error>,
+    input: &Batch,
     pattern: &PatternTree,
     basis: &[BasisItem],
     ordering: &[GroupOrder],
 ) -> Result<Collection> {
-    let rows = input.try_into()?;
+    let rows = input.stored()?;
     validate(pattern, basis, ordering)?;
     // Replicate: one fully materialized copy of the source tree per
     // witness, tagged with its grouping values.
@@ -221,7 +221,7 @@ pub fn groupby_replicated<'a>(
         arrival: usize,
     }
     let mut matches: Vec<(usize, Vec<NodeEntry>)> = Vec::new();
-    for_each_match(store, pattern, &rows, false, |row, m| {
+    for_each_match(store, pattern, rows, false, |row, m| {
         matches.push((row as usize, m.to_vec()))
     })?;
     let cols = store.columns();
@@ -385,7 +385,7 @@ mod tests {
     /// [`groupby`]'s groups as trees.
     fn group_trees(
         s: &DocumentStore,
-        input: &Collection,
+        input: &Batch,
         p: &PatternTree,
         basis: &[BasisItem],
         ordering: &[GroupOrder],
@@ -404,40 +404,19 @@ mod tests {
         p
     }
 
-    /// Witness collection = article trees (deep) from Fig. 1's pattern.
-    fn articles(s: &DocumentStore) -> Collection {
+    /// The articles Fig. 1's pattern matches, each once, as stored rows.
+    fn articles(s: &DocumentStore) -> Batch {
         let p = fig1_pattern();
-        // Select whole articles (deep root), one witness per embedding;
-        // grouping below matches inside each article.
         let mut seen = std::collections::HashSet::new();
-        select_db(s, &p, &[p.root()])
-            .unwrap()
-            .into_iter()
-            .filter(|t| {
-                // Dedup witness trees to unique articles for a clean
-                // "collection of article elements" input.
-                let root = match &t.node(0).kind {
-                    TreeNodeKind::Ref { node, .. } => node.id.0,
-                    _ => u32::MAX,
-                };
-                seen.insert(root)
-            })
-            .map(|t| {
-                // Keep only the deep article root.
-                let root_kind = t.node(0).kind.clone();
-                match root_kind {
-                    TreeNodeKind::Ref { node, .. } => Tree::new_ref(node, true),
-                    _ => t,
-                }
-            })
-            .collect()
+        let roots = select_db(s, &p, &[p.root()]).unwrap();
+        let rows = roots.iter().filter_map(|t| match t.node(0).kind {
+            TreeNodeKind::Ref { node, .. } => seen.insert(node.id).then_some(node),
+            _ => None,
+        });
+        Batch::Stored(rows.collect())
     }
 
-    fn author_groupby(
-        s: &DocumentStore,
-        input: &Collection,
-        ordering: &[GroupOrder],
-    ) -> Collection {
+    fn author_groupby(s: &DocumentStore, input: &Batch, ordering: &[GroupOrder]) -> Collection {
         let mut p = PatternTree::with_root(Pred::tag("article"));
         let title = p.add_child(p.root(), Axis::Child, Pred::tag("title"));
         let author = p.add_child(p.root(), Axis::Child, Pred::tag("author"));
@@ -548,11 +527,7 @@ mod tests {
         </bib>";
         let s = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
         let article = s.tag_id("article").unwrap();
-        let arts: Collection = s
-            .nodes_with_tag(article)
-            .iter()
-            .map(|e| Tree::new_ref(*e, true))
-            .collect();
+        let arts = Batch::Stored(s.nodes_with_tag(article).to_vec());
         let mut p = PatternTree::with_root(Pred::tag("article"));
         let author = p.add_child(p.root(), Axis::Child, Pred::tag("author"));
         let journal = p.add_child(p.root(), Axis::Child, Pred::tag("journal"));
@@ -622,7 +597,7 @@ mod tests {
     fn empty_input_gives_no_groups() {
         let s = store();
         let p = PatternTree::with_root(Pred::tag("article"));
-        let groups = group_trees(&s, &Vec::new(), &p, &[BasisItem::content(0)], &[]).unwrap();
+        let groups = group_trees(&s, &Batch::default(), &p, &[BasisItem::content(0)], &[]).unwrap();
         assert!(groups.is_empty());
     }
 
@@ -630,10 +605,10 @@ mod tests {
     fn unknown_basis_label_rejected() {
         let s = store();
         let p = PatternTree::with_root(Pred::tag("article"));
-        assert!(group_trees(&s, &Vec::new(), &p, &[BasisItem::content(5)], &[]).is_err());
+        assert!(group_trees(&s, &Batch::default(), &p, &[BasisItem::content(5)], &[]).is_err());
         assert!(group_trees(
             &s,
-            &Vec::new(),
+            &Batch::default(),
             &p,
             &[BasisItem::content(0)],
             &[GroupOrder {
@@ -651,11 +626,7 @@ mod tests {
             <article><year/><title>B</title></article></bib>";
         let s = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
         let article = s.tag_id("article").unwrap();
-        let arts: Collection = s
-            .nodes_with_tag(article)
-            .iter()
-            .map(|e| Tree::new_ref(*e, true))
-            .collect();
+        let arts = Batch::Stored(s.nodes_with_tag(article).to_vec());
         let mut p = PatternTree::with_root(Pred::tag("article"));
         let year = p.add_child(p.root(), Axis::Child, Pred::tag("year"));
         let groups = group_trees(&s, &arts, &p, &[BasisItem::content(year)], &[]).unwrap();
@@ -694,11 +665,7 @@ mod tests {
         </bib>";
         let s = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
         let article = s.tag_id("article").unwrap();
-        let arts: Collection = s
-            .nodes_with_tag(article)
-            .iter()
-            .map(|e| Tree::new_ref(*e, true))
-            .collect();
+        let arts = Batch::Stored(s.nodes_with_tag(article).to_vec());
         let mut p = PatternTree::with_root(Pred::tag("article"));
         let author = p.add_child(p.root(), Axis::Child, Pred::tag("author"));
         let inst = p.add_child(author, Axis::Child, Pred::tag("institution"));

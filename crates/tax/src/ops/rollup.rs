@@ -33,7 +33,7 @@
 //! basis-prefix levels: a rollup asks for the single finest level, the
 //! grouping lattice ([`super::cube`](mod@super::cube)) for all of them.
 
-use crate::batch::{Batch, Rows, Source};
+use crate::batch::{Batch, Rows};
 use crate::error::{Error, Result};
 use crate::exec::Stages;
 use crate::matching::for_each_match;
@@ -149,13 +149,13 @@ struct GroupAcc {
 /// Streaming grouped aggregation: the blocking sink's kernel. A rollup
 /// is the finest level of the grouping lattice — the prefix-level fold
 /// (`fold_levels`) run over the single level `basis.len()`. The input is
-/// stored rows (see [`Source`]) and `shape` is [`RollupShape::Flat`];
+/// stored rows, or none, and `shape` is [`RollupShape::Flat`];
 /// anything else is refused. Returns the groups as one-level rows and
 /// the sink's stage times.
 #[allow(clippy::too_many_arguments)]
-pub fn rollup<'a>(
+pub fn rollup(
     store: &DocumentStore,
-    input: impl TryInto<Source<'a>, Error = Error>,
+    input: &Batch,
     pattern: &PatternTree,
     basis: &[BasisItem],
     member_pattern: &PatternTree,
@@ -169,7 +169,7 @@ pub fn rollup<'a>(
     }
     fold_levels(
         store,
-        &input.try_into()?,
+        input.stored()?,
         pattern,
         basis,
         member_pattern,
@@ -312,7 +312,7 @@ mod tests {
     use crate::ops::project::{ProjectItem, Projection};
     use crate::pattern::{Axis, Pred};
     use crate::tags;
-    use crate::tree::{Collection, Tree};
+    use crate::tree::Tree;
     use xmlstore::StoreOptions;
 
     const SAMPLE: &str = "<bib>\
@@ -325,12 +325,8 @@ mod tests {
         DocumentStore::from_xml(SAMPLE, &StoreOptions::in_memory()).unwrap()
     }
 
-    fn articles(s: &DocumentStore) -> Collection {
-        let article = s.tag_id("article").unwrap();
-        s.nodes_with_tag(article)
-            .iter()
-            .map(|e| Tree::new_ref(*e, true))
-            .collect()
+    fn articles(s: &DocumentStore) -> Vec<NodeEntry> {
+        s.nodes_with_tag(s.tag_id("article").unwrap()).to_vec()
     }
 
     /// article -pc-> author, grouped on the author content.
@@ -357,10 +353,10 @@ mod tests {
         out.into_trees().iter().map(text).collect()
     }
 
-    /// The flat rollup over `input`, written one row a string.
+    /// The flat rollup over stored `rows`, written one row a string.
     fn flat(
         s: &DocumentStore,
-        input: &Collection,
+        rows: &[NodeEntry],
         member: &PatternTree,
         of: PatternNodeId,
         func: AggFunc,
@@ -368,6 +364,7 @@ mod tests {
     ) -> Vec<String> {
         let (gp, basis) = grouping();
         let shape = RollupShape::Flat;
+        let input = &Batch::Stored(rows.to_vec());
         let out = rollup(s, input, &gp, &basis, member, of, func, new_tag, shape);
         written(s, out.unwrap().0)
     }
@@ -378,13 +375,14 @@ mod tests {
     /// projection to root / key / value.
     fn pipeline(
         s: &DocumentStore,
-        input: &Collection,
+        rows: &[NodeEntry],
         member: &PatternTree,
         of: PatternNodeId,
         func: AggFunc,
         new_tag: &str,
     ) -> Vec<String> {
         let (gp, basis) = grouping();
+        let input = &Batch::Stored(rows.to_vec());
         let Batch::Groups(groups) = groupby(s, input, &gp, &basis, &[]).unwrap().0 else {
             panic!("groupby emits groups")
         };
@@ -455,7 +453,8 @@ mod tests {
         // each group as it was, without the value child.
         let s = store();
         let (gp, basis) = grouping();
-        let Batch::Groups(groups) = groupby(&s, &articles(&s), &gp, &basis, &[]).unwrap().0 else {
+        let arts = Batch::Stored(articles(&s));
+        let Batch::Groups(groups) = groupby(&s, &arts, &gp, &basis, &[]).unwrap().0 else {
             panic!("groupby emits groups")
         };
         let mut ap = PatternTree::with_root(Pred::tag(tags::GROUP_ROOT));
@@ -613,13 +612,7 @@ mod tests {
         )
         .unwrap();
         let arts = articles(&s);
-        let levels: Vec<u16> = arts
-            .iter()
-            .map(|t| match t.node(t.root()).kind {
-                TreeNodeKind::Ref { node, .. } => node.level,
-                _ => unreachable!(),
-            })
-            .collect();
+        let levels: Vec<u16> = arts.iter().map(|e| e.level).collect();
         assert!(levels.contains(&2) && levels.contains(&3), "{levels:?}");
         let star = |children: &[(Axis, &str)]| {
             let mut p = PatternTree::with_root(Pred::tag("article"));
@@ -666,7 +659,7 @@ mod tests {
         // the pipeline, which lists the member twice.
         let s = store();
         let mut arts = articles(&s);
-        arts.push(arts[0].clone());
+        arts.push(arts[0]);
         let (mp, of) = member("title");
         let fused = flat(&s, &arts, &mp, of, AggFunc::Count, "count");
         assert!(fused[0].contains("<count>3</count>"), "{fused:?}");
@@ -679,7 +672,19 @@ mod tests {
         let (gp, basis) = grouping();
         let (mp, of) = member("title");
         let count = AggFunc::Count;
-        let run = |of, shape| rollup(&s, &Vec::new(), &gp, &basis, &mp, of, count, "n", shape);
+        let run = |of, shape| {
+            rollup(
+                &s,
+                &Batch::default(),
+                &gp,
+                &basis,
+                &mp,
+                of,
+                count,
+                "n",
+                shape,
+            )
+        };
         assert!(run(of, RollupShape::Flat).unwrap().0.is_empty());
         // Aggregated label outside the member pattern.
         assert!(matches!(

@@ -100,15 +100,6 @@ impl Pred {
         }
     }
 
-    /// Whether the predicate mentions a cross-node (join) condition.
-    pub fn has_join(&self) -> bool {
-        match self {
-            Pred::ContentEqNode(_) => true,
-            Pred::And(a, b) => a.has_join() || b.has_join(),
-            _ => false,
-        }
-    }
-
     /// Evaluate the *local* (non-join) part against a node's tag and
     /// content. Join conjuncts evaluate to `true` here and are checked
     /// later over complete bindings.
@@ -259,13 +250,6 @@ impl PatternTree {
         self.iter()
             .flat_map(|(pid, n)| n.pred.join_targets().into_iter().map(move |t| (pid, t)))
             .collect()
-    }
-
-    /// First node whose predicate requires the given tag.
-    pub fn find_by_tag(&self, tag: &str) -> Option<PatternNodeId> {
-        self.preorder()
-            .into_iter()
-            .find(|&id| self.nodes[id].pred.required_tag() == Some(tag))
     }
 
     /// Is `a` a (proper) ancestor of `d` within the pattern?
@@ -447,8 +431,6 @@ mod tests {
         assert_eq!(p.node(0).pred.required_tag(), Some("article"));
         assert_eq!(p.node(1).pred.required_tag(), Some("title"));
         assert_eq!(Pred::True.required_tag(), None);
-        assert_eq!(p.find_by_tag("author"), Some(2));
-        assert_eq!(p.find_by_tag("publisher"), None);
     }
 
     #[test]
@@ -468,9 +450,8 @@ mod tests {
     fn join_predicates_are_locally_true() {
         let p = Pred::tag("author").and(Pred::ContentEqNode(2));
         assert!(p.eval_local("author", None));
-        assert!(p.has_join());
         assert_eq!(p.join_targets(), vec![2]);
-        assert!(!Pred::tag("a").has_join());
+        assert!(Pred::tag("a").join_targets().is_empty());
     }
 
     #[test]

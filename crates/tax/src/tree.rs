@@ -23,13 +23,9 @@
 //! `TAX_group_root` and computed values are interned once into the
 //! store's unified dictionary and resolved back to text only at
 //! serialization. Tree payloads are therefore fixed-width and `Clone` is
-//! a flat memcpy of arena vectors — every clone is counted in a
-//! per-thread counter so the executor can surface tree-copy traffic per
-//! operator (a query runs on one thread, so no other query's clones
-//! land in its window).
+//! a flat memcpy of arena vectors.
 
 use crate::error::Result;
-use std::cell::Cell;
 use xmlparse::{Element, ElementBuilder, XmlSink, XmlWriter};
 use xmlstore::{Dictionary, DocumentStore, NodeEntry, RowWriter, Sym, Tape};
 
@@ -38,17 +34,6 @@ pub type Collection = Vec<Tree>;
 
 /// Arena index of a node within a [`Tree`].
 pub type TreeNodeId = usize;
-
-thread_local! {
-    /// This thread's count of [`Tree`] clones — the executor's
-    /// clone-budget metric.
-    static TREE_CLONES: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Number of tree clones this thread has performed so far.
-pub fn tree_clones() -> u64 {
-    TREE_CLONES.get()
-}
 
 /// What a tree node is.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,18 +71,9 @@ pub struct TreeNode {
 }
 
 /// An ordered, labelled data tree.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tree {
     nodes: Vec<TreeNode>,
-}
-
-impl Clone for Tree {
-    fn clone(&self) -> Self {
-        TREE_CLONES.set(TREE_CLONES.get() + 1);
-        Tree {
-            nodes: self.nodes.clone(),
-        }
-    }
 }
 
 impl Tree {
@@ -297,31 +273,6 @@ impl Tree {
             cur = self.nodes[p].parent;
         }
         false
-    }
-
-    /// The interned tag of an arena node. For references this reads the
-    /// columnar label region — no page access.
-    pub fn tag_sym_of(&self, store: &DocumentStore, id: TreeNodeId) -> Sym {
-        match &self.nodes[id].kind {
-            TreeNodeKind::Elem { tag, .. } => *tag,
-            TreeNodeKind::Ref { node, .. } => Sym(store.columns().tag[node.id.0 as usize]),
-        }
-    }
-
-    /// The tag of an arena node. For references this reads the columnar
-    /// label region — no page access.
-    pub fn tag_of(&self, store: &DocumentStore, id: TreeNodeId) -> Result<String> {
-        Ok(store.tag_name(self.tag_sym_of(store, id)).to_string())
-    }
-
-    /// The content of an arena node (a data-value look-up for references).
-    pub fn content_of(&self, store: &DocumentStore, id: TreeNodeId) -> Result<Option<String>> {
-        match &self.nodes[id].kind {
-            TreeNodeKind::Elem { content, .. } => {
-                Ok(content.map(|c| store.dict().resolve(c).to_string()))
-            }
-            TreeNodeKind::Ref { node, .. } => Ok(store.content(node.id)?),
-        }
     }
 
     /// Materialize ("data population", Sec. 5.3) into a DOM element,
@@ -553,16 +504,13 @@ mod tests {
 
     #[test]
     fn tag_and_content_of_refs() {
+        // A shallow reference writes its stored node's tag and content.
         let s = store();
         let title = s.tag_id("title").unwrap();
-        let node = s.nodes_with_tag(title)[0];
-        let t = Tree::new_ref(node, false);
-        assert_eq!(t.tag_of(&s, t.root()).unwrap(), "title");
-        assert_eq!(t.tag_sym_of(&s, t.root()), title);
-        assert_eq!(
-            t.content_of(&s, t.root()).unwrap().as_deref(),
-            Some("Querying XML")
-        );
+        let t = Tree::new_ref(s.nodes_with_tag(title)[0], false);
+        let mut out = String::new();
+        t.write_xml(&s, &mut out).unwrap();
+        assert_eq!(out, "<title>Querying XML</title>");
     }
 
     #[test]
@@ -835,15 +783,5 @@ mod tests {
         assert_eq!(text, format!("kept|{first}\n"));
         s.inject_faults(None).unwrap();
         assert_eq!(populate_at(&s, &trees, bounds).0, reference);
-    }
-
-    #[test]
-    fn clones_are_counted() {
-        let s = store();
-        let t = Tree::new_elem(s.dict(), "r");
-        let before = tree_clones();
-        let _c1 = t.clone();
-        let _c2 = t.clone();
-        assert_eq!(tree_clones() - before, 2);
     }
 }

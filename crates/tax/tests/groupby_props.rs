@@ -8,7 +8,7 @@ use smallrand::prop::{check, Gen};
 use tax::ops::groupby::{groupby, groupby_replicated, BasisItem, Direction, GroupOrder};
 use tax::pattern::{Axis, PatternTree, Pred};
 use tax::value::compare_opt_values;
-use tax::{tags, Collection, Tree};
+use tax::{tags, Batch};
 use xmlstore::{DocumentStore, StoreOptions};
 
 /// The shrunken counterexample preserved from the retired proptest
@@ -41,15 +41,11 @@ fn bibliography(g: &mut Gen) -> String {
     s
 }
 
-fn setup(xml: &str) -> (DocumentStore, Collection, PatternTree, usize, usize) {
+fn setup(xml: &str) -> (DocumentStore, Batch, PatternTree, usize, usize) {
     let s = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
-    let arts: Collection = match s.tag_id("article") {
-        Some(article) => s
-            .nodes_with_tag(article)
-            .iter()
-            .map(|e| Tree::new_ref(*e, true))
-            .collect(),
-        None => Vec::new(),
+    let arts = match s.tag_id("article") {
+        Some(article) => Batch::Stored(s.nodes_with_tag(article).to_vec()),
+        None => Batch::default(),
     };
     let mut p = PatternTree::with_root(Pred::tag("article"));
     let title = p.add_child(p.root(), Axis::Child, Pred::tag("title"));

@@ -459,16 +459,25 @@ mod tests {
     #[test]
     fn every_run_records_metrics_and_matches_the_one_batch_serial_run() {
         // `physical::execute` runs every operator once, whatever batch
-        // size it is passed: its bytes are a handle's.
+        // size it is passed: its rows write a handle's bytes.
         let db = db();
-        for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
-            let run = db.query(QUERY1, mode).unwrap();
-            assert!(run.metrics.is_some());
-            let (plan, _) = db.compile(QUERY1, mode).unwrap();
-            let (trees, _) = physical::execute(db.store(), &plan, &tax::ExecOptions, 1).unwrap();
-            let mut want = String::new();
-            tax::tree::write_xml_lines(db.store(), &trees[..], &mut want).unwrap();
-            assert_eq!(run.to_xml_on(db.store()).unwrap(), want, "{mode:?}");
+        for query in [QUERY1, QUERY_COUNT] {
+            for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
+                let (plan, rewritten) = db.compile(query, mode).unwrap();
+                let run = db.run_plan(&plan, rewritten).unwrap();
+                assert!(run.metrics.is_some());
+                let (out, _) = physical::execute(db.store(), &plan, &tax::ExecOptions, 1).unwrap();
+                let physical::Batch::Rows(rows) = out else {
+                    panic!("{mode:?}: {out:?}")
+                };
+                let mut want = String::new();
+                tax::tree::write_xml_lines(db.store(), &rows, &mut want).unwrap();
+                assert_eq!(
+                    run.to_xml_on(db.store()).unwrap(),
+                    want,
+                    "{mode:?}: {query}"
+                );
+            }
         }
     }
 
@@ -489,7 +498,7 @@ mod tests {
         for line in text.lines().filter(|l| l.contains(" | in=")) {
             assert!(line.contains("out="), "{line}");
             assert!(line.contains("time="), "{line}");
-            assert!(line.contains("clones="), "{line}");
+            assert!(line.contains("vec="), "{line}");
         }
         // The grouping sink reports its stage times, and so does the cube.
         assert!(
@@ -510,7 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn a_reset_during_a_query_leaves_its_io_delta_a_count() {
+    fn a_concurrent_reset_leaves_query_bytes_alone() {
         // One handle zeroes the store-wide counters while another
         // queries and writes its output: every run still writes the
         // solo bytes.

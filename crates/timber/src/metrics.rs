@@ -2,8 +2,8 @@
 //!
 //! Every operator of an executed plan records how many rows flowed
 //! through it (and what kind of rows it emitted), how long its own
-//! kernel call took, and the clones and kernel rows that call counted
-//! on its thread. The records mirror the plan shape as a [`PlanMetrics`]
+//! kernel call took, and the kernel rows that call counted on its
+//! thread. The records mirror the plan shape as a [`PlanMetrics`]
 //! tree — the payload of `EXPLAIN ANALYZE`. No operator reads a page
 //! (keys are interned symbols on the label columns), so there is no
 //! page counter here: pages are read when the output is written.
@@ -41,13 +41,9 @@ pub struct PlanMetrics {
     /// Wall-clock time spent in this operator's own work, excluding
     /// its inputs' work.
     pub elapsed: Duration,
-    /// Deep `Tree` clones performed during this operator's own work (the
-    /// clone budget: the zero-copy data path keeps this near zero for
-    /// scan/group/aggregate pipelines).
-    pub tree_clones: u64,
     /// Rows that flowed through vectorized columnar kernels during this
-    /// operator's own work (filter rows, containment-run rows, and the
-    /// label rows the stored-row walk reads).
+    /// operator's own work (containment-run rows and the label rows the
+    /// stored-row walk reads).
     pub vec_rows: u64,
     /// Rows a vectorized kernel existed for but that ran scalar instead
     /// (a containment join under a parent column out of document order).
@@ -80,14 +76,8 @@ impl PlanMetrics {
         };
         let _ = write!(
             out,
-            "{pad}{} | in={} out={}{kind} time={:.3?} clones={} vec={} vecfb={}",
-            self.op,
-            self.trees_in,
-            self.trees_out,
-            self.elapsed,
-            self.tree_clones,
-            self.vec_rows,
-            self.vec_fallback,
+            "{pad}{} | in={} out={}{kind} time={:.3?} vec={} vecfb={}",
+            self.op, self.trees_in, self.trees_out, self.elapsed, self.vec_rows, self.vec_fallback,
         );
         if let Some(shards) = &self.shards {
             let [w, c, f, b] = shards.stages.map(|d| d.as_micros());
@@ -99,14 +89,11 @@ impl PlanMetrics {
         }
     }
 
-    /// Sum of deep tree clones over this node and all descendants.
+    /// Always 0: no operator builds a tree. The method stays only because
+    /// the frozen benchmark reads it, until ROADMAP item 5(a) unfreezes
+    /// it.
     pub fn total_tree_clones(&self) -> u64 {
-        self.tree_clones
-            + self
-                .children
-                .iter()
-                .map(PlanMetrics::total_tree_clones)
-                .sum::<u64>()
+        0
     }
 
     /// Sum of vectorized kernel rows over this node and all descendants.

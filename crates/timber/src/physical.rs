@@ -27,12 +27,11 @@
 //! over them sets their tag, so a plan's output is rows. Each kernel
 //! refuses any other input with a typed `tax::Error::Unsupported`, and
 //! [`TimberDb::run_plan`](crate::TimberDb::run_plan) refuses a plan
-//! whose root emits no rows. Only [`execute`] renders its output as
-//! trees.
+//! whose root emits no rows.
 //!
 //! Every operator meters its own kernel call — rows in/out (and what
-//! kind of rows it emitted), wall time, and this thread's clone and
-//! kernel-row counts — into a [`PlanMetrics`] tree; its inputs' work is
+//! kind of rows it emitted), wall time, and this thread's kernel-row
+//! counts — into a [`PlanMetrics`] tree; its inputs' work is
 //! charged to them. No kernel reads a page: keys are interned symbols on
 //! the label columns, and values are fetched only when the output is
 //! written.
@@ -52,7 +51,6 @@ pub use tax::batch::Batch;
 use tax::batch::Matches;
 use tax::exec::{ExecOptions, ShardStats, Stages};
 use tax::ops;
-use tax::tree::Collection;
 use tax::Error;
 use xmlstore::DocumentStore;
 use xquery::Plan;
@@ -61,17 +59,16 @@ use xquery::Plan;
 /// it: every operator runs once over its whole input.
 pub const DEFAULT_BATCH_SIZE: usize = 256;
 
-/// Run a logical plan: its output rendered as trees, and per-operator
-/// metrics. [`ExecOptions`] sets nothing and `batch` is ignored; both
-/// are taken for callers that pass them.
+/// Run a logical plan: its output rows and per-operator metrics, as
+/// `evaluate` gives them. [`ExecOptions`] sets nothing and `batch` is
+/// ignored; both are taken for callers that pass them.
 pub fn execute(
     store: &DocumentStore,
     plan: &Plan,
     _: &ExecOptions,
     _batch: usize,
-) -> Result<(Collection, PlanMetrics)> {
-    let (out, metrics) = evaluate(store, plan)?;
-    Ok((out.into_trees(), metrics))
+) -> Result<(Batch, PlanMetrics)> {
+    evaluate(store, plan)
 }
 
 /// Run a logical plan: its output rows and per-operator metrics.
@@ -332,10 +329,9 @@ fn op_label(plan: &Plan) -> String {
 }
 
 /// One operator's open measurement window: its start instant and the
-/// counters its stop subtracts — this thread's clones and kernel rows.
+/// counters its stop subtracts — this thread's kernel rows.
 struct Meter {
     start: Instant,
-    tree_clones: u64,
     vec_rows: u64,
     vec_fallback: u64,
 }
@@ -344,7 +340,6 @@ impl Meter {
     fn start() -> Meter {
         Meter {
             start: Instant::now(),
-            tree_clones: tax::tree::tree_clones(),
             vec_rows: xmlstore::kernels::vec_rows(),
             vec_fallback: xmlstore::kernels::fallback_rows(),
         }
@@ -356,7 +351,6 @@ impl Meter {
         PlanMetrics {
             op,
             elapsed: self.start.elapsed(),
-            tree_clones: tax::tree::tree_clones().saturating_sub(self.tree_clones),
             vec_rows: xmlstore::kernels::vec_rows().saturating_sub(self.vec_rows),
             vec_fallback: xmlstore::kernels::fallback_rows().saturating_sub(self.vec_fallback),
             children,
@@ -405,7 +399,7 @@ mod tests {
         TimberDb::load_xml(SAMPLE, &StoreOptions::in_memory()).unwrap()
     }
 
-    fn exec(db: &TimberDb, plan: &Plan) -> (Collection, PlanMetrics) {
+    fn exec(db: &TimberDb, plan: &Plan) -> (tax::Collection, PlanMetrics) {
         let (out, metrics) = evaluate(db.store(), plan).unwrap();
         (out.into_trees(), metrics)
     }
@@ -525,9 +519,9 @@ mod tests {
 
     #[test]
     fn each_route_outside_the_rows_the_plans_feed_is_a_typed_refusal() {
-        // Hand-built plans and kernel calls that would need a tree as an
-        // operator's input: each fails with `Unsupported`, and the store
-        // answers the next query.
+        // Hand-built plans that would need a tree as an operator's input:
+        // each fails with `Unsupported`, and the store answers the next
+        // query. The kernels' own refusals are `tax::batch`'s to check.
         let db = db();
         let want = db.query(QUERY1, PlanMode::GroupByRewrite).unwrap();
         let want = want.to_xml_on(db.store()).unwrap();
@@ -565,13 +559,6 @@ mod tests {
             let again = db.query(QUERY1, PlanMode::GroupByRewrite).unwrap();
             assert_eq!(again.to_xml_on(db.store()).unwrap(), want);
         }
-        // A collection holding a constructed tree is not stored rows.
-        let Plan::GroupBy { pattern, basis, .. } = sink_of(&grouped) else {
-            panic!("{grouped:?}")
-        };
-        let built = vec![tax::Tree::new_elem(db.store().dict(), "article")];
-        let err = ops::groupby::groupby(db.store(), &built, pattern, basis, &[]).unwrap_err();
-        assert!(matches!(err, tax::Error::Unsupported(_)), "{err:?}");
     }
 
     #[test]
@@ -676,7 +663,7 @@ mod tests {
         }
     }
 
-    fn to_xml(db: &TimberDb, c: &Collection) -> String {
+    fn to_xml(db: &TimberDb, c: &tax::Collection) -> String {
         c.iter()
             .map(|t| xmlparse::serialize::element_to_string(&t.materialize(db.store()).unwrap()))
             .collect::<Vec<_>>()

@@ -27,11 +27,6 @@ impl Document {
     pub fn into_root(self) -> Element {
         self.root
     }
-
-    /// Total number of element nodes in the document (root included).
-    pub fn element_count(&self) -> usize {
-        self.root.subtree_element_count()
-    }
 }
 
 /// One node in the DOM tree.
@@ -145,14 +140,6 @@ impl Element {
         }
     }
 
-    /// Number of element nodes in this subtree, including `self`.
-    pub fn subtree_element_count(&self) -> usize {
-        1 + self
-            .child_elements()
-            .map(Element::subtree_element_count)
-            .sum::<usize>()
-    }
-
     /// Total node count (elements + attributes + text nodes) in this
     /// subtree, matching how the paper counts "4.6 million nodes".
     pub fn subtree_node_count(&self) -> usize {
@@ -240,7 +227,6 @@ mod tests {
     #[test]
     fn counts() {
         let e = sample();
-        assert_eq!(e.subtree_element_count(), 4);
         // article + year attr + (title + text) + 2*(author + text) = 8
         assert_eq!(e.subtree_node_count(), 8);
     }
@@ -255,7 +241,6 @@ mod tests {
     #[test]
     fn document_wraps_root() {
         let doc = Document::new(sample());
-        assert_eq!(doc.element_count(), 4);
         assert_eq!(doc.root().name, "article");
     }
 }

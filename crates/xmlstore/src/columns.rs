@@ -164,14 +164,6 @@ impl NodeColumns {
         }
     }
 
-    /// Write the child ids of `id` into `out` (cleared first) — the
-    /// buffer-reuse form of [`Self::child_ids`] for callers that need a
-    /// slice repeatedly.
-    pub fn child_ids_into(&self, id: NodeId, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend(self.child_ids(id));
-    }
-
     /// The attribute children of element `id`: loading lays them out
     /// immediately after their element, so this is the leading run of
     /// `Attribute` rows one level down (in preorder, a row one level
@@ -269,9 +261,6 @@ mod tests {
         let kids: Vec<u32> = c.child_ids(NodeId(4)).map(|n| n.0).collect();
         assert_eq!(kids, [5]);
         assert_eq!(c.child_ids(NodeId(3)).count(), 0);
-        let mut buf = vec![NodeId(99)];
-        c.child_ids_into(NodeId(1), &mut buf);
-        assert_eq!(buf, [NodeId(2), NodeId(3), NodeId(4)]);
     }
 
     #[test]

@@ -82,7 +82,6 @@ pub use error::{Result, StoreError};
 pub use fault::{FaultConfig, FaultInjector, FaultStats, LogFault};
 pub use heap::Values;
 pub use index::NodeEntry;
-pub use kernels::SelVec;
 pub use node::{NodeId, NodeKind, NodeRecord};
 pub use page::{PageId, PAGE_DATA_SIZE, PAGE_HEADER_SIZE, PAGE_SIZE};
 pub use wal::{Lsn, TxnId, Wal, WalHandle, WalRecord, WalStats};

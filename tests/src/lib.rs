@@ -20,30 +20,10 @@ pub const FIG6_DB: &str = "<bib>\
     <article><author>John</author><title>Hack HTML</title></article>\
 </bib>";
 
-/// Query 1 of the paper.
-pub const QUERY1: &str = r#"
-    FOR $a IN distinct-values(document("bib.xml")//author)
-    RETURN <authorpubs>
-      {$a}
-      { FOR $b IN document("bib.xml")//article
-        WHERE $a = $b/author
-        RETURN $b/title }
-    </authorpubs>
-"#;
-
-/// Query 2 (the unnested LET formulation of Sec. 4.2).
-pub const QUERY2: &str = r#"
-    FOR $a IN distinct-values(document("bib.xml")//author)
-    LET $t := document("bib.xml")//article[author = $a]/title
-    RETURN <authorpubs> {$a} {$t} </authorpubs>
-"#;
-
-/// The Sec. 6 count variant.
-pub const QUERY_COUNT: &str = r#"
-    FOR $a IN distinct-values(document("bib.xml")//author)
-    LET $t := document("bib.xml")//article[author = $a]/title
-    RETURN <authorpubs> {$a} {count($t)} </authorpubs>
-"#;
+/// The paper's corpus queries, one copy each, shared with the bench
+/// harness: Query 1 (`QUERY1`), the unnested LET formulation of Sec. 4.2
+/// (`QUERY2`) and the Sec. 6 count variant (`QUERY_COUNT`).
+pub use timber_bench::{QUERY_COUNT, QUERY_TITLES as QUERY1, QUERY_TITLES_LET as QUERY2};
 
 /// Load the Figure 6 database.
 pub fn fig6_db() -> TimberDb {

@@ -14,7 +14,7 @@ use xmlstore::StoreOptions;
 
 /// The rendered per-operator report with the values of `time=` and
 /// `stages=` masked: op labels, rows in and out and their kind, the
-/// clone and kernel-row counters, and which lines carry stage times.
+/// kernel-row counters, and which lines carry stage times.
 fn report(db: &TimberDb, query: &str, mode: PlanMode) -> String {
     let m = db.explain_analyze(query, mode).unwrap().metrics;
     let mask = |w: &str| match w.split_once('=') {

@@ -54,11 +54,7 @@ fn fig3_grouping_with_descending_title_order() {
     let _p = fig1_pattern();
     // Input: the witness trees of Fig. 2 (whole articles).
     let article_tag = s.tag_id("article").unwrap();
-    let arts: Vec<tax::Tree> = s
-        .nodes_with_tag(article_tag)
-        .iter()
-        .map(|e| tax::Tree::new_ref(*e, true))
-        .collect();
+    let arts = tax::Batch::Stored(s.nodes_with_tag(article_tag).to_vec());
     let mut gp = PatternTree::with_root(Pred::tag("article"));
     let title = gp.add_child(gp.root(), Axis::Child, Pred::tag("title"));
     let author = gp.add_child(gp.root(), Axis::Child, Pred::tag("author"));

@@ -14,15 +14,12 @@ use timberd::Server;
 use xmlstore::StoreOptions;
 use xquery::Plan;
 
-/// Every query constant of the integration tests and of the bench
-/// harness.
-const QUERIES: [&str; 7] = [
+/// Every distinct query of the integration tests and of the bench
+/// harness, once.
+const QUERIES: [&str; 4] = [
     timber_integration_tests::QUERY1,
     timber_integration_tests::QUERY2,
     timber_integration_tests::QUERY_COUNT,
-    timber_bench::QUERY_TITLES,
-    timber_bench::QUERY_TITLES_LET,
-    timber_bench::QUERY_COUNT,
     timber_bench::QUERY_CUBE,
 ];
 

@@ -20,7 +20,7 @@
 //!   fresh server binds, and its responses must match the oracle built
 //!   from only the committed operations.
 //! - EXPLAIN ANALYZE over the wire must still report the columnar fast
-//!   path: clones=0 for grouped plans on a pinned snapshot.
+//!   path: no scalar-fallback row in a grouped plan on a pinned snapshot.
 //! - The two retired mode bytes get the typed `unknown mode byte` reply
 //!   and leave the connection serving.
 //! - A predicate on the nested FOR path is a typed error, embedded and
@@ -477,10 +477,10 @@ fn server_crash_mid_commit_recovers_and_serves_oracle_bytes() {
 
 /// The acceptance criterion on the read fast path: EXPLAIN ANALYZE over
 /// the wire, on a pinned session snapshot, must still report the
-/// columnar grouped plan with a zero clone budget. That it reads no
-/// page is `page_free.rs`'s to check.
+/// columnar grouped plan, with no row dropping to a scalar fallback.
+/// That it reads no page is `page_free.rs`'s to check.
 #[test]
-fn explain_analyze_over_the_server_reports_zero_clones() {
+fn explain_analyze_over_the_server_reports_no_fallback_rows() {
     let (handle, addr) = boot_mem();
     let mut c = Client::connect(addr).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
@@ -492,10 +492,12 @@ fn explain_analyze_over_the_server_reports_zero_clones() {
         report.contains("groupby rewrite fired"),
         "not the grouped plan:\n{report}"
     );
-    for line in report.lines().filter(|l| l.contains("clones=")) {
+    let lines: Vec<&str> = report.lines().filter(|l| l.contains(" | in=")).collect();
+    assert!(!lines.is_empty(), "no operator line:\n{report}");
+    for line in lines {
         assert!(
-            line.contains("clones=0"),
-            "nonzero clone budget over the server path: {line}"
+            line.contains(" vecfb=0"),
+            "scalar-fallback rows over the server path: {line}"
         );
     }
     c.release().unwrap();

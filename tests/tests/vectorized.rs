@@ -1,5 +1,4 @@
-//! Differential testing of the vectorized columnar kernels: the chunked
-//! filter must be bit-identical to its scalar twin, the batch
+//! Differential testing of the vectorized columnar kernels: the batch
 //! containment partition must expand to exactly the nested-loop join's
 //! pairs, and whole queries running on those kernels must serialize to
 //! the reference model's bytes — on random ragged bibliographies.
@@ -10,67 +9,7 @@ use timber::TimberDb;
 use timber_integration_tests::{
     assert_matches_model, bibliography, Shape, QUERY1, QUERY2, QUERY_COUNT,
 };
-use xmlstore::{kernels, NodeEntry, NodeId, SelVec, StoreOptions};
-
-fn assert_same_selvec(vec: &SelVec, scalar: &SelVec, what: &str) {
-    assert_eq!(vec.base(), scalar.base(), "{what}: base");
-    assert_eq!(vec.len(), scalar.len(), "{what}: len");
-    assert_eq!(vec.count(), scalar.count(), "{what}: count");
-    assert_eq!(
-        vec.ids().collect::<Vec<_>>(),
-        scalar.ids().collect::<Vec<_>>(),
-        "{what}: ids"
-    );
-}
-
-#[test]
-fn filter_kernels_match_scalar_twins() {
-    // Lengths sweep past several 64-row chunk boundaries
-    // (0, 1, 63, 64, 65, 127, 128, ...).
-    check("filter_kernels_match_scalar_twins", 64, |g| {
-        let len = g.usize_in(0, 130);
-        let base = g.usize_in(0, 1000) as u32;
-        let vals: Vec<u32> = g.vec(len, len, |g| g.usize_in(0, 7) as u32);
-        let needle = g.usize_in(0, 8) as u32; // sometimes absent
-        assert_same_selvec(
-            &kernels::filter_eq_u32(&vals, base, needle),
-            &kernels::scalar::filter_eq_u32(&vals, base, needle),
-            "eq_u32",
-        );
-    });
-}
-
-#[test]
-fn selvec_runs_and_counts_agree_with_ids() {
-    check("selvec_runs_and_counts_agree_with_ids", 64, |g| {
-        let len = g.usize_in(0, 200) as u32;
-        let base = g.usize_in(0, 100) as u32;
-        let mut sel = SelVec::empty(base, len);
-        for id in base..base + len {
-            if g.ratio(1, 3) {
-                sel.set(id);
-            }
-        }
-        let ids: Vec<u32> = sel.ids().collect();
-        assert_eq!(ids.len(), sel.count());
-        for &id in &ids {
-            assert!(sel.contains(id));
-        }
-        // runs() reconstructs exactly the set ids, as maximal runs.
-        let mut from_runs: Vec<u32> = Vec::new();
-        let mut prev_end = 0u32;
-        for (start, n) in sel.runs() {
-            assert!(n > 0, "empty run");
-            assert!(
-                from_runs.is_empty() || start > prev_end,
-                "runs not maximal or unordered"
-            );
-            prev_end = start + n;
-            from_runs.extend(start..start + n);
-        }
-        assert_eq!(from_runs, ids);
-    });
-}
+use xmlstore::{kernels, NodeEntry, NodeId, StoreOptions};
 
 /// Random properly-nested interval forest: preorder-labels a forest of
 /// random arity/depth, returning all entries sorted by `start`.
