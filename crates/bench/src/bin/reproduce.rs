@@ -539,9 +539,10 @@ fn run_matching(articles: usize) {
 
 fn run_groupby_impl() {
     use tax::batch::Matches;
-    use tax::ops::groupby::{groupby, groupby_replicated, BasisItem};
+    use tax::ops::groupby::{groupby, BasisItem};
     use tax::ops::project::ProjectItem;
     use tax::pattern::{Axis, PatternTree, Pred};
+    use timber_bench::replicated::groupby_replicated;
 
     let articles = 5_000;
     println!("-- X4: grouping implementation, identifier processing vs eager replication ({articles} articles) --");
@@ -566,13 +567,17 @@ fn run_groupby_impl() {
     db.clear_buffer_pool().unwrap();
     db.reset_io_stats();
     let t0 = std::time::Instant::now();
-    let slow = groupby_replicated(store, &input, &gp, &basis, &[]).unwrap();
+    let tax::Batch::Stored(rows) = &input else {
+        unreachable!("a deep root projects to stored rows")
+    };
+    let slow = groupby_replicated(store, rows, &gp, &basis, &[]).unwrap();
     let t_slow = t0.elapsed();
     let io_slow = db.io_stats().page_requests();
 
     assert_eq!(fast.len(), slow.len());
     println!(
-        "identifier: {:>8.3}s, {:>9} page requests | replicated: {:>8.3}s, {:>9} page requests | {:.1}x fewer pages\n",
+        "{} groups | identifier: {:>8.3}s, {:>9} page requests | replicated: {:>8.3}s, {:>9} page requests | {:.1}x fewer pages\n",
+        fast.len(),
         t_fast.as_secs_f64(),
         io_fast,
         t_slow.as_secs_f64(),

@@ -16,6 +16,8 @@
 
 #![forbid(unsafe_code)]
 
+pub mod replicated;
+
 use datagen::{DblpConfig, DblpGenerator};
 use std::time::Duration;
 use timber::{PlanMode, TimberDb};

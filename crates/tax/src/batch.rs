@@ -1,6 +1,6 @@
 //! What flows between operators: an operator's whole output, one batch
 //! of rows that is a list of stored nodes, of a selection's match rows,
-//! of groups, or of one-level rows. No operator takes a tree.
+//! of groups, or of one-level rows. No operator takes or builds a tree.
 //!
 //! The collections a plan moves are not trees anyone built (Sec. 5.3,
 //! "witness trees held as node identifiers"): the article collection a
@@ -10,27 +10,25 @@
 //! cells, member row ordinals and appended aggregate cells.
 //! [`Batch::Stored`], [`Batch::Matches`] and [`Batch::Groups`] say so by
 //! type, operators that read only keys or paths out of them work on the
-//! labels, and the output operators emit [`Batch::Rows`]. A tree is what
-//! a batch renders into, for output and for the figures:
-//! [`Batch::into_trees`] is the one place a row becomes a [`Tree`]. A
-//! grouping sink reads stored rows (`Batch::stored`) and refuses any
-//! other input. DESIGN.md, *Binding tables*.
+//! labels, and the output operators emit [`Batch::Rows`]. Output writes
+//! each kind of row straight onto the tape (`Results for Batch`), as the
+//! tree it stands for. A grouping sink reads stored rows
+//! (`Batch::stored`) and refuses any other input. DESIGN.md, *Binding
+//! tables*.
 
 use crate::error::{Error, Result};
-use crate::matching::{match_db, Bindings};
+use crate::matching::{match_db, Bindings, Row};
 use crate::ops::project::ProjectItem;
-use crate::ops::select::{chain_bound, keeps_witness, witness_tree};
+use crate::ops::select::{chain_bound, keeps_witness};
+use crate::output::Results;
 use crate::pattern::{PatternNodeId, PatternTree};
-use crate::tree::{populate, Results, Tree, TreeNodeKind, CHUNK};
 use std::sync::Arc;
-use xmlparse::XmlWriter;
 use xmlstore::{DocumentStore, NodeEntry, Sym, Tape};
 
 /// An operator's output: every row it emits, in order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Batch {
-    /// Each row is one stored node standing for its whole subtree — what
-    /// `Tree::new_ref(node, true)` would be, without the tree.
+    /// Each row is one stored node standing for its whole subtree.
     Stored(Vec<NodeEntry>),
     /// Each row is one row of a selection's binding table — the witness
     /// tree it induces, without the tree.
@@ -40,8 +38,60 @@ pub enum Batch {
     /// to.
     Groups(Groups),
     /// Each row is a one-level tree held as cells — what the output
-    /// operators emit instead of trees.
+    /// operators emit.
     Rows(Rows),
+}
+
+/// One cell of a row: a constructed element, or a reference to a stored
+/// node.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Cell {
+    /// A constructed element, e.g. an aggregate's `<count>`.
+    Elem {
+        /// Interned tag name.
+        tag: Sym,
+        /// Optional interned character content.
+        content: Option<Sym>,
+    },
+    /// A reference to a stored node. With `deep == true` the node stands
+    /// for the whole stored subtree; otherwise just for the node itself
+    /// (tag, attributes and content). The reference carries the full
+    /// `(start, end, level)` label — in TIMBER the label *is* the node
+    /// identifier — so structural work on references never reads the
+    /// record.
+    Ref {
+        /// The stored node, with its containment label.
+        node: NodeEntry,
+        /// Whether the entire stored subtree is included.
+        deep: bool,
+    },
+}
+
+impl Cell {
+    /// Record the cell on `out` and leave it open: a constructed element
+    /// from its symbols, a reference through the store's column walk
+    /// (its stored subtree too when deep).
+    fn emit_open(&self, store: &DocumentStore, out: &mut Tape) -> Result<()> {
+        match self {
+            Cell::Elem { tag, content } => {
+                out.open(*tag);
+                if let Some(c) = content {
+                    out.text(*c);
+                }
+            }
+            Cell::Ref { node, deep } => store.emit_open(node.id, *deep, out)?,
+        }
+        Ok(())
+    }
+}
+
+/// Record each of `cells` on `out`, closed.
+fn emit_cells(store: &DocumentStore, cells: &[Cell], out: &mut Tape) -> Result<()> {
+    for cell in cells {
+        cell.emit_open(store, out)?;
+        out.close();
+    }
+    Ok(())
 }
 
 /// A selection over the stored database: its pattern, adornment list
@@ -69,11 +119,13 @@ impl Matches {
         Ok(Matches { scan, rows })
     }
 
-    /// The witness trees of the rows.
-    pub(crate) fn trees(&self) -> Vec<Tree> {
+    /// Record row `i`'s witness tree on `out`: it mirrors the pattern's
+    /// shape, each node a reference to the bound stored node, deep iff
+    /// its pattern node is adorned.
+    fn emit(&self, store: &DocumentStore, i: usize, out: &mut Tape) -> Result<()> {
         let (pattern, sl, table) = &*self.scan;
-        let tree = |&r: &u32| witness_tree(pattern, table.row(r as usize), sl);
-        self.rows.iter().map(tree).collect()
+        let row = table.row(self.rows[i] as usize);
+        emit_witness(store, pattern, sl, row, pattern.root(), out)
     }
 
     /// The node each row binds to `label`.
@@ -105,6 +157,24 @@ impl Matches {
     }
 }
 
+/// Record the witness subtree of pattern node `at` in `row`, closed: the
+/// pattern walked in preorder.
+fn emit_witness(
+    store: &DocumentStore,
+    pattern: &PatternTree,
+    sl: &[PatternNodeId],
+    row: Row<'_>,
+    at: PatternNodeId,
+    out: &mut Tape,
+) -> Result<()> {
+    store.emit_open(row[at].id, sl.contains(&at), out)?;
+    for &child in &pattern.node(at).children {
+        emit_witness(store, pattern, sl, row, child, out)?;
+    }
+    out.close();
+    Ok(())
+}
+
 /// Groups over stored rows: each group's basis children, members and
 /// appended cells.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,23 +184,23 @@ pub struct Groups {
     /// Tags of `TAX_group_root`, `TAX_grouping_basis`, `TAX_group_subroot`.
     pub(crate) tags: [Sym; 3],
     /// The basis children of every group, `width` (basis items) a group.
-    pub(crate) keys: Vec<TreeNodeKind>,
+    pub(crate) keys: Vec<Cell>,
     pub(crate) width: usize,
     /// Each group's members as ordinals into `rows`, in member order.
     pub(crate) members: Vec<Vec<u32>>,
     /// The cells `aggregate` appended to each group, in the order it
     /// ran (`afterLastChild($1)`); empty until it runs.
-    pub(crate) appended: Vec<Vec<TreeNodeKind>>,
+    pub(crate) appended: Vec<Vec<Cell>>,
 }
 
 impl Groups {
     /// The basis children of group `g`.
-    pub(crate) fn key(&self, g: usize) -> &[TreeNodeKind] {
+    pub(crate) fn key(&self, g: usize) -> &[Cell] {
         &self.keys[g * self.width..][..self.width]
     }
 
     /// The cells appended to group `g`.
-    pub(crate) fn appended(&self, g: usize) -> &[TreeNodeKind] {
+    pub(crate) fn appended(&self, g: usize) -> &[Cell] {
         self.appended.get(g).map_or(&[], Vec::as_slice)
     }
 
@@ -142,27 +212,24 @@ impl Groups {
             .collect()
     }
 
-    /// The group trees: `TAX_group_root { TAX_grouping_basis { keys },
-    /// TAX_group_subroot { one deep reference per member }, appended }`.
-    pub(crate) fn trees(&self) -> Vec<Tree> {
+    /// Record group `g`'s tree on `out`: `TAX_group_root {
+    /// TAX_grouping_basis { keys }, TAX_group_subroot { one deep
+    /// reference per member }, appended }`.
+    fn emit(&self, store: &DocumentStore, g: usize, out: &mut Tape) -> Result<()> {
         let [root, basis, subroot] = self.tags;
-        (0..self.members.len())
-            .map(|g| {
-                let mut tree = Tree::new_elem_sym(root);
-                let b = tree.add_elem_sym(tree.root(), basis);
-                for kind in self.key(g) {
-                    tree.add_node(b, kind.clone());
-                }
-                let s = tree.add_elem_sym(tree.root(), subroot);
-                for &m in &self.members[g] {
-                    tree.add_ref(s, self.rows[m as usize], true);
-                }
-                for cell in self.appended(g) {
-                    tree.add_node(tree.root(), cell.clone());
-                }
-                tree
-            })
-            .collect()
+        out.open(root);
+        out.open(basis);
+        emit_cells(store, self.key(g), out)?;
+        out.close();
+        out.open(subroot);
+        for &m in &self.members[g] {
+            store.emit_open(self.rows[m as usize].id, true, out)?;
+            out.close();
+        }
+        out.close();
+        emit_cells(store, self.appended(g), out)?;
+        out.close();
+        Ok(())
     }
 }
 
@@ -174,7 +241,7 @@ impl Groups {
 pub struct Rows {
     pub(crate) tag: Sym,
     starts: Vec<u32>,
-    cells: Vec<TreeNodeKind>,
+    cells: Vec<Cell>,
 }
 
 impl Rows {
@@ -185,7 +252,7 @@ impl Rows {
     }
 
     /// Append a row of `cells`.
-    pub(crate) fn push(&mut self, cells: impl IntoIterator<Item = TreeNodeKind>) {
+    pub(crate) fn push(&mut self, cells: impl IntoIterator<Item = Cell>) {
         self.cells.extend(cells);
         let end = u32::try_from(self.cells.len()).expect("a batch holds under 2^32 cells");
         self.starts.push(end);
@@ -201,31 +268,13 @@ impl Rows {
         self.len() == 0
     }
 
-    fn row(&self, i: usize) -> &[TreeNodeKind] {
+    fn row(&self, i: usize) -> &[Cell] {
         &self.cells[self.starts[i] as usize..self.starts[i + 1] as usize]
-    }
-
-    /// The rows as trees: the tag, each cell a child of it.
-    pub fn into_trees(self) -> Vec<Tree> {
-        let tree = |i| {
-            let mut tree = Tree::new_elem_sym(self.tag);
-            for cell in self.row(i) {
-                tree.add_node(tree.root(), cell.clone());
-            }
-            tree
-        };
-        (0..self.len()).map(tree).collect()
-    }
-
-    /// Append row `i`'s XML text to `out`: the bytes its tree writes.
-    pub fn write_xml(&self, store: &DocumentStore, i: usize, out: &mut String) -> Result<()> {
-        let mut one = Rows::new(self.tag);
-        one.push(self.row(i).iter().cloned());
-        populate(store, &one, &mut XmlWriter::new(out), |_| {}, CHUNK).map(drop)
     }
 }
 
-/// A row is recorded as its tree is: the tag, each cell, closed.
+/// A row is recorded as the one-level tree it stands for: the tag, each
+/// cell, closed.
 impl Results for Rows {
     fn count(&self) -> usize {
         self.len()
@@ -233,12 +282,31 @@ impl Results for Rows {
 
     fn emit(&self, store: &DocumentStore, i: usize, out: &mut Tape) -> Result<()> {
         out.open(self.tag);
-        for cell in self.row(i) {
-            cell.emit_open(store, out)?;
-            out.close();
-        }
+        emit_cells(store, self.row(i), out)?;
         out.close();
         Ok(())
+    }
+}
+
+/// A batch is recorded a row at a time: a stored row as a deep
+/// reference, a match as its witness tree, a group as its group tree, a
+/// one-level row as its tag over its cells.
+impl Results for Batch {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn emit(&self, store: &DocumentStore, i: usize, out: &mut Tape) -> Result<()> {
+        match self {
+            Batch::Stored(rows) => {
+                store.emit_open(rows[i].id, true, out)?;
+                out.close();
+                Ok(())
+            }
+            Batch::Matches(matches) => matches.emit(store, i, out),
+            Batch::Groups(groups) => groups.emit(store, i, out),
+            Batch::Rows(rows) => rows.emit(store, i, out),
+        }
     }
 }
 
@@ -263,18 +331,6 @@ impl Batch {
     /// Whether the batch has no rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The rows as trees: a stored row becomes the one-node deep
-    /// reference it stands for, a match its witness tree, a group its
-    /// group tree, a one-level row its tree.
-    pub fn into_trees(self) -> Vec<Tree> {
-        match self {
-            Batch::Stored(rows) => rows.into_iter().map(|e| Tree::new_ref(e, true)).collect(),
-            Batch::Matches(matches) => matches.trees(),
-            Batch::Groups(groups) => groups.trees(),
-            Batch::Rows(rows) => rows.into_trees(),
-        }
     }
 
     /// The node each row binds to `by`, for an operator keying the rows
@@ -306,6 +362,7 @@ impl Batch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::write_xml_lines;
     use xmlstore::{DocumentStore, StoreOptions};
 
     fn articles() -> (DocumentStore, Vec<NodeEntry>) {
@@ -319,13 +376,14 @@ mod tests {
     }
 
     #[test]
-    fn into_trees_builds_one_deep_reference_per_row() {
-        let (_s, rows) = articles();
-        let trees = Batch::Stored(rows.clone()).into_trees();
-        assert_eq!(trees.len(), 2);
-        for (t, e) in trees.iter().zip(&rows) {
-            assert_eq!(*t, Tree::new_ref(*e, true));
-        }
+    fn a_stored_row_writes_its_whole_subtree() {
+        let (s, rows) = articles();
+        let mut out = String::new();
+        write_xml_lines(&s, &Batch::Stored(rows), &mut out).unwrap();
+        assert_eq!(
+            out,
+            "<article><t>A</t></article>\n<article><t>B</t></article>\n"
+        );
     }
 
     #[test]
@@ -333,7 +391,7 @@ mod tests {
         // Each grouping sink groups an empty batch, of any kind, into no
         // output, and refuses a selection's matches, groups or one-level
         // rows.
-        use crate::ops::{cube, groupby, groupby_replicated, rollup};
+        use crate::ops::{cube, groupby, rollup};
         use crate::ops::{AggFunc, BasisItem, RollupShape};
         use crate::pattern::{Axis, Pred};
         let (s, rows) = articles();
@@ -344,7 +402,6 @@ mod tests {
         let sinks = |input: &Batch| {
             [
                 groupby(&s, input, &p, &basis, &[]).map(|(out, _)| out.len()),
-                groupby_replicated(&s, input, &p, &basis, &[]).map(|out| out.len()),
                 rollup(&s, input, &p, &basis, &p, t, count, "n", flat).map(|(out, _)| out.len()),
                 cube(&s, input, &p, &basis, &p, t, count, "n").map(|(out, _)| out.len()),
             ]

@@ -8,19 +8,20 @@
 //! variable per pattern node, and the *witness trees* produced by a match
 //! are perfectly homogeneous, so downstream operators can address bound
 //! nodes by label. The operators here read those collections as rows of
-//! node identifiers (Sec. 5.3); a tree is only what rows render into.
+//! node identifiers (Sec. 5.3), and output writes each row as the tree
+//! it stands for.
 //!
 //! # Crate layout
 //!
 //! * [`value`] — content values and the numeric-aware comparisons used by
 //!   predicates and ordering lists;
-//! * [`tree`] — the in-memory data tree rows render into, and output
-//!   population. A tree node is either a constructed element or a
-//!   *reference* to a stored node, optionally `deep` (the whole stored
-//!   subtree); data values are fetched only when a tree is written;
 //! * [`batch`] — what flows between operators: a [`Batch`] of rows that
 //!   is a list of stored nodes, of a scan's matches, of groups, or of
-//!   one-level rows;
+//!   one-level rows. A cell of a row is a constructed element or a
+//!   *reference* to a stored node, optionally `deep` (the whole stored
+//!   subtree);
+//! * [`output`] — output population: a batch's rows written as XML
+//!   text or DOM elements; data values are fetched only here;
 //! * [`pattern`] — pattern trees: nodes with predicates, `pc`
 //!   (parent-child) and `ad` (ancestor-descendant) edges, plus the
 //!   *subset* test used by the rewrite rules of Sec. 4.1;
@@ -42,11 +43,11 @@
 //!
 //! ```
 //! use xmlstore::{DocumentStore, StoreOptions};
-//! use tax::batch::Matches;
+//! use tax::batch::{Batch, Matches};
 //! use tax::pattern::{Axis, PatternTree, Pred};
 //! use tax::ops::groupby::{groupby, BasisItem, GroupOrder, Direction};
 //! use tax::ops::project::ProjectItem;
-//! use tax::ops::select::select_db;
+//! use tax::output::write_xml_lines;
 //!
 //! let xml = "<bib>\
 //!   <article><title>Transaction Mng</title><author>Silberschatz</author></article>\
@@ -57,12 +58,16 @@
 //!
 //! // Figure 1: article with a title containing "Transaction" and an author.
 //! let mut p = PatternTree::with_root(Pred::tag("article"));
-//! let _t = p.add_child(p.root(), Axis::Child, Pred::tag("title").and(Pred::content_contains("Transaction")));
+//! let t = p.add_child(p.root(), Axis::Child, Pred::tag("title").and(Pred::content_contains("Transaction")));
 //! let a = p.add_child(p.root(), Axis::Child, Pred::tag("author"));
 //!
 //! // Figure 2: the witness trees (one per article/author pair).
-//! let witnesses = select_db(&store, &p, &[]).unwrap();
-//! assert_eq!(witnesses.len(), 3);
+//! let witnesses = Batch::Matches(Matches::select(&store, &p, &[]).unwrap());
+//! let mut text = String::new();
+//! write_xml_lines(&store, &witnesses, &mut text).unwrap();
+//! assert_eq!(text.lines().nth(2), Some(
+//!     "<article><title>Overview of Transaction Mng</title><author>Garcia-Molina</author></article>"
+//! ));
 //!
 //! // The articles, whole: a scan whose projection keeps the deep root.
 //! let scan = PatternTree::with_root(Pred::tag("article"));
@@ -77,7 +82,7 @@
 //!     &articles,
 //!     &p,
 //!     &[BasisItem::content(a)],
-//!     &[GroupOrder { label: _t, direction: Direction::Descending }],
+//!     &[GroupOrder { label: t, direction: Direction::Descending }],
 //! ).unwrap();
 //! assert_eq!(grouped.len(), 2); // Silberschatz, Garcia-Molina
 //! ```
@@ -89,15 +94,14 @@ pub mod error;
 pub mod exec;
 pub mod matching;
 pub mod ops;
+pub mod output;
 pub mod pattern;
-pub mod tree;
 pub mod value;
 
 pub use batch::Batch;
 pub use error::{Error, Result};
 pub use exec::ExecOptions;
 pub use pattern::{Axis, PatternNodeId, PatternTree, Pred};
-pub use tree::{Collection, Tree, TreeNode, TreeNodeKind};
 pub use value::{compare_values, CmpOp};
 
 /// Reserved output tags of the grouping operator (Sec. 3).

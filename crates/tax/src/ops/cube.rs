@@ -75,8 +75,8 @@ pub fn cube(
 mod tests {
     use super::*;
     use crate::ops::rollup::{rollup, RollupShape};
+    use crate::output::{lines, materialize_all};
     use crate::pattern::{Axis, Pred};
-    use crate::tree::Collection;
     use xmlstore::StoreOptions;
 
     const SAMPLE: &str = "<bib>\
@@ -121,20 +121,12 @@ mod tests {
         (p, l)
     }
 
-    fn to_xml(s: &DocumentStore, c: &Collection) -> Vec<String> {
-        c.iter()
-            .map(|t| xmlparse::serialize::element_to_string(&t.materialize(s).unwrap()))
-            .collect()
-    }
-
-    /// The output serialized and split by level: a flat level-`k` tree
-    /// has `k` key children and one value child.
-    fn by_level(s: &DocumentStore, c: &Collection, levels: usize) -> Vec<Vec<String>> {
+    /// The output written and split by level: a flat level-`k` row has
+    /// `k` key children and one value child.
+    fn by_level(s: &DocumentStore, c: &Batch, levels: usize) -> Vec<Vec<String>> {
         let mut out = vec![Vec::new(); levels];
-        for t in c {
-            let e = t.materialize(s).unwrap();
-            let level = e.child_elements().count() - 1;
-            out[level - 1].push(xmlparse::serialize::element_to_string(&e));
+        for (row, e) in lines(s, c).into_iter().zip(materialize_all(s, c).unwrap()) {
+            out[e.child_elements().count() - 2].push(row);
         }
         out
     }
@@ -166,9 +158,8 @@ mod tests {
                     RollupShape::Flat,
                 )
                 .unwrap()
-                .0
-                .into_trees();
-                to_xml(s, &out)
+                .0;
+                lines(s, &out)
             })
             .collect()
     }
@@ -186,14 +177,11 @@ mod tests {
             ("pages", AggFunc::Avg, "avg"),
         ] {
             let (mp, of) = member(leaf);
-            let out = cube(&s, &arts, &p, &basis, &mp, of, func, tag)
-                .unwrap()
-                .0
-                .into_trees();
+            let out = cube(&s, &arts, &p, &basis, &mp, of, func, tag).unwrap().0;
             let reference = composed(&s, &arts, &p, &basis, &mp, of, func, tag);
             assert_eq!(by_level(&s, &out, basis.len()), reference, "{func:?}");
             // Coarsest level first: the bytes of the composed union.
-            assert_eq!(to_xml(&s, &out), reference.concat(), "{func:?}");
+            assert_eq!(lines(&s, &out), reference.concat(), "{func:?}");
         }
     }
 
@@ -205,11 +193,11 @@ mod tests {
         let (mp, of) = member("title");
         let out = cube(&s, &arts, &p, &basis, &mp, of, AggFunc::Count, "count")
             .unwrap()
-            .0
-            .into_trees();
-        let keys: Vec<usize> = out
+            .0;
+        let written = materialize_all(&s, &out).unwrap();
+        let keys: Vec<usize> = written
             .iter()
-            .map(|t| t.materialize(&s).unwrap().child_elements().count() - 1)
+            .map(|e| e.child_elements().count() - 1)
             .collect();
         assert!(keys.windows(2).all(|w| w[0] <= w[1]), "{keys:?}");
         // Level 1 groups TODS/WebDB, level 2 adds years, level 3 authors.
@@ -219,7 +207,7 @@ mod tests {
         assert_eq!(at(3), 5); // +Jack/John; Jill/Jack; John
         assert_eq!(keys.len(), 10);
         assert_eq!(
-            to_xml(&s, &out)[0],
+            lines(&s, &out)[0],
             "<TAX_group_root><journal>TODS</journal><count>3</count></TAX_group_root>"
         );
     }
@@ -234,11 +222,10 @@ mod tests {
         let (mp, of) = member("title");
         let out = cube(&s, &arts, &p, &basis, &mp, of, AggFunc::Count, "count")
             .unwrap()
-            .0
-            .into_trees();
-        let tods = out
-            .iter()
-            .map(|t| t.materialize(&s).unwrap())
+            .0;
+        let tods = materialize_all(&s, &out)
+            .unwrap()
+            .into_iter()
             .find(|e| {
                 e.child_elements().count() == 2
                     && e.child("journal").map(|j| j.text()) == Some("TODS".into())
@@ -275,11 +262,8 @@ mod tests {
             ("pages", AggFunc::Avg, "avg"),
         ] {
             let (mp, of) = member(leaf);
-            let out = cube(&s, &arts, &p, &basis, &mp, of, func, tag)
-                .unwrap()
-                .0
-                .into_trees();
-            let rendered = to_xml(&s, &out).join("\n");
+            let out = cube(&s, &arts, &p, &basis, &mp, of, func, tag).unwrap().0;
+            let rendered = lines(&s, &out).join("\n");
             assert!(
                 rendered.contains("<author><name><full>Jack</full></name></author>"),
                 "{func:?}: {rendered}"
@@ -321,10 +305,7 @@ mod tests {
             AggFunc::Max,
             AggFunc::Avg,
         ] {
-            let out = cube(&s, &arts, &p, &basis, &mp, of, func, "v")
-                .unwrap()
-                .0
-                .into_trees();
+            let out = cube(&s, &arts, &p, &basis, &mp, of, func, "v").unwrap().0;
             let reference = composed(&s, &arts, &p, &basis, &mp, of, func, "v");
             let levels = by_level(&s, &out, basis.len());
             assert_eq!(levels, reference, "{func:?}");
@@ -342,9 +323,8 @@ mod tests {
         // format_value on both paths: (30 + 19) / 2 at (TODS, 1999).
         let out = cube(&s, &arts, &p, &basis, &mp, of, AggFunc::Avg, "avg")
             .unwrap()
-            .0
-            .into_trees();
-        let rendered = to_xml(&s, &out).join("\n");
+            .0;
+        let rendered = lines(&s, &out).join("\n");
         assert!(rendered.contains("<avg>24.5</avg>"), "{rendered}");
         assert!(
             rendered.contains(&format!(

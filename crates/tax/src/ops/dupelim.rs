@@ -42,7 +42,7 @@ mod tests {
     use super::*;
     use crate::batch::Matches;
     use crate::error::Error;
-    use crate::ops::select::select_db;
+    use crate::output::lines;
     use crate::pattern::{Axis, Pred};
     use xmlstore::StoreOptions;
 
@@ -75,15 +75,12 @@ mod tests {
         // stay rows: the first witness tree per distinct author.
         let s = store();
         let p = authors();
-        assert_eq!(select_db(&s, &p, &[1]).unwrap().len(), 5);
+        assert_eq!(Matches::select(&s, &p, &[1]).unwrap().rows.len(), 5);
         let kept = dedup(&s, &p, 1).unwrap();
         assert!(matches!(kept, Batch::Matches(_)), "{kept:?}");
-        let names: Vec<String> = kept
-            .into_trees()
-            .iter()
-            .map(|t| t.materialize(&s).unwrap().child("author").unwrap().text())
-            .collect();
-        assert_eq!(names, ["Jack", "John", "Jill"]); // first occurrence order
+        // First occurrence order.
+        let row = |name: &str| format!("<doc_root><author>{name}</author></doc_root>");
+        assert_eq!(lines(&s, &kept), [row("Jack"), row("John"), row("Jill")]);
     }
 
     #[test]
@@ -128,14 +125,13 @@ mod tests {
         )
         .unwrap();
         let p = authors();
-        let kept = dedup(&s, &p, 1).unwrap().into_trees();
-        let xml: Vec<String> = kept
-            .iter()
-            .map(|t| {
-                let e = t.materialize(&s).unwrap();
-                xmlparse::serialize::element_to_string(e.child("author").unwrap())
-            })
-            .collect();
-        assert_eq!(xml, ["<author><n>A</n></author>", "<author>C</author>"]);
+        let kept = lines(&s, &dedup(&s, &p, 1).unwrap());
+        assert_eq!(
+            kept,
+            [
+                "<doc_root><author><n>A</n></author></doc_root>",
+                "<doc_root><author>C</author></doc_root>"
+            ]
+        );
     }
 }

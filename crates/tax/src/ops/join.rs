@@ -13,7 +13,7 @@
 //! selection's table: equal symbol ⇔ equal string, and a node without
 //! content ([`NO_SYM`]) joins nothing. No data page is read.
 
-use crate::batch::{Batch, Groups, Rows};
+use crate::batch::{Batch, Cell, Groups, Rows};
 use crate::error::{Error, Result};
 use crate::matching::match_db;
 use crate::ops::aggregate::{compute, format_value, numeric, AggFunc};
@@ -21,7 +21,6 @@ use crate::ops::groupby::{sort_members, BasisItem, Direction, GroupOrder};
 use crate::ops::witness::witnesses;
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tags::{GROUPING_BASIS, GROUP_ROOT, GROUP_SUBROOT};
-use crate::tree::TreeNodeKind;
 use std::collections::{HashMap, HashSet};
 use xmlstore::{DocumentStore, NodeEntry, NO_SYM};
 
@@ -65,9 +64,7 @@ pub fn left_outer_join_db(
     buckets.remove(&NO_SYM);
     let members = left.iter().map(|e| buckets.get(&key(e)).cloned());
     let members = members.map(Option::unwrap_or_default).collect();
-    let keys = left
-        .into_iter()
-        .map(|node| TreeNodeKind::Ref { node, deep: true });
+    let keys = left.into_iter().map(|node| Cell::Ref { node, deep: true });
     let tags = [GROUP_ROOT, GROUPING_BASIS, GROUP_SUBROOT].map(|tag| store.dict().intern(tag));
     let (keys, width) = (keys.collect(), 1);
     Ok(Groups {
@@ -158,7 +155,7 @@ pub fn stitch(
         let w = witnesses(store, &groups.rows, pattern, &basis, ordering, true)?;
         let per_row = w.per_row(groups.rows.len());
         for (g, group) in groups.members.iter().enumerate() {
-            let [TreeNodeKind::Ref { node: k, .. }] = groups.key(g) else {
+            let [Cell::Ref { node: k, .. }] = groups.key(g) else {
                 continue;
             };
             // One bucket per key: equal keys joined the same subjects.
@@ -180,10 +177,10 @@ pub fn stitch(
     }
     let mut out = Rows::new(dict.intern(tag));
     for node in outer {
-        let bound = std::iter::once(TreeNodeKind::Ref { node, deep: true });
+        let bound = std::iter::once(Cell::Ref { node, deep: true });
         let matched = parts.get(&key(&node)).map_or(&[][..], Vec::as_slice);
         let Some((func, agg_tag)) = agg else {
-            let nodes = matched.iter().map(|p| TreeNodeKind::Ref {
+            let nodes = matched.iter().map(|p| Cell::Ref {
                 node: p.node,
                 deep: true,
             });
@@ -197,7 +194,7 @@ pub fn stitch(
                 .filter_map(|p| numeric(dict, p.value))
                 .collect(),
         };
-        let value = compute(func, matched.len(), &values).map(|v| TreeNodeKind::Elem {
+        let value = compute(func, matched.len(), &values).map(|v| Cell::Elem {
             tag: dict.intern(agg_tag),
             content: Some(dict.intern(&format_value(v))),
         });
@@ -211,9 +208,9 @@ mod tests {
     use super::*;
     use crate::batch::Matches;
     use crate::ops::dupelim::dup_elim;
+    use crate::output::materialize_all;
     use crate::pattern::{Axis, Pred};
     use crate::tags;
-    use crate::tree::Tree;
     use xmlstore::StoreOptions;
 
     /// The Figure 6 sample database.
@@ -247,18 +244,17 @@ mod tests {
         dup_elim(s, rows, &p, 1).unwrap()
     }
 
-    /// Each group's key text and its members, materialized.
+    /// Each group's key text and its members, as written.
     fn pairs(s: &DocumentStore, groups: Groups) -> Vec<(String, Vec<xmlparse::Element>)> {
-        let trees = Batch::Groups(groups).into_trees();
-        let pair = |t: &Tree| {
-            let e = t.materialize(s).unwrap();
+        let pair = |e: xmlparse::Element| {
             assert_eq!(e.name, tags::GROUP_ROOT);
             let basis = e.child(tags::GROUPING_BASIS).unwrap();
             let key = basis.child("author").unwrap().text();
             let members = e.child(tags::GROUP_SUBROOT).unwrap().child_elements();
             (key, members.cloned().collect())
         };
-        trees.iter().map(pair).collect()
+        let written = materialize_all(s, &Batch::Groups(groups)).unwrap();
+        written.into_iter().map(pair).collect()
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Grouping keys — the encoding shared by the grouping sinks (groupby,
 //! rollup, cube).
 //!
-//! A [`Key`] is a fixed-width sequence of dictionary symbols: one `u32`
+//! A key is a fixed-width sequence of dictionary symbols: one `u32`
 //! word per basis item, [`ABSENT`] when the value is missing (e.g. an
 //! element with no content). Fixed width makes the encoding
 //! self-delimiting, so key equality is a flat word compare — no
@@ -13,10 +13,6 @@ use std::collections::HashMap;
 
 /// The key word standing for a missing value.
 pub use xmlstore::NO_SYM as ABSENT;
-
-/// A grouping key: one symbol word per basis item, [`ABSENT`] when the
-/// value is missing.
-pub type Key = Vec<u32>;
 
 /// Slots a slot table may spend per key; sparser symbols keep the map.
 const SLOTS_PER_KEY: usize = 4;

@@ -6,9 +6,9 @@
 //! groups as columns, one-level output rows ([`Batch`](crate::Batch)) —
 //! and no operator takes a tree: each takes the rows the paper's plans
 //! feed it and refuses any other input with a typed
-//! [`Error::Unsupported`](crate::Error::Unsupported). A tree is what the
-//! rows render into. The operators implemented here are the ones the
-//! paper's plans build:
+//! [`Error::Unsupported`](crate::Error::Unsupported). Output writes each
+//! row as the tree it stands for ([`output`](crate::output)). The
+//! operators implemented here are the ones the paper's plans build:
 //!
 //! | module | operator | paper section |
 //! |---|---|---|
@@ -43,9 +43,8 @@ mod witness;
 pub use aggregate::{aggregate, AggFunc, UpdateSpec};
 pub use cube::cube;
 pub use dupelim::dup_elim;
-pub use groupby::{groupby, groupby_replicated, BasisItem, Direction, GroupOrder};
+pub use groupby::{groupby, BasisItem, Direction, GroupOrder};
 pub use join::left_outer_join_db;
 pub use project::ProjectItem;
 pub use rename::rename_root;
 pub use rollup::{rollup, RollupShape};
-pub use select::select_db;

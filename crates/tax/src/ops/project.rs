@@ -16,13 +16,12 @@
 //! projection over aggregated groups writes the key cell and the
 //! appended value. Any other projection is refused.
 
-use crate::batch::{Batch, Groups, Rows};
+use crate::batch::{Batch, Cell, Groups, Rows};
 use crate::error::{Error, Result};
 use crate::matching::for_each_match;
 use crate::ops::groupby::BasisItem;
 use crate::pattern::{Axis, PatternNodeId, PatternTree, Pred};
 use crate::tags;
-use crate::tree::TreeNodeKind;
 use std::collections::HashSet;
 use xmlstore::{DocumentStore, NodeEntry};
 
@@ -119,9 +118,9 @@ impl Projection {
 }
 
 /// Group `g`'s key cells, whole.
-fn key(groups: &Groups, g: usize) -> impl Iterator<Item = TreeNodeKind> + '_ {
+fn key(groups: &Groups, g: usize) -> impl Iterator<Item = Cell> + '_ {
     groups.key(g).iter().map(|kind| match kind {
-        &TreeNodeKind::Ref { node, .. } => TreeNodeKind::Ref { node, deep: true },
+        &Cell::Ref { node, .. } => Cell::Ref { node, deep: true },
         elem => elem.clone(),
     })
 }
@@ -157,7 +156,7 @@ fn members(
         written.clear();
         let nodes = group.iter().flat_map(|&m| run(m)).map(|&(_, e)| e);
         let nodes = nodes.filter(|e| disjoint || written.insert(e.id));
-        out.push(key(groups, g).chain(nodes.map(|node| TreeNodeKind::Ref { node, deep: true })));
+        out.push(key(groups, g).chain(nodes.map(|node| Cell::Ref { node, deep: true })));
     }
     Ok(out)
 }
@@ -212,7 +211,7 @@ mod tests {
     use super::*;
     use crate::batch::Matches;
     use crate::ops::groupby::{groupby, Direction, GroupOrder};
-    use crate::tree::Tree;
+    use crate::output::lines;
     use xmlstore::StoreOptions;
 
     const SAMPLE: &str = "<bib>\
@@ -231,15 +230,6 @@ mod tests {
         p
     }
 
-    fn xml(s: &DocumentStore, trees: &[Tree]) -> Vec<String> {
-        let text = |t: &Tree| {
-            let mut out = String::new();
-            t.write_xml(s, &mut out).unwrap();
-            out
-        };
-        trees.iter().map(text).collect()
-    }
-
     #[test]
     fn project_extracts_article_roots() {
         // The fused select→project keeping the deep article: one stored
@@ -254,9 +244,10 @@ mod tests {
             matches!(arts, Batch::Stored(ref rows) if rows.len() == 2),
             "{arts:?}"
         );
-        let e = arts.into_trees()[0].materialize(&s).unwrap();
-        assert_eq!(e.name, "article");
-        assert_eq!(e.children_named("author").count(), 2);
+        assert_eq!(
+            lines(&s, &arts)[0],
+            "<article><title>T1</title><author>Jack</author><author>John</author><year>1999</year></article>"
+        );
     }
 
     #[test]
@@ -268,10 +259,11 @@ mod tests {
         let pl = [ProjectItem::shallow(0), ProjectItem::deep(1)];
         let kept = Matches::select(&s, &p, &[1]).unwrap().project(&pl).unwrap();
         assert!(matches!(kept, Batch::Matches(_)), "{kept:?}");
-        let e = kept.into_trees()[0].materialize(&s).unwrap();
-        assert_eq!(e.name, "doc_root");
-        let kids: Vec<&str> = e.child_elements().map(|c| c.name.as_str()).collect();
-        assert_eq!(kids, ["article"]);
+        assert_eq!(
+            lines(&s, &kept)[0],
+            "<doc_root><article><title>T1</title><author>Jack</author><author>John</author>\
+             <year>1999</year></article></doc_root>"
+        );
         // Any other list over match rows is refused.
         let refused = Matches::select(&s, &p, &[1])
             .unwrap()
@@ -330,7 +322,7 @@ mod tests {
         let gather = Projection::new(&p, &pl, true, Some((&gb, &basis[..])), None);
         let got = gather.project(&s, groups).unwrap();
         assert!(matches!(got, Batch::Rows(_)), "{got:?}");
-        xml(&s, &got.into_trees())
+        lines(&s, &got)
     }
 
     #[test]
@@ -392,9 +384,9 @@ mod tests {
         let basis = [BasisItem::content(1)];
         let (p, pl) = fig5d_pattern(Axis::Child, "title");
         let gather = Projection::new(&p, &pl, true, Some((&gb, &basis[..])), None);
-        let out = gather.project(&s, groups).unwrap().into_trees();
+        let out = lines(&s, &gather.project(&s, groups).unwrap());
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].len(), MEMBERS + 2);
+        assert_eq!(out[0].matches("<title>").count(), MEMBERS);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! basis-prefix levels: a rollup asks for the single finest level, the
 //! grouping lattice ([`super::cube`](mod@super::cube)) for all of them.
 
-use crate::batch::{Batch, Rows};
+use crate::batch::{Batch, Cell, Rows};
 use crate::error::{Error, Result};
 use crate::exec::Stages;
 use crate::matching::for_each_match;
@@ -42,7 +42,6 @@ use crate::ops::groupby::{stored_basis, BasisItem};
 use crate::ops::keyenc::GroupIndex;
 use crate::ops::witness::{witnesses, Witnesses};
 use crate::pattern::{PatternNodeId, PatternTree};
-use crate::tree::TreeNodeKind;
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::time::Instant;
@@ -124,11 +123,11 @@ impl<'d> ValueCells<'d> {
         ValueCells { dict, tag, syms }
     }
 
-    pub(crate) fn cell(&mut self, v: f64) -> TreeNodeKind {
+    pub(crate) fn cell(&mut self, v: f64) -> Cell {
         let dict = self.dict;
         let sym = self.syms.entry(v.to_bits());
         let content = *sym.or_insert_with(|| dict.intern(&format_value(v)));
-        TreeNodeKind::Elem {
+        Cell::Elem {
             tag: self.tag,
             content: Some(content),
         }
@@ -310,9 +309,9 @@ mod tests {
     use crate::ops::aggregate::{aggregate, UpdateSpec};
     use crate::ops::groupby::groupby;
     use crate::ops::project::{ProjectItem, Projection};
+    use crate::output::lines;
     use crate::pattern::{Axis, Pred};
     use crate::tags;
-    use crate::tree::Tree;
     use xmlstore::StoreOptions;
 
     const SAMPLE: &str = "<bib>\
@@ -345,12 +344,7 @@ mod tests {
 
     fn written(s: &DocumentStore, out: Batch) -> Vec<String> {
         assert!(matches!(out, Batch::Rows(_)), "{out:?}");
-        let text = |t: &Tree| {
-            let mut out = String::new();
-            t.write_xml(s, &mut out).unwrap();
-            out
-        };
-        out.into_trees().iter().map(text).collect()
+        lines(s, &out)
     }
 
     /// The flat rollup over stored `rows`, written one row a string.
@@ -464,8 +458,8 @@ mod tests {
         let spec = UpdateSpec::AfterLastChild(0);
         let out = aggregate(&s, groups.clone(), &ap, AggFunc::Min, title, "min", spec).unwrap();
         assert_eq!(
-            Batch::Groups(out).into_trees(),
-            Batch::Groups(groups).into_trees()
+            lines(&s, &Batch::Groups(out)),
+            lines(&s, &Batch::Groups(groups))
         );
     }
 

@@ -7,28 +7,15 @@
 //! *entire data subtrees* (not just the nodes) are kept. Selection is
 //! one-many: a pattern can match many times in one document.
 //!
-//! A witness tree is built only where something downstream walks it:
-//! the executor's scan hands on the rows of its table
-//! ([`Matches`]), and the fused select→project
-//! keeps them, or the root column, where its projection list allows
-//! ([`Matches::project`](crate::batch::Matches::project)).
+//! No witness tree is built: the executor's scan hands on the rows of
+//! its table ([`Matches::select`](crate::batch::Matches::select)), the
+//! fused select→project keeps them, or the root column, where its
+//! projection list allows
+//! ([`Matches::project`](crate::batch::Matches::project)), and output
+//! writes a row as the witness tree it induces.
 
-use crate::batch::Matches;
-use crate::error::Result;
-use crate::matching::Row;
 use crate::ops::project::ProjectItem;
 use crate::pattern::{PatternNodeId, PatternTree};
-use crate::tree::{Collection, Tree};
-use xmlstore::DocumentStore;
-
-/// Selection over the stored database.
-pub fn select_db(
-    store: &DocumentStore,
-    pattern: &PatternTree,
-    sl: &[PatternNodeId],
-) -> Result<Collection> {
-    Ok(Matches::select(store, pattern, sl)?.trees())
-}
 
 /// The bound node of a selection whose pattern is a chain adorned only
 /// at its last node — the naive plan's FOR selection (Fig. 4a) — or
@@ -62,26 +49,12 @@ pub(crate) fn keeps_witness(
         })
 }
 
-/// The witness tree of one row of a database match: it mirrors the
-/// pattern's shape, each node a reference to the bound stored node, deep
-/// iff its pattern node is adorned. Node identifiers only — no data
-/// pages are touched here (Sec. 5.3).
-pub(crate) fn witness_tree(pattern: &PatternTree, row: Row<'_>, sl: &[PatternNodeId]) -> Tree {
-    let order = pattern.preorder();
-    let mut tree = Tree::new_ref(row[order[0]], sl.contains(&order[0]));
-    let mut map = vec![tree.root(); pattern.len()];
-    for &pid in &order[1..] {
-        let parent = map[pattern.node(pid).parent.expect("non-root")];
-        map[pid] = tree.add_ref(parent, row[pid], sl.contains(&pid));
-    }
-    tree
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::pattern::{Axis, Pred};
-    use xmlstore::StoreOptions;
+    use crate::batch::{Batch, Matches};
+    use crate::output::lines;
+    use crate::pattern::{Axis, PatternNodeId, PatternTree, Pred};
+    use xmlstore::{DocumentStore, StoreOptions};
 
     const SAMPLE: &str = "<bib>\
         <article><title>Transaction Mng</title><author>Silberschatz</author></article>\
@@ -104,31 +77,37 @@ mod tests {
         p
     }
 
+    /// The witness trees of selecting `p` with `sl`, written one a string.
+    fn select(s: &DocumentStore, p: &PatternTree, sl: &[PatternNodeId]) -> Vec<String> {
+        lines(s, &Batch::Matches(Matches::select(s, p, sl).unwrap()))
+    }
+
     #[test]
     fn witness_trees_mirror_pattern_shape() {
         let s = store();
-        let w = select_db(&s, &fig1(), &[]).unwrap();
-        assert_eq!(w.len(), 3); // (a1,s) (a2,s) (a2,gm)
-        for t in &w {
-            assert_eq!(t.len(), 3);
-            let e = t.materialize(&s).unwrap();
-            assert_eq!(e.name, "article");
-            assert!(e.child("title").is_some());
-            assert!(e.child("author").is_some());
-        }
+        let w = select(&s, &fig1(), &[]);
+        let witness = |title: &str, author: &str| {
+            format!("<article><title>{title}</title><author>{author}</author></article>")
+        };
+        let overview = "Overview of Transaction Mng";
+        assert_eq!(
+            w,
+            [
+                witness("Transaction Mng", "Silberschatz"),
+                witness(overview, "Silberschatz"),
+                witness(overview, "Garcia-Molina"),
+            ]
+        );
     }
 
     #[test]
     fn selection_is_one_many() {
         let s = store();
-        let w = select_db(&s, &fig1(), &[]).unwrap();
+        let w = select(&s, &fig1(), &[]);
         // The two-author article yields two witness trees.
-        let authors: Vec<String> = w
-            .iter()
-            .map(|t| t.materialize(&s).unwrap().child("author").unwrap().text())
-            .collect();
-        assert!(authors.contains(&"Garcia-Molina".to_owned()));
-        assert_eq!(authors.iter().filter(|a| *a == "Silberschatz").count(), 2);
+        let overview = w.iter().filter(|t| t.contains("Overview"));
+        assert_eq!(overview.count(), 2);
+        assert_eq!(w.iter().filter(|t| t.contains("Silberschatz")).count(), 2);
     }
 
     #[test]
@@ -137,13 +116,13 @@ mod tests {
         let mut p = PatternTree::with_root(Pred::tag("doc_root"));
         let art = p.add_child(p.root(), Axis::Descendant, Pred::tag("article"));
         // SL = [article]: the whole article subtree comes back.
-        let w = select_db(&s, &p, &[art]).unwrap();
+        let w = select(&s, &p, &[art]);
         assert_eq!(w.len(), 3);
-        let e = w[1].materialize(&s).unwrap();
-        assert_eq!(e.name, "doc_root");
-        let article = e.child("article").unwrap();
-        assert_eq!(article.children_named("author").count(), 2);
-        assert!(article.child("title").is_some());
+        assert_eq!(
+            w[1],
+            "<doc_root><article><title>Overview of Transaction Mng</title>\
+             <author>Silberschatz</author><author>Garcia-Molina</author></article></doc_root>"
+        );
     }
 
     #[test]
@@ -151,25 +130,21 @@ mod tests {
         let s = store();
         let mut p = PatternTree::with_root(Pred::tag("doc_root"));
         let _art = p.add_child(p.root(), Axis::Descendant, Pred::tag("article"));
-        let w = select_db(&s, &p, &[]).unwrap();
-        let e = w[0].materialize(&s).unwrap();
         // Shallow article: no title/author children.
-        let article = e.child("article").unwrap();
-        assert!(article.child("title").is_none());
+        assert_eq!(select(&s, &p, &[])[0], "<doc_root><article/></doc_root>");
     }
 
     #[test]
     fn selection_preserves_document_order() {
         let s = store();
         let p = PatternTree::with_root(Pred::tag("title"));
-        let w = select_db(&s, &p, &[p.root()]).unwrap();
-        let titles: Vec<String> = w
-            .iter()
-            .map(|t| t.materialize(&s).unwrap().text())
-            .collect();
         assert_eq!(
-            titles,
-            ["Transaction Mng", "Overview of Transaction Mng", "Web"]
+            select(&s, &p, &[p.root()]),
+            [
+                "<title>Transaction Mng</title>",
+                "<title>Overview of Transaction Mng</title>",
+                "<title>Web</title>"
+            ]
         );
     }
 
@@ -179,8 +154,8 @@ mod tests {
         s.reset_io_stats();
         let mut p = PatternTree::with_root(Pred::tag("article"));
         p.add_child(p.root(), Axis::Child, Pred::tag("author"));
-        let w = select_db(&s, &p, &[]).unwrap();
-        assert_eq!(w.len(), 4);
+        let w = Matches::select(&s, &p, &[]).unwrap();
+        assert_eq!(Batch::Matches(w).len(), 4);
         assert_eq!(
             s.io_stats().page_requests(),
             0,

@@ -5,10 +5,12 @@
 //! every property checks explicitly before its random cases.
 
 use smallrand::prop::{check, Gen};
-use tax::ops::groupby::{groupby, groupby_replicated, BasisItem, Direction, GroupOrder};
+use tax::ops::groupby::{groupby, BasisItem, Direction, GroupOrder};
+use tax::output::materialize_all;
 use tax::pattern::{Axis, PatternTree, Pred};
 use tax::value::compare_opt_values;
 use tax::{tags, Batch};
+use xmlparse::Element;
 use xmlstore::{DocumentStore, StoreOptions};
 
 /// The shrunken counterexample preserved from the retired proptest
@@ -53,12 +55,22 @@ fn setup(xml: &str) -> (DocumentStore, Batch, PatternTree, usize, usize) {
     (s, arts, p, title, author)
 }
 
+/// The groups of `arts` by author, members ordered by `ordering`, as
+/// written.
+fn author_groups(
+    s: &DocumentStore,
+    arts: &Batch,
+    p: &PatternTree,
+    author: usize,
+    ordering: &[GroupOrder],
+) -> Vec<Element> {
+    let (groups, _) = groupby(s, arts, p, &[BasisItem::content(author)], ordering).unwrap();
+    materialize_all(s, &groups).unwrap()
+}
+
 fn check_group_count(xml: &str) {
     let (s, arts, p, _title, author) = setup(xml);
-    let groups = groupby(&s, &arts, &p, &[BasisItem::content(author)], &[])
-        .unwrap()
-        .0
-        .into_trees();
+    let groups = author_groups(&s, &arts, &p, author, &[]);
     let distinct = xml
         .split("<author>")
         .skip(1)
@@ -79,14 +91,10 @@ fn check_memberships(xml: &str) {
     // Non-partitioning: total group members = total (article, author)
     // pairs (authors are distinct within an article by construction).
     let (s, arts, p, _title, author) = setup(xml);
-    let groups = groupby(&s, &arts, &p, &[BasisItem::content(author)], &[])
-        .unwrap()
-        .0
-        .into_trees();
+    let groups = author_groups(&s, &arts, &p, author, &[]);
     let total_members: usize = groups
         .iter()
-        .map(|g| {
-            let e = g.materialize(&s).unwrap();
+        .map(|e| {
             e.child(tags::GROUP_SUBROOT)
                 .unwrap()
                 .children_named("article")
@@ -111,21 +119,11 @@ fn check_sorted(xml: &str, descending: bool) {
     } else {
         Direction::Ascending
     };
-    let groups = groupby(
-        &s,
-        &arts,
-        &p,
-        &[BasisItem::content(author)],
-        &[GroupOrder {
-            label: title,
-            direction: dir,
-        }],
-    )
-    .unwrap()
-    .0
-    .into_trees();
-    for g in &groups {
-        let e = g.materialize(&s).unwrap();
+    let ordering = [GroupOrder {
+        label: title,
+        direction: dir,
+    }];
+    for e in author_groups(&s, &arts, &p, author, &ordering) {
         let titles: Vec<String> = e
             .child(tags::GROUP_SUBROOT)
             .unwrap()
@@ -153,45 +151,12 @@ fn members_sorted_by_ordering_list() {
     });
 }
 
-fn check_impls_agree(xml: &str) {
-    let (s, arts, p, title, author) = setup(xml);
-    let ordering = [GroupOrder {
-        label: title,
-        direction: Direction::Ascending,
-    }];
-    let fast = groupby(&s, &arts, &p, &[BasisItem::content(author)], &ordering)
-        .unwrap()
-        .0
-        .into_trees();
-    let slow = groupby_replicated(&s, &arts, &p, &[BasisItem::content(author)], &ordering).unwrap();
-    assert_eq!(fast.len(), slow.len(), "on {xml}");
-    for (f, sl) in fast.iter().zip(slow.iter()) {
-        let fe = xmlparse::serialize::element_to_string(&f.materialize(&s).unwrap());
-        let se = xmlparse::serialize::element_to_string(&sl.materialize(&s).unwrap());
-        assert_eq!(fe, se, "on {xml}");
-    }
-}
-
-#[test]
-fn identifier_and_replicated_agree() {
-    check_impls_agree(REGRESSION);
-    check("identifier_and_replicated_agree", 64, |g| {
-        check_impls_agree(&bibliography(g))
-    });
-}
-
 fn check_first_appearance_order(xml: &str) {
     let (s, arts, p, _title, author) = setup(xml);
-    let groups = groupby(&s, &arts, &p, &[BasisItem::content(author)], &[])
-        .unwrap()
-        .0
-        .into_trees();
-    let keys: Vec<String> = groups
+    let keys: Vec<String> = author_groups(&s, &arts, &p, author, &[])
         .iter()
-        .map(|g| {
-            g.materialize(&s)
-                .unwrap()
-                .child(tags::GROUPING_BASIS)
+        .map(|e| {
+            e.child(tags::GROUPING_BASIS)
                 .unwrap()
                 .child("author")
                 .unwrap()

@@ -471,7 +471,7 @@ mod tests {
                     panic!("{mode:?}: {out:?}")
                 };
                 let mut want = String::new();
-                tax::tree::write_xml_lines(db.store(), &rows, &mut want).unwrap();
+                tax::output::write_xml_lines(db.store(), &rows, &mut want).unwrap();
                 assert_eq!(
                     run.to_xml_on(db.store()).unwrap(),
                     want,

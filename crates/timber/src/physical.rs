@@ -399,9 +399,8 @@ mod tests {
         TimberDb::load_xml(SAMPLE, &StoreOptions::in_memory()).unwrap()
     }
 
-    fn exec(db: &TimberDb, plan: &Plan) -> (tax::Collection, PlanMetrics) {
-        let (out, metrics) = evaluate(db.store(), plan).unwrap();
-        (out.into_trees(), metrics)
+    fn exec(db: &TimberDb, plan: &Plan) -> (Batch, PlanMetrics) {
+        evaluate(db.store(), plan).unwrap()
     }
 
     /// A grouped plan's grouping sink (the plans here are chains).
@@ -452,8 +451,8 @@ mod tests {
         let db = db();
         for query in [QUERY_COUNT, QUERY1, QUERY_CUBE] {
             let (plan, _) = db.compile(query, PlanMode::GroupByRewrite).unwrap();
-            let (trees, metrics) = exec(&db, &plan);
-            assert!(!trees.is_empty());
+            let (rows, metrics) = exec(&db, &plan);
+            assert!(!rows.is_empty());
             // The selection hands on its match rows, the projection over
             // it emits stored rows — no tree, nothing re-matched — a
             // `GroupBy` over them emits groups as columns, and every other
@@ -526,16 +525,16 @@ mod tests {
         let want = db.query(QUERY1, PlanMode::GroupByRewrite).unwrap();
         let want = want.to_xml_on(db.store()).unwrap();
         let article = PatternTree::with_root(tax::Pred::tag("article"));
-        let select_db = Plan::SelectDb {
+        let selection = Plan::SelectDb {
             sl: vec![article.root()],
             pattern: article.clone(),
         };
         let compiled = |query| db.compile(query, PlanMode::GroupByRewrite).unwrap().0;
         let (grouped, counted) = (compiled(QUERY1), compiled(QUERY_COUNT));
         let mut plans: Vec<Plan> = [QUERY1, QUERY_COUNT, QUERY_CUBE]
-            .map(|query| with_leaf(&compiled(query), select_db.clone()))
+            .map(|query| with_leaf(&compiled(query), selection.clone()))
             .into();
-        plans.push(select_db);
+        plans.push(selection);
         plans.push(Plan::Rename {
             input: Box::new(sink_of(&grouped).clone()),
             tag: "x".into(),
@@ -570,12 +569,12 @@ mod tests {
         let db = db();
         let article = PatternTree::with_root(tax::Pred::tag("article"));
         let root = article.root();
-        let select_db = Plan::SelectDb {
+        let selection = Plan::SelectDb {
             pattern: article.clone(),
             sl: vec![root],
         };
         let scan = Plan::Project {
-            input: Box::new(select_db.clone()),
+            input: Box::new(selection.clone()),
             pattern: article.clone(),
             pl: vec![ops::project::ProjectItem::deep(root)],
             anchor_root: true,
@@ -587,13 +586,13 @@ mod tests {
         };
         // Keyed by its selection's binding it keeps one row: no article
         // has content, and nodes without content share one key.
-        let (kept, _) = evaluate(db.store(), &dedup(&select_db, &article)).unwrap();
+        let (kept, _) = evaluate(db.store(), &dedup(&selection, &article)).unwrap();
         assert!(
             matches!(kept, Batch::Matches(_)) && kept.len() == 1,
             "{kept:?}"
         );
         let unmatched = PatternTree::with_root(tax::Pred::tag("no_such_tag"));
-        for plan in [dedup(&select_db, &unmatched), dedup(&scan, &article)] {
+        for plan in [dedup(&selection, &unmatched), dedup(&scan, &article)] {
             let err = evaluate(db.store(), &plan).unwrap_err();
             assert!(
                 matches!(
@@ -612,8 +611,7 @@ mod tests {
         // is two equal stored rows, adjacent: not a disjoint scope list.
         // A projection of a selection through its own pattern emits the
         // stored rows, and every sink groups them: the rollup counts per
-        // row, the gather writes the article's title once. The bytes are
-        // what the same rows gave as trees.
+        // row, the gather writes the article's title once.
         let db = TimberDb::load_xml(
             "<bib>\
                 <article><title>A</title><author>Jack</author><year>1999</year><year>2000</year></article>\
@@ -663,11 +661,10 @@ mod tests {
         }
     }
 
-    fn to_xml(db: &TimberDb, c: &tax::Collection) -> String {
-        c.iter()
-            .map(|t| xmlparse::serialize::element_to_string(&t.materialize(db.store()).unwrap()))
-            .collect::<Vec<_>>()
-            .join("\n")
+    fn to_xml(db: &TimberDb, rows: &Batch) -> String {
+        let mut out = String::new();
+        tax::output::write_xml_lines(db.store(), rows, &mut out).unwrap();
+        out.lines().collect::<Vec<_>>().join("\n")
     }
 
     #[test]
@@ -684,8 +681,8 @@ mod tests {
         let db = TimberDb::load_xml("<bib/>", &StoreOptions::in_memory()).unwrap();
         for (mode, grouping_sinks) in [(PlanMode::Direct, 0), (PlanMode::GroupByRewrite, 1)] {
             let (plan, _) = db.compile(QUERY1, mode).unwrap();
-            let (trees, metrics) = exec(&db, &plan);
-            assert!(trees.is_empty());
+            let (rows, metrics) = exec(&db, &plan);
+            assert!(rows.is_empty());
             let stats = sinks(&metrics);
             assert_eq!(stats.len(), grouping_sinks, "{mode:?}");
             assert!(stats.iter().all(|s| s.partitions == 1));
@@ -791,8 +788,8 @@ mod tests {
         let db = db();
         for (mode, operators) in [(PlanMode::Direct, 8), (PlanMode::GroupByRewrite, 5)] {
             let (plan, _) = db.compile(QUERY1, mode).unwrap();
-            let (trees, metrics) = exec(&db, &plan);
-            assert_eq!(metrics.trees_out, trees.len());
+            let (rows, metrics) = exec(&db, &plan);
+            assert_eq!(metrics.trees_out, rows.len());
             let nodes = check(&metrics);
             assert_eq!((nodes, metrics.node_count()), (operators, operators));
         }

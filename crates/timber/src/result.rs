@@ -4,7 +4,7 @@ use crate::error::Result;
 use crate::metrics::PlanMetrics;
 use std::time::Duration;
 use tax::batch::Rows;
-use tax::tree::Results;
+use tax::output::Results;
 use xmlstore::DocumentStore;
 
 /// The outcome of one query evaluation.
@@ -37,7 +37,7 @@ impl QueryResult {
     /// population"), a chunk of rows at a time like
     /// [`to_xml_on`](Self::to_xml_on).
     pub fn elements_on(&self, store: &DocumentStore) -> Result<Vec<xmlparse::Element>> {
-        Ok(tax::tree::materialize_all(store, &self.output)?)
+        Ok(tax::output::materialize_all(store, &self.output)?)
     }
 
     /// Serialize the whole result, one row per line, straight from the
@@ -51,7 +51,7 @@ impl QueryResult {
     /// an error returns no partial text.
     pub fn to_xml_on(&self, store: &DocumentStore) -> Result<String> {
         let mut out = String::new();
-        tax::tree::write_xml_lines(store, &self.output, &mut out)?;
+        tax::output::write_xml_lines(store, &self.output, &mut out)?;
         Ok(out)
     }
 }

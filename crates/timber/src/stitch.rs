@@ -5,7 +5,7 @@
 mod tests {
     use crate::physical::{self, evaluate, Batch};
     use crate::{PlanMode, TimberDb};
-    use tax::Collection;
+    use tax::output::{materialize_all, write_xml_lines};
     use xmlstore::StoreOptions;
     use xquery::Plan;
 
@@ -19,8 +19,12 @@ mod tests {
         TimberDb::load_xml(SAMPLE, &StoreOptions::in_memory()).unwrap()
     }
 
-    fn run(db: &TimberDb, plan: &Plan) -> Collection {
-        evaluate(db.store(), plan).unwrap().0.into_trees()
+    /// The rows `plan` evaluates to, written one a line.
+    fn run(db: &TimberDb, plan: &Plan) -> String {
+        let mut out = String::new();
+        let (rows, _) = evaluate(db.store(), plan).unwrap();
+        write_xml_lines(db.store(), &rows, &mut out).unwrap();
+        out
     }
 
     const QUERY2: &str = r#"
@@ -38,19 +42,12 @@ mod tests {
         let Plan::StitchConstruct { outer, .. } = &plan else {
             panic!()
         };
-        let c = run(&db, outer);
-        assert_eq!(c.len(), 3);
-        let names: Vec<String> = c
-            .iter()
-            .map(|t| {
-                t.materialize(db.store())
-                    .unwrap()
-                    .child("author")
-                    .unwrap()
-                    .text()
-            })
-            .collect();
-        assert_eq!(names, ["Jack", "John", "Jill"]);
+        assert_eq!(
+            run(&db, outer),
+            "<doc_root><author>Jack</author></doc_root>\n\
+             <doc_root><author>John</author></doc_root>\n\
+             <doc_root><author>Jill</author></doc_root>\n"
+        );
     }
 
     #[test]
@@ -70,11 +67,10 @@ mod tests {
             panic!("the join emits its pairs as groups")
         };
         assert_eq!((metrics.trees_in, metrics.trees_out), (3, 3));
-        let members: Vec<usize> = Batch::Groups(pairs)
-            .into_trees()
+        let members: Vec<usize> = materialize_all(db.store(), &Batch::Groups(pairs))
+            .unwrap()
             .iter()
-            .map(|t| {
-                let e = t.materialize(db.store()).unwrap();
+            .map(|e| {
                 let subroot = e.child(tax::tags::GROUP_SUBROOT).unwrap();
                 assert!(subroot.child_elements().all(|m| m.name == "article"));
                 subroot.child_elements().count()

@@ -14,6 +14,7 @@ use tax::batch::{Batch, Matches};
 use tax::ops::aggregate::{aggregate, AggFunc, UpdateSpec};
 use tax::ops::groupby::{groupby, BasisItem, Direction, GroupOrder};
 use tax::ops::project::ProjectItem;
+use tax::output::write_xml_lines;
 use tax::pattern::{Axis, PatternTree, Pred};
 use tax::tags;
 use timber::TimberDb;
@@ -102,10 +103,12 @@ fn main() {
     )
     .expect("max");
 
-    // 4. Report the most prolific authors.
+    // 4. Report the most prolific authors, read off the written groups.
+    let mut text = String::new();
+    write_xml_lines(store, &Batch::Groups(with_max), &mut text).expect("write");
     let mut rows: Vec<(String, u64, String, String)> = Vec::new();
-    for g in &Batch::Groups(with_max).into_trees() {
-        let e = g.materialize(store).expect("materialize");
+    for line in text.lines() {
+        let e = xmlparse::parse_document(line).expect("parse").into_root();
         let author = e
             .child(tags::GROUPING_BASIS)
             .and_then(|b| b.child("author"))

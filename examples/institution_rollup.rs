@@ -13,6 +13,7 @@ use datagen::{DblpConfig, DblpGenerator};
 use tax::batch::{Batch, Matches};
 use tax::ops::groupby::{groupby, BasisItem, Direction, GroupOrder};
 use tax::ops::project::ProjectItem;
+use tax::output::write_xml_lines;
 use tax::pattern::{Axis, PatternTree, Pred};
 use tax::tags;
 use timber::{PlanMode, TimberDb};
@@ -104,9 +105,10 @@ fn main() {
     // Inner grouping: within each institution group, group that group's
     // member articles by author.
     let mut total_author_groups = 0usize;
-    let trees = Batch::Groups(outer_groups.clone()).into_trees();
-    for (g, group) in trees.iter().enumerate().take(3) {
-        let e = group.materialize(store).expect("materialize");
+    let mut text = String::new();
+    write_xml_lines(store, &Batch::Groups(outer_groups.clone()), &mut text).expect("write");
+    for (g, line) in text.lines().enumerate().take(3) {
+        let e = xmlparse::parse_document(line).expect("parse").into_root();
         let inst_name = e
             .child(tags::GROUPING_BASIS)
             .and_then(|b| b.child("institution"))

@@ -1,10 +1,12 @@
 //! Figure-level semantics tests: Figs. 1–5 and 11 of the paper
-//! reproduced as assertions.
+//! reproduced as assertions. The trees of Figs. 2 and 3 are held to
+//! their bytes.
 
+use tax::batch::{Batch, Matches};
 use tax::matching::match_db;
 use tax::ops::groupby::{groupby, BasisItem, Direction, GroupOrder};
+use tax::output::write_xml_lines;
 use tax::pattern::{Axis, PatternTree, Pred};
-use tax::tags;
 use timber::{PlanMode, TimberDb};
 use xmlstore::{DocumentStore, StoreOptions};
 use xquery::{opt, parse_query, translate, Plan};
@@ -40,13 +42,42 @@ fn fig1_pattern() -> PatternTree {
     p
 }
 
+/// `batch` written, one row a line.
+fn written(s: &DocumentStore, batch: &Batch) -> String {
+    let mut out = String::new();
+    write_xml_lines(s, batch, &mut out).unwrap();
+    out
+}
+
 #[test]
 fn fig1_fig2_pattern_match_yields_four_witness_trees() {
     let s = fig1_store();
     let bindings = match_db(&s, &fig1_pattern()).unwrap();
     // Figure 2 shows four witness trees: one per (article, author) pair.
     assert_eq!(bindings.len(), 4);
+    let witnesses = Batch::Matches(Matches::select(&s, &fig1_pattern(), &[]).unwrap());
+    assert_eq!(
+        written(&s, &witnesses),
+        "<article><title>Transaction Mng ...</title><author>Silberschatz</author></article>\n\
+         <article><title>Overview of Transaction Mng</title><author>Silberschatz</author></article>\n\
+         <article><title>Overview of Transaction Mng</title><author>Garcia-Molina</author></article>\n\
+         <article><title>Transaction Mng ...</title><author>Thompson</author></article>\n"
+    );
 }
+
+/// Fig. 3's bytes: the author groups, each member whole, descending by
+/// title.
+const FIG3: &str = "\
+<TAX_group_root><TAX_grouping_basis><author>Silberschatz</author></TAX_grouping_basis><TAX_group_subroot>\
+<article><title>Transaction Mng ...</title><author>Silberschatz</author></article>\
+<article><title>Overview of Transaction Mng</title><author>Silberschatz</author><author>Garcia-Molina</author></article>\
+</TAX_group_subroot></TAX_group_root>\n\
+<TAX_group_root><TAX_grouping_basis><author>Garcia-Molina</author></TAX_grouping_basis><TAX_group_subroot>\
+<article><title>Overview of Transaction Mng</title><author>Silberschatz</author><author>Garcia-Molina</author></article>\
+</TAX_group_subroot></TAX_group_root>\n\
+<TAX_group_root><TAX_grouping_basis><author>Thompson</author></TAX_grouping_basis><TAX_group_subroot>\
+<article><title>Transaction Mng ...</title><author>Thompson</author></article>\
+</TAX_group_subroot></TAX_group_root>\n";
 
 #[test]
 fn fig3_grouping_with_descending_title_order() {
@@ -54,11 +85,11 @@ fn fig3_grouping_with_descending_title_order() {
     let _p = fig1_pattern();
     // Input: the witness trees of Fig. 2 (whole articles).
     let article_tag = s.tag_id("article").unwrap();
-    let arts = tax::Batch::Stored(s.nodes_with_tag(article_tag).to_vec());
+    let arts = Batch::Stored(s.nodes_with_tag(article_tag).to_vec());
     let mut gp = PatternTree::with_root(Pred::tag("article"));
     let title = gp.add_child(gp.root(), Axis::Child, Pred::tag("title"));
     let author = gp.add_child(gp.root(), Axis::Child, Pred::tag("author"));
-    let groups = groupby(
+    let (groups, _) = groupby(
         &s,
         &arts,
         &gp,
@@ -68,37 +99,23 @@ fn fig3_grouping_with_descending_title_order() {
             direction: Direction::Descending,
         }],
     )
-    .unwrap()
-    .0
-    .into_trees();
-    // Fig. 3: three groups (Silberschatz, Garcia-Molina, Thompson).
+    .unwrap();
+    // Fig. 3: three groups (Silberschatz, Garcia-Molina, Thompson). The
+    // two-author article appears in both the Silberschatz and the
+    // Garcia-Molina groups, and the Silberschatz group's titles descend.
     assert_eq!(groups.len(), 3);
-    let g0 = groups[0].materialize(&s).unwrap();
-    assert_eq!(g0.name, tags::GROUP_ROOT);
-    assert_eq!(
-        g0.child(tags::GROUPING_BASIS)
-            .unwrap()
-            .child("author")
-            .unwrap()
-            .text(),
-        "Silberschatz"
-    );
-    // Two-author article appears in both the Silberschatz and the
-    // Garcia-Molina groups.
-    let titles_of = |g: &tax::Tree| -> Vec<String> {
-        g.materialize(&s)
-            .unwrap()
-            .child(tags::GROUP_SUBROOT)
-            .unwrap()
-            .children_named("article")
-            .map(|a| a.child("title").unwrap().text())
-            .collect()
-    };
-    assert_eq!(titles_of(&groups[0]).len(), 2);
-    assert!(titles_of(&groups[1]).contains(&"Overview of Transaction Mng".to_owned()));
-    // Descending title order within the Silberschatz group.
-    let t = titles_of(&groups[0]);
-    assert!(t[0] > t[1], "{t:?}");
+    let text = written(&s, &groups);
+    assert_eq!(text, FIG3);
+    let overview = "<title>Overview of Transaction Mng</title>";
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(lines[0].contains(overview) && lines[1].contains(overview));
+    let sil = lines[0]
+        .split("<title>")
+        .skip(1)
+        .map(|t| t.split('<').next().unwrap());
+    let titles: Vec<&str> = sil.collect();
+    assert_eq!(titles.len(), 2);
+    assert!(titles[0] > titles[1], "{titles:?}");
 }
 
 #[test]

@@ -12,8 +12,8 @@ use tax::matching::{
     for_each_match, match_db, match_db_scoped, match_in_scopes, naive::match_db_scan, Bindings,
 };
 use tax::ops::{cube, groupby, rollup, AggFunc, BasisItem, RollupShape};
+use tax::output::write_xml_lines;
 use tax::pattern::{Axis, PatternTree, Pred};
-use tax::Tree;
 use xmlstore::{kernels, DocumentStore, NodeEntry, NodeId, StoreOptions};
 
 const TAGS: [&str; 3] = ["a", "b", "c"];
@@ -308,15 +308,14 @@ fn nested_articles_group_as_the_join_binds_them() {
     .unwrap();
     let cols = s.columns();
     let content = |e: NodeEntry| cols.content[e.id.0 as usize];
-    let xml = |node: NodeEntry, deep: bool| {
-        xmlparse::serialize::element_to_string(&Tree::new_ref(node, deep).materialize(&s).unwrap())
+    let serialize = |batch: &Batch| -> Vec<String> {
+        let mut text = String::new();
+        write_xml_lines(&s, batch, &mut text).unwrap();
+        text.lines().map(str::to_owned).collect()
     };
-    let serialize = |trees: Vec<Tree>| -> Vec<String> {
-        let elements = trees.iter().map(|t| t.materialize(&s).unwrap());
-        elements
-            .map(|e| xmlparse::serialize::element_to_string(&e))
-            .collect()
-    };
+    // A stored node written whole. The key nodes are text-only, so a
+    // shallow key cell writes these bytes too.
+    let xml = |node: NodeEntry| serialize(&Batch::Stored(vec![node])).concat();
     // article {author, year}, grouped on both; article -pc-> title counted.
     let mut p = PatternTree::with_root(Pred::tag("article"));
     let author = p.add_child(p.root(), Axis::Child, Pred::tag("author"));
@@ -350,7 +349,7 @@ fn nested_articles_group_as_the_join_binds_them() {
         let keys = |first: usize, level: usize| -> String {
             let labels = [author, year];
             let cells = labels[..level].iter().map(|&pid| table.column(pid)[first]);
-            cells.map(|cell| xml(cell, true)).collect()
+            cells.map(xml).collect()
         };
         let flat = |level: usize| -> Vec<String> {
             let groups = reference_groups(&witnesses, level).into_iter();
@@ -370,12 +369,9 @@ fn nested_articles_group_as_the_join_binds_them() {
             .into_iter()
             .map(|(first, members)| {
                 let basis: String = [author, year]
-                    .map(|pid| xml(table.column(pid)[first], false))
+                    .map(|pid| xml(table.column(pid)[first]))
                     .concat();
-                let subroot: String = members
-                    .iter()
-                    .map(|&m| xml(rows[m as usize], true))
-                    .collect();
+                let subroot: String = members.iter().map(|&m| xml(rows[m as usize])).collect();
                 format!(
                     "<TAX_group_root><TAX_grouping_basis>{basis}</TAX_grouping_basis>\
                      <TAX_group_subroot>{subroot}</TAX_group_subroot></TAX_group_root>"
@@ -383,11 +379,7 @@ fn nested_articles_group_as_the_join_binds_them() {
             })
             .collect();
         let (grouped, _) = groupby(&s, input(), &p, &basis, &[]).unwrap();
-        assert_eq!(
-            serialize(grouped.into_trees()),
-            want,
-            "groupby over {rows:?}"
-        );
+        assert_eq!(serialize(&grouped), want, "groupby over {rows:?}");
 
         // Rollup: COUNT of titles per (author, year); cube: per author,
         // then per (author, year).
@@ -403,11 +395,7 @@ fn nested_articles_group_as_the_join_binds_them() {
             RollupShape::Flat,
         )
         .unwrap();
-        assert_eq!(
-            serialize(rolled.into_trees()),
-            flat(2),
-            "rollup over {rows:?}"
-        );
+        assert_eq!(serialize(&rolled), flat(2), "rollup over {rows:?}");
         let (cubed, _) = cube(
             &s,
             input(),
@@ -420,7 +408,7 @@ fn nested_articles_group_as_the_join_binds_them() {
         )
         .unwrap();
         assert_eq!(
-            serialize(cubed.into_trees()),
+            serialize(&cubed),
             [flat(1), flat(2)].concat(),
             "cube over {rows:?}"
         );

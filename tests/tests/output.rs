@@ -1,6 +1,7 @@
 //! Output parity: the streamed text of a result (`QueryResult::to_xml_on`,
-//! `Tree::write_xml`) is byte for byte the serialized DOM of the same
-//! result (`elements_on`, `Tree::materialize` + `element_to_string`).
+//! `write_xml_lines`) is byte for byte the serialized DOM of the same
+//! result (`elements_on`, `materialize_all`, `DocumentStore::materialize`
+//! + `element_to_string`).
 //!
 //! Both routes consume one walk over the label columns, so agreeing with
 //! each other is not enough: the corpus results are also held against
@@ -10,9 +11,14 @@
 
 use datagen::{DblpConfig, DblpGenerator};
 use smallrand::prop::{check, Gen};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use tax::tree::TreeNodeId;
-use tax::Tree;
+use tax::batch::{Batch, Matches};
+use tax::matching::match_db;
+use tax::ops::{aggregate, groupby, AggFunc, BasisItem, UpdateSpec};
+use tax::output::{materialize_all, write_xml_lines};
+use tax::pattern::{Axis, PatternTree, Pred};
+use tax::tags::{GROUPING_BASIS, GROUP_ROOT, GROUP_SUBROOT};
 use timber::{PlanMode, QueryResult, TimberDb, TimberError};
 use timber_integration_tests::{expected, fig6_db, FIG6_DB, QUERY1, QUERY2, QUERY_COUNT};
 use xmlparse::serialize::element_to_string;
@@ -70,10 +76,19 @@ fn store_of(xml: &str) -> DocumentStore {
     DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap()
 }
 
-fn streamed(tree: &Tree, store: &DocumentStore) -> String {
+/// The streamed route: `batch` written, one row a line.
+fn streamed(batch: &Batch, store: &DocumentStore) -> String {
     let mut out = String::new();
-    tree.write_xml(store, &mut out).unwrap();
+    write_xml_lines(store, batch, &mut out).unwrap();
     out
+}
+
+/// `batch` holds `want` by both routes: its text is theirs serialized,
+/// one a line, and its DOM elements are they.
+fn assert_parity(store: &DocumentStore, batch: &Batch, want: &[Element], what: &str) {
+    let text: String = want.iter().map(|e| element_to_string(e) + "\n").collect();
+    assert_eq!(streamed(batch, store), text, "{what}");
+    assert_eq!(materialize_all(store, batch).unwrap(), want, "{what}");
 }
 
 /// The stored element rows in document order, with the parsed element
@@ -119,81 +134,92 @@ fn shallow_of(e: &Element) -> Element {
     out
 }
 
+/// The shallow reference to each element of `rows`: each name's
+/// unadorned selection, which binds every element of that name in
+/// document order.
+fn assert_shallow_parity(store: &DocumentStore, rows: &[(NodeEntry, &Element)]) {
+    let mut names: Vec<&str> = rows.iter().map(|(_, e)| e.name.as_str()).collect();
+    names.sort_unstable();
+    names.dedup();
+    for name in names {
+        let p = PatternTree::with_root(Pred::tag(name));
+        let shallow = Batch::Matches(Matches::select(store, &p, &[]).unwrap());
+        let named = rows.iter().filter(|(_, e)| e.name == name);
+        let want: Vec<Element> = named.map(|(_, e)| shallow_of(e)).collect();
+        assert_parity(store, &shallow, &want, name);
+    }
+}
+
 #[test]
 fn handcrafted_document_streams_back_to_its_source_text() {
     let store = store_of(HANDCRAFTED);
     let parsed = parse_document(HANDCRAFTED).unwrap();
     // The whole document, deep: the text it was loaded from.
     let root = store.columns().entry(NodeId(1));
-    assert_eq!(streamed(&Tree::new_ref(root, true), &store), HANDCRAFTED);
+    let whole = |node| Batch::Stored(vec![node]);
+    assert_eq!(streamed(&whole(root), &store), format!("{HANDCRAFTED}\n"));
     assert_eq!(store.materialize(NodeId(1)).unwrap(), *parsed.root());
     assert_eq!(
-        streamed(&Tree::new_ref(store.root(), true), &store),
-        format!("<doc_root>{HANDCRAFTED}</doc_root>")
+        streamed(&whole(store.root()), &store),
+        format!("<doc_root>{HANDCRAFTED}</doc_root>\n")
     );
     // Every element on its own, deep and shallow, both routes.
-    for (entry, e) in element_rows(parsed.root(), &store) {
-        let deep = Tree::new_ref(entry, true);
-        assert_eq!(streamed(&deep, &store), element_to_string(e));
-        assert_eq!(deep.materialize(&store).unwrap(), *e);
-        let shallow = Tree::new_ref(entry, false);
-        assert_eq!(
-            streamed(&shallow, &store),
-            element_to_string(&shallow_of(e))
-        );
-        assert_eq!(shallow.materialize(&store).unwrap(), shallow_of(e));
+    let rows = element_rows(parsed.root(), &store);
+    let deep = Batch::Stored(rows.iter().map(|(entry, _)| *entry).collect());
+    let elements: Vec<Element> = rows.iter().map(|(_, e)| (*e).clone()).collect();
+    assert_parity(&store, &deep, &elements, "deep");
+    for (entry, e) in &rows {
+        assert_eq!(store.materialize(entry.id).unwrap(), **e);
     }
+    assert_shallow_parity(&store, &rows);
     // An attribute or text row reported on its own is an element named
     // after the row, holding its value.
     let cols = store.columns();
     let attr = (0..cols.len()).find(|&i| cols.kind[i] == NodeKind::Attribute);
     let attr = cols.entry(NodeId(attr.unwrap() as u32));
-    assert_eq!(streamed(&Tree::new_ref(attr, true), &store), "<@v>1</@v>");
+    assert_eq!(streamed(&whole(attr), &store), "<@v>1</@v>\n");
 }
 
 #[test]
-fn arena_trees_stream_like_their_dom() {
+fn witness_and_group_trees_stream_like_their_dom() {
     let store = store_of(HANDCRAFTED);
     let parsed = parse_document(HANDCRAFTED).unwrap();
     let rows = element_rows(parsed.root(), &store);
-    let by_name = |name: &str| *rows.iter().find(|(_, e)| e.name == name).unwrap();
-    let d = store.dict();
+    let by_name = |name: &str| rows.iter().find(|(_, e)| e.name == name).unwrap().1;
 
-    // <out><empty/><blank></blank><c>1 &lt; 2</c> shallow p {<kid/>}
-    //      deep mixed {<n>7</n>} shallow doc {deep attrs}</out>
-    let mut t = Tree::new_elem(d, "out");
-    t.add_elem(d, 0, "empty");
-    t.add_elem_with_content(d, 0, "blank", "");
-    t.add_elem_with_content(d, 0, "c", "1 < 2");
-    let (p, p_elem) = by_name("p");
-    let p_ref = t.add_ref(0, p, false);
-    t.add_elem(d, p_ref, "kid");
-    let (mixed, mixed_elem) = by_name("mixed");
-    let mixed_ref = t.add_ref(0, mixed, true);
-    t.add_elem_with_content(d, mixed_ref, "n", "7");
-    let (doc, doc_elem) = by_name("doc");
-    let doc_ref = t.add_ref(0, doc, false);
-    let (attrs, attrs_elem) = by_name("attrs");
-    t.add_ref(doc_ref, attrs, true);
+    // A shallow doc holding a deep attrs and a shallow p: the witness
+    // tree of `doc -pc-> {attrs, p}` adorned at attrs.
+    let mut p = PatternTree::with_root(Pred::tag("doc"));
+    let attrs = p.add_child(0, Axis::Child, Pred::tag("attrs"));
+    p.add_child(0, Axis::Child, Pred::tag("p"));
+    let witness = Batch::Matches(Matches::select(&store, &p, &[attrs]).unwrap());
+    let want = shallow_of(by_name("doc"))
+        .with_child(by_name("attrs").clone())
+        .with_child(shallow_of(by_name("p")));
+    assert_parity(&store, &witness, &[want], "witness");
 
-    let expected = Element::new("out")
-        .with_child(Element::new("empty"))
-        .with_child(Element::new("blank").with_text(""))
-        .with_child(Element::new("c").with_text("1 < 2"))
-        .with_child(shallow_of(p_elem).with_child(Element::new("kid")))
-        .with_child(
-            mixed_elem
-                .clone()
-                .with_child(Element::new("n").with_text("7")),
-        )
-        .with_child(shallow_of(doc_elem).with_child(attrs_elem.clone()));
-    assert_eq!(t.materialize(&store).unwrap(), expected);
-    let text = streamed(&t, &store);
-    assert_eq!(text, element_to_string(&expected));
-    assert!(text.starts_with("<out><empty/><blank></blank><c>1 &lt; 2</c><p k="));
-    assert!(text.contains("only text &amp; more<kid/></p>"), "{text}");
-    assert!(text.contains(" tail<n>7</n></mixed>"), "{text}");
-    assert!(text.ends_with("<doc v=\"1\"><attrs a=\"1\" b=\"2\"/></doc></out>"));
+    // A group with no basis item: an empty constructed element, and the
+    // two d2 elements whole, the first with attributes and non-ASCII
+    // text.
+    let d2: Vec<_> = rows.iter().filter(|(_, e)| e.name == "d2").collect();
+    let stored = Batch::Stored(d2.iter().map(|(entry, _)| *entry).collect());
+    let (group, _) = groupby(
+        &store,
+        &stored,
+        &PatternTree::with_root(Pred::tag("d2")),
+        &[],
+        &[],
+    )
+    .unwrap();
+    let mut members = Element::new(GROUP_SUBROOT);
+    members.children = d2
+        .iter()
+        .map(|(_, e)| XmlNode::Element((*e).clone()))
+        .collect();
+    let want = Element::new(GROUP_ROOT)
+        .with_child(Element::new(GROUPING_BASIS))
+        .with_child(members);
+    assert_parity(&store, &group, &[want], "group");
 }
 
 const NAMES: [&str; 5] = ["a", "b", "row", "x-y", "T_1"];
@@ -246,42 +272,41 @@ fn random_element(g: &mut Gen, depth: usize) -> Element {
     e
 }
 
-/// Grow a random arena subtree under `at`, returning the DOM it stands
-/// for: constructed elements with and without content, shallow and deep
-/// references, arena children under all of them.
-fn random_arena(
+/// A random two-node selection over `store` — `NAME -pc-> NAME` or
+/// `NAME -ad-> NAME`, each node adorned or not — and the DOM of each of
+/// its witness trees, read off the binding table and the elements
+/// `rows` were loaded from.
+fn random_witnesses(
     g: &mut Gen,
     store: &DocumentStore,
     rows: &[(NodeEntry, &Element)],
-    t: &mut Tree,
-    at: TreeNodeId,
-    depth: usize,
-) -> Vec<XmlNode> {
-    let mut expected = Vec::new();
-    if depth == 0 {
-        return expected;
-    }
-    for _ in 0..g.usize_in(0, 3) {
-        let (id, mut elem) = if g.bool() {
-            let name = *g.pick(&NAMES);
-            if g.bool() {
-                let content = if g.ratio(1, 6) { "" } else { *g.pick(&VALUES) };
-                let id = t.add_elem_with_content(store.dict(), at, name, content);
-                (id, Element::new(name).with_text(content))
-            } else {
-                (t.add_elem(store.dict(), at, name), Element::new(name))
-            }
+) -> (Batch, Vec<Element>) {
+    let mut p = PatternTree::with_root(Pred::tag(*g.pick(&NAMES)));
+    let axis = if g.bool() {
+        Axis::Child
+    } else {
+        Axis::Descendant
+    };
+    p.add_child(0, axis, Pred::tag(*g.pick(&NAMES)));
+    let sl: Vec<usize> = (0..2).filter(|_| g.bool()).collect();
+    let element: HashMap<NodeId, &Element> = rows.iter().map(|(n, e)| (n.id, *e)).collect();
+    let shown = |node: NodeEntry, label: usize| {
+        let e = element[&node.id];
+        if sl.contains(&label) {
+            e.clone()
         } else {
-            let (entry, e) = *g.pick(rows);
-            let deep = g.bool();
-            let shown = if deep { e.clone() } else { shallow_of(e) };
-            (t.add_ref(at, entry, deep), shown)
-        };
-        elem.children
-            .extend(random_arena(g, store, rows, t, id, depth - 1));
-        expected.push(XmlNode::Element(elem));
-    }
-    expected
+            shallow_of(e)
+        }
+    };
+    let table = match_db(store, &p).unwrap();
+    let want = table
+        .rows()
+        .map(|row| shown(row[0], 0).with_child(shown(row[1], 1)))
+        .collect();
+    (
+        Batch::Matches(Matches::select(store, &p, &sl).unwrap()),
+        want,
+    )
 }
 
 #[test]
@@ -295,19 +320,15 @@ fn random_documents_and_trees_stream_like_their_dom() {
             let store = store_of(&xml);
             let parsed = parse_document(&xml).unwrap();
             let root = store.columns().entry(NodeId(1));
-            assert_eq!(streamed(&Tree::new_ref(root, true), &store), xml);
+            assert_eq!(streamed(&Batch::Stored(vec![root]), &store), xml + "\n");
             assert_eq!(store.materialize(NodeId(1)).unwrap(), *parsed.root());
 
             let rows = element_rows(parsed.root(), &store);
-            let mut t = Tree::new_elem(store.dict(), "top");
-            let mut expected = Element::new("top");
-            expected.children = random_arena(g, &store, &rows, &mut t, 0, 3);
-            assert_eq!(t.materialize(&store).unwrap(), expected, "over {xml}");
-            assert_eq!(
-                streamed(&t, &store),
-                element_to_string(&expected),
-                "over {xml}"
-            );
+            assert_shallow_parity(&store, &rows);
+            for _ in 0..3 {
+                let (witnesses, want) = random_witnesses(g, &store, &rows);
+                assert_parity(&store, &witnesses, &want, "witnesses");
+            }
         },
     );
 }
@@ -348,11 +369,10 @@ fn a_read_fault_mid_output_is_a_typed_error() {
         Err(other) => panic!("expected the store's error through tax, got {other}"),
         Ok(text) => panic!("{} bytes came back from a failing store", text.len()),
     }
-    // A row written alone fails typed too, and leaves its buffer as it
-    // was.
-    let rows = &r.output;
+    // The rows written through `write_xml_lines` fail typed too, and the
+    // failing chunk appends nothing to the buffer.
     let mut partial = String::from("kept");
-    match rows.write_xml(db.store(), 0, &mut partial) {
+    match write_xml_lines(db.store(), &r.output, &mut partial) {
         Err(tax::Error::Store(e)) => assert!(!e.to_string().is_empty()),
         other => panic!("expected the store's error, got {other:?}"),
     }
@@ -527,36 +547,45 @@ fn distinct_sums(n: usize) -> (String, String) {
     (xml, want)
 }
 
-/// A document of `n` distinct element names, `<t0>`…, and an arena tree
-/// over it with `n` more — constructed names `c0`…, holding contents
-/// `v0`… — around a deep and a shallow reference. Returns the store, the
-/// tree, and its DOM built from the names alone.
-fn wide_tree(n: usize) -> (DocumentStore, Tree, Element) {
+/// A document of `n` distinct element names, `<t0>`…, each with an
+/// attribute and a number, and a group over it with `n` more: `n`
+/// aggregates of the one member, each appending its own constructed
+/// name — `c0`… holding the sum of `t0`… — beside a shallow key `t0` and
+/// the document whole. Returns the store, the group, and its DOM built
+/// from the names alone.
+fn wide_tree(n: usize) -> (DocumentStore, Batch, Element) {
     let mut doc = Element::new("doc");
     for i in 0..n {
-        let mut t = Element::new(format!("t{i}")).with_text(format!("s{i}"));
+        let mut t = Element::new(format!("t{i}")).with_text(format!("{i}"));
         t.attributes.push((format!("a{i}"), format!("{i}")));
         doc.children.push(XmlNode::Element(t));
     }
     let store = store_of(&element_to_string(&doc));
-    let d = store.dict();
-    let mut tree = Tree::new_elem(d, "wide");
-    let mut want = Element::new("wide");
+    let mut p = PatternTree::with_root(Pred::tag("doc"));
+    let t0 = p.add_child(0, Axis::Child, Pred::tag("t0"));
+    let root = Batch::Stored(vec![store.columns().entry(NodeId(1))]);
+    let Batch::Groups(mut group) = groupby(&store, &root, &p, &[BasisItem::content(t0)], &[])
+        .unwrap()
+        .0
+    else {
+        panic!("groupby emits groups")
+    };
+    let mut want = Element::new(GROUP_ROOT)
+        .with_child(Element::new(GROUPING_BASIS).with_child(shallow_of(doc.child("t0").unwrap())))
+        .with_child(Element::new(GROUP_SUBROOT).with_child(doc.clone()));
     for i in 0..n {
-        tree.add_elem_with_content(d, 0, format!("c{i}"), format!("v{i}"));
+        let mut ap = PatternTree::with_root(Pred::tag(GROUP_ROOT));
+        let subroot = ap.add_child(0, Axis::Child, Pred::tag(GROUP_SUBROOT));
+        let member = ap.add_child(subroot, Axis::Child, Pred::tag("doc"));
+        let leaf = ap.add_child(member, Axis::Child, Pred::tag(format!("t{i}")));
+        let tag = format!("c{i}");
+        let spec = UpdateSpec::AfterLastChild(0);
+        group = aggregate(&store, group, &ap, AggFunc::Sum, leaf, &tag, spec).unwrap();
         want.children.push(XmlNode::Element(
-            Element::new(format!("c{i}")).with_text(format!("v{i}")),
+            Element::new(tag).with_text(format!("{i}")),
         ));
     }
-    let root = store.columns().entry(NodeId(1));
-    tree.add_ref(0, root, true);
-    want.children.push(XmlNode::Element(doc.clone()));
-    let shallow = tree.add_ref(0, root, false);
-    tree.add_elem(d, shallow, "c0");
-    want.children.push(XmlNode::Element(
-        Element::new("doc").with_child(Element::new("c0")),
-    ));
-    (store, tree, want)
+    (store, Batch::Groups(group), want)
 }
 
 #[test]
@@ -574,9 +603,8 @@ fn many_distinct_names_and_values_stream_like_their_oracle() {
     assert_eq!(dom_route(&r, db.store()), want, "DOM route");
 
     // 70 stored and 70 constructed names in one tree.
-    let (store, tree, dom) = wide_tree(70);
-    assert_eq!(tree.materialize(&store).unwrap(), dom);
-    assert_eq!(streamed(&tree, &store), element_to_string(&dom));
+    let (store, wide, dom) = wide_tree(70);
+    assert_parity(&store, &wide, &[dom], "wide");
 }
 
 #[test]
@@ -587,8 +615,8 @@ fn interning_beside_the_write_changes_no_byte() {
     let (xml, want) = distinct_sums(10_000);
     let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
     let r = db.query(QUERY_SUM, PlanMode::GroupByRewrite).unwrap();
-    let (store, tree, dom) = wide_tree(70);
-    let wide = element_to_string(&dom);
+    let (store, group, dom) = wide_tree(70);
+    let wide = element_to_string(&dom) + "\n";
     let stop = AtomicBool::new(false);
     let interned = std::thread::scope(|s| {
         let dicts = [db.store().dict(), store.dict()];
@@ -606,8 +634,11 @@ fn interning_beside_the_write_changes_no_byte() {
         for _ in 0..3 {
             assert_eq!(r.to_xml_on(db.store()).unwrap(), want);
             assert_eq!(dom_route(&r, db.store()), want);
-            assert_eq!(streamed(&tree, &store), wide);
-            assert_eq!(tree.materialize(&store).unwrap(), dom);
+            assert_eq!(streamed(&group, &store), wide);
+            assert_eq!(
+                materialize_all(&store, &group).unwrap(),
+                std::slice::from_ref(&dom)
+            );
         }
         stop.store(true, Ordering::Relaxed);
         interner.join().unwrap()

@@ -1,15 +1,51 @@
 //! The paper's worked example (Sec. 4.1, Figs. 6–10): Query 1 executed
-//! step by step over the Figure 6 sample database, checking each
-//! intermediate collection against the figures.
+//! step by step over the Figure 6 sample database, checking the bytes of
+//! each intermediate collection against the figures.
 
 use tax::batch::{Batch, Matches};
 use tax::ops::groupby::{groupby, BasisItem};
 use tax::ops::project::ProjectItem;
-use tax::ops::{dup_elim, left_outer_join_db, select_db};
+use tax::ops::{dup_elim, left_outer_join_db};
+use tax::output::write_xml_lines;
 use tax::pattern::{Axis, PatternTree, Pred};
-use tax::tags;
 use timber::PlanMode;
 use timber_integration_tests::{fig6_db, model, FIG6_DB, QUERY1};
+use xmlstore::DocumentStore;
+
+/// The Fig. 6 articles, whole.
+const QUERYING: &str =
+    "<article><author>Jack</author><author>John</author><title>Querying XML</title></article>";
+const WEB: &str =
+    "<article><author>Jill</author><author>Jack</author><title>XML and the Web</title></article>";
+const HACK: &str = "<article><author>John</author><title>Hack HTML</title></article>";
+
+/// `batch` written, one row a line.
+fn written(store: &DocumentStore, batch: &Batch) -> Vec<String> {
+    let mut out = String::new();
+    write_xml_lines(store, batch, &mut out).unwrap();
+    out.lines().map(str::to_owned).collect()
+}
+
+/// The bytes of a group of author `key` over `members`: Fig. 8's pairs
+/// and Fig. 10's groups.
+fn group(key: &str, members: &[&str]) -> String {
+    format!(
+        "<TAX_group_root><TAX_grouping_basis><author>{key}</author></TAX_grouping_basis>\
+         <TAX_group_subroot>{}</TAX_group_subroot></TAX_group_root>",
+        members.concat()
+    )
+}
+
+/// The member articles across `groups`.
+fn memberships(groups: &[String]) -> usize {
+    groups.iter().map(|g| g.matches("<article>").count()).sum()
+}
+
+/// The `doc_root/author` tree of each name in `names`.
+fn author_rows(names: &[&str]) -> Vec<String> {
+    let row = |name| format!("<doc_root><author>{name}</author></doc_root>");
+    names.iter().map(row).collect()
+}
 
 /// Fig. 4a: the outer pattern tree (doc_root -ad-> author).
 fn outer_pattern() -> PatternTree {
@@ -24,26 +60,18 @@ fn fig7_outer_selection_projection_dupelim() {
     let store = db.store();
     let p = outer_pattern();
     // Selection (SL = $2), projection ($1, $2*), dup-elim on $2.content.
-    let sel = select_db(store, &p, &[1]).unwrap();
+    let sel = Batch::Matches(Matches::select(store, &p, &[1]).unwrap());
     assert_eq!(sel.len(), 5, "five author occurrences");
+    let all = ["Jack", "John", "Jill", "Jack", "John"];
+    assert_eq!(written(store, &sel), author_rows(&all));
     let proj = Matches::select(store, &p, &[1])
         .unwrap()
         .project(&[ProjectItem::shallow(0), ProjectItem::deep(1)])
         .unwrap();
-    let distinct = dup_elim(store, proj, &p, 1).unwrap().into_trees();
+    let distinct = dup_elim(store, proj, &p, 1).unwrap();
     // Fig. 7: three doc_root/author trees: Jack, John, Jill.
     assert_eq!(distinct.len(), 3);
-    let names: Vec<String> = distinct
-        .iter()
-        .map(|t| {
-            t.materialize(store)
-                .unwrap()
-                .child("author")
-                .unwrap()
-                .text()
-        })
-        .collect();
-    assert_eq!(names, ["Jack", "John", "Jill"]);
+    assert_eq!(written(store, &distinct), author_rows(&all[..3]));
 }
 
 #[test]
@@ -65,27 +93,16 @@ fn fig8_left_outer_join_pairs_five_author_article_members() {
     // Fig. 8's product trees, held as identifiers: one group per
     // author, its articles as members.
     let joined = left_outer_join_db(store, &distinct, &p, 1, &right, auth, &[art]).unwrap();
-    let pairs: Vec<(String, Vec<String>)> = Batch::Groups(joined)
-        .into_trees()
-        .iter()
-        .map(|t| {
-            let e = t.materialize(store).unwrap();
-            assert_eq!(e.name, tags::GROUP_ROOT);
-            let key = e.child(tags::GROUPING_BASIS).unwrap().child("author");
-            let members = e.child(tags::GROUP_SUBROOT).unwrap().child_elements();
-            let titles = members.map(|a| a.child("title").unwrap().text()).collect();
-            (key.unwrap().text(), titles)
-        })
-        .collect();
     // Jack×2, John×2, Jill×1: five (author, article) pairs.
+    let pairs = written(store, &Batch::Groups(joined));
+    assert_eq!(memberships(&pairs), 5);
     assert_eq!(
         pairs,
         [
-            ("Jack", vec!["Querying XML", "XML and the Web"]),
-            ("John", vec!["Querying XML", "Hack HTML"]),
-            ("Jill", vec!["XML and the Web"]),
+            group("Jack", &[QUERYING, WEB]),
+            group("John", &[QUERYING, HACK]),
+            group("Jill", &[WEB]),
         ]
-        .map(|(a, ts)| (a.to_owned(), ts.into_iter().map(str::to_owned).collect()))
     );
 }
 
@@ -97,13 +114,9 @@ fn fig9_article_collection() {
     let mut p = PatternTree::with_root(Pred::tag("doc_root"));
     let art = p.add_child(p.root(), Axis::Descendant, Pred::tag("article"));
     let sel = Matches::select(store, &p, &[art]).unwrap();
-    let arts = sel.project(&[ProjectItem::deep(art)]).unwrap().into_trees();
+    let arts = sel.project(&[ProjectItem::deep(art)]).unwrap();
     assert_eq!(arts.len(), 3);
-    let titles: Vec<String> = arts
-        .iter()
-        .map(|t| t.materialize(store).unwrap().child("title").unwrap().text())
-        .collect();
-    assert_eq!(titles, ["Querying XML", "XML and the Web", "Hack HTML"]);
+    assert_eq!(written(store, &arts), [QUERYING, WEB, HACK]);
 }
 
 #[test]
@@ -119,40 +132,21 @@ fn fig10_intermediate_group_trees() {
     let mut gp = PatternTree::with_root(Pred::tag("article"));
     let author = gp.add_child(gp.root(), Axis::Child, Pred::tag("author"));
     let (groups, _) = groupby(store, &arts, &gp, &[BasisItem::content(author)], &[]).unwrap();
-    let groups = groups.into_trees();
 
-    // Fig. 10: three groups — Jack (2 articles), John (2), Jill (1).
+    // Fig. 10: three groups — Jack (2 articles), John (2), Jill (1). The
+    // two-author articles appear in two groups (non-partitioning): 3
+    // articles yield 5 group memberships.
+    let groups = written(store, &groups);
     assert_eq!(groups.len(), 3);
-    let summary: Vec<(String, usize)> = groups
-        .iter()
-        .map(|g| {
-            let e = g.materialize(store).unwrap();
-            let who = e
-                .child(tags::GROUPING_BASIS)
-                .unwrap()
-                .child("author")
-                .unwrap()
-                .text();
-            let n = e
-                .child(tags::GROUP_SUBROOT)
-                .unwrap()
-                .children_named("article")
-                .count();
-            (who, n)
-        })
-        .collect();
+    assert_eq!(memberships(&groups), 5);
     assert_eq!(
-        summary,
+        groups,
         [
-            ("Jack".to_owned(), 2),
-            ("John".to_owned(), 2),
-            ("Jill".to_owned(), 1)
+            group("Jack", &[QUERYING, WEB]),
+            group("John", &[QUERYING, HACK]),
+            group("Jill", &[WEB]),
         ]
     );
-
-    // The two-author articles appear in two groups (non-partitioning).
-    let total_members: usize = summary.iter().map(|(_, n)| n).sum();
-    assert_eq!(total_members, 5, "3 articles yield 5 group memberships");
 }
 
 #[test]
