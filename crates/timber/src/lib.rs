@@ -103,10 +103,11 @@ impl TimberDb {
         })
     }
 
-    /// Reopen a durable database from its page file, running ARIES-style
+    /// Reopen a durable database from its page file, running redo-only
     /// crash recovery over the log tail first. Only documents whose
-    /// commit record reached the log survive; everything else is rolled
-    /// back. [`TimberDb::recovery_info`] reports what recovery did.
+    /// commit record reached the log survive; a loser's pages are free
+    /// in the recovered store. [`TimberDb::recovery_info`] reports what
+    /// recovery did.
     pub fn open(opts: &StoreOptions) -> Result<Self> {
         Ok(TimberDb {
             store: DocumentStore::open(opts)?,

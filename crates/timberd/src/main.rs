@@ -89,7 +89,7 @@ fn main() {
     };
     if let Some(info) = db.recovery_info() {
         eprintln!(
-            "recovery: {} committed transactions, {} losers rolled back",
+            "recovery: {} committed transactions, {} losers",
             info.committed, info.losers
         );
     }

@@ -14,11 +14,15 @@
 //! surfaced, and a failed transfer always leaves the pool in a
 //! consistent state (the frame either still holds its old page or is
 //! invalid, never a half-installed mapping).
+//!
+//! The pool knows nothing of the log. Every page the commit path
+//! installs is free in every state recovery can reach until a durable
+//! commit makes it live, so a dirty frame may be written back at any
+//! time. Lock order is pool → disk.
 
 use crate::error::{Result, StoreError};
 use crate::page::{self, PageId, PAGE_DATA_SIZE, PAGE_SIZE};
 use crate::storage::{DiskManager, DiskStats, SharedDisk};
-use crate::wal::WalHandle;
 use std::collections::HashMap;
 use std::sync::MutexGuard;
 use std::time::Duration;
@@ -67,9 +71,6 @@ struct Frame {
     dirty: bool,
     refbit: bool,
     valid: bool,
-    /// LSN of the log record that justifies this frame's dirty state.
-    /// Zero for pages dirtied outside a logged transaction.
-    lsn: u64,
 }
 
 impl Frame {
@@ -80,7 +81,6 @@ impl Frame {
             dirty: false,
             refbit: false,
             valid: false,
-            lsn: 0,
         }
     }
 }
@@ -91,32 +91,20 @@ impl Frame {
 /// behind a mutex, over a [`SharedDisk`] it also writes to directly.
 pub struct BufferPool {
     disk: SharedDisk,
-    wal: Option<WalHandle>,
     frames: Vec<Frame>,
     table: HashMap<PageId, usize>,
     hand: usize,
     stats: BufferStats,
 }
 
-/// Write one frame back to disk, honouring the WAL-before-data rule: if
-/// the frame was dirtied by a logged transaction, its page images must
-/// be durable before the page itself may be (steal policy).
+/// Write one frame back to disk.
 fn write_back(
     disk: &SharedDisk,
-    wal: &Option<WalHandle>,
     retries: &mut u64,
     pid: PageId,
-    lsn: u64,
     data: &[u8; PAGE_SIZE],
 ) -> Result<()> {
-    with_retry(retries, || {
-        if lsn > 0 {
-            if let Some(w) = wal {
-                w.lock().flush_to(lsn)?;
-            }
-        }
-        disk.lock().write_page(pid, data)
-    })
+    with_retry(retries, || disk.lock().write_page(pid, data))
 }
 
 impl BufferPool {
@@ -132,18 +120,11 @@ impl BufferPool {
         }
         Ok(BufferPool {
             disk,
-            wal: None,
             frames: (0..capacity_pages).map(|_| Frame::empty()).collect(),
             table: HashMap::with_capacity(capacity_pages),
             hand: 0,
             stats: BufferStats::default(),
         })
-    }
-
-    /// Attach (or detach) the write-ahead log this pool must flush
-    /// before writing back frames dirtied by logged transactions.
-    pub fn set_wal(&mut self, wal: Option<WalHandle>) {
-        self.wal = wal;
     }
 
     /// Pool capacity in pages.
@@ -188,30 +169,11 @@ impl BufferPool {
         Ok(f(page::data(&self.frames[idx].data)))
     }
 
-    /// Run `f` over the mutable data region of page `pid`, marking it
-    /// dirty.
-    pub fn with_page_mut<R>(
-        &mut self,
-        pid: PageId,
-        f: impl FnOnce(&mut [u8; PAGE_DATA_SIZE]) -> R,
-    ) -> Result<R> {
-        let idx = self.fetch(pid)?;
-        self.frames[idx].dirty = true;
-        Ok(f(page::data_mut(&mut self.frames[idx].data)))
-    }
-
     /// Install a full page image into the pool without reading the old
-    /// contents from disk, marking the frame dirty. This is the logged
-    /// write path: the caller has already appended the matching
-    /// `PageImage` record at `lsn`, and the frame remembers that LSN so
-    /// eviction flushes the log first (steal). The image's header LSN
-    /// bytes are stamped here.
-    pub fn write_page_image(
-        &mut self,
-        pid: PageId,
-        lsn: u64,
-        data: &[u8; PAGE_SIZE],
-    ) -> Result<()> {
+    /// contents from disk, marking the frame dirty. This is the image
+    /// write path: the page is free until the caller's commit lands, so
+    /// the frame may be written back whenever it is evicted.
+    pub fn write_page_image(&mut self, pid: PageId, data: &[u8; PAGE_SIZE]) -> Result<()> {
         let idx = match self.table.get(&pid) {
             Some(&idx) => idx,
             None => {
@@ -223,10 +185,8 @@ impl BufferPool {
             }
         };
         *self.frames[idx].data = *data;
-        page::set_lsn(&mut self.frames[idx].data, lsn);
         self.frames[idx].dirty = true;
         self.frames[idx].refbit = true;
-        self.frames[idx].lsn = lsn;
         Ok(())
     }
 
@@ -236,11 +196,10 @@ impl BufferPool {
         for i in 0..self.frames.len() {
             if self.frames[i].valid && self.frames[i].dirty {
                 let f = &self.frames[i];
-                let res = write_back(&self.disk, &self.wal, &mut retries, f.pid, f.lsn, &f.data);
+                let res = write_back(&self.disk, &mut retries, f.pid, &f.data);
                 self.stats.retries += std::mem::take(&mut retries);
                 res?;
                 self.frames[i].dirty = false;
-                self.frames[i].lsn = 0;
                 self.stats.writebacks += 1;
             }
         }
@@ -278,7 +237,6 @@ impl BufferPool {
         self.frames[idx].valid = true;
         self.frames[idx].dirty = false;
         self.frames[idx].refbit = true;
-        self.frames[idx].lsn = 0;
         self.table.insert(pid, idx);
         Ok(idx)
     }
@@ -291,13 +249,12 @@ impl BufferPool {
         if self.frames[idx].valid {
             if self.frames[idx].dirty {
                 let f = &self.frames[idx];
-                let res = write_back(&self.disk, &self.wal, &mut retries, f.pid, f.lsn, &f.data);
+                let res = write_back(&self.disk, &mut retries, f.pid, &f.data);
                 self.stats.retries += std::mem::take(&mut retries);
                 // On failure the frame still holds its (dirty) page and
                 // the table still maps it: nothing was lost.
                 res?;
                 self.frames[idx].dirty = false;
-                self.frames[idx].lsn = 0;
                 self.stats.writebacks += 1;
             }
             // Unmap only once the old contents are safe on disk.
@@ -333,6 +290,13 @@ mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultInjector};
     use crate::page::PAGE_HEADER_SIZE;
+
+    /// A page image whose data byte `offset` holds `value`.
+    fn image(offset: usize, value: u8) -> [u8; PAGE_SIZE] {
+        let mut buf = [0u8; PAGE_SIZE];
+        buf[PAGE_HEADER_SIZE + offset] = value;
+        buf
+    }
 
     fn pool_with_pages(capacity: usize, npages: u32) -> BufferPool {
         let mut disk = DiskManager::in_memory();
@@ -395,7 +359,7 @@ mod tests {
     #[test]
     fn dirty_pages_written_back_on_eviction() {
         let mut pool = pool_with_pages(1, 2);
-        pool.with_page_mut(PageId(0), |p| p[5] = 99).unwrap();
+        pool.write_page_image(PageId(0), &image(5, 99)).unwrap();
         pool.with_page(PageId(1), |_| ()).unwrap(); // evicts dirty page 0
         assert_eq!(pool.stats().writebacks, 1);
         let v = pool.with_page(PageId(0), |p| p[5]).unwrap();
@@ -405,7 +369,7 @@ mod tests {
     #[test]
     fn flush_all_persists() {
         let mut pool = pool_with_pages(2, 2);
-        pool.with_page_mut(PageId(1), |p| p[7] = 42).unwrap();
+        pool.write_page_image(PageId(1), &image(7, 42)).unwrap();
         pool.flush_all().unwrap();
         assert_eq!(pool.stats().writebacks, 1);
         // Direct disk read sees the change in the data region.
@@ -486,7 +450,7 @@ mod tests {
     #[test]
     fn failed_writeback_keeps_dirty_page_mapped() {
         let mut pool = pool_with_pages(1, 2);
-        pool.with_page_mut(PageId(0), |p| p[5] = 99).unwrap();
+        pool.write_page_image(PageId(0), &image(5, 99)).unwrap();
         // Every write fails: evicting the dirty page must error out
         // without losing it.
         pool.shared_disk()

@@ -19,16 +19,15 @@
 //! With [`StoreOptions::durable`], every mutation is a write-ahead-logged
 //! transaction (see [`crate::wal`]): an operation returns `Ok` if and
 //! only if its commit record is durable, and [`DocumentStore::open`]
-//! replays the log (ARIES-style analysis/redo/undo) to recover exactly
-//! the committed documents after a crash. Bulk inserts into fresh pages
-//! at the end of the file skip page-image logging entirely — the pages
-//! are unreferenced until the commit's metadata delta lands, so a
-//! sync of the page file plus one log flush is enough. Inserts that
-//! reuse freed pages log full after-images with zero before-images, so
-//! rolling back a torn reuse *zeroes* the reclaimed pages rather than
-//! resurrecting whatever document previously occupied them. Either way
-//! an edit is the one transaction shape of `commit`; only how its pages
-//! reach the disk differs.
+//! replays the log (redo-only: analysis, then redo) to recover exactly
+//! the committed documents after a crash. Every page write lands on a
+//! free page, which nothing recovery can reach holds live until a
+//! durable commit makes it so; no write is ever undone. Bulk inserts
+//! into fresh pages at the end of the file skip page-image logging
+//! entirely — a sync of the page file plus one log flush is enough.
+//! Inserts that reuse freed pages log full after-images and leave the
+//! pages dirty in the pool. Either way an edit is the one transaction
+//! shape of `commit`; only how its pages reach the disk differs.
 //!
 //! # Layout
 //!
@@ -62,7 +61,7 @@ use crate::index::NodeEntry;
 use crate::node::{node_location, ContentPtr, NodeId, NodeKind, NodeRecord, RECORD_SIZE};
 use crate::page::{PageId, PAGE_DATA_SIZE, PAGE_SIZE};
 use crate::storage::{DiskManager, DiskStats, SharedDisk};
-use crate::wal::{Wal, WalHandle, WalStats};
+use crate::wal::{Wal, WalStats};
 use commit::WriterState;
 use meta::{encode_meta, StoreMeta};
 use projection::Projection;
@@ -173,7 +172,7 @@ struct StoreShared {
     /// each commit.
     current: RwLock<Arc<Projection>>,
     writer: Mutex<WriterState>,
-    wal: Option<WalHandle>,
+    wal: Option<Mutex<Wal>>,
     /// The one buffer pool, behind one lock (see DESIGN.md,
     /// *Concurrency model*, for the measurement that retired striping).
     pool: Mutex<BufferPool>,
@@ -190,6 +189,13 @@ impl StoreShared {
         // A poisoned pool only means another reader panicked mid-access;
         // the pool's bookkeeping is update-then-return, so keep going.
         self.pool.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn wal(&self) -> Option<MutexGuard<'_, Wal>> {
+        // An append or flush either completes or leaves the tail buffer
+        // as a whole record stream, so a poisoned log is still usable.
+        let wal = self.wal.as_ref()?;
+        Some(wal.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Run `f` over the data region of page `pid` via the pool.
@@ -258,14 +264,13 @@ impl DocumentStore {
         tags: Dictionary,
         meta: StoreMeta,
         free: BTreeSet<u32>,
-        wal: Option<WalHandle>,
+        wal: Option<Wal>,
         opts: &StoreOptions,
         disk: SharedDisk,
         recovery: Option<RecoveryInfo>,
     ) -> Result<DocumentStore> {
         let doc_root_tag = tags.intern(DOC_ROOT_TAG);
-        let mut pool = BufferPool::with_shared(disk.clone(), opts.pool_pages)?;
-        pool.set_wal(wal.clone());
+        let pool = BufferPool::with_shared(disk.clone(), opts.pool_pages)?;
         let epoch = 1;
         let proj = Arc::new(Projection::empty(epoch, doc_root_tag, 0));
         let dict_logged = tags.len();
@@ -282,7 +287,7 @@ impl DocumentStore {
                     history: vec![proj],
                     epoch,
                 }),
-                wal,
+                wal: wal.map(Mutex::new),
                 pool: Mutex::new(pool),
                 disk,
                 recovery,
@@ -315,12 +320,12 @@ impl DocumentStore {
             } else {
                 None
             };
-            Some(WalHandle::new(Wal::create(
+            Some(Wal::create(
                 file.as_deref(),
                 false,
                 disk.clone(),
                 encode_meta(&meta, &tags.names_from(0)),
-            )?))
+            )?)
         } else {
             None
         };
@@ -339,7 +344,7 @@ impl DocumentStore {
 
     /// Log activity counters, if the store is durable.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        self.shared.wal.as_ref().map(|w| w.lock().stats())
+        self.shared.wal().map(|w| w.stats())
     }
 
     /// Whether the store write-ahead-logs its mutations.

@@ -3,8 +3,9 @@
 //! [`DocumentStore::commit`] is the only code that allocates page runs,
 //! assigns transaction ids, encodes the commit's metadata delta, writes
 //! pages, publishes a projection, and — on error — gives the runs back
-//! and rolls the transaction out of the log. `insert_document`,
-//! `delete_document` and `replace_document` are [`Edit`]s handed to it.
+//! and drops the transaction's buffered records from the log.
+//! `insert_document`, `delete_document` and `replace_document` are
+//! [`Edit`]s handed to it.
 //! The two page-write strategies below it are chosen from what the
 //! allocator returned, not by the caller.
 //!
@@ -20,7 +21,7 @@ use super::projection::{limbo_runs, reclaim_limbo, DocRows, LimboRun, Projection
 use super::{DocId, DocumentStore};
 use crate::error::{Result, StoreError};
 use crate::page::PageId;
-use crate::wal::{Lsn, TxnId, WalHandle, WalRecord};
+use crate::wal::{TxnId, WalRecord};
 use std::collections::BTreeSet;
 use std::sync::{Arc, MutexGuard};
 
@@ -64,7 +65,7 @@ struct Run {
     len: u32,
     /// Freshly appended at the end of the file (as opposed to reusing
     /// freed pages). Bulk inserts into fresh runs skip page-image
-    /// logging: the pages are unreferenced until commit.
+    /// logging: the pages are written in place and synced.
     fresh: bool,
 }
 
@@ -72,21 +73,6 @@ struct Run {
 /// projection ever referenced).
 fn release_run(w: &mut WriterState, run: &Run) {
     w.free.extend(run.base..run.base + run.len);
-}
-
-/// Bounded retry of a commit-record flush: injected log-write errors are
-/// transient, and leaving a commit record buffered after reporting
-/// failure would let a later group flush commit it behind our back.
-fn flush_commit(wal: &WalHandle, lsn: Lsn) -> Result<()> {
-    const MAX_RETRIES: u32 = 3;
-    let mut attempts = 0;
-    loop {
-        match wal.lock().flush_to(lsn) {
-            Ok(()) => return Ok(()),
-            Err(e) if e.is_transient() && attempts < MAX_RETRIES => attempts += 1,
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 impl DocumentStore {
@@ -190,36 +176,38 @@ impl DocumentStore {
         let next_doc = doc_id + u64::from(added.is_some());
         // The payload exists only where there is a log to carry it.
         let mut logged = w.dict_logged;
-        let log = sh.wal.as_ref().map(|wal| {
+        let delta = sh.wal.is_some().then(|| {
             let new_names = sh.tags.names_from(w.dict_logged);
             logged += new_names.len();
-            let delta = MetaDelta {
+            encode_delta(&MetaDelta {
                 next_doc,
                 next_txn: w.meta.next_txn,
                 dict_from: w.dict_logged as u32,
                 new_names,
                 removed: edit.remove,
                 added,
-            };
-            (wal, encode_delta(&delta))
+            })
         });
-        let start_lsn = sh.wal.as_ref().map_or(0, |w| w.lock().next_lsn());
+        let start_lsn = sh.wal().map_or(0, |w| w.next_lsn());
 
         let pages: Vec<(PageId, &PageImage)> = [(&heap_run, heap_pages), (&node_run, node_pages)]
             .into_iter()
             .flat_map(|(run, images)| (run.base..).map(PageId).zip(images))
             .collect();
         let written = if heap_run.fresh && node_run.fresh {
-            self.commit_fresh(txn, &pages, log)
+            self.commit_fresh(&pages)
         } else {
-            self.commit_images(txn, &pages, log)
+            self.commit_images(txn, &pages)
         };
-        if let Err(e) = written {
+        if let Err(e) = written.and_then(|()| self.log_commit(txn, delta)) {
             // The runs were never visible to any projection, so they
-            // go straight back to the free list, not limbo.
+            // go straight back to the free list, not limbo; a buffered
+            // record of the transaction must not ride a later flush.
             release_run(&mut w, &heap_run);
             release_run(&mut w, &node_run);
-            self.rollback_txn(txn, start_lsn);
+            if let Some(mut wal) = sh.wal() {
+                wal.truncate_pending(start_lsn);
+            }
             return Err(e);
         }
         w.dict_logged = logged;
@@ -247,99 +235,74 @@ impl DocumentStore {
         let mut w = self.writer();
         self.shared.pool().flush_all()?;
         self.shared.disk.lock().sync()?;
-        if let Some(wal) = &self.shared.wal {
+        if let Some(mut wal) = self.shared.wal() {
             // The whole name table, straight from the dictionary: symbols
             // interned since the last commit (query-constructed tags and
             // values) live only in memory, and the checkpoint is about to
             // truncate the log that carries every suffix before them.
             let names = self.shared.tags.names_from(0);
-            wal.lock().checkpoint(encode_meta(&w.meta, &names))?;
+            wal.checkpoint(encode_meta(&w.meta, &names))?;
             w.dict_logged = names.len();
         }
         Ok(())
     }
 
     // ---- page-write strategies -----------------------------------------
+    //
+    // Either way every page written is free until the commit record
+    // lands, so neither strategy ever needs undoing.
 
-    /// Commit an edit whose pages (if any) are all freshly allocated at
-    /// the end of the file: write them directly (they are unreferenced
-    /// until the commit's metadata delta lands), sync the page file,
-    /// then log `Begin` + `Commit{delta}` in one flush. This keeps
-    /// bulk-load WAL overhead to a file sync and one small log write,
-    /// instead of doubling the write volume with page images. With no
-    /// pages at all (a delete) there is nothing to write or sync.
-    fn commit_fresh(
-        &self,
-        txn: TxnId,
-        pages: &[(PageId, &PageImage)],
-        log: Option<(&WalHandle, Vec<u8>)>,
-    ) -> Result<()> {
+    /// Write an edit's pages, all freshly allocated at the end of the
+    /// file, in place, and sync the page file when a commit record will
+    /// follow. This keeps bulk-load WAL overhead to
+    /// a file sync and one small log write, instead of doubling the
+    /// write volume with page images. With no pages at all (a delete)
+    /// there is nothing to write or sync.
+    fn commit_fresh(&self, pages: &[(PageId, &PageImage)]) -> Result<()> {
         if !pages.is_empty() {
             let mut d = self.shared.disk.lock();
             for (pid, page) in pages {
                 d.write_page(*pid, page)?;
             }
-            if log.is_some() {
+            if self.shared.wal.is_some() {
                 d.sync()?;
             }
         }
-        if let Some((w, delta)) = log {
-            let lsn = {
-                let mut wl = w.lock();
-                wl.append(WalRecord::Begin { txn });
-                wl.append(WalRecord::Commit { txn, meta: delta })
-            };
-            flush_commit(w, lsn)?;
-        }
         Ok(())
     }
 
-    /// Commit a document that reuses freed pages: log a full after-image
-    /// per page (the page was free, so rollback zeroes it), install the images in the buffer pool (steal/no-force:
-    /// an eviction may write them early after flushing the log up to
-    /// their LSN; commit itself flushes only the log), then log the
-    /// commit.
-    fn commit_images(
-        &self,
-        txn: TxnId,
-        pages: &[(PageId, &PageImage)],
-        log: Option<(&WalHandle, Vec<u8>)>,
-    ) -> Result<()> {
-        let wal = log.as_ref().map(|&(w, _)| w);
-        if let Some(w) = wal {
-            w.lock().append(WalRecord::Begin { txn });
-        }
+    /// Write an edit that reuses freed pages: log a full after-image per
+    /// page and install the images in the buffer pool (no-force: the
+    /// commit flushes only the log, and an eviction may write a page
+    /// back at any time).
+    fn commit_images(&self, txn: TxnId, pages: &[(PageId, &PageImage)]) -> Result<()> {
         for &(pid, page) in pages {
-            let lsn = match wal {
-                Some(w) => w.lock().append(WalRecord::PageImage {
-                    txn,
-                    pid,
-                    after: page.clone(),
-                }),
-                None => 0,
-            };
-            self.shared.pool().write_page_image(pid, lsn, page)?;
-        }
-        if let Some((w, delta)) = log {
-            let lsn = w.lock().append(WalRecord::Commit { txn, meta: delta });
-            flush_commit(w, lsn)?;
+            if let Some(mut wal) = self.shared.wal() {
+                let after = page.clone();
+                wal.append(WalRecord::PageImage { txn, pid, after });
+            }
+            self.shared.pool().write_page_image(pid, page)?;
         }
         Ok(())
     }
 
-    /// Clean up after a failed mutation: drop any still-buffered records
-    /// of `txn` (so a later flush cannot commit it behind our back), and
-    /// if part of the transaction already reached the durable log (an
-    /// eviction flushed it), append a best-effort `Abort` marker —
-    /// recovery rolls the transaction back either way.
-    fn rollback_txn(&self, txn: TxnId, start_lsn: Lsn) {
-        let Some(w) = &self.shared.wal else { return };
-        let crashed = self.shared.disk.crashed();
-        let mut wl = w.lock();
-        wl.truncate_pending(start_lsn);
-        if wl.durable_lsn() > start_lsn && !crashed {
-            wl.append(WalRecord::Abort { txn });
-            let _ = wl.flush();
+    /// Append `txn`'s `Commit` and flush it with the images before it,
+    /// retrying a bounded number of times: injected log-write errors are
+    /// transient, and a record left buffered after reporting failure
+    /// would let a later flush commit it behind our back.
+    fn log_commit(&self, txn: TxnId, delta: Option<Vec<u8>>) -> Result<()> {
+        const MAX_RETRIES: u32 = 3;
+        let (Some(mut wal), Some(meta)) = (self.shared.wal(), delta) else {
+            return Ok(());
+        };
+        wal.append(WalRecord::Commit { txn, meta });
+        let mut attempts = 0;
+        loop {
+            match wal.flush() {
+                Ok(()) => return Ok(()),
+                Err(e) if e.is_transient() && attempts < MAX_RETRIES => attempts += 1,
+                Err(e) => return Err(e),
+            }
         }
     }
 
@@ -498,7 +461,7 @@ mod tests {
         let s = DocumentStore::create(&StoreOptions::in_memory().with_durable()).unwrap();
         s.insert_xml(SAMPLE).unwrap();
         let stats = s.wal_stats().unwrap();
-        assert!(stats.records >= 3); // checkpoint + begin + commit
+        assert_eq!(stats.records, 2); // checkpoint + commit
         assert!(stats.flushes >= 1);
     }
 
@@ -570,6 +533,37 @@ mod tests {
     }
 
     #[test]
+    fn reuse_through_a_warm_pool_reads_the_new_bytes() {
+        // Document A's pages are cached when A is deleted and B is
+        // inserted over its run: the image path replaces the cached
+        // frames, so B reads back its own bytes, from the pool and, after
+        // the pool is emptied, from the page file.
+        let text = |s: &DocumentStore| -> Vec<String> {
+            (0..s.node_count())
+                .filter_map(|id| s.content(NodeId(id)).unwrap())
+                .collect()
+        };
+        let pools = [StoreOptions::default().pool_pages, 2];
+        for pool in pools {
+            let opts = StoreOptions::in_memory()
+                .with_pool_pages(pool)
+                .with_durable();
+            let s = DocumentStore::create(&opts).unwrap();
+            let a = s.insert_document(&bib(400, "x")).unwrap();
+            let want_a = text(&s);
+            assert!(want_a.iter().any(|t| t == "x399"), "pool {pool}");
+            s.delete_document(a).unwrap();
+            let pages = s.total_pages();
+            s.insert_document(&bib(400, "y")).unwrap();
+            assert_eq!(s.total_pages(), pages, "pool {pool}: B reuses A's run");
+            let want_b: Vec<String> = want_a.iter().map(|t| t.replace('x', "y")).collect();
+            assert_eq!(text(&s), want_b, "pool {pool}: warm");
+            s.clear_buffer_pool().unwrap();
+            assert_eq!(text(&s), want_b, "pool {pool}: cold");
+        }
+    }
+
+    #[test]
     fn a_commit_logs_the_edit_not_the_store() {
         // The same document 64 times: the first commit carries its names,
         // every later one finds them durable and logs the same bytes
@@ -589,8 +583,8 @@ mod tests {
             per_commit[1..].iter().all(|&b| b == per_commit[1]),
             "{per_commit:?}"
         );
-        // Begin + Commit{counters, empty suffix, one document entry}.
-        assert_eq!(per_commit[1], 119);
+        // Commit{counters, empty suffix, one document entry}.
+        assert_eq!(per_commit[1], 94);
         assert_eq!(s.documents().len(), 64);
     }
 
@@ -603,21 +597,24 @@ mod tests {
         // an extra flush or a changed page-write strategy shows up here
         // as the edit that moved. The bytes column was re-pinned when
         // `Commit` began to carry a metadata delta instead of the full
-        // snapshot: a delete is now 95 bytes whatever the store holds,
+        // snapshot: a delete is now 70 bytes whatever the store holds,
         // and an insert is its page images plus the names it interned.
+        // Records and bytes were re-pinned once more when transactions
+        // stopped logging a `Begin` (one record and 25 bytes per edit);
+        // the flushes and page writes did not move.
         const PINNED: [(u64, u64, u64, u64); 12] = [
-            (2, 192, 1, 2),   // insert a, fresh run
-            (2, 137, 1, 2),   // insert b, fresh
-            (2, 3233, 1, 6),  // insert c (400 articles), fresh
-            (2, 95, 1, 0),    // delete a: no pages
-            (4, 16581, 1, 0), // insert d over a's run: page images
-            (2, 145, 1, 2),   // replace b → e, fresh
-            (2, 95, 1, 0),    // delete d under a pinned snapshot
-            (4, 16581, 1, 0), // insert f over b's run (d's is pinned)
-            (8, 52549, 1, 0), // replace c → g, part reused: page images
-            (2, 95, 1, 0),    // delete e
-            (2, 95, 1, 0),    // delete f
-            (8, 52541, 1, 0), // insert h over c's run: page images
+            (1, 167, 1, 2),   // insert a, fresh run
+            (1, 112, 1, 2),   // insert b, fresh
+            (1, 3208, 1, 6),  // insert c (400 articles), fresh
+            (1, 70, 1, 0),    // delete a: no pages
+            (3, 16556, 1, 0), // insert d over a's run: page images
+            (1, 120, 1, 2),   // replace b → e, fresh
+            (1, 70, 1, 0),    // delete d under a pinned snapshot
+            (3, 16556, 1, 0), // insert f over b's run (d's is pinned)
+            (7, 52524, 1, 0), // replace c → g, part reused: page images
+            (1, 70, 1, 0),    // delete e
+            (1, 70, 1, 0),    // delete f
+            (7, 52516, 1, 0), // insert h over c's run: page images
         ];
         let s = DocumentStore::create(&StoreOptions::in_memory().with_durable()).unwrap();
         let mut seen = Vec::new();

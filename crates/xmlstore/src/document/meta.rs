@@ -56,10 +56,13 @@ pub(super) struct MetaDelta {
 
 const META_MAGIC: u32 = 0x544d_4254; // "TBMT"
 const DELTA_MAGIC: u32 = 0x444d_4254; // "TBMD"
-/// v4: node records carry their content symbol where v3 kept the parent
-/// id. Commits carry a [`MetaDelta`]; only checkpoints carry the full
-/// snapshot. Any other version is refused.
-const META_VERSION: u32 = 4;
+/// v5: a transaction logs its page images and one `Commit`, with no
+/// `Begin` or `Abort` record; a v4 log holds those, and the reader would
+/// stop at the first. v4 node records already carried their content
+/// symbol where v3 kept the parent id. Commits carry a [`MetaDelta`];
+/// only checkpoints carry the full snapshot. Any other version is
+/// refused.
+const META_VERSION: u32 = 5;
 
 const HAS_REMOVED: u8 = 1;
 const HAS_ADDED: u8 = 2;

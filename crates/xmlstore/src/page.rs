@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! byte 0..4   CRC32 over (page id ‖ bytes 4..8 ‖ data region), LE
-//! byte 4..8   page LSN (low 32 bits of the WAL offset that last wrote
-//!             this page), little-endian
+//! byte 4..8   reserved, written as zero
 //! byte 8..    data region (PAGE_DATA_SIZE bytes), owned by callers
 //! ```
 //!
@@ -16,10 +15,10 @@
 //!
 //! The expected page id participates in the checksum (it used to be
 //! echoed in bytes 4..8), so a page sealed for slot A still fails
-//! verification at slot B — misdirected writes stay detectable — while
-//! bytes 4..8 are free to carry the page LSN the recovery protocol
-//! needs. `seal` preserves whatever the caller put in bytes 4..8;
-//! writers that don't log (the bulk-load path) leave an LSN of zero.
+//! verification at slot B — misdirected writes stay detectable. Bytes
+//! 4..8 once held a page LSN; recovery is redo-only and needs none, so
+//! they stay inside the checksum as reserved bytes. `seal` preserves
+//! whatever they hold, so a page an older store wrote still verifies.
 
 use crate::checksum::page_checksum;
 
@@ -60,23 +59,12 @@ pub fn data_mut(page: &mut [u8; PAGE_SIZE]) -> &mut [u8; PAGE_DATA_SIZE] {
     }
 }
 
-/// Write a fresh header checksum into `page`, preserving the caller's
-/// LSN bytes (4..8). The page id is folded into the checksum rather than
+/// Write a fresh header checksum into `page`, preserving its reserved
+/// bytes (4..8). The page id is folded into the checksum rather than
 /// stored.
 pub fn seal(pid: PageId, page: &mut [u8; PAGE_SIZE]) {
     let crc = page_checksum(pid.0, &page[4..]);
     page[0..4].copy_from_slice(&crc.to_le_bytes());
-}
-
-/// Stamp an LSN into the header of `page` (bytes 4..8, low 32 bits).
-/// The page must be re-`seal`ed afterwards for the checksum to hold.
-pub fn set_lsn(page: &mut [u8; PAGE_SIZE], lsn: u64) {
-    page[4..8].copy_from_slice(&(lsn as u32).to_le_bytes());
-}
-
-/// The LSN stored in the header of `page` (low 32 bits of the full LSN).
-pub fn lsn(page: &[u8; PAGE_SIZE]) -> u32 {
-    u32::from_le_bytes([page[4], page[5], page[6], page[7]])
 }
 
 /// Check the header of `page` against its contents.
@@ -200,18 +188,21 @@ mod tests {
 
     #[test]
     fn seal_preserves_lsn_bytes() {
+        // Bytes 4..8 held the page LSN in stores older than redo-only
+        // recovery: such a page keeps them and still verifies.
         let mut p = Page::zeroed();
-        set_lsn(p.bytes_mut(), 0xDEAD_BEEF_0042);
+        p.bytes_mut()[4..8].copy_from_slice(&0xBEEF_0042u32.to_le_bytes());
         seal(PageId(7), p.bytes_mut());
-        assert_eq!(lsn(p.bytes()), 0xBEEF_0042);
+        assert_eq!(p.bytes()[4..8], 0xBEEF_0042u32.to_le_bytes());
         assert_eq!(verify(PageId(7), p.bytes()), Ok(()));
     }
 
     #[test]
     fn verify_catches_lsn_corruption() {
-        // The LSN is covered by the checksum like everything else.
+        // The reserved bytes that once held the LSN are covered by the
+        // checksum like everything else.
         let mut p = Page::zeroed();
-        set_lsn(p.bytes_mut(), 99);
+        p.bytes_mut()[4] = 99;
         seal(PageId(4), p.bytes_mut());
         p.bytes_mut()[5] ^= 0x10;
         assert!(verify(PageId(4), p.bytes()).is_err());

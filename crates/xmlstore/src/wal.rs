@@ -1,4 +1,4 @@
-//! The write-ahead log and ARIES-style crash recovery.
+//! The write-ahead log and redo-only crash recovery.
 //!
 //! ## Log format
 //!
@@ -17,26 +17,27 @@
 //! reader truncates exactly where the duplication starts and replay
 //! stays idempotent.
 //!
-//! Record kinds: `Begin`, `PageImage` (a full after image — physical
-//! logging; the before image is a flag byte, always 0 for the all-zero
-//! page, since only free or fresh pages are written and they are zeroed
-//! on reuse),
-//! `Commit` (carrying the transaction's metadata *delta*: new counters,
-//! the dictionary names interned since the last durable record, the
-//! document-table entry removed and/or added), `Abort`, and `Checkpoint`
-//! (the one full metadata snapshot: whole name table, document
-//! directory, counters; always the first record of a log). Both
-//! payloads are opaque bytes here — the `document::meta` codec owns
-//! their layout, and recovery hands them back in log order for the
-//! store to fold.
+//! Record kinds: `PageImage` (a full after image — physical logging —
+//! behind a flag byte that is always 0), `Commit` (carrying the
+//! transaction's metadata *delta*: new counters, the dictionary names
+//! interned since the last durable record, the document-table entry
+//! removed and/or added), and `Checkpoint` (the one full metadata
+//! snapshot: whole name table, document directory, counters; always the
+//! first record of a log). Both payloads are opaque bytes here — the
+//! `document::meta` codec owns their layout, and recovery hands them
+//! back in log order for the store to fold.
 //!
 //! ## Durability rules
 //!
-//! * **Steal**: a dirty page may be written back before its transaction
-//!   commits — the buffer pool calls [`Wal::flush_to`] with the frame's
-//!   LSN first, so the page's images are durable before the page is.
-//! * **No-force**: commit does not flush data pages; it flushes the log
-//!   (group fsync: one `flush` call pushes every buffered record).
+//! * **Only free pages are written**: a fresh extent, or a run the
+//!   allocator took from the free list after the freeing commit's record
+//!   was durable. No state recovery can reach holds such a page as live
+//!   until a durable `Commit` makes it live, so no write ever needs
+//!   undoing, and the buffer pool may write a dirty frame back before
+//!   its image is durable (steal) without knowing about the log.
+//! * **No-force**: commit does not flush data pages; it flushes the log.
+//!   A transaction's images and its `Commit` are appended and flushed
+//!   together (one `flush` call pushes every buffered record).
 //! * A transaction is committed iff its `Commit` record is fully
 //!   durable. The simulated-crash injector persists only a *strict
 //!   prefix* of any pending flush, so an operation that returned an
@@ -49,32 +50,26 @@
 //! ## Recovery
 //!
 //! [`recover`] reads the log tail (truncating at the first checksum or
-//! LSN mismatch — a torn final record), then runs three phases:
+//! LSN mismatch — a torn final record), then runs two phases:
 //!
-//! 1. **Analysis** — find the committed set, the checkpoint payload and
-//!    the committed payloads that follow it, in log order (a transaction
-//!    with an `Abort` is a loser whatever else the log holds of it);
-//! 2. **Redo** — repeat history: every page image is rewritten in log
-//!    order, stamping the record's LSN into the page header (full
-//!    images make this idempotent, and it also repairs pages torn by a
-//!    crash mid-writeback);
-//! 3. **Undo** — loser transactions' images are rolled back in reverse
-//!    log order, zeroing the page again, but only where the loser's
-//!    write is still the newest on that page (last-image check), so a
-//!    later committed reuse of the page survives.
+//! 1. **Analysis** — find the checkpoint payload and the committed
+//!    payloads that follow it, in log order;
+//! 2. **Redo** — every page image is rewritten in log order, committed
+//!    or not (full images make this idempotent, and it also repairs
+//!    pages torn by a crash mid-writeback). A loser's image only ever
+//!    lands on a page that is free in the recovered metadata.
 //!
 //! Replaying recovery twice leaves the same bytes as replaying it once.
 
 use crate::checksum::crc32;
 use crate::error::{Result, StoreError};
 use crate::fault::LogFault;
-use crate::page::{self, PageId, PAGE_SIZE};
+use crate::page::{PageId, PAGE_SIZE};
 use crate::storage::{DiskManager, SharedDisk};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Log sequence number: the byte offset of a record in the log file.
 pub type Lsn = u64;
@@ -85,23 +80,16 @@ pub type TxnId = u64;
 /// Bytes of frame header (length + checksum) preceding each payload.
 const FRAME_HEADER: usize = 8;
 
-const KIND_BEGIN: u8 = 1;
 const KIND_PAGE_IMAGE: u8 = 2;
 const KIND_COMMIT: u8 = 3;
-const KIND_ABORT: u8 = 4;
 const KIND_CHECKPOINT: u8 = 5;
 
 /// One log record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A transaction started.
-    Begin {
-        /// The transaction.
-        txn: TxnId,
-    },
     /// A full physical page image written by `txn`. Only a free or
-    /// fresh page is ever written (pages are zeroed on reuse), so the
-    /// state to restore if `txn` loses is all-zero and is not logged.
+    /// fresh page is ever written, so if `txn` loses, redo leaves the
+    /// image on a page the recovered metadata holds free.
     PageImage {
         /// The writing transaction.
         txn: TxnId,
@@ -117,12 +105,6 @@ pub enum WalRecord {
         /// Serialized metadata delta (the `document::meta` codec).
         meta: Vec<u8>,
     },
-    /// `txn` rolled back in-process (recovery also treats any
-    /// unfinished transaction as aborted).
-    Abort {
-        /// The aborted transaction.
-        txn: TxnId,
-    },
     /// The full metadata snapshot; always the first record of a log
     /// file.
     Checkpoint {
@@ -134,10 +116,8 @@ pub enum WalRecord {
 impl WalRecord {
     fn kind(&self) -> u8 {
         match self {
-            WalRecord::Begin { .. } => KIND_BEGIN,
             WalRecord::PageImage { .. } => KIND_PAGE_IMAGE,
             WalRecord::Commit { .. } => KIND_COMMIT,
-            WalRecord::Abort { .. } => KIND_ABORT,
             WalRecord::Checkpoint { .. } => KIND_CHECKPOINT,
         }
     }
@@ -149,13 +129,11 @@ pub fn encode_record(lsn: Lsn, rec: &WalRecord, out: &mut Vec<u8>) {
     payload.extend_from_slice(&lsn.to_le_bytes());
     payload.push(rec.kind());
     match rec {
-        WalRecord::Begin { txn } | WalRecord::Abort { txn } => {
-            payload.extend_from_slice(&txn.to_le_bytes());
-        }
         WalRecord::PageImage { txn, pid, after } => {
             payload.extend_from_slice(&txn.to_le_bytes());
             payload.extend_from_slice(&pid.0.to_le_bytes());
-            // The before-image flag: 0, the all-zero page.
+            // The flag byte, always 0: the reader ends the valid log at
+            // any other value.
             payload.push(0);
             payload.extend_from_slice(&after[..]);
         }
@@ -195,17 +173,10 @@ fn decode_payload(payload: &[u8]) -> Option<(Lsn, WalRecord)> {
     let lsn = rd_u64(payload, 0)?;
     let kind = *payload.get(8)?;
     let rec = match kind {
-        KIND_BEGIN => WalRecord::Begin {
-            txn: rd_u64(payload, 9)?,
-        },
-        KIND_ABORT => WalRecord::Abort {
-            txn: rd_u64(payload, 9)?,
-        },
         KIND_PAGE_IMAGE => {
             let txn = rd_u64(payload, 9)?;
             let pid = PageId(rd_u32(payload, 17)?);
-            // Any before-image flag but 0 (the all-zero page) ends the
-            // valid log.
+            // Any flag but 0 ends the valid log.
             if *payload.get(21)? != 0 {
                 return None;
             }
@@ -312,12 +283,11 @@ enum WalBackend {
 
 /// The append side of the log.
 ///
-/// Appends go to a volatile tail buffer; [`Wal::flush`] /
-/// [`Wal::flush_to`] persist and fsync it. The simulated-crash injector
-/// is shared with the page file's [`DiskManager`] (via [`SharedDisk`])
-/// so one `crash=N` schedule counts page writes and log flushes on a
-/// single clock — and a crash mid-flush loses the unflushed tail, just
-/// like a real kill would.
+/// Appends go to a volatile tail buffer; [`Wal::flush`] persists and
+/// fsyncs it. The simulated-crash injector is shared with the page
+/// file's [`DiskManager`] (via [`SharedDisk`]) so one `crash=N` schedule
+/// counts page writes and log flushes on a single clock — and a crash
+/// mid-flush loses the unflushed tail, just like a real kill would.
 pub struct Wal {
     backend: WalBackend,
     disk: SharedDisk,
@@ -390,11 +360,6 @@ impl Wal {
         self.durable + self.buf.len() as u64
     }
 
-    /// Bytes known durable (flushed and fsynced).
-    pub fn durable_lsn(&self) -> Lsn {
-        self.durable
-    }
-
     /// Append `rec` to the volatile tail, returning its LSN. Nothing is
     /// durable until the next flush.
     pub fn append(&mut self, rec: WalRecord) -> Lsn {
@@ -411,24 +376,11 @@ impl Wal {
     /// fails without a crash, the commit record must not linger in the
     /// buffer where a later group flush would silently make it durable
     /// after the operation already reported failure. Durable bytes are
-    /// never touched — a transaction whose earlier images reached the
-    /// disk stays in the log and is rolled back as a loser at recovery.
-    /// When `from_lsn` itself is already durable (an eviction flushed
-    /// the transaction's first records), everything still buffered
-    /// comes after it and all of it goes.
+    /// never touched; when `from_lsn` is already durable, everything
+    /// still buffered comes after it and all of it goes.
     pub fn truncate_pending(&mut self, from_lsn: Lsn) {
         let keep = from_lsn.saturating_sub(self.durable) as usize;
         self.buf.truncate(keep);
-    }
-
-    /// Make every record up to and including `lsn` durable. A no-op if
-    /// `lsn` is already durable; otherwise the *entire* tail buffer is
-    /// flushed in one write + fsync (group commit).
-    pub fn flush_to(&mut self, lsn: Lsn) -> Result<()> {
-        if lsn < self.durable || self.buf.is_empty() {
-            return Ok(());
-        }
-        self.flush()
     }
 
     /// Flush and fsync the whole tail buffer.
@@ -547,28 +499,6 @@ impl Wal {
     }
 }
 
-/// A shared, lockable handle to a [`Wal`]. The buffer pool holds a
-/// clone so that evicting a stolen dirty frame can flush the log first.
-/// Lock order is pool → wal → disk, everywhere.
-#[derive(Clone)]
-pub struct WalHandle(Arc<Mutex<Wal>>);
-
-impl WalHandle {
-    /// Wrap a log in a shareable handle.
-    pub fn new(wal: Wal) -> Self {
-        WalHandle(Arc::new(Mutex::new(wal)))
-    }
-
-    /// Lock the log. Poisoning is ignored for the same reason as in
-    /// [`SharedDisk`]: the log's buffer holds no cross-call invariants a
-    /// panicked append could break mid-flight.
-    pub fn lock(&self) -> MutexGuard<'_, Wal> {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
 fn tmp_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_owned();
     os.push(".tmp");
@@ -611,17 +541,15 @@ pub struct RecoveredState {
     pub next_txn: TxnId,
     /// Valid log length (offset where the next record would go).
     pub log_len: u64,
-    /// Page images rewritten during redo.
+    /// Page images rewritten during redo, committed or not.
     pub redone: usize,
-    /// Loser images rolled back during undo.
-    pub undone: usize,
     /// Committed transactions found by analysis.
     pub committed: usize,
-    /// Loser (unfinished or aborted) transactions rolled back.
+    /// Transactions whose images the log holds without a `Commit`.
     pub losers: usize,
 }
 
-/// Run analysis/redo/undo over `log_bytes` against the open page file in
+/// Run analysis and redo over `log_bytes` against the open page file in
 /// `disk`. Pure function of its inputs: replaying it twice leaves the
 /// same page bytes as replaying it once.
 pub fn replay(disk: &mut DiskManager, log_bytes: &[u8]) -> Result<RecoveredState> {
@@ -638,96 +566,50 @@ pub fn replay(disk: &mut DiskManager, log_bytes: &[u8]) -> Result<RecoveredState
     }
 
     // ---- analysis ----------------------------------------------------
-    // Metadata payloads are moved out of the records: redo and undo
-    // below read page images only.
+    // Metadata payloads are moved out of the records: redo below reads
+    // page images only.
     let mut checkpoint: Vec<u8> = Vec::new();
-    let mut commits: Vec<(TxnId, Vec<u8>)> = Vec::new();
+    let mut commits: Vec<Vec<u8>> = Vec::new();
     let mut committed: HashSet<TxnId> = HashSet::new();
-    let mut seen: HashSet<TxnId> = HashSet::new();
-    let mut aborted: HashSet<TxnId> = HashSet::new();
+    let mut imaged: HashSet<TxnId> = HashSet::new();
     let mut next_txn: TxnId = 1;
-    let mut last_image: HashMap<u32, Lsn> = HashMap::new();
-    for (lsn, rec) in &mut contents.records {
+    for (_, rec) in &mut contents.records {
         match rec {
             WalRecord::Checkpoint { meta } => {
                 checkpoint = std::mem::take(meta);
                 commits.clear();
             }
-            WalRecord::Begin { txn } => {
-                seen.insert(*txn);
+            WalRecord::PageImage { txn, .. } => {
+                imaged.insert(*txn);
                 next_txn = next_txn.max(*txn + 1);
-            }
-            WalRecord::PageImage { txn, pid, .. } => {
-                seen.insert(*txn);
-                next_txn = next_txn.max(*txn + 1);
-                last_image.insert(pid.0, *lsn);
             }
             WalRecord::Commit { txn, meta } => {
                 committed.insert(*txn);
                 next_txn = next_txn.max(*txn + 1);
-                commits.push((*txn, std::mem::take(meta)));
-            }
-            WalRecord::Abort { txn } => {
-                aborted.insert(*txn);
-                next_txn = next_txn.max(*txn + 1);
+                commits.push(std::mem::take(meta));
             }
         }
     }
-    // An `Abort` means the writer rolled the transaction back in memory
-    // (released its pages, left the document table and `dict_logged` as
-    // they were), so it wins over a `Commit` of the same transaction:
-    // the delta must not reach the fold and the images are undone. The
-    // rollback drops the buffered commit record before it appends the
-    // abort, so this store does not write such a log; one that holds
-    // the pair anyway is read the way the writer went on.
-    committed.retain(|t| !aborted.contains(t));
-    commits.retain(|(t, _)| committed.contains(t));
-    let losers: HashSet<TxnId> = seen
-        .iter()
-        .filter(|t| !committed.contains(t))
-        .copied()
-        .collect();
 
-    // ---- redo: repeat history ----------------------------------------
+    // ---- redo: every image, in log order -----------------------------
     let mut redone = 0usize;
-    for (lsn, rec) in &contents.records {
+    for (_, rec) in &contents.records {
         if let WalRecord::PageImage { pid, after, .. } = rec {
             ensure_allocated(disk, *pid)?;
-            let mut image = **after;
-            page::set_lsn(&mut image, *lsn);
-            disk.write_page(*pid, &image)?;
+            disk.write_page(*pid, after)?;
             redone += 1;
-        }
-    }
-
-    // ---- undo: roll back losers in reverse log order -----------------
-    // Only where the loser's write is still the newest on the page: a
-    // later transaction (committed or not) that reused the page owns its
-    // final state, and redo already installed it.
-    let mut undone = 0usize;
-    for (lsn, rec) in contents.records.iter().rev() {
-        if let WalRecord::PageImage { txn, pid, .. } = rec {
-            if !losers.contains(txn) || last_image.get(&pid.0) != Some(lsn) {
-                continue;
-            }
-            ensure_allocated(disk, *pid)?;
-            let mut image = [0u8; PAGE_SIZE];
-            page::set_lsn(&mut image, *lsn);
-            disk.write_page(*pid, &image)?;
-            undone += 1;
         }
     }
     disk.sync()?;
 
     Ok(RecoveredState {
         checkpoint,
-        commits: commits.into_iter().map(|(_, delta)| delta).collect(),
+        commits,
         next_txn,
         log_len: contents.valid_len,
         redone,
-        undone,
         committed: committed.len(),
-        losers: losers.len(),
+        losers: imaged.difference(&committed).count(),
     })
 }
 
@@ -761,22 +643,25 @@ mod tests {
         b
     }
 
+    fn commit(txn: TxnId, meta: &[u8]) -> WalRecord {
+        WalRecord::Commit {
+            txn,
+            meta: meta.to_vec(),
+        }
+    }
+
     fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::Checkpoint {
                 meta: vec![1, 2, 3],
             },
-            WalRecord::Begin { txn: 1 },
             WalRecord::PageImage {
                 txn: 1,
                 pid: PageId(0),
                 after: image(0xAA),
             },
-            WalRecord::Commit {
-                txn: 1,
-                meta: vec![9, 9],
-            },
-            WalRecord::Abort { txn: 2 },
+            commit(1, &[9, 9]),
+            commit(2, &[7]),
         ]
     }
 
@@ -817,9 +702,6 @@ mod tests {
         // the one the `PageImage` row pins.
         let (_, after) = (seeded(), seeded());
         let records = [
-            WalRecord::Begin {
-                txn: 0x0102_0304_0506_0708,
-            },
             WalRecord::PageImage {
                 txn: 9,
                 pid: PageId(7),
@@ -829,7 +711,6 @@ mod tests {
                 txn: 9,
                 meta: (0..40).collect(),
             },
-            WalRecord::Abort { txn: u64::MAX },
             WalRecord::Checkpoint {
                 meta: (0..200).map(|i| (i * 7) as u8).collect(),
             },
@@ -842,13 +723,7 @@ mod tests {
                 (rd_u32(&frame, 0).unwrap(), rd_u32(&frame, 4).unwrap())
             })
             .collect();
-        let golden = [
-            (17, 0xC611_CBAC),
-            (8214, 0x7647_7A40),
-            (61, 0x421F_FEA1),
-            (17, 0x080E_BCDA),
-            (213, 0x6048_5BF7),
-        ];
+        let golden = [(8214, 0x7647_7A40), (61, 0x421F_FEA1), (213, 0x6048_5BF7)];
         assert_eq!(headers, golden);
     }
 
@@ -864,10 +739,10 @@ mod tests {
             let reparsed = read_log(&bytes[..parsed.valid_len as usize]);
             assert_eq!(reparsed.records.len(), parsed.records.len());
         }
-        // A page image whose before-image flag is not 0, with a valid
-        // checksum, ends the valid log at its frame: 1 once meant logged
+        // A page image whose flag byte is not 0, with a valid checksum,
+        // ends the valid log at its frame: 1 once meant logged
         // before-image bytes, and no write path logs them.
-        let at = encode_all(&records[..2]).len();
+        let at = encode_all(&records[..1]).len();
         for flag in [1u8, 2] {
             let mut bad = bytes.clone();
             let payload = &mut bad[at + FRAME_HEADER..];
@@ -877,7 +752,7 @@ mod tests {
             bad[at + 4..at + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
             let parsed = read_log(&bad);
             assert_eq!(parsed.valid_len, at as u64, "flag {flag}");
-            assert_eq!(parsed.records.len(), 2, "flag {flag}");
+            assert_eq!(parsed.records.len(), 1, "flag {flag}");
         }
     }
 
@@ -889,7 +764,7 @@ mod tests {
         // after a partially-acknowledged write).
         let mut doubled = bytes.clone();
         let mut tail = Vec::new();
-        encode_record(0, &WalRecord::Begin { txn: 7 }, &mut tail);
+        encode_record(0, &commit(7, &[7]), &mut tail);
         doubled.extend_from_slice(&tail);
         let parsed = read_log(&doubled);
         assert_eq!(parsed.valid_len, bytes.len() as u64);
@@ -897,23 +772,18 @@ mod tests {
     }
 
     #[test]
-    fn replay_redoes_winners_and_undoes_losers() {
+    fn replay_redoes_every_image_and_folds_only_commits() {
         let mut disk = DiskManager::in_memory();
         disk.allocate().unwrap();
         disk.allocate().unwrap();
         let log = encode_all(&[
             WalRecord::Checkpoint { meta: vec![0] },
-            WalRecord::Begin { txn: 1 },
             WalRecord::PageImage {
                 txn: 1,
                 pid: PageId(0),
                 after: image(0xAA),
             },
-            WalRecord::Commit {
-                txn: 1,
-                meta: vec![1],
-            },
-            WalRecord::Begin { txn: 2 },
+            commit(1, &[1]),
             WalRecord::PageImage {
                 txn: 2,
                 pid: PageId(1),
@@ -923,80 +793,20 @@ mod tests {
         ]);
         let state = replay(&mut disk, &log).unwrap();
         assert_eq!(state.checkpoint, vec![0]);
-        assert_eq!(state.commits, vec![vec![1]]);
-        assert_eq!(state.committed, 1);
-        assert_eq!(state.losers, 1);
+        assert_eq!(state.commits, vec![vec![1]], "only the winner's delta");
+        assert_eq!((state.committed, state.losers), (1, 1));
+        assert_eq!(state.redone, 2);
         assert_eq!(state.next_txn, 3);
         let mut buf = [0u8; PAGE_SIZE];
         disk.read_page(PageId(0), &mut buf).unwrap();
         assert_eq!(buf[PAGE_HEADER_SIZE], 0xAA, "winner redone");
+        // The loser's page is free in the metadata the deltas fold to,
+        // so its image is left where it landed.
         disk.read_page(PageId(1), &mut buf).unwrap();
-        assert_eq!(buf[PAGE_HEADER_SIZE], 0x00, "loser undone to zero");
-    }
-
-    #[test]
-    fn undo_skips_pages_reused_by_later_transactions() {
-        let mut disk = DiskManager::in_memory();
-        disk.allocate().unwrap();
-        let log = encode_all(&[
-            WalRecord::Checkpoint { meta: vec![0] },
-            // Loser writes page 0...
-            WalRecord::Begin { txn: 1 },
-            WalRecord::PageImage {
-                txn: 1,
-                pid: PageId(0),
-                after: image(0x11),
-            },
-            WalRecord::Abort { txn: 1 },
-            // ...then a committed transaction reuses it.
-            WalRecord::Begin { txn: 2 },
-            WalRecord::PageImage {
-                txn: 2,
-                pid: PageId(0),
-                after: image(0x22),
-            },
-            WalRecord::Commit {
-                txn: 2,
-                meta: vec![2],
-            },
-        ]);
-        let state = replay(&mut disk, &log).unwrap();
-        assert_eq!(state.undone, 0, "loser image is not newest; undo skips");
-        let mut buf = [0u8; PAGE_SIZE];
-        disk.read_page(PageId(0), &mut buf).unwrap();
-        assert_eq!(buf[PAGE_HEADER_SIZE], 0x22);
-    }
-
-    #[test]
-    fn an_abort_wins_over_a_commit_of_the_same_transaction() {
-        let mut disk = DiskManager::in_memory();
-        disk.allocate().unwrap();
-        let log = encode_all(&[
-            WalRecord::Checkpoint { meta: vec![0] },
-            WalRecord::Begin { txn: 1 },
-            WalRecord::PageImage {
-                txn: 1,
-                pid: PageId(0),
-                after: image(0x11),
-            },
-            WalRecord::Commit {
-                txn: 1,
-                meta: vec![1],
-            },
-            WalRecord::Abort { txn: 1 },
-            WalRecord::Begin { txn: 2 },
-            WalRecord::Commit {
-                txn: 2,
-                meta: vec![2],
-            },
-        ]);
-        let state = replay(&mut disk, &log).unwrap();
-        assert_eq!(state.commits, vec![vec![2]], "the aborted delta is dropped");
-        assert_eq!((state.committed, state.losers), (1, 1));
-        assert_eq!(state.next_txn, 3);
-        let mut buf = [0u8; PAGE_SIZE];
-        disk.read_page(PageId(0), &mut buf).unwrap();
-        assert_eq!(buf[PAGE_HEADER_SIZE], 0x00, "its image is undone");
+        assert_eq!(
+            buf[PAGE_HEADER_SIZE], 0xBB,
+            "loser redone onto its free page"
+        );
     }
 
     #[test]
@@ -1004,31 +814,39 @@ mod tests {
         let disk = SharedDisk::new(DiskManager::in_memory());
         let mut wal = Wal::create(None, false, disk, vec![1]).unwrap();
         // Wholly buffered: the cut lands inside the buffer.
-        let keep = wal.append(WalRecord::Begin { txn: 1 });
-        let start = wal.append(WalRecord::Begin { txn: 2 });
-        wal.append(WalRecord::Commit {
+        let keep = wal.append(commit(1, &[1]));
+        let start = wal.append(WalRecord::PageImage {
             txn: 2,
-            meta: vec![2],
+            pid: PageId(0),
+            after: image(0x22),
         });
+        wal.append(commit(2, &[2]));
         wal.truncate_pending(start);
         assert_eq!(wal.next_lsn(), start);
         assert!(wal.next_lsn() > keep);
-        // Partly durable (an eviction flushed `Begin`): the start is
-        // behind the durable mark, and the buffered commit still goes.
-        let start = wal.append(WalRecord::Begin { txn: 3 });
-        wal.flush().unwrap();
-        wal.append(WalRecord::Commit {
+        // Partly durable: the start is behind the durable mark, and the
+        // buffered commit still goes.
+        let start = wal.append(WalRecord::PageImage {
             txn: 3,
-            meta: vec![3],
+            pid: PageId(0),
+            after: image(0x33),
         });
-        assert!(start < wal.durable_lsn());
+        wal.flush().unwrap();
+        let durable = wal.next_lsn();
+        wal.append(commit(3, &[3]));
+        assert!(start < durable);
         wal.truncate_pending(start);
-        assert_eq!(wal.next_lsn(), wal.durable_lsn());
+        assert_eq!(wal.next_lsn(), durable);
         wal.flush().unwrap();
         let records = read_log(&wal.durable_bytes().unwrap()).records;
-        assert!(!records
+        let commits: Vec<TxnId> = records
             .iter()
-            .any(|(_, r)| matches!(r, WalRecord::Commit { .. })));
+            .filter_map(|(_, r)| match r {
+                WalRecord::Commit { txn, .. } => Some(*txn),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(commits, [1]);
     }
 
     #[test]
@@ -1036,17 +854,12 @@ mod tests {
         let mut disk = DiskManager::in_memory();
         let log = encode_all(&[
             WalRecord::Checkpoint { meta: vec![0] },
-            WalRecord::Begin { txn: 1 },
             WalRecord::PageImage {
                 txn: 1,
                 pid: PageId(0),
                 after: image(0xCC),
             },
-            WalRecord::Commit {
-                txn: 1,
-                meta: vec![1],
-            },
-            WalRecord::Begin { txn: 2 },
+            commit(1, &[1]),
             WalRecord::PageImage {
                 txn: 2,
                 pid: PageId(1),
@@ -1072,7 +885,7 @@ mod tests {
     #[test]
     fn log_without_checkpoint_is_typed_corruption() {
         let mut disk = DiskManager::in_memory();
-        let log = encode_all(&[WalRecord::Begin { txn: 1 }]);
+        let log = encode_all(&[commit(1, &[1])]);
         match replay(&mut disk, &log) {
             Err(StoreError::WalCorrupt { offset: 0, .. }) => {}
             other => panic!("expected WalCorrupt, got {other:?}"),
@@ -1087,24 +900,20 @@ mod tests {
         let disk = SharedDisk::new(DiskManager::in_memory());
         {
             let mut wal = Wal::create(Some(&wal_path), false, disk.clone(), vec![7]).unwrap();
-            wal.append(WalRecord::Begin { txn: 1 });
-            wal.append(WalRecord::Commit {
-                txn: 1,
-                meta: vec![8],
-            });
+            wal.append(commit(1, &[8]));
             wal.flush().unwrap();
-            assert_eq!(wal.stats().records, 3);
+            assert_eq!(wal.stats().records, 2);
         }
         let bytes = std::fs::read(&wal_path).unwrap();
         let parsed = read_log(&bytes);
-        assert_eq!(parsed.records.len(), 3);
+        assert_eq!(parsed.records.len(), 2);
         // Reopen and append more; offsets continue where the log ended.
         let mut wal = Wal::open(&wal_path, false, disk, parsed.valid_len).unwrap();
-        let lsn = wal.append(WalRecord::Abort { txn: 2 });
+        let lsn = wal.append(commit(2, &[9]));
         assert_eq!(lsn, parsed.valid_len);
         wal.flush().unwrap();
         let parsed = read_log(&std::fs::read(&wal_path).unwrap());
-        assert_eq!(parsed.records.len(), 4);
+        assert_eq!(parsed.records.len(), 3);
         std::fs::remove_file(&wal_path).unwrap();
         let _ = std::fs::remove_dir(&dir);
     }
@@ -1114,7 +923,7 @@ mod tests {
         let disk = SharedDisk::new(DiskManager::in_memory());
         let mut wal = Wal::create(None, false, disk, vec![1]).unwrap();
         for i in 0..10 {
-            wal.append(WalRecord::Begin { txn: i });
+            wal.append(commit(i, &[i as u8]));
         }
         wal.flush().unwrap();
         let before = wal.durable_bytes().unwrap().len();

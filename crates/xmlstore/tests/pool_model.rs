@@ -1,7 +1,7 @@
 //! Model-based property test for the buffer pool: against any sequence
-//! of page reads and writes, the pool must behave like a plain array of
-//! pages (now of data regions, with the checksum header invisible), and
-//! its statistics must add up.
+//! of page reads and whole-image writes (the pool's one write path), the
+//! pool must behave like a plain array of pages (now of data regions,
+//! with the checksum header invisible), and its statistics must add up.
 //!
 //! Ported from proptest to the in-tree `smallrand::prop` harness.
 
@@ -70,10 +70,10 @@ fn pool_behaves_like_flat_memory() {
                     value,
                 } => {
                     let page = page % npages;
-                    requests += 1;
-                    pool.with_page_mut(PageId(page as u32), |p| p[offset as usize] = value)
-                        .unwrap();
                     model[page as usize][offset as usize] = value;
+                    let mut image = [0u8; PAGE_SIZE];
+                    image[PAGE_HEADER_SIZE..].copy_from_slice(&model[page as usize]);
+                    pool.write_page_image(PageId(page as u32), &image).unwrap();
                 }
                 Op::Flush => pool.flush_all().unwrap(),
                 Op::Clear => pool.clear().unwrap(),

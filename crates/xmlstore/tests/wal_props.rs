@@ -24,15 +24,14 @@ fn temp_log_path() -> PathBuf {
     std::env::temp_dir().join(format!("xmlstore_wal_props_{}_{n}.wal", std::process::id()))
 }
 
-/// Append a random multi-transaction history (begins, page images over
-/// a handful of pages, commits, aborts, interleaved group flushes) and
-/// return the durable log bytes plus the records as written.
+/// Append a random multi-transaction history (page images over a
+/// handful of pages, commits, interleaved group flushes) and return the
+/// durable log bytes plus the records as written.
 fn build_log(g: &mut Gen) -> (Vec<u8>, Vec<(Lsn, WalRecord)>) {
     let path = temp_log_path();
     let disk = SharedDisk::new(DiskManager::in_memory());
     let mut w = Wal::create(Some(&path), false, disk, vec![0xCC; 9]).unwrap();
     for t in 1..=g.usize_in(1, 4) as u64 {
-        w.append(WalRecord::Begin { txn: t });
         for _ in 0..g.usize_in(0, 3) {
             let mut after = Box::new([0u8; PAGE_SIZE]);
             for b in after.iter_mut().take(96) {
@@ -49,8 +48,6 @@ fn build_log(g: &mut Gen) -> (Vec<u8>, Vec<(Lsn, WalRecord)>) {
                 txn: t,
                 meta: vec![t as u8; g.usize_in(1, 16)],
             });
-        } else if g.bool() {
-            w.append(WalRecord::Abort { txn: t });
         }
         if g.ratio(1, 3) {
             w.flush().unwrap();
