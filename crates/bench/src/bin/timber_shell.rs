@@ -12,7 +12,7 @@
 //! .insert <file.xml>   insert a document into the current database
 //!                      (creates an empty one first if none is loaded)
 //! .delete <doc>        delete a document by id (see .stats for ids)
-//! .checkpoint          flush dirty pages and truncate the write-ahead
+//! .checkpoint          sync the page file and truncate the write-ahead
 //!                      log (durable databases)
 //! .mode direct|groupby|both
 //! .cube                run the lattice query (journal → year →
@@ -235,7 +235,7 @@ impl Shell {
                             "checkpoint done ({} so far, {} log records written)",
                             s.checkpoints, s.records
                         ),
-                        None => println!("checkpoint done (non-durable database: pages flushed)"),
+                        None => println!("checkpoint done (no log: page file synced)"),
                     },
                     Err(e) => eprintln!("checkpoint failed: {e}"),
                 },

@@ -154,7 +154,7 @@ impl Client {
         self.call_u64(Opcode::Replace, &body)
     }
 
-    /// Flush dirty pages and truncate the write-ahead log.
+    /// Sync the page file and truncate the write-ahead log.
     pub fn checkpoint(&mut self) -> Result<()> {
         self.call(Opcode::Checkpoint, &[])?;
         Ok(())

@@ -142,8 +142,8 @@ impl TimberDb {
         Ok(self.store.replace_document(doc, &parsed)?)
     }
 
-    /// Flush all dirty pages, fsync the page file, and truncate the log
-    /// to a fresh checkpoint record.
+    /// Sync the page file and truncate the log to a fresh checkpoint
+    /// record.
     pub fn checkpoint(&self) -> Result<()> {
         Ok(self.store.checkpoint()?)
     }

@@ -11,14 +11,13 @@
 //! (`PAGE_DATA_SIZE` bytes); the 8-byte header belongs to the storage
 //! layer. Transient faults — interrupted I/O, read-path bit flips caught
 //! by the checksum — are retried with exponential backoff before being
-//! surfaced, and a failed transfer always leaves the pool in a
-//! consistent state (the frame either still holds its old page or is
-//! invalid, never a half-installed mapping).
+//! surfaced, and a failed read leaves the frame invalid and unmapped.
 //!
-//! The pool knows nothing of the log. Every page the commit path
-//! installs is free in every state recovery can reach until a durable
-//! commit makes it live, so a dirty frame may be written back at any
-//! time. Lock order is pool → disk.
+//! The pool only reads. The commit path writes its pages to the page
+//! file itself and [`discard`](BufferPool::discard)s any cached frame
+//! of them, so a frame always equals its page on disk, eviction and
+//! [`clear`](BufferPool::clear) only drop frames, and no read ever
+//! writes. Lock order is pool → disk.
 
 use crate::error::{Result, StoreError};
 use crate::page::{self, PageId, PAGE_DATA_SIZE, PAGE_SIZE};
@@ -42,8 +41,6 @@ pub struct BufferStats {
     pub misses: u64,
     /// Pages evicted to make room.
     pub evictions: u64,
-    /// Dirty pages written back during eviction or flush.
-    pub writebacks: u64,
     /// Page transfers retried after a transient fault.
     pub retries: u64,
 }
@@ -68,7 +65,6 @@ fn with_retry<T>(retries: &mut u64, mut op: impl FnMut() -> Result<T>) -> Result
 struct Frame {
     pid: PageId,
     data: Box<[u8; PAGE_SIZE]>,
-    dirty: bool,
     refbit: bool,
     valid: bool,
 }
@@ -78,7 +74,6 @@ impl Frame {
         Frame {
             pid: PageId(u32::MAX),
             data: Box::new([0u8; PAGE_SIZE]),
-            dirty: false,
             refbit: false,
             valid: false,
         }
@@ -88,23 +83,13 @@ impl Frame {
 /// A fixed-capacity page cache with second-chance (clock) replacement.
 ///
 /// The pool does not lock internally; the store keeps its one pool
-/// behind a mutex, over a [`SharedDisk`] it also writes to directly.
+/// behind a mutex, over a [`SharedDisk`] its commits write to.
 pub struct BufferPool {
     disk: SharedDisk,
     frames: Vec<Frame>,
     table: HashMap<PageId, usize>,
     hand: usize,
     stats: BufferStats,
-}
-
-/// Write one frame back to disk.
-fn write_back(
-    disk: &SharedDisk,
-    retries: &mut u64,
-    pid: PageId,
-    data: &[u8; PAGE_SIZE],
-) -> Result<()> {
-    with_retry(retries, || disk.lock().write_page(pid, data))
 }
 
 impl BufferPool {
@@ -169,53 +154,24 @@ impl BufferPool {
         Ok(f(page::data(&self.frames[idx].data)))
     }
 
-    /// Install a full page image into the pool without reading the old
-    /// contents from disk, marking the frame dirty. This is the image
-    /// write path: the page is free until the caller's commit lands, so
-    /// the frame may be written back whenever it is evicted.
-    pub fn write_page_image(&mut self, pid: PageId, data: &[u8; PAGE_SIZE]) -> Result<()> {
-        let idx = match self.table.get(&pid) {
-            Some(&idx) => idx,
-            None => {
-                let idx = self.evict_for(pid)?;
-                self.frames[idx].pid = pid;
-                self.frames[idx].valid = true;
-                self.table.insert(pid, idx);
-                idx
-            }
-        };
-        *self.frames[idx].data = *data;
-        self.frames[idx].dirty = true;
-        self.frames[idx].refbit = true;
-        Ok(())
-    }
-
-    /// Write all dirty frames back to disk.
-    pub fn flush_all(&mut self) -> Result<()> {
-        let mut retries = 0;
-        for i in 0..self.frames.len() {
-            if self.frames[i].valid && self.frames[i].dirty {
-                let f = &self.frames[i];
-                let res = write_back(&self.disk, &mut retries, f.pid, &f.data);
-                self.stats.retries += std::mem::take(&mut retries);
-                res?;
-                self.frames[i].dirty = false;
-                self.stats.writebacks += 1;
-            }
+    /// Drop the cached frame of `pid`, if any, so the next request
+    /// reads the page file. A commit calls this for every page it
+    /// writes.
+    pub fn discard(&mut self, pid: PageId) {
+        if let Some(idx) = self.table.remove(&pid) {
+            self.frames[idx].valid = false;
+            self.frames[idx].refbit = false;
         }
-        Ok(())
     }
 
-    /// Drop every cached page (flushing dirty ones), emptying the pool.
-    /// Used by benchmarks to start measurements cold.
-    pub fn clear(&mut self) -> Result<()> {
-        self.flush_all()?;
+    /// Drop every cached page, emptying the pool. Used by benchmarks to
+    /// start measurements cold.
+    pub fn clear(&mut self) {
         for f in &mut self.frames {
             f.valid = false;
             f.refbit = false;
         }
         self.table.clear();
-        Ok(())
     }
 
     fn fetch(&mut self, pid: PageId) -> Result<usize> {
@@ -225,7 +181,7 @@ impl BufferPool {
             return Ok(idx);
         }
         self.stats.misses += 1;
-        let idx = self.evict_for(pid)?;
+        let idx = self.evict();
         let mut retries = 0;
         let res = with_retry(&mut retries, || {
             self.disk.lock().read_page(pid, &mut self.frames[idx].data)
@@ -235,53 +191,29 @@ impl BufferPool {
         res?;
         self.frames[idx].pid = pid;
         self.frames[idx].valid = true;
-        self.frames[idx].dirty = false;
         self.frames[idx].refbit = true;
         self.table.insert(pid, idx);
         Ok(idx)
     }
 
-    /// Pick a victim frame and make it free (writing back its dirty
-    /// contents first). On return the frame is invalid and unmapped.
-    fn evict_for(&mut self, _incoming: PageId) -> Result<usize> {
-        let idx = self.victim()?;
-        let mut retries = 0;
-        if self.frames[idx].valid {
-            if self.frames[idx].dirty {
-                let f = &self.frames[idx];
-                let res = write_back(&self.disk, &mut retries, f.pid, &f.data);
-                self.stats.retries += std::mem::take(&mut retries);
-                // On failure the frame still holds its (dirty) page and
-                // the table still maps it: nothing was lost.
-                res?;
-                self.frames[idx].dirty = false;
-                self.stats.writebacks += 1;
-            }
-            // Unmap only once the old contents are safe on disk.
-            self.table.remove(&self.frames[idx].pid);
-            self.frames[idx].valid = false;
-            self.stats.evictions += 1;
-        }
-        Ok(idx)
-    }
-
-    /// Choose a frame to fill: first invalid frame, else clock scan.
-    fn victim(&mut self) -> Result<usize> {
+    /// Pick a frame to fill — the first invalid one, else by clock scan
+    /// — and drop its page. On return the frame is invalid and unmapped.
+    fn evict(&mut self) -> usize {
         if let Some(idx) = self.frames.iter().position(|f| !f.valid) {
-            return Ok(idx);
+            return idx;
         }
-        // Second-chance scan; bounded at two full sweeps, after which every
-        // refbit is clear and the current hand must be evictable.
-        for _ in 0..2 * self.frames.len() + 1 {
+        // Second-chance scan: after one full sweep every refbit is clear,
+        // so it ends within two.
+        loop {
             let idx = self.hand;
             self.hand = (self.hand + 1) % self.frames.len();
-            if self.frames[idx].refbit {
-                self.frames[idx].refbit = false;
-            } else {
-                return Ok(idx);
+            if !std::mem::take(&mut self.frames[idx].refbit) {
+                self.table.remove(&self.frames[idx].pid);
+                self.frames[idx].valid = false;
+                self.stats.evictions += 1;
+                return idx;
             }
         }
-        unreachable!("clock scan always terminates");
     }
 }
 
@@ -290,13 +222,6 @@ mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultInjector};
     use crate::page::PAGE_HEADER_SIZE;
-
-    /// A page image whose data byte `offset` holds `value`.
-    fn image(offset: usize, value: u8) -> [u8; PAGE_SIZE] {
-        let mut buf = [0u8; PAGE_SIZE];
-        buf[PAGE_HEADER_SIZE + offset] = value;
-        buf
-    }
 
     fn pool_with_pages(capacity: usize, npages: u32) -> BufferPool {
         let mut disk = DiskManager::in_memory();
@@ -357,32 +282,10 @@ mod tests {
     }
 
     #[test]
-    fn dirty_pages_written_back_on_eviction() {
-        let mut pool = pool_with_pages(1, 2);
-        pool.write_page_image(PageId(0), &image(5, 99)).unwrap();
-        pool.with_page(PageId(1), |_| ()).unwrap(); // evicts dirty page 0
-        assert_eq!(pool.stats().writebacks, 1);
-        let v = pool.with_page(PageId(0), |p| p[5]).unwrap();
-        assert_eq!(v, 99);
-    }
-
-    #[test]
-    fn flush_all_persists() {
-        let mut pool = pool_with_pages(2, 2);
-        pool.write_page_image(PageId(1), &image(7, 42)).unwrap();
-        pool.flush_all().unwrap();
-        assert_eq!(pool.stats().writebacks, 1);
-        // Direct disk read sees the change in the data region.
-        let mut buf = [0u8; PAGE_SIZE];
-        pool.disk_mut().read_page(PageId(1), &mut buf).unwrap();
-        assert_eq!(buf[PAGE_HEADER_SIZE + 7], 42);
-    }
-
-    #[test]
     fn clear_empties_pool() {
         let mut pool = pool_with_pages(2, 2);
         pool.with_page(PageId(0), |_| ()).unwrap();
-        pool.clear().unwrap();
+        pool.clear();
         pool.reset_stats();
         pool.with_page(PageId(0), |_| ()).unwrap();
         assert_eq!(pool.stats().misses, 1);
@@ -445,29 +348,5 @@ mod tests {
             .poke_byte(PageId(0), PAGE_HEADER_SIZE + 3, 0xFF)
             .unwrap();
         pool.with_page(PageId(0), |p| assert_eq!(p[0], 0)).unwrap();
-    }
-
-    #[test]
-    fn failed_writeback_keeps_dirty_page_mapped() {
-        let mut pool = pool_with_pages(1, 2);
-        pool.write_page_image(PageId(0), &image(5, 99)).unwrap();
-        // Every write fails: evicting the dirty page must error out
-        // without losing it.
-        pool.shared_disk()
-            .set_fault_injector(Some(FaultInjector::new(
-                FaultConfig::seeded(1).with_write_error(1.0),
-            )));
-        let err = pool.with_page(PageId(1), |_| ()).unwrap_err();
-        assert!(err.is_transient());
-        pool.shared_disk().set_fault_injector(None);
-        // The dirty page is still cached with its modification.
-        let s = pool.stats();
-        let v = pool.with_page(PageId(0), |p| p[5]).unwrap();
-        assert_eq!(v, 99);
-        assert_eq!(pool.stats().hits, s.hits + 1, "page 0 must still be a hit");
-        // And eviction works again once writes heal.
-        pool.with_page(PageId(1), |_| ()).unwrap();
-        let v = pool.with_page(PageId(0), |p| p[5]).unwrap();
-        assert_eq!(v, 99);
     }
 }

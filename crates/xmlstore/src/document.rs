@@ -22,12 +22,9 @@
 //! replays the log (redo-only: analysis, then redo) to recover exactly
 //! the committed documents after a crash. Every page write lands on a
 //! free page, which nothing recovery can reach holds live until a
-//! durable commit makes it so; no write is ever undone. Bulk inserts
-//! into fresh pages at the end of the file skip page-image logging
-//! entirely — a sync of the page file plus one log flush is enough.
-//! Inserts that reuse freed pages log full after-images and leave the
-//! pages dirty in the pool. Either way an edit is the one transaction
-//! shape of `commit`; only how its pages reach the disk differs.
+//! durable commit makes it so; no write is ever undone. Every commit
+//! writes its pages to the page file and syncs it before one log flush
+//! carries its commit record; the buffer pool only reads.
 //!
 //! # Layout
 //!
@@ -37,8 +34,8 @@
 //! (document → records and pages), `projection` (the published view,
 //! how an edit extends it, snapshot pins, limbo), `output` (the batched
 //! value read, the walk that records a stored subtree, the replay),
-//! `commit` (the one write transaction, its two page-write strategies,
-//! the allocator, checkpoint) and `reopen` (recovery glue).
+//! `commit` (the one write transaction, its page writes, the
+//! allocator, checkpoint) and `reopen` (recovery glue).
 
 mod commit;
 mod loader;
@@ -322,7 +319,6 @@ impl DocumentStore {
             };
             Some(Wal::create(
                 file.as_deref(),
-                false,
                 disk.clone(),
                 encode_meta(&meta, &tags.names_from(0)),
             )?)
@@ -503,11 +499,12 @@ impl DocumentStore {
         self.shared.pool().reset_stats();
     }
 
-    /// Empty the buffer pool so the next operation starts cold. Dirty
-    /// pages are flushed first (with their log records, on durable
-    /// stores).
+    /// Empty the buffer pool so the next operation starts cold. Every
+    /// frame equals its page on disk, so this only drops frames; it
+    /// cannot fail.
     pub fn clear_buffer_pool(&self) -> Result<()> {
-        self.shared.pool().clear()
+        self.shared.pool().clear();
+        Ok(())
     }
 
     /// Buffer pool capacity in pages.
@@ -523,8 +520,6 @@ impl DocumentStore {
     /// traffic, not the initial layout. Cached pages are dropped so the
     /// schedule applies to every subsequent page touch.
     pub fn inject_faults(&self, config: Option<FaultConfig>) -> Result<()> {
-        // Flush through the *clean* disk before arming the injector, so
-        // dirty frames are not lost to injected write errors.
         self.clear_buffer_pool()?;
         self.shared
             .disk

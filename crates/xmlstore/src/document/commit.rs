@@ -5,9 +5,8 @@
 //! pages, publishes a projection, and — on error — gives the runs back
 //! and drops the transaction's buffered records from the log.
 //! `insert_document`, `delete_document` and `replace_document` are
-//! [`Edit`]s handed to it.
-//! The two page-write strategies below it are chosen from what the
-//! allocator returned, not by the caller.
+//! [`Edit`]s handed to it. Every commit writes its pages to the page
+//! file itself and syncs it before the commit record is flushed.
 //!
 //! What a commit does is sized by the edit: it logs the dictionary
 //! suffix and the one or two document-table entries that changed, and
@@ -63,10 +62,6 @@ struct Edit<'a> {
 struct Run {
     base: u32,
     len: u32,
-    /// Freshly appended at the end of the file (as opposed to reusing
-    /// freed pages). Bulk inserts into fresh runs skip page-image
-    /// logging: the pages are written in place and synced.
-    fresh: bool,
 }
 
 /// Return a run's pages straight to the free list (rollback of pages no
@@ -103,8 +98,8 @@ impl DocumentStore {
 
     /// Delete document `doc` as one WAL transaction. Its pages move to
     /// the limbo list and return to the free list once no live snapshot
-    /// still references them; the reuse path writes full page images,
-    /// so freed content can never leak into a later document.
+    /// still references them; a reused page is rewritten whole, so freed
+    /// content can never leak into a later document.
     pub fn delete_document(&self, doc: DocId) -> Result<()> {
         self.commit(Edit {
             remove: Some(doc),
@@ -194,11 +189,7 @@ impl DocumentStore {
             .into_iter()
             .flat_map(|(run, images)| (run.base..).map(PageId).zip(images))
             .collect();
-        let written = if heap_run.fresh && node_run.fresh {
-            self.commit_fresh(&pages)
-        } else {
-            self.commit_images(txn, &pages)
-        };
+        let written = self.write_pages(&pages);
         if let Err(e) = written.and_then(|()| self.log_commit(txn, delta)) {
             // The runs were never visible to any projection, so they
             // go straight back to the free list, not limbo; a buffered
@@ -226,14 +217,13 @@ impl DocumentStore {
         Ok(doc_id)
     }
 
-    /// Flush all dirty pages, sync the page file, and truncate the log
-    /// to a fresh checkpoint carrying the one full metadata snapshot.
+    /// Sync the page file, then truncate the log to a fresh checkpoint
+    /// carrying the one full metadata snapshot.
     pub fn checkpoint(&self) -> Result<()> {
         if self.shared.disk.crashed() {
             return Err(StoreError::SimulatedCrash);
         }
         let mut w = self.writer();
-        self.shared.pool().flush_all()?;
         self.shared.disk.lock().sync()?;
         if let Some(mut wal) = self.shared.wal() {
             // The whole name table, straight from the dictionary: symbols
@@ -247,49 +237,35 @@ impl DocumentStore {
         Ok(())
     }
 
-    // ---- page-write strategies -----------------------------------------
-    //
-    // Either way every page written is free until the commit record
-    // lands, so neither strategy ever needs undoing.
-
-    /// Write an edit's pages, all freshly allocated at the end of the
-    /// file, in place, and sync the page file when a commit record will
-    /// follow. This keeps bulk-load WAL overhead to
-    /// a file sync and one small log write, instead of doubling the
-    /// write volume with page images. With no pages at all (a delete)
-    /// there is nothing to write or sync.
-    fn commit_fresh(&self, pages: &[(PageId, &PageImage)]) -> Result<()> {
-        if !pages.is_empty() {
-            let mut d = self.shared.disk.lock();
-            for (pid, page) in pages {
-                d.write_page(*pid, page)?;
-            }
-            if self.shared.wal.is_some() {
-                d.sync()?;
-            }
+    /// Write an edit's pages to the page file, drop any cached frame of
+    /// them, and, on a durable store, sync the page file before the
+    /// commit record is flushed. Every page is free until that record
+    /// lands, and no reader asks for one before the commit publishes
+    /// it, so nothing here is ever undone or logged. A delete writes
+    /// and syncs nothing.
+    fn write_pages(&self, pages: &[(PageId, &PageImage)]) -> Result<()> {
+        if pages.is_empty() {
+            return Ok(());
+        }
+        let mut pool = self.shared.pool();
+        for &(pid, _) in pages {
+            pool.discard(pid);
+        }
+        drop(pool);
+        let mut d = self.shared.disk.lock();
+        for (pid, page) in pages {
+            d.write_page(*pid, page)?;
+        }
+        if self.shared.wal.is_some() {
+            d.sync()?;
         }
         Ok(())
     }
 
-    /// Write an edit that reuses freed pages: log a full after-image per
-    /// page and install the images in the buffer pool (no-force: the
-    /// commit flushes only the log, and an eviction may write a page
-    /// back at any time).
-    fn commit_images(&self, txn: TxnId, pages: &[(PageId, &PageImage)]) -> Result<()> {
-        for &(pid, page) in pages {
-            if let Some(mut wal) = self.shared.wal() {
-                let after = page.clone();
-                wal.append(WalRecord::PageImage { txn, pid, after });
-            }
-            self.shared.pool().write_page_image(pid, page)?;
-        }
-        Ok(())
-    }
-
-    /// Append `txn`'s `Commit` and flush it with the images before it,
-    /// retrying a bounded number of times: injected log-write errors are
-    /// transient, and a record left buffered after reporting failure
-    /// would let a later flush commit it behind our back.
+    /// Append `txn`'s `Commit` and flush it, retrying a bounded number
+    /// of times: injected log-write errors are transient, and a record
+    /// left buffered after reporting failure would let a later flush
+    /// commit it behind our back.
     fn log_commit(&self, txn: TxnId, delta: Option<Vec<u8>>) -> Result<()> {
         const MAX_RETRIES: u32 = 3;
         let (Some(mut wal), Some(meta)) = (self.shared.wal(), delta) else {
@@ -313,11 +289,7 @@ impl DocumentStore {
     /// of the file.
     fn alloc_run(&self, w: &mut WriterState, n: u32) -> Result<Run> {
         if n == 0 {
-            return Ok(Run {
-                base: 0,
-                len: 0,
-                fresh: true,
-            });
+            return Ok(Run { base: 0, len: 0 });
         }
         let mut len = 0u32;
         let mut prev: Option<u32> = None;
@@ -337,11 +309,7 @@ impl DocumentStore {
             for p in base..base + n {
                 w.free.remove(&p);
             }
-            return Ok(Run {
-                base,
-                len: n,
-                fresh: false,
-            });
+            return Ok(Run { base, len: n });
         }
         let base = self.shared.disk.num_pages();
         for allocated in 0..n {
@@ -350,11 +318,7 @@ impl DocumentStore {
                 return Err(e);
             }
         }
-        Ok(Run {
-            base,
-            len: n,
-            fresh: true,
-        })
+        Ok(Run { base, len: n })
     }
 }
 
@@ -535,9 +499,9 @@ mod tests {
     #[test]
     fn reuse_through_a_warm_pool_reads_the_new_bytes() {
         // Document A's pages are cached when A is deleted and B is
-        // inserted over its run: the image path replaces the cached
-        // frames, so B reads back its own bytes, from the pool and, after
-        // the pool is emptied, from the page file.
+        // inserted over its run: the commit drops the cached frames, so
+        // B reads back its own bytes, through the pool and, after the
+        // pool is emptied, from the page file.
         let text = |s: &DocumentStore| -> Vec<String> {
             (0..s.node_count())
                 .filter_map(|id| s.content(NodeId(id)).unwrap())
@@ -601,20 +565,25 @@ mod tests {
         // and an insert is its page images plus the names it interned.
         // Records and bytes were re-pinned once more when transactions
         // stopped logging a `Begin` (one record and 25 bytes per edit);
-        // the flushes and page writes did not move.
+        // the flushes and page writes did not move. The four edits that
+        // reuse pages were re-pinned when every commit began to write
+        // and sync its own pages: they log their `Commit` alone instead
+        // of a page image per page, and their page writes, which waited
+        // in the pool for an eviction or a checkpoint, are their page
+        // counts.
         const PINNED: [(u64, u64, u64, u64); 12] = [
-            (1, 167, 1, 2),   // insert a, fresh run
-            (1, 112, 1, 2),   // insert b, fresh
-            (1, 3208, 1, 6),  // insert c (400 articles), fresh
-            (1, 70, 1, 0),    // delete a: no pages
-            (3, 16556, 1, 0), // insert d over a's run: page images
-            (1, 120, 1, 2),   // replace b → e, fresh
-            (1, 70, 1, 0),    // delete d under a pinned snapshot
-            (3, 16556, 1, 0), // insert f over b's run (d's is pinned)
-            (7, 52524, 1, 0), // replace c → g, part reused: page images
-            (1, 70, 1, 0),    // delete e
-            (1, 70, 1, 0),    // delete f
-            (7, 52516, 1, 0), // insert h over c's run: page images
+            (1, 167, 1, 2),  // insert a, fresh run
+            (1, 112, 1, 2),  // insert b, fresh
+            (1, 3208, 1, 6), // insert c (400 articles), fresh
+            (1, 70, 1, 0),   // delete a: no pages
+            (1, 112, 1, 2),  // insert d over a's run
+            (1, 120, 1, 2),  // replace b → e, fresh
+            (1, 70, 1, 0),   // delete d under a pinned snapshot
+            (1, 112, 1, 2),  // insert f over b's run (d's is pinned)
+            (1, 3192, 1, 6), // replace c → g, part reused
+            (1, 70, 1, 0),   // delete e
+            (1, 70, 1, 0),   // delete f
+            (1, 3184, 1, 6), // insert h over c's run
         ];
         let s = DocumentStore::create(&StoreOptions::in_memory().with_durable()).unwrap();
         let mut seen = Vec::new();

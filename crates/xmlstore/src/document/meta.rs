@@ -56,7 +56,8 @@ pub(super) struct MetaDelta {
 
 const META_MAGIC: u32 = 0x544d_4254; // "TBMT"
 const DELTA_MAGIC: u32 = 0x444d_4254; // "TBMD"
-/// v5: a transaction logs its page images and one `Commit`, with no
+/// v5: a transaction logs one `Commit` (and, in logs written before
+/// commits synced their pages in place, its page images), with no
 /// `Begin` or `Abort` record; a v4 log holds those, and the reader would
 /// stop at the first. v4 node records already carried their content
 /// symbol where v3 kept the parent id. Commits carry a [`MetaDelta`];

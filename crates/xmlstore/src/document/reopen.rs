@@ -58,7 +58,6 @@ impl DocumentStore {
         // the old log tail is no longer needed.
         let wal = Some(Wal::create(
             Some(&wal_p),
-            false,
             disk.clone(),
             encode_meta(&meta, &names),
         )?);
@@ -184,6 +183,45 @@ mod tests {
     }
 
     #[test]
+    fn a_short_log_write_that_fails_does_not_hide_a_later_commit() {
+        // Every log flush of the middle insert writes half its bytes and
+        // then fails, as a short write followed by EIO would; page writes
+        // are spared. Each failed flush must cut the log back, so the
+        // next commit lands at the offset its LSN names and survives a
+        // reopen.
+        let (page, wal) = temp_paths("short_write");
+        let opts = durable_opts(&page);
+        let log_down: crate::FaultConfig = "seed=1,write_err=1.0,pages=4294967295-4294967295"
+            .parse()
+            .unwrap();
+        let author_xml =
+            |name: &str| format!("<bib><article><author>{name}</author></article></bib>");
+        {
+            let s = DocumentStore::create(&opts).unwrap();
+            s.insert_xml(SAMPLE).unwrap();
+            s.inject_faults(Some(log_down)).unwrap();
+            let err = s.insert_xml(&author_xml("Lost")).unwrap_err();
+            assert!(err.is_transient(), "{err}");
+            s.inject_faults(None).unwrap();
+            s.insert_xml(&author_xml("Kept")).unwrap();
+        }
+        let s = DocumentStore::open(&opts).unwrap();
+        assert_eq!(s.documents().len(), 2);
+        assert_eq!(s.recovery_info().unwrap().committed, 2);
+        let author = s.tag_id("author").unwrap();
+        let names: Vec<Option<String>> = s
+            .nodes_with_tag(author)
+            .iter()
+            .map(|e| s.content(e.id).unwrap())
+            .collect();
+        assert_eq!(names.last(), Some(&Some("Kept".to_owned())));
+        assert!(!names.contains(&Some("Lost".to_owned())));
+        drop(s);
+        let _ = std::fs::remove_file(&page);
+        let _ = std::fs::remove_file(&wal);
+    }
+
+    #[test]
     fn crash_during_insert_rolls_back_on_reopen() {
         let (page, wal) = temp_paths("crash_insert");
         let opts = durable_opts(&page);
@@ -224,9 +262,9 @@ mod tests {
         // Delete a document, reinsert over its pages, and tear the
         // insert's commit off the log. The delete is durable, so its
         // pages are free in the recovered metadata, and the torn
-        // insert's images, redone onto them, are unreachable: no read
-        // returns either payload, and the next insert there reads back
-        // its own bytes.
+        // insert's pages, written and synced onto them, are
+        // unreachable: no read returns either payload, and the next
+        // insert there reads back its own bytes.
         let (page, wal) = temp_paths("torn_reuse");
         let opts = durable_opts(&page);
         {
@@ -234,8 +272,7 @@ mod tests {
             let d1 = s.insert_xml("<a><b>RESURRECT_ME</b></a>").unwrap();
             s.checkpoint().unwrap();
             s.delete_document(d1).unwrap();
-            // Same shape: reuses d1's freed heap + node pages, so this
-            // goes through the page-image commit path.
+            // Same shape: reuses d1's freed heap + node pages.
             s.insert_xml("<a><b>SECOND_BODY</b></a>").unwrap();
         }
         // Tear the final commit record: keep a few bytes so the tail is
@@ -259,8 +296,10 @@ mod tests {
             "the delete holds, the insert is gone"
         );
         let info = s.recovery_info().unwrap();
-        assert_eq!((info.committed, info.losers, info.undone), (1, 1, 0));
-        assert!(info.redone >= 2, "heap + node images redone: {info:?}");
+        // A commit logs no page image, so nothing is redone and the
+        // torn insert leaves no loser behind.
+        assert_eq!((info.committed, info.losers, info.undone), (1, 0, 0));
+        assert_eq!(info.redone, 0, "{info:?}");
         assert!(s.dict().get("SECOND_BODY").is_none(), "torn delta folded");
         let pages = s.total_pages();
         let contents = |s: &DocumentStore| -> Vec<String> {

@@ -80,8 +80,13 @@ pub enum WriteFault {
 pub enum LogFault {
     /// No fault: the whole pending buffer is persisted and synced.
     None,
-    /// The flush fails with a transient I/O error (nothing persisted).
-    Error,
+    /// The flush fails with a transient I/O error after a short write:
+    /// the first `persist` bytes of the pending buffer reach the log (a
+    /// strict prefix, half of it).
+    Error {
+        /// Persisted prefix length (`0..pending`).
+        persist: usize,
+    },
     /// The `crash=N` kill point fired: only the first `persist` bytes of
     /// the pending buffer reach the log (a *strict* prefix, so a commit
     /// record pending in this flush can never become durable), and the
@@ -477,7 +482,9 @@ impl FaultInjector {
         }
         if self.hit(self.cfg.write_error) {
             self.stats.write_errors += 1;
-            return LogFault::Error;
+            return LogFault::Error {
+                persist: pending / 2,
+            };
         }
         LogFault::None
     }

@@ -18,7 +18,9 @@
 //! stays idempotent.
 //!
 //! Record kinds: `PageImage` (a full after image — physical logging —
-//! behind a flag byte that is always 0), `Commit` (carrying the
+//! behind a flag byte that is always 0; a commit syncs its pages in
+//! place and logs none, but a log of this format may hold them, and
+//! redo reinstalls every one), `Commit` (carrying the
 //! transaction's metadata *delta*: new counters, the dictionary names
 //! interned since the last durable record, the document-table entry
 //! removed and/or added), and `Checkpoint` (the one full metadata
@@ -33,19 +35,20 @@
 //!   allocator took from the free list after the freeing commit's record
 //!   was durable. No state recovery can reach holds such a page as live
 //!   until a durable `Commit` makes it live, so no write ever needs
-//!   undoing, and the buffer pool may write a dirty frame back before
-//!   its image is durable (steal) without knowing about the log.
-//! * **No-force**: commit does not flush data pages; it flushes the log.
-//!   A transaction's images and its `Commit` are appended and flushed
-//!   together (one `flush` call pushes every buffered record).
+//!   undoing.
+//! * A commit writes its pages to the page file and syncs it, then
+//!   appends its `Commit` and flushes the log: the log carries no page
+//!   bytes, and a durable `Commit` names only synced pages.
 //! * A transaction is committed iff its `Commit` record is fully
-//!   durable. The simulated-crash injector persists only a *strict
-//!   prefix* of any pending flush, so an operation that returned an
-//!   error can never have a durable commit record.
+//!   durable. The fault injector persists only a *strict prefix* of a
+//!   flush it fails, and a failed flush cuts the log back to its durable
+//!   length, so an operation that returned an error can never have a
+//!   durable commit record, and the next record lands at the offset its
+//!   LSN names.
 //!
 //! Checkpoints truncate: a checkpoint writes a brand-new log containing
-//! one `Checkpoint` record (after flushing all dirty pages) and
-//! atomically renames it over the old log.
+//! one `Checkpoint` record (after syncing the page file) and atomically
+//! renames it over the old log.
 //!
 //! ## Recovery
 //!
@@ -56,7 +59,7 @@
 //!    payloads that follow it, in log order;
 //! 2. **Redo** — every page image is rewritten in log order, committed
 //!    or not (full images make this idempotent, and it also repairs
-//!    pages torn by a crash mid-writeback). A loser's image only ever
+//!    pages torn by a crash mid-commit). A loser's image only ever
 //!    lands on a page that is free in the recovered metadata.
 //!
 //! Replaying recovery twice leaves the same bytes as replaying it once.
@@ -274,7 +277,6 @@ enum WalBackend {
     File {
         file: std::fs::File,
         path: PathBuf,
-        temp: bool,
     },
     /// In-memory log for `on_disk: false` stores: the write path runs
     /// (and is measurable) but nothing survives the process.
@@ -293,18 +295,17 @@ pub struct Wal {
     disk: SharedDisk,
     buf: Vec<u8>,
     durable: u64,
+    /// A failed flush could not cut the log back to `durable`: bytes
+    /// past it may sit where the next record would go, so no later
+    /// flush is attempted.
+    stuck: bool,
     stats: WalStats,
 }
 
 impl Wal {
     /// Create a fresh log (truncating `path` if given, in-memory
     /// otherwise) whose first record is `Checkpoint { meta }`.
-    pub fn create(
-        path: Option<&Path>,
-        temp: bool,
-        disk: SharedDisk,
-        meta: Vec<u8>,
-    ) -> Result<Self> {
+    pub fn create(path: Option<&Path>, disk: SharedDisk, meta: Vec<u8>) -> Result<Self> {
         let backend = match path {
             Some(p) => WalBackend::File {
                 file: OpenOptions::new()
@@ -314,7 +315,6 @@ impl Wal {
                     .truncate(true)
                     .open(p)?,
                 path: p.to_owned(),
-                temp,
             },
             None => WalBackend::Mem(Vec::new()),
         };
@@ -323,31 +323,12 @@ impl Wal {
             disk,
             buf: Vec::new(),
             durable: 0,
+            stuck: false,
             stats: WalStats::default(),
         };
         wal.append(WalRecord::Checkpoint { meta });
         wal.flush()?;
         Ok(wal)
-    }
-
-    /// Reopen an existing on-disk log for appending. `durable` must be
-    /// the valid length reported by [`read_log`] — a torn tail beyond it
-    /// is truncated away so new records land at consistent offsets.
-    pub fn open(path: &Path, temp: bool, disk: SharedDisk, durable: u64) -> Result<Self> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        file.set_len(durable)?;
-        file.seek_to_end()?;
-        Ok(Wal {
-            backend: WalBackend::File {
-                file,
-                path: path.to_owned(),
-                temp,
-            },
-            disk,
-            buf: Vec::new(),
-            durable,
-            stats: WalStats::default(),
-        })
     }
 
     /// Activity counters.
@@ -383,38 +364,53 @@ impl Wal {
         self.buf.truncate(keep);
     }
 
-    /// Flush and fsync the whole tail buffer.
+    /// Flush and fsync the whole tail buffer. The buffer is kept until
+    /// the write and the sync have both succeeded; a failed flush cuts
+    /// the log back to its durable length, so a retry writes at the
+    /// offset its LSNs name. If the cut fails too, every later flush is
+    /// refused as [`StoreError::WalCorrupt`].
     pub fn flush(&mut self) -> Result<()> {
+        if self.stuck {
+            return Err(StoreError::WalCorrupt {
+                offset: self.durable,
+                reason: "a failed flush could not be cut back",
+            });
+        }
         if self.buf.is_empty() {
             if self.disk.crashed() {
                 return Err(StoreError::SimulatedCrash);
             }
             return Ok(());
         }
-        let fault = self.disk.lock().on_log_write(self.buf.len());
-        match fault {
-            LogFault::Error => Err(StoreError::Io(std::io::Error::new(
-                std::io::ErrorKind::Interrupted,
-                "injected transient log write error",
-            ))),
+        let pending = std::mem::take(&mut self.buf);
+        let fault = self.disk.lock().on_log_write(pending.len());
+        let written = match fault {
+            // A short write, then the error.
+            LogFault::Error { persist } => {
+                self.write_durable(&pending[..persist])
+                    .and(Err(StoreError::Io(std::io::Error::new(
+                        std::io::ErrorKind::Interrupted,
+                        "injected transient log write error",
+                    ))))
+            }
             LogFault::Crash { persist } => {
                 // The machine dies mid-flush: a strict prefix of the
                 // pending bytes lands; the rest of the tail is lost.
-                let prefix = self.buf[..persist].to_vec();
-                self.write_durable(&prefix)?;
+                self.write_durable(&pending[..persist])?;
                 self.durable += persist as u64;
-                self.buf.clear();
-                Err(StoreError::SimulatedCrash)
+                return Err(StoreError::SimulatedCrash);
             }
-            LogFault::None => {
-                let pending = std::mem::take(&mut self.buf);
-                self.write_durable(&pending)?;
-                self.durable += pending.len() as u64;
-                self.stats.flushes += 1;
-                self.stats.synced_bytes += pending.len() as u64;
-                Ok(())
-            }
+            LogFault::None => self.write_durable(&pending),
+        };
+        if let Err(e) = written {
+            self.buf = pending;
+            self.stuck = self.cut_back().is_err();
+            return Err(e);
         }
+        self.durable += pending.len() as u64;
+        self.stats.flushes += 1;
+        self.stats.synced_bytes += pending.len() as u64;
+        Ok(())
     }
 
     fn write_durable(&mut self, bytes: &[u8]) -> Result<()> {
@@ -433,17 +429,29 @@ impl Wal {
         Ok(())
     }
 
+    /// Drop every byte past `durable` from the log, and append from there.
+    fn cut_back(&mut self) -> std::io::Result<()> {
+        match &mut self.backend {
+            WalBackend::Mem(log) => log.truncate(self.durable as usize),
+            WalBackend::File { file, .. } => {
+                file.set_len(self.durable)?;
+                file.seek_to_end()?;
+            }
+        }
+        Ok(())
+    }
+
     /// Truncate the log: write a brand-new log containing only
     /// `Checkpoint { meta }` and atomically swap it in. The caller must
-    /// have flushed all dirty pages (and synced the page file) first —
-    /// after this, the old page images are gone.
+    /// have synced the page file first — after this, the old page
+    /// images are gone.
     pub fn checkpoint(&mut self, meta: Vec<u8>) -> Result<()> {
         let mut content = Vec::new();
         encode_record(0, &WalRecord::Checkpoint { meta }, &mut content);
 
         let fault = self.disk.lock().on_log_write(content.len());
         match fault {
-            LogFault::Error => {
+            LogFault::Error { .. } => {
                 return Err(StoreError::Io(std::io::Error::new(
                     std::io::ErrorKind::Interrupted,
                     "injected transient log write error during checkpoint",
@@ -513,18 +521,6 @@ impl SeekToEnd for std::fs::File {
     fn seek_to_end(&mut self) -> std::io::Result<()> {
         use std::io::Seek;
         self.seek(std::io::SeekFrom::End(0)).map(|_| ())
-    }
-}
-
-impl Drop for Wal {
-    fn drop(&mut self) {
-        if let WalBackend::File {
-            path, temp: true, ..
-        } = &self.backend
-        {
-            let _ = std::fs::remove_file(path);
-            let _ = std::fs::remove_file(tmp_path(path));
-        }
     }
 }
 
@@ -812,7 +808,7 @@ mod tests {
     #[test]
     fn truncate_pending_drops_the_whole_tail_of_a_partly_durable_transaction() {
         let disk = SharedDisk::new(DiskManager::in_memory());
-        let mut wal = Wal::create(None, false, disk, vec![1]).unwrap();
+        let mut wal = Wal::create(None, disk, vec![1]).unwrap();
         // Wholly buffered: the cut lands inside the buffer.
         let keep = wal.append(commit(1, &[1]));
         let start = wal.append(WalRecord::PageImage {
@@ -893,35 +889,9 @@ mod tests {
     }
 
     #[test]
-    fn wal_append_flush_reopen_cycle() {
-        let dir = std::env::temp_dir().join(format!("xmlstore-waltest-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let wal_path = dir.join("cycle.wal");
-        let disk = SharedDisk::new(DiskManager::in_memory());
-        {
-            let mut wal = Wal::create(Some(&wal_path), false, disk.clone(), vec![7]).unwrap();
-            wal.append(commit(1, &[8]));
-            wal.flush().unwrap();
-            assert_eq!(wal.stats().records, 2);
-        }
-        let bytes = std::fs::read(&wal_path).unwrap();
-        let parsed = read_log(&bytes);
-        assert_eq!(parsed.records.len(), 2);
-        // Reopen and append more; offsets continue where the log ended.
-        let mut wal = Wal::open(&wal_path, false, disk, parsed.valid_len).unwrap();
-        let lsn = wal.append(commit(2, &[9]));
-        assert_eq!(lsn, parsed.valid_len);
-        wal.flush().unwrap();
-        let parsed = read_log(&std::fs::read(&wal_path).unwrap());
-        assert_eq!(parsed.records.len(), 3);
-        std::fs::remove_file(&wal_path).unwrap();
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
     fn checkpoint_truncates_log() {
         let disk = SharedDisk::new(DiskManager::in_memory());
-        let mut wal = Wal::create(None, false, disk, vec![1]).unwrap();
+        let mut wal = Wal::create(None, disk, vec![1]).unwrap();
         for i in 0..10 {
             wal.append(commit(i, &[i as u8]));
         }

@@ -108,8 +108,8 @@ fn fault_free_runs_match_unchecksummed_reference() {
             let opts = StoreOptions {
                 on_disk,
                 // A tiny pool forces real evictions and re-reads, so the
-                // comparison exercises writeback + verify, not just the
-                // first fill.
+                // comparison exercises the checksum verify of every
+                // re-read, not just the first fill.
                 pool_pages: 3,
                 ..StoreOptions::in_memory()
             };

@@ -30,7 +30,7 @@ fn temp_log_path() -> PathBuf {
 fn build_log(g: &mut Gen) -> (Vec<u8>, Vec<(Lsn, WalRecord)>) {
     let path = temp_log_path();
     let disk = SharedDisk::new(DiskManager::in_memory());
-    let mut w = Wal::create(Some(&path), false, disk, vec![0xCC; 9]).unwrap();
+    let mut w = Wal::create(Some(&path), disk, vec![0xCC; 9]).unwrap();
     for t in 1..=g.usize_in(1, 4) as u64 {
         for _ in 0..g.usize_in(0, 3) {
             let mut after = Box::new([0u8; PAGE_SIZE]);

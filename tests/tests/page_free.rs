@@ -3,7 +3,9 @@
 //! the buffer pool for a page: values are fetched only when the output
 //! is written. The pool's counters are store-wide, so on a quiet store
 //! a plan run must leave them exactly as it found them — in-process
-//! through `run_plan`, and over the wire across an `EXPLAIN`.
+//! through `run_plan`, and over the wire across an `EXPLAIN`. And no
+//! query writes a page: the buffer pool only reads, so even a pool of
+//! two frames over pages a commit just reused evicts without a write.
 
 use datagen::{DblpConfig, DblpGenerator};
 use std::sync::Arc;
@@ -121,4 +123,37 @@ fn no_plan_moves_the_page_counters_before_its_output() {
     c.release().unwrap();
     drop(c);
     handle.shutdown();
+}
+
+#[test]
+fn no_query_writes_a_page() {
+    // Document A is deleted and A' inserted over its run, so the commit
+    // reuses pages; two frames force an eviction on nearly every page
+    // the queries read afterwards.
+    let gen = |articles, seed| {
+        DblpGenerator::new(DblpConfig::sized(articles).with_seed(seed)).generate_xml()
+    };
+    let (a, b, a2) = (gen(300, 1), gen(40, 2), gen(300, 3));
+    let db =
+        TimberDb::create(&StoreOptions::in_memory().with_durable().with_pool_pages(2)).unwrap();
+    let first = db.insert_xml(&a).unwrap();
+    db.insert_xml(&b).unwrap();
+    db.delete_document(first).unwrap();
+    let pages = db.store().total_pages();
+    db.insert_xml(&a2).unwrap();
+    assert_eq!(db.store().total_pages(), pages, "A' reuses A's run");
+
+    let writes = db.io_stats().disk.writes;
+    let e1_e2 = [
+        timber_integration_tests::QUERY1,
+        timber_integration_tests::QUERY_COUNT,
+    ];
+    for query in e1_e2 {
+        let want = timber_integration_tests::model::eval(&[&b, &a2], query).unwrap();
+        for mode in [PlanMode::Direct, PlanMode::GroupByRewrite] {
+            let got = timber_integration_tests::run(&db, query, mode);
+            assert_eq!(got, want, "{mode:?}: {query}");
+            assert_eq!(db.io_stats().disk.writes, writes, "{mode:?}: {query}");
+        }
+    }
 }

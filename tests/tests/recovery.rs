@@ -506,13 +506,12 @@ fn recovery_folds_the_delta_chain_at_every_crash_point_of_the_tail() {
 
 #[test]
 fn a_failed_commit_never_reaches_the_fold() {
-    // Two frames: an insert over reused pages logs page images, and the
-    // evictions they force write the images to their free pages before
-    // the commit record is even appended. Evictions do not touch the
-    // log, so the one flush is the commit's: when it fails, nothing of
-    // the transaction is durable, and the rollback must take the
-    // buffered images and `Commit` with it — otherwise a later flush
-    // lands a delta the writer never applied. Even seeds fail a document
+    // Two frames: an insert over reused pages writes and syncs them
+    // before its commit record is even appended. Page writes do not
+    // touch the log, so the one flush is the commit's: when it fails,
+    // nothing of the transaction is durable, and the rollback must take
+    // the buffered `Commit` with it — otherwise a later flush lands a
+    // delta the writer never applied. Even seeds fail a document
     // whose names are all durable (a landed delta would add a phantom
     // entry over released pages), odd seeds one that interns new names
     // (the next commit would log the same `dict_from` twice).
@@ -526,8 +525,7 @@ fn a_failed_commit_never_reaches_the_fold() {
             let before = db.wal_stats().unwrap();
             db.set_faults(Some(log_only(faults))).unwrap();
             let landed = db.insert_xml(&reused).is_ok();
-            // Disarming flushes the pool first, through the schedule
-            // that is still armed; it spares every page.
+            // Disarming empties the pool, which writes nothing.
             db.set_faults(None).unwrap();
             let flushed = db.wal_stats().unwrap().flushes - before.flushes;
             db.insert_xml(&link_xml(3)).unwrap();
