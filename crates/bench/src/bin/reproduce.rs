@@ -31,7 +31,7 @@
 //! The `recovery` experiment (X16) drives the durable write path: a
 //! scripted mutation workload against a WAL-backed store is killed by a
 //! seeded `crash=N` schedule (`--faults seed=S,crash=N` to pick the
-//! point), the page file is reopened through redo-only recovery, and
+//! point), the store is reopened through crash recovery, and
 //! the recovered store's grouped query output is byte-diffed against a
 //! never-crashed oracle holding exactly the committed documents.
 //!
@@ -287,7 +287,7 @@ fn run_faults(spec: Option<&str>) {
 /// X16: the durable write path under a seeded kill. A scripted mutation
 /// workload (inserts, a delete, a replace, a checkpoint) runs against a
 /// WAL-backed store with a `crash=N` schedule armed; the page file is
-/// then reopened through redo-only recovery and checked — document by
+/// then reopened through crash recovery and checked — document by
 /// document and byte-by-byte on the grouped query output — against a
 /// never-crashed oracle holding exactly the committed documents.
 fn run_recovery(spec: Option<&str>) {
@@ -299,7 +299,7 @@ fn run_recovery(spec: Option<&str>) {
         .unwrap_or("seed=1,crash=12")
         .parse()
         .expect("--faults SPEC (e.g. seed=3,crash=25)");
-    println!("-- X16: WAL + redo-only crash recovery replay --");
+    println!("-- X16: WAL + crash recovery replay --");
     println!("schedule: {schedule}");
 
     let page =
@@ -382,11 +382,9 @@ fn run_recovery(spec: Option<&str>) {
     let dt = t0.elapsed();
     let info = recovered.recovery_info().expect("recovery ran");
     println!(
-        "reopened in {:.3}s after {write_ops} write ops: {} committed txns, {} losers, {} images redone",
+        "reopened in {:.3}s after {write_ops} write ops: {} committed txns",
         dt.as_secs_f64(),
-        info.committed,
-        info.losers,
-        info.redone
+        info.committed
     );
     assert_eq!(
         recovered.documents().len(),

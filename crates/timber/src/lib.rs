@@ -103,11 +103,12 @@ impl TimberDb {
         })
     }
 
-    /// Reopen a durable database from its page file, running redo-only
-    /// crash recovery over the log tail first. Only documents whose
-    /// commit record reached the log survive; a loser's pages are free
-    /// in the recovered store. [`TimberDb::recovery_info`] reports what
-    /// recovery did.
+    /// Reopen a durable database from its page file, running crash
+    /// recovery over the log first: the committed metadata deltas are
+    /// folded over the checkpoint. Only documents whose commit record
+    /// reached the log survive; the pages of a commit that did not land
+    /// are free in the recovered store. [`TimberDb::recovery_info`]
+    /// reports what recovery did.
     pub fn open(opts: &StoreOptions) -> Result<Self> {
         Ok(TimberDb {
             store: DocumentStore::open(opts)?,

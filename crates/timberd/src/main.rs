@@ -88,10 +88,7 @@ fn main() {
         }
     };
     if let Some(info) = db.recovery_info() {
-        eprintln!(
-            "recovery: {} committed transactions, {} losers",
-            info.committed, info.losers
-        );
+        eprintln!("recovery: {} committed transactions", info.committed);
     }
     let server = match Server::bind(&args.listen, Arc::new(db)) {
         Ok(s) => s,

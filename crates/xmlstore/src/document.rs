@@ -19,12 +19,13 @@
 //! With [`StoreOptions::durable`], every mutation is a write-ahead-logged
 //! transaction (see [`crate::wal`]): an operation returns `Ok` if and
 //! only if its commit record is durable, and [`DocumentStore::open`]
-//! replays the log (redo-only: analysis, then redo) to recover exactly
-//! the committed documents after a crash. Every page write lands on a
-//! free page, which nothing recovery can reach holds live until a
-//! durable commit makes it so; no write is ever undone. Every commit
-//! writes its pages to the page file and syncs it before one log flush
-//! carries its commit record; the buffer pool only reads.
+//! folds the log's committed metadata deltas over its checkpoint to
+//! recover exactly the committed documents after a crash. Every page
+//! write lands on a free page, which nothing recovery can reach holds
+//! live until a durable commit makes it so; no write is ever undone or
+//! redone. Every commit writes its pages to the page file and syncs it
+//! before one log write carries its commit record; the log carries
+//! metadata only, and the buffer pool only reads.
 //!
 //! # Layout
 //!
@@ -189,8 +190,9 @@ impl StoreShared {
     }
 
     fn wal(&self) -> Option<MutexGuard<'_, Wal>> {
-        // An append or flush either completes or leaves the tail buffer
-        // as a whole record stream, so a poisoned log is still usable.
+        // A record write either lands whole or cuts the log back to its
+        // durable length (or refuses every later write), so a poisoned
+        // log is still usable.
         let wal = self.wal.as_ref()?;
         Some(wal.lock().unwrap_or_else(|e| e.into_inner()))
     }
@@ -309,7 +311,6 @@ impl DocumentStore {
         let meta = StoreMeta {
             docs: Vec::new(),
             next_doc: 1,
-            next_txn: 1,
         };
         let wal = if opts.durable {
             let file = if opts.on_disk {

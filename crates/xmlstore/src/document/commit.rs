@@ -1,12 +1,11 @@
 //! The write side: one transaction shape for every edit.
 //!
 //! [`DocumentStore::commit`] is the only code that allocates page runs,
-//! assigns transaction ids, encodes the commit's metadata delta, writes
-//! pages, publishes a projection, and — on error — gives the runs back
-//! and drops the transaction's buffered records from the log.
+//! encodes the commit's metadata delta, writes pages, logs the commit,
+//! publishes a projection, and — on error — gives the runs back.
 //! `insert_document`, `delete_document` and `replace_document` are
 //! [`Edit`]s handed to it. Every commit writes its pages to the page
-//! file itself and syncs it before the commit record is flushed.
+//! file itself and syncs it before the commit record is written.
 //!
 //! What a commit does is sized by the edit: it logs the dictionary
 //! suffix and the one or two document-table entries that changed, and
@@ -14,24 +13,24 @@
 //! when nobody holds it, copying the rows from the earlier of this and
 //! the previous edit's cut on; when a reader holds it, all the labels.
 
-use super::loader::{build_local, PageImage};
+use super::loader::{build_local, PageBuf};
 use super::meta::{encode_delta, encode_meta, DocMeta, MetaDelta, StoreMeta};
 use super::projection::{limbo_runs, reclaim_limbo, DocRows, LimboRun, Projection};
 use super::{DocId, DocumentStore};
 use crate::error::{Result, StoreError};
 use crate::page::PageId;
-use crate::wal::{TxnId, WalRecord};
+use crate::wal::WalRecord;
 use std::collections::BTreeSet;
 use std::sync::{Arc, MutexGuard};
 
 /// Everything only the (single) writer touches, behind the commit lock:
-/// the authoritative document table and counters, how much of the
+/// the authoritative document table and counter, how much of the
 /// dictionary the log already holds, and the page allocator's free/limbo
 /// lists.
 pub(super) struct WriterState {
     pub meta: StoreMeta,
     /// Symbols `0..dict_logged` are durable (in the checkpoint or in a
-    /// flushed commit record); the next commit logs the names from here
+    /// durable commit record); the next commit logs the names from here
     /// on. It advances only once a record carrying them is durable, so
     /// symbols interned by a failed commit, by a query, or by another
     /// writer still building its document ride with the next commit
@@ -132,7 +131,7 @@ impl DocumentStore {
         // the page/WAL work below.
         let sh = &self.shared;
         let local = edit.add.map(|doc| build_local(doc, &sh.tags)).transpose()?;
-        let (heap_pages, node_pages): (&[PageImage], &[PageImage]) = match &local {
+        let (heap_pages, node_pages): (&[PageBuf], &[PageBuf]) = match &local {
             Some(l) => (&l.heap_pages, &l.node_pages),
             None => (&[], &[]),
         };
@@ -153,11 +152,6 @@ impl DocumentStore {
         let node_run = self
             .alloc_run(&mut w, node_pages.len() as u32)
             .inspect_err(|_| release_run(&mut w, &heap_run))?;
-        // Transaction ids are never reused, even by failed operations:
-        // recovery attributes log records by txn id, so a committed
-        // later transaction must never share an id with a loser.
-        let txn = w.meta.next_txn;
-        w.meta.next_txn += 1;
         let doc_id = w.meta.next_doc;
         let added = local.as_ref().map(|l| DocMeta {
             doc_id,
@@ -176,29 +170,24 @@ impl DocumentStore {
             logged += new_names.len();
             encode_delta(&MetaDelta {
                 next_doc,
-                next_txn: w.meta.next_txn,
                 dict_from: w.dict_logged as u32,
                 new_names,
                 removed: edit.remove,
                 added,
             })
         });
-        let start_lsn = sh.wal().map_or(0, |w| w.next_lsn());
 
-        let pages: Vec<(PageId, &PageImage)> = [(&heap_run, heap_pages), (&node_run, node_pages)]
+        let pages: Vec<(PageId, &PageBuf)> = [(&heap_run, heap_pages), (&node_run, node_pages)]
             .into_iter()
             .flat_map(|(run, images)| (run.base..).map(PageId).zip(images))
             .collect();
         let written = self.write_pages(&pages);
-        if let Err(e) = written.and_then(|()| self.log_commit(txn, delta)) {
+        if let Err(e) = written.and_then(|()| self.log_commit(delta)) {
             // The runs were never visible to any projection, so they
-            // go straight back to the free list, not limbo; a buffered
-            // record of the transaction must not ride a later flush.
+            // go straight back to the free list, not limbo. A failed
+            // record write leaves nothing of the record in the log.
             release_run(&mut w, &heap_run);
             release_run(&mut w, &node_run);
-            if let Some(mut wal) = sh.wal() {
-                wal.truncate_pending(start_lsn);
-            }
             return Err(e);
         }
         w.dict_logged = logged;
@@ -239,11 +228,11 @@ impl DocumentStore {
 
     /// Write an edit's pages to the page file, drop any cached frame of
     /// them, and, on a durable store, sync the page file before the
-    /// commit record is flushed. Every page is free until that record
+    /// commit record is written. Every page is free until that record
     /// lands, and no reader asks for one before the commit publishes
     /// it, so nothing here is ever undone or logged. A delete writes
     /// and syncs nothing.
-    fn write_pages(&self, pages: &[(PageId, &PageImage)]) -> Result<()> {
+    fn write_pages(&self, pages: &[(PageId, &PageBuf)]) -> Result<()> {
         if pages.is_empty() {
             return Ok(());
         }
@@ -262,19 +251,17 @@ impl DocumentStore {
         Ok(())
     }
 
-    /// Append `txn`'s `Commit` and flush it, retrying a bounded number
-    /// of times: injected log-write errors are transient, and a record
-    /// left buffered after reporting failure would let a later flush
-    /// commit it behind our back.
-    fn log_commit(&self, txn: TxnId, delta: Option<Vec<u8>>) -> Result<()> {
+    /// Write the `Commit` carrying `delta`, retrying a bounded number of
+    /// times: injected log-write errors are transient.
+    fn log_commit(&self, delta: Option<Vec<u8>>) -> Result<()> {
         const MAX_RETRIES: u32 = 3;
         let (Some(mut wal), Some(meta)) = (self.shared.wal(), delta) else {
             return Ok(());
         };
-        wal.append(WalRecord::Commit { txn, meta });
+        let record = WalRecord::Commit { meta };
         let mut attempts = 0;
         loop {
-            match wal.flush() {
+            match wal.write(&record) {
                 Ok(()) => return Ok(()),
                 Err(e) if e.is_transient() && attempts < MAX_RETRIES => attempts += 1,
                 Err(e) => return Err(e),
@@ -459,7 +446,7 @@ mod tests {
     #[test]
     fn failed_commit_of_any_edit_changes_nothing_and_releases_its_run() {
         // Every log write fails (the page range matches no page, so page
-        // writes go through): the commit flush exhausts its retries.
+        // writes go through): the commit's log write exhausts its retries.
         let log_down: crate::FaultConfig = "seed=1,write_err=1.0,pages=4294967295-4294967295"
             .parse()
             .unwrap();
@@ -547,8 +534,8 @@ mod tests {
             per_commit[1..].iter().all(|&b| b == per_commit[1]),
             "{per_commit:?}"
         );
-        // Commit{counters, empty suffix, one document entry}.
-        assert_eq!(per_commit[1], 94);
+        // Commit{counter, empty suffix, one document entry}.
+        assert_eq!(per_commit[1], 78);
         assert_eq!(s.documents().len(), 64);
     }
 
@@ -561,7 +548,7 @@ mod tests {
         // an extra flush or a changed page-write strategy shows up here
         // as the edit that moved. The bytes column was re-pinned when
         // `Commit` began to carry a metadata delta instead of the full
-        // snapshot: a delete is now 70 bytes whatever the store holds,
+        // snapshot: a delete became 70 bytes whatever the store holds,
         // and an insert is its page images plus the names it interned.
         // Records and bytes were re-pinned once more when transactions
         // stopped logging a `Begin` (one record and 25 bytes per edit);
@@ -570,20 +557,22 @@ mod tests {
         // and sync its own pages: they log their `Commit` alone instead
         // of a page image per page, and their page writes, which waited
         // in the pool for an eviction or a checkpoint, are their page
-        // counts.
+        // counts. The bytes were re-pinned again when transaction ids
+        // left the log: 16 bytes fewer per commit, 8 in the record and
+        // 8 in its delta.
         const PINNED: [(u64, u64, u64, u64); 12] = [
-            (1, 167, 1, 2),  // insert a, fresh run
-            (1, 112, 1, 2),  // insert b, fresh
-            (1, 3208, 1, 6), // insert c (400 articles), fresh
-            (1, 70, 1, 0),   // delete a: no pages
-            (1, 112, 1, 2),  // insert d over a's run
-            (1, 120, 1, 2),  // replace b → e, fresh
-            (1, 70, 1, 0),   // delete d under a pinned snapshot
-            (1, 112, 1, 2),  // insert f over b's run (d's is pinned)
-            (1, 3192, 1, 6), // replace c → g, part reused
-            (1, 70, 1, 0),   // delete e
-            (1, 70, 1, 0),   // delete f
-            (1, 3184, 1, 6), // insert h over c's run
+            (1, 151, 1, 2),  // insert a, fresh run
+            (1, 96, 1, 2),   // insert b, fresh
+            (1, 3192, 1, 6), // insert c (400 articles), fresh
+            (1, 54, 1, 0),   // delete a: no pages
+            (1, 96, 1, 2),   // insert d over a's run
+            (1, 104, 1, 2),  // replace b → e, fresh
+            (1, 54, 1, 0),   // delete d under a pinned snapshot
+            (1, 96, 1, 2),   // insert f over b's run (d's is pinned)
+            (1, 3176, 1, 6), // replace c → g, part reused
+            (1, 54, 1, 0),   // delete e
+            (1, 54, 1, 0),   // delete f
+            (1, 3168, 1, 6), // insert h over c's run
         ];
         let s = DocumentStore::create(&StoreOptions::in_memory().with_durable()).unwrap();
         let mut seen = Vec::new();

@@ -13,14 +13,14 @@ use crate::page::{PAGE_HEADER_SIZE, PAGE_SIZE};
 
 /// One encoded page, ready to be written at whatever id the allocator
 /// hands out.
-pub(super) type PageImage = Box<[u8; PAGE_SIZE]>;
+pub(super) type PageBuf = Box<[u8; PAGE_SIZE]>;
 
 /// One document built in memory, ready to commit: local records (ids and
 /// labels starting at 0, synthetic root excluded) and the encoded pages.
 pub(super) struct LocalDoc {
     pub records: Vec<NodeRecord>,
-    pub heap_pages: Vec<PageImage>,
-    pub node_pages: Vec<PageImage>,
+    pub heap_pages: Vec<PageBuf>,
+    pub node_pages: Vec<PageBuf>,
     pub span: u32,
 }
 

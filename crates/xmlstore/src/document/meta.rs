@@ -1,17 +1,16 @@
 //! The store's durable metadata and its byte codecs — the one place that
 //! knows what `Checkpoint` and `Commit` records carry.
 //!
-//! A checkpoint holds the one full snapshot: counters, the whole name
-//! table, the document table. A commit holds a [`MetaDelta`]: the new
-//! counters, the dictionary suffix interned since the last durable
-//! record, and the document it removed and/or added. Recovery decodes
-//! the checkpoint and folds the committed deltas over it in log order
-//! ([`StoreMeta::apply`]), so a commit logs what the edit changed, not
-//! what the store holds.
+//! A checkpoint holds the one full snapshot: the document counter, the
+//! whole name table, the document table. A commit holds a [`MetaDelta`]:
+//! the new document counter, the dictionary suffix interned since the
+//! last durable record, and the document it removed and/or added.
+//! Recovery decodes the checkpoint and folds the committed deltas over
+//! it in log order ([`StoreMeta::apply`]), so a commit logs what the
+//! edit changed, not what the store holds.
 
 use super::{DocId, DOC_ROOT_TAG};
 use crate::error::{Result, StoreError};
-use crate::wal::TxnId;
 use std::sync::Arc;
 
 /// On-log layout of one stored document: where its pages live and how
@@ -29,23 +28,21 @@ pub(super) struct DocMeta {
     pub span: u32,
 }
 
-/// The document table and the id counters. Together with the name table
-/// (which lives in the store's [`Dictionary`](crate::dict::Dictionary)
-/// and nowhere else in memory) this is the durable metadata; everything
-/// else (tag index, free list, global projection) is
-/// derived from it plus the pages.
+/// The document table and the document counter. Together with the
+/// name table (which lives in the store's
+/// [`Dictionary`](crate::dict::Dictionary) and nowhere else in memory)
+/// this is the durable metadata; everything else (tag index, free list,
+/// global projection) is derived from it plus the pages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) struct StoreMeta {
     pub docs: Vec<DocMeta>,
     pub next_doc: DocId,
-    pub next_txn: TxnId,
 }
 
 /// What one committed edit changed in the durable metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) struct MetaDelta {
     pub next_doc: DocId,
-    pub next_txn: TxnId,
     /// Length of the name table this delta extends: `new_names[i]` is
     /// symbol `dict_from + i`.
     pub dict_from: u32,
@@ -56,14 +53,14 @@ pub(super) struct MetaDelta {
 
 const META_MAGIC: u32 = 0x544d_4254; // "TBMT"
 const DELTA_MAGIC: u32 = 0x444d_4254; // "TBMD"
-/// v5: a transaction logs one `Commit` (and, in logs written before
-/// commits synced their pages in place, its page images), with no
-/// `Begin` or `Abort` record; a v4 log holds those, and the reader would
-/// stop at the first. v4 node records already carried their content
+/// v6: the log carries metadata only, and no record carries a
+/// transaction id. A v5 log may hold page images whose pages never
+/// reached the page file; a v4 log holds `Begin` and `Abort` records,
+/// at which the reader would stop. v4 node records already carried their content
 /// symbol where v3 kept the parent id. Commits carry a [`MetaDelta`];
 /// only checkpoints carry the full snapshot. Any other version is
 /// refused.
-const META_VERSION: u32 = 5;
+const META_VERSION: u32 = 6;
 
 const HAS_REMOVED: u8 = 1;
 const HAS_ADDED: u8 = 2;
@@ -105,7 +102,6 @@ pub(super) fn encode_meta(meta: &StoreMeta, names: &[Arc<str>]) -> Vec<u8> {
     put_u32(&mut out, META_MAGIC);
     put_u32(&mut out, META_VERSION);
     put_u64(&mut out, meta.next_doc);
-    put_u64(&mut out, meta.next_txn);
     put_names(&mut out, names);
     put_u32(&mut out, meta.docs.len() as u32);
     for d in &meta.docs {
@@ -120,7 +116,6 @@ pub(super) fn encode_delta(delta: &MetaDelta) -> Vec<u8> {
     put_u32(&mut out, DELTA_MAGIC);
     put_u32(&mut out, META_VERSION);
     put_u64(&mut out, delta.next_doc);
-    put_u64(&mut out, delta.next_txn);
     put_u32(&mut out, delta.dict_from);
     put_names(&mut out, &delta.new_names);
     let removed = u8::from(delta.removed.is_some()) * HAS_REMOVED;
@@ -221,7 +216,6 @@ impl<'a> MetaReader<'a> {
 pub(super) fn decode_meta(bytes: &[u8]) -> Result<(StoreMeta, Vec<Arc<str>>)> {
     let mut r = MetaReader::open(bytes, META_MAGIC)?;
     let next_doc = r.u64()?;
-    let next_txn = r.u64()?;
     let names = r.names()?;
     let ndocs = r.u32()? as usize;
     let mut docs = Vec::with_capacity(ndocs.min(1 << 16));
@@ -232,19 +226,13 @@ pub(super) fn decode_meta(bytes: &[u8]) -> Result<(StoreMeta, Vec<Arc<str>>)> {
     if names.first().map(|n| &**n) != Some(DOC_ROOT_TAG) {
         return Err(bad_meta());
     }
-    let meta = StoreMeta {
-        docs,
-        next_doc,
-        next_txn,
-    };
-    Ok((meta, names))
+    Ok((StoreMeta { docs, next_doc }, names))
 }
 
 /// Decode a commit payload.
 pub(super) fn decode_delta(bytes: &[u8]) -> Result<MetaDelta> {
     let mut r = MetaReader::open(bytes, DELTA_MAGIC)?;
     let next_doc = r.u64()?;
-    let next_txn = r.u64()?;
     let dict_from = r.u32()?;
     let new_names = r.names()?;
     let flags = r.u8()?;
@@ -256,7 +244,6 @@ pub(super) fn decode_delta(bytes: &[u8]) -> Result<MetaDelta> {
     r.finish()?;
     Ok(MetaDelta {
         next_doc,
-        next_txn,
         dict_from,
         new_names,
         removed,
@@ -280,7 +267,6 @@ impl StoreMeta {
         names.extend(delta.new_names);
         self.docs.extend(delta.added);
         self.next_doc = delta.next_doc;
-        self.next_txn = delta.next_txn;
         Ok(())
     }
 }
@@ -310,7 +296,6 @@ mod tests {
         let meta = StoreMeta {
             docs: vec![doc(7)],
             next_doc: 8,
-            next_txn: 19,
         };
         let table = names(&[DOC_ROOT_TAG, "article"]);
         let bytes = encode_meta(&meta, &table);
@@ -331,7 +316,6 @@ mod tests {
         ] {
             let delta = MetaDelta {
                 next_doc: 10,
-                next_txn: 21,
                 dict_from: 2,
                 new_names: names(&["title", "Grouping in XML"]),
                 removed,
@@ -352,12 +336,10 @@ mod tests {
         let mut meta = StoreMeta {
             docs: vec![doc(1)],
             next_doc: 2,
-            next_txn: 2,
         };
         let mut table = names(&[DOC_ROOT_TAG, "a"]);
         let delta = MetaDelta {
             next_doc: 3,
-            next_txn: 3,
             dict_from: 2,
             new_names: names(&["b"]),
             removed: Some(1),
@@ -365,7 +347,7 @@ mod tests {
         };
         meta.apply(&mut table, delta.clone()).unwrap();
         assert_eq!(meta.docs, vec![doc(2)]);
-        assert_eq!((meta.next_doc, meta.next_txn), (3, 3));
+        assert_eq!(meta.next_doc, 3);
         assert_eq!(table, names(&[DOC_ROOT_TAG, "a", "b"]));
         // The same delta again: its table is one name short, and its
         // victim is gone.

@@ -1,8 +1,9 @@
-//! Reopen and recovery glue: run the log's analysis and redo over the
-//! page file, fold the committed metadata deltas over the checkpoint
+//! Reopen and recovery glue: read the checkpoint snapshot and the
+//! committed metadata deltas from the log, fold the deltas over the
 //! snapshot, then rebuild everything the store derives from metadata
 //! plus node pages — dictionary, free list, the first projection. No
-//! heap page is read: each node record carries its content symbol.
+//! heap page is read: each node record carries its content symbol, and
+//! no page is written.
 
 use super::meta::{decode_delta, decode_meta, encode_meta, DocMeta};
 use super::projection::build_projection;
@@ -11,34 +12,34 @@ use crate::dict::{Dictionary, NO_SYM};
 use crate::error::{Result, StoreError};
 use crate::node::{NodeRecord, RECORDS_PER_PAGE, RECORD_SIZE};
 use crate::page::PageId;
-use crate::storage::SharedDisk;
+use crate::storage::{DiskManager, SharedDisk};
 use crate::wal::{self, Wal};
 use std::collections::BTreeSet;
 
 /// What crash recovery did when the store was reopened.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryInfo {
-    /// Page images rewritten during redo, committed or not.
+    /// Always 0: the log holds no page image, so nothing is redone.
+    /// Kept while the frozen benchmark reports it.
     pub redone: u64,
-    /// Always 0: recovery is redo-only, and no write is ever undone.
-    /// Kept while the benchmark reports it.
+    /// Always 0: no write is ever undone. Kept while the frozen
+    /// benchmark reports it.
     pub undone: u64,
-    /// Committed transactions found in the log.
+    /// Committed transactions found in the log after its checkpoint.
     pub committed: u64,
-    /// Transactions whose images the log holds without a `Commit`;
-    /// their pages are free in the recovered metadata.
+    /// Always 0: a transaction without a durable `Commit` left nothing
+    /// in the log. Kept while the frozen benchmark reports it.
     pub losers: u64,
 }
 
 impl DocumentStore {
     /// Reopen a durable store from its page file and log, running crash
-    /// recovery first: analysis finds the checkpoint snapshot and the
-    /// committed deltas after it, and redo rewrites every page image in
-    /// log order. The deltas are folded over the snapshot in log order;
-    /// one that does not fit the chain (see `StoreMeta::apply`) is
-    /// `WalCorrupt`. The log is then truncated to a fresh checkpoint.
-    /// Replaying recovery twice leaves the same bytes as once, so a
-    /// crash *during* recovery is harmless.
+    /// recovery first: the log's checkpoint snapshot and the committed
+    /// deltas after it are read, and the deltas are folded over the
+    /// snapshot in log order; one that does not fit the chain (see
+    /// `StoreMeta::apply`) is `WalCorrupt`. A fresh log holding a
+    /// checkpoint of the result then replaces the old one whole.
+    /// Recovery writes no page, so a crash *during* it is harmless.
     pub fn open(opts: &StoreOptions) -> Result<Self> {
         let path = opts.path.as_ref().ok_or_else(|| {
             StoreError::Io(std::io::Error::new(
@@ -47,14 +48,13 @@ impl DocumentStore {
             ))
         })?;
         let wal_p = wal_path_for(path);
-        let (disk, state) = wal::recover(path, &wal_p)?;
+        let state = wal::replay(&std::fs::read(&wal_p)?)?;
+        let disk = SharedDisk::new(DiskManager::open_existing(path)?);
         let (mut meta, mut names) = decode_meta(&state.checkpoint)?;
         for delta in &state.commits {
             meta.apply(&mut names, decode_delta(delta)?)?;
         }
-        meta.next_txn = meta.next_txn.max(state.next_txn);
-        let disk = SharedDisk::new(disk);
-        // Post-recovery checkpoint: the recovered pages are synced, so
+        // Every page a commit names was synced before its record, so
         // the old log tail is no longer needed.
         let wal = Some(Wal::create(
             Some(&wal_p),
@@ -73,10 +73,8 @@ impl DocumentStore {
             }
         }
         let recovery = Some(RecoveryInfo {
-            redone: state.redone as u64,
-            undone: 0,
-            committed: state.committed as u64,
-            losers: state.losers as u64,
+            committed: state.commits.len() as u64,
+            ..RecoveryInfo::default()
         });
         // Read the documents back from the recovered pages through the
         // assembled store itself, so the page path is identical to
@@ -141,7 +139,6 @@ mod tests {
     use crate::catalog::attr_tag_name;
     use crate::node::NodeId;
     use crate::page::{PAGE_HEADER_SIZE, PAGE_SIZE};
-    use crate::storage::DiskManager;
     use crate::wal::WalRecord;
 
     #[test]
@@ -158,26 +155,17 @@ mod tests {
         }
         let s = DocumentStore::open(&opts).unwrap();
         assert_eq!(s.documents().len(), 2);
-        let info = s.recovery_info().unwrap();
-        assert_eq!(info.committed, 2);
-        assert_eq!(info.losers, 0);
+        assert_eq!(s.recovery_info().unwrap().committed, 2);
         let author = s.tag_id("author").unwrap();
         let authors = s.nodes_with_tag(author);
         assert_eq!(authors.len(), 4);
         assert_eq!(s.content(authors[3].id).unwrap().as_deref(), Some("Jill"));
-        // Recovery is deterministic: a second replay of the durable log
-        // leaves the same page bytes as the first.
-        let log = std::fs::read(&wal).unwrap();
+        // Recovery writes no page: another reopen leaves the page file
+        // as it found it.
         drop(s);
-        let mut disk = DiskManager::open_existing(&page).unwrap();
-        wal::replay(&mut disk, &log).unwrap();
-        drop(disk);
         let once = std::fs::read(&page).unwrap();
-        let mut disk = DiskManager::open_existing(&page).unwrap();
-        wal::replay(&mut disk, &log).unwrap();
-        drop(disk);
-        let twice = std::fs::read(&page).unwrap();
-        assert_eq!(once, twice);
+        drop(DocumentStore::open(&opts).unwrap());
+        assert_eq!(std::fs::read(&page).unwrap(), once);
         let _ = std::fs::remove_file(&page);
         let _ = std::fs::remove_file(&wal);
     }
@@ -296,10 +284,11 @@ mod tests {
             "the delete holds, the insert is gone"
         );
         let info = s.recovery_info().unwrap();
-        // A commit logs no page image, so nothing is redone and the
-        // torn insert leaves no loser behind.
-        assert_eq!((info.committed, info.losers, info.undone), (1, 0, 0));
-        assert_eq!(info.redone, 0, "{info:?}");
+        let want = RecoveryInfo {
+            committed: 1,
+            ..RecoveryInfo::default()
+        };
+        assert_eq!(info, want);
         assert!(s.dict().get("SECOND_BODY").is_none(), "torn delta folded");
         let pages = s.total_pages();
         let contents = |s: &DocumentStore| -> Vec<String> {
@@ -358,6 +347,39 @@ mod tests {
         let s = DocumentStore::open(&opts).unwrap();
         assert_eq!(s.documents().len(), 1);
         assert_eq!(s.node_count(), 10);
+        let _ = std::fs::remove_file(&page);
+        let _ = std::fs::remove_file(&wal);
+    }
+
+    #[test]
+    fn a_log_that_cannot_be_installed_leaves_the_old_one_in_charge() {
+        // A directory where the new log's temp file would go: the
+        // reopen cannot install its checkpoint and fails, typed. The
+        // old log, never truncated in place, still holds every commit,
+        // so once the blocker is gone the next reopen recovers them all.
+        let (page, wal) = temp_paths("install");
+        let opts = durable_opts(&page);
+        {
+            let s = DocumentStore::create(&opts).unwrap();
+            s.insert_xml(SAMPLE).unwrap();
+            s.insert_xml("<bib><article><author>Jill</author></article></bib>")
+                .unwrap();
+        }
+        let mut tmp = wal.clone().into_os_string();
+        tmp.push(".tmp");
+        std::fs::create_dir(&tmp).unwrap();
+        let log = std::fs::read(&wal).unwrap();
+        match DocumentStore::open(&opts) {
+            Err(StoreError::Io(_)) => {}
+            Err(e) => panic!("expected an I/O error, got {e}"),
+            Ok(_) => panic!("the store reopened over a blocked log install"),
+        }
+        assert_eq!(std::fs::read(&wal).unwrap(), log, "the old log is intact");
+        std::fs::remove_dir(&tmp).unwrap();
+        let s = DocumentStore::open(&opts).unwrap();
+        assert_eq!(s.documents().len(), 2);
+        assert_eq!(s.recovery_info().unwrap().committed, 2);
+        drop(s);
         let _ = std::fs::remove_file(&page);
         let _ = std::fs::remove_file(&wal);
     }
@@ -443,7 +465,7 @@ mod tests {
 
     /// Rewrite the delta of the commit that deletes (the last of three).
     fn tamper_delete(rec: &mut WalRecord, edit: impl Fn(&mut MetaDelta)) {
-        if let WalRecord::Commit { meta, .. } = rec {
+        if let WalRecord::Commit { meta } = rec {
             let mut delta = decode_delta(meta).unwrap();
             if delta.removed.is_some() {
                 edit(&mut delta);
@@ -472,7 +494,7 @@ mod tests {
         });
         // A delta cut short inside an intact frame.
         corrupt("truncated", &|rec| {
-            if let WalRecord::Commit { meta, .. } = rec {
+            if let WalRecord::Commit { meta } = rec {
                 meta.truncate(meta.len() - 3);
             }
         });
@@ -484,11 +506,16 @@ mod tests {
         // 4, whose transactions began with a `Begin` record: the reader
         // stops at the first, so only the version keeps every commit
         // after the checkpoint from being dropped without a word.
+        // Version 5, whose log may hold page images that never reached
+        // the page file and which no reader now reinstalls: the
+        // checkpoint carries the version, so such a log is refused
+        // before any later frame is read.
         let version = |meta: &mut Vec<u8>, v: u32| meta[4..8].copy_from_slice(&v.to_le_bytes());
         for (tag, v) in [
             ("v2 checkpoint", 2),
             ("v3 checkpoint", 3),
             ("v4 checkpoint", 4),
+            ("v5 checkpoint", 5),
         ] {
             corrupt(tag, &|rec| {
                 if let WalRecord::Checkpoint { meta } = rec {
@@ -497,16 +524,15 @@ mod tests {
             });
         }
         corrupt("v2 commit", &|rec| {
-            if let WalRecord::Commit { meta, .. } = rec {
+            if let WalRecord::Commit { meta } = rec {
                 version(meta, 2);
             }
         });
         corrupt("snapshot in a commit", &|rec| {
-            if let WalRecord::Commit { meta, .. } = rec {
+            if let WalRecord::Commit { meta } = rec {
                 let empty = StoreMeta {
                     docs: Vec::new(),
                     next_doc: 1,
-                    next_txn: 1,
                 };
                 *meta = encode_meta(&empty, &[DOC_ROOT_TAG.into()]);
             }

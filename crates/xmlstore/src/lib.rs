@@ -84,4 +84,4 @@ pub use heap::Values;
 pub use index::NodeEntry;
 pub use node::{NodeId, NodeKind, NodeRecord};
 pub use page::{PageId, PAGE_DATA_SIZE, PAGE_HEADER_SIZE, PAGE_SIZE};
-pub use wal::{Lsn, TxnId, Wal, WalRecord, WalStats};
+pub use wal::{Lsn, Wal, WalRecord, WalStats};

@@ -16,8 +16,8 @@
 //! The expected page id participates in the checksum (it used to be
 //! echoed in bytes 4..8), so a page sealed for slot A still fails
 //! verification at slot B — misdirected writes stay detectable. Bytes
-//! 4..8 once held a page LSN; recovery is redo-only and needs none, so
-//! they stay inside the checksum as reserved bytes. `seal` preserves
+//! 4..8 once held a page LSN; recovery writes no page and needs none,
+//! so they stay inside the checksum as reserved bytes. `seal` preserves
 //! whatever they hold, so a page an older store wrote still verifies.
 
 use crate::checksum::page_checksum;
@@ -188,8 +188,8 @@ mod tests {
 
     #[test]
     fn seal_preserves_lsn_bytes() {
-        // Bytes 4..8 held the page LSN in stores older than redo-only
-        // recovery: such a page keeps them and still verifies.
+        // Bytes 4..8 held the page LSN in older stores: such a page
+        // keeps them and still verifies.
         let mut p = Page::zeroed();
         p.bytes_mut()[4..8].copy_from_slice(&0xBEEF_0042u32.to_le_bytes());
         seal(PageId(7), p.bytes_mut());

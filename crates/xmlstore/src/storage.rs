@@ -99,7 +99,8 @@ impl DiskManager {
 
     /// Reopen an existing page file without truncating it; the page count
     /// comes from the file length (a torn final page — a crash mid-extend
-    /// — is rounded down and will be re-extended by recovery).
+    /// — is rounded down: no durable commit names it, and the next
+    /// allocation extends over it).
     pub fn open_existing(path: &Path) -> Result<Self> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let num_pages = (file.metadata()?.len() / PAGE_SIZE as u64) as u32;

@@ -12,15 +12,15 @@
 //! recovered store and is byte-diffed against a never-crashed oracle
 //! built from the same committed operations.
 //!
-//! Recovery itself must be idempotent: replaying the crashed log twice
-//! over the crashed page file leaves the same bytes as replaying once.
+//! Recovery itself writes no page and is deterministic: opening the
+//! crashed store leaves its page file byte-identical, and two opens of
+//! copies of it report the same recovery and leave the same bytes.
 
 use datagen::{DblpConfig, DblpGenerator};
 use smallrand::{RngExt, SeedableRng, StdRng};
 use timber::{PlanMode, TimberDb, TimberError};
 use timber_integration_tests::{QUERY1, QUERY2, QUERY_COUNT};
-use xmlstore::storage::DiskManager;
-use xmlstore::{wal, wal_path_for, FaultConfig, NodeId, StoreError, StoreOptions};
+use xmlstore::{wal_path_for, FaultConfig, NodeId, RecoveryInfo, StoreError, StoreOptions};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,9 +189,28 @@ fn count_write_ops(seed: u64) -> u64 {
     w
 }
 
+/// Open a copy of the store at `page` (page file and log) under the
+/// suffix `tag`: what recovery reports, and the page and log bytes it
+/// leaves.
+fn open_copy(page: &Path, tag: &str) -> (RecoveryInfo, Vec<u8>, Vec<u8>) {
+    let copy = page.with_extension(format!("pages.{tag}"));
+    std::fs::copy(page, &copy).unwrap();
+    std::fs::copy(wal_path_for(page), wal_path_for(&copy)).unwrap();
+    let info = TimberDb::open(&durable_opts(&copy))
+        .unwrap()
+        .recovery_info()
+        .unwrap();
+    let pages = std::fs::read(&copy).unwrap();
+    let log = std::fs::read(wal_path_for(&copy)).unwrap();
+    let _ = std::fs::remove_file(&copy);
+    let _ = std::fs::remove_file(wal_path_for(&copy));
+    (info, pages, log)
+}
+
 /// The full cycle for one `(seed, crash point)`: crash mid-script,
-/// check replay idempotence on the torn log, reopen, byte-diff the
-/// grouping suite against the oracle, and keep mutating afterwards.
+/// check that recovery of the crashed store is deterministic, reopen,
+/// check that recovery wrote no page, byte-diff the grouping suite
+/// against the oracle, and keep mutating afterwards.
 fn crash_recover_verify(seed: u64, crash_at: u64) {
     let label = format!("seed={seed},crash={crash_at}");
     let (page, wal_p) = temp_paths("crash");
@@ -205,28 +224,22 @@ fn crash_recover_verify(seed: u64, crash_at: u64) {
     assert!(crashed, "{label}: the schedule must actually crash");
     drop(db);
 
-    // Idempotence: replaying the crashed log twice over the crashed
-    // page image must leave the same bytes as replaying once.
-    let log = std::fs::read(&wal_p).unwrap_or_default();
-    let once_p = page.with_extension("pages.once");
-    std::fs::copy(&page, &once_p).unwrap();
-    let mut disk = DiskManager::open_existing(&once_p).unwrap();
-    let first = wal::replay(&mut disk, &log).unwrap();
-    drop(disk);
-    let after_once = std::fs::read(&once_p).unwrap();
-    let mut disk = DiskManager::open_existing(&once_p).unwrap();
-    let second = wal::replay(&mut disk, &log).unwrap();
-    drop(disk);
-    let after_twice = std::fs::read(&once_p).unwrap();
+    // Determinism: two opens of copies of the crashed store report the
+    // same recovery and leave the same page and log bytes.
     assert_eq!(
-        after_once, after_twice,
-        "{label}: replay must be idempotent"
+        open_copy(&page, "a"),
+        open_copy(&page, "b"),
+        "{label}: recovery must be deterministic"
     );
-    assert_eq!(first.committed, second.committed, "{label}");
-    let _ = std::fs::remove_file(&once_p);
 
-    // Recovery: exactly the committed documents survive.
+    // Recovery: exactly the committed documents survive, and the page
+    // file is as the crash left it.
+    let crashed_pages = std::fs::read(&page).unwrap();
     let recovered = TimberDb::open(&opts).unwrap();
+    assert!(
+        std::fs::read(&page).unwrap() == crashed_pages,
+        "{label}: recovery wrote the page file"
+    );
     let info = recovered.recovery_info().unwrap();
     assert_eq!(
         recovered.documents().len(),
@@ -277,7 +290,12 @@ fn fault_free_workload_survives_reopen_byte_identically() {
     assert_eq!(alive.len(), 3);
     drop(db);
     let reopened = TimberDb::open(&opts).unwrap();
-    assert_eq!(reopened.recovery_info().unwrap().losers, 0);
+    // The two commits after the script's last checkpoint.
+    let info = RecoveryInfo {
+        committed: 2,
+        ..RecoveryInfo::default()
+    };
+    assert_eq!(reopened.recovery_info(), Some(info));
     assert_eq!(reopened.documents().len(), 3);
     assert_both_copies_agree(&reopened, "clean reopen");
     assert_eq!(suite(&reopened), suite(&oracle(&alive)));
@@ -336,7 +354,7 @@ fn seeded_crash_points_recover_exactly_the_committed_documents() {
 #[derive(Clone, Copy)]
 enum Link {
     Insert(usize),
-    /// An insert whose log flush fails (`write_err=1.0`): nothing
+    /// An insert whose log write fails (`write_err=1.0`): nothing
     /// commits, but the symbols its loader interned stay in memory and
     /// ride with the next commit that lands.
     FailedInsert(usize),
@@ -507,10 +525,10 @@ fn recovery_folds_the_delta_chain_at_every_crash_point_of_the_tail() {
 #[test]
 fn a_failed_commit_never_reaches_the_fold() {
     // Two frames: an insert over reused pages writes and syncs them
-    // before its commit record is even appended. Page writes do not
-    // touch the log, so the one flush is the commit's: when it fails,
-    // nothing of the transaction is durable, and the rollback must take
-    // the buffered `Commit` with it — otherwise a later flush lands a
+    // before its commit record is even written. Page writes do not
+    // touch the log, so the one log write is the commit's: when it
+    // fails, nothing of the transaction is durable, and nothing of the
+    // `Commit` may stay in the log — otherwise a later write lands a
     // delta the writer never applied. Even seeds fail a document
     // whose names are all durable (a landed delta would add a phantom
     // entry over released pages), odd seeds one that interns new names

@@ -16,7 +16,7 @@
 //!   workload must observe exactly a committed document set, never a
 //!   mix of pre- and post-commit state.
 //! - The crash gauntlet: a seeded `crash=N` fault schedule kills the
-//!   server mid-commit; the store reopens through redo-only recovery, a
+//!   server mid-commit; the store reopens through crash recovery, a
 //!   fresh server binds, and its responses must match the oracle built
 //!   from only the committed operations.
 //! - EXPLAIN ANALYZE over the wire must still report the columnar fast
@@ -435,7 +435,7 @@ fn server_crash_mid_commit_recovers_and_serves_oracle_bytes() {
         handle.shutdown();
         drop(db);
 
-        // Restart: redo-only recovery replays the log, a fresh server binds.
+        // Restart: recovery folds the log, a fresh server binds.
         let recovered = TimberDb::open(&opts).unwrap();
         assert!(recovered.recovery_info().is_some());
         let handle = Server::bind("127.0.0.1:0", Arc::new(recovered))
