@@ -12,8 +12,8 @@
 //! .insert <file.xml>   insert a document into the current database
 //!                      (creates an empty one first if none is loaded)
 //! .delete <doc>        delete a document by id (see .stats for ids)
-//! .checkpoint          sync the page file and truncate the write-ahead
-//!                      log (durable databases)
+//! .checkpoint          truncate the write-ahead log to a fresh
+//!                      checkpoint (durable databases)
 //! .mode direct|groupby|both
 //! .cube                run the lattice query (journal → year →
 //!                      author cube) under the current settings
@@ -235,7 +235,7 @@ impl Shell {
                             "checkpoint done ({} so far, {} log records written)",
                             s.checkpoints, s.records
                         ),
-                        None => println!("checkpoint done (no log: page file synced)"),
+                        None => println!("checkpoint done (no log: nothing to do)"),
                     },
                     Err(e) => eprintln!("checkpoint failed: {e}"),
                 },

@@ -154,7 +154,7 @@ impl Client {
         self.call_u64(Opcode::Replace, &body)
     }
 
-    /// Sync the page file and truncate the write-ahead log.
+    /// Truncate the write-ahead log to a fresh checkpoint.
     pub fn checkpoint(&mut self) -> Result<()> {
         self.call(Opcode::Checkpoint, &[])?;
         Ok(())

@@ -80,7 +80,8 @@ pub struct TimberDb {
 }
 
 impl TimberDb {
-    /// Parse and load an XML document.
+    /// Load an XML document straight from the parser's events (no DOM
+    /// is built).
     pub fn load_xml(xml: &str, opts: &StoreOptions) -> Result<Self> {
         Ok(TimberDb {
             store: DocumentStore::from_xml(xml, opts)?,
@@ -115,8 +116,9 @@ impl TimberDb {
         })
     }
 
-    /// Parse and insert a document under the shared `doc_root`, as one
-    /// logged transaction. Returns the new document's id.
+    /// Insert an XML document under the shared `doc_root`, as one
+    /// logged transaction, loading it straight from the parser's events
+    /// (no DOM is built). Returns the new document's id.
     ///
     /// Mutations take `&self`: writers serialize on the store's internal
     /// commit lock while concurrent readers keep querying the previous
@@ -139,12 +141,11 @@ impl TimberDb {
     /// transaction: recovery either keeps the old document or installs
     /// the replacement, never neither. Returns the replacement's id.
     pub fn replace_xml(&self, doc: DocId, xml: &str) -> Result<DocId> {
-        let parsed = xmlparse::parse_document(xml).map_err(xmlstore::StoreError::from)?;
-        Ok(self.store.replace_document(doc, &parsed)?)
+        Ok(self.store.replace_xml(doc, xml)?)
     }
 
-    /// Sync the page file and truncate the log to a fresh checkpoint
-    /// record.
+    /// Truncate the log to a fresh checkpoint record. Every page it
+    /// names is durable already, so it syncs no page.
     pub fn checkpoint(&self) -> Result<()> {
         Ok(self.store.checkpoint()?)
     }

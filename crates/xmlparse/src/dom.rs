@@ -1,9 +1,13 @@
 //! A small owned XML DOM: documents, elements, text, and comments.
 //!
-//! The DOM is deliberately simple — it exists to ferry parsed documents
-//! into the native store (the `xmlstore` crate) and to carry query results
-//! back out for serialization. Attributes are kept in document order.
+//! The DOM is deliberately simple, and it is one receiver of the
+//! parser's element events ([`ElementBuilder`](crate::sink::ElementBuilder)):
+//! the native store (the `xmlstore` crate) loads straight from those
+//! events and builds no DOM. Trees are for callers that want one — the
+//! reference model, hand-built documents, results read back for
+//! inspection. Attributes are kept in document order.
 
+use crate::sink::XmlSink;
 use std::fmt;
 
 /// A parsed XML document: an optional prolog plus exactly one root element.
@@ -152,6 +156,24 @@ impl Element {
             }
         }
         n
+    }
+
+    /// Report this element's tree to `sink` as events, in document
+    /// order: each text child is one `text` call, each comment one
+    /// `comment` call.
+    pub fn replay(&self, sink: &mut impl XmlSink) {
+        sink.open(&self.name);
+        for (n, v) in &self.attributes {
+            sink.attr(n, v);
+        }
+        for c in &self.children {
+            match c {
+                XmlNode::Element(e) => e.replay(sink),
+                XmlNode::Text(t) => sink.text(t),
+                XmlNode::Comment(c) => sink.comment(c),
+            }
+        }
+        sink.close(&self.name);
     }
 
     /// Depth-first pre-order iteration over descendant elements,

@@ -3,9 +3,12 @@
 //! This crate is one of the substrates of the reproduction of *Grouping in
 //! XML* (Paparizos et al., EDBT 2002). The TIMBER system the paper
 //! describes loads XML documents into a native paged store; this crate
-//! provides the front end of that loading path: turning XML text into an
-//! in-memory [`dom::Document`], and turning query results back into XML
-//! text.
+//! provides the front end of that loading path: one recursive-descent
+//! parser, [`parse_into`], that reports a document as element events to
+//! an [`XmlSink`], and the way back from events to XML text
+//! ([`XmlWriter`]). The store's loader is one such sink and builds its
+//! pages as the events arrive; the DOM, [`dom::Document`], is another
+//! ([`ElementBuilder`], which [`parse_document`] drives).
 //!
 //! # Supported XML subset
 //!
@@ -43,6 +46,6 @@ pub mod sink;
 
 pub use dom::{Document, Element, XmlNode};
 pub use error::{ParseError, Result};
-pub use parser::parse_document;
+pub use parser::{parse_document, parse_into};
 pub use serialize::{to_string, to_string_pretty};
 pub use sink::{ElementBuilder, XmlSink, XmlWriter};

@@ -1,25 +1,49 @@
-//! Recursive-descent XML parser producing a [`Document`].
+//! Recursive-descent XML parser reporting element events to an
+//! [`XmlSink`].
 //!
-//! The parser recurses once per element nesting level, so depth is
-//! bounded by [`MAX_DEPTH`]: a deeper document is a typed
-//! [`ParseErrorKind::TooDeep`] error, not a stack overflow.
+//! [`parse_into`] is the parser; [`parse_document`] is `parse_into`
+//! driving an [`ElementBuilder`]. The parser recurses once per element
+//! nesting level, so depth is bounded by [`MAX_DEPTH`]: a deeper
+//! document is a typed [`ParseErrorKind::TooDeep`] error, not a stack
+//! overflow.
 
-use crate::dom::{Document, Element, XmlNode};
+use crate::dom::Document;
 use crate::error::{ParseErrorKind, Pos, Result};
 use crate::lexer::Cursor;
+use crate::sink::{ElementBuilder, XmlSink};
 
 /// The deepest element nesting a document may have (the root is depth
 /// 1); libxml2's default limit.
 pub const MAX_DEPTH: usize = 256;
 
-/// Parse a complete XML document.
+/// Parse a complete XML document into a DOM.
+pub fn parse_document(input: &str) -> Result<Document> {
+    let mut builder = ElementBuilder::new();
+    parse_into(input, &mut builder)?;
+    Ok(Document::new(builder.finish()))
+}
+
+/// Parse a complete XML document, reporting its root element to `sink`
+/// as it is read.
 ///
 /// The document may begin with an `<?xml ...?>` declaration, comments,
 /// processing instructions, and one `<!DOCTYPE ...>` declaration; it must
 /// contain exactly one root element; trailing comments/PIs are allowed.
-pub fn parse_document(input: &str) -> Result<Document> {
+///
+/// Character data reaches the sink with entities resolved and CDATA
+/// sections merged into it: one `text` call per run between the element
+/// events and the comments inside an element, never an empty one. Each
+/// is one [`XmlNode::Text`](crate::dom::XmlNode::Text) of the DOM.
+/// Comments inside the root element reach [`XmlSink::comment`]; those
+/// outside it, and processing instructions, are skipped. On `Err` the
+/// sink has seen a prefix of the document's events.
+pub fn parse_into(input: &str, sink: &mut impl XmlSink) -> Result<()> {
     let mut p = Parser {
         cur: Cursor::new(input),
+        sink,
+        text: String::new(),
+        attr_value: String::new(),
+        attr_names: Vec::new(),
     };
     p.skip_prolog()?;
     p.cur.skip_whitespace();
@@ -28,7 +52,7 @@ pub fn parse_document(input: &str) -> Result<Document> {
             "expected a root element",
         )));
     }
-    let root = p.parse_element(1)?;
+    p.parse_element(1)?;
     // Trailing misc: whitespace, comments, PIs.
     loop {
         p.cur.skip_whitespace();
@@ -45,14 +69,22 @@ pub fn parse_document(input: &str) -> Result<Document> {
             )));
         }
     }
-    Ok(Document::new(root))
+    Ok(())
 }
 
-struct Parser<'a> {
+struct Parser<'a, 's, S> {
     cur: Cursor<'a>,
+    sink: &'s mut S,
+    /// The innermost open element's character data since its last
+    /// event; empty whenever a child element opens or closes.
+    text: String,
+    /// The attribute value being resolved.
+    attr_value: String,
+    /// The names of the open tag's attributes so far.
+    attr_names: Vec<&'a str>,
 }
 
-impl<'a> Parser<'a> {
+impl<'a, S: XmlSink> Parser<'a, '_, S> {
     fn skip_prolog(&mut self) -> Result<()> {
         self.cur.skip_whitespace();
         if self.cur.eat("<?xml") {
@@ -92,25 +124,26 @@ impl<'a> Parser<'a> {
 
     /// Parse one element at nesting level `depth`, cursor positioned at
     /// `<`.
-    fn parse_element(&mut self, depth: usize) -> Result<Element> {
+    fn parse_element(&mut self, depth: usize) -> Result<()> {
         let open_pos = self.cur.pos();
         if depth > MAX_DEPTH {
             return Err(self.cur.err(ParseErrorKind::TooDeep));
         }
         self.cur.expect("<", "element start")?;
-        let name = self.cur.scan_name("element name")?.to_owned();
-        let mut elem = Element::new(name);
-        self.parse_attributes(&mut elem)?;
+        let name = self.cur.scan_name("element name")?;
+        self.sink.open(name);
+        self.parse_attributes()?;
         self.cur.skip_whitespace();
         if self.cur.eat("/>") {
-            return Ok(elem);
+            self.sink.close(name);
+            return Ok(());
         }
         self.cur.expect(">", "end of open tag")?;
-        self.parse_content(&mut elem, open_pos, depth)?;
-        Ok(elem)
+        self.parse_content(name, open_pos, depth)
     }
 
-    fn parse_attributes(&mut self, elem: &mut Element) -> Result<()> {
+    fn parse_attributes(&mut self) -> Result<()> {
+        self.attr_names.clear();
         loop {
             self.cur.skip_whitespace();
             match self.cur.peek() {
@@ -118,7 +151,7 @@ impl<'a> Parser<'a> {
                 _ => {}
             }
             let attr_pos = self.cur.pos();
-            let name = self.cur.scan_name("attribute name")?.to_owned();
+            let name = self.cur.scan_name("attribute name")?;
             self.cur.skip_whitespace();
             self.cur.expect("=", "attribute '='")?;
             self.cur.skip_whitespace();
@@ -138,81 +171,80 @@ impl<'a> Parser<'a> {
             };
             let delim = if quote == b'"' { "\"" } else { "'" };
             let raw = self.cur.take_until(delim, "attribute value")?;
-            let value = resolve_entities(raw, &self.cur, attr_pos)?;
-            if elem.attributes.iter().any(|(n, _)| *n == name) {
-                return Err(self
-                    .cur
-                    .err_at(attr_pos, ParseErrorKind::DuplicateAttribute(name)));
+            self.attr_value.clear();
+            resolve_entities(raw, &mut self.attr_value, &self.cur, attr_pos)?;
+            if self.attr_names.contains(&name) {
+                return Err(self.cur.err_at(
+                    attr_pos,
+                    ParseErrorKind::DuplicateAttribute(name.to_owned()),
+                ));
             }
-            elem.attributes.push((name, value));
+            self.attr_names.push(name);
+            self.sink.attr(name, &self.attr_value);
         }
     }
 
-    /// Parse element content up to and including the matching close tag.
-    fn parse_content(&mut self, elem: &mut Element, open_pos: Pos, depth: usize) -> Result<()> {
-        let mut text = String::new();
+    /// Parse the content of element `name` up to and including its
+    /// close tag.
+    fn parse_content(&mut self, name: &str, open_pos: Pos, depth: usize) -> Result<()> {
         loop {
             if self.cur.at_eof() {
                 return Err(self
                     .cur
-                    .err_at(open_pos, ParseErrorKind::UnclosedElement(elem.name.clone())));
+                    .err_at(open_pos, ParseErrorKind::UnclosedElement(name.to_owned())));
             }
             if self.cur.peek() == Some(b'<') {
                 if self.cur.eat("<!--") {
-                    flush_text(elem, &mut text);
+                    self.flush_text();
                     let c = self.cur.take_until("-->", "comment")?;
-                    elem.children.push(XmlNode::Comment(c.to_owned()));
+                    self.sink.comment(c);
                 } else if self.cur.eat("<![CDATA[") {
                     let c = self.cur.take_until("]]>", "CDATA section")?;
-                    text.push_str(c);
+                    self.text.push_str(c);
                 } else if self.cur.peek_at(1) == Some(b'?') {
                     self.cur.eat("<?");
                     self.cur.take_until("?>", "processing instruction")?;
                 } else if self.cur.peek_at(1) == Some(b'/') {
-                    flush_text(elem, &mut text);
+                    self.flush_text();
                     self.cur.eat("</");
                     let close_pos = self.cur.pos();
                     let close = self.cur.scan_name("close tag name")?;
-                    if close != elem.name {
+                    if close != name {
                         return Err(self.cur.err_at(
                             close_pos,
                             ParseErrorKind::MismatchedCloseTag {
-                                open: elem.name.clone(),
+                                open: name.to_owned(),
                                 close: close.to_owned(),
                             },
                         ));
                     }
                     self.cur.skip_whitespace();
                     self.cur.expect(">", "end of close tag")?;
+                    self.sink.close(name);
                     return Ok(());
                 } else {
-                    flush_text(elem, &mut text);
-                    let child = self.parse_element(depth + 1)?;
-                    elem.children.push(XmlNode::Element(child));
+                    self.flush_text();
+                    self.parse_element(depth + 1)?;
                 }
             } else {
                 let pos = self.cur.pos();
                 let raw = self.cur.take_while(|b| b != b'<');
-                let resolved = resolve_entities(raw, &self.cur, pos)?;
-                text.push_str(&resolved);
+                resolve_entities(raw, &mut self.text, &self.cur, pos)?;
             }
+        }
+    }
+
+    fn flush_text(&mut self) {
+        if !self.text.is_empty() {
+            self.sink.text(&self.text);
+            self.text.clear();
         }
     }
 }
 
-fn flush_text(elem: &mut Element, text: &mut String) {
-    if !text.is_empty() {
-        elem.children.push(XmlNode::Text(std::mem::take(text)));
-    }
-}
-
-/// Resolve the five predefined entities and numeric character references
-/// in `raw`.
-fn resolve_entities(raw: &str, cur: &Cursor<'_>, pos: Pos) -> Result<String> {
-    if !raw.contains('&') {
-        return Ok(raw.to_owned());
-    }
-    let mut out = String::with_capacity(raw.len());
+/// Append `raw` to `out` with the five predefined entities and numeric
+/// character references resolved.
+fn resolve_entities(raw: &str, out: &mut String, cur: &Cursor<'_>, pos: Pos) -> Result<()> {
     let mut rest = raw;
     while let Some(amp) = rest.find('&') {
         out.push_str(&rest[..amp]);
@@ -247,12 +279,16 @@ fn resolve_entities(raw: &str, cur: &Cursor<'_>, pos: Pos) -> Result<String> {
         rest = &rest[semi + 1..];
     }
     out.push_str(rest);
-    Ok(out)
+    Ok(())
 }
 
 fn truncate(s: &str, n: usize) -> String {
     s.chars().take(n).collect()
 }
+
+// The tests name DOM nodes through `use super::*`.
+#[cfg(test)]
+use crate::dom::XmlNode;
 
 #[cfg(test)]
 mod tests {

@@ -1,21 +1,24 @@
-//! Element events and their two receivers.
+//! Element events and their receivers.
 //!
-//! A producer that already knows a tree's shape — the store walking its
-//! label columns, a query result walking its arena — reports it as
-//! `open` / `attr` / `text` / `close` calls in document order. An
-//! [`XmlWriter`] turns those calls straight into XML text; an
+//! A producer reports one element tree as `open` / `attr` / `text` /
+//! `comment` / `close` calls in document order: the parser reading XML
+//! text ([`parse_into`]), a DOM replaying itself ([`Element::replay`]),
+//! the store walking its label columns, a query result walking its
+//! arena. An [`XmlWriter`] turns those calls straight into XML text; an
 //! [`ElementBuilder`] turns the same calls into a DOM [`Element`]. The
 //! text of the one equals [`element_to_string`] of the other.
 //!
+//! [`parse_into`]: crate::parser::parse_into
 //! [`element_to_string`]: crate::serialize::element_to_string
 
 use crate::dom::{Element, XmlNode};
 use crate::serialize::{push_attr, push_escaped_text};
 
 /// Receiver of one element tree, in document order. A producer calls
-/// `attr` only between an element's `open` and its first `text` or
-/// child `open`, and closes every element it opens. Values are borrowed:
-/// producers read them in batches into an arena of their own.
+/// `attr` only between an element's `open` and its first `text`,
+/// `comment` or child `open`, and closes every element it opens (the
+/// parser stops short of that when the input is malformed). Values are
+/// borrowed: producers read them in batches into an arena of their own.
 pub trait XmlSink {
     /// An element starts.
     fn open(&mut self, name: &str);
@@ -23,6 +26,9 @@ pub trait XmlSink {
     fn attr(&mut self, name: &str, value: &str);
     /// Character data (unescaped) inside the innermost open element.
     fn text(&mut self, text: &str);
+    /// A comment inside the innermost open element. The writer and the
+    /// DOM keep it; a receiver with no place for comments ignores it.
+    fn comment(&mut self, _text: &str) {}
     /// The innermost open element, called `name`, ends.
     fn close(&mut self, name: &str);
 }
@@ -66,6 +72,13 @@ impl XmlSink for XmlWriter<'_> {
     fn text(&mut self, text: &str) {
         self.end_start_tag();
         push_escaped_text(self.out, text);
+    }
+
+    fn comment(&mut self, text: &str) {
+        self.end_start_tag();
+        self.out.push_str("<!--");
+        self.out.push_str(text);
+        self.out.push_str("-->");
     }
 
     fn close(&mut self, name: &str) {
@@ -119,6 +132,12 @@ impl XmlSink for ElementBuilder {
         }
     }
 
+    fn comment(&mut self, text: &str) {
+        if let Some(e) = self.open.last_mut() {
+            e.children.push(XmlNode::Comment(text.to_owned()));
+        }
+    }
+
     fn close(&mut self, _name: &str) {
         let Some(e) = self.open.pop() else { return };
         match self.open.last_mut() {
@@ -165,5 +184,16 @@ mod tests {
         let mut b = ElementBuilder::new();
         replay(&e, &mut b);
         assert_eq!(b.finish(), e);
+    }
+
+    #[test]
+    fn the_parser_driving_a_writer_writes_what_the_dom_serializes() {
+        let xml = "<?xml version=\"1.0\"?><!-- p --><a k=\"&lt;1&gt;\">x<!-- c -->y\
+                   <![CDATA[<z>]]>&amp;<b/><c> </c><?pi?>t&#65;</a><!-- t -->";
+        let mut text = String::new();
+        crate::parse_into(xml, &mut XmlWriter::new(&mut text)).unwrap();
+        let dom = crate::parse_document(xml).unwrap();
+        assert_eq!(text, element_to_string(dom.root()));
+        assert!(text.contains("<!-- c -->"), "{text}");
     }
 }

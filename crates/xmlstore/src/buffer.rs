@@ -226,7 +226,7 @@ mod tests {
     fn pool_with_pages(capacity: usize, npages: u32) -> BufferPool {
         let mut disk = DiskManager::in_memory();
         for i in 0..npages {
-            let pid = disk.allocate().unwrap();
+            let pid = disk.allocate(1).unwrap();
             let mut buf = [0u8; PAGE_SIZE];
             buf[PAGE_HEADER_SIZE] = i as u8;
             disk.write_page(pid, &buf).unwrap();

@@ -32,7 +32,8 @@
 //! This module holds the options, construction and the read API. Each
 //! other decision lives behind one child module: `meta` (the durable
 //! metadata, its checkpoint snapshot and commit delta codecs), `loader`
-//! (document → records and pages), `projection` (the published view,
+//! (the parser's element events → records and pages, with no DOM in
+//! between), `projection` (the published view,
 //! how an edit extends it, snapshot pins, limbo), `output` (the batched
 //! value read, the walk that records a stored subtree, the replay),
 //! `commit` (the one write transaction, its page writes, the
@@ -239,16 +240,22 @@ const _: () = {
 };
 
 impl DocumentStore {
-    /// Parse `xml` and load it as the store's single document.
+    /// Create a store holding `xml` as its single document, loaded
+    /// straight from the parser's events.
     pub fn from_xml(xml: &str, opts: &StoreOptions) -> Result<Self> {
-        let doc = xmlparse::parse_document(xml)?;
-        Self::load(&doc, opts)
+        Self::holding(opts, |store| store.insert_xml(xml))
     }
 
     /// Create a store holding one parsed document.
     pub fn load(doc: &xmlparse::Document, opts: &StoreOptions) -> Result<Self> {
+        Self::holding(opts, |store| store.insert_document(doc))
+    }
+
+    /// Create a store, run `insert` on it, and start it with an empty
+    /// pool and zeroed counters.
+    fn holding(opts: &StoreOptions, insert: impl FnOnce(&Self) -> Result<DocId>) -> Result<Self> {
         let store = Self::create(opts)?;
-        store.insert_document(doc)?;
+        insert(&store)?;
         store.clear_buffer_pool()?;
         store.shared.disk.reset_stats();
         store.reset_io_stats();

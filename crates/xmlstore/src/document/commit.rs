@@ -3,8 +3,9 @@
 //! [`DocumentStore::commit`] is the only code that allocates page runs,
 //! encodes the commit's metadata delta, writes pages, logs the commit,
 //! publishes a projection, and — on error — gives the runs back.
-//! `insert_document`, `delete_document` and `replace_document` are
-//! [`Edit`]s handed to it. Every commit writes its pages to the page
+//! `insert_xml`, `replace_xml`, `insert_document`, `replace_document` and
+//! `delete_document` are [`Edit`]s handed to it, the added document
+//! already built by the loader. Every commit writes its pages to the page
 //! file itself and syncs it before the commit record is written.
 //!
 //! What a commit does is sized by the edit: it logs the dictionary
@@ -13,7 +14,7 @@
 //! when nobody holds it, copying the rows from the earlier of this and
 //! the previous edit's cut on; when a reader holds it, all the labels.
 
-use super::loader::{build_local, PageBuf};
+use super::loader::{build_local, load_local, LocalDoc, PageBuf};
 use super::meta::{encode_delta, encode_meta, DocMeta, MetaDelta, StoreMeta};
 use super::projection::{limbo_runs, reclaim_limbo, DocRows, LimboRun, Projection};
 use super::{DocId, DocumentStore};
@@ -51,10 +52,12 @@ pub(super) struct WriterState {
 }
 
 /// One store transaction: take `remove` out of the document table, put
-/// `add` in, or both at once (a replace).
-struct Edit<'a> {
+/// `add` in, or both at once (a replace). `add` is built before the
+/// commit lock is taken — interning into the dictionary is concurrent,
+/// so writers only serialize on the page/WAL work.
+struct Edit {
     remove: Option<DocId>,
-    add: Option<&'a xmlparse::Document>,
+    add: Option<LocalDoc>,
 }
 
 /// A contiguous page run handed out by the allocator.
@@ -85,14 +88,18 @@ impl DocumentStore {
     pub fn insert_document(&self, doc: &xmlparse::Document) -> Result<DocId> {
         self.commit(Edit {
             remove: None,
-            add: Some(doc),
+            add: Some(build_local(doc, &self.shared.tags)?),
         })
     }
 
-    /// Parse and insert an XML document.
+    /// Insert an XML document, loaded straight from the parser's events
+    /// (no DOM is built). A syntax error anywhere in `xml` wins over a
+    /// store error earlier in it; either way nothing changed.
     pub fn insert_xml(&self, xml: &str) -> Result<DocId> {
-        let doc = xmlparse::parse_document(xml)?;
-        self.insert_document(&doc)
+        self.commit(Edit {
+            remove: None,
+            add: Some(load_local(xml, &self.shared.tags)?),
+        })
     }
 
     /// Delete document `doc` as one WAL transaction. Its pages move to
@@ -113,7 +120,16 @@ impl DocumentStore {
     pub fn replace_document(&self, doc: DocId, new_doc: &xmlparse::Document) -> Result<DocId> {
         self.commit(Edit {
             remove: Some(doc),
-            add: Some(new_doc),
+            add: Some(build_local(new_doc, &self.shared.tags)?),
+        })
+    }
+
+    /// [`replace_document`](Self::replace_document) with an XML
+    /// document, loaded as [`insert_xml`](Self::insert_xml) loads it.
+    pub fn replace_xml(&self, doc: DocId, xml: &str) -> Result<DocId> {
+        self.commit(Edit {
+            remove: Some(doc),
+            add: Some(load_local(xml, &self.shared.tags)?),
         })
     }
 
@@ -122,15 +138,12 @@ impl DocumentStore {
     /// `Ok` the commit record is durable and the new projection is
     /// published; on `Err` the document table, the epoch and the free
     /// list are as before.
-    fn commit(&self, edit: Edit<'_>) -> Result<DocId> {
+    fn commit(&self, edit: Edit) -> Result<DocId> {
         if self.shared.disk.crashed() {
             return Err(StoreError::SimulatedCrash);
         }
-        // Build the document outside the commit lock — interning into
-        // the dictionary is concurrent, so writers only serialize on
-        // the page/WAL work below.
         let sh = &self.shared;
-        let local = edit.add.map(|doc| build_local(doc, &sh.tags)).transpose()?;
+        let local = edit.add;
         let (heap_pages, node_pages): (&[PageBuf], &[PageBuf]) = match &local {
             Some(l) => (&l.heap_pages, &l.node_pages),
             None => (&[], &[]),
@@ -206,14 +219,15 @@ impl DocumentStore {
         Ok(doc_id)
     }
 
-    /// Sync the page file, then truncate the log to a fresh checkpoint
-    /// carrying the one full metadata snapshot.
+    /// Truncate the log to a fresh checkpoint carrying the one full
+    /// metadata snapshot. The page file needs no sync here: every page a
+    /// durable commit made live was synced before its record, and no
+    /// other page write happens. Without a log there is nothing to do.
     pub fn checkpoint(&self) -> Result<()> {
         if self.shared.disk.crashed() {
             return Err(StoreError::SimulatedCrash);
         }
         let mut w = self.writer();
-        self.shared.disk.lock().sync()?;
         if let Some(mut wal) = self.shared.wal() {
             // The whole name table, straight from the dictionary: symbols
             // interned since the last commit (query-constructed tags and
@@ -273,7 +287,8 @@ impl DocumentStore {
 
     /// Allocate a run of `n` consecutive pages: the lowest consecutive
     /// run in the free list if one exists, else fresh pages at the end
-    /// of the file.
+    /// of the file, which the file grows by and nothing writes until
+    /// the commit does.
     fn alloc_run(&self, w: &mut WriterState, n: u32) -> Result<Run> {
         if n == 0 {
             return Ok(Run { base: 0, len: 0 });
@@ -298,13 +313,7 @@ impl DocumentStore {
             }
             return Ok(Run { base, len: n });
         }
-        let base = self.shared.disk.num_pages();
-        for allocated in 0..n {
-            if let Err(e) = self.shared.disk.lock().allocate() {
-                w.free.extend(base..base + allocated);
-                return Err(e);
-            }
-        }
+        let PageId(base) = self.shared.disk.lock().allocate(n)?;
         Ok(Run { base, len: n })
     }
 }

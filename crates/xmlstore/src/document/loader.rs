@@ -1,7 +1,20 @@
-//! The loader: one parsed document → local node records, each carrying
-//! its content symbol, and encoded heap and node pages, ready for a
-//! commit to place. Whitespace-only text is not stored: the data is
-//! data-centric, and the reference model's data model drops it too.
+//! The loader: one document's element events → local node records,
+//! each carrying its content symbol, and encoded heap and node pages,
+//! ready for a commit to place.
+//!
+//! The loader is an [`XmlSink`]: the parser drives it straight from the
+//! XML text ([`load_local`]), and a DOM a caller already holds replays
+//! through it ([`build_local`]), so no DOM is built on the load path.
+//! An element's text waits only until the element shows whether it has
+//! element children; then it becomes the element's content (text-only)
+//! or one `#text` leaf per run (mixed content). Whitespace-only text is
+//! not stored: the data is data-centric, and the reference model's data
+//! model drops it too.
+//!
+//! Names and values are interned as they arrive, so a document that
+//! fails part-way (a syntax error, [`StoreError::ReservedTag`],
+//! [`StoreError::ContentTooLong`]) may leave some in the dictionary, as
+//! a failed commit does; the next commit that lands logs them.
 
 use super::DOC_ROOT_TAG;
 use crate::catalog::{attr_tag_name, TagId, TEXT_TAG};
@@ -10,6 +23,7 @@ use crate::error::{Result, StoreError};
 use crate::heap::HeapBuilder;
 use crate::node::{ContentPtr, NodeKind, NodeRecord, RECORDS_PER_PAGE, RECORD_SIZE};
 use crate::page::{PAGE_HEADER_SIZE, PAGE_SIZE};
+use xmlparse::XmlSink;
 
 /// One encoded page, ready to be written at whatever id the allocator
 /// hands out.
@@ -24,104 +38,213 @@ pub(super) struct LocalDoc {
     pub span: u32,
 }
 
-pub(super) fn build_local(doc: &xmlparse::Document, tags: &Dictionary) -> Result<LocalDoc> {
-    let mut loader = Loader {
-        tags,
-        heap: HeapBuilder::new(),
-        records: Vec::new(),
-        counter: 0,
-    };
-    loader.load_element(doc.root(), 1)?;
-    let Loader {
-        heap,
-        records,
-        counter: span,
-        ..
-    } = loader;
+/// Parse `xml` straight into a [`LocalDoc`]. A syntax error wins over
+/// an error the loader met earlier in the same document.
+pub(super) fn load_local(xml: &str, tags: &Dictionary) -> Result<LocalDoc> {
+    let mut loader = Loader::new(tags);
+    xmlparse::parse_into(xml, &mut loader)?;
+    loader.finish()
+}
 
-    let heap_pages = heap.into_pages();
-    let mut node_pages = Vec::with_capacity(records.len().div_ceil(RECORDS_PER_PAGE));
-    for chunk in records.chunks(RECORDS_PER_PAGE) {
-        let mut page = Box::new([0u8; PAGE_SIZE]);
-        for (slot, rec) in chunk.iter().enumerate() {
-            let at = PAGE_HEADER_SIZE + slot * RECORD_SIZE;
-            rec.encode(&mut page[at..at + RECORD_SIZE]);
-        }
-        node_pages.push(page);
-    }
-    Ok(LocalDoc {
-        records,
-        heap_pages,
-        node_pages,
-        span,
-    })
+/// Build the [`LocalDoc`] of an already parsed document.
+pub(super) fn build_local(doc: &xmlparse::Document, tags: &Dictionary) -> Result<LocalDoc> {
+    let mut loader = Loader::new(tags);
+    doc.root().replay(&mut loader);
+    loader.finish()
+}
+
+/// An element still open.
+struct Frame {
+    /// Its index in `records`.
+    id: usize,
+    level: u16,
+    /// Whether an element child has opened inside it yet.
+    has_element_child: bool,
 }
 
 struct Loader<'a> {
+    rows: Rows<'a>,
+    open: Vec<Frame>,
+    /// The innermost open element's text, while it has no element
+    /// child: its runs of text, one after another.
+    pending: String,
+    /// Where each run in `pending` ends.
+    runs: Vec<usize>,
+    /// The first error met; every later event is ignored.
+    error: Option<StoreError>,
+}
+
+/// What the loader writes: records, labels and heap values.
+struct Rows<'a> {
     tags: &'a Dictionary,
     heap: HeapBuilder,
     records: Vec<NodeRecord>,
     counter: u32,
 }
 
-impl Loader<'_> {
-    /// DFS over the DOM assigning local ids, labels, and content. An
-    /// element named [`DOC_ROOT_TAG`] is refused: that tag names the
+impl XmlSink for Loader<'_> {
+    fn open(&mut self, name: &str) {
+        self.handle(|l| l.open_element(name));
+    }
+
+    /// Attributes are leaf nodes.
+    fn attr(&mut self, name: &str, value: &str) {
+        self.handle(|l| {
+            let Some(frame) = l.open.last() else {
+                return Ok(());
+            };
+            let tag = l.rows.tags.intern(&attr_tag_name(name));
+            l.rows
+                .leaf(tag, NodeKind::Attribute, frame.level + 1, value)
+        });
+    }
+
+    fn text(&mut self, text: &str) {
+        self.handle(|l| match l.open.last() {
+            Some(frame) if frame.has_element_child => l.rows.text_leaf(frame.level + 1, text),
+            Some(_) => {
+                l.pending.push_str(text);
+                l.runs.push(l.pending.len());
+                Ok(())
+            }
+            None => Ok(()),
+        });
+    }
+
+    fn close(&mut self, _name: &str) {
+        self.handle(Loader::close_element);
+    }
+}
+
+impl<'a> Loader<'a> {
+    fn new(tags: &'a Dictionary) -> Self {
+        Loader {
+            rows: Rows {
+                tags,
+                heap: HeapBuilder::new(),
+                records: Vec::new(),
+                counter: 0,
+            },
+            open: Vec::new(),
+            pending: String::new(),
+            runs: Vec::new(),
+            error: None,
+        }
+    }
+
+    /// Run one event's work unless an earlier one failed, and keep its
+    /// error.
+    fn handle(&mut self, event: impl FnOnce(&mut Self) -> Result<()>) {
+        if self.error.is_none() {
+            if let Err(e) = event(self) {
+                self.error = Some(e);
+            }
+        }
+    }
+
+    /// An element named [`DOC_ROOT_TAG`] is refused: that tag names the
     /// synthetic root every stored node lies below.
-    fn load_element(&mut self, elem: &xmlparse::Element, level: u16) -> Result<()> {
-        if elem.name == DOC_ROOT_TAG {
+    fn open_element(&mut self, name: &str) -> Result<()> {
+        if name == DOC_ROOT_TAG {
             return Err(StoreError::ReservedTag { tag: DOC_ROOT_TAG });
         }
-        let id = self.records.len();
-        let tag = self.tags.intern(&elem.name);
-        let start = self.counter;
-        self.counter += 1;
-        self.records.push(NodeRecord {
+        let level = match self.open.last_mut() {
+            Some(parent) => {
+                if !parent.has_element_child {
+                    // Mixed or element content: the parent's text so far
+                    // becomes `#text` leaves ahead of this child.
+                    parent.has_element_child = true;
+                    let mut from = 0;
+                    for &end in &self.runs {
+                        self.rows
+                            .text_leaf(parent.level + 1, &self.pending[from..end])?;
+                        from = end;
+                    }
+                    self.pending.clear();
+                    self.runs.clear();
+                }
+                parent.level + 1
+            }
+            None => 1,
+        };
+        let rows = &mut self.rows;
+        self.open.push(Frame {
+            id: rows.records.len(),
+            level,
+            has_element_child: false,
+        });
+        let tag = rows.tags.intern(name);
+        rows.records.push(NodeRecord {
             tag,
-            start,
-            end: 0, // patched at exit
+            start: rows.counter,
+            end: 0, // patched at close
             sym: NO_SYM,
             level,
             kind: NodeKind::Element,
             content: ContentPtr::NULL,
         });
+        rows.counter += 1;
+        Ok(())
+    }
 
-        // Attributes as leaf nodes.
-        for (name, value) in &elem.attributes {
-            let attr_tag = self.tags.intern(&attr_tag_name(name));
-            self.leaf(attr_tag, NodeKind::Attribute, level + 1, value)?;
-        }
-
-        let has_element_children = elem
-            .children
-            .iter()
-            .any(|c| matches!(c, xmlparse::XmlNode::Element(_)));
-
-        if has_element_children {
-            // Mixed or element content: text children become #text nodes.
-            for child in &elem.children {
-                match child {
-                    xmlparse::XmlNode::Element(e) => self.load_element(e, level + 1)?,
-                    xmlparse::XmlNode::Text(t) if !t.trim().is_empty() => {
-                        let text_tag = self.tags.intern(TEXT_TAG);
-                        self.leaf(text_tag, NodeKind::Text, level + 1, t)?;
-                    }
-                    xmlparse::XmlNode::Text(_) | xmlparse::XmlNode::Comment(_) => {}
-                }
-            }
-        } else {
-            // Text-only (or empty) content merges into the element.
-            let text = elem.text();
-            if !text.trim().is_empty() {
-                let (content, sym) = self.value(&text)?;
-                let rec = &mut self.records[id];
+    /// A text-only (or empty) element's text merges into the element.
+    fn close_element(&mut self) -> Result<()> {
+        let Some(frame) = self.open.pop() else {
+            return Ok(());
+        };
+        let rows = &mut self.rows;
+        if !frame.has_element_child {
+            if !self.pending.trim().is_empty() {
+                let (content, sym) = rows.value(&self.pending)?;
+                let rec = &mut rows.records[frame.id];
                 (rec.content, rec.sym) = (content, sym);
             }
+            self.pending.clear();
+            self.runs.clear();
         }
-
-        self.records[id].end = self.counter;
-        self.counter += 1;
+        rows.records[frame.id].end = rows.counter;
+        rows.counter += 1;
         Ok(())
+    }
+
+    /// The records and the encoded pages, or the first error met.
+    fn finish(self) -> Result<LocalDoc> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        let Rows {
+            heap,
+            records,
+            counter: span,
+            ..
+        } = self.rows;
+        let heap_pages = heap.into_pages();
+        let mut node_pages = Vec::with_capacity(records.len().div_ceil(RECORDS_PER_PAGE));
+        for chunk in records.chunks(RECORDS_PER_PAGE) {
+            let mut page = Box::new([0u8; PAGE_SIZE]);
+            for (slot, rec) in chunk.iter().enumerate() {
+                let at = PAGE_HEADER_SIZE + slot * RECORD_SIZE;
+                rec.encode(&mut page[at..at + RECORD_SIZE]);
+            }
+            node_pages.push(page);
+        }
+        Ok(LocalDoc {
+            records,
+            heap_pages,
+            node_pages,
+            span,
+        })
+    }
+}
+
+impl Rows<'_> {
+    /// A `#text` leaf holding `text`, unless it is whitespace only.
+    fn text_leaf(&mut self, level: u16, text: &str) -> Result<()> {
+        if text.trim().is_empty() {
+            return Ok(());
+        }
+        let tag = self.tags.intern(TEXT_TAG);
+        self.leaf(tag, NodeKind::Text, level, text)
     }
 
     /// A leaf row — an attribute or a `#text` node — holding `text`.

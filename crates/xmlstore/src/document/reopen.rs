@@ -352,6 +352,53 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_write_to_a_fresh_run_leaves_it_free_for_the_next_commit() {
+        // The file grows for the second document's fresh runs, written
+        // by nobody, before its first page write fails. The runs go back
+        // to the free list, the retry lands on them without growing the
+        // file, and the store reopens to the bytes of one that never
+        // failed.
+        let pages_down: crate::FaultConfig = "seed=1,write_err=1.0".parse().unwrap();
+        let second = "<bib><article><title>Second</title><author>Jill</author></article></bib>";
+        let (page, wal) = temp_paths("fresh_fail");
+        let (clean_page, clean_wal) = temp_paths("fresh_clean");
+        {
+            let s = DocumentStore::create(&durable_opts(&page)).unwrap();
+            s.insert_xml(SAMPLE).unwrap();
+            let pages = s.total_pages();
+            s.inject_faults(Some(pages_down)).unwrap();
+            let err = s.insert_xml(second).unwrap_err();
+            assert!(err.is_transient(), "{err}");
+            s.inject_faults(None).unwrap();
+            let grown = s.total_pages();
+            assert!(grown > pages, "the fresh runs are in the file");
+            s.insert_xml(second).unwrap();
+            assert_eq!(s.total_pages(), grown, "the retry reuses them");
+            let c = DocumentStore::create(&durable_opts(&clean_page)).unwrap();
+            c.insert_xml(SAMPLE).unwrap();
+            c.insert_xml(second).unwrap();
+        }
+        let once = std::fs::read(&page).unwrap();
+        assert!(once == std::fs::read(&clean_page).unwrap());
+        let s = DocumentStore::open(&durable_opts(&page)).unwrap();
+        let c = DocumentStore::open(&durable_opts(&clean_page)).unwrap();
+        assert_eq!(s.documents(), c.documents());
+        assert_eq!(s.node_count(), c.node_count());
+        for id in (0..c.node_count()).map(NodeId) {
+            assert_eq!(s.record(id).unwrap(), c.record(id).unwrap());
+            assert_eq!(s.content(id).unwrap(), c.content(id).unwrap());
+        }
+        drop((s, c));
+        assert!(
+            once == std::fs::read(&page).unwrap(),
+            "reopen writes no page"
+        );
+        for p in [page, wal, clean_page, clean_wal] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
     fn a_log_that_cannot_be_installed_leaves_the_old_one_in_charge() {
         // A directory where the new log's temp file would go: the
         // reopen cannot install its checkpoint and fails, typed. The

@@ -245,10 +245,10 @@ mod tests {
     fn pool_from_heap(builder: HeapBuilder, before: u32) -> BufferPool {
         let mut disk = DiskManager::in_memory();
         for _ in 0..before {
-            disk.allocate().unwrap();
+            disk.allocate(1).unwrap();
         }
         for page in builder.into_pages() {
-            let pid = disk.allocate().unwrap();
+            let pid = disk.allocate(1).unwrap();
             disk.write_page(pid, &page).unwrap();
         }
         BufferPool::new(disk, 6).unwrap()
@@ -447,7 +447,7 @@ mod tests {
     fn invalid_utf8_is_a_typed_error() {
         // A stale pointer into non-text bytes must not panic.
         let mut disk = DiskManager::in_memory();
-        let pid = disk.allocate().unwrap();
+        let pid = disk.allocate(1).unwrap();
         let mut raw = [0u8; PAGE_SIZE];
         raw[PAGE_SIZE - PAGE_DATA_SIZE] = 0xFF; // lone continuation byte
         raw[PAGE_SIZE - PAGE_DATA_SIZE + 1] = 0xFE;

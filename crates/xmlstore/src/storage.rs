@@ -5,7 +5,9 @@
 //! [`crate::page`]: `write_page` seals a private copy of the caller's
 //! buffer (so all writers get checksums, whatever bytes they left in the
 //! header region), and `read_page` verifies the image it hands back,
-//! surfacing damage as [`StoreError::Corruption`]. An optional
+//! surfacing damage as [`StoreError::Corruption`]. Allocation writes
+//! nothing: a page allocated and never written reads as `Corruption`,
+//! never as data. An optional
 //! [`FaultInjector`] sits between the checksum logic and the physical
 //! backend, corrupting traffic deterministically for the crash-recovery
 //! suites.
@@ -157,8 +159,7 @@ impl DiskManager {
     }
 
     /// Install (or with `None`, remove) a fault injector. Subsequent
-    /// reads and writes consult it; allocation never does, so freshly
-    /// allocated pages always start validly sealed.
+    /// reads and writes consult it; allocation never does.
     pub fn set_fault_injector(&mut self, injector: Option<FaultInjector>) {
         self.fault = injector;
     }
@@ -199,24 +200,27 @@ impl DiskManager {
         Ok(())
     }
 
-    /// Allocate a new sealed, zero-data page at the end of the file.
-    pub fn allocate(&mut self) -> Result<PageId> {
+    /// Allocate a run of `n` pages at the end of the file and return
+    /// the first. The file grows by one `set_len` and no page is
+    /// written: the caller writes every page it will read back, and an
+    /// allocated page never written reads as [`StoreError::Corruption`]
+    /// (its bytes are zero, and an all-zero page verifies at no page id
+    /// below 3 133 096 235, a 23 TiB file). On `Err` nothing was
+    /// allocated.
+    pub fn allocate(&mut self, n: u32) -> Result<PageId> {
         if self.crashed() {
             return Err(StoreError::SimulatedCrash);
         }
-        let pid = PageId(self.num_pages);
-        let mut image = [0u8; PAGE_SIZE];
-        page::seal(pid, &mut image);
+        let first = PageId(self.num_pages);
+        let total = self.num_pages + n;
         match &mut self.backend {
-            Backend::Mem(pages) => pages.push(Box::from(&image[..])),
-            Backend::File { file, .. } => {
-                // Extend the file so later reads are valid.
-                file.seek(SeekFrom::Start(pid.byte_offset()))?;
-                file.write_all(&image)?;
+            Backend::Mem(pages) => {
+                pages.resize_with(total as usize, || vec![0u8; PAGE_SIZE].into_boxed_slice())
             }
+            Backend::File { file, .. } => file.set_len(PageId(total).byte_offset())?,
         }
-        self.num_pages += 1;
-        Ok(pid)
+        self.num_pages = total;
+        Ok(first)
     }
 
     /// Read page `pid` into `buf`, verifying its checksum header.
@@ -387,10 +391,12 @@ mod tests {
     use crate::page::PAGE_HEADER_SIZE;
 
     fn roundtrip(mut dm: DiskManager) {
-        let a = dm.allocate().unwrap();
-        let b = dm.allocate().unwrap();
+        let a = dm.allocate(1).unwrap();
+        let b = dm.allocate(2).unwrap();
         assert_eq!(a, PageId(0));
         assert_eq!(b, PageId(1));
+        assert_eq!(dm.num_pages(), 3);
+        assert_eq!(dm.stats().writes, 0, "allocation writes no page");
 
         let mut page = [0u8; PAGE_SIZE];
         page[PAGE_HEADER_SIZE] = 0xAB;
@@ -402,11 +408,17 @@ mod tests {
         assert_eq!(out[PAGE_HEADER_SIZE], 0xAB);
         assert_eq!(out[PAGE_SIZE - 1], 0xCD);
 
-        dm.read_page(a, &mut out).unwrap();
-        assert!(out[PAGE_HEADER_SIZE..].iter().all(|&x| x == 0));
+        // Pages allocated and never written are typed corruption, never
+        // data: the one before the written page, and the one after it.
+        for pid in [a, PageId(2)] {
+            match dm.read_page(pid, &mut out) {
+                Err(StoreError::Corruption { page, .. }) => assert_eq!(page, pid.0),
+                other => panic!("page {}: expected corruption, got {other:?}", pid.0),
+            }
+        }
 
         let stats = dm.stats();
-        assert_eq!(stats.reads, 2);
+        assert_eq!(stats.reads, 3);
         assert_eq!(stats.writes, 1);
     }
 
@@ -445,7 +457,7 @@ mod tests {
     #[test]
     fn reset_stats_zeroes() {
         let mut dm = DiskManager::in_memory();
-        let p = dm.allocate().unwrap();
+        let p = dm.allocate(1).unwrap();
         let buf = [0u8; PAGE_SIZE];
         dm.write_page(p, &buf).unwrap();
         dm.reset_stats();
@@ -456,7 +468,7 @@ mod tests {
     fn header_region_is_storage_owned() {
         // Garbage in the caller's header bytes must not survive a write.
         let mut dm = DiskManager::in_memory();
-        let p = dm.allocate().unwrap();
+        let p = dm.allocate(1).unwrap();
         let mut page = [0u8; PAGE_SIZE];
         page[0] = 0xFF;
         page[7] = 0xFF;
@@ -466,7 +478,7 @@ mod tests {
     }
 
     fn poke_detected(mut dm: DiskManager) {
-        let p = dm.allocate().unwrap();
+        let p = dm.allocate(1).unwrap();
         let mut page = [0u8; PAGE_SIZE];
         page[PAGE_HEADER_SIZE + 10] = 42;
         dm.write_page(p, &page).unwrap();
@@ -499,7 +511,8 @@ mod tests {
     #[test]
     fn injected_read_error_is_transient() {
         let mut dm = DiskManager::in_memory();
-        let p = dm.allocate().unwrap();
+        let p = dm.allocate(1).unwrap();
+        dm.write_page(p, &[0u8; PAGE_SIZE]).unwrap();
         dm.set_fault_injector(Some(FaultInjector::new(
             FaultConfig::seeded(1).with_read_error(1.0),
         )));
@@ -514,7 +527,8 @@ mod tests {
     #[test]
     fn injected_read_flip_caught_and_clears() {
         let mut dm = DiskManager::in_memory();
-        let p = dm.allocate().unwrap();
+        let p = dm.allocate(1).unwrap();
+        dm.write_page(p, &[0u8; PAGE_SIZE]).unwrap();
         dm.set_fault_injector(Some(FaultInjector::new(
             FaultConfig::seeded(2).with_read_flip(1.0).with_after_ops(0),
         )));
@@ -530,7 +544,7 @@ mod tests {
     #[test]
     fn injected_write_flip_is_persistent() {
         let mut dm = DiskManager::in_memory();
-        let p = dm.allocate().unwrap();
+        let p = dm.allocate(1).unwrap();
         dm.set_fault_injector(Some(FaultInjector::new(
             FaultConfig::seeded(3).with_write_flip(1.0),
         )));
@@ -545,7 +559,7 @@ mod tests {
     #[test]
     fn torn_write_detected_on_read() {
         let mut dm = DiskManager::in_memory();
-        let p = dm.allocate().unwrap();
+        let p = dm.allocate(1).unwrap();
         let mut page = [0u8; PAGE_SIZE];
         for (i, b) in page[PAGE_HEADER_SIZE..].iter_mut().enumerate() {
             *b = (i % 251) as u8;
@@ -569,7 +583,8 @@ mod tests {
     #[test]
     fn injected_write_error_persists_nothing() {
         let mut dm = DiskManager::in_memory();
-        let p = dm.allocate().unwrap();
+        let p = dm.allocate(1).unwrap();
+        dm.write_page(p, &[0u8; PAGE_SIZE]).unwrap();
         dm.set_fault_injector(Some(FaultInjector::new(
             FaultConfig::seeded(5).with_write_error(1.0),
         )));

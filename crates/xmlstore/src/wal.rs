@@ -324,8 +324,9 @@ impl Wal {
     }
 
     /// Truncate the log: install a brand-new log holding only
-    /// `Checkpoint { meta }` in place of the old one. The caller must
-    /// have synced the page file first.
+    /// `Checkpoint { meta }` in place of the old one. `meta` may name
+    /// only pages that are durable already: a commit syncs its pages
+    /// before its record.
     pub fn checkpoint(&mut self, meta: Vec<u8>) -> Result<()> {
         let content = checkpoint_log(meta);
         let path = match &self.backend {

@@ -24,7 +24,7 @@ fn any_single_corrupted_byte_is_caught() {
         };
         let npages = g.usize_in(1, 4) as u32;
         for _ in 0..npages {
-            dm.allocate().unwrap();
+            dm.allocate(1).unwrap();
         }
         let pid = PageId(g.usize_in(0, npages as usize - 1) as u32);
         let mut image = [0u8; PAGE_SIZE];

@@ -46,10 +46,15 @@ fn pool_behaves_like_flat_memory() {
             (0..n).map(|_| gen_op(g, npages)).collect()
         };
 
+        // Allocation writes nothing, so every page starts with one
+        // zero-data write the counters do not see.
         let mut disk = DiskManager::in_memory();
-        for _ in 0..npages {
-            disk.allocate().unwrap();
+        let first = disk.allocate(npages as u32).unwrap();
+        for p in 0..npages as u32 {
+            disk.write_page(PageId(first.0 + p), &[0u8; PAGE_SIZE])
+                .unwrap();
         }
+        disk.reset_stats();
         let mut pool = BufferPool::new(disk, capacity).unwrap();
         let mut model = vec![vec![0u8; PAGE_DATA_SIZE]; npages as usize];
         let (mut requests, mut writes, mut direct_reads) = (0u64, 0u64, 0u64);

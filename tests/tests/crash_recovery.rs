@@ -221,7 +221,7 @@ fn write_churn(seed: u64, schedule: FaultConfig, label: &str) -> usize {
     let mut dm = DiskManager::temp_file().unwrap();
     let mut image = [0u8; PAGE_SIZE];
     for p in 0..NPAGES {
-        let pid = dm.allocate().unwrap();
+        let pid = dm.allocate(1).unwrap();
         fill(&mut image, seed, p, 0xA5);
         dm.write_page(pid, &image).unwrap();
     }

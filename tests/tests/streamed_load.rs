@@ -1,0 +1,288 @@
+//! The load path builds no DOM: `insert_xml` has the parser drive the
+//! store's loader directly, and `insert_document` replays a parsed DOM
+//! through the same loader. Both must store the same bytes, and a
+//! document that fails part-way must leave the store as it found it.
+
+use smallrand::prop::{check, Gen};
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+use timber::TimberDb;
+use timber_integration_tests::{run, QUERY1, QUERY2, QUERY_COUNT};
+use xmlparse::parser::MAX_DEPTH;
+use xmlparse::{Element, XmlNode};
+use xmlstore::{wal_path_for, DocumentStore, NodeId, StoreError, StoreOptions};
+
+/// A fresh page-file path in the system temp dir (its log beside it).
+fn temp_page(tag: &str, n: u64) -> PathBuf {
+    let page = std::env::temp_dir().join(format!(
+        "streamed_load_{}_{tag}_{n}.pages",
+        std::process::id()
+    ));
+    remove_store(&page);
+    page
+}
+
+fn remove_store(page: &Path) {
+    let _ = std::fs::remove_file(page);
+    let _ = std::fs::remove_file(wal_path_for(page));
+}
+
+/// Character data pieces: plain, entity and character references,
+/// non-ASCII, and whitespace only.
+const TEXT: [&str; 12] = [
+    "Jack",
+    "a b",
+    "&amp;",
+    "&lt;x&gt;",
+    "&#65;&#x42;",
+    "&quot;q&apos;",
+    "é",
+    "1999",
+    " ",
+    "\n  ",
+    "\t",
+    "x&#x20;",
+];
+fn text(g: &mut Gen) -> &'static str {
+    TEXT[g.usize_in(0, TEXT.len() - 1)]
+}
+
+const NAMES: [&str; 5] = ["a", "title", "author", "x-y", "p.q"];
+const ATTRS: [&str; 3] = ["year", "id", "k"];
+
+/// A random element at nesting `depth`. Below `spine` it has one child
+/// that continues the spine, so some documents nest to [`MAX_DEPTH`].
+fn element(g: &mut Gen, out: &mut String, depth: usize, spine: usize) {
+    let name = *g.pick(&NAMES);
+    let _ = write!(out, "<{name}");
+    let mut attrs: Vec<&str> = Vec::new();
+    for _ in 0..g.usize_in(0, 2) {
+        let a = *g.pick(&ATTRS);
+        if !attrs.contains(&a) {
+            attrs.push(a);
+            let _ = write!(out, " {a}=\"{}\"", text(g));
+        }
+    }
+    if depth >= spine && g.ratio(1, 6) {
+        out.push_str("/>");
+        return;
+    }
+    out.push('>');
+    let children = g.usize_in(0, if depth > 4 { 2 } else { 5 });
+    let spine_at = (depth < spine).then(|| g.usize_in(0, children));
+    for i in 0..=children {
+        if spine_at == Some(i) {
+            element(g, out, depth + 1, spine);
+        }
+        if i == children {
+            break;
+        }
+        match g.usize_in(0, 6) {
+            0 | 1 => out.push_str(text(g)),
+            2 => out.push_str("<!-- c -->"),
+            3 => {
+                let cdata = *g.pick(&["<raw> & ]", "", " ", "x"]);
+                let _ = write!(out, "<![CDATA[{cdata}]]>");
+            }
+            4 => out.push_str("<?pi data?>"),
+            _ if depth + 1 < MAX_DEPTH && depth < spine.max(6) => element(g, out, depth + 1, 0),
+            _ => out.push_str(text(g)),
+        }
+    }
+    let _ = write!(out, "</{name}>");
+}
+
+/// A random document: sometimes with a prolog, sometimes nested to
+/// the parser's depth limit.
+fn random_doc(g: &mut Gen) -> String {
+    let mut xml = String::new();
+    if g.bool() {
+        xml.push_str("<?xml version=\"1.0\"?>\n<!-- prolog -->\n");
+    }
+    let spine = if g.ratio(1, 8) { MAX_DEPTH } else { 0 };
+    element(g, &mut xml, 1, spine);
+    xml
+}
+
+/// Every record and every value of `s`, in id order.
+fn rows(s: &DocumentStore) -> Vec<(xmlstore::NodeRecord, Option<String>)> {
+    (0..s.node_count())
+        .map(|id| {
+            let id = NodeId(id);
+            (s.record(id).unwrap(), s.content(id).unwrap())
+        })
+        .collect()
+}
+
+/// The tree the store keeps of `e`: comments dropped, a text-only
+/// element's text merged into one value, and whitespace-only text gone.
+fn stored_form(e: &Element) -> Element {
+    let mut out = Element::new(e.name.clone());
+    out.attributes = e.attributes.clone();
+    if e.children.iter().any(|c| matches!(c, XmlNode::Element(_))) {
+        for c in &e.children {
+            match c {
+                XmlNode::Element(c) => out.children.push(XmlNode::Element(stored_form(c))),
+                XmlNode::Text(t) if !t.trim().is_empty() => {
+                    out.children.push(XmlNode::Text(t.clone()))
+                }
+                _ => {}
+            }
+        }
+    } else if !e.text().trim().is_empty() {
+        out.children.push(XmlNode::Text(e.text()));
+    }
+    out
+}
+
+#[test]
+fn streamed_and_dom_loads_store_the_same_bytes() {
+    let mut case = 0u64;
+    check("streamed_and_dom_loads_store_the_same_bytes", 96, |g| {
+        case += 1;
+        let docs = g.vec(1, 3, random_doc);
+        let (streamed, built) = (temp_page("stream", case), temp_page("dom", case));
+        {
+            let s = DocumentStore::create(&StoreOptions::default().with_path(&streamed)).unwrap();
+            let d = DocumentStore::create(&StoreOptions::default().with_path(&built)).unwrap();
+            for xml in &docs {
+                let parsed = xmlparse::parse_document(xml).unwrap();
+                assert_eq!(
+                    s.insert_xml(xml).unwrap(),
+                    d.insert_document(&parsed).unwrap(),
+                    "{xml}"
+                );
+                // Both share the loader, so also hold the stored tree
+                // against the DOM itself.
+                let root = *s.children(NodeId(0)).unwrap().last().unwrap();
+                let stored = s.materialize(root).unwrap();
+                assert_eq!(stored, stored_form(parsed.root()), "{xml}");
+            }
+            assert_eq!(rows(&s), rows(&d), "{docs:?}");
+            assert_eq!(s.documents(), d.documents());
+        }
+        let bytes = |p: &Path| std::fs::read(p).unwrap();
+        assert!(
+            bytes(&streamed) == bytes(&built),
+            "page files differ: {docs:?}"
+        );
+        remove_store(&streamed);
+        remove_store(&built);
+    });
+}
+
+#[test]
+fn a_reserved_root_before_a_syntax_error_is_the_syntax_error() {
+    // The loader meets `doc_root` first; the parse error still wins, as
+    // it does when the whole document is parsed before loading.
+    let s = DocumentStore::create(&StoreOptions::in_memory()).unwrap();
+    for xml in [
+        "<doc_root><a>x</a><b></a></doc_root>",
+        "<bib><doc_root/><a>x</a><b>",
+        "<bib><a><doc_root>y</doc_root></a>&bogus;</bib>",
+    ] {
+        let dom = StoreError::from(xmlparse::parse_document(xml).unwrap_err());
+        let streamed = s.insert_xml(xml).unwrap_err();
+        assert!(
+            matches!(streamed, StoreError::Parse(_)),
+            "{xml}: {streamed}"
+        );
+        assert_eq!(streamed.to_string(), dom.to_string(), "{xml}");
+    }
+    // Without a syntax error, both paths refuse the reserved tag.
+    let xml = "<bib><doc_root/></bib>";
+    let parsed = xmlparse::parse_document(xml).unwrap();
+    for err in [
+        s.insert_xml(xml).unwrap_err(),
+        s.insert_document(&parsed).unwrap_err(),
+    ] {
+        assert!(matches!(err, StoreError::ReservedTag { .. }), "{err}");
+    }
+    assert!(s.documents().is_empty());
+}
+
+/// Everything a failed edit must leave as it was; files by length and
+/// hash, so a failure prints short.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    documents: Vec<(u64, u32)>,
+    total_pages: u32,
+    page_bytes: (usize, u64),
+    log_bytes: (usize, u64),
+    queries: Vec<String>,
+}
+
+fn file_hash(path: &Path) -> (usize, u64) {
+    use std::hash::{Hash, Hasher};
+    let bytes = std::fs::read(path).unwrap();
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    bytes.hash(&mut h);
+    (bytes.len(), h.finish())
+}
+
+fn observe(db: &TimberDb, page: &Path) -> Observed {
+    Observed {
+        documents: db.documents(),
+        total_pages: db.store().total_pages(),
+        page_bytes: file_hash(page),
+        log_bytes: file_hash(&wal_path_for(page)),
+        queries: [QUERY1, QUERY2, QUERY_COUNT]
+            .iter()
+            .flat_map(|q| {
+                [timber::PlanMode::Direct, timber::PlanMode::GroupByRewrite]
+                    .map(|mode| run(db, q, mode))
+            })
+            .collect(),
+    }
+}
+
+#[test]
+fn a_document_that_fails_late_changes_nothing() {
+    // Thousands of elements are loaded before the failure: a syntax
+    // error at the very end, or a reserved tag deep inside the last
+    // article (a store error the loader meets mid-document).
+    let mut body = String::from("<bib>");
+    for i in 0..2_000 {
+        let _ = write!(
+            body,
+            "<article year=\"{}\"><title>Late {i}</title><author>New{}</author></article>",
+            1990 + i % 13,
+            i % 97
+        );
+    }
+    let bad = [
+        ("syntax", format!("{body}</bib><trailing/>")),
+        ("unclosed", body.clone()),
+        (
+            "reserved",
+            format!("{body}<article><note><doc_root/></note></article></bib>"),
+        ),
+    ];
+    let page = temp_page("late", 0);
+    let opts = StoreOptions::default()
+        .with_path(&page)
+        .with_durable()
+        .with_pool_pages(64);
+    let db = TimberDb::create(&opts).unwrap();
+    let kept = db.insert_xml(timber_integration_tests::FIG6_DB).unwrap();
+    let before = observe(&db, &page);
+    for (what, xml) in &bad {
+        assert!(db.insert_xml(xml).is_err(), "{what}");
+        assert_eq!(observe(&db, &page), before, "insert: {what}");
+        assert!(db.replace_xml(kept, xml).is_err(), "{what}");
+        assert_eq!(observe(&db, &page), before, "replace: {what}");
+    }
+    // The store still takes a good document, and survives a reopen.
+    db.insert_xml(&format!("{body}</bib>")).unwrap();
+    let after = observe(&db, &page);
+    drop(db);
+    // `open` installs a fresh checkpoint log; all else must match.
+    let db = TimberDb::open(&opts).unwrap();
+    let reopened = Observed {
+        log_bytes: after.log_bytes,
+        ..observe(&db, &page)
+    };
+    assert_eq!(reopened, after);
+    drop(db);
+    remove_store(&page);
+}
