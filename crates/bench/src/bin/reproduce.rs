@@ -487,11 +487,14 @@ fn run_pool(articles: usize, on_disk: bool) {
         let d = measure(&db, QUERY_TITLES, PlanMode::Direct);
         let g = measure(&db, QUERY_TITLES, PlanMode::GroupByRewrite);
         println!(
-            "{mb:>4} MB pool: direct {:>8.3}s / {:>8} disk reads | groupby {:>8.3}s / {:>8} disk reads | {:>5.2}x",
+            "{mb:>4} MB pool: direct {:>8.3}s / {:>6} disk reads / {:>7} page requests | \
+             groupby {:>8.3}s / {:>6} disk reads / {:>7} page requests | {:>5.2}x",
             d.elapsed.as_secs_f64(),
             d.io.disk.reads,
+            d.io.page_requests(),
             g.elapsed.as_secs_f64(),
             g.io.disk.reads,
+            g.io.page_requests(),
             speedup(&d, &g)
         );
     }

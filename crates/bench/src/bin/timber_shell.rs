@@ -336,11 +336,12 @@ impl Shell {
                 Some(db) => {
                     let io = db.io_stats();
                     println!(
-                        "{} nodes, {} pages ({:.1} MB), pool {} pages; \
+                        "{} nodes, {} pages ({:.1} MB), pool_resident={} pool_capacity={}; \
                          session I/O: {} page requests, {} disk reads",
                         db.store().node_count(),
                         db.store().total_pages(),
                         db.store().size_bytes() as f64 / (1024.0 * 1024.0),
+                        db.store().pool_resident_pages(),
                         db.store().pool_capacity(),
                         io.page_requests(),
                         io.disk.reads,

@@ -257,13 +257,16 @@ fn dispatch(
             let io = view.io_stats();
             let _ = writeln!(
                 out,
-                "epoch={} docs={} nodes={} pages={} page_requests={} disk_reads={}",
+                "epoch={} docs={} nodes={} pages={} page_requests={} disk_reads={} \
+                 pool_resident={} pool_capacity={}",
                 view.epoch(),
                 view.documents().len(),
                 view.store().node_count(),
                 view.store().total_pages(),
                 io.page_requests(),
                 io.disk.reads,
+                view.store().pool_resident_pages(),
+                view.store().pool_capacity(),
             );
             if let Some(w) = view.wal_stats() {
                 let _ = writeln!(

@@ -7,6 +7,14 @@
 //! pool simple and makes every page touch visible to the hit/miss
 //! counters.
 //!
+//! The 32 MB is a cap, not a reservation: a frame is allocated the
+//! first time a miss needs one, and the clock starts only once the
+//! pool holds its capacity. A miss takes the lowest-index invalid
+//! frame, else a new frame, else the clock's victim — the frame an
+//! eagerly allocated pool would take — so hits, misses and evictions
+//! do not depend on when frames were allocated. A frame, once
+//! allocated, lives as long as the pool.
+//!
 //! Callers see only the checksummed page's *data region*
 //! (`PAGE_DATA_SIZE` bytes); the 8-byte header belongs to the storage
 //! layer. Transient faults — interrupted I/O, read-path bit flips caught
@@ -22,7 +30,7 @@
 use crate::error::{Result, StoreError};
 use crate::page::{self, PageId, PAGE_DATA_SIZE, PAGE_SIZE};
 use crate::storage::{DiskManager, DiskStats, SharedDisk};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::MutexGuard;
 use std::time::Duration;
 
@@ -65,8 +73,9 @@ fn with_retry<T>(retries: &mut u64, mut op: impl FnMut() -> Result<T>) -> Result
 struct Frame {
     pid: PageId,
     data: Box<[u8; PAGE_SIZE]>,
+    /// Set by every fill and hit. Only the clock reads it, and the clock
+    /// runs when every frame is valid, so an invalid frame's is stale.
     refbit: bool,
-    valid: bool,
 }
 
 impl Frame {
@@ -75,45 +84,60 @@ impl Frame {
             pid: PageId(u32::MAX),
             data: Box::new([0u8; PAGE_SIZE]),
             refbit: false,
-            valid: false,
         }
     }
 }
 
-/// A fixed-capacity page cache with second-chance (clock) replacement.
+/// A page cache of at most `capacity` frames with second-chance (clock)
+/// replacement. Frames are allocated on first fault, up to the cap; the
+/// clock runs once every frame exists and holds a page.
 ///
 /// The pool does not lock internally; the store keeps its one pool
 /// behind a mutex, over a [`SharedDisk`] its commits write to.
 pub struct BufferPool {
     disk: SharedDisk,
+    capacity: usize,
     frames: Vec<Frame>,
+    /// Allocated frames that hold no page, lowest index first. A frame
+    /// is valid — mapped in `table` — exactly when it is not in here.
+    invalid: BTreeSet<usize>,
     table: HashMap<PageId, usize>,
     hand: usize,
     stats: BufferStats,
 }
 
 impl BufferPool {
-    /// Create a pool of `capacity_pages` frames over `disk`.
+    /// Create a pool of at most `capacity_pages` frames over `disk`.
     pub fn new(disk: DiskManager, capacity_pages: usize) -> Result<Self> {
         Self::with_shared(SharedDisk::new(disk), capacity_pages)
     }
 
-    /// Create a pool over an already-shared disk.
+    /// Create a pool over an already-shared disk. It allocates no
+    /// frame until the first miss.
     pub fn with_shared(disk: SharedDisk, capacity_pages: usize) -> Result<Self> {
         if capacity_pages == 0 {
             return Err(StoreError::PoolTooSmall);
         }
         Ok(BufferPool {
             disk,
-            frames: (0..capacity_pages).map(|_| Frame::empty()).collect(),
-            table: HashMap::with_capacity(capacity_pages),
+            capacity: capacity_pages,
+            frames: Vec::new(),
+            invalid: BTreeSet::new(),
+            table: HashMap::new(),
             hand: 0,
             stats: BufferStats::default(),
         })
     }
 
-    /// Pool capacity in pages.
+    /// Pool capacity in pages: the cap on allocated frames.
     pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Frames allocated so far, each `PAGE_SIZE` bytes, whether or not
+    /// they hold a page: at most [`capacity`](Self::capacity), and
+    /// never fewer after a [`clear`](Self::clear).
+    pub fn resident(&self) -> usize {
         self.frames.len()
     }
 
@@ -143,6 +167,12 @@ impl BufferPool {
         self.disk.clone()
     }
 
+    /// Whether page `pid` is cached. Touches neither the counters nor
+    /// the clock.
+    pub fn is_cached(&self, pid: PageId) -> bool {
+        self.table.contains_key(&pid)
+    }
+
     /// Run `f` over the data region of page `pid`, faulting it in if
     /// necessary.
     pub fn with_page<R>(
@@ -159,18 +189,14 @@ impl BufferPool {
     /// writes.
     pub fn discard(&mut self, pid: PageId) {
         if let Some(idx) = self.table.remove(&pid) {
-            self.frames[idx].valid = false;
-            self.frames[idx].refbit = false;
+            self.invalid.insert(idx);
         }
     }
 
-    /// Drop every cached page, emptying the pool. Used by benchmarks to
-    /// start measurements cold.
+    /// Drop every cached page, emptying the pool but keeping its
+    /// frames. Used by benchmarks to start measurements cold.
     pub fn clear(&mut self) {
-        for f in &mut self.frames {
-            f.valid = false;
-            f.refbit = false;
-        }
+        self.invalid = (0..self.frames.len()).collect();
         self.table.clear();
     }
 
@@ -187,29 +213,35 @@ impl BufferPool {
             self.disk.lock().read_page(pid, &mut self.frames[idx].data)
         });
         self.stats.retries += retries;
-        // On failure the frame is already invalid and unmapped.
-        res?;
+        if let Err(e) = res {
+            self.invalid.insert(idx);
+            return Err(e);
+        }
         self.frames[idx].pid = pid;
-        self.frames[idx].valid = true;
         self.frames[idx].refbit = true;
         self.table.insert(pid, idx);
         Ok(idx)
     }
 
-    /// Pick a frame to fill — the first invalid one, else by clock scan
-    /// — and drop its page. On return the frame is invalid and unmapped.
+    /// Pick a frame to fill — the lowest-index invalid one, else a new
+    /// one while the pool is below its capacity, else by clock scan —
+    /// and drop its page. On return the frame is unmapped and out of
+    /// `invalid`; the caller puts it back if its read fails.
     fn evict(&mut self) -> usize {
-        if let Some(idx) = self.frames.iter().position(|f| !f.valid) {
+        if let Some(idx) = self.invalid.pop_first() {
             return idx;
         }
-        // Second-chance scan: after one full sweep every refbit is clear,
-        // so it ends within two.
+        if self.frames.len() < self.capacity {
+            self.frames.push(Frame::empty());
+            return self.frames.len() - 1;
+        }
+        // Every frame exists and holds a page. Second-chance scan: after
+        // one full sweep every refbit is clear, so it ends within two.
         loop {
             let idx = self.hand;
             self.hand = (self.hand + 1) % self.frames.len();
             if !std::mem::take(&mut self.frames[idx].refbit) {
                 self.table.remove(&self.frames[idx].pid);
-                self.frames[idx].valid = false;
                 self.stats.evictions += 1;
                 return idx;
             }
@@ -292,6 +324,54 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_pool_holds_no_frame() {
+        let pool = pool_with_pages(4096, 0);
+        assert_eq!(pool.resident(), 0);
+        assert_eq!(pool.capacity(), 4096);
+    }
+
+    #[test]
+    fn frames_are_allocated_on_first_fault_up_to_the_cap() {
+        let mut pool = pool_with_pages(3, 6);
+        for k in 0..6 {
+            pool.with_page(PageId(k), |_| ()).unwrap();
+            // A hit allocates nothing.
+            pool.with_page(PageId(k), |_| ()).unwrap();
+            assert_eq!(pool.resident(), (k as usize + 1).min(3), "after {k}");
+        }
+        assert_eq!(pool.stats().evictions, 3);
+    }
+
+    #[test]
+    fn clear_keeps_frames_and_drops_every_mapping() {
+        let mut pool = pool_with_pages(4, 3);
+        for i in 0..3 {
+            pool.with_page(PageId(i), |_| ()).unwrap();
+        }
+        pool.clear();
+        assert_eq!(pool.resident(), 3);
+        assert!((0..3).all(|i| !pool.is_cached(PageId(i))));
+        // Refilling reuses the frames, lowest index first.
+        for i in (0..3).rev() {
+            pool.with_page(PageId(i), |_| ()).unwrap();
+        }
+        assert_eq!(pool.resident(), 3);
+        assert_eq!(pool.table[&PageId(2)], 0);
+        assert_eq!(pool.stats().evictions, 0);
+    }
+
+    #[test]
+    fn a_discarded_frame_is_refilled_before_a_new_one() {
+        let mut pool = pool_with_pages(4, 3);
+        pool.with_page(PageId(0), |_| ()).unwrap();
+        pool.with_page(PageId(1), |_| ()).unwrap();
+        pool.discard(PageId(0));
+        pool.with_page(PageId(2), |_| ()).unwrap();
+        assert_eq!(pool.resident(), 2);
+        assert_eq!(pool.table[&PageId(2)], 0);
+    }
+
+    #[test]
     fn zero_capacity_rejected() {
         let disk = DiskManager::in_memory();
         assert!(matches!(
@@ -341,8 +421,10 @@ mod tests {
         let err = pool.with_page(PageId(0), |_| ()).unwrap_err();
         assert!(matches!(err, StoreError::Corruption { page: 0, .. }));
         assert_eq!(pool.stats().retries, MAX_RETRIES as u64);
-        // The pool is still usable for healthy pages afterwards...
+        // The pool is still usable for healthy pages afterwards, in the
+        // frame the failed read left invalid...
         pool.with_page(PageId(1), |p| assert_eq!(p[0], 1)).unwrap();
+        assert_eq!(pool.resident(), 1);
         // ...and the damaged page recovers once the damage is undone.
         pool.disk_mut()
             .poke_byte(PageId(0), PAGE_HEADER_SIZE + 3, 0xFF)

@@ -87,7 +87,9 @@ pub fn wal_path_for(page_path: &Path) -> PathBuf {
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// Buffer pool capacity in pages. The paper uses a 32 MB pool of 8 KB
-    /// pages, i.e. 4096 pages; that is the default.
+    /// pages, i.e. 4096 pages; that is the default. The paper's 32 MB is
+    /// a cap: the pool allocates a frame on first fault, so a store that
+    /// asks for fewer pages holds fewer frames.
     pub pool_pages: usize,
     /// Back the store with a real temporary file (true) or an in-memory
     /// page vector (false).
@@ -515,9 +517,16 @@ impl DocumentStore {
         Ok(())
     }
 
-    /// Buffer pool capacity in pages.
+    /// Buffer pool capacity in pages: the cap on its frames.
     pub fn pool_capacity(&self) -> usize {
         self.shared.pool().capacity()
+    }
+
+    /// Frames the buffer pool has allocated so far, one page each. The
+    /// pool allocates a frame on first fault and keeps it, so this is
+    /// the most pages it has held at once, up to its capacity.
+    pub fn pool_resident_pages(&self) -> usize {
+        self.shared.pool().resident()
     }
 
     // ---- fault injection ----------------------------------------------

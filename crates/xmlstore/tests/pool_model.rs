@@ -4,7 +4,9 @@
 //! does) and clears, every read returns what a plain array of pages
 //! (of data regions, the checksum header invisible) holds, after every
 //! write the disk holds that array, the pool itself never writes, and
-//! its statistics add up.
+//! its statistics add up. And against any sequence of reads, discards
+//! and clears, the pool — which allocates its frames on first fault —
+//! counts and evicts exactly as a pool whose frames all exist up front.
 //!
 //! Ported from proptest to the in-tree `smallrand::prop` harness.
 
@@ -105,4 +107,151 @@ fn pool_behaves_like_flat_memory() {
         assert_eq!(pool.disk_stats().reads, stats.misses + direct_reads);
         assert_eq!(pool.disk_stats().writes, writes);
     });
+}
+
+/// The reference: a pool whose frames all exist from the start. A miss
+/// takes the lowest-index invalid frame, else the clock's victim.
+struct EagerPool {
+    /// `(page, refbit)` of each frame; `None` is an invalid frame.
+    frames: Vec<Option<(u32, bool)>>,
+    hand: usize,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    /// One past the highest frame index ever filled.
+    touched: usize,
+}
+
+impl EagerPool {
+    fn new(capacity: usize) -> Self {
+        EagerPool {
+            frames: vec![None; capacity],
+            hand: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            touched: 0,
+        }
+    }
+
+    /// Read `page`; on a miss, the page it evicted, if any.
+    fn read(&mut self, page: u32) -> Option<u32> {
+        let frame = self
+            .frames
+            .iter()
+            .position(|f| matches!(f, Some((p, _)) if *p == page));
+        if let Some(idx) = frame {
+            self.hits += 1;
+            self.frames[idx] = Some((page, true));
+            return None;
+        }
+        self.misses += 1;
+        let (idx, evicted) = match self.frames.iter().position(Option::is_none) {
+            Some(idx) => (idx, None),
+            None => loop {
+                let idx = self.hand;
+                self.hand = (self.hand + 1) % self.frames.len();
+                match self.frames[idx] {
+                    Some((p, true)) => self.frames[idx] = Some((p, false)),
+                    Some((p, false)) => {
+                        self.evictions += 1;
+                        break (idx, Some(p));
+                    }
+                    None => unreachable!("the clock runs only over a full pool"),
+                }
+            },
+        };
+        self.frames[idx] = Some((page, true));
+        self.touched = self.touched.max(idx + 1);
+        evicted
+    }
+
+    fn discard(&mut self, page: u32) {
+        for f in &mut self.frames {
+            if matches!(f, Some((p, _)) if *p == page) {
+                *f = None;
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.frames.iter_mut().for_each(|f| *f = None);
+    }
+
+    fn holds(&self, page: u32) -> bool {
+        self.frames
+            .iter()
+            .any(|f| matches!(f, Some((p, _)) if *p == page))
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum PoolOp {
+    Read(u32),
+    Discard(u32),
+    Clear,
+}
+
+#[test]
+fn frames_on_demand_count_and_evict_like_an_eager_pool() {
+    check(
+        "frames_on_demand_count_and_evict_like_an_eager_pool",
+        128,
+        |g| {
+            let capacity = g.usize_in(1, 8);
+            let npages = g.usize_in(1, 12) as u32;
+            let ops: Vec<PoolOp> = g.vec(1, 200, |g| match g.usize_in(0, 19) {
+                0..=15 => PoolOp::Read(g.usize_in(0, npages as usize - 1) as u32),
+                16..=18 => PoolOp::Discard(g.usize_in(0, npages as usize - 1) as u32),
+                _ => PoolOp::Clear,
+            });
+
+            let mut disk = DiskManager::in_memory();
+            disk.allocate(npages).unwrap();
+            for p in 0..npages {
+                disk.write_page(PageId(p), &[0u8; PAGE_SIZE]).unwrap();
+            }
+            let mut pool = BufferPool::new(disk, capacity).unwrap();
+            let mut model = EagerPool::new(capacity);
+
+            for (step, &op) in ops.iter().enumerate() {
+                match op {
+                    PoolOp::Read(page) => {
+                        let evictions = pool.stats().evictions;
+                        pool.with_page(PageId(page), |_| ()).unwrap();
+                        if let Some(victim) = model.read(page) {
+                            assert_eq!(pool.stats().evictions, evictions + 1, "step {step}");
+                            assert!(!pool.is_cached(PageId(victim)), "step {step}: {victim}");
+                        }
+                    }
+                    PoolOp::Discard(page) => {
+                        pool.discard(PageId(page));
+                        model.discard(page);
+                    }
+                    PoolOp::Clear => {
+                        pool.clear();
+                        model.clear();
+                    }
+                }
+                let stats = pool.stats();
+                let want = (model.hits, model.misses, model.evictions);
+                assert_eq!(
+                    (stats.hits, stats.misses, stats.evictions),
+                    want,
+                    "step {step}"
+                );
+                for p in 0..npages {
+                    assert_eq!(
+                        pool.is_cached(PageId(p)),
+                        model.holds(p),
+                        "step {step}: page {p}"
+                    );
+                }
+                // Frames exist exactly up to the highest one the eager pool
+                // ever filled, and never beyond the cap.
+                assert_eq!(pool.resident(), model.touched, "step {step}");
+                assert_eq!(pool.capacity(), capacity);
+            }
+        },
+    );
 }

@@ -6,6 +6,8 @@
 //! through `run_plan`, and over the wire across an `EXPLAIN`. And no
 //! query writes a page: the buffer pool only reads, so even a pool of
 //! two frames over pages a commit just reused evicts without a write.
+//! Nor does the pool reserve memory: its frames are allocated on first
+//! fault, so E2 leaves exactly one frame per distinct page it asked for.
 
 use datagen::{DblpConfig, DblpGenerator};
 use std::sync::Arc;
@@ -156,4 +158,34 @@ fn no_query_writes_a_page() {
             assert_eq!(db.io_stats().disk.writes, writes, "{mode:?}: {query}");
         }
     }
+}
+
+#[test]
+fn the_pool_reserves_nothing() {
+    // The paper's 32 MB pool (4 096 frames) over an on-disk store that
+    // holds a small fraction of that.
+    let xml = DblpGenerator::new(DblpConfig::sized(2_000)).generate_xml();
+    let db = TimberDb::load_xml(&xml, &StoreOptions::default()).unwrap();
+    let store = db.store();
+    assert_eq!(store.pool_capacity(), 4096);
+    assert_eq!(store.pool_resident_pages(), 0, "the load left frames");
+
+    let out = timber_integration_tests::run(
+        &db,
+        timber_integration_tests::QUERY_COUNT,
+        PlanMode::GroupByRewrite,
+    );
+    assert!(!out.is_empty());
+    // Nothing was evicted, so each distinct page E2 asked for missed
+    // exactly once and took one frame.
+    let io = db.io_stats();
+    assert_eq!(io.buffer.evictions, 0);
+    let distinct = io.buffer.misses as usize;
+    assert!(distinct > 0 && distinct <= store.total_pages() as usize);
+    assert_eq!(store.pool_resident_pages(), distinct);
+    assert!(
+        distinct * 16 < store.pool_capacity(),
+        "{distinct} of {} frames",
+        store.pool_capacity()
+    );
 }

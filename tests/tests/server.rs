@@ -25,7 +25,10 @@
 //!   and leave the connection serving.
 //! - A predicate on the nested FOR path is a typed error, embedded and
 //!   over the wire, and the server keeps serving.
+//! - `STATS` reports the pool's resident frames beside its capacity: none
+//!   on a fresh server, and after a read no more than it asked for.
 
+use datagen::{DblpConfig, DblpGenerator};
 use smallrand::{RngExt, SeedableRng, StdRng};
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -615,6 +618,45 @@ fn nested_for_predicates_are_a_typed_error_and_the_server_keeps_serving() {
         }
     }
     assert_eq!(c.query(QUERY_COUNT, Mode::Grouped).unwrap(), want);
+    drop(c);
+    handle.shutdown();
+}
+
+/// The `name=` field of the first line of a `STATS` reply.
+fn stats_field(stats: &str, name: &str) -> u64 {
+    let field = stats
+        .lines()
+        .next()
+        .and_then(|line| line.split(' ').find_map(|f| f.strip_prefix(name)))
+        .unwrap_or_else(|| panic!("no {name} in {stats}"));
+    field.parse().unwrap()
+}
+
+/// The pool allocates a frame on first fault, and `STATS` says how many
+/// it holds: a fresh server over a loaded store holds none, and one
+/// `QUERY_COUNT` read leaves no more frames than pages it asked for.
+#[test]
+fn stats_report_resident_pool_frames_up_to_the_pages_read() {
+    let xml = DblpGenerator::new(DblpConfig::sized(300)).generate_xml();
+    let db = TimberDb::load_xml(&xml, &StoreOptions::in_memory()).unwrap();
+    let handle = Server::bind("127.0.0.1:0", Arc::new(db))
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut c = Client::connect(handle.local_addr()).unwrap();
+    let fresh = c.stats().unwrap();
+    assert_eq!(stats_field(&fresh, "pool_resident="), 0, "{fresh}");
+    assert_eq!(stats_field(&fresh, "pool_capacity="), 1024, "{fresh}");
+
+    c.query(QUERY_COUNT, Mode::Grouped).unwrap();
+    let after = c.stats().unwrap();
+    let read = stats_field(&after, "page_requests=") - stats_field(&fresh, "page_requests=");
+    let resident = stats_field(&after, "pool_resident=");
+    assert!(resident > 0, "{after}");
+    assert!(
+        resident <= read,
+        "{resident} frames for {read} page requests"
+    );
     drop(c);
     handle.shutdown();
 }
