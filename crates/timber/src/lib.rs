@@ -153,8 +153,9 @@ impl TimberDb {
     /// A read-only handle pinned to the current committed snapshot:
     /// queries on it keep answering from that state no matter how many
     /// transactions commit afterwards, and never block behind writers.
-    /// Dropping the handle releases the snapshot (and eventually the
-    /// pages it was holding in limbo).
+    /// It holds the pages of the documents it saw, and no others;
+    /// dropping it releases them, and those of its documents deleted or
+    /// replaced since go free at the next commit.
     pub fn snapshot(&self) -> TimberDb {
         TimberDb {
             store: self.store.snapshot(),

@@ -33,8 +33,9 @@
 //! other decision lives behind one child module: `meta` (the durable
 //! metadata, its checkpoint snapshot and commit delta codecs), `loader`
 //! (the parser's element events → records and pages, with no DOM in
-//! between), `projection` (the published view,
-//! how an edit extends it, snapshot pins, limbo), `output` (the batched
+//! between), `projection` (the published view and the documents it
+//! holds, how an edit extends it, snapshot pins, when a removed
+//! document's pages go free), `output` (the batched
 //! value read, the walk that records a stored subtree, the replay),
 //! `commit` (the one write transaction, its page writes, the
 //! allocator, checkpoint) and `reopen` (recovery glue).
@@ -219,8 +220,8 @@ impl StoreShared {
 ///
 /// [`snapshot`](DocumentStore::snapshot) returns a cheap handle pinned
 /// to the projection current at that moment: every read through it is
-/// repeatable even while other handles commit, and the pages it
-/// references are not reused until the last pinned handle drops.
+/// repeatable even while other handles commit, and the pages of the
+/// documents it holds are not reused until the last pinned handle drops.
 /// Multi-step reads that must be mutually consistent (navigation,
 /// serialization, whole query plans) should run on one snapshot.
 ///
@@ -230,8 +231,9 @@ pub struct DocumentStore {
     shared: Arc<StoreShared>,
     /// `Some` on snapshot handles: reads resolve against this pinned
     /// projection instead of the current one. Holding the `Arc` itself
-    /// is the pin — the allocator only reuses a freed page run once
-    /// every projection older than the freeing epoch is dropped.
+    /// is the pin — it holds the projection's documents, and the
+    /// allocator only reuses a removed document's page runs once no
+    /// projection holds it.
     pinned: Option<Arc<Projection>>,
 }
 
@@ -264,13 +266,13 @@ impl DocumentStore {
         Ok(store)
     }
 
-    /// Assemble the shared state around `meta` and publish the view of
-    /// an empty store (epoch 1) — all `create` needs; `open` reads its
-    /// documents back through the assembled store and publishes again.
-    /// `wal`'s checkpoint record must hold the whole of `tags`.
+    /// Assemble the shared state and publish the view of an empty store
+    /// (epoch 1) — all `create` needs; `open` reads its documents back
+    /// through the assembled store and publishes again. `wal`'s
+    /// checkpoint record must hold the whole of `tags`.
     fn assemble(
         tags: Dictionary,
-        meta: StoreMeta,
+        next_doc: DocId,
         free: BTreeSet<u32>,
         wal: Option<Wal>,
         opts: &StoreOptions,
@@ -279,21 +281,19 @@ impl DocumentStore {
     ) -> Result<DocumentStore> {
         let doc_root_tag = tags.intern(DOC_ROOT_TAG);
         let pool = BufferPool::with_shared(disk.clone(), opts.pool_pages)?;
-        let epoch = 1;
-        let proj = Arc::new(Projection::empty(epoch, doc_root_tag, 0));
+        let proj = Arc::new(Projection::empty(1, doc_root_tag, 0));
         let dict_logged = tags.len();
         Ok(DocumentStore {
             shared: Arc::new(StoreShared {
                 tags,
                 doc_root_tag,
-                current: RwLock::new(Arc::clone(&proj)),
+                current: RwLock::new(proj),
                 writer: Mutex::new(WriterState {
-                    meta,
+                    next_doc,
                     dict_logged,
                     free,
-                    limbo: Vec::new(),
-                    history: vec![proj],
-                    epoch,
+                    removed: Vec::new(),
+                    prev: None,
                 }),
                 wal: wal.map(Mutex::new),
                 pool: Mutex::new(pool),
@@ -335,7 +335,7 @@ impl DocumentStore {
         } else {
             None
         };
-        Self::assemble(tags, meta, BTreeSet::new(), wal, opts, disk, None)
+        Self::assemble(tags, meta.next_doc, BTreeSet::new(), wal, opts, disk, None)
     }
 
     /// `(doc_id, stored node count)` of every document, insertion order,
@@ -344,7 +344,7 @@ impl DocumentStore {
         self.proj()
             .docs
             .iter()
-            .map(|d| (d.doc_id, d.node_count))
+            .map(|d| (d.meta.doc_id, d.meta.node_count))
             .collect()
     }
 
@@ -375,7 +375,7 @@ impl DocumentStore {
     /// Pages that hold values (the heap runs of this handle's documents);
     /// the rest of the file is node records and freed pages.
     pub fn heap_pages(&self) -> u32 {
-        self.proj().docs.iter().map(|d| d.heap_pages).sum()
+        self.proj().docs.iter().map(|d| d.meta.heap_pages).sum()
     }
 
     /// Store size in bytes.
@@ -445,7 +445,7 @@ impl DocumentStore {
             });
         }
         let (k, local) = proj.locate(id);
-        let (page, slot) = node_location(proj.docs[k].node_base, local);
+        let (page, slot) = node_location(proj.docs[k].meta.node_base, local);
         let mut rec = self.shared.with_page(PageId(page), |p| {
             NodeRecord::decode(&p[slot..slot + RECORD_SIZE])
         })?;

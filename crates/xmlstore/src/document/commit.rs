@@ -13,23 +13,27 @@
 //! [`Projection::edited`] rebuilds the projection before last in place
 //! when nobody holds it, copying the rows from the earlier of this and
 //! the previous edit's cut on; when a reader holds it, all the labels.
+//! Every kept document is shared with the projection before, and a
+//! removed one's pages go free once no projection holds it.
 
 use super::loader::{build_local, load_local, LocalDoc, PageBuf};
 use super::meta::{encode_delta, encode_meta, DocMeta, MetaDelta, StoreMeta};
-use super::projection::{limbo_runs, reclaim_limbo, DocRows, LimboRun, Projection};
+use super::projection::{reclaim, Doc, DocRows, Projection};
 use super::{DocId, DocumentStore};
 use crate::error::{Result, StoreError};
 use crate::page::PageId;
 use crate::wal::WalRecord;
 use std::collections::BTreeSet;
-use std::sync::{Arc, MutexGuard};
+use std::sync::{Arc, MutexGuard, Weak};
 
 /// Everything only the (single) writer touches, behind the commit lock:
-/// the authoritative document table and counter, how much of the
-/// dictionary the log already holds, and the page allocator's free/limbo
-/// lists.
+/// the document counter, how much of the dictionary the log already
+/// holds, the page allocator's free list, the documents removed but
+/// maybe still held, and the predecessor of the published projection.
+/// The document table is the published projection's.
 pub(super) struct WriterState {
-    pub meta: StoreMeta,
+    /// The id the next added document gets.
+    pub next_doc: DocId,
     /// Symbols `0..dict_logged` are durable (in the checkpoint or in a
     /// durable commit record); the next commit logs the names from here
     /// on. It advances only once a record carrying them is durable, so
@@ -39,16 +43,14 @@ pub(super) struct WriterState {
     pub dict_logged: usize,
     /// Free page ids, derived from the metadata (never persisted).
     pub free: BTreeSet<u32>,
-    /// Freed runs awaiting proof that no live projection references
-    /// them (see [`LimboRun`]).
-    pub limbo: Vec<LimboRun>,
-    /// Every projection published and possibly still referenced,
-    /// oldest first; the last entry is the current one. An entry with a
-    /// strong count of 1 is referenced by nobody else and goes at the
-    /// next commit's reclaim: a prefix entry unlocks its limbo runs, and
-    /// the current one's predecessor becomes the next one.
-    pub history: Vec<Arc<Projection>>,
-    pub epoch: u64,
+    /// Each document a commit removed, with its page runs, until no
+    /// projection holds it: the next commit's [`reclaim`] then frees
+    /// its runs.
+    pub removed: Vec<(Weak<Doc>, DocMeta)>,
+    /// The projection the published one replaced. Nothing but this slot
+    /// and its readers holds it; the next commit takes it and, when no
+    /// reader does, rebuilds its labels into the next projection.
+    pub prev: Option<Arc<Projection>>,
 }
 
 /// One store transaction: take `remove` out of the document table, put
@@ -102,10 +104,11 @@ impl DocumentStore {
         })
     }
 
-    /// Delete document `doc` as one WAL transaction. Its pages move to
-    /// the limbo list and return to the free list once no live snapshot
-    /// still references them; a reused page is rewritten whole, so freed
-    /// content can never leak into a later document.
+    /// Delete document `doc` as one WAL transaction. Its pages return to
+    /// the free list at the first commit after the last projection
+    /// holding the document (a snapshot that saw it, an in-flight read)
+    /// drops; a reused page is rewritten whole, so freed content can
+    /// never leak into a later document.
     pub fn delete_document(&self, doc: DocId) -> Result<()> {
         self.commit(Edit {
             remove: Some(doc),
@@ -149,14 +152,16 @@ impl DocumentStore {
             None => (&[], &[]),
         };
         let mut w = self.writer();
+        // Only a commit publishes, and it holds the writer lock.
+        let current = sh.current();
         let at = edit
             .remove
             .map(|doc| {
-                let found = w.meta.docs.iter().position(|d| d.doc_id == doc);
+                let found = current.docs.iter().position(|d| d.meta.doc_id == doc);
                 found.ok_or(StoreError::NoSuchDocument { doc })
             })
             .transpose()?;
-        let spare = reclaim_limbo(&mut w);
+        let spare = reclaim(&mut w);
         // A removed document's pages stay live until the commit lands,
         // so its replacement allocates elsewhere (free pages from
         // *earlier* deletes are fair game). An edit that adds nothing
@@ -165,7 +170,7 @@ impl DocumentStore {
         let node_run = self
             .alloc_run(&mut w, node_pages.len() as u32)
             .inspect_err(|_| release_run(&mut w, &heap_run))?;
-        let doc_id = w.meta.next_doc;
+        let doc_id = w.next_doc;
         let added = local.as_ref().map(|l| DocMeta {
             doc_id,
             heap_base: heap_run.base,
@@ -197,25 +202,24 @@ impl DocumentStore {
         let written = self.write_pages(&pages);
         if let Err(e) = written.and_then(|()| self.log_commit(delta)) {
             // The runs were never visible to any projection, so they
-            // go straight back to the free list, not limbo. A failed
+            // go straight back to the free list. A failed
             // record write leaves nothing of the record in the log.
             release_run(&mut w, &heap_run);
             release_run(&mut w, &node_run);
             return Err(e);
         }
         w.dict_logged = logged;
-        w.meta.next_doc = next_doc;
-        let removed = at.map(|k| w.meta.docs.remove(k));
-        w.meta.docs.extend(added);
+        w.next_doc = next_doc;
         let rows = local.as_ref().zip(added).map(|(l, meta)| DocRows {
             meta,
             records: &l.records,
         });
-        let next = sh.current().edited(spare, w.epoch + 1, at, rows);
-        self.install(&mut w, next);
-        if let Some(removed) = removed {
-            limbo_runs(&mut w, &removed);
+        let next = current.edited(spare, at, rows);
+        if let Some(k) = at {
+            let doc = &current.docs[k];
+            w.removed.push((Arc::downgrade(doc), doc.meta));
         }
+        self.install(&mut w, next);
         Ok(doc_id)
     }
 
@@ -234,7 +238,11 @@ impl DocumentStore {
             // values) live only in memory, and the checkpoint is about to
             // truncate the log that carries every suffix before them.
             let names = self.shared.tags.names_from(0);
-            wal.checkpoint(encode_meta(&w.meta, &names))?;
+            let meta = StoreMeta {
+                docs: self.shared.current().docs.iter().map(|d| d.meta).collect(),
+                next_doc: w.next_doc,
+            };
+            wal.checkpoint(encode_meta(&meta, &names))?;
             w.dict_logged = names.len();
         }
         Ok(())
@@ -440,16 +448,26 @@ mod tests {
     #[test]
     fn deletes_drop_the_projections_nobody_holds() {
         // A delete allocates no pages; it still reclaims, so with no
-        // reader only the current projection and its predecessor live.
+        // reader only the current projection and its predecessor live,
+        // and only the last delete's document, which the predecessor
+        // holds, keeps its pages.
         let s = DocumentStore::create(&StoreOptions::in_memory()).unwrap();
         let docs: Vec<_> = (0..5)
             .map(|i| s.insert_document(&bib(2, &i.to_string())).unwrap())
             .collect();
+        let pages = s.total_pages();
         for doc in docs {
             s.delete_document(doc).unwrap();
         }
-        let live = s.writer().history.len();
-        assert!(live <= 2, "{live} projections live");
+        let w = s.writer();
+        assert_eq!(w.prev.as_ref().map(Arc::strong_count), Some(1));
+        let [(_, last)] = w.removed[..] else {
+            panic!("{} documents wait for their pages", w.removed.len());
+        };
+        assert_eq!(
+            w.free.len() as u32 + last.heap_pages + last.node_pages,
+            pages
+        );
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Projections and MVCC: the immutable view a commit publishes, how the
 //! next one is made from the previous one and the edit, snapshot pinning,
-//! the [`Entries`] guards readers hold, and the limbo list that keeps
-//! freed page runs away from the allocator while an older projection can
-//! still read them.
+//! the [`Entries`] guards readers hold, and how a removed document's page
+//! runs go free once no projection holds the document.
 
 use super::commit::WriterState;
 use super::meta::DocMeta;
@@ -24,6 +23,17 @@ pub(super) struct DocRows<'a> {
     pub records: &'a [NodeRecord],
 }
 
+/// One stored document as the projections that hold it see it: where
+/// its pages lie and where its values lie. It never changes once built,
+/// so every projection that holds the document shares it by refcount,
+/// and its page runs stay in use until the last of them drops it.
+pub(super) struct Doc {
+    pub meta: DocMeta,
+    /// One heap location per local row (null where the row has no
+    /// content), page ids absolute.
+    value_locs: Box<[ContentPtr]>,
+}
+
 /// One immutable view of the store, published atomically by a commit:
 /// the tag index, the columnar label region, and the document
 /// table with its derived global id/label spaces. Readers resolve
@@ -40,17 +50,12 @@ pub(super) struct Projection {
     pub epoch: u64,
     index: TagIndex,
     pub columns: Arc<NodeColumns>,
-    pub docs: Vec<DocMeta>,
+    pub docs: Vec<Arc<Doc>>,
     /// Global node id of each document's first local node; `id_bases[0]`
     /// is 1 (id 0 is the synthetic root).
     id_bases: Vec<u32>,
     /// Global `(start, end)` label offset of each document.
     label_offsets: Vec<u32>,
-    /// Where each document's values lie: one heap location per local row
-    /// (null where the row has no content), page ids absolute. An array
-    /// never changes once built, so every later epoch that still holds
-    /// the document shares it by refcount.
-    value_locs: Vec<Arc<[ContentPtr]>>,
     pub node_count: u32,
     pub root_end: u32,
     /// Where the edit that published this projection cut: rows below it
@@ -82,14 +87,14 @@ impl Projection {
             return ContentPtr::NULL;
         }
         let (k, local) = self.locate(id);
-        self.value_locs[k][local.0 as usize]
+        self.docs[k].value_locs[local.0 as usize]
     }
 
     /// Project a stored (local) record into the global id/label space.
     pub(super) fn globalize(&self, k: usize, rec: &mut NodeRecord) {
         rec.start += self.label_offsets[k];
         rec.end += self.label_offsets[k];
-        rec.content = rec.content.at(self.docs[k].heap_base);
+        rec.content = rec.content.at(self.docs[k].meta.heap_base);
     }
 
     /// The view of a store without documents — the synthetic root alone —
@@ -106,7 +111,6 @@ impl Projection {
             docs: Vec::new(),
             id_bases: Vec::new(),
             label_offsets: Vec::new(),
-            value_locs: Vec::new(),
             node_count: 1,
             root_end: 1,
             same_below: 0,
@@ -115,8 +119,8 @@ impl Projection {
 
     /// Append one document at the end of the id and label spaces: its
     /// rows go onto the six columns and the tag lists, its
-    /// content pointers into a location array of its own. The caller
-    /// fits the root afterwards.
+    /// content pointers into the [`Doc`] it becomes. The caller fits the
+    /// root afterwards.
     fn push_doc(&mut self, doc: DocRows<'_>) {
         let (id_base, label_offset) = (self.node_count, self.root_end);
         // Unshared while a projection is being built.
@@ -133,8 +137,10 @@ impl Projection {
         }
         let heap_base = doc.meta.heap_base;
         let locs = doc.records.iter().map(|r| r.content.at(heap_base));
-        self.value_locs.push(locs.collect());
-        self.docs.push(doc.meta);
+        self.docs.push(Arc::new(Doc {
+            meta: doc.meta,
+            value_locs: locs.collect(),
+        }));
         self.id_bases.push(id_base);
         self.label_offsets.push(label_offset);
         self.node_count += doc.meta.node_count;
@@ -149,23 +155,23 @@ impl Projection {
         self
     }
 
-    /// The projection the next commit publishes: this one without
-    /// document `remove` (an index into `docs`) and with `add` at the
-    /// end — the removed document's contiguous id range cut out,
-    /// everything after it shifted down by its `node_count` and `span`.
-    /// The labels are rebuilt in `spare` (this one's predecessor), keeping
-    /// its rows below both `same_below` and the cut, or else copied whole.
+    /// The projection the next commit publishes (the next epoch): this
+    /// one without document `remove` (an index into `docs`) and with
+    /// `add` at the end — the removed document's contiguous id range cut
+    /// out, everything after it shifted down by its `node_count` and
+    /// `span`. Every kept document is shared, not copied. The labels are
+    /// rebuilt in `spare` (this one's predecessor), keeping its rows
+    /// below both `same_below` and the cut, or else copied whole.
     pub(super) fn edited(
         &self,
         spare: Option<(NodeColumns, TagIndex)>,
-        epoch: u64,
         remove: Option<usize>,
         add: Option<DocRows<'_>>,
     ) -> Projection {
         let cut = match remove {
             Some(k) => Cut {
-                ids: self.id_bases[k]..self.id_bases[k] + self.docs[k].node_count,
-                span: self.docs[k].span,
+                ids: self.id_bases[k]..self.id_bases[k] + self.docs[k].meta.node_count,
+                span: self.docs[k].meta.span,
             },
             None => Cut {
                 ids: self.node_count..self.node_count,
@@ -176,12 +182,10 @@ impl Projection {
         let cut_rows = cut.ids.end - cut.ids.start;
         let mut docs = self.docs.clone();
         let (mut id_bases, mut label_offsets) = (self.id_bases.clone(), self.label_offsets.clone());
-        let mut value_locs = self.value_locs.clone();
         if let Some(k) = remove {
             docs.remove(k);
             id_bases.remove(k);
             label_offsets.remove(k);
-            value_locs.remove(k);
             for (base, offset) in id_bases.iter_mut().zip(&mut label_offsets).skip(k) {
                 *base -= cut_rows;
                 *offset -= cut.span;
@@ -200,13 +204,12 @@ impl Projection {
             .splice_into(index, keep, &cut, added.iter().map(|r| r.tag));
         let columns = self.columns.splice_into(columns, keep, &cut, added.len());
         let mut next = Projection {
-            epoch,
+            epoch: self.epoch + 1,
             index,
             columns: Arc::new(columns),
             docs,
             id_bases,
             label_offsets,
-            value_locs,
             node_count: self.node_count - cut_rows,
             root_end: self.root_end - cut.span,
             same_below: cut.ids.start,
@@ -241,7 +244,6 @@ pub(super) fn build_projection(
     proj.docs.reserve(docs.len());
     proj.id_bases.reserve(docs.len());
     proj.label_offsets.reserve(docs.len());
-    proj.value_locs.reserve(docs.len());
     for meta in docs {
         let records = rows(meta)?;
         proj.push_doc(DocRows {
@@ -250,15 +252,6 @@ pub(super) fn build_projection(
         });
     }
     Ok(proj.fit_root())
-}
-
-/// A page run freed by a committed delete/replace, still referenced by
-/// projections older than `epoch`: reusable only once every such
-/// projection has been dropped.
-pub(super) struct LimboRun {
-    epoch: u64,
-    base: u32,
-    len: u32,
 }
 
 /// A document-order set of index entries resolved against one pinned
@@ -354,17 +347,17 @@ impl DocumentStore {
         self.proj().epoch
     }
 
-    /// Publish `proj` as the next epoch: swap the current projection
-    /// and remember it in the history for limbo reclamation.
+    /// Publish `proj` as the next epoch. The projection it replaces
+    /// goes into the writer's predecessor slot.
     pub(super) fn install(&self, w: &mut WriterState, proj: Projection) {
-        w.epoch = proj.epoch;
-        let proj = Arc::new(proj);
-        *self
+        let mut current = self
             .shared
             .current
             .write()
-            .unwrap_or_else(|e| e.into_inner()) = Arc::clone(&proj);
-        w.history.push(proj);
+            .unwrap_or_else(|e| e.into_inner());
+        let replaced = std::mem::replace(&mut *current, Arc::new(proj));
+        drop(current);
+        w.prev = Some(replaced);
     }
 
     // ---- index access (no data pages touched) -------------------------
@@ -389,49 +382,32 @@ impl DocumentStore {
     }
 }
 
-/// Park a committed-away document's runs in limbo, tagged with the
-/// epoch that freed them (`w.epoch`, i.e. the just-installed one):
-/// projections older than it may still read those pages.
-pub(super) fn limbo_runs(w: &mut WriterState, removed: &DocMeta) {
-    let epoch = w.epoch;
-    for (base, len) in [
-        (removed.heap_base, removed.heap_pages),
-        (removed.node_base, removed.node_pages),
-    ] {
-        if len > 0 {
-            w.limbo.push(LimboRun { epoch, base, len });
+/// Once per commit: take the predecessor out of its slot, and put the
+/// page runs of every removed document that no projection holds any more
+/// back on the free list. A removed document is held by the projections
+/// that still list it — snapshot handles, in-flight reads, `Entries`
+/// guards, the predecessor — and by nothing else, so its strong count
+/// reaches 0 exactly when the last of them drops. Returns the
+/// predecessor's labels if nobody else holds them: the spare.
+pub(super) fn reclaim(w: &mut WriterState) -> Option<(NodeColumns, TagIndex)> {
+    // The predecessor's documents are dropped here, before the counts
+    // are read, so a document only it held goes free at this commit.
+    let prev = w.prev.take().and_then(|p| Arc::try_unwrap(p).ok());
+    let spare = prev.and_then(|p| Some((Arc::try_unwrap(p.columns).ok()?, p.index)));
+    let WriterState { removed, free, .. } = w;
+    removed.retain(|(doc, meta)| {
+        let held = doc.strong_count() > 0;
+        if !held {
+            free.extend(meta.heap_base..meta.heap_base + meta.heap_pages);
+            free.extend(meta.node_base..meta.node_base + meta.node_pages);
         }
-    }
-}
-
-/// Move limbo runs whose referencing projections are all gone back
-/// to the free list, once per commit. A history entry with strong count
-/// 1 is referenced only by the history itself — no snapshot handle, no
-/// in-flight read, no `Entries` guard — so pages freed at or before the
-/// *oldest surviving* epoch are reusable. Returns the labels of the
-/// epoch before the current one — its predecessor, unless a failed
-/// commit dropped it — if nobody holds them: the spare.
-pub(super) fn reclaim_limbo(w: &mut WriterState) -> Option<(NodeColumns, TagIndex)> {
-    let n = w.history.len().saturating_sub(2);
-    let p = &w.history[n];
-    let spare = (p.epoch + 1 == w.epoch && Arc::strong_count(p) == 1).then(|| w.history.remove(n));
-    while w.history.len() > 1 && Arc::strong_count(&w.history[0]) == 1 {
-        w.history.remove(0);
-    }
-    // Pair with the release decrement of the last dropped handle,
-    // ordering its page reads before our reuse writes.
-    atomic::fence(Ordering::Acquire);
-    let oldest_live = w.history.first().map_or(0, |p| p.epoch);
-    let WriterState { limbo, free, .. } = w;
-    limbo.retain(|l| {
-        let reusable = l.epoch <= oldest_live;
-        if reusable {
-            free.extend(l.base..l.base + l.len);
-        }
-        !reusable
+        held
     });
-    let proj = Arc::try_unwrap(spare?).ok()?;
-    Some((Arc::try_unwrap(proj.columns).ok()?, proj.index))
+    // `Weak::strong_count` loads relaxed: pair with the release
+    // decrement of the last dropped handle, ordering its page reads
+    // before our reuse writes.
+    atomic::fence(Ordering::Acquire);
+    spare
 }
 
 #[cfg(test)]
@@ -498,17 +474,25 @@ mod tests {
     /// document table and pages — what `open` would build.
     fn from_scratch(s: &DocumentStore, published: &Projection) -> Projection {
         let sh = &s.shared;
+        let docs: Vec<DocMeta> = published.docs.iter().map(|d| d.meta).collect();
         let rows = |d: &DocMeta| s.read_rows(d);
-        build_projection(published.epoch, sh.doc_root_tag, &published.docs, rows).unwrap()
+        build_projection(published.epoch, sh.doc_root_tag, &docs, rows).unwrap()
     }
 
     /// Field-by-field equality of two projections over a dictionary of
     /// `syms` symbols.
     fn assert_same_view(got: &Projection, want: &Projection, syms: u32) {
-        assert_eq!(got.docs, want.docs);
+        let metas = |p: &Projection| p.docs.iter().map(|d| d.meta).collect::<Vec<_>>();
+        let locs = |p: &Projection| {
+            p.docs
+                .iter()
+                .map(|d| d.value_locs.to_vec())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(metas(got), metas(want));
         assert_eq!(got.id_bases, want.id_bases);
         assert_eq!(got.label_offsets, want.label_offsets);
-        assert_eq!(got.value_locs, want.value_locs, "value locations");
+        assert_eq!(locs(got), locs(want), "value locations");
         assert_eq!(
             (got.node_count, got.root_end),
             (want.node_count, want.root_end)
@@ -518,7 +502,7 @@ mod tests {
         let root = NodeEntry {
             id: NodeId(0),
             start: 0,
-            end: 1 + got.docs.iter().map(|d| d.span).sum::<u32>(),
+            end: 1 + got.docs.iter().map(|d| d.meta.span).sum::<u32>(),
             level: 0,
         };
         assert_eq!(got.columns.entry(NodeId(0)), root);
@@ -537,7 +521,7 @@ mod tests {
     }
 
     /// Everything a reader can get out of a handle without knowing the
-    /// store's history: the document list and every document's bytes.
+    /// edits that built it: the document list and every document's bytes.
     fn served(s: &DocumentStore) -> (Vec<(DocId, u32)>, Vec<xmlparse::Element>) {
         let roots = s.children(NodeId(0)).unwrap();
         let docs = roots.iter().map(|&r| s.materialize(r).unwrap()).collect();
@@ -578,15 +562,13 @@ mod tests {
     }
 
     /// What the next commit will start from: the current projection's
-    /// predecessor (the epoch before it, if it is still there), whether
-    /// anybody besides the history holds it or its columns, and where its
-    /// `start` column lies and how much it holds.
+    /// predecessor (the writer's slot, empty after a failed commit took
+    /// it), whether anybody besides the slot holds it or its columns, and
+    /// where its `start` column lies and how much it holds.
     fn predecessor(s: &DocumentStore) -> Option<(bool, *const u32, usize)> {
         let w = s.writer();
-        let p = w.history.get(w.history.len().checked_sub(2)?)?;
-        if p.epoch + 1 != w.epoch {
-            return None;
-        }
+        let p = w.prev.as_ref()?;
+        assert_eq!(p.epoch + 1, s.epoch(), "the slot holds the predecessor");
         let held = Arc::strong_count(p) > 1 || Arc::strong_count(&p.columns) > 1;
         Some((held, p.columns.start.as_ptr(), p.columns.start.capacity()))
     }
@@ -658,11 +640,11 @@ mod tests {
                 }
                 let scratch = from_scratch(&s, &published);
                 assert_same_view(&published, &scratch, s.dict().len() as u32);
-                // A document that outlives the edit keeps its location
-                // array, not a copy of it.
-                for (doc, locs) in published.docs.iter().zip(&published.value_locs) {
-                    if let Some(k) = before.docs.iter().position(|d| d.doc_id == doc.doc_id) {
-                        assert!(Arc::ptr_eq(locs, &before.value_locs[k]));
+                // A document that outlives the edit is shared, not copied.
+                for doc in &published.docs {
+                    let id = doc.meta.doc_id;
+                    if let Some(kept) = before.docs.iter().find(|d| d.meta.doc_id == id) {
+                        assert!(Arc::ptr_eq(doc, kept));
                     }
                 }
                 // A location is null exactly where the content column is.
@@ -726,6 +708,46 @@ mod tests {
     }
 
     #[test]
+    fn a_pin_holds_only_the_documents_it_saw() {
+        // A snapshot pinned over one document, held while another one is
+        // inserted and deleted a hundred times. The pin holds the pages of
+        // the document it saw and of none that came after it: a churned
+        // copy's runs go free at the commit after its delete, and a later
+        // insert lands on them.
+        let mut xml = String::from("<bib>");
+        for i in 0..200 {
+            let article = format!(
+                "<article><title>T{i}</title><author>A{}</author></article>",
+                i % 7
+            );
+            xml.push_str(&article);
+        }
+        xml.push_str("</bib>");
+        let pages = |s: &DocumentStore| -> Vec<u32> {
+            let docs = &s.proj().docs;
+            docs.iter()
+                .map(|d| d.meta.heap_pages + d.meta.node_pages)
+                .collect()
+        };
+        let s = DocumentStore::create(&StoreOptions::in_memory().with_durable()).unwrap();
+        s.insert_xml(&xml).unwrap();
+        let pin = s.snapshot();
+        let seen = served(&pin);
+        let pinned: u32 = pages(&pin).iter().sum();
+        for round in 0..100 {
+            let doc = s.insert_xml(&xml).unwrap();
+            let churned = pages(&s)[1];
+            s.delete_document(doc).unwrap();
+            let total = s.total_pages();
+            assert!(
+                total <= pinned + 2 * churned,
+                "round {round}: {total} pages, {pinned} pinned, {churned} per copy"
+            );
+        }
+        assert_eq!(served(&pin), seen);
+    }
+
+    #[test]
     fn a_reopened_store_publishes_what_the_edits_built() {
         check("open == the chain of edits", 8, |g| {
             let (page, wal) = temp_paths("reopen_view");
@@ -765,8 +787,8 @@ mod tests {
         s.insert_xml("<a><c>three</c><b>two</b></a>").unwrap();
         let before = s.shared.current();
         let cut = Cut {
-            ids: 1..1 + before.docs[0].node_count,
-            span: before.docs[0].span,
+            ids: 1..1 + before.docs[0].meta.node_count,
+            span: before.docs[0].meta.span,
         };
         let rows = cut.ids.end - cut.ids.start;
         s.delete_document(first).unwrap();
@@ -777,7 +799,7 @@ mod tests {
             catch_unwind(AssertUnwindSafe(|| assert_same_view(got, &scratch, syms))).is_err()
         };
         // An edit of nothing is a copy to break.
-        let copy = || good.edited(None, good.epoch, None, None);
+        let copy = || good.edited(None, None, None);
         assert!(!differs(&copy()));
 
         // Ids after the cut not shifted down.
@@ -804,7 +826,12 @@ mod tests {
         // The location arrays of the two documents left, taken for each
         // other's.
         let mut bad = copy();
-        bad.value_locs.swap(0, 1);
+        let swapped = |meta: DocMeta, other: &Doc| {
+            let value_locs = other.value_locs.clone();
+            Arc::new(Doc { meta, value_locs })
+        };
+        let (a, b) = (&good.docs[0], &good.docs[1]);
+        bad.docs = vec![swapped(a.meta, b), swapped(b.meta, a)];
         assert!(differs(&bad), "misplaced value locations pass");
 
         // The synthetic root still ending where it did before the cut.

@@ -79,13 +79,12 @@ impl DocumentStore {
         // Read the documents back from the recovered pages through the
         // assembled store itself, so the page path is identical to
         // normal reads, and publish what they add up to.
-        let store = Self::assemble(tags, meta, free, wal, opts, disk, recovery)?;
+        let store = Self::assemble(tags, meta.next_doc, free, wal, opts, disk, recovery)?;
         {
             let sh = &store.shared;
             let mut w = store.writer();
-            let (epoch, docs) = (w.epoch + 1, &w.meta.docs);
             let rows = |d: &DocMeta| store.read_rows(d);
-            let proj = build_projection(epoch, sh.doc_root_tag, docs, rows)?;
+            let proj = build_projection(store.epoch() + 1, sh.doc_root_tag, &meta.docs, rows)?;
             store.install(&mut w, proj);
         }
         store.clear_buffer_pool()?;
@@ -445,7 +444,10 @@ mod tests {
         let (node_page, syms) = {
             let s = DocumentStore::create(&opts).unwrap();
             s.insert_xml(SAMPLE).unwrap();
-            (s.shared.current().docs[0].node_base, s.dict().len() as u32)
+            (
+                s.shared.current().docs[0].meta.node_base,
+                s.dict().len() as u32,
+            )
         };
         let mut disk = DiskManager::open_existing(&page).unwrap();
         let mut image = [0u8; PAGE_SIZE];

@@ -27,6 +27,10 @@
 //!   over the wire, and the server keeps serving.
 //! - `STATS` reports the pool's resident frames beside its capacity: none
 //!   on a fresh server, and after a read no more than it asked for.
+//! - A session that pins a snapshot and never releases it holds only the
+//!   pages of the documents it saw: `STATS` `pages=` stops growing while
+//!   another connection churns documents, and after the session
+//!   disconnects the next commits reuse what it held.
 
 use datagen::{DblpConfig, DblpGenerator};
 use smallrand::{RngExt, SeedableRng, StdRng};
@@ -658,5 +662,56 @@ fn stats_report_resident_pool_frames_up_to_the_pages_read() {
         "{resident} frames for {read} page requests"
     );
     drop(c);
+    handle.shutdown();
+}
+
+/// A session that sends `SNAPSHOT` and never `RELEASE` holds the pages
+/// of the documents it saw, and of no document committed after it:
+/// while it sits on a deleted document, another connection inserts and
+/// deletes a document fifty times and the file stops growing after the
+/// first round. Once the session disconnects, the next commit frees the
+/// deleted document's pages, and a further round lands on them.
+#[test]
+fn a_stuck_pin_holds_only_the_pages_of_the_documents_it_saw() {
+    let db = Arc::new(TimberDb::create(&StoreOptions::in_memory()).unwrap());
+    let handle = Server::bind("127.0.0.1:0", Arc::clone(&db))
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(47);
+    let (seen_xml, churn_xml) = (bib(0, 50, &mut rng), bib(1, 50, &mut rng));
+    let mut writer = Client::connect(handle.local_addr()).unwrap();
+    let seen_doc = writer.insert_xml(&seen_xml).unwrap();
+    let mut stuck = Client::connect(handle.local_addr()).unwrap();
+    stuck.snapshot().unwrap();
+    let seen = stuck.docs().unwrap();
+    writer.delete(seen_doc).unwrap();
+    let mut pages = Vec::new();
+    for _ in 0..50 {
+        let doc = writer.insert_xml(&churn_xml).unwrap();
+        writer.delete(doc).unwrap();
+        pages.push(stats_field(&writer.stats().unwrap(), "pages="));
+    }
+    assert_eq!(stuck.docs().unwrap(), seen, "the pinned session drifted");
+    assert!(pages.iter().all(|&p| p == pages[0]), "{pages:?}");
+
+    // The test, the accept loop and the writer's connection hold the
+    // database once the stuck session's thread has ended.
+    drop(stuck);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while Arc::strong_count(&db) > 3 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the session never ended"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    // Two documents of the deleted one's shape: the first commit frees
+    // its pages, and with the last churned copy's they hold both.
+    writer.insert_xml(&seen_xml).unwrap();
+    writer.insert_xml(&seen_xml).unwrap();
+    let after = stats_field(&writer.stats().unwrap(), "pages=");
+    assert_eq!(after, pages[0], "the freed pages were not reused");
+    drop(writer);
     handle.shutdown();
 }
