@@ -55,7 +55,7 @@ use crate::buffer::{BufferPool, BufferStats};
 use crate::catalog::TagId;
 use crate::columns::NodeColumns;
 use crate::dict::{Dictionary, Sym, NO_SYM};
-use crate::error::Result;
+use crate::error::{Result, StoreError};
 use crate::fault::{FaultConfig, FaultInjector, FaultStats};
 use crate::index::NodeEntry;
 use crate::node::{node_location, ContentPtr, NodeId, NodeKind, NodeRecord, RECORD_SIZE};
@@ -446,17 +446,24 @@ impl DocumentStore {
         }
         let (k, local) = proj.locate(id);
         let (page, slot) = node_location(proj.docs[k].meta.node_base, local);
-        let mut rec = self.shared.with_page(PageId(page), |p| {
+        let stored = self.shared.with_page(PageId(page), |p| {
             NodeRecord::decode(&p[slot..slot + RECORD_SIZE])
         })?;
-        proj.globalize(k, &mut rec);
-        Ok(rec)
+        let rec = stored.ok_or(StoreError::CorruptContent { page })?;
+        let entry = proj.columns.entry(id);
+        Ok(NodeRecord {
+            start: entry.start,
+            end: entry.end,
+            content: proj.value_loc(id),
+            ..rec
+        })
     }
 
     /// Fetch the full record of `id` (one node-page access; the
-    /// synthetic root is materialized from metadata for free). Queries
-    /// read columns and value locations instead; the matcher's scan
-    /// baseline pays this read on purpose.
+    /// synthetic root is materialized from metadata for free), its labels
+    /// from the columns and its value location from its document's.
+    /// Queries read columns and value locations instead; the matcher's
+    /// scan baseline pays this read on purpose.
     pub fn record(&self, id: NodeId) -> Result<NodeRecord> {
         self.record_in(&self.proj(), id)
     }

@@ -9,7 +9,9 @@
 //! element children; then it becomes the element's content (text-only)
 //! or one `#text` leaf per run (mixed content). Whitespace-only text is
 //! not stored: the data is data-centric, and the reference model's data
-//! model drops it too.
+//! model drops it too. A value goes onto the heap when its row closes —
+//! a leaf at once, an element at its close — the order in which
+//! `node::derive` recomputes the value locations at open.
 //!
 //! Names and values are interned as they arrive, so a document that
 //! fails part-way (a syntax error, [`StoreError::ReservedTag`],

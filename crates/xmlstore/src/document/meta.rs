@@ -53,14 +53,17 @@ pub(super) struct MetaDelta {
 
 const META_MAGIC: u32 = 0x544d_4254; // "TBMT"
 const DELTA_MAGIC: u32 = 0x444d_4254; // "TBMD"
-/// v6: the log carries metadata only, and no record carries a
-/// transaction id. A v5 log may hold page images whose pages never
+/// v7: a node record is 16 bytes — tag, content symbol, value length,
+/// level, kind — its labels and value location derived at open. A v6
+/// store's 32-byte records would decode as garbage. v6: the log carries
+/// metadata only, and no record carries a transaction id. A v5 log may
+/// hold page images whose pages never
 /// reached the page file; a v4 log holds `Begin` and `Abort` records,
 /// at which the reader would stop. v4 node records already carried their content
 /// symbol where v3 kept the parent id. Commits carry a [`MetaDelta`];
 /// only checkpoints carry the full snapshot. Any other version is
 /// refused.
-const META_VERSION: u32 = 6;
+const META_VERSION: u32 = 7;
 
 const HAS_REMOVED: u8 = 1;
 const HAS_ADDED: u8 = 2;

@@ -90,13 +90,6 @@ impl Projection {
         self.docs[k].value_locs[local.0 as usize]
     }
 
-    /// Project a stored (local) record into the global id/label space.
-    pub(super) fn globalize(&self, k: usize, rec: &mut NodeRecord) {
-        rec.start += self.label_offsets[k];
-        rec.end += self.label_offsets[k];
-        rec.content = rec.content.at(self.docs[k].meta.heap_base);
-    }
-
     /// The view of a store without documents — the synthetic root alone —
     /// with room for `rows` more rows in the label columns.
     pub(super) fn empty(epoch: u64, doc_root_tag: TagId, rows: usize) -> Self {

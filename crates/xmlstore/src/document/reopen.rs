@@ -2,16 +2,17 @@
 //! committed metadata deltas from the log, fold the deltas over the
 //! snapshot, then rebuild everything the store derives from metadata
 //! plus node pages — dictionary, free list, the first projection. No
-//! heap page is read: each node record carries its content symbol, and
-//! no page is written.
+//! heap page is read: each node record carries its content symbol and
+//! value length, the labels and value locations are derived from the
+//! rows in order, and no page is written.
 
 use super::meta::{decode_delta, decode_meta, encode_meta, DocMeta};
 use super::projection::build_projection;
 use super::{wal_path_for, DocumentStore, StoreOptions};
 use crate::dict::{Dictionary, NO_SYM};
 use crate::error::{Result, StoreError};
-use crate::node::{NodeRecord, RECORDS_PER_PAGE, RECORD_SIZE};
-use crate::page::PageId;
+use crate::node::{self, NodeRecord, RECORDS_PER_PAGE, RECORD_SIZE};
+use crate::page::{PageId, PAGE_DATA_SIZE};
 use crate::storage::{DiskManager, SharedDisk};
 use crate::wal::{self, Wal};
 use std::collections::BTreeSet;
@@ -94,10 +95,13 @@ impl DocumentStore {
     }
 
     /// One document's records, read back from its node pages alone
-    /// (inserts take them from the loader instead), one request per page.
-    /// A record's content symbol must be one the recovered dictionary
-    /// holds, and [`NO_SYM`] exactly where its heap pointer is null;
-    /// anything else is `CorruptContent` on that node page.
+    /// (inserts take them from the loader instead), one request per page,
+    /// their labels and value locations derived ([`node::derive`]). A
+    /// record must decode, and its content symbol must be one the
+    /// recovered dictionary holds where its value length is not 0 and
+    /// [`NO_SYM`] where it is; the rows must nest, and add up to the
+    /// document's span and to values that fill its heap run exactly.
+    /// Anything else is `CorruptContent` on the node page where it shows.
     pub(super) fn read_rows(&self, d: &DocMeta) -> Result<Vec<NodeRecord>> {
         let syms = self.shared.tags.len() as u32;
         let sound = |r: &NodeRecord| {
@@ -113,11 +117,19 @@ impl DocumentStore {
             let from = records.len();
             self.shared.with_page(PageId(page), |p| {
                 let slots = p.chunks_exact(RECORD_SIZE).take(on_page);
-                records.extend(slots.map(NodeRecord::decode));
+                records.extend(slots.map_while(|slot| NodeRecord::decode(slot).filter(sound)));
             })?;
-            if !records[from..].iter().all(sound) {
+            if records.len() != from + on_page {
                 return Err(StoreError::CorruptContent { page });
             }
+        }
+        let page_of = |row: usize| d.node_base + (row / RECORDS_PER_PAGE) as u32;
+        let derived = node::derive(&mut records)
+            .map_err(|row| StoreError::CorruptContent { page: page_of(row) })?;
+        let heap_pages = derived.heap_bytes.div_ceil(PAGE_DATA_SIZE);
+        if derived.span != d.span || heap_pages != d.heap_pages as usize {
+            let last = page_of(records.len().saturating_sub(1));
+            return Err(StoreError::CorruptContent { page: last });
         }
         Ok(records)
     }
@@ -430,15 +442,16 @@ mod tests {
         let _ = std::fs::remove_file(&wal);
     }
 
-    /// A new content symbol from the dictionary's length and the old one.
-    type SymEdit = fn(u32, u32) -> u32;
-
-    /// Commit SAMPLE, set the content symbol of its local row `row` to
-    /// `sym(dictionary length, the row's own symbol)`, write the node page
-    /// back through the disk manager — which seals a fresh checksum, so
-    /// only the symbol check can object — and reopen. Also returns the
-    /// node page's id.
-    fn reopen_with_symbol(tag: &str, row: usize, sym: SymEdit) -> (Result<DocumentStore>, u32) {
+    /// Commit SAMPLE, apply `poke` to the stored bytes of its local row
+    /// `row`, given the dictionary's length, write the node page back
+    /// through the disk manager — which seals a fresh checksum, so only
+    /// the decode and derivation checks can object — and reopen. Also
+    /// returns the node page's id.
+    fn reopen_poked(
+        tag: &str,
+        row: usize,
+        poke: impl Fn(&mut [u8], u32),
+    ) -> (Result<DocumentStore>, u32) {
         let (page, wal) = temp_paths(tag);
         let opts = durable_opts(&page);
         let (node_page, syms) = {
@@ -452,10 +465,10 @@ mod tests {
         let mut disk = DiskManager::open_existing(&page).unwrap();
         let mut image = [0u8; PAGE_SIZE];
         disk.read_page(PageId(node_page), &mut image).unwrap();
-        let slot = &mut image[PAGE_HEADER_SIZE + row * RECORD_SIZE..][..RECORD_SIZE];
-        let mut rec = NodeRecord::decode(slot);
-        rec.sym = sym(syms, rec.sym);
-        rec.encode(slot);
+        poke(
+            &mut image[PAGE_HEADER_SIZE + row * RECORD_SIZE..][..RECORD_SIZE],
+            syms,
+        );
         disk.write_page(PageId(node_page), &image).unwrap();
         drop(disk);
         let reopened = DocumentStore::open(&opts);
@@ -464,26 +477,96 @@ mod tests {
         (reopened, node_page)
     }
 
+    /// A poke that decodes the record, edits it, and encodes it back.
+    fn edit(f: impl Fn(&mut NodeRecord, u32)) -> impl Fn(&mut [u8], u32) {
+        move |slot, syms| {
+            let mut rec = NodeRecord::decode(slot).unwrap();
+            f(&mut rec, syms);
+            rec.encode(slot);
+        }
+    }
+
+    /// SAMPLE poked at `row` must not reopen: `CorruptContent` on its one
+    /// node page. Its local rows are `bib` (level 1), `article` (2),
+    /// `@year` (3, "1999"), `title` (3, "Querying XML"), two `author`s,
+    /// and a second `article` with a `title` and an `author`.
+    fn assert_corrupt(tag: &str, row: usize, poke: impl Fn(&mut [u8], u32)) {
+        match reopen_poked(tag, row, poke) {
+            (Err(StoreError::CorruptContent { page }), node_page) if page == node_page => {}
+            (Err(e), _) => panic!("{tag}: expected CorruptContent on the node page, got {e}"),
+            (Ok(_), _) => panic!("{tag}: the store reopened"),
+        }
+    }
+
     #[test]
     fn a_record_symbol_the_dictionary_or_its_pointer_disowns_is_typed_corruption() {
-        // SAMPLE's local row 0 is `bib`, without content; row 2 is
-        // `@year`, "1999". Rewritten with its own symbol, a page reopens:
-        // the harness itself is sound.
-        let (intact, _) = reopen_with_symbol("sym_intact", 2, |_, own| own);
+        // Rewritten as it was, a page reopens: the harness itself is
+        // sound.
+        let (intact, _) = reopen_poked("sym_intact", 2, edit(|_, _| {}));
         let s = intact.unwrap();
         let year = s.nodes_with_tag(s.tag_id(&attr_tag_name("year")).unwrap())[0];
         assert_eq!(s.content(year.id).unwrap().as_deref(), Some("1999"));
-        let cases: [(&str, usize, SymEdit); 3] = [
-            ("sym_past_the_table", 2, |syms, _| syms),
-            ("no_sym_with_content", 2, |_, _| NO_SYM),
-            ("sym_without_content", 0, |_, _| 1),
-        ];
-        for (tag, row, sym) in cases {
-            match reopen_with_symbol(tag, row, sym) {
-                (Err(StoreError::CorruptContent { page }), node_page) if page == node_page => {}
-                (Err(e), _) => panic!("{tag}: expected CorruptContent on the node page, got {e}"),
-                (Ok(_), _) => panic!("{tag}: the store reopened"),
+        assert_corrupt("sym_past_the_table", 2, edit(|r, syms| r.sym = syms));
+        assert_corrupt("no_sym_with_content", 2, edit(|r, _| r.sym = NO_SYM));
+        assert_corrupt("sym_without_content", 0, edit(|r, _| r.sym = 1));
+    }
+
+    #[test]
+    fn a_row_of_unknown_kind_is_typed_corruption() {
+        assert_corrupt("unknown_kind", 2, |slot, _| slot[14] = 3);
+    }
+
+    #[test]
+    fn a_row_with_its_reserved_byte_set_is_typed_corruption() {
+        assert_corrupt("reserved_byte", 2, |slot, _| slot[15] = 1);
+    }
+
+    #[test]
+    fn a_row_with_a_symbol_and_no_value_is_typed_corruption() {
+        assert_corrupt("zero_len_with_sym", 2, edit(|r, _| r.content.len = 0));
+    }
+
+    #[test]
+    fn a_first_row_below_level_one_is_typed_corruption() {
+        assert_corrupt("first_row_level", 0, edit(|r, _| r.level = 2));
+    }
+
+    #[test]
+    fn a_row_two_levels_below_its_element_is_typed_corruption() {
+        assert_corrupt("two_levels_down", 1, edit(|r, _| r.level = 3));
+    }
+
+    #[test]
+    fn a_row_under_a_leaf_is_typed_corruption() {
+        // `title` one level below `@year`.
+        assert_corrupt("under_a_leaf", 3, edit(|r, _| r.level = 4));
+    }
+
+    #[test]
+    fn values_that_do_not_fill_the_heap_run_are_typed_corruption() {
+        // One value a page longer: the values need two heap pages, and
+        // the document has one.
+        let longer = |r: &mut NodeRecord, _| r.content.len += PAGE_DATA_SIZE as u32;
+        assert_corrupt("heap_overfilled", 3, edit(longer));
+    }
+
+    #[test]
+    fn a_span_the_rows_do_not_add_up_to_is_typed_corruption() {
+        // Every row takes two labels, so no node page can disagree with
+        // its document's span: the log's document table must.
+        let wider = |rec: &mut WalRecord| {
+            if let WalRecord::Commit { meta } = rec {
+                let mut delta = decode_delta(meta).unwrap();
+                if let Some(added) = &mut delta.added {
+                    added.span += 2;
+                }
+                *meta = encode_delta(&delta);
             }
+        };
+        match reopen_tampered("span", wider) {
+            Err(StoreError::CorruptContent { .. }) => {}
+            Err(e) => panic!("expected CorruptContent, got {e}"),
+            Ok(_) => panic!("a store whose spans disagree with its rows reopened"),
         }
     }
 
@@ -558,13 +641,15 @@ mod tests {
         // Version 5, whose log may hold page images that never reached
         // the page file and which no reader now reinstalls: the
         // checkpoint carries the version, so such a log is refused
-        // before any later frame is read.
+        // before any later frame is read. Version 6, whose node records
+        // were 32 bytes: read as 16-byte records they are garbage.
         let version = |meta: &mut Vec<u8>, v: u32| meta[4..8].copy_from_slice(&v.to_le_bytes());
         for (tag, v) in [
             ("v2 checkpoint", 2),
             ("v3 checkpoint", 3),
             ("v4 checkpoint", 4),
             ("v5 checkpoint", 5),
+            ("v6 checkpoint", 6),
         ] {
             corrupt(tag, &|rec| {
                 if let WalRecord::Checkpoint { meta } = rec {

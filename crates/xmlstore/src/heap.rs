@@ -1,11 +1,12 @@
 //! The content heap: element text and attribute values, packed into pages.
 //!
-//! Content is appended during load. A value is stored contiguously
-//! starting at `(page, off)`; if it does not fit in the remainder of a
-//! page it simply continues on the next page, so readers walk consecutive
-//! pages. Values never leave gaps except when a writer chooses to start a
-//! fresh page. All offsets are relative to the page *data region* — the
-//! checksum header is invisible at this layer.
+//! Content is appended during load. Values are packed end to end over
+//! the pages' data regions: a value that does not fit in the remainder
+//! of a page simply continues on the next, so readers walk consecutive
+//! pages, and where a value lies follows from how many bytes precede it
+//! (`locate`), so a node record keeps only the value's length. All
+//! offsets are relative to the page *data region* — the checksum header
+//! is invisible at this layer.
 
 use crate::error::{Result, StoreError};
 use crate::node::ContentPtr;
@@ -14,14 +15,27 @@ use crate::page::{PageId, PAGE_DATA_SIZE, PAGE_SIZE};
 /// Maximum content length (addressable by `ContentPtr::len`).
 pub const MAX_CONTENT_LEN: usize = u32::MAX as usize;
 
+/// Where a value of `len` bytes lies in its heap run when `before` bytes
+/// of values precede it; null for an empty value, which has no bytes.
+pub(crate) fn locate(before: usize, len: u32) -> ContentPtr {
+    if len == 0 {
+        return ContentPtr::NULL;
+    }
+    ContentPtr {
+        page: (before / PAGE_DATA_SIZE) as u32,
+        off: (before % PAGE_DATA_SIZE) as u16,
+        len,
+    }
+}
+
 /// Accumulates content values into page images during document load.
 #[derive(Debug, Default)]
 pub struct HeapBuilder {
     /// Full page images; content lives in the data region, the header
     /// bytes stay zero until the disk manager seals them.
     pages: Vec<Box<[u8; PAGE_SIZE]>>,
-    /// Fill level of the last page's data region.
-    cur_off: usize,
+    /// Bytes appended so far.
+    len: usize,
 }
 
 impl HeapBuilder {
@@ -36,37 +50,21 @@ impl HeapBuilder {
         if bytes.len() > MAX_CONTENT_LEN {
             return Err(StoreError::ContentTooLong(bytes.len()));
         }
-        if bytes.is_empty() {
-            return Ok(ContentPtr::NULL);
-        }
-        if self.pages.is_empty() || self.cur_off == PAGE_DATA_SIZE {
-            self.pages.push(Box::new([0u8; PAGE_SIZE]));
-            self.cur_off = 0;
-        }
-        let start_page = self.pages.len() - 1;
-        let start_off = self.cur_off;
-
-        let mut remaining = bytes;
-        loop {
-            let last = self.pages.len() - 1;
-            let page = &mut self.pages[last];
-            let room = PAGE_DATA_SIZE - self.cur_off;
-            let take = remaining.len().min(room);
-            let at = PAGE_SIZE - PAGE_DATA_SIZE + self.cur_off;
-            page[at..at + take].copy_from_slice(&remaining[..take]);
-            self.cur_off += take;
-            remaining = &remaining[take..];
-            if remaining.is_empty() {
-                break;
+        let ptr = locate(self.len, bytes.len() as u32);
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let off = self.len % PAGE_DATA_SIZE;
+            if off == 0 {
+                self.pages.push(Box::new([0u8; PAGE_SIZE]));
             }
-            self.pages.push(Box::new([0u8; PAGE_SIZE]));
-            self.cur_off = 0;
+            let take = rest.len().min(PAGE_DATA_SIZE - off);
+            let at = PAGE_SIZE - PAGE_DATA_SIZE + off;
+            let last = self.pages.len() - 1;
+            self.pages[last][at..at + take].copy_from_slice(&rest[..take]);
+            self.len += take;
+            rest = &rest[take..];
         }
-        Ok(ContentPtr {
-            page: start_page as u32,
-            off: start_off as u16,
-            len: bytes.len() as u32,
-        })
+        Ok(ptr)
     }
 
     /// Number of pages the heap occupies.

@@ -1,16 +1,22 @@
 //! Fixed-size node records with `(start, end, level)` containment labels.
 //!
-//! Every node — element, attribute, or mixed-content text — is one 32-byte
-//! record. Records are laid out in document (pre-order) order, so the node
-//! id doubles as the pre-order ordinal and a subtree occupies a contiguous
+//! Every node — element, attribute, or mixed-content text — is one row.
+//! Rows are laid out in document (pre-order) order, so the node id
+//! doubles as the pre-order ordinal and a subtree occupies a contiguous
 //! id range. The labels implement the containment tests used by the
 //! structural-join algorithms the paper builds on (Al-Khalifa et al.,
 //! ICDE 2002):
 //!
 //! * `a` is an ancestor of `d` ⇔ `a.start < d.start && d.end < a.end`
 //! * `a` is the parent of `d` ⇔ ancestor test ∧ `d.level == a.level + 1`
+//!
+//! On a page a row is a 16-byte record of what nothing else can give:
+//! tag, content symbol, value length, level and kind. Its labels and its
+//! value's heap location follow from a document's rows in order, and
+//! `derive` recomputes them in one pass.
 
 use crate::catalog::TagId;
+use crate::heap;
 use crate::page::PAGE_DATA_SIZE;
 
 /// Identifier of a node within a document: its pre-order ordinal.
@@ -18,11 +24,10 @@ use crate::page::PAGE_DATA_SIZE;
 pub struct NodeId(pub u32);
 
 /// Size of one encoded node record in bytes.
-pub const RECORD_SIZE: usize = 32;
+pub const RECORD_SIZE: usize = 16;
 
-/// Node records per page: 255 with 8 KB pages, after the 8-byte
-/// checksum header claims one record's worth of space (with 24 bytes
-/// left over).
+/// Node records per page: 511 with 8 KB pages, after the 8-byte
+/// checksum header (with 8 bytes left over).
 pub const RECORDS_PER_PAGE: usize = PAGE_DATA_SIZE / RECORD_SIZE;
 
 const _: () = assert!(RECORDS_PER_PAGE * RECORD_SIZE <= PAGE_DATA_SIZE);
@@ -47,11 +52,12 @@ impl NodeKind {
         }
     }
 
-    fn from_u8(v: u8) -> NodeKind {
+    fn from_u8(v: u8) -> Option<NodeKind> {
         match v {
-            0 => NodeKind::Element,
-            1 => NodeKind::Attribute,
-            _ => NodeKind::Text,
+            0 => Some(NodeKind::Element),
+            1 => Some(NodeKind::Attribute),
+            2 => Some(NodeKind::Text),
+            _ => None,
         }
     }
 }
@@ -122,49 +128,105 @@ impl NodeRecord {
         self.is_ancestor_of(d) && d.level == self.level + 1
     }
 
-    /// Encode into a 32-byte buffer.
+    /// Encode into a 16-byte buffer: tag, symbol, value length, level,
+    /// kind, and a reserved 0 byte. The labels and the value's location
+    /// are not stored: `open` derives them from the document's rows.
     pub fn encode(&self, out: &mut [u8]) {
         debug_assert!(out.len() >= RECORD_SIZE);
         out[0..4].copy_from_slice(&self.tag.0.to_le_bytes());
-        out[4..8].copy_from_slice(&self.start.to_le_bytes());
-        out[8..12].copy_from_slice(&self.end.to_le_bytes());
-        out[12..16].copy_from_slice(&self.sym.to_le_bytes());
-        out[16..18].copy_from_slice(&self.level.to_le_bytes());
-        out[18] = self.kind.to_u8();
-        out[19] = 0; // reserved
-        out[20..24].copy_from_slice(&self.content.page.to_le_bytes());
-        out[24..26].copy_from_slice(&self.content.off.to_le_bytes());
-        out[26..28].copy_from_slice(&0u16.to_le_bytes()); // reserved
-        out[28..32].copy_from_slice(&self.content.len.to_le_bytes());
+        out[4..8].copy_from_slice(&self.sym.to_le_bytes());
+        out[8..12].copy_from_slice(&self.content.len.to_le_bytes());
+        out[12..14].copy_from_slice(&self.level.to_le_bytes());
+        out[14] = self.kind.to_u8();
+        out[15] = 0; // reserved
     }
 
-    /// Decode from a 32-byte buffer.
-    pub fn decode(buf: &[u8]) -> NodeRecord {
+    /// Decode from a 16-byte buffer, with labels 0 and the value located
+    /// at the start of the heap run until the document's rows place them.
+    /// `None` for an unknown kind or a reserved byte that is not 0.
+    pub fn decode(buf: &[u8]) -> Option<NodeRecord> {
         debug_assert!(buf.len() >= RECORD_SIZE);
-        let u32le = |r: std::ops::Range<usize>| {
-            u32::from_le_bytes([
-                buf[r.start],
-                buf[r.start + 1],
-                buf[r.start + 2],
-                buf[r.start + 3],
-            ])
-        };
-        let u16le =
-            |r: std::ops::Range<usize>| u16::from_le_bytes([buf[r.start], buf[r.start + 1]]);
-        NodeRecord {
-            tag: TagId(u32le(0..4)),
-            start: u32le(4..8),
-            end: u32le(8..12),
-            sym: u32le(12..16),
-            level: u16le(16..18),
-            kind: NodeKind::from_u8(buf[18]),
+        let u32le =
+            |at: usize| u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]);
+        if buf[15] != 0 {
+            return None;
+        }
+        Some(NodeRecord {
+            tag: TagId(u32le(0)),
+            start: 0,
+            end: 0,
+            sym: u32le(4),
+            level: u16::from_le_bytes([buf[12], buf[13]]),
+            kind: NodeKind::from_u8(buf[14])?,
             content: ContentPtr {
-                page: u32le(20..24),
-                off: u16le(24..26),
-                len: u32le(28..32),
+                page: 0,
+                off: 0,
+                len: u32le(8),
             },
+        })
+    }
+}
+
+/// What one document's rows add up to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Derived {
+    /// The local label span: one past the last label.
+    pub span: u32,
+    /// The bytes of its values, packed end to end on its heap run.
+    pub heap_bytes: usize,
+}
+
+/// Fill in the `(start, end)` labels and the value locations (relative
+/// to the document's heap run) of one document's rows, given in order
+/// with their levels, kinds and value lengths — the loader's rules, run
+/// backwards:
+///
+/// * a label counter runs over the document: an element takes one count
+///   when it opens and one when it closes, a leaf (attribute or text)
+///   two at once;
+/// * a row's value goes onto the heap when the row closes — a leaf at
+///   once, an element after its last child — so values lie in the order
+///   of their rows' `end` labels. Only a text-only element has a value,
+///   and only attribute rows lie below one, so that is row order but for
+///   such an element's value, which follows its attributes' values.
+///
+/// The first row is at level 1 and every later one at most one level
+/// below the innermost open element; `Err(i)` names the first row `i`
+/// that is not.
+pub(crate) fn derive(rows: &mut [NodeRecord]) -> Result<Derived, usize> {
+    let mut done = Derived {
+        span: 0,
+        heap_bytes: 0,
+    };
+    let close = |r: &mut NodeRecord, done: &mut Derived| {
+        r.end = done.span;
+        done.span += 1;
+        r.content = heap::locate(done.heap_bytes, r.content.len);
+        done.heap_bytes += r.content.len as usize;
+    };
+    // The elements still open, innermost last.
+    let mut open: Vec<usize> = Vec::new();
+    for i in 0..rows.len() {
+        let level = rows[i].level;
+        while let Some(&e) = open.last().filter(|&&e| rows[e].level >= level) {
+            close(&mut rows[e], &mut done);
+            open.pop();
+        }
+        let parent = open.last().map_or(0, |&e| u32::from(rows[e].level));
+        if u32::from(level) != parent + 1 {
+            return Err(i);
+        }
+        rows[i].start = done.span;
+        done.span += 1;
+        match rows[i].kind {
+            NodeKind::Element => open.push(i),
+            _ => close(&mut rows[i], &mut done),
         }
     }
+    for &e in open.iter().rev() {
+        close(&mut rows[e], &mut done);
+    }
+    Ok(done)
 }
 
 /// Which page and slot hold node `id`, given the first node page.
@@ -195,7 +257,7 @@ mod tests {
         let r = NodeRecord {
             tag: TagId(42),
             start: 7,
-            end: 90,
+            end: 8,
             sym: 3,
             level: 5,
             kind: NodeKind::Attribute,
@@ -207,12 +269,66 @@ mod tests {
         };
         let mut buf = [0u8; RECORD_SIZE];
         r.encode(&mut buf);
-        assert_eq!(NodeRecord::decode(&buf), r);
+        // The labels and the location are not stored.
+        let unplaced = NodeRecord {
+            start: 0,
+            end: 0,
+            content: ContentPtr {
+                page: 0,
+                off: 0,
+                len: 123456,
+            },
+            ..r
+        };
+        assert_eq!(NodeRecord::decode(&buf), Some(unplaced));
+        for (at, byte) in [(14, 3), (15, 1)] {
+            let mut bad = buf;
+            bad[at] = byte;
+            assert_eq!(NodeRecord::decode(&bad), None, "byte {at} = {byte}");
+        }
     }
 
     #[test]
     fn records_fit_in_data_region() {
-        assert_eq!(RECORDS_PER_PAGE, 255);
+        assert_eq!(RECORDS_PER_PAGE, 511);
+    }
+
+    #[test]
+    fn derive_recomputes_the_loaders_labels_and_locations() {
+        // <a x="1">t<b y="22">vvv</b>w</a>: `b`'s value follows `@y`'s.
+        let row = |level, kind, len| NodeRecord {
+            level,
+            kind,
+            content: ContentPtr {
+                page: 0,
+                off: 0,
+                len,
+            },
+            ..rec(0, 0, level)
+        };
+        let (e, a, t) = (NodeKind::Element, NodeKind::Attribute, NodeKind::Text);
+        let mut rows = [
+            row(1, e, 0),
+            row(2, a, 1),
+            row(2, t, 1),
+            row(2, e, 3),
+            row(3, a, 2),
+            row(2, t, 1),
+        ];
+        let done = derive(&mut rows).unwrap();
+        assert_eq!((done.span, done.heap_bytes), (12, 8));
+        let labels: Vec<(u32, u32)> = rows.iter().map(|r| (r.start, r.end)).collect();
+        assert_eq!(labels, [(0, 11), (1, 2), (3, 4), (5, 8), (6, 7), (9, 10)]);
+        let locs: Vec<ContentPtr> = rows.iter().map(|r| r.content).collect();
+        let want = [(0, 0), (0, 1), (1, 1), (4, 3), (2, 2), (7, 1)];
+        assert_eq!(locs, want.map(|(before, len)| heap::locate(before, len)));
+        // A first row below level 1, a row two levels down, a row under
+        // a leaf.
+        for (levels, bad) in [(&[2][..], 0), (&[1, 3], 1), (&[1, 2, 3], 2)] {
+            let mut rows: Vec<NodeRecord> = levels.iter().map(|&l| row(l, a, 0)).collect();
+            rows[0].kind = e;
+            assert_eq!(derive(&mut rows), Err(bad), "{levels:?}");
+        }
     }
 
     #[test]
@@ -244,7 +360,8 @@ mod tests {
     #[test]
     fn kind_roundtrip() {
         for k in [NodeKind::Element, NodeKind::Attribute, NodeKind::Text] {
-            assert_eq!(NodeKind::from_u8(k.to_u8()), k);
+            assert_eq!(NodeKind::from_u8(k.to_u8()), Some(k));
         }
+        assert_eq!(NodeKind::from_u8(3), None);
     }
 }
