@@ -409,7 +409,7 @@ mod tests {
         // One pool frame, values on several heap pages, a row a chunk:
         // the first and the last article, so the second chunk needs a
         // page the first did not leave in the pool.
-        let xml = bibliography(&mut Gen::new(7), 300);
+        let xml = bibliography(&mut Gen::new(7), 600);
         let opts = StoreOptions::in_memory().with_pool_pages(1);
         let s = DocumentStore::from_xml(&xml, &opts).unwrap();
         assert!(s.heap_pages() > 1, "{} heap pages", s.heap_pages());

@@ -54,8 +54,10 @@ pub struct BufferStats {
 }
 
 /// Run `op`, retrying transient failures with exponential backoff.
-/// Increments `*retries` once per extra attempt.
-fn with_retry<T>(retries: &mut u64, mut op: impl FnMut() -> Result<T>) -> Result<T> {
+/// Increments `*retries` once per extra attempt. The pool reads every
+/// page under this rule, and so does `open`, which reads node pages
+/// around the pool.
+pub(crate) fn with_retry<T>(retries: &mut u64, mut op: impl FnMut() -> Result<T>) -> Result<T> {
     let mut attempt = 0u32;
     loop {
         match op() {

@@ -178,7 +178,6 @@ impl DocumentStore {
             node_base: node_run.base,
             node_pages: node_run.len,
             node_count: l.records.len() as u32,
-            span: l.span,
         });
         let next_doc = doc_id + u64::from(added.is_some());
         // The payload exists only where there is a log to carry it.
@@ -561,8 +560,9 @@ mod tests {
             per_commit[1..].iter().all(|&b| b == per_commit[1]),
             "{per_commit:?}"
         );
-        // Commit{counter, empty suffix, one document entry}.
-        assert_eq!(per_commit[1], 78);
+        // Commit{counter, empty suffix, one document entry}: 74 bytes,
+        // 78 while a document entry also held its label span.
+        assert_eq!(per_commit[1], 74);
         assert_eq!(s.documents().len(), 64);
     }
 
@@ -588,20 +588,23 @@ mod tests {
         // left the log: 16 bytes fewer per commit, 8 in the record and
         // 8 in its delta. The page writes of the three 400-article edits
         // went from 6 to 4 when node records shrank from 32 to 16 bytes:
-        // their 1 201 rows fit three node pages instead of five.
+        // their 1 201 rows fit three node pages instead of five; and from
+        // 4 to 3 when they shrank to 12 bytes: two node pages. Every edit
+        // that adds a document logs 4 bytes fewer since a document entry
+        // no longer holds its label span.
         const PINNED: [(u64, u64, u64, u64); 12] = [
-            (1, 151, 1, 2),  // insert a, fresh run
-            (1, 96, 1, 2),   // insert b, fresh
-            (1, 3192, 1, 4), // insert c (400 articles), fresh
+            (1, 147, 1, 2),  // insert a, fresh run
+            (1, 92, 1, 2),   // insert b, fresh
+            (1, 3188, 1, 3), // insert c (400 articles), fresh
             (1, 54, 1, 0),   // delete a: no pages
-            (1, 96, 1, 2),   // insert d over a's run
-            (1, 104, 1, 2),  // replace b → e, fresh
+            (1, 92, 1, 2),   // insert d over a's run
+            (1, 100, 1, 2),  // replace b → e, fresh
             (1, 54, 1, 0),   // delete d under a pinned snapshot
-            (1, 96, 1, 2),   // insert f over b's run (d's is pinned)
-            (1, 3176, 1, 4), // replace c → g, part reused
+            (1, 92, 1, 2),   // insert f over b's run (d's is pinned)
+            (1, 3172, 1, 3), // replace c → g, part reused
             (1, 54, 1, 0),   // delete e
             (1, 54, 1, 0),   // delete f
-            (1, 3168, 1, 4), // insert h over c's run
+            (1, 3164, 1, 3), // insert h over c's run
         ];
         let s = DocumentStore::create(&StoreOptions::in_memory().with_durable()).unwrap();
         let mut seen = Vec::new();
@@ -643,9 +646,10 @@ mod tests {
         s.insert_document(&bib(400, "h")).unwrap();
         step(&s);
         assert_eq!(seen, PINNED);
-        // 17 with 32-byte records: the two 400-article runs the file
-        // holds are two node pages shorter each.
-        assert_eq!(s.total_pages(), 13);
+        // 17 with 32-byte records and 13 with 16-byte ones: each of the
+        // two 400-article runs the file holds is two node pages shorter,
+        // then one more.
+        assert_eq!(s.total_pages(), 11);
         assert_eq!(s.documents().len(), 2);
     }
 }

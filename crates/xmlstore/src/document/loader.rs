@@ -9,9 +9,11 @@
 //! element children; then it becomes the element's content (text-only)
 //! or one `#text` leaf per run (mixed content). Whitespace-only text is
 //! not stored: the data is data-centric, and the reference model's data
-//! model drops it too. A value goes onto the heap when its row closes —
-//! a leaf at once, an element at its close — the order in which
-//! `node::derive` recomputes the value locations at open.
+//! model drops it too. A document's heap holds each distinct value once:
+//! it goes onto the heap when the first row holding it closes — a leaf
+//! at once, an element at its close — and every later row with the same
+//! content symbol points at that copy, the rule by which `node::derive`
+//! recomputes the value locations at open.
 //!
 //! Names and values are interned as they arrive, so a document that
 //! fails part-way (a syntax error, [`StoreError::ReservedTag`],
@@ -25,6 +27,7 @@ use crate::error::{Result, StoreError};
 use crate::heap::HeapBuilder;
 use crate::node::{ContentPtr, NodeKind, NodeRecord, RECORDS_PER_PAGE, RECORD_SIZE};
 use crate::page::{PAGE_HEADER_SIZE, PAGE_SIZE};
+use std::collections::hash_map::{Entry, HashMap};
 use xmlparse::XmlSink;
 
 /// One encoded page, ready to be written at whatever id the allocator
@@ -37,7 +40,6 @@ pub(super) struct LocalDoc {
     pub records: Vec<NodeRecord>,
     pub heap_pages: Vec<PageBuf>,
     pub node_pages: Vec<PageBuf>,
-    pub span: u32,
 }
 
 /// Parse `xml` straight into a [`LocalDoc`]. A syntax error wins over
@@ -80,6 +82,9 @@ struct Loader<'a> {
 struct Rows<'a> {
     tags: &'a Dictionary,
     heap: HeapBuilder,
+    /// Where this document's heap holds each value it has placed, by
+    /// content symbol.
+    placed: HashMap<u32, ContentPtr>,
     records: Vec<NodeRecord>,
     counter: u32,
 }
@@ -124,6 +129,7 @@ impl<'a> Loader<'a> {
             rows: Rows {
                 tags,
                 heap: HeapBuilder::new(),
+                placed: HashMap::new(),
                 records: Vec::new(),
                 counter: 0,
             },
@@ -214,12 +220,7 @@ impl<'a> Loader<'a> {
         if let Some(e) = self.error {
             return Err(e);
         }
-        let Rows {
-            heap,
-            records,
-            counter: span,
-            ..
-        } = self.rows;
+        let Rows { heap, records, .. } = self.rows;
         let heap_pages = heap.into_pages();
         let mut node_pages = Vec::with_capacity(records.len().div_ceil(RECORDS_PER_PAGE));
         for chunk in records.chunks(RECORDS_PER_PAGE) {
@@ -234,7 +235,6 @@ impl<'a> Loader<'a> {
             records,
             heap_pages,
             node_pages,
-            span,
         })
     }
 }
@@ -266,15 +266,18 @@ impl Rows<'_> {
         Ok(())
     }
 
-    /// Store `text` on the heap and intern it. An empty value has no heap
-    /// bytes (`ContentPtr::NULL`) and no symbol either, so a record's
-    /// pointer and symbol say "has content" together.
+    /// Intern `text` and, unless this document's heap holds it already,
+    /// store it there. An empty value has no heap bytes
+    /// (`ContentPtr::NULL`) and no symbol either, so a record's pointer
+    /// and symbol say "has content" together.
     fn value(&mut self, text: &str) -> Result<(ContentPtr, u32)> {
-        let content = self.heap.append(text)?;
-        let sym = if text.is_empty() {
-            NO_SYM
-        } else {
-            self.tags.intern(text).0
+        if text.is_empty() {
+            return Ok((ContentPtr::NULL, NO_SYM));
+        }
+        let sym = self.tags.intern(text).0;
+        let content = match self.placed.entry(sym) {
+            Entry::Occupied(placed) => *placed.get(),
+            Entry::Vacant(slot) => *slot.insert(self.heap.append(text)?),
         };
         Ok((content, sym))
     }
@@ -339,15 +342,15 @@ mod tests {
     fn many_nodes_span_pages() {
         // More than RECORDS_PER_PAGE nodes forces multi-page layout.
         let mut xml = String::from("<bib>");
-        for i in 0..300 {
+        for i in 0..400 {
             xml.push_str(&format!("<article><title>T{i}</title></article>"));
         }
         xml.push_str("</bib>");
         let s = DocumentStore::from_xml(&xml, &StoreOptions::in_memory()).unwrap();
-        assert_eq!(s.node_count(), 602);
+        assert_eq!(s.node_count(), 802);
         assert!(s.total_pages() > 2);
         let title = s.tag_id("title").unwrap();
-        let last = s.nodes_with_tag(title)[299];
-        assert_eq!(s.content(last.id).unwrap().as_deref(), Some("T299"));
+        let last = s.nodes_with_tag(title)[399];
+        assert_eq!(s.content(last.id).unwrap().as_deref(), Some("T399"));
     }
 }

@@ -14,7 +14,8 @@ use crate::error::{Result, StoreError};
 use std::sync::Arc;
 
 /// On-log layout of one stored document: where its pages live and how
-/// big its local id/label spaces are.
+/// many rows it has; its local labels are `0..2 × node_count`, since
+/// every row takes two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) struct DocMeta {
     pub doc_id: DocId,
@@ -24,8 +25,6 @@ pub(super) struct DocMeta {
     pub node_pages: u32,
     /// Stored records (the synthetic `doc_root` is *not* stored).
     pub node_count: u32,
-    /// Local `(start, end)` label span: local labels are in `[0, span)`.
-    pub span: u32,
 }
 
 /// The document table and the document counter. Together with the
@@ -53,9 +52,10 @@ pub(super) struct MetaDelta {
 
 const META_MAGIC: u32 = 0x544d_4254; // "TBMT"
 const DELTA_MAGIC: u32 = 0x444d_4254; // "TBMD"
-/// v7: a node record is 16 bytes — tag, content symbol, value length,
-/// level, kind — its labels and value location derived at open. A v6
-/// store's 32-byte records would decode as garbage. v6: the log carries
+/// v8: a node record is 12 bytes — tag, content symbol, level, kind —
+/// a document's heap holds each distinct value once, and a document
+/// entry holds no label span; v7's 16-byte records, and v6's 32-byte
+/// ones, would decode as garbage. v6: the log carries
 /// metadata only, and no record carries a transaction id. A v5 log may
 /// hold page images whose pages never
 /// reached the page file; a v4 log holds `Begin` and `Abort` records,
@@ -63,7 +63,7 @@ const DELTA_MAGIC: u32 = 0x444d_4254; // "TBMD"
 /// symbol where v3 kept the parent id. Commits carry a [`MetaDelta`];
 /// only checkpoints carry the full snapshot. Any other version is
 /// refused.
-const META_VERSION: u32 = 7;
+const META_VERSION: u32 = 8;
 
 const HAS_REMOVED: u8 = 1;
 const HAS_ADDED: u8 = 2;
@@ -92,7 +92,6 @@ fn put_doc(out: &mut Vec<u8>, d: &DocMeta) {
         d.node_base,
         d.node_pages,
         d.node_count,
-        d.span,
     ] {
         put_u32(out, v);
     }
@@ -190,7 +189,7 @@ impl<'a> MetaReader<'a> {
 
     fn doc(&mut self) -> Result<DocMeta> {
         let doc_id = self.u64()?;
-        let mut f = [0u32; 6];
+        let mut f = [0u32; 5];
         for v in &mut f {
             *v = self.u32()?;
         }
@@ -201,7 +200,6 @@ impl<'a> MetaReader<'a> {
             node_base: f[2],
             node_pages: f[3],
             node_count: f[4],
-            span: f[5],
         })
     }
 
@@ -286,7 +284,6 @@ mod tests {
             node_base: 3,
             node_pages: 4,
             node_count: 900,
-            span: 1801,
         }
     }
 

@@ -137,7 +137,7 @@ impl Projection {
         self.id_bases.push(id_base);
         self.label_offsets.push(label_offset);
         self.node_count += doc.meta.node_count;
-        self.root_end += doc.meta.span;
+        self.root_end += 2 * doc.meta.node_count;
     }
 
     /// Fit the synthetic root (row 0 and its index entry) over the label
@@ -164,7 +164,7 @@ impl Projection {
         let cut = match remove {
             Some(k) => Cut {
                 ids: self.id_bases[k]..self.id_bases[k] + self.docs[k].meta.node_count,
-                span: self.docs[k].meta.span,
+                span: 2 * self.docs[k].meta.node_count,
             },
             None => Cut {
                 ids: self.node_count..self.node_count,
@@ -408,6 +408,7 @@ mod tests {
     use super::super::test_support::{durable_opts, store, temp_paths};
     use super::super::{DocId, DocumentStore, StoreOptions};
     use super::*;
+    use crate::node::ValueTable;
     use smallrand::prop::{check, Gen};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -468,7 +469,8 @@ mod tests {
     fn from_scratch(s: &DocumentStore, published: &Projection) -> Projection {
         let sh = &s.shared;
         let docs: Vec<DocMeta> = published.docs.iter().map(|d| d.meta).collect();
-        let rows = |d: &DocMeta| s.read_rows(d);
+        let mut values = ValueTable::new(&s.dict().names_from(0));
+        let rows = |d: &DocMeta| s.read_rows(d, &mut values);
         build_projection(published.epoch, sh.doc_root_tag, &docs, rows).unwrap()
     }
 
@@ -495,7 +497,7 @@ mod tests {
         let root = NodeEntry {
             id: NodeId(0),
             start: 0,
-            end: 1 + got.docs.iter().map(|d| d.meta.span).sum::<u32>(),
+            end: 1 + got.docs.iter().map(|d| 2 * d.meta.node_count).sum::<u32>(),
             level: 0,
         };
         assert_eq!(got.columns.entry(NodeId(0)), root);
@@ -781,7 +783,7 @@ mod tests {
         let before = s.shared.current();
         let cut = Cut {
             ids: 1..1 + before.docs[0].meta.node_count,
-            span: before.docs[0].meta.span,
+            span: 2 * before.docs[0].meta.node_count,
         };
         let rows = cut.ids.end - cut.ids.start;
         s.delete_document(first).unwrap();

@@ -2,17 +2,20 @@
 //! committed metadata deltas from the log, fold the deltas over the
 //! snapshot, then rebuild everything the store derives from metadata
 //! plus node pages — dictionary, free list, the first projection. No
-//! heap page is read: each node record carries its content symbol and
-//! value length, the labels and value locations are derived from the
-//! rows in order, and no page is written.
+//! heap page is read: each node record carries its content symbol, the
+//! name table holds each value and so its length, the labels and value
+//! locations are derived from the rows in order, and no page is written.
+//! Node pages are read around the buffer pool, so a reopened store holds
+//! no frame until a query asks for a page.
 
 use super::meta::{decode_delta, decode_meta, encode_meta, DocMeta};
 use super::projection::build_projection;
 use super::{wal_path_for, DocumentStore, StoreOptions};
-use crate::dict::{Dictionary, NO_SYM};
+use crate::buffer::with_retry;
+use crate::dict::Dictionary;
 use crate::error::{Result, StoreError};
-use crate::node::{self, NodeRecord, RECORDS_PER_PAGE, RECORD_SIZE};
-use crate::page::{PageId, PAGE_DATA_SIZE};
+use crate::node::{self, NodeRecord, ValueTable, RECORDS_PER_PAGE, RECORD_SIZE};
+use crate::page::{self, PageId, PAGE_DATA_SIZE, PAGE_SIZE};
 use crate::storage::{DiskManager, SharedDisk};
 use crate::wal::{self, Wal};
 use std::collections::BTreeSet;
@@ -64,6 +67,9 @@ impl DocumentStore {
         )?);
 
         let tags = Dictionary::from_names(&names);
+        let mut values = ValueTable::new(&names);
+        // The dictionary holds its own copies of the names.
+        drop(names);
         let mut free: BTreeSet<u32> = (0..disk.num_pages()).collect();
         for d in &meta.docs {
             for p in d.heap_base..d.heap_base + d.heap_pages {
@@ -77,57 +83,54 @@ impl DocumentStore {
             committed: state.commits.len() as u64,
             ..RecoveryInfo::default()
         });
-        // Read the documents back from the recovered pages through the
-        // assembled store itself, so the page path is identical to
-        // normal reads, and publish what they add up to.
+        // Read the documents back from the recovered pages, and publish
+        // what they add up to.
         let store = Self::assemble(tags, meta.next_doc, free, wal, opts, disk, recovery)?;
         {
             let sh = &store.shared;
             let mut w = store.writer();
-            let rows = |d: &DocMeta| store.read_rows(d);
+            let rows = |d: &DocMeta| store.read_rows(d, &mut values);
             let proj = build_projection(store.epoch() + 1, sh.doc_root_tag, &meta.docs, rows)?;
             store.install(&mut w, proj);
         }
-        store.clear_buffer_pool()?;
         store.shared.disk.reset_stats();
         store.reset_io_stats();
         Ok(store)
     }
 
     /// One document's records, read back from its node pages alone
-    /// (inserts take them from the loader instead), one request per page,
-    /// their labels and value locations derived ([`node::derive`]). A
-    /// record must decode, and its content symbol must be one the
-    /// recovered dictionary holds where its value length is not 0 and
-    /// [`NO_SYM`] where it is; the rows must nest, and add up to the
-    /// document's span and to values that fill its heap run exactly.
-    /// Anything else is `CorruptContent` on the node page where it shows.
-    pub(super) fn read_rows(&self, d: &DocMeta) -> Result<Vec<NodeRecord>> {
-        let syms = self.shared.tags.len() as u32;
-        let sound = |r: &NodeRecord| {
-            if r.content.is_some() {
-                r.sym < syms
-            } else {
-                r.sym == NO_SYM
-            }
-        };
+    /// (inserts take them from the loader instead), each page read from
+    /// the page file into one buffer — CRC-checked, retried as the pool
+    /// retries, and not cached — and their labels and value locations
+    /// derived ([`node::derive`]) with `values`. A record must decode, the
+    /// rows must nest, each content symbol must name a value of the
+    /// recovered name table or be none, and the document's distinct
+    /// values must fill its heap run exactly. Anything else is
+    /// `CorruptContent` on the node page where it shows.
+    pub(super) fn read_rows(
+        &self,
+        d: &DocMeta,
+        values: &mut ValueTable,
+    ) -> Result<Vec<NodeRecord>> {
         let mut records = Vec::with_capacity(d.node_count as usize);
+        let mut image = [0u8; PAGE_SIZE];
         for page in d.node_base..d.node_base + d.node_pages {
             let on_page = (d.node_count as usize - records.len()).min(RECORDS_PER_PAGE);
             let from = records.len();
-            self.shared.with_page(PageId(page), |p| {
-                let slots = p.chunks_exact(RECORD_SIZE).take(on_page);
-                records.extend(slots.map_while(|slot| NodeRecord::decode(slot).filter(sound)));
+            with_retry(&mut 0, || {
+                let mut disk = self.shared.disk.lock();
+                disk.read_page(PageId(page), &mut image)
             })?;
+            let slots = page::data(&image).chunks_exact(RECORD_SIZE);
+            records.extend(slots.take(on_page).map_while(NodeRecord::decode));
             if records.len() != from + on_page {
                 return Err(StoreError::CorruptContent { page });
             }
         }
         let page_of = |row: usize| d.node_base + (row / RECORDS_PER_PAGE) as u32;
-        let derived = node::derive(&mut records)
+        let heap_bytes = node::derive(&mut records, values)
             .map_err(|row| StoreError::CorruptContent { page: page_of(row) })?;
-        let heap_pages = derived.heap_bytes.div_ceil(PAGE_DATA_SIZE);
-        if derived.span != d.span || heap_pages != d.heap_pages as usize {
+        if heap_bytes.div_ceil(PAGE_DATA_SIZE) != d.heap_pages as usize {
             let last = page_of(records.len().saturating_sub(1));
             return Err(StoreError::CorruptContent { page: last });
         }
@@ -442,32 +445,39 @@ mod tests {
         let _ = std::fs::remove_file(&wal);
     }
 
-    /// Commit SAMPLE, apply `poke` to the stored bytes of its local row
-    /// `row`, given the dictionary's length, write the node page back
-    /// through the disk manager — which seals a fresh checksum, so only
-    /// the decode and derivation checks can object — and reopen. Also
-    /// returns the node page's id.
+    /// A name longer than a heap page, which the poked store's name
+    /// table holds.
+    fn long_name() -> String {
+        "x".repeat(PAGE_DATA_SIZE + 1)
+    }
+
+    /// Commit SAMPLE, intern the empty name and [`long_name`], and
+    /// checkpoint, so the name table holds both; apply `poke` to the
+    /// stored bytes of SAMPLE's local row `row`, given the dictionary,
+    /// write the node page back through the disk manager — which seals a
+    /// fresh checksum, so only the decode and derivation checks can
+    /// object — and reopen. Also returns the node page's id.
     fn reopen_poked(
         tag: &str,
         row: usize,
-        poke: impl Fn(&mut [u8], u32),
+        poke: impl Fn(&mut [u8], &Dictionary),
     ) -> (Result<DocumentStore>, u32) {
         let (page, wal) = temp_paths(tag);
         let opts = durable_opts(&page);
-        let (node_page, syms) = {
+        let (node_page, dict) = {
             let s = DocumentStore::create(&opts).unwrap();
             s.insert_xml(SAMPLE).unwrap();
-            (
-                s.shared.current().docs[0].meta.node_base,
-                s.dict().len() as u32,
-            )
+            s.intern("");
+            s.intern(&long_name());
+            s.checkpoint().unwrap();
+            (s.shared.current().docs[0].meta.node_base, s.dict().clone())
         };
         let mut disk = DiskManager::open_existing(&page).unwrap();
         let mut image = [0u8; PAGE_SIZE];
         disk.read_page(PageId(node_page), &mut image).unwrap();
         poke(
             &mut image[PAGE_HEADER_SIZE + row * RECORD_SIZE..][..RECORD_SIZE],
-            syms,
+            &dict,
         );
         disk.write_page(PageId(node_page), &image).unwrap();
         drop(disk);
@@ -477,11 +487,22 @@ mod tests {
         (reopened, node_page)
     }
 
-    /// A poke that decodes the record, edits it, and encodes it back.
-    fn edit(f: impl Fn(&mut NodeRecord, u32)) -> impl Fn(&mut [u8], u32) {
-        move |slot, syms| {
+    /// A poke that decodes the record, sets its content symbol to the
+    /// one `sym` picks from the dictionary, and encodes it back.
+    fn set_sym(sym: impl Fn(&Dictionary) -> u32) -> impl Fn(&mut [u8], &Dictionary) {
+        move |slot, dict| {
             let mut rec = NodeRecord::decode(slot).unwrap();
-            f(&mut rec, syms);
+            rec.sym = sym(dict);
+            rec.encode(slot);
+        }
+    }
+
+    /// A poke that decodes the record, sets its level, and encodes it
+    /// back.
+    fn set_level(level: u16) -> impl Fn(&mut [u8], &Dictionary) {
+        move |slot, _| {
+            let mut rec = NodeRecord::decode(slot).unwrap();
+            rec.level = level;
             rec.encode(slot);
         }
     }
@@ -490,7 +511,7 @@ mod tests {
     /// node page. Its local rows are `bib` (level 1), `article` (2),
     /// `@year` (3, "1999"), `title` (3, "Querying XML"), two `author`s,
     /// and a second `article` with a `title` and an `author`.
-    fn assert_corrupt(tag: &str, row: usize, poke: impl Fn(&mut [u8], u32)) {
+    fn assert_corrupt(tag: &str, row: usize, poke: impl Fn(&mut [u8], &Dictionary)) {
         match reopen_poked(tag, row, poke) {
             (Err(StoreError::CorruptContent { page }), node_page) if page == node_page => {}
             (Err(e), _) => panic!("{tag}: expected CorruptContent on the node page, got {e}"),
@@ -502,72 +523,51 @@ mod tests {
     fn a_record_symbol_the_dictionary_or_its_pointer_disowns_is_typed_corruption() {
         // Rewritten as it was, a page reopens: the harness itself is
         // sound.
-        let (intact, _) = reopen_poked("sym_intact", 2, edit(|_, _| {}));
+        let (intact, _) = reopen_poked("sym_intact", 2, |_, _| {});
         let s = intact.unwrap();
         let year = s.nodes_with_tag(s.tag_id(&attr_tag_name("year")).unwrap())[0];
         assert_eq!(s.content(year.id).unwrap().as_deref(), Some("1999"));
-        assert_corrupt("sym_past_the_table", 2, edit(|r, syms| r.sym = syms));
-        assert_corrupt("no_sym_with_content", 2, edit(|r, _| r.sym = NO_SYM));
-        assert_corrupt("sym_without_content", 0, edit(|r, _| r.sym = 1));
+        assert_corrupt("sym_past_the_table", 2, set_sym(|d| d.len() as u32));
+        // A name the table holds but no loaded value can have.
+        assert_corrupt("sym_of_no_value", 2, set_sym(|d| d.get("").unwrap().0));
+        // A record holds no value length, so a row whose symbol is none
+        // where a value was, or a name where none was, is a sound row of
+        // another document: only the heap run's page count can object,
+        // as below.
     }
 
     #[test]
     fn a_row_of_unknown_kind_is_typed_corruption() {
-        assert_corrupt("unknown_kind", 2, |slot, _| slot[14] = 3);
+        assert_corrupt("unknown_kind", 2, |slot, _| slot[10] = 3);
     }
 
     #[test]
     fn a_row_with_its_reserved_byte_set_is_typed_corruption() {
-        assert_corrupt("reserved_byte", 2, |slot, _| slot[15] = 1);
-    }
-
-    #[test]
-    fn a_row_with_a_symbol_and_no_value_is_typed_corruption() {
-        assert_corrupt("zero_len_with_sym", 2, edit(|r, _| r.content.len = 0));
+        assert_corrupt("reserved_byte", 2, |slot, _| slot[11] = 1);
     }
 
     #[test]
     fn a_first_row_below_level_one_is_typed_corruption() {
-        assert_corrupt("first_row_level", 0, edit(|r, _| r.level = 2));
+        assert_corrupt("first_row_level", 0, set_level(2));
     }
 
     #[test]
     fn a_row_two_levels_below_its_element_is_typed_corruption() {
-        assert_corrupt("two_levels_down", 1, edit(|r, _| r.level = 3));
+        assert_corrupt("two_levels_down", 1, set_level(3));
     }
 
     #[test]
     fn a_row_under_a_leaf_is_typed_corruption() {
         // `title` one level below `@year`.
-        assert_corrupt("under_a_leaf", 3, edit(|r, _| r.level = 4));
+        assert_corrupt("under_a_leaf", 3, set_level(4));
     }
 
     #[test]
     fn values_that_do_not_fill_the_heap_run_are_typed_corruption() {
-        // One value a page longer: the values need two heap pages, and
-        // the document has one.
-        let longer = |r: &mut NodeRecord, _| r.content.len += PAGE_DATA_SIZE as u32;
-        assert_corrupt("heap_overfilled", 3, edit(longer));
-    }
-
-    #[test]
-    fn a_span_the_rows_do_not_add_up_to_is_typed_corruption() {
-        // Every row takes two labels, so no node page can disagree with
-        // its document's span: the log's document table must.
-        let wider = |rec: &mut WalRecord| {
-            if let WalRecord::Commit { meta } = rec {
-                let mut delta = decode_delta(meta).unwrap();
-                if let Some(added) = &mut delta.added {
-                    added.span += 2;
-                }
-                *meta = encode_delta(&delta);
-            }
-        };
-        match reopen_tampered("span", wider) {
-            Err(StoreError::CorruptContent { .. }) => {}
-            Err(e) => panic!("expected CorruptContent, got {e}"),
-            Ok(_) => panic!("a store whose spans disagree with its rows reopened"),
-        }
+        // A value longer than a page in place of `title`'s: the values
+        // need two heap pages, and the document has one.
+        let longer = set_sym(|d| d.get(&long_name()).unwrap().0);
+        assert_corrupt("heap_overfilled", 3, longer);
     }
 
     /// Commit three documents, then rewrite the log with `tamper` applied
@@ -642,7 +642,8 @@ mod tests {
         // the page file and which no reader now reinstalls: the
         // checkpoint carries the version, so such a log is refused
         // before any later frame is read. Version 6, whose node records
-        // were 32 bytes: read as 16-byte records they are garbage.
+        // were 32 bytes, and version 7, whose were 16: read as 12-byte
+        // records they are garbage.
         let version = |meta: &mut Vec<u8>, v: u32| meta[4..8].copy_from_slice(&v.to_le_bytes());
         for (tag, v) in [
             ("v2 checkpoint", 2),
@@ -650,6 +651,7 @@ mod tests {
             ("v4 checkpoint", 4),
             ("v5 checkpoint", 5),
             ("v6 checkpoint", 6),
+            ("v7 checkpoint", 7),
         ] {
             corrupt(tag, &|rec| {
                 if let WalRecord::Checkpoint { meta } = rec {

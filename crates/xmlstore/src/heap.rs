@@ -1,12 +1,15 @@
 //! The content heap: element text and attribute values, packed into pages.
 //!
-//! Content is appended during load. Values are packed end to end over
-//! the pages' data regions: a value that does not fit in the remainder
-//! of a page simply continues on the next, so readers walk consecutive
-//! pages, and where a value lies follows from how many bytes precede it
-//! (`locate`), so a node record keeps only the value's length. All
-//! offsets are relative to the page *data region* — the checksum header
-//! is invisible at this layer.
+//! Content is appended during load, each distinct value of a document
+//! once: the loader appends a value when the first row holding it
+//! closes, and every later row with the same symbol points at that copy.
+//! Values are packed end to end over the pages' data regions: a value
+//! that does not fit in the remainder of a page simply continues on the
+//! next, so readers walk consecutive pages, and where a value lies
+//! follows from how many bytes precede it (`locate`). A node record
+//! keeps neither: the value's length is its symbol's name's, and `open`
+//! recomputes each location. All offsets are relative to the page *data
+//! region* — the checksum header is invisible at this layer.
 
 use crate::error::{Result, StoreError};
 use crate::node::ContentPtr;

@@ -10,10 +10,11 @@
 //! * `a` is an ancestor of `d` ⇔ `a.start < d.start && d.end < a.end`
 //! * `a` is the parent of `d` ⇔ ancestor test ∧ `d.level == a.level + 1`
 //!
-//! On a page a row is a 16-byte record of what nothing else can give:
-//! tag, content symbol, value length, level and kind. Its labels and its
-//! value's heap location follow from a document's rows in order, and
-//! `derive` recomputes them in one pass.
+//! On a page a row is a 12-byte record of what nothing else can give:
+//! tag, content symbol, level and kind. Its labels and its value's heap
+//! location follow from a document's rows in order and from the lengths
+//! of the values the name table holds, and `derive` recomputes them in
+//! one pass.
 
 use crate::catalog::TagId;
 use crate::heap;
@@ -24,13 +25,13 @@ use crate::page::PAGE_DATA_SIZE;
 pub struct NodeId(pub u32);
 
 /// Size of one encoded node record in bytes.
-pub const RECORD_SIZE: usize = 16;
+pub const RECORD_SIZE: usize = 12;
 
-/// Node records per page: 511 with 8 KB pages, after the 8-byte
-/// checksum header (with 8 bytes left over).
+/// Node records per page: 682 with 8 KB pages, which fill the 8 184
+/// bytes after the 8-byte checksum header exactly.
 pub const RECORDS_PER_PAGE: usize = PAGE_DATA_SIZE / RECORD_SIZE;
 
-const _: () = assert!(RECORDS_PER_PAGE * RECORD_SIZE <= PAGE_DATA_SIZE);
+const _: () = assert!(RECORDS_PER_PAGE * RECORD_SIZE == PAGE_DATA_SIZE);
 
 /// What kind of node a record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,27 +129,26 @@ impl NodeRecord {
         self.is_ancestor_of(d) && d.level == self.level + 1
     }
 
-    /// Encode into a 16-byte buffer: tag, symbol, value length, level,
-    /// kind, and a reserved 0 byte. The labels and the value's location
-    /// are not stored: `open` derives them from the document's rows.
+    /// Encode into a 12-byte buffer: tag, symbol, level, kind, and a
+    /// reserved 0 byte. The labels and the value's location are not
+    /// stored: `open` derives them from the document's rows.
     pub fn encode(&self, out: &mut [u8]) {
         debug_assert!(out.len() >= RECORD_SIZE);
         out[0..4].copy_from_slice(&self.tag.0.to_le_bytes());
         out[4..8].copy_from_slice(&self.sym.to_le_bytes());
-        out[8..12].copy_from_slice(&self.content.len.to_le_bytes());
-        out[12..14].copy_from_slice(&self.level.to_le_bytes());
-        out[14] = self.kind.to_u8();
-        out[15] = 0; // reserved
+        out[8..10].copy_from_slice(&self.level.to_le_bytes());
+        out[10] = self.kind.to_u8();
+        out[11] = 0; // reserved
     }
 
-    /// Decode from a 16-byte buffer, with labels 0 and the value located
-    /// at the start of the heap run until the document's rows place them.
-    /// `None` for an unknown kind or a reserved byte that is not 0.
+    /// Decode from a 12-byte buffer, with labels 0 and no value location
+    /// until the document's rows place them. `None` for an unknown kind
+    /// or a reserved byte that is not 0.
     pub fn decode(buf: &[u8]) -> Option<NodeRecord> {
         debug_assert!(buf.len() >= RECORD_SIZE);
         let u32le =
             |at: usize| u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]);
-        if buf[15] != 0 {
+        if buf[11] != 0 {
             return None;
         }
         Some(NodeRecord {
@@ -156,77 +156,109 @@ impl NodeRecord {
             start: 0,
             end: 0,
             sym: u32le(4),
-            level: u16::from_le_bytes([buf[12], buf[13]]),
-            kind: NodeKind::from_u8(buf[14])?,
-            content: ContentPtr {
-                page: 0,
-                off: 0,
-                len: u32le(8),
-            },
+            level: u16::from_le_bytes([buf[8], buf[9]]),
+            kind: NodeKind::from_u8(buf[10])?,
+            content: ContentPtr::NULL,
         })
     }
 }
 
-/// What one document's rows add up to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Derived {
-    /// The local label span: one past the last label.
-    pub span: u32,
-    /// The bytes of its values, packed end to end on its heap run.
-    pub heap_bytes: usize,
+/// What [`derive`] knows of each content symbol: the length of its name,
+/// which is the value, and where the document being derived placed the
+/// value first. Built once from the name table and reused for every
+/// document: a placement counts only while it carries the current
+/// document's number, so no document clears the table, and no row is
+/// hashed.
+pub(crate) struct ValueTable {
+    /// Per symbol: its value's length, and the number of the document
+    /// that placed the value and the row that placed it first.
+    syms: Vec<(u32, u32, u32)>,
+    doc: u32,
+}
+
+impl ValueTable {
+    /// The table of a name table whose symbol `i` is `names[i]`. A name
+    /// longer than any stored value can be names no value, as the empty
+    /// one does.
+    pub(crate) fn new<S: AsRef<str>>(names: &[S]) -> Self {
+        let len = |n: &S| u32::try_from(n.as_ref().len()).unwrap_or(0);
+        let syms = names.iter().map(|n| (len(n), 0, 0));
+        ValueTable {
+            syms: syms.collect(),
+            doc: 0,
+        }
+    }
 }
 
 /// Fill in the `(start, end)` labels and the value locations (relative
 /// to the document's heap run) of one document's rows, given in order
-/// with their levels, kinds and value lengths — the loader's rules, run
-/// backwards:
+/// with their levels, kinds and content symbols — the loader's rules,
+/// run backwards:
 ///
 /// * a label counter runs over the document: an element takes one count
 ///   when it opens and one when it closes, a leaf (attribute or text)
 ///   two at once;
-/// * a row's value goes onto the heap when the row closes — a leaf at
-///   once, an element after its last child — so values lie in the order
-///   of their rows' `end` labels. Only a text-only element has a value,
-///   and only attribute rows lie below one, so that is row order but for
-///   such an element's value, which follows its attributes' values.
+/// * a row's value goes onto the heap when the first row holding it
+///   closes — a leaf at once, an element after its last child — and
+///   every later row with the same symbol points at that copy, so the
+///   document's distinct values lie in the order of their first rows'
+///   `end` labels. Only a text-only element has a value, and only
+///   attribute rows lie below one, so that is row order but for such an
+///   element's value, which follows its attributes' values.
 ///
-/// The first row is at level 1 and every later one at most one level
-/// below the innermost open element; `Err(i)` names the first row `i`
-/// that is not.
-pub(crate) fn derive(rows: &mut [NodeRecord]) -> Result<Derived, usize> {
-    let mut done = Derived {
-        span: 0,
-        heap_bytes: 0,
-    };
-    let close = |r: &mut NodeRecord, done: &mut Derived| {
-        r.end = done.span;
-        done.span += 1;
-        r.content = heap::locate(done.heap_bytes, r.content.len);
-        done.heap_bytes += r.content.len as usize;
+/// The first row is at level 1, every later one at most one level below
+/// the innermost open element, and every symbol is [`NO_SYM`] or names
+/// a non-empty value of `values`; `Err(i)` names the first row `i` that
+/// breaks a rule. `Ok` holds the bytes of the document's distinct values.
+///
+/// [`NO_SYM`]: crate::dict::NO_SYM
+pub(crate) fn derive(rows: &mut [NodeRecord], values: &mut ValueTable) -> Result<usize, usize> {
+    values.doc += 1;
+    let doc = values.doc;
+    let (mut labels, mut heap_bytes) = (0u32, 0usize);
+    // Label row `i`'s end and place its value; `Err(i)` for a symbol
+    // that names no value.
+    let mut close = |rows: &mut [NodeRecord], i: usize, labels: &mut u32| -> Result<(), usize> {
+        rows[i].end = *labels;
+        *labels += 1;
+        let sym = rows[i].sym;
+        if sym == crate::dict::NO_SYM {
+            return Ok(());
+        }
+        let value = values.syms.get_mut(sym as usize).filter(|v| v.0 > 0);
+        let (len, placed_by, first) = value.ok_or(i)?;
+        if *placed_by == doc {
+            rows[i].content = rows[*first as usize].content;
+        } else {
+            rows[i].content = heap::locate(heap_bytes, *len);
+            heap_bytes += *len as usize;
+            (*placed_by, *first) = (doc, i as u32);
+        }
+        Ok(())
     };
     // The elements still open, innermost last.
     let mut open: Vec<usize> = Vec::new();
     for i in 0..rows.len() {
         let level = rows[i].level;
         while let Some(&e) = open.last().filter(|&&e| rows[e].level >= level) {
-            close(&mut rows[e], &mut done);
+            close(rows, e, &mut labels)?;
             open.pop();
         }
         let parent = open.last().map_or(0, |&e| u32::from(rows[e].level));
         if u32::from(level) != parent + 1 {
             return Err(i);
         }
-        rows[i].start = done.span;
-        done.span += 1;
+        rows[i].start = labels;
+        labels += 1;
         match rows[i].kind {
             NodeKind::Element => open.push(i),
-            _ => close(&mut rows[i], &mut done),
+            _ => close(rows, i, &mut labels)?,
         }
     }
     for &e in open.iter().rev() {
-        close(&mut rows[e], &mut done);
+        close(rows, e, &mut labels)?;
     }
-    Ok(done)
+    Ok(heap_bytes)
 }
 
 /// Which page and slot hold node `id`, given the first node page.
@@ -269,19 +301,15 @@ mod tests {
         };
         let mut buf = [0u8; RECORD_SIZE];
         r.encode(&mut buf);
-        // The labels and the location are not stored.
+        // The labels and the location, length included, are not stored.
         let unplaced = NodeRecord {
             start: 0,
             end: 0,
-            content: ContentPtr {
-                page: 0,
-                off: 0,
-                len: 123456,
-            },
+            content: ContentPtr::NULL,
             ..r
         };
         assert_eq!(NodeRecord::decode(&buf), Some(unplaced));
-        for (at, byte) in [(14, 3), (15, 1)] {
+        for (at, byte) in [(10, 3), (11, 1)] {
             let mut bad = buf;
             bad[at] = byte;
             assert_eq!(NodeRecord::decode(&bad), None, "byte {at} = {byte}");
@@ -290,45 +318,87 @@ mod tests {
 
     #[test]
     fn records_fit_in_data_region() {
-        assert_eq!(RECORDS_PER_PAGE, 511);
+        assert_eq!(RECORDS_PER_PAGE, 682);
+        assert_eq!(RECORDS_PER_PAGE * RECORD_SIZE, PAGE_DATA_SIZE);
+    }
+
+    /// A row of `kind` at `level` whose content symbol is `sym`.
+    fn row(level: u16, kind: NodeKind, sym: u32) -> NodeRecord {
+        NodeRecord {
+            kind,
+            sym,
+            ..rec(0, 0, level)
+        }
+    }
+
+    const E: NodeKind = NodeKind::Element;
+    const A: NodeKind = NodeKind::Attribute;
+    const T: NodeKind = NodeKind::Text;
+    const NONE: u32 = crate::dict::NO_SYM;
+
+    fn locs(rows: &[NodeRecord]) -> Vec<ContentPtr> {
+        rows.iter().map(|r| r.content).collect()
     }
 
     #[test]
     fn derive_recomputes_the_loaders_labels_and_locations() {
         // <a x="1">t<b y="22">vvv</b>w</a>: `b`'s value follows `@y`'s.
-        let row = |level, kind, len| NodeRecord {
-            level,
-            kind,
-            content: ContentPtr {
-                page: 0,
-                off: 0,
-                len,
-            },
-            ..rec(0, 0, level)
-        };
-        let (e, a, t) = (NodeKind::Element, NodeKind::Attribute, NodeKind::Text);
+        let mut values = ValueTable::new(&["doc_root", "1", "t", "vvv", "22", "w", ""]);
         let mut rows = [
-            row(1, e, 0),
-            row(2, a, 1),
-            row(2, t, 1),
-            row(2, e, 3),
-            row(3, a, 2),
-            row(2, t, 1),
+            row(1, E, NONE),
+            row(2, A, 1),
+            row(2, T, 2),
+            row(2, E, 3),
+            row(3, A, 4),
+            row(2, T, 5),
         ];
-        let done = derive(&mut rows).unwrap();
-        assert_eq!((done.span, done.heap_bytes), (12, 8));
+        assert_eq!(derive(&mut rows, &mut values), Ok(8));
         let labels: Vec<(u32, u32)> = rows.iter().map(|r| (r.start, r.end)).collect();
         assert_eq!(labels, [(0, 11), (1, 2), (3, 4), (5, 8), (6, 7), (9, 10)]);
-        let locs: Vec<ContentPtr> = rows.iter().map(|r| r.content).collect();
         let want = [(0, 0), (0, 1), (1, 1), (4, 3), (2, 2), (7, 1)];
-        assert_eq!(locs, want.map(|(before, len)| heap::locate(before, len)));
+        assert_eq!(
+            locs(&rows),
+            want.map(|(before, len)| heap::locate(before, len))
+        );
         // A first row below level 1, a row two levels down, a row under
-        // a leaf.
-        for (levels, bad) in [(&[2][..], 0), (&[1, 3], 1), (&[1, 2, 3], 2)] {
-            let mut rows: Vec<NodeRecord> = levels.iter().map(|&l| row(l, a, 0)).collect();
-            rows[0].kind = e;
-            assert_eq!(derive(&mut rows), Err(bad), "{levels:?}");
+        // a leaf; a symbol past the table, and one that names no value.
+        let cases: [(&[(u16, u32)], usize); 5] = [
+            (&[(2, NONE)], 0),
+            (&[(1, NONE), (3, NONE)], 1),
+            (&[(1, NONE), (2, NONE), (3, NONE)], 2),
+            (&[(1, NONE), (2, 7)], 1),
+            (&[(1, NONE), (2, 1), (2, 6)], 2),
+        ];
+        for (rows, bad) in cases {
+            let mut rows: Vec<NodeRecord> = rows.iter().map(|&(l, sym)| row(l, A, sym)).collect();
+            rows[0].kind = E;
+            assert_eq!(derive(&mut rows, &mut values), Err(bad), "{rows:?}");
         }
+    }
+
+    #[test]
+    fn derive_places_a_repeated_value_once_per_document() {
+        // <a x="v">v<b y="v">v</b>ww<c>ww</c></a>: "v" goes onto the heap
+        // when `@x` closes, "ww" when the second `#text` does, and every
+        // later row with either symbol points at that copy.
+        let mut values = ValueTable::new(&["doc_root", "v", "ww"]);
+        let mut rows = [
+            row(1, E, NONE),
+            row(2, A, 1),
+            row(2, T, 1),
+            row(2, E, 1),
+            row(3, A, 1),
+            row(2, T, 2),
+            row(2, E, 2),
+        ];
+        assert_eq!(derive(&mut rows, &mut values), Ok(3));
+        let (v, ww) = (heap::locate(0, 1), heap::locate(1, 2));
+        let null = ContentPtr::NULL;
+        assert_eq!(locs(&rows), [null, v, v, v, v, ww, ww]);
+        // The next document with the same table places its own copy.
+        let mut next = [row(1, E, 2), row(2, A, 1)];
+        assert_eq!(derive(&mut next, &mut values), Ok(3));
+        assert_eq!(locs(&next), [heap::locate(1, 2), heap::locate(0, 1)]);
     }
 
     #[test]

@@ -372,7 +372,7 @@ fn schedules_are_deterministic_across_runs() {
         let outcome = || -> (Vec<bool>, u64) {
             // Working set well above the pool: the workload thrashes, so
             // the schedule sees a long stream of physical reads.
-            let db = db(400, 2);
+            let db = db(1200, 2);
             let schedule = FaultConfig::seeded(seed)
                 .with_read_error(0.25)
                 .with_read_flip(0.25);

@@ -189,3 +189,37 @@ fn the_pool_reserves_nothing() {
         store.pool_capacity()
     );
 }
+
+#[test]
+fn a_reopened_store_holds_no_pool_frame() {
+    // `open` reads every node page back around the pool, so a reopened
+    // store holds no frame until a query asks for a page, and its first
+    // query still equals the model.
+    let gen = |articles, seed| {
+        DblpGenerator::new(DblpConfig::sized(articles).with_seed(seed)).generate_xml()
+    };
+    let docs = [gen(800, 1), gen(40, 2), gen(500, 3)];
+    let page = std::env::temp_dir().join(format!("page_free_{}_reopen.pages", std::process::id()));
+    let opts = StoreOptions::default().with_path(&page).with_durable();
+    {
+        let db = TimberDb::create(&opts).unwrap();
+        for xml in &docs {
+            db.insert_xml(xml).unwrap();
+        }
+    }
+    let db = TimberDb::open(&opts).unwrap();
+    let store = db.store();
+    assert!(store.node_count() > 2 * xmlstore::node::RECORDS_PER_PAGE as u32);
+    assert_eq!(store.pool_resident_pages(), 0, "the reopen left frames");
+    let query = timber_integration_tests::QUERY_COUNT;
+    let want = timber_integration_tests::model::eval(&[&docs[0], &docs[1], &docs[2]], query);
+    let got = timber_integration_tests::run(&db, query, PlanMode::GroupByRewrite);
+    assert_eq!(got, want.unwrap());
+    assert_eq!(
+        store.pool_resident_pages(),
+        db.io_stats().buffer.misses as usize
+    );
+    drop(db);
+    let _ = std::fs::remove_file(&page);
+    let _ = std::fs::remove_file(xmlstore::wal_path_for(&page));
+}

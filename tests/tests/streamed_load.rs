@@ -10,7 +10,7 @@ use timber::TimberDb;
 use timber_integration_tests::{run, QUERY1, QUERY2, QUERY_COUNT};
 use xmlparse::parser::MAX_DEPTH;
 use xmlparse::{Element, XmlNode};
-use xmlstore::{wal_path_for, DocumentStore, NodeId, StoreError, StoreOptions};
+use xmlstore::{wal_path_for, DocumentStore, NodeId, StoreError, StoreOptions, PAGE_DATA_SIZE};
 
 /// A fresh page-file path in the system temp dir (its log beside it).
 fn temp_page(tag: &str, n: u64) -> PathBuf {
@@ -169,6 +169,93 @@ fn streamed_and_dom_loads_store_the_same_bytes() {
         remove_store(&streamed);
         remove_store(&built);
     });
+}
+
+/// The value of each row the store keeps of `e`, a tree in its
+/// [`stored_form`], in row order: the element's own text if it has no
+/// element child, its attributes' values, then its children's rows.
+fn row_values(e: &Element, out: &mut Vec<Option<String>>) {
+    let value = |v: &str| (!v.is_empty()).then(|| v.to_owned());
+    let elements = e.children.iter().any(|c| matches!(c, XmlNode::Element(_)));
+    out.push(if elements { None } else { value(&e.text()) });
+    out.extend(e.attributes.iter().map(|(_, v)| value(v)));
+    for c in e.children.iter().filter(|_| elements) {
+        match c {
+            XmlNode::Element(c) => row_values(c, out),
+            XmlNode::Text(t) => out.push(value(t)),
+            _ => {}
+        }
+    }
+}
+
+/// Each document of `s` holds `docs[k]`'s values, and its heap run holds
+/// each distinct one once: `heap_runs[k]` pages, as many as its distinct
+/// values' bytes fill; rows with one content symbol share one location,
+/// and no two documents share a heap page. Returns how many symbols a
+/// document's rows of two kinds (attribute, `#text`, element) share.
+fn assert_stored_once(s: &DocumentStore, docs: &[String], heap_runs: &[u32]) -> usize {
+    let mut shared = 0;
+    let mut id = 1;
+    let mut pages_seen = std::collections::BTreeSet::new();
+    for ((xml, (_, rows)), &heap_run) in docs.iter().zip(s.documents()).zip(heap_runs) {
+        let parsed = xmlparse::parse_document(xml).unwrap();
+        let mut want = Vec::new();
+        row_values(&stored_form(parsed.root()), &mut want);
+        assert_eq!(want.len(), rows as usize, "{xml}");
+        let distinct: std::collections::BTreeSet<&String> = want.iter().flatten().collect();
+        let bytes: usize = distinct.iter().map(|v| v.len()).sum();
+        assert_eq!(heap_run as usize, bytes.div_ceil(PAGE_DATA_SIZE), "{xml}");
+        // Per symbol: its one location, and the kinds of its rows.
+        let mut placed = std::collections::BTreeMap::new();
+        for (k, value) in want.iter().enumerate() {
+            let row = NodeId(id + k as u32);
+            assert_eq!(&s.content(row).unwrap(), value, "row {k} of {xml}");
+            let rec = s.record(row).unwrap();
+            let Some(sym) = s.content_sym(row) else {
+                assert!(!rec.content.is_some(), "row {k} of {xml}");
+                continue;
+            };
+            let (loc, kinds) = placed.entry(sym).or_insert((rec.content, Vec::new()));
+            assert_eq!(*loc, rec.content, "row {k} of {xml}");
+            if !kinds.contains(&rec.kind) {
+                kinds.push(rec.kind);
+            }
+        }
+        shared += placed.values().filter(|(_, kinds)| kinds.len() > 1).count();
+        let pages: Vec<u32> = placed.values().map(|(loc, _)| loc.page).collect();
+        assert!(pages.iter().all(|p| !pages_seen.contains(p)), "{docs:?}");
+        pages_seen.extend(pages);
+        id += rows;
+    }
+    shared
+}
+
+#[test]
+fn each_distinct_value_is_stored_once_per_document() {
+    // The generator draws every value from one small pool, so values
+    // repeat across attributes, `#text` leaves and text-only elements,
+    // within a document and across documents.
+    let (mut case, mut shared) = (0u64, 0);
+    check("each_distinct_value_is_stored_once_per_document", 48, |g| {
+        case += 1;
+        let docs = g.vec(1, 4, random_doc);
+        let page = temp_page("once", case);
+        let opts = StoreOptions::default().with_path(&page).with_durable();
+        let s = DocumentStore::create(&opts).unwrap();
+        let mut heap_runs = Vec::new();
+        for xml in &docs {
+            let before = s.heap_pages();
+            s.insert_xml(xml).unwrap();
+            heap_runs.push(s.heap_pages() - before);
+        }
+        shared += assert_stored_once(&s, &docs, &heap_runs);
+        drop(s);
+        let s = DocumentStore::open(&opts).unwrap();
+        assert_stored_once(&s, &docs, &heap_runs);
+        drop(s);
+        remove_store(&page);
+    });
+    assert!(shared > 0, "no value was shared by rows of two kinds");
 }
 
 #[test]
