@@ -195,11 +195,14 @@ impl BufferPool {
         }
     }
 
-    /// Drop every cached page, emptying the pool but keeping its
-    /// frames. Used by benchmarks to start measurements cold.
+    /// Drop every cached page, keeping the frames, and restart the clock
+    /// at frame 0 with every refbit clear, so what follows counts as on a
+    /// fresh pool. Used by benchmarks to start measurements cold.
     pub fn clear(&mut self) {
         self.invalid = (0..self.frames.len()).collect();
         self.table.clear();
+        self.hand = 0;
+        self.frames.iter_mut().for_each(|f| f.refbit = false);
     }
 
     fn fetch(&mut self, pid: PageId) -> Result<usize> {

@@ -65,19 +65,13 @@ impl Dictionary {
 
     /// Rebuild a dictionary from a metadata snapshot: `names[i]` becomes
     /// `Sym(i)`, reproducing the exact assignment of the session that
-    /// wrote the snapshot.
-    pub fn from_names<S: AsRef<str>>(names: &[S]) -> Self {
-        let d = Dictionary::new();
-        {
-            let mut inner = write(&d);
-            for name in names {
-                let name: Arc<str> = Arc::from(name.as_ref());
-                let id = inner.names.len() as u32;
-                inner.names.push(Arc::clone(&name));
-                inner.ids.insert(name, id);
-            }
+    /// wrote the snapshot. The dictionary keeps the names it is handed.
+    pub fn from_names(names: Vec<Arc<str>>) -> Self {
+        let ids = names.iter().zip(0..).map(|(n, i)| (Arc::clone(n), i));
+        let ids = ids.collect();
+        Dictionary {
+            inner: RwLock::new(DictInner { names, ids }),
         }
-        d
     }
 
     /// Intern `name`, returning its symbol (existing or fresh).
@@ -130,8 +124,7 @@ impl Dictionary {
 
 impl Clone for Dictionary {
     fn clone(&self) -> Self {
-        let inner = read(self);
-        Dictionary::from_names(&inner.names)
+        Dictionary::from_names(read(self).names.clone())
     }
 }
 
@@ -165,7 +158,7 @@ mod tests {
         let a = d.intern("a");
         let v = d.intern("some value");
         let snap = d.names_from(0);
-        let d2 = Dictionary::from_names(&snap);
+        let d2 = Dictionary::from_names(snap.clone());
         assert_eq!(d2.get("a"), Some(a));
         assert_eq!(d2.get("some value"), Some(v));
         assert_eq!(d2.len(), d.len());
@@ -174,6 +167,15 @@ mod tests {
         // A suffix is what was interned since; past the end is empty.
         assert_eq!(d.names_from(1), snap[1..]);
         assert!(d.names_from(2).is_empty() && d.names_from(9).is_empty());
+    }
+
+    #[test]
+    fn a_restored_dictionary_keeps_the_names_it_is_handed() {
+        let names: Vec<Arc<str>> = ["doc_root", "a", "some value"].map(Arc::from).to_vec();
+        let d = Dictionary::from_names(names.clone());
+        for (i, name) in names.iter().enumerate() {
+            assert!(Arc::ptr_eq(&d.resolve(Sym(i as u32)), name), "{name}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The document store: records + heap on pages behind a buffer pool,
+//! The document store: node runs + heap on pages behind a buffer pool,
 //! plus the in-memory tag dictionary and tag index.
 //!
 //! Loading wraps every document's root element under one synthetic
@@ -32,8 +32,8 @@
 //! This module holds the options, construction and the read API. Each
 //! other decision lives behind one child module: `meta` (the durable
 //! metadata, its checkpoint snapshot and commit delta codecs), `loader`
-//! (the parser's element events → records and pages, with no DOM in
-//! between), `projection` (the published view and the documents it
+//! (the parser's element events → rows as columns and heap pages, with
+//! no DOM in between), `projection` (the published view and the documents it
 //! holds, how an edit extends it, snapshot pins, when a removed
 //! document's pages go free), `output` (the batched
 //! value read, the walk that records a stored subtree, the replay),
@@ -58,7 +58,7 @@ use crate::dict::{Dictionary, Sym, NO_SYM};
 use crate::error::{Result, StoreError};
 use crate::fault::{FaultConfig, FaultInjector, FaultStats};
 use crate::index::NodeEntry;
-use crate::node::{node_location, ContentPtr, NodeId, NodeKind, NodeRecord, RECORD_SIZE};
+use crate::node::{self, ContentPtr, NodeId, NodeKind, NodeRecord};
 use crate::page::{PageId, PAGE_DATA_SIZE, PAGE_SIZE};
 use crate::storage::{DiskManager, DiskStats, SharedDisk};
 use crate::wal::{Wal, WalStats};
@@ -373,7 +373,7 @@ impl DocumentStore {
     }
 
     /// Pages that hold values (the heap runs of this handle's documents);
-    /// the rest of the file is node records and freed pages.
+    /// the rest of the file is node runs and freed pages.
     pub fn heap_pages(&self) -> u32 {
         self.proj().docs.iter().map(|d| d.meta.heap_pages).sum()
     }
@@ -445,23 +445,29 @@ impl DocumentStore {
             });
         }
         let (k, local) = proj.locate(id);
-        let (page, slot) = node_location(proj.docs[k].meta.node_base, local);
-        let stored = self.shared.with_page(PageId(page), |p| {
-            NodeRecord::decode(&p[slot..slot + RECORD_SIZE])
-        })?;
-        let rec = stored.ok_or(StoreError::CorruptContent { page })?;
+        let doc = &proj.docs[k];
+        let at = node::layout(doc.pairs.len(), 0)[0] + 2 * local.0 as usize;
+        let page = doc.meta.node_base + (at / PAGE_DATA_SIZE) as u32;
+        let slot = at % PAGE_DATA_SIZE;
+        let sh = &self.shared;
+        let index = sh.with_page(PageId(page), |p| [p[slot], p[slot + 1]])?;
+        let pair = doc.pairs.get(usize::from(u16::from_le_bytes(index)));
+        let &(tag, kind) = pair.ok_or(StoreError::CorruptContent { page })?;
         let entry = proj.columns.entry(id);
         Ok(NodeRecord {
+            tag,
             start: entry.start,
             end: entry.end,
+            sym: proj.columns.content[id.0 as usize],
+            level: entry.level,
+            kind,
             content: proj.value_loc(id),
-            ..rec
         })
     }
 
-    /// Fetch the full record of `id` (one node-page access; the
-    /// synthetic root is materialized from metadata for free), its labels
-    /// from the columns and its value location from its document's.
+    /// Fetch the full record of `id` (one node-page access, for its table
+    /// index; the synthetic root costs none): tag and kind from its
+    /// document's table, the rest from the columns and value locations.
     /// Queries read columns and value locations instead; the matcher's
     /// scan baseline pays this read on purpose.
     pub fn record(&self, id: NodeId) -> Result<NodeRecord> {

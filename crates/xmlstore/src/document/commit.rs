@@ -4,8 +4,9 @@
 //! encodes the commit's metadata delta, writes pages, logs the commit,
 //! publishes a projection, and — on error — gives the runs back.
 //! `insert_xml`, `replace_xml`, `insert_document`, `replace_document` and
-//! `delete_document` are [`Edit`]s handed to it, the added document
-//! already built by the loader. Every commit writes its pages to the page
+//! `delete_document` are [`Edit`]s handed to it, the added document's
+//! rows and heap pages already built by the loader; the commit encodes
+//! its node run from those rows. Every commit writes its pages to the page
 //! file itself and syncs it before the commit record is written.
 //!
 //! What a commit does is sized by the edit: it logs the dictionary
@@ -18,7 +19,7 @@
 
 use super::loader::{build_local, load_local, LocalDoc, PageBuf};
 use super::meta::{encode_delta, encode_meta, DocMeta, MetaDelta, StoreMeta};
-use super::projection::{reclaim, Doc, DocRows, Projection};
+use super::projection::{reclaim, Doc, Projection};
 use super::{DocId, DocumentStore};
 use crate::error::{Result, StoreError};
 use crate::page::PageId;
@@ -147,10 +148,9 @@ impl DocumentStore {
         }
         let sh = &self.shared;
         let local = edit.add;
-        let (heap_pages, node_pages): (&[PageBuf], &[PageBuf]) = match &local {
-            Some(l) => (&l.heap_pages, &l.node_pages),
-            None => (&[], &[]),
-        };
+        // The added document's node run, encoded from its rows.
+        let node_pages = local.as_ref().map_or_else(Vec::new, |l| l.rows.encode());
+        let heap_pages = local.as_ref().map_or(&[][..], |l| &l.heap_pages);
         let mut w = self.writer();
         // Only a commit publishes, and it holds the writer lock.
         let current = sh.current();
@@ -177,7 +177,7 @@ impl DocumentStore {
             heap_pages: heap_run.len,
             node_base: node_run.base,
             node_pages: node_run.len,
-            node_count: l.records.len() as u32,
+            node_count: l.rows.index.len() as u32,
         });
         let next_doc = doc_id + u64::from(added.is_some());
         // The payload exists only where there is a log to carry it.
@@ -194,7 +194,7 @@ impl DocumentStore {
             })
         });
 
-        let pages: Vec<(PageId, &PageBuf)> = [(&heap_run, heap_pages), (&node_run, node_pages)]
+        let pages: Vec<(PageId, &PageBuf)> = [(&heap_run, heap_pages), (&node_run, &node_pages)]
             .into_iter()
             .flat_map(|(run, images)| (run.base..).map(PageId).zip(images))
             .collect();
@@ -209,11 +209,7 @@ impl DocumentStore {
         }
         w.dict_logged = logged;
         w.next_doc = next_doc;
-        let rows = local.as_ref().zip(added).map(|(l, meta)| DocRows {
-            meta,
-            records: &l.records,
-        });
-        let next = current.edited(spare, at, rows);
+        let next = current.edited(spare, at, added.zip(local.map(|l| l.rows)));
         if let Some(k) = at {
             let doc = &current.docs[k];
             w.removed.push((Arc::downgrade(doc), doc.meta));

@@ -1,6 +1,9 @@
-//! The loader: one document's element events → local node records,
-//! each carrying its content symbol, and encoded heap and node pages,
-//! ready for a commit to place.
+//! The loader: one document's element events → its rows as columns
+//! ([`DocColumns`]: a (tag, kind) table, and per row the pair's index,
+//! the content symbol, the level, the labels and the value's location)
+//! and its encoded heap pages, ready for a commit to encode the node run
+//! and place both. A document with more distinct (tag, kind) pairs than
+//! a row can name is [`StoreError::TooManyTags`].
 //!
 //! The loader is an [`XmlSink`]: the parser drives it straight from the
 //! XML text ([`load_local`]), and a DOM a caller already holds replays
@@ -25,8 +28,8 @@ use crate::catalog::{attr_tag_name, TagId, TEXT_TAG};
 use crate::dict::{Dictionary, NO_SYM};
 use crate::error::{Result, StoreError};
 use crate::heap::HeapBuilder;
-use crate::node::{ContentPtr, NodeKind, NodeRecord, RECORDS_PER_PAGE, RECORD_SIZE};
-use crate::page::{PAGE_HEADER_SIZE, PAGE_SIZE};
+use crate::node::{ContentPtr, DocColumns, NodeKind, MAX_PAIRS};
+use crate::page::PAGE_SIZE;
 use std::collections::hash_map::{Entry, HashMap};
 use xmlparse::XmlSink;
 
@@ -34,12 +37,11 @@ use xmlparse::XmlSink;
 /// hands out.
 pub(super) type PageBuf = Box<[u8; PAGE_SIZE]>;
 
-/// One document built in memory, ready to commit: local records (ids and
-/// labels starting at 0, synthetic root excluded) and the encoded pages.
+/// One document built in memory, ready to commit: its rows (ids and
+/// labels starting at 0, synthetic root excluded) and its heap pages.
 pub(super) struct LocalDoc {
-    pub records: Vec<NodeRecord>,
+    pub rows: DocColumns,
     pub heap_pages: Vec<PageBuf>,
-    pub node_pages: Vec<PageBuf>,
 }
 
 /// Parse `xml` straight into a [`LocalDoc`]. A syntax error wins over
@@ -59,7 +61,7 @@ pub(super) fn build_local(doc: &xmlparse::Document, tags: &Dictionary) -> Result
 
 /// An element still open.
 struct Frame {
-    /// Its index in `records`.
+    /// Its row.
     id: usize,
     level: u16,
     /// Whether an element child has opened inside it yet.
@@ -78,14 +80,16 @@ struct Loader<'a> {
     error: Option<StoreError>,
 }
 
-/// What the loader writes: records, labels and heap values.
+/// What the loader writes: rows, labels and heap values.
 struct Rows<'a> {
     tags: &'a Dictionary,
     heap: HeapBuilder,
     /// Where this document's heap holds each value it has placed, by
     /// content symbol.
     placed: HashMap<u32, ContentPtr>,
-    records: Vec<NodeRecord>,
+    /// Where `cols.pairs` holds each (tag, kind) pair.
+    pairs: HashMap<(TagId, NodeKind), u16>,
+    cols: DocColumns,
     counter: u32,
 }
 
@@ -130,7 +134,8 @@ impl<'a> Loader<'a> {
                 tags,
                 heap: HeapBuilder::new(),
                 placed: HashMap::new(),
-                records: Vec::new(),
+                pairs: HashMap::new(),
+                cols: DocColumns::default(),
                 counter: 0,
             },
             open: Vec::new(),
@@ -177,20 +182,13 @@ impl<'a> Loader<'a> {
         };
         let rows = &mut self.rows;
         self.open.push(Frame {
-            id: rows.records.len(),
+            id: rows.cols.index.len(),
             level,
             has_element_child: false,
         });
         let tag = rows.tags.intern(name);
-        rows.records.push(NodeRecord {
-            tag,
-            start: rows.counter,
-            end: 0, // patched at close
-            sym: NO_SYM,
-            level,
-            kind: NodeKind::Element,
-            content: ContentPtr::NULL,
-        });
+        // The end is patched at close.
+        rows.push(tag, NodeKind::Element, level, (NO_SYM, ContentPtr::NULL))?;
         rows.counter += 1;
         Ok(())
     }
@@ -203,39 +201,26 @@ impl<'a> Loader<'a> {
         let rows = &mut self.rows;
         if !frame.has_element_child {
             if !self.pending.trim().is_empty() {
-                let (content, sym) = rows.value(&self.pending)?;
-                let rec = &mut rows.records[frame.id];
-                (rec.content, rec.sym) = (content, sym);
+                let (sym, content) = rows.value(&self.pending)?;
+                (rows.cols.sym[frame.id], rows.cols.content[frame.id]) = (sym, content);
             }
             self.pending.clear();
             self.runs.clear();
         }
-        rows.records[frame.id].end = rows.counter;
+        rows.cols.end[frame.id] = rows.counter;
         rows.counter += 1;
         Ok(())
     }
 
-    /// The records and the encoded pages, or the first error met.
+    /// The rows and the heap pages, or the first error met.
     fn finish(self) -> Result<LocalDoc> {
-        if let Some(e) = self.error {
-            return Err(e);
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(LocalDoc {
+                rows: self.rows.cols,
+                heap_pages: self.rows.heap.into_pages(),
+            }),
         }
-        let Rows { heap, records, .. } = self.rows;
-        let heap_pages = heap.into_pages();
-        let mut node_pages = Vec::with_capacity(records.len().div_ceil(RECORDS_PER_PAGE));
-        for chunk in records.chunks(RECORDS_PER_PAGE) {
-            let mut page = Box::new([0u8; PAGE_SIZE]);
-            for (slot, rec) in chunk.iter().enumerate() {
-                let at = PAGE_HEADER_SIZE + slot * RECORD_SIZE;
-                rec.encode(&mut page[at..at + RECORD_SIZE]);
-            }
-            node_pages.push(page);
-        }
-        Ok(LocalDoc {
-            records,
-            heap_pages,
-            node_pages,
-        })
     }
 }
 
@@ -251,35 +236,57 @@ impl Rows<'_> {
 
     /// A leaf row — an attribute or a `#text` node — holding `text`.
     fn leaf(&mut self, tag: TagId, kind: NodeKind, level: u16, text: &str) -> Result<()> {
-        let start = self.counter;
+        let value = self.value(text)?;
+        self.push(tag, kind, level, value)?;
+        if let Some(end) = self.cols.end.last_mut() {
+            *end = self.counter + 1;
+        }
         self.counter += 2;
-        let (content, sym) = self.value(text)?;
-        self.records.push(NodeRecord {
-            tag,
-            start,
-            end: start + 1,
-            sym,
-            level,
-            kind,
-            content,
-        });
+        Ok(())
+    }
+
+    /// A row opening at the label counter, its end 0, its value `v`.
+    fn push(&mut self, tag: TagId, kind: NodeKind, level: u16, v: (u32, ContentPtr)) -> Result<()> {
+        let (next, pair) = (self.cols.pairs.len(), (tag, kind));
+        // Documents hold a few pairs: a short scan first, no hash per row.
+        let near = self.cols.pairs.iter().take(16).position(|&p| p == pair);
+        let index = match near {
+            Some(i) => i as u16,
+            None => match self.pairs.entry(pair) {
+                Entry::Occupied(at) => *at.get(),
+                Entry::Vacant(_) if next == MAX_PAIRS => {
+                    return Err(StoreError::TooManyTags { limit: MAX_PAIRS })
+                }
+                Entry::Vacant(at) => {
+                    self.cols.pairs.push(pair);
+                    *at.insert(next as u16)
+                }
+            },
+        };
+        let c = &mut self.cols;
+        c.index.push(index);
+        c.level.push(level);
+        c.sym.push(v.0);
+        c.content.push(v.1);
+        c.start.push(self.counter);
+        c.end.push(0);
         Ok(())
     }
 
     /// Intern `text` and, unless this document's heap holds it already,
     /// store it there. An empty value has no heap bytes
-    /// (`ContentPtr::NULL`) and no symbol either, so a record's pointer
-    /// and symbol say "has content" together.
-    fn value(&mut self, text: &str) -> Result<(ContentPtr, u32)> {
+    /// (`ContentPtr::NULL`) and no symbol either, so a row's symbol and
+    /// location say "has content" together.
+    fn value(&mut self, text: &str) -> Result<(u32, ContentPtr)> {
         if text.is_empty() {
-            return Ok((ContentPtr::NULL, NO_SYM));
+            return Ok((NO_SYM, ContentPtr::NULL));
         }
         let sym = self.tags.intern(text).0;
         let content = match self.placed.entry(sym) {
             Entry::Occupied(placed) => *placed.get(),
             Entry::Vacant(slot) => *slot.insert(self.heap.append(text)?),
         };
-        Ok((content, sym))
+        Ok((sym, content))
     }
 }
 
@@ -340,17 +347,18 @@ mod tests {
 
     #[test]
     fn many_nodes_span_pages() {
-        // More than RECORDS_PER_PAGE nodes forces multi-page layout.
+        // More than the 1 023 rows a page holds at eight bytes a row
+        // forces a multi-page node run.
         let mut xml = String::from("<bib>");
-        for i in 0..400 {
+        for i in 0..600 {
             xml.push_str(&format!("<article><title>T{i}</title></article>"));
         }
         xml.push_str("</bib>");
         let s = DocumentStore::from_xml(&xml, &StoreOptions::in_memory()).unwrap();
-        assert_eq!(s.node_count(), 802);
-        assert!(s.total_pages() > 2);
+        assert_eq!(s.node_count(), 1202);
+        assert_eq!(s.total_pages() - s.heap_pages(), 2);
         let title = s.tag_id("title").unwrap();
-        let last = s.nodes_with_tag(title)[399];
-        assert_eq!(s.content(last.id).unwrap().as_deref(), Some("T399"));
+        let last = s.nodes_with_tag(title)[599];
+        assert_eq!(s.content(last.id).unwrap().as_deref(), Some("T599"));
     }
 }

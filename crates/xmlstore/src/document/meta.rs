@@ -52,10 +52,11 @@ pub(super) struct MetaDelta {
 
 const META_MAGIC: u32 = 0x544d_4254; // "TBMT"
 const DELTA_MAGIC: u32 = 0x444d_4254; // "TBMD"
-/// v8: a node record is 12 bytes — tag, content symbol, level, kind —
-/// a document's heap holds each distinct value once, and a document
-/// entry holds no label span; v7's 16-byte records, and v6's 32-byte
-/// ones, would decode as garbage. v6: the log carries
+/// v9: a document's node run is its rows' columns behind a (tag, kind)
+/// table, eight bytes a row; v8's 12-byte records, v7's 16-byte and
+/// v6's 32-byte ones would decode as garbage. v8: a document's heap
+/// holds each distinct value once, and a document entry holds no label
+/// span. v6: the log carries
 /// metadata only, and no record carries a transaction id. A v5 log may
 /// hold page images whose pages never
 /// reached the page file; a v4 log holds `Begin` and `Abort` records,
@@ -63,7 +64,7 @@ const DELTA_MAGIC: u32 = 0x444d_4254; // "TBMD"
 /// symbol where v3 kept the parent id. Commits carry a [`MetaDelta`];
 /// only checkpoints carry the full snapshot. Any other version is
 /// refused.
-const META_VERSION: u32 = 8;
+const META_VERSION: u32 = 9;
 
 const HAS_REMOVED: u8 = 1;
 const HAS_ADDED: u8 = 2;

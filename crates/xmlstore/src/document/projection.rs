@@ -11,17 +11,10 @@ use crate::columns::NodeColumns;
 use crate::dict::{Sym, NO_SYM};
 use crate::error::{Result, StoreError};
 use crate::index::{Cut, NodeEntry, TagIndex};
-use crate::node::{ContentPtr, NodeId, NodeKind, NodeRecord};
+use crate::node::{ContentPtr, DocColumns, NodeId, NodeKind};
 use std::ops::Deref;
 use std::sync::atomic::{self, Ordering};
 use std::sync::Arc;
-
-/// One document's rows in local ids and labels, as the loader built them
-/// or `open` read them back from pages.
-pub(super) struct DocRows<'a> {
-    pub meta: DocMeta,
-    pub records: &'a [NodeRecord],
-}
 
 /// One stored document as the projections that hold it see it: where
 /// its pages lie and where its values lie. It never changes once built,
@@ -29,6 +22,8 @@ pub(super) struct DocRows<'a> {
 /// and its page runs stay in use until the last of them drops it.
 pub(super) struct Doc {
     pub meta: DocMeta,
+    /// The (tag, kind) table of its node run.
+    pub pairs: Box<[(TagId, NodeKind)]>,
     /// One heap location per local row (null where the row has no
     /// content), page ids absolute.
     value_locs: Box<[ContentPtr]>,
@@ -111,33 +106,34 @@ impl Projection {
     }
 
     /// Append one document at the end of the id and label spaces: its
-    /// rows go onto the six columns and the tag lists, its
-    /// content pointers into the [`Doc`] it becomes. The caller fits the
-    /// root afterwards.
-    fn push_doc(&mut self, doc: DocRows<'_>) {
-        let (id_base, label_offset) = (self.node_count, self.root_end);
+    /// rows (in local ids and labels, as the loader built them or `open`
+    /// read them back) extend the six columns and the tag lists, its
+    /// table and value locations go into the [`Doc`] it becomes. The
+    /// caller fits the root afterwards.
+    fn push_doc(&mut self, meta: DocMeta, rows: DocColumns) {
+        let (id_base, off) = (self.node_count, self.root_end);
         // Unshared while a projection is being built.
         let columns = Arc::make_mut(&mut self.columns);
-        for (local, r) in doc.records.iter().enumerate() {
-            let entry = NodeEntry {
-                id: NodeId(id_base + local as u32),
-                start: r.start + label_offset,
-                end: r.end + label_offset,
-                level: r.level,
-            };
-            self.index.insert(r.tag, entry);
-            columns.push(entry.start, entry.end, r.level, r.tag.0, r.kind, r.sym);
+        columns.start.extend(rows.start.iter().map(|s| s + off));
+        columns.end.extend(rows.end.iter().map(|e| e + off));
+        columns.level.extend_from_slice(&rows.level);
+        columns.content.extend_from_slice(&rows.sym);
+        let pairs = rows.index.iter().map(|&i| rows.pairs[usize::from(i)]);
+        columns.tag.extend(pairs.clone().map(|(tag, _)| tag.0));
+        columns.kind.extend(pairs.map(|(_, kind)| kind));
+        for (id, &tag) in (id_base..).zip(&columns.tag[id_base as usize..]) {
+            self.index.insert(Sym(tag), columns.entry(NodeId(id)));
         }
-        let heap_base = doc.meta.heap_base;
-        let locs = doc.records.iter().map(|r| r.content.at(heap_base));
+        let locs = rows.content.into_iter().map(|c| c.at(meta.heap_base));
         self.docs.push(Arc::new(Doc {
-            meta: doc.meta,
+            meta,
+            pairs: rows.pairs.into(),
             value_locs: locs.collect(),
         }));
         self.id_bases.push(id_base);
-        self.label_offsets.push(label_offset);
-        self.node_count += doc.meta.node_count;
-        self.root_end += 2 * doc.meta.node_count;
+        self.label_offsets.push(off);
+        self.node_count += meta.node_count;
+        self.root_end += 2 * meta.node_count;
     }
 
     /// Fit the synthetic root (row 0 and its index entry) over the label
@@ -159,7 +155,7 @@ impl Projection {
         &self,
         spare: Option<(NodeColumns, TagIndex)>,
         remove: Option<usize>,
-        add: Option<DocRows<'_>>,
+        add: Option<(DocMeta, DocColumns)>,
     ) -> Projection {
         let cut = match remove {
             Some(k) => Cut {
@@ -171,7 +167,8 @@ impl Projection {
                 span: 0,
             },
         };
-        let added = add.as_ref().map_or(&[][..], |d| d.records);
+        let empty = DocColumns::default();
+        let added = add.as_ref().map_or(&empty, |(_, rows)| rows);
         let cut_rows = cut.ids.end - cut.ids.start;
         let mut docs = self.docs.clone();
         let (mut id_bases, mut label_offsets) = (self.id_bases.clone(), self.label_offsets.clone());
@@ -192,10 +189,10 @@ impl Projection {
             }
             None => Default::default(),
         };
-        let index = self
-            .index
-            .splice_into(index, keep, &cut, added.iter().map(|r| r.tag));
-        let columns = self.columns.splice_into(columns, keep, &cut, added.len());
+        let tags = added.index.iter().map(|&i| added.pairs[usize::from(i)].0);
+        let extra = tags.len();
+        let index = self.index.splice_into(index, keep, &cut, tags);
+        let columns = self.columns.splice_into(columns, keep, &cut, extra);
         let mut next = Projection {
             epoch: self.epoch + 1,
             index,
@@ -207,8 +204,8 @@ impl Projection {
             root_end: self.root_end - cut.span,
             same_below: cut.ids.start,
         };
-        if let Some(doc) = add {
-            next.push_doc(doc);
+        if let Some((meta, rows)) = add {
+            next.push_doc(meta, rows);
         }
         next.fit_root()
     }
@@ -230,7 +227,7 @@ pub(super) fn build_projection(
     epoch: u64,
     doc_root_tag: TagId,
     docs: &[DocMeta],
-    mut rows: impl FnMut(&DocMeta) -> Result<Vec<NodeRecord>>,
+    mut rows: impl FnMut(&DocMeta) -> Result<DocColumns>,
 ) -> Result<Projection> {
     let rows_total: usize = docs.iter().map(|d| d.node_count as usize).sum();
     let mut proj = Projection::empty(epoch, doc_root_tag, rows_total);
@@ -238,11 +235,7 @@ pub(super) fn build_projection(
     proj.id_bases.reserve(docs.len());
     proj.label_offsets.reserve(docs.len());
     for meta in docs {
-        let records = rows(meta)?;
-        proj.push_doc(DocRows {
-            meta: *meta,
-            records: &records,
-        });
+        proj.push_doc(*meta, rows(meta)?);
     }
     Ok(proj.fit_root())
 }
@@ -485,6 +478,8 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(metas(got), metas(want));
+        let tables = |p: &Projection| p.docs.iter().map(|d| d.pairs.to_vec()).collect::<Vec<_>>();
+        assert_eq!(tables(got), tables(want), "(tag, kind) tables");
         assert_eq!(got.id_bases, want.id_bases);
         assert_eq!(got.label_offsets, want.label_offsets);
         assert_eq!(locs(got), locs(want), "value locations");
@@ -821,12 +816,15 @@ mod tests {
         // The location arrays of the two documents left, taken for each
         // other's.
         let mut bad = copy();
-        let swapped = |meta: DocMeta, other: &Doc| {
-            let value_locs = other.value_locs.clone();
-            Arc::new(Doc { meta, value_locs })
+        let swapped = |doc: &Doc, other: &Doc| {
+            Arc::new(Doc {
+                meta: doc.meta,
+                pairs: doc.pairs.clone(),
+                value_locs: other.value_locs.clone(),
+            })
         };
         let (a, b) = (&good.docs[0], &good.docs[1]);
-        bad.docs = vec![swapped(a.meta, b), swapped(b.meta, a)];
+        bad.docs = vec![swapped(a, b), swapped(b, a)];
         assert!(differs(&bad), "misplaced value locations pass");
 
         // The synthetic root still ending where it did before the cut.

@@ -2,11 +2,13 @@
 //! committed metadata deltas from the log, fold the deltas over the
 //! snapshot, then rebuild everything the store derives from metadata
 //! plus node pages — dictionary, free list, the first projection. No
-//! heap page is read: each node record carries its content symbol, the
-//! name table holds each value and so its length, the labels and value
-//! locations are derived from the rows in order, and no page is written.
-//! Node pages are read around the buffer pool, so a reopened store holds
-//! no frame until a query asks for a page.
+//! heap page is read: each document's node run holds its (tag, kind)
+//! table and its index, symbol and level columns, which decode straight
+//! into the rows' columns; the name table holds each value and so its
+//! length; the labels and value locations are derived from the rows in
+//! order; and no page is written. Node pages are read around the buffer
+//! pool, so a reopened store holds no frame until a query asks for a
+//! page.
 
 use super::meta::{decode_delta, decode_meta, encode_meta, DocMeta};
 use super::projection::build_projection;
@@ -14,7 +16,7 @@ use super::{wal_path_for, DocumentStore, StoreOptions};
 use crate::buffer::with_retry;
 use crate::dict::Dictionary;
 use crate::error::{Result, StoreError};
-use crate::node::{self, NodeRecord, ValueTable, RECORDS_PER_PAGE, RECORD_SIZE};
+use crate::node::{self, DocColumns, ValueTable};
 use crate::page::{self, PageId, PAGE_DATA_SIZE, PAGE_SIZE};
 use crate::storage::{DiskManager, SharedDisk};
 use crate::wal::{self, Wal};
@@ -66,10 +68,8 @@ impl DocumentStore {
             encode_meta(&meta, &names),
         )?);
 
-        let tags = Dictionary::from_names(&names);
         let mut values = ValueTable::new(&names);
-        // The dictionary holds its own copies of the names.
-        drop(names);
+        let tags = Dictionary::from_names(names);
         let mut free: BTreeSet<u32> = (0..disk.num_pages()).collect();
         for d in &meta.docs {
             for p in d.heap_base..d.heap_base + d.heap_pages {
@@ -98,43 +98,31 @@ impl DocumentStore {
         Ok(store)
     }
 
-    /// One document's records, read back from its node pages alone
-    /// (inserts take them from the loader instead), each page read from
-    /// the page file into one buffer — CRC-checked, retried as the pool
-    /// retries, and not cached — and their labels and value locations
-    /// derived ([`node::derive`]) with `values`. A record must decode, the
-    /// rows must nest, each content symbol must name a value of the
-    /// recovered name table or be none, and the document's distinct
-    /// values must fill its heap run exactly. Anything else is
-    /// `CorruptContent` on the node page where it shows.
-    pub(super) fn read_rows(
-        &self,
-        d: &DocMeta,
-        values: &mut ValueTable,
-    ) -> Result<Vec<NodeRecord>> {
-        let mut records = Vec::with_capacity(d.node_count as usize);
-        let mut image = [0u8; PAGE_SIZE];
+    /// One document's rows, read back from its node run alone (inserts
+    /// take them from the loader instead), each page read from the page
+    /// file — CRC-checked, retried as the pool retries, and not cached —
+    /// and decoded and derived by [`node::read_run`] with `values`. The
+    /// document's distinct values must fill its heap run exactly. Any
+    /// fault is `CorruptContent` on the node page where it shows; the
+    /// heap run's, on the last.
+    pub(super) fn read_rows(&self, d: &DocMeta, values: &mut ValueTable) -> Result<DocColumns> {
+        // Grown as pages are read: no allocation trusts the log's count.
+        let (mut run, mut image) = (Vec::new(), [0u8; PAGE_SIZE]);
         for page in d.node_base..d.node_base + d.node_pages {
-            let on_page = (d.node_count as usize - records.len()).min(RECORDS_PER_PAGE);
-            let from = records.len();
             with_retry(&mut 0, || {
                 let mut disk = self.shared.disk.lock();
                 disk.read_page(PageId(page), &mut image)
             })?;
-            let slots = page::data(&image).chunks_exact(RECORD_SIZE);
-            records.extend(slots.take(on_page).map_while(NodeRecord::decode));
-            if records.len() != from + on_page {
-                return Err(StoreError::CorruptContent { page });
-            }
+            run.extend_from_slice(page::data(&image));
         }
-        let page_of = |row: usize| d.node_base + (row / RECORDS_PER_PAGE) as u32;
-        let heap_bytes = node::derive(&mut records, values)
-            .map_err(|row| StoreError::CorruptContent { page: page_of(row) })?;
+        let page_of = |at: usize| d.node_base + (at / PAGE_DATA_SIZE) as u32;
+        let (rows, heap_bytes) = node::read_run(&run, d.node_count as usize, values)
+            .map_err(|at| StoreError::CorruptContent { page: page_of(at) })?;
         if heap_bytes.div_ceil(PAGE_DATA_SIZE) != d.heap_pages as usize {
-            let last = page_of(records.len().saturating_sub(1));
+            let last = page_of(run.len().saturating_sub(1));
             return Err(StoreError::CorruptContent { page: last });
         }
-        Ok(records)
+        Ok(rows)
     }
 
     /// What crash recovery did, if this store was reopened with
@@ -152,7 +140,7 @@ mod tests {
     use super::*;
     use crate::catalog::attr_tag_name;
     use crate::node::NodeId;
-    use crate::page::{PAGE_HEADER_SIZE, PAGE_SIZE};
+    use crate::page::PAGE_HEADER_SIZE;
     use crate::wal::WalRecord;
 
     #[test]
@@ -451,86 +439,109 @@ mod tests {
         "x".repeat(PAGE_DATA_SIZE + 1)
     }
 
-    /// Commit SAMPLE, intern the empty name and [`long_name`], and
+    /// What a poke does to a node run (its pages' data regions end to
+    /// end), given the run's column offsets ([`node::layout`]) and the
+    /// dictionary: it returns the run byte where the fault shows.
+    type Poke = Box<dyn Fn(&mut [u8], [usize; 4], &Dictionary) -> usize>;
+
+    /// Commit `xml`, intern the empty name and [`long_name`], and
     /// checkpoint, so the name table holds both; apply `poke` to the
-    /// stored bytes of SAMPLE's local row `row`, given the dictionary,
-    /// write the node page back through the disk manager — which seals a
-    /// fresh checksum, so only the decode and derivation checks can
-    /// object — and reopen. Also returns the node page's id.
-    fn reopen_poked(
-        tag: &str,
-        row: usize,
-        poke: impl Fn(&mut [u8], &Dictionary),
-    ) -> (Result<DocumentStore>, u32) {
+    /// document's node run, write its pages back through the disk
+    /// manager — which seals fresh checksums, so only the decode and
+    /// derivation checks can object — and reopen. Also returns the node
+    /// page that holds the byte the poke names.
+    fn reopen_poked(tag: &str, xml: &str, poke: Poke) -> (Result<DocumentStore>, u32) {
         let (page, wal) = temp_paths(tag);
         let opts = durable_opts(&page);
-        let (node_page, dict) = {
+        let (meta, dict) = {
             let s = DocumentStore::create(&opts).unwrap();
-            s.insert_xml(SAMPLE).unwrap();
+            s.insert_xml(xml).unwrap();
             s.intern("");
             s.intern(&long_name());
             s.checkpoint().unwrap();
-            (s.shared.current().docs[0].meta.node_base, s.dict().clone())
+            (s.shared.current().docs[0].meta, s.dict().clone())
         };
         let mut disk = DiskManager::open_existing(&page).unwrap();
-        let mut image = [0u8; PAGE_SIZE];
-        disk.read_page(PageId(node_page), &mut image).unwrap();
-        poke(
-            &mut image[PAGE_HEADER_SIZE + row * RECORD_SIZE..][..RECORD_SIZE],
+        let (mut run, mut image) = (Vec::new(), [0u8; PAGE_SIZE]);
+        let pages = meta.node_base..meta.node_base + meta.node_pages;
+        for p in pages.clone() {
+            disk.read_page(PageId(p), &mut image).unwrap();
+            run.extend_from_slice(page::data(&image));
+        }
+        let pairs = u64::from_le_bytes(run[..8].try_into().unwrap()) as usize;
+        let at = poke(
+            &mut run,
+            node::layout(pairs, meta.node_count as usize),
             &dict,
         );
-        disk.write_page(PageId(node_page), &image).unwrap();
+        for (p, data) in pages.zip(run.chunks(PAGE_DATA_SIZE)) {
+            image[PAGE_HEADER_SIZE..].copy_from_slice(data);
+            disk.write_page(PageId(p), &image).unwrap();
+        }
         drop(disk);
         let reopened = DocumentStore::open(&opts);
         let _ = std::fs::remove_file(&page);
         let _ = std::fs::remove_file(&wal);
-        (reopened, node_page)
+        (reopened, meta.node_base + (at / PAGE_DATA_SIZE) as u32)
     }
 
-    /// A poke that decodes the record, sets its content symbol to the
-    /// one `sym` picks from the dictionary, and encodes it back.
-    fn set_sym(sym: impl Fn(&Dictionary) -> u32) -> impl Fn(&mut [u8], &Dictionary) {
-        move |slot, dict| {
-            let mut rec = NodeRecord::decode(slot).unwrap();
-            rec.sym = sym(dict);
-            rec.encode(slot);
-        }
+    /// A poke that writes `bytes` at the run byte `at` picks.
+    fn put(at: impl Fn([usize; 4]) -> usize + 'static, bytes: Vec<u8>) -> Poke {
+        Box::new(move |run, layout, _| {
+            let at = at(layout);
+            run[at..at + bytes.len()].copy_from_slice(&bytes);
+            at
+        })
     }
 
-    /// A poke that decodes the record, sets its level, and encodes it
-    /// back.
-    fn set_level(level: u16) -> impl Fn(&mut [u8], &Dictionary) {
-        move |slot, _| {
-            let mut rec = NodeRecord::decode(slot).unwrap();
-            rec.level = level;
-            rec.encode(slot);
-        }
+    /// A poke that sets row `row`'s content symbol to the one `sym` picks
+    /// from the dictionary.
+    fn set_sym(row: usize, sym: impl Fn(&Dictionary) -> u32 + 'static) -> Poke {
+        Box::new(move |run, [_, syms, _, _], dict| {
+            let at = syms + 4 * row;
+            run[at..at + 4].copy_from_slice(&sym(dict).to_le_bytes());
+            at
+        })
     }
 
-    /// SAMPLE poked at `row` must not reopen: `CorruptContent` on its one
-    /// node page. Its local rows are `bib` (level 1), `article` (2),
-    /// `@year` (3, "1999"), `title` (3, "Querying XML"), two `author`s,
-    /// and a second `article` with a `title` and an `author`.
-    fn assert_corrupt(tag: &str, row: usize, poke: impl Fn(&mut [u8], &Dictionary)) {
-        match reopen_poked(tag, row, poke) {
-            (Err(StoreError::CorruptContent { page }), node_page) if page == node_page => {}
-            (Err(e), _) => panic!("{tag}: expected CorruptContent on the node page, got {e}"),
+    /// A poke that sets row `row`'s level.
+    fn set_level(row: usize, level: u16) -> Poke {
+        put(
+            move |[_, _, levels, _]| levels + 2 * row,
+            level.to_le_bytes().to_vec(),
+        )
+    }
+
+    /// The table entry of SAMPLE's `@year`, its third pair.
+    const YEAR_PAIR: usize = 8 + 8 * 2;
+
+    /// `xml` poked must not reopen: `CorruptContent` on the node page
+    /// where the fault shows. SAMPLE's local rows are `bib` (level 1),
+    /// `article` (2), `@year` (3, "1999"), `title` (3, "Querying XML"),
+    /// two `author`s, and a second `article` with a `title` and an
+    /// `author`; its table lists `bib`, `article`, `@year`, `title` and
+    /// `author`, and its run is one page.
+    fn assert_corrupt(tag: &str, xml: &str, poke: Poke) {
+        match reopen_poked(tag, xml, poke) {
+            (Err(StoreError::CorruptContent { page }), want) if page == want => {}
+            (Err(e), want) => panic!("{tag}: expected CorruptContent on page {want}, got {e}"),
             (Ok(_), _) => panic!("{tag}: the store reopened"),
         }
     }
 
     #[test]
     fn a_record_symbol_the_dictionary_or_its_pointer_disowns_is_typed_corruption() {
-        // Rewritten as it was, a page reopens: the harness itself is
-        // sound.
-        let (intact, _) = reopen_poked("sym_intact", 2, |_, _| {});
+        // Rewritten as it was, a run reopens: the harness itself is sound.
+        let (intact, _) = reopen_poked("sym_intact", SAMPLE, Box::new(|_, _, _| 0));
         let s = intact.unwrap();
         let year = s.nodes_with_tag(s.tag_id(&attr_tag_name("year")).unwrap())[0];
         assert_eq!(s.content(year.id).unwrap().as_deref(), Some("1999"));
-        assert_corrupt("sym_past_the_table", 2, set_sym(|d| d.len() as u32));
+        let past = set_sym(2, |d| d.len() as u32);
+        assert_corrupt("sym_past_the_table", SAMPLE, past);
         // A name the table holds but no loaded value can have.
-        assert_corrupt("sym_of_no_value", 2, set_sym(|d| d.get("").unwrap().0));
-        // A record holds no value length, so a row whose symbol is none
+        let empty = set_sym(2, |d| d.get("").unwrap().0);
+        assert_corrupt("sym_of_no_value", SAMPLE, empty);
+        // A row holds no value length, so a row whose symbol is none
         // where a value was, or a name where none was, is a sound row of
         // another document: only the heap run's page count can object,
         // as below.
@@ -538,36 +549,71 @@ mod tests {
 
     #[test]
     fn a_row_of_unknown_kind_is_typed_corruption() {
-        assert_corrupt("unknown_kind", 2, |slot, _| slot[10] = 3);
+        // A row's kind lives in its table entry.
+        assert_corrupt("unknown_kind", SAMPLE, put(|_| YEAR_PAIR + 4, vec![3]));
     }
 
     #[test]
     fn a_row_with_its_reserved_byte_set_is_typed_corruption() {
-        assert_corrupt("reserved_byte", 2, |slot, _| slot[11] = 1);
+        // The last of its table entry's three reserved bytes.
+        assert_corrupt("reserved_byte", SAMPLE, put(|_| YEAR_PAIR + 7, vec![1]));
+    }
+
+    #[test]
+    fn a_table_tag_past_the_name_table_is_typed_corruption() {
+        let past: Poke = Box::new(|run, _, dict| {
+            run[YEAR_PAIR..][..4].copy_from_slice(&(dict.len() as u32).to_le_bytes());
+            YEAR_PAIR
+        });
+        assert_corrupt("tag_past_the_table", SAMPLE, past);
+    }
+
+    #[test]
+    fn a_row_index_past_the_table_is_typed_corruption() {
+        // SAMPLE's table has five entries.
+        let past = put(|[index, ..]| index + 2 * 2, 5u16.to_le_bytes().to_vec());
+        assert_corrupt("index_past_the_table", SAMPLE, past);
     }
 
     #[test]
     fn a_first_row_below_level_one_is_typed_corruption() {
-        assert_corrupt("first_row_level", 0, set_level(2));
+        assert_corrupt("first_row_level", SAMPLE, set_level(0, 2));
     }
 
     #[test]
     fn a_row_two_levels_below_its_element_is_typed_corruption() {
-        assert_corrupt("two_levels_down", 1, set_level(3));
+        assert_corrupt("two_levels_down", SAMPLE, set_level(1, 3));
+        // A run of 1 201 rows over two pages, its last row two levels
+        // down: that row's index and symbol lie on the first page, its
+        // level on the second, which the error names.
+        let mut xml = String::from("<bib>");
+        for i in 0..600 {
+            xml.push_str(&format!("<article><title>T{i}</title></article>"));
+        }
+        xml.push_str("</bib>");
+        let [index, sym, level, _] = node::layout(3, 1201);
+        let at = [index + 2 * 1200, sym + 4 * 1200, level + 2 * 1200];
+        assert_eq!(at.map(|at| at / PAGE_DATA_SIZE), [0, 0, 1]);
+        assert_corrupt("two_levels_down_page_2", &xml, set_level(1200, 5));
     }
 
     #[test]
     fn a_row_under_a_leaf_is_typed_corruption() {
         // `title` one level below `@year`.
-        assert_corrupt("under_a_leaf", 3, set_level(4));
+        assert_corrupt("under_a_leaf", SAMPLE, set_level(3, 4));
     }
 
     #[test]
     fn values_that_do_not_fill_the_heap_run_are_typed_corruption() {
         // A value longer than a page in place of `title`'s: the values
-        // need two heap pages, and the document has one.
-        let longer = set_sym(|d| d.get(&long_name()).unwrap().0);
-        assert_corrupt("heap_overfilled", 3, longer);
+        // need two heap pages, and the document has one. The fault shows
+        // on the run's last page.
+        let longer = set_sym(3, |d| d.get(&long_name()).unwrap().0);
+        let at_end: Poke = Box::new(move |run, layout, dict| {
+            longer(run, layout, dict);
+            run.len() - 1
+        });
+        assert_corrupt("heap_overfilled", SAMPLE, at_end);
     }
 
     /// Commit three documents, then rewrite the log with `tamper` applied
@@ -642,8 +688,8 @@ mod tests {
         // the page file and which no reader now reinstalls: the
         // checkpoint carries the version, so such a log is refused
         // before any later frame is read. Version 6, whose node records
-        // were 32 bytes, and version 7, whose were 16: read as 12-byte
-        // records they are garbage.
+        // were 32 bytes, version 7, whose were 16, and version 8, whose
+        // were 12: read as a node run of columns they are garbage.
         let version = |meta: &mut Vec<u8>, v: u32| meta[4..8].copy_from_slice(&v.to_le_bytes());
         for (tag, v) in [
             ("v2 checkpoint", 2),
@@ -652,6 +698,7 @@ mod tests {
             ("v5 checkpoint", 5),
             ("v6 checkpoint", 6),
             ("v7 checkpoint", 7),
+            ("v8 checkpoint", 8),
         ] {
             corrupt(tag, &|rec| {
                 if let WalRecord::Checkpoint { meta } = rec {

@@ -29,12 +29,12 @@ pub enum StoreError {
         /// Checksum stored in the page header.
         actual: u32,
     },
-    /// Stored content bytes are not valid UTF-8, or a node record's
-    /// content symbol is not one the store holds or disagrees with its
-    /// heap pointer (undetected page damage or a stale pointer).
+    /// Stored content bytes are not valid UTF-8, or a node run does not
+    /// decode or disagrees with the name table or its heap run
+    /// (undetected page damage or a stale pointer).
     CorruptContent {
         /// The heap page the content was read from, or the node page
-        /// holding the record.
+        /// where the run's fault shows.
         page: u32,
     },
     /// The fault injector's `crash=N` schedule fired: the simulated
@@ -64,6 +64,9 @@ pub enum StoreError {
         /// The reserved tag.
         tag: &'static str,
     },
+    /// A document to load holds more distinct (tag, kind) pairs than a
+    /// node row can name (`limit`), refused before any page is written.
+    TooManyTags { limit: usize },
 }
 
 impl StoreError {
@@ -128,6 +131,7 @@ impl fmt::Display for StoreError {
                     "element <{tag}> uses the tag reserved for the store root"
                 )
             }
+            StoreError::TooManyTags { limit } => write!(f, "over {limit} (tag, kind) pairs"),
         }
     }
 }

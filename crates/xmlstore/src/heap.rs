@@ -6,7 +6,7 @@
 //! Values are packed end to end over the pages' data regions: a value
 //! that does not fit in the remainder of a page simply continues on the
 //! next, so readers walk consecutive pages, and where a value lies
-//! follows from how many bytes precede it (`locate`). A node record
+//! follows from how many bytes precede it (`locate`). A node run
 //! keeps neither: the value's length is its symbol's name's, and `open`
 //! recomputes each location. All offsets are relative to the page *data
 //! region* — the checksum header is invisible at this layer.

@@ -11,8 +11,9 @@
 //!   physical read/write counters;
 //! * [`buffer::BufferPool`] — a clock-eviction buffer pool with hit/miss
 //!   accounting, sized in pages;
-//! * [`node`] — fixed-size 32-byte node records labelled with
-//!   `(start, end, level)` so that *descendant(a, d) ⇔
+//! * [`node`] — node rows labelled with `(start, end, level)`, stored
+//!   as a document's node run of eight-byte rows behind its (tag, kind)
+//!   table, so that *descendant(a, d) ⇔
 //!   a.start < d.start ∧ d.end < a.end* and *child* additionally requires
 //!   `d.level = a.level + 1`;
 //! * [`heap`] — a content heap holding element text and attribute values;

@@ -1,4 +1,5 @@
-//! Fixed-size node records with `(start, end, level)` containment labels.
+//! Node rows with `(start, end, level)` containment labels, and the
+//! node run that stores one document's rows.
 //!
 //! Every node — element, attribute, or mixed-content text — is one row.
 //! Rows are laid out in document (pre-order) order, so the node id
@@ -10,31 +11,28 @@
 //! * `a` is an ancestor of `d` ⇔ `a.start < d.start && d.end < a.end`
 //! * `a` is the parent of `d` ⇔ ancestor test ∧ `d.level == a.level + 1`
 //!
-//! On a page a row is a 12-byte record of what nothing else can give:
-//! tag, content symbol, level and kind. Its labels and its value's heap
-//! location follow from a document's rows in order and from the lengths
-//! of the values the name table holds, and `derive` recomputes them in
-//! one pass.
+//! A document's node run, its pages' data regions end to end, stores
+//! only what nothing else can give, as columns: an 8-byte count of the
+//! document's distinct (tag, kind) pairs and one 8-byte entry per pair
+//! (tag symbol u32, kind u8, three reserved 0 bytes), then per row a u16
+//! index into that table (the column padded to 4 bytes), a u32 content
+//! symbol and a u16 level — eight bytes a row, none straddling a page.
+//! The labels and value locations follow from the rows in order and the
+//! name table's value lengths; `derive` recomputes them in one pass.
 
 use crate::catalog::TagId;
 use crate::heap;
-use crate::page::PAGE_DATA_SIZE;
+use crate::page::{PAGE_DATA_SIZE, PAGE_HEADER_SIZE, PAGE_SIZE};
 
 /// Identifier of a node within a document: its pre-order ordinal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
-/// Size of one encoded node record in bytes.
-pub const RECORD_SIZE: usize = 12;
-
-/// Node records per page: 682 with 8 KB pages, which fill the 8 184
-/// bytes after the 8-byte checksum header exactly.
-pub const RECORDS_PER_PAGE: usize = PAGE_DATA_SIZE / RECORD_SIZE;
-
-const _: () = assert!(RECORDS_PER_PAGE * RECORD_SIZE == PAGE_DATA_SIZE);
+/// Most (tag, kind) pairs one document may hold: a row names one by a u16.
+pub(crate) const MAX_PAIRS: usize = 1 << 16;
 
 /// What kind of node a record describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// An XML element.
     Element,
@@ -128,39 +126,6 @@ impl NodeRecord {
     pub fn is_parent_of(&self, d: &NodeRecord) -> bool {
         self.is_ancestor_of(d) && d.level == self.level + 1
     }
-
-    /// Encode into a 12-byte buffer: tag, symbol, level, kind, and a
-    /// reserved 0 byte. The labels and the value's location are not
-    /// stored: `open` derives them from the document's rows.
-    pub fn encode(&self, out: &mut [u8]) {
-        debug_assert!(out.len() >= RECORD_SIZE);
-        out[0..4].copy_from_slice(&self.tag.0.to_le_bytes());
-        out[4..8].copy_from_slice(&self.sym.to_le_bytes());
-        out[8..10].copy_from_slice(&self.level.to_le_bytes());
-        out[10] = self.kind.to_u8();
-        out[11] = 0; // reserved
-    }
-
-    /// Decode from a 12-byte buffer, with labels 0 and no value location
-    /// until the document's rows place them. `None` for an unknown kind
-    /// or a reserved byte that is not 0.
-    pub fn decode(buf: &[u8]) -> Option<NodeRecord> {
-        debug_assert!(buf.len() >= RECORD_SIZE);
-        let u32le =
-            |at: usize| u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]);
-        if buf[11] != 0 {
-            return None;
-        }
-        Some(NodeRecord {
-            tag: TagId(u32le(0)),
-            start: 0,
-            end: 0,
-            sym: u32le(4),
-            level: u16::from_le_bytes([buf[8], buf[9]]),
-            kind: NodeKind::from_u8(buf[10])?,
-            content: ContentPtr::NULL,
-        })
-    }
 }
 
 /// What [`derive`] knows of each content symbol: the length of its name,
@@ -190,9 +155,95 @@ impl ValueTable {
     }
 }
 
+/// One document's rows as columns, in local ids and labels: what the
+/// loader builds, a commit encodes and `open` reads back ([`read_run`]).
+#[derive(Debug, Default, Clone, PartialEq)]
+pub(crate) struct DocColumns {
+    /// The document's distinct (tag, kind) pairs, in order of first row.
+    pub pairs: Vec<(TagId, NodeKind)>,
+    /// Per row: where its pair lies in `pairs`.
+    pub index: Vec<u16>,
+    /// Per row: content symbol, or [`NO_SYM`](crate::dict::NO_SYM).
+    pub sym: Vec<u32>,
+    /// Per row: depth; the document's root element is level 1.
+    pub level: Vec<u16>,
+    /// Per row, derived: the labels and the value's heap-run location.
+    pub start: Vec<u32>,
+    pub end: Vec<u32>,
+    pub content: Vec<ContentPtr>,
+}
+
+/// Where a run of `pairs` pairs and `rows` rows puts its index, symbol
+/// and level columns, and where it ends, in bytes from its start.
+pub(crate) fn layout(pairs: usize, rows: usize) -> [usize; 4] {
+    let index = 8 + 8 * pairs;
+    let sym = index + (2 * rows).next_multiple_of(4);
+    [index, sym, sym + 4 * rows, sym + 6 * rows]
+}
+
+impl DocColumns {
+    /// The node run of these rows, one page image per `PAGE_DATA_SIZE`
+    /// bytes (headers zero until the disk manager seals them).
+    pub fn encode(&self) -> Vec<Box<[u8; PAGE_SIZE]>> {
+        let [_, sym, _, end] = layout(self.pairs.len(), self.index.len());
+        let mut run = Vec::with_capacity(end);
+        run.extend((self.pairs.len() as u64).to_le_bytes());
+        for &(tag, kind) in &self.pairs {
+            run.extend(tag.0.to_le_bytes());
+            run.extend([kind.to_u8(), 0, 0, 0]);
+        }
+        run.extend(self.index.iter().flat_map(|i| i.to_le_bytes()));
+        run.resize(sym, 0);
+        run.extend(self.sym.iter().flat_map(|s| s.to_le_bytes()));
+        run.extend(self.level.iter().flat_map(|l| l.to_le_bytes()));
+        let page = |bytes: &[u8]| {
+            let mut page = Box::new([0u8; PAGE_SIZE]);
+            page[PAGE_HEADER_SIZE..][..bytes.len()].copy_from_slice(bytes);
+            page
+        };
+        run.chunks(PAGE_DATA_SIZE).map(page).collect()
+    }
+}
+
+/// The `rows` rows of node run `run` (its pages' data regions end to
+/// end), derived with `values`, and their distinct values' bytes. The
+/// run is as long as its table and rows need, each entry has a kind, 0
+/// reserved bytes and a tag `values` holds, and each index is in the
+/// table; `Err(at)` is the run byte where a broken rule (or
+/// [`derive`]'s) shows.
+pub(crate) fn read_run(
+    run: &[u8],
+    rows: usize,
+    values: &mut ValueTable,
+) -> Result<(DocColumns, usize), usize> {
+    let word = |b: &[u8]| b.iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b));
+    let count = run.get(..8).map_or(u64::MAX, word);
+    let pairs = count.min(MAX_PAIRS as u64 + 1) as usize;
+    let [index, sym, level, end] = layout(pairs, rows);
+    if pairs > MAX_PAIRS || end.div_ceil(PAGE_DATA_SIZE) * PAGE_DATA_SIZE != run.len() {
+        return Err(0);
+    }
+    let mut cols = DocColumns::default();
+    for (i, entry) in run[8..index].chunks_exact(8).enumerate() {
+        let tag = word(&entry[..4]) as u32;
+        let known = word(&entry[5..]) == 0 && (tag as usize) < values.syms.len();
+        let kind = NodeKind::from_u8(entry[4]).filter(|_| known);
+        cols.pairs.push((TagId(tag), kind.ok_or(8 + 8 * i)?));
+    }
+    let col = |at: std::ops::Range<usize>, width| run[at].chunks_exact(width).map(word);
+    cols.index = col(index..index + 2 * rows, 2).map(|w| w as u16).collect();
+    if let Some(bad) = cols.index.iter().position(|&i| usize::from(i) >= pairs) {
+        return Err(index + 2 * bad);
+    }
+    cols.sym = col(sym..level, 4).map(|w| w as u32).collect();
+    cols.level = col(level..end, 2).map(|w| w as u16).collect();
+    let heap_bytes = derive(&mut cols, values)?;
+    Ok((cols, heap_bytes))
+}
+
 /// Fill in the `(start, end)` labels and the value locations (relative
 /// to the document's heap run) of one document's rows, given in order
-/// with their levels, kinds and content symbols — the loader's rules,
+/// with their levels, pairs and content symbols — the loader's rules,
 /// run backwards:
 ///
 /// * a label counter runs over the document: an element takes one count
@@ -206,31 +257,36 @@ impl ValueTable {
 ///   attribute rows lie below one, so that is row order but for such an
 ///   element's value, which follows its attributes' values.
 ///
-/// The first row is at level 1, every later one at most one level below
-/// the innermost open element, and every symbol is [`NO_SYM`] or names
-/// a non-empty value of `values`; `Err(i)` names the first row `i` that
-/// breaks a rule. `Ok` holds the bytes of the document's distinct values.
+/// Every row's index must lie in the table. The first row is at level 1,
+/// every later one at most one level below the innermost open element,
+/// and every symbol is [`NO_SYM`] or names a non-empty value of
+/// `values`; `Err(at)` is the run byte of the level or symbol of the
+/// first row that breaks a rule. `Ok` holds the bytes of the document's
+/// distinct values.
 ///
 /// [`NO_SYM`]: crate::dict::NO_SYM
-pub(crate) fn derive(rows: &mut [NodeRecord], values: &mut ValueTable) -> Result<usize, usize> {
+pub(crate) fn derive(cols: &mut DocColumns, values: &mut ValueTable) -> Result<usize, usize> {
     values.doc += 1;
     let doc = values.doc;
+    let rows = cols.index.len();
+    let [_, sym_at, level_at, _] = layout(cols.pairs.len(), rows);
+    (cols.start, cols.end) = (vec![0; rows], vec![0; rows]);
+    cols.content = vec![ContentPtr::NULL; rows];
     let (mut labels, mut heap_bytes) = (0u32, 0usize);
-    // Label row `i`'s end and place its value; `Err(i)` for a symbol
-    // that names no value.
-    let mut close = |rows: &mut [NodeRecord], i: usize, labels: &mut u32| -> Result<(), usize> {
-        rows[i].end = *labels;
+    // Label row `i`'s end and place its value.
+    let mut close = |i: usize, labels: &mut u32| -> Result<(), usize> {
+        cols.end[i] = *labels;
         *labels += 1;
-        let sym = rows[i].sym;
+        let sym = cols.sym[i];
         if sym == crate::dict::NO_SYM {
             return Ok(());
         }
         let value = values.syms.get_mut(sym as usize).filter(|v| v.0 > 0);
-        let (len, placed_by, first) = value.ok_or(i)?;
+        let (len, placed_by, first) = value.ok_or(sym_at + 4 * i)?;
         if *placed_by == doc {
-            rows[i].content = rows[*first as usize].content;
+            cols.content[i] = cols.content[*first as usize];
         } else {
-            rows[i].content = heap::locate(heap_bytes, *len);
+            cols.content[i] = heap::locate(heap_bytes, *len);
             heap_bytes += *len as usize;
             (*placed_by, *first) = (doc, i as u32);
         }
@@ -238,34 +294,26 @@ pub(crate) fn derive(rows: &mut [NodeRecord], values: &mut ValueTable) -> Result
     };
     // The elements still open, innermost last.
     let mut open: Vec<usize> = Vec::new();
-    for i in 0..rows.len() {
-        let level = rows[i].level;
-        while let Some(&e) = open.last().filter(|&&e| rows[e].level >= level) {
-            close(rows, e, &mut labels)?;
+    for i in 0..rows {
+        while let Some(&e) = open.last().filter(|&&e| cols.level[e] >= cols.level[i]) {
+            close(e, &mut labels)?;
             open.pop();
         }
-        let parent = open.last().map_or(0, |&e| u32::from(rows[e].level));
-        if u32::from(level) != parent + 1 {
-            return Err(i);
+        let parent = open.last().map_or(0, |&e| u32::from(cols.level[e]));
+        if u32::from(cols.level[i]) != parent + 1 {
+            return Err(level_at + 2 * i);
         }
-        rows[i].start = labels;
+        cols.start[i] = labels;
         labels += 1;
-        match rows[i].kind {
+        match cols.pairs[usize::from(cols.index[i])].1 {
             NodeKind::Element => open.push(i),
-            _ => close(rows, i, &mut labels)?,
+            _ => close(i, &mut labels)?,
         }
     }
     for &e in open.iter().rev() {
-        close(rows, e, &mut labels)?;
+        close(e, &mut labels)?;
     }
     Ok(heap_bytes)
-}
-
-/// Which page and slot hold node `id`, given the first node page.
-pub fn node_location(base_page: u32, id: NodeId) -> (u32, usize) {
-    let page = base_page + id.0 / RECORDS_PER_PAGE as u32;
-    let slot = (id.0 as usize % RECORDS_PER_PAGE) * RECORD_SIZE;
-    (page, slot)
 }
 
 #[cfg(test)]
@@ -284,95 +332,130 @@ mod tests {
         }
     }
 
-    #[test]
-    fn encode_decode_roundtrip() {
-        let r = NodeRecord {
-            tag: TagId(42),
-            start: 7,
-            end: 8,
-            sym: 3,
-            level: 5,
-            kind: NodeKind::Attribute,
-            content: ContentPtr {
-                page: 9,
-                off: 1000,
-                len: 123456,
-            },
-        };
-        let mut buf = [0u8; RECORD_SIZE];
-        r.encode(&mut buf);
-        // The labels and the location, length included, are not stored.
-        let unplaced = NodeRecord {
-            start: 0,
-            end: 0,
-            content: ContentPtr::NULL,
-            ..r
-        };
-        assert_eq!(NodeRecord::decode(&buf), Some(unplaced));
-        for (at, byte) in [(10, 3), (11, 1)] {
-            let mut bad = buf;
-            bad[at] = byte;
-            assert_eq!(NodeRecord::decode(&bad), None, "byte {at} = {byte}");
-        }
-    }
-
-    #[test]
-    fn records_fit_in_data_region() {
-        assert_eq!(RECORDS_PER_PAGE, 682);
-        assert_eq!(RECORDS_PER_PAGE * RECORD_SIZE, PAGE_DATA_SIZE);
-    }
-
-    /// A row of `kind` at `level` whose content symbol is `sym`.
-    fn row(level: u16, kind: NodeKind, sym: u32) -> NodeRecord {
-        NodeRecord {
-            kind,
-            sym,
-            ..rec(0, 0, level)
-        }
-    }
-
     const E: NodeKind = NodeKind::Element;
     const A: NodeKind = NodeKind::Attribute;
     const T: NodeKind = NodeKind::Text;
     const NONE: u32 = crate::dict::NO_SYM;
 
-    fn locs(rows: &[NodeRecord]) -> Vec<ContentPtr> {
-        rows.iter().map(|r| r.content).collect()
+    /// Rows `(level, kind, content symbol)` as columns, with one pair per
+    /// kind, whose tag symbol is the kind's byte.
+    fn cols(rows: &[(u16, NodeKind, u32)]) -> DocColumns {
+        let mut c = DocColumns::default();
+        for &(level, kind, sym) in rows {
+            let at = c.pairs.iter().position(|&(_, k)| k == kind);
+            let at = at.unwrap_or_else(|| {
+                c.pairs.push((TagId(u32::from(kind.to_u8())), kind));
+                c.pairs.len() - 1
+            });
+            c.index.push(at as u16);
+            c.level.push(level);
+            c.sym.push(sym);
+        }
+        c
+    }
+
+    /// The data regions of `pages`, end to end.
+    fn run_of(pages: &[Box<[u8; PAGE_SIZE]>]) -> Vec<u8> {
+        pages
+            .iter()
+            .flat_map(|p| p[PAGE_HEADER_SIZE..].to_vec())
+            .collect()
+    }
+
+    /// `<a x="1">t<b y="22">vvv</b>w</a>` and its name table: `b`'s value
+    /// follows `@y`'s.
+    const NAMES: [&str; 7] = ["doc_root", "1", "t", "vvv", "22", "w", ""];
+    const SAMPLE: [(u16, NodeKind, u32); 6] = [
+        (1, E, NONE),
+        (2, A, 1),
+        (2, T, 2),
+        (2, E, 3),
+        (3, A, 4),
+        (2, T, 5),
+    ];
+
+    #[test]
+    fn encode_decode_roundtrip() {
+        let mut want = cols(&SAMPLE);
+        let run = run_of(&want.encode());
+        assert_eq!(run.len(), PAGE_DATA_SIZE);
+        let (got, heap_bytes) = read_run(&run, 6, &mut ValueTable::new(&NAMES)).unwrap();
+        assert_eq!(derive(&mut want, &mut ValueTable::new(&NAMES)), Ok(8));
+        assert_eq!((got, heap_bytes), (want, 8));
+        // Three table entries at bytes 8, 16 and 24, then the index
+        // column at 32: an unknown kind, a reserved byte set, a tag
+        // symbol past the name table, an index past the table, a count
+        // past the limit, and a run a page longer than its rows need.
+        let poked = |at: usize, byte: u8| {
+            let mut run = run.clone();
+            run[at] = byte;
+            read_run(&run, 6, &mut ValueTable::new(&NAMES)).map(drop)
+        };
+        assert_eq!(poked(8 + 4, 3), Err(8));
+        assert_eq!(poked(16 + 7, 1), Err(16));
+        assert_eq!(poked(24, NAMES.len() as u8), Err(24));
+        assert_eq!(poked(32 + 2, 3), Err(34));
+        assert_eq!(poked(2, 1), Err(0));
+        let long = [run.clone(), run.clone()].concat();
+        assert_eq!(read_run(&long, 6, &mut ValueTable::new(&NAMES)), Err(0));
     }
 
     #[test]
+    fn records_fit_in_data_region() {
+        // Eight bytes a row: a table of 8 pairs (72 bytes) and 1 014 rows
+        // fill a page's data region exactly; an odd row count pads the
+        // index column by two bytes.
+        assert_eq!(PAGE_DATA_SIZE, 8 * 1023);
+        assert_eq!(layout(8, 1014)[3], PAGE_DATA_SIZE);
+        assert_eq!(layout(8, 1013)[3], PAGE_DATA_SIZE - 6);
+        let mut wide = cols(&[(1, E, NONE)]);
+        wide.pairs = (0..MAX_PAIRS as u32).map(|t| (TagId(t), E)).collect();
+        // A full table takes 64 pages and a bit.
+        assert_eq!(wide.encode().len(), 65);
+    }
+
+    fn locs(c: &DocColumns) -> Vec<ContentPtr> {
+        c.content.clone()
+    }
+
+    /// Rows `(level, content symbol)` under an element, the first bad
+    /// row, and whether its symbol, not its level, breaks a rule.
+    type Case = (&'static [(u16, u32)], usize, bool);
+
+    #[test]
     fn derive_recomputes_the_loaders_labels_and_locations() {
-        // <a x="1">t<b y="22">vvv</b>w</a>: `b`'s value follows `@y`'s.
-        let mut values = ValueTable::new(&["doc_root", "1", "t", "vvv", "22", "w", ""]);
-        let mut rows = [
-            row(1, E, NONE),
-            row(2, A, 1),
-            row(2, T, 2),
-            row(2, E, 3),
-            row(3, A, 4),
-            row(2, T, 5),
-        ];
-        assert_eq!(derive(&mut rows, &mut values), Ok(8));
-        let labels: Vec<(u32, u32)> = rows.iter().map(|r| (r.start, r.end)).collect();
+        let mut values = ValueTable::new(&NAMES);
+        let mut c = cols(&SAMPLE);
+        assert_eq!(derive(&mut c, &mut values), Ok(8));
+        let labels: Vec<(u32, u32)> = c.start.iter().copied().zip(c.end.clone()).collect();
         assert_eq!(labels, [(0, 11), (1, 2), (3, 4), (5, 8), (6, 7), (9, 10)]);
         let want = [(0, 0), (0, 1), (1, 1), (4, 3), (2, 2), (7, 1)];
         assert_eq!(
-            locs(&rows),
+            locs(&c),
             want.map(|(before, len)| heap::locate(before, len))
         );
         // A first row below level 1, a row two levels down, a row under
-        // a leaf; a symbol past the table, and one that names no value.
-        let cases: [(&[(u16, u32)], usize); 5] = [
-            (&[(2, NONE)], 0),
-            (&[(1, NONE), (3, NONE)], 1),
-            (&[(1, NONE), (2, NONE), (3, NONE)], 2),
-            (&[(1, NONE), (2, 7)], 1),
-            (&[(1, NONE), (2, 1), (2, 6)], 2),
+        // a leaf; a symbol past the table, and one that names no value:
+        // the run byte of the row's level or symbol.
+        let cases: [Case; 5] = [
+            (&[(2, NONE)], 0, false),
+            (&[(1, NONE), (3, NONE)], 1, false),
+            (&[(1, NONE), (2, NONE), (3, NONE)], 2, false),
+            (&[(1, NONE), (2, 7)], 1, true),
+            (&[(1, NONE), (2, 1), (2, 6)], 2, true),
         ];
-        for (rows, bad) in cases {
-            let mut rows: Vec<NodeRecord> = rows.iter().map(|&(l, sym)| row(l, A, sym)).collect();
-            rows[0].kind = E;
-            assert_eq!(derive(&mut rows, &mut values), Err(bad), "{rows:?}");
+        for (rows, bad, in_sym) in cases {
+            let rows: Vec<_> = (rows.iter().enumerate())
+                .map(|(i, &(l, sym))| (l, if i == 0 { E } else { A }, sym))
+                .collect();
+            let mut c = cols(&rows);
+            let [_, sym, level, _] = layout(c.pairs.len(), c.index.len());
+            let at = if in_sym {
+                sym + 4 * bad
+            } else {
+                level + 2 * bad
+            };
+            assert_eq!(derive(&mut c, &mut values), Err(at), "{rows:?}");
         }
     }
 
@@ -382,21 +465,21 @@ mod tests {
         // when `@x` closes, "ww" when the second `#text` does, and every
         // later row with either symbol points at that copy.
         let mut values = ValueTable::new(&["doc_root", "v", "ww"]);
-        let mut rows = [
-            row(1, E, NONE),
-            row(2, A, 1),
-            row(2, T, 1),
-            row(2, E, 1),
-            row(3, A, 1),
-            row(2, T, 2),
-            row(2, E, 2),
-        ];
-        assert_eq!(derive(&mut rows, &mut values), Ok(3));
+        let mut c = cols(&[
+            (1, E, NONE),
+            (2, A, 1),
+            (2, T, 1),
+            (2, E, 1),
+            (3, A, 1),
+            (2, T, 2),
+            (2, E, 2),
+        ]);
+        assert_eq!(derive(&mut c, &mut values), Ok(3));
         let (v, ww) = (heap::locate(0, 1), heap::locate(1, 2));
         let null = ContentPtr::NULL;
-        assert_eq!(locs(&rows), [null, v, v, v, v, ww, ww]);
+        assert_eq!(locs(&c), [null, v, v, v, v, ww, ww]);
         // The next document with the same table places its own copy.
-        let mut next = [row(1, E, 2), row(2, A, 1)];
+        let mut next = cols(&[(1, E, 2), (2, A, 1)]);
         assert_eq!(derive(&mut next, &mut values), Ok(3));
         assert_eq!(locs(&next), [heap::locate(1, 2), heap::locate(0, 1)]);
     }
@@ -420,11 +503,15 @@ mod tests {
 
     #[test]
     fn node_location_math() {
-        let per = RECORDS_PER_PAGE as u32;
-        assert_eq!(node_location(10, NodeId(0)), (10, 0));
-        assert_eq!(node_location(10, NodeId(1)), (10, RECORD_SIZE));
-        assert_eq!(node_location(10, NodeId(per)), (11, 0));
-        assert_eq!(node_location(10, NodeId(per + 1)), (11, RECORD_SIZE));
+        // Three pairs and five rows: the index column at 32, ten bytes
+        // padded to twelve, then symbols at 44 and levels at 64.
+        assert_eq!(layout(3, 5), [32, 44, 64, 74]);
+        assert_eq!(layout(0, 0), [8, 8, 8, 8]);
+        // Row 1 500 of a run of eight pairs and 2 000 rows keeps its index
+        // on the run's first page, and its symbol and level on the second.
+        let [index, sym, level, end] = layout(8, 2000);
+        let rows = [index + 2 * 1500, sym + 4 * 1500, level + 2 * 1500, end - 1];
+        assert_eq!(rows.map(|at| at / PAGE_DATA_SIZE), [0, 1, 1, 1]);
     }
 
     #[test]

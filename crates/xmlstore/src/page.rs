@@ -28,7 +28,7 @@ pub const PAGE_SIZE: usize = 8192;
 /// Bytes reserved at the front of each page for the checksum header.
 pub const PAGE_HEADER_SIZE: usize = 8;
 
-/// Bytes of each page available to callers (node records, heap content).
+/// Bytes of each page available to callers (node runs, heap content).
 pub const PAGE_DATA_SIZE: usize = PAGE_SIZE - PAGE_HEADER_SIZE;
 
 /// Identifier of a page within the store file.

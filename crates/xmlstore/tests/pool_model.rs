@@ -6,7 +6,8 @@
 //! write the disk holds that array, the pool itself never writes, and
 //! its statistics add up. And against any sequence of reads, discards
 //! and clears, the pool — which allocates its frames on first fault —
-//! counts and evicts exactly as a pool whose frames all exist up front.
+//! counts and evicts exactly as a pool whose frames all exist up front,
+//! and once cleared counts as a fresh pool does, whatever came before.
 //!
 //! Ported from proptest to the in-tree `smallrand::prop` harness.
 
@@ -174,8 +175,10 @@ impl EagerPool {
         }
     }
 
+    /// Empty every frame and restart the clock at frame 0.
     fn clear(&mut self) {
         self.frames.iter_mut().for_each(|f| *f = None);
+        self.hand = 0;
     }
 
     fn holds(&self, page: u32) -> bool {
@@ -254,4 +257,52 @@ fn frames_on_demand_count_and_evict_like_an_eager_pool() {
             }
         },
     );
+}
+
+#[test]
+fn a_cleared_pool_counts_like_a_fresh_one() {
+    // After any history of reads, discards and clears, `clear` and then
+    // one request sequence give the same hits, misses and evictions, step
+    // by step, as the same sequence on a fresh pool: a cold run depends
+    // only on what it asks for.
+    check("a_cleared_pool_counts_like_a_fresh_one", 128, |g| {
+        let capacity = g.usize_in(1, 8);
+        let npages = g.usize_in(1, 16) as u32;
+        let page = |g: &mut Gen| g.usize_in(0, npages as usize - 1) as u32;
+        let history: Vec<PoolOp> = g.vec(0, 200, |g| match g.usize_in(0, 19) {
+            0..=15 => PoolOp::Read(page(g)),
+            16..=18 => PoolOp::Discard(page(g)),
+            _ => PoolOp::Clear,
+        });
+        let requests: Vec<u32> = g.vec(1, 200, page);
+        let pool = || {
+            let mut disk = DiskManager::in_memory();
+            disk.allocate(npages).unwrap();
+            for p in 0..npages {
+                disk.write_page(PageId(p), &[0u8; PAGE_SIZE]).unwrap();
+            }
+            BufferPool::new(disk, capacity).unwrap()
+        };
+        let (mut used, mut fresh) = (pool(), pool());
+        for op in &history {
+            match *op {
+                PoolOp::Read(p) => used.with_page(PageId(p), |_| ()).unwrap(),
+                PoolOp::Discard(p) => used.discard(PageId(p)),
+                PoolOp::Clear => used.clear(),
+            }
+        }
+        used.clear();
+        let counts = |p: &BufferPool| {
+            let s = p.stats();
+            (s.hits, s.misses, s.evictions)
+        };
+        let before = counts(&used);
+        for (step, &p) in requests.iter().enumerate() {
+            used.with_page(PageId(p), |_| ()).unwrap();
+            fresh.with_page(PageId(p), |_| ()).unwrap();
+            let u = counts(&used);
+            let since = (u.0 - before.0, u.1 - before.1, u.2 - before.2);
+            assert_eq!(since, counts(&fresh), "step {step}");
+        }
+    });
 }

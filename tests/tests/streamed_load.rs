@@ -10,7 +10,9 @@ use timber::TimberDb;
 use timber_integration_tests::{run, QUERY1, QUERY2, QUERY_COUNT};
 use xmlparse::parser::MAX_DEPTH;
 use xmlparse::{Element, XmlNode};
-use xmlstore::{wal_path_for, DocumentStore, NodeId, StoreError, StoreOptions, PAGE_DATA_SIZE};
+use xmlstore::{
+    wal_path_for, DocumentStore, NodeId, NodeKind, StoreError, StoreOptions, PAGE_DATA_SIZE,
+};
 
 /// A fresh page-file path in the system temp dir (its log beside it).
 fn temp_page(tag: &str, n: u64) -> PathBuf {
@@ -171,21 +173,35 @@ fn streamed_and_dom_loads_store_the_same_bytes() {
     });
 }
 
-/// The value of each row the store keeps of `e`, a tree in its
-/// [`stored_form`], in row order: the element's own text if it has no
-/// element child, its attributes' values, then its children's rows.
-fn row_values(e: &Element, out: &mut Vec<Option<String>>) {
+/// One row the store keeps: tag, kind, level and value.
+type ModelRow = (String, NodeKind, u16, Option<String>);
+
+/// The rows the store keeps of `e`, a tree in its [`stored_form`] at
+/// `level`, in row order: the element (with its own text if it has no
+/// element child), its attributes, then its children's rows.
+fn model_rows(e: &Element, level: u16, out: &mut Vec<ModelRow>) {
     let value = |v: &str| (!v.is_empty()).then(|| v.to_owned());
     let elements = e.children.iter().any(|c| matches!(c, XmlNode::Element(_)));
-    out.push(if elements { None } else { value(&e.text()) });
-    out.extend(e.attributes.iter().map(|(_, v)| value(v)));
+    let own = if elements { None } else { value(&e.text()) };
+    out.push((e.name.clone(), NodeKind::Element, level, own));
+    for (name, v) in &e.attributes {
+        out.push((format!("@{name}"), NodeKind::Attribute, level + 1, value(v)));
+    }
     for c in e.children.iter().filter(|_| elements) {
         match c {
-            XmlNode::Element(c) => row_values(c, out),
-            XmlNode::Text(t) => out.push(value(t)),
+            XmlNode::Element(c) => model_rows(c, level + 1, out),
+            XmlNode::Text(t) => out.push(("#text".into(), NodeKind::Text, level + 1, value(t))),
             _ => {}
         }
     }
+}
+
+/// The rows the store keeps of the document `xml`.
+fn model_of(xml: &str) -> Vec<ModelRow> {
+    let parsed = xmlparse::parse_document(xml).unwrap();
+    let mut rows = Vec::new();
+    model_rows(&stored_form(parsed.root()), 1, &mut rows);
+    rows
 }
 
 /// Each document of `s` holds `docs[k]`'s values, and its heap run holds
@@ -198,9 +214,7 @@ fn assert_stored_once(s: &DocumentStore, docs: &[String], heap_runs: &[u32]) -> 
     let mut id = 1;
     let mut pages_seen = std::collections::BTreeSet::new();
     for ((xml, (_, rows)), &heap_run) in docs.iter().zip(s.documents()).zip(heap_runs) {
-        let parsed = xmlparse::parse_document(xml).unwrap();
-        let mut want = Vec::new();
-        row_values(&stored_form(parsed.root()), &mut want);
+        let want: Vec<Option<String>> = model_of(xml).into_iter().map(|r| r.3).collect();
         assert_eq!(want.len(), rows as usize, "{xml}");
         let distinct: std::collections::BTreeSet<&String> = want.iter().flatten().collect();
         let bytes: usize = distinct.iter().map(|v| v.len()).sum();
@@ -257,6 +271,125 @@ fn each_distinct_value_is_stored_once_per_document() {
     });
     assert!(shared > 0, "no value was shared by rows of two kinds");
 }
+
+/// A document whose node run spans pages: random elements under one
+/// root until it holds well over the 1 023 rows a page holds, or more
+/// distinct element names than a page of the (tag, kind) table holds.
+fn big_doc(g: &mut Gen) -> String {
+    let mut xml = String::from("<big>");
+    if g.bool() {
+        while xml.len() < 30_000 {
+            element(g, &mut xml, 2, 0);
+        }
+    } else {
+        for i in 0..g.usize_in(1_000, 1_100) {
+            let _ = write!(xml, "<t{i} k=\"{}\">{}</t{i}>", text(g), text(g));
+        }
+    }
+    xml.push_str("</big>");
+    xml
+}
+
+/// Each document of `s`, in order, holds exactly the rows of its model
+/// (`docs[k]`'s): every row's tag, kind, level and content.
+fn assert_rows_are_the_model(s: &DocumentStore, docs: &[String]) {
+    let mut id = 1;
+    for (xml, (_, rows)) in docs.iter().zip(s.documents()) {
+        let want = model_of(xml);
+        assert_eq!(want.len(), rows as usize);
+        for (k, (tag, kind, level, value)) in want.into_iter().enumerate() {
+            let row = NodeId(id + k as u32);
+            let rec = s.record(row).unwrap();
+            let got = (&*s.tag_name(rec.tag), rec.kind, rec.level);
+            assert_eq!(got, (tag.as_str(), kind, level), "row {k}");
+            assert_eq!(s.content(row).unwrap(), value, "row {k}");
+        }
+        id += rows;
+    }
+}
+
+#[test]
+fn each_node_run_is_its_rows_columns() {
+    // Attributes, mixed content, runs longer than a page and (tag, kind)
+    // tables wider than a page. Each run is its header (an 8-byte count
+    // and an 8-byte entry per pair) and eight bytes a row, the index
+    // column padded to 4 bytes, in as few pages as that takes.
+    let (mut case, mut long_runs, mut wide_tables) = (0u64, 0, 0);
+    check("each_node_run_is_its_rows_columns", 24, |g| {
+        case += 1;
+        let docs = g.vec(1, 3, |g| {
+            if g.ratio(1, 3) {
+                big_doc(g)
+            } else {
+                random_doc(g)
+            }
+        });
+        let page = temp_page("columns", case);
+        let opts = StoreOptions::default().with_path(&page).with_durable();
+        let s = DocumentStore::create(&opts).unwrap();
+        for xml in &docs {
+            let (pages, heap) = (s.total_pages(), s.heap_pages());
+            s.insert_xml(xml).unwrap();
+            let node_pages = (s.total_pages() - pages) - (s.heap_pages() - heap);
+            let model = model_of(xml);
+            let pairs: std::collections::BTreeSet<(&str, u8)> =
+                model.iter().map(|r| (r.0.as_str(), r.1 as u8)).collect();
+            let rows = model.len();
+            let header = 8 + 8 * pairs.len();
+            let run = header + (2 * rows).next_multiple_of(4) + 6 * rows;
+            assert_eq!(node_pages as usize, run.div_ceil(PAGE_DATA_SIZE), "{xml}");
+            long_runs += usize::from(node_pages > 1);
+            wide_tables += usize::from(header > PAGE_DATA_SIZE);
+        }
+        assert_rows_are_the_model(&s, &docs);
+        let pages = s.total_pages();
+        drop(s);
+        let s = DocumentStore::open(&opts).unwrap();
+        assert_eq!(s.total_pages(), pages);
+        assert_rows_are_the_model(&s, &docs);
+        drop(s);
+        remove_store(&page);
+    });
+    assert!(
+        long_runs > 0 && wide_tables > 0,
+        "{long_runs} long, {wide_tables} wide"
+    );
+}
+
+#[test]
+fn a_document_with_more_pairs_than_a_row_can_name_is_refused() {
+    // A root and `n - 1` distinct empty elements: `n` (tag, kind) pairs.
+    let doc = |n: usize| {
+        let mut xml = String::from("<r>");
+        for i in 1..n {
+            let _ = write!(xml, "<t{i}/>");
+        }
+        xml + "</r>"
+    };
+    let page = temp_page("pairs", 0);
+    let opts = StoreOptions::default().with_path(&page).with_durable();
+    let s = DocumentStore::create(&opts).unwrap();
+    s.insert_xml(SMALL).unwrap();
+    let log = || std::fs::metadata(wal_path_for(&page)).unwrap().len();
+    let before = (s.documents(), s.total_pages(), log());
+    let err = s.insert_xml(&doc(65_537)).unwrap_err();
+    assert!(
+        matches!(err, StoreError::TooManyTags { limit: 65_536 }),
+        "{err}"
+    );
+    assert_eq!((s.documents(), s.total_pages(), log()), before);
+    // The limit itself is taken, and reopens.
+    s.insert_xml(&doc(65_536)).unwrap();
+    drop(s);
+    let s = DocumentStore::open(&opts).unwrap();
+    assert_eq!(s.documents().len(), 2);
+    assert_eq!(s.documents()[1].1, 65_536);
+    drop(s);
+    remove_store(&page);
+}
+
+/// A small document.
+const SMALL: &str = "<bib><article><title>T</title></article></bib>";
 
 #[test]
 fn a_reserved_root_before_a_syntax_error_is_the_syntax_error() {

@@ -49,7 +49,7 @@ fn dictionary_intern_resolve_roundtrips() {
         // The snapshot reproduces the exact assignment and the restored
         // dictionary continues the symbol sequence where it left off.
         let snap = d.names_from(0);
-        let d2 = Dictionary::from_names(&snap);
+        let d2 = Dictionary::from_names(snap.clone());
         for (name, &sym) in names.iter().zip(&syms) {
             assert_eq!(d2.get(name), Some(sym));
             assert_eq!(&*d2.resolve(sym), name.as_str());
