@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn both_plans_read_only_their_output_pages() {
         // Neither plan reads a value before output, and both write the
-        // same nodes: a cold run of each asks for the same heap pages.
+        // same nodes: a cold run of each asks for the same name pages.
         let db = build_db(400, Some(256), false);
         let d = measure(&db, QUERY_COUNT, PlanMode::Direct);
         let g = measure(&db, QUERY_COUNT, PlanMode::GroupByRewrite);

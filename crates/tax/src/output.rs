@@ -10,7 +10,7 @@
 //! is the batch's business ([`Results`] for [`Batch`](crate::Batch)):
 //! constructed elements are recorded from their symbols, and a stored
 //! node goes through the store's walk over its label columns
-//! ([`DocumentStore::emit_open`]). Only heap pages are requested, each
+//! ([`DocumentStore::emit_open`]). Only name pages are requested, each
 //! once a chunk.
 
 use crate::error::Result;
@@ -31,7 +31,7 @@ pub trait Results {
 /// fetched and written (it closes at the first result boundary past
 /// either): memory is bounded by the chunk's tape and value arena, not
 /// by the result — the event bound keeps a result of constructed
-/// elements alone bounded too — and each chunk reads a heap page once
+/// elements alone bounded too — and each chunk reads a name page once
 /// however results order it.
 const CHUNK_VALUES: usize = 1 << 16;
 const CHUNK_EVENTS: usize = 1 << 18;
@@ -406,13 +406,13 @@ mod tests {
 
     #[test]
     fn a_read_fault_in_the_second_chunk_keeps_the_first_chunks_text() {
-        // One pool frame, values on several heap pages, a row a chunk:
+        // One pool frame, values on several name pages, a row a chunk:
         // the first and the last article, so the second chunk needs a
         // page the first did not leave in the pool.
         let xml = bibliography(&mut Gen::new(7), 600);
         let opts = StoreOptions::in_memory().with_pool_pages(1);
         let s = DocumentStore::from_xml(&xml, &opts).unwrap();
-        assert!(s.heap_pages() > 1, "{} heap pages", s.heap_pages());
+        assert!(s.name_pages() > 1, "{} name pages", s.name_pages());
         let articles = s.nodes_with_tag(s.tag_id("article").unwrap());
         let rows = Batch::Stored(vec![articles[0], articles[articles.len() - 1]]);
         let bounds = (usize::MAX, 1);

@@ -45,7 +45,7 @@ impl QueryResult {
     /// serialized, without building the elements. Output population is
     /// one pass per chunk of rows: the stored rows whose values the
     /// chunk writes are listed from the label columns, their values
-    /// fetched in one batched read that asks for each distinct heap page
+    /// fetched in one batched read that asks for each distinct name page
     /// once, in page order, and then the text is written. A page that
     /// cannot be read fails its chunk with the store's typed error, and
     /// an error returns no partial text.

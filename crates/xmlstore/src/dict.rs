@@ -16,13 +16,13 @@
 //! never reused; `resolve` hands back an `Arc<str>` clone of the interned
 //! string, which keeps the lock scope to the lookup itself.
 //!
-//! Persistence: the table is append-only, so the log carries it the
-//! same way — a checkpoint record holds the full name table in symbol
-//! order, and every commit record holds the suffix interned since the
-//! last durable record ([`Dictionary::names_from`]). Crash recovery
-//! replays checkpoint + suffixes and rebuilds the identical
-//! `name → Sym` assignment that the crashed process used — the numeric
-//! tags and content symbols on the node pages stay valid across reopen.
+//! Persistence: the table is append-only, so the store pages it the
+//! same way — each commit packs the suffix no page holds yet
+//! ([`Dictionary::names_from`]) onto a run of name pages, and the log
+//! carries the runs and the names' lengths. Reopening reads the runs in
+//! symbol order and rebuilds the identical `name → Sym` assignment that
+//! the crashed process used — the numeric tags and content symbols on
+//! the node pages stay valid across reopen.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -112,8 +112,8 @@ impl Dictionary {
         read(self).names.is_empty()
     }
 
-    /// The names of symbols `from..len()` in symbol order: what a log
-    /// record must carry when symbols below `from` are already durable
+    /// The names of symbols `from..len()` in symbol order: what a commit
+    /// must page when symbols below `from` are already durable
     /// (`names_from(0)` is the whole table). Handles on the interned
     /// strings, not copies — the read lock is held for refcount bumps
     /// only, so interning queries do not stall behind a commit.

@@ -1,5 +1,5 @@
-//! The document store: node runs + heap on pages behind a buffer pool,
-//! plus the in-memory tag dictionary and tag index.
+//! The document store: node runs and name pages behind a buffer pool,
+//! plus the in-memory dictionary and tag index.
 //!
 //! Loading wraps every document's root element under one synthetic
 //! `doc_root` node (node id 0), matching the paper's convention that
@@ -32,7 +32,7 @@
 //! This module holds the options, construction and the read API. Each
 //! other decision lives behind one child module: `meta` (the durable
 //! metadata, its checkpoint snapshot and commit delta codecs), `loader`
-//! (the parser's element events → rows as columns and heap pages, with
+//! (the parser's element events → rows as columns, with
 //! no DOM in between), `projection` (the published view and the documents it
 //! holds, how an edit extends it, snapshot pins, when a removed
 //! document's pages go free), `output` (the batched
@@ -57,6 +57,7 @@ use crate::columns::NodeColumns;
 use crate::dict::{Dictionary, Sym, NO_SYM};
 use crate::error::{Result, StoreError};
 use crate::fault::{FaultConfig, FaultInjector, FaultStats};
+use crate::heap::NamePages;
 use crate::index::NodeEntry;
 use crate::node::{self, ContentPtr, NodeId, NodeKind, NodeRecord};
 use crate::page::{PageId, PAGE_DATA_SIZE, PAGE_SIZE};
@@ -67,7 +68,7 @@ use meta::{encode_meta, StoreMeta};
 use projection::Projection;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 /// The reserved tag of the synthetic document root.
 pub const DOC_ROOT_TAG: &str = "doc_root";
@@ -165,10 +166,13 @@ impl IoStats {
 }
 
 /// State shared by every handle on one store: the concurrent
-/// dictionary, the published projection, the writer state behind the
-/// commit lock, and the paged I/O stack.
+/// dictionary and where its paged names lie, the published projection,
+/// the writer state behind the commit lock, and the paged I/O stack.
 struct StoreShared {
     tags: Dictionary,
+    /// Extended only by a commit, under the writer lock, before it
+    /// publishes: every symbol a published row holds is paged.
+    names: RwLock<NamePages>,
     doc_root_tag: TagId,
     /// The projection readers resolve against, swapped wholesale by
     /// each commit.
@@ -185,6 +189,11 @@ struct StoreShared {
 impl StoreShared {
     fn current(&self) -> Arc<Projection> {
         Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    fn names(&self) -> RwLockReadGuard<'_, NamePages> {
+        // A commit appends a whole run at once under the write lock.
+        self.names.read().unwrap_or_else(|e| e.into_inner())
     }
 
     fn pool(&self) -> MutexGuard<'_, BufferPool> {
@@ -268,10 +277,10 @@ impl DocumentStore {
 
     /// Assemble the shared state and publish the view of an empty store
     /// (epoch 1) — all `create` needs; `open` reads its documents back
-    /// through the assembled store and publishes again. `wal`'s
-    /// checkpoint record must hold the whole of `tags`.
+    /// through the assembled store and publishes again. `names` says where
+    /// the paged names of `tags` lie, as `wal`'s checkpoint record does.
     fn assemble(
-        tags: Dictionary,
+        (tags, names): (Dictionary, NamePages),
         next_doc: DocId,
         free: BTreeSet<u32>,
         wal: Option<Wal>,
@@ -282,15 +291,14 @@ impl DocumentStore {
         let doc_root_tag = tags.intern(DOC_ROOT_TAG);
         let pool = BufferPool::with_shared(disk.clone(), opts.pool_pages)?;
         let proj = Arc::new(Projection::empty(1, doc_root_tag, 0));
-        let dict_logged = tags.len();
         Ok(DocumentStore {
             shared: Arc::new(StoreShared {
                 tags,
+                names: RwLock::new(names),
                 doc_root_tag,
                 current: RwLock::new(proj),
                 writer: Mutex::new(WriterState {
                     next_doc,
-                    dict_logged,
                     free,
                     removed: Vec::new(),
                     prev: None,
@@ -320,6 +328,8 @@ impl DocumentStore {
         let meta = StoreMeta {
             docs: Vec::new(),
             next_doc: 1,
+            runs: Vec::new(),
+            lens: Vec::new(),
         };
         let wal = if opts.durable {
             let file = if opts.on_disk {
@@ -330,12 +340,13 @@ impl DocumentStore {
             Some(Wal::create(
                 file.as_deref(),
                 disk.clone(),
-                encode_meta(&meta, &tags.names_from(0)),
+                encode_meta(&meta),
             )?)
         } else {
             None
         };
-        Self::assemble(tags, meta.next_doc, BTreeSet::new(), wal, opts, disk, None)
+        let dict = (tags, NamePages::default());
+        Self::assemble(dict, meta.next_doc, BTreeSet::new(), wal, opts, disk, None)
     }
 
     /// `(doc_id, stored node count)` of every document, insertion order,
@@ -372,10 +383,11 @@ impl DocumentStore {
         self.shared.disk.num_pages()
     }
 
-    /// Pages that hold values (the heap runs of this handle's documents);
-    /// the rest of the file is node runs and freed pages.
-    pub fn heap_pages(&self) -> u32 {
-        self.proj().docs.iter().map(|d| d.meta.heap_pages).sum()
+    /// Pages that hold names — tags and values, each once — on the
+    /// store's name runs; the rest of the file is node runs and freed
+    /// pages.
+    pub fn name_pages(&self) -> u32 {
+        self.shared.names().runs.iter().map(|r| r.pages).sum()
     }
 
     /// Store size in bytes.
@@ -461,13 +473,14 @@ impl DocumentStore {
             sym: proj.columns.content[id.0 as usize],
             level: entry.level,
             kind,
-            content: proj.value_loc(id),
+            content: self.shared.names().loc(proj.columns.content_sym(id)),
         })
     }
 
     /// Fetch the full record of `id` (one node-page access, for its table
     /// index; the synthetic root costs none): tag and kind from its
-    /// document's table, the rest from the columns and value locations.
+    /// document's table, the rest from the columns and where its content
+    /// symbol's name lies.
     /// Queries read columns and value locations instead; the matcher's
     /// scan baseline pays this read on purpose.
     pub fn record(&self, id: NodeId) -> Result<NodeRecord> {
@@ -698,7 +711,7 @@ mod tests {
         // Index access alone: no page requests.
         assert_eq!(s.io_stats().page_requests(), 0);
         let _ = s.content(t.id).unwrap();
-        // The heap page alone: the value's location is not on a page.
+        // The name page alone: the value's location is not on a page.
         assert_eq!(s.io_stats().page_requests(), 1);
     }
 

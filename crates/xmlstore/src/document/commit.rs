@@ -5,48 +5,49 @@
 //! publishes a projection, and — on error — gives the runs back.
 //! `insert_xml`, `replace_xml`, `insert_document`, `replace_document` and
 //! `delete_document` are [`Edit`]s handed to it, the added document's
-//! rows and heap pages already built by the loader; the commit encodes
-//! its node run from those rows. Every commit writes its pages to the page
-//! file itself and syncs it before the commit record is written.
+//! rows already built by the loader; the commit encodes its node run
+//! from those rows, and packs the names no page holds yet — the
+//! dictionary's suffix past the paged names — into a fresh run of name
+//! pages. Every commit writes its pages to the page file itself and
+//! syncs it before the commit record is written.
 //!
-//! What a commit does is sized by the edit: it logs the dictionary
-//! suffix and the one or two document-table entries that changed, and
+//! What a commit does is sized by the edit: it logs the name run it
+//! appended with its names' lengths, and the one or two document-table
+//! entries that changed, and
 //! [`Projection::edited`] rebuilds the projection before last in place
 //! when nobody holds it, copying the rows from the earlier of this and
 //! the previous edit's cut on; when a reader holds it, all the labels.
 //! Every kept document is shared with the projection before, and a
 //! removed one's pages go free once no projection holds it.
 
-use super::loader::{build_local, load_local, LocalDoc, PageBuf};
+use super::loader::{build_local, load_local, PageBuf};
 use super::meta::{encode_delta, encode_meta, DocMeta, MetaDelta, StoreMeta};
 use super::projection::{reclaim, Doc, Projection};
 use super::{DocId, DocumentStore};
 use crate::error::{Result, StoreError};
-use crate::page::PageId;
+use crate::heap::NameRun;
+use crate::node::DocColumns;
+use crate::page::{self, PageId};
 use crate::wal::WalRecord;
 use std::collections::BTreeSet;
 use std::sync::{Arc, MutexGuard, Weak};
 
 /// Everything only the (single) writer touches, behind the commit lock:
-/// the document counter, how much of the dictionary the log already
-/// holds, the page allocator's free list, the documents removed but
-/// maybe still held, and the predecessor of the published projection.
-/// The document table is the published projection's.
+/// the document counter, the page allocator's free list, the documents
+/// removed but maybe still held, and the predecessor of the published
+/// projection. The document table is the published projection's, and
+/// the paged names are the store's `NamePages`, which a commit extends
+/// only once the record naming their run is durable: symbols interned
+/// by a failed commit, a query or a writer still loading ride with the
+/// next commit that lands.
 pub(super) struct WriterState {
     /// The id the next added document gets.
     pub next_doc: DocId,
-    /// Symbols `0..dict_logged` are durable (in the checkpoint or in a
-    /// durable commit record); the next commit logs the names from here
-    /// on. It advances only once a record carrying them is durable, so
-    /// symbols interned by a failed commit, by a query, or by another
-    /// writer still building its document ride with the next commit
-    /// that lands.
-    pub dict_logged: usize,
     /// Free page ids, derived from the metadata (never persisted).
     pub free: BTreeSet<u32>,
-    /// Each document a commit removed, with its page runs, until no
+    /// Each document a commit removed, with its node run, until no
     /// projection holds it: the next commit's [`reclaim`] then frees
-    /// its runs.
+    /// the run.
     pub removed: Vec<(Weak<Doc>, DocMeta)>,
     /// The projection the published one replaced. Nothing but this slot
     /// and its readers holds it; the next commit takes it and, when no
@@ -55,12 +56,12 @@ pub(super) struct WriterState {
 }
 
 /// One store transaction: take `remove` out of the document table, put
-/// `add` in, or both at once (a replace). `add` is built before the
-/// commit lock is taken — interning into the dictionary is concurrent,
-/// so writers only serialize on the page/WAL work.
+/// `add` in, both at once (a replace), or neither (only page the names
+/// no page holds). `add` is built before the commit lock is taken —
+/// interning is concurrent, so writers serialize on the page/WAL work.
 struct Edit {
     remove: Option<DocId>,
-    add: Option<LocalDoc>,
+    add: Option<DocColumns>,
 }
 
 /// A contiguous page run handed out by the allocator.
@@ -139,18 +140,17 @@ impl DocumentStore {
 
     /// Run `edit` as one transaction. Returns the id assigned to
     /// `edit.add` (the next unassigned id when nothing is added). On
-    /// `Ok` the commit record is durable and the new projection is
-    /// published; on `Err` the document table, the epoch and the free
-    /// list are as before.
+    /// `Ok` the commit record is durable and the new projection, if the
+    /// edit changed a document, published; on `Err` the document table,
+    /// the epoch and the free list are as before.
     fn commit(&self, edit: Edit) -> Result<DocId> {
         if self.shared.disk.crashed() {
             return Err(StoreError::SimulatedCrash);
         }
         let sh = &self.shared;
-        let local = edit.add;
+        let rows = edit.add;
         // The added document's node run, encoded from its rows.
-        let node_pages = local.as_ref().map_or_else(Vec::new, |l| l.rows.encode());
-        let heap_pages = local.as_ref().map_or(&[][..], |l| &l.heap_pages);
+        let node_pages = rows.as_ref().map_or_else(Vec::new, DocColumns::encode);
         let mut w = self.writer();
         // Only a commit publishes, and it holds the writer lock.
         let current = sh.current();
@@ -161,40 +161,49 @@ impl DocumentStore {
                 found.ok_or(StoreError::NoSuchDocument { doc })
             })
             .transpose()?;
+        // The names no page holds yet, in symbol order.
+        let paged = sh.names().locs.len();
+        let unpaged = sh.tags.names_from(paged);
+        let name_pages = page::images(unpaged.iter().map(|n| n.as_bytes()));
+        let lens: Vec<u32> = unpaged.iter().map(|n| n.len() as u32).collect();
+        drop(unpaged);
+        if at.is_none() && rows.is_none() && lens.is_empty() {
+            return Ok(w.next_doc);
+        }
         let spare = reclaim(&mut w);
         // A removed document's pages stay live until the commit lands,
         // so its replacement allocates elsewhere (free pages from
         // *earlier* deletes are fair game). An edit that adds nothing
-        // asks for two empty runs, which touch neither list nor file.
-        let heap_run = self.alloc_run(&mut w, heap_pages.len() as u32)?;
+        // asks for empty runs, which touch neither list nor file.
+        let name_run = self.alloc_run(&mut w, name_pages.len() as u32)?;
         let node_run = self
             .alloc_run(&mut w, node_pages.len() as u32)
-            .inspect_err(|_| release_run(&mut w, &heap_run))?;
+            .inspect_err(|_| release_run(&mut w, &name_run))?;
         let doc_id = w.next_doc;
-        let added = local.as_ref().map(|l| DocMeta {
+        let added = rows.as_ref().map(|r| DocMeta {
             doc_id,
-            heap_base: heap_run.base,
-            heap_pages: heap_run.len,
             node_base: node_run.base,
             node_pages: node_run.len,
-            node_count: l.rows.index.len() as u32,
+            node_count: r.index.len() as u32,
         });
         let next_doc = doc_id + u64::from(added.is_some());
         // The payload exists only where there is a log to carry it.
-        let mut logged = w.dict_logged;
         let delta = sh.wal.is_some().then(|| {
-            let new_names = sh.tags.names_from(w.dict_logged);
-            logged += new_names.len();
             encode_delta(&MetaDelta {
                 next_doc,
-                dict_from: w.dict_logged as u32,
-                new_names,
+                dict_from: paged as u32,
+                run: (!lens.is_empty()).then_some(NameRun {
+                    base: name_run.base,
+                    pages: name_run.len,
+                    names: lens.len() as u32,
+                }),
+                lens: lens.clone(),
                 removed: edit.remove,
                 added,
             })
         });
 
-        let pages: Vec<(PageId, &PageBuf)> = [(&heap_run, heap_pages), (&node_run, &node_pages)]
+        let pages: Vec<(PageId, &PageBuf)> = [(&name_run, &name_pages), (&node_run, &node_pages)]
             .into_iter()
             .flat_map(|(run, images)| (run.base..).map(PageId).zip(images))
             .collect();
@@ -203,42 +212,56 @@ impl DocumentStore {
             // The runs were never visible to any projection, so they
             // go straight back to the free list. A failed
             // record write leaves nothing of the record in the log.
-            release_run(&mut w, &heap_run);
+            release_run(&mut w, &name_run);
             release_run(&mut w, &node_run);
             return Err(e);
         }
-        w.dict_logged = logged;
+        // Before any publish: the new projection's rows name them.
+        let mut names = sh.names.write().unwrap_or_else(|e| e.into_inner());
+        names.push(name_run.base, &lens);
+        drop(names);
         w.next_doc = next_doc;
-        let next = current.edited(spare, at, added.zip(local.map(|l| l.rows)));
-        if let Some(k) = at {
-            let doc = &current.docs[k];
-            w.removed.push((Arc::downgrade(doc), doc.meta));
+        // An edit of no document (the checkpoint's) publishes nothing.
+        if at.is_some() || added.is_some() {
+            let next = current.edited(spare, at, added.zip(rows));
+            if let Some(k) = at {
+                let doc = &current.docs[k];
+                w.removed.push((Arc::downgrade(doc), doc.meta));
+            }
+            self.install(&mut w, next);
         }
-        self.install(&mut w, next);
         Ok(doc_id)
     }
 
     /// Truncate the log to a fresh checkpoint carrying the one full
-    /// metadata snapshot. The page file needs no sync here: every page a
-    /// durable commit made live was synced before its record, and no
-    /// other page write happens. Without a log there is nothing to do.
+    /// metadata snapshot: the document table and where the names lie.
+    /// Names no page holds yet (interned by a query, say) are paged
+    /// first by a commit of no document, as the next commit would have
+    /// paged them. The checkpoint itself syncs no page: every page a
+    /// durable commit made live was synced before its record. Without a
+    /// log there is nothing to do.
     pub fn checkpoint(&self) -> Result<()> {
         if self.shared.disk.crashed() {
             return Err(StoreError::SimulatedCrash);
         }
-        let mut w = self.writer();
+        if self.shared.wal.is_none() {
+            return Ok(());
+        }
+        self.commit(Edit {
+            remove: None,
+            add: None,
+        })?;
+        let w = self.writer();
         if let Some(mut wal) = self.shared.wal() {
-            // The whole name table, straight from the dictionary: symbols
-            // interned since the last commit (query-constructed tags and
-            // values) live only in memory, and the checkpoint is about to
-            // truncate the log that carries every suffix before them.
-            let names = self.shared.tags.names_from(0);
+            let names = self.shared.names();
             let meta = StoreMeta {
                 docs: self.shared.current().docs.iter().map(|d| d.meta).collect(),
                 next_doc: w.next_doc,
+                runs: names.runs.clone(),
+                lens: names.locs.iter().map(|l| l.len).collect(),
             };
-            wal.checkpoint(encode_meta(&meta, &names))?;
-            w.dict_logged = names.len();
+            drop(names);
+            wal.checkpoint(encode_meta(&meta))?;
         }
         Ok(())
     }
@@ -247,8 +270,8 @@ impl DocumentStore {
     /// them, and, on a durable store, sync the page file before the
     /// commit record is written. Every page is free until that record
     /// lands, and no reader asks for one before the commit publishes
-    /// it, so nothing here is ever undone or logged. A delete writes
-    /// and syncs nothing.
+    /// it, so nothing here is ever undone or logged. A delete with no
+    /// name to page writes and syncs nothing.
     fn write_pages(&self, pages: &[(PageId, &PageBuf)]) -> Result<()> {
         if pages.is_empty() {
             return Ok(());
@@ -387,12 +410,13 @@ mod tests {
         let entries = s.nodes_with_tag(b);
         assert_eq!(entries.len(), 1);
         assert_eq!(s.content(entries[0].id).unwrap().as_deref(), Some("two"));
-        // A same-shaped insert reuses the freed pages: file does not grow.
-        s.insert_xml("<a><b>three</b></a>").unwrap();
+        // A same-shaped insert of paged names reuses the freed node run
+        // and writes no name page: the file does not grow.
+        s.insert_xml("<a><b>one</b></a>").unwrap();
         assert_eq!(s.total_pages(), pages_before);
         let entries = s.nodes_with_tag(b);
         assert_eq!(entries.len(), 2);
-        assert_eq!(s.content(entries[1].id).unwrap().as_deref(), Some("three"));
+        assert_eq!(s.content(entries[1].id).unwrap().as_deref(), Some("one"));
     }
 
     #[test]
@@ -445,7 +469,7 @@ mod tests {
         // A delete allocates no pages; it still reclaims, so with no
         // reader only the current projection and its predecessor live,
         // and only the last delete's document, which the predecessor
-        // holds, keeps its pages.
+        // holds, keeps its node run; the names stay paged.
         let s = DocumentStore::create(&StoreOptions::in_memory()).unwrap();
         let docs: Vec<_> = (0..5)
             .map(|i| s.insert_document(&bib(2, &i.to_string())).unwrap())
@@ -454,15 +478,13 @@ mod tests {
         for doc in docs {
             s.delete_document(doc).unwrap();
         }
+        let names = s.name_pages();
         let w = s.writer();
         assert_eq!(w.prev.as_ref().map(Arc::strong_count), Some(1));
         let [(_, last)] = w.removed[..] else {
             panic!("{} documents wait for their pages", w.removed.len());
         };
-        assert_eq!(
-            w.free.len() as u32 + last.heap_pages + last.node_pages,
-            pages
-        );
+        assert_eq!(w.free.len() as u32 + names + last.node_pages, pages);
     }
 
     #[test]
@@ -508,7 +530,7 @@ mod tests {
     #[test]
     fn reuse_through_a_warm_pool_reads_the_new_bytes() {
         // Document A's pages are cached when A is deleted and B is
-        // inserted over its run: the commit drops the cached frames, so
+        // inserted over its node run: the commit drops the cached frames, so
         // B reads back its own bytes, through the pool and, after the
         // pool is emptied, from the page file.
         let text = |s: &DocumentStore| -> Vec<String> {
@@ -526,9 +548,13 @@ mod tests {
             let want_a = text(&s);
             assert!(want_a.iter().any(|t| t == "x399"), "pool {pool}");
             s.delete_document(a).unwrap();
-            let pages = s.total_pages();
+            let (pages, writes) = (s.total_pages(), s.io_stats().disk.writes);
             s.insert_document(&bib(400, "y")).unwrap();
-            assert_eq!(s.total_pages(), pages, "pool {pool}: B reuses A's run");
+            // B's new names land on A's node run, whose rest is too
+            // short for B's: the file grows by less than B wrote.
+            let grown = s.total_pages() - pages;
+            let written = s.io_stats().disk.writes - writes;
+            assert_eq!((grown, written), (2, 3), "pool {pool}: B reuses A's run");
             let want_b: Vec<String> = want_a.iter().map(|t| t.replace('x', "y")).collect();
             assert_eq!(text(&s), want_b, "pool {pool}: warm");
             s.clear_buffer_pool().unwrap();
@@ -556,9 +582,11 @@ mod tests {
             per_commit[1..].iter().all(|&b| b == per_commit[1]),
             "{per_commit:?}"
         );
-        // Commit{counter, empty suffix, one document entry}: 74 bytes,
-        // 78 while a document entry also held its label span.
-        assert_eq!(per_commit[1], 74);
+        // Commit{counter, no name run, one document entry}: 62 bytes;
+        // 74 while a commit logged its names' bytes (an empty list, 4
+        // bytes) and a document entry its heap run (8 bytes), 78 while a
+        // document entry also held its label span.
+        assert_eq!(per_commit[1], 62);
         assert_eq!(s.documents().len(), 64);
     }
 
@@ -587,20 +615,26 @@ mod tests {
         // their 1 201 rows fit three node pages instead of five; and from
         // 4 to 3 when they shrank to 12 bytes: two node pages. Every edit
         // that adds a document logs 4 bytes fewer since a document entry
-        // no longer holds its label span.
+        // no longer holds its label span. The bytes were re-pinned when
+        // names moved onto name pages: a commit logs the run it appended
+        // and a varint length per new name, not the names (3 188 → 482
+        // bytes for 400 new titles), a document entry names no heap run
+        // (8 bytes fewer) and a commit without new names logs no empty
+        // name list (4 bytes fewer). The page writes did not move: each
+        // insert's new titles fill one name page where its heap was one.
         const PINNED: [(u64, u64, u64, u64); 12] = [
-            (1, 147, 1, 2),  // insert a, fresh run
-            (1, 92, 1, 2),   // insert b, fresh
-            (1, 3188, 1, 3), // insert c (400 articles), fresh
-            (1, 54, 1, 0),   // delete a: no pages
-            (1, 92, 1, 2),   // insert d over a's run
-            (1, 100, 1, 2),  // replace b → e, fresh
-            (1, 54, 1, 0),   // delete d under a pinned snapshot
-            (1, 92, 1, 2),   // insert f over b's run (d's is pinned)
-            (1, 3172, 1, 3), // replace c → g, part reused
-            (1, 54, 1, 0),   // delete e
-            (1, 54, 1, 0),   // delete f
-            (1, 3164, 1, 3), // insert h over c's run
+            (1, 89, 1, 2),  // insert a, fresh runs
+            (1, 81, 1, 2),  // insert b, fresh
+            (1, 482, 1, 3), // insert c (400 articles), fresh
+            (1, 50, 1, 0),  // delete a: no pages
+            (1, 81, 1, 2),  // insert d, its node run over a's
+            (1, 89, 1, 2),  // replace b → e, fresh
+            (1, 50, 1, 0),  // delete d under a pinned snapshot
+            (1, 81, 1, 2),  // insert f over b's node run (d's is pinned)
+            (1, 486, 1, 3), // replace c → g, part reused
+            (1, 50, 1, 0),  // delete e
+            (1, 50, 1, 0),  // delete f
+            (1, 478, 1, 3), // insert h over c's node run
         ];
         let s = DocumentStore::create(&StoreOptions::in_memory().with_durable()).unwrap();
         let mut seen = Vec::new();
@@ -644,8 +678,11 @@ mod tests {
         assert_eq!(seen, PINNED);
         // 17 with 32-byte records and 13 with 16-byte ones: each of the
         // two 400-article runs the file holds is two node pages shorter,
-        // then one more.
-        assert_eq!(s.total_pages(), 11);
+        // then one more (11). 13 since names live on name pages: the
+        // eight inserts' new names keep a page each, which no delete
+        // frees, beside five node pages.
+        assert_eq!(s.name_pages(), 8);
+        assert_eq!(s.total_pages(), 13);
         assert_eq!(s.documents().len(), 2);
     }
 }

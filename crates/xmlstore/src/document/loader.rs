@@ -1,9 +1,8 @@
 //! The loader: one document's element events → its rows as columns
 //! ([`DocColumns`]: a (tag, kind) table, and per row the pair's index,
-//! the content symbol, the level, the labels and the value's location)
-//! and its encoded heap pages, ready for a commit to encode the node run
-//! and place both. A document with more distinct (tag, kind) pairs than
-//! a row can name is [`StoreError::TooManyTags`].
+//! the content symbol, the level and the labels), ready for a commit to
+//! encode the node run and place it. A document with more distinct
+//! (tag, kind) pairs than a row can name is [`StoreError::TooManyTags`].
 //!
 //! The loader is an [`XmlSink`]: the parser drives it straight from the
 //! XML text ([`load_local`]), and a DOM a caller already holds replays
@@ -12,11 +11,9 @@
 //! element children; then it becomes the element's content (text-only)
 //! or one `#text` leaf per run (mixed content). Whitespace-only text is
 //! not stored: the data is data-centric, and the reference model's data
-//! model drops it too. A document's heap holds each distinct value once:
-//! it goes onto the heap when the first row holding it closes — a leaf
-//! at once, an element at its close — and every later row with the same
-//! content symbol points at that copy, the rule by which `node::derive`
-//! recomputes the value locations at open.
+//! model drops it too. A value is interned, and a row keeps its symbol:
+//! the commit that lands puts each name the store's pages do not hold
+//! yet onto its run of name pages, once for the whole store.
 //!
 //! Names and values are interned as they arrive, so a document that
 //! fails part-way (a syntax error, [`StoreError::ReservedTag`],
@@ -27,8 +24,8 @@ use super::DOC_ROOT_TAG;
 use crate::catalog::{attr_tag_name, TagId, TEXT_TAG};
 use crate::dict::{Dictionary, NO_SYM};
 use crate::error::{Result, StoreError};
-use crate::heap::HeapBuilder;
-use crate::node::{ContentPtr, DocColumns, NodeKind, MAX_PAIRS};
+use crate::heap::MAX_CONTENT_LEN;
+use crate::node::{DocColumns, NodeKind, MAX_PAIRS};
 use crate::page::PAGE_SIZE;
 use std::collections::hash_map::{Entry, HashMap};
 use xmlparse::XmlSink;
@@ -37,23 +34,17 @@ use xmlparse::XmlSink;
 /// hands out.
 pub(super) type PageBuf = Box<[u8; PAGE_SIZE]>;
 
-/// One document built in memory, ready to commit: its rows (ids and
-/// labels starting at 0, synthetic root excluded) and its heap pages.
-pub(super) struct LocalDoc {
-    pub rows: DocColumns,
-    pub heap_pages: Vec<PageBuf>,
-}
-
-/// Parse `xml` straight into a [`LocalDoc`]. A syntax error wins over
-/// an error the loader met earlier in the same document.
-pub(super) fn load_local(xml: &str, tags: &Dictionary) -> Result<LocalDoc> {
+/// Parse `xml` straight into one document's rows (ids and labels
+/// starting at 0, synthetic root excluded), ready to commit. A syntax
+/// error wins over an error the loader met earlier in the same document.
+pub(super) fn load_local(xml: &str, tags: &Dictionary) -> Result<DocColumns> {
     let mut loader = Loader::new(tags);
     xmlparse::parse_into(xml, &mut loader)?;
     loader.finish()
 }
 
-/// Build the [`LocalDoc`] of an already parsed document.
-pub(super) fn build_local(doc: &xmlparse::Document, tags: &Dictionary) -> Result<LocalDoc> {
+/// The rows of an already parsed document.
+pub(super) fn build_local(doc: &xmlparse::Document, tags: &Dictionary) -> Result<DocColumns> {
     let mut loader = Loader::new(tags);
     doc.root().replay(&mut loader);
     loader.finish()
@@ -80,13 +71,9 @@ struct Loader<'a> {
     error: Option<StoreError>,
 }
 
-/// What the loader writes: rows, labels and heap values.
+/// What the loader writes: rows and labels.
 struct Rows<'a> {
     tags: &'a Dictionary,
-    heap: HeapBuilder,
-    /// Where this document's heap holds each value it has placed, by
-    /// content symbol.
-    placed: HashMap<u32, ContentPtr>,
     /// Where `cols.pairs` holds each (tag, kind) pair.
     pairs: HashMap<(TagId, NodeKind), u16>,
     cols: DocColumns,
@@ -132,8 +119,6 @@ impl<'a> Loader<'a> {
         Loader {
             rows: Rows {
                 tags,
-                heap: HeapBuilder::new(),
-                placed: HashMap::new(),
                 pairs: HashMap::new(),
                 cols: DocColumns::default(),
                 counter: 0,
@@ -188,7 +173,7 @@ impl<'a> Loader<'a> {
         });
         let tag = rows.tags.intern(name);
         // The end is patched at close.
-        rows.push(tag, NodeKind::Element, level, (NO_SYM, ContentPtr::NULL))?;
+        rows.push(tag, NodeKind::Element, level, NO_SYM)?;
         rows.counter += 1;
         Ok(())
     }
@@ -201,8 +186,7 @@ impl<'a> Loader<'a> {
         let rows = &mut self.rows;
         if !frame.has_element_child {
             if !self.pending.trim().is_empty() {
-                let (sym, content) = rows.value(&self.pending)?;
-                (rows.cols.sym[frame.id], rows.cols.content[frame.id]) = (sym, content);
+                rows.cols.sym[frame.id] = rows.value(&self.pending)?;
             }
             self.pending.clear();
             self.runs.clear();
@@ -212,14 +196,11 @@ impl<'a> Loader<'a> {
         Ok(())
     }
 
-    /// The rows and the heap pages, or the first error met.
-    fn finish(self) -> Result<LocalDoc> {
+    /// The rows, or the first error met.
+    fn finish(self) -> Result<DocColumns> {
         match self.error {
             Some(e) => Err(e),
-            None => Ok(LocalDoc {
-                rows: self.rows.cols,
-                heap_pages: self.rows.heap.into_pages(),
-            }),
+            None => Ok(self.rows.cols),
         }
     }
 }
@@ -245,8 +226,8 @@ impl Rows<'_> {
         Ok(())
     }
 
-    /// A row opening at the label counter, its end 0, its value `v`.
-    fn push(&mut self, tag: TagId, kind: NodeKind, level: u16, v: (u32, ContentPtr)) -> Result<()> {
+    /// A row opening at the label counter, its end 0, its value `sym`.
+    fn push(&mut self, tag: TagId, kind: NodeKind, level: u16, sym: u32) -> Result<()> {
         let (next, pair) = (self.cols.pairs.len(), (tag, kind));
         // Documents hold a few pairs: a short scan first, no hash per row.
         let near = self.cols.pairs.iter().take(16).position(|&p| p == pair);
@@ -266,27 +247,22 @@ impl Rows<'_> {
         let c = &mut self.cols;
         c.index.push(index);
         c.level.push(level);
-        c.sym.push(v.0);
-        c.content.push(v.1);
+        c.sym.push(sym);
         c.start.push(self.counter);
         c.end.push(0);
         Ok(())
     }
 
-    /// Intern `text` and, unless this document's heap holds it already,
-    /// store it there. An empty value has no heap bytes
-    /// (`ContentPtr::NULL`) and no symbol either, so a row's symbol and
-    /// location say "has content" together.
-    fn value(&mut self, text: &str) -> Result<(u32, ContentPtr)> {
-        if text.is_empty() {
-            return Ok((NO_SYM, ContentPtr::NULL));
+    /// The symbol of `text`, interned. An empty value has no symbol,
+    /// so a row's symbol says "has content".
+    fn value(&mut self, text: &str) -> Result<u32> {
+        if text.len() > MAX_CONTENT_LEN {
+            return Err(StoreError::ContentTooLong(text.len()));
         }
-        let sym = self.tags.intern(text).0;
-        let content = match self.placed.entry(sym) {
-            Entry::Occupied(placed) => *placed.get(),
-            Entry::Vacant(slot) => *slot.insert(self.heap.append(text)?),
-        };
-        Ok((sym, content))
+        Ok(match text {
+            "" => NO_SYM,
+            _ => self.tags.intern(text).0,
+        })
     }
 }
 
@@ -341,7 +317,7 @@ mod tests {
             s.content(t.id).unwrap().as_deref(),
             Some(long_title.as_str())
         );
-        // The heap needs at least three pages for this value.
+        // The name pages need at least three pages for this value.
         assert!(s.total_pages() >= 3);
     }
 
@@ -356,7 +332,7 @@ mod tests {
         xml.push_str("</bib>");
         let s = DocumentStore::from_xml(&xml, &StoreOptions::in_memory()).unwrap();
         assert_eq!(s.node_count(), 1202);
-        assert_eq!(s.total_pages() - s.heap_pages(), 2);
+        assert_eq!(s.total_pages() - s.name_pages(), 2);
         let title = s.tag_id("title").unwrap();
         let last = s.nodes_with_tag(title)[599];
         assert_eq!(s.content(last.id).unwrap().as_deref(), Some("T599"));

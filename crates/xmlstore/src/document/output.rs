@@ -173,22 +173,26 @@ fn emit_start(cols: &NodeColumns, row: u32, out: &mut Tape) -> u32 {
 
 impl DocumentStore {
     /// The contents of `ids`, in request order — the "data value look-up"
-    /// of Sec. 5.3 for a whole list. Locations come from the projection's
-    /// per-document arrays, not from node records; heap pages are asked
-    /// for in ascending order, each distinct page once, so a list costs
-    /// at most its distinct heap pages in requests and, cold, in disk
-    /// reads. A page that cannot be read fails the whole list.
+    /// of Sec. 5.3 for a whole list. A row's value is its content
+    /// symbol's name, and where that lies comes from the store's name
+    /// table, not from a node page; name pages are asked for in
+    /// ascending order, each distinct page once, so a list costs at most
+    /// its distinct name pages in requests and, cold, in disk reads. A
+    /// page that cannot be read fails the whole list.
     pub fn values(&self, ids: &[NodeId]) -> Result<Values> {
         let proj = self.proj();
-        let locs = ids
-            .iter()
-            .map(|&id| proj.check(id).map(|()| proj.value_loc(id)))
-            .collect::<Result<Vec<_>>>()?;
+        let names = self.shared.names();
+        let mut locs = Vec::with_capacity(ids.len());
+        for &id in ids {
+            proj.check(id)?;
+            locs.push(names.loc(proj.columns.content_sym(id)));
+        }
+        drop(names);
         read_values(|pid, f| self.shared.with_page(pid, |p| f(p)), &locs)
     }
 
     /// Character content of `id`: `Some` for attributes, text nodes, and
-    /// text-only elements; `None` otherwise. The batch of one: one heap
+    /// text-only elements; `None` otherwise. The batch of one: one name
     /// page request per page the value lies on, no node page.
     pub fn content(&self, id: NodeId) -> Result<Option<String>> {
         Ok(self.values(&[id])?.get(0).map(str::to_owned))

@@ -1,7 +1,7 @@
 //! Projections and MVCC: the immutable view a commit publishes, how the
 //! next one is made from the previous one and the edit, snapshot pinning,
-//! the [`Entries`] guards readers hold, and how a removed document's page
-//! runs go free once no projection holds the document.
+//! the [`Entries`] guards readers hold, and how a removed document's node
+//! run goes free once no projection holds the document.
 
 use super::commit::WriterState;
 use super::meta::DocMeta;
@@ -11,22 +11,20 @@ use crate::columns::NodeColumns;
 use crate::dict::{Sym, NO_SYM};
 use crate::error::{Result, StoreError};
 use crate::index::{Cut, NodeEntry, TagIndex};
-use crate::node::{ContentPtr, DocColumns, NodeId, NodeKind};
+use crate::node::{DocColumns, NodeId, NodeKind};
 use std::ops::Deref;
 use std::sync::atomic::{self, Ordering};
 use std::sync::Arc;
 
 /// One stored document as the projections that hold it see it: where
-/// its pages lie and where its values lie. It never changes once built,
-/// so every projection that holds the document shares it by refcount,
-/// and its page runs stay in use until the last of them drops it.
+/// its node run lies, and its (tag, kind) table. It never changes once
+/// built, so every projection that holds the document shares it by
+/// refcount, and its node run stays in use until the last of them drops
+/// it.
 pub(super) struct Doc {
     pub meta: DocMeta,
     /// The (tag, kind) table of its node run.
     pub pairs: Box<[(TagId, NodeKind)]>,
-    /// One heap location per local row (null where the row has no
-    /// content), page ids absolute.
-    value_locs: Box<[ContentPtr]>,
 }
 
 /// One immutable view of the store, published atomically by a commit:
@@ -76,15 +74,6 @@ impl Projection {
         (k, NodeId(id.0 - self.id_bases[k]))
     }
 
-    /// Where the value of row `id` lies; null for a row without content.
-    pub(super) fn value_loc(&self, id: NodeId) -> ContentPtr {
-        if id.0 == 0 {
-            return ContentPtr::NULL;
-        }
-        let (k, local) = self.locate(id);
-        self.docs[k].value_locs[local.0 as usize]
-    }
-
     /// The view of a store without documents — the synthetic root alone —
     /// with room for `rows` more rows in the label columns.
     pub(super) fn empty(epoch: u64, doc_root_tag: TagId, rows: usize) -> Self {
@@ -108,8 +97,8 @@ impl Projection {
     /// Append one document at the end of the id and label spaces: its
     /// rows (in local ids and labels, as the loader built them or `open`
     /// read them back) extend the six columns and the tag lists, its
-    /// table and value locations go into the [`Doc`] it becomes. The
-    /// caller fits the root afterwards.
+    /// table goes into the [`Doc`] it becomes. The caller fits the root
+    /// afterwards.
     fn push_doc(&mut self, meta: DocMeta, rows: DocColumns) {
         let (id_base, off) = (self.node_count, self.root_end);
         // Unshared while a projection is being built.
@@ -124,11 +113,9 @@ impl Projection {
         for (id, &tag) in (id_base..).zip(&columns.tag[id_base as usize..]) {
             self.index.insert(Sym(tag), columns.entry(NodeId(id)));
         }
-        let locs = rows.content.into_iter().map(|c| c.at(meta.heap_base));
         self.docs.push(Arc::new(Doc {
             meta,
             pairs: rows.pairs.into(),
-            value_locs: locs.collect(),
         }));
         self.id_bases.push(id_base);
         self.label_offsets.push(off);
@@ -369,7 +356,7 @@ impl DocumentStore {
 }
 
 /// Once per commit: take the predecessor out of its slot, and put the
-/// page runs of every removed document that no projection holds any more
+/// node run of every removed document that no projection holds any more
 /// back on the free list. A removed document is held by the projections
 /// that still list it — snapshot handles, in-flight reads, `Entries`
 /// guards, the predecessor — and by nothing else, so its strong count
@@ -384,7 +371,6 @@ pub(super) fn reclaim(w: &mut WriterState) -> Option<(NodeColumns, TagIndex)> {
     removed.retain(|(doc, meta)| {
         let held = doc.strong_count() > 0;
         if !held {
-            free.extend(meta.heap_base..meta.heap_base + meta.heap_pages);
             free.extend(meta.node_base..meta.node_base + meta.node_pages);
         }
         held
@@ -401,7 +387,6 @@ mod tests {
     use super::super::test_support::{durable_opts, store, temp_paths};
     use super::super::{DocId, DocumentStore, StoreOptions};
     use super::*;
-    use crate::node::ValueTable;
     use smallrand::prop::{check, Gen};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -462,8 +447,8 @@ mod tests {
     fn from_scratch(s: &DocumentStore, published: &Projection) -> Projection {
         let sh = &s.shared;
         let docs: Vec<DocMeta> = published.docs.iter().map(|d| d.meta).collect();
-        let mut values = ValueTable::new(&s.dict().names_from(0));
-        let rows = |d: &DocMeta| s.read_rows(d, &mut values);
+        let names = sh.names();
+        let rows = |d: &DocMeta| s.read_rows(d, &names.locs);
         build_projection(published.epoch, sh.doc_root_tag, &docs, rows).unwrap()
     }
 
@@ -471,18 +456,11 @@ mod tests {
     /// `syms` symbols.
     fn assert_same_view(got: &Projection, want: &Projection, syms: u32) {
         let metas = |p: &Projection| p.docs.iter().map(|d| d.meta).collect::<Vec<_>>();
-        let locs = |p: &Projection| {
-            p.docs
-                .iter()
-                .map(|d| d.value_locs.to_vec())
-                .collect::<Vec<_>>()
-        };
         assert_eq!(metas(got), metas(want));
         let tables = |p: &Projection| p.docs.iter().map(|d| d.pairs.to_vec()).collect::<Vec<_>>();
         assert_eq!(tables(got), tables(want), "(tag, kind) tables");
         assert_eq!(got.id_bases, want.id_bases);
         assert_eq!(got.label_offsets, want.label_offsets);
-        assert_eq!(locs(got), locs(want), "value locations");
         assert_eq!(
             (got.node_count, got.root_end),
             (want.node_count, want.root_end)
@@ -637,11 +615,15 @@ mod tests {
                         assert!(Arc::ptr_eq(doc, kept));
                     }
                 }
-                // A location is null exactly where the content column is.
+                // Every content symbol the rows hold is paged, its name
+                // on a page.
+                let names = s.shared.names();
                 for id in (0..published.node_count).map(NodeId) {
-                    let has = published.columns.content_sym(id).is_some();
-                    assert_eq!(published.value_loc(id).is_some(), has, "row {id:?}");
+                    if let Some(sym) = published.columns.content_sym(id) {
+                        assert!(names.locs[sym as usize].is_some(), "row {id:?}");
+                    }
                 }
+                drop(names);
                 // The id bases, through the read path: a sampled node's
                 // record and parent resolve the same under both.
                 for _ in 0..4.min(published.node_count - 1) {
@@ -700,10 +682,11 @@ mod tests {
     #[test]
     fn a_pin_holds_only_the_documents_it_saw() {
         // A snapshot pinned over one document, held while another one is
-        // inserted and deleted a hundred times. The pin holds the pages of
-        // the document it saw and of none that came after it: a churned
-        // copy's runs go free at the commit after its delete, and a later
-        // insert lands on them.
+        // inserted and deleted a hundred times. The pin holds the node run
+        // of the document it saw and of none that came after it: a
+        // churned copy's run goes free at the commit after its delete, and
+        // a later insert lands on it. The copies' names are the pinned
+        // document's, paged once.
         let mut xml = String::from("<bib>");
         for i in 0..200 {
             let article = format!(
@@ -715,15 +698,13 @@ mod tests {
         xml.push_str("</bib>");
         let pages = |s: &DocumentStore| -> Vec<u32> {
             let docs = &s.proj().docs;
-            docs.iter()
-                .map(|d| d.meta.heap_pages + d.meta.node_pages)
-                .collect()
+            docs.iter().map(|d| d.meta.node_pages).collect()
         };
         let s = DocumentStore::create(&StoreOptions::in_memory().with_durable()).unwrap();
         s.insert_xml(&xml).unwrap();
         let pin = s.snapshot();
         let seen = served(&pin);
-        let pinned: u32 = pages(&pin).iter().sum();
+        let pinned: u32 = pages(&pin).iter().sum::<u32>() + s.name_pages();
         for round in 0..100 {
             let doc = s.insert_xml(&xml).unwrap();
             let churned = pages(&s)[1];
@@ -813,19 +794,18 @@ mod tests {
         }
         assert!(differs(&bad), "unshifted labels pass");
 
-        // The location arrays of the two documents left, taken for each
-        // other's.
+        // The (tag, kind) tables of the two documents left, taken for
+        // each other's.
         let mut bad = copy();
         let swapped = |doc: &Doc, other: &Doc| {
             Arc::new(Doc {
                 meta: doc.meta,
-                pairs: doc.pairs.clone(),
-                value_locs: other.value_locs.clone(),
+                pairs: other.pairs.clone(),
             })
         };
         let (a, b) = (&good.docs[0], &good.docs[1]);
         bad.docs = vec![swapped(a, b), swapped(b, a)];
-        assert!(differs(&bad), "misplaced value locations pass");
+        assert!(differs(&bad), "misplaced tables pass");
 
         // The synthetic root still ending where it did before the cut.
         let mut bad = copy();

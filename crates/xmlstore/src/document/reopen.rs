@@ -1,26 +1,28 @@
 //! Reopen and recovery glue: read the checkpoint snapshot and the
 //! committed metadata deltas from the log, fold the deltas over the
 //! snapshot, then rebuild everything the store derives from metadata
-//! plus node pages — dictionary, free list, the first projection. No
-//! heap page is read: each document's node run holds its (tag, kind)
-//! table and its index, symbol and level columns, which decode straight
-//! into the rows' columns; the name table holds each value and so its
-//! length; the labels and value locations are derived from the rows in
-//! order; and no page is written. Node pages are read around the buffer
-//! pool, so a reopened store holds no frame until a query asks for a
-//! page.
+//! plus pages — the name table from the name runs, the free list, the
+//! first projection from the node runs. Each document's node run holds
+//! its (tag, kind) table and its index, symbol and level columns, which
+//! decode straight into the rows' columns, and the labels are derived
+//! from the rows in order; a row's value is its symbol's name, read once
+//! for the whole store. No page is written. Pages are read around the
+//! buffer pool, so a reopened store holds no frame until a query asks
+//! for a page.
 
-use super::meta::{decode_delta, decode_meta, encode_meta, DocMeta};
+use super::meta::{bad_meta, decode_delta, decode_meta, encode_meta, DocMeta, StoreMeta};
 use super::projection::build_projection;
 use super::{wal_path_for, DocumentStore, StoreOptions};
 use crate::buffer::with_retry;
 use crate::dict::Dictionary;
 use crate::error::{Result, StoreError};
-use crate::node::{self, DocColumns, ValueTable};
+use crate::heap::NamePages;
+use crate::node::{self, ContentPtr, DocColumns};
 use crate::page::{self, PageId, PAGE_DATA_SIZE, PAGE_SIZE};
 use crate::storage::{DiskManager, SharedDisk};
 use crate::wal::{self, Wal};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// What crash recovery did when the store was reopened.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,26 +58,20 @@ impl DocumentStore {
         let wal_p = wal_path_for(path);
         let state = wal::replay(&std::fs::read(&wal_p)?)?;
         let disk = SharedDisk::new(DiskManager::open_existing(path)?);
-        let (mut meta, mut names) = decode_meta(&state.checkpoint)?;
+        let mut meta = decode_meta(&state.checkpoint)?;
         for delta in &state.commits {
-            meta.apply(&mut names, decode_delta(delta)?)?;
+            meta.apply(decode_delta(delta)?)?;
         }
         // Every page a commit names was synced before its record, so
         // the old log tail is no longer needed.
-        let wal = Some(Wal::create(
-            Some(&wal_p),
-            disk.clone(),
-            encode_meta(&meta, &names),
-        )?);
+        let wal = Some(Wal::create(Some(&wal_p), disk.clone(), encode_meta(&meta))?);
 
-        let mut values = ValueTable::new(&names);
+        let (names, table) = read_names(&disk, &meta)?;
         let tags = Dictionary::from_names(names);
         let mut free: BTreeSet<u32> = (0..disk.num_pages()).collect();
-        for d in &meta.docs {
-            for p in d.heap_base..d.heap_base + d.heap_pages {
-                free.remove(&p);
-            }
-            for p in d.node_base..d.node_base + d.node_pages {
+        let runs = table.runs.iter().map(|r| (r.base, r.pages));
+        for (base, pages) in runs.chain(meta.docs.iter().map(|d| (d.node_base, d.node_pages))) {
+            for p in base..base.saturating_add(pages) {
                 free.remove(&p);
             }
         }
@@ -85,13 +81,15 @@ impl DocumentStore {
         });
         // Read the documents back from the recovered pages, and publish
         // what they add up to.
-        let store = Self::assemble(tags, meta.next_doc, free, wal, opts, disk, recovery)?;
+        let dict = (tags, table);
+        let store = Self::assemble(dict, meta.next_doc, free, wal, opts, disk, recovery)?;
         {
             let sh = &store.shared;
-            let mut w = store.writer();
-            let rows = |d: &DocMeta| store.read_rows(d, &mut values);
+            let names = sh.names();
+            let rows = |d: &DocMeta| store.read_rows(d, &names.locs);
             let proj = build_projection(store.epoch() + 1, sh.doc_root_tag, &meta.docs, rows)?;
-            store.install(&mut w, proj);
+            drop(names);
+            store.install(&mut store.writer(), proj);
         }
         store.shared.disk.reset_stats();
         store.reset_io_stats();
@@ -99,30 +97,15 @@ impl DocumentStore {
     }
 
     /// One document's rows, read back from its node run alone (inserts
-    /// take them from the loader instead), each page read from the page
-    /// file — CRC-checked, retried as the pool retries, and not cached —
-    /// and decoded and derived by [`node::read_run`] with `values`. The
-    /// document's distinct values must fill its heap run exactly. Any
-    /// fault is `CorruptContent` on the node page where it shows; the
-    /// heap run's, on the last.
-    pub(super) fn read_rows(&self, d: &DocMeta, values: &mut ValueTable) -> Result<DocColumns> {
-        // Grown as pages are read: no allocation trusts the log's count.
-        let (mut run, mut image) = (Vec::new(), [0u8; PAGE_SIZE]);
-        for page in d.node_base..d.node_base + d.node_pages {
-            with_retry(&mut 0, || {
-                let mut disk = self.shared.disk.lock();
-                disk.read_page(PageId(page), &mut image)
-            })?;
-            run.extend_from_slice(page::data(&image));
-        }
+    /// take them from the loader instead) and decoded and derived by
+    /// [`node::read_run`] against `names`, where each paged symbol's
+    /// name lies. Any fault is `CorruptContent` on the node page where
+    /// it shows.
+    pub(super) fn read_rows(&self, d: &DocMeta, names: &[ContentPtr]) -> Result<DocColumns> {
+        let run = read_run(&self.shared.disk, d.node_base, d.node_pages)?;
         let page_of = |at: usize| d.node_base + (at / PAGE_DATA_SIZE) as u32;
-        let (rows, heap_bytes) = node::read_run(&run, d.node_count as usize, values)
-            .map_err(|at| StoreError::CorruptContent { page: page_of(at) })?;
-        if heap_bytes.div_ceil(PAGE_DATA_SIZE) != d.heap_pages as usize {
-            let last = page_of(run.len().saturating_sub(1));
-            return Err(StoreError::CorruptContent { page: last });
-        }
-        Ok(rows)
+        node::read_run(&run, d.node_count as usize, names)
+            .map_err(|at| StoreError::CorruptContent { page: page_of(at) })
     }
 
     /// What crash recovery did, if this store was reopened with
@@ -132,11 +115,58 @@ impl DocumentStore {
     }
 }
 
+/// The data regions of pages `base..base + pages`, end to end, each read
+/// from the page file — CRC-checked, retried as the pool retries, and
+/// not cached.
+fn read_run(disk: &SharedDisk, base: u32, pages: u32) -> Result<Vec<u8>> {
+    // Grown as pages are read: no allocation trusts the log's count.
+    let (mut run, mut image) = (Vec::new(), [0u8; PAGE_SIZE]);
+    for page in base..base.saturating_add(pages) {
+        with_retry(&mut 0, || disk.lock().read_page(PageId(page), &mut image))?;
+        run.extend_from_slice(page::data(&image));
+    }
+    Ok(run)
+}
+
+/// The name table `meta` says the name runs hold, in symbol order, read
+/// back from their pages, and where each name lies. The runs must hold
+/// every length (else `WalCorrupt`), the names of a run must fill its
+/// pages exactly, and each must be UTF-8: else `CorruptContent` on the
+/// run's last page, or on the page of the first byte that is not.
+fn read_names(disk: &SharedDisk, meta: &StoreMeta) -> Result<(Vec<Arc<str>>, NamePages)> {
+    let (mut table, mut names) = (NamePages::default(), Vec::with_capacity(meta.lens.len()));
+    let mut lens = &meta.lens[..];
+    for run in &meta.runs {
+        let here = lens.get(..run.names as usize).ok_or_else(bad_meta)?;
+        lens = &lens[here.len()..];
+        // Read first: a run past the file is a typed read error.
+        let bytes = read_run(disk, run.base, run.pages)?;
+        if table.push(run.base, here) != run.pages {
+            let last = run.base.saturating_add(run.pages).saturating_sub(1);
+            return Err(StoreError::CorruptContent { page: last });
+        }
+        let mut at = 0;
+        for &len in here {
+            let name = std::str::from_utf8(&bytes[at..at + len as usize]).map_err(|e| {
+                let bad = at + e.valid_up_to();
+                StoreError::CorruptContent {
+                    page: run.base + (bad / PAGE_DATA_SIZE) as u32,
+                }
+            })?;
+            names.push(Arc::from(name));
+            at += len as usize;
+        }
+    }
+    if !lens.is_empty() {
+        return Err(bad_meta());
+    }
+    Ok((names, table))
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::meta::{encode_delta, MetaDelta, StoreMeta};
     use super::super::test_support::{durable_opts, temp_paths, SAMPLE};
-    use super::super::DOC_ROOT_TAG;
     use super::*;
     use crate::catalog::attr_tag_name;
     use crate::node::NodeId;
@@ -433,8 +463,8 @@ mod tests {
         let _ = std::fs::remove_file(&wal);
     }
 
-    /// A name longer than a heap page, which the poked store's name
-    /// table holds.
+    /// A name longer than a page, which the poked store's name table
+    /// holds.
     fn long_name() -> String {
         "x".repeat(PAGE_DATA_SIZE + 1)
     }
@@ -444,8 +474,8 @@ mod tests {
     /// dictionary: it returns the run byte where the fault shows.
     type Poke = Box<dyn Fn(&mut [u8], [usize; 4], &Dictionary) -> usize>;
 
-    /// Commit `xml`, intern the empty name and [`long_name`], and
-    /// checkpoint, so the name table holds both; apply `poke` to the
+    /// Intern the empty name and [`long_name`], commit `xml` (which
+    /// pages them too) and checkpoint; apply `poke` to the
     /// document's node run, write its pages back through the disk
     /// manager — which seals fresh checksums, so only the decode and
     /// derivation checks can object — and reopen. Also returns the node
@@ -455,9 +485,9 @@ mod tests {
         let opts = durable_opts(&page);
         let (meta, dict) = {
             let s = DocumentStore::create(&opts).unwrap();
-            s.insert_xml(xml).unwrap();
             s.intern("");
             s.intern(&long_name());
+            s.insert_xml(xml).unwrap();
             s.checkpoint().unwrap();
             (s.shared.current().docs[0].meta, s.dict().clone())
         };
@@ -543,8 +573,7 @@ mod tests {
         assert_corrupt("sym_of_no_value", SAMPLE, empty);
         // A row holds no value length, so a row whose symbol is none
         // where a value was, or a name where none was, is a sound row of
-        // another document: only the heap run's page count can object,
-        // as below.
+        // another document.
     }
 
     #[test]
@@ -604,31 +633,108 @@ mod tests {
     }
 
     #[test]
-    fn values_that_do_not_fill_the_heap_run_are_typed_corruption() {
-        // A value longer than a page in place of `title`'s: the values
-        // need two heap pages, and the document has one. The fault shows
-        // on the run's last page.
-        let longer = set_sym(3, |d| d.get(&long_name()).unwrap().0);
-        let at_end: Poke = Box::new(move |run, layout, dict| {
-            longer(run, layout, dict);
-            run.len() - 1
-        });
-        assert_corrupt("heap_overfilled", SAMPLE, at_end);
+    fn a_name_that_is_not_utf8_is_typed_corruption() {
+        // [`long_name`] fills the name run's first page, so `title`'s
+        // value lies on its second. A lone continuation byte in it, the
+        // page written back sealed: the checksum passes, the name does
+        // not decode, and the page it lies on is named.
+        let (page, wal) = temp_paths("name_utf8");
+        let opts = durable_opts(&page);
+        let at = {
+            let s = DocumentStore::create(&opts).unwrap();
+            s.intern(&long_name());
+            s.insert_xml(SAMPLE).unwrap();
+            let sym = s.dict().get("Querying XML").unwrap();
+            let at = s.shared.names().locs[sym.0 as usize];
+            assert_eq!(at.page, s.shared.names().runs[0].base + 1);
+            at
+        };
+        let mut disk = DiskManager::open_existing(&page).unwrap();
+        let mut image = [0u8; PAGE_SIZE];
+        disk.read_page(PageId(at.page), &mut image).unwrap();
+        page::data_mut(&mut image)[at.off as usize + 1] = 0x80;
+        disk.write_page(PageId(at.page), &image).unwrap();
+        drop(disk);
+        match DocumentStore::open(&opts) {
+            Err(StoreError::CorruptContent { page }) if page == at.page => {}
+            Err(e) => panic!("expected CorruptContent on page {}, got {e}", at.page),
+            Ok(_) => panic!("the store reopened"),
+        }
+        let _ = std::fs::remove_file(&page);
+        let _ = std::fs::remove_file(&wal);
     }
 
-    /// Commit three documents, then rewrite the log with `tamper` applied
-    /// to each record's metadata payload (frames re-encoded, so checksums
-    /// and LSNs are those of an intact log) and reopen.
+    #[test]
+    fn a_length_list_that_overruns_its_run_is_typed_corruption() {
+        // The first commit's name run is one page from page 0 on. A
+        // length a page longer needs two pages, and lengths that are all
+        // 0 need none: the lengths and the run disagree, in the commit or
+        // in the checkpoint that carries them.
+        let overrun = |lens: &mut Vec<u32>| lens[0] += PAGE_DATA_SIZE as u32;
+        let empty = |lens: &mut Vec<u32>| lens.iter_mut().for_each(|l| *l = 0);
+        for (what, edit) in [
+            ("overrun", &overrun as &dyn Fn(&mut Vec<u32>)),
+            ("empty", &empty),
+        ] {
+            let tamper = |rec: &mut WalRecord| {
+                if let WalRecord::Commit { meta } = rec {
+                    let mut delta = decode_delta(meta).unwrap();
+                    if delta.dict_from == 0 {
+                        assert_eq!(delta.run.map(|r| (r.base, r.pages)), Some((0, 1)));
+                        edit(&mut delta.lens);
+                        *meta = encode_delta(&delta);
+                    }
+                }
+            };
+            match reopen_tampered(what, tamper) {
+                Err(StoreError::CorruptContent { page: 0 }) => {}
+                Err(e) => panic!("{what}: expected CorruptContent on page 0, got {e}"),
+                Ok(_) => panic!("{what}: the store reopened"),
+            }
+        }
+        // In a checkpoint: the reopened store's log holds the one record.
+        let (page, wal) = temp_paths("lens_in_checkpoint");
+        let opts = durable_opts(&page);
+        drop(reopen_chain(&opts));
+        drop(DocumentStore::open(&opts).unwrap());
+        let mut log = Vec::new();
+        for (_, mut rec) in wal::read_log(&std::fs::read(&wal).unwrap()).records {
+            if let WalRecord::Checkpoint { meta } = &mut rec {
+                let mut snapshot = decode_meta(meta).unwrap();
+                overrun(&mut snapshot.lens);
+                *meta = encode_meta(&snapshot);
+            }
+            wal::encode_record(log.len() as u64, &rec, &mut log);
+        }
+        std::fs::write(&wal, log).unwrap();
+        match DocumentStore::open(&opts) {
+            Err(StoreError::CorruptContent { page: 0 }) => {}
+            Err(e) => panic!("checkpoint: expected CorruptContent on page 0, got {e}"),
+            Ok(_) => panic!("checkpoint: the store reopened"),
+        }
+        let _ = std::fs::remove_file(&page);
+        let _ = std::fs::remove_file(&wal);
+    }
+
+    /// Commit three documents on a fresh store at `opts`, the first
+    /// two inserts, the third the first's delete.
+    fn reopen_chain(opts: &StoreOptions) -> DocumentStore {
+        let s = DocumentStore::create(opts).unwrap();
+        let first = s.insert_xml(SAMPLE).unwrap();
+        s.insert_xml("<bib><article><author>Jill</author></article></bib>")
+            .unwrap();
+        s.delete_document(first).unwrap();
+        s
+    }
+
+    /// Commit [`reopen_chain`]'s three documents, then rewrite the log
+    /// with `tamper` applied to each record's metadata payload (frames
+    /// re-encoded, so checksums and LSNs are those of an intact log) and
+    /// reopen.
     fn reopen_tampered(tag: &str, tamper: impl Fn(&mut WalRecord)) -> Result<DocumentStore> {
         let (page, wal) = temp_paths(tag);
         let opts = durable_opts(&page);
-        {
-            let s = DocumentStore::create(&opts).unwrap();
-            let first = s.insert_xml(SAMPLE).unwrap();
-            s.insert_xml("<bib><article><author>Jill</author></article></bib>")
-                .unwrap();
-            s.delete_document(first).unwrap();
-        }
+        drop(reopen_chain(&opts));
         let mut log = Vec::new();
         for (_, mut rec) in wal::read_log(&std::fs::read(&wal).unwrap()).records {
             tamper(&mut rec);
@@ -670,6 +776,17 @@ mod tests {
         corrupt("removed", &|rec| {
             tamper_delete(rec, |d| d.removed = Some(999))
         });
+        // A run that claims a name of the next run's: the last run is
+        // one length short.
+        corrupt("run names", &|rec| {
+            if let WalRecord::Commit { meta } = rec {
+                let mut delta = decode_delta(meta).unwrap();
+                if let Some(run) = delta.run.as_mut().filter(|_| delta.dict_from == 0) {
+                    run.names += 1;
+                    *meta = encode_delta(&delta);
+                }
+            }
+        });
         // A delta cut short inside an intact frame.
         corrupt("truncated", &|rec| {
             if let WalRecord::Commit { meta } = rec {
@@ -690,6 +807,8 @@ mod tests {
         // before any later frame is read. Version 6, whose node records
         // were 32 bytes, version 7, whose were 16, and version 8, whose
         // were 12: read as a node run of columns they are garbage.
+        // Version 9, whose records carry names and heap runs: read as
+        // name runs and lengths, they are garbage too.
         let version = |meta: &mut Vec<u8>, v: u32| meta[4..8].copy_from_slice(&v.to_le_bytes());
         for (tag, v) in [
             ("v2 checkpoint", 2),
@@ -699,6 +818,7 @@ mod tests {
             ("v6 checkpoint", 6),
             ("v7 checkpoint", 7),
             ("v8 checkpoint", 8),
+            ("v9 checkpoint", 9),
         ] {
             corrupt(tag, &|rec| {
                 if let WalRecord::Checkpoint { meta } = rec {
@@ -716,8 +836,10 @@ mod tests {
                 let empty = StoreMeta {
                     docs: Vec::new(),
                     next_doc: 1,
+                    runs: Vec::new(),
+                    lens: Vec::new(),
                 };
-                *meta = encode_meta(&empty, &[DOC_ROOT_TAG.into()]);
+                *meta = encode_meta(&empty);
             }
         });
     }

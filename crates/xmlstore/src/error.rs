@@ -30,11 +30,12 @@ pub enum StoreError {
         actual: u32,
     },
     /// Stored content bytes are not valid UTF-8, or a node run does not
-    /// decode or disagrees with the name table or its heap run
-    /// (undetected page damage or a stale pointer).
+    /// decode or disagrees with the name table, or a name run with the
+    /// lengths the log gives it (undetected page damage or a stale
+    /// pointer).
     CorruptContent {
-        /// The heap page the content was read from, or the node page
-        /// where the run's fault shows.
+        /// The name page the content was read from, or the node or name
+        /// page where the run's fault shows.
         page: u32,
     },
     /// The fault injector's `crash=N` schedule fired: the simulated

@@ -1,84 +1,64 @@
-//! The content heap: element text and attribute values, packed into pages.
+//! The name pages: every name of the store's dictionary — tags, and the
+//! values of element text and attributes — once, on store-wide page runs.
 //!
-//! Content is appended during load, each distinct value of a document
-//! once: the loader appends a value when the first row holding it
-//! closes, and every later row with the same symbol points at that copy.
-//! Values are packed end to end over the pages' data regions: a value
-//! that does not fit in the remainder of a page simply continues on the
-//! next, so readers walk consecutive pages, and where a value lies
-//! follows from how many bytes precede it (`locate`). A node run
-//! keeps neither: the value's length is its symbol's name's, and `open`
-//! recomputes each location. All offsets are relative to the page *data
-//! region* — the checksum header is invisible at this layer.
+//! A commit that makes names durable for the first time packs them in
+//! symbol order, end to end over the data regions of a fresh run of
+//! pages: a name that does not fit in the rest of a page continues on
+//! the next, so readers walk consecutive pages. The pages hold no
+//! lengths; the log does, and where a name lies follows from its run
+//! and the lengths of the names before it in that run
+//! (`NamePages::push`). A row's value is its content symbol's name.
+//! All offsets are relative to the page *data region* — the checksum
+//! header is invisible at this layer.
 
 use crate::error::{Result, StoreError};
 use crate::node::ContentPtr;
-use crate::page::{PageId, PAGE_DATA_SIZE, PAGE_SIZE};
+use crate::page::{PageId, PAGE_DATA_SIZE};
 
 /// Maximum content length (addressable by `ContentPtr::len`).
 pub const MAX_CONTENT_LEN: usize = u32::MAX as usize;
 
-/// Where a value of `len` bytes lies in its heap run when `before` bytes
-/// of values precede it; null for an empty value, which has no bytes.
-pub(crate) fn locate(before: usize, len: u32) -> ContentPtr {
-    if len == 0 {
-        return ContentPtr::NULL;
-    }
-    ContentPtr {
-        page: (before / PAGE_DATA_SIZE) as u32,
-        off: (before % PAGE_DATA_SIZE) as u16,
-        len,
-    }
+/// One run of name pages: `names` names, end to end over `pages` pages
+/// from page `base` on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct NameRun {
+    pub base: u32,
+    pub pages: u32,
+    pub names: u32,
 }
 
-/// Accumulates content values into page images during document load.
+/// Where the store's durable names lie: their runs in symbol order, and
+/// per symbol where its name lies. Symbols past `locs` are not on any
+/// page yet. Only [`push`](Self::push) grows the two, in step.
 #[derive(Debug, Default)]
-pub struct HeapBuilder {
-    /// Full page images; content lives in the data region, the header
-    /// bytes stay zero until the disk manager seals them.
-    pages: Vec<Box<[u8; PAGE_SIZE]>>,
-    /// Bytes appended so far.
-    len: usize,
+pub(crate) struct NamePages {
+    pub runs: Vec<NameRun>,
+    pub locs: Vec<ContentPtr>,
 }
 
-impl HeapBuilder {
-    /// A fresh, empty heap.
-    pub fn new() -> Self {
-        HeapBuilder::default()
-    }
-
-    /// Append `value`, returning its pointer.
-    pub fn append(&mut self, value: &str) -> Result<ContentPtr> {
-        let bytes = value.as_bytes();
-        if bytes.len() > MAX_CONTENT_LEN {
-            return Err(StoreError::ContentTooLong(bytes.len()));
+impl NamePages {
+    /// Add the run of the next symbols, whose names are `lens` bytes
+    /// long, end to end from page `base` on; returns the pages they
+    /// fill, which the run is taken to hold.
+    pub(crate) fn push(&mut self, base: u32, lens: &[u32]) -> u32 {
+        let mut at = 0usize;
+        self.locs.extend(lens.iter().map(|&len| {
+            let page = base.saturating_add((at / PAGE_DATA_SIZE) as u32);
+            let off = (at % PAGE_DATA_SIZE) as u16;
+            at += len as usize;
+            ContentPtr { page, off, len }
+        }));
+        let pages = at.div_ceil(PAGE_DATA_SIZE) as u32;
+        if !lens.is_empty() {
+            let names = lens.len() as u32;
+            self.runs.push(NameRun { base, pages, names });
         }
-        let ptr = locate(self.len, bytes.len() as u32);
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let off = self.len % PAGE_DATA_SIZE;
-            if off == 0 {
-                self.pages.push(Box::new([0u8; PAGE_SIZE]));
-            }
-            let take = rest.len().min(PAGE_DATA_SIZE - off);
-            let at = PAGE_SIZE - PAGE_DATA_SIZE + off;
-            let last = self.pages.len() - 1;
-            self.pages[last][at..at + take].copy_from_slice(&rest[..take]);
-            self.len += take;
-            rest = &rest[take..];
-        }
-        Ok(ptr)
+        pages
     }
 
-    /// Number of pages the heap occupies.
-    pub fn num_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Consume the builder, yielding the full page images (headers still
-    /// zero; the disk manager seals them on write).
-    pub fn into_pages(self) -> Vec<Box<[u8; PAGE_SIZE]>> {
-        self.pages
+    /// Where the name of content symbol `sym` lies; null for no symbol.
+    pub(crate) fn loc(&self, sym: Option<u32>) -> ContentPtr {
+        sym.map_or(ContentPtr::NULL, |sym| self.locs[sym as usize])
     }
 }
 
@@ -242,17 +222,23 @@ mod tests {
     use crate::buffer::BufferPool;
     use crate::storage::DiskManager;
 
-    /// A pool over the builder's pages, placed after `before` others.
-    fn pool_from_heap(builder: HeapBuilder, before: u32) -> BufferPool {
+    /// A pool over the run of `names`, which starts at page `before`
+    /// (other pages ahead of it); where each name lies, and the pages
+    /// the run fills.
+    fn paged(names: &[&str], before: u32) -> (BufferPool, Vec<ContentPtr>, u32) {
         let mut disk = DiskManager::in_memory();
         for _ in 0..before {
             disk.allocate(1).unwrap();
         }
-        for page in builder.into_pages() {
+        for page in crate::page::images(names.iter().map(|n| n.as_bytes())) {
             let pid = disk.allocate(1).unwrap();
             disk.write_page(pid, &page).unwrap();
         }
-        BufferPool::new(disk, 6).unwrap()
+        let lens: Vec<u32> = names.iter().map(|n| n.len() as u32).collect();
+        let mut table = NamePages::default();
+        let pages = table.push(before, &lens);
+        assert_eq!(pages, disk.num_pages() - before);
+        (BufferPool::new(disk, 6).unwrap(), table.locs, pages)
     }
 
     fn read_all(pool: &mut BufferPool, ptrs: &[ContentPtr]) -> Result<Vec<Option<String>>> {
@@ -267,75 +253,71 @@ mod tests {
 
     #[test]
     fn empty_value_is_null_ptr() {
-        let mut h = HeapBuilder::new();
-        let ptr = h.append("").unwrap();
-        assert!(!ptr.is_some());
-        assert_eq!(h.num_pages(), 0);
-        let mut pool = pool_from_heap(h, 1);
-        assert_eq!(read_one(&mut pool, ptr).unwrap(), None);
+        let (mut pool, locs, pages) = paged(&[""], 1);
+        assert!(!locs[0].is_some());
+        assert_eq!(pages, 0);
+        assert_eq!(read_one(&mut pool, locs[0]).unwrap(), None);
         assert!(read_all(&mut pool, &[]).unwrap().is_empty());
         assert_eq!(pool.stats().hits + pool.stats().misses, 0);
     }
 
     #[test]
     fn small_values_roundtrip() {
-        let mut h = HeapBuilder::new();
-        let a = h.append("hello").unwrap();
-        let b = h.append("world!").unwrap();
-        assert_eq!(h.num_pages(), 1);
-        let mut pool = pool_from_heap(h, 0);
-        assert_eq!(read_one(&mut pool, a).unwrap().as_deref(), Some("hello"));
-        assert_eq!(read_one(&mut pool, b).unwrap().as_deref(), Some("world!"));
+        // End to end in symbol order, from the run's first page on.
+        let (mut pool, locs, pages) = paged(&["hello", "", "world!"], 3);
+        assert_eq!(pages, 1);
+        let at = |off, len| ContentPtr { page: 3, off, len };
+        assert_eq!(locs, [at(0, 5), at(5, 0), at(5, 6)]);
+        assert!(!locs[1].is_some());
+        assert_eq!(
+            read_one(&mut pool, locs[0]).unwrap().as_deref(),
+            Some("hello")
+        );
+        assert_eq!(
+            read_one(&mut pool, locs[2]).unwrap().as_deref(),
+            Some("world!")
+        );
     }
 
     #[test]
     fn value_spanning_pages_roundtrips() {
-        let mut h = HeapBuilder::new();
         let filler = "x".repeat(PAGE_DATA_SIZE - 10);
-        let _ = h.append(&filler).unwrap();
         let long = "ab".repeat(PAGE_DATA_SIZE); // 2 pages worth
-        let ptr = h.append(&long).unwrap();
-        assert!(h.num_pages() >= 3);
-        let mut pool = pool_from_heap(h, 0);
-        assert_eq!(read_one(&mut pool, ptr).unwrap(), Some(long));
+        let (mut pool, locs, pages) = paged(&[&filler, &long], 0);
+        assert!(pages >= 3);
+        assert_eq!(read_one(&mut pool, locs[1]).unwrap(), Some(long));
     }
 
     #[test]
     fn exactly_page_sized_value() {
-        let mut h = HeapBuilder::new();
         let v = "y".repeat(PAGE_DATA_SIZE);
-        let ptr = h.append(&v).unwrap();
-        let w = h.append("tail").unwrap();
-        let mut pool = pool_from_heap(h, 0);
-        assert_eq!(read_one(&mut pool, ptr).unwrap(), Some(v));
-        assert_eq!(read_one(&mut pool, w).unwrap().as_deref(), Some("tail"));
+        let (mut pool, locs, pages) = paged(&[&v, "tail"], 0);
+        assert_eq!((pages, locs[1].page, locs[1].off), (2, 1, 0));
+        assert_eq!(read_one(&mut pool, locs[0]).unwrap(), Some(v));
+        assert_eq!(
+            read_one(&mut pool, locs[1]).unwrap().as_deref(),
+            Some("tail")
+        );
     }
 
     #[test]
     fn multibyte_utf8_roundtrips() {
-        let mut h = HeapBuilder::new();
         let v = "Données ↦ schön 東京".to_owned();
-        let ptr = h.append(&v).unwrap();
-        let mut pool = pool_from_heap(h, 0);
-        assert_eq!(read_one(&mut pool, ptr).unwrap(), Some(v));
+        let (mut pool, locs, _) = paged(&[&v], 0);
+        assert_eq!(read_one(&mut pool, locs[0]).unwrap(), Some(v));
     }
 
     #[test]
     fn a_batch_asks_for_each_page_once_in_request_order() {
-        // Page 0: a, b, and the head of `long`; pages 1–2: its run;
-        // page 2 also holds `tail`. The heap sits after two other pages.
-        let mut h = HeapBuilder::new();
-        let a = h.append("alpha").unwrap();
-        let b = h.append("beta").unwrap();
+        // Page 2: a, b, and the head of `long`; pages 3–4: its run;
+        // page 4 also holds `tail`. The run sits after two other pages.
         let long = "né".repeat(PAGE_DATA_SIZE * 2 / 3);
-        let l = h.append(&long).unwrap();
-        let t = h.append("tail").unwrap();
-        assert_eq!((h.num_pages(), l.page, t.page), (3, 0, 2));
-        let mut pool = pool_from_heap(h, 2);
-        let ptrs: Vec<ContentPtr> = [t, ContentPtr::NULL, l, a, l, b, a]
-            .iter()
-            .map(|p| p.at(2))
-            .collect();
+        let (mut pool, locs, pages) = paged(&["alpha", "beta", &long, "tail"], 2);
+        let [a, b, l, t] = locs[..] else {
+            panic!("{locs:?}")
+        };
+        assert_eq!((pages, l.page, t.page), (3, 2, 4));
+        let ptrs = [t, ContentPtr::NULL, l, a, l, b, a];
         let got = read_all(&mut pool, &ptrs).unwrap();
         let want = ["tail", "", &long, "alpha", &long, "beta", "alpha"];
         for (g, w) in got.iter().zip(want) {
@@ -346,7 +328,7 @@ mod tests {
         // spanning value and `tail` share the visits to pages 3 and 4.
         assert_eq!(pool.stats().hits + pool.stats().misses, 3);
         // A value alone still reads its whole run.
-        assert_eq!(read_one(&mut pool, l.at(2)).unwrap(), Some(long));
+        assert_eq!(read_one(&mut pool, l).unwrap(), Some(long));
     }
 
     /// The comparison sort [`by_page`] replaced: the order it must give.
@@ -449,11 +431,12 @@ mod tests {
         // A stale pointer into non-text bytes must not panic.
         let mut disk = DiskManager::in_memory();
         let pid = disk.allocate(1).unwrap();
-        let mut raw = [0u8; PAGE_SIZE];
-        raw[PAGE_SIZE - PAGE_DATA_SIZE] = 0xFF; // lone continuation byte
-        raw[PAGE_SIZE - PAGE_DATA_SIZE + 1] = 0xFE;
-        raw[PAGE_SIZE - PAGE_DATA_SIZE + 2] = b'a';
-        raw[PAGE_SIZE - PAGE_DATA_SIZE + 3..][..2].copy_from_slice("é".as_bytes());
+        let mut raw = [0u8; crate::page::PAGE_SIZE];
+        let data = crate::page::data_mut(&mut raw);
+        data[0] = 0xFF; // lone continuation byte
+        data[1] = 0xFE;
+        data[2] = b'a';
+        data[3..][..2].copy_from_slice("é".as_bytes());
         disk.write_page(pid, &raw).unwrap();
         let mut pool = BufferPool::new(disk, 2).unwrap();
         let at = |off, len| ContentPtr { page: 0, off, len };

@@ -16,11 +16,11 @@
 //!   table, so that *descendant(a, d) ⇔
 //!   a.start < d.start ∧ d.end < a.end* and *child* additionally requires
 //!   `d.level = a.level + 1`;
-//! * [`heap`] — a content heap holding element text and attribute values;
+//! * [`heap`] — the name pages: every tag and value once for the store;
 //! * [`dict::Dictionary`] — the unified symbol dictionary: tags *and*
-//!   content values intern to dense `u32` [`dict::Sym`]s; a checkpoint
-//!   logs the whole table and each commit the suffix it added, so
-//!   recovery round-trips the assignment;
+//!   content values intern to dense `u32` [`dict::Sym`]s; each commit
+//!   pages the names it adds and logs their lengths, so recovery
+//!   round-trips the assignment;
 //! * [`columns::NodeColumns`] — the columnar label region: parallel
 //!   `start`/`end`/`level`/`tag`/`kind`/`content` arrays in global
 //!   document order, shared out behind an `Arc` for zero-copy scans and

@@ -17,12 +17,12 @@
 //! (tag symbol u32, kind u8, three reserved 0 bytes), then per row a u16
 //! index into that table (the column padded to 4 bytes), a u32 content
 //! symbol and a u16 level — eight bytes a row, none straddling a page.
-//! The labels and value locations follow from the rows in order and the
-//! name table's value lengths; `derive` recomputes them in one pass.
+//! The labels follow from the rows in order; `derive` recomputes them in
+//! one pass. A row's value is its content symbol's name, which lies on
+//! the store's name pages, not in the run.
 
 use crate::catalog::TagId;
-use crate::heap;
-use crate::page::{PAGE_DATA_SIZE, PAGE_HEADER_SIZE, PAGE_SIZE};
+use crate::page::{self, PAGE_DATA_SIZE, PAGE_SIZE};
 
 /// Identifier of a node within a document: its pre-order ordinal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -61,7 +61,7 @@ impl NodeKind {
     }
 }
 
-/// Pointer into the content heap. `len == 0` means "no content".
+/// Where a name lies on the name pages. `len == 0` means "no content".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ContentPtr {
     /// Page where the content begins.
@@ -83,15 +83,6 @@ impl ContentPtr {
     /// Whether this pointer refers to any content.
     pub fn is_some(&self) -> bool {
         self.len > 0
-    }
-
-    /// This pointer, stored relative to its document's heap run, with
-    /// its page counted from the start of the file instead.
-    pub fn at(mut self, heap_base: u32) -> ContentPtr {
-        if self.is_some() {
-            self.page += heap_base;
-        }
-        self
     }
 }
 
@@ -128,33 +119,6 @@ impl NodeRecord {
     }
 }
 
-/// What [`derive`] knows of each content symbol: the length of its name,
-/// which is the value, and where the document being derived placed the
-/// value first. Built once from the name table and reused for every
-/// document: a placement counts only while it carries the current
-/// document's number, so no document clears the table, and no row is
-/// hashed.
-pub(crate) struct ValueTable {
-    /// Per symbol: its value's length, and the number of the document
-    /// that placed the value and the row that placed it first.
-    syms: Vec<(u32, u32, u32)>,
-    doc: u32,
-}
-
-impl ValueTable {
-    /// The table of a name table whose symbol `i` is `names[i]`. A name
-    /// longer than any stored value can be names no value, as the empty
-    /// one does.
-    pub(crate) fn new<S: AsRef<str>>(names: &[S]) -> Self {
-        let len = |n: &S| u32::try_from(n.as_ref().len()).unwrap_or(0);
-        let syms = names.iter().map(|n| (len(n), 0, 0));
-        ValueTable {
-            syms: syms.collect(),
-            doc: 0,
-        }
-    }
-}
-
 /// One document's rows as columns, in local ids and labels: what the
 /// loader builds, a commit encodes and `open` reads back ([`read_run`]).
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -167,10 +131,9 @@ pub(crate) struct DocColumns {
     pub sym: Vec<u32>,
     /// Per row: depth; the document's root element is level 1.
     pub level: Vec<u16>,
-    /// Per row, derived: the labels and the value's heap-run location.
+    /// Per row, derived: the labels.
     pub start: Vec<u32>,
     pub end: Vec<u32>,
-    pub content: Vec<ContentPtr>,
 }
 
 /// Where a run of `pairs` pairs and `rows` rows puts its index, symbol
@@ -196,26 +159,17 @@ impl DocColumns {
         run.resize(sym, 0);
         run.extend(self.sym.iter().flat_map(|s| s.to_le_bytes()));
         run.extend(self.level.iter().flat_map(|l| l.to_le_bytes()));
-        let page = |bytes: &[u8]| {
-            let mut page = Box::new([0u8; PAGE_SIZE]);
-            page[PAGE_HEADER_SIZE..][..bytes.len()].copy_from_slice(bytes);
-            page
-        };
-        run.chunks(PAGE_DATA_SIZE).map(page).collect()
+        page::images([&run[..]])
     }
 }
 
 /// The `rows` rows of node run `run` (its pages' data regions end to
-/// end), derived with `values`, and their distinct values' bytes. The
-/// run is as long as its table and rows need, each entry has a kind, 0
-/// reserved bytes and a tag `values` holds, and each index is in the
+/// end), derived against `names`, where each paged symbol's name lies.
+/// The run is as long as its table and rows need, each entry has a
+/// kind, 0 reserved bytes and a paged tag, and each index is in the
 /// table; `Err(at)` is the run byte where a broken rule (or
 /// [`derive`]'s) shows.
-pub(crate) fn read_run(
-    run: &[u8],
-    rows: usize,
-    values: &mut ValueTable,
-) -> Result<(DocColumns, usize), usize> {
+pub(crate) fn read_run(run: &[u8], rows: usize, names: &[ContentPtr]) -> Result<DocColumns, usize> {
     let word = |b: &[u8]| b.iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b));
     let count = run.get(..8).map_or(u64::MAX, word);
     let pairs = count.min(MAX_PAIRS as u64 + 1) as usize;
@@ -226,7 +180,7 @@ pub(crate) fn read_run(
     let mut cols = DocColumns::default();
     for (i, entry) in run[8..index].chunks_exact(8).enumerate() {
         let tag = word(&entry[..4]) as u32;
-        let known = word(&entry[5..]) == 0 && (tag as usize) < values.syms.len();
+        let known = word(&entry[5..]) == 0 && (tag as usize) < names.len();
         let kind = NodeKind::from_u8(entry[4]).filter(|_| known);
         cols.pairs.push((TagId(tag), kind.ok_or(8 + 8 * i)?));
     }
@@ -237,83 +191,54 @@ pub(crate) fn read_run(
     }
     cols.sym = col(sym..level, 4).map(|w| w as u32).collect();
     cols.level = col(level..end, 2).map(|w| w as u16).collect();
-    let heap_bytes = derive(&mut cols, values)?;
-    Ok((cols, heap_bytes))
+    derive(&mut cols, names)?;
+    Ok(cols)
 }
 
-/// Fill in the `(start, end)` labels and the value locations (relative
-/// to the document's heap run) of one document's rows, given in order
-/// with their levels, pairs and content symbols — the loader's rules,
-/// run backwards:
-///
-/// * a label counter runs over the document: an element takes one count
-///   when it opens and one when it closes, a leaf (attribute or text)
-///   two at once;
-/// * a row's value goes onto the heap when the first row holding it
-///   closes — a leaf at once, an element after its last child — and
-///   every later row with the same symbol points at that copy, so the
-///   document's distinct values lie in the order of their first rows'
-///   `end` labels. Only a text-only element has a value, and only
-///   attribute rows lie below one, so that is row order but for such an
-///   element's value, which follows its attributes' values.
+/// Fill in the `(start, end)` labels of one document's rows, given in
+/// order with their levels and pairs — the loader's rule, run backwards:
+/// a label counter runs over the document, and an element takes one
+/// count when it opens and one when it closes, a leaf (attribute or
+/// text) two at once.
 ///
 /// Every row's index must lie in the table. The first row is at level 1,
 /// every later one at most one level below the innermost open element,
-/// and every symbol is [`NO_SYM`] or names a non-empty value of
-/// `values`; `Err(at)` is the run byte of the level or symbol of the
-/// first row that breaks a rule. `Ok` holds the bytes of the document's
-/// distinct values.
+/// and every symbol is [`NO_SYM`] or names a non-empty name of `names`
+/// (where each paged symbol's name lies); `Err(at)` is the run byte of
+/// the first symbol that names nothing, else of the first row's level
+/// that breaks its rule.
 ///
 /// [`NO_SYM`]: crate::dict::NO_SYM
-pub(crate) fn derive(cols: &mut DocColumns, values: &mut ValueTable) -> Result<usize, usize> {
-    values.doc += 1;
-    let doc = values.doc;
+pub(crate) fn derive(cols: &mut DocColumns, names: &[ContentPtr]) -> Result<(), usize> {
     let rows = cols.index.len();
     let [_, sym_at, level_at, _] = layout(cols.pairs.len(), rows);
+    let named = |sym: u32| names.get(sym as usize).is_some_and(ContentPtr::is_some);
+    if let Some(bad) = (cols.sym.iter()).position(|&s| s != crate::dict::NO_SYM && !named(s)) {
+        return Err(sym_at + 4 * bad);
+    }
     (cols.start, cols.end) = (vec![0; rows], vec![0; rows]);
-    cols.content = vec![ContentPtr::NULL; rows];
-    let (mut labels, mut heap_bytes) = (0u32, 0usize);
-    // Label row `i`'s end and place its value.
-    let mut close = |i: usize, labels: &mut u32| -> Result<(), usize> {
-        cols.end[i] = *labels;
-        *labels += 1;
-        let sym = cols.sym[i];
-        if sym == crate::dict::NO_SYM {
-            return Ok(());
-        }
-        let value = values.syms.get_mut(sym as usize).filter(|v| v.0 > 0);
-        let (len, placed_by, first) = value.ok_or(sym_at + 4 * i)?;
-        if *placed_by == doc {
-            cols.content[i] = cols.content[*first as usize];
-        } else {
-            cols.content[i] = heap::locate(heap_bytes, *len);
-            heap_bytes += *len as usize;
-            (*placed_by, *first) = (doc, i as u32);
-        }
-        Ok(())
-    };
+    let mut labels = 0u32;
     // The elements still open, innermost last.
     let mut open: Vec<usize> = Vec::new();
     for i in 0..rows {
         while let Some(&e) = open.last().filter(|&&e| cols.level[e] >= cols.level[i]) {
-            close(e, &mut labels)?;
+            (cols.end[e], labels) = (labels, labels + 1);
             open.pop();
         }
         let parent = open.last().map_or(0, |&e| u32::from(cols.level[e]));
         if u32::from(cols.level[i]) != parent + 1 {
             return Err(level_at + 2 * i);
         }
-        cols.start[i] = labels;
-        labels += 1;
+        (cols.start[i], labels) = (labels, labels + 1);
         match cols.pairs[usize::from(cols.index[i])].1 {
             NodeKind::Element => open.push(i),
-            _ => close(i, &mut labels)?,
+            _ => (cols.end[i], labels) = (labels, labels + 1),
         }
     }
     for &e in open.iter().rev() {
-        close(e, &mut labels)?;
+        (cols.end[e], labels) = (labels, labels + 1);
     }
-    Ok(heap_bytes)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -356,14 +281,18 @@ mod tests {
 
     /// The data regions of `pages`, end to end.
     fn run_of(pages: &[Box<[u8; PAGE_SIZE]>]) -> Vec<u8> {
-        pages
-            .iter()
-            .flat_map(|p| p[PAGE_HEADER_SIZE..].to_vec())
-            .collect()
+        pages.iter().flat_map(|p| page::data(p).to_vec()).collect()
     }
 
-    /// `<a x="1">t<b y="22">vvv</b>w</a>` and its name table: `b`'s value
-    /// follows `@y`'s.
+    /// Where `names` lie, paged as one run from page 0 on.
+    fn paged(names: &[&str]) -> Vec<ContentPtr> {
+        let lens: Vec<u32> = names.iter().map(|n| n.len() as u32).collect();
+        let mut table = crate::heap::NamePages::default();
+        table.push(0, &lens);
+        table.locs
+    }
+
+    /// `<a x="1">t<b y="22">vvv</b>w</a>` and its name table.
     const NAMES: [&str; 7] = ["doc_root", "1", "t", "vvv", "22", "w", ""];
     const SAMPLE: [(u16, NodeKind, u32); 6] = [
         (1, E, NONE),
@@ -379,9 +308,9 @@ mod tests {
         let mut want = cols(&SAMPLE);
         let run = run_of(&want.encode());
         assert_eq!(run.len(), PAGE_DATA_SIZE);
-        let (got, heap_bytes) = read_run(&run, 6, &mut ValueTable::new(&NAMES)).unwrap();
-        assert_eq!(derive(&mut want, &mut ValueTable::new(&NAMES)), Ok(8));
-        assert_eq!((got, heap_bytes), (want, 8));
+        let got = read_run(&run, 6, &paged(&NAMES)).unwrap();
+        assert_eq!(derive(&mut want, &paged(&NAMES)), Ok(()));
+        assert_eq!(got, want);
         // Three table entries at bytes 8, 16 and 24, then the index
         // column at 32: an unknown kind, a reserved byte set, a tag
         // symbol past the name table, an index past the table, a count
@@ -389,7 +318,7 @@ mod tests {
         let poked = |at: usize, byte: u8| {
             let mut run = run.clone();
             run[at] = byte;
-            read_run(&run, 6, &mut ValueTable::new(&NAMES)).map(drop)
+            read_run(&run, 6, &paged(&NAMES)).map(drop)
         };
         assert_eq!(poked(8 + 4, 3), Err(8));
         assert_eq!(poked(16 + 7, 1), Err(16));
@@ -397,7 +326,7 @@ mod tests {
         assert_eq!(poked(32 + 2, 3), Err(34));
         assert_eq!(poked(2, 1), Err(0));
         let long = [run.clone(), run.clone()].concat();
-        assert_eq!(read_run(&long, 6, &mut ValueTable::new(&NAMES)), Err(0));
+        assert_eq!(read_run(&long, 6, &paged(&NAMES)), Err(0));
     }
 
     #[test]
@@ -414,26 +343,17 @@ mod tests {
         assert_eq!(wide.encode().len(), 65);
     }
 
-    fn locs(c: &DocColumns) -> Vec<ContentPtr> {
-        c.content.clone()
-    }
-
     /// Rows `(level, content symbol)` under an element, the first bad
     /// row, and whether its symbol, not its level, breaks a rule.
     type Case = (&'static [(u16, u32)], usize, bool);
 
     #[test]
-    fn derive_recomputes_the_loaders_labels_and_locations() {
-        let mut values = ValueTable::new(&NAMES);
+    fn derive_recomputes_the_loaders_labels() {
+        let names = paged(&NAMES);
         let mut c = cols(&SAMPLE);
-        assert_eq!(derive(&mut c, &mut values), Ok(8));
+        assert_eq!(derive(&mut c, &names), Ok(()));
         let labels: Vec<(u32, u32)> = c.start.iter().copied().zip(c.end.clone()).collect();
         assert_eq!(labels, [(0, 11), (1, 2), (3, 4), (5, 8), (6, 7), (9, 10)]);
-        let want = [(0, 0), (0, 1), (1, 1), (4, 3), (2, 2), (7, 1)];
-        assert_eq!(
-            locs(&c),
-            want.map(|(before, len)| heap::locate(before, len))
-        );
         // A first row below level 1, a row two levels down, a row under
         // a leaf; a symbol past the table, and one that names no value:
         // the run byte of the row's level or symbol.
@@ -455,33 +375,8 @@ mod tests {
             } else {
                 level + 2 * bad
             };
-            assert_eq!(derive(&mut c, &mut values), Err(at), "{rows:?}");
+            assert_eq!(derive(&mut c, &names), Err(at), "{rows:?}");
         }
-    }
-
-    #[test]
-    fn derive_places_a_repeated_value_once_per_document() {
-        // <a x="v">v<b y="v">v</b>ww<c>ww</c></a>: "v" goes onto the heap
-        // when `@x` closes, "ww" when the second `#text` does, and every
-        // later row with either symbol points at that copy.
-        let mut values = ValueTable::new(&["doc_root", "v", "ww"]);
-        let mut c = cols(&[
-            (1, E, NONE),
-            (2, A, 1),
-            (2, T, 1),
-            (2, E, 1),
-            (3, A, 1),
-            (2, T, 2),
-            (2, E, 2),
-        ]);
-        assert_eq!(derive(&mut c, &mut values), Ok(3));
-        let (v, ww) = (heap::locate(0, 1), heap::locate(1, 2));
-        let null = ContentPtr::NULL;
-        assert_eq!(locs(&c), [null, v, v, v, v, ww, ww]);
-        // The next document with the same table places its own copy.
-        let mut next = cols(&[(1, E, 2), (2, A, 1)]);
-        assert_eq!(derive(&mut next, &mut values), Ok(3));
-        assert_eq!(locs(&next), [heap::locate(1, 2), heap::locate(0, 1)]);
     }
 
     #[test]

@@ -59,6 +59,26 @@ pub fn data_mut(page: &mut [u8; PAGE_SIZE]) -> &mut [u8; PAGE_DATA_SIZE] {
     }
 }
 
+/// Page images holding `parts` end to end over their data regions, a
+/// part that does not fit in the rest of a page continuing on the next
+/// (headers zero until the disk manager seals them).
+pub(crate) fn images<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Vec<Box<[u8; PAGE_SIZE]>> {
+    let (mut pages, mut at) = (Vec::new(), 0usize);
+    for mut rest in parts {
+        while !rest.is_empty() {
+            let off = at % PAGE_DATA_SIZE;
+            if off == 0 {
+                pages.push(Box::new([0u8; PAGE_SIZE]));
+            }
+            let take = rest.len().min(PAGE_DATA_SIZE - off);
+            let page = pages.len() - 1;
+            data_mut(&mut pages[page])[off..off + take].copy_from_slice(&rest[..take]);
+            (at, rest) = (at + take, &rest[take..]);
+        }
+    }
+    pages
+}
+
 /// Write a fresh header checksum into `page`, preserving its reserved
 /// bytes (4..8). The page id is folded into the checksum rather than
 /// stored.

@@ -17,11 +17,12 @@
 //! reader truncates exactly where the duplication starts.
 //!
 //! The log carries metadata only, in two record kinds: `Checkpoint`
-//! (the one full metadata snapshot: whole name table, document
-//! directory, document counter; always the first record of a log,
-//! nowhere else) and `Commit` (the transaction's metadata *delta*: the new
-//! document counter, the dictionary names interned since the last
-//! durable record, the document-table entry removed and/or added).
+//! (the one full metadata snapshot: the name runs and every name's
+//! length, document directory, document counter; always the first
+//! record of a log, nowhere else) and `Commit` (the transaction's
+//! metadata *delta*: the new document counter, the run of name pages it
+//! appended and those names' lengths, the document-table entry removed
+//! and/or added). Names themselves live on name pages, not in the log.
 //! Both payloads are opaque bytes here — the `document::meta` codec
 //! owns their layout, and recovery hands them back in log order for the
 //! store to fold.
@@ -180,8 +181,8 @@ pub fn read_log(bytes: &[u8]) -> LogContents {
 /// Counters of write-ahead-log activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
-    /// Records handed to the log (the first checkpoint included, later
-    /// checkpoints not), durable or not: a retried write counts again.
+    /// Records handed to the log, checkpoints included, durable or not:
+    /// a retried write counts again.
     pub records: u64,
     /// Bytes of those records.
     pub appended_bytes: u64,
@@ -329,6 +330,8 @@ impl Wal {
     /// before its record.
     pub fn checkpoint(&mut self, meta: Vec<u8>) -> Result<()> {
         let content = checkpoint_log(meta);
+        self.stats.records += 1;
+        self.stats.appended_bytes += content.len() as u64;
         let path = match &self.backend {
             WalBackend::File { path, .. } => Some(path.clone()),
             WalBackend::Mem(_) => None,
@@ -594,6 +597,22 @@ mod tests {
             Err(StoreError::WalCorrupt { offset: 0, .. }) => {}
             other => panic!("expected WalCorrupt, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_checkpoint_counts_the_record_it_installs() {
+        // The checkpoint's whole log is one frame of 8 + 13 + meta
+        // bytes: counted as a record appended, as the first one is.
+        let mut wal = mem_wal();
+        wal.write(&commit(&[1])).unwrap();
+        let before = wal.stats();
+        wal.checkpoint(vec![7; 100]).unwrap();
+        let after = wal.stats();
+        let frame = wal.durable_bytes().unwrap().len() as u64;
+        assert_eq!(frame, 8 + 13 + 100);
+        assert_eq!(after.appended_bytes - before.appended_bytes, frame);
+        assert_eq!(after.records - before.records, 1);
+        assert_eq!(after.checkpoints, 1);
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn dom_reference(elem: &xmlparse::Element, out: &mut Vec<(String, String)>) {
 fn fault_free_runs_match_unchecksummed_reference() {
     check("fault_free_runs_match_reference", 48, |g| {
         // A generated two-level document with arbitrary printable text,
-        // occasionally long enough to span heap pages.
+        // occasionally long enough to span name pages.
         let mut xml = String::from("<bib>");
         let narticles = g.usize_in(1, 12);
         for _ in 0..narticles {

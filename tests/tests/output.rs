@@ -347,7 +347,7 @@ fn disk_db(articles: usize, pool_pages: usize) -> TimberDb {
 
 #[test]
 fn a_read_fault_mid_output_is_a_typed_error() {
-    // One frame, on disk: every heap page the output touches is a
+    // One frame, on disk: every name page the output touches is a
     // physical read.
     let db = disk_db(400, 1);
     let r = db.query(QUERY1, PlanMode::GroupByRewrite).unwrap();
@@ -389,14 +389,14 @@ fn a_read_fault_mid_output_is_a_typed_error() {
 fn a_cold_result_reads_each_heap_page_once() {
     // A pool of a quarter of the store, emptied first: the grouped plan
     // asks for nothing, and populating its output — titles in author
-    // order, so in no page order at all — reads every heap page at most
+    // order, so in no page order at all — reads every name page at most
     // once (one more per chunk, were a value to straddle its boundary),
     // in ascending order, never a node page.
     let db = disk_db(3000, 1);
     let pool = db.store().total_pages() as usize / 4;
     let db = disk_db(3000, pool);
-    let heap = u64::from(db.store().heap_pages());
-    assert!(heap > pool as u64, "{heap} heap pages, pool of {pool}");
+    let heap = u64::from(db.store().name_pages());
+    assert!(heap > pool as u64, "{heap} name pages, pool of {pool}");
     let r = db.query(QUERY1, PlanMode::GroupByRewrite).unwrap();
     let warm = r.to_xml_on(db.store()).unwrap();
 
@@ -409,7 +409,7 @@ fn a_cold_result_reads_each_heap_page_once() {
     assert_eq!(cold, warm);
     assert!(
         io.disk.reads <= heap + 1,
-        "{} reads, {heap} heap pages",
+        "{} reads, {heap} name pages",
         io.disk.reads
     );
     assert_eq!(io.page_requests(), io.disk.reads, "a page asked for twice");
@@ -422,7 +422,7 @@ fn a_cold_result_reads_each_heap_page_once() {
 
 /// A document for the batched read: attributes (some empty), mixed
 /// content, text-only elements, duplicate strings, and — when `long` —
-/// one value of 19 KB that spans three heap pages.
+/// one value of 19 KB that spans three name pages.
 fn values_doc(g: &mut Gen, long: bool) -> String {
     let mut e = random_element(g, 3);
     e.attributes.push(("none".to_owned(), String::new()));

@@ -2,7 +2,10 @@
 //! store's loader directly, and `insert_document` replays a parsed DOM
 //! through the same loader. Both must store the same bytes, and a
 //! document that fails part-way must leave the store as it found it.
+//! What a load stores: each document's node run of its rows' columns,
+//! and each name once for the whole store, on its name pages.
 
+use datagen::{DblpConfig, DblpGenerator};
 use smallrand::prop::{check, Gen};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -204,23 +207,19 @@ fn model_of(xml: &str) -> Vec<ModelRow> {
     rows
 }
 
-/// Each document of `s` holds `docs[k]`'s values, and its heap run holds
-/// each distinct one once: `heap_runs[k]` pages, as many as its distinct
-/// values' bytes fill; rows with one content symbol share one location,
-/// and no two documents share a heap page. Returns how many symbols a
-/// document's rows of two kinds (attribute, `#text`, element) share.
-fn assert_stored_once(s: &DocumentStore, docs: &[String], heap_runs: &[u32]) -> usize {
-    let mut shared = 0;
+/// Each document of `s` holds `docs[k]`'s values, in order, and the
+/// store holds each distinct one once: rows with one content symbol, in
+/// any document, share one location, distinct symbols' bytes lie apart,
+/// and each symbol's name is its rows' value. Returns how many symbols
+/// rows of two different documents share.
+fn assert_stored_once(s: &DocumentStore, docs: &[String]) -> usize {
+    use std::collections::{BTreeMap, BTreeSet};
+    // Per symbol: its one location, and the documents its rows are in.
+    let mut placed = BTreeMap::new();
     let mut id = 1;
-    let mut pages_seen = std::collections::BTreeSet::new();
-    for ((xml, (_, rows)), &heap_run) in docs.iter().zip(s.documents()).zip(heap_runs) {
+    for (xml, (_, rows)) in docs.iter().zip(s.documents()) {
         let want: Vec<Option<String>> = model_of(xml).into_iter().map(|r| r.3).collect();
         assert_eq!(want.len(), rows as usize, "{xml}");
-        let distinct: std::collections::BTreeSet<&String> = want.iter().flatten().collect();
-        let bytes: usize = distinct.iter().map(|v| v.len()).sum();
-        assert_eq!(heap_run as usize, bytes.div_ceil(PAGE_DATA_SIZE), "{xml}");
-        // Per symbol: its one location, and the kinds of its rows.
-        let mut placed = std::collections::BTreeMap::new();
         for (k, value) in want.iter().enumerate() {
             let row = NodeId(id + k as u32);
             assert_eq!(&s.content(row).unwrap(), value, "row {k} of {xml}");
@@ -229,47 +228,169 @@ fn assert_stored_once(s: &DocumentStore, docs: &[String], heap_runs: &[u32]) -> 
                 assert!(!rec.content.is_some(), "row {k} of {xml}");
                 continue;
             };
-            let (loc, kinds) = placed.entry(sym).or_insert((rec.content, Vec::new()));
+            assert_eq!(Some(&*s.dict().resolve(sym)), value.as_deref());
+            let (loc, in_docs) = placed.entry(sym).or_insert((rec.content, BTreeSet::new()));
             assert_eq!(*loc, rec.content, "row {k} of {xml}");
-            if !kinds.contains(&rec.kind) {
-                kinds.push(rec.kind);
-            }
+            in_docs.insert(xml.as_str());
         }
-        shared += placed.values().filter(|(_, kinds)| kinds.len() > 1).count();
-        let pages: Vec<u32> = placed.values().map(|(loc, _)| loc.page).collect();
-        assert!(pages.iter().all(|p| !pages_seen.contains(p)), "{docs:?}");
-        pages_seen.extend(pages);
         id += rows;
     }
-    shared
+    // A run's pages are consecutive, so a name's bytes are one span of
+    // page × PAGE_DATA_SIZE + offset.
+    let mut spans: Vec<(usize, usize)> = (placed.values())
+        .map(|(loc, _)| {
+            (
+                loc.page as usize * PAGE_DATA_SIZE + loc.off as usize,
+                loc.len as usize,
+            )
+        })
+        .collect();
+    spans.sort_unstable();
+    assert!(
+        spans.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0),
+        "{docs:?}"
+    );
+    placed
+        .values()
+        .filter(|(_, in_docs)| in_docs.len() > 1)
+        .count()
+}
+
+/// The node run of the document `xml`: the bytes of its header (an
+/// 8-byte count and an 8-byte entry per (tag, kind) pair), and its pages
+/// — the header and eight bytes a row, the index column padded to 4
+/// bytes.
+fn node_run(xml: &str) -> (usize, u32) {
+    let model = model_of(xml);
+    let pairs: std::collections::BTreeSet<(&str, u8)> =
+        model.iter().map(|r| (r.0.as_str(), r.1 as u8)).collect();
+    let rows = model.len();
+    let header = 8 + 8 * pairs.len();
+    let run = header + (2 * rows).next_multiple_of(4) + 6 * rows;
+    (header, run.div_ceil(PAGE_DATA_SIZE) as u32)
 }
 
 #[test]
-fn each_distinct_value_is_stored_once_per_document() {
+fn each_distinct_name_is_stored_once_per_store() {
     // The generator draws every value from one small pool, so values
     // repeat across attributes, `#text` leaves and text-only elements,
-    // within a document and across documents.
+    // within a document and across documents. Each document goes in
+    // twice: the copy finds every name paged.
     let (mut case, mut shared) = (0u64, 0);
-    check("each_distinct_value_is_stored_once_per_document", 48, |g| {
+    check("each_distinct_name_is_stored_once_per_store", 48, |g| {
         case += 1;
         let docs = g.vec(1, 4, random_doc);
         let page = temp_page("once", case);
         let opts = StoreOptions::default().with_path(&page).with_durable();
         let s = DocumentStore::create(&opts).unwrap();
-        let mut heap_runs = Vec::new();
+        let mut stored = Vec::new();
         for xml in &docs {
-            let before = s.heap_pages();
+            let (syms, names) = (s.dict().len(), s.name_pages());
             s.insert_xml(xml).unwrap();
-            heap_runs.push(s.heap_pages() - before);
+            // The names no page held, in one run as long as they need.
+            let bytes: usize = (s.dict().names_from(syms).iter()).map(|n| n.len()).sum();
+            let run = (s.name_pages() - names) as usize;
+            assert_eq!(run, bytes.div_ceil(PAGE_DATA_SIZE), "{xml}");
+            // The same document again writes exactly its node run.
+            let (syms, names, writes) = (s.dict().len(), s.name_pages(), s.io_stats().disk.writes);
+            s.insert_xml(xml).unwrap();
+            assert_eq!((s.dict().len(), s.name_pages()), (syms, names), "{xml}");
+            let written = s.io_stats().disk.writes - writes;
+            assert_eq!(written, u64::from(node_run(xml).1), "{xml}");
+            stored.extend([xml.clone(), xml.clone()]);
         }
-        shared += assert_stored_once(&s, &docs, &heap_runs);
+        shared += assert_stored_once(&s, &stored);
+        let pages = (s.total_pages(), s.name_pages());
         drop(s);
         let s = DocumentStore::open(&opts).unwrap();
-        assert_stored_once(&s, &docs, &heap_runs);
+        assert_eq!((s.total_pages(), s.name_pages()), pages);
+        assert_stored_once(&s, &stored);
         drop(s);
         remove_store(&page);
     });
-    assert!(shared > 0, "no value was shared by rows of two kinds");
+    assert!(shared > 0, "no value was shared by two documents");
+}
+
+#[test]
+fn churn_keeps_the_file_to_live_node_runs_and_paged_names() {
+    // 1 000 seeded inserts, replaces, deletes and checkpoints over 24
+    // documents of their own seeds, on a durable store. Once every
+    // document has been seen its names are all paged, and no later edit
+    // pages one again. The file never shrinks, so it is held to the most
+    // node pages that were ever live at once: it never holds more than
+    // those, the name pages and two more runs of the largest document (a
+    // removed run the predecessor still holds, and the slack of the
+    // free list). Reopened, it answers as a fresh load of the live
+    // documents.
+    let docs: Vec<String> = (0..24u64)
+        .map(|k| {
+            let articles = 2 + (k as usize * 7) % 40;
+            DblpGenerator::new(DblpConfig::sized(articles).with_seed(k)).generate_xml()
+        })
+        .collect();
+    let node_pages: Vec<u32> = docs.iter().map(|xml| node_run(xml).1).collect();
+    let largest = node_pages.iter().copied().max().unwrap();
+    let page = temp_page("churn", 0);
+    let opts = StoreOptions::default()
+        .with_path(&page)
+        .with_durable()
+        .with_pool_pages(64);
+    let db = TimberDb::create(&opts).unwrap();
+    let mut g = Gen::new(52);
+    let (mut live, mut seen) = (Vec::<(u64, usize)>::new(), vec![false; docs.len()]);
+    let (mut names_once_all_seen, mut peak) = (None, 0);
+    for step in 0..1_000 {
+        let doc = g.usize_in(0, docs.len() - 1);
+        let victim = (!live.is_empty()).then(|| g.usize_in(0, live.len() - 1));
+        match (g.usize_in(0, 9), victim) {
+            (0..=4, _) | (_, None) => {
+                live.push((db.insert_xml(&docs[doc]).unwrap(), doc));
+                seen[doc] = true;
+            }
+            // A replacement goes to the end of the document order.
+            (5 | 6, Some(k)) => {
+                let (old, _) = live.remove(k);
+                live.push((db.replace_xml(old, &docs[doc]).unwrap(), doc));
+                seen[doc] = true;
+            }
+            (7 | 8, Some(k)) => db.delete_document(live.remove(k).0).unwrap(),
+            _ => db.checkpoint().unwrap(),
+        }
+        let s = db.store();
+        let names = (s.dict().len(), s.name_pages());
+        if seen.iter().all(|&d| d) {
+            let first = *names_once_all_seen.get_or_insert(names);
+            assert_eq!(names, first, "step {step}: a name was paged twice");
+        }
+        peak = peak.max(live.iter().map(|&(_, d)| node_pages[d]).sum());
+        let bound = peak + s.name_pages() + 2 * largest;
+        assert!(
+            s.total_pages() <= bound,
+            "step {step}: {} pages > {bound}",
+            s.total_pages()
+        );
+    }
+    assert!(
+        names_once_all_seen.is_some(),
+        "a document was never inserted"
+    );
+    drop(db);
+
+    let reopened = TimberDb::open(&opts).unwrap();
+    let ids: Vec<u64> = reopened.documents().iter().map(|d| d.0).collect();
+    assert_eq!(ids, live.iter().map(|d| d.0).collect::<Vec<_>>());
+    let fresh = TimberDb::create(&StoreOptions::in_memory()).unwrap();
+    for &(_, doc) in &live {
+        fresh.insert_xml(&docs[doc]).unwrap();
+    }
+    for query in [QUERY1, QUERY2, QUERY_COUNT] {
+        for mode in [timber::PlanMode::Direct, timber::PlanMode::GroupByRewrite] {
+            let (got, want) = (run(&reopened, query, mode), run(&fresh, query, mode));
+            assert_eq!(got, want, "{mode:?}: {query}");
+        }
+    }
+    drop(reopened);
+    remove_store(&page);
 }
 
 /// A document whose node run spans pages: random elements under one
@@ -311,9 +432,8 @@ fn assert_rows_are_the_model(s: &DocumentStore, docs: &[String]) {
 #[test]
 fn each_node_run_is_its_rows_columns() {
     // Attributes, mixed content, runs longer than a page and (tag, kind)
-    // tables wider than a page. Each run is its header (an 8-byte count
-    // and an 8-byte entry per pair) and eight bytes a row, the index
-    // column padded to 4 bytes, in as few pages as that takes.
+    // tables wider than a page. Each run is as many pages as
+    // [`node_run`] says.
     let (mut case, mut long_runs, mut wide_tables) = (0u64, 0, 0);
     check("each_node_run_is_its_rows_columns", 24, |g| {
         case += 1;
@@ -328,16 +448,11 @@ fn each_node_run_is_its_rows_columns() {
         let opts = StoreOptions::default().with_path(&page).with_durable();
         let s = DocumentStore::create(&opts).unwrap();
         for xml in &docs {
-            let (pages, heap) = (s.total_pages(), s.heap_pages());
+            let (pages, names) = (s.total_pages(), s.name_pages());
             s.insert_xml(xml).unwrap();
-            let node_pages = (s.total_pages() - pages) - (s.heap_pages() - heap);
-            let model = model_of(xml);
-            let pairs: std::collections::BTreeSet<(&str, u8)> =
-                model.iter().map(|r| (r.0.as_str(), r.1 as u8)).collect();
-            let rows = model.len();
-            let header = 8 + 8 * pairs.len();
-            let run = header + (2 * rows).next_multiple_of(4) + 6 * rows;
-            assert_eq!(node_pages as usize, run.div_ceil(PAGE_DATA_SIZE), "{xml}");
+            let node_pages = (s.total_pages() - pages) - (s.name_pages() - names);
+            let (header, run) = node_run(xml);
+            assert_eq!(node_pages, run, "{xml}");
             long_runs += usize::from(node_pages > 1);
             wide_tables += usize::from(header > PAGE_DATA_SIZE);
         }
