@@ -42,10 +42,12 @@ pub fn contain<R>(f: impl FnOnce() -> R) -> Result<R> {
     })
 }
 
-/// A grouping sink's stage times, timed by the sink itself: extracting
-/// witnesses, each row's aggregate contribution (zero for `GroupBy`),
-/// folding witnesses into groups, building the output.
-pub type Stages = [Duration; 4];
+/// A grouping sink's stage times, timed by the sink itself, each under
+/// the letter `stages=` names it by: `GroupBy`'s witness extraction
+/// (`w`), aggregate contributions (`c`, none), group formation (`f`) and
+/// build (`b`); `Rollup`'s and `Cube`'s one pass over the rows (`p`) and
+/// build (`b`).
+pub type Stages = Vec<(char, Duration)>;
 
 /// A grouping sink's statistics as the metrics tree carries them.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,7 +89,7 @@ mod tests {
 
     #[test]
     fn shard_stats_skew() {
-        let stats = ShardStats::new([1, 2, 3, 4].map(Duration::from_micros));
+        let stats = ShardStats::new(vec![('p', Duration::from_micros(1))]);
         assert_eq!((stats.partitions, stats.skew()), (1, 1.0));
     }
 

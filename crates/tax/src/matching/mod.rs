@@ -26,7 +26,7 @@ mod bindings;
 pub mod naive;
 pub mod structural;
 pub mod vnode;
-mod walk;
+pub(crate) mod walk;
 
 pub use bindings::{Bindings, Row};
 pub use walk::for_each_match;

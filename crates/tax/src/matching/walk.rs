@@ -4,16 +4,18 @@
 //! For a *tag-only star* — a root and leaf children under it, each a
 //! bare tag test, on `pc` or `ad` edges (`article -pc-> author`, the
 //! shape of the paper's grouping and member patterns) — the embeddings
-//! of a root are the cross product of its children's nodes, each list
-//! one pass over the root's subtree on the `tag` and `level` columns: no
-//! index list is galloped, no binding table built, and every embedding
-//! goes straight to the caller. Any other pattern takes
-//! [`match_in_scopes`], visited row by row.
+//! of a root are the cross product of its children's nodes. One pass
+//! over the root's subtree on the `tag` and `level` columns collects
+//! every child's nodes at once ([`bucket`]), and an [`Odometer`] runs
+//! through their combinations: no index list is galloped, no binding
+//! table built, and every embedding goes straight to the caller. The
+//! rollup buckets its grouping and member stars in the same pass. Any
+//! other pattern takes [`match_in_scopes`], visited row by row.
 
 use super::match_in_scopes;
 use crate::error::Result;
 use crate::pattern::{Axis, PatternNodeId, PatternTree, Pred};
-use xmlstore::{kernels, DocumentStore, NodeColumns, NodeEntry, NodeId};
+use xmlstore::{kernels, DocumentStore, NodeColumns, NodeEntry, NodeId, NO_SYM};
 
 /// Hand every embedding of `pattern` inside each of `scopes` to `visit`,
 /// as the index of its scope and its nodes indexed by pattern node:
@@ -28,7 +30,7 @@ pub fn for_each_match(
     anchor_root: bool,
     mut visit: impl FnMut(u32, &[NodeEntry]),
 ) -> Result<()> {
-    let Some(star) = star(pattern) else {
+    let Some(star) = Star::of(store, pattern) else {
         let (table, scope_of_row) = match_in_scopes(store, pattern, scopes, anchor_root)?;
         let mut cells = Vec::with_capacity(pattern.len());
         for (row, &scope) in table.rows().zip(&scope_of_row) {
@@ -38,48 +40,43 @@ pub fn for_each_match(
         }
         return Ok(());
     };
-    // A tag no stored node carries binds nothing.
-    let tags = star.iter().map(|&(_, tag)| store.tag_id(tag));
-    let Some(tags) = tags.collect::<Option<Vec<_>>>() else {
+    if star.binds_nothing() {
         return Ok(());
-    };
-    let root_tag = tags[0];
-    let kids = star[1..].iter().zip(&tags[1..]);
-    let kids = kids.map(|(&(pid, _), tag)| (pid, tag.0, pattern.node(pid).axis == Axis::Child));
+    }
+    // Without `anchor_root`, the same pass lists the root-tag nodes
+    // nested in a scope, each walked on its own after the scope.
     let cols = store.columns();
-    let mut walk = Walk {
-        cols: &cols,
-        root: pattern.root(),
-        found: vec![(Vec::new(), 0); star.len().saturating_sub(2)],
-        cells: vec![store.root(); pattern.len()],
-        kids: kids.collect(),
-        scanned: 0,
+    let kids = star.kids.len();
+    let mut filters: Vec<Filter> = star.kids.iter().map(|&(_, filter)| filter).collect();
+    filters.extend((!anchor_root).then_some((star.root.1, false)));
+    let lists: Vec<usize> = (0..kids).collect();
+    let (mut found, mut inner) = (vec![Vec::new(); filters.len()], vec![Vec::new(); kids]);
+    let (mut odometer, mut scanned) = (Odometer::default(), 0);
+    let mut cells = vec![store.root(); pattern.len()];
+    let mut embed = |root: &NodeEntry, scope: u32, found: &[Vec<u32>]| {
+        cells[star.root.0] = *root;
+        odometer.run(found, &lists, |ids| {
+            for (&(pid, _), &id) in star.kids.iter().zip(ids) {
+                cells[pid] = cols.entry(NodeId(id));
+            }
+            visit(scope, &cells);
+        });
     };
-    // A scope's nested roots are the run of the root tag's index list
-    // inside it, found by a cursor that moves forward with the scopes
-    // (and searches back when a scope starts before the last).
-    let roots = store.nodes_with_tag(root_tag);
-    let roots: &[NodeEntry] = &roots;
-    let mut at = 0;
-    for (si, scope) in scopes.iter().enumerate() {
-        let si = si as u32;
-        if cols.tag[scope.id.0 as usize] == root_tag.0 {
-            walk.embed(scope, si, &mut visit);
+    for (si, scope) in (0..).zip(scopes) {
+        let own = cols.tag[scope.id.0 as usize] == star.root.1;
+        if own || !anchor_root {
+            scanned += bucket(&cols, scope, &filters, &mut found);
         }
-        if anchor_root {
-            continue;
+        if own {
+            embed(scope, si, &found);
         }
-        if at > 0 && roots[at - 1].start > scope.start {
-            at = roots.partition_point(|e| e.start <= scope.start);
-        }
-        while roots.get(at).is_some_and(|e| e.start <= scope.start) {
-            at += 1;
-        }
-        for inner in roots[at..].iter().take_while(|e| e.start < scope.end) {
-            walk.embed(inner, si, &mut visit);
+        for &id in found.get(kids).into_iter().flatten() {
+            let root = cols.entry(NodeId(id));
+            scanned += bucket(&cols, &root, &filters[..kids], &mut inner);
+            embed(&root, si, &inner);
         }
     }
-    kernels::note_vec_rows(walk.scanned);
+    kernels::note_vec_rows(scanned);
     Ok(())
 }
 
@@ -97,88 +94,135 @@ fn star(p: &PatternTree) -> Option<Vec<(PatternNodeId, &str)>> {
     star.collect()
 }
 
-/// Hand `hit` the id of each row of `root`'s subtree — in preorder, the
-/// run of rows after it one level down or deeper — with tag `tag` and,
-/// for a `pc` edge, the level right below the root, in document order.
-/// Returns the number of rows read.
-#[inline(always)]
-fn subtree(
+/// What a star child takes of its root's subtree: rows with its tag
+/// symbol and, when its edge is `pc` (the flag), on the level right
+/// below the root.
+pub(crate) type Filter = (u32, bool);
+
+/// A tag-only star over the store's tag symbols; a tag no stored node
+/// carries is [`NO_SYM`], which no row has.
+pub(crate) struct Star {
+    /// The root's pattern node and tag symbol.
+    pub root: (PatternNodeId, u32),
+    /// Per child, in join order: its pattern node and filter.
+    pub kids: Vec<(PatternNodeId, Filter)>,
+}
+
+impl Star {
+    /// `pattern` as a star over `store`'s tags; `None` for any other
+    /// pattern.
+    pub fn of(store: &DocumentStore, pattern: &PatternTree) -> Option<Star> {
+        let tag = |name| store.tag_id(name).map_or(NO_SYM, |t| t.0);
+        let nodes = star(pattern)?;
+        let ((root, name), kids) = nodes.split_first()?;
+        let kids = kids
+            .iter()
+            .map(|&(pid, name)| (pid, (tag(name), pattern.node(pid).axis == Axis::Child)));
+        let (root, kids) = ((*root, tag(name)), kids.collect());
+        Some(Star { root, kids })
+    }
+
+    /// Whether a tag of the star is one no stored node carries: then it
+    /// binds nothing.
+    pub fn binds_nothing(&self) -> bool {
+        let mut tags = self.kids.iter().map(|&(_, (tag, _))| tag);
+        self.root.1 == NO_SYM || tags.any(|tag| tag == NO_SYM)
+    }
+}
+
+/// One pass over `root`'s subtree — in preorder, the run of rows after
+/// it one level down or deeper — putting the id of each row a filter
+/// takes on that filter's list in `found`, in document order. Returns
+/// the number of rows read: none without a filter.
+#[inline]
+pub(crate) fn bucket(
     cols: &NodeColumns,
     root: &NodeEntry,
-    tag: u32,
-    pc: bool,
-    mut hit: impl FnMut(u32),
+    filters: &[Filter],
+    found: &mut [Vec<u32>],
 ) -> usize {
+    found.iter_mut().for_each(Vec::clear);
+    if filters.is_empty() {
+        return 0;
+    }
+    // Every row takes two labels, one at open and one at close.
     let lo = root.id.0 as usize + 1;
-    let rows = cols.tag[lo..].iter().zip(&cols.level[lo..]);
-    let mut read = 0;
-    for (id, (&t, &level)) in (lo as u32..).zip(rows) {
-        if level <= root.level {
-            break;
-        }
-        read += 1;
-        if t == tag && (!pc || level == root.level + 1) {
-            hit(id);
+    let hi = lo + (root.end - root.start) as usize / 2;
+    debug_assert_eq!(lo as u32..hi as u32, cols.descendant_ids(root.id));
+    // Only a row with a filter's tag has its level read.
+    let (tags, levels) = (&cols.tag[lo..hi], &cols.level[lo..hi]);
+    let below = root.level + 1;
+    match (filters, found) {
+        ([a], [fa]) => scan(lo, tags, levels, below, [*a], [fa]),
+        ([a, b], [fa, fb]) => scan(lo, tags, levels, below, [*a, *b], [fa, fb]),
+        ([a, b, c], [fa, fb, fc]) => scan(lo, tags, levels, below, [*a, *b, *c], [fa, fb, fc]),
+        (filters, found) => {
+            for (i, &t) in tags.iter().enumerate() {
+                for (&(tag, pc), list) in filters.iter().zip(found.iter_mut()) {
+                    if t == tag && (!pc || levels[i] == below) {
+                        list.push((lo + i) as u32);
+                    }
+                }
+            }
         }
     }
-    read
+    hi - lo
 }
 
-/// One star's walk state, reused from row to row.
-struct Walk<'c> {
-    cols: &'c NodeColumns,
-    root: PatternNodeId,
-    /// Per child: its pattern node, tag symbol, and whether its edge is
-    /// `pc`.
-    kids: Vec<(PatternNodeId, u32, bool)>,
-    /// Per child but the last: its node ids under the current root, in
-    /// document order, and the position of the one being visited.
-    found: Vec<(Vec<u32>, usize)>,
-    cells: Vec<NodeEntry>,
-    /// Label rows read, noted as kernel rows.
-    scanned: usize,
+/// [`bucket`]'s loop for `N` filters, unrolled.
+#[inline(always)]
+fn scan<const N: usize>(
+    lo: usize,
+    tags: &[u32],
+    levels: &[u16],
+    below: u16,
+    filters: [Filter; N],
+    found: [&mut Vec<u32>; N],
+) {
+    for (i, &t) in tags.iter().enumerate() {
+        for k in 0..N {
+            let (tag, pc) = filters[k];
+            if t == tag && (!pc || levels[i] == below) {
+                found[k].push((lo + i) as u32);
+            }
+        }
+    }
 }
 
-impl Walk<'_> {
-    /// Visit every embedding rooted at `root`, the last child varying
-    /// fastest — the order in which the columnar join extends a row child
-    /// by child: the other children's nodes are collected by one pass over
-    /// the root's subtree each, and for each combination of them a pass
-    /// for the last child visits as it finds.
+/// Runs through the combinations of one id from each of some [`bucket`]
+/// lists, the last list varying fastest — the order in which the
+/// columnar join extends a row child by child. Reused from root to root.
+#[derive(Default)]
+pub(crate) struct Odometer {
+    at: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl Odometer {
+    /// Hand `visit` each combination of one id from each `found[l]`, `l`
+    /// in `lists`, as the ids in `lists` order: none when a list is
+    /// empty, one (no id) when `lists` is.
     #[inline]
-    fn embed(&mut self, root: &NodeEntry, scope: u32, visit: &mut impl FnMut(u32, &[NodeEntry])) {
-        let (cols, cells) = (self.cols, &mut self.cells[..]);
-        cells[self.root] = *root;
-        let Some((&(last_pid, last_tag, last_pc), kids)) = self.kids.split_last() else {
-            return visit(scope, cells);
-        };
-        let mut last = |cells: &mut [NodeEntry]| {
-            subtree(cols, root, last_tag, last_pc, |id| {
-                cells[last_pid] = cols.entry(NodeId(id));
-                visit(scope, cells);
-            })
-        };
-        if kids.is_empty() {
-            self.scanned += last(cells); // one child: nothing to combine
+    pub fn run(&mut self, found: &[Vec<u32>], lists: &[usize], mut visit: impl FnMut(&[u32])) {
+        if let [l] = lists {
+            return found[*l]
+                .iter()
+                .for_each(|id| visit(std::slice::from_ref(id)));
+        }
+        if lists.iter().any(|&l| found[l].is_empty()) {
             return;
         }
-        for (&(_, tag, pc), (found, at)) in kids.iter().zip(&mut self.found) {
-            found.clear();
-            *at = 0;
-            self.scanned += subtree(cols, root, tag, pc, |id| found.push(id));
-            if found.is_empty() {
-                return;
-            }
-        }
+        self.at.clear();
+        self.at.resize(lists.len(), 0);
+        self.ids.clear();
+        self.ids.extend(lists.iter().map(|&l| found[l][0]));
         loop {
-            for (&(pid, ..), (found, at)) in kids.iter().zip(&self.found) {
-                cells[pid] = cols.entry(NodeId(found[*at]));
-            }
-            self.scanned += last(cells);
-            // The next combination, odometer-wise: none after the last.
-            let mut next = self.found.iter_mut().rev();
-            if !next.any(|(found, at)| {
-                *at = (*at + 1) % found.len();
+            visit(&self.ids);
+            // The next combination: none after the last.
+            let mut digits = lists.iter().zip(&mut self.at).zip(&mut self.ids).rev();
+            if !digits.any(|((&l, at), id)| {
+                *at = (*at + 1) % found[l].len();
+                *id = found[l][*at];
                 *at != 0
             }) {
                 return;

@@ -16,10 +16,11 @@
 
 use crate::batch::Groups;
 use crate::error::{Error, Result};
-use crate::ops::rollup::{contributions, Acc, ValueCells};
+use crate::matching::for_each_match;
+use crate::ops::rollup::{Acc, ValueCells};
 use crate::pattern::{Axis, PatternNodeId, PatternTree, Pred};
 use crate::tags::{GROUP_ROOT, GROUP_SUBROOT};
-use xmlstore::{Dictionary, DocumentStore, Sym, NO_SYM};
+use xmlstore::{Dictionary, DocumentStore, NodeEntry, Sym, NO_SYM};
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,13 +84,50 @@ pub fn aggregate(
     let mut values = ValueCells::new(store.dict(), new_tag);
     groups.appended.resize(groups.members.len(), Vec::new());
     for (members, cells) in groups.members.iter().zip(&mut groups.appended) {
-        let mut acc = Acc::default();
+        let (mut bindings, mut acc) = (0, Acc::default());
         for &m in members {
-            acc.fold(&contributions[m as usize]);
+            let c = &contributions[m as usize];
+            bindings += c.bindings;
+            acc.fold(&c.values);
         }
-        cells.extend(acc.finish(func).map(|v| values.cell(v)));
+        cells.extend(acc.finish(func, bindings).map(|v| values.cell(v)));
     }
     Ok(groups)
+}
+
+/// One input row's aggregate contribution: what a group that holds the
+/// row as a member folds in for it.
+#[derive(Clone, Default)]
+struct Contribution {
+    /// Member-pattern bindings (what COUNT counts).
+    bindings: usize,
+    /// Numeric values at the aggregated label, in binding order (empty
+    /// for COUNT, which never fetches values).
+    values: Vec<f64>,
+}
+
+/// Each stored row's aggregate contribution. Member bindings anchor at
+/// the row's root: inside a group tree the member label binds exactly
+/// the subroot's member children, i.e. this row.
+fn contributions(
+    store: &DocumentStore,
+    rows: &[NodeEntry],
+    member_pattern: &PatternTree,
+    of: PatternNodeId,
+    func: AggFunc,
+) -> Result<Vec<Contribution>> {
+    let dict = store.dict();
+    let mut out = vec![Contribution::default(); rows.len()];
+    let cols = store.columns();
+    for_each_match(store, member_pattern, rows, true, |row, m| {
+        let c = &mut out[row as usize];
+        c.bindings += 1;
+        if func != AggFunc::Count {
+            c.values
+                .extend(numeric(dict, cols.content[m[of].id.0 as usize]));
+        }
+    })?;
+    Ok(out)
 }
 
 /// The member subpattern of `pattern` and `of` in it, when `pattern` is

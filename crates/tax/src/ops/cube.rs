@@ -10,17 +10,15 @@
 //! levels `1..=L` instead of `L..=L` — this module adds the entry
 //! point, no accumulation of its own:
 //!
-//! * witnesses are extracted **once** with the full `L`-dimension
-//!   pattern (a tree participates only when every dimension is present —
-//!   standard cube semantics, see DESIGN.md), by the extraction every
-//!   grouping sink shares (`super::witness`);
-//! * one pass over the shared witness stream folds every level at once:
-//!   the level-`k` accumulator for a witness is addressed by the key
-//!   prefix `key[..k]`, so level `k−1` state grows from the same
-//!   contributions as level `k` without rescanning the store. Each level
-//!   keeps its own per-group member dedup, because a multi-valued basis
-//!   (a two-author article) must contribute once per `(journal, author)`
-//!   group but also only once to the coarser `journal` group;
+//! * one pass over the rows folds every level at once, each row as it
+//!   is walked, with the full `L`-dimension pattern (a tree participates
+//!   only when every dimension is present — standard cube semantics, see
+//!   DESIGN.md): the level-`k` group of a witness is addressed by the key
+//!   prefix `key[..k]`, so level `k−1` grows from the same row as level
+//!   `k` without rescanning the store. Each level keeps its own per-group
+//!   member dedup, because a multi-valued basis (a two-author article)
+//!   must fold once per `(journal, author)` group but also only once into
+//!   the coarser `journal` group;
 //! * output rows use the rollup's *flat* shape at every level — a
 //!   level-`k` row is `TAX_group_root { k keys, <tag>value</tag> }`,
 //!   groups with an undefined aggregate dropped — so a row's level is

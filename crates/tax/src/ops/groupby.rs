@@ -104,13 +104,13 @@ pub fn groupby(
     let witness = clock.elapsed();
     let dict = store.dict();
     let tags = [GROUP_ROOT, GROUPING_BASIS, GROUP_SUBROOT].map(|tag| dict.intern(tag));
-    let groups = form_groups(dict, &w, ordering);
+    let groups = form_groups(dict, &w, basis.len(), ordering);
     let fold = clock.elapsed() - witness;
     let mut keys = Vec::with_capacity(groups.len() * basis.len());
     let members = groups
         .into_iter()
         .map(|g| {
-            keys.extend(stored_basis(rows, &w, g.first, basis.len(), false));
+            keys.extend(stored_basis(rows, &w, g.first));
             g.members.iter().map(|&m| w.tree_idx[m as usize]).collect()
         })
         .collect();
@@ -123,7 +123,15 @@ pub fn groupby(
         appended: Vec::new(),
     });
     let build = clock.elapsed() - witness - fold;
-    Ok((out, [witness, Duration::ZERO, fold, build]))
+    Ok((
+        out,
+        vec![
+            ('w', witness),
+            ('c', Duration::ZERO),
+            ('f', fold),
+            ('b', build),
+        ],
+    ))
 }
 
 /// Group formation over the witnesses in arrival order: groups in
@@ -131,8 +139,13 @@ pub fn groupby(
 ///
 /// Member dedup checks only the group's last member: same-row witnesses
 /// of one key are consecutive in the collection-major stream.
-fn form_groups(dict: &Dictionary, w: &Witnesses, ordering: &[GroupOrder]) -> Vec<Group> {
-    let mut index = GroupIndex::new((0..w.len() as u32).map(|i| w.key(i)));
+fn form_groups(
+    dict: &Dictionary,
+    w: &Witnesses,
+    width: usize,
+    ordering: &[GroupOrder],
+) -> Vec<Group> {
+    let mut index = GroupIndex::new(width, w.len());
     let mut groups: Vec<Group> = Vec::new();
     for i in 0..w.len() as u32 {
         let gid = index.group(w.key(i), groups.len());
@@ -230,22 +243,17 @@ fn compare_sort_keys<S: AsRef<str>>(
 }
 
 /// The basis children of the group witness `first` created over stored
-/// `rows`, one for each of the first `width` basis items: a reference to
-/// the bound node — whole when `deep_keys`, or when it is the row itself
-/// (a stored row is its subtree). `deep_keys` is set by the flat shapes
-/// (fused rollup, cube): they pre-apply the consumer's `Project
-/// deep(key)` step, which keeps a structured key node's whole subtree.
-pub(crate) fn stored_basis<'w>(
+/// `rows`, one for each basis item: a reference to the bound node —
+/// whole when it is the row itself (a stored row is its subtree).
+fn stored_basis<'w>(
     rows: &'w [NodeEntry],
     w: &'w Witnesses,
     first: u32,
-    width: usize,
-    deep_keys: bool,
 ) -> impl Iterator<Item = Cell> + 'w {
     let row = rows[w.tree_idx[first as usize] as usize];
-    w.cells(first)[..width].iter().map(move |&node| Cell::Ref {
+    w.cells(first).iter().map(move |&node| Cell::Ref {
         node,
-        deep: deep_keys || node.id == row.id,
+        deep: node.id == row.id,
     })
 }
 

@@ -18,14 +18,16 @@ pub use xmlstore::NO_SYM as ABSENT;
 const SLOTS_PER_KEY: usize = 4;
 
 /// Key → group id, ids in first-arrival order: a grouping sink's index,
-/// one per level. A key of at most one word is a symbol, so
-/// over a dense range it indexes a slot table: slot `w + 1` holds 1 + the
-/// group id of word `w` (0: none yet), and [`ABSENT`] wraps to slot 0,
-/// the empty key's. Wider keys and sparse symbols keep the std map, whose
-/// keyed hash guards it against adversarial keys.
-pub(crate) enum GroupIndex<'k> {
-    Slots(Vec<u32>),
-    Map(HashMap<&'k [u32], usize>),
+/// one per level, filled as keys arrive. A key of at most one word is a
+/// symbol, so it indexes a slot table: slot `w + 1` holds 1 + the group
+/// id of word `w` (0: none yet), and [`ABSENT`] wraps to slot 0, the
+/// empty key's. The table grows with the largest word seen, up to
+/// [`SLOTS_PER_KEY`] slots for each key the sink expects; a sparser word
+/// moves the groups to the std map, which wider keys use from the start
+/// and whose keyed hash guards it against adversarial keys.
+pub(crate) enum GroupIndex {
+    Slots { slots: Vec<u32>, budget: usize },
+    Map(HashMap<Box<[u32]>, usize>),
 }
 
 /// The slot of a key of at most one word.
@@ -34,34 +36,47 @@ fn slot(key: &[u32]) -> usize {
     key.first().map_or(0, |&w| w.wrapping_add(1) as usize)
 }
 
-impl<'k> GroupIndex<'k> {
-    /// The index for `keys`, those [`group`](Self::group) will be asked
-    /// for. A slot table is sized from their largest word, not from the
-    /// dictionary, which concurrent interns may grow.
-    pub fn new(mut keys: impl ExactSizeIterator<Item = &'k [u32]>) -> Self {
-        let n = keys.len();
-        // `None` as soon as a key is wider than one word.
-        let size = keys.try_fold(1, |size, key| {
-            (key.len() <= 1).then(|| size.max(slot(key) + 1))
-        });
-        match size {
-            Some(size) if size <= SLOTS_PER_KEY * n + 1 => GroupIndex::Slots(vec![0; size]),
+impl GroupIndex {
+    /// The index for keys of `width` words, about `keys` of them.
+    pub fn new(width: usize, keys: usize) -> Self {
+        match width {
+            0 | 1 => GroupIndex::Slots {
+                slots: Vec::new(),
+                budget: SLOTS_PER_KEY * keys + 1,
+            },
             _ => GroupIndex::Map(HashMap::new()),
         }
     }
 
     /// The group id of `key`; `next` when this call creates the group.
-    pub fn group(&mut self, key: &'k [u32], next: usize) -> usize {
-        match self {
-            GroupIndex::Slots(slots) => {
-                let id = &mut slots[slot(key)];
+    #[inline]
+    pub fn group(&mut self, key: &[u32], next: usize) -> usize {
+        if let GroupIndex::Slots { slots, budget } = self {
+            let at = slot(key);
+            if at < *budget {
+                if at >= slots.len() {
+                    slots.resize((2 * slots.len()).clamp(at + 1, *budget), 0);
+                }
+                let id = &mut slots[at];
                 if *id == 0 {
                     *id = next as u32 + 1;
                 }
-                *id as usize - 1
+                return *id as usize - 1;
             }
-            GroupIndex::Map(map) => *map.entry(key).or_insert(next),
+            // Slot `s` holds word `s - 1`, slot 0 the absent word.
+            let ids = slots.iter().enumerate().filter(|&(_, &id)| id != 0);
+            let keyed =
+                ids.map(|(at, &id)| (Box::from([(at as u32).wrapping_sub(1)]), id as usize - 1));
+            *self = GroupIndex::Map(keyed.collect());
         }
+        let GroupIndex::Map(map) = self else {
+            unreachable!("a slot table answers above")
+        };
+        if let Some(&id) = map.get(key) {
+            return id;
+        }
+        map.insert(key.into(), next);
+        next
     }
 }
 
@@ -80,9 +95,9 @@ mod tests {
     /// The grouping sinks' use of an index over a witness stream of
     /// `(row, key)` pairs, rows non-decreasing: each witness's group id,
     /// and per group its first witness and member rows (a row once).
-    fn group_with<'k>(
-        mut index: GroupIndex<'k>,
-        stream: &'k [(u32, Vec<u32>)],
+    fn group_with(
+        index: &mut GroupIndex,
+        stream: &[(u32, Vec<u32>)],
     ) -> (Vec<usize>, Vec<(usize, Vec<u32>)>) {
         let mut ids = Vec::new();
         let mut groups: Vec<(usize, Vec<u32>)> = Vec::new();
@@ -155,22 +170,24 @@ mod tests {
                 }
             }
             let want = reference(&stream);
-            assert_eq!(group_with(GroupIndex::Map(HashMap::new()), &stream), want);
-            let chosen = GroupIndex::new(stream.iter().map(|(_, k)| &k[..]));
+            let mut map = GroupIndex::Map(HashMap::new());
+            assert_eq!(group_with(&mut map, &stream), want);
+            let mut chosen = GroupIndex::new(width, stream.len());
+            assert_eq!(group_with(&mut chosen, &stream), want);
             let top = stream
                 .iter()
                 .flat_map(|(_, k)| k)
                 .filter(|&&w| w != ABSENT)
                 .max();
             let size = top.map_or(0, |&t| t as usize + 1);
-            // No key at all: nothing to tell the width by, nothing to index.
-            let dense = stream.is_empty() || width <= 1 && size <= SLOTS_PER_KEY * stream.len();
-            let slots = matches!(chosen, GroupIndex::Slots(_));
+            // The table keeps the keys only while their words are dense.
+            let dense = width <= 1 && size <= SLOTS_PER_KEY * stream.len();
+            let slots = matches!(chosen, GroupIndex::Slots { .. });
             assert_eq!(slots, dense, "width {width}, size {size}");
-            assert_eq!(group_with(chosen, &stream), want);
             if width <= 1 {
-                let table = GroupIndex::Slots(vec![0; size + 1]);
-                assert_eq!(group_with(table, &stream), want);
+                let (slots, budget) = (vec![0; size + 1], size + 1);
+                let mut table = GroupIndex::Slots { slots, budget };
+                assert_eq!(group_with(&mut table, &stream), want);
             }
         });
     }

@@ -4,21 +4,26 @@
 //! When groups exist only to be counted/summed and immediately
 //! discarded — the paper's E2 workload, and the XOLAP rollup formulation
 //! of Hachicha & Darmont — keeping a member list per group is pure
-//! overhead. `rollup` instead accumulates per-basis-key aggregate state
-//! directly from the input scan, each key's group found through a
+//! overhead. `rollup` instead folds each input row into per-key running
+//! aggregates as it walks the row, each key's group found through a
 //! `keyenc::GroupIndex`:
 //!
-//! * witnesses come from the same extraction as
-//!   [`super::groupby::groupby`]'s (`super::witness`: same keys,
-//!   same multi-valued-basis semantics — a two-author article
-//!   contributes to both authors' accumulators, and the same row enters
-//!   a given group only once);
-//! * each input row's aggregate contribution (its member-pattern
-//!   binding count and numeric values) is computed once, by one anchored
-//!   [`for_each_match`] counted as each embedding arrives, and folded
-//!   into the group's **running** accumulator (`Acc`) in member arrival
-//!   order — Count/Sum/Min/Max as scalars, Avg as sum + count. `aggregate`
-//!   folds a group's members with the same contributions and accumulator;
+//! * one pass over a stored row's subtree buckets the children of the
+//!   grouping star and of the member star together (`matching::walk`);
+//!   the row's keys are the odometer over its basis children — the keys
+//!   of [`super::groupby::groupby`]'s witnesses, in their order, so a
+//!   two-author article reaches both authors' groups — and its member
+//!   bindings (their count and, in binding order, their numeric values)
+//!   come from the same buckets;
+//! * the row folds at once into each of its keys' groups, once a group,
+//!   in row order: a **running** accumulator (`Acc`) — Count/Sum/Min/Max
+//!   as scalars, Avg as sum + count, the accumulator `aggregate` folds a
+//!   group's members with. A key's group is created at its first
+//!   witness, even when that row binds no member, so groups keep
+//!   first-witness order;
+//! * a grouping or member pattern that is not a star is matched as one
+//!   binding table per pattern (`match_in_scopes`), fed row by row into
+//!   the same fold;
 //! * each group emits one one-level row `TAX_group_root { <key subtree>,
 //!   <tag>value</tag> }` in first-witness order — the rows `GroupBy →
 //!   Aggregate → Project` gives, which the kernel tests below hold it to —
@@ -29,23 +34,23 @@
 //! variant in place of `Project ∘ Aggregate ∘ GroupBy`, always in the
 //! [`RollupShape::Flat`] shape.
 //!
-//! The accumulation is `fold_levels`, a fold over a range of
-//! basis-prefix levels: a rollup asks for the single finest level, the
-//! grouping lattice ([`super::cube`](mod@super::cube)) for all of them.
+//! The fold is `fold_levels`, over a range of basis-prefix levels: a
+//! rollup asks for the single finest level, the grouping lattice
+//! ([`super::cube`](mod@super::cube)) for all of them.
 
 use crate::batch::{Batch, Cell, Rows};
 use crate::error::{Error, Result};
 use crate::exec::Stages;
-use crate::matching::for_each_match;
+use crate::matching::match_in_scopes;
+use crate::matching::walk::{bucket, Filter, Odometer, Star};
 use crate::ops::aggregate::{format_value, numeric, AggFunc};
-use crate::ops::groupby::{stored_basis, BasisItem};
+use crate::ops::groupby::{validate, BasisItem};
 use crate::ops::keyenc::GroupIndex;
-use crate::ops::witness::{witnesses, Witnesses};
 use crate::pattern::{PatternNodeId, PatternTree};
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::time::Instant;
-use xmlstore::{Dictionary, DocumentStore, NodeEntry, Sym};
+use xmlstore::{kernels, Dictionary, DocumentStore, NodeColumns, NodeEntry, NodeId, Sym};
 
 /// The output shape of a rollup run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,51 +64,44 @@ pub enum RollupShape {
     Flat,
 }
 
-/// One input row's aggregate contribution: what a group that holds the
-/// row as a member folds in for it.
-#[derive(Clone, Default)]
-pub(crate) struct Contribution {
-    /// Member-pattern bindings (what COUNT counts).
-    bindings: usize,
-    /// Numeric values at the aggregated label, in binding order (empty
-    /// for COUNT, which never fetches values).
-    values: Vec<f64>,
-}
-
-/// A running aggregate: the contributions folded so far.
+/// The numeric side of a running aggregate: how many numeric values
+/// were folded, their sum, minimum and maximum. The bindings (what
+/// COUNT counts) are kept beside it.
 #[derive(Default)]
 pub(crate) struct Acc {
-    bindings: usize,
     values: usize,
     sum: f64,
-    min: Option<f64>,
-    max: Option<f64>,
+    min: f64,
+    max: f64,
 }
 
 impl Acc {
-    pub(crate) fn fold(&mut self, c: &Contribution) {
-        self.bindings += c.bindings;
-        for &v in &c.values {
+    /// Fold in one member's numeric `values`, in binding order.
+    pub(crate) fn fold(&mut self, values: &[f64]) {
+        for &v in values {
+            let first = self.values == 0;
             self.values += 1;
             self.sum += v;
-            self.min = Some(self.min.map_or(v, |m| m.min(v)));
-            self.max = Some(self.max.map_or(v, |m| m.max(v)));
+            self.min = if first { v } else { self.min.min(v) };
+            self.max = if first { v } else { self.max.max(v) };
         }
     }
 
-    /// The finished aggregate value; `None` when no binding was folded
-    /// or the aggregate is undefined (Min/Max/Avg over no numeric
-    /// values) — a left fold over the values in member order.
-    pub(crate) fn finish(&self, func: AggFunc) -> Option<f64> {
-        if self.bindings == 0 {
+    /// The finished aggregate of `bindings` member bindings with these
+    /// values; `None` when no binding was folded or the aggregate is
+    /// undefined (Min/Max/Avg over no numeric values) — a left fold over
+    /// the values in member order.
+    pub(crate) fn finish(&self, func: AggFunc, bindings: usize) -> Option<f64> {
+        if bindings == 0 {
             return None;
         }
+        let numeric = self.values > 0;
         match func {
-            AggFunc::Count => Some(self.bindings as f64),
+            AggFunc::Count => Some(bindings as f64),
             AggFunc::Sum => Some(self.sum),
-            AggFunc::Min => self.min,
-            AggFunc::Max => self.max,
-            AggFunc::Avg => (self.values > 0).then(|| self.sum / self.values as f64),
+            AggFunc::Min => numeric.then_some(self.min),
+            AggFunc::Max => numeric.then_some(self.max),
+            AggFunc::Avg => numeric.then(|| self.sum / self.values as f64),
         }
     }
 }
@@ -132,17 +130,6 @@ impl<'d> ValueCells<'d> {
             content: Some(content),
         }
     }
-}
-
-/// One group under formation: the witness that created it (its key
-/// prefix and basis cells are the group's, its ordinal the group's
-/// arrival position), the last input row folded in (member dedup:
-/// same-key witnesses of one row are consecutive, exactly as in group
-/// formation), and its running aggregate.
-struct GroupAcc {
-    first: u32,
-    last_member: Option<u32>,
-    acc: Acc,
 }
 
 /// Streaming grouped aggregation: the blocking sink's kernel. A rollup
@@ -180,11 +167,11 @@ pub fn rollup(
 }
 
 /// The prefix-level fold behind both [`rollup`] and
-/// [`cube`](super::cube::cube): one extraction, then one pass that
-/// accumulates every level in `levels` (level `k` groups on the first
-/// `k` basis items). Levels emit coarsest first, groups in
+/// [`cube`](super::cube::cube): one pass over the rows that folds each
+/// into every level in `levels` (level `k` groups on the first `k` basis
+/// items) as it is walked. Levels emit coarsest first, groups in
 /// first-witness order within a level. Returns the output plus the
-/// stage times for the metrics tree.
+/// stage times — the pass, the build — for the metrics tree.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fold_levels(
     store: &DocumentStore,
@@ -197,110 +184,261 @@ pub(crate) fn fold_levels(
     new_tag: &str,
     levels: RangeInclusive<usize>,
 ) -> Result<(Batch, Stages)> {
-    let clock = Instant::now();
-    let w = witnesses(store, rows, pattern, basis, &[], false)?;
-    let witness = clock.elapsed();
-    let contributions = contributions(store, rows, member_pattern, of, func)?;
-    let contributed = clock.elapsed() - witness;
-    let groups = fold_groups(&w, &contributions, levels.clone());
-    let fold = clock.elapsed() - witness - contributed;
-    let out = build(store.dict(), rows, &w, func, new_tag, levels, groups);
-    let build = clock.elapsed() - witness - contributed - fold;
-    Ok((Batch::Rows(out), [witness, contributed, fold, build]))
-}
-
-/// Each stored row's aggregate contribution. Member bindings anchor at
-/// the row's root: inside a group tree the member label binds exactly
-/// the subroot's member children, i.e. this row.
-pub(crate) fn contributions(
-    store: &DocumentStore,
-    rows: &[NodeEntry],
-    member_pattern: &PatternTree,
-    of: PatternNodeId,
-    func: AggFunc,
-) -> Result<Vec<Contribution>> {
+    validate(pattern, basis, &[])?;
     if of >= member_pattern.len() {
         return Err(Error::UnknownLabel(format!("${}", of + 1)));
     }
-    let dict = store.dict();
-    let mut out = vec![Contribution::default(); rows.len()];
+    let clock = Instant::now();
     let cols = store.columns();
-    for_each_match(store, member_pattern, rows, true, |row, m| {
-        let c = &mut out[row as usize];
-        c.bindings += 1;
-        if func != AggFunc::Count {
-            c.values
-                .extend(numeric(dict, cols.content[m[of].id.0 as usize]));
+    let mut fold = Fold {
+        cols: &cols,
+        dict: store.dict(),
+        func,
+        levels: levels.map(|width| Level::new(width, rows.len())).collect(),
+        bindings: 0,
+        values: Vec::new(),
+        words: vec![0; basis.len()],
+    };
+    match (Star::of(store, pattern), Star::of(store, member_pattern)) {
+        (Some(grouping), Some(member)) => {
+            fold.walk(rows, &grouping, basis, &member, of);
         }
-    })?;
-    Ok(out)
+        _ => fold.tables(store, rows, pattern, basis, member_pattern, of)?,
+    }
+    let pass = clock.elapsed();
+    let out = fold.build(new_tag);
+    Ok((
+        Batch::Rows(out),
+        vec![('p', pass), ('b', clock.elapsed() - pass)],
+    ))
 }
 
-/// Accumulation over the witnesses in arrival order — the rollup
-/// counterpart of the groupby's `form_groups`. One pass folds **every**
-/// level in `levels`: the level-`k` accumulator of a witness is addressed
-/// by the key prefix `key[..k]`, so a coarser level grows from the same
-/// contributions as the finest without rescanning. Returns each level's
-/// groups in first-witness order.
-fn fold_groups(
-    w: &Witnesses,
-    contributions: &[Contribution],
-    levels: RangeInclusive<usize>,
-) -> Vec<Vec<GroupAcc>> {
-    let ids = 0..w.len() as u32;
-    let mut index: Vec<GroupIndex> = levels
-        .clone()
-        .map(|level| GroupIndex::new(ids.clone().map(|i| &w.key(i)[..level])))
-        .collect();
-    let mut groups: Vec<Vec<GroupAcc>> = levels.clone().map(|_| Vec::new()).collect();
-    for i in ids {
-        let row = w.tree_idx[i as usize];
-        for (slot, level) in levels.clone().enumerate() {
-            let level_groups = &mut groups[slot];
-            let gid = index[slot].group(&w.key(i)[..level], level_groups.len());
-            if gid == level_groups.len() {
-                level_groups.push(GroupAcc {
-                    first: i,
-                    last_member: None,
-                    acc: Acc::default(),
+/// One level's groups under formation, in first-witness order.
+struct Level {
+    /// Key words: the first `width` basis items.
+    width: usize,
+    index: GroupIndex,
+    /// Each group's key cells, `width` a group: the nodes its first
+    /// witness binds to the basis labels.
+    keys: Vec<NodeEntry>,
+    /// Each group's last member row (a row folds into a group once;
+    /// `u32::MAX`: none yet) and member bindings: the state every
+    /// witness touches, kept small.
+    groups: Vec<(u32, usize)>,
+    /// Each group's numeric values, grown only as far as a group has
+    /// folded one.
+    accs: Vec<Acc>,
+}
+
+impl Level {
+    fn new(width: usize, rows: usize) -> Level {
+        Level {
+            width,
+            index: GroupIndex::new(width, rows),
+            keys: Vec::new(),
+            groups: Vec::new(),
+            accs: Vec::new(),
+        }
+    }
+}
+
+/// The fold of every level, row by row: a row's member bindings first,
+/// then its witnesses.
+struct Fold<'c> {
+    cols: &'c NodeColumns,
+    dict: &'c Dictionary,
+    func: AggFunc,
+    levels: Vec<Level>,
+    /// The current row's member bindings, and their numeric values in
+    /// binding order (none for Count, which never fetches one).
+    bindings: usize,
+    values: Vec<f64>,
+    /// The current witness's key words.
+    words: Vec<u32>,
+}
+
+impl Fold<'_> {
+    /// Start a row: it binds no member yet.
+    fn row(&mut self) {
+        self.bindings = 0;
+        self.values.clear();
+    }
+
+    /// One member binding of the current row, whose aggregated node is
+    /// `id`.
+    fn member(&mut self, id: u32) {
+        self.bindings += 1;
+        if self.func != AggFunc::Count {
+            let sym = self.cols.content[id as usize];
+            self.values.extend(numeric(self.dict, sym));
+        }
+    }
+
+    /// One witness of input row `row`, binding the nodes `ids` to the
+    /// basis labels: at every level, its key's group — created here at
+    /// the key's first witness — folds the row in, unless it already has.
+    #[inline]
+    fn witness(&mut self, row: u32, ids: &[u32]) {
+        let cols = self.cols;
+        for (word, &id) in self.words.iter_mut().zip(ids) {
+            *word = cols.content[id as usize];
+        }
+        for level in &mut self.levels {
+            let next = level.groups.len();
+            let gid = level.index.group(&self.words[..level.width], next);
+            if gid == next {
+                level.groups.push((u32::MAX, 0));
+                let cells = ids[..level.width].iter().map(|&id| cols.entry(NodeId(id)));
+                level.keys.extend(cells);
+            }
+            let (last, bindings) = &mut level.groups[gid];
+            if *last != row {
+                *last = row;
+                *bindings += self.bindings;
+                if !self.values.is_empty() {
+                    if level.accs.len() <= gid {
+                        level.accs.resize_with(gid + 1, Acc::default);
+                    }
+                    level.accs[gid].fold(&self.values);
+                }
+            }
+        }
+    }
+
+    /// The star route: one pass over each row's subtree buckets both
+    /// stars' children (each filter once); the member odometer gives the
+    /// row's bindings, the basis odometer its keys. A grouping-root node
+    /// nested in a row roots witnesses of its own, after the row's, from
+    /// a pass over its own subtree.
+    fn walk(
+        &mut self,
+        rows: &[NodeEntry],
+        grouping: &Star,
+        basis: &[BasisItem],
+        member: &Star,
+        of: PatternNodeId,
+    ) {
+        // Either star binding nothing leaves no group with a defined
+        // aggregate.
+        if grouping.binds_nothing() || member.binds_nothing() {
+            return;
+        }
+        let mut filters: Vec<Filter> = Vec::new();
+        let mut list = |(_, filter): &(PatternNodeId, Filter)| {
+            filters.iter().position(|f| f == filter).unwrap_or_else(|| {
+                filters.push(*filter);
+                filters.len() - 1
+            })
+        };
+        let grouped: Vec<usize> = grouping.kids.iter().map(&mut list).collect();
+        let members: Vec<usize> = member.kids.iter().map(&mut list).collect();
+        // The grouping-root nodes nested in a row, each the root of
+        // witnesses of its own, after the row's.
+        let nested = list(&(grouping.root.0, (grouping.root.1, false)));
+        // The basis odometer runs over the children a basis item names,
+        // each once, in join order: the first witness of each key comes
+        // in the order of the full odometer's.
+        let named = |pid| basis.iter().any(|b| b.label == pid);
+        let keyed: Vec<usize> = (grouping.kids.iter().enumerate())
+            .filter_map(|(k, &(pid, _))| named(pid).then_some(k))
+            .collect();
+        let keyed_lists: Vec<usize> = keyed.iter().map(|&k| grouped[k]).collect();
+        // Where each basis item's node is on the basis odometer; `None`:
+        // the root.
+        let at = |pid| keyed.iter().position(|&k| grouping.kids[k].0 == pid);
+        let basis_at: Vec<Option<usize>> = basis.iter().map(|b| at(b.label)).collect();
+        let of_at = member.kids.iter().position(|&(pid, _)| pid == of);
+        let cols = self.cols;
+        let (mut found, mut inner) = (
+            vec![Vec::new(); filters.len()],
+            vec![Vec::new(); filters.len()],
+        );
+        let (mut odometer, mut scanned) = (Odometer::default(), 0);
+        let mut ids = vec![0; basis.len()];
+        let mut witnesses = |fold: &mut Self, row, root: u32, found: &[Vec<u32>]| {
+            if grouped.iter().any(|&l| found[l].is_empty()) {
+                return;
+            }
+            odometer.run(found, &keyed_lists, |picked| {
+                for (id, at) in ids.iter_mut().zip(&basis_at) {
+                    *id = at.map_or(root, |k| picked[k]);
+                }
+                fold.witness(row, &ids);
+            });
+        };
+        let mut counted = Odometer::default();
+        for (row, scope) in (0..).zip(rows) {
+            self.row();
+            let tag = cols.tag[scope.id.0 as usize];
+            scanned += bucket(cols, scope, &filters, &mut found);
+            if tag == member.root.1 && self.func == AggFunc::Count {
+                self.bindings = members.iter().map(|&l| found[l].len()).product();
+            } else if tag == member.root.1 {
+                counted.run(&found, &members, |picked| {
+                    self.member(of_at.map_or(scope.id.0, |k| picked[k]))
                 });
             }
-            // Member dedup is per level: a row reaching one journal
-            // group through two authors still folds once at the journal
-            // level (the stream is collection-major, so a group's
-            // same-row witnesses arrive before any later row's).
-            let group = &mut level_groups[gid];
-            if group.last_member != Some(row) {
-                group.last_member = Some(row);
-                group.acc.fold(&contributions[row as usize]);
+            if tag == grouping.root.1 {
+                witnesses(self, row, scope.id.0, &found);
+            }
+            for &id in &found[nested] {
+                scanned += bucket(cols, &cols.entry(NodeId(id)), &filters, &mut inner);
+                witnesses(self, row, id, &inner);
             }
         }
+        kernels::note_vec_rows(scanned);
     }
-    groups
-}
 
-/// One one-level row per folded group with a defined aggregate,
-/// level-major: the key cells, whole, then the value.
-fn build(
-    dict: &Dictionary,
-    rows: &[NodeEntry],
-    w: &Witnesses,
-    func: AggFunc,
-    new_tag: &str,
-    levels: RangeInclusive<usize>,
-    groups: Vec<Vec<GroupAcc>>,
-) -> Rows {
-    let mut values = ValueCells::new(dict, new_tag);
-    let mut out = Rows::new(dict.intern(crate::tags::GROUP_ROOT));
-    for (level, level_groups) in levels.zip(groups) {
-        for group in level_groups {
-            if let Some(v) = group.acc.finish(func) {
-                let keys = stored_basis(rows, w, group.first, level, true);
-                out.push(keys.chain([values.cell(v)]));
+    /// The table route: each pattern's bindings in all rows, one table
+    /// each — the member pattern's anchored at the rows — walked row by
+    /// row in step.
+    fn tables(
+        &mut self,
+        store: &DocumentStore,
+        rows: &[NodeEntry],
+        pattern: &PatternTree,
+        basis: &[BasisItem],
+        member: &PatternTree,
+        of: PatternNodeId,
+    ) -> Result<()> {
+        let (witnesses, witness_rows) = match_in_scopes(store, pattern, rows, false)?;
+        let (members, member_rows) = match_in_scopes(store, member, rows, true)?;
+        let (mut w, mut m) = (0, 0);
+        let mut ids = Vec::with_capacity(basis.len());
+        for row in 0..rows.len() as u32 {
+            self.row();
+            for _ in member_rows[m..].iter().take_while(|&&r| r == row) {
+                self.member(members.column(of)[m].id.0);
+                m += 1;
+            }
+            for _ in witness_rows[w..].iter().take_while(|&&r| r == row) {
+                ids.clear();
+                ids.extend(basis.iter().map(|b| witnesses.column(b.label)[w].id.0));
+                self.witness(row, &ids);
+                w += 1;
             }
         }
+        Ok(())
     }
-    out
+
+    /// One one-level row per folded group with a defined aggregate,
+    /// level-major: the key cells, whole, then the value.
+    fn build(self, new_tag: &str) -> Rows {
+        let mut values = ValueCells::new(self.dict, new_tag);
+        let mut out = Rows::new(self.dict.intern(crate::tags::GROUP_ROOT));
+        let none = Acc::default();
+        for level in &self.levels {
+            for (g, &(_, bindings)) in level.groups.iter().enumerate() {
+                let acc = level.accs.get(g).unwrap_or(&none);
+                if let Some(v) = acc.finish(self.func, bindings) {
+                    let keys = &level.keys[g * level.width..][..level.width];
+                    let keys = keys.iter().map(|&node| Cell::Ref { node, deep: true });
+                    out.push(keys.chain([values.cell(v)]));
+                }
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -375,7 +513,23 @@ mod tests {
         func: AggFunc,
         new_tag: &str,
     ) -> Vec<String> {
-        let (gp, basis) = grouping();
+        let grouped = grouping();
+        pipeline_by(s, rows, grouped, "author", member, of, func, new_tag)
+    }
+
+    /// [`pipeline`] grouped by `grouping`, whose one basis label carries
+    /// the tag `key`.
+    #[allow(clippy::too_many_arguments)]
+    fn pipeline_by(
+        s: &DocumentStore,
+        rows: &[NodeEntry],
+        (gp, basis): (PatternTree, Vec<BasisItem>),
+        key: &str,
+        member: &PatternTree,
+        of: PatternNodeId,
+        func: AggFunc,
+        new_tag: &str,
+    ) -> Vec<String> {
         let input = &Batch::Stored(rows.to_vec());
         let Batch::Groups(groups) = groupby(s, input, &gp, &basis, &[]).unwrap().0 else {
             panic!("groupby emits groups")
@@ -399,7 +553,7 @@ mod tests {
         let aggregated = aggregate(s, groups, &ap, func, of_in_ap, new_tag, spec).unwrap();
         let mut fp = PatternTree::with_root(Pred::tag(tags::GROUP_ROOT));
         let b = fp.add_child(fp.root(), Axis::Child, Pred::tag(tags::GROUPING_BASIS));
-        let key = fp.add_child(b, Axis::Child, Pred::tag("author"));
+        let key = fp.add_child(b, Axis::Child, Pred::tag(key));
         let agg = fp.add_child(fp.root(), Axis::Child, Pred::tag(new_tag));
         let pl = vec![
             ProjectItem::shallow(fp.root()),
@@ -690,5 +844,108 @@ mod tests {
             run(of, RollupShape::Grouped),
             Err(Error::Unsupported(_))
         ));
+    }
+
+    /// The fused fold against the pipeline, for COUNT over `<title>` and
+    /// SUM over `<year>`, on `xml`'s articles: the fused rows.
+    fn fused_equals_pipeline(xml: &str) -> [Vec<String>; 2] {
+        let s = DocumentStore::from_xml(xml, &StoreOptions::in_memory()).unwrap();
+        let arts = articles(&s);
+        [
+            ("title", AggFunc::Count, "count"),
+            ("year", AggFunc::Sum, "sum"),
+        ]
+        .map(|(leaf, func, tag)| {
+            let (mp, of) = member(leaf);
+            let fused = flat(&s, &arts, &mp, of, func, tag);
+            assert_eq!(fused, pipeline(&s, &arts, &mp, of, func, tag), "{func:?}");
+            fused
+        })
+    }
+
+    fn row(author: &str, tag: &str, v: u32) -> String {
+        format!("<TAX_group_root>{author}<{tag}>{v}</{tag}></TAX_group_root>")
+    }
+
+    #[test]
+    fn a_group_first_witnessed_without_a_member_keeps_its_position() {
+        // Jack's first article binds no member; his group is still
+        // created there, ahead of Jill's.
+        let [count, sum] = fused_equals_pipeline(
+            "<bib>\
+                <article><author>Jack</author></article>\
+                <article><author>Jill</author><title>A</title><year>1999</year></article>\
+                <article><author>Jack</author><title>B</title><year>2001</year></article>\
+            </bib>",
+        );
+        let (jack, jill) = ("<author>Jack</author>", "<author>Jill</author>");
+        assert_eq!(count, [row(jack, "count", 1), row(jill, "count", 1)]);
+        assert_eq!(sum, [row(jack, "sum", 2001), row(jill, "sum", 1999)]);
+    }
+
+    #[test]
+    fn a_row_naming_a_key_twice_folds_once() {
+        let [count, sum] = fused_equals_pipeline(
+            "<bib>\
+                <article><author>Jack</author><author>Jack</author><title>A</title><year>2</year></article>\
+                <article><author>Jill</author><author>Jack</author><title>B</title><year>3</year></article>\
+            </bib>",
+        );
+        let (jack, jill) = ("<author>Jack</author>", "<author>Jill</author>");
+        assert_eq!(count, [row(jack, "count", 2), row(jill, "count", 1)]);
+        assert_eq!(sum, [row(jack, "sum", 5), row(jill, "sum", 3)]);
+    }
+
+    #[test]
+    fn content_less_keys_group_under_the_absent_key() {
+        // An empty author and one with element content have no content:
+        // one group, keyed by the first.
+        let [count, sum] = fused_equals_pipeline(
+            "<bib>\
+                <article><author/><title>A</title><year>5</year></article>\
+                <article><author>Jill</author><title>B</title><year>7</year></article>\
+                <article><author><name>Jo</name></author><title>C</title><year>9</year></article>\
+            </bib>",
+        );
+        let (absent, jill) = ("<author/>", "<author>Jill</author>");
+        assert_eq!(count, [row(absent, "count", 2), row(jill, "count", 1)]);
+        assert_eq!(sum, [row(absent, "sum", 14), row(jill, "sum", 7)]);
+    }
+
+    #[test]
+    fn a_two_key_row_folds_once_into_its_coarser_group() {
+        // The lattice over journal → author: the two-author article
+        // reaches two (journal, author) groups but its journal's once.
+        // One journal, so level 2 is the author pipeline's rows under it.
+        let s = DocumentStore::from_xml(
+            "<bib>\
+                <article><journal>J</journal><author>Jack</author><author>Jill</author><pages>3</pages></article>\
+                <article><journal>J</journal><author>Jill</author><pages>4</pages></article>\
+            </bib>",
+            &StoreOptions::in_memory(),
+        )
+        .unwrap();
+        let arts = articles(&s);
+        let mut gp = PatternTree::with_root(Pred::tag("article"));
+        let journal = gp.add_child(gp.root(), Axis::Child, Pred::tag("journal"));
+        let author = gp.add_child(gp.root(), Axis::Child, Pred::tag("author"));
+        let basis = [BasisItem::content(journal), BasisItem::content(author)];
+        let mut by_journal = PatternTree::with_root(Pred::tag("article"));
+        let j = by_journal.add_child(0, Axis::Child, Pred::tag("journal"));
+        let (mp, of) = member("pages");
+        for (func, tag, total) in [(AggFunc::Count, "count", 2), (AggFunc::Sum, "sum", 7)] {
+            let (out, _) = fold_levels(&s, &arts, &gp, &basis, &mp, of, func, tag, 1..=2).unwrap();
+            let grouped = (by_journal.clone(), vec![BasisItem::content(j)]);
+            let mut want = pipeline_by(&s, &arts, grouped, "journal", &mp, of, func, tag);
+            let root = "<TAX_group_root>";
+            let under = |r: String| r.replace(root, &format!("{root}<journal>J</journal>"));
+            want.extend(
+                pipeline(&s, &arts, &mp, of, func, tag)
+                    .into_iter()
+                    .map(under),
+            );
+            assert_eq!(written(&s, out), want, "{func:?}");
+            assert_eq!(want[0], row("<journal>J</journal>", tag, total));
+        }
     }
 }

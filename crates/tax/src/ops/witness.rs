@@ -1,7 +1,7 @@
-//! Witnesses: the one key extraction behind the keyed operators — the
-//! grouping sinks (`groupby`, `rollup`, `cube`) and the RETURN stitch's
-//! members. (Duplicate elimination and the join need none: their key is
-//! the scan's bound cell.)
+//! Witnesses: the key extraction behind `groupby` and the RETURN
+//! stitch's members. (`rollup` and `cube` fold each row as they walk it,
+//! and duplicate elimination and the join need none: their key is the
+//! scan's bound cell.)
 //!
 //! A witness is one embedding of the operator's pattern in one stored
 //! input row. What the operators need of it is columnar and small —

@@ -51,7 +51,8 @@ pub struct PlanMetrics {
     /// slowdown.
     pub vec_fallback: u64,
     /// A grouping sink's statistics — its stage times,
-    /// `stages=w:…/c:…/f:…/b:…us` (`None` for every other operator).
+    /// `stages=w:…/c:…/f:…/b:…us` for `GroupBy`, `stages=p:…/b:…us` for
+    /// `Rollup` and `Cube` (`None` for every other operator).
     pub shards: Option<ShardStats>,
     /// Metrics of the operator's input plans, in plan order.
     pub children: Vec<PlanMetrics>,
@@ -80,8 +81,11 @@ impl PlanMetrics {
             self.op, self.trees_in, self.trees_out, self.elapsed, self.vec_rows, self.vec_fallback,
         );
         if let Some(shards) = &self.shards {
-            let [w, c, f, b] = shards.stages.map(|d| d.as_micros());
-            let _ = write!(out, " stages=w:{w}/c:{c}/f:{f}/b:{b}us");
+            let stages = shards.stages.iter();
+            let stages: Vec<String> = stages
+                .map(|(s, d)| format!("{s}:{}", d.as_micros()))
+                .collect();
+            let _ = write!(out, " stages={}us", stages.join("/"));
         }
         let _ = writeln!(out);
         for child in &self.children {
@@ -181,14 +185,33 @@ mod tests {
             trees_in: 8,
             trees_out: 4,
             shards: Some(ShardStats::new(
-                [2800, 1500, 650, 1100].map(Duration::from_micros),
+                ['w', 'c', 'f', 'b']
+                    .into_iter()
+                    .zip([2800, 0, 650, 1100].map(Duration::from_micros))
+                    .collect(),
             )),
             ..Default::default()
         };
         let text = m.render();
         assert!(
-            text.ends_with(" vecfb=0 stages=w:2800/c:1500/f:650/b:1100us\n"),
+            text.ends_with(" vecfb=0 stages=w:2800/c:0/f:650/b:1100us\n"),
             "{text}"
+        );
+        // A folding sink names its two stages: the pass and the build.
+        let m = PlanMetrics {
+            op: "Rollup".into(),
+            shards: Some(ShardStats::new(
+                ['p', 'b']
+                    .into_iter()
+                    .zip([3000, 400].map(Duration::from_micros))
+                    .collect(),
+            )),
+            ..Default::default()
+        };
+        assert!(
+            m.render().ends_with(" stages=p:3000/b:400us\n"),
+            "{}",
+            m.render()
         );
         // Streaming operators (shards: None) render without the field.
         let s = PlanMetrics {

@@ -383,6 +383,12 @@ impl DocumentStore {
         self.shared.disk.num_pages()
     }
 
+    /// The freed pages awaiting reuse, ascending. A checkpoint leaves
+    /// none at the end of the file.
+    pub fn free_pages(&self) -> Vec<u32> {
+        self.writer().free.iter().copied().collect()
+    }
+
     /// Pages that hold names — tags and values, each once — on the
     /// store's name runs; the rest of the file is node runs and freed
     /// pages.

@@ -238,8 +238,9 @@ impl DocumentStore {
     /// Names no page holds yet (interned by a query, say) are paged
     /// first by a commit of no document, as the next commit would have
     /// paged them. The checkpoint itself syncs no page: every page a
-    /// durable commit made live was synced before its record. Without a
-    /// log there is nothing to do.
+    /// durable commit made live was synced before its record. Once the
+    /// snapshot is durable, the file gives back its free tail. Without
+    /// a log there is nothing to do.
     pub fn checkpoint(&self) -> Result<()> {
         if self.shared.disk.crashed() {
             return Err(StoreError::SimulatedCrash);
@@ -251,7 +252,7 @@ impl DocumentStore {
             remove: None,
             add: None,
         })?;
-        let w = self.writer();
+        let mut w = self.writer();
         if let Some(mut wal) = self.shared.wal() {
             let names = self.shared.names();
             let meta = StoreMeta {
@@ -263,6 +264,26 @@ impl DocumentStore {
             drop(names);
             wal.checkpoint(encode_meta(&meta))?;
         }
+        self.truncate_free_tail(&mut w)
+    }
+
+    /// Cut the free pages that end the file off it. No projection holds
+    /// a free page and no commit reads one, so only the pool's frames of
+    /// them, dropped first, could name them. On `Err` the file and the
+    /// free list keep the tail.
+    fn truncate_free_tail(&self, w: &mut WriterState) -> Result<()> {
+        let end = self.shared.disk.num_pages();
+        let keep = end - free_tail(&w.free, end);
+        if keep == end {
+            return Ok(());
+        }
+        let mut pool = self.shared.pool();
+        for p in keep..end {
+            pool.discard(PageId(p));
+        }
+        drop(pool);
+        self.shared.disk.lock().truncate(keep)?;
+        w.free.split_off(&keep);
         Ok(())
     }
 
@@ -312,9 +333,9 @@ impl DocumentStore {
     // ---- page allocation -----------------------------------------------
 
     /// Allocate a run of `n` consecutive pages: the lowest consecutive
-    /// run in the free list if one exists, else fresh pages at the end
-    /// of the file, which the file grows by and nothing writes until
-    /// the commit does.
+    /// run in the free list if one exists, else the free pages that end
+    /// the file and fresh pages after them, which the file grows by and
+    /// nothing writes until the commit does.
     fn alloc_run(&self, w: &mut WriterState, n: u32) -> Result<Run> {
         if n == 0 {
             return Ok(Run { base: 0, len: 0 });
@@ -339,17 +360,96 @@ impl DocumentStore {
             }
             return Ok(Run { base, len: n });
         }
-        let PageId(base) = self.shared.disk.lock().allocate(n)?;
+        let mut disk = self.shared.disk.lock();
+        let end = disk.num_pages();
+        let tail = free_tail(&w.free, end);
+        disk.allocate(n - tail)?;
+        let base = end - tail;
+        w.free.split_off(&base);
         Ok(Run { base, len: n })
     }
 }
 
+/// How many of the pages that end a file of `end` pages are `free`.
+fn free_tail(free: &BTreeSet<u32>, end: u32) -> u32 {
+    let below = free.range(..end).rev().zip((0..end).rev());
+    below.take_while(|(&p, q)| p == *q).count() as u32
+}
+
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{store, SAMPLE};
+    use super::super::test_support::{durable_opts, store, temp_paths, SAMPLE};
     use super::super::StoreOptions;
     use super::*;
     use crate::node::NodeId;
+
+    /// A document of `rows` `<b>x</b>` rows under one `<a>`: every copy
+    /// has the same three names, so only its first insert pages names.
+    fn rows_of_b(rows: usize) -> String {
+        format!("<a>{}</a>", "<b>x</b>".repeat(rows))
+    }
+
+    #[test]
+    fn a_checkpoint_gives_back_the_free_pages_that_end_the_file() {
+        // Three copies of one document, the last two deleted newest
+        // first: at the checkpoint the newest copy's run is free and ends
+        // the file, while the projection before the last edit still holds
+        // the middle one. The file shrinks to the end of the highest page
+        // in use and stays so reopened; there, where nothing holds the
+        // middle run, a checkpoint gives it back too. A document larger
+        // than a free tail then takes the tail and grows the file past
+        // it by the difference only.
+        let (page, wal) = temp_paths("free_tail");
+        let opts = durable_opts(&page);
+        let (doc, big) = (rows_of_b(1500), rows_of_b(6000));
+        let (first, second) = {
+            let s = DocumentStore::create(&opts).unwrap();
+            let d1 = s.insert_xml(&doc).unwrap();
+            let first = s.total_pages();
+            let d2 = s.insert_xml(&doc).unwrap();
+            let second = s.total_pages();
+            let d3 = s.insert_xml(&doc).unwrap();
+            assert!(s.total_pages() > second && second > first);
+            s.delete_document(d3).unwrap();
+            s.delete_document(d2).unwrap();
+            s.checkpoint().unwrap();
+            assert_eq!(s.total_pages(), second, "the free tail is cut off");
+            assert!(s.free_pages().iter().all(|&p| p < second));
+            assert_eq!(s.documents(), [(d1, s.documents()[0].1)]);
+            (first, second)
+        };
+        let s = DocumentStore::open(&opts).unwrap();
+        assert_eq!(s.total_pages(), second, "the cut survives a reopen");
+        assert_eq!(s.free_pages(), (first..second).collect::<Vec<_>>());
+        s.checkpoint().unwrap();
+        assert_eq!(s.total_pages(), first);
+        assert!(s.free_pages().is_empty());
+        drop(s);
+        let s = DocumentStore::open(&opts).unwrap();
+        assert_eq!(s.total_pages(), first);
+        assert_eq!(s.content(NodeId(2)).unwrap().as_deref(), Some("x"));
+        // A free tail of one copy's run, then a run four times its size.
+        s.insert_xml(&doc).unwrap();
+        let tail = s.total_pages() - first;
+        s.delete_document(s.documents()[1].0).unwrap();
+        s.checkpoint().unwrap();
+        assert_eq!(s.total_pages(), first + tail, "the predecessor holds it");
+        drop(s);
+        let s = DocumentStore::open(&opts).unwrap();
+        assert_eq!(s.free_pages(), (first..first + tail).collect::<Vec<_>>());
+        let sized = DocumentStore::create(&StoreOptions::in_memory()).unwrap();
+        sized.insert_xml(&doc).unwrap();
+        let before = sized.total_pages();
+        sized.insert_xml(&big).unwrap();
+        let big_run = sized.total_pages() - before;
+        assert!(big_run > tail);
+        s.insert_xml(&big).unwrap();
+        assert_eq!(s.total_pages(), first + big_run, "the tail is extended");
+        assert!(s.free_pages().is_empty());
+        drop(s);
+        let _ = std::fs::remove_file(&page);
+        let _ = std::fs::remove_file(&wal);
+    }
 
     #[test]
     fn single_insert_matches_bulk_load() {
@@ -550,11 +650,13 @@ mod tests {
             s.delete_document(a).unwrap();
             let (pages, writes) = (s.total_pages(), s.io_stats().disk.writes);
             s.insert_document(&bib(400, "y")).unwrap();
-            // B's new names land on A's node run, whose rest is too
-            // short for B's: the file grows by less than B wrote.
+            // B's new names land on A's node run, whose rest ends the
+            // file and is too short for B's: B's node run extends it, and
+            // the file grows by one page where B wrote three (by two
+            // before a run could extend a free tail).
             let grown = s.total_pages() - pages;
             let written = s.io_stats().disk.writes - writes;
-            assert_eq!((grown, written), (2, 3), "pool {pool}: B reuses A's run");
+            assert_eq!((grown, written), (1, 3), "pool {pool}: B reuses A's run");
             let want_b: Vec<String> = want_a.iter().map(|t| t.replace('x', "y")).collect();
             assert_eq!(text(&s), want_b, "pool {pool}: warm");
             s.clear_buffer_pool().unwrap();

@@ -223,6 +223,22 @@ impl DiskManager {
         Ok(first)
     }
 
+    /// Shrink the file to its first `n` pages (at most the pages it has):
+    /// the caller hands back pages nothing will read. On `Err` the file
+    /// keeps every page.
+    pub fn truncate(&mut self, n: u32) -> Result<()> {
+        if self.crashed() {
+            return Err(StoreError::SimulatedCrash);
+        }
+        let n = n.min(self.num_pages);
+        match &mut self.backend {
+            Backend::Mem(pages) => pages.truncate(n as usize),
+            Backend::File { file, .. } => file.set_len(PageId(n).byte_offset())?,
+        }
+        self.num_pages = n;
+        Ok(())
+    }
+
     /// Read page `pid` into `buf`, verifying its checksum header.
     pub fn read_page(&mut self, pid: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
         self.check(pid)?;

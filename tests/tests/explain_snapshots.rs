@@ -13,7 +13,7 @@ const QUERY_PROJECT: &str = r#"
 "#;
 
 /// A metrics line's `stages=` field with its numbers masked, as no
-/// test compares a `time=`: `w:#/c:#/f:#/b:#us`.
+/// test compares a `time=`: `w:#/c:#/f:#/b:#us`, or `p:#/b:#us`.
 fn masked_stages(line: &str) -> String {
     let field = line.split(" stages=").nth(1).unwrap_or_default();
     let field = field.split(' ').next().unwrap_or_default();
@@ -271,11 +271,12 @@ fn explain_analyze_rollup_operator_line() {
         !text.contains("parts=") && !text.contains("skew="),
         "{text}"
     );
-    assert_eq!(
-        masked_stages(rollup_line),
-        "w:#/c:#/f:#/b:#us",
-        "{rollup_line}"
-    );
+    // One pass over the rows, then the build.
+    assert_eq!(masked_stages(rollup_line), "p:#/b:#us", "{rollup_line}");
+    // The pass reads each article's subtree once — its authors and title
+    // bucketed together — and nothing else: 3 + 3 + 2 label rows. A
+    // second walk per row would read 16.
+    assert!(rollup_line.contains(" vec=8 vecfb=0 "), "{rollup_line}");
     // No GroupBy or Aggregate operator executed.
     assert!(!text.contains("\n  GroupBy"), "{text}");
     assert!(!text.contains("Aggregate Count"), "{text}");
@@ -284,7 +285,7 @@ fn explain_analyze_rollup_operator_line() {
 #[test]
 fn explain_analyze_cube_operator_line() {
     // The lattice is the rollup's fold over every prefix level: its line
-    // carries the same stage times. Both modes run the one `Cube`, and
+    // carries the same stage times, the pass and the build. Both modes run the one `Cube`, and
     // the scan under it — a projection over a selection — hands it stored
     // rows, so no line copies a tree.
     let db = TimberDb::load_xml(
@@ -302,7 +303,7 @@ fn explain_analyze_cube_operator_line() {
             .iter()
             .position(|l| l.trim_start().starts_with("Cube"))
             .unwrap_or_else(|| panic!("no Cube metrics line in:\n{text}"));
-        assert_eq!(masked_stages(lines[cube]), "w:#/c:#/f:#/b:#us", "{text}");
+        assert_eq!(masked_stages(lines[cube]), "p:#/b:#us", "{text}");
         assert!(
             lines[cube + 1].contains(" out=2 stored "),
             "{mode:?}: {text}"

@@ -316,9 +316,10 @@ fn churn_keeps_the_file_to_live_node_runs_and_paged_names() {
     // 1 000 seeded inserts, replaces, deletes and checkpoints over 24
     // documents of their own seeds, on a durable store. Once every
     // document has been seen its names are all paged, and no later edit
-    // pages one again. The file never shrinks, so it is held to the most
-    // node pages that were ever live at once: it never holds more than
-    // those, the name pages and two more runs of the largest document (a
+    // pages one again. The file shrinks only at a checkpoint, which
+    // leaves no free page at its end, so it is held to the most node
+    // pages that were ever live at once: it never holds more than those,
+    // the name pages and two more runs of the largest document (a
     // removed run the predecessor still holds, and the slack of the
     // free list). Reopened, it answers as a fresh load of the live
     // documents.
@@ -354,7 +355,15 @@ fn churn_keeps_the_file_to_live_node_runs_and_paged_names() {
                 seen[doc] = true;
             }
             (7 | 8, Some(k)) => db.delete_document(live.remove(k).0).unwrap(),
-            _ => db.checkpoint().unwrap(),
+            _ => {
+                db.checkpoint().unwrap();
+                let (s, free) = (db.store(), db.store().free_pages());
+                let last = s.total_pages().checked_sub(1);
+                assert!(
+                    free.last() != last.as_ref(),
+                    "step {step}: a free page ends the file"
+                );
+            }
         }
         let s = db.store();
         let names = (s.dict().len(), s.name_pages());
