@@ -9,7 +9,9 @@
 //! `--analyze` additionally prints an `EXPLAIN ANALYZE` report for the
 //! E1/E2 queries: the executed plan, the optimizer's rule-firing trace,
 //! and per-operator rows in/out, wall time and I/O from the physical
-//! executor.
+//! executor, and then the minor page faults the plan run and the writing
+//! of its output took (read from `/proc/self/stat`; `n/a` where that
+//! file is absent).
 //!
 //! An unknown experiment name or option, a missing value, or a value of
 //! `--articles` that is not a number prints a usage line on stderr and
@@ -224,11 +226,38 @@ fn run_analyze(db: &timber::TimberDb, label: &str, query: &str) {
         ("groupby", PlanMode::GroupByRewrite),
     ] {
         println!("-- EXPLAIN ANALYZE: {label}, {name} plan --");
-        match db.explain_analyze(query, mode) {
-            Ok(a) => println!("{}", a.render()),
-            Err(e) => println!("error: {e}"),
+        let before = minor_faults();
+        let a = match db.explain_analyze(query, mode) {
+            Ok(a) => a,
+            Err(e) => {
+                println!("error: {e}");
+                continue;
+            }
+        };
+        let planned = minor_faults();
+        let output = a.result.to_xml_on(db.store());
+        let written = minor_faults();
+        println!("{}", a.render());
+        if let Err(e) = output {
+            println!("output error: {e}");
+        }
+        match (before, planned, written) {
+            (Some(b), Some(p), Some(w)) => {
+                println!("minor faults: {} plan, {} output\n", p - b, w - p)
+            }
+            _ => println!("minor faults: n/a\n"),
         }
     }
+}
+
+/// This process's minor page faults so far: field 10 of
+/// `/proc/self/stat`, `None` where that file is absent.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The fields after the command name, which closes with the last ')',
+    // start at field 3.
+    let (_, fields) = stat.rsplit_once(')')?;
+    fields.split_whitespace().nth(10 - 3)?.parse().ok()
 }
 
 fn run_faults(spec: Option<&str>) {

@@ -43,10 +43,9 @@ pub fn contain<R>(f: impl FnOnce() -> R) -> Result<R> {
 }
 
 /// A grouping sink's stage times, timed by the sink itself, each under
-/// the letter `stages=` names it by: `GroupBy`'s witness extraction
-/// (`w`), aggregate contributions (`c`, none), group formation (`f`) and
-/// build (`b`); `Rollup`'s and `Cube`'s one pass over the rows (`p`) and
-/// build (`b`).
+/// the letter `stages=` names it by: the one pass over the rows (`p`)
+/// and the build (`b`) of `GroupBy`, the Fig. 5d gather fused with it,
+/// `Rollup` and `Cube`.
 pub type Stages = Vec<(char, Duration)>;
 
 /// A grouping sink's statistics as the metrics tree carries them.

@@ -9,8 +9,10 @@
 //! every child's nodes at once ([`bucket`]), and an [`Odometer`] runs
 //! through their combinations: no index list is galloped, no binding
 //! table built, and every embedding goes straight to the caller. The
-//! rollup buckets its grouping and member stars in the same pass. Any
-//! other pattern takes [`match_in_scopes`], visited row by row.
+//! grouping sinks' fold (`ops::rollup::Fold`: `GroupBy` and its Fig. 5d
+//! gather, the rollup, the cube) buckets its grouping and member stars
+//! in the same pass. Any other pattern takes [`match_in_scopes`],
+//! visited row by row.
 
 use super::match_in_scopes;
 use crate::error::Result;

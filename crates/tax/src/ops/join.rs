@@ -171,7 +171,7 @@ pub fn stitch(
                     bucket.push(Part { node, value, first });
                 }
             }
-            sort_members(dict, &w, &mut bucket, ordering, |p| p.first);
+            sort_members(dict, &mut bucket, ordering, |p| p.first, |i| w.sort_syms(i));
             parts.insert(key(k), bucket);
         }
     }

@@ -1,7 +1,8 @@
-//! Witnesses: the key extraction behind `groupby` and the RETURN
-//! stitch's members. (`rollup` and `cube` fold each row as they walk it,
-//! and duplicate elimination and the join need none: their key is the
-//! scan's bound cell.)
+//! Witnesses: the key extraction behind the RETURN stitch's members.
+//! (The grouping sinks — `groupby`, the gather fused with it, `rollup`
+//! and `cube` — fold each row as they walk it, and duplicate
+//! elimination and the join need none: their key is the scan's bound
+//! cell.)
 //!
 //! A witness is one embedding of the operator's pattern in one stored
 //! input row. What the operators need of it is columnar and small —
@@ -43,11 +44,6 @@ pub(crate) struct Witnesses {
 }
 
 impl Witnesses {
-    /// Number of witnesses.
-    pub fn len(&self) -> usize {
-        self.tree_idx.len()
-    }
-
     /// The key of witness `w`.
     pub fn key(&self, w: u32) -> &[u32] {
         &self.keys[w as usize * self.basis..][..self.basis]

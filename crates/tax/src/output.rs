@@ -324,7 +324,7 @@ mod tests {
         use crate::batch::Matches;
         use crate::ops::join::{stitch, Members};
         use crate::ops::project::{ProjectItem, Projection};
-        use crate::ops::{cube, dup_elim, groupby, left_outer_join_db, rename_root, rollup};
+        use crate::ops::{cube, dup_elim, left_outer_join_db, rename_root, rollup};
         use crate::ops::{AggFunc, BasisItem, RollupShape};
         use crate::pattern::{Axis, PatternTree, Pred};
         use crate::tags::{GROUPING_BASIS, GROUP_ROOT, GROUP_SUBROOT};
@@ -343,7 +343,7 @@ mod tests {
         let pl = [0, key, extract].map(ProjectItem::deep);
         let pl = [ProjectItem::shallow(0), pl[1], pl[2]];
         let gather = Projection::new(&fig5d, &pl, true, Some((&scan, &by_author[..])), None);
-        let (groups, _) = groupby(s, &articles, &scan, &by_author, &[]).unwrap();
+        let (gathered, _) = gather.gather(s, &articles, &scan, &by_author, &[]).unwrap();
         let mut titled = PatternTree::with_root(tag("article"));
         let t = titled.add_child(0, Axis::Child, tag("title"));
         let count = AggFunc::Count;
@@ -369,10 +369,7 @@ mod tests {
         let direct = |agg| stitch(s, &authors, &outer, 1, inner, agg, "authorpubs").unwrap();
         let renamed = |out, tag| rename_root(s.dict(), out, tag).unwrap();
         vec![
-            (
-                "Query 1, GROUPBY",
-                renamed(gather.project(s, groups).unwrap(), "authorpubs"),
-            ),
+            ("Query 1, GROUPBY", renamed(gathered, "authorpubs")),
             ("Query 1, direct", Batch::Rows(direct(None))),
             ("count, GROUPBY", renamed(counted, "authorpubs")),
             ("count, direct", Batch::Rows(direct(Some((count, "count"))))),
