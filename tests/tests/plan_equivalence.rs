@@ -458,18 +458,20 @@ fn descendant_extract(plan: &Plan) -> Plan {
     plan
 }
 
-/// The kind of rows the plan's `GroupBy` emitted.
-fn groupby_out(m: &PlanMetrics) -> Option<OutKind> {
-    match m.op.starts_with("GroupBy") {
-        true => m.out_kind,
-        false => m.children.iter().find_map(groupby_out),
+/// Every metrics node of the plan whose operator starts with `op`.
+fn metrics_of<'m>(m: &'m PlanMetrics, op: &str, out: &mut Vec<&'m PlanMetrics>) {
+    if m.op.starts_with(op) {
+        out.push(m);
+    }
+    for child in &m.children {
+        metrics_of(child, op, out);
     }
 }
 
 #[test]
 fn the_group_projection_equals_the_model_on_random_bibliographies() {
-    // `GroupBy` hands the final projection groups as columns, and the
-    // projection gathers each output row from one match of the member
+    // `GroupBy` and the final projection run as one sink, which gathers
+    // each output row from its group's members' extracts of the member
     // path, a node repeated rows reach written once. Every way must
     // serve the query as written, minus what DESIGN.md,
     // *Oracle*, 1 states the rewrite drops: an author none of whose
@@ -536,9 +538,18 @@ fn the_group_projection_equals_the_model_on_random_bibliographies() {
                 let got = r.to_xml_on(db.store()).unwrap();
                 assert_eq!(got, want, "{plan:?} on {xml}");
             }
+            // The rewrite's plan runs the pair as that one sink: it emits
+            // rows and times its own stages, and no `GroupBy` runs alone.
             let r = db.query(&titles, PlanMode::GroupByRewrite).unwrap();
-            let out = groupby_out(r.metrics.as_ref().unwrap());
-            assert!(matches!(out, None | Some(OutKind::Groups)), "{out:?}");
+            let mut sinks = Vec::new();
+            metrics_of(r.metrics.as_ref().unwrap(), "GroupBy", &mut sinks);
+            let [sink] = sinks[..] else {
+                panic!("{sinks:?}")
+            };
+            assert!(sink.op.starts_with("GroupBy → Project "), "{}", sink.op);
+            let rows = (!r.is_empty()).then_some(OutKind::Rows);
+            assert_eq!(sink.out_kind, rows, "{}", sink.op);
+            assert!(sink.shards.is_some(), "{}", sink.op);
         },
     );
 }
