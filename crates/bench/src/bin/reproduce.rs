@@ -410,10 +410,15 @@ fn run_recovery(spec: Option<&str>) {
     let recovered = TimberDb::open(&opts).expect("reopen through recovery");
     let dt = t0.elapsed();
     let info = recovered.recovery_info().expect("recovery ran");
+    let store = recovered.store();
+    let docs = store.documents();
+    let rows: u64 = docs.iter().map(|&(_, n)| u64::from(n)).sum();
     println!(
-        "reopened in {:.3}s after {write_ops} write ops: {} committed txns",
+        "reopened in {:.3}s after {write_ops} write ops: {} committed txns; {} documents, {rows} rows, {} names",
         dt.as_secs_f64(),
-        info.committed
+        info.committed,
+        docs.len(),
+        store.dict().len()
     );
     assert_eq!(
         recovered.documents().len(),

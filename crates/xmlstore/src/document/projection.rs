@@ -95,10 +95,9 @@ impl Projection {
     }
 
     /// Append one document at the end of the id and label spaces: its
-    /// rows (in local ids and labels, as the loader built them or `open`
-    /// read them back) extend the six columns and the tag lists, its
-    /// table goes into the [`Doc`] it becomes. The caller fits the root
-    /// afterwards.
+    /// rows (in local ids and labels, as the loader built them) extend
+    /// the six columns and the tag lists, its table goes into the [`Doc`]
+    /// it becomes. The caller fits the root afterwards.
     fn push_doc(&mut self, meta: DocMeta, rows: DocColumns) {
         let (id_base, off) = (self.node_count, self.root_end);
         // Unshared while a projection is being built.
@@ -113,12 +112,14 @@ impl Projection {
         for (id, &tag) in (id_base..).zip(&columns.tag[id_base as usize..]) {
             self.index.insert(Sym(tag), columns.entry(NodeId(id)));
         }
-        self.docs.push(Arc::new(Doc {
-            meta,
-            pairs: rows.pairs.into(),
-        }));
-        self.id_bases.push(id_base);
-        self.label_offsets.push(off);
+        self.place(meta, rows.pairs.into());
+    }
+
+    /// Enter a document whose rows end the columns into the table.
+    fn place(&mut self, meta: DocMeta, pairs: Box<[(TagId, NodeKind)]>) {
+        self.docs.push(Arc::new(Doc { meta, pairs }));
+        self.id_bases.push(self.node_count);
+        self.label_offsets.push(self.root_end);
         self.node_count += meta.node_count;
         self.root_end += 2 * meta.node_count;
     }
@@ -206,24 +207,28 @@ fn set_root(columns: &mut NodeColumns, index: &mut TagIndex, root_end: u32) {
     }
 }
 
-/// Build a projection in one pass over all documents, their rows read
-/// back from pages by `rows` — what `open` starts from (`create` starts
-/// from [`Projection::empty`]). Every later projection is
-/// [`Projection::edited`] from its predecessor.
+/// Build a projection in one pass over all documents — what `open` starts
+/// from (`create` starts from [`Projection::empty`]). `decode(meta,
+/// columns, off)` appends one document's rows onto the label columns,
+/// its labels counted from `off`, and returns its (tag, kind) table; the
+/// tag index is filled once, after the last document. Every later
+/// projection is [`Projection::edited`] from its predecessor.
 pub(super) fn build_projection(
     epoch: u64,
     doc_root_tag: TagId,
     docs: &[DocMeta],
-    mut rows: impl FnMut(&DocMeta) -> Result<DocColumns>,
+    mut decode: impl FnMut(&DocMeta, &mut NodeColumns, u32) -> Result<Box<[(TagId, NodeKind)]>>,
 ) -> Result<Projection> {
     let rows_total: usize = docs.iter().map(|d| d.node_count as usize).sum();
     let mut proj = Projection::empty(epoch, doc_root_tag, rows_total);
-    proj.docs.reserve(docs.len());
-    proj.id_bases.reserve(docs.len());
-    proj.label_offsets.reserve(docs.len());
+    // Unshared while a projection is being built.
+    let mut columns = std::mem::take(Arc::make_mut(&mut proj.columns));
     for meta in docs {
-        proj.push_doc(*meta, rows(meta)?);
+        let pairs = decode(meta, &mut columns, proj.root_end)?;
+        proj.place(*meta, pairs);
     }
+    proj.index = TagIndex::from_columns(&columns);
+    proj.columns = Arc::new(columns);
     Ok(proj.fit_root())
 }
 
@@ -387,6 +392,7 @@ mod tests {
     use super::super::test_support::{durable_opts, store, temp_paths};
     use super::super::{DocId, DocumentStore, StoreOptions};
     use super::*;
+    use crate::{node, page};
     use smallrand::prop::{check, Gen};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -443,13 +449,10 @@ mod tests {
     }
 
     /// The published view of `s`, rebuilt in one pass from its own
-    /// document table and pages — what `open` would build.
+    /// document table and pages — what `open` builds.
     fn from_scratch(s: &DocumentStore, published: &Projection) -> Projection {
-        let sh = &s.shared;
         let docs: Vec<DocMeta> = published.docs.iter().map(|d| d.meta).collect();
-        let names = sh.names();
-        let rows = |d: &DocMeta| s.read_rows(d, &names.locs);
-        build_projection(published.epoch, sh.doc_root_tag, &docs, rows).unwrap()
+        s.read_projection(published.epoch, &docs).unwrap()
     }
 
     /// Field-by-field equality of two projections over a dictionary of
@@ -747,6 +750,52 @@ mod tests {
             let _ = std::fs::remove_file(&wal);
         });
     }
+
+    #[test]
+    fn decoding_runs_back_to_back_equals_pushing_the_loaders_rows() {
+        // Two committed documents, their rows loaded again (the symbols
+        // are the committed ones, so their names are paged): pushed one
+        // after the other, and decoded from their node runs onto the same
+        // columns, the second at the label offset past the first.
+        let s = DocumentStore::create(&StoreOptions::in_memory()).unwrap();
+        let xmls = [
+            SAMPLE_MIXED,
+            r#"<bib><article key="k">x <em>T</em> y</article></bib>"#,
+        ];
+        for xml in xmls {
+            s.insert_xml(xml).unwrap();
+        }
+        let metas: Vec<DocMeta> = s.shared.current().docs.iter().map(|d| d.meta).collect();
+        let rows: Vec<DocColumns> = (xmls.iter())
+            .map(|xml| super::super::loader::load_local(xml, s.dict()).unwrap())
+            .collect();
+        let root = s.shared.doc_root_tag;
+        let mut pushed = Projection::empty(1, root, 0);
+        for (meta, rows) in metas.iter().zip(&rows) {
+            pushed.push_doc(*meta, rows.clone());
+        }
+        let pushed = pushed.fit_root();
+        let names = s.shared.names();
+        let mut runs = rows
+            .iter()
+            .map(|r| r.encode().iter().flat_map(|p| *page::data(p)).collect());
+        let decoded = build_projection(1, root, &metas, |meta, columns, off| {
+            let run: Vec<u8> = runs.next().unwrap();
+            let rows = meta.node_count as usize;
+            Ok(node::decode_run(&run, rows, &names.locs, off, columns).unwrap())
+        })
+        .unwrap();
+        assert_eq!(decoded.label_offsets, [1, 1 + 2 * metas[0].node_count]);
+        assert_same_view(&decoded, &pushed, s.dict().len() as u32);
+    }
+
+    /// A document with attributes, mixed content, and an article that
+    /// opens as three elements close.
+    const SAMPLE_MIXED: &str = concat!(
+        r#"<bib><article year="1999"><title>On <em>XML</em></title>"#,
+        r#"<note>see <cite ref="x">this</cite></note></article>"#,
+        r#"<article><author>Jack</author></article></bib>"#,
+    );
 
     #[test]
     fn the_comparison_catches_each_missed_shift() {

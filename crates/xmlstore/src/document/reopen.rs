@@ -4,20 +4,21 @@
 //! plus pages — the name table from the name runs, the free list, the
 //! first projection from the node runs. Each document's node run holds
 //! its (tag, kind) table and its index, symbol and level columns, which
-//! decode straight into the rows' columns, and the labels are derived
-//! from the rows in order; a row's value is its symbol's name, read once
-//! for the whole store. No page is written. Pages are read around the
-//! buffer pool, so a reopened store holds no frame until a query asks
-//! for a page.
+//! decode straight onto the end of the store's label columns, the labels
+//! derived from the rows in order; the tag index is filled once, after
+//! the last run. A row's value is its symbol's name, read once for the
+//! whole store. No page is written. Pages are read around the buffer
+//! pool, so a reopened store holds no frame until a query asks for a
+//! page.
 
 use super::meta::{bad_meta, decode_delta, decode_meta, encode_meta, DocMeta, StoreMeta};
-use super::projection::build_projection;
+use super::projection::{build_projection, Projection};
 use super::{wal_path_for, DocumentStore, StoreOptions};
 use crate::buffer::with_retry;
 use crate::dict::Dictionary;
 use crate::error::{Result, StoreError};
 use crate::heap::NamePages;
-use crate::node::{self, ContentPtr, DocColumns};
+use crate::node;
 use crate::page::{self, PageId, PAGE_DATA_SIZE, PAGE_SIZE};
 use crate::storage::{DiskManager, SharedDisk};
 use crate::wal::{self, Wal};
@@ -83,29 +84,27 @@ impl DocumentStore {
         // what they add up to.
         let dict = (tags, table);
         let store = Self::assemble(dict, meta.next_doc, free, wal, opts, disk, recovery)?;
-        {
-            let sh = &store.shared;
-            let names = sh.names();
-            let rows = |d: &DocMeta| store.read_rows(d, &names.locs);
-            let proj = build_projection(store.epoch() + 1, sh.doc_root_tag, &meta.docs, rows)?;
-            drop(names);
-            store.install(&mut store.writer(), proj);
-        }
+        let proj = store.read_projection(store.epoch() + 1, &meta.docs)?;
+        store.install(&mut store.writer(), proj);
         store.shared.disk.reset_stats();
         store.reset_io_stats();
         Ok(store)
     }
 
-    /// One document's rows, read back from its node run alone (inserts
-    /// take them from the loader instead) and decoded and derived by
-    /// [`node::read_run`] against `names`, where each paged symbol's
-    /// name lies. Any fault is `CorruptContent` on the node page where
-    /// it shows.
-    pub(super) fn read_rows(&self, d: &DocMeta, names: &[ContentPtr]) -> Result<DocColumns> {
-        let run = read_run(&self.shared.disk, d.node_base, d.node_pages)?;
-        let page_of = |at: usize| d.node_base + (at / PAGE_DATA_SIZE) as u32;
-        node::read_run(&run, d.node_count as usize, names)
-            .map_err(|at| StoreError::CorruptContent { page: page_of(at) })
+    /// The projection of `docs` at `epoch`, built in one pass over their
+    /// node runs alone, each read into one buffer and decoded by
+    /// [`node::decode_run`] against the paged names. Any fault is
+    /// `CorruptContent` on the node page where it shows.
+    pub(super) fn read_projection(&self, epoch: u64, docs: &[DocMeta]) -> Result<Projection> {
+        let sh = &self.shared;
+        let names = sh.names();
+        let mut run = Vec::new();
+        build_projection(epoch, sh.doc_root_tag, docs, |d, columns, off| {
+            read_run(&sh.disk, d.node_base, d.node_pages, &mut run)?;
+            let page_of = |at: usize| d.node_base + (at / PAGE_DATA_SIZE) as u32;
+            node::decode_run(&run, d.node_count as usize, &names.locs, off, columns)
+                .map_err(|at| StoreError::CorruptContent { page: page_of(at) })
+        })
     }
 
     /// What crash recovery did, if this store was reopened with
@@ -115,17 +114,18 @@ impl DocumentStore {
     }
 }
 
-/// The data regions of pages `base..base + pages`, end to end, each read
-/// from the page file — CRC-checked, retried as the pool retries, and
-/// not cached.
-fn read_run(disk: &SharedDisk, base: u32, pages: u32) -> Result<Vec<u8>> {
+/// Read into `run` the data regions of pages `base..base + pages`, end
+/// to end, each read from the page file — CRC-checked, retried as the
+/// pool retries, and not cached.
+fn read_run(disk: &SharedDisk, base: u32, pages: u32, run: &mut Vec<u8>) -> Result<()> {
     // Grown as pages are read: no allocation trusts the log's count.
-    let (mut run, mut image) = (Vec::new(), [0u8; PAGE_SIZE]);
+    let mut image = [0u8; PAGE_SIZE];
+    run.clear();
     for page in base..base.saturating_add(pages) {
         with_retry(&mut 0, || disk.lock().read_page(PageId(page), &mut image))?;
         run.extend_from_slice(page::data(&image));
     }
-    Ok(run)
+    Ok(())
 }
 
 /// The name table `meta` says the name runs hold, in symbol order, read
@@ -135,12 +135,12 @@ fn read_run(disk: &SharedDisk, base: u32, pages: u32) -> Result<Vec<u8>> {
 /// run's last page, or on the page of the first byte that is not.
 fn read_names(disk: &SharedDisk, meta: &StoreMeta) -> Result<(Vec<Arc<str>>, NamePages)> {
     let (mut table, mut names) = (NamePages::default(), Vec::with_capacity(meta.lens.len()));
-    let mut lens = &meta.lens[..];
+    let (mut lens, mut bytes) = (&meta.lens[..], Vec::new());
     for run in &meta.runs {
         let here = lens.get(..run.names as usize).ok_or_else(bad_meta)?;
         lens = &lens[here.len()..];
         // Read first: a run past the file is a typed read error.
-        let bytes = read_run(disk, run.base, run.pages)?;
+        read_run(disk, run.base, run.pages, &mut bytes)?;
         if table.push(run.base, here) != run.pages {
             let last = run.base.saturating_add(run.pages).saturating_sub(1);
             return Err(StoreError::CorruptContent { page: last });
@@ -477,21 +477,35 @@ mod tests {
     /// Intern the empty name and [`long_name`], commit `xml` (which
     /// pages them too) and checkpoint; apply `poke` to the
     /// document's node run, write its pages back through the disk
-    /// manager — which seals fresh checksums, so only the decode and
-    /// derivation checks can object — and reopen. Also returns the node
+    /// manager — which seals fresh checksums, so only the decode
+    /// checks can object — and reopen. Also returns the node
     /// page that holds the byte the poke names.
     fn reopen_poked(tag: &str, xml: &str, poke: Poke) -> (Result<DocumentStore>, u32) {
         let (page, wal) = temp_paths(tag);
         let opts = durable_opts(&page);
+        let at = poke_last(&opts, &[], xml, poke);
+        let reopened = DocumentStore::open(&opts);
+        let _ = std::fs::remove_file(&page);
+        let _ = std::fs::remove_file(&wal);
+        (reopened, at)
+    }
+
+    /// [`reopen_poked`]'s store at `opts`, with the documents `before`
+    /// committed ahead of `xml`, poked but not reopened: the node page
+    /// that holds the byte the poke names.
+    fn poke_last(opts: &StoreOptions, before: &[&str], xml: &str, poke: Poke) -> u32 {
         let (meta, dict) = {
-            let s = DocumentStore::create(&opts).unwrap();
+            let s = DocumentStore::create(opts).unwrap();
             s.intern("");
             s.intern(&long_name());
-            s.insert_xml(xml).unwrap();
+            for xml in before.iter().chain([&xml]) {
+                s.insert_xml(xml).unwrap();
+            }
             s.checkpoint().unwrap();
-            (s.shared.current().docs[0].meta, s.dict().clone())
+            let last = s.shared.current().docs.last().unwrap().meta;
+            (last, s.dict().clone())
         };
-        let mut disk = DiskManager::open_existing(&page).unwrap();
+        let mut disk = DiskManager::open_existing(opts.path.as_ref().unwrap()).unwrap();
         let (mut run, mut image) = (Vec::new(), [0u8; PAGE_SIZE]);
         let pages = meta.node_base..meta.node_base + meta.node_pages;
         for p in pages.clone() {
@@ -508,11 +522,7 @@ mod tests {
             image[PAGE_HEADER_SIZE..].copy_from_slice(data);
             disk.write_page(PageId(p), &image).unwrap();
         }
-        drop(disk);
-        let reopened = DocumentStore::open(&opts);
-        let _ = std::fs::remove_file(&page);
-        let _ = std::fs::remove_file(&wal);
-        (reopened, meta.node_base + (at / PAGE_DATA_SIZE) as u32)
+        meta.node_base + (at / PAGE_DATA_SIZE) as u32
     }
 
     /// A poke that writes `bytes` at the run byte `at` picks.
@@ -624,6 +634,42 @@ mod tests {
         let at = [index + 2 * 1200, sym + 4 * 1200, level + 2 * 1200];
         assert_eq!(at.map(|at| at / PAGE_DATA_SIZE), [0, 0, 1]);
         assert_corrupt("two_levels_down_page_2", &xml, set_level(1200, 5));
+    }
+
+    /// 600 articles of a title each: 1 201 rows, a node run of two pages.
+    fn two_page_doc() -> String {
+        let mut xml = String::from("<bib>");
+        for i in 0..600 {
+            xml.push_str(&format!("<article><title>T{i}</title></article>"));
+        }
+        xml.push_str("</bib>");
+        xml
+    }
+
+    #[test]
+    fn a_corrupt_row_in_the_last_of_several_documents_names_its_page() {
+        // Two documents decode onto the columns before the third's last
+        // row, two levels down on its run's second page, breaks the rule.
+        // That page is named, and nothing is published: the failed open
+        // leaves the page file as it found it, and so does the next.
+        let (page, wal) = temp_paths("last_of_several");
+        let opts = durable_opts(&page);
+        let before = [
+            SAMPLE,
+            "<bib><article><author>Jill</author></article></bib>",
+        ];
+        let want = poke_last(&opts, &before, &two_page_doc(), set_level(1200, 5));
+        let pages = std::fs::read(&page).unwrap();
+        for _ in 0..2 {
+            match DocumentStore::open(&opts) {
+                Err(StoreError::CorruptContent { page }) if page == want => {}
+                Err(e) => panic!("expected CorruptContent on page {want}, got {e}"),
+                Ok(_) => panic!("the store reopened"),
+            }
+            assert!(std::fs::read(&page).unwrap() == pages, "open wrote a page");
+        }
+        let _ = std::fs::remove_file(&page);
+        let _ = std::fs::remove_file(&wal);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! cases, using indices alone, without access to the actual data").
 
 use crate::catalog::TagId;
-use crate::columns::splice;
+use crate::columns::{splice, NodeColumns};
 use crate::node::NodeId;
 
 /// An index entry: a node id together with its containment label.
@@ -82,6 +82,18 @@ impl TagIndex {
             "index entries must arrive in document order"
         );
         self.lists[idx].push(entry);
+    }
+
+    /// The index of every row of `cols`, filled once: a counting pass
+    /// sizes each list exactly, and the entries go in in id order.
+    pub(crate) fn from_columns(cols: &NodeColumns) -> TagIndex {
+        let mut counts = vec![0; cols.tag.iter().max().map_or(0, |&t| t as usize + 1)];
+        cols.tag.iter().for_each(|&tag| counts[tag as usize] += 1);
+        let mut lists: Vec<Vec<_>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (id, &tag) in cols.tag.iter().enumerate() {
+            lists[tag as usize].push(cols.entry(NodeId(id as u32)));
+        }
+        TagIndex { lists }
     }
 
     /// This index without the rows of `cut`, rebuilt in `out` by
@@ -211,6 +223,37 @@ mod tests {
         spare.insert(TagId(9), entry(7, 20, 21, 1));
         let s = ix.splice_into(spare, 3, &none, std::iter::empty());
         assert_eq!((s.nodes(TagId(3)), s.lists.len()), (ix.nodes(TagId(3)), 4));
+    }
+
+    #[test]
+    fn the_counting_build_sizes_each_list_exactly() {
+        // doc_root > a(@x, b, a > b): tags 0, 4, 2, 5, 4, 5; tags 1 and 3
+        // index nothing.
+        let mut cols = NodeColumns::default();
+        let rows = [(0, 0, 13, 0), (4, 1, 12, 1), (2, 2, 3, 2), (5, 4, 5, 2)];
+        for (tag, start, end, level) in rows.into_iter().chain([(4, 6, 11, 2), (5, 7, 8, 3)]) {
+            let kind = crate::node::NodeKind::Element;
+            cols.push(start, end, level, tag, kind, crate::dict::NO_SYM);
+        }
+        let built = TagIndex::from_columns(&cols);
+        let mut inserted = TagIndex::new();
+        for (id, &tag) in cols.tag.iter().enumerate() {
+            inserted.insert(TagId(tag), cols.entry(NodeId(id as u32)));
+        }
+        assert_eq!(built.lists, inserted.lists);
+        assert_eq!(
+            built.nodes(TagId(4)),
+            [entry(1, 1, 12, 1), entry(4, 6, 11, 2)]
+        );
+        // Each list was allocated once, at its length; the empty ones not
+        // at all.
+        for list in &built.lists {
+            assert_eq!(list.capacity(), list.len());
+        }
+        assert_eq!(built.lists.len(), 6);
+        assert!(TagIndex::from_columns(&NodeColumns::default())
+            .lists
+            .is_empty());
     }
 
     #[test]

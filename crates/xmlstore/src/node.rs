@@ -17,11 +17,13 @@
 //! (tag symbol u32, kind u8, three reserved 0 bytes), then per row a u16
 //! index into that table (the column padded to 4 bytes), a u32 content
 //! symbol and a u16 level — eight bytes a row, none straddling a page.
-//! The labels follow from the rows in order; `derive` recomputes them in
-//! one pass. A row's value is its content symbol's name, which lies on
-//! the store's name pages, not in the run.
+//! The labels follow from the rows in order; `decode_run` derives them
+//! in one pass. A row's value is its content symbol's name, which lies
+//! on the store's name pages, not in the run.
 
 use crate::catalog::TagId;
+use crate::columns::NodeColumns;
+use crate::dict::NO_SYM;
 use crate::page::{self, PAGE_DATA_SIZE, PAGE_SIZE};
 
 /// Identifier of a node within a document: its pre-order ordinal.
@@ -96,7 +98,7 @@ pub struct NodeRecord {
     /// Region end; all descendants have `start` and `end` inside
     /// `(start, end)`.
     pub end: u32,
-    /// Content symbol (`Sym.0`), or [`NO_SYM`](crate::dict::NO_SYM)
+    /// Content symbol (`Sym.0`), or [`NO_SYM`]
     /// exactly where `content` is null.
     pub sym: u32,
     /// Depth; the root is level 0.
@@ -120,14 +122,14 @@ impl NodeRecord {
 }
 
 /// One document's rows as columns, in local ids and labels: what the
-/// loader builds, a commit encodes and `open` reads back ([`read_run`]).
+/// loader builds and a commit encodes.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub(crate) struct DocColumns {
     /// The document's distinct (tag, kind) pairs, in order of first row.
     pub pairs: Vec<(TagId, NodeKind)>,
     /// Per row: where its pair lies in `pairs`.
     pub index: Vec<u16>,
-    /// Per row: content symbol, or [`NO_SYM`](crate::dict::NO_SYM).
+    /// Per row: content symbol, or [`NO_SYM`].
     pub sym: Vec<u32>,
     /// Per row: depth; the document's root element is level 1.
     pub level: Vec<u16>,
@@ -163,13 +165,29 @@ impl DocColumns {
     }
 }
 
-/// The `rows` rows of node run `run` (its pages' data regions end to
-/// end), derived against `names`, where each paged symbol's name lies.
-/// The run is as long as its table and rows need, each entry has a
-/// kind, 0 reserved bytes and a paged tag, and each index is in the
-/// table; `Err(at)` is the run byte where a broken rule (or
-/// [`derive`]'s) shows.
-pub(crate) fn read_run(run: &[u8], rows: usize, names: &[ContentPtr]) -> Result<DocColumns, usize> {
+/// Decode node run `run` (its pages' data regions end to end) of `rows`
+/// rows onto the end of `cols`, its labels counted from `off`, and return
+/// its (tag, kind) table. Each row's tag and kind come through the table;
+/// its labels follow from the rows in order — the loader's rule, run
+/// backwards: a label counter runs over the document, and an element
+/// takes one count when it opens and one when it closes, a leaf
+/// (attribute or text) two at once.
+///
+/// The run is as long as its table and rows need, each entry has a kind,
+/// 0 reserved bytes and a paged tag, and each index is in the table;
+/// every symbol is [`NO_SYM`] or names a non-empty name of `names`
+/// (where each paged symbol's name lies); the first row is at level 1,
+/// every later one at most one level below the innermost open element.
+/// The rules are checked in that order, each over the whole run, and
+/// `Err(at)` is the run byte where the first broken one shows; `cols`
+/// then holds a partial tail, for the caller to drop.
+pub(crate) fn decode_run(
+    run: &[u8],
+    rows: usize,
+    names: &[ContentPtr],
+    off: u32,
+    cols: &mut NodeColumns,
+) -> Result<Box<[(TagId, NodeKind)]>, usize> {
     let word = |b: &[u8]| b.iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b));
     let count = run.get(..8).map_or(u64::MAX, word);
     let pairs = count.min(MAX_PAIRS as u64 + 1) as usize;
@@ -177,68 +195,62 @@ pub(crate) fn read_run(run: &[u8], rows: usize, names: &[ContentPtr]) -> Result<
     if pairs > MAX_PAIRS || end.div_ceil(PAGE_DATA_SIZE) * PAGE_DATA_SIZE != run.len() {
         return Err(0);
     }
-    let mut cols = DocColumns::default();
+    let mut table = Vec::with_capacity(pairs);
     for (i, entry) in run[8..index].chunks_exact(8).enumerate() {
         let tag = word(&entry[..4]) as u32;
         let known = word(&entry[5..]) == 0 && (tag as usize) < names.len();
         let kind = NodeKind::from_u8(entry[4]).filter(|_| known);
-        cols.pairs.push((TagId(tag), kind.ok_or(8 + 8 * i)?));
+        table.push((TagId(tag), kind.ok_or(8 + 8 * i)?));
     }
-    let col = |at: std::ops::Range<usize>, width| run[at].chunks_exact(width).map(word);
-    cols.index = col(index..index + 2 * rows, 2).map(|w| w as u16).collect();
-    if let Some(bad) = cols.index.iter().position(|&i| usize::from(i) >= pairs) {
+    let u16_at = |b: &[u8]| u16::from_le_bytes([b[0], b[1]]);
+    let indexes = run[index..index + 2 * rows].chunks_exact(2).map(u16_at);
+    if let Some(bad) = indexes.clone().position(|i| usize::from(i) >= pairs) {
         return Err(index + 2 * bad);
     }
-    cols.sym = col(sym..level, 4).map(|w| w as u32).collect();
-    cols.level = col(level..end, 2).map(|w| w as u16).collect();
-    derive(&mut cols, names)?;
-    Ok(cols)
-}
-
-/// Fill in the `(start, end)` labels of one document's rows, given in
-/// order with their levels and pairs — the loader's rule, run backwards:
-/// a label counter runs over the document, and an element takes one
-/// count when it opens and one when it closes, a leaf (attribute or
-/// text) two at once.
-///
-/// Every row's index must lie in the table. The first row is at level 1,
-/// every later one at most one level below the innermost open element,
-/// and every symbol is [`NO_SYM`] or names a non-empty name of `names`
-/// (where each paged symbol's name lies); `Err(at)` is the run byte of
-/// the first symbol that names nothing, else of the first row's level
-/// that breaks its rule.
-///
-/// [`NO_SYM`]: crate::dict::NO_SYM
-pub(crate) fn derive(cols: &mut DocColumns, names: &[ContentPtr]) -> Result<(), usize> {
-    let rows = cols.index.len();
-    let [_, sym_at, level_at, _] = layout(cols.pairs.len(), rows);
-    let named = |sym: u32| names.get(sym as usize).is_some_and(ContentPtr::is_some);
-    if let Some(bad) = (cols.sym.iter()).position(|&s| s != crate::dict::NO_SYM && !named(s)) {
-        return Err(sym_at + 4 * bad);
+    let row_pairs = indexes.map(|i| table[usize::from(i)]);
+    cols.tag.extend(row_pairs.clone().map(|(tag, _)| tag.0));
+    cols.kind.extend(row_pairs.map(|(_, kind)| kind));
+    let syms = run[sym..level]
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+    let named = |s| s == NO_SYM || names.get(s as usize).is_some_and(ContentPtr::is_some);
+    if let Some(bad) = syms.clone().position(|s| !named(s)) {
+        return Err(sym + 4 * bad);
     }
-    (cols.start, cols.end) = (vec![0; rows], vec![0; rows]);
-    let mut labels = 0u32;
-    // The elements still open, innermost last.
+    cols.content.extend(syms);
+    let base = cols.level.len();
+    cols.level
+        .extend(run[level..end].chunks_exact(2).map(u16_at));
+    cols.start.resize(base + rows, 0);
+    cols.end.resize(base + rows, 0);
+    let (depths, kinds) = (&cols.level[base..], &cols.kind[base..]);
+    let (starts, ends) = (&mut cols.start[base..], &mut cols.end[base..]);
+    // By that rule, once `j` rows have opened and `l` elements of them
+    // are still open, `2j - l` labels are taken. Before row `j` opens,
+    // the open elements at its level or deeper close, innermost first.
+    let label = |j: usize, l: usize| off + (2 * j - l) as u32;
+    // The elements still open, innermost last: the one at level `l` is
+    // `open[l - 1]`, so a row may lie one level below the last at most.
     let mut open: Vec<usize> = Vec::new();
-    for i in 0..rows {
-        while let Some(&e) = open.last().filter(|&&e| cols.level[e] >= cols.level[i]) {
-            (cols.end[e], labels) = (labels, labels + 1);
-            open.pop();
+    for (i, (&depth, &kind)) in depths.iter().zip(kinds).enumerate() {
+        let depth = usize::from(depth);
+        if depth == 0 || depth > open.len() + 1 {
+            return Err(level + 2 * i);
         }
-        let parent = open.last().map_or(0, |&e| u32::from(cols.level[e]));
-        if u32::from(cols.level[i]) != parent + 1 {
-            return Err(level_at + 2 * i);
+        for l in (depth..=open.len()).rev() {
+            ends[open[l - 1]] = label(i, l);
         }
-        (cols.start[i], labels) = (labels, labels + 1);
-        match cols.pairs[usize::from(cols.index[i])].1 {
+        open.truncate(depth - 1);
+        starts[i] = label(i, depth - 1);
+        match kind {
             NodeKind::Element => open.push(i),
-            _ => (cols.end[i], labels) = (labels, labels + 1),
+            _ => ends[i] = starts[i] + 1,
         }
     }
-    for &e in open.iter().rev() {
-        (cols.end[e], labels) = (labels, labels + 1);
+    for l in (1..=open.len()).rev() {
+        ends[open[l - 1]] = label(rows, l);
     }
-    Ok(())
+    Ok(table.into())
 }
 
 #[cfg(test)]
@@ -303,14 +315,31 @@ mod tests {
         (2, T, 5),
     ];
 
+    /// A run's (tag, kind) table and its rows as columns.
+    type Decoded = (Box<[(TagId, NodeKind)]>, NodeColumns);
+
+    /// Decode `run` of `rows` rows against [`NAMES`] onto empty columns,
+    /// labels from 0.
+    fn decode(run: &[u8], rows: usize) -> Result<Decoded, usize> {
+        let mut cols = NodeColumns::default();
+        let table = decode_run(run, rows, &paged(&NAMES), 0, &mut cols)?;
+        Ok((table, cols))
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
-        let mut want = cols(&SAMPLE);
+        let want = cols(&SAMPLE);
         let run = run_of(&want.encode());
         assert_eq!(run.len(), PAGE_DATA_SIZE);
-        let got = read_run(&run, 6, &paged(&NAMES)).unwrap();
-        assert_eq!(derive(&mut want, &paged(&NAMES)), Ok(()));
-        assert_eq!(got, want);
+        let (table, got) = decode(&run, 6).unwrap();
+        assert_eq!(*table, *want.pairs);
+        let pairs = want.index.iter().map(|&i| want.pairs[usize::from(i)]);
+        let tags: Vec<u32> = pairs.clone().map(|(tag, _)| tag.0).collect();
+        assert_eq!(
+            (got.tag, got.kind),
+            (tags, pairs.map(|(_, kind)| kind).collect())
+        );
+        assert_eq!((got.content, got.level), (want.sym, want.level));
         // Three table entries at bytes 8, 16 and 24, then the index
         // column at 32: an unknown kind, a reserved byte set, a tag
         // symbol past the name table, an index past the table, a count
@@ -318,7 +347,7 @@ mod tests {
         let poked = |at: usize, byte: u8| {
             let mut run = run.clone();
             run[at] = byte;
-            read_run(&run, 6, &paged(&NAMES)).map(drop)
+            decode(&run, 6).map(drop)
         };
         assert_eq!(poked(8 + 4, 3), Err(8));
         assert_eq!(poked(16 + 7, 1), Err(16));
@@ -326,7 +355,7 @@ mod tests {
         assert_eq!(poked(32 + 2, 3), Err(34));
         assert_eq!(poked(2, 1), Err(0));
         let long = [run.clone(), run.clone()].concat();
-        assert_eq!(read_run(&long, 6, &paged(&NAMES)), Err(0));
+        assert_eq!(decode(&long, 6).map(drop), Err(0));
     }
 
     #[test]
@@ -348,34 +377,38 @@ mod tests {
     type Case = (&'static [(u16, u32)], usize, bool);
 
     #[test]
-    fn derive_recomputes_the_loaders_labels() {
-        let names = paged(&NAMES);
-        let mut c = cols(&SAMPLE);
-        assert_eq!(derive(&mut c, &names), Ok(()));
-        let labels: Vec<(u32, u32)> = c.start.iter().copied().zip(c.end.clone()).collect();
+    fn decoding_recomputes_the_loaders_labels() {
+        let (_, c) = decode(&run_of(&cols(&SAMPLE).encode()), 6).unwrap();
+        let labels: Vec<(u32, u32)> = c.start.iter().copied().zip(c.end).collect();
         assert_eq!(labels, [(0, 11), (1, 2), (3, 4), (5, 8), (6, 7), (9, 10)]);
         // A first row below level 1, a row two levels down, a row under
         // a leaf; a symbol past the table, and one that names no value:
-        // the run byte of the row's level or symbol.
-        let cases: [Case; 5] = [
+        // the run byte of the row's level or symbol. Every symbol is
+        // checked before any level.
+        let cases: [Case; 6] = [
             (&[(2, NONE)], 0, false),
             (&[(1, NONE), (3, NONE)], 1, false),
             (&[(1, NONE), (2, NONE), (3, NONE)], 2, false),
             (&[(1, NONE), (2, 7)], 1, true),
             (&[(1, NONE), (2, 1), (2, 6)], 2, true),
+            (&[(1, NONE), (3, NONE), (2, 7)], 2, true),
         ];
         for (rows, bad, in_sym) in cases {
             let rows: Vec<_> = (rows.iter().enumerate())
                 .map(|(i, &(l, sym))| (l, if i == 0 { E } else { A }, sym))
                 .collect();
-            let mut c = cols(&rows);
+            let c = cols(&rows);
             let [_, sym, level, _] = layout(c.pairs.len(), c.index.len());
             let at = if in_sym {
                 sym + 4 * bad
             } else {
                 level + 2 * bad
             };
-            assert_eq!(derive(&mut c, &names), Err(at), "{rows:?}");
+            assert_eq!(
+                decode(&run_of(&c.encode()), rows.len()).map(drop),
+                Err(at),
+                "{rows:?}"
+            );
         }
     }
 

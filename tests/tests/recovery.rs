@@ -17,13 +17,18 @@
 //! copies of it report the same recovery and leave the same bytes.
 
 use datagen::{DblpConfig, DblpGenerator};
+use smallrand::prop::Gen;
 use smallrand::{RngExt, SeedableRng, StdRng};
 use timber::{PlanMode, TimberDb, TimberError};
 use timber_integration_tests::{QUERY1, QUERY2, QUERY_COUNT};
-use xmlstore::{wal_path_for, FaultConfig, NodeId, RecoveryInfo, StoreError, StoreOptions};
+use xmlstore::{
+    wal_path_for, DocId, DocumentStore, FaultConfig, NodeColumns, NodeEntry, NodeId, RecoveryInfo,
+    StoreError, StoreOptions, Sym,
+};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn seeds() -> Vec<u64> {
     match std::env::var("CRASH_SEEDS") {
@@ -575,4 +580,116 @@ fn a_failed_commit_never_reaches_the_fold() {
         drop((recovered, oracle));
         remove_files(&[&page, &wal_p, &opage, &owal]);
     }
+}
+
+// ---- the reopened projection ---------------------------------------------
+//
+// `open` decodes each node run straight onto the label columns and fills
+// the tag index once; every commit before it built its projection from
+// its predecessor and the edit. Both must give the same projection.
+
+/// A random document: articles with attributes, mixed text and articles
+/// nested in them. One in four holds enough of them that its node run
+/// spans more than one page (1 014 rows fill a page).
+fn random_doc(g: &mut Gen) -> String {
+    fn article(g: &mut Gen, depth: usize, xml: &mut String) {
+        const WORDS: [&str; 6] = ["Jack", "Jill", "1999", "2002", "XML", "a b"];
+        xml.push_str("<article");
+        if g.bool() {
+            xml.push_str(&format!(" year=\"{}\"", g.pick(&WORDS)));
+        }
+        xml.push('>');
+        for _ in 0..g.usize_in(0, 3) {
+            let tag = *g.pick(&["title", "author", "note"]);
+            match g.usize_in(0, 3) {
+                0 => xml.push_str(&format!("<{tag} key=\"{}\"/>", g.pick(&WORDS))),
+                1 => xml.push_str(&format!("<{tag}>x <em>{}</em> y</{tag}>", g.pick(&WORDS))),
+                2 if depth < 3 => article(g, depth + 1, xml),
+                _ => xml.push_str(&format!("<{tag}>{}</{tag}>", g.pick(&WORDS))),
+            }
+        }
+        xml.push_str("</article>");
+    }
+    let articles = if g.ratio(1, 4) { 400 } else { g.usize_in(0, 5) };
+    let mut xml = String::from("<bib>");
+    for _ in 0..articles {
+        article(g, 0, &mut xml);
+    }
+    xml.push_str("</bib>");
+    xml
+}
+
+/// What a store publishes: its document list, its six label columns, and
+/// the list of every tag below symbol `syms`.
+type Published = (Vec<(DocId, u32)>, Arc<NodeColumns>, Vec<Vec<NodeEntry>>);
+
+fn published(s: &DocumentStore, syms: u32) -> Published {
+    let lists = (0..syms).map(|t| s.nodes_with_tag(Sym(t)).to_vec());
+    (s.documents(), s.columns(), lists.collect())
+}
+
+fn assert_same_projection(got: &Published, want: &Published, label: &str) {
+    assert_eq!(got.0, want.0, "{label}: documents");
+    let (g, w) = (&*got.1, &*want.1);
+    assert_eq!(g.start, w.start, "{label}: start column");
+    assert_eq!(g.end, w.end, "{label}: end column");
+    assert_eq!(g.level, w.level, "{label}: level column");
+    assert_eq!(g.tag, w.tag, "{label}: tag column");
+    assert_eq!(g.kind, w.kind, "{label}: kind column");
+    assert_eq!(g.content, w.content, "{label}: content column");
+    for (tag, (g, w)) in got.2.iter().zip(&want.2).enumerate() {
+        assert_eq!(g, w, "{label}: the list of tag {tag}");
+    }
+}
+
+#[test]
+fn a_reopened_store_publishes_the_projection_it_last_published() {
+    // Seeded histories of inserts, replaces, deletes and checkpoints,
+    // each ended by a clean close or a `crash=N` kill: what the reopened
+    // store publishes equals what the store published last.
+    let (mut crashed, mut multi_page) = (0, 0);
+    for seed in seeds() {
+        for case in 0..8 {
+            let label = format!("seed={seed},case={case}");
+            let g = &mut Gen::new(seed << 8 | case);
+            let (page, wal_p) = temp_paths("reopen_view");
+            let opts = durable_opts(&page);
+            let s = DocumentStore::create(&opts).unwrap();
+            if g.ratio(2, 3) {
+                let crash_at = g.usize_in(1, 24) as u64;
+                let faults = FaultConfig::seeded(seed).with_crash_after(crash_at);
+                s.inject_faults(Some(faults)).unwrap();
+            }
+            for _ in 0..g.usize_in(2, 10) {
+                let docs = s.documents();
+                let victim = (!docs.is_empty()).then(|| docs[g.usize_in(0, docs.len() - 1)].0);
+                let r = match (victim, g.usize_in(0, 4)) {
+                    (Some(id), 0) => s.delete_document(id),
+                    (Some(id), 1) => s.replace_xml(id, &random_doc(g)).map(drop),
+                    (_, 2) => s.checkpoint(),
+                    _ => s.insert_xml(&random_doc(g)).map(drop),
+                };
+                match r {
+                    Ok(()) => {}
+                    Err(StoreError::SimulatedCrash) => break,
+                    Err(e) => panic!("{label}: {e}"),
+                }
+            }
+            crashed += usize::from(s.crashed());
+            multi_page += s.documents().iter().filter(|&&(_, n)| n > 1014).count();
+            let syms = s.dict().len() as u32;
+            let last = published(&s, syms);
+            drop(s);
+            let reopened = DocumentStore::open(&opts).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert!(reopened.dict().len() as u32 <= syms, "{label}: names");
+            assert_same_projection(&published(&reopened, syms), &last, &label);
+            drop(reopened);
+            let _ = std::fs::remove_file(&page);
+            let _ = std::fs::remove_file(&wal_p);
+        }
+    }
+    assert!(
+        crashed > 0 && multi_page > 0,
+        "{crashed} crashed, {multi_page} multi-page"
+    );
 }
