@@ -49,7 +49,7 @@ pub const QUERY_COUNT: &str = r#"
 "#;
 
 /// The XOLAP lattice query the shell's `.cube` runs: all prefix levels
-/// of journal → year → author, computed by one `Plan::Cube` scan.
+/// of journal → year → author, computed by one lattice `Plan::Rollup` scan.
 pub const QUERY_CUBE: &str = r#"
     FOR $b IN document("bib.xml")//article
     CUBE BY $b/journal, $b/year, $b/author

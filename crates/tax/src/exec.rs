@@ -44,8 +44,8 @@ pub fn contain<R>(f: impl FnOnce() -> R) -> Result<R> {
 
 /// A grouping sink's stage times, timed by the sink itself, each under
 /// the letter `stages=` names it by: the one pass over the rows (`p`)
-/// and the build (`b`) of `GroupBy`, the Fig. 5d gather fused with it,
-/// `Rollup` and `Cube`.
+/// and the build (`b`) of `GroupBy` (its Fig. 5d gather or not) and of
+/// `Rollup` (one level or the lattice).
 pub type Stages = Vec<(char, Duration)>;
 
 /// A grouping sink's statistics as the metrics tree carries them.

@@ -21,12 +21,15 @@
 //! shared extraction, `super::witness`); grouping and ordering values
 //! are symbols of the label columns, resolved to text only where a
 //! member sort compares them, and the groups come out as columns
-//! ([`Groups`]: key cells and member row ordinals), no tree built. The
+//! ([`Groups`]: key cells and member row ordinals), no tree built. Given
+//! a member path, the same pass runs Fig. 5d's final projection too
+//! ([`gather`]): each group comes out as one row of its key and its
+//! members' extracts, the rewrite's `GroupBy → Project`. The
 //! strawman Sec. 5.3 warns about — each witness eagerly replicating its
 //! source tree — is experiment X4's baseline and lives with it, in the
 //! bench harness.
 
-use crate::batch::{Batch, Cell, Groups};
+use crate::batch::{Batch, Cell, Groups, Rows};
 use crate::error::Result;
 use crate::exec::Stages;
 use crate::ops::rollup::{Fold, Kept};
@@ -34,6 +37,7 @@ use crate::pattern::{PatternNodeId, PatternTree};
 use crate::tags::{GROUPING_BASIS, GROUP_ROOT, GROUP_SUBROOT};
 use crate::value::compare_opt_values;
 use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 use xmlstore::{Dictionary, DocumentStore, NodeColumns, NodeEntry, NodeId, Sym, NO_SYM};
@@ -117,6 +121,41 @@ pub fn groupby(
     Ok((out, stages))
 }
 
+/// Fig. 5d's final projection run in the grouping's pass (`GroupBy →
+/// Project`): the groups of the stored `rows` (or none) as [`groupby`]
+/// forms them, each walked row keeping its extracts of the `member`
+/// path. An output row is the group root over the key cells and the
+/// members' extracts, in member order, a group with none dropped; a node
+/// that two members of a group reach — rows that nest or repeat — is
+/// written once, at its first member. Returns the rows and the stage
+/// times: the pass, the build.
+pub fn gather(
+    store: &DocumentStore,
+    input: &Batch,
+    pattern: &PatternTree,
+    basis: &[BasisItem],
+    ordering: &[GroupOrder],
+    member: (&PatternTree, PatternNodeId),
+) -> Result<(Batch, Stages)> {
+    let rows = input.stored()?;
+    // Only rows that nest or repeat can reach one node twice.
+    let disjoint = rows.windows(2).all(|w| w[0].end < w[1].start);
+    let mut written = HashSet::new();
+    let mut out = Rows::new(store.dict().intern(GROUP_ROOT));
+    let gather = |kept: &Members, keys: &[NodeEntry], group: &[u32]| {
+        if group.iter().all(|&m| kept.extracts(m).is_empty()) {
+            return;
+        }
+        written.clear();
+        let keys = keys.iter().map(|&node| Cell::Ref { node, deep: true });
+        let nodes = group.iter().flat_map(|&m| kept.extracts(m));
+        let nodes = nodes.filter(|e| disjoint || written.insert(e.id));
+        out.push(keys.chain(nodes.map(|&node| Cell::Ref { node, deep: true })));
+    };
+    let stages = fold_groups(store, rows, pattern, basis, ordering, Some(member), gather)?;
+    Ok((Batch::Rows(out), stages))
+}
+
 /// Fold the stored `rows` into the groups of `pattern` on `basis` in one
 /// pass — the rollup's [`Fold`] — each member keeping its `ordering`
 /// symbols and, given a `member` path, its extracts; then hand each
@@ -124,7 +163,7 @@ pub fn groupby(
 /// cells, and its members (a counting sort by group keeps arrival order)
 /// sorted by the ordering list, arrival breaking ties. Returns the
 /// stage times: the pass, the build.
-pub(crate) fn fold_groups(
+fn fold_groups(
     store: &DocumentStore,
     rows: &[NodeEntry],
     pattern: &PatternTree,
@@ -175,9 +214,9 @@ pub(crate) fn fold_groups(
 /// What grouping keeps of the rows it folds: each group's members — the
 /// rows that joined it, each at its first witness there, in arrival
 /// order — and each row's extracts of the member path, when one is
-/// walked (Fig. 5d's gather, `super::project`).
+/// walked ([`gather`]).
 #[derive(Default)]
-pub(crate) struct Members {
+struct Members {
     /// The current row, and its extracts as its member bindings reach
     /// them; once it joins a group, their run in `nodes`: in document
     /// order, each once, one inside the last kept dropped (it is part of
@@ -185,8 +224,8 @@ pub(crate) struct Members {
     row: u32,
     pending: Vec<NodeEntry>,
     placed: Option<(u32, u32)>,
-    pub nodes: Vec<NodeEntry>,
-    pub members: Vec<Member>,
+    nodes: Vec<NodeEntry>,
+    members: Vec<Member>,
     /// Each member's ordering symbols: its first witness's nodes for the
     /// labels after the `basis` ones.
     sort: Vec<u32>,
@@ -194,8 +233,8 @@ pub(crate) struct Members {
 }
 
 /// A row in a group: the row, its run of extracts and the group.
-pub(crate) struct Member {
-    pub row: u32,
+struct Member {
+    row: u32,
     run: (u32, u32),
     group: u32,
 }
@@ -237,7 +276,7 @@ impl Kept for Members {
 
 impl Members {
     /// Member `m`'s extracts.
-    pub fn extracts(&self, m: u32) -> &[NodeEntry] {
+    fn extracts(&self, m: u32) -> &[NodeEntry] {
         let (start, end) = self.members[m as usize].run;
         &self.nodes[start as usize..end as usize]
     }

@@ -5,26 +5,22 @@
 //! relationships between surviving nodes are preserved; relative order is
 //! preserved.
 //!
-//! A projection reads rows, never trees, and there are the three the
+//! A projection reads rows, never trees, and there are the two the
 //! paper's plans build. Over a selection's match rows through the
 //! selection's own pattern it is the fused select→project
-//! ([`Matches::project`](crate::batch::Matches::project)). Over a
-//! `GroupBy`, [`Projection`] recognizes the other two and builds no
-//! group tree to re-match: the rewrite's final projection (Fig. 5d) runs
-//! as one sink with the `GroupBy` ([`Projection::gather`]), which walks
-//! each grouped row once and writes each output row from the key cell
-//! and the members' extracts, and the literal count plan's projection
-//! over aggregated groups writes the key cell and the appended value.
-//! Any other projection is refused.
+//! ([`Matches::project`](crate::batch::Matches::project)). Over the
+//! groups an `Aggregate` appended to — the literal count plan, the
+//! paper-shaped oracle — [`Projection`] writes the key cell and the
+//! appended value, building no group tree to re-match. The rewrite's
+//! final projection (Fig. 5d) is not here: it runs inside the grouping's
+//! own pass ([`gather`](super::groupby::gather)). Any other projection
+//! is refused.
 
 use crate::batch::{Batch, Cell, Groups, Rows};
 use crate::error::{Error, Result};
-use crate::exec::Stages;
-use crate::ops::groupby::{fold_groups, BasisItem, GroupOrder, Members};
+use crate::ops::groupby::BasisItem;
 use crate::pattern::{Axis, PatternNodeId, PatternTree, Pred};
 use crate::tags;
-use std::collections::HashSet;
-use xmlstore::{DocumentStore, NodeEntry};
 
 /// One entry of a projection list: a pattern node, optionally `*`-adorned
 /// (keep the whole subtree).
@@ -48,39 +44,21 @@ impl ProjectItem {
     }
 }
 
-/// A projection over a `GroupBy` as the executor runs it, its shape
-/// recognized once:
-///
-/// * the rewrite's final projection (Fig. 5d): one sink with the
-///   `GroupBy` ([`Projection::gather`]). An output row is the group root
-///   over the key cell and the members' extracts of the member path, in
-///   member order, a group with none dropped. A node that two members of
-///   a group reach — rows that nest or repeat — is written once, at its
-///   first member;
-/// * `PL = [$1, key*, appended*]` over groups an `Aggregate` appended
-///   cells to: an output row is the group root over the key cell and
-///   the appended cells, a group with none dropped.
-///
-/// Any other projection, or input, is refused when it runs.
+/// The literal count plan's final projection, `PL = [$1, key*,
+/// appended*]` over a `GroupBy`'s groups an `Aggregate` appended cells
+/// to, its shape recognized once: an output row is the group root over
+/// the key cell and the appended cells, a group with none dropped. Any
+/// other projection, or input, is refused when it runs.
 #[derive(Debug)]
 pub struct Projection {
-    gather: Option<Gather>,
-}
-
-/// What a recognized projection writes after each group's key.
-#[derive(Debug)]
-enum Gather {
-    /// Fig. 5d: the extracts of the member subpattern.
-    Members(PatternTree, PatternNodeId),
-    /// The cells `aggregate` appended.
-    Appended,
+    recognized: bool,
 }
 
 impl Projection {
     /// `pattern` / `pl` over an input that is a `GroupBy` with the
-    /// pattern and basis `grouped` — whose groups an `Aggregate` appended
-    /// `<appended>` cells to, when that is set — or over some other input
-    /// (`grouped` is `None`).
+    /// pattern and basis `grouped` whose groups an `Aggregate` appended
+    /// `<appended>` cells to — or over some other input (either is
+    /// `None`).
     pub fn new(
         pattern: &PatternTree,
         pl: &[ProjectItem],
@@ -88,22 +66,17 @@ impl Projection {
         grouped: Option<(&PatternTree, &[BasisItem])>,
         appended: Option<&str>,
     ) -> Self {
-        let gather = grouped
-            .and_then(|(gb, basis)| recognize(pattern, pl, anchor_root, gb, basis, appended));
-        Projection { gather }
-    }
-
-    /// Whether this is Fig. 5d's projection, which runs as one sink with
-    /// its `GroupBy` ([`Projection::gather`]).
-    pub fn gathers_members(&self) -> bool {
-        matches!(self.gather, Some(Gather::Members(..)))
+        let recognized = grouped
+            .zip(appended)
+            .is_some_and(|((gb, basis), tag)| recognize(pattern, pl, anchor_root, gb, basis, tag));
+        Projection { recognized }
     }
 
     /// Project the groups an `Aggregate` appended to into one-level rows.
     pub fn project(&self, batch: Batch) -> Result<Batch> {
-        let (Batch::Groups(groups), Some(Gather::Appended)) = (batch, &self.gather) else {
+        let (Batch::Groups(groups), true) = (batch, self.recognized) else {
             return Err(Error::Unsupported(
-                "a projection runs fused, or over appended groups".into(),
+                "a projection runs over a selection, or over appended groups".into(),
             ));
         };
         let mut out = Rows::new(groups.tags[0]);
@@ -115,45 +88,6 @@ impl Projection {
         }
         Ok(Batch::Rows(out))
     }
-
-    /// Fig. 5d's projection run as one sink with the `GroupBy` under it —
-    /// `pattern`, `basis`, `ordering` — over that operator's input, the
-    /// stored rows, or none: the rollup's one pass over each row, whose
-    /// groups keep their members' extracts. Members are sorted by the
-    /// ordering list, arrival breaking ties, as the groups are written.
-    /// Returns the rows and the stage times — the pass, the build.
-    pub fn gather(
-        &self,
-        store: &DocumentStore,
-        input: &Batch,
-        pattern: &PatternTree,
-        basis: &[BasisItem],
-        ordering: &[GroupOrder],
-    ) -> Result<(Batch, Stages)> {
-        let Some(Gather::Members(member, extract)) = &self.gather else {
-            return Err(Error::Unsupported(
-                "only Fig. 5d's projection runs with its grouping".into(),
-            ));
-        };
-        let rows = input.stored()?;
-        // Only rows that nest or repeat can reach one node twice.
-        let disjoint = rows.windows(2).all(|w| w[0].end < w[1].start);
-        let mut written = HashSet::new();
-        let mut out = Rows::new(store.dict().intern(tags::GROUP_ROOT));
-        let member = Some((member, *extract));
-        let gather = |kept: &Members, keys: &[NodeEntry], group: &[u32]| {
-            if group.iter().all(|&m| kept.extracts(m).is_empty()) {
-                return;
-            }
-            written.clear();
-            let keys = keys.iter().map(|&node| Cell::Ref { node, deep: true });
-            let nodes = group.iter().flat_map(|&m| kept.extracts(m));
-            let nodes = nodes.filter(|e| disjoint || written.insert(e.id));
-            out.push(keys.chain(nodes.map(|&node| Cell::Ref { node, deep: true })));
-        };
-        let stages = fold_groups(store, rows, pattern, basis, ordering, member, gather)?;
-        Ok((Batch::Rows(out), stages))
-    }
 }
 
 /// Group `g`'s key cells, whole.
@@ -164,59 +98,55 @@ fn key(groups: &Groups, g: usize) -> impl Iterator<Item = Cell> + '_ {
     })
 }
 
-/// What `pattern` / `pl` over a `GroupBy` with pattern `gb_pattern` and
-/// basis `basis` gathers, when it is one of the two projections the
-/// plans end in: anchored, join-free, `PL = [$1, $3*, out*]` over nodes
-/// `0 {1 {2}, 3 …}` — `TAX_group_root`, `TAX_grouping_basis`, a `pc` tag
-/// test of the tag every cell of the one content basis item has (so it
-/// binds the one basis child), and either `TAX_group_subroot {4 …
-/// extract …}` with the member at 4 (Fig. 5d), or, over groups carrying
-/// `appended` cells, `<appended>` itself.
+/// Whether `pattern` / `pl` over a `GroupBy` with pattern `gb_pattern`
+/// and basis `basis`, whose groups carry `appended` cells, is the
+/// literal count plan's projection: anchored, join-free, `PL = [$1, $3*,
+/// $4*]` over nodes `0 {1 {2}, 3}` — `TAX_group_root`,
+/// `TAX_grouping_basis`, a `pc` tag test of the tag every cell of the one
+/// content basis item has (so it binds the one basis child), and
+/// `<appended>` itself.
 fn recognize(
     pattern: &PatternTree,
     pl: &[ProjectItem],
     anchor_root: bool,
     gb_pattern: &PatternTree,
     basis: &[BasisItem],
-    appended: Option<&str>,
-) -> Option<Gather> {
+    appended: &str,
+) -> bool {
     let ([item], [root, key, out]) = (basis, pl) else {
-        return None;
+        return false;
     };
-    let key_tag = gb_pattern.node(item.label).pred.required_tag()?;
+    let Some(key_tag) = gb_pattern.node(item.label).pred.required_tag() else {
+        return false;
+    };
     let is = |id: usize, tag: &str| matches!(&pattern.node(id).pred, Pred::Tag(t) if t == tag);
     let pc = |id: usize| pattern.node(id).axis == Axis::Child;
     let kids = |id: usize| &pattern.node(id).children[..];
-    let fits = anchor_root
-        && pattern.len() > 3
+    anchor_root
+        && pattern.len() == 4
         && pattern.join_pairs().is_empty()
-        && (kids(0), kids(1), kids(2)) == (&[1, 3][..], &[2][..], &[][..])
+        && (kids(0), kids(1), kids(2), kids(3)) == (&[1, 3][..], &[2][..], &[][..], &[][..])
         && is(0, tags::GROUP_ROOT)
         && is(1, tags::GROUPING_BASIS)
         && is(2, key_tag)
+        && is(3, appended)
         && (1..=3).all(pc)
-        && [*root, *key] == [ProjectItem::shallow(0), ProjectItem::deep(2)]
-        && out.deep;
-    if !fits {
-        return None;
-    }
-    if let Some(tag) = appended {
-        return (is(3, tag) && kids(3).is_empty() && out.label == 3).then_some(Gather::Appended);
-    }
-    let member = is(3, tags::GROUP_SUBROOT) && kids(3) == [4] && pc(4) && pattern.len() > 5;
-    let (member, mapping) = member.then(|| pattern.subtree_pattern(4))?;
-    let extract = (*mapping.get(out.label)?).filter(|&x| x != member.root())?;
-    Some(Gather::Members(member, extract))
+        && [*root, *key, *out]
+            == [
+                ProjectItem::shallow(0),
+                ProjectItem::deep(2),
+                ProjectItem::deep(3),
+            ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::Matches;
-    use crate::ops::groupby::{groupby, Direction, GroupOrder};
+    use crate::ops::groupby::{gather, groupby, Direction, GroupOrder};
     use crate::output::lines;
-    use crate::pattern::PatternNodeId;
-    use xmlstore::{NodeEntry, StoreOptions};
+    use std::collections::HashSet;
+    use xmlstore::{DocumentStore, NodeEntry, StoreOptions};
 
     const SAMPLE: &str = "<bib>\
         <article><title>T1</title><author>Jack</author><author>John</author><year>1999</year></article>\
@@ -302,29 +232,15 @@ mod tests {
         )
     }
 
-    /// The Fig. 5d projection over groups of `author` keys, its member
-    /// path `article` and then `path`'s steps, the last one extracted.
-    fn fig5d_path(path: &[(Axis, &str)]) -> (PatternTree, Vec<ProjectItem>) {
-        let mut p = PatternTree::with_root(Pred::tag(tags::GROUP_ROOT));
-        let basis = p.add_child(p.root(), Axis::Child, Pred::tag(tags::GROUPING_BASIS));
-        let key = p.add_child(basis, Axis::Child, Pred::tag("author"));
-        let sub = p.add_child(p.root(), Axis::Child, Pred::tag(tags::GROUP_SUBROOT));
-        let mut out = p.add_child(sub, Axis::Child, Pred::tag("article"));
+    /// Fig. 5d's member path: `article` and then `path`'s steps, the last
+    /// one extracted.
+    fn member_path(path: &[(Axis, &str)]) -> (PatternTree, PatternNodeId) {
+        let mut p = PatternTree::with_root(Pred::tag("article"));
+        let mut out = p.root();
         for &(axis, tag) in path {
             out = p.add_child(out, axis, Pred::tag(tag));
         }
-        let pl = vec![
-            ProjectItem::shallow(p.root()),
-            ProjectItem::deep(key),
-            ProjectItem::deep(out),
-        ];
-        (p, pl)
-    }
-
-    /// The Fig. 5d projection whose member path is `article -axis->
-    /// extract`.
-    fn fig5d_pattern(axis: Axis, extract: &str) -> (PatternTree, Vec<ProjectItem>) {
-        fig5d_path(&[(axis, extract)])
+        (p, out)
     }
 
     /// The gather the fused sink replaced, over `groupby`'s groups: each
@@ -360,22 +276,19 @@ mod tests {
         out
     }
 
-    /// The fused gather of `p` / `pl` over the grouping `grouped` of the
-    /// stored `rows`, written one row a string, after checking it
-    /// against `groupby` followed by [`gather_groups`].
+    /// The gather of the member path `(member, extract)` over the
+    /// grouping `grouped` of the stored `rows`, written one row a string,
+    /// after checking it against `groupby` followed by [`gather_groups`].
     fn fused_against_groupby(
         s: &DocumentStore,
         rows: &Batch,
         (gb, basis, ordering): &(PatternTree, Vec<BasisItem>, Vec<GroupOrder>),
-        (p, pl): &(PatternTree, Vec<ProjectItem>),
+        (member, extract): &(PatternTree, PatternNodeId),
     ) -> Vec<String> {
-        let gather = Projection::new(p, pl, true, Some((gb, basis)), None);
-        let (got, stages) = gather.gather(s, rows, gb, basis, ordering).unwrap();
+        let path = (member, *extract);
+        let (got, stages) = gather(s, rows, gb, basis, ordering, path).unwrap();
         assert!(matches!(got, Batch::Rows(_)), "{got:?}");
         assert_eq!(stages.iter().map(|&(c, _)| c).collect::<String>(), "pb");
-        let Some(Gather::Members(member, extract)) = &gather.gather else {
-            panic!("not Fig. 5d's projection: {p:?}")
-        };
         let Batch::Groups(groups) = groupby(s, rows, gb, basis, ordering).unwrap().0 else {
             panic!("groupby emits groups")
         };
@@ -395,7 +308,8 @@ mod tests {
     ) -> Vec<String> {
         let s = DocumentStore::from_xml(xml_text, &StoreOptions::in_memory()).unwrap();
         let grouping = author_grouping(ordering, "title");
-        fused_against_groupby(&s, &articles(&s), &grouping, &fig5d_pattern(axis, extract))
+        let path = member_path(&[(axis, extract)]);
+        fused_against_groupby(&s, &articles(&s), &grouping, &path)
     }
 
     #[test]
@@ -457,35 +371,41 @@ mod tests {
         assert_eq!(out[0].matches("<title>").count(), MEMBERS);
     }
 
+    /// The literal count plan's final projection over groups keyed by
+    /// `author`, whose appended cells are tagged `appended`.
+    fn counted(appended: &str) -> (PatternTree, Vec<ProjectItem>) {
+        let mut p = PatternTree::with_root(Pred::tag(tags::GROUP_ROOT));
+        let b = p.add_child(0, Axis::Child, Pred::tag(tags::GROUPING_BASIS));
+        let key = p.add_child(b, Axis::Child, Pred::tag("author"));
+        let count = p.add_child(0, Axis::Child, Pred::tag(appended));
+        let pl = vec![
+            ProjectItem::shallow(0),
+            ProjectItem::deep(key),
+            ProjectItem::deep(count),
+        ];
+        (p, pl)
+    }
+
     #[test]
-    fn only_the_fig5d_shape_is_gathered() {
+    fn only_the_literal_count_plans_shape_is_projected() {
         let mut gb = PatternTree::with_root(Pred::tag("article"));
         let author = gb.add_child(gb.root(), Axis::Child, Pred::tag("author"));
         let basis = [BasisItem::content(author)];
-        let (p, pl) = fig5d_pattern(Axis::Child, "title");
+        let (p, pl) = counted("count");
         let fits = |p: &PatternTree, pl: &[ProjectItem], anchor: bool, basis: &[BasisItem]| {
-            matches!(
-                recognize(p, pl, anchor, &gb, basis, None),
-                Some(Gather::Members(..))
-            )
+            Projection::new(p, pl, anchor, Some((&gb, basis)), Some("count")).recognized
         };
         assert!(fits(&p, &pl, true, &basis));
-        assert!(fits(
-            &fig5d_pattern(Axis::Descendant, "title").0,
-            &pl,
-            true,
-            &basis
-        ));
         // Not anchored; a second basis item; a key that is not the basis
-        // tag; a shallow key, a deep root, the member
-        // itself or one more node kept.
+        // tag; a shallow key, a deep root, a shallow value or one more
+        // node kept.
         assert!(!fits(&p, &pl, false, &basis));
         assert!(!fits(&p, &pl, true, &[basis[0].clone(), basis[0].clone()]));
         assert!(!fits(&p, &pl, true, &[BasisItem::content(gb.root())]));
         for (i, item) in [
             ProjectItem::shallow(2),
             ProjectItem::deep(0),
-            ProjectItem::deep(4),
+            ProjectItem::shallow(3),
         ]
         .into_iter()
         .enumerate()
@@ -495,31 +415,27 @@ mod tests {
             assert!(!fits(&p, &other, true, &basis), "{other:?}");
         }
         let mut more = pl.clone();
-        more.push(ProjectItem::shallow(4));
+        more.push(ProjectItem::shallow(1));
         assert!(!fits(&p, &more, true, &basis));
-        // A second child under the basis or a join predicate.
-        let mut wider = p.clone();
-        wider.add_child(1, Axis::Child, Pred::tag("author"));
-        assert!(!fits(&wider, &pl, true, &basis));
+        // A second child under the basis, a node under the value, or a
+        // join predicate.
+        for at in [1, 3] {
+            let mut wider = p.clone();
+            wider.add_child(at, Axis::Child, Pred::tag("author"));
+            assert!(!fits(&wider, &pl, true, &basis));
+        }
         let mut joined = p.clone();
         joined.add_child(
-            4,
+            0,
             Axis::Child,
             Pred::tag("year").and(Pred::ContentEqNode(2)),
         );
         assert!(!fits(&joined, &pl, true, &basis));
-        // Over aggregated groups: `[$1, key*, appended*]`, the appended
-        // node tagged as the aggregate's cells are.
-        let mut counted = PatternTree::with_root(Pred::tag(tags::GROUP_ROOT));
-        let b = counted.add_child(0, Axis::Child, Pred::tag(tags::GROUPING_BASIS));
-        let key = counted.add_child(b, Axis::Child, Pred::tag("author"));
-        let count = counted.add_child(0, Axis::Child, Pred::tag("count"));
-        let pl = [0, key, count].map(ProjectItem::deep);
-        let pl = [ProjectItem::shallow(0), pl[1], pl[2]];
-        let appended = |tag| recognize(&counted, &pl, true, &gb, &basis, tag);
-        assert!(matches!(appended(Some("count")), Some(Gather::Appended)));
-        assert!(appended(Some("sum")).is_none());
-        assert!(appended(None).is_none());
+        // Another appended tag, no `Aggregate` below, or no `GroupBy`.
+        let new = |grouped, appended| Projection::new(&p, &pl, true, grouped, appended);
+        assert!(!new(Some((&gb, &basis[..])), Some("sum")).recognized);
+        assert!(!new(Some((&gb, &basis[..])), None).recognized);
+        assert!(!new(None, Some("count")).recognized);
     }
 
     #[test]
@@ -598,36 +514,40 @@ mod tests {
 
     #[test]
     fn other_inputs_are_refused() {
-        // Fig. 5d's projection over groups (it runs with its grouping,
-        // over stored rows), over anything else, and any other projection
-        // run with a grouping.
+        // The gather over groups (it runs in the grouping's pass, over
+        // stored rows); the count plan's projection over stored rows, and
+        // Fig. 5d's projection over groups, which only the gather writes.
         let s = store();
         let (gb, basis, ordering) = author_grouping(None, "title");
-        let (p, pl) = fig5d_pattern(Axis::Child, "title");
-        let gather = Projection::new(&p, &pl, true, Some((&gb, &basis[..])), None);
-        let other = Projection::new(&p, &pl, false, Some((&gb, &basis[..])), None);
-        assert!(gather.gathers_members() && !other.gathers_members());
         let (groups, _) = groupby(&s, &articles(&s), &gb, &basis, &ordering).unwrap();
-        let fused = |projection: &Projection, input: &Batch| {
-            projection
-                .gather(&s, input, &gb, &basis, &ordering)
-                .map(|(out, _)| out)
-        };
+        let (member, extract) = member_path(&[(Axis::Child, "title")]);
+        let over_groups = gather(&s, &groups, &gb, &basis, &ordering, (&member, extract));
+        let (p, pl) = counted("count");
+        let count = Projection::new(&p, &pl, true, Some((&gb, &basis[..])), Some("count"));
+        let mut fig5d = PatternTree::with_root(Pred::tag(tags::GROUP_ROOT));
+        let b = fig5d.add_child(0, Axis::Child, Pred::tag(tags::GROUPING_BASIS));
+        let key = fig5d.add_child(b, Axis::Child, Pred::tag("author"));
+        let sub = fig5d.add_child(0, Axis::Child, Pred::tag(tags::GROUP_SUBROOT));
+        let art = fig5d.add_child(sub, Axis::Child, Pred::tag("article"));
+        let title = fig5d.add_child(art, Axis::Child, Pred::tag("title"));
+        let pl = [0, key, title].map(ProjectItem::deep);
+        let pl = [ProjectItem::shallow(0), pl[1], pl[2]];
+        let fig5d = Projection::new(&fig5d, &pl, true, Some((&gb, &basis[..])), None);
         for err in [
-            gather.project(groups.clone()),
-            fused(&gather, &groups),
-            fused(&other, &articles(&s)),
+            over_groups.map(|(out, _)| out),
+            count.project(articles(&s)),
+            fig5d.project(groups),
         ] {
             assert!(matches!(err, Err(Error::Unsupported(_))), "{err:?}");
         }
     }
 
     #[test]
-    fn the_fused_gather_equals_groupby_then_the_gather_on_random_bibliographies() {
+    fn the_gather_equals_the_projected_groups_on_random_bibliographies() {
         // Both routes into the one fold — star patterns, and a member path
         // through `<sec>` that takes the tables — under every ordering,
         // over disjoint and nested rows, and over rows listed twice.
-        smallrand::prop::check("fused_gather_equals_groupby_then_gather", 200, |g| {
+        smallrand::prop::check("gather_equals_the_projected_groups", 200, |g| {
             let nest = g.bool();
             let xml_text = crate::ops::groupby::tests::bibliography(g, nest);
             let s = DocumentStore::from_xml(&xml_text, &StoreOptions::in_memory()).unwrap();
@@ -638,12 +558,12 @@ mod tests {
             ]);
             let by = *g.pick(&["title", "year", "author"]);
             let grouping = author_grouping(direction, by);
-            let path: &[(Axis, &str)] = match g.usize_in(0, 3) {
+            let path = member_path(match g.usize_in(0, 3) {
                 0 => &[(Axis::Child, "title")],
                 1 => &[(Axis::Descendant, "title")],
                 2 => &[(Axis::Child, "year")],
                 _ => &[(Axis::Child, "sec"), (Axis::Child, "title")],
-            };
+            });
             let Batch::Stored(mut rows) = articles(&s) else {
                 unreachable!()
             };
@@ -653,7 +573,7 @@ mod tests {
                 rows.sort_by_key(|e| e.id);
             }
             let rows = Batch::Stored(rows);
-            fused_against_groupby(&s, &rows, &grouping, &fig5d_path(path));
+            fused_against_groupby(&s, &rows, &grouping, &path);
         });
     }
 }

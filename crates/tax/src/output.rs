@@ -322,30 +322,20 @@ mod tests {
     /// distinct authors and their join with the articles.
     fn paper_outputs(s: &DocumentStore) -> Vec<(&'static str, Batch)> {
         use crate::batch::Matches;
+        use crate::ops::groupby::gather;
         use crate::ops::join::{stitch, Members};
-        use crate::ops::project::{ProjectItem, Projection};
         use crate::ops::{cube, dup_elim, left_outer_join_db, rename_root, rollup};
         use crate::ops::{AggFunc, BasisItem, RollupShape};
         use crate::pattern::{Axis, PatternTree, Pred};
-        use crate::tags::{GROUPING_BASIS, GROUP_ROOT, GROUP_SUBROOT};
         let tag = |t: &str| Pred::tag(t);
         let articles = Batch::Stored(s.nodes_with_tag(s.tag_id("article").unwrap()).to_vec());
         let mut scan = PatternTree::with_root(tag("article"));
         let author = scan.add_child(0, Axis::Child, tag("author"));
         let title = scan.add_child(0, Axis::Child, tag("title"));
         let by_author = [BasisItem::content(author)];
-        let mut fig5d = PatternTree::with_root(tag(GROUP_ROOT));
-        let basis = fig5d.add_child(0, Axis::Child, tag(GROUPING_BASIS));
-        let key = fig5d.add_child(basis, Axis::Child, tag("author"));
-        let subroot = fig5d.add_child(0, Axis::Child, tag(GROUP_SUBROOT));
-        let member = fig5d.add_child(subroot, Axis::Child, tag("article"));
-        let extract = fig5d.add_child(member, Axis::Child, tag("title"));
-        let pl = [0, key, extract].map(ProjectItem::deep);
-        let pl = [ProjectItem::shallow(0), pl[1], pl[2]];
-        let gather = Projection::new(&fig5d, &pl, true, Some((&scan, &by_author[..])), None);
-        let (gathered, _) = gather.gather(s, &articles, &scan, &by_author, &[]).unwrap();
         let mut titled = PatternTree::with_root(tag("article"));
         let t = titled.add_child(0, Axis::Child, tag("title"));
+        let (gathered, _) = gather(s, &articles, &scan, &by_author, &[], (&titled, t)).unwrap();
         let count = AggFunc::Count;
         let flat = RollupShape::Flat;
         let (counted, _) = rollup(

@@ -304,16 +304,16 @@ impl PatternTree {
         let mut out = PatternTree::with_root(self.nodes[root].pred.clone());
         let mut map = vec![None; self.nodes.len()];
         map[root] = Some(out.root());
-        let grafted = targets.iter().map(|&t| self.graft(&mut out, &mut map, t));
-        let ids = grafted.collect::<Option<_>>()?;
+        let placed = targets.iter().map(|&t| self.place(&mut out, &mut map, t));
+        let ids = placed.collect::<Option<_>>()?;
         Some((out, ids))
     }
 
-    /// Node `n`'s id in `out`, adding it and its missing ancestors first
+    /// Node `n`'s id in `out`, placing it and its missing ancestors first
     /// (`map` holds the ids of the nodes added so far).
-    fn graft(&self, out: &mut PatternTree, map: &mut [Option<usize>], n: usize) -> Option<usize> {
+    fn place(&self, out: &mut PatternTree, map: &mut [Option<usize>], n: usize) -> Option<usize> {
         if map[n].is_none() {
-            let (node, parent) = (&self.nodes[n], self.graft(out, map, self.nodes[n].parent?)?);
+            let (node, parent) = (&self.nodes[n], self.place(out, map, self.nodes[n].parent?)?);
             map[n] = Some(out.add_child(parent, node.axis, node.pred.clone()));
         }
         map[n]

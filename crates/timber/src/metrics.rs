@@ -51,8 +51,9 @@ pub struct PlanMetrics {
     /// slowdown.
     pub vec_fallback: u64,
     /// A grouping sink's statistics — its stage times, `stages=p:…/b:…us`
-    /// (the pass, the build) for `GroupBy`, the fused `GroupBy →
-    /// Project`, `Rollup` and `Cube` (`None` for every other operator).
+    /// (the pass, the build) for `GroupBy` (`GroupBy → Project` with its
+    /// gather) and `Rollup` (`Cube` over every prefix level); `None` for
+    /// every other operator.
     pub shards: Option<ShardStats>,
     /// Metrics of the operator's input plans, in plan order.
     pub children: Vec<PlanMetrics>,

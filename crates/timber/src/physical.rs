@@ -7,29 +7,28 @@
 //! their whole output — the selection matches its pattern against the
 //! database once (one binding table), and every other operator reads
 //! its inputs' rows as they were emitted. Every compiled plan ends in a
-//! blocking operator (`GroupBy`, `Rollup`, `Cube` or the stitch) that
-//! needs all the rows below it anyway.
+//! blocking operator (`GroupBy`, `Rollup` or the stitch) that needs all
+//! the rows below it anyway. Each plan node is one operator run and one
+//! metrics line, labelled as EXPLAIN prints the node.
 //!
 //! What moves between operators is a [`Batch`]: stored rows (node
 //! labels, each standing for its whole subtree), a selection's match
 //! rows, groups, or one-level rows — never a tree. A `Project` over a
 //! `SelectDb` of its own pattern projects the selection's match rows
-//! (recognized here, once: the one fused select→project), so a subject
-//! scan — the GROUPBY plans', and the `CUBE BY` scan in either mode,
-//! whose list keeps one deep node per row — hands the grouping sinks
-//! (`GroupBy`, `Rollup`, `Cube`) stored rows, and the direct plan's
-//! projections pass their match rows on up to the stitch. A `Project`
-//! of the rewrite's Fig. 5d shape over a `GroupBy` runs as one sink with
-//! it (recognized here, once): one pass over the stored rows, metered
-//! as one grouping sink, `GroupBy → Project`. Otherwise `GroupBy` emits
-//! groups, which an `Aggregate` appends its value to, and which a
-//! `Project` of the literal count plan's shape over the `Aggregate`
-//! gathers from; the left outer join emits its pairs as groups. The
-//! gathers, the flat
-//! `Rollup` and `Cube` and the stitch emit one-level rows, and `Rename`
-//! over them sets their tag, so a plan's output is rows. Each kernel
-//! refuses any other input with a typed `tax::Error::Unsupported`, and
-//! [`TimberDb::run_plan`](crate::TimberDb::run_plan) refuses a plan
+//! (the one fused select→project), so a subject scan — the GROUPBY
+//! plans', and the `CUBE BY` scan in either mode, whose list keeps one
+//! deep node per row — hands the grouping sinks stored rows, and the
+//! direct plan's projections pass their match rows on up to the stitch.
+//! A `GroupBy` carrying Fig. 5d's member path gathers each group's row
+//! in its one pass over the stored rows (`GroupBy → Project`); without
+//! one it emits groups, which an `Aggregate` appends its value to, and
+//! which a `Project` of the literal count plan's shape over the
+//! `Aggregate` writes out; the left outer join emits its pairs as
+//! groups. The gather, `Rollup` at one level or every prefix level, the
+//! count plan's projection and the stitch emit one-level rows, and
+//! `Rename` over them sets their tag, so a plan's output is rows. Each
+//! kernel refuses any other input with a typed `tax::Error::Unsupported`,
+//! and [`TimberDb::run_plan`](crate::TimberDb::run_plan) refuses a plan
 //! whose root emits no rows.
 //!
 //! Every operator meters its own kernel call — rows in/out (and what
@@ -56,6 +55,7 @@ use tax::exec::{ExecOptions, ShardStats, Stages};
 use tax::ops;
 use tax::Error;
 use xmlstore::DocumentStore;
+use xquery::plan::Levels;
 use xquery::Plan;
 
 /// A batch size for callers that pass one to [`execute`], which ignores
@@ -90,37 +90,16 @@ fn contained(root: impl FnOnce() -> Result<(Batch, PlanMetrics)>) -> Result<(Bat
 /// everything below it. The first error, in an input or in the kernel,
 /// ends the run.
 pub(crate) fn run(store: &DocumentStore, plan: &Plan) -> Result<(Batch, PlanMetrics)> {
-    // Fig. 5d's projection runs as one sink with the `GroupBy` under it,
-    // over that operator's input.
-    let fused = fused_gather(plan);
     let (mut ins, mut children) = (Vec::new(), Vec::new());
-    for input in inputs(fused.as_ref().map_or(plan, |(grouping, _)| grouping)) {
+    for input in inputs(plan) {
         let (rows, metrics) = run(store, input)?;
         ins.push(rows);
         children.push(metrics);
     }
     let trees_in = ins.iter().map(Batch::len).sum();
     let meter = Meter::start();
-    let (out, label) = match &fused {
-        Some((
-            grouping @ Plan::GroupBy {
-                pattern,
-                basis,
-                ordering,
-                ..
-            },
-            projection,
-        )) => {
-            let input = ins.into_iter().next().unwrap_or_default();
-            let out = projection.gather(store, &input, pattern, basis, ordering);
-            let out = out.map(|(out, stages)| (out, Some(stages)));
-            // Labelled as the grouping sink it is: `GroupBy → Project …`.
-            let label = op_label(grouping).replacen("GroupBy", "GroupBy → Project", 1);
-            (out, label)
-        }
-        _ => (kernel(store, plan, ins), op_label(plan)),
-    };
-    let mut metrics = meter.stop(label, children);
+    let out = kernel(store, plan, ins);
+    let mut metrics = meter.stop(op_label(plan), children);
     let (out, stages) = out?;
     metrics.trees_in = trees_in;
     metrics.trees_out = out.len();
@@ -134,33 +113,6 @@ pub(crate) fn run(store: &DocumentStore, plan: &Plan) -> Result<(Batch, PlanMetr
     Ok((out, metrics))
 }
 
-/// Fig. 5d's final projection over a `GroupBy`, which run as one sink:
-/// the `GroupBy` and the projection recognized over it.
-fn fused_gather(plan: &Plan) -> Option<(&Plan, ops::project::Projection)> {
-    let Plan::Project {
-        input,
-        pattern,
-        pl,
-        anchor_root,
-    } = plan
-    else {
-        return None;
-    };
-    let Plan::GroupBy {
-        pattern: grouping,
-        basis,
-        ..
-    } = &**input
-    else {
-        return None;
-    };
-    let grouped = Some((grouping, &basis[..]));
-    let projection = ops::project::Projection::new(pattern, pl, *anchor_root, grouped, None);
-    projection
-        .gathers_members()
-        .then_some((&**input, projection))
-}
-
 /// The input plans of `plan`, in plan order.
 fn inputs(plan: &Plan) -> Vec<&Plan> {
     match plan {
@@ -170,8 +122,7 @@ fn inputs(plan: &Plan) -> Vec<&Plan> {
         | Plan::Aggregate { input, .. }
         | Plan::Rename { input, .. }
         | Plan::GroupBy { input, .. }
-        | Plan::Rollup { input, .. }
-        | Plan::Cube { input, .. } => vec![input],
+        | Plan::Rollup { input, .. } => vec![input],
         Plan::LeftOuterJoinDb { left, .. } => vec![left],
         Plan::StitchConstruct { outer, inner, .. } => {
             std::iter::once(&**outer).chain(inner.as_deref()).collect()
@@ -197,8 +148,7 @@ fn kernel(
         // A projection of a selection through the selection's own
         // pattern is the fused one over its rows, and a final projection
         // over the groups an `Aggregate` appended to writes its output
-        // from the columns. (Fig. 5d's over a `GroupBy` runs with it, in
-        // `run`.)
+        // from the columns.
         Plan::Project {
             input: from,
             pattern,
@@ -242,18 +192,26 @@ fn kernel(
             (Batch::Groups(out?), None)
         }
         Plan::Rename { tag, .. } => (ops::rename::rename_root(store.dict(), input, tag)?, None),
+        // Given Fig. 5d's member path, the grouping's one pass gathers
+        // each group's output row; without it, the groups as columns.
         Plan::GroupBy {
             pattern,
             basis,
             ordering,
+            gather,
             ..
-        } => {
-            let (groups, stages) = ops::groupby::groupby(store, &input, pattern, basis, ordering)?;
-            (groups, Some(stages))
-        }
+        } => staged(match gather {
+            None => ops::groupby::groupby(store, &input, pattern, basis, ordering)?,
+            Some((member, extract)) => {
+                let member = (member, *extract);
+                ops::groupby::gather(store, &input, pattern, basis, ordering, member)?
+            }
+        }),
         // The fused grouped aggregate folds each row's contribution into
         // running per-group accumulators instead of materializing group
-        // trees, so rows in greatly exceed groups out.
+        // trees, so rows in greatly exceed groups out: at the finest
+        // level, or at every prefix level in the one scan (the lattice,
+        // levels emitted coarsest first).
         Plan::Rollup {
             pattern,
             basis,
@@ -262,46 +220,28 @@ fn kernel(
             func,
             new_tag,
             flat,
+            levels,
             ..
         } => {
-            let shape = if *flat {
-                ops::rollup::RollupShape::Flat
-            } else {
-                ops::rollup::RollupShape::Grouped
-            };
-            staged(ops::rollup::rollup(
-                store,
-                &input,
-                pattern,
-                basis,
-                member_pattern,
-                *of,
-                *func,
-                new_tag,
-                shape,
-            )?)
+            let (mp, of, func) = (member_pattern, *of, *func);
+            staged(match levels {
+                Levels::Finest => {
+                    let shape = match flat {
+                        true => ops::rollup::RollupShape::Flat,
+                        false => ops::rollup::RollupShape::Grouped,
+                    };
+                    ops::rollup::rollup(
+                        store, &input, pattern, basis, mp, of, func, new_tag, shape,
+                    )?
+                }
+                Levels::EveryPrefix if *flat => {
+                    ops::cube::cube(store, &input, pattern, basis, mp, of, func, new_tag)?
+                }
+                Levels::EveryPrefix => {
+                    return Err(Error::Unsupported("a cube emits the flat shape".into()))
+                }
+            })
         }
-        // The one-scan grouping lattice: the rollup's fold for every
-        // prefix level of the basis at once, levels emitted coarsest
-        // first.
-        Plan::Cube {
-            pattern,
-            basis,
-            member_pattern,
-            of,
-            func,
-            new_tag,
-            ..
-        } => staged(ops::cube::cube(
-            store,
-            &input,
-            pattern,
-            basis,
-            member_pattern,
-            *of,
-            *func,
-            new_tag,
-        )?),
         // The join sinks time no stages.
         Plan::LeftOuterJoinDb {
             left_pattern,
@@ -458,28 +398,28 @@ mod tests {
     /// A grouped plan's grouping sink (the plans here are chains).
     fn sink_of(plan: &Plan) -> &Plan {
         match plan {
-            Plan::GroupBy { .. } | Plan::Rollup { .. } | Plan::Cube { .. } => plan,
-            Plan::Rename { input, .. } | Plan::Project { input, .. } => sink_of(input),
+            Plan::GroupBy { .. } | Plan::Rollup { .. } => plan,
+            Plan::Rename { input, .. } => sink_of(input),
             other => panic!("no grouping sink above {other:?}"),
+        }
+    }
+
+    /// A compiled grouped plan's grouping sink, under its `Rename`.
+    fn sink_of_mut(plan: &mut Plan) -> &mut Plan {
+        match plan {
+            Plan::Rename { input, .. } => input,
+            other => panic!("no rename above {other:?}"),
         }
     }
 
     /// `plan` with its grouping sink's input replaced.
     fn with_leaf(plan: &Plan, leaf: Plan) -> Plan {
         let mut plan = plan.clone();
-        let mut at = &mut plan;
-        loop {
-            match at {
-                Plan::GroupBy { input, .. }
-                | Plan::Rollup { input, .. }
-                | Plan::Cube { input, .. } => {
-                    **input = leaf;
-                    return plan;
-                }
-                Plan::Rename { input, .. } | Plan::Project { input, .. } => at = &mut **input,
-                other => panic!("no grouping sink above {other:?}"),
-            }
+        match sink_of_mut(&mut plan) {
+            Plan::GroupBy { input, .. } | Plan::Rollup { input, .. } => **input = leaf,
+            other => panic!("no grouping sink: {other:?}"),
         }
+        plan
     }
 
     /// Metrics nodes from the root down the first-input chain.
@@ -518,7 +458,7 @@ mod tests {
             assert_eq!(select.out_kind, Some(OutKind::Matches));
             assert!(leaf.op.starts_with("Project"), "{}", leaf.op);
             assert_eq!(leaf.out_kind, Some(OutKind::Stored));
-            // `GroupBy` alone emits groups; run with Fig. 5d's projection
+            // `GroupBy` alone emits groups; with Fig. 5d's member path
             // (`GroupBy → Project`), rows.
             let groups = |op: &str| op.starts_with("GroupBy") && !op.contains("→ Project");
             let kind = |m: &PlanMetrics| match groups(&m.op) {
@@ -590,20 +530,28 @@ mod tests {
             .map(|query| with_leaf(&compiled(query), selection.clone()))
             .into();
         plans.push(selection);
+        // A `GroupBy` without its member path emits groups, not rows.
+        let mut groups = sink_of(&grouped).clone();
+        let Plan::GroupBy { gather, .. } = &mut groups else {
+            panic!("{grouped:?}")
+        };
+        *gather = None;
         plans.push(Plan::Rename {
-            input: Box::new(sink_of(&grouped).clone()),
+            input: Box::new(groups),
             tag: "x".into(),
         });
         let mut grouped_shape = counted.clone();
-        let mut at = &mut grouped_shape;
-        while let Plan::Rename { input, .. } | Plan::Project { input, .. } = at {
-            at = &mut **input;
-        }
-        let Plan::Rollup { flat, .. } = at else {
+        let Plan::Rollup { flat, .. } = sink_of_mut(&mut grouped_shape) else {
             panic!("{counted:?}")
         };
         *flat = false;
         plans.push(grouped_shape);
+        let mut grouped_lattice = compiled(QUERY_CUBE);
+        let Plan::Rollup { flat, .. } = sink_of_mut(&mut grouped_lattice) else {
+            unreachable!()
+        };
+        *flat = false;
+        plans.push(grouped_lattice);
         for plan in &plans {
             let err = db.run_plan(plan, true).unwrap_err();
             assert!(
@@ -832,10 +780,9 @@ mod tests {
 
     #[test]
     fn metrics_cover_every_operator() {
-        // In both modes on Fig. 6: one metrics node per operator run —
-        // per plan node, but Fig. 5d's projection and its `GroupBy` run
-        // as one sink — and each operator's rows in are its inputs' rows
-        // out.
+        // In both modes on Fig. 6: one metrics node per plan node, each
+        // labelled as EXPLAIN prints the node, and each operator's rows
+        // in are its inputs' rows out.
         fn check(m: &PlanMetrics) -> usize {
             assert!(!m.op.is_empty());
             let fed: usize = m.children.iter().map(|c| c.trees_out).sum();
@@ -849,6 +796,12 @@ mod tests {
             assert_eq!(metrics.trees_out, rows.len());
             let nodes = check(&metrics);
             assert_eq!((nodes, metrics.node_count()), (operators, operators));
+            let (explained, ran) = (plan.explain(), metrics.render());
+            let explained = explained.lines().map(str::trim_start);
+            let ran = ran
+                .lines()
+                .map(|l| l.trim_start().split(" | ").next().unwrap());
+            assert!(ran.eq(explained), "{}", metrics.render());
         }
     }
 }

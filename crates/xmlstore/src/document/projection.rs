@@ -452,7 +452,16 @@ mod tests {
     /// document table and pages — what `open` builds.
     fn from_scratch(s: &DocumentStore, published: &Projection) -> Projection {
         let docs: Vec<DocMeta> = published.docs.iter().map(|d| d.meta).collect();
-        s.read_projection(published.epoch, &docs).unwrap()
+        let sh = &s.shared;
+        let names = sh.names();
+        crate::document::reopen::read_projection(
+            &sh.disk,
+            &names,
+            sh.doc_root_tag,
+            published.epoch,
+            &docs,
+        )
+        .unwrap()
     }
 
     /// Field-by-field equality of two projections over a dictionary of

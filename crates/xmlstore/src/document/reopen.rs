@@ -13,8 +13,9 @@
 
 use super::meta::{bad_meta, decode_delta, decode_meta, encode_meta, DocMeta, StoreMeta};
 use super::projection::{build_projection, Projection};
-use super::{wal_path_for, DocumentStore, StoreOptions};
+use super::{wal_path_for, DocumentStore, StoreOptions, DOC_ROOT_TAG};
 use crate::buffer::with_retry;
+use crate::catalog::TagId;
 use crate::dict::Dictionary;
 use crate::error::{Result, StoreError};
 use crate::heap::NamePages;
@@ -46,9 +47,12 @@ impl DocumentStore {
     /// recovery first: the log's checkpoint snapshot and the committed
     /// deltas after it are read, and the deltas are folded over the
     /// snapshot in log order; one that does not fit the chain (see
-    /// `StoreMeta::apply`) is `WalCorrupt`. A fresh log holding a
-    /// checkpoint of the result then replaces the old one whole.
-    /// Recovery writes no page, so a crash *during* it is harmless.
+    /// `StoreMeta::apply`) is `WalCorrupt`. The name runs and node runs
+    /// are read and checked and the projection is built; only then does a
+    /// fresh log holding a checkpoint of the result replace the old one
+    /// whole, so an `open` that fails leaves the log and the page file as
+    /// it found them. Recovery writes no page, so a crash *during* it is
+    /// harmless.
     pub fn open(opts: &StoreOptions) -> Result<Self> {
         let path = opts.path.as_ref().ok_or_else(|| {
             StoreError::Io(std::io::Error::new(
@@ -63,12 +67,16 @@ impl DocumentStore {
         for delta in &state.commits {
             meta.apply(decode_delta(delta)?)?;
         }
+        // Read the documents back from the recovered pages, at the epoch
+        // after the empty one `assemble` publishes.
+        let (names, table) = read_names(&disk, &meta)?;
+        let tags = Dictionary::from_names(names);
+        let doc_root_tag = tags.intern(DOC_ROOT_TAG);
+        let proj = read_projection(&disk, &table, doc_root_tag, 2, &meta.docs)?;
         // Every page a commit names was synced before its record, so
         // the old log tail is no longer needed.
         let wal = Some(Wal::create(Some(&wal_p), disk.clone(), encode_meta(&meta))?);
 
-        let (names, table) = read_names(&disk, &meta)?;
-        let tags = Dictionary::from_names(names);
         let mut free: BTreeSet<u32> = (0..disk.num_pages()).collect();
         let runs = table.runs.iter().map(|r| (r.base, r.pages));
         for (base, pages) in runs.chain(meta.docs.iter().map(|d| (d.node_base, d.node_pages))) {
@@ -80,31 +88,12 @@ impl DocumentStore {
             committed: state.commits.len() as u64,
             ..RecoveryInfo::default()
         });
-        // Read the documents back from the recovered pages, and publish
-        // what they add up to.
         let dict = (tags, table);
         let store = Self::assemble(dict, meta.next_doc, free, wal, opts, disk, recovery)?;
-        let proj = store.read_projection(store.epoch() + 1, &meta.docs)?;
         store.install(&mut store.writer(), proj);
         store.shared.disk.reset_stats();
         store.reset_io_stats();
         Ok(store)
-    }
-
-    /// The projection of `docs` at `epoch`, built in one pass over their
-    /// node runs alone, each read into one buffer and decoded by
-    /// [`node::decode_run`] against the paged names. Any fault is
-    /// `CorruptContent` on the node page where it shows.
-    pub(super) fn read_projection(&self, epoch: u64, docs: &[DocMeta]) -> Result<Projection> {
-        let sh = &self.shared;
-        let names = sh.names();
-        let mut run = Vec::new();
-        build_projection(epoch, sh.doc_root_tag, docs, |d, columns, off| {
-            read_run(&sh.disk, d.node_base, d.node_pages, &mut run)?;
-            let page_of = |at: usize| d.node_base + (at / PAGE_DATA_SIZE) as u32;
-            node::decode_run(&run, d.node_count as usize, &names.locs, off, columns)
-                .map_err(|at| StoreError::CorruptContent { page: page_of(at) })
-        })
     }
 
     /// What crash recovery did, if this store was reopened with
@@ -112,6 +101,26 @@ impl DocumentStore {
     pub fn recovery_info(&self) -> Option<RecoveryInfo> {
         self.shared.recovery
     }
+}
+
+/// The projection of `docs` at `epoch`, built in one pass over their
+/// node runs alone, each read into one buffer and decoded by
+/// [`node::decode_run`] against the paged `names`. Any fault is
+/// `CorruptContent` on the node page where it shows.
+pub(super) fn read_projection(
+    disk: &SharedDisk,
+    names: &NamePages,
+    doc_root_tag: TagId,
+    epoch: u64,
+    docs: &[DocMeta],
+) -> Result<Projection> {
+    let mut run = Vec::new();
+    build_projection(epoch, doc_root_tag, docs, |d, columns, off| {
+        read_run(disk, d.node_base, d.node_pages, &mut run)?;
+        let page_of = |at: usize| d.node_base + (at / PAGE_DATA_SIZE) as u32;
+        node::decode_run(&run, d.node_count as usize, &names.locs, off, columns)
+            .map_err(|at| StoreError::CorruptContent { page: page_of(at) })
+    })
 }
 
 /// Read into `run` the data regions of pages `base..base + pages`, end
@@ -463,6 +472,22 @@ mod tests {
         let _ = std::fs::remove_file(&wal);
     }
 
+    /// `open` at `opts`, as the typed-corruption cases below run it: an
+    /// `open` that fails must leave the log and the page file byte for
+    /// byte as it found them, and a second `open` must fail the same way.
+    fn open_checked(opts: &StoreOptions) -> Result<DocumentStore> {
+        let page = opts.path.clone().unwrap();
+        let files = || [&page, &wal_path_for(&page)].map(|f| std::fs::read(f).unwrap());
+        let found = files();
+        let opened = DocumentStore::open(opts);
+        if let Err(e) = &opened {
+            assert!(files() == found, "a failed open wrote: {e}");
+            let again = DocumentStore::open(opts).err();
+            assert_eq!(format!("{again:?}"), format!("{:?}", Some(e)));
+        }
+        opened
+    }
+
     /// A name longer than a page, which the poked store's name table
     /// holds.
     fn long_name() -> String {
@@ -484,7 +509,7 @@ mod tests {
         let (page, wal) = temp_paths(tag);
         let opts = durable_opts(&page);
         let at = poke_last(&opts, &[], xml, poke);
-        let reopened = DocumentStore::open(&opts);
+        let reopened = open_checked(&opts);
         let _ = std::fs::remove_file(&page);
         let _ = std::fs::remove_file(&wal);
         (reopened, at)
@@ -661,7 +686,7 @@ mod tests {
         let want = poke_last(&opts, &before, &two_page_doc(), set_level(1200, 5));
         let pages = std::fs::read(&page).unwrap();
         for _ in 0..2 {
-            match DocumentStore::open(&opts) {
+            match open_checked(&opts) {
                 Err(StoreError::CorruptContent { page }) if page == want => {}
                 Err(e) => panic!("expected CorruptContent on page {want}, got {e}"),
                 Ok(_) => panic!("the store reopened"),
@@ -701,7 +726,7 @@ mod tests {
         page::data_mut(&mut image)[at.off as usize + 1] = 0x80;
         disk.write_page(PageId(at.page), &image).unwrap();
         drop(disk);
-        match DocumentStore::open(&opts) {
+        match open_checked(&opts) {
             Err(StoreError::CorruptContent { page }) if page == at.page => {}
             Err(e) => panic!("expected CorruptContent on page {}, got {e}", at.page),
             Ok(_) => panic!("the store reopened"),
@@ -753,7 +778,7 @@ mod tests {
             wal::encode_record(log.len() as u64, &rec, &mut log);
         }
         std::fs::write(&wal, log).unwrap();
-        match DocumentStore::open(&opts) {
+        match open_checked(&opts) {
             Err(StoreError::CorruptContent { page: 0 }) => {}
             Err(e) => panic!("checkpoint: expected CorruptContent on page 0, got {e}"),
             Ok(_) => panic!("checkpoint: the store reopened"),
@@ -787,7 +812,7 @@ mod tests {
             wal::encode_record(log.len() as u64, &rec, &mut log);
         }
         std::fs::write(&wal, log).unwrap();
-        let reopened = DocumentStore::open(&opts);
+        let reopened = open_checked(&opts);
         let _ = std::fs::remove_file(&page);
         let _ = std::fs::remove_file(&wal);
         reopened
@@ -888,5 +913,30 @@ mod tests {
                 *meta = encode_meta(&empty);
             }
         });
+    }
+
+    #[test]
+    fn a_failed_open_changes_nothing() {
+        // Every typed-corruption case opens through `open_checked`: the
+        // `open` that refuses a damaged store reads and checks every name
+        // and node run before it installs a fresh log, so it writes
+        // neither the log nor the page file, and the next `open` refuses
+        // the store the same way.
+        for case in [
+            a_record_symbol_the_dictionary_or_its_pointer_disowns_is_typed_corruption,
+            a_row_of_unknown_kind_is_typed_corruption,
+            a_row_with_its_reserved_byte_set_is_typed_corruption,
+            a_table_tag_past_the_name_table_is_typed_corruption,
+            a_row_index_past_the_table_is_typed_corruption,
+            a_first_row_below_level_one_is_typed_corruption,
+            a_row_two_levels_below_its_element_is_typed_corruption,
+            a_corrupt_row_in_the_last_of_several_documents_names_its_page,
+            a_row_under_a_leaf_is_typed_corruption,
+            a_name_that_is_not_utf8_is_typed_corruption,
+            a_length_list_that_overruns_its_run_is_typed_corruption,
+            a_log_that_is_not_the_chain_this_store_wrote_is_typed_corruption,
+        ] {
+            case();
+        }
     }
 }

@@ -3,9 +3,11 @@
 //!
 //! [`optimize`] looks once at the plan root for the join-based naive
 //! plan of a grouping query (Phase 1, `detect`) and, when it finds
-//! one, builds the `GROUPBY` plan (Phase 2) — for the Sec. 4.3 count
-//! variant, one [`Plan::Rollup`]. `translate` emits `StitchConstruct`
-//! only at the root, so no other node can be a grouping.
+//! one, builds the `GROUPBY` plan (Phase 2): one [`Plan::GroupBy`]
+//! carrying Fig. 5d's member path, or for the Sec. 4.3 count variant one
+//! [`Plan::Rollup`]. Each is the one operator the executor runs.
+//! `translate` emits `StitchConstruct` only at the root, so no other node
+//! can be a grouping.
 //!
 //! Nothing else is rewritten. Both subject scans — the rewrite's Fig. 5a
 //! input and the `CUBE BY` input — come from one builder in `translate`,
@@ -14,14 +16,12 @@
 //! as one match. The outcome is recorded in an [`OptTrace`] (surfaced by
 //! `EXPLAIN` / `EXPLAIN ANALYZE` in the `timber` crate).
 
-use crate::plan::Plan;
+use crate::plan::{Levels, Plan};
 use crate::translate::subject_scan;
 use std::fmt::Write;
 use tax::ops::aggregate::AggFunc;
 use tax::ops::groupby::{BasisItem, Direction, GroupOrder};
-use tax::ops::project::ProjectItem;
-use tax::pattern::{Axis, PatternNodeId, PatternTree, Pred};
-use tax::tags;
+use tax::pattern::{PatternNodeId, PatternTree};
 
 /// The name the grouping rewrite is traced under.
 const GROUPBY_REWRITE: &str = "groupby-rewrite";
@@ -92,7 +92,8 @@ pub fn optimize(plan: Plan) -> (Plan, OptTrace) {
 //    of the inner pattern and whose grouping basis is the join value
 //    (`$2.content`, Fig. 5b/5c);
 // 3. a final projection extracting the RETURN nodes from the group
-//    trees (Fig. 5d);
+//    trees (Fig. 5d) — carried by the `GroupBy` as its member path, the
+//    subject → RETURN node path, which it gathers in the same pass;
 // 4. a rename to the constructed tag.
 //
 // For the count variant (Sec. 4.3) steps 2–3 and the aggregation between
@@ -209,6 +210,10 @@ fn build_groupby_plan(
     let (pattern, ids) = right_pattern.paths(subject, &targets)?;
     let basis = vec![BasisItem::content(ids[0])];
     let (member, extract) = right_pattern.paths(subject, &[extract])?;
+    let ordering = order.map(|(_, direction)| GroupOrder {
+        label: ids[1],
+        direction,
+    });
 
     let grouped = match agg {
         Some((func, new_tag)) => Plan::Rollup {
@@ -220,37 +225,17 @@ fn build_groupby_plan(
             func,
             new_tag,
             flat: true,
+            levels: Levels::Finest,
         },
-        None => {
-            let ordering = order.map(|(_, direction)| GroupOrder {
-                label: ids[1],
-                direction,
-            });
-            let group = Plan::GroupBy {
-                input,
-                pattern,
-                basis,
-                ordering: ordering.into_iter().collect(),
-            };
-            // Step 3: the final projection over group trees (Fig. 5d):
-            // the root, its key, and each member's RETURN nodes.
-            let join_tag = right_pattern.node(join_node).pred.required_tag();
-            let mut fp = PatternTree::with_root(Pred::tag(tags::GROUP_ROOT));
-            let wrapper = fp.add_child(0, Axis::Child, Pred::tag(tags::GROUPING_BASIS));
-            let key = fp.add_child(wrapper, Axis::Child, Pred::tag(join_tag.unwrap_or("*")));
-            let subroot = fp.add_child(0, Axis::Child, Pred::tag(tags::GROUP_SUBROOT));
-            let out = graft(&mut fp, subroot, &member)[extract[0]];
-            Plan::Project {
-                input: Box::new(group),
-                pattern: fp,
-                pl: vec![
-                    ProjectItem::shallow(0),
-                    ProjectItem::deep(key),
-                    ProjectItem::deep(out),
-                ],
-                anchor_root: true,
-            }
-        }
+        // Step 3 rides on the grouping: each group's row is its key and
+        // its members' matches of the member path's RETURN node.
+        None => Plan::GroupBy {
+            input,
+            pattern,
+            basis,
+            ordering: ordering.into_iter().collect(),
+            gather: Some((member, extract[0])),
+        },
     };
     Some(Plan::Rename {
         input: Box::new(grouped),
@@ -258,24 +243,11 @@ fn build_groupby_plan(
     })
 }
 
-/// Copy `sub` under `at` in `into`, its root a `pc` child; returns the
-/// ids its nodes got there.
-fn graft(into: &mut PatternTree, at: PatternNodeId, sub: &PatternTree) -> Vec<PatternNodeId> {
-    let mut ids = Vec::with_capacity(sub.len());
-    for (_, node) in sub.iter() {
-        let (parent, axis) = match node.parent {
-            Some(p) => (ids[p], node.axis),
-            None => (at, Axis::Child),
-        };
-        ids.push(into.add_child(parent, axis, node.pred.clone()));
-    }
-    ids
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{parse_query, translate};
+    use tax::pattern::{Axis, Pred};
 
     const QUERY1: &str = r#"
         FOR $a IN distinct-values(document("bib.xml")//author)

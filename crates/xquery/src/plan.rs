@@ -1,12 +1,14 @@
 //! Logical TAX plans.
 //!
-//! A [`Plan`] is a tree of algebra operators over the stored database.
-//! The translator emits the *naive* plan of Sec. 4.1 (a `CUBE BY` query
-//! straight as a [`Plan::Cube`]); the rewriter replaces the join pipeline
-//! with a `GROUPBY` pipeline, or a [`Plan::Rollup`] for the count
+//! A [`Plan`] is a tree of algebra operators over the stored database,
+//! and each node is one operator the evaluator (in the `timber` crate)
+//! runs. The translator emits the *naive* plan of Sec. 4.1 (a `CUBE BY`
+//! query straight as a [`Plan::Rollup`] over every prefix level); the
+//! rewriter replaces the join pipeline with a [`Plan::GroupBy`] that
+//! carries Fig. 5d's member path, or a [`Plan::Rollup`] for the count
 //! variant. Every scan is a [`Plan::SelectDb`], and a selection whose
 //! witness trees are projected is a [`Plan::Project`] over it, which the
-//! evaluator (in the `timber` crate) runs as one match.
+//! evaluator runs as one match.
 
 use std::fmt::Write;
 use tax::ops::aggregate::{AggFunc, UpdateSpec};
@@ -78,6 +80,11 @@ pub enum Plan {
         basis: Vec<BasisItem>,
         /// Ordering list.
         ordering: Vec<GroupOrder>,
+        /// Fig. 5d's final projection, run in the same pass: the member
+        /// path from the subject and its node whose matches each group
+        /// writes after its key, one row a group (`GroupBy → Project`).
+        /// `None`: the groups themselves, as columns.
+        gather: Option<(PatternTree, PatternNodeId)>,
     },
     /// Aggregation with update specification (Sec. 4.3), over the
     /// groups of its input.
@@ -98,16 +105,18 @@ pub enum Plan {
     },
     /// Grouped aggregation (Sec. 4.3's count variant as one operator):
     /// the grouping rewrite emits it where the paper's plan is `Project ∘
-    /// Aggregate ∘ GroupBy`. It folds each input row's contribution into
-    /// running per-basis-key aggregate state, never building the grouped
-    /// member trees, and emits `TAX_group_root { <key>, <new_tag>value
-    /// </new_tag> }` per group in first-witness order.
+    /// Aggregate ∘ GroupBy`, and the translator emits it over every
+    /// prefix level for `CUBE BY`. It folds each input row's contribution
+    /// into running per-basis-key aggregate state, never building the
+    /// grouped member trees, and emits `TAX_group_root { <key>,
+    /// <new_tag>value</new_tag> }` per group in first-witness order,
+    /// levels coarsest-first.
     Rollup {
         /// Input plan.
         input: Box<Plan>,
-        /// Grouping pattern (as in `GroupBy`).
+        /// Grouping pattern (as in `GroupBy`), every dimension in it.
         pattern: PatternTree,
-        /// Grouping basis.
+        /// Grouping basis; level `k` groups on `basis[..k]`.
         basis: Vec<BasisItem>,
         /// The aggregate's pattern, rooted at the input trees (the
         /// subject → aggregated-node path).
@@ -120,30 +129,11 @@ pub enum Plan {
         new_tag: String,
         /// Flat output shape, the final projection pre-applied: no basis
         /// wrapper, and a group whose aggregate is undefined is dropped.
-        /// The rewrite always sets it, and the executor refuses a plan
-        /// that does not.
+        /// The rewrite and the translator always set it, and the executor
+        /// refuses a plan that does not.
         flat: bool,
-    },
-    /// The grouping lattice (`CUBE BY`): one scan computes the aggregate
-    /// at **every** prefix of the basis, emitting per level the flat
-    /// rollup shape `TAX_group_root { key…, <new_tag>value</new_tag> }`,
-    /// levels coarsest-first.
-    Cube {
-        /// Input plan (shared by every level).
-        input: Box<Plan>,
-        /// Grouping pattern containing every dimension.
-        pattern: PatternTree,
-        /// The full ordered basis; level `k` groups on `basis[..k]`.
-        basis: Vec<BasisItem>,
-        /// The aggregate's pattern, rooted at the input trees (as in
-        /// [`Plan::Rollup`]).
-        member_pattern: PatternTree,
-        /// Label in `member_pattern` whose contents are aggregated.
-        of: PatternNodeId,
-        /// Aggregate function.
-        func: AggFunc,
-        /// Name of the element carrying the computed value.
-        new_tag: String,
+        /// Which prefix levels of the basis are folded.
+        levels: Levels,
     },
     /// Root renaming.
     Rename {
@@ -174,6 +164,15 @@ pub enum Plan {
         /// The constructed element name (e.g. `authorpubs`).
         tag: String,
     },
+}
+
+/// The prefix levels of its basis a [`Plan::Rollup`] folds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Levels {
+    /// The whole basis alone: a rollup.
+    Finest,
+    /// Every prefix, one scan for all (`CUBE BY`, the grouping lattice).
+    EveryPrefix,
 }
 
 impl Plan {
@@ -253,15 +252,27 @@ impl Plan {
                 pattern,
                 basis,
                 ordering,
+                gather,
             } => {
                 let bs = basis_summary(basis);
                 let os: Vec<String> = ordering
                     .iter()
                     .map(|o| format!("${} {:?}", o.label + 1, o.direction))
                     .collect();
+                let (name, gathered) = match gather {
+                    None => ("GroupBy", String::new()),
+                    Some((member, extract)) => (
+                        "GroupBy → Project",
+                        format!(
+                            " member={} extract=${}",
+                            pattern_summary(member),
+                            extract + 1
+                        ),
+                    ),
+                };
                 let _ = writeln!(
                     out,
-                    "{pad}GroupBy pattern={} basis={bs:?} ordering={os:?}",
+                    "{pad}{name} pattern={} basis={bs:?} ordering={os:?}{gathered}",
                     pattern_summary(pattern)
                 );
                 input.explain_into(out, depth + 1);
@@ -285,33 +296,17 @@ impl Plan {
                 func,
                 new_tag,
                 flat,
+                levels,
             } => {
+                let (name, shape) = match levels {
+                    Levels::Finest => ("Rollup", if *flat { " flat" } else { "" }.to_owned()),
+                    Levels::EveryPrefix => ("Cube", format!(" levels={}", basis.len())),
+                };
                 let bs = basis_summary(basis);
                 let _ = writeln!(
                     out,
-                    "{pad}Rollup {func:?}(member ${}) as <{new_tag}>{} pattern={} basis={bs:?} member={}",
+                    "{pad}{name} {func:?}(member ${}) as <{new_tag}>{shape} pattern={} basis={bs:?} member={}",
                     of + 1,
-                    if *flat { " flat" } else { "" },
-                    pattern_summary(pattern),
-                    pattern_summary(member_pattern)
-                );
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Cube {
-                input,
-                pattern,
-                basis,
-                member_pattern,
-                of,
-                func,
-                new_tag,
-            } => {
-                let bs = basis_summary(basis);
-                let _ = writeln!(
-                    out,
-                    "{pad}Cube {func:?}(member ${}) as <{new_tag}> levels={} pattern={} basis={bs:?} member={}",
-                    of + 1,
-                    basis.len(),
                     pattern_summary(pattern),
                     pattern_summary(member_pattern)
                 );
@@ -401,6 +396,7 @@ mod tests {
                 pattern: sample_pattern(),
                 basis: vec![BasisItem::content(2)],
                 ordering: vec![],
+                gather: None,
             }),
             tag: "authorpubs".into(),
         };

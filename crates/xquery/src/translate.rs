@@ -21,7 +21,7 @@
 
 use crate::ast::*;
 use crate::error::{QueryError, Result};
-use crate::plan::Plan;
+use crate::plan::{Levels, Plan};
 use tax::ops::aggregate::AggFunc;
 use tax::ops::groupby::{BasisItem, Direction};
 use tax::ops::project::ProjectItem;
@@ -187,7 +187,7 @@ pub fn translate(q: &Flwr) -> Result<Plan> {
     })
 }
 
-/// Translate a `CUBE BY` query: one [`Plan::Cube`] over the scan of the
+/// Translate a `CUBE BY` query: one lattice [`Plan::Rollup`] over the scan of the
 /// FOR subjects, grouping on every dimension prefix `basis[..k]` and
 /// aggregating the RETURN path. `CUBE BY` has no paper plan "as
 /// written", so both plan modes run this one; the reference model
@@ -286,7 +286,7 @@ fn translate_cube(q: &Flwr, cube: &CubeClause) -> Result<Plan> {
         .collect();
     let of = add_child_chain(&mut member_pattern, root, agg_path);
     Ok(Plan::Rename {
-        input: Box::new(Plan::Cube {
+        input: Box::new(Plan::Rollup {
             input: Box::new(input),
             pattern,
             basis,
@@ -294,6 +294,8 @@ fn translate_cube(q: &Flwr, cube: &CubeClause) -> Result<Plan> {
             of,
             func: agg_func_of(*func),
             new_tag: func.name().to_owned(),
+            flat: true,
+            levels: Levels::EveryPrefix,
         }),
         tag: constructor.tag.clone(),
     })
@@ -735,16 +737,17 @@ mod tests {
             panic!("outer node must rename to the constructor tag")
         };
         assert_eq!(tag, "pubs");
-        let Plan::Cube {
+        let Plan::Rollup {
             input,
             pattern,
             basis,
             member_pattern,
             of,
+            levels: Levels::EveryPrefix,
             ..
         } = input.as_ref()
         else {
-            panic!("a cube translates to one Cube: {plan:?}")
+            panic!("a cube translates to one lattice rollup: {plan:?}")
         };
         assert_eq!(
             crate::plan::pattern_summary(pattern),

@@ -1,5 +1,5 @@
 //! Differential suite for the grouping lattice: a `CUBE BY` query
-//! translates to the one-scan `Plan::Cube` in both plan modes, and its
+//! translates to the one-scan lattice `Plan::Rollup` in both plan modes, and its
 //! serialized output must be the bytes the reference model evaluates the
 //! query to: for every aggregate function, on random ragged
 //! bibliographies where an author's name sits at varying depths, and

@@ -43,10 +43,9 @@ StitchConstruct <authorpubs> key: outer.$2
 
 == optimized plan ==
 Rename to <authorpubs>
-  Project pattern=[$1:TAX_group_root, $1-pc->$2:TAX_grouping_basis, $2-pc->$3:author, $1-pc->$4:TAX_group_subroot, $4-pc->$5:article, $5-pc->$6:title] PL=[\"$1\", \"$3*\", \"$6*\"] anchor_root=true
-    GroupBy pattern=[$1:article, $1-pc->$2:author] basis=[\"$2.content\"] ordering=[]
-      Project pattern=[$1:article] PL=[\"$1*\"] anchor_root=true
-        SelectDb pattern=[$1:article] SL=[\"$1\"]
+  GroupBy → Project pattern=[$1:article, $1-pc->$2:author] basis=[\"$2.content\"] ordering=[] member=[$1:article, $1-pc->$2:title] extract=$2
+    Project pattern=[$1:article] PL=[\"$1*\"] anchor_root=true
+      SelectDb pattern=[$1:article] SL=[\"$1\"]
 
 == rewrite trace ==
 groupby-rewrite
@@ -97,6 +96,38 @@ StitchConstruct <row> key: outer.$2
 (no rules fired)
 ";
     assert_eq!(fig6_db().explain(QUERY_PROJECT).unwrap(), expected);
+}
+
+#[test]
+fn explain_and_explain_analyze_print_one_tree() {
+    // Each plan node is the one operator that runs: EXPLAIN's lines — the
+    // operator names, in order, and all they print — are the lines
+    // EXPLAIN ANALYZE meters, for every rewritten plan shape.
+    let db = fig6_db();
+    let cube = r#"FOR $b IN document("bib.xml")//article CUBE BY $b/author, $b/title
+                  RETURN <pubs> {count($b/title)} </pubs>"#;
+    let name = |line: &str| -> String {
+        let words = line.split_whitespace();
+        let words = words.take_while(|w| !w.contains(['=', '(', '<', '[']));
+        words.collect::<Vec<_>>().join(" ")
+    };
+    for query in [QUERY1, QUERY2, QUERY_COUNT, cube] {
+        let explained = db
+            .compile(query, PlanMode::GroupByRewrite)
+            .unwrap()
+            .0
+            .explain();
+        let explained: Vec<&str> = explained.lines().map(str::trim_start).collect();
+        let a = db.explain_analyze(query, PlanMode::GroupByRewrite).unwrap();
+        let text = a.metrics.render();
+        let ran: Vec<&str> = text
+            .lines()
+            .map(|l| l.trim_start().split(" | ").next().unwrap())
+            .collect();
+        let names = |lines: &[&str]| lines.iter().map(|l| name(l)).collect::<Vec<_>>();
+        assert_eq!(names(&ran), names(&explained), "{query}:\n{text}");
+        assert_eq!(ran, explained, "{query}:\n{text}");
+    }
 }
 
 #[test]

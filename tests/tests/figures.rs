@@ -147,13 +147,16 @@ fn fig5_rewritten_plan_structure() {
     );
     // Fig. 5b: grouping pattern article -pc-> author, basis $2.content.
     assert!(
-        text.contains("GroupBy pattern=[$1:article, $1-pc->$2:author]"),
+        text.contains("GroupBy → Project pattern=[$1:article, $1-pc->$2:author]"),
         "{text}"
     );
     assert!(text.contains("basis=[\"$2.content\"]"), "{text}");
-    // Fig. 5d: the final projection over the group tree.
-    assert!(text.contains("TAX_group_root"), "{text}");
-    assert!(text.contains("TAX_group_subroot"), "{text}");
+    // Fig. 5d: the final projection over the group tree, run by the
+    // `GroupBy` as its member path: each member's titles.
+    assert!(
+        text.contains(" member=[$1:article, $1-pc->$2:title] extract=$2"),
+        "{text}"
+    );
 }
 
 #[test]

@@ -14,7 +14,7 @@ use tax::ops::groupby::BasisItem;
 use tax::ops::project::ProjectItem;
 use tax::pattern::{Axis, PatternTree, Pred};
 use tax::tags;
-use timber::{OutKind, PlanMetrics, PlanMode, TimberDb};
+use timber::{OutKind, PlanMetrics, PlanMode, TimberDb, TimberError};
 use timber_integration_tests::{
     assert_matches_model, bibliography, expected, fig6_db, run, Shape, FIG6_DB, QUERY1, QUERY2,
     QUERY_COUNT,
@@ -99,6 +99,7 @@ fn literal_count_plan() -> Plan {
         pattern: grouping,
         basis: vec![BasisItem::content(author)],
         ordering: vec![],
+        gather: None,
     };
     let aggregate = Plan::Aggregate {
         input: Box::new(group),
@@ -149,21 +150,23 @@ fn the_papers_literal_count_plan_equals_the_model_on_fig6() {
     assert_eq!(ops, literal, "{text}");
 }
 
-/// `plan` (a chain of one-input operators) with its grouping sink's
-/// input, the subject scan, replaced.
+/// The grouping sink of a rewritten plan, `Rename` over `GroupBy` or
+/// `Rollup`.
+fn sink_of(plan: &mut Plan) -> &mut Plan {
+    match plan {
+        Plan::Rename { input, .. } => input,
+        other => panic!("not a rewritten plan: {other:?}"),
+    }
+}
+
+/// `plan` with its grouping sink's input, the subject scan, replaced.
 fn with_leaf(plan: &Plan, leaf: Plan) -> Plan {
     let mut plan = plan.clone();
-    let mut at = &mut plan;
-    loop {
-        match at {
-            Plan::Rollup { input, .. } | Plan::GroupBy { input, .. } => {
-                **input = leaf;
-                return plan;
-            }
-            Plan::Rename { input, .. } | Plan::Project { input, .. } => at = &mut **input,
-            other => panic!("no grouping sink above {other:?}"),
-        }
+    match sink_of(&mut plan) {
+        Plan::Rollup { input, .. } | Plan::GroupBy { input, .. } => **input = leaf,
+        other => panic!("no grouping sink: {other:?}"),
     }
+    plan
 }
 
 /// The `[$1*]` scan of `pattern`: one stored row per match.
@@ -433,29 +436,64 @@ fn gather_bibliography(g: &mut Gen) -> String {
     s + "</bib>"
 }
 
-/// The titles plan with the extract edge made `-ad->`: `$b//title`.
+/// The titles plan with the `GroupBy`'s member edge made `-ad->`:
+/// `$b//title`.
 fn descendant_extract(plan: &Plan) -> Plan {
     let mut plan = plan.clone();
+    let Plan::GroupBy {
+        gather: Some((member, extract)),
+        ..
+    } = sink_of(&mut plan)
+    else {
+        panic!("not the titles plan")
+    };
+    assert_eq!(member.len(), 2, "{member:?}");
+    let mut p = PatternTree::with_root(Pred::tag("article"));
+    *extract = p.add_child(p.root(), Axis::Descendant, Pred::tag("title"));
+    *member = p;
+    plan
+}
+
+#[test]
+fn a_hand_built_fig5d_projection_over_a_groupby_is_refused_typed() {
+    // The paper's Phase 2 plan as two operators: Fig. 5d's final
+    // projection over a `GroupBy` that emits its groups. The gather runs
+    // only as the `GroupBy`'s own member path, so this plan is a typed
+    // refusal — no panic, no bytes — and the store answers next.
+    let db = fig6_db();
+    let (mut plan, _) = db.compile(QUERY1, PlanMode::GroupByRewrite).unwrap();
     let Plan::Rename { input, .. } = &mut plan else {
         panic!("{plan:?}")
     };
-    let Plan::Project { pattern, pl, .. } = &mut **input else {
+    let Plan::GroupBy { gather, .. } = &mut **input else {
         panic!("{input:?}")
     };
-    assert_eq!(pattern.len(), 6, "{pattern:?}");
-    let mut p = PatternTree::with_root(Pred::tag(tags::GROUP_ROOT));
-    let basis = p.add_child(p.root(), Axis::Child, Pred::tag(tags::GROUPING_BASIS));
-    let key = p.add_child(basis, Axis::Child, Pred::tag("author"));
-    let subroot = p.add_child(p.root(), Axis::Child, Pred::tag(tags::GROUP_SUBROOT));
-    let member = p.add_child(subroot, Axis::Child, Pred::tag("article"));
-    let title = p.add_child(member, Axis::Descendant, Pred::tag("title"));
-    *pl = vec![
-        ProjectItem::shallow(p.root()),
-        ProjectItem::deep(key),
-        ProjectItem::deep(title),
-    ];
-    *pattern = p;
-    plan
+    *gather = None;
+    let tag = |t: &str| Pred::tag(t);
+    let mut p = PatternTree::with_root(tag(tags::GROUP_ROOT));
+    let basis = p.add_child(p.root(), Axis::Child, tag(tags::GROUPING_BASIS));
+    let key = p.add_child(basis, Axis::Child, tag("author"));
+    let subroot = p.add_child(p.root(), Axis::Child, tag(tags::GROUP_SUBROOT));
+    let member = p.add_child(subroot, Axis::Child, tag("article"));
+    let title = p.add_child(member, Axis::Child, tag("title"));
+    let groups = std::mem::replace(&mut **input, scan(authored()));
+    **input = Plan::Project {
+        input: Box::new(groups),
+        pattern: p,
+        pl: vec![
+            ProjectItem::shallow(0),
+            ProjectItem::deep(key),
+            ProjectItem::deep(title),
+        ],
+        anchor_root: true,
+    };
+    match db.run_plan(&plan, true) {
+        Err(TimberError::Algebra(tax::Error::Unsupported(_))) => {}
+        Err(e) => panic!("expected a typed refusal, got {e:?}"),
+        Ok(r) => panic!("the plan served {:?}", r.to_xml_on(db.store())),
+    }
+    let want = expected(FIG6_DB, QUERY1);
+    assert_eq!(run(&db, QUERY1, PlanMode::GroupByRewrite), want);
 }
 
 /// Every metrics node of the plan whose operator starts with `op`.
